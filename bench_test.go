@@ -276,20 +276,18 @@ func BenchmarkAblationTransport(b *testing.B) {
 	})
 	b.Run("tcp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mesh, err := transport.NewTCPMesh(4)
+			mesh, err := transport.NewTCPMeshDeployment(b.Context(), 4)
 			if err != nil {
 				b.Fatal(err)
 			}
-			trs := make([]transport.Transport, 4)
-			for j := range trs {
-				trs[j] = mesh[j]
-			}
-			if _, err := bsp.Run(subs, &apps.CC{}, bsp.Config{Transports: trs}); err != nil {
+			dep, err := bsp.NewDeployment(subs, mesh)
+			if err != nil {
 				b.Fatal(err)
 			}
-			for _, tr := range mesh {
-				_ = tr.Close()
+			if _, err := dep.Run(context.Background(), &apps.CC{}, bsp.Config{}); err != nil {
+				b.Fatal(err)
 			}
+			_ = dep.Close()
 		}
 	})
 }
@@ -439,8 +437,7 @@ func (w *benchFanInWorker) Values() *graph.ValueMatrix {
 // combine axis shows sender/receiver message combining (off vs each
 // program's natural combiner), with the FANIN kernel supplying the
 // duplicate-heavy traffic where sender-side coalescing shrinks the wire.
-// The tcp runs add a wire axis — raw (v3) vs varint (v4 compressed
-// columns) — reporting actual wire bytes moved per run as a metric (CI
+// The tcp runs report actual wire bytes moved per run as a metric (CI
 // uploads these rows as BENCH_wire.json). The wire and delivered row
 // counts are reported as metrics everywhere.
 func BenchmarkMessageDelivery(b *testing.B) {
@@ -463,15 +460,14 @@ func BenchmarkMessageDelivery(b *testing.B) {
 		{"AGGw8", func() bsp.Program { return &apps.Aggregate{Layers: 2} }, 8},
 		{"FANIN", func() bsp.Program { return &benchFanIn{} }, 1},
 	}
-	wireFormats := map[string]transport.WireFormat{"raw": transport.WireV3, "varint": transport.WireV4}
-	runTCP := func(b *testing.B, prog func() bsp.Program, width int, combine bool, format transport.WireFormat) {
+	runTCP := func(b *testing.B, prog func() bsp.Program, width int, combine bool) {
 		var counts bsp.MessageCounts
 		var wireBytes int64
 		for i := 0; i < b.N; i++ {
 			// Mesh setup/teardown is connection plumbing, not message
 			// delivery: keep it off the clock.
 			b.StopTimer()
-			mesh, err := transport.NewTCPMeshDeployment(b.Context(), 8, transport.WithWireFormat(format))
+			mesh, err := transport.NewTCPMeshDeployment(b.Context(), 8)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -508,11 +504,9 @@ func BenchmarkMessageDelivery(b *testing.B) {
 				b.ReportMetric(float64(counts.Wire), "messages")
 				b.ReportMetric(float64(counts.Delivered), "delivered")
 			})
-			for _, wire := range []string{"raw", "varint"} {
-				b.Run(fmt.Sprintf("%s/tcp/wire=%s/combine=%s", tc.name, wire, combine), func(b *testing.B) {
-					runTCP(b, tc.prog, tc.width, combine == "auto", wireFormats[wire])
-				})
-			}
+			b.Run(fmt.Sprintf("%s/tcp/combine=%s", tc.name, combine), func(b *testing.B) {
+				runTCP(b, tc.prog, tc.width, combine == "auto")
+			})
 		}
 	}
 }

@@ -33,8 +33,14 @@
 //
 // Each standalone worker prints its breakdown and writes "vertex value"
 // lines for its local vertices. No process ever loads the whole graph.
-// In both modes peers are dialed with exponential backoff until
-// -dial-timeout expires, so workers may start in any order.
+//
+// Both modes run on the same data plane: the process wires one mesh node
+// (dialing peers with exponential backoff until -dial-timeout expires, so
+// workers may start in any order) and opens its job on it; every frame
+// between workers is a job-tagged, compressed, CRC-checked v4 frame. A
+// worker that finishes its last superstep exits without waiting for its
+// peers — they still receive everything it sent — while a worker that
+// dies mid-run fails its peers' next exchange loudly.
 package main
 
 import (
@@ -152,11 +158,16 @@ func run(ctx context.Context) (err error) {
 		return fmt.Errorf("unknown app %q (valid: CC, PR, SSSP, AGG)", *app)
 	}
 
-	tr, err := ebv.NewTCPWorkerCtx(ctx, *worker, addrs, *timeout)
+	node, err := ebv.WireMeshNode(ctx, *worker, addrs, nil, *timeout)
 	if err != nil {
 		return err
 	}
-	defer tr.Close()
+	defer node.Close()
+	// One run per mesh: every worker opens the same job id.
+	tr, err := node.OpenJob(1, *width)
+	if err != nil {
+		return err
+	}
 
 	res, err := ebv.RunBSPWorkerCtx(ctx, sub, prog, tr, ebv.RunConfig{ValueWidth: *width, AutoCombine: combineOn})
 	if err != nil {

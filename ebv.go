@@ -257,10 +257,9 @@ type (
 	// TransportDeployment is a long-lived transport mesh serving many
 	// jobs through job-scoped exchanges (the transport half of Session).
 	TransportDeployment = transport.Deployment
-	// WireFormat selects the TCP mesh deployment's frame encoding
-	// (WireV3 raw columns, WireV4 compressed columns — the default);
-	// MeshOption configures NewTCPMeshDeployment.
-	WireFormat = transport.WireFormat
+	// MeshNode is one worker's endpoint of a multi-process TCP mesh (see
+	// WireMeshNode); MeshOption configures a mesh's nodes.
+	MeshNode   = transport.MeshNode
 	MeshOption = transport.MeshOption
 	// BSPDeployment is the prepare-once/serve-many engine: built subgraphs
 	// bound to a TransportDeployment, serving concurrent BSP jobs.
@@ -268,13 +267,6 @@ type (
 	// FaultInjector wraps a Transport to fail a chosen exchange — the
 	// failure-injection hook used in tests.
 	FaultInjector = transport.FaultInjector
-)
-
-// The wire formats of the TCP mesh deployment (see UseWireFormat and
-// WithWireFormat).
-const (
-	WireV3 = transport.WireV3
-	WireV4 = transport.WireV4
 )
 
 // BSP entry points and transports. The *Ctx forms take a context whose
@@ -292,24 +284,21 @@ var (
 	ReadSubgraph                   = bsp.ReadSubgraph
 	RunBSP                         = bsp.Run
 	RunBSPCtx                      = bsp.RunCtx
-	RunBSPWorker                   = bsp.RunWorker
 	RunBSPWorkerCtx                = bsp.RunWorkerCtx
 	NewMemTransport                = transport.NewMem
-	NewTCPMesh                     = transport.NewTCPMesh
-	NewTCPMeshCtx                  = transport.NewTCPMeshCtx
-	NewTCPWorker                   = transport.NewTCPWorker
-	NewTCPWorkerCtx                = transport.NewTCPWorkerCtx
+	// WireMeshNode wires one process's endpoint of a multi-process TCP
+	// mesh from the shared address list; open a job on the node and hand
+	// its Transport to RunBSPWorkerCtx (what cmd/ebv-worker does).
+	WireMeshNode = transport.WireMeshNode
 	// NewBSPDeployment binds built subgraphs to a transport deployment
 	// (nil = in-memory) for prepare-once/serve-many execution; the Session
 	// facade (Pipeline.Open) wraps it.
 	NewBSPDeployment = bsp.NewDeployment
 	// NewMemDeployment / NewTCPMeshDeployment build the job-mux transport
-	// deployments backing sessions. WithWireFormat / WithWireQuantization
-	// are NewTCPMeshDeployment's mesh options (wire encoding negotiation
-	// and the opt-in lossy mantissa transform).
+	// deployments backing sessions. WithWireQuantization is the TCP mesh's
+	// one option (the opt-in lossy mantissa transform).
 	NewMemDeployment     = transport.NewMemDeployment
 	NewTCPMeshDeployment = transport.NewTCPMeshDeployment
-	WithWireFormat       = transport.WithWireFormat
 	WithWireQuantization = transport.WithWireQuantization
 	// NewRunConfig builds a RunConfig from functional options
 	// (WithMaxSteps, WithTransports, WithValueWidth,

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -42,22 +43,19 @@ func run() error {
 		return err
 	}
 
-	mesh, err := ebv.NewTCPMesh(workers)
+	mesh, err := ebv.NewTCPMeshDeployment(context.Background(), workers)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, tr := range mesh {
-			_ = tr.Close()
-		}
-	}()
-	transports := make([]ebv.Transport, workers)
-	for i := range transports {
-		transports[i] = mesh[i]
+	dep, err := ebv.NewBSPDeployment(subs, mesh)
+	if err != nil {
+		_ = mesh.Close()
+		return err
 	}
+	defer dep.Close()
 
 	start := time.Now()
-	res, err := ebv.RunBSP(subs, &ebv.CC{}, ebv.RunConfig{Transports: transports})
+	res, err := dep.Run(context.Background(), &ebv.CC{}, ebv.RunConfig{})
 	if err != nil {
 		return err
 	}

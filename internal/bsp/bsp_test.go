@@ -15,7 +15,6 @@ import (
 	"ebv/internal/metis"
 	"ebv/internal/ne"
 	"ebv/internal/partition"
-	"ebv/internal/transport"
 )
 
 func allPartitioners() []partition.Partitioner {
@@ -192,20 +191,7 @@ func TestPageRankStepCount(t *testing.T) {
 func TestRunOverTCP(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 3)
-	mesh, err := transport.NewTCPMesh(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trs := make([]transport.Transport, 3)
-	for i := range trs {
-		trs[i] = mesh[i]
-	}
-	defer func() {
-		for _, tr := range mesh {
-			_ = tr.Close()
-		}
-	}()
-	res, err := bsp.Run(subs, &apps.CC{}, bsp.Config{Transports: trs, VerifyReplicaAgreement: true})
+	res, err := bsp.Run(subs, &apps.CC{}, bsp.Config{Transports: tcpTransports(t, 3, 1), VerifyReplicaAgreement: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,9 +75,9 @@ func freePorts(t *testing.T, n int) []string {
 }
 
 // TestMultiProcessStyleRun exercises the full ebv-worker path in-process:
-// subgraphs serialized and reloaded, address-based TCP mesh built with
-// NewTCPWorker, each worker driven independently by RunWorker — exactly
-// what separate OS processes would do.
+// subgraphs serialized and reloaded, one mesh node per worker wired from
+// the shared address list, each worker driven independently by
+// RunWorkerCtx — exactly what separate OS processes would do.
 func TestMultiProcessStyleRun(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	const k = 3
@@ -105,13 +105,18 @@ func TestMultiProcessStyleRun(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tr, err := transport.NewTCPWorker(w, addrs, 15*time.Second)
+			node, err := transport.WireMeshNode(t.Context(), w, addrs, nil, 15*time.Second)
 			if err != nil {
 				errs[w] = fmt.Errorf("transport: %w", err)
 				return
 			}
-			defer tr.Close()
-			results[w], errs[w] = bsp.RunWorker(reloaded[w], &apps.CC{}, tr, bsp.Config{})
+			defer node.Close()
+			tr, err := node.OpenJob(1, 1)
+			if err != nil {
+				errs[w] = fmt.Errorf("transport: %w", err)
+				return
+			}
+			results[w], errs[w] = bsp.RunWorkerCtx(t.Context(), reloaded[w], &apps.CC{}, tr, bsp.Config{})
 		}(w)
 	}
 	wg.Wait()
@@ -142,33 +147,37 @@ func TestRunWorkerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	if _, err := bsp.RunWorker(subs[0], &apps.CC{}, mem, bsp.Config{}); err == nil {
+	if _, err := bsp.RunWorkerCtx(t.Context(), subs[0], &apps.CC{}, mem, bsp.Config{}); err == nil {
 		t.Fatal("mismatched transport accepted")
 	}
-	if _, err := bsp.RunWorker(nil, &apps.CC{}, mem, bsp.Config{}); err == nil {
+	if _, err := bsp.RunWorkerCtx(t.Context(), nil, &apps.CC{}, mem, bsp.Config{}); err == nil {
 		t.Fatal("nil subgraph accepted")
 	}
 }
 
-func TestNewTCPWorkerValidation(t *testing.T) {
-	if _, err := transport.NewTCPWorker(5, []string{"a", "b"}, time.Second); err == nil {
+func TestWireMeshNodeValidation(t *testing.T) {
+	if _, err := transport.WireMeshNode(t.Context(), 5, []string{"a", "b"}, nil, time.Second); err == nil {
 		t.Fatal("out-of-range worker accepted")
 	}
 	// Single worker needs no peers at all.
-	tr, err := transport.NewTCPWorker(0, []string{"unused"}, time.Second)
+	node, err := transport.WireMeshNode(t.Context(), 0, []string{"unused"}, nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
+	defer node.Close()
+	tr, err := node.OpenJob(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tr.NumWorkers() != 1 {
 		t.Fatal("wrong worker count")
 	}
 }
 
-func TestNewTCPWorkerTimesOutWithoutPeers(t *testing.T) {
+func TestWireMeshNodeTimesOutWithoutPeers(t *testing.T) {
 	addrs := freePorts(t, 2)
 	start := time.Now()
-	_, err := transport.NewTCPWorker(1, addrs, 500*time.Millisecond)
+	_, err := transport.WireMeshNode(t.Context(), 1, addrs, nil, 500*time.Millisecond)
 	if err == nil {
 		t.Fatal("lonely worker connected to nobody")
 	}

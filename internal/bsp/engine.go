@@ -731,7 +731,7 @@ func runWorker(ctx context.Context, w int, sub *Subgraph, prog Program, tr trans
 }
 
 // WorkerResult is the outcome of a single worker's participation in a
-// multi-process run (RunWorker).
+// multi-process run (RunWorkerCtx).
 type WorkerResult struct {
 	// Steps is the number of supersteps executed.
 	Steps int
@@ -744,22 +744,19 @@ type WorkerResult struct {
 	WallTime time.Duration
 }
 
-// RunWorker executes ONE worker of a distributed computation over the
-// given transport (typically transport.NewTCPWorker); the peer workers run
-// in other processes. It blocks until global quiescence. Only cfg.MaxSteps,
-// cfg.ValueWidth and the combiner settings are honored (the transport is
-// explicit, and replica verification needs the global view). Every worker
-// of a distributed run must agree on the combiner configuration — results
-// stay correct either way, but message counts and batch contents differ.
-func RunWorker(sub *Subgraph, prog Program, tr transport.Transport, cfg Config) (*WorkerResult, error) {
-	return RunWorkerCtx(context.Background(), sub, prog, tr, cfg) //ebv:nolint ctxflow ctx-less compat wrapper; RunWorkerCtx is the cancellable entry point
-}
-
-// RunWorkerCtx is RunWorker with cancellation: ctx is polled at every
-// superstep boundary, and cancellation closes the transport so a worker
-// blocked mid-exchange tears down immediately (its peers observe the
-// closed connections and fail their own exchanges — the distributed
-// analogue of a crashed process).
+// RunWorkerCtx executes ONE worker of a distributed computation over the
+// given transport (typically a job opened on a transport.MeshNode); the
+// peer workers run in other processes. It blocks until global quiescence.
+// Only cfg.MaxSteps, cfg.ValueWidth and the combiner settings are honored
+// (the transport is explicit, and replica verification needs the global
+// view). Every worker of a distributed run must agree on the combiner
+// configuration — results stay correct either way, but message counts and
+// batch contents differ.
+//
+// ctx is polled at every superstep boundary, and cancellation closes the
+// transport so a worker blocked mid-exchange tears down immediately (its
+// peers observe the closed connections and fail their own exchanges — the
+// distributed analogue of a crashed process).
 func RunWorkerCtx(ctx context.Context, sub *Subgraph, prog Program, tr transport.Transport, cfg Config) (*WorkerResult, error) {
 	return RunWorkerFromCtx(ctx, sub, prog, tr, cfg, nil)
 }

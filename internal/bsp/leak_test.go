@@ -93,13 +93,13 @@ func TestCanceledTCPRunTearsDownMesh(t *testing.T) {
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		mesh, err := transport.NewTCPMesh(4)
+		mesh, err := transport.NewTCPMeshDeployment(t.Context(), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trs := make([]transport.Transport, 4)
-		for w := range trs {
-			trs[w] = mesh[w]
+		trs, err := mesh.OpenJob(1, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
@@ -119,9 +119,7 @@ func TestCanceledTCPRunTearsDownMesh(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("run %d: canceled TCP run did not terminate", i)
 		}
-		for _, tr := range mesh {
-			_ = tr.Close()
-		}
+		_ = mesh.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -1,7 +1,7 @@
-// Wire-format equivalence: the v4 compressed wire must be invisible to
-// results — every app produces a byte-identical ValueMatrix over a v3 and
-// a v4 TCP mesh deployment — while cutting wire bytes at least 3x on the
-// integral-payload apps (CC, SSSP, Aggregate).
+// Wire equivalence: the compressed, CRC-sealed v4 wire must be invisible to
+// results — every app produces, over the TCP mesh, a ValueMatrix
+// byte-identical to the in-memory deployment's — while cutting wire bytes
+// at least 3x against raw columns on the integral-payload apps.
 package bsp_test
 
 import (
@@ -17,34 +17,45 @@ import (
 	"ebv/internal/transport"
 )
 
-// runOverMesh runs prog once over a fresh TCP mesh deployment speaking
-// format f and reports the result plus the deployment's total wire bytes.
-func runOverMesh(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, width int, f transport.WireFormat) (*bsp.Result, int64) {
+// runOverDeployment runs prog once over a fresh deployment bound to mesh
+// (nil = in-memory).
+func runOverDeployment(t *testing.T, subs []*bsp.Subgraph, mesh transport.Deployment, prog bsp.Program, cfg bsp.Config) *bsp.Result {
 	t.Helper()
-	mesh, err := transport.NewTCPMeshDeployment(t.Context(), len(subs), transport.WithWireFormat(f))
-	if err != nil {
-		t.Fatal(err)
-	}
 	dep, err := bsp.NewDeployment(subs, mesh)
 	if err != nil {
-		mesh.Close()
+		if mesh != nil {
+			mesh.Close()
+		}
 		t.Fatal(err)
 	}
 	defer dep.Close()
-	res, err := dep.Run(context.Background(), prog, bsp.Config{ValueWidth: width})
+	res, err := dep.Run(context.Background(), prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// runOverMesh runs prog once over a fresh TCP mesh deployment and reports
+// the result plus the deployment's total wire bytes.
+func runOverMesh(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.Config, opts ...transport.MeshOption) (*bsp.Result, int64) {
+	t.Helper()
+	mesh, err := transport.NewTCPMeshDeployment(t.Context(), len(subs), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runOverDeployment(t, subs, mesh, prog, cfg)
 	return res, mesh.WireBytes()
 }
 
-// TestWireV4EquivalenceAllApps is the v4 acceptance matrix: every app ×
-// widths {1, 8} runs over a v3 and a v4 mesh; values must be
-// byte-identical, and the integral-payload apps must move at least 3x
-// fewer wire bytes under v4.
+// TestWireV4EquivalenceAllApps is the wire acceptance matrix: every app ×
+// widths {1, 8} × combine {off, on} runs over the in-memory deployment
+// (the reference) and the TCP mesh; values must be byte-identical, steps
+// and message counts equal, and the integral-payload apps must move at
+// least 3x fewer wire bytes than raw columns would.
 func TestWireV4EquivalenceAllApps(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spins up 2 TCP meshes per app/width")
+		t.Skip("spins up a TCP mesh per app/width/combine")
 	}
 	g := testGraphs(t)["powerlaw"]
 	const k = 3
@@ -67,32 +78,41 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 	}
 	for _, prog := range combinerApps() {
 		for _, width := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/w%d", prog.Name(), width), func(t *testing.T) {
-				v3res, v3bytes := runOverMesh(t, subs, prog, width, transport.WireV3)
-				v4res, v4bytes := runOverMesh(t, subs, prog, width, transport.WireV4)
-				if !v4res.Values.EqualValues(v3res.Values) {
-					t.Fatal("v4 values differ from v3 (byte-identity violated)")
-				}
-				if v4res.Steps != v3res.Steps {
-					t.Fatalf("v4 run took %d steps, v3 %d", v4res.Steps, v3res.Steps)
-				}
-				if v4c, v3c := v4res.MessageCounts(), v3res.MessageCounts(); v4c != v3c {
-					t.Fatalf("message counts differ across formats: v4 %+v, v3 %+v", v4c, v3c)
-				}
-				if v3bytes == 0 || v4bytes == 0 {
-					t.Fatalf("wire byte counters did not count (v3 %d, v4 %d)", v3bytes, v4bytes)
-				}
-				ratio := float64(v3bytes) / float64(v4bytes)
-				t.Logf("wire bytes: v3 %d, v4 %d (%.2fx)", v3bytes, v4bytes, ratio)
-				if want := wantRatio[fmt.Sprintf("%s/w%d", prog.Name(), width)]; want > 0 && ratio < want {
-					t.Fatalf("v4 moved %d wire bytes vs v3's %d: %.2fx, want >= %.0fx", v4bytes, v3bytes, ratio, want)
-				}
-				// Even the noisy-mantissa apps must not regress past the
-				// framing overhead: the raw-value fallback caps the loss.
-				if float64(v4bytes) > 1.25*float64(v3bytes) {
-					t.Fatalf("v4 moved %d wire bytes vs v3's %d: compressed format regressed", v4bytes, v3bytes)
-				}
-			})
+			for _, combine := range []bool{false, true} {
+				name := fmt.Sprintf("%s/w%d", prog.Name(), width)
+				t.Run(fmt.Sprintf("%s/combine=%t", name, combine), func(t *testing.T) {
+					cfg := bsp.Config{ValueWidth: width, AutoCombine: combine}
+					ref := runOverDeployment(t, subs, nil, prog, cfg)
+					res, wireBytes := runOverMesh(t, subs, prog, cfg)
+					if !res.Values.EqualValues(ref.Values) {
+						t.Fatal("TCP values differ from the in-memory reference (byte-identity violated)")
+					}
+					if res.Steps != ref.Steps {
+						t.Fatalf("TCP run took %d steps, in-memory %d", res.Steps, ref.Steps)
+					}
+					counts := res.MessageCounts()
+					if rc := ref.MessageCounts(); counts != rc {
+						t.Fatalf("message counts differ across transports: tcp %+v, mem %+v", counts, rc)
+					}
+					if wireBytes == 0 {
+						t.Fatal("wire byte counter did not count")
+					}
+					// The same frames with raw columns — a 4-byte id and
+					// width 8-byte values per row on the wire, one 34-byte
+					// header per peer per step — in closed form.
+					rawBytes := counts.Wire*int64(4+8*width) + int64(res.Steps*k*(k-1)*34)
+					ratio := float64(rawBytes) / float64(wireBytes)
+					t.Logf("wire bytes: raw %d, v4 %d (%.2fx)", rawBytes, wireBytes, ratio)
+					if want := wantRatio[name]; want > 0 && ratio < want {
+						t.Fatalf("v4 moved %d wire bytes vs raw columns' %d: %.2fx, want >= %.0fx", wireBytes, rawBytes, ratio, want)
+					}
+					// Even the noisy-mantissa apps must not regress past the
+					// framing overhead: the raw-value fallback caps the loss.
+					if float64(wireBytes) > 1.25*float64(rawBytes) {
+						t.Fatalf("v4 moved %d wire bytes vs raw columns' %d: compressed format regressed", wireBytes, rawBytes)
+					}
+				})
+			}
 		}
 	}
 }
@@ -109,25 +129,10 @@ func TestWireQuantizationLossyOptIn(t *testing.T) {
 	}
 	subs := buildWeightedSubs(t, g, a)
 	prog := &apps.PageRank{Iterations: 6}
-	exact, exactBytes := runOverMesh(t, subs, prog, 1, transport.WireV4)
-
-	mesh, err := transport.NewTCPMeshDeployment(t.Context(), k,
-		transport.WithWireFormat(transport.WireV4), transport.WithWireQuantization(24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := bsp.NewDeployment(subs, mesh)
-	if err != nil {
-		mesh.Close()
-		t.Fatal(err)
-	}
-	defer dep.Close()
-	quant, err := dep.Run(context.Background(), prog, bsp.Config{ValueWidth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qb := mesh.WireBytes(); qb >= exactBytes {
-		t.Fatalf("24-bit quantization moved %d wire bytes, exact v4 moved %d", qb, exactBytes)
+	exact, exactBytes := runOverMesh(t, subs, prog, bsp.Config{})
+	quant, quantBytes := runOverMesh(t, subs, prog, bsp.Config{}, transport.WithWireQuantization(24))
+	if quantBytes >= exactBytes {
+		t.Fatalf("24-bit quantization moved %d wire bytes, exact v4 moved %d", quantBytes, exactBytes)
 	}
 	var n int
 	var maxRel float64
@@ -152,16 +157,9 @@ func TestWireQuantizationLossyOptIn(t *testing.T) {
 	}
 }
 
-// TestWireFormatValidation: unknown formats and out-of-range or
-// v3-combined quantization fail deployment construction loudly.
-func TestWireFormatValidation(t *testing.T) {
-	if _, err := transport.NewTCPMeshDeployment(t.Context(), 2, transport.WithWireFormat(7)); err == nil {
-		t.Fatal("unknown wire format accepted")
-	}
-	if _, err := transport.NewTCPMeshDeployment(t.Context(), 2,
-		transport.WithWireFormat(transport.WireV3), transport.WithWireQuantization(16)); err == nil {
-		t.Fatal("quantization over the raw v3 wire accepted")
-	}
+// TestWireQuantizationValidation: out-of-range quantization fails
+// deployment construction loudly.
+func TestWireQuantizationValidation(t *testing.T) {
 	for _, bits := range []int{-1, 52} {
 		if _, err := transport.NewTCPMeshDeployment(t.Context(), 2, transport.WithWireQuantization(bits)); err == nil {
 			t.Fatalf("quantization to %d bits accepted", bits)

@@ -48,7 +48,11 @@ type Agent struct {
 	killed bool
 	conn   net.Conn     // control connection
 	ln     net.Listener // pending data-plane listener, between prepare and start
-	tr     *transport.TCP
+	node   *transport.MeshNode
+
+	// wrapDataListener, when set (tests only), wraps each attempt's
+	// data-plane listener — the seam for corrupting agent↔agent bytes.
+	wrapDataListener func(net.Listener) net.Listener
 }
 
 // NewAgent builds an agent; Run does the work.
@@ -80,7 +84,7 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 func (a *Agent) Kill() {
 	a.mu.Lock()
 	a.killed = true
-	conn, ln, tr := a.conn, a.ln, a.tr
+	conn, ln, node := a.conn, a.ln, a.node
 	a.mu.Unlock()
 	if conn != nil {
 		_ = conn.Close()
@@ -88,8 +92,8 @@ func (a *Agent) Kill() {
 	if ln != nil {
 		_ = ln.Close()
 	}
-	if tr != nil {
-		_ = tr.Close()
+	if node != nil {
+		_ = node.Close()
 	}
 }
 
@@ -265,6 +269,9 @@ func (a *Agent) prepare(sub *bsp.Subgraph, old *pendingAttempt, m prepareMsg) *p
 	if err != nil {
 		return fail(fmt.Errorf("bind data listener: %w", err))
 	}
+	if a.wrapDataListener != nil {
+		ln = a.wrapDataListener(ln)
+	}
 	a.mu.Lock()
 	if a.killed {
 		a.mu.Unlock()
@@ -283,9 +290,12 @@ func (a *Agent) prepare(sub *bsp.Subgraph, old *pendingAttempt, m prepareMsg) *p
 	return &pendingAttempt{job: m.Job, attempt: m.Attempt, spec: m.Spec, restore: restore, ln: ln}
 }
 
-// serve runs one job attempt to completion on this worker: wire the data
-// mesh through the pending listener, run the BSP worker loop (cutting
-// checkpoints if the spec asks), send the values back.
+// serve runs one job attempt to completion on this worker: wire this
+// attempt's mesh node through the pending listener, open the job on it,
+// run the BSP worker loop (cutting checkpoints if the spec asks), send the
+// values back. Closing the node on the way out is safe while slower peers
+// are still collecting the final superstep (see MeshNode's departure
+// rule).
 func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt, addrs []string) error {
 	if len(addrs) != sub.NumWorkers {
 		_ = p.ln.Close()
@@ -296,7 +306,7 @@ func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt,
 		_ = p.ln.Close()
 		return err
 	}
-	tr, err := transport.NewTCPWorkerListenerCtx(ctx, sub.Part, addrs, p.ln, a.cfg.DialTimeout)
+	node, err := transport.WireMeshNode(ctx, sub.Part, addrs, p.ln, a.cfg.DialTimeout)
 	a.mu.Lock()
 	if a.ln == p.ln {
 		a.ln = nil
@@ -304,10 +314,10 @@ func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt,
 	if err == nil {
 		if a.killed {
 			a.mu.Unlock()
-			_ = tr.Close()
+			_ = node.Close()
 			return ErrAgentKilled
 		}
-		a.tr = tr
+		a.node = node
 	}
 	a.mu.Unlock()
 	if err != nil {
@@ -315,12 +325,17 @@ func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt,
 	}
 	defer func() {
 		a.mu.Lock()
-		if a.tr == tr {
-			a.tr = nil
+		if a.node == node {
+			a.node = nil
 		}
 		a.mu.Unlock()
-		_ = tr.Close()
+		_ = node.Close()
 	}()
+	// The mesh is this attempt's alone, so the cluster job id is tag enough.
+	tr, err := node.OpenJob(uint32(p.job), p.spec.width())
+	if err != nil {
+		return err
+	}
 
 	cfg := bsp.Config{
 		ValueWidth:  p.spec.width(),

@@ -3,9 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,8 +83,8 @@ func newTestCluster(t *testing.T, subs []*bsp.Subgraph, hbTimeout time.Duration)
 
 // startAgent launches one agent and waits until the coordinator has
 // registered it, so callers control registration (and thus partition
-// assignment) order.
-func (tc *testCluster) startAgent(ctx context.Context) *Agent {
+// assignment) order. setup functions adjust the agent before it runs.
+func (tc *testCluster) startAgent(ctx context.Context, setup ...func(*Agent)) *Agent {
 	tc.t.Helper()
 	before := tc.coord.NumRegistered()
 	a := NewAgent(AgentConfig{
@@ -90,6 +92,9 @@ func (tc *testCluster) startAgent(ctx context.Context) *Agent {
 		HeartbeatInterval: 50 * time.Millisecond,
 		Logf:              tc.t.Logf,
 	})
+	for _, fn := range setup {
+		fn(a)
+	}
 	tc.wg.Add(1)
 	go func() {
 		defer tc.wg.Done()
@@ -334,6 +339,103 @@ func TestClusterHeartbeatDetector(t *testing.T) {
 	if !res.Values.EqualValues(ref.Values) {
 		t.Fatal("values differ")
 	}
+}
+
+// flipListener hands out connections that flip one bit, once, at a fixed
+// offset of the first stream to reach it — a single-bit wire corruption
+// between two agents.
+type flipListener struct {
+	net.Listener
+	offset  int64
+	flipped *atomic.Bool
+}
+
+func (l flipListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &flipConn{Conn: conn, l: l}, nil
+}
+
+type flipConn struct {
+	net.Conn
+	l    flipListener
+	read int64 // only the connection's single reader touches it
+}
+
+func (c *flipConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if at := c.l.offset - c.read; at >= 0 && at < int64(n) && !c.l.flipped.Swap(true) {
+		p[at] ^= 0x10
+	}
+	c.read += int64(n)
+	return n, err
+}
+
+// TestClusterDataFrameCorruptionDetected: the agent↔agent data plane is
+// CRC-checked. One bit flipped in the first data frame worker 0 sends
+// worker 1 must fail that attempt loudly at worker 1 — naming the CRC and
+// the peer — instead of computing on garbage, and the retry must complete
+// byte-identical to the single-process engine.
+func TestClusterDataFrameCorruptionDetected(t *testing.T) {
+	const k = 3
+	subs := testSubs(t, testPowerlaw(t), k)
+	ctx := context.Background()
+	tc := newTestCluster(t, subs, 0)
+
+	var (
+		flipped atomic.Bool
+		logMu   sync.Mutex
+		logs    []string
+	)
+	for i := 0; i < k; i++ {
+		if i != 1 {
+			tc.startAgent(ctx)
+			continue
+		}
+		// Worker 1 accepts exactly one data connection, from worker 0: a
+		// 4-byte hello, then frames. Offset 4+34 is the first column byte
+		// of the first frame (step 0 of CC always carries rows).
+		tc.startAgent(ctx, func(a *Agent) {
+			a.wrapDataListener = func(ln net.Listener) net.Listener {
+				return flipListener{Listener: ln, offset: 4 + 34, flipped: &flipped}
+			}
+			a.logf = func(format string, args ...any) {
+				logMu.Lock()
+				logs = append(logs, fmt.Sprintf(format, args...))
+				logMu.Unlock()
+				t.Logf(format, args...)
+			}
+		})
+	}
+
+	ref, err := bsp.Run(subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tc.coord.Run(ctx, JobSpec{App: "CC"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !flipped.Load() {
+		t.Fatal("the corruption never fired")
+	}
+	if res.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (the corrupted attempt, then a clean one)", res.Attempts)
+	}
+	if res.Steps != ref.Steps || !res.Values.EqualValues(ref.Values) {
+		t.Fatalf("recovered run differs: steps %d vs %d", res.Steps, ref.Steps)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, line := range logs {
+		if strings.Contains(line, "attempt 1 failed") &&
+			strings.Contains(line, "CRC") && strings.Contains(line, "at worker 1 from 0") {
+			return
+		}
+	}
+	t.Fatalf("worker 1 did not report a CRC failure naming its peer; its log:\n%s", strings.Join(logs, "\n"))
 }
 
 // TestControlFrameTamperDetected closes the loop on the control codec in

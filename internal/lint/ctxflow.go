@@ -16,8 +16,8 @@ import (
 //     the caller's cancellation. The one sanctioned idiom is the
 //     documented nil-fallback `if ctx == nil { ctx = context.Background() }`
 //     at an entry point that accepts a caller context. The ctx-less
-//     compatibility wrappers (bsp.Run, transport.NewTCPMesh, the legacy
-//     Partition methods) carry //ebv:nolint annotations: they are the
+//     compatibility wrappers (bsp.Run, the legacy Partition methods)
+//     carry //ebv:nolint annotations: they are the
 //     deliberate, documented exceptions.
 //  2. exported functions shaped like unbounded loops — a `for {}`
 //     without condition, a select inside a loop, or a net.Listener

@@ -17,8 +17,8 @@ import (
 // The bug class is a mux/deployment method returning a raw connection
 // I/O error directly: under a teardown race the raw error wins and the
 // caller sees garbage ~5% of runs. The analyzer flags a return of an
-// error produced by connection/frame I/O from a mux or deployment method
-// that never consults the recorded cause (the node's failed field, or
+// error produced by connection/frame I/O from a mux, mesh-node or
+// deployment method that never consults the recorded cause (the node's failed field, or
 // its fail/markFailed/failure helpers).
 var TeardownCause = &Analyzer{
 	Name: "teardowncause",
@@ -26,7 +26,7 @@ var TeardownCause = &Analyzer{
 	Run:  runTeardownCause,
 }
 
-var muxRecvRe = regexp.MustCompile(`(?i)(mux|deployment)`)
+var muxRecvRe = regexp.MustCompile(`(?i)(mux|mesh|deployment)`)
 
 func runTeardownCause(pass *Pass) error {
 	if !scopedTo(pass.Pkg, "teardowncause", "ebv/internal/transport") {
@@ -82,8 +82,7 @@ func consultsCause(fd *ast.FuncDecl) bool {
 func isConnIOCall(info *types.Info, call *ast.CallExpr) bool {
 	name := calleeName(call)
 	switch name {
-	case "readJobFrame", "writeJobFrame", "readJobFrameV4", "writeJobFrameV4",
-		"readColumns", "writeColumns",
+	case "readJobFrameV4", "writeJobFrameV4",
 		"ReadControlFrame", "WriteControlFrame":
 		return true
 	case "ReadFull", "ReadAtLeast", "Copy":

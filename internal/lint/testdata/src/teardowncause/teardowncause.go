@@ -7,10 +7,6 @@ import (
 	"net"
 )
 
-func readJobFrame(c *net.TCPConn, buf []byte) (int, error) {
-	return c.Read(buf)
-}
-
 // rawMux never consults a recorded failure cause: its raw returns are
 // exactly the PR 5/6 flake class.
 type rawMux struct {
@@ -31,11 +27,6 @@ func (m *rawMux) Send(buf []byte) error {
 		return fmt.Errorf("send: %w", err) // want "raw connection error"
 	}
 	return nil
-}
-
-func (m *rawMux) Recv(buf []byte) (int, error) {
-	n, err := readJobFrame(m.conn, buf)
-	return n, err // want "raw connection error"
 }
 
 // Validate returns a non-I/O error: nothing to route through a cause.
@@ -75,9 +66,8 @@ func (r *reader) ReadAll(buf []byte) (int, error) {
 	return n, err
 }
 
-// The v4 compressed-frame codecs are connection I/O like their v3
-// counterparts: a mux surfacing their errors without consulting its
-// recorded cause is the same flake class.
+// The frame codecs are connection I/O too: a mux surfacing their errors
+// without consulting its recorded cause is the same flake class.
 func readJobFrameV4(c *net.TCPConn, buf []byte) (int, error) {
 	return c.Read(buf)
 }
@@ -108,4 +98,15 @@ func (m *causeMux) RecvV4(buf []byte) (int, error) {
 		return n, err
 	}
 	return n, nil
+}
+
+// rawMeshNode: the exported mesh endpoint type is held to the same rule
+// as the mux and deployment types.
+type rawMeshNode struct {
+	conn *net.TCPConn
+}
+
+func (n *rawMeshNode) writeFrame(buf []byte) error {
+	_, err := writeJobFrameV4(n.conn, buf)
+	return err // want "raw connection error"
 }

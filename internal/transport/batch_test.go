@@ -1,11 +1,7 @@
 package transport
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"math"
-	"strings"
 	"testing"
 
 	"ebv/internal/graph"
@@ -94,85 +90,4 @@ func TestBatchPoolRecycleAndPoison(t *testing.T) {
 		t.Fatalf("pooled batch: len %d width %d", b.Len(), b.Width)
 	}
 	RecycleBatch(nil) // nil-safe
-}
-
-// frameRoundTrip pushes one batch through writeFrame/readFrame.
-func frameRoundTrip(t *testing.T, step int, active bool, b *MessageBatch) (int, bool, *MessageBatch) {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := writeFrame(bw, step, active, b); err != nil {
-		t.Fatal(err)
-	}
-	gotStep, gotActive, got, err := readFrame(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gotStep, gotActive, got
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	b := NewMessageBatch(4)
-	for i := 0; i < 1000; i++ {
-		b.AppendRow(graph.VertexID(i*3), []float64{float64(i), -float64(i), math.Inf(1), 0.25})
-	}
-	step, active, got := frameRoundTrip(t, 17, true, b)
-	if step != 17 || !active {
-		t.Fatalf("header: step %d active %t", step, active)
-	}
-	if got.Width != 4 || got.Len() != 1000 {
-		t.Fatalf("shape: width %d len %d", got.Width, got.Len())
-	}
-	for i := 0; i < 1000; i++ {
-		if got.IDs[i] != graph.VertexID(i*3) || got.Row(i)[1] != -float64(i) {
-			t.Fatalf("payload mismatch at %d", i)
-		}
-	}
-	// Empty and nil batches produce empty frames.
-	if _, _, got := frameRoundTrip(t, 3, false, nil); got != nil {
-		t.Fatalf("nil batch decoded to %v", got)
-	}
-	if _, _, got := frameRoundTrip(t, 4, false, NewMessageBatch(2)); got != nil {
-		t.Fatalf("empty batch decoded to %v", got)
-	}
-}
-
-// TestFrameRejectsLegacyFormat is the cross-version guard: a frame in the
-// pre-columnar layout (u32 step | u8 active | u32 count | AoS payload)
-// must fail the magic check with a diagnostic, not desynchronize.
-func TestFrameRejectsLegacyFormat(t *testing.T) {
-	legacy := make([]byte, 9+12)
-	binary.LittleEndian.PutUint32(legacy[0:4], 2) // step — read as magic by v2
-	legacy[4] = 1
-	binary.LittleEndian.PutUint32(legacy[5:9], 1)
-	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(legacy)))
-	if err == nil {
-		t.Fatal("legacy frame accepted")
-	}
-	if !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("err = %v, want a magic-check diagnostic", err)
-	}
-}
-
-func TestFrameRejectsCorruptHeaders(t *testing.T) {
-	mk := func(width, count, idBytes uint32) []byte {
-		buf := make([]byte, frameHeaderBytes+4)
-		binary.LittleEndian.PutUint32(buf[0:4], frameMagic)
-		binary.LittleEndian.PutUint32(buf[9:13], width)
-		binary.LittleEndian.PutUint32(buf[13:17], count)
-		binary.LittleEndian.PutUint32(buf[17:21], idBytes)
-		return buf
-	}
-	cases := map[string][]byte{
-		"zero-width":      mk(0, 5, 20),
-		"huge-width":      mk(1<<20, 5, 20),
-		"huge-count":      mk(1, 1<<30, 4<<30&0xffffffff),
-		"bad-id-prefix":   mk(1, 2, 7),
-		"overflow-values": mk(1<<16, 1<<28, 4<<28&0xffffffff),
-	}
-	for name, frame := range cases {
-		if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame))); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"math"
 
 	"ebv/internal/graph"
@@ -194,50 +193,4 @@ func (b *MessageBatch) Coalesce(c Combiner, idx *CombineIndex) int {
 	b.IDs = b.IDs[:write]
 	b.Vals = b.Vals[:write*w]
 	return removed
-}
-
-// AppendBatchCombining appends o's rows into b, folding any row whose id
-// is already present in b — the incremental combining merge (the engine's
-// receiver-side inbox merge uses MergeBatchesCombining instead, which
-// beats the per-row index probe here with sorted runs). idx must reflect
-// b's current contents: the caller calls Begin when it starts a fresh
-// inbox and lets this method maintain the index across a sequence of
-// appends. Returns the number of rows appended (rows folded away are
-// o.Len() minus the return).
-//
-// o must have b's width: a width-mismatched merge would interleave
-// misaligned value strides into b — silent corruption — so it fails
-// loudly instead, mirroring the cross-width frame check the jobmux demux
-// performs.
-func (b *MessageBatch) AppendBatchCombining(o *MessageBatch, c Combiner, idx *CombineIndex) (int, error) {
-	w := b.Width
-	if err := o.Check(w); err != nil {
-		return 0, fmt.Errorf("transport: combining append: %w", err)
-	}
-	appended := 0
-	// Rows that don't fold are appended in runs with one bulk copy per
-	// run, so a batch with few duplicates merges at near-AppendBatch
-	// speed; only the index probe is per-row.
-	runStart := 0
-	flush := func(end int) {
-		if end > runStart {
-			b.IDs = append(b.IDs, o.IDs[runStart:end]...)
-			b.Vals = append(b.Vals, o.Vals[runStart*w:end*w]...)
-			appended += end - runStart
-		}
-	}
-	for i, id := range o.IDs {
-		if at, ok := idx.lookup(id); ok {
-			// Materialize the pending run first: a duplicate within o
-			// resolves to a row index that assumes prior rows are in b.
-			flush(i)
-			runStart = i + 1
-			c.Combine(b.Vals[int(at)*w:(int(at)+1)*w], o.Vals[i*w:(i+1)*w])
-			continue
-		}
-		// Row i will land at this index once its run is flushed.
-		idx.record(id, int32(b.Len()+(i-runStart))) // untrackable ids stay uncombined
-	}
-	flush(o.Len())
-	return appended, nil
 }

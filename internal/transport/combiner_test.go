@@ -54,49 +54,6 @@ func TestCoalesceSkipsTrivialBatches(t *testing.T) {
 	}
 }
 
-// TestAppendBatchCombiningMaintainsIndex: the receiver-side merge folds
-// across batches of one step through a caller-maintained index.
-func TestAppendBatchCombiningMaintainsIndex(t *testing.T) {
-	inbox := NewMessageBatch(1)
-	idx := NewCombineIndex(0) // sparse mode
-	idx.Begin()
-	b1 := NewMessageBatch(1)
-	b1.AppendScalar(1, 5)
-	b1.AppendScalar(2, 7)
-	b2 := NewMessageBatch(1)
-	b2.AppendScalar(2, 3)
-	b2.AppendScalar(3, 9)
-	if got, err := inbox.AppendBatchCombining(b1, MinCombiner{}, idx); err != nil || got != 2 {
-		t.Fatalf("first merge appended %d rows (err %v), want 2", got, err)
-	}
-	if got, err := inbox.AppendBatchCombining(b2, MinCombiner{}, idx); err != nil || got != 1 {
-		t.Fatalf("second merge appended %d rows (err %v), want 1", got, err)
-	}
-	if inbox.Len() != 3 || inbox.Scalar(0) != 5 || inbox.Scalar(1) != 3 || inbox.Scalar(2) != 9 {
-		t.Fatalf("merged inbox = %v / %v", inbox.IDs, inbox.Vals)
-	}
-}
-
-// TestAppendBatchCombiningRejectsWidthMismatch: merging a batch of another
-// width would interleave misaligned value strides into the inbox — silent
-// corruption — so it must fail loudly and leave the inbox untouched.
-func TestAppendBatchCombiningRejectsWidthMismatch(t *testing.T) {
-	inbox := NewMessageBatch(2)
-	inbox.AppendRow(1, []float64{1, 10})
-	idx := NewCombineIndex(0)
-	idx.Begin()
-	idx.record(1, 0)
-	wrong := NewMessageBatch(3)
-	wrong.AppendRow(2, []float64{2, 20, 200})
-	n, err := inbox.AppendBatchCombining(wrong, MinCombiner{}, idx)
-	if err == nil {
-		t.Fatal("width-3 batch merged into a width-2 inbox without error")
-	}
-	if n != 0 || inbox.Len() != 1 || len(inbox.Vals) != 2 {
-		t.Fatalf("failed merge mutated the inbox: n=%d ids=%v vals=%v", n, inbox.IDs, inbox.Vals)
-	}
-}
-
 // TestCoalesceDenseCapacityStraddle pins the dense CombineIndex fallback
 // semantics on a batch whose ids straddle the index capacity: duplicates
 // below the boundary fold, duplicates at or above it pass through

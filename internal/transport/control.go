@@ -8,11 +8,11 @@ import (
 )
 
 // Control-channel frames: the cluster control plane (coordinator ↔ worker
-// agents) speaks a third wire format alongside the v2 single-job frames
-// ("EBVM") and the v3 job-mux frames ("EBVJ"). Control frames are not
-// message batches — they carry opaque payloads (registration, shard
-// shipment, job prepare/start, heartbeats) whose schema lives one layer up
-// in internal/cluster. This codec only guarantees framing integrity:
+// agents) speaks its own wire format alongside the data plane's job
+// frames ("EBV4"). Control frames are not message batches — they carry
+// opaque payloads (registration, shard shipment, job prepare/start,
+// heartbeats) whose schema lives one layer up in internal/cluster. This
+// codec only guarantees framing integrity:
 //
 //	u32 magic "EBVC" | u8 type | u32 payloadLen | payload | u32 crc
 //

@@ -7,15 +7,15 @@ import (
 	"time"
 )
 
-// TestNewTCPWorkerCtxCancelWhileWaiting: a worker waiting for peers that
+// TestWireMeshNodeCancelWhileWaiting: a worker waiting for peers that
 // never come up must abort on cancellation well before its dial timeout.
-func TestNewTCPWorkerCtxCancelWhileWaiting(t *testing.T) {
+func TestWireMeshNodeCancelWhileWaiting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		// Worker 1 of 2: it must accept a connection from worker 0,
 		// which never arrives.
-		_, err := NewTCPWorkerCtx(ctx, 1, []string{"127.0.0.1:1", "127.0.0.1:0"}, time.Minute)
+		_, err := WireMeshNode(ctx, 1, []string{"127.0.0.1:1", "127.0.0.1:0"}, nil, time.Minute)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -26,35 +26,20 @@ func TestNewTCPWorkerCtxCancelWhileWaiting(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("NewTCPWorkerCtx ignored cancellation (would have waited out the full minute)")
+		t.Fatal("WireMeshNode ignored cancellation (would have waited out the full minute)")
 	}
 }
 
-// TestNewTCPWorkerCtxPreCanceled fails fast without listening.
-func TestNewTCPWorkerCtxPreCanceled(t *testing.T) {
+// TestWireMeshNodePreCanceled fails fast without listening.
+func TestWireMeshNodePreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := NewTCPWorkerCtx(ctx, 1, []string{"127.0.0.1:1", "127.0.0.1:0"}, time.Minute)
+	_, err := WireMeshNode(ctx, 1, []string{"127.0.0.1:1", "127.0.0.1:0"}, nil, time.Minute)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("pre-canceled construction took %v", elapsed)
-	}
-}
-
-// TestNewTCPMeshCtxBackground: the ctx constructor with a live context
-// builds a working mesh (sanity that the plumbing changed nothing).
-func TestNewTCPMeshCtxBackground(t *testing.T) {
-	mesh, err := NewTCPMeshCtx(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range mesh {
-		if tr.NumWorkers() != 3 {
-			t.Fatalf("NumWorkers = %d, want 3", tr.NumWorkers())
-		}
-		_ = tr.Close()
 	}
 }

@@ -14,128 +14,83 @@ import (
 	"sync/atomic"
 )
 
-// TCPMeshDeployment is the TCP Deployment: a full loopback mesh wired once
-// and shared by every job. Where the single-job TCP transport owns its
-// connections and keeps streams aligned by writing exactly one frame per
-// peer per step, the deployment multiplexes many jobs over the same
-// connections, so every frame is tagged with its job id (wire format v3,
-// magic "EBVJ") and a per-connection demux goroutine routes incoming
-// frames to the owning job's inbox. Interleaved jobs' batches therefore
-// never cross: a frame for job j is only ever delivered to job j's
-// Exchange, a frame whose width disagrees with the job's fails that job
-// loudly, and a frame for a job the deployment has never opened kills the
-// node (cross-job corruption is a protocol violation, not noise).
-//
-// The deployment speaks one of two job-tagged frame formats, negotiated
-// per-deployment via WithWireFormat (default WireV4; every node of one
-// deployment uses the same format, and a peer speaking another version
-// fails its first frame at the magic check with an error naming the skew).
-//
-// Job frame layout (little endian), version 3 ("EBVJ") — the raw format:
-//
-//	u32 magic | u32 job | u32 step | u8 active | u32 width | u32 count |
-//	u32 idBytes  | count × u32 vertex id        (64 KiB blocks)
-//	u32 valBytes | count·width × f64 value      (64 KiB blocks)
-//
-// Version 4 ("EBV4", the default) compresses both columns and seals the
-// frame with a CRC-32C (see wirecodec.go for the column codecs):
-//
-//	u32 magic | u32 job | u32 step | u8 active | u8 flags | u32 width |
-//	u32 count | u32 idBytes | u32 valBytes | u32 crc |
-//	idBytes  × zigzag-delta uvarint vertex ids
-//	valBytes × packed values (or raw f64 when packing would expand)
-//
-// The CRC covers every header field after the magic plus both columns, so
-// any corrupted frame — including any single bit flip — is rejected
-// loudly instead of decoding to garbage.
+// TCPMeshDeployment is the TCP Deployment: a full loopback mesh of k
+// MeshNodes wired once and shared by every job. It is the in-process form
+// of the one TCP data plane — a cluster agent or a standalone ebv-worker
+// holds a single MeshNode of the same kind per process.
 type TCPMeshDeployment struct {
-	k       int
-	nodes   []*muxNode
-	mu      sync.Mutex
-	closed  bool
-	readers sync.WaitGroup
-	format  WireFormat
-	wire    atomic.Int64
+	k      int
+	nodes  []*MeshNode
+	mu     sync.Mutex
+	closed bool
 }
 
 var _ Deployment = (*TCPMeshDeployment)(nil)
 
-// MeshOption configures a TCPMeshDeployment.
+// MeshOption configures the nodes of a TCP mesh.
 type MeshOption func(*meshSettings)
 
 type meshSettings struct {
-	format    WireFormat
 	quantBits int
 }
 
-// WithWireFormat selects the deployment's job frame encoding (default
-// WireV4). Every node of a deployment speaks the chosen format; deploy
-// WireV3 only to interoperate with peers that predate the v4 codec.
-func WithWireFormat(f WireFormat) MeshOption {
-	return func(s *meshSettings) { s.format = f }
-}
-
 // WithWireQuantization rounds every value's mantissa to its top bits
-// significant bits before v4 encoding — a LOSSY transform (results are no
+// significant bits before encoding — a LOSSY transform (results are no
 // longer byte-identical to an uncompressed run) that buys wire bytes on
 // noisy-mantissa payloads. 0 (the default) is off/lossless; valid values
-// are 1..51. Requires WireV4.
+// are 1..51.
 func WithWireQuantization(bits int) MeshOption {
 	return func(s *meshSettings) { s.quantBits = bits }
 }
 
-// NewTCPMeshDeployment wires a persistent k-worker loopback mesh and
-// starts its demux readers. Canceling ctx aborts the wiring (not the
-// finished deployment — tear that down with Close).
+// NewTCPMeshDeployment binds k loopback listeners and wires one MeshNode
+// per worker through them, concurrently. Canceling ctx aborts the wiring
+// (not the finished deployment — tear that down with Close).
 func NewTCPMeshDeployment(ctx context.Context, k int, opts ...MeshOption) (*TCPMeshDeployment, error) {
-	settings := meshSettings{format: WireV4}
-	for _, opt := range opts {
-		opt(&settings)
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	switch settings.format {
-	case WireV3, WireV4:
-	default:
-		return nil, fmt.Errorf("transport: unknown wire format %d (valid: WireV3, WireV4)", settings.format)
+	if k < 1 {
+		return nil, fmt.Errorf("transport: need at least 1 worker, got %d", k)
 	}
-	if q := settings.quantBits; q != 0 {
-		if settings.format != WireV4 {
-			return nil, fmt.Errorf("transport: wire quantization requires WireV4, deployment speaks %s", settings.format)
-		}
-		if q < 1 || q > 51 {
-			return nil, fmt.Errorf("transport: wire quantization keeps %d mantissa bits, valid range is 1..51", q)
-		}
-	}
-	ts, err := NewTCPMeshCtx(ctx, k)
-	if err != nil {
-		return nil, err
-	}
-	d := &TCPMeshDeployment{k: k, nodes: make([]*muxNode, k), format: settings.format}
-	for i, t := range ts {
-		d.nodes[i] = &muxNode{
-			worker:  i,
-			k:       k,
-			conns:   t.conns,
-			bufw:    make([]*bufio.Writer, k),
-			wmu:     make([]sync.Mutex, k),
-			enc:     make([]*v4Scratch, k),
-			format:  settings.format,
-			quant:   settings.quantBits,
-			wire:    &d.wire,
-			jobs:    make(map[uint32]*muxJob),
-			retired: make(map[uint32]struct{}),
-		}
-	}
-	for _, n := range d.nodes {
-		for peer := 0; peer < k; peer++ {
-			if peer == n.worker {
-				continue
+	listeners := make([]net.Listener, k)
+	addrs := make([]string, k)
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, ln := range listeners[:i] {
+				_ = ln.Close()
 			}
-			d.readers.Add(1)
-			go func(n *muxNode, peer int) {
-				defer d.readers.Done()
-				n.readLoop(peer)
-			}(n, peer)
+			return nil, fmt.Errorf("transport: listen worker %d: %w", i, err)
 		}
+		listeners[i], addrs[i] = ln, ln.Addr().String()
+	}
+	// The first node to fail aborts the others' wiring instead of leaving
+	// them to wait out the dial timeout.
+	wctx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
+	d := &TCPMeshDeployment{k: k, nodes: make([]*MeshNode, k)}
+	var wg sync.WaitGroup
+	for i := range d.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n, err := WireMeshNode(wctx, i, addrs, listeners[i], 0, opts...)
+			if err != nil {
+				fail(err)
+				return
+			}
+			d.nodes[i] = n
+		}()
+	}
+	wg.Wait()
+	if err := context.Cause(wctx); err != nil {
+		for _, n := range d.nodes {
+			if n != nil {
+				_ = n.Close()
+			}
+		}
+		return nil, err
 	}
 	return d, nil
 }
@@ -143,22 +98,22 @@ func NewTCPMeshDeployment(ctx context.Context, k int, opts ...MeshOption) (*TCPM
 // NumWorkers implements Deployment.
 func (d *TCPMeshDeployment) NumWorkers() int { return d.k }
 
-// Format reports the deployment's negotiated wire format.
-func (d *TCPMeshDeployment) Format() WireFormat { return d.format }
-
 // WireBytes reports the total frame bytes (headers and columns) this
 // deployment's nodes have written to their peers since construction — the
 // wire-volume axis EXPERIMENTS.md and ebv-bench track across codec
 // changes. Self-delivery never touches the wire and is not counted.
-func (d *TCPMeshDeployment) WireBytes() int64 { return d.wire.Load() }
+func (d *TCPMeshDeployment) WireBytes() int64 {
+	var total int64
+	for _, n := range d.nodes {
+		total += n.wire.Load()
+	}
+	return total
+}
 
 // OpenJob implements Deployment: the job is registered on every node's
 // demux table before any transport is returned, so a fast worker's first
 // frame always finds its inbox.
 func (d *TCPMeshDeployment) OpenJob(job uint32, width int) ([]Transport, error) {
-	if width < 1 || width > MaxValueWidth {
-		return nil, fmt.Errorf("transport: job %d width %d out of range [1,%d]", job, width, MaxValueWidth)
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -166,7 +121,7 @@ func (d *TCPMeshDeployment) OpenJob(job uint32, width int) ([]Transport, error) 
 	}
 	ts := make([]Transport, d.k)
 	for i, n := range d.nodes {
-		j, err := n.openJob(job, width)
+		j, err := n.OpenJob(job, width)
 		if err != nil {
 			for _, t := range ts[:i] {
 				_ = t.Close()
@@ -181,9 +136,8 @@ func (d *TCPMeshDeployment) OpenJob(job uint32, width int) ([]Transport, error) 
 // Close implements Deployment: every open job fails with ErrClosed, all
 // connections close, and the demux readers are waited out. The cause is
 // recorded on every node before any connection closes: tearing node A
-// down makes node B's demux observe EOF on the shared connection, and
-// without the pre-marking pass a racing B could report that EOF as its
-// failure cause instead of ErrClosed.
+// down ends node B's connection to it, and without the pre-marking pass
+// a racing B could report that as its failure cause instead of ErrClosed.
 func (d *TCPMeshDeployment) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -196,9 +150,8 @@ func (d *TCPMeshDeployment) Close() error {
 		n.markFailed(ErrClosed)
 	}
 	for _, n := range d.nodes {
-		n.fail(ErrClosed)
+		_ = n.Close()
 	}
-	d.readers.Wait()
 	return nil
 }
 
@@ -209,25 +162,68 @@ func (d *TCPMeshDeployment) Close() error {
 // head-of-line-block every other job on the connection.
 const jobFrameBuffer = 4
 
-// muxNode is one worker's endpoint of the deployment: the connections to
-// its peers (shared by every job), per-peer write locks, and the demux
-// table routing incoming frames to jobs.
-type muxNode struct {
-	worker int
-	k      int
-	conns  []net.Conn // conns[peer]; nil at index == worker
-	bufw   []*bufio.Writer
-	wmu    []sync.Mutex // guards bufw[peer], enc[peer] and frame atomicity on the wire
-	enc    []*v4Scratch // per-peer v4 encode scratch; lazily built under wmu[peer]
-	format WireFormat
-	quant  int           // v4 mantissa bits to keep (0 = lossless)
-	wire   *atomic.Int64 // deployment-wide frame bytes written
+// MeshNode is one worker's endpoint of a TCP mesh (see WireMeshNode): the
+// connections to its k-1 peers, shared by every job opened on the node.
+// Many jobs multiplex over the same connections, so every frame is tagged
+// with its job id and a per-connection demux goroutine routes incoming
+// frames to the owning job's inbox. Interleaved jobs' batches therefore
+// never cross: a frame for job j is only ever delivered to job j's
+// Exchange, a frame whose width disagrees with the job's fails that job
+// loudly, and a frame for a job the node has never opened kills the node
+// (cross-job corruption is a protocol violation, not noise).
+//
+// Wire format v4 ("EBV4") is the only frame format. Both columns are
+// compressed and the frame is sealed with a CRC-32C (see wirecodec.go for
+// the column codecs); layout, little endian:
+//
+//	u32 magic | u32 job | u32 step | u8 active | u8 flags | u32 width |
+//	u32 count | u32 idBytes | u32 valBytes | u32 crc |
+//	idBytes  × zigzag-delta uvarint vertex ids
+//	valBytes × packed values (or raw f64 when packing would expand)
+//
+// The CRC covers every header field after the magic plus both columns, so
+// any corrupted frame — including any single bit flip — is rejected
+// loudly instead of decoding to garbage.
+//
+// The demux readers start with the node's first job. Nodes of a
+// multi-process mesh finish wiring at different moments, so a fast peer's
+// first frame can arrive before this process has opened the job; it waits
+// in the socket buffer instead of being read as a frame for an unknown
+// job.
+type MeshNode struct {
+	worker  int
+	k       int
+	conns   []net.Conn // conns[peer]; nil at index == worker
+	bufw    []*bufio.Writer
+	wmu     []sync.Mutex // guards bufw[peer], enc[peer] and frame atomicity on the wire
+	enc     []*v4Scratch // per-peer encode scratch; lazily built under wmu[peer]
+	quant   int          // mantissa bits to keep (0 = lossless)
+	wire    atomic.Int64 // frame bytes written to peers
+	readers sync.WaitGroup
 
 	mu       sync.Mutex
 	jobs     map[uint32]*muxJob
 	retired  map[uint32]struct{}
-	failed   error // demux death (conn error, cross-job frame); nil while healthy
-	tornDown bool  // fail already ran (jobs failed, connections closed)
+	started  bool   // demux readers running
+	gone     []bool // gone[peer]: peer closed its connection between frames (see peerGone)
+	failed   error  // node death (conn error, corrupt or cross-job frame, Close); nil while healthy
+	tornDown bool   // fail already ran (jobs failed, connections closed)
+}
+
+func newMeshNode(worker int, conns []net.Conn, quant int) *MeshNode {
+	k := len(conns)
+	return &MeshNode{
+		worker:  worker,
+		k:       k,
+		conns:   conns,
+		bufw:    make([]*bufio.Writer, k),
+		wmu:     make([]sync.Mutex, k),
+		enc:     make([]*v4Scratch, k),
+		quant:   quant,
+		jobs:    make(map[uint32]*muxJob),
+		retired: make(map[uint32]struct{}),
+		gone:    make([]bool, k),
+	}
 }
 
 // jobFrame is one decoded frame queued for a job's Exchange.
@@ -239,22 +235,27 @@ type jobFrame struct {
 
 // muxJob is one worker's job-scoped Transport over the shared node.
 type muxJob struct {
-	node  *muxNode
+	node  *MeshNode
 	job   uint32
 	width int
-	in    []chan jobFrame // in[src]; nil at index == node.worker
+	in    []chan jobFrame // in[src]; nil at index == node.worker; closed once src is gone
 	done  chan struct{}   // closed when the job fails or closes
 	err   error           // cause; written before done closes
 }
 
 var _ Transport = (*muxJob)(nil)
 
-// openJob registers a job on this node.
-func (n *muxNode) openJob(job uint32, width int) (*muxJob, error) {
+// OpenJob registers a job on this node and returns the worker's Transport
+// for it. The id must be unique for the lifetime of the node, and every
+// node of the mesh must open the job under the same id and width.
+func (n *MeshNode) OpenJob(job uint32, width int) (Transport, error) {
+	if width < 1 || width > MaxValueWidth {
+		return nil, fmt.Errorf("transport: job %d width %d out of range [1,%d]", job, width, MaxValueWidth)
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.failed != nil {
-		return nil, fmt.Errorf("transport: worker %d deployment failed: %w", n.worker, n.failed)
+		return nil, fmt.Errorf("transport: worker %d mesh node failed: %w", n.worker, n.failed)
 	}
 	if _, open := n.jobs[job]; open {
 		return nil, fmt.Errorf("transport: job %d already open", job)
@@ -270,17 +271,43 @@ func (n *muxNode) openJob(job uint32, width int) (*muxJob, error) {
 		done:  make(chan struct{}),
 	}
 	for peer := 0; peer < n.k; peer++ {
-		if peer != n.worker {
-			j.in[peer] = make(chan jobFrame, jobFrameBuffer)
+		if peer == n.worker {
+			continue
+		}
+		j.in[peer] = make(chan jobFrame, jobFrameBuffer)
+		if n.gone[peer] {
+			close(j.in[peer])
 		}
 	}
 	n.jobs[job] = j
+	if !n.started {
+		n.started = true
+		for peer := range n.conns {
+			if peer == n.worker {
+				continue
+			}
+			n.readers.Add(1)
+			go func() {
+				defer n.readers.Done()
+				n.readLoop(peer)
+			}()
+		}
+	}
 	return j, nil
+}
+
+// Close tears the node down: every open job fails with ErrClosed, the
+// connections close (each peer sees this worker leave) and the demux
+// readers are waited out. Idempotent.
+func (n *MeshNode) Close() error {
+	n.fail(ErrClosed)
+	n.readers.Wait()
+	return nil
 }
 
 // failJob retires a job with the given cause, releasing its blocked
 // exchanges. Idempotent; the node keeps serving other jobs.
-func (n *muxNode) failJob(j *muxJob, cause error) {
+func (n *MeshNode) failJob(j *muxJob, cause error) {
 	n.mu.Lock()
 	if _, open := n.jobs[j.job]; !open {
 		n.mu.Unlock()
@@ -296,9 +323,9 @@ func (n *muxNode) failJob(j *muxJob, cause error) {
 
 // markFailed records cause as the node's failure cause if none is set
 // yet, without tearing anything down: new jobs are rejected and a later
-// fail — whatever triggered it — reports this cause. Close uses it to
-// pre-mark every node before any connection goes down.
-func (n *muxNode) markFailed(cause error) {
+// fail — whatever triggered it — reports this cause. The deployment's
+// Close uses it to pre-mark every node before any connection goes down.
+func (n *MeshNode) markFailed(cause error) {
 	n.mu.Lock()
 	if n.failed == nil {
 		n.failed = cause
@@ -307,10 +334,9 @@ func (n *muxNode) markFailed(cause error) {
 }
 
 // fail kills the whole node: every open job fails and the connections
-// close (peers observe it and fail their own demuxes — the
-// deployment-wide analogue of a crashed process). Idempotent; the
-// node's first recorded cause wins over the caller's.
-func (n *muxNode) fail(cause error) {
+// close. Idempotent; the node's first recorded cause wins over the
+// caller's.
+func (n *MeshNode) fail(cause error) {
 	n.mu.Lock()
 	if n.tornDown {
 		n.mu.Unlock()
@@ -336,24 +362,33 @@ func (n *muxNode) fail(cause error) {
 	}
 }
 
-// readLoop is the demux for one peer connection: it decodes job frames of
-// the deployment's negotiated format and routes them to the owning job's
-// inbox until the connection dies.
-func (n *muxNode) readLoop(peer int) {
+// peerGone records that peer closed its connection between frames — what
+// a worker does after its last superstep — and closes every job's inbox
+// from it. A peer that finishes first must not fail a slower one still
+// collecting the final step: frames already queued are delivered, and
+// only an Exchange that needs a further frame from peer fails.
+func (n *MeshNode) peerGone(peer int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.gone[peer] = true
+	for _, j := range n.jobs {
+		close(j.in[peer]) // readLoop(peer), the only sender, is the caller
+	}
+}
+
+// readLoop is the demux for one peer connection: it decodes frames and
+// routes them to the owning job's inbox until the connection ends. A
+// clean end between frames is the peer leaving (peerGone); anything else
+// — truncation mid-frame, a corrupt frame, a socket error — kills the
+// node.
+func (n *MeshNode) readLoop(peer int) {
 	br := bufio.NewReaderSize(n.conns[peer], 1<<16)
 	var dec v4Scratch // per-connection decode scratch, reused across frames
 	for {
-		var (
-			job    uint32
-			step   int
-			active bool
-			batch  *MessageBatch
-			err    error
-		)
-		if n.format == WireV4 {
-			job, step, active, batch, err = readJobFrameV4(br, &dec)
-		} else {
-			job, step, active, batch, err = readJobFrame(br)
+		job, step, active, batch, err := readJobFrameV4(br, &dec)
+		if err == io.EOF {
+			n.peerGone(peer)
+			return
 		}
 		if err != nil {
 			n.fail(fmt.Errorf("transport: demux at worker %d from %d: %w", n.worker, peer, err))
@@ -366,7 +401,7 @@ func (n *muxNode) readLoop(peer int) {
 }
 
 // route delivers one decoded frame; false stops the read loop (node dead).
-func (n *muxNode) route(peer int, job uint32, f jobFrame) bool {
+func (n *MeshNode) route(peer int, job uint32, f jobFrame) bool {
 	n.mu.Lock()
 	j, open := n.jobs[job]
 	if !open {
@@ -397,46 +432,34 @@ func (n *muxNode) route(peer int, job uint32, f jobFrame) bool {
 	return true
 }
 
-// writerTo returns the shared buffered writer for peer; the caller must
-// hold wmu[peer].
-func (n *muxNode) writerTo(peer int) *bufio.Writer {
-	if n.bufw[peer] == nil {
-		n.bufw[peer] = bufio.NewWriterSize(n.conns[peer], 1<<16)
-	}
-	return n.bufw[peer]
-}
-
-// writeFrame writes one job frame to peer in the deployment's negotiated
-// format under the per-peer write lock (keeping interleaved jobs' frames
-// atomic on the shared stream) and charges the frame's bytes to the
-// deployment's wire counter.
-func (n *muxNode) writeFrame(peer int, job uint32, step int, active bool, batch *MessageBatch) error {
+// writeFrame writes one job frame to peer under the per-peer write lock
+// (keeping interleaved jobs' frames atomic on the shared stream) and
+// charges the frame's bytes to the node's wire counter.
+func (n *MeshNode) writeFrame(peer int, job uint32, step int, active bool, batch *MessageBatch) error {
 	n.wmu[peer].Lock()
 	defer n.wmu[peer].Unlock()
-	var err error
-	if n.format == WireV4 {
-		if n.enc[peer] == nil {
-			n.enc[peer] = new(v4Scratch)
-		}
-		var wrote int
-		wrote, err = writeJobFrameV4(n.writerTo(peer), job, step, active, batch, n.quant, n.enc[peer])
-		n.wire.Add(int64(wrote))
-	} else if err = writeJobFrame(n.writerTo(peer), job, step, active, batch); err == nil {
-		wire := int64(jobFrameHeaderBytes)
-		if count := batch.Len(); count > 0 {
-			wire += 8 + int64(count)*4 + int64(count*batch.Width)*8 // column prefixes + columns
-		}
-		n.wire.Add(wire)
+	if n.bufw[peer] == nil {
+		n.bufw[peer] = bufio.NewWriterSize(n.conns[peer], 1<<16)
+		n.enc[peer] = new(v4Scratch)
 	}
+	wrote, err := writeJobFrameV4(n.bufw[peer], job, step, active, batch, n.quant, n.enc[peer])
+	n.wire.Add(int64(wrote))
 	if err != nil {
-		// A write can lose the teardown race: fail/Close record the node's
-		// cause before closing any connection, so the recorded cause — not
-		// the induced "use of closed network connection" — is the story.
-		n.mu.Lock()
-		if n.failed != nil {
-			err = n.failed
-		}
-		n.mu.Unlock()
+		return n.failure(err)
+	}
+	return nil
+}
+
+// failure maps an error the node's own teardown can induce — a blocked
+// write's "use of closed network connection", a peer's inbox closing — to
+// the cause that teardown recorded: fail and the deployment's Close record
+// it before closing any connection, so it, not the induced error, is the
+// real story. A healthy node's err passes through.
+func (n *MeshNode) failure(err error) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.failed != nil {
+		return n.failed
 	}
 	return err
 }
@@ -459,8 +482,9 @@ func (j *muxJob) drainInboxes() {
 		}
 		for drained := false; !drained; {
 			select {
-			case f := <-ch:
+			case f, ok := <-ch:
 				RecycleBatch(f.batch)
+				drained = !ok
 			default:
 				drained = true
 			}
@@ -527,7 +551,14 @@ func (j *muxJob) Exchange(worker, step int, out []*MessageBatch, active bool) (E
 			continue
 		}
 		select {
-		case f := <-j.in[peer]:
+		case f, ok := <-j.in[peer]:
+			if !ok {
+				if firstErr == nil {
+					firstErr = n.failure(fmt.Errorf("transport: job %d: worker %d closed its connection before sending step %d",
+						j.job, peer, step))
+				}
+				continue
+			}
 			if f.step != step {
 				RecycleBatch(f.batch)
 				if firstErr == nil {
@@ -551,18 +582,6 @@ func (j *muxJob) Exchange(worker, step int, out []*MessageBatch, active bool) (E
 			firstErr = err
 			break
 		}
-		if firstErr != nil {
-			// A write can lose the teardown race: fail/Close record the
-			// node's cause before closing the connections, and the raw
-			// "use of closed network connection" from a blocked write can
-			// surface before this job observes j.done. The recorded cause
-			// (ErrClosed on deployment Close) is the real story.
-			n.mu.Lock()
-			if n.failed != nil {
-				firstErr = n.failed
-			}
-			n.mu.Unlock()
-		}
 	}
 	// Frames are on the wire (or abandoned): recycle the outgoing batches.
 	// The self slot stays alive — it was handed back in In.
@@ -574,9 +593,9 @@ func (j *muxJob) Exchange(worker, step int, out []*MessageBatch, active bool) (E
 	if firstErr != nil {
 		return ExchangeResult{}, firstErr
 	}
-	// Like the single-job TCP transport, peer-wait cannot be separated
-	// from wire time without extra control round-trips: Wait stays 0 and
-	// callers attribute the whole exchange to communication.
+	// Peer-wait cannot be separated from wire time without extra control
+	// round-trips: Wait stays 0 and callers attribute the whole exchange
+	// to communication (documented in DESIGN.md).
 	return res, nil
 }
 
@@ -592,84 +611,25 @@ func (j *muxJob) Close() error {
 }
 
 const (
-	// jobFrameMagic marks a job-mux (version 3) frame; see
-	// TCPMeshDeployment. Distinct from the single-job "EBVM" so mixed-era
-	// peers fail the first frame loudly.
-	jobFrameMagic = 0x4542564A // "EBVJ"
-
-	jobFrameHeaderBytes = 21 // magic + job + step + active + width + count
-)
-
-// writeJobFrame encodes one job-tagged columnar frame into bw and flushes
-// it. A nil or empty batch writes an empty frame (count 0, no columns).
-func writeJobFrame(bw *bufio.Writer, job uint32, step int, active bool, batch *MessageBatch) error {
-	var header [jobFrameHeaderBytes]byte
-	binary.LittleEndian.PutUint32(header[0:4], jobFrameMagic)
-	binary.LittleEndian.PutUint32(header[4:8], job)
-	binary.LittleEndian.PutUint32(header[8:12], uint32(step))
-	if active {
-		header[12] = 1
-	}
-	width, count := 0, 0
-	if batch != nil {
-		width, count = batch.Width, batch.Len()
-	}
-	if count > maxWireMessages || count*width > maxWireValues {
-		return fmt.Errorf("batch of %d messages × width %d exceeds the wire cap (%d messages, %d values)",
-			count, width, maxWireMessages, maxWireValues)
-	}
-	binary.LittleEndian.PutUint32(header[13:17], uint32(width))
-	binary.LittleEndian.PutUint32(header[17:21], uint32(count))
-	if _, err := bw.Write(header[:]); err != nil {
-		return err
-	}
-	if count > 0 {
-		if err := writeColumns(bw, batch, count, width); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// readJobFrame decodes one job-tagged columnar frame. A non-empty frame
-// returns a pooled batch owned by the caller.
-func readJobFrame(br *bufio.Reader) (job uint32, step int, active bool, batch *MessageBatch, err error) {
-	var header [jobFrameHeaderBytes]byte
-	if _, err = io.ReadFull(br, header[:]); err != nil {
-		return 0, 0, false, nil, err
-	}
-	if magic := binary.LittleEndian.Uint32(header[0:4]); magic != jobFrameMagic {
-		if magic == jobFrameMagicV4 {
-			return 0, 0, false, nil, fmt.Errorf(
-				"job frame magic %#x is wire v4 (EBV4): peer speaks the compressed format to a v3 deployment — align WithWireFormat across every node", magic)
-		}
-		return 0, 0, false, nil, fmt.Errorf(
-			"bad job frame magic %#x (peer speaking a single-job wire format?)", magic)
-	}
-	job = binary.LittleEndian.Uint32(header[4:8])
-	step = int(binary.LittleEndian.Uint32(header[8:12]))
-	active = header[12] == 1
-	width := int(binary.LittleEndian.Uint32(header[13:17]))
-	count := int(binary.LittleEndian.Uint32(header[17:21]))
-	if count == 0 {
-		return job, step, active, nil, nil
-	}
-	batch, err = readColumns(br, width, count)
-	if err != nil {
-		return 0, 0, false, nil, err
-	}
-	return job, step, active, batch, nil
-}
-
-const (
-	// jobFrameMagicV4 marks a compressed job-mux (version 4) frame; see
-	// TCPMeshDeployment. Distinct from v3's "EBVJ" and v2's "EBVM" so any
-	// mixed-version pairing fails its first frame loudly.
+	// jobFrameMagicV4 marks a job frame (wire version 4, the only one; see
+	// MeshNode). A peer speaking anything else fails its first frame
+	// loudly at the magic check.
 	jobFrameMagicV4 = 0x45425634 // "EBV4"
 
 	// jobFrameHeaderBytesV4: magic + job + step + active + flags + width +
 	// count + idBytes + valBytes + crc.
 	jobFrameHeaderBytesV4 = 34
+
+	// maxWireWidth and maxWireMessages bound what a frame header may
+	// claim, so a corrupt or hostile peer cannot force a giant
+	// allocation. The product bound caps the raw value column at 2 GiB —
+	// comfortably inside the u32 byte-length field (2^28 values × 8
+	// bytes = 2^31). The writer enforces the same bounds, so an oversized
+	// batch fails with a clear local error instead of a corrupt-frame
+	// error at the receiver.
+	maxWireWidth    = MaxValueWidth
+	maxWireMessages = 1 << 28
+	maxWireValues   = 1 << 28
 )
 
 // v4Scratch is the reusable frame codec scratch: one per peer on the
@@ -764,12 +724,8 @@ func readJobFrameV4(br *bufio.Reader, s *v4Scratch) (job uint32, step int, activ
 		return 0, 0, false, nil, err
 	}
 	if magic := binary.LittleEndian.Uint32(header[0:4]); magic != jobFrameMagicV4 {
-		if magic == jobFrameMagic {
-			return 0, 0, false, nil, fmt.Errorf(
-				"job frame magic %#x is wire v3 (EBVJ): peer speaks the raw format to a v4 deployment — align WithWireFormat across every node", magic)
-		}
 		return 0, 0, false, nil, fmt.Errorf(
-			"bad v4 job frame magic %#x (peer speaking a single-job wire format?)", magic)
+			"bad job frame magic %#x, want %#x (peer speaking another wire version?)", magic, jobFrameMagicV4)
 	}
 	job = binary.LittleEndian.Uint32(header[4:8])
 	step = int(binary.LittleEndian.Uint32(header[8:12]))
@@ -821,6 +777,9 @@ func readJobFrameV4(br *bufio.Reader, s *v4Scratch) (job uint32, step int, activ
 		s.buf = s.buf[:need]
 	}
 	if _, err = io.ReadFull(br, s.buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised columns: not a clean end
+		}
 		return 0, 0, false, nil, err
 	}
 	crc := crc32.Update(0, castagnoli, header[4:30])

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -170,48 +171,11 @@ func TestJobMuxCrossWidthSendRejected(t *testing.T) {
 	}
 }
 
-// TestJobMuxCrossWidthFrameRejected injects a raw wire frame whose width
-// disagrees with the open job's and asserts the receiving job's Exchange
-// fails loudly (the demux-side half of the cross-width guarantee).
-func TestJobMuxCrossWidthFrameRejected(t *testing.T) {
-	// Pinned to v3 so the injected raw v3 frame reaches the width check
-	// (under the default v4 format it would die at the magic check first;
-	// the v4 demux's own width check is covered in wirecodec_test.go).
-	d, err := NewTCPMeshDeployment(t.Context(), 2, WithWireFormat(WireV3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	ts, err := d.OpenJob(5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Write a width-4 frame for the width-1 job 5 straight onto worker 0's
-	// connection to worker 1, bypassing the sender-side check.
-	bw := bufio.NewWriter(d.nodes[0].conns[1])
-	if err := writeJobFrame(bw, 5, 0, true, jobBatch(4, 9, 1)); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := ts[1].Exchange(1, 0, nil, true)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "width") {
-			t.Fatalf("cross-width frame: err = %v, want a loud width error", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cross-width frame was swallowed; Exchange still blocked")
-	}
-}
-
 // TestJobMuxUnknownJobFrameKillsNode injects a frame for a job the
 // deployment never opened: cross-job corruption must fail the receiving
 // node loudly (every open job errors) instead of being silently dropped.
 func TestJobMuxUnknownJobFrameKillsNode(t *testing.T) {
-	d, err := NewTCPMeshDeployment(t.Context(), 2, WithWireFormat(WireV3))
+	d, err := NewTCPMeshDeployment(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +185,7 @@ func TestJobMuxUnknownJobFrameKillsNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	bw := bufio.NewWriter(d.nodes[0].conns[1])
-	if err := writeJobFrame(bw, 999, 0, true, jobBatch(1, 3, 1)); err != nil {
+	if _, err := writeJobFrameV4(bw, 999, 0, true, jobBatch(1, 3, 1), 0, new(v4Scratch)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -239,9 +203,9 @@ func TestJobMuxUnknownJobFrameKillsNode(t *testing.T) {
 	}
 }
 
-// TestJobMuxSingleJobFramePeerRejected: a peer speaking the single-job v2
-// wire format fails the job-mux magic check on the first frame.
-func TestJobMuxSingleJobFramePeerRejected(t *testing.T) {
+// TestJobMuxForeignMagicRejected: a peer speaking any other wire version
+// fails the magic check on its first frame, loudly.
+func TestJobMuxForeignMagicRejected(t *testing.T) {
 	d, err := NewTCPMeshDeployment(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -251,8 +215,9 @@ func TestJobMuxSingleJobFramePeerRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw := bufio.NewWriter(d.nodes[0].conns[1])
-	if err := writeFrame(bw, 0, true, jobBatch(1, 3, 1)); err != nil { // v2 frame
+	foreign := make([]byte, jobFrameHeaderBytesV4)
+	binary.LittleEndian.PutUint32(foreign, controlFrameMagic) // a control-plane peer on the data port
+	if _, err := d.nodes[0].conns[1].Write(foreign); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -263,10 +228,10 @@ func TestJobMuxSingleJobFramePeerRejected(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil || !strings.Contains(err.Error(), "magic") {
-			t.Fatalf("v2 frame into the mux: err = %v, want a magic error", err)
+			t.Fatalf("foreign frame into the mux: err = %v, want a magic error", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("v2 frame was swallowed; Exchange still blocked")
+		t.Fatal("foreign frame was swallowed; Exchange still blocked")
 	}
 }
 

@@ -62,17 +62,16 @@ func idsAscending(ids []graph.VertexID) bool {
 // receiver-side combining merge. Each batch becomes a sorted run (sorted
 // by vertex id, already-ascending batches detected and left in place) and
 // the runs are merge-folded in one k-way pass, so the per-row cost is a
-// head comparison instead of AppendBatchCombining's per-row index probe,
-// and unique-ID stretches append with bulk copies at plain-AppendBatch
-// speed.
+// head comparison, and unique-ID stretches append with bulk copies at
+// plain-AppendBatch speed.
 //
 // The fold order preserves the Combiner contract exactly: for every
 // vertex, the first row in (source index, row index) order is copied into
 // b verbatim and later rows fold into it left-to-right in that same
-// order — byte-identical to the uncombined receiver's scan order, and to
-// the per-row merge this replaces. b ends sorted by vertex id (a
-// different row order than arrival-order concatenation, which no program
-// may depend on — the engine delivers the inbox as an unordered bag).
+// order — byte-identical to the uncombined receiver's scan order. b ends
+// sorted by vertex id (a different row order than arrival-order
+// concatenation, which no program may depend on — the engine delivers the
+// inbox as an unordered bag).
 //
 // Nil and empty batches are skipped. A batch whose width disagrees with
 // b's is a protocol violation and fails the merge loudly (mirroring the

@@ -206,10 +206,9 @@ func TestMergeBatchesCombiningScratchReuse(t *testing.T) {
 }
 
 // BenchmarkReceiverMerge compares the sorted-run combining merge against
-// plain AppendBatch concatenation (the no-combiner baseline) and the
-// per-row-probe AppendBatchCombining it replaced, over ascending unique-id
-// sources — the replica-sync worst case where combining removes nothing
-// and must not cost anything either.
+// plain AppendBatch concatenation (the no-combiner baseline), over
+// ascending unique-id sources — the replica-sync worst case where
+// combining removes nothing and must not cost anything either.
 func BenchmarkReceiverMerge(b *testing.B) {
 	const sources, rows = 8, 4096
 	batches := make([]*MessageBatch, sources)
@@ -235,19 +234,6 @@ func BenchmarkReceiverMerge(b *testing.B) {
 			inbox := GetBatch(1)
 			if err := inbox.MergeBatchesCombining(batches, MinCombiner{}, &s); err != nil {
 				b.Fatal(err)
-			}
-			RecycleBatch(inbox)
-		}
-	})
-	b.Run("probe", func(b *testing.B) {
-		idx := NewCombineIndex(sources * rows)
-		for i := 0; i < b.N; i++ {
-			inbox := GetBatch(1)
-			idx.Begin()
-			for _, bt := range batches {
-				if _, err := inbox.AppendBatchCombining(bt, MinCombiner{}, idx); err != nil {
-					b.Fatal(err)
-				}
 			}
 			RecycleBatch(inbox)
 		}

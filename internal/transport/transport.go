@@ -2,9 +2,9 @@
 // BSP workers. Two implementations share one collective-exchange
 // interface: an in-memory router (the default for experiments — the
 // paper's platform-independent metric is the message *count*, which is
-// identical on any transport) and a real TCP transport (length-prefixed
-// columnar frames over a full mesh of loopback or remote connections)
-// demonstrating that the engine runs distributed.
+// identical on any transport) and a real TCP transport (MeshNode:
+// job-tagged, compressed, CRC-checked frames over a full mesh of loopback
+// or remote connections) on which the engine runs distributed.
 //
 // The message plane is columnar: a MessageBatch carries the vertex-id and
 // value columns of every message for one destination, with a configurable

@@ -56,17 +56,17 @@ func memTrio(t *testing.T, k int) []Transport {
 	return trs
 }
 
-func tcpTrio(t *testing.T, k int) []Transport {
+// tcpTrio opens one job of the given width on a fresh loopback TCP mesh.
+func tcpTrio(t *testing.T, k, width int) []Transport {
 	t.Helper()
-	mesh, err := NewTCPMesh(k)
+	mesh, err := NewTCPMeshDeployment(t.Context(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trs := make([]Transport, k)
-	for i := range trs {
-		trs[i] = mesh[i]
-		tr := mesh[i]
-		t.Cleanup(func() { _ = tr.Close() })
+	t.Cleanup(func() { _ = mesh.Close() })
+	trs, err := mesh.OpenJob(1, width)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return trs
 }
@@ -117,9 +117,9 @@ func testDelivery(t *testing.T, trs []Transport) {
 }
 
 func TestMemDelivery(t *testing.T)   { testDelivery(t, memTrio(t, 4)) }
-func TestTCPDelivery(t *testing.T)   { testDelivery(t, tcpTrio(t, 4)) }
+func TestTCPDelivery(t *testing.T)   { testDelivery(t, tcpTrio(t, 4, 1)) }
 func TestMemSingle(t *testing.T)     { testDelivery(t, memTrio(t, 1)) }
-func TestTCPTwoWorkers(t *testing.T) { testDelivery(t, tcpTrio(t, 2)) }
+func TestTCPTwoWorkers(t *testing.T) { testDelivery(t, tcpTrio(t, 2, 1)) }
 
 // testWideDelivery moves width-3 rows and checks every column survives.
 func testWideDelivery(t *testing.T, trs []Transport) {
@@ -151,7 +151,7 @@ func testWideDelivery(t *testing.T, trs []Transport) {
 }
 
 func TestMemWideDelivery(t *testing.T) { testWideDelivery(t, memTrio(t, 3)) }
-func TestTCPWideDelivery(t *testing.T) { testWideDelivery(t, tcpTrio(t, 3)) }
+func TestTCPWideDelivery(t *testing.T) { testWideDelivery(t, tcpTrio(t, 3, 3)) }
 
 func TestMemManySteps(t *testing.T) {
 	trs := memTrio(t, 3)
@@ -175,9 +175,8 @@ func TestMemManySteps(t *testing.T) {
 }
 
 func TestTCPLargeBatch(t *testing.T) {
-	// Batches far larger than socket buffers must not deadlock (and the
-	// block framing must survive multi-block columns).
-	trs := tcpTrio(t, 3)
+	// Batches far larger than socket buffers must not deadlock.
+	trs := tcpTrio(t, 3, 1)
 	const n = 200000
 	outs := make([][]*MessageBatch, 3)
 	for w := range outs {
@@ -234,31 +233,30 @@ func TestNewMemRejectsBadK(t *testing.T) {
 	}
 }
 
-func TestNewTCPMeshRejectsBadK(t *testing.T) {
-	if _, err := NewTCPMesh(0); err == nil {
+func TestNewTCPMeshDeploymentRejectsBadK(t *testing.T) {
+	if _, err := NewTCPMeshDeployment(t.Context(), 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
 
 func TestTCPWrongWorkerID(t *testing.T) {
-	trs := tcpTrio(t, 2)
-	tcp, ok := trs[0].(*TCP)
-	if !ok {
-		t.Fatal("not a TCP transport")
-	}
-	if _, err := tcp.Exchange(1, 0, nil, false); err == nil {
+	trs := tcpTrio(t, 2, 1)
+	if _, err := trs[0].Exchange(1, 0, nil, false); err == nil {
 		t.Fatal("wrong worker id accepted")
 	}
 }
 
 func TestTCPClosedErrors(t *testing.T) {
-	mesh, err := NewTCPMesh(2)
+	mesh, err := NewTCPMeshDeployment(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = mesh[0].Close()
-	_ = mesh[1].Close()
-	if _, err := mesh[0].Exchange(0, 0, nil, false); !errors.Is(err, ErrClosed) {
+	trs, err := mesh.OpenJob(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = mesh.Close()
+	if _, err := trs[0].Exchange(0, 0, nil, false); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }

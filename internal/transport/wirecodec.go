@@ -10,34 +10,6 @@ import (
 	"ebv/internal/graph"
 )
 
-// WireFormat selects the job-mux frame encoding of a TCPMeshDeployment.
-// Every node of one deployment speaks the same format; a peer speaking a
-// different version fails its first frame at the magic check with an
-// error naming the skew (never by desynchronizing the stream).
-type WireFormat uint8
-
-const (
-	// WireV3 is the uncompressed job-mux format ("EBVJ"): raw 4-byte IDs
-	// and 8-byte values, the PR 4 wire.
-	WireV3 WireFormat = 3
-	// WireV4 is the compressed job-mux format ("EBV4", the default):
-	// delta+varint vertex-ID column, byte-packed value column, CRC-32C
-	// over header and payload so a corrupted frame — any single bit flip
-	// included — is rejected loudly instead of decoding to garbage.
-	WireV4 WireFormat = 4
-)
-
-func (f WireFormat) String() string {
-	switch f {
-	case WireV3:
-		return "v3"
-	case WireV4:
-		return "v4"
-	default:
-		return fmt.Sprintf("WireFormat(%d)", uint8(f))
-	}
-}
-
 // castagnoli is the CRC-32C table of the v4 frame checksum (the same
 // polynomial the checkpoint and control-plane codecs use).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -134,10 +106,8 @@ func appendPackedVals(dst []byte, vals []float64) []byte {
 			dst = binary.AppendUvarint(dst, zigzag(iv-prevInt))
 		} else {
 			dst = append(dst, byte(sigBytes))
-			sig := x >> (8 * (8 - sigBytes))
-			for j := 0; j < sigBytes; j++ {
-				dst = append(dst, byte(sig>>(8*j)))
-			}
+			// The significand's low sigBytes bytes, little endian.
+			dst = binary.LittleEndian.AppendUint64(dst, x>>(8*(8-sigBytes)))[:len(dst)+sigBytes]
 		}
 		prevBits = b
 		if integral {

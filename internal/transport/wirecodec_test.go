@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -113,14 +115,14 @@ func TestV4FrameRoundTripPayloads(t *testing.T) {
 
 // TestV4FrameCompressesIntegralPayloads pins the tentpole's size win: an
 // ascending-id, small-integer payload — the CC/SSSP/Aggregate shape — must
-// encode at least 3x smaller than the raw v3 layout.
+// encode at least 3x smaller than raw columns (4-byte ids, 8-byte values).
 func TestV4FrameCompressesIntegralPayloads(t *testing.T) {
 	b := NewMessageBatch(1)
 	for i := 0; i < 4096; i++ {
 		b.AppendScalar(graph.VertexID(i*7), float64(i%64))
 	}
 	frame := encodeV4Frame(t, 1, 0, true, b, 0)
-	raw := jobFrameHeaderBytes + 8 + b.Len()*4 + b.Len()*8
+	raw := jobFrameHeaderBytesV4 + b.Len()*4 + b.Len()*8
 	if len(frame)*3 > raw {
 		t.Fatalf("v4 frame is %d bytes, raw layout %d: less than the 3x target", len(frame), raw)
 	}
@@ -204,8 +206,14 @@ func TestV4FrameTruncationRejected(t *testing.T) {
 	}
 	frame := encodeV4Frame(t, 3, 8, true, b, 0)
 	for cut := 0; cut < len(frame); cut++ {
-		if _, _, _, got, err := decodeV4Frame(frame[:cut]); err == nil {
+		_, _, _, got, err := decodeV4Frame(frame[:cut])
+		if err == nil {
 			t.Fatalf("frame truncated to %d/%d bytes decoded silently (batch %v)", cut, len(frame), got)
+		}
+		// Only an end before the first byte is a clean end of stream (the
+		// demux reads it as the peer leaving); every later cut is loud.
+		if (err == io.EOF) != (cut == 0) {
+			t.Fatalf("frame truncated to %d/%d bytes: err = %v", cut, len(frame), err)
 		}
 	}
 }
@@ -228,30 +236,42 @@ func TestV4FrameBitFlipRejected(t *testing.T) {
 	}
 }
 
-// TestV4FrameVersionSkewLoud: a v3 frame into a v4 reader (and the
-// reverse) fails the magic check with an error naming the misalignment,
-// before any column bytes are interpreted.
-func TestV4FrameVersionSkewLoud(t *testing.T) {
-	b := jobBatch(1, 4, 2)
-	var v3buf bytes.Buffer
-	if err := writeJobFrame(bufio.NewWriter(&v3buf), 5, 0, true, b); err != nil {
-		t.Fatal(err)
+// TestV4FrameRejectsCorruptHeaders: a header claiming an impossible shape
+// is rejected from the header alone, before anything is allocated or read
+// for it — a corrupt or hostile peer cannot force a giant allocation.
+func TestV4FrameRejectsCorruptHeaders(t *testing.T) {
+	mk := func(width, count, idBytes, valBytes uint32) []byte {
+		buf := make([]byte, jobFrameHeaderBytesV4)
+		binary.LittleEndian.PutUint32(buf[0:4], jobFrameMagicV4)
+		buf[13] = v4FlagDeltaIDs
+		binary.LittleEndian.PutUint32(buf[14:18], width)
+		binary.LittleEndian.PutUint32(buf[18:22], count)
+		binary.LittleEndian.PutUint32(buf[22:26], idBytes)
+		binary.LittleEndian.PutUint32(buf[26:30], valBytes)
+		return buf
 	}
-	if _, _, _, _, err := decodeV4Frame(v3buf.Bytes()); err == nil ||
-		!strings.Contains(err.Error(), "WithWireFormat") {
-		t.Fatalf("v3 frame into a v4 reader: err = %v, want a format-skew error", err)
+	cases := map[string][]byte{
+		"zero-width":      mk(0, 5, 5, 40),
+		"huge-width":      mk(1<<20, 5, 5, 40),
+		"huge-count":      mk(1, 1<<30, 1<<30, 0),
+		"short-id-column": mk(1, 2, 1, 16),
+		"long-id-column":  mk(1, 2, 11, 16),
+		"bad-raw-values":  mk(1, 2, 2, 15),
+		"overflow-values": mk(1<<16, 1<<28, 1<<28, 0),
 	}
-	v4frame := encodeV4Frame(t, 5, 0, true, jobBatch(1, 4, 2), 0)
-	if _, _, _, _, err := readJobFrame(bufio.NewReader(bytes.NewReader(v4frame))); err == nil ||
-		!strings.Contains(err.Error(), "WithWireFormat") {
-		t.Fatalf("v4 frame into a v3 reader: err = %v, want a format-skew error", err)
+	for name, frame := range cases {
+		_, _, _, _, err := decodeV4Frame(frame)
+		if err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: err = %v, want a shape error from the header alone", name, err)
+		}
 	}
 }
 
-// TestJobMuxV4CrossWidthFrameRejected is the v4-deployment version of the
-// demux-side cross-width guarantee: a well-formed v4 frame whose width
-// disagrees with the open job fails the receiving Exchange loudly.
-func TestJobMuxV4CrossWidthFrameRejected(t *testing.T) {
+// TestJobMuxCrossWidthFrameRejected is the demux-side half of the
+// cross-width guarantee: a well-formed frame whose width disagrees with
+// the open job's, written straight onto the connection (bypassing the
+// sender-side check), fails the receiving Exchange loudly.
+func TestJobMuxCrossWidthFrameRejected(t *testing.T) {
 	d, err := NewTCPMeshDeployment(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)

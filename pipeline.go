@@ -13,7 +13,6 @@ import (
 	"ebv/internal/core"
 	"ebv/internal/graph"
 	"ebv/internal/partition"
-	"ebv/internal/transport"
 )
 
 // PipelineStage names one stage of a Pipeline run, in execution order:
@@ -104,7 +103,6 @@ type Pipeline struct {
 	progress    func(PipelineProgress)
 	runOpts     []RunOption
 	useTCP      bool
-	wireFormat  transport.WireFormat // 0 → the deployment default (v4)
 	wireQuant   int
 	materialize bool
 	parallelism int
@@ -259,22 +257,12 @@ func WithoutCombining() PipelineOption {
 	return func(p *Pipeline) { p.runOpts = append(p.runOpts, bsp.WithAutoCombine(false)) }
 }
 
-// UseWireFormat pins the job-mux frame encoding of the session's TCP mesh
-// (UseTCPLoopback): WireV4 — the default — ships delta+varint ID columns
-// and byte-packed value columns; WireV3 ships the raw columns. Every node
-// of a deployment speaks the same format, and a mixed-version pairing
-// fails its first frame loudly at the magic check. No effect on the
-// in-memory transport.
-func UseWireFormat(f WireFormat) PipelineOption {
-	return func(p *Pipeline) { p.wireFormat = f }
-}
-
 // WireQuantization keeps only the top bits (1..51) of every message
-// value's mantissa on the v4 wire — an opt-in lossy transform for
-// tolerance-based runs where approximate float payloads are acceptable.
-// Off by default; incompatible with UseWireFormat(WireV3). Quantization
-// breaks the byte-identity guarantee by design: results are within
-// 2^-bits relative error, not bit-exact.
+// value's mantissa on the TCP mesh wire (UseTCPLoopback) — an opt-in lossy
+// transform for tolerance-based runs where approximate float payloads are
+// acceptable. Off by default. Quantization breaks the byte-identity
+// guarantee by design: results are within 2^-bits relative error, not
+// bit-exact.
 func WireQuantization(bits int) PipelineOption {
 	return func(p *Pipeline) { p.wireQuant = bits }
 }

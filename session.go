@@ -174,19 +174,12 @@ func (p *Pipeline) Open(ctx context.Context) (*Session, error) {
 	}
 	var mesh transport.Deployment
 	if p.useTCP {
-		var meshOpts []transport.MeshOption
-		if p.wireFormat != 0 {
-			meshOpts = append(meshOpts, transport.WithWireFormat(p.wireFormat))
-		}
-		if p.wireQuant != 0 {
-			meshOpts = append(meshOpts, transport.WithWireQuantization(p.wireQuant))
-		}
-		mesh, err = transport.NewTCPMeshDeployment(ctx, res.Assignment.K, meshOpts...)
+		mesh, err = transport.NewTCPMeshDeployment(ctx, res.Assignment.K, transport.WithWireQuantization(p.wireQuant))
 		if err != nil {
 			return nil, fmt.Errorf("ebv: pipeline tcp deployment: %w", err)
 		}
-	} else if p.wireFormat != 0 || p.wireQuant != 0 {
-		return nil, errors.New("ebv: pipeline: UseWireFormat/WireQuantization configure the TCP mesh wire — combine with UseTCPLoopback")
+	} else if p.wireQuant != 0 {
+		return nil, errors.New("ebv: pipeline: WireQuantization configures the TCP mesh wire — combine with UseTCPLoopback")
 	}
 	policy, err := live.PolicyByName(p.mutationPolicy)
 	if err != nil {
