@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,27 +73,34 @@ func assertCanceledPromptly(t *testing.T, name string, fn func() (*partition.Ass
 }
 
 // TestPartitionCtxPreCanceled checks that every context-aware partitioner
-// rejects an already-canceled context without doing the work.
+// rejects an already-canceled context without doing the work. "Without the
+// work" is judged by allocation, not by a timer: the first thing any of them
+// builds is |E|-sized (the assignment, then the §IV-C edge order), so a call
+// that allocates fewer than |E| bytes returned before the sort.
 func TestPartitionCtxPreCanceled(t *testing.T) {
 	g := ctxTestGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, p := range []partition.ContextPartitioner{
 		core.New(),
+		core.New(core.WithOrder(core.OrderSortedDesc)),
 		&core.PartitionStream{},
 		&core.PartitionStream{Window: 64},
 		&core.ParallelEBV{Workers: 2},
 	} {
-		start := time.Now()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		a, err := p.PartitionCtx(ctx, g, 16)
+		runtime.ReadMemStats(&after)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", p.Name(), err)
 		}
 		if a != nil {
 			t.Errorf("%s: got assignment despite canceled context", p.Name())
 		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Errorf("%s: pre-canceled context took %v", p.Name(), elapsed)
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= uint64(g.NumEdges()) {
+			t.Errorf("%s: pre-canceled call allocated %d bytes (|E| = %d): it built the edge order before polling ctx",
+				p.Name(), bytes, g.NumEdges())
 		}
 	}
 }

@@ -123,15 +123,19 @@ func (e *EBV) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
 	return e.PartitionCtx(context.Background(), g, k)
 }
 
-// PartitionCtx implements partition.ContextPartitioner: the assignment loop
-// polls ctx every partition.CancelCheckInterval edges and returns ctx.Err()
-// promptly on cancellation.
+// PartitionCtx implements partition.ContextPartitioner: ctx is polled before
+// the edge order is built, and the assignment loop polls it every
+// partition.CancelCheckInterval edges (the first poll falls between the sort
+// and the first assignment), returning ctx.Err() promptly on cancellation.
 func (e *EBV) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
 	if k < 1 {
 		return nil, partition.ErrBadPartCount
 	}
 	if e.alpha < 0 || e.beta < 0 {
 		return nil, fmt.Errorf("core: negative hyperparameters alpha=%g beta=%g", e.alpha, e.beta)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	numE, numV := g.NumEdges(), g.NumVertices()
 	a := partition.NewAssignment(k, numE)
@@ -140,70 +144,112 @@ func (e *EBV) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*partiti
 	}
 
 	order := e.edgeOrder(g)
+	edges := g.Edges()
 
-	// keep[i] is the vertex set of subgraph i as a bitset; ecount/vcount
-	// are the running counters of Algorithm 1.
-	keep := make([]partition.Bitset, k)
-	for i := range keep {
-		keep[i] = partition.NewBitset(numV)
-	}
+	// member is keep[] of Algorithm 1 stored vertex-major: vertex v's row
+	// is words uint64s whose bit i says v ∈ keep[i], so scoring an edge
+	// reads two rows instead of probing 2k per-part bitsets.
+	words := (k + 63) / 64
+	member := make([]uint64, numV*words)
 	ecount := make([]int, k)
 	vcount := make([]int, k)
 
-	// Precompute the per-unit normalization so the inner loop is
+	// Precompute the per-unit normalization so a balance term is
 	// multiply-add only.
 	eNorm := e.alpha / (float64(numE) / float64(k))
 	vNorm := e.beta / (float64(numV) / float64(k))
 
+	// balance[i] caches α·ecount[i]/(|E|/p) + β·vcount[i]/(|V|/p). Only the
+	// part that receives an edge changes, and it is recomputed from the
+	// counters with the same expression every time — never updated
+	// incrementally — so each score is the float64 a from-scratch
+	// evaluation yields.
+	balance := make([]float64, k)
+	for i := range balance {
+		balance[i] = float64(ecount[i])*eNorm + float64(vcount[i])*vNorm
+	}
+
+	// Edges are handled in blocks of CancelCheckInterval: ctx is polled once
+	// per block, and the block's endpoints are gathered up front so the
+	// random loads into the edge list overlap each other instead of
+	// stalling one assignment each.
+	block := make([]graph.Edge, min(numE, partition.CancelCheckInterval))
 	totalReplicas := 0
-	for idx, edgeID := range order {
-		if idx%partition.CancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	for start := 0; start < numE; start += len(block) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		ed := g.Edge(int(edgeID))
-		u, v := int(ed.Src), int(ed.Dst)
+		ids := order[start:min(start+len(block), numE)]
+		for j, edgeID := range ids {
+			block[j] = edges[edgeID]
+		}
+		for j, edgeID := range ids {
+			ed := block[j]
+			rowU := member[int(ed.Src)*words:][:words]
+			rowV := member[int(ed.Dst)*words:][:words]
 
-		best := 0
-		bestScore := math.Inf(1)
-		for i := 0; i < k; i++ {
-			score := float64(ecount[i])*eNorm + float64(vcount[i])*vNorm
-			if !keep[i].Get(u) {
-				score++
-			}
-			if !keep[i].Get(v) {
-				score++
-			}
-			// Strict < keeps the argmin deterministic: ties go to the
-			// lowest subgraph id, matching a left-to-right arg min.
-			if score < bestScore {
-				bestScore = score
-				best = i
-			}
-		}
+			best := argminScore(balance, rowU, rowV)
 
-		a.Parts[edgeID] = int32(best)
-		ecount[best]++
-		if !keep[best].Get(u) {
-			keep[best].Set(u)
-			vcount[best]++
-			totalReplicas++
-		}
-		if !keep[best].Get(v) {
-			keep[best].Set(v)
-			vcount[best]++
-			totalReplicas++
-		}
+			a.Parts[edgeID] = int32(best)
+			ecount[best]++
+			// rowU and rowV alias for a self-loop, so v is tested after u
+			// is set.
+			w, bit := best>>6, uint64(1)<<uint(best&63)
+			if rowU[w]&bit == 0 {
+				rowU[w] |= bit
+				vcount[best]++
+				totalReplicas++
+			}
+			if rowV[w]&bit == 0 {
+				rowV[w] |= bit
+				vcount[best]++
+				totalReplicas++
+			}
+			balance[best] = float64(ecount[best])*eNorm + float64(vcount[best])*vNorm
 
-		if e.growth != nil && e.growthEvery > 0 && (idx+1)%e.growthEvery == 0 {
-			e.growth(idx+1, float64(totalReplicas)/float64(numV))
+			if done := start + j + 1; e.growth != nil && e.growthEvery > 0 && done%e.growthEvery == 0 {
+				e.growth(done, float64(totalReplicas)/float64(numV))
+			}
 		}
 	}
 	if e.growth != nil && e.growthEvery > 0 {
 		e.growth(numE, float64(totalReplicas)/float64(numV))
 	}
 	return a, nil
+}
+
+// argminScore returns the lowest-numbered part i minimizing
+// balance[i] + I(u ∉ keep[i]) + I(v ∉ keep[i]), where rowU and rowV are the
+// endpoints' membership rows.
+func argminScore(balance []float64, rowU, rowV []uint64) int {
+	best := 0
+	bestBits := math.Float64bits(math.Inf(1))
+	for w := range rowU {
+		// A set bit in missU/missV is a part the endpoint is not in yet.
+		// Adding the indicators as 0.0 or 1.0, u first, is the same float
+		// as Algorithm 1's two conditional increments.
+		missU, missV := ^rowU[w], ^rowV[w]
+		base := w * 64
+		for i, bal := range balance[base:min(base+64, len(balance))] {
+			score := bal + float64(missU&1)
+			score += float64(missV & 1)
+			missU >>= 1
+			missV >>= 1
+			// Strict < keeps the argmin deterministic: ties go to the
+			// lowest subgraph id, matching a left-to-right arg min.
+			// The comparison is on the bit patterns, which the compiler
+			// turns into conditional moves where score < bestScore is a
+			// branch on data. Nothing changes: scores are never negative
+			// (α, β ≥ 0), so their patterns order as the floats do, and a
+			// NaN (from an infinite or NaN α, β) lies above +Inf's
+			// pattern, so it never wins — as it never satisfies <.
+			if b := math.Float64bits(score); b < bestBits {
+				bestBits = b
+				best = base + i
+			}
+		}
+	}
+	return best
 }
 
 // edgeOrder materializes the configured processing order.

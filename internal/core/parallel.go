@@ -46,9 +46,10 @@ func (p *ParallelEBV) Partition(g *graph.Graph, k int) (*partition.Assignment, e
 	return p.PartitionCtx(context.Background(), g, k)
 }
 
-// PartitionCtx implements partition.ContextPartitioner: ctx is polled at
-// every epoch barrier (epochs are at most 4096 edges per worker, so the
-// cancellation latency is bounded by one epoch of work).
+// PartitionCtx implements partition.ContextPartitioner: ctx is polled before
+// the edge order is built and at every epoch barrier, the first of which
+// follows the sort (epochs are at most 4096 edges per worker, so the
+// cancellation latency is bounded by the sort or one epoch of work).
 func (p *ParallelEBV) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
 	if k < 1 {
 		return nil, partition.ErrBadPartCount
@@ -66,6 +67,9 @@ func (p *ParallelEBV) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (
 	}
 	if alpha < 0 || beta < 0 {
 		return nil, fmt.Errorf("core: negative hyperparameters alpha=%g beta=%g", alpha, beta)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	numE, numV := g.NumEdges(), g.NumVertices()

@@ -214,10 +214,14 @@ func (p *PartitionStream) Partition(g *graph.Graph, k int) (*partition.Assignmen
 	return p.PartitionCtx(context.Background(), g, k)
 }
 
-// PartitionCtx implements partition.ContextPartitioner: the edge stream is
-// checked against ctx every partition.CancelCheckInterval additions, so a
-// canceled context stops the underlying StreamingEBV promptly.
+// PartitionCtx implements partition.ContextPartitioner: ctx is polled before
+// the edge index is built, and the edge stream is checked against it every
+// partition.CancelCheckInterval additions, so a canceled context stops the
+// underlying StreamingEBV promptly.
 func (p *PartitionStream) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	a := partition.NewAssignment(k, g.NumEdges())
 	// Emit order differs from input order under a window, so track the
 	// next unassigned index per edge identity via a cursor over equal

@@ -144,3 +144,30 @@ func FuzzReadBinary(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSortedBySumDegree checks the counting sort against the comparison-sort
+// oracle on arbitrary small multigraphs: every byte pair is one edge over
+// numV%64+1 vertices, so self-loops, duplicates and isolated vertices are
+// the common case.
+func FuzzSortedBySumDegree(f *testing.F) {
+	f.Add([]byte{}, uint8(0), false)
+	f.Add([]byte{0, 0, 0, 0}, uint8(0), true)
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 4, 5, 0, 1}, uint8(5), false)
+	f.Add([]byte{3, 1, 1, 3, 2, 2, 0, 4}, uint8(4), true)
+	f.Fuzz(func(t *testing.T, data []byte, numV uint8, undirected bool) {
+		n := int(numV)%64 + 1
+		edges := make([]Edge, len(data)/2)
+		for i := range edges {
+			edges[i] = Edge{Src: VertexID(int(data[2*i]) % n), Dst: VertexID(int(data[2*i+1]) % n)}
+		}
+		build := New
+		if undirected {
+			build = NewUndirected
+		}
+		g, err := build(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSortMatchesReference(t, g)
+	})
+}

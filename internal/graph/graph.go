@@ -12,7 +12,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // VertexID identifies a vertex. Vertex IDs are dense: a graph with n
@@ -130,29 +129,69 @@ func (g *Graph) MaxDegree() int {
 }
 
 // SortedBySumDegree returns a new slice of edge indices ordered ascending by
-// the sum of end-vertex total degrees, breaking ties by (src, dst) so the
-// order is fully deterministic. This is the paper's §IV-C sorting
-// preprocessing; it is exposed here because multiple partitioners and the
-// Figure 5 harness reuse it.
+// the sum of end-vertex total degrees, breaking ties by (src, dst) and then
+// by edge index so the order is fully deterministic. This is the paper's
+// §IV-C sorting preprocessing; it is exposed here because multiple
+// partitioners and the Figure 5 harness reuse it.
+//
+// It is a stable LSD counting sort — by dst, then src, then degree sum —
+// so it costs O(|E| + |V|): three scatter passes over two |E|-sized index
+// buffers (one is the result), one bucket array of
+// max(|V|, 2·MaxDegree + 1) counters and a |V|-sized total-degree array.
 func (g *Graph) SortedBySumDegree() []int32 {
-	order := make([]int32, len(g.edges))
-	for i := range order {
-		order[i] = int32(i)
+	numE := len(g.edges)
+	order := make([]int32, numE)
+	if numE == 0 {
+		return order
 	}
-	key := func(i int32) int64 {
-		e := g.edges[i]
-		return int64(g.outDeg[e.Src]+g.inDeg[e.Src]) + int64(g.outDeg[e.Dst]+g.inDeg[e.Dst])
+	deg := make([]int32, g.numVertices)
+	maxDeg := int32(0)
+	for v := range deg {
+		deg[v] = g.outDeg[v] + g.inDeg[v]
+		maxDeg = max(maxDeg, deg[v])
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ka, kb := key(order[a]), key(order[b])
-		if ka != kb {
-			return ka < kb
+	next := make([]int32, max(g.numVertices, 2*int(maxDeg)+1))
+	scratch := make([]int32, numE)
+
+	// starts turns per-bucket counts into each bucket's first output slot.
+	starts := func(counts []int32) {
+		sum := int32(0)
+		for b, c := range counts {
+			counts[b] = sum
+			sum += c
 		}
-		ea, eb := g.edges[order[a]], g.edges[order[b]]
-		if ea.Src != eb.Src {
-			return ea.Src < eb.Src
-		}
-		return ea.Dst < eb.Dst
-	})
+	}
+
+	// Pass 1, by dst, into order: the bucket sizes are the cached
+	// in-degrees, and reading the edges in index order makes the index the
+	// final tie-break.
+	copy(next, g.inDeg)
+	starts(next[:g.numVertices])
+	for i, e := range g.edges {
+		order[next[e.Dst]] = int32(i)
+		next[e.Dst]++
+	}
+
+	// Pass 2, by src, into scratch: bucket sizes are the out-degrees.
+	copy(next, g.outDeg)
+	starts(next[:g.numVertices])
+	for _, id := range order {
+		src := g.edges[id].Src
+		scratch[next[src]] = id
+		next[src]++
+	}
+
+	// Pass 3, by degree sum, back into order.
+	clear(next)
+	for _, e := range g.edges {
+		next[int(deg[e.Src])+int(deg[e.Dst])]++
+	}
+	starts(next)
+	for _, id := range scratch {
+		e := g.edges[id]
+		key := int(deg[e.Src]) + int(deg[e.Dst])
+		order[next[key]] = id
+		next[key]++
+	}
 	return order
 }

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"errors"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -114,6 +116,101 @@ func TestSortedBySumDegreeDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("order differs at %d", i)
 		}
+	}
+}
+
+// referenceSortedBySumDegree is the comparison sort that SortedBySumDegree
+// was until it became a counting sort. It stays here as the oracle: the
+// production sort must return this permutation element for element.
+func referenceSortedBySumDegree(g *Graph) []int32 {
+	order := make([]int32, len(g.edges))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	key := func(i int32) int64 {
+		e := g.edges[i]
+		return int64(g.outDeg[e.Src]+g.inDeg[e.Src]) + int64(g.outDeg[e.Dst]+g.inDeg[e.Dst])
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ka, kb := key(order[a]), key(order[b])
+		if ka != kb {
+			return ka < kb
+		}
+		ea, eb := g.edges[order[a]], g.edges[order[b]]
+		if ea.Src != eb.Src {
+			return ea.Src < eb.Src
+		}
+		return ea.Dst < eb.Dst
+	})
+	return order
+}
+
+func assertSortMatchesReference(t testing.TB, g *Graph) {
+	t.Helper()
+	got, want := g.SortedBySumDegree(), referenceSortedBySumDegree(g)
+	if len(got) != len(want) {
+		t.Fatalf("V=%d E=%d: order has %d entries, reference %d", g.NumVertices(), g.NumEdges(), len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("V=%d E=%d: order[%d] = edge %d %v, reference has edge %d %v",
+				g.NumVertices(), g.NumEdges(), i, got[i], g.Edge(int(got[i])), want[i], g.Edge(int(want[i])))
+		}
+	}
+}
+
+func TestSortedBySumDegreeMatchesReference(t *testing.T) {
+	// A star of 40 000 leaves, mirrored: the hub's degree is 80 000, so
+	// every key exceeds 2^16 and the bucket array outgrows |V|.
+	star := make([]Edge, 40000)
+	for i := range star {
+		star[i] = Edge{Src: 0, Dst: VertexID(i + 1)}
+	}
+	hub, err := NewUndirected(len(star)+1, star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirrored, err := NewUndirected(5, []Edge{{3, 1}, {1, 3}, {2, 2}, {0, 4}, {3, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{
+		"no edges":        mustGraph(t, 5, nil),
+		"no vertices":     mustGraph(t, 0, nil),
+		"one vertex":      mustGraph(t, 1, []Edge{{0, 0}, {0, 0}, {0, 0}}),
+		"duplicate edges": mustGraph(t, 4, []Edge{{2, 1}, {0, 1}, {2, 1}, {0, 1}, {1, 2}, {2, 1}}),
+		"isolated":        mustGraph(t, 100, []Edge{{99, 0}, {50, 50}, {0, 99}}),
+		"mirrored pairs":  mirrored,
+		"hub over 2^16":   hub,
+	} {
+		t.Run(name, func(t *testing.T) { assertSortMatchesReference(t, g) })
+	}
+
+	// Seeded random multigraphs: endpoints drawn from a few hot vertices
+	// half the time, so duplicates, self-loops and large tied key classes
+	// are common, and some vertices stay isolated.
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		numV := 1 + r.Intn(60)
+		endpoint := func() VertexID {
+			if r.Intn(2) == 0 {
+				return VertexID(r.Intn(min(numV, 3)))
+			}
+			return VertexID(r.Intn(numV))
+		}
+		edges := make([]Edge, r.Intn(400))
+		for i := range edges {
+			edges[i] = Edge{Src: endpoint(), Dst: endpoint()}
+		}
+		build := New
+		if seed%3 == 0 {
+			build = NewUndirected
+		}
+		g, err := build(numV, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSortMatchesReference(t, g)
 	}
 }
 

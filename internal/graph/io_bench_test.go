@@ -44,6 +44,18 @@ func BenchmarkReadEdgeList(b *testing.B) {
 	}
 }
 
+// BenchmarkSortedBySumDegree measures the §IV-C preprocessing at the
+// benchmark's scale (100 k vertices, 1 M edges).
+func BenchmarkSortedBySumDegree(b *testing.B) {
+	g := benchBinaryGraph(b, 1000000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if order := g.SortedBySumDegree(); len(order) != g.NumEdges() {
+			b.Fatal("short order")
+		}
+	}
+}
+
 func benchBinaryGraph(b *testing.B, n int) *Graph {
 	b.Helper()
 	edges := make([]Edge, n)

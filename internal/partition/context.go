@@ -26,7 +26,8 @@ type ContextPartitioner interface {
 	PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*Assignment, error)
 }
 
-// PartitionWithContext runs p under ctx. If p implements
+// PartitionWithContext runs p under ctx; an already-canceled ctx is
+// rejected before p is called at all. If p implements
 // ContextPartitioner the native PartitionCtx is used; otherwise the legacy
 // Partition runs to completion and the context is only consulted before the
 // call and after it returns (the result is discarded if ctx was canceled
@@ -36,11 +37,11 @@ func PartitionWithContext(ctx context.Context, p Partitioner, g *graph.Graph, k 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cp, ok := p.(ContextPartitioner); ok {
-		return cp.PartitionCtx(ctx, g, k)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if cp, ok := p.(ContextPartitioner); ok {
+		return cp.PartitionCtx(ctx, g, k)
 	}
 	a, err := p.Partition(g, k)
 	if err != nil {
