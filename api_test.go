@@ -34,7 +34,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ebv.RunBSP(subs, &ebv.CC{}, ebv.RunConfig{})
+	res, err := ebv.RunBSP(t.Context(), subs, &ebv.CC{}, ebv.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPublicAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ebv.RunBSP(subs, &ebv.Aggregate{Layers: 2}, ebv.RunConfig{})
+	res, err := ebv.RunBSP(t.Context(), subs, &ebv.Aggregate{Layers: 2}, ebv.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,7 +244,7 @@ func BenchmarkAblationSyncStrategy(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var msgs int64
 			for i := 0; i < b.N; i++ {
-				res, err := bsp.Run(subs, &apps.CC{SendAll: mode.sendAll}, bsp.Config{})
+				res, err := bsp.Run(b.Context(), subs, &apps.CC{SendAll: mode.sendAll}, bsp.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -269,7 +269,7 @@ func BenchmarkAblationTransport(b *testing.B) {
 	}
 	b.Run("mem", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bsp.Run(subs, &apps.CC{}, bsp.Config{}); err != nil {
+			if _, err := bsp.Run(b.Context(), subs, &apps.CC{}, bsp.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -495,7 +495,7 @@ func BenchmarkMessageDelivery(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/mem/combine=%s", tc.name, combine), func(b *testing.B) {
 				var counts bsp.MessageCounts
 				for i := 0; i < b.N; i++ {
-					res, err := bsp.Run(subs, tc.prog(), bsp.Config{ValueWidth: tc.width, AutoCombine: combine == "auto"})
+					res, err := bsp.Run(b.Context(), subs, tc.prog(), bsp.Config{ValueWidth: tc.width, AutoCombine: combine == "auto"})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -59,6 +59,85 @@ func TestOpenClusterServesJobs(t *testing.T) {
 	}
 }
 
+// TestCrossSurfaceEquivalence ties the run surfaces to each other from one
+// spec: every registry app, resolved from the same name and parameters,
+// runs through the one-shot facade, a Session on the in-memory mesh, a
+// Session on the TCP loopback mesh, and a Cluster with in-process agents —
+// and all four must agree on the step count and on every value byte.
+func TestCrossSurfaceEquivalence(t *testing.T) {
+	ctx := t.Context()
+	weights := ebv.HashWeights(pipelineGraph(t), 11, 1, 9)
+	open := func(extra ...ebv.PipelineOption) *ebv.Pipeline {
+		return sessionPipeline(t, append(extra, ebv.WithEdgeWeights(weights))...)
+	}
+	mem, err := open().Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	tcp, err := open(ebv.UseTCPLoopback()).Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	c, err := open().OpenCluster(ctx, ebv.ClusterOptions{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer c.Close()
+	for i := 0; i < c.NumWorkers(); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = ebv.RunClusterAgent(ctx, ebv.ClusterAgentConfig{Coordinator: c.Addr(), Logf: t.Logf})
+		}()
+	}
+
+	for _, job := range []ebv.ClusterJob{
+		{App: "CC"},
+		{App: "PR", Iterations: 12},
+		{App: "SSSP", Source: 3},
+		{App: "WSSSP", Source: 3},
+		{App: "Aggregate", Layers: 2, ValueWidth: 8},
+	} {
+		t.Run(job.App, func(t *testing.T) {
+			job.Combine = true // sessions combine by default
+			program := func() ebv.Program {
+				prog, err := job.Program()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return prog
+			}
+			ref, err := ebv.RunBSP(ctx, mem.Prepared().Subgraphs, program(),
+				ebv.RunConfig{ValueWidth: job.ValueWidth, AutoCombine: true, VerifyReplicaAgreement: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, s := range map[string]*ebv.Session{"session/mem": mem, "session/tcp": tcp} {
+				got, err := s.Run(ctx, program(), ebv.WithValueWidth(job.ValueWidth))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got.Steps != ref.Steps || !got.BSP.Values.EqualValues(ref.Values) {
+					t.Fatalf("%s: steps %d vs one-shot %d, values match=%v",
+						name, got.Steps, ref.Steps, got.BSP.Values.EqualValues(ref.Values))
+				}
+			}
+			got, err := c.Run(ctx, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Attempts != 1 || got.Steps != ref.Steps || !got.Values.EqualValues(ref.Values) {
+				t.Fatalf("cluster: attempts=%d steps %d vs one-shot %d, values match=%v",
+					got.Attempts, got.Steps, ref.Steps, got.Values.EqualValues(ref.Values))
+			}
+		})
+	}
+}
+
 // TestOpenClusterFailover kills one in-process agent mid-PageRank; with a
 // checkpoint directory set the job must recover and match the clean run.
 func TestOpenClusterFailover(t *testing.T) {

@@ -38,8 +38,6 @@ import (
 	"ebv"
 )
 
-var appNames = []string{"CC", "PR", "SSSP", "WSSSP", "AGG"}
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -60,7 +58,7 @@ func run(ctx context.Context) error {
 		undirected = flag.Bool("undirected", false, "treat text input as undirected")
 		algo       = flag.String("algo", "EBV", "partition algorithm")
 		parts      = flag.Int("parts", 3, "number of workers/subgraphs")
-		app        = flag.String("app", "CC", "comma-separated applications run as sequential jobs of one deployment: "+strings.Join(appNames, " | "))
+		app        = flag.String("app", "CC", "comma-separated applications run as sequential jobs of one deployment: "+ebv.ProgramNames)
 		iters      = flag.Int("iters", 10, "PageRank iterations")
 		layers     = flag.Int("layers", 2, "AGG aggregation layers")
 		source     = flag.Uint64("source", 0, "SSSP/WSSSP source vertex")
@@ -96,7 +94,7 @@ func run(ctx context.Context) error {
 		}
 	}
 	if len(apps) == 0 {
-		return fmt.Errorf("no applications in -app %q (valid: %s)", *app, strings.Join(appNames, ", "))
+		return fmt.Errorf("no applications in -app %q (valid: %s)", *app, ebv.ProgramNames)
 	}
 
 	p, err := ebv.PartitionerByName(*algo)

@@ -1,7 +1,7 @@
 // Command ebv-run partitions a graph and executes one or more of the
-// evaluation applications (CC, PR, SSSP, AGG) on the subgraph-centric BSP
-// engine, printing the §V-B breakdown (comp / comm / ΔC / execution time)
-// and the message statistics of Tables IV and V. It is a thin shell over
+// registry applications (CC, PR, SSSP, WSSSP, AGG) on the subgraph-centric
+// BSP engine, printing the §V-B breakdown (comp / comm / ΔC / execution
+// time) and the message statistics of Tables IV and V. It is a thin shell over
 // the ebv.Session API: the graph is loaded, partitioned and built ONCE,
 // then every requested app runs as a job of that session, so a multi-app
 // invocation pays the partition cost a single time and the per-job
@@ -39,10 +39,6 @@ import (
 	"ebv"
 )
 
-// appNames lists the valid -app values (also echoed by the unknown-app
-// error message).
-var appNames = []string{"CC", "PR", "SSSP", "AGG"}
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -62,10 +58,10 @@ func run(ctx context.Context) error {
 		undirected = flag.Bool("undirected", false, "treat text input as undirected")
 		algo       = flag.String("algo", "EBV", "partition algorithm")
 		parts      = flag.Int("parts", 8, "number of workers/subgraphs")
-		app        = flag.String("app", "CC", "comma-separated applications run as sequential jobs of one session: "+strings.Join(appNames, " | "))
+		app        = flag.String("app", "CC", "comma-separated applications run as sequential jobs of one session: "+ebv.ProgramNames)
 		iters      = flag.Int("iters", 10, "PageRank iterations")
 		layers     = flag.Int("layers", 2, "AGG aggregation layers")
-		source     = flag.Uint64("source", 0, "SSSP source vertex")
+		source     = flag.Uint64("source", 0, "SSSP/WSSSP source vertex")
 		width      = flag.Int("width", 1, "per-vertex value width (floats per message; AGG aggregates width-wide feature vectors)")
 		combine    = flag.String("combine", "auto", "message combining: auto (each app's natural min/sum combiner, the default) | off")
 		transport  = flag.String("transport", "mem", "transport: mem | tcp")
@@ -85,27 +81,20 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	params := ebv.ProgramParams{Iterations: *iters, Source: int64(*source), Layers: *layers}
 	var progs []ebv.Program
 	for _, name := range strings.Split(*app, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
+		if name = strings.TrimSpace(name); name == "" {
 			continue
 		}
-		switch strings.ToUpper(name) {
-		case "CC":
-			progs = append(progs, &ebv.CC{})
-		case "PR":
-			progs = append(progs, &ebv.PageRank{Iterations: *iters})
-		case "SSSP":
-			progs = append(progs, &ebv.SSSP{Source: ebv.VertexID(*source)})
-		case "AGG", "AGGREGATE":
-			progs = append(progs, &ebv.Aggregate{Layers: *layers})
-		default:
-			return fmt.Errorf("unknown app %q (valid: %s)", name, strings.Join(appNames, ", "))
+		prog, err := ebv.ProgramByName(name, params)
+		if err != nil {
+			return err
 		}
+		progs = append(progs, prog)
 	}
 	if len(progs) == 0 {
-		return fmt.Errorf("no applications in -app %q (valid: %s)", *app, strings.Join(appNames, ", "))
+		return fmt.Errorf("no applications in -app %q (valid: %s)", *app, ebv.ProgramNames)
 	}
 
 	opts := []ebv.PipelineOption{

@@ -83,10 +83,10 @@ func run(ctx context.Context) (err error) {
 		subPath = flag.String("subgraph", "", "subgraph file written by ebv-partition -subgraph-dir (standalone mode)")
 		worker  = flag.Int("worker", -1, "this worker's id (standalone mode)")
 		peers   = flag.String("peers", "", "comma-separated listen addresses, one per worker (standalone mode)")
-		app     = flag.String("app", "CC", "application: CC | PR | SSSP | AGG")
+		app     = flag.String("app", "CC", "application: "+ebv.ProgramNames)
 		iters   = flag.Int("iters", 10, "PageRank iterations")
 		layers  = flag.Int("layers", 2, "AGG aggregation layers")
-		source  = flag.Uint64("source", 0, "SSSP source vertex")
+		source  = flag.Uint64("source", 0, "SSSP/WSSSP source vertex")
 		width   = flag.Int("width", 1, "per-vertex value width (floats per message; must match all workers)")
 		combine = flag.String("combine", "auto", "message combining: auto (each app's natural min/sum combiner, the default) | off")
 		timeout = flag.Duration("dial-timeout", 30*time.Second, "total budget for dialing peers (and the coordinator), with exponential backoff")
@@ -144,18 +144,9 @@ func run(ctx context.Context) (err error) {
 			sub.NumWorkers, len(addrs))
 	}
 
-	var prog ebv.Program
-	switch strings.ToUpper(*app) {
-	case "CC":
-		prog = &ebv.CC{}
-	case "PR":
-		prog = &ebv.PageRank{Iterations: *iters}
-	case "SSSP":
-		prog = &ebv.SSSP{Source: ebv.VertexID(*source)}
-	case "AGG", "AGGREGATE":
-		prog = &ebv.Aggregate{Layers: *layers}
-	default:
-		return fmt.Errorf("unknown app %q (valid: CC, PR, SSSP, AGG)", *app)
+	prog, err := ebv.ProgramByName(*app, ebv.ProgramParams{Iterations: *iters, Source: int64(*source), Layers: *layers})
+	if err != nil {
+		return err
 	}
 
 	node, err := ebv.WireMeshNode(ctx, *worker, addrs, nil, *timeout)
@@ -169,7 +160,7 @@ func run(ctx context.Context) (err error) {
 		return err
 	}
 
-	res, err := ebv.RunBSPWorkerCtx(ctx, sub, prog, tr, ebv.RunConfig{ValueWidth: *width, AutoCombine: combineOn})
+	res, err := ebv.RunBSPWorker(ctx, sub, prog, tr, ebv.RunConfig{ValueWidth: *width, AutoCombine: combineOn}, nil)
 	if err != nil {
 		return err
 	}

@@ -56,9 +56,10 @@
 //
 // The lower-level pieces remain available for custom wiring: every
 // partitioner still exposes Partition(g, k), the context-aware ones add
-// PartitionCtx, and the BSP engine runs via RunBSP/RunBSPCtx — or, in the
-// prepare-once form, NewBSPDeployment over a transport deployment
-// (NewMemDeployment / NewTCPMeshDeployment).
+// PartitionCtx, and the BSP engine runs one-shot via RunBSP — or, in the
+// prepare-once form and for custom transport meshes, via NewBSPDeployment
+// over a transport deployment (NewMemDeployment / NewTCPMeshDeployment);
+// RunBSPWorker runs one worker of a multi-process job.
 //
 // See examples/ for runnable programs and DESIGN.md for the architecture.
 package ebv
@@ -269,9 +270,9 @@ type (
 	FaultInjector = transport.FaultInjector
 )
 
-// BSP entry points and transports. The *Ctx forms take a context whose
-// cancellation aborts the run (workers blocked in a collective exchange are
-// released by closing the transports).
+// BSP entry points and transports. Every run entry point takes a context
+// whose cancellation aborts the run (workers blocked in a collective
+// exchange are released by closing the transports).
 var (
 	BuildSubgraphs         = bsp.BuildSubgraphs
 	BuildSubgraphsWeighted = bsp.BuildSubgraphsWeighted
@@ -282,13 +283,16 @@ var (
 	BuildSubgraphsWeightedParallel = bsp.BuildSubgraphsWeightedParallel
 	WriteSubgraph                  = bsp.WriteSubgraph
 	ReadSubgraph                   = bsp.ReadSubgraph
-	RunBSP                         = bsp.Run
-	RunBSPCtx                      = bsp.RunCtx
-	RunBSPWorkerCtx                = bsp.RunWorkerCtx
-	NewMemTransport                = transport.NewMem
+	// RunBSP is the one-shot whole-job run (a BSPDeployment with one job
+	// over the in-memory transport); RunBSPWorker runs one worker of a
+	// multi-process job over an explicit transport, optionally resuming
+	// from a checkpoint.
+	RunBSP          = bsp.Run
+	RunBSPWorker    = bsp.RunWorker
+	NewMemTransport = transport.NewMem
 	// WireMeshNode wires one process's endpoint of a multi-process TCP
 	// mesh from the shared address list; open a job on the node and hand
-	// its Transport to RunBSPWorkerCtx (what cmd/ebv-worker does).
+	// its Transport to RunBSPWorker (what cmd/ebv-worker does).
 	WireMeshNode = transport.WireMeshNode
 	// NewBSPDeployment binds built subgraphs to a transport deployment
 	// (nil = in-memory) for prepare-once/serve-many execution; the Session
@@ -301,11 +305,10 @@ var (
 	NewTCPMeshDeployment = transport.NewTCPMeshDeployment
 	WithWireQuantization = transport.WithWireQuantization
 	// NewRunConfig builds a RunConfig from functional options
-	// (WithMaxSteps, WithTransports, WithValueWidth,
-	// WithReplicaVerification); the struct-literal form keeps working.
+	// (WithMaxSteps, WithValueWidth, WithReplicaVerification); the
+	// struct-literal form keeps working.
 	NewRunConfig            = bsp.NewConfig
 	WithMaxSteps            = bsp.WithMaxSteps
-	WithTransports          = bsp.WithTransports
 	WithValueWidth          = bsp.WithValueWidth
 	WithReplicaVerification = bsp.WithReplicaVerification
 	// Combiner sets an explicit per-job message combiner; AutoCombine
@@ -337,7 +340,17 @@ type (
 	Aggregate = apps.Aggregate
 	// WeightedSSSP is SSSP over positive edge weights (local Dijkstra).
 	WeightedSSSP = apps.WeightedSSSP
+	// ProgramParams carries the by-name parameters for ProgramByName.
+	ProgramParams = apps.Params
 )
+
+// ProgramByName is the app registry: it instantiates CC, PR, SSSP, WSSSP or
+// Aggregate by (case-insensitive) name. Every by-name surface — the CLIs,
+// ClusterJob, ebv-serve — resolves through it. ProgramNames lists the
+// names for help text.
+var ProgramByName = apps.ByName
+
+const ProgramNames = apps.Names
 
 // Sequential reference implementations (correctness oracles).
 var (

@@ -1,6 +1,7 @@
 package ebv_test
 
 import (
+	"context"
 	"fmt"
 
 	"ebv"
@@ -56,7 +57,7 @@ func ExampleRunBSP() {
 		fmt.Println(err)
 		return
 	}
-	res, err := ebv.RunBSP(subs, &ebv.CC{}, ebv.RunConfig{})
+	res, err := ebv.RunBSP(context.Background(), subs, &ebv.CC{}, ebv.RunConfig{})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -45,7 +46,7 @@ func run() error {
 			return err
 		}
 		start := time.Now()
-		res, err := ebv.RunBSP(subs, &ebv.SSSP{Source: source}, ebv.RunConfig{})
+		res, err := ebv.RunBSP(context.Background(), subs, &ebv.SSSP{Source: source}, ebv.RunConfig{})
 		if err != nil {
 			return err
 		}

@@ -1,0 +1,43 @@
+package apps
+
+import (
+	"fmt"
+	"strings"
+
+	"ebv/internal/bsp"
+	"ebv/internal/graph"
+)
+
+// Names lists the canonical app names ByName accepts, as flag help and the
+// unknown-app error print them.
+const Names = "CC, PR, SSSP, WSSSP, Aggregate"
+
+// Params carries every registry program's by-name parameters as plain
+// data, so a job can cross a wire or a command line as (name, Params).
+// Zero values select each program's defaults.
+type Params struct {
+	Iterations int     // PR iteration count (0 = 10)
+	Damping    float64 // PR damping factor (0 = 0.85)
+	Source     int64   // SSSP/WSSSP source vertex
+	Layers     int     // Aggregate layer count (0 = 2)
+}
+
+// ByName is the one app registry: the CLIs, cluster job specs, the HTTP
+// service and the experiment harness all resolve program names here
+// (case-insensitive), so every surface accepts the same names and rejects
+// an unknown one with the same error.
+func ByName(name string, p Params) (bsp.Program, error) {
+	switch strings.ToUpper(name) {
+	case "CC":
+		return &CC{}, nil
+	case "PR", "PAGERANK":
+		return &PageRank{Iterations: p.Iterations, Damping: p.Damping}, nil
+	case "SSSP":
+		return &SSSP{Source: graph.VertexID(p.Source)}, nil
+	case "WSSSP":
+		return &WeightedSSSP{Source: graph.VertexID(p.Source)}, nil
+	case "AGG", "AGGREGATE":
+		return &Aggregate{Layers: p.Layers}, nil
+	}
+	return nil, fmt.Errorf("apps: unknown app %q (valid: %s)", name, Names)
+}

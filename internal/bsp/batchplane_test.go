@@ -1,6 +1,7 @@
 package bsp_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -14,21 +15,66 @@ import (
 	"ebv/internal/transport"
 )
 
-// tcpTransports opens one job of the given value width on a fresh
-// loopback TCP mesh sized to k and returns its per-worker transports, the
-// slice a Config wants.
-func tcpTransports(t *testing.T, k, width int) []transport.Transport {
+// tcpMesh returns a fresh loopback TCP mesh sized to k.
+func tcpMesh(t *testing.T, k int) transport.Deployment {
 	t.Helper()
 	mesh, err := transport.NewTCPMeshDeployment(t.Context(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = mesh.Close() })
-	trs, err := mesh.OpenJob(1, width)
+	return mesh
+}
+
+// meshByName maps a subtest's transport name to its mesh: "tcp" is a fresh
+// loopback mesh, anything else the in-memory default (nil).
+func meshByName(t *testing.T, name string, k int) transport.Deployment {
+	if name == "tcp" {
+		return tcpMesh(t, k)
+	}
+	return nil
+}
+
+// runOnMesh serves prog as the only job of a deployment over mesh (nil =
+// in-memory, i.e. bsp.Run) — how a caller with a custom transport mesh
+// reaches the engine. The deployment owns and closes the mesh.
+func runOnMesh(ctx context.Context, subs []*bsp.Subgraph, mesh transport.Deployment, prog bsp.Program, cfg bsp.Config) (*bsp.Result, error) {
+	d, err := bsp.NewDeployment(subs, mesh)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	return d.Run(ctx, prog, cfg)
+}
+
+// injectMesh is a transport.Deployment whose jobs all exchange through
+// inj — the deployment form of wrapping every worker's transport in one
+// FaultInjector. A MemDeployment job shares one router across its workers,
+// so any of its transports is the injector's Inner.
+type injectMesh struct {
+	transport.Deployment
+	inj *transport.FaultInjector
+}
+
+func (m injectMesh) OpenJob(job uint32, width int) ([]transport.Transport, error) {
+	trs, err := m.Deployment.OpenJob(job, width)
+	if err != nil {
+		return nil, err
+	}
+	m.inj.Inner = trs[0]
+	for w := range trs {
+		trs[w] = m.inj
+	}
+	return trs, nil
+}
+
+// faultyMem returns an in-memory mesh for k workers failing through inj.
+func faultyMem(t *testing.T, k int, inj *transport.FaultInjector) transport.Deployment {
+	t.Helper()
+	mem, err := transport.NewMemDeployment(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return trs
+	return injectMesh{Deployment: mem, inj: inj}
 }
 
 // TestMemTCPEquivalenceMultiWidth is the transport-equivalence invariant
@@ -41,13 +87,12 @@ func TestMemTCPEquivalenceMultiWidth(t *testing.T) {
 	subs := buildSubs(t, g, core.New(), k)
 	for _, width := range []int{1, 3, 8} {
 		prog := &apps.Aggregate{Layers: 2}
-		memRes, err := bsp.Run(subs, prog, bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true})
+		memRes, err := bsp.Run(t.Context(), subs, prog, bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true})
 		if err != nil {
 			t.Fatalf("width %d mem: %v", width, err)
 		}
-		tcpRes, err := bsp.Run(subs, prog, bsp.Config{
+		tcpRes, err := runOnMesh(t.Context(), subs, tcpMesh(t, k), prog, bsp.Config{
 			ValueWidth:             width,
-			Transports:             tcpTransports(t, k, width),
 			VerifyReplicaAgreement: true,
 		})
 		if err != nil {
@@ -83,24 +128,16 @@ func TestMemTCPEquivalenceMultiWidth(t *testing.T) {
 func TestFaultMidExchangeBatchPath(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
-	mem, err := transport.NewMem(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inj := &transport.FaultInjector{
-		Inner:       mem,
 		FailWorker:  1,
 		FailStep:    2,
 		CloseOnFail: true,
 	}
-	trs := make([]transport.Transport, 4)
-	for w := range trs {
-		trs[w] = inj
-	}
+	mesh := faultyMem(t, 4, inj)
 	done := make(chan error, 1)
 	go func() {
-		res, err := bsp.Run(subs, &apps.Aggregate{Layers: 5},
-			bsp.Config{ValueWidth: 4, Transports: trs})
+		res, err := runOnMesh(t.Context(), subs, mesh, &apps.Aggregate{Layers: 5},
+			bsp.Config{ValueWidth: 4})
 		if res != nil {
 			err = errors.New("got a partial result despite the injected fault")
 		}
@@ -183,7 +220,7 @@ func TestPoisonModeCatchesRetainedInbox(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 1)
 	prog := &retainer{sawPoison: make(chan bool, 1)}
-	if _, err := bsp.Run(subs, prog, bsp.Config{}); err != nil {
+	if _, err := bsp.Run(t.Context(), subs, prog, bsp.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -234,7 +271,7 @@ func TestBadBatchWidthErrorsInsteadOfDeadlocking(t *testing.T) {
 	subs := buildSubs(t, g, core.New(), 4)
 	done := make(chan error, 1)
 	go func() {
-		_, err := bsp.Run(subs, &badWidthProg{}, bsp.Config{})
+		_, err := bsp.Run(t.Context(), subs, &badWidthProg{}, bsp.Config{})
 		done <- err
 	}()
 	select {
@@ -252,7 +289,7 @@ func TestBadBatchWidthErrorsInsteadOfDeadlocking(t *testing.T) {
 func TestRunRejectsOverwideValueWidth(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 2)
-	_, err := bsp.Run(subs, &apps.CC{}, bsp.Config{ValueWidth: transport.MaxValueWidth + 1})
+	_, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{ValueWidth: transport.MaxValueWidth + 1})
 	if err == nil || !strings.Contains(err.Error(), "transport cap") {
 		t.Fatalf("err = %v, want the transport-cap diagnostic", err)
 	}

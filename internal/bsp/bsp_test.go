@@ -130,7 +130,7 @@ func TestCCAgreesWithSequential(t *testing.T) {
 		for _, p := range allPartitioners() {
 			for _, k := range []int{1, 3, 8} {
 				subs := buildSubs(t, g, p, k)
-				res, err := bsp.Run(subs, &apps.CC{}, bsp.Config{VerifyReplicaAgreement: true})
+				res, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{VerifyReplicaAgreement: true})
 				if err != nil {
 					t.Fatalf("%s/%s k=%d: %v", name, p.Name(), k, err)
 				}
@@ -148,7 +148,7 @@ func TestSSSPAgreesWithSequential(t *testing.T) {
 		for _, p := range allPartitioners() {
 			for _, k := range []int{1, 4} {
 				subs := buildSubs(t, g, p, k)
-				res, err := bsp.Run(subs, &apps.SSSP{Source: src}, bsp.Config{VerifyReplicaAgreement: true})
+				res, err := bsp.Run(t.Context(), subs, &apps.SSSP{Source: src}, bsp.Config{VerifyReplicaAgreement: true})
 				if err != nil {
 					t.Fatalf("%s/%s k=%d: %v", name, p.Name(), k, err)
 				}
@@ -165,7 +165,7 @@ func TestPageRankAgreesWithSequential(t *testing.T) {
 		want := apps.SequentialPageRank(g, iters, 0.85)
 		for _, p := range allPartitioners() {
 			subs := buildSubs(t, g, p, 4)
-			res, err := bsp.Run(subs, &apps.PageRank{Iterations: iters}, bsp.Config{})
+			res, err := bsp.Run(t.Context(), subs, &apps.PageRank{Iterations: iters}, bsp.Config{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, p.Name(), err)
 			}
@@ -178,7 +178,7 @@ func TestPageRankAgreesWithSequential(t *testing.T) {
 func TestPageRankStepCount(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
-	res, err := bsp.Run(subs, &apps.PageRank{Iterations: 5}, bsp.Config{})
+	res, err := bsp.Run(t.Context(), subs, &apps.PageRank{Iterations: 5}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPageRankStepCount(t *testing.T) {
 func TestRunOverTCP(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 3)
-	res, err := bsp.Run(subs, &apps.CC{}, bsp.Config{Transports: tcpTransports(t, 3, 1), VerifyReplicaAgreement: true})
+	res, err := runOnMesh(t.Context(), subs, tcpMesh(t, 3), &apps.CC{}, bsp.Config{VerifyReplicaAgreement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestRunOverTCP(t *testing.T) {
 func TestStatsPopulated(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, &partition.DBH{}, 4)
-	res, err := bsp.Run(subs, &apps.CC{}, bsp.Config{})
+	res, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestMessagesTrackReplication(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	run := func(p partition.Partitioner) int64 {
 		subs := buildSubs(t, g, p, 8)
-		res, err := bsp.Run(subs, &apps.CC{}, bsp.Config{})
+		res, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestCCSendAllStillCorrect(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	want := apps.SequentialCC(g)
 	subs := buildSubs(t, g, core.New(), 4)
-	res, err := bsp.Run(subs, &apps.CC{SendAll: true}, bsp.Config{VerifyReplicaAgreement: true})
+	res, err := bsp.Run(t.Context(), subs, &apps.CC{SendAll: true}, bsp.Config{VerifyReplicaAgreement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestBuildSubgraphsRejectsMismatch(t *testing.T) {
 }
 
 func TestRunRejectsEmptySubgraphs(t *testing.T) {
-	if _, err := bsp.Run(nil, &apps.CC{}, bsp.Config{}); err == nil {
+	if _, err := bsp.Run(t.Context(), nil, &apps.CC{}, bsp.Config{}); err == nil {
 		t.Fatal("empty subgraph list accepted")
 	}
 }
@@ -281,7 +281,7 @@ func TestAggregateAgreesWithSequential(t *testing.T) {
 	want := apps.SequentialAggregate(g, 3, 1, nil)
 	for _, p := range allPartitioners() {
 		subs := buildSubs(t, g, p, 4)
-		res, err := bsp.Run(subs, &apps.Aggregate{Layers: 3}, bsp.Config{})
+		res, err := bsp.Run(t.Context(), subs, &apps.Aggregate{Layers: 3}, bsp.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -294,7 +294,7 @@ func TestAggregateCustomFeature(t *testing.T) {
 	feature := func(v graph.VertexID, feat []float64) { feat[0] = float64(v&1) * 3 }
 	want := apps.SequentialAggregate(g, 2, 1, feature)
 	subs := buildSubs(t, g, core.New(), 3)
-	res, err := bsp.Run(subs, &apps.Aggregate{Layers: 2, Feature: feature}, bsp.Config{})
+	res, err := bsp.Run(t.Context(), subs, &apps.Aggregate{Layers: 2, Feature: feature}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestAggregateWideAgreesWithSequential(t *testing.T) {
 	want := apps.SequentialAggregate(g, 2, width, nil)
 	for _, k := range []int{1, 4} {
 		subs := buildSubs(t, g, core.New(), k)
-		res, err := bsp.Run(subs, &apps.Aggregate{Layers: 2},
+		res, err := bsp.Run(t.Context(), subs, &apps.Aggregate{Layers: 2},
 			bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
@@ -338,7 +338,7 @@ func TestAggregateWideAgreesWithSequential(t *testing.T) {
 func TestRunRejectsBadValueWidth(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 2)
-	_, err := bsp.Run(subs, &apps.CC{}, bsp.Config{ValueWidth: -2})
+	_, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{ValueWidth: -2})
 	if err == nil || !strings.Contains(err.Error(), "value width") {
 		t.Fatalf("err = %v, want a value-width diagnostic", err)
 	}
@@ -359,7 +359,7 @@ func TestWeightedSSSPAgreesWithSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := bsp.Run(subs, &apps.WeightedSSSP{Source: src},
+				res, err := bsp.Run(t.Context(), subs, &apps.WeightedSSSP{Source: src},
 					bsp.Config{VerifyReplicaAgreement: true})
 				if err != nil {
 					t.Fatalf("%s/%s k=%d: %v", name, p.Name(), k, err)
@@ -376,7 +376,7 @@ func TestWeightedSSSPUnitWeightsMatchesBFS(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	want := apps.SequentialSSSP(g, 0)
 	subs := buildSubs(t, g, core.New(), 3)
-	res, err := bsp.Run(subs, &apps.WeightedSSSP{Source: 0}, bsp.Config{})
+	res, err := bsp.Run(t.Context(), subs, &apps.WeightedSSSP{Source: 0}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

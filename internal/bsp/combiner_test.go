@@ -57,18 +57,12 @@ func TestCombinerEquivalenceAllApps(t *testing.T) {
 			for _, trName := range []string{"mem", "tcp"} {
 				t.Run(fmt.Sprintf("%s/w%d/%s", prog.Name(), width, trName), func(t *testing.T) {
 					cfg := bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true}
-					if trName == "tcp" {
-						cfg.Transports = tcpTransports(t, k, width)
-					}
-					off, err := bsp.Run(subs, prog, cfg)
+					off, err := runOnMesh(t.Context(), subs, meshByName(t, trName, k), prog, cfg)
 					if err != nil {
 						t.Fatalf("combiner off: %v", err)
 					}
 					cfg.AutoCombine = true
-					if trName == "tcp" {
-						cfg.Transports = tcpTransports(t, k, width)
-					}
-					on, err := bsp.Run(subs, prog, cfg)
+					on, err := runOnMesh(t.Context(), subs, meshByName(t, trName, k), prog, cfg)
 					if err != nil {
 						t.Fatalf("combiner on: %v", err)
 					}
@@ -129,11 +123,11 @@ func TestCombinerStarGraphReceiverReduction(t *testing.T) {
 	_, subs := starGraph(t, 200, 4)
 	for _, prog := range []bsp.Program{&apps.CC{}, &apps.PageRank{Iterations: 4}} {
 		t.Run(prog.Name(), func(t *testing.T) {
-			off, err := bsp.Run(subs, prog, bsp.Config{VerifyReplicaAgreement: true})
+			off, err := bsp.Run(t.Context(), subs, prog, bsp.Config{VerifyReplicaAgreement: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			on, err := bsp.Run(subs, prog, bsp.Config{VerifyReplicaAgreement: true, AutoCombine: true})
+			on, err := bsp.Run(t.Context(), subs, prog, bsp.Config{VerifyReplicaAgreement: true, AutoCombine: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,18 +245,12 @@ func TestCombinerSenderSideStrictReduction(t *testing.T) {
 		for _, trName := range []string{"mem", "tcp"} {
 			t.Run(tc.name+"/"+trName, func(t *testing.T) {
 				cfg := bsp.Config{VerifyReplicaAgreement: true}
-				if trName == "tcp" {
-					cfg.Transports = tcpTransports(t, k, 1)
-				}
-				off, err := bsp.Run(tc.subs, &fanInDegree{}, cfg)
+				off, err := runOnMesh(t.Context(), tc.subs, meshByName(t, trName, k), &fanInDegree{}, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cfg.AutoCombine = true
-				if trName == "tcp" {
-					cfg.Transports = tcpTransports(t, k, 1)
-				}
-				on, err := bsp.Run(tc.subs, &fanInDegree{}, cfg)
+				on, err := runOnMesh(t.Context(), tc.subs, meshByName(t, trName, k), &fanInDegree{}, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -299,7 +287,7 @@ func TestCombinerExplicitOverridesAuto(t *testing.T) {
 	// fanInDegree declares sum; an explicit min combiner must change the
 	// computed "in-degree" of the hub to 1 (min of the per-edge 1-rows
 	// is 1, and each mirror's scatter is still exact).
-	res, err := bsp.Run(subs, &fanInDegree{}, bsp.Config{
+	res, err := bsp.Run(t.Context(), subs, &fanInDegree{}, bsp.Config{
 		Combiner:    transport.MinCombiner{},
 		AutoCombine: true,
 	})
@@ -311,7 +299,7 @@ func TestCombinerExplicitOverridesAuto(t *testing.T) {
 	}
 	// A program that declares no combiner must run uncombined under
 	// AutoCombine: all three counts stay equal even on the star graph.
-	plain, err := bsp.Run(subs, noCombiner{&apps.CC{}}, bsp.Config{AutoCombine: true})
+	plain, err := bsp.Run(t.Context(), subs, noCombiner{&apps.CC{}}, bsp.Config{AutoCombine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +369,7 @@ func (w *sparseThenFanInWorker) Values() *graph.ValueMatrix {
 // coalesced (wire strictly below emitted).
 func TestCombinerAdaptiveProbeIgnoresTinyBatches(t *testing.T) {
 	_, subs := starGraph(t, 200, 4)
-	res, err := bsp.Run(subs, &sparseThenFanIn{}, bsp.Config{AutoCombine: true})
+	res, err := bsp.Run(t.Context(), subs, &sparseThenFanIn{}, bsp.Config{AutoCombine: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,25 +12,26 @@ import (
 	"ebv/internal/transport"
 )
 
-// runCtxAsync runs bsp.RunCtx in a goroutine and returns the result
-// channel, so tests can assert bounded-time termination.
-func runCtxAsync(ctx context.Context, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.Config) chan error {
+// runAsync runs a one-job deployment over mesh (nil = in-memory) in a
+// goroutine and returns the result channel, so tests can assert
+// bounded-time termination.
+func runAsync(ctx context.Context, subs []*bsp.Subgraph, mesh transport.Deployment, prog bsp.Program, cfg bsp.Config) chan error {
 	done := make(chan error, 1)
 	go func() {
-		_, err := bsp.RunCtx(ctx, subs, prog, cfg)
+		_, err := runOnMesh(ctx, subs, mesh, prog, cfg)
 		done <- err
 	}()
 	return done
 }
 
-// TestRunCtxPreCanceled: an already-canceled context fails fast without
+// TestRunPreCanceled: an already-canceled context fails fast without
 // running a single superstep.
-func TestRunCtxPreCanceled(t *testing.T) {
+func TestRunPreCanceled(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := bsp.RunCtx(ctx, subs, &apps.CC{}, bsp.Config{})
+	res, err := bsp.Run(ctx, subs, &apps.CC{}, bsp.Config{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -39,15 +40,15 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancelMidSuperstep cancels a run of a program that never
-// quiesces (spinner) and requires RunCtx to return ctx.Err() within a
+// TestRunCancelMidSuperstep cancels a run of a program that never
+// quiesces (spinner) and requires Run to return ctx.Err() within a
 // bounded wall time instead of spinning to the superstep cap.
-func TestRunCtxCancelMidSuperstep(t *testing.T) {
+func TestRunCancelMidSuperstep(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	done := runCtxAsync(ctx, subs, &spinner{}, bsp.Config{MaxSteps: 1 << 30})
+	done := runAsync(ctx, subs, nil, &spinner{}, bsp.Config{MaxSteps: 1 << 30})
 	time.Sleep(50 * time.Millisecond) // let the workers spin a few supersteps
 	cancel()
 	select {
@@ -56,7 +57,7 @@ func TestRunCtxCancelMidSuperstep(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunCtx did not honor cancellation within 30s")
+		t.Fatal("Run did not honor cancellation within 30s")
 	}
 }
 
@@ -70,23 +71,14 @@ func TestRunCtxCancelMidSuperstep(t *testing.T) {
 func TestRunWorkerErrorReleasesBlockedPeers(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
-	mem, err := transport.NewMem(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inj := &transport.FaultInjector{
-		Inner:      mem,
 		FailWorker: 2,
 		FailStep:   1,
 		// CloseOnFail false: the injector itself releases nobody; only
 		// the engine's own failure path can.
 		CloseOnFail: false,
 	}
-	trs := make([]transport.Transport, 4)
-	for w := range trs {
-		trs[w] = inj
-	}
-	done := runCtxAsync(context.Background(), subs, &apps.CC{}, bsp.Config{Transports: trs})
+	done := runAsync(t.Context(), subs, faultyMem(t, 4, inj), &apps.CC{}, bsp.Config{})
 	select {
 	case err := <-done:
 		if !errors.Is(err, transport.ErrInjected) {
@@ -100,49 +92,21 @@ func TestRunWorkerErrorReleasesBlockedPeers(t *testing.T) {
 	}
 }
 
-// TestRunCtxBackgroundUnchanged: RunCtx with a background context behaves
-// exactly like the legacy Run (same values, replica agreement intact).
-func TestRunCtxBackgroundUnchanged(t *testing.T) {
-	g := testGraphs(t)["powerlaw"]
-	subs := buildSubs(t, g, core.New(), 4)
-	want, err := bsp.Run(subs, &apps.CC{}, bsp.Config{VerifyReplicaAgreement: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := bsp.RunCtx(context.Background(), subs, &apps.CC{},
-		bsp.NewConfig(bsp.WithReplicaVerification(true)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Steps != want.Steps {
-		t.Fatalf("steps: got %d, want %d", got.Steps, want.Steps)
-	}
-	if !got.Values.EqualValues(want.Values) {
-		t.Fatal("RunCtx values differ from Run values")
-	}
-}
-
 // TestNewConfigOptions checks the functional-option constructor against
 // the equivalent struct literal.
 func TestNewConfigOptions(t *testing.T) {
-	mem, err := transport.NewMem(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
 	cfg := bsp.NewConfig(
 		bsp.WithMaxSteps(42),
-		bsp.WithTransports(mem),
 		bsp.WithReplicaVerification(true),
 	)
-	if cfg.MaxSteps != 42 || !cfg.VerifyReplicaAgreement || len(cfg.Transports) != 1 {
+	if cfg.MaxSteps != 42 || !cfg.VerifyReplicaAgreement {
 		t.Fatalf("NewConfig produced %+v", cfg)
 	}
 }
 
-// TestRunWorkerCtxCancel: a single-worker distributed run over a Mem
+// TestRunWorkerCancel: a single-worker distributed run over a Mem
 // transport honors cancellation mid-superstep.
-func TestRunWorkerCtxCancel(t *testing.T) {
+func TestRunWorkerCancel(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 1)
 	mem, err := transport.NewMem(1)
@@ -153,7 +117,7 @@ func TestRunWorkerCtxCancel(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := bsp.RunWorkerCtx(ctx, subs[0], &spinner{}, mem, bsp.Config{MaxSteps: 1 << 30})
+		_, err := bsp.RunWorker(ctx, subs[0], &spinner{}, mem, bsp.Config{MaxSteps: 1 << 30}, nil)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -164,6 +128,6 @@ func TestRunWorkerCtxCancel(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunWorkerCtx did not honor cancellation")
+		t.Fatal("RunWorker did not honor cancellation")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ebv/internal/graph"
 	"ebv/internal/transport"
 )
 
@@ -15,11 +16,11 @@ var ErrDeploymentClosed = errors.New("bsp: deployment closed")
 
 // Deployment is the prepare-once/serve-many execution engine: it binds a
 // set of built subgraphs to a persistent transport deployment and serves
-// BSP jobs over them. Where RunCtx pays transport setup and assumes sole
-// ownership of its transports (closing them ends the world), a Deployment
-// opens a job-scoped transport view per Run, so concurrent Run calls — each
-// with its own program, value width and step cap — share the subgraphs and
-// the mesh without their message batches ever crossing.
+// BSP jobs over them. It opens a job-scoped transport view per Run, so
+// concurrent Run calls — each with its own program, value width and step
+// cap — share the subgraphs and the mesh without their message batches ever
+// crossing. A caller with a custom transport mesh passes it to
+// NewDeployment; the one-shot Run function is a Deployment with one job.
 //
 // Run is safe for concurrent use. Close tears the transport deployment
 // down; jobs blocked in a collective exchange are released and fail with
@@ -100,17 +101,15 @@ func (d *Deployment) JobsServed() int64 { return d.served.Load() }
 
 // Run executes prog as one job of the deployment and returns its result.
 // Safe for concurrent callers: each call opens its own job-scoped
-// transports, so interleaved jobs of different widths coexist. The config's
-// MaxSteps, ValueWidth and VerifyReplicaAgreement are honored; Transports
-// must be unset (the deployment owns the transport mesh).
+// transports, so interleaved jobs of different widths coexist. Canceling
+// ctx aborts the job within one superstep of wall time and returns
+// ctx.Err(), never a partial result.
 func (d *Deployment) Run(ctx context.Context, prog Program, cfg Config) (*Result, error) {
 	if prog == nil {
 		return nil, errors.New("bsp: nil program")
 	}
-	if len(cfg.Transports) > 0 {
-		return nil, errors.New("bsp: deployment owns its transports (Config.Transports must be unset)")
-	}
-	width, err := cfg.valueWidth()
+	// Resolved ahead of runWorkers only because opening the job needs it.
+	width, err := cfg.Width()
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +129,7 @@ func (d *Deployment) Run(ctx context.Context, prog Program, cfg Config) (*Result
 	if err != nil {
 		return nil, fmt.Errorf("bsp: open job %d: %w", job, err)
 	}
-	// executeJob closes the job transports itself on cancellation or
+	// runWorkers closes the job transports itself on cancellation or
 	// failure; close unconditionally so a completed job retires its mux
 	// entry (Close is idempotent and job-scoped — the mesh stays up).
 	defer func() {
@@ -138,14 +137,26 @@ func (d *Deployment) Run(ctx context.Context, prog Program, cfg Config) (*Result
 			_ = tr.Close()
 		}
 	}()
-	res, err := executeJob(ctx, subs, prog, trs, cfg, width)
+	out, err := runWorkers(ctx, prog, cfg, subs, trs, cfg.Resume)
 	if err != nil {
 		if d.isClosed() && errors.Is(err, transport.ErrClosed) {
 			return nil, fmt.Errorf("bsp: job %d (%s): %w", job, prog.Name(), ErrDeploymentClosed)
 		}
 		return nil, err
 	}
-	res.Epoch = epoch
+	res := &Result{Steps: out[0].Steps, Workers: make([]WorkerStats, d.k), Epoch: epoch}
+	workerValues := make([]*graph.ValueMatrix, d.k)
+	for w := range out {
+		res.Workers[w] = out[w].Stats
+		workerValues[w] = out[w].Values
+		res.WallTime = max(res.WallTime, out[w].WallTime)
+	}
+	// Every replica writes its row into the global matrix, optionally
+	// verified against the previous replica's (a strided row compare).
+	res.Values, res.Covered, err = AssembleValues(subs, workerValues, width, cfg.VerifyReplicaAgreement)
+	if err != nil {
+		return nil, err
+	}
 	d.served.Add(1)
 	return res, nil
 }

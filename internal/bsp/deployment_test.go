@@ -18,7 +18,7 @@ import (
 )
 
 // TestDeploymentServesManyJobs runs CC, PR and SSSP sequentially on one
-// deployment and checks each against an isolated RunCtx.
+// deployment and checks each against an isolated one-shot Run.
 func TestDeploymentServesManyJobs(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
@@ -30,7 +30,7 @@ func TestDeploymentServesManyJobs(t *testing.T) {
 
 	progs := []bsp.Program{&apps.CC{}, &apps.PageRank{Iterations: 6}, &apps.SSSP{Source: 0}}
 	for _, prog := range progs {
-		want, err := bsp.RunCtx(context.Background(), subs, prog, bsp.Config{})
+		want, err := bsp.Run(t.Context(), subs, prog, bsp.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestDeploymentConcurrentMixedWidthJobs(t *testing.T) {
 	// Isolated baselines, one per case.
 	want := make([]*bsp.Result, len(cases))
 	for i, tc := range cases {
-		res, err := bsp.RunCtx(context.Background(), subs, tc.prog, bsp.Config{ValueWidth: tc.width})
+		res, err := bsp.Run(t.Context(), subs, tc.prog, bsp.Config{ValueWidth: tc.width})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,28 +181,6 @@ func TestDeploymentCloseReleasesBlockedWorkers(t *testing.T) {
 	}
 }
 
-// TestDeploymentRejectsConfiguredTransports: the deployment owns its
-// transports; a per-job transport override must fail loudly.
-func TestDeploymentRejectsConfiguredTransports(t *testing.T) {
-	g := testGraphs(t)["powerlaw"]
-	subs := buildSubs(t, g, core.New(), 2)
-	dep, err := bsp.NewDeployment(subs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dep.Close()
-	mem, err := transport.NewMem(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	if _, err := dep.Run(context.Background(), &apps.CC{}, bsp.Config{
-		Transports: []transport.Transport{mem},
-	}); err == nil {
-		t.Fatal("Run with Config.Transports on a deployment succeeded")
-	}
-}
-
 // TestDeploymentFailedJobLeavesDeploymentHealthy: a job that dies mid-run
 // (fault-injected transport error is impossible here — the deployment owns
 // the transports — so use a program returning a malformed batch) must not
@@ -219,7 +197,7 @@ func TestDeploymentFailedJobLeavesDeploymentHealthy(t *testing.T) {
 		t.Fatal("malformed-batch job succeeded")
 	}
 	// The deployment must still serve correct jobs.
-	want, err := bsp.RunCtx(context.Background(), subs, &apps.CC{}, bsp.Config{})
+	want, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

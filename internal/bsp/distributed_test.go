@@ -77,7 +77,7 @@ func freePorts(t *testing.T, n int) []string {
 // TestMultiProcessStyleRun exercises the full ebv-worker path in-process:
 // subgraphs serialized and reloaded, one mesh node per worker wired from
 // the shared address list, each worker driven independently by
-// RunWorkerCtx — exactly what separate OS processes would do.
+// RunWorker — exactly what separate OS processes would do.
 func TestMultiProcessStyleRun(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	const k = 3
@@ -116,7 +116,7 @@ func TestMultiProcessStyleRun(t *testing.T) {
 				errs[w] = fmt.Errorf("transport: %w", err)
 				return
 			}
-			results[w], errs[w] = bsp.RunWorkerCtx(t.Context(), reloaded[w], &apps.CC{}, tr, bsp.Config{})
+			results[w], errs[w] = bsp.RunWorker(t.Context(), reloaded[w], &apps.CC{}, tr, bsp.Config{}, nil)
 		}(w)
 	}
 	wg.Wait()
@@ -147,10 +147,10 @@ func TestRunWorkerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	if _, err := bsp.RunWorkerCtx(t.Context(), subs[0], &apps.CC{}, mem, bsp.Config{}); err == nil {
+	if _, err := bsp.RunWorker(t.Context(), subs[0], &apps.CC{}, mem, bsp.Config{}, nil); err == nil {
 		t.Fatal("mismatched transport accepted")
 	}
-	if _, err := bsp.RunWorkerCtx(t.Context(), nil, &apps.CC{}, mem, bsp.Config{}); err == nil {
+	if _, err := bsp.RunWorker(t.Context(), nil, &apps.CC{}, mem, bsp.Config{}, nil); err == nil {
 		t.Fatal("nil subgraph accepted")
 	}
 }

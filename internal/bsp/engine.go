@@ -78,14 +78,12 @@ type CombinerProvider interface {
 	MessageCombiner() transport.Combiner
 }
 
-// Config tunes a Run. The zero value selects the defaults; it can be
-// populated either as a struct literal (the legacy form, still supported)
-// or with the functional options accepted by NewConfig.
+// Config tunes a run. The zero value selects the defaults; it can be
+// populated either as a struct literal or with the functional options
+// accepted by NewConfig. The transport is not part of it: a whole job runs
+// on its Deployment's mesh, a single worker on the transport handed to
+// RunWorker.
 type Config struct {
-	// Transports supplies one transport per worker (e.g. a TCP mesh). Nil
-	// selects a shared in-memory transport. If exactly one transport is
-	// given and it serves all workers (the Mem case), it is shared.
-	Transports []transport.Transport
 	// MaxSteps is the superstep safety cap (default 100000).
 	MaxSteps int
 	// ValueWidth is the number of float64 values carried per vertex and
@@ -138,12 +136,6 @@ func WithMaxSteps(n int) Option {
 	return func(c *Config) { c.MaxSteps = n }
 }
 
-// WithTransports supplies one transport per worker; a single transport
-// serving all workers (the Mem case) is shared.
-func WithTransports(ts ...transport.Transport) Option {
-	return func(c *Config) { c.Transports = ts }
-}
-
 // WithValueWidth sets the per-vertex value width (0 selects the default
 // of 1; widths < 0 fail Run with a clear error).
 func WithValueWidth(n int) Option {
@@ -166,21 +158,6 @@ func WithCombiner(c transport.Combiner) Option {
 // any (see Config.AutoCombine).
 func WithAutoCombine(on bool) Option {
 	return func(c *Config) { c.AutoCombine = on }
-}
-
-// WithCheckpoints cuts a resumable checkpoint into sink at every superstep
-// barrier that every divides (see Config.CheckpointEvery/CheckpointSink).
-func WithCheckpoints(every int, sink func(worker int, cp *Checkpoint) error) Option {
-	return func(c *Config) {
-		c.CheckpointEvery = every
-		c.CheckpointSink = sink
-	}
-}
-
-// WithResume starts the run from per-worker checkpoints (one per worker,
-// all at the same step; see Config.Resume).
-func WithResume(cps []*Checkpoint) Option {
-	return func(c *Config) { c.Resume = cps }
 }
 
 // combiner resolves the run's message combiner for prog: an explicit
@@ -207,10 +184,10 @@ func (c Config) maxSteps() int {
 	return c.MaxSteps
 }
 
-// valueWidth resolves the configured width (0 = default 1) or errors on a
+// Width resolves the configured width (0 = default 1) or errors on a
 // width no transport can carry, so misconfiguration fails identically on
 // Mem and TCP instead of surfacing as frame corruption on one of them.
-func (c Config) valueWidth() (int, error) {
+func (c Config) Width() (int, error) {
 	switch {
 	case c.ValueWidth == 0:
 		return 1, nil
@@ -326,125 +303,115 @@ func (r *Result) Row(v graph.VertexID) ([]float64, bool) {
 	return r.Values.Row(int(v)), true
 }
 
-// Run partitions nothing: it executes prog over the given subgraphs (built
-// with BuildSubgraphs) until global quiescence.
-func Run(subs []*Subgraph, prog Program, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), subs, prog, cfg) //ebv:nolint ctxflow ctx-less compat wrapper; RunCtx is the cancellable entry point
-}
-
-// RunCtx is Run with cancellation: each worker polls ctx at every superstep
-// boundary, and cancellation additionally closes the transports so workers
-// blocked in a collective exchange are released immediately — a canceled
-// run returns ctx.Err() within one superstep of wall time, never a partial
-// result. The transports are unusable afterwards (a canceled run is over).
-func RunCtx(ctx context.Context, subs []*Subgraph, prog Program, cfg Config) (*Result, error) {
-	k := len(subs)
-	if k == 0 {
-		return nil, errors.New("bsp: no subgraphs")
-	}
-	width, err := cfg.valueWidth()
+// Run is the one-shot form of Deployment.Run: it binds subs (built with
+// BuildSubgraphs) to a fresh in-memory deployment, serves prog as its only
+// job and closes the deployment. Callers running several programs over the
+// same subgraphs, or over a custom transport mesh, hold a Deployment.
+func Run(ctx context.Context, subs []*Subgraph, prog Program, cfg Config) (*Result, error) {
+	d, err := NewDeployment(subs, nil)
 	if err != nil {
 		return nil, err
 	}
-	transports, cleanup, err := resolveTransports(cfg, k)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	return executeJob(ctx, subs, prog, transports, cfg, width)
+	defer d.Close()
+	return d.Run(ctx, prog, cfg)
 }
 
-// resumeFor validates cfg.Resume for a k-worker run at the given width:
-// either empty (fresh start) or one checkpoint per worker, all cut at the
-// same superstep with well-shaped inboxes.
-func (c Config) resumeFor(k, width int) ([]*Checkpoint, error) {
-	if len(c.Resume) == 0 {
-		return nil, nil
+// checkResume validates the resume checkpoints for the local workers subs
+// at the given width: either empty (fresh start) or one per worker, all cut
+// at the same superstep with well-shaped inboxes.
+func checkResume(resume []*Checkpoint, subs []*Subgraph, width int) error {
+	if len(resume) == 0 {
+		return nil
 	}
-	if len(c.Resume) != k {
-		return nil, fmt.Errorf("bsp: %d resume checkpoints for %d workers", len(c.Resume), k)
+	if len(resume) != len(subs) {
+		return fmt.Errorf("bsp: %d resume checkpoints for %d workers", len(resume), len(subs))
 	}
-	for w, cp := range c.Resume {
+	for i, cp := range resume {
+		w := subs[i].Part
 		if cp == nil || cp.State == nil {
-			return nil, fmt.Errorf("bsp: resume checkpoint for worker %d missing", w)
+			return fmt.Errorf("bsp: resume checkpoint for worker %d missing", w)
 		}
 		if cp.Step < 1 {
-			return nil, fmt.Errorf("bsp: worker %d resume step %d invalid (checkpoints start at step 1)", w, cp.Step)
+			return fmt.Errorf("bsp: worker %d resume step %d invalid (checkpoints start at step 1)", w, cp.Step)
 		}
-		if cp.Step != c.Resume[0].Step {
-			return nil, fmt.Errorf("bsp: resume steps disagree: worker 0 at %d, worker %d at %d",
-				c.Resume[0].Step, w, cp.Step)
+		if cp.Step != resume[0].Step {
+			return fmt.Errorf("bsp: resume steps disagree: worker %d at %d, worker %d at %d",
+				subs[0].Part, resume[0].Step, w, cp.Step)
 		}
 		if err := cp.CheckInbox(width); err != nil {
-			return nil, fmt.Errorf("bsp: worker %d: %w", w, err)
+			return fmt.Errorf("bsp: worker %d: %w", w, err)
 		}
 	}
-	return c.Resume, nil
+	return nil
 }
 
-// executeJob runs one job — prog over subs, one transport per worker —
-// until global quiescence. It is the shared core of RunCtx (which owns a
-// one-shot transport set) and Deployment.Run (which owns job-scoped views
-// of a persistent mesh): the transports passed in are assumed to be this
-// job's to tear down, and are closed on cancellation or worker failure to
-// release peers blocked in the collective exchange. Concurrent executeJob
-// calls over the same subgraphs are safe — subgraphs are immutable at run
-// time and all per-job state lives here.
-func executeJob(ctx context.Context, subs []*Subgraph, prog Program,
-	transports []transport.Transport, cfg Config, width int) (*Result, error) {
+// runWorkers is the execution core under both entry points: Deployment.Run
+// hands it all k workers of a job, RunWorker the one worker this process
+// hosts of a job whose peers run elsewhere. It runs prog over subs[i] on
+// trs[i] (worker id subs[i].Part) until global quiescence and returns one
+// result per local worker. resume is empty or holds one checkpoint per
+// local worker (see checkResume).
+//
+// The transports are this run's to tear down: they are closed when ctx is
+// canceled and when any local worker fails (a bad batch, a transport
+// fault, a checkpoint that cannot be written). Closing is the only way to
+// release peers blocked in the collective exchange — goroutines here,
+// processes elsewhere, which observe the closed connections and fail their
+// own exchanges — so one worker's error never deadlocks the barrier.
+// Concurrent calls over the same subgraphs are safe: subgraphs are
+// immutable at run time and all per-run state lives here.
+func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
+	trs []transport.Transport, resume []*Checkpoint) ([]WorkerResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	k := len(subs)
-	resume, err := cfg.resumeFor(k, width)
+	width, err := cfg.Width()
 	if err != nil {
 		return nil, err
 	}
+	if err := checkResume(resume, subs, width); err != nil {
+		return nil, err
+	}
 
-	// workerCtx is canceled when the caller's ctx is canceled OR when any
-	// worker fails mid-run (a bad batch, a transport fault): closing every
-	// transport is the only way to release peers blocked in a collective
-	// exchange, so a single worker's error must not deadlock the barrier.
-	// runWorker maps the induced transport errors back to ctx.Err().
+	// runWorker maps the transport errors the watch induces back to
+	// workerCtx.Err().
 	workerCtx, failRun := context.WithCancel(ctx)
 	defer failRun()
 	stopWatch := context.AfterFunc(workerCtx, func() {
-		for _, tr := range transports {
+		for _, tr := range trs {
 			_ = tr.Close()
 		}
 	})
 	defer stopWatch()
 
-	res := &Result{Workers: make([]WorkerStats, k)}
-	workerValues := make([]*graph.ValueMatrix, k)
-	errs := make([]error, k)
-	steps := make([]int, k)
-
+	spec := workerSpec{
+		maxSteps:  cfg.maxSteps(),
+		width:     width,
+		comb:      cfg.combiner(prog),
+		ckptEvery: cfg.CheckpointEvery,
+		sink:      cfg.CheckpointSink,
+	}
+	out := make([]WorkerResult, len(subs))
+	errs := make([]error, len(subs))
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < k; w++ {
-		spec := workerSpec{
-			maxSteps:  cfg.maxSteps(),
-			width:     width,
-			comb:      cfg.combiner(prog),
-			ckptEvery: cfg.CheckpointEvery,
-			sink:      cfg.CheckpointSink,
-		}
-		if resume != nil {
-			spec.resume = resume[w]
+	for i := range subs {
+		spec := spec
+		if len(resume) > 0 {
+			spec.resume = resume[i]
 		}
 		wg.Add(1)
-		go func(w int, spec workerSpec) {
+		go func() {
 			defer wg.Done()
-			steps[w], workerValues[w], errs[w] =
-				runWorker(workerCtx, w, subs[w], prog, transports[w], spec, &res.Workers[w])
-			if errs[w] != nil {
-				failRun() // release peers blocked in the exchange
+			o := &out[i]
+			o.Steps, o.Values, errs[i] = runWorker(workerCtx, subs[i], prog, trs[i], spec, &o.Stats)
+			o.WallTime = time.Since(start)
+			if errs[i] != nil {
+				failRun()
 			}
-		}(w, spec)
+		}()
 	}
 	wg.Wait()
-	res.WallTime = time.Since(start)
 
 	// Report the caller's cancellation as such; otherwise surface the
 	// first root-cause error (peers released by failRun report the induced
@@ -453,61 +420,25 @@ func executeJob(ctx context.Context, subs []*Subgraph, prog Program,
 		return nil, err
 	}
 	var firstErr error
-	for w := 0; w < k; w++ {
-		if errs[w] == nil {
-			continue
-		}
-		if firstErr == nil || errors.Is(firstErr, context.Canceled) && !errors.Is(errs[w], context.Canceled) {
-			firstErr = fmt.Errorf("bsp: worker %d: %w", w, errs[w])
+	for i, err := range errs {
+		if err != nil && (firstErr == nil ||
+			errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
+			firstErr = fmt.Errorf("bsp: worker %d: %w", subs[i].Part, err)
 		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	res.Steps = steps[0]
-
-	// Assemble the global value matrix from the per-worker matrices; every
-	// replica writes its row, optionally verified against the previous
-	// replica's (a strided row compare).
-	res.Values, res.Covered, err = AssembleValues(subs, workerValues, width, cfg.VerifyReplicaAgreement)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// resolveTransports normalizes cfg.Transports: nil → one shared Mem.
-func resolveTransports(cfg Config, k int) ([]transport.Transport, func(), error) {
-	if len(cfg.Transports) == 0 {
-		mem, err := transport.NewMem(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		ts := make([]transport.Transport, k)
-		for i := range ts {
-			ts[i] = mem
-		}
-		return ts, func() { _ = mem.Close() }, nil
-	}
-	if len(cfg.Transports) == 1 && k > 1 {
-		ts := make([]transport.Transport, k)
-		for i := range ts {
-			ts[i] = cfg.Transports[0]
-		}
-		return ts, func() {}, nil
-	}
-	if len(cfg.Transports) != k {
-		return nil, nil, fmt.Errorf("bsp: %d transports for %d workers", len(cfg.Transports), k)
-	}
-	return cfg.Transports, func() {}, nil
+	return out, nil
 }
 
 // runWorker is the per-worker superstep loop. It returns the executed
 // superstep count (the absolute step counter — a resumed worker reports
 // the same count the uninterrupted run would) and the final local value
 // matrix.
-func runWorker(ctx context.Context, w int, sub *Subgraph, prog Program, tr transport.Transport,
+func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Transport,
 	spec workerSpec, stats *WorkerStats) (int, *graph.ValueMatrix, error) {
+	w := sub.Part
 	maxSteps, width, comb := spec.maxSteps, spec.width, spec.comb
 	wp := prog.NewWorker(sub, Env{ValueWidth: width})
 	// Checkpointing and resuming both need the program's snapshot contract.
@@ -731,7 +662,7 @@ func runWorker(ctx context.Context, w int, sub *Subgraph, prog Program, tr trans
 }
 
 // WorkerResult is the outcome of a single worker's participation in a
-// multi-process run (RunWorkerCtx).
+// run: what RunWorker returns, and what Deployment.Run assembles k of.
 type WorkerResult struct {
 	// Steps is the number of supersteps executed.
 	Steps int
@@ -744,35 +675,23 @@ type WorkerResult struct {
 	WallTime time.Duration
 }
 
-// RunWorkerCtx executes ONE worker of a distributed computation over the
+// RunWorker executes ONE worker of a distributed computation over the
 // given transport (typically a job opened on a transport.MeshNode); the
 // peer workers run in other processes. It blocks until global quiescence.
-// Only cfg.MaxSteps, cfg.ValueWidth and the combiner settings are honored
-// (the transport is explicit, and replica verification needs the global
-// view). Every worker of a distributed run must agree on the combiner
-// configuration — results stay correct either way, but message counts and
-// batch contents differ.
+// A non-nil cp starts the worker at cp.Step with the checkpointed program
+// state and inbox instead of step 0; every worker of the run must resume
+// from the same epoch (the cluster coordinator's restore selection
+// guarantees it). cfg.Resume is ignored — it indexes checkpoints by worker
+// for whole-job runs — and so is cfg.VerifyReplicaAgreement, which needs
+// the global view. Every worker of a distributed run must agree on the
+// combiner configuration — results stay correct either way, but message
+// counts and batch contents differ.
 //
-// ctx is polled at every superstep boundary, and cancellation closes the
-// transport so a worker blocked mid-exchange tears down immediately (its
-// peers observe the closed connections and fail their own exchanges — the
-// distributed analogue of a crashed process).
-func RunWorkerCtx(ctx context.Context, sub *Subgraph, prog Program, tr transport.Transport, cfg Config) (*WorkerResult, error) {
-	return RunWorkerFromCtx(ctx, sub, prog, tr, cfg, nil)
-}
-
-// RunWorkerFromCtx is RunWorkerCtx resuming from a checkpoint: a non-nil
-// cp starts the worker at cp.Step with the checkpointed program state and
-// inbox instead of step 0. Every worker of the run must resume from the
-// same epoch (the cluster coordinator's restore selection guarantees it);
-// cfg.CheckpointEvery/CheckpointSink keep cutting new checkpoints on the
-// resumed run. cfg.Resume is ignored here — it indexes checkpoints by
-// worker for whole-job entry points, while this worker resumes from its
-// own.
-func RunWorkerFromCtx(ctx context.Context, sub *Subgraph, prog Program, tr transport.Transport, cfg Config, cp *Checkpoint) (*WorkerResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// ctx is polled at every superstep boundary; cancellation, like a local
+// failure, closes the transport, so this worker tears down immediately and
+// its peers fail their own exchanges instead of blocking — the distributed
+// analogue of a crashed process.
+func RunWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Transport, cfg Config, cp *Checkpoint) (*WorkerResult, error) {
 	if sub == nil {
 		return nil, errors.New("bsp: nil subgraph")
 	}
@@ -780,45 +699,13 @@ func RunWorkerFromCtx(ctx context.Context, sub *Subgraph, prog Program, tr trans
 		return nil, fmt.Errorf("bsp: transport has %d workers, subgraph expects %d",
 			tr.NumWorkers(), sub.NumWorkers)
 	}
-	width, err := cfg.valueWidth()
+	var resume []*Checkpoint
+	if cp != nil {
+		resume = []*Checkpoint{cp}
+	}
+	out, err := runWorkers(ctx, prog, cfg, []*Subgraph{sub}, []transport.Transport{tr}, resume)
 	if err != nil {
 		return nil, err
 	}
-	if cp != nil {
-		if cp.State == nil || cp.Step < 1 {
-			return nil, fmt.Errorf("bsp: worker %d: malformed resume checkpoint", sub.Part)
-		}
-		if err := cp.CheckInbox(width); err != nil {
-			return nil, fmt.Errorf("bsp: worker %d: %w", sub.Part, err)
-		}
-	}
-	stopWatch := context.AfterFunc(ctx, func() { _ = tr.Close() })
-	defer stopWatch()
-	res := &WorkerResult{}
-	start := time.Now()
-	spec := workerSpec{
-		maxSteps:  cfg.maxSteps(),
-		width:     width,
-		comb:      cfg.combiner(prog),
-		ckptEvery: cfg.CheckpointEvery,
-		sink:      cfg.CheckpointSink,
-		resume:    cp,
-	}
-	steps, values, err := runWorker(ctx, sub.Part, sub, prog, tr, spec, &res.Stats)
-	if err != nil {
-		// Mirror RunCtx's failRun: a local validation error (bad batch,
-		// mis-shaped values) leaves the transport healthy, so close it —
-		// remote peers observe the closed connections and fail their own
-		// exchanges instead of blocking forever (the crashed-process
-		// analogue this entry point documents).
-		_ = tr.Close()
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("bsp: worker %d: %w", sub.Part, err)
-	}
-	res.Steps = steps
-	res.Values = values
-	res.WallTime = time.Since(start)
-	return res, nil
+	return &out[0], nil
 }

@@ -19,23 +19,15 @@ func TestRunSurfacesTransportFault(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
 
-	mem, err := transport.NewMem(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trs := make([]transport.Transport, 4)
-	for w := range trs {
-		trs[w] = &transport.FaultInjector{
-			Inner:       mem,
-			FailWorker:  2,
-			FailStep:    1,
-			CloseOnFail: true, // release the peers blocked at the barrier
-		}
-	}
+	mesh := faultyMem(t, 4, &transport.FaultInjector{
+		FailWorker:  2,
+		FailStep:    1,
+		CloseOnFail: true, // release the peers blocked at the barrier
+	})
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := bsp.Run(subs, &apps.CC{}, bsp.Config{Transports: trs})
+		_, err := runOnMesh(t.Context(), subs, mesh, &apps.CC{}, bsp.Config{})
 		done <- err
 	}()
 	select {
@@ -56,7 +48,7 @@ func TestRunSurfacesTransportFault(t *testing.T) {
 func TestRunMaxStepsCap(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 2)
-	_, err := bsp.Run(subs, &spinner{}, bsp.Config{MaxSteps: 10})
+	_, err := bsp.Run(t.Context(), subs, &spinner{}, bsp.Config{MaxSteps: 10})
 	if !errors.Is(err, bsp.ErrMaxSteps) {
 		t.Fatalf("err = %v, want ErrMaxSteps", err)
 	}

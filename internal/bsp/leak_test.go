@@ -10,7 +10,6 @@ import (
 	"ebv/internal/apps"
 	"ebv/internal/bsp"
 	"ebv/internal/core"
-	"ebv/internal/transport"
 )
 
 // TestRunLeaksNoGoroutines asserts that repeated engine runs do not leave
@@ -20,13 +19,13 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
 	// Warm up once so lazily-started runtime goroutines don't skew counts.
-	if _, err := bsp.Run(subs, &apps.CC{}, bsp.Config{}); err != nil {
+	if _, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		if _, err := bsp.Run(subs, &apps.CC{}, bsp.Config{}); err != nil {
+		if _, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,18 +48,14 @@ func TestCanceledRunLeaksNoGoroutines(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
 	// Warm up an uncanceled run first so lazy runtime goroutines settle.
-	if _, err := bsp.Run(subs, &apps.CC{}, bsp.Config{}); err != nil {
+	if _, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			_, err := bsp.RunCtx(ctx, subs, &spinner{}, bsp.Config{MaxSteps: 1 << 30})
-			done <- err
-		}()
+		done := runAsync(ctx, subs, nil, &spinner{}, bsp.Config{MaxSteps: 1 << 30})
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 		select {
@@ -93,22 +88,8 @@ func TestCanceledTCPRunTearsDownMesh(t *testing.T) {
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		mesh, err := transport.NewTCPMeshDeployment(t.Context(), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs, err := mesh.OpenJob(1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			_, err := bsp.RunCtx(ctx, subs, &spinner{}, bsp.Config{
-				Transports: trs, MaxSteps: 1 << 30,
-			})
-			done <- err
-		}()
+		done := runAsync(ctx, subs, tcpMesh(t, 4), &spinner{}, bsp.Config{MaxSteps: 1 << 30})
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 		select {
@@ -119,7 +100,6 @@ func TestCanceledTCPRunTearsDownMesh(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("run %d: canceled TCP run did not terminate", i)
 		}
-		_ = mesh.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -118,7 +118,7 @@ func TestResumeByteIdentity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			store := newCheckpointStore(k)
-			full, err := bsp.Run(tc.subs, tc.prog, bsp.Config{
+			full, err := bsp.Run(t.Context(), tc.subs, tc.prog, bsp.Config{
 				ValueWidth:             tc.width,
 				VerifyReplicaAgreement: true,
 				AutoCombine:            tc.combine,
@@ -133,7 +133,7 @@ func TestResumeByteIdentity(t *testing.T) {
 				t.Fatalf("no complete checkpoint epoch in %d steps", full.Steps)
 			}
 			for _, epoch := range epochs {
-				res, err := bsp.Run(tc.subs, tc.prog, bsp.Config{
+				res, err := bsp.Run(t.Context(), tc.subs, tc.prog, bsp.Config{
 					ValueWidth:             tc.width,
 					VerifyReplicaAgreement: true,
 					AutoCombine:            tc.combine,
@@ -178,7 +178,7 @@ func (w *nonResumableWorker) Values() *graph.ValueMatrix {
 
 func TestCheckpointRequiresResumable(t *testing.T) {
 	subs := buildSubs(t, pathGraph(t, 40), &partition.Random{}, 2)
-	_, err := bsp.Run(subs, &nonResumableProg{steps: 6}, bsp.Config{
+	_, err := bsp.Run(t.Context(), subs, &nonResumableProg{steps: 6}, bsp.Config{
 		CheckpointEvery: 2,
 		CheckpointSink:  func(int, *bsp.Checkpoint) error { return nil },
 	})
@@ -203,7 +203,7 @@ func TestResumeValidation(t *testing.T) {
 			cp(2),
 		}},
 	} {
-		if _, err := bsp.Run(subs, prog, cfg); err == nil {
+		if _, err := bsp.Run(t.Context(), subs, prog, cfg); err == nil {
 			t.Fatalf("%s: expected a validation error", name)
 		}
 	}

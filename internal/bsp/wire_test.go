@@ -198,11 +198,11 @@ func TestCombinerBeyondDenseCapacity(t *testing.T) {
 	}
 	for _, prog := range []bsp.Program{&apps.CC{}, &apps.PageRank{Iterations: 4}} {
 		t.Run(prog.Name(), func(t *testing.T) {
-			off, err := bsp.Run(subs, prog, bsp.Config{VerifyReplicaAgreement: true})
+			off, err := bsp.Run(t.Context(), subs, prog, bsp.Config{VerifyReplicaAgreement: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			on, err := bsp.Run(subs, prog, bsp.Config{VerifyReplicaAgreement: true, AutoCombine: true})
+			on, err := bsp.Run(t.Context(), subs, prog, bsp.Config{VerifyReplicaAgreement: true, AutoCombine: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -109,6 +109,7 @@ type pendingAttempt struct {
 	job     int
 	attempt int
 	spec    JobSpec
+	cfg     bsp.Config // spec.config(): ValueWidth is the resolved width
 	restore *bsp.Checkpoint
 	ln      net.Listener
 }
@@ -211,7 +212,7 @@ func (a *Agent) Run(ctx context.Context) error {
 					return ctx.Err()
 				}
 				a.logf("job %d attempt %d failed: %v", p.job, p.attempt, err)
-				a.sendFailed(sub, p, err)
+				a.sendFailed(sub, p.job, p.attempt, err)
 			}
 
 		case msgShutdown:
@@ -236,15 +237,15 @@ func (a *Agent) prepare(sub *bsp.Subgraph, old *pendingAttempt, m prepareMsg) *p
 	}
 	fail := func(err error) *pendingAttempt {
 		a.logf("prepare job %d attempt %d failed: %v", m.Job, m.Attempt, err)
-		part := -1
-		if sub != nil {
-			part = sub.Part
-		}
-		_ = writeMsg(&a.wmu, a.conn, msgFailed, failedMsg{Job: m.Job, Attempt: m.Attempt, Part: part, Err: err.Error()})
+		a.sendFailed(sub, m.Job, m.Attempt, err)
 		return nil
 	}
 	if sub == nil {
 		return fail(fmt.Errorf("no partition assigned"))
+	}
+	cfg, err := m.Spec.config()
+	if err != nil {
+		return fail(err)
 	}
 
 	var restore *bsp.Checkpoint
@@ -258,7 +259,7 @@ func (a *Agent) prepare(sub *bsp.Subgraph, old *pendingAttempt, m prepareMsg) *p
 			return fail(fmt.Errorf("load checkpoint: %w", err))
 		}
 		if meta.Job != m.Job || meta.Part != sub.Part || meta.Workers != sub.NumWorkers ||
-			meta.Width != m.Spec.width() || cp.Step != m.RestoreStep {
+			meta.Width != cfg.ValueWidth || cp.Step != m.RestoreStep {
 			return fail(fmt.Errorf("checkpoint %s metadata mismatch", path))
 		}
 		restore = cp
@@ -287,7 +288,7 @@ func (a *Agent) prepare(sub *bsp.Subgraph, old *pendingAttempt, m prepareMsg) *p
 		_ = ln.Close()
 		return nil // read loop surfaces the conn error
 	}
-	return &pendingAttempt{job: m.Job, attempt: m.Attempt, spec: m.Spec, restore: restore, ln: ln}
+	return &pendingAttempt{job: m.Job, attempt: m.Attempt, spec: m.Spec, cfg: cfg, restore: restore, ln: ln}
 }
 
 // serve runs one job attempt to completion on this worker: wire this
@@ -332,24 +333,19 @@ func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt,
 		_ = node.Close()
 	}()
 	// The mesh is this attempt's alone, so the cluster job id is tag enough.
-	tr, err := node.OpenJob(uint32(p.job), p.spec.width())
+	cfg := p.cfg
+	tr, err := node.OpenJob(uint32(p.job), cfg.ValueWidth)
 	if err != nil {
 		return err
 	}
-
-	cfg := bsp.Config{
-		ValueWidth:  p.spec.width(),
-		MaxSteps:    p.spec.MaxSteps,
-		AutoCombine: p.spec.Combine,
-	}
 	if p.spec.checkpointing() {
-		meta := CheckpointMeta{Job: p.job, Part: sub.Part, Workers: sub.NumWorkers, Width: p.spec.width()}
+		meta := CheckpointMeta{Job: p.job, Part: sub.Part, Workers: sub.NumWorkers, Width: cfg.ValueWidth}
 		cfg.CheckpointEvery = p.spec.CheckpointEvery
 		cfg.CheckpointSink = func(_ int, cp *bsp.Checkpoint) error {
 			return WriteCheckpointFile(p.spec.CheckpointDir, meta, cp)
 		}
 	}
-	res, err := bsp.RunWorkerFromCtx(ctx, sub, prog, tr, cfg, p.restore)
+	res, err := bsp.RunWorker(ctx, sub, prog, tr, cfg, p.restore)
 	if err != nil {
 		return err
 	}
@@ -361,12 +357,10 @@ func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt,
 }
 
 // sendFailed reports an attempt failure, best effort.
-func (a *Agent) sendFailed(sub *bsp.Subgraph, p *pendingAttempt, cause error) {
+func (a *Agent) sendFailed(sub *bsp.Subgraph, job, attempt int, cause error) {
 	part := -1
 	if sub != nil {
 		part = sub.Part
 	}
-	_ = writeMsg(&a.wmu, a.conn, msgFailed, failedMsg{
-		Job: p.job, Attempt: p.attempt, Part: part, Err: cause.Error(),
-	})
+	_ = writeMsg(&a.wmu, a.conn, msgFailed, failedMsg{Job: job, Attempt: attempt, Part: part, Err: cause.Error()})
 }

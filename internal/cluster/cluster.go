@@ -33,8 +33,6 @@
 package cluster
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"ebv/internal/apps"
@@ -46,8 +44,8 @@ import (
 // wire (programs themselves carry closures; a spec is plain data). The
 // zero values select each program's defaults.
 type JobSpec struct {
-	// App selects the program: CC, PR, SSSP, WSSSP or Aggregate
-	// (case-insensitive).
+	// App selects the program by its apps.ByName name: CC, PR, SSSP, WSSSP
+	// or Aggregate (case-insensitive).
 	App string
 	// Iterations is PR's iteration count (0 = default 10).
 	Iterations int
@@ -57,7 +55,8 @@ type JobSpec struct {
 	Source int64
 	// Layers is Aggregate's layer count (0 = default 2).
 	Layers int
-	// ValueWidth is the per-vertex value width (0 = 1).
+	// ValueWidth is the per-vertex value width (0 = 1; negative or above
+	// transport.MaxValueWidth fails Run).
 	ValueWidth int
 	// MaxSteps is the superstep safety cap (0 = engine default).
 	MaxSteps int
@@ -76,32 +75,24 @@ type JobSpec struct {
 	MaxAttempts int
 }
 
-// Program instantiates the named program. This is the app registry every
-// by-name serving surface shares: cluster jobs cross the wire as specs,
-// and the HTTP service (internal/serve) resolves request app names through
-// the same switch, so one list of valid names exists.
+// Program instantiates the named program through the app registry
+// (apps.ByName).
 func (s JobSpec) Program() (bsp.Program, error) {
-	switch strings.ToUpper(s.App) {
-	case "CC":
-		return &apps.CC{}, nil
-	case "PR", "PAGERANK":
-		return &apps.PageRank{Iterations: s.Iterations, Damping: s.Damping}, nil
-	case "SSSP":
-		return &apps.SSSP{Source: graph.VertexID(s.Source)}, nil
-	case "WSSSP":
-		return &apps.WeightedSSSP{Source: graph.VertexID(s.Source)}, nil
-	case "AGG", "AGGREGATE":
-		return &apps.Aggregate{Layers: s.Layers}, nil
-	}
-	return nil, fmt.Errorf("cluster: unknown app %q (valid: CC, PR, SSSP, WSSSP, Aggregate)", s.App)
+	return apps.ByName(s.App, apps.Params{
+		Iterations: s.Iterations, Damping: s.Damping, Source: s.Source, Layers: s.Layers,
+	})
 }
 
-// width resolves the spec's value width.
-func (s JobSpec) width() int {
-	if s.ValueWidth < 1 {
-		return 1
-	}
-	return s.ValueWidth
+// config is the one place a spec becomes the engine configuration every
+// worker of the job runs with. ValueWidth comes back resolved (never 0),
+// and a width the engine would reject is rejected here with the engine's
+// own error — the coordinator checks it before a job exists, the agent
+// before it binds a listener.
+func (s JobSpec) config() (bsp.Config, error) {
+	cfg := bsp.Config{ValueWidth: s.ValueWidth, MaxSteps: s.MaxSteps, AutoCombine: s.Combine}
+	width, err := cfg.Width()
+	cfg.ValueWidth = width
+	return cfg, err
 }
 
 // checkpointing reports whether the spec enables checkpoint epochs.

@@ -15,6 +15,7 @@ import (
 	"ebv/internal/gen"
 	"ebv/internal/graph"
 	"ebv/internal/partition"
+	"ebv/internal/transport"
 )
 
 func testSubs(t *testing.T, g *graph.Graph, k int) []*bsp.Subgraph {
@@ -84,9 +85,18 @@ func newTestCluster(t *testing.T, subs []*bsp.Subgraph, hbTimeout time.Duration)
 // startAgent launches one agent and waits until the coordinator has
 // registered it, so callers control registration (and thus partition
 // assignment) order. setup functions adjust the agent before it runs.
+// Test goroutine only (it may t.Fatal).
 func (tc *testCluster) startAgent(ctx context.Context, setup ...func(*Agent)) *Agent {
 	tc.t.Helper()
-	before := tc.coord.NumRegistered()
+	a := tc.launchAgent(ctx, setup...)
+	if err := tc.waitRegistered(a); err != nil {
+		tc.t.Fatal(err)
+	}
+	return a
+}
+
+// launchAgent starts one agent's Run goroutine without waiting for it.
+func (tc *testCluster) launchAgent(ctx context.Context, setup ...func(*Agent)) *Agent {
 	a := NewAgent(AgentConfig{
 		Coordinator:       tc.coord.Addr(),
 		HeartbeatInterval: 50 * time.Millisecond,
@@ -103,14 +113,30 @@ func (tc *testCluster) startAgent(ctx context.Context, setup ...func(*Agent)) *A
 		tc.errs[a] = err
 		tc.mu.Unlock()
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for tc.coord.NumRegistered() <= before {
-		if time.Now().After(deadline) {
-			tc.t.Fatal("agent did not register")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	return a
+}
+
+// waitRegistered waits until the coordinator holds a live worker entry for
+// a's own control connection. (A registered-count delta would race other
+// workers de-registering at the same time.)
+func (tc *testCluster) waitRegistered(a *Agent) error {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		a.mu.Lock()
+		conn := a.conn
+		a.mu.Unlock()
+		if conn == nil {
+			continue
+		}
+		tc.coord.mu.Lock()
+		for _, w := range tc.coord.workers {
+			if w.conn.RemoteAddr().String() == conn.LocalAddr().String() {
+				tc.coord.mu.Unlock()
+				return nil
+			}
+		}
+		tc.coord.mu.Unlock()
+	}
+	return fmt.Errorf("agent did not register")
 }
 
 func (tc *testCluster) agentErr(a *Agent) error {
@@ -132,23 +158,39 @@ func TestClusterCleanRuns(t *testing.T) {
 		tc.startAgent(ctx)
 	}
 
-	ccRef, err := bsp.Run(subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
+	ccRef, err := bsp.Run(t.Context(), subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prSpec := JobSpec{App: "PR", Iterations: 20, Combine: true}
-	prRef, err := bsp.Run(subs, mustProgram(t, prSpec), bsp.Config{VerifyReplicaAgreement: true, AutoCombine: true})
+	prRef, err := bsp.Run(t.Context(), subs, mustProgram(t, prSpec), bsp.Config{VerifyReplicaAgreement: true, AutoCombine: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// A spec no worker could run fails like it does on every other surface
+	// — the registry's and the engine's own errors — and before it consumes
+	// a job id: the first real job below is still job 1.
+	for _, bad := range []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{App: "nope"}, "unknown app"},
+		{JobSpec{App: "CC", ValueWidth: -3}, "value width -3 invalid"},
+		{JobSpec{App: "CC", ValueWidth: transport.MaxValueWidth + 1}, "exceeds the transport cap"},
+	} {
+		if _, err := tc.coord.Run(ctx, bad.spec); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Fatalf("%+v: err = %v, want %q", bad.spec, err, bad.want)
+		}
 	}
 
 	cc, err := tc.coord.Run(ctx, JobSpec{App: "CC"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cc.Attempts != 1 || cc.RestoredFrom != -1 || cc.Steps != ccRef.Steps || !cc.Values.EqualValues(ccRef.Values) {
-		t.Fatalf("CC: attempts=%d restored=%d steps=%d (ref %d), values match=%v",
-			cc.Attempts, cc.RestoredFrom, cc.Steps, ccRef.Steps, cc.Values.EqualValues(ccRef.Values))
+	if cc.Job != 1 || cc.Attempts != 1 || cc.RestoredFrom != -1 || cc.Steps != ccRef.Steps || !cc.Values.EqualValues(ccRef.Values) {
+		t.Fatalf("CC: job=%d attempts=%d restored=%d steps=%d (ref %d), values match=%v",
+			cc.Job, cc.Attempts, cc.RestoredFrom, cc.Steps, ccRef.Steps, cc.Values.EqualValues(ccRef.Values))
 	}
 	pr, err := tc.coord.Run(ctx, prSpec)
 	if err != nil {
@@ -157,8 +199,53 @@ func TestClusterCleanRuns(t *testing.T) {
 	if pr.Steps != prRef.Steps || !pr.Values.EqualValues(prRef.Values) {
 		t.Fatalf("PR: steps=%d (ref %d), values differ", pr.Steps, prRef.Steps)
 	}
-	if _, err := tc.coord.Run(ctx, JobSpec{App: "nope"}); err == nil || !strings.Contains(err.Error(), "unknown app") {
-		t.Fatalf("unknown app: err = %v", err)
+}
+
+// TestAssignBeforePrepare pins the assign/prepare ordering: a worker whose
+// partition ownership is published but whose assign frame is still being
+// written must not be in a job's roster — the prepare would overtake the
+// shard, the agent would answer "no partition assigned", and the job would
+// burn attempts. The seam holds the write while a job is submitted; the job
+// must wait for the assign and succeed on attempt 1.
+func TestAssignBeforePrepare(t *testing.T) {
+	subs := testSubs(t, testPathGraph(t, 60), 1)
+	ctx := context.Background()
+	tc := newTestCluster(t, subs, 0)
+	release := make(chan struct{})
+	tc.coord.holdAssign = func() { <-release }
+	tc.startAgent(ctx) // registered and owner of partition 0; its assign is held
+
+	type outcome struct {
+		res *JobResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := tc.coord.Run(ctx, JobSpec{App: "CC"})
+		done <- outcome{res, err}
+	}()
+	// Wait for attempt 1 to be in flight, then give a prepare that wrongly
+	// went out time to come back failed. The fixed coordinator passes for
+	// any timing here: it cannot pick a roster until release is closed.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		tc.coord.mu.Lock()
+		inFlight := tc.coord.listener != nil
+		tc.coord.mu.Unlock()
+		if inFlight {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never started an attempt")
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if out.res.Attempts != 1 {
+		t.Fatalf("attempts = %d, want 1 (a prepare overtook the held assign)", out.res.Attempts)
 	}
 }
 
@@ -217,7 +304,7 @@ func TestClusterFailoverStandby(t *testing.T) {
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 5,
 	}
-	ref, err := bsp.Run(subs, mustProgram(t, spec), bsp.Config{VerifyReplicaAgreement: true})
+	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, spec), bsp.Config{VerifyReplicaAgreement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +356,7 @@ func TestClusterFailoverReplacement(t *testing.T) {
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 4,
 	}
-	ref, err := bsp.Run(subs, mustProgram(t, spec), bsp.Config{VerifyReplicaAgreement: true, AutoCombine: true})
+	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, spec), bsp.Config{VerifyReplicaAgreement: true, AutoCombine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +364,15 @@ func TestClusterFailoverReplacement(t *testing.T) {
 	killed := killWhenCheckpointed(t, spec.CheckpointDir, 1, k, victim)
 	// The replacement registers only after the victim is gone, so attempt
 	// 2's roster wait actually exercises the vacancy.
+	replaced := make(chan error, 1)
 	go func() {
 		<-killed
-		tc.startAgent(ctx)
+		replaced <- tc.waitRegistered(tc.launchAgent(ctx))
 	}()
 	res, err := tc.coord.Run(ctx, spec)
-	<-killed
+	if rerr := <-replaced; rerr != nil {
+		t.Fatal(rerr)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +422,7 @@ func TestClusterHeartbeatDetector(t *testing.T) {
 	if res.Attempts < 2 {
 		t.Fatalf("attempts = %d, want >= 2 (prepare must stall on the silent worker first)", res.Attempts)
 	}
-	ref, err := bsp.Run(subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
+	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +500,7 @@ func TestClusterDataFrameCorruptionDetected(t *testing.T) {
 		})
 	}
 
-	ref, err := bsp.Run(subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
+	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,6 +50,11 @@ type Coordinator struct {
 	nextJob  int
 
 	runMu sync.Mutex // serializes Run: one job in flight at a time
+
+	// holdAssign, when set (tests only), runs before each assign frame is
+	// written — the seam for stretching the window between publishing a
+	// partition's owner and that owner holding its shard.
+	holdAssign func()
 }
 
 // workerConn is the coordinator's handle on one registered worker.
@@ -59,6 +64,7 @@ type workerConn struct {
 	conn     net.Conn
 	wmu      sync.Mutex // serializes frame writes
 	part     int        // under Coordinator.mu; -1 = hot standby
+	assigned bool       // under Coordinator.mu; part's shard reached the worker
 	dead     bool       // under Coordinator.mu
 	lastSeen atomic.Int64
 }
@@ -276,14 +282,12 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 
 	if part >= 0 {
 		c.logf("worker %d registered (host %s): assigned partition %d", w.id, w.host, part)
-		if err := c.sendAssign(w, part); err != nil {
-			c.markDead(w, err)
+		if !c.assign(w, part) {
 			return
 		}
 	} else {
 		c.logf("worker %d registered (host %s): hot standby", w.id, w.host)
 	}
-	c.signalRoster()
 
 	for {
 		typ, payload, err := transport.ReadControlFrame(conn)
@@ -324,13 +328,30 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 }
 
-// sendAssign ships partition ownership and the shard bytes to w.
-func (c *Coordinator) sendAssign(w *workerConn, part int) error {
-	return writeMsg(&w.wmu, w.conn, msgAssign, assignMsg{
+// assign ships partition ownership and the shard bytes to w, and only then
+// makes w roster-eligible: owner[part] is published before the write (so
+// no second worker claims the partition), but a job's prepare must not
+// overtake the assign frame on w's connection — the agent would answer "no
+// partition assigned" and burn the attempt. A failed write marks w dead
+// and reports false.
+func (c *Coordinator) assign(w *workerConn, part int) bool {
+	if c.holdAssign != nil {
+		c.holdAssign()
+	}
+	err := writeMsg(&w.wmu, w.conn, msgAssign, assignMsg{
 		Part:    part,
 		Workers: len(c.subs),
 		Shard:   c.shards[part],
 	})
+	if err != nil {
+		c.markDead(w, err)
+		return false
+	}
+	c.mu.Lock()
+	w.assigned = true
+	c.mu.Unlock()
+	c.signalRoster()
+	return true
 }
 
 // markDead removes a worker, frees its partition, and promotes the
@@ -367,9 +388,7 @@ func (c *Coordinator) markDead(w *workerConn, cause error) {
 	c.logf("worker %d (partition %d) dead: %v", w.id, freed, cause)
 	if promotee != nil {
 		c.logf("promoting standby worker %d to partition %d", promotee.id, freed)
-		if err := c.sendAssign(promotee, freed); err != nil {
-			c.markDead(promotee, err)
-		}
+		c.assign(promotee, freed)
 	}
 	c.emit(event{kind: evDead, wid: w.id, part: freed})
 	c.signalRoster()
@@ -401,8 +420,8 @@ func (c *Coordinator) monitor() {
 	}
 }
 
-// waitRoster blocks until every partition has an owner and returns the
-// owners indexed by partition.
+// waitRoster blocks until every partition has an owner that holds its
+// shard (see assign) and returns the owners indexed by partition.
 func (c *Coordinator) waitRoster(ctx context.Context) ([]*workerConn, error) {
 	for {
 		c.mu.Lock()
@@ -413,7 +432,7 @@ func (c *Coordinator) waitRoster(ctx context.Context) ([]*workerConn, error) {
 		roster := make([]*workerConn, len(c.owner))
 		full := true
 		for p, wid := range c.owner {
-			if wid < 0 {
+			if wid < 0 || !c.workers[wid].assigned {
 				full = false
 				break
 			}
@@ -439,11 +458,17 @@ func (c *Coordinator) waitRoster(ctx context.Context) ([]*workerConn, error) {
 // restart from superstep 0. Jobs are serialized: concurrent Run calls
 // queue.
 func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	c.runMu.Lock()
-	defer c.runMu.Unlock()
+	// A spec no worker could run is rejected before it queues, consumes a
+	// job id or contacts a worker.
 	if _, err := spec.Program(); err != nil {
 		return nil, err
 	}
+	cfg, err := spec.config()
+	if err != nil {
+		return nil, err
+	}
+	c.runMu.Lock()
+	defer c.runMu.Unlock()
 	c.mu.Lock()
 	c.nextJob++
 	job := c.nextJob
@@ -452,7 +477,7 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	var lastErr error
 	max := spec.maxAttempts()
 	for attempt := 1; attempt <= max; attempt++ {
-		res, err := c.runAttempt(ctx, job, attempt, spec)
+		res, err := c.runAttempt(ctx, job, attempt, spec, cfg.ValueWidth)
 		if err == nil {
 			res.Attempts = attempt
 			return res, nil
@@ -467,7 +492,7 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 }
 
 // runAttempt drives one attempt: roster, prepare, start, collect.
-func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec JobSpec) (*JobResult, error) {
+func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec JobSpec, width int) (*JobResult, error) {
 	k := len(c.subs)
 	ch := make(chan event, 4*k+16)
 	c.mu.Lock()
@@ -549,7 +574,6 @@ func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec Job
 	}
 	c.logf("job %d attempt %d: %d workers running", job, attempt, k)
 
-	width := spec.width()
 	values := make([]*graph.ValueMatrix, k)
 	steps := -1
 	for got := 0; got < k; {

@@ -23,20 +23,6 @@ const (
 // Apps lists them in the paper's order.
 func Apps() []App { return []App{AppCC, AppPR, AppSSSP} }
 
-// program builds the subgraph-centric program for an app.
-func (a App) program(opt Options) (bsp.Program, error) {
-	switch a {
-	case AppCC:
-		return &apps.CC{}, nil
-	case AppPR:
-		return &apps.PageRank{Iterations: opt.prIters()}, nil
-	case AppSSSP:
-		return &apps.SSSP{Source: 0}, nil
-	default:
-		return nil, fmt.Errorf("harness: unknown app %q", a)
-	}
-}
-
 // vertexProgram builds the vertex-centric comparator program for an app.
 func (a App) vertexProgram(opt Options) (pregel.VertexProgram, error) {
 	switch a {
@@ -78,7 +64,7 @@ func runBSPRepeats(g *graph.Graph, p partition.Partitioner, k int, app App, opt 
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s subgraphs: %w", p.Name(), err)
 	}
-	prog, err := app.program(opt)
+	prog, err := apps.ByName(string(app), apps.Params{Iterations: opt.prIters()}) // SSSP from source 0
 	if err != nil {
 		return nil, err
 	}

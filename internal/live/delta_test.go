@@ -52,15 +52,15 @@ func grownPair(t *testing.T, k int) (subs0, subs1 []*bsp.Subgraph) {
 // and in no more supersteps.
 func TestDeltaCCWarmMatchesCold(t *testing.T) {
 	subs0, subs1 := grownPair(t, 6)
-	prev, err := bsp.Run(subs0, &apps.CC{}, bsp.Config{})
+	prev, err := bsp.Run(t.Context(), subs0, &apps.CC{}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := bsp.Run(subs1, &apps.CC{}, bsp.Config{})
+	cold, err := bsp.Run(t.Context(), subs1, &apps.CC{}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := bsp.Run(subs1, NewDeltaCC(prev), bsp.Config{})
+	warm, err := bsp.Run(t.Context(), subs1, NewDeltaCC(prev), bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +91,15 @@ func TestNewDeltaCCNilPrev(t *testing.T) {
 // point (within Tol-scale slack) in no more iterations than cold.
 func TestDeltaPageRankWarmConverges(t *testing.T) {
 	subs0, subs1 := grownPair(t, 6)
-	prev, err := bsp.Run(subs0, &DeltaPageRank{}, bsp.Config{})
+	prev, err := bsp.Run(t.Context(), subs0, &DeltaPageRank{}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := bsp.Run(subs1, &DeltaPageRank{}, bsp.Config{})
+	cold, err := bsp.Run(t.Context(), subs1, &DeltaPageRank{}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := bsp.Run(subs1, &DeltaPageRank{Prev: prev.Values, PrevCovered: prev.Covered}, bsp.Config{})
+	warm, err := bsp.Run(t.Context(), subs1, &DeltaPageRank{Prev: prev.Values, PrevCovered: prev.Covered}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDeltaPageRankMatchesPowerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bsp.Run(subs, &DeltaPageRank{Tol: 1e-12}, bsp.Config{})
+	res, err := bsp.Run(t.Context(), subs, &DeltaPageRank{Tol: 1e-12}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

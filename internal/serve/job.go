@@ -5,11 +5,10 @@ import (
 	"math"
 
 	"ebv"
-	"ebv/internal/cluster"
 )
 
 // JobRequest is the POST /v1/jobs body: one graph query, naming the
-// application through the cluster layer's app registry (CC, PR, SSSP,
+// application through the app registry (ebv.ProgramByName: CC, PR, SSSP,
 // WSSSP, Aggregate — case-insensitive) plus its parameters. Zero values
 // select each program's defaults.
 type JobRequest struct {
@@ -45,14 +44,9 @@ type JobRequest struct {
 
 // program resolves the request's app through the shared registry.
 func (jr *JobRequest) program() (ebv.Program, error) {
-	spec := cluster.JobSpec{
-		App:        jr.App,
-		Iterations: jr.Iterations,
-		Damping:    jr.Damping,
-		Source:     jr.Source,
-		Layers:     jr.Layers,
-	}
-	return spec.Program()
+	return ebv.ProgramByName(jr.App, ebv.ProgramParams{
+		Iterations: jr.Iterations, Damping: jr.Damping, Source: jr.Source, Layers: jr.Layers,
+	})
 }
 
 // runOptions builds the per-job session options.

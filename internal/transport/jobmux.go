@@ -494,7 +494,7 @@ func (j *muxJob) drainInboxes() {
 
 // Exchange implements Transport for one job over the shared mesh.
 // Cancellation is Close() by design — the Transport contract (see
-// RunWorkerCtx, which closes the transport when its ctx fires).
+// the bsp run core, which closes the transport when its ctx fires).
 //
 //ebv:nolint ctxflow Transport.Exchange cancels via Close, not a context parameter
 func (j *muxJob) Exchange(worker, step int, out []*MessageBatch, active bool) (ExchangeResult, error) {

@@ -129,7 +129,7 @@ func (p *Pipeline) par() int {
 type PipelineOption func(*Pipeline)
 
 // RunOption configures the BSP execution stage (an alias of the engine's
-// functional option type: WithMaxSteps, WithTransports,
+// functional option type: WithMaxSteps, WithValueWidth,
 // WithReplicaVerification).
 type RunOption = bsp.Option
 
@@ -453,26 +453,10 @@ func (p *Pipeline) prepare(ctx context.Context, build bool) (*PipelineResult, er
 // mid-superstep aborts the run and returns ctx.Err().
 //
 // Run is the one-shot form of the Session API — it opens a Session,
-// serves prog as its only job and closes it (WithTransports keeps its
-// legacy meaning: the run executes directly over the supplied transports
-// instead). Callers running several programs over the same graph should
-// call Open once and Session.Run per program, amortizing the partition and
-// build cost.
+// serves prog as its only job and closes it. Callers running several
+// programs over the same graph should call Open once and Session.Run per
+// program, amortizing the partition and build cost.
 func (p *Pipeline) Run(ctx context.Context, prog Program) (*PipelineResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if prog == nil {
-		return nil, errors.New("ebv: pipeline: nil program")
-	}
-	if p.valueWidth < 0 {
-		return nil, fmt.Errorf("ebv: pipeline: value width %d invalid: must be >= 1 (or 0 for the default of 1)",
-			p.valueWidth)
-	}
-	if cfg := bsp.NewConfig(p.runOpts...); len(cfg.Transports) > 0 {
-		return p.runWithTransports(ctx, prog, cfg)
-	}
-
 	s, err := p.Open(ctx)
 	if err != nil {
 		return nil, err
@@ -485,29 +469,5 @@ func (p *Pipeline) Run(ctx context.Context, prog Program) (*PipelineResult, erro
 	res := s.Prepared()
 	res.BSP = job.BSP
 	res.RunTime = job.RunTime
-	return res, nil
-}
-
-// runWithTransports is the legacy one-shot execution over caller-supplied
-// transports (WithRun(WithTransports(...))): no session, no job mux — the
-// engine takes the transports as-is and they are single-run.
-func (p *Pipeline) runWithTransports(ctx context.Context, prog Program, cfg bsp.Config) (*PipelineResult, error) {
-	res, err := p.prepare(ctx, true)
-	if err != nil {
-		return nil, err
-	}
-	if p.valueWidth != 0 {
-		cfg.ValueWidth = p.valueWidth
-	}
-	if err := p.stage(ctx, StageRun, prog.Name(), &res.RunTime, func() (int64, error) {
-		out, err := bsp.RunCtx(ctx, res.Subgraphs, prog, cfg)
-		if err != nil {
-			return 0, fmt.Errorf("ebv: pipeline run (%s): %w", prog.Name(), err)
-		}
-		res.BSP = out
-		return int64(res.Graph.NumEdges()), nil
-	}); err != nil {
-		return nil, err
-	}
 	return res, nil
 }

@@ -155,8 +155,6 @@ func (s SessionStats) SteadyStateRunTime() time.Duration {
 // returns a Session serving jobs over the prepared subgraphs and a
 // persistent transport deployment (in-memory by default, a TCP loopback
 // mesh under UseTCPLoopback). The caller must Close the session.
-// WithRun(WithTransports(...)) is incompatible with Open: a session owns
-// its transport deployment.
 func (p *Pipeline) Open(ctx context.Context) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -164,9 +162,6 @@ func (p *Pipeline) Open(ctx context.Context) (*Session, error) {
 	if p.valueWidth < 0 {
 		return nil, fmt.Errorf("ebv: pipeline: value width %d invalid: must be >= 1 (or 0 for the default of 1)",
 			p.valueWidth)
-	}
-	if cfg := bsp.NewConfig(p.runOpts...); len(cfg.Transports) > 0 {
-		return nil, errors.New("ebv: pipeline: WithTransports is incompatible with Open (a Session owns its transport deployment); use Run for one-shot custom transports")
 	}
 	res, err := p.prepare(ctx, true)
 	if err != nil {
@@ -264,9 +259,6 @@ func (s *Session) Run(ctx context.Context, prog Program, opts ...RunOption) (*Jo
 	cfg := bsp.NewConfig(append(slices.Clone(s.runOpts), opts...)...)
 	if cfg.ValueWidth == 0 {
 		cfg.ValueWidth = s.valueWidth
-	}
-	if len(cfg.Transports) > 0 {
-		return nil, errors.New("ebv: session: WithTransports is invalid per job (the session owns its transport deployment)")
 	}
 
 	detail := fmt.Sprintf("%s (job %d)", prog.Name(), id)

@@ -273,27 +273,6 @@ func TestSessionProgressEventsPerJob(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsCustomTransports: WithTransports is incompatible with
-// the session owning its deployment, at Open and per job.
-func TestSessionRejectsCustomTransports(t *testing.T) {
-	mem, err := ebv.NewMemTransport(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	if _, err := sessionPipeline(t, ebv.WithRun(ebv.WithTransports(mem))).Open(context.Background()); err == nil {
-		t.Fatal("Open with WithTransports succeeded")
-	}
-	s, err := sessionPipeline(t).Open(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Run(context.Background(), &ebv.CC{}, ebv.WithTransports(mem)); err == nil {
-		t.Fatal("Session.Run with WithTransports succeeded")
-	}
-}
-
 // TestPipelineSubgraphsAssignmentMismatch: Subgraphs(k) combined with a
 // k'-part UseAssignment must fail loudly instead of silently following the
 // assignment (the PR's validation bugfix).
