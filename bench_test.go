@@ -378,7 +378,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 // rounds of per-edge rows shipped to each destination vertex's master and
 // summed there — the vertex-centric traffic pattern whose duplicate-ID
 // rows a sender-side SumCombiner collapses (the replica-sync apps emit
-// unique-ID batches, so their combining win is receiver-side only).
+// unique-ID batches, which leave a combiner nothing to remove).
 type benchFanIn struct{ Rounds int }
 
 func (*benchFanIn) Name() string { return "FANIN" }
@@ -434,7 +434,7 @@ func (w *benchFanInWorker) Values() *graph.ValueMatrix {
 // router and the TCP loopback mesh — the delivery-throughput numbers
 // EXPERIMENTS.md tracks across message-plane changes. The width axis shows
 // the columnar batches' marginal cost of vector payloads (Aggregate); the
-// combine axis shows sender/receiver message combining (off vs each
+// combine axis shows sender-side message combining (off vs each
 // program's natural combiner), with the FANIN kernel supplying the
 // duplicate-heavy traffic where sender-side coalescing shrinks the wire.
 // The tcp runs report actual wire bytes moved per run as a metric (CI
@@ -576,6 +576,57 @@ func BenchmarkSessionReuse(b *testing.B) {
 		})
 		b.SetBytes(int64(g.NumEdges()))
 	})
+}
+
+// BenchmarkSuperstepKernels times whole jobs over one resident Session per
+// graph — k = 8, in-memory mesh, combining on (the default) — so per-op time
+// is superstep work alone: each app's kernel, the sender-side coalesce and
+// inbox delivery. The power-law rows are the powerlaw-mem benchmark cycle in
+// miniature, the road rows its many-small-supersteps opposite. Size the next
+// kernel change with
+//
+//	go test -run '^$' -bench SuperstepKernels -cpuprofile cpu.out
+func BenchmarkSuperstepKernels(b *testing.B) {
+	road, err := gen.Road(gen.RoadConfig{Width: 100, Height: 100, Seed: 9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		apps []string
+	}{
+		{"powerlaw", ablationGraph(b), []string{"CC", "PR", "SSSP"}},
+		{"road", road, []string{"CC", "SSSP"}},
+	} {
+		// The max-out-degree vertex reaches most of either graph.
+		src := graph.VertexID(0)
+		for v := 0; v < tc.g.NumVertices(); v++ {
+			if tc.g.OutDegree(graph.VertexID(v)) > tc.g.OutDegree(src) {
+				src = graph.VertexID(v)
+			}
+		}
+		s, err := ebv.NewPipeline(ebv.FromGraph(tc.g), ebv.UsePartitioner(ebv.NewEBV()), ebv.Subgraphs(8)).
+			Open(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, app := range tc.apps {
+			prog, err := apps.ByName(app, apps.Params{Source: int64(src)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(tc.name+"/"+app, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.Run(context.Background(), prog); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		s.Close()
+	}
 }
 
 // BenchmarkPartitionerThroughput measures raw edges/second of every

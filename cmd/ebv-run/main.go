@@ -181,9 +181,8 @@ func run(ctx context.Context) error {
 		fmt.Printf("  deltaC (skew)     %v\n", job.BSP.DeltaC().Round(time.Microsecond))
 		mc := job.BSP.MessageCounts()
 		fmt.Printf("  total messages    %d\n", job.BSP.TotalMessages())
-		if *combine == "auto" && (mc.Wire != mc.Emitted || mc.Delivered != mc.Wire) {
-			fmt.Printf("  combine           emitted %d -> wire %d -> delivered %d\n",
-				mc.Emitted, mc.Wire, mc.Delivered)
+		if *combine == "auto" && mc.Wire != mc.Emitted {
+			fmt.Printf("  combine           emitted %d -> wire %d\n", mc.Emitted, mc.Wire)
 		}
 		fmt.Printf("  max/mean messages %.3f\n", job.BSP.MaxMeanMessageRatio())
 	}

@@ -244,8 +244,8 @@ type (
 	WorkerEnv = bsp.Env
 	// Transport moves message batches between workers.
 	Transport = transport.Transport
-	// MessageCombiner reduces duplicate-ID message rows at the sender and
-	// receiver (bsp.Config.Combiner / the Combiner RunOption).
+	// MessageCombiner reduces duplicate-ID message rows at the sender
+	// (bsp.Config.Combiner / the Combiner RunOption).
 	MessageCombiner = transport.Combiner
 	// MinCombiner / SumCombiner / ElementwiseSumCombiner are the built-in
 	// combiners (elementwise min, scalar column-0 sum, whole-row sum).
@@ -315,8 +315,8 @@ var (
 	// selects each program's declared one (CC/SSSP/WSSSP → min, PR → sum,
 	// Aggregate → elementwise sum). Combining is semantically transparent:
 	// results are byte-identical with it on or off, but duplicate-ID rows
-	// are reduced before the wire and before the program's inbox
-	// (RunResult.MessageCounts reports the reduction).
+	// are reduced before the wire (RunResult.MessageCounts reports the
+	// reduction).
 	Combiner    = bsp.WithCombiner
 	AutoCombine = bsp.WithAutoCombine
 	// NewValueMatrix allocates a zeroed rows×width value matrix.

@@ -77,7 +77,7 @@ func (a *Aggregate) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram 
 	for l := 0; l < n; l++ {
 		feature(sub.GlobalIDs[l], w.h.Row(l))
 	}
-	w.replicated = sub.ReplicatedVertices()
+	w.owned, w.mirrors = replicaRoles(sub)
 	return w
 }
 
@@ -91,8 +91,9 @@ type aggWorker struct {
 	// zeroed matrix (instead of straight into partial), so the per-vertex
 	// sum grouping — and therefore the result bits — is identical whether
 	// or not the exchange pre-combined duplicate rows.
-	inAcc      *graph.ValueMatrix
-	replicated []int32
+	inAcc *graph.ValueMatrix
+	// owned and mirrors split the local vertices by role (replicaRoles).
+	owned, mirrors []int32
 }
 
 // addRow accumulates src into dst componentwise.
@@ -117,37 +118,26 @@ func (w *aggWorker) Superstep(step int, in *transport.MessageBatch) (out []*tran
 		if layer >= w.layers {
 			return nil, false
 		}
-		for i := range w.partial.Data {
-			w.partial.Data[i] = 0
-		}
+		clear(w.partial.Data)
 		for _, e := range w.sub.Edges {
 			addRow(w.partial.Row(int(e.Dst)), w.h.Row(int(e.Src)))
 		}
 		out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-		self := int32(w.sub.Part)
-		for _, local := range w.replicated {
-			if master := w.sub.Master(local); master != self {
-				outBatch(out, master, w.env).AppendRow(w.sub.GlobalIDs[local], w.partial.Row(int(local)))
-			}
+		for _, local := range w.mirrors {
+			outBatch(out, w.sub.Master(local), w.env).AppendRow(w.sub.GlobalIDs[local], w.partial.Row(int(local)))
 		}
 		return out, true
 	}
 
-	for i := range w.inAcc.Data {
-		w.inAcc.Data[i] = 0
-	}
+	clear(w.inAcc.Data)
 	for i, gid := range in.IDs {
 		if local, ok := w.sub.LocalOf(gid); ok {
 			addRow(w.inAcc.Row(int(local)), in.Row(i))
 		}
 	}
-	self := int32(w.sub.Part)
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-	for l := 0; l < w.sub.NumLocalVertices(); l++ {
-		local := int32(l)
-		if w.sub.Master(local) != self {
-			continue
-		}
+	for _, local := range w.owned {
+		l := int(local)
 		norm := float64(1 + w.sub.GlobalInDegree[l])
 		hRow, pRow, accRow := w.h.Row(l), w.partial.Row(l), w.inAcc.Row(l)
 		for j := range hRow {

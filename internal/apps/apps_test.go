@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -235,5 +236,44 @@ func TestMaxAbsDiff(t *testing.T) {
 	}
 	if d := MaxAbsDiff(nil, nil); d != 0 {
 		t.Fatalf("MaxAbsDiff(nil) = %g", d)
+	}
+}
+
+// TestByName: one registry for every by-name surface — names resolve
+// case-insensitively, and an SSSP/WSSSP source that is no vertex id is an
+// error instead of a silent wrap to another vertex.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		p       Params
+		want    string // Program.Name(), "" = error
+		wantErr string
+	}{
+		{"cc", Params{}, "CC", ""},
+		{"PageRank", Params{Iterations: 3}, "PR", ""},
+		{"agg", Params{}, "Aggregate", ""},
+		{"sssp", Params{Source: 7}, "SSSP", ""},
+		{"WSSSP", Params{Source: math.MaxUint32}, "WSSSP", ""},
+		{"CC", Params{Source: -1}, "CC", ""}, // not a source-taking app
+		{"nope", Params{}, "", `unknown app "nope"`},
+		{"SSSP", Params{Source: -1}, "", "source -1 out of range"},
+		{"SSSP", Params{Source: math.MaxUint32 + 1}, "", "source 4294967296 out of range"},
+		{"wsssp", Params{Source: -1}, "", "source -1 out of range"},
+		{"wsssp", Params{Source: math.MaxUint32 + 1}, "", "source 4294967296 out of range"},
+	} {
+		prog, err := ByName(tc.name, tc.p)
+		switch {
+		case tc.want == "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("ByName(%q, %+v): err = %v, want %q", tc.name, tc.p, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("ByName(%q, %+v): %v", tc.name, tc.p, err)
+		case prog.Name() != tc.want:
+			t.Errorf("ByName(%q).Name() = %q, want %q", tc.name, prog.Name(), tc.want)
+		}
+	}
+	if prog, _ := ByName("sssp", Params{Source: 7}); prog.(*SSSP).Source != 7 {
+		t.Errorf("SSSP source = %d, want 7", prog.(*SSSP).Source)
 	}
 }

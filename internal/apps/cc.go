@@ -80,23 +80,29 @@ func (c *CC) MessageCombiner() transport.Combiner { return transport.MinCombiner
 
 // NewWorker implements bsp.Program.
 func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
+	n := sub.NumLocalVertices()
 	w := &ccWorker{
 		sub:     sub,
 		env:     env,
 		sendAll: c.SendAll,
-		dsu:     newDSU(sub.NumLocalVertices()),
-		label:   make([]float64, sub.NumLocalVertices()),
+		root:    make([]int32, n),
+		label:   make([]float64, n),
 	}
-	// Collapse the local subgraph: union endpoints of every local edge.
+	// Collapse the local subgraph: union endpoints of every local edge,
+	// then flatten — the components never change again, so every later
+	// root lookup is one load.
+	d := newDSU(n)
 	for _, e := range sub.Edges {
-		w.dsu.union(int32(e.Src), int32(e.Dst))
+		d.union(int32(e.Src), int32(e.Dst))
+	}
+	for l := range w.root {
+		w.root[l] = d.find(int32(l))
 	}
 	// Root labels start as the minimum covered global id of the component.
 	for l := range w.label {
 		w.label[l] = float64(sub.GlobalIDs[l])
 	}
-	for l := 0; l < sub.NumLocalVertices(); l++ {
-		r := w.dsu.find(int32(l))
+	for l, r := range w.root {
 		if w.label[r] > float64(sub.GlobalIDs[l]) {
 			w.label[r] = float64(sub.GlobalIDs[l])
 		}
@@ -105,7 +111,7 @@ func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	// RestoreState folds a checkpoint's — min into the component root,
 	// covered rows only.
 	if c.Warm != nil {
-		for l := 0; l < sub.NumLocalVertices(); l++ {
+		for l, r := range w.root {
 			gid := int(sub.GlobalIDs[l])
 			if gid >= c.Warm.Rows() {
 				continue
@@ -113,7 +119,6 @@ func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 			if c.WarmCovered != nil && (gid >= len(c.WarmCovered) || !c.WarmCovered[gid]) {
 				continue
 			}
-			r := w.dsu.find(int32(l))
 			if v := c.Warm.Scalar(gid); v < w.label[r] {
 				w.label[r] = v
 			}
@@ -127,7 +132,7 @@ type ccWorker struct {
 	sub        *bsp.Subgraph
 	env        bsp.Env
 	sendAll    bool
-	dsu        *dsu
+	root       []int32   // local vertex → its local component's root
 	label      []float64 // valid at component roots
 	replicated []int32
 	// lastSent[i] is the label last broadcast for replicated vertex
@@ -143,8 +148,7 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 		if !ok {
 			continue // defensive: message for a vertex we do not cover
 		}
-		r := w.dsu.find(local)
-		if v := in.Scalar(i); v < w.label[r] {
+		if r, v := w.root[local], in.Scalar(i); v < w.label[r] {
 			w.label[r] = v
 			changed = true
 		}
@@ -161,7 +165,7 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 	}
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
 	for i, local := range w.replicated {
-		val := w.label[w.dsu.find(local)]
+		val := w.label[w.root[local]]
 		if !w.sendAll && val == w.lastSent[i] {
 			continue
 		}
@@ -176,9 +180,9 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 
 // Values implements bsp.WorkerProgram.
 func (w *ccWorker) Values() *graph.ValueMatrix {
-	vals := w.env.NewValues(w.sub.NumLocalVertices())
-	for l := 0; l < w.sub.NumLocalVertices(); l++ {
-		vals.SetScalar(l, w.label[w.dsu.find(int32(l))])
+	vals := w.env.NewValues(len(w.root))
+	for l, r := range w.root {
+		vals.SetScalar(l, w.label[r])
 	}
 	return vals
 }
@@ -186,41 +190,38 @@ func (w *ccWorker) Values() *graph.ValueMatrix {
 var _ bsp.Resumable = (*ccWorker)(nil)
 
 // SnapshotState implements bsp.Resumable: every local vertex's resolved
-// component label (width 1). The DSU itself needs no snapshot — NewWorker
+// component label (width 1). The root table needs no snapshot — NewWorker
 // rebuilds it from the (immutable) local edges — and lastSent needs none
 // either, because at every superstep boundary lastSent[i] equals the
 // resolved label of replicated[i]: a broadcast updates both together, and
 // a suppressed send means the label did not move.
 func (w *ccWorker) SnapshotState() *graph.ValueMatrix {
-	n := w.sub.NumLocalVertices()
-	m := graph.NewValueMatrix(n, 1)
-	for l := 0; l < n; l++ {
-		m.SetScalar(l, w.label[w.dsu.find(int32(l))])
+	m := graph.NewValueMatrix(len(w.root), 1)
+	for l, r := range w.root {
+		m.SetScalar(l, w.label[r])
 	}
 	return m
 }
 
 // RestoreState implements bsp.Resumable: fold the snapshot labels into the
-// freshly rebuilt DSU's roots and reconstruct lastSent from them (valid by
+// freshly rebuilt components' roots and reconstruct lastSent from them (valid by
 // the invariant above; step >= 1, so the step-0 forced broadcast already
 // happened in the original timeline and must not be replayed).
 func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
-	n := w.sub.NumLocalVertices()
 	if state.Width != 1 {
 		return fmt.Errorf("apps: CC snapshot width %d, want 1", state.Width)
 	}
-	if err := state.CheckShape(n); err != nil {
+	if err := state.CheckShape(len(w.root)); err != nil {
 		return err
 	}
-	for l := 0; l < n; l++ {
-		r := w.dsu.find(int32(l))
+	for l, r := range w.root {
 		if v := state.Scalar(l); v < w.label[r] {
 			w.label[r] = v
 		}
 	}
 	w.lastSent = make([]float64, len(w.replicated))
 	for i, local := range w.replicated {
-		w.lastSent[i] = w.label[w.dsu.find(local)]
+		w.lastSent[i] = w.label[w.root[local]]
 	}
 	return nil
 }

@@ -63,6 +63,7 @@ func (p *PageRank) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 		iters:   iters,
 		damping: damping,
 		rank:    make([]float64, n),
+		contrib: make([]float64, n),
 		partial: make([]float64, n),
 		inSum:   make([]float64, n),
 	}
@@ -70,8 +71,34 @@ func (p *PageRank) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	for i := range w.rank {
 		w.rank[i] = init
 	}
-	w.replicated = sub.ReplicatedVertices()
+	w.owned, w.mirrors = replicaRoles(sub)
 	return w
+}
+
+// replicaRoles splits a subgraph's local vertices by master/mirror role,
+// each list in ascending local id: owned holds the vertices this worker is
+// the master of (replicated or not), mirrors the replicated ones mastered
+// elsewhere. The split is fixed for the subgraph's lifetime, so the
+// master-routed programs compute it once instead of asking Master per vertex
+// per superstep.
+func replicaRoles(sub *bsp.Subgraph) (owned, mirrors []int32) {
+	self := int32(sub.Part)
+	numMirrors := 0
+	for l := range sub.GlobalIDs {
+		if sub.Master(int32(l)) != self {
+			numMirrors++
+		}
+	}
+	owned = make([]int32, 0, len(sub.GlobalIDs)-numMirrors)
+	mirrors = make([]int32, 0, numMirrors)
+	for l := range sub.GlobalIDs {
+		if local := int32(l); sub.Master(local) == self {
+			owned = append(owned, local)
+		} else {
+			mirrors = append(mirrors, local)
+		}
+	}
+	return owned, mirrors
 }
 
 type prWorker struct {
@@ -80,14 +107,17 @@ type prWorker struct {
 	iters   int
 	damping float64
 	rank    []float64
+	// contrib[l] = rank[l] / outdeg(l), refreshed by every gather step.
+	contrib []float64
 	partial []float64
 	// inSum accumulates the apply step's incoming mirror partials. Folding
 	// them into a zeroed accumulator (instead of straight into partial)
 	// keeps the per-vertex sum grouping identical whether or not the
 	// exchange pre-combined duplicate rows, so combiner-on and -off runs
 	// are byte-identical.
-	inSum      []float64
-	replicated []int32
+	inSum []float64
+	// owned and mirrors split the local vertices by role (replicaRoles).
+	owned, mirrors []int32
 }
 
 // Superstep implements bsp.WorkerProgram.
@@ -103,46 +133,39 @@ func (w *prWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 		if iter >= w.iters {
 			return nil, false // final install; run complete
 		}
-		// Accumulate partial sums over local edges.
-		for i := range w.partial {
-			w.partial[i] = 0
-		}
-		for _, e := range w.sub.Edges {
-			if d := w.sub.GlobalOutDegree[e.Src]; d > 0 {
-				w.partial[e.Dst] += w.rank[e.Src] / float64(d)
+		// Accumulate partial sums over local edges. The division happens
+		// once per source vertex; every edge source has a global out-degree
+		// of at least 1, so no edge reads a contrib the loop left unset.
+		for l, d := range w.sub.GlobalOutDegree {
+			if d > 0 {
+				w.contrib[l] = w.rank[l] / float64(d)
 			}
+		}
+		clear(w.partial)
+		for _, e := range w.sub.Edges {
+			w.partial[e.Dst] += w.contrib[e.Src]
 		}
 		// Mirrors ship partials to masters.
 		out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-		self := int32(w.sub.Part)
-		for _, local := range w.replicated {
-			if master := w.sub.Master(local); master != self {
-				outBatch(out, master, w.env).AppendScalar(w.sub.GlobalIDs[local], w.partial[local])
-			}
+		for _, local := range w.mirrors {
+			outBatch(out, w.sub.Master(local), w.env).AppendScalar(w.sub.GlobalIDs[local], w.partial[local])
 		}
 		return out, true
 	}
 
 	// Apply: masters fold in mirror partials, update, scatter.
-	for i := range w.inSum {
-		w.inSum[i] = 0
-	}
+	clear(w.inSum)
 	for i, gid := range in.IDs {
 		if local, ok := w.sub.LocalOf(gid); ok {
 			w.inSum[local] += in.Scalar(i)
 		}
 	}
 	base := (1 - w.damping) / float64(w.sub.NumGlobalVertices)
-	self := int32(w.sub.Part)
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-	for l := range w.rank {
-		local := int32(l)
-		if w.sub.Master(local) != self {
-			continue // mirrors receive their rank next step
-		}
+	for _, l := range w.owned { // mirrors receive their rank next step
 		w.rank[l] = base + w.damping*(w.partial[l]+w.inSum[l])
 		gid := w.sub.GlobalIDs[l]
-		for _, peer := range w.sub.ReplicaPeers[local] {
+		for _, peer := range w.sub.ReplicaPeers[l] {
 			outBatch(out, peer, w.env).AppendScalar(gid, w.rank[l])
 		}
 	}

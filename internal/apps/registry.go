@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"ebv/internal/bsp"
@@ -18,23 +19,30 @@ const Names = "CC, PR, SSSP, WSSSP, Aggregate"
 type Params struct {
 	Iterations int     // PR iteration count (0 = 10)
 	Damping    float64 // PR damping factor (0 = 0.85)
-	Source     int64   // SSSP/WSSSP source vertex
+	Source     int64   // SSSP/WSSSP source vertex (a graph.VertexID: 0..math.MaxUint32)
 	Layers     int     // Aggregate layer count (0 = 2)
 }
 
 // ByName is the one app registry: the CLIs, cluster job specs, the HTTP
 // service and the experiment harness all resolve program names here
 // (case-insensitive), so every surface accepts the same names and rejects
-// an unknown one with the same error.
+// an unknown one, or a source that is no vertex id, with the same error.
 func ByName(name string, p Params) (bsp.Program, error) {
-	switch strings.ToUpper(name) {
+	upper := strings.ToUpper(name)
+	switch upper {
 	case "CC":
 		return &CC{}, nil
 	case "PR", "PAGERANK":
 		return &PageRank{Iterations: p.Iterations, Damping: p.Damping}, nil
-	case "SSSP":
-		return &SSSP{Source: graph.VertexID(p.Source)}, nil
-	case "WSSSP":
+	case "SSSP", "WSSSP":
+		// Converting an out-of-range source would silently run from
+		// another vertex (4294967296 wraps to 0).
+		if p.Source < 0 || p.Source > math.MaxUint32 {
+			return nil, fmt.Errorf("apps: source %d out of range: vertex ids are 0..%d", p.Source, uint32(math.MaxUint32))
+		}
+		if upper == "SSSP" {
+			return &SSSP{Source: graph.VertexID(p.Source)}, nil
+		}
 		return &WeightedSSSP{Source: graph.VertexID(p.Source)}, nil
 	case "AGG", "AGGREGATE":
 		return &Aggregate{Layers: p.Layers}, nil

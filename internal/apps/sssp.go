@@ -3,7 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"ebv/internal/bsp"
 	"ebv/internal/graph"
@@ -34,16 +34,18 @@ func (s *SSSP) MessageCombiner() transport.Combiner { return transport.MinCombin
 
 // NewWorker implements bsp.Program.
 func (s *SSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
+	n := sub.NumLocalVertices()
 	w := &ssspWorker{
-		sub:    sub,
-		env:    env,
-		source: s.Source,
-		dist:   make([]float64, sub.NumLocalVertices()),
+		sub:      sub,
+		env:      env,
+		source:   s.Source,
+		dist:     make([]float64, n),
+		inQueue:  make([]bool, n),
+		improved: newImprovedSet(n),
 	}
 	for i := range w.dist {
 		w.dist[i] = math.Inf(1)
 	}
-	w.inQueue = make([]bool, sub.NumLocalVertices())
 	if local, ok := sub.LocalOf(s.Source); ok {
 		w.dist[local] = 0
 		w.push(local)
@@ -52,15 +54,54 @@ func (s *SSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 }
 
 type ssspWorker struct {
-	sub     *bsp.Subgraph
-	env     bsp.Env
-	source  graph.VertexID
-	dist    []float64
-	queue   []int32
-	inQueue []bool
-	// improved marks replicated vertices whose distance improved since
-	// the last send.
-	improved map[int32]struct{}
+	sub    *bsp.Subgraph
+	env    bsp.Env
+	source graph.VertexID
+	dist   []float64
+	// queue[head:] is the SPFA FIFO; relax leaves it empty with the
+	// backing array kept for the next superstep.
+	queue    []int32
+	head     int
+	inQueue  []bool
+	improved improvedSet
+}
+
+// improvedSet marks the replicated local vertices whose distance improved
+// since the last send: a bitset over local ids, so marking is one OR and
+// send sweeps ascending local ids — the emission order.
+type improvedSet []uint64
+
+func newImprovedSet(numLocal int) improvedSet {
+	return make(improvedSet, (numLocal+63)/64)
+}
+
+func (s improvedSet) mark(sub *bsp.Subgraph, v int32) {
+	if sub.IsReplicated(v) {
+		s[v>>6] |= 1 << (v & 63)
+	}
+}
+
+// send empties the set, shipping dist[v] of every marked vertex to its
+// replica peers; it returns nil when nothing was marked.
+func (s improvedSet) send(sub *bsp.Subgraph, env bsp.Env, dist []float64) []*transport.MessageBatch {
+	var out []*transport.MessageBatch
+	for i, word := range s {
+		if word == 0 {
+			continue
+		}
+		s[i] = 0
+		if out == nil {
+			out = make([]*transport.MessageBatch, sub.NumWorkers)
+		}
+		for ; word != 0; word &= word - 1 {
+			v := i<<6 + bits.TrailingZeros64(word)
+			gid, val := sub.GlobalIDs[v], dist[v]
+			for _, peer := range sub.ReplicaPeers[v] {
+				outBatch(out, peer, env).AppendScalar(gid, val)
+			}
+		}
+	}
+	return out
 }
 
 func (w *ssspWorker) push(v int32) {
@@ -72,29 +113,20 @@ func (w *ssspWorker) push(v int32) {
 
 // relax runs SPFA over local out-edges until the local fixpoint.
 func (w *ssspWorker) relax() {
-	for len(w.queue) > 0 {
-		u := w.queue[0]
-		w.queue = w.queue[1:]
+	for w.head < len(w.queue) {
+		u := w.queue[w.head]
+		w.head++
 		w.inQueue[u] = false
 		du := w.dist[u]
 		for _, v := range w.sub.Out.Neighbors(graph.VertexID(u)) {
 			if nd := du + 1; nd < w.dist[v] {
 				w.dist[v] = nd
-				w.markImproved(int32(v))
+				w.improved.mark(w.sub, int32(v))
 				w.push(int32(v))
 			}
 		}
 	}
-}
-
-func (w *ssspWorker) markImproved(v int32) {
-	if !w.sub.IsReplicated(v) {
-		return
-	}
-	if w.improved == nil {
-		w.improved = make(map[int32]struct{})
-	}
-	w.improved[v] = struct{}{}
+	w.queue, w.head = w.queue[:0], 0
 }
 
 // Superstep implements bsp.WorkerProgram.
@@ -113,30 +145,11 @@ func (w *ssspWorker) Superstep(step int, in *transport.MessageBatch) (out []*tra
 		// If the source is a cut vertex, its zero distance must reach the
 		// peer replicas too.
 		if local, ok := w.sub.LocalOf(w.source); ok {
-			w.markImproved(local)
+			w.improved.mark(w.sub, local)
 		}
 	}
 	w.relax()
-	if len(w.improved) == 0 {
-		return nil, false
-	}
-	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-	// Emit in sorted local-vertex order: improved is a map, and map-order
-	// appends would break the byte-identity guarantee (detorder).
-	improved := make([]int32, 0, len(w.improved))
-	for v := range w.improved {
-		improved = append(improved, v)
-	}
-	slices.Sort(improved)
-	for _, v := range improved {
-		gid := w.sub.GlobalIDs[v]
-		val := w.dist[v]
-		for _, peer := range w.sub.ReplicaPeers[v] {
-			outBatch(out, peer, w.env).AppendScalar(gid, val)
-		}
-	}
-	w.improved = nil
-	return out, false
+	return w.improved.send(w.sub, w.env, w.dist), false
 }
 
 // Values implements bsp.WorkerProgram.
@@ -171,10 +184,8 @@ func (w *ssspWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 	for l := range w.dist {
 		w.dist[l] = state.Scalar(l)
 	}
-	w.queue = w.queue[:0]
-	for i := range w.inQueue {
-		w.inQueue[i] = false
-	}
-	w.improved = nil
+	w.queue, w.head = w.queue[:0], 0
+	clear(w.inQueue)
+	clear(w.improved)
 	return nil
 }

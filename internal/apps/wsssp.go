@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"slices"
 
 	"ebv/internal/bsp"
 	"ebv/internal/graph"
@@ -35,10 +34,11 @@ func (s *WeightedSSSP) MessageCombiner() transport.Combiner { return transport.M
 // NewWorker implements bsp.Program.
 func (s *WeightedSSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	w := &wssspWorker{
-		sub:    sub,
-		env:    env,
-		source: s.Source,
-		dist:   make([]float64, sub.NumLocalVertices()),
+		sub:      sub,
+		env:      env,
+		source:   s.Source,
+		dist:     make([]float64, sub.NumLocalVertices()),
+		improved: newImprovedSet(sub.NumLocalVertices()),
 	}
 	for i := range w.dist {
 		w.dist[i] = math.Inf(1)
@@ -56,7 +56,7 @@ type wssspWorker struct {
 	source   graph.VertexID
 	dist     []float64
 	frontier []int32
-	improved map[int32]struct{}
+	improved improvedSet
 }
 
 // distHeap is a min-heap of (vertex, distance) pairs for the local Dijkstra.
@@ -84,16 +84,6 @@ func (h *distHeap) Pop() interface{} {
 	return pair
 }
 
-func (w *wssspWorker) markImproved(v int32) {
-	if !w.sub.IsReplicated(v) {
-		return
-	}
-	if w.improved == nil {
-		w.improved = make(map[int32]struct{})
-	}
-	w.improved[v] = struct{}{}
-}
-
 // relax runs Dijkstra from the current frontier to the local fixpoint.
 func (w *wssspWorker) relax() {
 	h := &distHeap{}
@@ -113,7 +103,7 @@ func (w *wssspWorker) relax() {
 			nd := du + w.sub.EdgeWeight(edgeIdx[j])
 			if nd < w.dist[v] {
 				w.dist[v] = nd
-				w.markImproved(int32(v))
+				w.improved.mark(w.sub, int32(v))
 				heap.Push(h, [2]float64{float64(v), nd})
 			}
 		}
@@ -134,30 +124,11 @@ func (w *wssspWorker) Superstep(step int, in *transport.MessageBatch) (out []*tr
 	}
 	if step == 0 {
 		if local, ok := w.sub.LocalOf(w.source); ok {
-			w.markImproved(local)
+			w.improved.mark(w.sub, local)
 		}
 	}
 	w.relax()
-	if len(w.improved) == 0 {
-		return nil, false
-	}
-	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-	// Emit in sorted local-vertex order: improved is a map, and map-order
-	// appends would break the byte-identity guarantee (detorder).
-	improved := make([]int32, 0, len(w.improved))
-	for v := range w.improved {
-		improved = append(improved, v)
-	}
-	slices.Sort(improved)
-	for _, v := range improved {
-		gid := w.sub.GlobalIDs[v]
-		val := w.dist[v]
-		for _, peer := range w.sub.ReplicaPeers[v] {
-			outBatch(out, peer, w.env).AppendScalar(gid, val)
-		}
-	}
-	w.improved = nil
-	return out, false
+	return w.improved.send(w.sub, w.env, w.dist), false
 }
 
 // Values implements bsp.WorkerProgram.
@@ -190,7 +161,7 @@ func (w *wssspWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 		w.dist[l] = state.Scalar(l)
 	}
 	w.frontier = w.frontier[:0]
-	w.improved = nil
+	clear(w.improved)
 	return nil
 }
 

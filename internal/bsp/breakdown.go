@@ -79,10 +79,10 @@ func (r *Result) TotalMessages() int64 {
 }
 
 // MessageCounts aggregates a run's cross-worker message rows at the three
-// measurement points of the combiner path, so combining's reduction can be
-// reported honestly: Emitted ≥ Wire always (sender-side combining), and
-// Delivered ≤ Wire (receiver-side combining). Without a combiner all
-// three are equal.
+// measurement points of the message path, so combining's reduction can be
+// reported honestly: Emitted ≥ Wire (sender-side combining; equal without
+// a combiner) and Delivered = Wire always — the receiver concatenates, it
+// never folds.
 // The JSON tags are a stable lowercase surface: ebv.JobResult and the
 // serve-layer job responses marshal these counts directly.
 type MessageCounts struct {
@@ -93,8 +93,8 @@ type MessageCounts struct {
 	// combining) — the platform-independent network-volume metric
 	// TotalMessages reports.
 	Wire int64 `json:"wire"`
-	// Delivered counts the rows that survived receiver-side combining
-	// into the programs' inboxes.
+	// Delivered counts the rows handed to the programs' inboxes: every
+	// wire row, counted at the receiving end.
 	Delivered int64 `json:"delivered"`
 }
 
@@ -105,7 +105,7 @@ func (r *Result) MessageCounts() MessageCounts {
 		w := &r.Workers[i]
 		c.Emitted += w.TotalEmitted()
 		c.Wire += w.TotalSent()
-		c.Delivered += w.TotalDelivered()
+		c.Delivered += sumInt64(w.Received)
 	}
 	return c
 }

@@ -1,9 +1,9 @@
-// Combiner tests: the sender/receiver message-combining path must be
-// semantically transparent — every app produces a byte-identical
-// ValueMatrix with combining on or off, on the in-memory router and the
-// TCP mesh, at scalar and vector widths — while strictly reducing message
-// rows where duplicates exist (receiver-side on a high-fan-in star graph;
-// sender-side for per-edge-messaging programs).
+// Combiner tests: sender-side message combining must be semantically
+// transparent — every app produces a byte-identical ValueMatrix with
+// combining on or off, on the in-memory router and the TCP mesh, at scalar
+// and vector widths — while strictly reducing wire rows where a batch
+// carries duplicates (per-edge-messaging programs). The receiver never
+// folds: every wire row is delivered, on a high-fan-in star graph too.
 package bsp_test
 
 import (
@@ -43,7 +43,8 @@ func buildWeightedSubs(t *testing.T, g *graph.Graph, a *partition.Assignment) []
 
 // TestCombinerEquivalenceAllApps is the acceptance matrix: every app ×
 // {combiner on, off} × {Mem, TCP} × widths {1, 8} produces a byte-identical
-// ValueMatrix, with combined counts never exceeding uncombined ones.
+// ValueMatrix, with wire rows never above emitted ones and every wire row
+// delivered.
 func TestCombinerEquivalenceAllApps(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	const k = 3
@@ -79,8 +80,8 @@ func TestCombinerEquivalenceAllApps(t *testing.T) {
 					if oc.Emitted != fc.Emitted {
 						t.Fatalf("combined run emitted %d rows, uncombined %d", oc.Emitted, fc.Emitted)
 					}
-					if oc.Wire > oc.Emitted || oc.Delivered > oc.Wire {
-						t.Fatalf("combining increased counts: %+v", oc)
+					if oc.Wire > oc.Emitted || oc.Delivered != oc.Wire {
+						t.Fatalf("want delivered == wire <= emitted under combining, got %+v", oc)
 					}
 					if on.TotalMessages() != oc.Wire {
 						t.Fatalf("TotalMessages = %d, want the wire count %d", on.TotalMessages(), oc.Wire)
@@ -115,11 +116,12 @@ func starGraph(t *testing.T, leaves, k int) (*graph.Graph, []*bsp.Subgraph) {
 	return g, subs
 }
 
-// TestCombinerStarGraphReceiverReduction crafts the high-fan-in case: the
-// hub's rows arrive at every worker from every peer, so receiver-side
-// combining must deliver strictly fewer rows — with byte-identical values
-// and unchanged wire counts (the replica-sync apps emit unique-ID batches).
-func TestCombinerStarGraphReceiverReduction(t *testing.T) {
+// TestCombinerStarGraphFanInDelivered crafts the high-fan-in case: the
+// hub's rows arrive at every worker from every peer. The receiver delivers
+// each of them — the program's own accumulator is the one fold — so
+// combining changes no count (the replica-sync apps emit unique-ID batches,
+// leaving the sender nothing to coalesce) and no value bit.
+func TestCombinerStarGraphFanInDelivered(t *testing.T) {
 	_, subs := starGraph(t, 200, 4)
 	for _, prog := range []bsp.Program{&apps.CC{}, &apps.PageRank{Iterations: 4}} {
 		t.Run(prog.Name(), func(t *testing.T) {
@@ -135,12 +137,11 @@ func TestCombinerStarGraphReceiverReduction(t *testing.T) {
 				t.Fatal("combined values differ from uncombined on the star graph")
 			}
 			oc, fc := on.MessageCounts(), off.MessageCounts()
-			if oc.Wire != fc.Wire {
-				t.Fatalf("wire counts changed: combined %d, uncombined %d", oc.Wire, fc.Wire)
+			if oc != fc {
+				t.Fatalf("counts changed: combined %+v, uncombined %+v", oc, fc)
 			}
-			if oc.Delivered >= fc.Delivered {
-				t.Fatalf("receiver-side combining delivered %d rows, want strictly fewer than %d",
-					oc.Delivered, fc.Delivered)
+			if oc.Delivered != oc.Wire {
+				t.Fatalf("delivered %d rows of %d on the wire", oc.Delivered, oc.Wire)
 			}
 		})
 	}
@@ -284,9 +285,10 @@ func TestCombinerSenderSideStrictReduction(t *testing.T) {
 // runs uncombined under AutoCombine.
 func TestCombinerExplicitOverridesAuto(t *testing.T) {
 	_, subs := starGraph(t, 100, 3)
-	// fanInDegree declares sum; an explicit min combiner must change the
-	// computed "in-degree" of the hub to 1 (min of the per-edge 1-rows
-	// is 1, and each mirror's scatter is still exact).
+	// fanInDegree declares sum; under an explicit min combiner each
+	// worker's per-edge 1-rows for the hub coalesce to a single 1 (their
+	// min) instead of their count, and the master adds one such row per
+	// worker: the computed "in-degree" of the hub becomes k, not 100.
 	res, err := bsp.Run(t.Context(), subs, &fanInDegree{}, bsp.Config{
 		Combiner:    transport.MinCombiner{},
 		AutoCombine: true,
@@ -294,8 +296,8 @@ func TestCombinerExplicitOverridesAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := res.Value(0); !ok || got != 1 {
-		t.Fatalf("hub value under explicit min combiner = %g (ok=%v), want 1", got, ok)
+	if got, ok := res.Value(0); !ok || got != 3 {
+		t.Fatalf("hub value under explicit min combiner = %g (ok=%v), want 3", got, ok)
 	}
 	// A program that declares no combiner must run uncombined under
 	// AutoCombine: all three counts stay equal even on the star graph.

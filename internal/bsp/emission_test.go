@@ -1,0 +1,169 @@
+// Emission-order goldens: every byte a program hands the engine — which
+// destination, which ids, which values, in which row order, in which
+// superstep — is pinned, so kernel rewrites inside the apps and delivery
+// changes inside the engine can be proven to move none of them.
+package bsp_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"testing"
+
+	"ebv/internal/apps"
+	"ebv/internal/bsp"
+	"ebv/internal/core"
+	"ebv/internal/gen"
+	"ebv/internal/graph"
+	"ebv/internal/transport"
+)
+
+// pinnedGraphs are the fixed inputs of the golden and ledger tests (the
+// same two internal/core pins its assignments on): a skewed power-law graph
+// and a near-uniform road lattice.
+func pinnedGraphs(t *testing.T) (powerlaw, road *graph.Graph) {
+	t.Helper()
+	powerlaw, err := gen.PowerLaw(gen.PowerLawConfig{
+		NumVertices: 3000, NumEdges: 24000, Eta: 2.0, Directed: true, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	road, err = gen.Road(gen.RoadConfig{Width: 40, Height: 40, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return powerlaw, road
+}
+
+// emissionRecorder wraps a program so that each worker hashes what its
+// Superstep returns, before the engine coalesces or ships it.
+type emissionRecorder struct {
+	inner  bsp.Program
+	hashes []hash.Hash // one per worker; each is written by its worker only
+}
+
+func (r *emissionRecorder) Name() string { return r.inner.Name() }
+
+func (r *emissionRecorder) MessageCombiner() transport.Combiner {
+	return r.inner.(bsp.CombinerProvider).MessageCombiner()
+}
+
+func (r *emissionRecorder) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
+	return &emissionWorker{WorkerProgram: r.inner.NewWorker(sub, env), h: r.hashes[sub.Part]}
+}
+
+type emissionWorker struct {
+	bsp.WorkerProgram
+	h hash.Hash
+}
+
+func (w *emissionWorker) Superstep(step int, in *transport.MessageBatch) ([]*transport.MessageBatch, bool) {
+	out, active := w.WorkerProgram.Superstep(step, in)
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(step))
+	for dst, b := range out {
+		if b == nil {
+			continue
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(dst))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Len()))
+		for _, id := range b.IDs {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+		}
+		for _, v := range b.Vals {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	w.h.Write(buf)
+	return out, active
+}
+
+// emissionSHA256 runs prog over subs and folds the per-worker emission
+// hashes and per-step Sent counts, in worker order, into one digest.
+func emissionSHA256(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.Config) string {
+	t.Helper()
+	rec := &emissionRecorder{inner: prog, hashes: make([]hash.Hash, len(subs))}
+	for i := range rec.hashes {
+		rec.hashes[i] = sha256.New()
+	}
+	res, err := bsp.Run(t.Context(), subs, rec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := sha256.New()
+	for w, h := range rec.hashes {
+		buf := h.Sum(nil)
+		for _, sent := range res.Workers[w].Sent {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(sent))
+		}
+		total.Write(buf)
+	}
+	return hex.EncodeToString(total.Sum(nil))
+}
+
+// TestGoldenEmissions pins each app's outgoing batches bit for bit. The
+// digests were produced by this file at commit c3c55b9 (PR 14), where the
+// receiver still merged the inbox id-sorted under combining, SSSP/WSSSP
+// emitted from a sorted map and PageRank divided per edge; they must never
+// move. Sent is hashed too, and one digest serves combining on and off: these
+// apps emit unique ids per destination, so the sender-side coalesce must
+// remove nothing.
+func TestGoldenEmissions(t *testing.T) {
+	pl, road := pinnedGraphs(t)
+	const k = 8
+	seen := 0
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"powerlaw", pl}, {"road", road}} {
+		a, err := core.New().Partition(tc.g, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs := buildWeightedSubs(t, tc.g, a)
+		// The max-out-degree vertex reaches most of either graph.
+		src := graph.VertexID(0)
+		for v := 0; v < tc.g.NumVertices(); v++ {
+			if tc.g.OutDegree(graph.VertexID(v)) > tc.g.OutDegree(src) {
+				src = graph.VertexID(v)
+			}
+		}
+		for _, app := range []struct {
+			prog  bsp.Program
+			width int
+		}{
+			{&apps.CC{}, 1},
+			{&apps.PageRank{Iterations: 6}, 1},
+			{&apps.SSSP{Source: src}, 1},
+			{&apps.WeightedSSSP{Source: src}, 1},
+			{&apps.Aggregate{Layers: 2}, 8},
+		} {
+			key := tc.name + "/" + app.prog.Name()
+			seen++
+			for _, combine := range []bool{false, true} {
+				got := emissionSHA256(t, subs, app.prog, bsp.Config{ValueWidth: app.width, AutoCombine: combine})
+				if got != goldenEmissions[key] {
+					t.Errorf("%q combine=%t: %q, golden %q", key, combine, got, goldenEmissions[key])
+				}
+			}
+		}
+	}
+	if seen != len(goldenEmissions) {
+		t.Errorf("checked %d cells, table has %d", seen, len(goldenEmissions))
+	}
+}
+
+var goldenEmissions = map[string]string{
+	"powerlaw/CC":        "611211f62f747ae131fee1812dedfb29675f28e15e4abdd9450eabbdee828a3c",
+	"powerlaw/PR":        "5753e1cd5b2238cb91da212aaef92ebc114fd408cd17bb447dd1e4adc3b02c0d",
+	"powerlaw/SSSP":      "773f1dd499c1a313c04e90cfefb2f058d668fb4be153a3a7709bc0568f99208e",
+	"powerlaw/WSSSP":     "8d61198669a9efc714a66e58e2e5b61d87cbc560ae21d3f4ade56a946ceec1e4",
+	"powerlaw/Aggregate": "cb21ad0c5beb1dfabaf6a1e7c411a1acee3a844fa72f6aac647bdcae4ea9e03d",
+	"road/CC":            "c614ecbe063d1ea64dbeec34ea7204c503bccefd9f419d4c1235929c7c0c86e5",
+	"road/PR":            "8ab5c03f19c54d4934f802bbd4d30681f24e71b8a79eef9740a30ef360d1e328",
+	"road/SSSP":          "b75ed706cf4107f37fd49c8cda21a9551ce25e4766342630371050dfdd143ded",
+	"road/WSSSP":         "052912a9f001a70c5425a3024360f3b063c5e4022d61964af54cd21cd59b2d73",
+	"road/Aggregate":     "a222589ce943976ef56888c40ed56d746ee5d4c23e84f2f52772ad201a2c2e4e",
+}

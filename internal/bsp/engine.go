@@ -95,9 +95,9 @@ type Config struct {
 	// for it.
 	VerifyReplicaAgreement bool
 	// Combiner, when non-nil, reduces duplicate-ID message rows sender-side
-	// (inside each outgoing batch, before the exchange) and receiver-side
-	// (while merging the per-source inboxes). See transport.Combiner for
-	// the exactness contract; Result.MessageCounts reports the reduction.
+	// (inside each outgoing batch, before the exchange). See
+	// transport.Combiner for the exactness contract; Result.MessageCounts
+	// reports the reduction.
 	Combiner transport.Combiner
 	// AutoCombine selects the program's declared combiner (CombinerProvider)
 	// when Combiner is nil. Programs without one run uncombined.
@@ -205,7 +205,8 @@ func (c Config) Width() (int, error) {
 // WorkerStats records a worker's per-superstep instrumentation.
 type WorkerStats struct {
 	// Comp[k], Comm[k], Sync[k] are the stage durations of superstep k
-	// (§IV-B stages). Comm excludes barrier wait; Sync is the wait.
+	// (§IV-B stages). Comm runs from the exchange call to the next inbox
+	// being ready, excluding barrier wait; Sync is the wait.
 	Comp []time.Duration
 	Comm []time.Duration
 	Sync []time.Duration
@@ -217,12 +218,9 @@ type WorkerStats struct {
 	// in superstep k, before sender-side combining.
 	Emitted []int64
 	// Received[k] counts messages received from other workers — rows as
-	// they crossed the exchange, before receiver-side combining.
+	// they crossed the exchange, every one of which is delivered into
+	// superstep k+1's inbox.
 	Received []int64
-	// Delivered[k] counts the rows from other workers that survived
-	// receiver-side combining into superstep k+1's inbox (equal to
-	// Received[k] when no combiner is configured).
-	Delivered []int64
 }
 
 // TotalSent sums messages sent across supersteps (post sender-side
@@ -232,10 +230,6 @@ func (w *WorkerStats) TotalSent() int64 { return sumInt64(w.Sent) }
 // TotalEmitted sums program-emitted cross-worker rows across supersteps
 // (pre-combining).
 func (w *WorkerStats) TotalEmitted() int64 { return sumInt64(w.Emitted) }
-
-// TotalDelivered sums the cross-worker rows that survived receiver-side
-// combining across supersteps.
-func (w *WorkerStats) TotalDelivered() int64 { return sumInt64(w.Delivered) }
 
 func sumInt64(xs []int64) int64 {
 	var total int64
@@ -450,43 +444,33 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		}
 		resumable = r
 	}
-	// The combiner's per-worker scratch lives for the whole run. The
-	// sender-side coalesce of each outgoing batch probes a scratch index —
+	// Combining is sender-side only: each outgoing batch is coalesced
+	// against a per-worker scratch index that lives for the whole run —
 	// dense O(1) probes when the global id space is within 16× the local
-	// vertex count (the LocalOf density gate), a map otherwise. The
-	// receiver-side inbox merge is a sorted-run merge (MergeScratch) and
-	// needs no index, so the dense index's capacity cutoff — ids beyond it
-	// pass through the coalesce uncombined — can no longer leave duplicate
-	// rows in the inbox.
+	// vertex count (the LocalOf density gate), a map otherwise. Ids beyond
+	// the dense capacity pass through uncombined, which is safe: programs
+	// fold duplicate rows themselves (the Combiner contract).
+	//
+	// It is adaptive: after senderProbeSteps consecutive steps in which a
+	// real duplicate scan (at least senderProbeMinRows rows — steps moving
+	// fewer rows are no evidence) removed nothing (the replica-sync apps'
+	// unique-ID batches), the scan is skipped for the rest of the run, which
+	// keeps `-combine=auto` within noise of `off` on the apps combining
+	// cannot help.
+	const (
+		senderProbeSteps   = 2
+		senderProbeMinRows = 8
+	)
 	var combIdx *transport.CombineIndex
-	var mergeScratch *transport.MergeScratch
 	if comb != nil {
 		denseSize := 0
 		if locals := sub.NumLocalVertices(); locals > 0 && sub.NumGlobalVertices <= 16*locals {
 			denseSize = sub.NumGlobalVertices
 		}
 		combIdx = transport.NewCombineIndex(denseSize)
-		mergeScratch = new(transport.MergeScratch)
 	}
-	// Combining is adaptive on both sides of the exchange: after
-	// senderProbeSteps consecutive steps in which a real duplicate scan
-	// (at least senderProbeMinRows rows — steps moving fewer rows are no
-	// evidence) removed nothing (the replica-sync apps' unique-ID
-	// batches), that side's work is skipped for the rest of the run. On
-	// the sender that is the per-batch coalesce scan; on the receiver it
-	// is the sorted-run inbox merge, which degrades to a k-way scan with
-	// nothing to fold when sources carry disjoint ids — plain
-	// concatenation is strictly better there, and skipping keeps
-	// `-combine=auto` within noise of plain append on the apps combining
-	// cannot help.
-	const (
-		senderProbeSteps   = 2
-		senderProbeMinRows = 8
-	)
 	senderCombine := comb != nil
-	receiverCombine := comb != nil
 	dupFreeSteps := 0
-	foldFreeSteps := 0
 	// The inbox batch concatenates the step's incoming batches; it cycles
 	// through the pool every step, so the poison debug mode scribbles it
 	// between supersteps (enforcing the "in is only valid during the
@@ -566,57 +550,32 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 			}
 			return step, nil, fmt.Errorf("exchange step %d: %w", step, err)
 		}
-		commsync := time.Since(t1)
-		comm := commsync - ex.Wait
-		if comm < 0 {
-			comm = 0
-		}
 
-		// Delivery: build the next inbox from the incoming batches and
-		// recycle them. Without a combiner the batches concatenate with
-		// columnar bulk appends; with one, a sorted-run merge folds
-		// duplicate-ID rows across sources — per vertex, rows still fold
-		// in (source, row) arrival order, so results stay byte-identical
-		// to the uncombined scan (the inbox merely ends id-sorted instead
-		// of arrival-ordered, which no program may depend on).
+		// Delivery, the last act of the communication stage: the next inbox
+		// is the columnar concatenation of the incoming batches in source
+		// order. Duplicate-ID rows from different sources are not folded
+		// here — the program folds each row into its own accumulator
+		// anyway, in this same (source, row) order, so a receiver-side
+		// pre-fold could only add a pass over the rows.
 		transport.RecycleBatch(inbox)
 		inbox = transport.GetBatch(width)
-		var received, delivered int64
-		if receiverCombine {
-			if err := inbox.MergeBatchesCombining(ex.In, comb, mergeScratch); err != nil {
-				return step, nil, fmt.Errorf("superstep %d inbox merge: %w", step, err)
+		var received int64
+		for src, batch := range ex.In {
+			if batch == nil {
+				continue
 			}
-			var folded int64
-			for src, batch := range ex.In {
-				if src != w {
-					received += int64(batch.Len())
-					delivered += int64(mergeScratch.Appended[src])
-				}
-				folded += int64(batch.Len() - mergeScratch.Appended[src])
-				transport.RecycleBatch(batch)
+			if err := batch.Check(width); err != nil {
+				return step, nil, fmt.Errorf("superstep %d from worker %d: %w", step, src, err)
 			}
-			if folded > 0 {
-				foldFreeSteps = 0
-			} else if inbox.Len() >= senderProbeMinRows {
-				if foldFreeSteps++; foldFreeSteps >= senderProbeSteps {
-					receiverCombine = false
-				}
+			inbox.AppendBatch(batch)
+			if src != w {
+				received += int64(batch.Len())
 			}
-		} else {
-			for src, batch := range ex.In {
-				if batch == nil {
-					continue
-				}
-				if err := batch.Check(width); err != nil {
-					return step, nil, fmt.Errorf("superstep %d from worker %d: %w", step, src, err)
-				}
-				inbox.AppendBatch(batch)
-				if src != w {
-					received += int64(batch.Len())
-					delivered += int64(batch.Len())
-				}
-				transport.RecycleBatch(batch)
-			}
+			transport.RecycleBatch(batch)
+		}
+		comm := time.Since(t1) - ex.Wait
+		if comm < 0 {
+			comm = 0
 		}
 
 		stats.Comp = append(stats.Comp, comp)
@@ -625,7 +584,6 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		stats.Sent = append(stats.Sent, sent)
 		stats.Emitted = append(stats.Emitted, emitted)
 		stats.Received = append(stats.Received, received)
-		stats.Delivered = append(stats.Delivered, delivered)
 
 		// Checkpoint cut: the run is still active and the next step is an
 		// epoch boundary. Both inputs are globally agreed (the step counter

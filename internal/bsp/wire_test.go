@@ -167,12 +167,12 @@ func TestWireQuantizationValidation(t *testing.T) {
 	}
 }
 
-// TestCombinerBeyondDenseCapacity pins the silent-corruption fix of the
-// receiver path on a sparse-id graph: the vertex-id space is far larger
-// than any worker's local count, so the sender-side dense index gate falls
-// back to the map and the receiver's sorted-run merge — which has no
-// capacity cutoff at all — must still fold the high-id hub's fan-in rows,
-// with byte-identical values and exact counts.
+// TestCombinerBeyondDenseCapacity is the silent-corruption pin on a
+// sparse-id graph: the vertex-id space is far larger than any worker's
+// local count, so the sender-side dense index gate falls back to the map,
+// and the high-id hub's fan-in rows reach every inbox as one row per
+// source. Values must be byte-identical with combining on or off and the
+// counts exact: every wire row is delivered, none folded on the way.
 func TestCombinerBeyondDenseCapacity(t *testing.T) {
 	// A star whose hub sits at the top of a 50k-wide id space: every part
 	// holds ~50 leaves + the hub replica, so 16x locals is far below the
@@ -216,9 +216,8 @@ func TestCombinerBeyondDenseCapacity(t *testing.T) {
 			if oc.Emitted != fc.Emitted {
 				t.Fatalf("combined run emitted %d rows, uncombined %d", oc.Emitted, fc.Emitted)
 			}
-			if oc.Delivered >= fc.Delivered {
-				t.Fatalf("high-id hub fan-in was not folded by the receiver merge: combined delivered %d, uncombined %d",
-					oc.Delivered, fc.Delivered)
+			if oc != fc {
+				t.Fatalf("unique-id batches must cross and arrive unfolded: combined %+v, uncombined %+v", oc, fc)
 			}
 		})
 	}

@@ -176,6 +176,8 @@ func TestClusterCleanRuns(t *testing.T) {
 		want string
 	}{
 		{JobSpec{App: "nope"}, "unknown app"},
+		{JobSpec{App: "SSSP", Source: -1}, "source -1 out of range"},
+		{JobSpec{App: "WSSSP", Source: 1 << 32}, "source 4294967296 out of range"},
 		{JobSpec{App: "CC", ValueWidth: -3}, "value width -3 invalid"},
 		{JobSpec{App: "CC", ValueWidth: transport.MaxValueWidth + 1}, "exceeds the transport cap"},
 	} {

@@ -51,9 +51,9 @@ type Options struct {
 	// Combine runs the BSP cells with each app's natural message combiner
 	// (bsp.Config.AutoCombine). Results are byte-identical either way; the
 	// message tables' wire counts stay paper-faithful because the
-	// replica-synchronization apps emit unique-ID batches, while the
-	// pre/post-combine cells (MessageCell.Emitted/Delivered) expose the
-	// receiver-side reduction. Default off.
+	// replica-synchronization apps emit unique-ID batches; the
+	// MessageCell.Emitted cell next to the wire count exposes whatever the
+	// sender-side coalesce removed. Default off.
 	Combine bool
 
 	// ctx carries cancellation into the experiment internals; it is set by

@@ -19,9 +19,10 @@ type MessageCell struct {
 	// combining when Options.Combine is set).
 	TotalMessages int64
 	// Emitted and Delivered are the pre-combine (program-emitted) and
-	// post-receiver-combine row counts (bsp.Result.MessageCounts), so the
-	// combiner's reduction can be reported next to the wire count. All
-	// three are equal when combining is off.
+	// inbox-delivered row counts (bsp.Result.MessageCounts), so the
+	// combiner's reduction can be reported next to the wire count.
+	// Delivered always equals the wire count; all three are equal when
+	// combining is off.
 	Emitted   int64
 	Delivered int64
 	// MaxMeanRatio is the Table V communication-balance metric.

@@ -253,6 +253,8 @@ func TestServeRequestValidation(t *testing.T) {
 	}{
 		{"no graph", JobRequest{App: "cc"}, http.StatusBadRequest},
 		{"unknown app", JobRequest{Graph: "g", App: "nope"}, http.StatusBadRequest},
+		{"negative source", JobRequest{Graph: "g", App: "sssp", Source: -1}, http.StatusBadRequest},
+		{"source beyond uint32", JobRequest{Graph: "g", App: "wsssp", Source: 1 << 32}, http.StatusBadRequest},
 		{"negative width", JobRequest{Graph: "g", App: "cc", Width: -1}, http.StatusBadRequest},
 		{"negative timeout", JobRequest{Graph: "g", App: "cc", TimeoutMS: -5}, http.StatusBadRequest},
 		{"unknown graph", JobRequest{Graph: "missing", App: "cc"}, http.StatusNotFound},

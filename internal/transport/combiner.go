@@ -8,11 +8,13 @@ import (
 
 // Combiner reduces message rows addressed to the same destination vertex
 // into one row — the classic Pregel combiner optimization, applied on the
-// columnar plane. The engine uses it at two points: sender-side, coalescing
-// duplicate-ID rows inside each outgoing MessageBatch before the exchange
-// (shrinking wire volume), and receiver-side, folding duplicate-ID rows
-// from different senders while merging the per-source inboxes (shrinking
-// the inbox the program scans).
+// columnar plane. The engine uses it sender-side only: it coalesces
+// duplicate-ID rows inside each outgoing MessageBatch before the exchange,
+// which is what shrinks wire volume. The receiver concatenates what
+// arrives; rows of one vertex from different senders reach the program as
+// separate rows, and the program's own accumulator is the one fold over
+// them. (A receiver-side pre-fold can change no result bit under this
+// contract, so in-process it could only add a pass over the rows.)
 //
 // Contract:
 //
@@ -23,21 +25,20 @@ import (
 //     verbatim (it is the fold's initial accumulator), so a Combiner
 //     needs no explicit identity element, and a vertex that receives a
 //     single row is delivered bit-exactly whether combining is on or off.
-//   - Duplicate rows fold left-to-right in arrival order, matching the
-//     order an uncombined receiver would have scanned them — programs
-//     that fold incoming rows into a zeroed per-vertex accumulator (the
-//     PR/Aggregate gather idiom) therefore observe byte-identical values
-//     with combining on or off even for non-associative float reductions.
+//   - Duplicate rows fold left-to-right in row order, into the position
+//     of the first, matching the order an uncombined receiver would have
+//     scanned them — programs that fold incoming rows into a zeroed
+//     per-vertex accumulator (the PR/Aggregate gather idiom) therefore
+//     observe byte-identical values with combining on or off even for
+//     non-associative float reductions.
 //   - A Combiner must be safe for concurrent use from multiple workers
 //     (the built-ins are stateless).
 //
-// Sender-side combining is skipped for batches with fewer than two rows,
-// and the engine disables each side adaptively for the rest of a run
-// after consecutive message-bearing steps in which that side's combining
-// removed nothing — a program whose batches carry unique IDs (the
-// replica-synchronization apps) pays the duplicate scan and the inbox
-// merge only for the first couple of steps, then falls back to plain
-// concatenation.
+// Combining is skipped for batches with fewer than two rows, and the
+// engine disables it adaptively for the rest of a run after consecutive
+// message-bearing steps in which it removed nothing — a program whose
+// batches carry unique IDs (the replica-synchronization apps) pays the
+// duplicate scan only for the first couple of steps.
 type Combiner interface {
 	// Name identifies the combiner in diagnostics ("min", "sum").
 	Name() string

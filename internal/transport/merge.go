@@ -59,7 +59,9 @@ func idsAscending(ids []graph.VertexID) bool {
 
 // MergeBatchesCombining merges the per-source inbox batches into b (which
 // must be empty), folding rows addressed to the same vertex with c — the
-// receiver-side combining merge. Each batch becomes a sorted run (sorted
+// receiver-side combining merge. The engine no longer calls it (delivery
+// is plain concatenation, DESIGN.md §9); it is kept for the benchmark's
+// transport.merge_rows_per_s kernel and retires with it. Each batch becomes a sorted run (sorted
 // by vertex id, already-ascending batches detected and left in place) and
 // the runs are merge-folded in one k-way pass, so the per-row cost is a
 // head comparison, and unique-ID stretches append with bulk copies at

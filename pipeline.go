@@ -238,9 +238,10 @@ func ValueWidth(width int) PipelineOption {
 
 // CombineMessages enables automatic message combining for every run/job of
 // the pipeline: each program's declared combiner (bsp.CombinerProvider)
-// reduces duplicate-ID message rows sender-side and receiver-side. Results
-// are byte-identical with combining on or off; per-job overrides remain
-// available via the Combiner/AutoCombine RunOptions on Session.Run.
+// reduces duplicate-ID message rows sender-side, before they reach the
+// wire. Results are byte-identical with combining on or off; per-job
+// overrides remain available via the Combiner/AutoCombine RunOptions on
+// Session.Run.
 //
 // Combining is the default, so this option is now a no-op kept for
 // compatibility; WithoutCombining opts out.
@@ -250,9 +251,8 @@ func CombineMessages() PipelineOption {
 
 // WithoutCombining disables the automatic message combining that pipelines
 // apply by default — the paper-faithful raw message plane, where every
-// emitted row crosses the wire and reaches the program's inbox verbatim.
-// Results are byte-identical either way; only MessageCounts and wire/inbox
-// volume differ.
+// emitted row crosses the wire. Results are byte-identical either way;
+// only MessageCounts and wire volume differ.
 func WithoutCombining() PipelineOption {
 	return func(p *Pipeline) { p.runOpts = append(p.runOpts, bsp.WithAutoCombine(false)) }
 }
