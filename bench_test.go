@@ -14,6 +14,7 @@
 package ebv_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -643,4 +644,101 @@ func BenchmarkPartitionerThroughput(b *testing.B) {
 			b.SetBytes(int64(g.NumEdges()))
 		})
 	}
+}
+
+// BenchmarkClusterJob times whole jobs through the cluster surface —
+// OpenCluster plus 8 in-process agents on real sockets, k = 8 — so per-op
+// time and allocation are what a job pays around its supersteps: the mesh
+// wired per attempt, every frame scratch and inbox grown from empty, and
+// the value rows shipped back on the control connection. PR is the scalar
+// row, AGG (2 layers, width 8) the wide one — cluster-w8's cycle in
+// miniature. Profile the layer with
+//
+//	go test -run '^$' -bench ClusterJob -cpuprofile cpu.out
+func BenchmarkClusterJob(b *testing.B) {
+	ctx := context.Background()
+	c, err := ebv.NewPipeline(ebv.FromGraph(ablationGraph(b)), ebv.UsePartitioner(ebv.NewEBV()), ebv.Subgraphs(8)).
+		OpenCluster(ctx, ebv.ClusterOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer c.Close()
+	for i := 0; i < c.NumWorkers(); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = ebv.RunClusterAgent(ctx, ebv.ClusterAgentConfig{Coordinator: c.Addr()})
+		}()
+	}
+	for _, tc := range []struct {
+		name string
+		job  ebv.ClusterJob
+	}{
+		{"PR", ebv.ClusterJob{App: "PR", Iterations: 10, Combine: true}},
+		{"AGG", ebv.ClusterJob{App: "Aggregate", Layers: 2, ValueWidth: 8, Combine: true}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Run(ctx, tc.job); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkShardCodec round-trips the ablation graph's 8 shards through
+// WriteSubgraph and ReadSubgraph — what NewCoordinator pays serially per
+// partition and every agent pays on assignment. Bytes are the shards'
+// column data (4 per id, degree and replica peer, 8 per edge), not the
+// encoded size, so MB/s compares across formats; read includes the
+// structural validation and the CSR rebuild.
+func BenchmarkShardCodec(b *testing.B) {
+	g := ablationGraph(b)
+	a, err := ebv.NewEBV().Partition(g, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	subs, err := ebv.BuildSubgraphs(g, a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shards := make([][]byte, len(subs))
+	var columnBytes int64
+	for p, sub := range subs {
+		var buf bytes.Buffer
+		if err := ebv.WriteSubgraph(&buf, sub); err != nil {
+			b.Fatal(err)
+		}
+		shards[p] = buf.Bytes()
+		columnBytes += int64(12*len(sub.GlobalIDs) + 8*len(sub.Edges))
+		for _, peers := range sub.ReplicaPeers {
+			columnBytes += int64(4 * len(peers))
+		}
+	}
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(columnBytes)
+		for i := 0; i < b.N; i++ {
+			for _, sub := range subs {
+				if err := ebv.WriteSubgraph(io.Discard, sub); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(columnBytes)
+		for i := 0; i < b.N; i++ {
+			for _, shard := range shards {
+				if _, err := ebv.ReadSubgraph(bytes.NewReader(shard)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

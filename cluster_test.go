@@ -5,6 +5,7 @@ package ebv_test
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -135,6 +136,73 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 					got.Attempts, got.Steps, ref.Steps, got.Values.EqualValues(ref.Values))
 			}
 		})
+	}
+}
+
+// TestClusterValuesBitExact ships values a lossy or text codec would not
+// survive through the cluster's result frame and requires every bit back:
+// WSSSP over weights that are subnormal, huge or infinite leaves subnormal
+// sums and +Inf in the value rows, and Cluster.Run must return exactly
+// ebv.RunBSP's bit patterns. (No registry program yields NaN — replica
+// verification would reject it — so NaN payloads, −0 and −Inf are covered
+// at the frame level, internal/cluster TestDoneFrameBitExact.)
+func TestClusterValuesBitExact(t *testing.T) {
+	ctx := t.Context()
+	g := pipelineGraph(t)
+	weights := ebv.HashWeights(g, 11, 1, 9)
+	for i := range weights {
+		switch {
+		case i%5 == 0:
+			weights[i] *= math.SmallestNonzeroFloat64
+		case i%5 == 1:
+			weights[i] *= 1e300
+		case i%7 == 2:
+			weights[i] = math.Inf(1)
+		}
+	}
+	c, err := sessionPipeline(t, ebv.WithEdgeWeights(weights)).OpenCluster(ctx, ebv.ClusterOptions{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer c.Close()
+	for i := 0; i < c.NumWorkers(); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = ebv.RunClusterAgent(ctx, ebv.ClusterAgentConfig{Coordinator: c.Addr(), Logf: t.Logf})
+		}()
+	}
+	job := ebv.ClusterJob{App: "WSSSP", Source: 3, Combine: true}
+	prog, err := job.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ebv.RunBSP(ctx, c.Prepared().Subgraphs, prog, ebv.RunConfig{AutoCombine: true, VerifyReplicaAgreement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Run(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Steps != ref.Steps || len(got.Values.Data) != len(ref.Values.Data) {
+		t.Fatalf("steps %d vs %d, %d vs %d values", got.Steps, ref.Steps, len(got.Values.Data), len(ref.Values.Data))
+	}
+	var subnormal, inf int
+	for i, want := range ref.Values.Data {
+		if math.Float64bits(got.Values.Data[i]) != math.Float64bits(want) {
+			t.Fatalf("value %d: bits %#x, want %#x", i, math.Float64bits(got.Values.Data[i]), math.Float64bits(want))
+		}
+		if math.IsInf(want, 1) {
+			inf++
+		} else if want != 0 && want < 0x1p-1022 {
+			subnormal++
+		}
+	}
+	if subnormal == 0 || inf == 0 {
+		t.Fatalf("the weights no longer exercise the frame: %d subnormal and %d +Inf values", subnormal, inf)
 	}
 }
 

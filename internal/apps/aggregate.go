@@ -151,9 +151,10 @@ func (w *aggWorker) Superstep(step int, in *transport.MessageBatch) (out []*tran
 	return out, true
 }
 
-// Values implements bsp.WorkerProgram.
+// Values implements bsp.WorkerProgram: the worker is finished once Values
+// is called, so the feature matrix itself is handed over.
 func (w *aggWorker) Values() *graph.ValueMatrix {
-	return w.h.Clone()
+	return w.h
 }
 
 var _ bsp.Resumable = (*aggWorker)(nil)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,6 +63,8 @@ type WorkerProgram interface {
 	Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool)
 	// Values returns the final value matrix of the local vertices: one
 	// row per local vertex (local index order), Env.ValueWidth columns.
+	// It is called once, last; the matrix transfers to the engine, so a
+	// worker may hand over its own state instead of a copy.
 	Values() *graph.ValueMatrix
 }
 
@@ -559,6 +562,12 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		// pre-fold could only add a pass over the rows.
 		transport.RecycleBatch(inbox)
 		inbox = transport.GetBatch(width)
+		rows := 0
+		for _, batch := range ex.In {
+			rows += batch.Len()
+		}
+		inbox.IDs = slices.Grow(inbox.IDs, rows)
+		inbox.Vals = slices.Grow(inbox.Vals, rows*width)
 		var received int64
 		for src, batch := range ex.In {
 			if batch == nil {

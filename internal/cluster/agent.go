@@ -149,7 +149,7 @@ func (a *Agent) Run(ctx context.Context) error {
 				return
 			case <-ticker.C:
 				// A failed write surfaces in the read loop.
-				_ = writeMsg(&a.wmu, conn, msgHeartbeat, nil)
+				_ = writeFrame(&a.wmu, conn, msgHeartbeat, nil)
 			}
 		}
 	}()
@@ -171,17 +171,9 @@ func (a *Agent) Run(ctx context.Context) error {
 		}
 		switch typ {
 		case msgAssign:
-			var m assignMsg
-			if err := decodeMsg(payload, &m); err != nil {
-				return fmt.Errorf("cluster: bad assign: %w", err)
-			}
-			s, err := bsp.ReadSubgraph(bytes.NewReader(m.Shard))
+			s, err := bsp.ReadSubgraph(bytes.NewReader(payload))
 			if err != nil {
 				return fmt.Errorf("cluster: decode shard: %w", err)
-			}
-			if s.Part != m.Part || s.NumWorkers != m.Workers {
-				return fmt.Errorf("cluster: shard labeled part %d of %d, assignment says %d of %d",
-					s.Part, s.NumWorkers, m.Part, m.Workers)
 			}
 			sub = s
 			a.logf("assigned partition %d of %d (%d local vertices)", s.Part, s.NumWorkers, s.NumLocalVertices())
@@ -350,10 +342,7 @@ func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt,
 		return err
 	}
 	a.logf("job %d attempt %d: partition %d done in %d steps", p.job, p.attempt, sub.Part, res.Steps)
-	return writeMsg(&a.wmu, a.conn, msgDone, doneMsg{
-		Job: p.job, Attempt: p.attempt, Part: sub.Part,
-		Steps: res.Steps, Width: res.Values.Width, Values: res.Values.Data,
-	})
+	return writeFrame(&a.wmu, a.conn, msgDone, encodeDone(p.job, p.attempt, sub.Part, res.Steps, res.Values))
 }
 
 // sendFailed reports an attempt failure, best effort.

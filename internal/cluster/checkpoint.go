@@ -4,13 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"ebv/internal/bsp"
 	"ebv/internal/graph"
+	"ebv/internal/transport"
 )
 
 // On-disk checkpoint codec. One file holds one worker's bsp.Checkpoint for
@@ -69,29 +69,15 @@ func EncodeCheckpoint(meta CheckpointMeta, cp *bsp.Checkpoint) ([]byte, error) {
 	inboxRows := len(cp.InboxIDs)
 	size := checkpointHeaderBytes + 8*len(cp.State.Data) + 4*inboxRows + 8*len(cp.InboxVals) + 4
 	buf := make([]byte, 0, size)
-
-	u32 := func(v int) {
+	for _, v := range [checkpointHeaderWords]int{
+		checkpointMagic, checkpointVersion, meta.Job, meta.Part, meta.Workers,
+		meta.Width, cp.Step, cp.State.Width, stateRows, inboxRows,
+	} {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	u32(checkpointMagic)
-	u32(checkpointVersion)
-	u32(meta.Job)
-	u32(meta.Part)
-	u32(meta.Workers)
-	u32(meta.Width)
-	u32(cp.Step)
-	u32(cp.State.Width)
-	u32(stateRows)
-	u32(inboxRows)
-	for _, v := range cp.State.Data {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	for _, id := range cp.InboxIDs {
-		u32(int(id))
-	}
-	for _, v := range cp.InboxVals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
+	buf = transport.AppendF64s(buf, cp.State.Data)
+	buf = transport.AppendU32s(buf, cp.InboxIDs)
+	buf = transport.AppendF64s(buf, cp.InboxVals)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, checkpointCRC))
 	return buf, nil
 }
@@ -137,25 +123,12 @@ func DecodeCheckpoint(data []byte) (CheckpointMeta, *bsp.Checkpoint, error) {
 		return meta, nil, fmt.Errorf("cluster: checkpoint checksum mismatch: got %#x, want %#x", got, crc)
 	}
 
-	cp := &bsp.Checkpoint{
-		Step:  step,
-		State: &graph.ValueMatrix{Width: stateWidth, Data: make([]float64, stateRows*stateWidth)},
-	}
-	off := checkpointHeaderBytes
-	for i := range cp.State.Data {
-		cp.State.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
-		off += 8
-	}
-	cp.InboxIDs = make([]graph.VertexID, inboxRows)
-	for i := range cp.InboxIDs {
-		cp.InboxIDs[i] = graph.VertexID(binary.LittleEndian.Uint32(data[off : off+4]))
-		off += 4
-	}
-	cp.InboxVals = make([]float64, inboxRows*meta.Width)
-	for i := range cp.InboxVals {
-		cp.InboxVals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
-		off += 8
-	}
+	// len(data) matches the header exactly, so no Take can come up short.
+	cp := &bsp.Checkpoint{Step: step, State: &graph.ValueMatrix{Width: stateWidth}}
+	body := data[checkpointHeaderBytes : len(data)-4]
+	cp.State.Data, body, _ = transport.TakeF64s(body, stateRows*stateWidth)
+	cp.InboxIDs, body, _ = transport.TakeU32s[graph.VertexID](body, inboxRows)
+	cp.InboxVals, _, _ = transport.TakeF64s(body, inboxRows*meta.Width)
 	return meta, cp, nil
 }
 

@@ -189,7 +189,7 @@ func (c *Coordinator) Close() error {
 	c.cancel()
 	_ = c.ln.Close()
 	for _, w := range ws {
-		_ = writeMsg(&w.wmu, w.conn, msgShutdown, nil)
+		_ = writeFrame(&w.wmu, w.conn, msgShutdown, nil)
 		_ = w.conn.Close()
 	}
 	c.wg.Wait()
@@ -307,13 +307,13 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 			}
 			c.emit(event{kind: evPrepared, wid: w.id, part: m.Part, job: m.Job, attempt: m.Attempt, addr: m.DataAddr})
 		case msgDone:
-			var m doneMsg
-			if err := decodeMsg(payload, &m); err != nil {
+			e, err := decodeDone(payload, c.subs)
+			if err != nil {
 				c.markDead(w, err)
 				return
 			}
-			c.emit(event{kind: evDone, wid: w.id, part: m.Part, job: m.Job, attempt: m.Attempt,
-				steps: m.Steps, width: m.Width, values: m.Values})
+			e.wid = w.id
+			c.emit(e)
 		case msgFailed:
 			var m failedMsg
 			if err := decodeMsg(payload, &m); err != nil {
@@ -338,12 +338,7 @@ func (c *Coordinator) assign(w *workerConn, part int) bool {
 	if c.holdAssign != nil {
 		c.holdAssign()
 	}
-	err := writeMsg(&w.wmu, w.conn, msgAssign, assignMsg{
-		Part:    part,
-		Workers: len(c.subs),
-		Shard:   c.shards[part],
-	})
-	if err != nil {
+	if err := writeFrame(&w.wmu, w.conn, msgAssign, c.shards[part]); err != nil {
 		c.markDead(w, err)
 		return false
 	}

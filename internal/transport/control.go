@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 )
 
 // Control-channel frames: the cluster control plane (coordinator ↔ worker
@@ -35,26 +36,31 @@ const (
 
 var controlCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteControlFrame writes one control frame. The frame is assembled in
-// memory and written with a single Write call; callers serializing writers
-// (one mutex per connection) therefore never interleave frames.
+// WriteControlFrame writes one control frame: header, the caller's payload
+// and the checksum go out as one vectored write (a single writev on a TCP
+// connection), so a shard or a result matrix is never staged into a
+// second buffer. Callers serialize writers per connection (one mutex
+// each), which is what keeps frames from interleaving.
 func WriteControlFrame(w io.Writer, typ uint8, payload []byte) error {
 	if len(payload) > MaxControlPayload {
 		return fmt.Errorf("transport: control payload %d bytes exceeds cap %d", len(payload), MaxControlPayload)
 	}
-	frame := make([]byte, controlHeaderBytes+len(payload)+controlTrailerBytes)
-	binary.LittleEndian.PutUint32(frame[0:4], controlFrameMagic)
-	frame[4] = typ
-	binary.LittleEndian.PutUint32(frame[5:9], uint32(len(payload)))
-	copy(frame[controlHeaderBytes:], payload)
-	crc := crc32.Checksum(frame[4:controlHeaderBytes+len(payload)], controlCRC)
-	binary.LittleEndian.PutUint32(frame[controlHeaderBytes+len(payload):], crc)
-	_, err := w.Write(frame)
+	var header [controlHeaderBytes]byte
+	binary.LittleEndian.PutUint32(header[0:4], controlFrameMagic)
+	header[4] = typ
+	binary.LittleEndian.PutUint32(header[5:9], uint32(len(payload)))
+	crc := crc32.Update(crc32.Checksum(header[4:], controlCRC), controlCRC, payload)
+	var trailer [controlTrailerBytes]byte
+	binary.LittleEndian.PutUint32(trailer[:], crc)
+	frame := net.Buffers{header[:], payload, trailer[:]}
+	_, err := frame.WriteTo(w)
 	return err
 }
 
 // ReadControlFrame reads one control frame and verifies its checksum. The
-// returned payload is freshly allocated and owned by the caller.
+// returned payload is freshly allocated and owned by the caller; it is
+// read with ReadBounded, so a corrupt length field costs no more memory
+// than the bytes that follow it.
 func ReadControlFrame(r io.Reader) (typ uint8, payload []byte, err error) {
 	var header [controlHeaderBytes]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
@@ -68,8 +74,8 @@ func ReadControlFrame(r io.Reader) (typ uint8, payload []byte, err error) {
 	if n > MaxControlPayload {
 		return 0, nil, fmt.Errorf("transport: control payload %d bytes exceeds cap %d", n, MaxControlPayload)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err = ReadBounded(r, int(n))
+	if err != nil {
 		return 0, nil, fmt.Errorf("transport: control payload: %w", err)
 	}
 	var trailer [controlTrailerBytes]byte

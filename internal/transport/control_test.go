@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -64,5 +66,26 @@ func TestControlFrameCorruptionDetected(t *testing.T) {
 func TestControlFrameTruncatedHeader(t *testing.T) {
 	if _, _, err := ReadControlFrame(bytes.NewReader([]byte{0x43})); err != io.ErrUnexpectedEOF {
 		t.Fatalf("err = %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+}
+
+// TestControlFrameLengthNotTrusted: a header claiming the maximum payload
+// followed by nothing must fail having allocated next to nothing — the
+// payload buffer grows with what arrives, not with what the header says.
+func TestControlFrameLengthNotTrusted(t *testing.T) {
+	var header [controlHeaderBytes]byte
+	binary.LittleEndian.PutUint32(header[0:4], controlFrameMagic)
+	header[4] = 7
+	binary.LittleEndian.PutUint32(header[5:9], MaxControlPayload)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadControlFrame(bytes.NewReader(header[:]))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "transport: control payload") {
+		t.Fatalf("err = %v, want a control payload error", err)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 4<<20 {
+		t.Fatalf("a corrupt length field cost %d bytes of allocation, want < 4 MiB", delta)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"net"
 	"slices"
 	"sync"
@@ -667,17 +666,17 @@ func writeJobFrameV4(bw *bufio.Writer, job uint32, step int, active bool, batch 
 			flags |= v4FlagQuantized
 		}
 		flags |= v4FlagDeltaIDs
-		s.ids = appendDeltaIDs(s.ids, batch.IDs)
-		s.vals = appendPackedVals(s.vals, batch.Vals)
+		// Sized once from the format's bounds (an id is at most 5 bytes, a
+		// packed value 9): a mesh wired per attempt starts every scratch
+		// empty, and doubling inside the encoders re-copied each frame.
+		s.ids = appendDeltaIDs(slices.Grow(s.ids, 5*count), batch.IDs)
+		s.vals = appendPackedVals(slices.Grow(s.vals, 9*count*width), batch.Vals)
 		if len(s.vals) < count*width*8 {
 			flags |= v4FlagPackedVal
 		} else {
 			// Packing would expand this column (noisy-mantissa payloads
 			// can cost 9 bytes/value): ship it raw and say so in flags.
-			s.vals = s.vals[:0]
-			for _, v := range batch.Vals {
-				s.vals = binary.LittleEndian.AppendUint64(s.vals, math.Float64bits(v))
-			}
+			s.vals = AppendF64s(s.vals[:0], batch.Vals)
 		}
 	}
 	var header [jobFrameHeaderBytesV4]byte
@@ -771,11 +770,7 @@ func readJobFrameV4(br *bufio.Reader, s *v4Scratch) (job uint32, step int, activ
 		}
 	}
 
-	if need := idBytes + valBytes; cap(s.buf) < need {
-		s.buf = make([]byte, need)
-	} else {
-		s.buf = s.buf[:need]
-	}
+	s.buf = slices.Grow(s.buf[:0], idBytes+valBytes)[:idBytes+valBytes]
 	if _, err = io.ReadFull(br, s.buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // the header promised columns: not a clean end
@@ -805,9 +800,7 @@ func readJobFrameV4(br *bufio.Reader, s *v4Scratch) (job uint32, step int, activ
 			return 0, 0, false, nil, fmt.Errorf("v4 frame: %w", err)
 		}
 	} else {
-		for i := range b.Vals {
-			b.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(valCol[i*8:]))
-		}
+		DecodeF64s(b.Vals, valCol)
 	}
 	return job, step, active, b, nil
 }
