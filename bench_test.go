@@ -583,8 +583,11 @@ func BenchmarkSessionReuse(b *testing.B) {
 // graph — k = 8, in-memory mesh, combining on (the default) — so per-op time
 // is superstep work alone: each app's kernel, the sender-side coalesce and
 // inbox delivery. The power-law rows are the powerlaw-mem benchmark cycle in
-// miniature, the road rows its many-small-supersteps opposite. Size the next
-// kernel change with
+// miniature (Aggregate at width 8, WSSSP over unit weights), the road rows
+// its many-small-supersteps opposite. Those jobs find the subgraphs' routing
+// plans and component tables already built; powerlaw/CC/cold runs CC over
+// freshly built subgraphs instead, so its distance from powerlaw/CC is the
+// first-use cost of both tables. Size the next kernel change with
 //
 //	go test -run '^$' -bench SuperstepKernels -cpuprofile cpu.out
 func BenchmarkSuperstepKernels(b *testing.B) {
@@ -597,7 +600,7 @@ func BenchmarkSuperstepKernels(b *testing.B) {
 		g    *graph.Graph
 		apps []string
 	}{
-		{"powerlaw", ablationGraph(b), []string{"CC", "PR", "SSSP"}},
+		{"powerlaw", ablationGraph(b), []string{"CC", "PR", "SSSP", "WSSSP", "Aggregate"}},
 		{"road", road, []string{"CC", "SSSP"}},
 	} {
 		// The max-out-degree vertex reaches most of either graph.
@@ -617,10 +620,30 @@ func BenchmarkSuperstepKernels(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			width := 1
+			if app == "Aggregate" {
+				width = 8
+			}
 			b.Run(tc.name+"/"+app, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.Run(context.Background(), prog); err != nil {
+					if _, err := s.Run(context.Background(), prog, ebv.WithValueWidth(width)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		if tc.name == "powerlaw" {
+			b.Run("powerlaw/CC/cold", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					subs, err := bsp.BuildSubgraphs(tc.g, s.Prepared().Assignment)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := bsp.Run(context.Background(), subs, &apps.CC{}, bsp.Config{AutoCombine: true}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -77,7 +77,6 @@ func (a *Aggregate) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram 
 	for l := 0; l < n; l++ {
 		feature(sub.GlobalIDs[l], w.h.Row(l))
 	}
-	w.owned, w.mirrors = replicaRoles(sub)
 	return w
 }
 
@@ -92,8 +91,6 @@ type aggWorker struct {
 	// sum grouping — and therefore the result bits — is identical whether
 	// or not the exchange pre-combined duplicate rows.
 	inAcc *graph.ValueMatrix
-	// owned and mirrors split the local vertices by role (replicaRoles).
-	owned, mirrors []int32
 }
 
 // addRow accumulates src into dst componentwise.
@@ -123,9 +120,7 @@ func (w *aggWorker) Superstep(step int, in *transport.MessageBatch) (out []*tran
 			addRow(w.partial.Row(int(e.Dst)), w.h.Row(int(e.Src)))
 		}
 		out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-		for _, local := range w.mirrors {
-			outBatch(out, w.sub.Master(local), w.env).AppendRow(w.sub.GlobalIDs[local], w.partial.Row(int(local)))
-		}
+		w.env.SendRows(out, w.sub.Routing().ToMaster, w.partial)
 		return out, true
 	}
 
@@ -136,18 +131,16 @@ func (w *aggWorker) Superstep(step int, in *transport.MessageBatch) (out []*tran
 		}
 	}
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-	for _, local := range w.owned {
+	plan := w.sub.Routing()
+	for _, local := range plan.Owned {
 		l := int(local)
 		norm := float64(1 + w.sub.GlobalInDegree[l])
 		hRow, pRow, accRow := w.h.Row(l), w.partial.Row(l), w.inAcc.Row(l)
 		for j := range hRow {
 			hRow[j] = (hRow[j] + pRow[j] + accRow[j]) / norm
 		}
-		gid := w.sub.GlobalIDs[l]
-		for _, peer := range w.sub.ReplicaPeers[local] {
-			outBatch(out, peer, w.env).AppendRow(gid, hRow)
-		}
 	}
+	w.env.SendRows(out, plan.ToMirrors, w.h)
 	return out, true
 }
 

@@ -24,14 +24,6 @@ import (
 	"ebv/internal/transport"
 )
 
-// outBatch returns out[dst], drawing a pooled batch from env on first use.
-func outBatch(out []*transport.MessageBatch, dst int32, env bsp.Env) *transport.MessageBatch {
-	if out[dst] == nil {
-		out[dst] = env.NewBatch()
-	}
-	return out[dst]
-}
-
 // scalarValues exports a scalar state slice as the run-width value matrix
 // (column 0 = the value) — the Values() of every scalar program here.
 func scalarValues(env bsp.Env, state []float64) *graph.ValueMatrix {
@@ -85,27 +77,16 @@ func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 		sub:     sub,
 		env:     env,
 		sendAll: c.SendAll,
-		root:    make([]int32, n),
+		plan:    sub.Routing(),
+		root:    sub.ComponentRoots(),
 		label:   make([]float64, n),
+		sent:    make([]float64, n),
 	}
-	// Collapse the local subgraph: union endpoints of every local edge,
-	// then flatten — the components never change again, so every later
-	// root lookup is one load.
-	d := newDSU(n)
-	for _, e := range sub.Edges {
-		d.union(int32(e.Src), int32(e.Dst))
-	}
-	for l := range w.root {
-		w.root[l] = d.find(int32(l))
-	}
-	// Root labels start as the minimum covered global id of the component.
-	for l := range w.label {
-		w.label[l] = float64(sub.GlobalIDs[l])
-	}
-	for l, r := range w.root {
-		if w.label[r] > float64(sub.GlobalIDs[l]) {
-			w.label[r] = float64(sub.GlobalIDs[l])
-		}
+	// The local subgraph is collapsed once per subgraph, not per job. Each
+	// root is its component's smallest local id, so its own global id is the
+	// component's minimum: the starting label. Only root entries are read.
+	for l, gid := range sub.GlobalIDs {
+		w.label[l] = float64(gid)
 	}
 	// Warm start: fold the previous run's labels in exactly as
 	// RestoreState folds a checkpoint's — min into the component root,
@@ -124,20 +105,19 @@ func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 			}
 		}
 	}
-	w.replicated = sub.ReplicatedVertices()
 	return w
 }
 
 type ccWorker struct {
-	sub        *bsp.Subgraph
-	env        bsp.Env
-	sendAll    bool
-	root       []int32   // local vertex → its local component's root
-	label      []float64 // valid at component roots
-	replicated []int32
-	// lastSent[i] is the label last broadcast for replicated vertex
-	// replicated[i]; used to suppress duplicate sends.
-	lastSent []float64
+	sub     *bsp.Subgraph
+	env     bsp.Env
+	sendAll bool
+	plan    *bsp.Routing
+	root    []int32   // local vertex → its local component's root (shared, read-only)
+	label   []float64 // valid at component roots
+	// sent[l] is the label last broadcast for replicated vertex l; used to
+	// suppress duplicate sends.
+	sent []float64
 }
 
 // Superstep implements bsp.WorkerProgram.
@@ -153,26 +133,27 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 			changed = true
 		}
 	}
-	if step == 0 {
-		w.lastSent = make([]float64, len(w.replicated))
-		for i := range w.lastSent {
-			w.lastSent[i] = -1 // force initial broadcast
-		}
-		changed = true
-	}
-	if !changed {
+	if step > 0 && !changed {
 		return nil, false
 	}
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-	for i, local := range w.replicated {
-		val := w.label[w.root[local]]
-		if !w.sendAll && val == w.lastSent[i] {
+	if step == 0 || w.sendAll {
+		// Full broadcast: every boundary vertex to every peer sharing it.
+		for _, l := range w.plan.Replicated {
+			w.sent[l] = w.label[w.root[l]]
+		}
+		w.env.SendScalars(out, w.plan.Boundary, w.sent)
+		return out, false
+	}
+	for _, l := range w.plan.Replicated {
+		val := w.label[w.root[l]]
+		if val == w.sent[l] {
 			continue
 		}
-		w.lastSent[i] = val
-		gid := w.sub.GlobalIDs[local]
-		for _, peer := range w.sub.ReplicaPeers[local] {
-			outBatch(out, peer, w.env).AppendScalar(gid, val)
+		w.sent[l] = val
+		gid := w.sub.GlobalIDs[l]
+		for _, peer := range w.plan.PeersOf(l) {
+			w.env.SendScalar(out, peer, gid, val)
 		}
 	}
 	return out, false
@@ -190,11 +171,11 @@ func (w *ccWorker) Values() *graph.ValueMatrix {
 var _ bsp.Resumable = (*ccWorker)(nil)
 
 // SnapshotState implements bsp.Resumable: every local vertex's resolved
-// component label (width 1). The root table needs no snapshot — NewWorker
-// rebuilds it from the (immutable) local edges — and lastSent needs none
-// either, because at every superstep boundary lastSent[i] equals the
-// resolved label of replicated[i]: a broadcast updates both together, and
-// a suppressed send means the label did not move.
+// component label (width 1). The root table needs no snapshot — it is a
+// function of the (immutable) local edges — and sent needs none either,
+// because at every superstep boundary sent[l] equals the resolved label of
+// replicated vertex l: a broadcast updates both together, and a suppressed
+// send means the label did not move.
 func (w *ccWorker) SnapshotState() *graph.ValueMatrix {
 	m := graph.NewValueMatrix(len(w.root), 1)
 	for l, r := range w.root {
@@ -204,7 +185,7 @@ func (w *ccWorker) SnapshotState() *graph.ValueMatrix {
 }
 
 // RestoreState implements bsp.Resumable: fold the snapshot labels into the
-// freshly rebuilt components' roots and reconstruct lastSent from them (valid by
+// components' roots and reconstruct sent from them (valid by
 // the invariant above; step >= 1, so the step-0 forced broadcast already
 // happened in the original timeline and must not be replayed).
 func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
@@ -219,9 +200,8 @@ func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 			w.label[r] = v
 		}
 	}
-	w.lastSent = make([]float64, len(w.replicated))
-	for i, local := range w.replicated {
-		w.lastSent[i] = w.label[w.root[local]]
+	for _, l := range w.plan.Replicated {
+		w.sent[l] = w.label[w.root[l]]
 	}
 	return nil
 }

@@ -71,34 +71,7 @@ func (p *PageRank) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	for i := range w.rank {
 		w.rank[i] = init
 	}
-	w.owned, w.mirrors = replicaRoles(sub)
 	return w
-}
-
-// replicaRoles splits a subgraph's local vertices by master/mirror role,
-// each list in ascending local id: owned holds the vertices this worker is
-// the master of (replicated or not), mirrors the replicated ones mastered
-// elsewhere. The split is fixed for the subgraph's lifetime, so the
-// master-routed programs compute it once instead of asking Master per vertex
-// per superstep.
-func replicaRoles(sub *bsp.Subgraph) (owned, mirrors []int32) {
-	self := int32(sub.Part)
-	numMirrors := 0
-	for l := range sub.GlobalIDs {
-		if sub.Master(int32(l)) != self {
-			numMirrors++
-		}
-	}
-	owned = make([]int32, 0, len(sub.GlobalIDs)-numMirrors)
-	mirrors = make([]int32, 0, numMirrors)
-	for l := range sub.GlobalIDs {
-		if local := int32(l); sub.Master(local) == self {
-			owned = append(owned, local)
-		} else {
-			mirrors = append(mirrors, local)
-		}
-	}
-	return owned, mirrors
 }
 
 type prWorker struct {
@@ -116,8 +89,6 @@ type prWorker struct {
 	// exchange pre-combined duplicate rows, so combiner-on and -off runs
 	// are byte-identical.
 	inSum []float64
-	// owned and mirrors split the local vertices by role (replicaRoles).
-	owned, mirrors []int32
 }
 
 // Superstep implements bsp.WorkerProgram.
@@ -147,9 +118,7 @@ func (w *prWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 		}
 		// Mirrors ship partials to masters.
 		out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-		for _, local := range w.mirrors {
-			outBatch(out, w.sub.Master(local), w.env).AppendScalar(w.sub.GlobalIDs[local], w.partial[local])
-		}
+		w.env.SendScalars(out, w.sub.Routing().ToMaster, w.partial)
 		return out, true
 	}
 
@@ -162,13 +131,11 @@ func (w *prWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 	}
 	base := (1 - w.damping) / float64(w.sub.NumGlobalVertices)
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-	for _, l := range w.owned { // mirrors receive their rank next step
+	plan := w.sub.Routing()
+	for _, l := range plan.Owned { // mirrors receive their rank next step
 		w.rank[l] = base + w.damping*(w.partial[l]+w.inSum[l])
-		gid := w.sub.GlobalIDs[l]
-		for _, peer := range w.sub.ReplicaPeers[l] {
-			outBatch(out, peer, w.env).AppendScalar(gid, w.rank[l])
-		}
 	}
+	w.env.SendScalars(out, plan.ToMirrors, w.rank)
 	// Stay active through the final scatter so mirrors install it.
 	return out, true
 }

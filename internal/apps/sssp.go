@@ -41,7 +41,7 @@ func (s *SSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 		source:   s.Source,
 		dist:     make([]float64, n),
 		inQueue:  make([]bool, n),
-		improved: newImprovedSet(n),
+		improved: newImprovedSet(sub),
 	}
 	for i := range w.dist {
 		w.dist[i] = math.Inf(1)
@@ -67,37 +67,40 @@ type ssspWorker struct {
 }
 
 // improvedSet marks the replicated local vertices whose distance improved
-// since the last send: a bitset over local ids, so marking is one OR and
-// send sweeps ascending local ids — the emission order.
-type improvedSet []uint64
-
-func newImprovedSet(numLocal int) improvedSet {
-	return make(improvedSet, (numLocal+63)/64)
+// since the last send: a bitset over local ids, so marking is one OR masked
+// by the routing plan's replicated bits and send sweeps ascending local ids
+// — the emission order.
+type improvedSet struct {
+	bits []uint64
+	plan *bsp.Routing
 }
 
-func (s improvedSet) mark(sub *bsp.Subgraph, v int32) {
-	if sub.IsReplicated(v) {
-		s[v>>6] |= 1 << (v & 63)
-	}
+func newImprovedSet(sub *bsp.Subgraph) improvedSet {
+	plan := sub.Routing()
+	return improvedSet{bits: make([]uint64, len(plan.Mask)), plan: plan}
+}
+
+func (s improvedSet) mark(v int32) {
+	s.bits[v>>6] |= s.plan.Mask[v>>6] & (1 << (v & 63))
 }
 
 // send empties the set, shipping dist[v] of every marked vertex to its
 // replica peers; it returns nil when nothing was marked.
 func (s improvedSet) send(sub *bsp.Subgraph, env bsp.Env, dist []float64) []*transport.MessageBatch {
 	var out []*transport.MessageBatch
-	for i, word := range s {
+	for i, word := range s.bits {
 		if word == 0 {
 			continue
 		}
-		s[i] = 0
+		s.bits[i] = 0
 		if out == nil {
 			out = make([]*transport.MessageBatch, sub.NumWorkers)
 		}
 		for ; word != 0; word &= word - 1 {
-			v := i<<6 + bits.TrailingZeros64(word)
+			v := int32(i<<6 + bits.TrailingZeros64(word))
 			gid, val := sub.GlobalIDs[v], dist[v]
-			for _, peer := range sub.ReplicaPeers[v] {
-				outBatch(out, peer, env).AppendScalar(gid, val)
+			for _, peer := range s.plan.PeersOf(v) {
+				env.SendScalar(out, peer, gid, val)
 			}
 		}
 	}
@@ -121,7 +124,7 @@ func (w *ssspWorker) relax() {
 		for _, v := range w.sub.Out.Neighbors(graph.VertexID(u)) {
 			if nd := du + 1; nd < w.dist[v] {
 				w.dist[v] = nd
-				w.improved.mark(w.sub, int32(v))
+				w.improved.mark(int32(v))
 				w.push(int32(v))
 			}
 		}
@@ -145,7 +148,7 @@ func (w *ssspWorker) Superstep(step int, in *transport.MessageBatch) (out []*tra
 		// If the source is a cut vertex, its zero distance must reach the
 		// peer replicas too.
 		if local, ok := w.sub.LocalOf(w.source); ok {
-			w.improved.mark(w.sub, local)
+			w.improved.mark(local)
 		}
 	}
 	w.relax()
@@ -186,6 +189,6 @@ func (w *ssspWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 	}
 	w.queue, w.head = w.queue[:0], 0
 	clear(w.inQueue)
-	clear(w.improved)
+	clear(w.improved.bits)
 	return nil
 }

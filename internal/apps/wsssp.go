@@ -38,7 +38,7 @@ func (s *WeightedSSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgr
 		env:      env,
 		source:   s.Source,
 		dist:     make([]float64, sub.NumLocalVertices()),
-		improved: newImprovedSet(sub.NumLocalVertices()),
+		improved: newImprovedSet(sub),
 	}
 	for i := range w.dist {
 		w.dist[i] = math.Inf(1)
@@ -103,7 +103,7 @@ func (w *wssspWorker) relax() {
 			nd := du + w.sub.EdgeWeight(edgeIdx[j])
 			if nd < w.dist[v] {
 				w.dist[v] = nd
-				w.improved.mark(w.sub, int32(v))
+				w.improved.mark(int32(v))
 				heap.Push(h, [2]float64{float64(v), nd})
 			}
 		}
@@ -124,7 +124,7 @@ func (w *wssspWorker) Superstep(step int, in *transport.MessageBatch) (out []*tr
 	}
 	if step == 0 {
 		if local, ok := w.sub.LocalOf(w.source); ok {
-			w.improved.mark(w.sub, local)
+			w.improved.mark(local)
 		}
 	}
 	w.relax()
@@ -161,7 +161,7 @@ func (w *wssspWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 		w.dist[l] = state.Scalar(l)
 	}
 	w.frontier = w.frontier[:0]
-	clear(w.improved)
+	clear(w.improved.bits)
 	return nil
 }
 

@@ -8,6 +8,8 @@ package bsp_test
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ebv/internal/apps"
@@ -192,7 +194,7 @@ func (w *fanInWorker) Superstep(step int, in *transport.MessageBatch) ([]*transp
 			}
 		}
 		out := make([]*transport.MessageBatch, w.sub.NumWorkers)
-		for _, local := range w.sub.ReplicatedVertices() {
+		for _, local := range w.sub.Routing().Replicated {
 			if w.sub.Master(local) != self {
 				continue
 			}
@@ -378,5 +380,154 @@ func TestCombinerAdaptiveProbeIgnoresTinyBatches(t *testing.T) {
 	c := res.MessageCounts()
 	if c.Wire >= c.Emitted {
 		t.Fatalf("burst after a sparse start crossed the wire uncombined: %+v", c)
+	}
+}
+
+// mixedBatches sends, per worker and step, one batch to each of its two
+// successors, scripted so that strictly ascending batches (which the engine
+// books as a duplicate scan that removed nothing, without scanning) must
+// drive the adaptive probe exactly as scanned ones do:
+//
+//	step 0, 2: ascending + duplicate-bearing (combined: 20 rows emitted, 15 sent)
+//	step 1:    ascending + descending        (a real scan that removes nothing)
+//	step 3, 4: ascending + ascending         (two duplicate-free steps: the probe gives up)
+//	step 5:    ascending + duplicate-bearing (no longer combined: 20 sent)
+//
+// Receivers sum what they cover, so the values are combining-invariant.
+type mixedBatches struct{}
+
+func (*mixedBatches) Name() string { return "mixed-batches" }
+
+func (*mixedBatches) MessageCombiner() transport.Combiner { return transport.SumCombiner{} }
+
+func (*mixedBatches) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
+	return &mixedBatchesWorker{sub: sub, env: env, acc: make([]float64, sub.NumLocalVertices())}
+}
+
+type mixedBatchesWorker struct {
+	sub *bsp.Subgraph
+	env bsp.Env
+	acc []float64
+}
+
+func (w *mixedBatchesWorker) Superstep(step int, in *transport.MessageBatch) ([]*transport.MessageBatch, bool) {
+	for i, gid := range in.IDs {
+		if local, ok := w.sub.LocalOf(gid); ok {
+			w.acc[local] += in.Scalar(i)
+		}
+	}
+	if step > 5 {
+		return nil, false
+	}
+	const rows = 10
+	batch := func(pick func(i int) int) *transport.MessageBatch {
+		b := w.env.NewBatch()
+		for i := 0; i < rows; i++ {
+			b.AppendScalar(w.sub.GlobalIDs[pick(i)], float64(step+1))
+		}
+		return b
+	}
+	ascending := func(i int) int { return i }
+	second := ascending
+	switch step {
+	case 0, 2, 5:
+		second = func(i int) int { return i % (rows / 2) }
+	case 1:
+		second = func(i int) int { return rows - 1 - i }
+	}
+	out := make([]*transport.MessageBatch, w.sub.NumWorkers)
+	out[(w.sub.Part+1)%w.sub.NumWorkers] = batch(ascending)
+	out[(w.sub.Part+2)%w.sub.NumWorkers] = batch(second)
+	return out, false
+}
+
+func (w *mixedBatchesWorker) Values() *graph.ValueMatrix {
+	vals := w.env.NewValues(len(w.acc))
+	for l, v := range w.acc {
+		vals.SetScalar(l, v)
+	}
+	return vals
+}
+
+// TestCombinerAscendingBatchesCountAsScans pins the per-step wire counts
+// of the script above — including the step at which the adaptive probe
+// stops combining — and the combining-invariance of the values.
+func TestCombinerAscendingBatchesCountAsScans(t *testing.T) {
+	subs := buildSubs(t, testGraphs(t)["powerlaw"], core.New(), 3)
+	on, err := bsp.Run(t.Context(), subs, &mixedBatches{}, bsp.Config{AutoCombine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := bsp.Run(t.Context(), subs, &mixedBatches{}, bsp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !on.Values.EqualValues(off.Values) {
+		t.Fatal("combined values differ from uncombined")
+	}
+	wantSent := []int64{15, 20, 15, 20, 20, 20, 0}
+	for w, stats := range on.Workers {
+		if !slices.Equal(stats.Sent, wantSent) {
+			t.Errorf("worker %d: Sent per step %v, want %v", w, stats.Sent, wantSent)
+		}
+		if !slices.Equal(stats.Emitted, off.Workers[w].Emitted) || !slices.Equal(off.Workers[w].Sent, stats.Emitted) {
+			t.Errorf("worker %d: Emitted %v, uncombined run emitted %v and sent %v",
+				w, stats.Emitted, off.Workers[w].Emitted, off.Workers[w].Sent)
+		}
+	}
+}
+
+// TestBuiltInAppsAllocateNoCombineIndex: the five apps send by routing-plan
+// column or ascending sweep, so every batch they emit is strictly ascending
+// and a combining run must never pay for the coalescing index. The graph's
+// id space is padded with isolated vertices to just inside the dense gate,
+// which makes the k indexes (8·|V| bytes each) larger than everything else
+// a job allocates; the heap bytes of a warm job with combining on must stay
+// within half of them of the same job with combining off (the slack absorbs
+// batch-pool misses, which the race detector provokes at random).
+func TestBuiltInAppsAllocateNoCombineIndex(t *testing.T) {
+	pl, _ := pinnedGraphs(t)
+	const k, paddedIDs = 8, 9000
+	g, err := graph.New(paddedIDs, pl.Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.New().Partition(g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := buildWeightedSubs(t, g, a)
+	for _, sub := range subs {
+		if paddedIDs > 16*sub.NumLocalVertices() {
+			t.Fatalf("part %d covers %d of %d ids: outside the dense gate, the test would be vacuous",
+				sub.Part, sub.NumLocalVertices(), paddedIDs)
+		}
+	}
+	d, err := bsp.NewDeployment(subs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const slack = k / 2 * 8 * paddedIDs
+	for _, prog := range combinerApps() {
+		jobBytes := func(combine bool) uint64 {
+			least := ^uint64(0)
+			var before, after runtime.MemStats
+			for i := 0; i < 6; i++ { // the first run warms the pools and tables
+				runtime.ReadMemStats(&before)
+				if _, err := d.Run(t.Context(), prog, bsp.Config{AutoCombine: combine}); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				if i > 0 {
+					least = min(least, after.TotalAlloc-before.TotalAlloc)
+				}
+			}
+			return least
+		}
+		if off, on := jobBytes(false), jobBytes(true); on >= off+slack {
+			t.Errorf("%s: %d B per job with combining on, %d B off: %d dense combine indexes cost %d B",
+				prog.Name(), on, off, k, 2*slack)
+		}
 	}
 }

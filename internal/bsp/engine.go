@@ -448,11 +448,13 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		resumable = r
 	}
 	// Combining is sender-side only: each outgoing batch is coalesced
-	// against a per-worker scratch index that lives for the whole run —
-	// dense O(1) probes when the global id space is within 16× the local
-	// vertex count (the LocalOf density gate), a map otherwise. Ids beyond
-	// the dense capacity pass through uncombined, which is safe: programs
-	// fold duplicate rows themselves (the Combiner contract).
+	// against a per-worker scratch index — dense O(1) probes when the global
+	// id space is within 16× the local vertex count (the LocalOf density
+	// gate), a map otherwise. Ids beyond the dense capacity pass through
+	// uncombined, which is safe: programs fold duplicate rows themselves
+	// (the Combiner contract). A strictly ascending batch holds no two equal
+	// ids: it is booked as a scan that removed nothing without being scanned,
+	// and the first batch that is not allocates the index.
 	//
 	// It is adaptive: after senderProbeSteps consecutive steps in which a
 	// real duplicate scan (at least senderProbeMinRows rows — steps moving
@@ -465,13 +467,6 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		senderProbeMinRows = 8
 	)
 	var combIdx *transport.CombineIndex
-	if comb != nil {
-		denseSize := 0
-		if locals := sub.NumLocalVertices(); locals > 0 && sub.NumGlobalVertices <= 16*locals {
-			denseSize = sub.NumGlobalVertices
-		}
-		combIdx = transport.NewCombineIndex(denseSize)
-	}
 	senderCombine := comb != nil
 	dupFreeSteps := 0
 	// The inbox batch concatenates the step's incoming batches; it cycles
@@ -528,7 +523,16 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 			for dst, batch := range out {
 				if batch.Len() > 1 {
 					scannedRows += batch.Len()
-					removed += batch.Coalesce(comb, combIdx)
+					if !strictlyAscending(batch.IDs) {
+						if combIdx == nil {
+							denseSize := 0
+							if locals := sub.NumLocalVertices(); locals > 0 && sub.NumGlobalVertices <= 16*locals {
+								denseSize = sub.NumGlobalVertices
+							}
+							combIdx = transport.NewCombineIndex(denseSize)
+						}
+						removed += batch.Coalesce(comb, combIdx)
+					}
 				}
 				if dst != w {
 					sent += int64(batch.Len())
@@ -626,6 +630,15 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		}
 	}
 	return maxSteps, nil, ErrMaxSteps
+}
+
+func strictlyAscending(ids []graph.VertexID) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // WorkerResult is the outcome of a single worker's participation in a

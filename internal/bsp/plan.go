@@ -1,0 +1,227 @@
+package bsp
+
+import (
+	"slices"
+	"sync"
+
+	"ebv/internal/graph"
+	"ebv/internal/transport"
+)
+
+// Routing is a subgraph's replica routing plan: everything the partition
+// fixes about who sends what to whom (§IV-B — messages flow only between
+// replicas of cut vertices), derived from ReplicaPeers once per subgraph
+// and shared read-only by every job on it. Every list is in ascending local
+// id, hence ascending global id: a batch filled from one carries strictly
+// ascending ids and cannot hold a duplicate.
+type Routing struct {
+	// Owned holds the local vertices this worker is the master of
+	// (replicated or not); the rest are mirrors, found in ToMaster.
+	Owned []int32
+	// Replicated lists the local vertices with a replica on another worker;
+	// Mask has bit l set exactly for those.
+	Replicated []int32
+	Mask       []uint64
+	// peers[peerStart[l]:peerStart[l+1]] is ReplicaPeers[l], flattened.
+	peerStart []int32
+	peers     []int32
+	// The send columns, indexed by peer worker id (empty for this worker
+	// and for workers sharing no vertex with it): Boundary[q] holds the
+	// vertices also replicated on q, ToMaster[q] the mirrors mastered at q,
+	// ToMirrors[q] the owned vertices with a mirror on q.
+	Boundary, ToMaster, ToMirrors []Column
+}
+
+// Column is one send column: local ids beside their global ids, ascending.
+type Column struct {
+	Locals []int32
+	IDs    []graph.VertexID
+}
+
+// PeersOf returns ReplicaPeers[l] (ascending, aliasing the plan).
+func (r *Routing) PeersOf(l int32) []int32 {
+	return r.peers[r.peerStart[l]:r.peerStart[l+1]]
+}
+
+// lazy builds a derived table once, on first use (concurrent first users
+// block on the one build); a hand-assembled Subgraph's nil cell, per call.
+type lazy[T any] struct {
+	once sync.Once
+	v    T
+}
+
+func (c *lazy[T]) get(build func() T) T {
+	if c == nil {
+		return build()
+	}
+	c.once.Do(func() { c.v = build() })
+	return c.v
+}
+
+// Routing returns the subgraph's routing plan, building it on first use.
+func (s *Subgraph) Routing() *Routing {
+	return s.routing.get(func() *Routing { return buildRouting(s) })
+}
+
+// ComponentRoots returns the local component table, built on first use:
+// entry l is the smallest local id in l's connected component of the local
+// edges (taken as undirected). Local ids ascend with global ids, so
+// GlobalIDs[root] is the component's minimum covered global id.
+func (s *Subgraph) ComponentRoots() []int32 {
+	return s.comps.get(func() []int32 { return buildComponentRoots(s) })
+}
+
+// CopyForPatch returns a shallow copy of s with private ReplicaPeers and
+// degree columns and an empty routing plan: a live row patch rewrites peer
+// rows (the cached plan must not carry over) but no edge (the components do).
+func (s *Subgraph) CopyForPatch() *Subgraph {
+	dup := *s
+	dup.ReplicaPeers = slices.Clone(s.ReplicaPeers)
+	dup.GlobalOutDegree = slices.Clone(s.GlobalOutDegree)
+	dup.GlobalInDegree = slices.Clone(s.GlobalInDegree)
+	dup.routing = new(lazy[*Routing])
+	return &dup
+}
+
+func buildRouting(s *Subgraph) *Routing {
+	n, k, self := len(s.GlobalIDs), s.NumWorkers, int32(s.Part)
+	r := &Routing{Mask: make([]uint64, (n+63)/64), peerStart: make([]int32, n+1)}
+	// Pass 1 sizes every table, so pass 2 fills exact allocations.
+	boundary, toMaster, toMirrors := make([]int, k), make([]int, k), make([]int, k)
+	replicated, mirrors := 0, 0
+	for l, peers := range s.ReplicaPeers {
+		r.peerStart[l+1] = r.peerStart[l] + int32(len(peers))
+		if len(peers) == 0 {
+			continue
+		}
+		replicated++
+		r.Mask[l>>6] |= 1 << (l & 63)
+		if peers[0] < self {
+			mirrors++
+			toMaster[peers[0]]++
+		}
+		for _, q := range peers {
+			boundary[q]++
+			if self < peers[0] {
+				toMirrors[q]++
+			}
+		}
+	}
+	r.Owned = make([]int32, 0, n-mirrors)
+	r.Replicated = make([]int32, 0, replicated)
+	r.peers = make([]int32, 0, r.peerStart[n])
+	r.Boundary, r.ToMaster, r.ToMirrors = newColumns(boundary), newColumns(toMaster), newColumns(toMirrors)
+	for l, peers := range s.ReplicaPeers {
+		local, gid := int32(l), s.GlobalIDs[l]
+		owned := len(peers) == 0 || self < peers[0]
+		if owned {
+			r.Owned = append(r.Owned, local)
+		} else {
+			r.ToMaster[peers[0]].add(local, gid)
+		}
+		if len(peers) == 0 {
+			continue
+		}
+		r.Replicated = append(r.Replicated, local)
+		r.peers = append(r.peers, peers...)
+		for _, q := range peers {
+			r.Boundary[q].add(local, gid)
+			if owned {
+				r.ToMirrors[q].add(local, gid)
+			}
+		}
+	}
+	return r
+}
+
+// newColumns returns one empty column of capacity counts[q] per peer.
+func newColumns(counts []int) []Column {
+	cols := make([]Column, len(counts))
+	for q, c := range counts {
+		if c > 0 {
+			cols[q] = Column{Locals: make([]int32, 0, c), IDs: make([]graph.VertexID, 0, c)}
+		}
+	}
+	return cols
+}
+
+func (c *Column) add(local int32, gid graph.VertexID) {
+	c.Locals = append(c.Locals, local)
+	c.IDs = append(c.IDs, gid)
+}
+
+// buildComponentRoots is a union-find whose links always point at the
+// smaller local id, so each tree's root is its component's minimum and one
+// ascending pass flattens it (a parent is final before its children).
+func buildComponentRoots(s *Subgraph) []int32 {
+	root := make([]int32, len(s.GlobalIDs))
+	for l := range root {
+		root[l] = int32(l)
+	}
+	find := func(x int32) int32 {
+		for root[x] != x {
+			root[x] = root[root[x]]
+			x = root[x]
+		}
+		return x
+	}
+	for _, e := range s.Edges {
+		a, b := find(int32(e.Src)), find(int32(e.Dst))
+		root[max(a, b)] = min(a, b)
+	}
+	for l, p := range root {
+		root[l] = root[p]
+	}
+	return root
+}
+
+// SendScalars hands every peer with a non-empty column one batch of rows
+// (col.IDs[i], vals[col.Locals[i]]), zero-padded beyond column 0 at width
+// > 1: one copy of the id column plus one gather loop per peer. out[q] must
+// still be unset for those peers.
+func (e Env) SendScalars(out []*transport.MessageBatch, cols []Column, vals []float64) {
+	w := e.ValueWidth
+	e.sendColumns(out, cols, func(b *transport.MessageBatch, locals []int32) {
+		if w > 1 {
+			clear(b.Vals)
+		}
+		for i, l := range locals {
+			b.Vals[i*w] = vals[l]
+		}
+	})
+}
+
+// SendRows is SendScalars for whole value rows: row i is m.Row(col.Locals[i]).
+func (e Env) SendRows(out []*transport.MessageBatch, cols []Column, m *graph.ValueMatrix) {
+	e.sendColumns(out, cols, func(b *transport.MessageBatch, locals []int32) {
+		for i, l := range locals {
+			copy(b.Row(i), m.Row(int(l)))
+		}
+	})
+}
+
+// sendColumns places in out[q], for every non-empty column q, a pooled batch
+// addressed to its vertices, once fill wrote the (sized, dirty) value rows.
+func (e Env) sendColumns(out []*transport.MessageBatch, cols []Column,
+	fill func(b *transport.MessageBatch, locals []int32)) {
+	for q, col := range cols {
+		if len(col.IDs) == 0 {
+			continue
+		}
+		b := e.NewBatch()
+		b.IDs = append(b.IDs, col.IDs...)
+		n := len(col.IDs) * e.ValueWidth
+		b.Vals = slices.Grow(b.Vals, n)[:n]
+		fill(b, col.Locals)
+		out[q] = b
+	}
+}
+
+// SendScalar appends the row (id, v) to out[dst], drawing a pooled batch on
+// first use — the row-at-a-time path of the sparse steps.
+func (e Env) SendScalar(out []*transport.MessageBatch, dst int32, id graph.VertexID, v float64) {
+	if out[dst] == nil {
+		out[dst] = e.NewBatch()
+	}
+	out[dst].AppendScalar(id, v)
+}

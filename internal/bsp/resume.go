@@ -3,6 +3,7 @@ package bsp
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ebv/internal/graph"
 	"ebv/internal/transport"
@@ -118,7 +119,7 @@ func AssembleValues(subs []*Subgraph, workerValues []*graph.ValueMatrix, width i
 			dst := values.Row(int(gid))
 			if verify && covered[gid] {
 				for j := range dst {
-					if dst[j] != row[j] {
+					if math.Float64bits(dst[j]) != math.Float64bits(row[j]) {
 						return nil, nil, fmt.Errorf(
 							"bsp: replicas of vertex %d disagree at column %d: %g vs %g (worker %d)",
 							gid, j, dst[j], row[j], w)

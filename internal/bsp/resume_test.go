@@ -1,6 +1,7 @@
 package bsp_test
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -206,5 +207,39 @@ func TestResumeValidation(t *testing.T) {
 		if _, err := bsp.Run(t.Context(), subs, prog, cfg); err == nil {
 			t.Fatalf("%s: expected a validation error", name)
 		}
+	}
+}
+
+// TestReplicaAgreementIsBitwise: "agree bit-for-bit" means the bits. Two
+// replicas that both hold NaN agree (a float compare says NaN != NaN and
+// failed every Aggregate run whose feature function emits one), and +0 vs
+// −0 do not (a float compare let them pass).
+func TestReplicaAgreementIsBitwise(t *testing.T) {
+	_, subs := starGraph(t, 40, 4) // the hub is replicated on every worker
+	nan := &apps.Aggregate{Layers: 1, Feature: func(v graph.VertexID, feat []float64) {
+		for j := range feat {
+			feat[j] = math.NaN()
+		}
+	}}
+	res, err := bsp.Run(t.Context(), subs, nan, bsp.Config{ValueWidth: 3, VerifyReplicaAgreement: true})
+	if err != nil {
+		t.Fatalf("replicas all holding NaN: %v", err)
+	}
+	if row, ok := res.Row(0); !ok || !math.IsNaN(row[0]) {
+		t.Fatalf("hub row = %v (covered %t), want NaNs", row, ok)
+	}
+
+	vals := make([]*graph.ValueMatrix, len(subs))
+	for w, sub := range subs {
+		vals[w] = graph.NewValueMatrix(sub.NumLocalVertices(), 1)
+	}
+	hub, _ := subs[1].LocalOf(0)
+	vals[1].SetScalar(int(hub), math.Copysign(0, -1))
+	if _, _, err := bsp.AssembleValues(subs, vals, 1, true); err == nil ||
+		!strings.Contains(err.Error(), "replicas of vertex 0 disagree") {
+		t.Fatalf("+0 vs -0 replicas: err = %v, want a disagreement on vertex 0", err)
+	}
+	if _, _, err := bsp.AssembleValues(subs, vals, 1, false); err != nil {
+		t.Fatalf("unverified assembly: %v", err)
 	}
 }

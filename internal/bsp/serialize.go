@@ -127,7 +127,8 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 		return nil, fmt.Errorf("bsp: corrupt subgraph: checksum %#x, computed %#x", sum, crc)
 	}
 
-	sub := &Subgraph{Part: int(word[3]), NumWorkers: int(word[4]), NumGlobalVertices: int(word[5])}
+	sub := &Subgraph{Part: int(word[3]), NumWorkers: int(word[4]), NumGlobalVertices: int(word[5]),
+		routing: new(lazy[*Routing]), comps: new(lazy[[]int32])}
 	// Every per-vertex column must cover the vertex set and every per-edge
 	// column the edge set, or programs index out of range at run time.
 	if numPeerLens != numIDs || numOut != numIDs || numIn != numIDs {

@@ -61,6 +61,12 @@ type Subgraph struct {
 	// of the id space to pay for it (nil = binary-search fallback); it is
 	// rebuilt by ReadSubgraph rather than shipped.
 	localOf []int32
+
+	// routing and comps cache plan.go's derived tables, built on first use
+	// and shared by every job; a live epoch swap replaces rebuilt parts by
+	// pointer, which is their invalidation. Attached by BuildPart/ReadSubgraph.
+	routing *lazy[*Routing]
+	comps   *lazy[[]int32]
 }
 
 // localIndexMaxDilution bounds the dense index's memory: the index costs
@@ -112,14 +118,8 @@ func (s *Subgraph) LocalOf(v graph.VertexID) (int32, bool) {
 	return int32(i), true
 }
 
-// IsReplicated reports whether the local vertex also lives on other workers.
-func (s *Subgraph) IsReplicated(local int32) bool {
-	return len(s.ReplicaPeers[local]) > 0
-}
-
-// Master returns the lowest worker id holding a replica of the local
-// vertex (possibly this worker). Master-based programs (PageRank) route
-// partial aggregates through it.
+// Master returns the lowest worker id holding a replica of the local vertex
+// (possibly this worker): the rule behind Routing's owned/mirror split.
 func (s *Subgraph) Master(local int32) int32 {
 	peers := s.ReplicaPeers[local]
 	if len(peers) == 0 || int32(s.Part) < peers[0] {
@@ -266,6 +266,8 @@ func BuildPart(g *graph.Graph, p, k int, bucket []int32, set partition.Bitset,
 		ReplicaPeers:      make([][]int32, count),
 		GlobalOutDegree:   make([]int32, count),
 		GlobalInDegree:    make([]int32, count),
+		routing:           new(lazy[*Routing]),
+		comps:             new(lazy[[]int32]),
 	}
 	set.Range(func(v int) {
 		local := int32(len(sub.GlobalIDs))
@@ -363,17 +365,4 @@ func (s *Subgraph) EdgeWeight(i int32) float64 {
 		return 1
 	}
 	return s.Weights[i]
-}
-
-// ReplicatedVertices returns the local ids of all replicated vertices in
-// ascending order (convenience for programs that iterate the boundary).
-// ReplicaPeers is indexed by local id, so the scan is already ordered.
-func (s *Subgraph) ReplicatedVertices() []int32 {
-	out := make([]int32, 0, len(s.GlobalIDs)/4)
-	for l := range s.ReplicaPeers {
-		if len(s.ReplicaPeers[l]) > 0 {
-			out = append(out, int32(l))
-		}
-	}
-	return out
 }

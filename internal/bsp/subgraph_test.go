@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -110,35 +109,6 @@ func TestBuildSubgraphsWeightedParallelDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(seq[p], got[p]) {
 			t.Fatalf("part %d differs from sequential weighted build", p)
 		}
-	}
-}
-
-// TestReplicatedVerticesSorted asserts the boundary list is ascending by
-// construction (no sort pass) and consistent with IsReplicated.
-func TestReplicatedVerticesSorted(t *testing.T) {
-	g := testGraphs(t)["powerlaw"]
-	subs := buildSubs(t, g, core.New(), 4)
-	sawReplicated := false
-	for _, sub := range subs {
-		reps := sub.ReplicatedVertices()
-		if len(reps) > 0 {
-			sawReplicated = true
-		}
-		if !sort.SliceIsSorted(reps, func(i, j int) bool { return reps[i] < reps[j] }) {
-			t.Fatalf("part %d: ReplicatedVertices not ascending: %v", sub.Part, reps)
-		}
-		want := 0
-		for local := range sub.ReplicaPeers {
-			if sub.IsReplicated(int32(local)) {
-				want++
-			}
-		}
-		if len(reps) != want {
-			t.Fatalf("part %d: %d replicated vertices, want %d", sub.Part, len(reps), want)
-		}
-	}
-	if !sawReplicated {
-		t.Fatal("test graph produced no replicated vertices; pick a denser graph")
 	}
 }
 

@@ -104,7 +104,6 @@ func (p *DeltaPageRank) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProg
 		}
 		w.rank[l] = p.Prev.Scalar(gid)
 	}
-	w.replicated = sub.ReplicatedVertices()
 	return w
 }
 
@@ -119,8 +118,7 @@ type deltaPRWorker struct {
 	inSum    []float64 // zeroed accumulator, same grouping rationale as apps.PageRank
 	// lastDelta is the max |Δrank| over this worker's master vertices in
 	// the latest apply step; broadcast as the control row.
-	lastDelta  float64
-	replicated []int32
+	lastDelta float64
 }
 
 // sentinel returns the control-row vertex id: NumGlobalVertices, one past
@@ -163,12 +161,7 @@ func (w *deltaPRWorker) Superstep(step int, in *transport.MessageBatch) (out []*
 			}
 		}
 		out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-		self := int32(w.sub.Part)
-		for _, local := range w.replicated {
-			if master := w.sub.Master(local); master != self {
-				w.outBatch(out, master).AppendScalar(w.sub.GlobalIDs[local], w.partial[local])
-			}
-		}
+		w.env.SendScalars(out, w.sub.Routing().ToMaster, w.partial)
 		return out, true
 	}
 
@@ -186,37 +179,23 @@ func (w *deltaPRWorker) Superstep(step int, in *transport.MessageBatch) (out []*
 		}
 	}
 	base := (1 - w.damping) / float64(w.sub.NumGlobalVertices)
-	self := int32(w.sub.Part)
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
 	w.lastDelta = 0
-	for l := range w.rank {
-		local := int32(l)
-		if w.sub.Master(local) != self {
-			continue
-		}
+	plan := w.sub.Routing()
+	for _, l := range plan.Owned {
 		next := base + w.damping*(w.partial[l]+w.inSum[l])
 		if d := abs(next - w.rank[l]); d > w.lastDelta {
 			w.lastDelta = d
 		}
 		w.rank[l] = next
-		gid := w.sub.GlobalIDs[l]
-		for _, peer := range w.sub.ReplicaPeers[local] {
-			w.outBatch(out, peer).AppendScalar(gid, w.rank[l])
-		}
 	}
+	w.env.SendScalars(out, plan.ToMirrors, w.rank)
 	for dst := 0; dst < w.sub.NumWorkers; dst++ {
 		if dst != w.sub.Part {
-			w.outBatch(out, int32(dst)).AppendScalar(sentinel, w.lastDelta)
+			w.env.SendScalar(out, int32(dst), sentinel, w.lastDelta)
 		}
 	}
 	return out, true
-}
-
-func (w *deltaPRWorker) outBatch(out []*transport.MessageBatch, dst int32) *transport.MessageBatch {
-	if out[dst] == nil {
-		out[dst] = w.env.NewBatch()
-	}
-	return out[dst]
 }
 
 // Values implements bsp.WorkerProgram.

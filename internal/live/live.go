@@ -615,10 +615,7 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 			reused.Add(1)
 			return nil
 		}
-		dup := *old
-		dup.ReplicaPeers = slices.Clone(old.ReplicaPeers)
-		dup.GlobalOutDegree = slices.Clone(old.GlobalOutDegree)
-		dup.GlobalInDegree = slices.Clone(old.GlobalInDegree)
+		dup := old.CopyForPatch()
 		for _, l := range rows {
 			gid := dup.GlobalIDs[l]
 			dup.GlobalOutDegree[l] = int32(in.newG.OutDegree(gid))
@@ -636,7 +633,7 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 				dup.ReplicaPeers[l] = nil
 			}
 		}
-		newSubs[p] = &dup
+		newSubs[p] = dup
 		patched.Add(1)
 		return nil
 	})

@@ -7,6 +7,8 @@ package live
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ebv/internal/bsp"
@@ -153,6 +155,65 @@ func TestApplyForceRebuildMatchesPatch(t *testing.T) {
 		if !subgraphsEqual(patchSt.subs[p], rebuildSt.subs[p]) {
 			t.Fatalf("part %d differs between patch and forced-rebuild paths", p)
 		}
+	}
+}
+
+// TestPatchStartsWithEmptyRoutingPlan: a row-patched part rewrites peer
+// rows on a copy of the old subgraph, so the copy must derive its routing
+// plan afresh (equal to a full rebuild's) while keeping the component table
+// (edges unchanged); parts carried over by pointer keep both cached tables.
+func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
+	g := liveGraph(t, 400, 2500, 13)
+	patchSt, patchSwap := buildLive(t, g, 8, Config{})
+	rebuildSt, rebuildSwap := buildLive(t, g, 8, Config{ForceRebuild: true})
+	old := slices.Clone(patchSt.subs)
+	oldPlans := make([]*bsp.Routing, len(old))
+	for p, sub := range old {
+		oldPlans[p] = sub.Routing()
+		sub.ComponentRoots()
+	}
+	// One new edge between two degree-1 vertices: its part rebuilds, the
+	// other parts covering an endpoint are row-patched (degrees and maybe
+	// peers moved), the rest are untouched.
+	var leaves []graph.VertexID
+	for v := 0; v < g.NumVertices() && len(leaves) < 2; v++ {
+		if g.OutDegree(graph.VertexID(v))+g.InDegree(graph.VertexID(v)) == 1 {
+			leaves = append(leaves, graph.VertexID(v))
+		}
+	}
+	batch := []Mutation{{Op: OpInsert, Src: leaves[0], Dst: leaves[1]}}
+	res, err := patchSt.Apply(context.Background(), batch, patchSwap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rebuildSt.Apply(context.Background(), batch, rebuildSwap); err != nil {
+		t.Fatal(err)
+	}
+	if res.PartsPatched == 0 || res.PartsReused == 0 {
+		t.Fatalf("batch took no patch (%d) or no reuse (%d) path; pick another edge", res.PartsPatched, res.PartsReused)
+	}
+	patched := 0
+	for p, sub := range patchSt.subs {
+		if !reflect.DeepEqual(sub.Routing(), rebuildSt.subs[p].Routing()) {
+			t.Fatalf("part %d: routing plan differs from the full rebuild's", p)
+		}
+		switch {
+		case sub == old[p]: // reused
+			if sub.Routing() != oldPlans[p] {
+				t.Fatalf("part %d: untouched part lost its cached plan", p)
+			}
+		case len(sub.Edges) > 0 && &sub.Edges[0] == &old[p].Edges[0]: // patched copy
+			patched++
+			if sub.Routing() == oldPlans[p] {
+				t.Fatalf("part %d: patched copy kept the old routing plan", p)
+			}
+			if &sub.ComponentRoots()[0] != &old[p].ComponentRoots()[0] {
+				t.Fatalf("part %d: patched copy rebuilt the component table", p)
+			}
+		}
+	}
+	if patched != res.PartsPatched {
+		t.Fatalf("recognised %d patched parts, Apply reported %d", patched, res.PartsPatched)
 	}
 }
 
