@@ -19,7 +19,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := ebv.NewEBV()
-	a, err := part.Partition(g, 8)
+	a, err := part.Partition(t.Context(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPublicAllPartitioners(t *testing.T) {
 		&ebv.ParallelEBV{Workers: 2},
 	}
 	for _, p := range partitioners {
-		a, err := p.Partition(g, 4)
+		a, err := p.Partition(t.Context(), g, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -145,7 +145,7 @@ func TestPublicAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ebv.NewEBV().Partition(g, 4)
+	a, err := ebv.NewEBV().Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPublicPregel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ebv.RunPregel(g, 3, &ebv.PregelCC{}, ebv.PregelConfig{})
+	res, err := ebv.RunPregel(t.Context(), g, 3, &ebv.PregelCC{}, ebv.PregelConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPublicPregel(t *testing.T) {
 func TestPublicExperimentCSV(t *testing.T) {
 	var buf bytes.Buffer
 	opt := ebv.ExperimentOptions{Scale: 0.1, Seed: 7, PageRankIters: 2, Workers: []int{2}}
-	if err := ebv.RunExperimentCSV("table1", opt, &buf); err != nil {
+	if err := ebv.RunExperimentCSV(t.Context(), "table1", opt, &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -197,7 +197,7 @@ func TestPublicExperimentCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "graph,type,vertices") {
 		t.Fatalf("csv header %q", lines[0])
 	}
-	if err := ebv.RunExperimentCSV("nosuch", opt, &buf); err == nil {
+	if err := ebv.RunExperimentCSV(t.Context(), "nosuch", opt, &buf); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }

@@ -65,7 +65,7 @@ func printOnce(b *testing.B, name string, print func(io.Writer) error) {
 func BenchmarkTable1GraphStats(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Table1(opt)
+		r, err := harness.Table1(b.Context(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func BenchmarkTable1GraphStats(b *testing.B) {
 func BenchmarkTable2Breakdown(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Table2(opt)
+		r, err := harness.Table2(b.Context(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkTable2Breakdown(b *testing.B) {
 func BenchmarkTable3PartitionMetrics(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Table3(opt)
+		r, err := harness.Table3(b.Context(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func BenchmarkTable3PartitionMetrics(b *testing.B) {
 func BenchmarkTable4Messages(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Table4(opt)
+		r, err := harness.Table4(b.Context(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func BenchmarkTable4Messages(b *testing.B) {
 func BenchmarkTable5MessageBalance(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Table5(opt)
+		r, err := harness.Table5(b.Context(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func BenchmarkTable5MessageBalance(b *testing.B) {
 func BenchmarkFig2PowerLawSweep(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig2(opt)
+		r, err := harness.Fig2(b.Context(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func BenchmarkFig2PowerLawSweep(b *testing.B) {
 func BenchmarkFig3RoadSweep(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig3(opt)
+		r, err := harness.Fig3(b.Context(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func BenchmarkFig3RoadSweep(b *testing.B) {
 func BenchmarkFig4Timeline(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig4(opt)
+		r, err := harness.Fig4(b.Context(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func BenchmarkFig4Timeline(b *testing.B) {
 func BenchmarkFig5ReplicationGrowth(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig5(opt)
+		r, err := harness.Fig5(b.Context(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func BenchmarkAblationSortOrder(b *testing.B) {
 			var rf float64
 			for i := 0; i < b.N; i++ {
 				e := core.New(core.WithOrder(order))
-				a, err := e.Partition(g, 16)
+				a, err := e.Partition(b.Context(), g, 16)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -210,7 +210,7 @@ func BenchmarkAblationAlphaBeta(b *testing.B) {
 			var rf, eif float64
 			for i := 0; i < b.N; i++ {
 				e := core.New(core.WithAlpha(ab.alpha), core.WithBeta(ab.beta))
-				a, err := e.Partition(g, 16)
+				a, err := e.Partition(b.Context(), g, 16)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -230,7 +230,7 @@ func BenchmarkAblationAlphaBeta(b *testing.B) {
 // against send-all-on-change.
 func BenchmarkAblationSyncStrategy(b *testing.B) {
 	g := ablationGraph(b)
-	a, err := core.New().Partition(g, 8)
+	a, err := core.New().Partition(b.Context(), g, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func BenchmarkAblationSyncStrategy(b *testing.B) {
 // loopback mesh on the same CC workload.
 func BenchmarkAblationTransport(b *testing.B) {
 	g := ablationGraph(b)
-	a, err := core.New().Partition(g, 4)
+	a, err := core.New().Partition(b.Context(), g, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func BenchmarkEBVPartition(b *testing.B) {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			e := ebv.NewEBV()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Partition(g, k); err != nil {
+				if _, err := e.Partition(b.Context(), g, k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -326,7 +326,7 @@ func BenchmarkAblationStreaming(b *testing.B) {
 		b.Run(p.Name(), func(b *testing.B) {
 			var rf float64
 			for i := 0; i < b.N; i++ {
-				a, err := p.Partition(g, 16)
+				a, err := p.Partition(b.Context(), g, 16)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -443,7 +443,7 @@ func (w *benchFanInWorker) Values() *graph.ValueMatrix {
 // counts are reported as metrics everywhere.
 func BenchmarkMessageDelivery(b *testing.B) {
 	g := ablationGraph(b)
-	a, err := core.New().Partition(g, 8)
+	a, err := core.New().Partition(b.Context(), g, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -660,7 +660,7 @@ func BenchmarkPartitionerThroughput(b *testing.B) {
 	for _, p := range harness.PaperPartitioners() {
 		b.Run(p.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Partition(g, 16); err != nil {
+				if _, err := p.Partition(b.Context(), g, 16); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -721,7 +721,7 @@ func BenchmarkClusterJob(b *testing.B) {
 // structural validation and the CSR rebuild.
 func BenchmarkShardCodec(b *testing.B) {
 	g := ablationGraph(b)
-	a, err := ebv.NewEBV().Partition(g, 8)
+	a, err := ebv.NewEBV().Partition(b.Context(), g, 8)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -32,9 +32,6 @@ var (
 	NewClusterAgent = cluster.NewAgent
 	// RunClusterAgent is NewClusterAgent + Run.
 	RunClusterAgent = cluster.RunAgent
-	// ErrClusterAgentKilled is returned by an agent whose Kill test hook
-	// fired.
-	ErrClusterAgentKilled = cluster.ErrAgentKilled
 )
 
 // ClusterOptions configures Pipeline.OpenCluster.

@@ -84,7 +84,7 @@ func run(ctx context.Context) error {
 		qps          = flag.Float64("qps", 20, "offered request rate in -serve mode")
 		duration     = flag.Duration("duration", 10*time.Second, "load duration in -serve mode")
 		mixSpec      = flag.String("mix", "cc:5,pr:3,sssp:2", "weighted app mix in -serve mode, e.g. cc:5,pr:3,sssp:2")
-		out          = flag.String("out", "BENCH_serve.json", "report path in -serve/-live mode ('-' for stdout; -live defaults to BENCH_live.json)")
+		out          = flag.String("out", "", "report path in -serve/-live mode ('-' for stdout; default BENCH_serve.json / BENCH_live.json)")
 		serveTimeout = flag.Duration("serve-timeout", 30*time.Second, "per-request timeout in -serve mode")
 		source       = flag.Int64("source", 0, "SSSP/WSSSP source vertex in -serve mode")
 	)
@@ -94,20 +94,16 @@ func run(ctx context.Context) error {
 	}
 
 	if *liveMode {
-		liveOut := *out
-		if liveOut == "BENCH_serve.json" { // the -out default belongs to -serve mode
-			liveOut = "BENCH_live.json"
-		}
 		return liveBench(ctx, liveArgs{
 			vertices: *liveVertices, edges: *liveEdges, mutations: *liveMutations,
 			batch: *liveBatch, k: *liveK, policy: *livePolicy,
-			tcp: *liveTCP, verify: *liveVerify, seed: *seed, out: liveOut,
+			tcp: *liveTCP, verify: *liveVerify, seed: *seed, out: reportPath(*out, true),
 		})
 	}
 
 	if *serveURL != "" {
 		return serveLoad(ctx, serveLoadArgs{
-			url: *serveURL, graph: *serveGraph, mix: *mixSpec, out: *out,
+			url: *serveURL, graph: *serveGraph, mix: *mixSpec, out: reportPath(*out, false),
 			qps: *qps, duration: *duration, timeout: *serveTimeout, source: *source,
 		})
 	}
@@ -138,20 +134,33 @@ func run(ctx context.Context) error {
 	if *exp == "all" {
 		names = ebv.ExperimentNames()
 	}
+	runExperiment := ebv.RunExperiment
+	if *asCSV {
+		runExperiment = ebv.RunExperimentCSV
+	}
 	for _, name := range names {
 		start := time.Now()
-		if *asCSV {
-			if err := ebv.RunExperimentCSVCtx(ctx, name, opt, os.Stdout); err != nil {
-				return fmt.Errorf("experiment %s: %w", name, err)
-			}
-			continue
-		}
-		if err := ebv.RunExperimentCtx(ctx, name, opt, os.Stdout); err != nil {
+		if err := runExperiment(ctx, name, opt, os.Stdout); err != nil {
 			return fmt.Errorf("experiment %s: %w", name, err)
 		}
-		fmt.Printf("\n[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		if !*asCSV {
+			fmt.Printf("\n[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		}
 	}
 	return nil
+}
+
+// reportPath resolves -out: an explicit path wins in either mode, an unset
+// one means the mode's own default report name.
+func reportPath(out string, live bool) string {
+	switch {
+	case out != "":
+		return out
+	case live:
+		return "BENCH_live.json"
+	default:
+		return "BENCH_serve.json"
+	}
 }
 
 type serveLoadArgs struct {

@@ -1,9 +1,9 @@
 // Command ebv-coordinator is the control-plane head of a multi-process
 // deployment: it loads and partitions the graph ONCE, then serves the
 // shards to ebv-worker processes that register over TCP, assembles the
-// data-plane address list automatically (workers no longer hand-maintain
-// -peers), and drives jobs with superstep-barrier checkpointing and
-// automatic failover. A deployment looks like:
+// data-plane address list automatically, and drives jobs with
+// superstep-barrier checkpointing and automatic failover. A deployment
+// looks like:
 //
 //	ebv-coordinator -in graph.txt -algo EBV -parts 3 -listen 127.0.0.1:9090 \
 //	    -app PR -iters 20 -checkpoint-dir ckpt/ -checkpoint-every 4 -out pr.txt &

@@ -1,8 +1,8 @@
 // Command ebv-partition partitions a graph file with any of the paper's
 // algorithms and prints the §III-C quality metrics (edge imbalance factor,
 // vertex imbalance factor, replication factor). It runs the ebv.Pipeline
-// through its Prepare stages (load → partition → metrics → build); Ctrl-C
-// cancels the in-flight partitioning.
+// through its Prepare stages (load → partition → metrics); Ctrl-C cancels
+// the in-flight partitioning.
 //
 // Usage:
 //
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -47,8 +46,7 @@ func run(ctx context.Context) (err error) {
 		alpha      = flag.Float64("alpha", 1, "EBV edge-balance weight α")
 		beta       = flag.Float64("beta", 1, "EBV vertex-balance weight β")
 		outPath    = flag.String("assignment", "", "write per-edge part ids to this path")
-		subDir     = flag.String("subgraph-dir", "", "write per-worker subgraph shards here (for ebv-worker)")
-		par        = flag.Int("parallelism", 0, "CPUs for the load and subgraph-build stages (0 = GOMAXPROCS)")
+		par        = flag.Int("parallelism", 0, "CPUs for the load stage (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -73,9 +71,6 @@ func run(ctx context.Context) (err error) {
 	}
 	if *undirected {
 		opts = append(opts, ebv.Undirected())
-	}
-	if *subDir != "" {
-		opts = append(opts, ebv.MaterializeSubgraphs())
 	}
 	res, err := ebv.NewPipeline(opts...).Prepare(ctx)
 	if err != nil {
@@ -111,26 +106,6 @@ func run(ctx context.Context) (err error) {
 			return err
 		}
 		fmt.Printf("assignment         written to %s\n", *outPath)
-	}
-	if *subDir != "" {
-		if err := os.MkdirAll(*subDir, 0o755); err != nil {
-			return err
-		}
-		for _, sub := range res.Subgraphs {
-			path := filepath.Join(*subDir, fmt.Sprintf("subgraph-%d.bin", sub.Part))
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := ebv.WriteSubgraph(f, sub); err != nil {
-				_ = f.Close() // the write error takes precedence
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("subgraph shards    written to %s (%d files)\n", *subDir, len(res.Subgraphs))
 	}
 	return nil
 }

@@ -15,14 +15,14 @@
 //	ebv-run -in graph.bin -algo METIS -parts 4 -app PR -iters 20
 //	ebv-run -in graph.txt -algo EBV -parts 4 -app SSSP -source 0 -transport tcp
 //	ebv-run -in graph.txt -algo EBV -parts 4 -app AGG -layers 2 -width 8
-//	ebv-run -in graph.txt -algo EBV -parts 8 -app CC -combine=auto
+//	ebv-run -in graph.txt -algo EBV -parts 8 -app CC -combine=off
 //
-// -combine=auto turns on message combining: each app's natural combiner
-// (CC/SSSP → min, PR/AGG → sum) reduces duplicate-ID rows before the wire
-// and before each worker's inbox. Results are byte-identical either way;
-// the per-job report then shows emitted → wire → delivered counts when
-// they differ. It pays on high-fan-in traffic (many rows per vertex) and
-// costs a small per-row overhead otherwise, so it is off by default.
+// -combine=auto (the default) is message combining: each app's natural
+// combiner (CC/SSSP → min, PR/AGG → sum) reduces duplicate-ID rows before
+// the wire. Results are byte-identical either way; the per-job report shows
+// the emitted → wire counts when they differ. -combine=off is the
+// paper-faithful raw message plane, where every emitted row crosses the
+// wire.
 package main
 
 import (
@@ -104,9 +104,9 @@ func run(ctx context.Context) error {
 		ebv.ValueWidth(*width),
 	}
 	switch *combine {
-	case "auto":
-		opts = append(opts, ebv.CombineMessages())
+	case "auto": // the pipeline default
 	case "off":
+		opts = append(opts, ebv.WithoutCombining())
 	default:
 		return fmt.Errorf("invalid -combine %q (valid: auto, off)", *combine)
 	}

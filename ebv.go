@@ -55,11 +55,12 @@
 //	fmt.Println(s.Stats().SteadyStateRunTime())                   // amortized per-job latency
 //
 // The lower-level pieces remain available for custom wiring: every
-// partitioner still exposes Partition(g, k), the context-aware ones add
-// PartitionCtx, and the BSP engine runs one-shot via RunBSP — or, in the
-// prepare-once form and for custom transport meshes, via NewBSPDeployment
-// over a transport deployment (NewMemDeployment / NewTCPMeshDeployment);
-// RunBSPWorker runs one worker of a multi-process job.
+// partitioner exposes Partition(ctx, g, k), BuildSubgraphs turns its
+// assignment into per-worker subgraphs, and RunBSP runs a program over them
+// one-shot. The same prepared pipeline is reachable three ways: in-process
+// (Pipeline.Run / Open), as a coordinator/worker cluster
+// (Pipeline.OpenCluster, cmd/ebv-coordinator + cmd/ebv-worker) and over
+// HTTP (cmd/ebv-serve).
 //
 // See examples/ for runnable programs and DESIGN.md for the architecture.
 package ebv
@@ -89,30 +90,23 @@ type (
 	Edge = graph.Edge
 	// VertexID identifies a vertex; ids are dense in [0, NumVertices).
 	VertexID = graph.VertexID
-	// GraphStats is the Table I statistics bundle.
-	GraphStats = graph.Stats
 	// EdgeWeights assigns a weight to every edge (nil = unit weights).
 	EdgeWeights = graph.EdgeWeights
 )
 
 // Graph constructors and IO (see internal/graph for details).
 var (
-	NewGraph           = graph.New
-	NewUndirectedGraph = graph.NewUndirected
-	ReadEdgeList       = graph.ReadEdgeList
-	// ReadEdgeListParallel is ReadEdgeList with an explicit parallelism
-	// degree for the chunked parser (<= 0 selects GOMAXPROCS).
-	ReadEdgeListParallel = graph.ReadEdgeListParallel
-	WriteEdgeList        = graph.WriteEdgeList
-	ReadBinaryGraph      = graph.ReadBinary
-	WriteBinaryGraph     = graph.WriteBinary
-	ComputeGraphStats    = graph.ComputeStats
-	ReverseGraph         = graph.Reverse
-	SimplifyGraph        = graph.Simplify
-	InducedSubgraph      = graph.InducedSubgraph
-	LargestComponent     = graph.LargestComponent
-	UniformWeights       = graph.UniformWeights
-	HashWeights          = graph.HashWeights
+	NewGraph          = graph.New
+	ReadEdgeList      = graph.ReadEdgeList
+	WriteEdgeList     = graph.WriteEdgeList
+	ReadBinaryGraph   = graph.ReadBinary
+	WriteBinaryGraph  = graph.WriteBinary
+	ComputeGraphStats = graph.ComputeStats
+	ReverseGraph      = graph.Reverse
+	SimplifyGraph     = graph.Simplify
+	InducedSubgraph   = graph.InducedSubgraph
+	LargestComponent  = graph.LargestComponent
+	HashWeights       = graph.HashWeights
 )
 
 // Generators.
@@ -150,17 +144,10 @@ const (
 type (
 	// Partitioner assigns each edge to one of k subgraphs.
 	Partitioner = partition.Partitioner
-	// ContextPartitioner is a Partitioner with native cooperative
-	// cancellation (PartitionCtx). All heavy algorithms here implement it.
-	ContextPartitioner = partition.ContextPartitioner
 	// Assignment is an edge-to-subgraph mapping.
 	Assignment = partition.Assignment
 	// PartitionMetrics bundles the paper's §III-C quality metrics.
 	PartitionMetrics = partition.Metrics
-	// EBV is the paper's partitioner (create with NewEBV).
-	EBV = core.EBV
-	// EBVOption configures NewEBV.
-	EBVOption = core.Option
 	// DBH is degree-based hashing.
 	DBH = partition.DBH
 	// CVC is the 2-D cartesian vertex-cut.
@@ -179,8 +166,6 @@ type (
 	Hybrid = partition.Hybrid
 	// Fennel is the streaming edge-cut baseline.
 	Fennel = partition.Fennel
-	// StreamingEBV is the one-pass EBV variant (§VII future work).
-	StreamingEBV = core.StreamingEBV
 	// StreamingEBVConfig configures NewStreamingEBV.
 	StreamingEBVConfig = core.StreamingConfig
 	// EBVStream adapts StreamingEBV to the Partitioner interface.
@@ -198,10 +183,6 @@ var (
 	WithOrder          = core.WithOrder
 	WithGrowthTracking = core.WithGrowthTracking
 	ComputeMetrics     = partition.ComputeMetrics
-	// PartitionWithContext runs any Partitioner under a context: native
-	// cancellation when it implements ContextPartitioner, a before/after
-	// context check otherwise.
-	PartitionWithContext = partition.PartitionWithContext
 	// ExpectedRandomReplication is the analytical random vertex-cut
 	// replication model (PowerGraph's formula).
 	ExpectedRandomReplication = partition.ExpectedRandomReplication
@@ -211,12 +192,9 @@ var (
 	ReadAssignmentBinary      = partition.ReadAssignmentBinary
 )
 
-// EBV edge-processing orders (§IV-C, §V-D).
-const (
-	OrderSorted     = core.OrderSorted
-	OrderInput      = core.OrderInput
-	OrderSortedDesc = core.OrderSortedDesc
-)
+// OrderInput is the unsorted edge-processing order of the §V-D ablation
+// (WithOrder(OrderInput)); the default is the paper's degree-sum sort.
+const OrderInput = core.OrderInput
 
 // Subgraph-centric BSP engine (§IV-B).
 type (
@@ -231,8 +209,6 @@ type (
 	RunConfig = bsp.Config
 	// RunResult is the outcome of a BSP run, with the §V-B breakdown.
 	RunResult = bsp.Result
-	// WorkerRunResult is one worker's outcome in a multi-process run.
-	WorkerRunResult = bsp.WorkerResult
 	// MessageBatch is a columnar batch of replica-synchronization
 	// messages (vertex-id column + width-strided value column).
 	MessageBatch = transport.MessageBatch
@@ -242,89 +218,42 @@ type (
 	// WorkerEnv is the per-run execution environment handed to
 	// Program.NewWorker (value width + pooled batch allocator).
 	WorkerEnv = bsp.Env
-	// Transport moves message batches between workers.
-	Transport = transport.Transport
-	// MessageCombiner reduces duplicate-ID message rows at the sender
-	// (bsp.Config.Combiner / the Combiner RunOption).
-	MessageCombiner = transport.Combiner
-	// MinCombiner / SumCombiner / ElementwiseSumCombiner are the built-in
-	// combiners (elementwise min, scalar column-0 sum, whole-row sum).
-	MinCombiner            = transport.MinCombiner
-	SumCombiner            = transport.SumCombiner
-	ElementwiseSumCombiner = transport.ElementwiseSumCombiner
 	// MessageCounts reports a run's pre/post-combine message-row counts
 	// (RunResult.MessageCounts).
 	MessageCounts = bsp.MessageCounts
-	// TransportDeployment is a long-lived transport mesh serving many
-	// jobs through job-scoped exchanges (the transport half of Session).
-	TransportDeployment = transport.Deployment
-	// MeshNode is one worker's endpoint of a multi-process TCP mesh (see
-	// WireMeshNode); MeshOption configures a mesh's nodes.
-	MeshNode   = transport.MeshNode
-	MeshOption = transport.MeshOption
-	// BSPDeployment is the prepare-once/serve-many engine: built subgraphs
-	// bound to a TransportDeployment, serving concurrent BSP jobs.
-	BSPDeployment = bsp.Deployment
 	// FaultInjector wraps a Transport to fail a chosen exchange — the
 	// failure-injection hook used in tests.
 	FaultInjector = transport.FaultInjector
 )
 
-// BSP entry points and transports. Every run entry point takes a context
-// whose cancellation aborts the run (workers blocked in a collective
-// exchange are released by closing the transports).
+// BSP entry points. RunBSP takes a context whose cancellation aborts the
+// run (workers blocked in a collective exchange are released by closing the
+// transports).
 var (
-	BuildSubgraphs         = bsp.BuildSubgraphs
-	BuildSubgraphsWeighted = bsp.BuildSubgraphsWeighted
-	// BuildSubgraphsParallel / BuildSubgraphsWeightedParallel take an
-	// explicit parallelism degree for the per-part build passes (<= 0
-	// selects GOMAXPROCS; the plain forms use GOMAXPROCS).
-	BuildSubgraphsParallel         = bsp.BuildSubgraphsParallel
-	BuildSubgraphsWeightedParallel = bsp.BuildSubgraphsWeightedParallel
-	WriteSubgraph                  = bsp.WriteSubgraph
-	ReadSubgraph                   = bsp.ReadSubgraph
-	// RunBSP is the one-shot whole-job run (a BSPDeployment with one job
-	// over the in-memory transport); RunBSPWorker runs one worker of a
-	// multi-process job over an explicit transport, optionally resuming
-	// from a checkpoint.
+	BuildSubgraphs = bsp.BuildSubgraphs
+	// BuildSubgraphsParallel takes an explicit parallelism degree for the
+	// per-part build passes (<= 0 selects GOMAXPROCS, as BuildSubgraphs
+	// does).
+	BuildSubgraphsParallel = bsp.BuildSubgraphsParallel
+	// WriteSubgraph / ReadSubgraph are the EBVS shard codec — the bytes the
+	// cluster coordinator ships to its workers.
+	WriteSubgraph = bsp.WriteSubgraph
+	ReadSubgraph  = bsp.ReadSubgraph
+	// RunBSP is the one-shot whole-job run over the in-memory transport;
+	// Pipeline.Open is the prepare-once/serve-many form.
 	RunBSP          = bsp.Run
-	RunBSPWorker    = bsp.RunWorker
 	NewMemTransport = transport.NewMem
-	// WireMeshNode wires one process's endpoint of a multi-process TCP
-	// mesh from the shared address list; open a job on the node and hand
-	// its Transport to RunBSPWorker (what cmd/ebv-worker does).
-	WireMeshNode = transport.WireMeshNode
-	// NewBSPDeployment binds built subgraphs to a transport deployment
-	// (nil = in-memory) for prepare-once/serve-many execution; the Session
-	// facade (Pipeline.Open) wraps it.
-	NewBSPDeployment = bsp.NewDeployment
-	// NewMemDeployment / NewTCPMeshDeployment build the job-mux transport
-	// deployments backing sessions. WithWireQuantization is the TCP mesh's
-	// one option (the opt-in lossy mantissa transform).
-	NewMemDeployment     = transport.NewMemDeployment
-	NewTCPMeshDeployment = transport.NewTCPMeshDeployment
-	WithWireQuantization = transport.WithWireQuantization
-	// NewRunConfig builds a RunConfig from functional options
-	// (WithMaxSteps, WithValueWidth, WithReplicaVerification); the
-	// struct-literal form keeps working.
-	NewRunConfig            = bsp.NewConfig
+	// RunOptions for Pipeline WithRun and Session.Run; the RunConfig struct
+	// literal is the other form.
 	WithMaxSteps            = bsp.WithMaxSteps
 	WithValueWidth          = bsp.WithValueWidth
 	WithReplicaVerification = bsp.WithReplicaVerification
-	// Combiner sets an explicit per-job message combiner; AutoCombine
-	// selects each program's declared one (CC/SSSP/WSSSP → min, PR → sum,
-	// Aggregate → elementwise sum). Combining is semantically transparent:
-	// results are byte-identical with it on or off, but duplicate-ID rows
-	// are reduced before the wire (RunResult.MessageCounts reports the
-	// reduction).
-	Combiner    = bsp.WithCombiner
+	// AutoCombine selects each program's declared message combiner (CC/SSSP/
+	// WSSSP → min, PR → sum, Aggregate → elementwise sum). Combining is
+	// semantically transparent: results are byte-identical with it on or
+	// off, but duplicate-ID rows are reduced before the wire
+	// (RunResult.MessageCounts reports the reduction).
 	AutoCombine = bsp.WithAutoCombine
-	// NewValueMatrix allocates a zeroed rows×width value matrix.
-	NewValueMatrix = graph.NewValueMatrix
-	// GetMessageBatch / RecycleMessageBatch expose the pooled batch
-	// allocator for custom Program implementations and transports.
-	GetMessageBatch     = transport.GetBatch
-	RecycleMessageBatch = transport.RecycleBatch
 )
 
 // Applications (§V-A) and sequential oracles.
@@ -338,8 +267,6 @@ type (
 	// Aggregate is subgraph-centric mean neighborhood aggregation — the
 	// GNN message-passing kernel of the paper's §VII outlook.
 	Aggregate = apps.Aggregate
-	// WeightedSSSP is SSSP over positive edge weights (local Dijkstra).
-	WeightedSSSP = apps.WeightedSSSP
 	// ProgramParams carries the by-name parameters for ProgramByName.
 	ProgramParams = apps.Params
 )
@@ -354,11 +281,9 @@ const ProgramNames = apps.Names
 
 // Sequential reference implementations (correctness oracles).
 var (
-	SequentialCC           = apps.SequentialCC
-	SequentialPageRank     = apps.SequentialPageRank
-	SequentialSSSP         = apps.SequentialSSSP
-	SequentialAggregate    = apps.SequentialAggregate
-	SequentialWeightedSSSP = apps.SequentialWeightedSSSP
+	SequentialCC        = apps.SequentialCC
+	SequentialSSSP      = apps.SequentialSSSP
+	SequentialAggregate = apps.SequentialAggregate
 )
 
 // Live graphs (internal/live, DESIGN.md §13): Session.Apply streams edge
@@ -373,9 +298,6 @@ type (
 	ApplyResult = live.ApplyResult
 	// LiveStats is the mutation layer's lifetime counters.
 	LiveStats = live.Stats
-	// MutationPolicyFunc scores parts for inserted edges (see
-	// MutationPolicyByName for the built-ins).
-	MutationPolicyFunc = live.Policy
 	// DeltaPageRank is PageRank iterated to a fixed point with an
 	// optional warm start from a previous job's values.
 	DeltaPageRank = live.DeltaPageRank
@@ -388,68 +310,39 @@ const (
 )
 
 // Live-graph entry points: the EBVL mutation-batch codec (the serve
-// endpoint's binary body format), the streaming policy registry, the
-// incremental-CC warm-start constructor and the rejected-batch sentinel.
+// endpoint's binary body format), the incremental-CC warm-start constructor
+// and the rejected-batch sentinel.
 var (
-	EncodeMutations      = live.EncodeMutations
-	DecodeMutations      = live.DecodeMutations
-	MutationPolicyByName = live.PolicyByName
-	NewDeltaCC           = live.NewDeltaCC
-	ErrMutationRejected  = live.ErrRejected
+	EncodeMutations     = live.EncodeMutations
+	DecodeMutations     = live.DecodeMutations
+	NewDeltaCC          = live.NewDeltaCC
+	ErrMutationRejected = live.ErrRejected
 )
 
 // Vertex-centric comparator engine (Galois/Blogel stand-in, DESIGN.md §2).
 type (
-	// VertexProgram is a vertex-centric application.
-	VertexProgram = pregel.VertexProgram
 	// PregelConfig tunes a vertex-centric run.
 	PregelConfig = pregel.Config
-	// PregelResult is the outcome of a vertex-centric run.
-	PregelResult = pregel.Result
-)
-
-// Vertex-centric entry points and programs.
-var (
-	RunPregel    = pregel.Run
-	RunPregelCtx = pregel.RunCtx
-)
-
-// Vertex-centric application constructors.
-type (
 	// PregelCC is vertex-centric connected components.
 	PregelCC = pregel.CC
 	// PregelPageRank is vertex-centric PageRank.
 	PregelPageRank = pregel.PageRank
-	// PregelSSSP is vertex-centric SSSP.
-	PregelSSSP = pregel.SSSP
 )
+
+// RunPregel executes a vertex-centric program over g with k workers.
+var RunPregel = pregel.Run
 
 // Experiment harness (regenerates every table and figure; see DESIGN.md §4).
-type (
-	// ExperimentOptions configures the harness (struct literal or
-	// NewExperimentOptions with functional options).
-	ExperimentOptions = harness.Options
-	// ExperimentOption configures ExperimentOptions functionally.
-	ExperimentOption = harness.Option
-)
 
-// Harness entry points. The *Ctx forms thread cancellation through every
-// partition cell and BSP run of the experiment.
+// ExperimentOptions configures the harness.
+type ExperimentOptions = harness.Options
+
+// Harness entry points. ctx is threaded through every partition cell and
+// BSP run of the experiment.
 var (
-	RunExperiment         = harness.Run
-	RunExperimentCtx      = harness.RunCtx
-	RunExperimentCSV      = harness.RunCSV
-	RunExperimentCSVCtx   = harness.RunCSVCtx
-	ExperimentNames       = harness.ExperimentNames
-	PaperPartitioners     = harness.PaperPartitioners
-	PartitionerByName     = harness.PartitionerByName
-	NewExperimentOptions  = harness.NewOptions
-	WithScale             = harness.WithScale
-	WithSeed              = harness.WithSeed
-	WithWorkers           = harness.WithWorkers
-	WithPageRankIters     = harness.WithPageRankIters
-	WithExtended          = harness.WithExtended
-	WithRepeat            = harness.WithRepeat
-	WithParallelism       = harness.WithParallelism
-	WithExperimentContext = harness.WithContext
+	RunExperiment     = harness.Run
+	RunExperimentCSV  = harness.RunCSV
+	ExperimentNames   = harness.ExperimentNames
+	PaperPartitioners = harness.PaperPartitioners
+	PartitionerByName = harness.PartitionerByName
 )

@@ -17,7 +17,7 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	a, err := ebv.NewEBV().Partition(g, 8)
+	a, err := ebv.NewEBV().Partition(context.Background(), g, 8)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -47,7 +47,7 @@ func ExampleRunBSP() {
 		fmt.Println(err)
 		return
 	}
-	a, err := ebv.NewEBV().Partition(g, 4)
+	a, err := ebv.NewEBV().Partition(context.Background(), g, 4)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -22,6 +22,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	g, err := ebv.Road(ebv.RoadConfig{Width: 250, Height: 250, Seed: 3})
 	if err != nil {
 		return err
@@ -33,7 +34,7 @@ func run() error {
 	source := ebv.VertexID(0)
 
 	for _, p := range []ebv.Partitioner{ebv.NewEBV(), &ebv.NE{}} {
-		a, err := p.Partition(g, workers)
+		a, err := p.Partition(ctx, g, workers)
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name(), err)
 		}
@@ -46,7 +47,7 @@ func run() error {
 			return err
 		}
 		start := time.Now()
-		res, err := ebv.RunBSP(context.Background(), subs, &ebv.SSSP{Source: source}, ebv.RunConfig{})
+		res, err := ebv.RunBSP(ctx, subs, &ebv.SSSP{Source: source}, ebv.RunConfig{})
 		if err != nil {
 			return err
 		}

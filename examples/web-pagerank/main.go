@@ -64,7 +64,7 @@ func run(ctx context.Context) error {
 
 	// Vertex-centric comparator: same computation, different model.
 	start := time.Now()
-	vc, err := ebv.RunPregelCtx(ctx, g, workers, &ebv.PregelPageRank{Iterations: iters}, ebv.PregelConfig{})
+	vc, err := ebv.RunPregel(ctx, g, workers, &ebv.PregelPageRank{Iterations: iters}, ebv.PregelConfig{})
 	if err != nil {
 		return err
 	}

@@ -73,7 +73,7 @@ func assertScalars(t *testing.T, res *bsp.Result, want []float64, tol float64, l
 
 func buildSubs(t *testing.T, g *graph.Graph, p partition.Partitioner, k int) []*bsp.Subgraph {
 	t.Helper()
-	a, err := p.Partition(g, k)
+	a, err := p.Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatalf("%s partition: %v", p.Name(), err)
 	}
@@ -351,7 +351,7 @@ func TestWeightedSSSPAgreesWithSequential(t *testing.T) {
 		want := apps.SequentialWeightedSSSP(g, src, weights)
 		for _, p := range allPartitioners()[:4] { // EBV, Ginger, DBH, CVC
 			for _, k := range []int{1, 4} {
-				a, err := p.Partition(g, k)
+				a, err := p.Partition(t.Context(), g, k)
 				if err != nil {
 					t.Fatalf("%s: %v", p.Name(), err)
 				}
@@ -385,7 +385,7 @@ func TestWeightedSSSPUnitWeightsMatchesBFS(t *testing.T) {
 
 func TestBuildSubgraphsWeightedValidation(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
-	a, err := core.New().Partition(g, 2)
+	a, err := core.New().Partition(t.Context(), g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func buildWeightedSubs(t *testing.T, g *graph.Graph, a *partition.Assignment) []
 func TestCombinerEquivalenceAllApps(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	const k = 3
-	a, err := core.New().Partition(g, k)
+	a, err := core.New().Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCombinerSenderSideStrictReduction(t *testing.T) {
 	star, starSubs := starGraph(t, 200, 4)
 	pl := testGraphs(t)["powerlaw"]
 	const k = 4
-	a, err := core.New().Partition(pl, k)
+	a, err := core.New().Partition(t.Context(), pl, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestBuiltInAppsAllocateNoCombineIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.New().Partition(g, k)
+	a, err := core.New().Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func freePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// TestMultiProcessStyleRun exercises the full ebv-worker path in-process:
+// TestMultiProcessStyleRun exercises a cluster agent's data path in-process:
 // subgraphs serialized and reloaded, one mesh node per worker wired from
 // the shared address list, each worker driven independently by
 // RunWorker — exactly what separate OS processes would do.
@@ -83,7 +83,7 @@ func TestMultiProcessStyleRun(t *testing.T) {
 	const k = 3
 	subs := buildSubs(t, g, core.New(), k)
 
-	// Serialize + reload (the shard files of ebv-partition -subgraph-dir).
+	// Serialize + reload (the shard bytes of the coordinator's assign frame).
 	reloaded := make([]*bsp.Subgraph, k)
 	for i, sub := range subs {
 		var buf bytes.Buffer

@@ -128,7 +128,7 @@ func TestGoldenEmissions(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{{"powerlaw", pl}, {"road", road}} {
-		a, err := core.New().Partition(tc.g, k)
+		a, err := core.New().Partition(t.Context(), tc.g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func prefixCC(t *testing.T, g *graph.Graph, k int) *bsp.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.New().Partition(prefix, k)
+	a, err := core.New().Partition(t.Context(), prefix, k)
 	if err != nil {
 		t.Fatal(err)
 	}

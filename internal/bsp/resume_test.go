@@ -93,7 +93,7 @@ func TestResumeByteIdentity(t *testing.T) {
 	random := &partition.Random{}
 	plSubs := buildSubs(t, pl, random, k)
 	pathSubs := buildSubs(t, path, random, k)
-	pa, err := random.Partition(pl, k)
+	pa, err := random.Partition(t.Context(), pl, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,8 @@ import (
 )
 
 // Subgraph serialization — the one shard format, used wherever a subgraph
-// leaves the process that built it: the files cmd/ebv-partition
-// -subgraph-dir writes and ebv-worker loads, and the shard the cluster
-// coordinator ships in its assign frame. Columnar and little-endian, so
+// leaves the process that built it: the shard the cluster coordinator
+// ships in its assign frame. Columnar and little-endian, so
 // encoding is one pass into an exactly-sized buffer and decoding is one
 // allocation per column:
 //

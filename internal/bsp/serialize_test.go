@@ -36,7 +36,7 @@ func readShard(t *testing.T, what string, shard []byte) (*bsp.Subgraph, error) {
 // the originals.
 func TestSubgraphRoundTripExact(t *testing.T) {
 	pl, _ := pinnedGraphs(t)
-	a, err := core.New().Partition(pl, 8)
+	a, err := core.New().Partition(t.Context(), pl, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func FuzzReadSubgraph(f *testing.F) {
 // only move together with shardVersion.
 func TestGoldenShards(t *testing.T) {
 	pl, _ := pinnedGraphs(t)
-	a, err := core.New().Partition(pl, 8)
+	a, err := core.New().Partition(t.Context(), pl, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

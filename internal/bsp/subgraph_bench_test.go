@@ -20,7 +20,7 @@ func benchPartitioned(b *testing.B, k int) (*graph.Graph, *partition.Assignment)
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := core.New().Partition(g, k)
+	a, err := core.New().Partition(b.Context(), g, k)
 	if err != nil {
 		b.Fatal(err)
 	}

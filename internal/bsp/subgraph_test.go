@@ -21,7 +21,7 @@ import (
 func TestBuildSubgraphsParallelDeterministic(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			a, err := core.New().Partition(g, 7)
+			a, err := core.New().Partition(t.Context(), g, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestBuildSubgraphsParallelDeterministic(t *testing.T) {
 // part's local edges appear in ascending order of their global edge index.
 func TestBuildSubgraphsEdgeOrder(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
-	a, err := core.New().Partition(g, 5)
+	a, err := core.New().Partition(t.Context(), g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestBuildSubgraphsEdgeOrder(t *testing.T) {
 // parallelism.
 func TestBuildSubgraphsWeightedParallelDeterministic(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
-	a, err := core.New().Partition(g, 6)
+	a, err := core.New().Partition(t.Context(), g, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

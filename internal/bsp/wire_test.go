@@ -59,7 +59,7 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 	}
 	g := testGraphs(t)["powerlaw"]
 	const k = 3
-	a, err := core.New().Partition(g, k)
+	a, err := core.New().Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 func TestWireQuantizationLossyOptIn(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	const k = 3
-	a, err := core.New().Partition(g, k)
+	a, err := core.New().Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

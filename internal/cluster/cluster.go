@@ -11,8 +11,8 @@
 //     registrations over TCP (control frames, see transport.ReadControlFrame),
 //     ships each worker its subgraph shard through the hardened
 //     bsp.WriteSubgraph codec, assembles the data-plane peer address list
-//     automatically (workers no longer hand-maintain -peers), launches jobs,
-//     and detects worker death by heartbeat timeout or connection failure.
+//     automatically, launches jobs, and detects worker death by heartbeat
+//     timeout or connection failure.
 //
 //   - An Agent is one worker process. It registers, receives a shard (or
 //     waits as a hot standby when all partitions are owned), and serves

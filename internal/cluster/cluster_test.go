@@ -20,7 +20,7 @@ import (
 
 func testSubs(t *testing.T, g *graph.Graph, k int) []*bsp.Subgraph {
 	t.Helper()
-	a, err := (&partition.Random{}).Partition(g, k)
+	a, err := (&partition.Random{}).Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func assertCanceledPromptly(t *testing.T, name string, fn func() (*partition.Ass
 	}
 }
 
-// TestPartitionCtxPreCanceled checks that every context-aware partitioner
+// TestPartitionCtxPreCanceled checks that every EBV variant
 // rejects an already-canceled context without doing the work. "Without the
 // work" is judged by allocation, not by a timer: the first thing any of them
 // builds is |E|-sized (the assignment, then the §IV-C edge order), so a call
@@ -81,7 +81,7 @@ func TestPartitionCtxPreCanceled(t *testing.T) {
 	g := ctxTestGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, p := range []partition.ContextPartitioner{
+	for _, p := range []partition.Partitioner{
 		core.New(),
 		core.New(core.WithOrder(core.OrderSortedDesc)),
 		&core.PartitionStream{},
@@ -90,7 +90,7 @@ func TestPartitionCtxPreCanceled(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		a, err := p.PartitionCtx(ctx, g, 16)
+		a, err := p.Partition(ctx, g, 16)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", p.Name(), err)
@@ -115,7 +115,7 @@ func TestEBVCancelMidPartition(t *testing.T) {
 		cancel()
 	}))
 	assertCanceledPromptly(t, "EBV", func() (*partition.Assignment, error) {
-		return e.PartitionCtx(ctx, g, 16)
+		return e.Partition(ctx, g, 16)
 	})
 }
 
@@ -127,7 +127,7 @@ func TestStreamingEBVCancelMidStream(t *testing.T) {
 	for _, p := range []*core.PartitionStream{{}, {Window: 64}} {
 		ctx := newCountdownCtx(3)
 		assertCanceledPromptly(t, p.Name(), func() (*partition.Assignment, error) {
-			return p.PartitionCtx(ctx, g, 16)
+			return p.Partition(ctx, g, 16)
 		})
 	}
 }
@@ -138,55 +138,31 @@ func TestParallelEBVCancelMidEpoch(t *testing.T) {
 	p := &core.ParallelEBV{Workers: 4}
 	ctx := newCountdownCtx(3)
 	assertCanceledPromptly(t, p.Name(), func() (*partition.Assignment, error) {
-		return p.PartitionCtx(ctx, g, 16)
+		return p.Partition(ctx, g, 16)
 	})
 }
 
-// TestPartitionWithContextLegacyFallback checks the adapter path for a
-// Partitioner that does NOT implement ContextPartitioner: a pre-canceled
-// context short-circuits, an open one passes through untouched.
-func TestPartitionWithContextLegacyFallback(t *testing.T) {
+// TestPartitionWithContextGuards checks the entry-point adapter: a
+// pre-canceled context short-circuits before the partitioner is called, an
+// open one passes through untouched, and a nil one means Background.
+func TestPartitionWithContextGuards(t *testing.T) {
 	g := ctxTestGraph(t)
-	legacy := &partition.Random{}
+	p := &partition.Random{}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := partition.PartitionWithContext(ctx, legacy, g, 8); !errors.Is(err, context.Canceled) {
-		t.Fatalf("legacy pre-canceled: err = %v, want context.Canceled", err)
+	if _, err := partition.PartitionWithContext(ctx, p, g, 8); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled: err = %v, want context.Canceled", err)
 	}
-	a, err := partition.PartitionWithContext(context.Background(), legacy, g, 8)
-	if err != nil {
-		t.Fatalf("legacy open context: %v", err)
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Parts) != g.NumEdges() {
-		t.Fatalf("legacy assignment covers %d edges, want %d", len(a.Parts), g.NumEdges())
-	}
-}
-
-// TestPartitionCtxMatchesPartition asserts the context plumbing did not
-// change the algorithm: PartitionCtx with a background context must produce
-// the identical assignment to the legacy Partition call.
-func TestPartitionCtxMatchesPartition(t *testing.T) {
-	g := ctxTestGraph(t)
-	e := core.New()
-	want, err := e.Partition(g, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.PartitionCtx(context.Background(), g, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.K != want.K || len(got.Parts) != len(want.Parts) {
-		t.Fatalf("shape mismatch: got (k=%d, %d edges), want (k=%d, %d edges)",
-			got.K, len(got.Parts), want.K, len(want.Parts))
-	}
-	for i := range want.Parts {
-		if got.Parts[i] != want.Parts[i] {
-			t.Fatalf("edge %d: PartitionCtx assigned %d, Partition assigned %d",
-				i, got.Parts[i], want.Parts[i])
+	for name, ctx := range map[string]context.Context{"open": t.Context(), "nil": nil} {
+		a, err := partition.PartitionWithContext(ctx, p, g, 8)
+		if err != nil {
+			t.Fatalf("%s context: %v", name, err)
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Parts) != g.NumEdges() {
+			t.Fatalf("%s context: assignment covers %d edges, want %d", name, len(a.Parts), g.NumEdges())
 		}
 	}
 }

@@ -63,7 +63,7 @@ type EBV struct {
 	growth      func(edgesProcessed int, replicationFactor float64)
 }
 
-var _ partition.ContextPartitioner = (*EBV)(nil)
+var _ partition.Partitioner = (*EBV)(nil)
 
 // Option configures an EBV instance.
 type Option func(*EBV)
@@ -118,16 +118,11 @@ func (e *EBV) Alpha() float64 { return e.alpha }
 // Beta returns the configured vertex-balance weight.
 func (e *EBV) Beta() float64 { return e.beta }
 
-// Partition implements partition.Partitioner with Algorithm 1.
-func (e *EBV) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
-	return e.PartitionCtx(context.Background(), g, k)
-}
-
-// PartitionCtx implements partition.ContextPartitioner: ctx is polled before
-// the edge order is built, and the assignment loop polls it every
+// Partition implements partition.Partitioner with Algorithm 1: ctx is
+// polled before the edge order is built, and the assignment loop polls it every
 // partition.CancelCheckInterval edges (the first poll falls between the sort
 // and the first assignment), returning ctx.Err() promptly on cancellation.
-func (e *EBV) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
+func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
 	if k < 1 {
 		return nil, partition.ErrBadPartCount
 	}

@@ -31,7 +31,7 @@ func TestEBVBasics(t *testing.T) {
 	g := powerLawGraph(t, 2.2, 1)
 	e := New()
 	for _, k := range []int{1, 2, 4, 12} {
-		a, err := e.Partition(g, k)
+		a, err := e.Partition(t.Context(), g, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -56,21 +56,21 @@ func TestEBVBasics(t *testing.T) {
 
 func TestEBVRejectsBadInput(t *testing.T) {
 	g := powerLawGraph(t, 2.2, 1)
-	if _, err := New().Partition(g, 0); !errors.Is(err, partition.ErrBadPartCount) {
+	if _, err := New().Partition(t.Context(), g, 0); !errors.Is(err, partition.ErrBadPartCount) {
 		t.Fatalf("err = %v, want ErrBadPartCount", err)
 	}
-	if _, err := New(WithAlpha(-1)).Partition(g, 2); err == nil {
+	if _, err := New(WithAlpha(-1)).Partition(t.Context(), g, 2); err == nil {
 		t.Fatal("negative alpha accepted")
 	}
 }
 
 func TestEBVDeterministic(t *testing.T) {
 	g := powerLawGraph(t, 2.0, 2)
-	a1, err := New().Partition(g, 8)
+	a1, err := New().Partition(t.Context(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := New().Partition(g, 8)
+	a2, err := New().Partition(t.Context(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestFigure1Example(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := New(WithOrder(OrderSorted)).Partition(g, 2)
+	sorted, err := New(WithOrder(OrderSorted)).Partition(t.Context(), g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsorted, err := New(WithOrder(OrderInput)).Partition(g, 2)
+	unsorted, err := New(WithOrder(OrderInput)).Partition(t.Context(), g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestEBVSortBeatsUnsortOnPowerLaw(t *testing.T) {
 	// power-law graphs, with the margin growing in the subgraph count.
 	g := powerLawGraph(t, 2.0, 3)
 	for _, k := range []int{8, 16} {
-		sorted, err := New(WithOrder(OrderSorted)).Partition(g, k)
+		sorted, err := New(WithOrder(OrderSorted)).Partition(t.Context(), g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		unsorted, err := New(WithOrder(OrderInput)).Partition(g, k)
+		unsorted, err := New(WithOrder(OrderInput)).Partition(t.Context(), g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestTheoremBoundsHold(t *testing.T) {
 	for _, cfg := range configs {
 		for _, k := range []int{2, 4, 8} {
 			e := New(WithAlpha(cfg.alpha), WithBeta(cfg.beta))
-			a, err := e.Partition(g, k)
+			a, err := e.Partition(t.Context(), g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func TestTheoremBoundsQuick(t *testing.T) {
 			return false
 		}
 		e := New()
-		a, err := e.Partition(g, 4)
+		a, err := e.Partition(t.Context(), g, 4)
 		if err != nil {
 			return false
 		}
@@ -224,7 +224,7 @@ func TestGrowthTracking(t *testing.T) {
 		positions = append(positions, processed)
 		samples = append(samples, rf)
 	}))
-	if _, err := e.Partition(g, 8); err != nil {
+	if _, err := e.Partition(t.Context(), g, 8); err != nil {
 		t.Fatal(err)
 	}
 	if len(samples) < 10 {
@@ -259,7 +259,7 @@ func TestEBVEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New().Partition(g, 3)
+	a, err := New().Partition(t.Context(), g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAlphaBetaAccessors(t *testing.T) {
 	}
 }
 
-// referenceAssign is Algorithm 1 as PartitionCtx ran it before the
+// referenceAssign is Algorithm 1 as Partition ran it before the
 // membership rows, the cached balance term and the block gather: one bitset
 // per part, every score evaluated from the counters. It is the oracle
 // TestEBVMatchesReferenceLoop holds the production loop to.
@@ -346,7 +346,7 @@ func TestEBVMatchesReferenceLoop(t *testing.T) {
 		ab := weights[seed%5]
 		for _, order := range []Order{OrderSorted, OrderInput, OrderSortedDesc} {
 			e := New(WithOrder(order), WithAlpha(ab[0]), WithBeta(ab[1]))
-			a, err := e.Partition(g, k)
+			a, err := e.Partition(t.Context(), g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,7 +402,7 @@ func TestGoldenAssignments(t *testing.T) {
 			for _, order := range []Order{OrderSorted, OrderInput, OrderSortedDesc} {
 				for _, ab := range [][2]float64{{1, 1}, {0, 0}, {0.5, 2}} {
 					key := fmt.Sprintf("%s/k=%d/%s/a=%g,b=%g", name, k, order, ab[0], ab[1])
-					a, err := New(WithOrder(order), WithAlpha(ab[0]), WithBeta(ab[1])).Partition(graphs[name], k)
+					a, err := New(WithOrder(order), WithAlpha(ab[0]), WithBeta(ab[1])).Partition(t.Context(), graphs[name], k)
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}
@@ -428,7 +428,7 @@ func TestGoldenGrowthSamples(t *testing.T) {
 	e := New(WithGrowthTracking(2000, func(processed int, rf float64) {
 		got = append(got, growthSample{processed, rf})
 	}))
-	if _, err := e.Partition(g, 8); err != nil {
+	if _, err := e.Partition(t.Context(), g, 8); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(goldenGrowth) {
@@ -448,7 +448,7 @@ func TestSortOrderClaim(t *testing.T) {
 	g := pinnedGraphs(t)["powerlaw"]
 	var rf [3]float64
 	for i, order := range []Order{OrderSorted, OrderInput, OrderSortedDesc} {
-		a, err := New(WithOrder(order)).Partition(g, 8)
+		a, err := New(WithOrder(order)).Partition(t.Context(), g, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,21 +36,16 @@ type ParallelEBV struct {
 	NoSort bool
 }
 
-var _ partition.ContextPartitioner = (*ParallelEBV)(nil)
+var _ partition.Partitioner = (*ParallelEBV)(nil)
 
 // Name implements partition.Partitioner.
 func (p *ParallelEBV) Name() string { return "EBV-parallel" }
 
-// Partition implements partition.Partitioner.
-func (p *ParallelEBV) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
-	return p.PartitionCtx(context.Background(), g, k)
-}
-
-// PartitionCtx implements partition.ContextPartitioner: ctx is polled before
+// Partition implements partition.Partitioner: ctx is polled before
 // the edge order is built and at every epoch barrier, the first of which
 // follows the sort (epochs are at most 4096 edges per worker, so the
 // cancellation latency is bounded by the sort or one epoch of work).
-func (p *ParallelEBV) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
+func (p *ParallelEBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
 	if k < 1 {
 		return nil, partition.ErrBadPartCount
 	}

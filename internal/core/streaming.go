@@ -199,7 +199,7 @@ type PartitionStream struct {
 	Window      int
 }
 
-var _ partition.ContextPartitioner = (*PartitionStream)(nil)
+var _ partition.Partitioner = (*PartitionStream)(nil)
 
 // Name implements partition.Partitioner.
 func (p *PartitionStream) Name() string {
@@ -209,16 +209,11 @@ func (p *PartitionStream) Name() string {
 	return "EBV-stream"
 }
 
-// Partition implements partition.Partitioner.
-func (p *PartitionStream) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
-	return p.PartitionCtx(context.Background(), g, k)
-}
-
-// PartitionCtx implements partition.ContextPartitioner: ctx is polled before
+// Partition implements partition.Partitioner: ctx is polled before
 // the edge index is built, and the edge stream is checked against it every
 // partition.CancelCheckInterval additions, so a canceled context stops the
 // underlying StreamingEBV promptly.
-func (p *PartitionStream) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
+func (p *PartitionStream) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

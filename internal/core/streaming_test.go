@@ -12,7 +12,7 @@ func TestStreamingEBVBasics(t *testing.T) {
 	g := powerLawGraph(t, 2.2, 40)
 	for _, k := range []int{2, 8} {
 		p := &PartitionStream{}
-		a, err := p.Partition(g, k)
+		a, err := p.Partition(t.Context(), g, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -34,11 +34,11 @@ func TestStreamingCloseToOffline(t *testing.T) {
 	// replication factor (it sees the same order with running normalizers).
 	g := powerLawGraph(t, 2.1, 41)
 	const k = 8
-	offline, err := New(WithOrder(OrderInput)).Partition(g, k)
+	offline, err := New(WithOrder(OrderInput)).Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := (&PartitionStream{}).Partition(g, k)
+	stream, err := (&PartitionStream{}).Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestStreamingWindowHelps(t *testing.T) {
 	// The ADWISE-style window should not hurt the replication factor.
 	g := powerLawGraph(t, 2.1, 42)
 	const k = 8
-	plain, err := (&PartitionStream{}).Partition(g, k)
+	plain, err := (&PartitionStream{}).Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	windowed, err := (&PartitionStream{Window: 64}).Partition(g, k)
+	windowed, err := (&PartitionStream{Window: 64}).Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestStreamingNames(t *testing.T) {
 func TestParallelEBVMatchesSequentialQuality(t *testing.T) {
 	g := powerLawGraph(t, 2.1, 44)
 	const k = 8
-	seq, err := New().Partition(g, k)
+	seq, err := New().Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := (&ParallelEBV{Workers: 4}).Partition(g, k)
+	par, err := (&ParallelEBV{Workers: 4}).Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestParallelEBVDeterministic(t *testing.T) {
 	// Epoch merge order is fixed, so results are reproducible despite the
 	// concurrency.
 	g := powerLawGraph(t, 2.2, 45)
-	a1, err := (&ParallelEBV{Workers: 3, EpochEdges: 500}).Partition(g, 4)
+	a1, err := (&ParallelEBV{Workers: 3, EpochEdges: 500}).Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := (&ParallelEBV{Workers: 3, EpochEdges: 500}).Partition(g, 4)
+	a2, err := (&ParallelEBV{Workers: 3, EpochEdges: 500}).Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,18 +205,18 @@ func TestParallelEBVEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&ParallelEBV{}).Partition(empty, 2); err != nil {
+	if _, err := (&ParallelEBV{}).Partition(t.Context(), empty, 2); err != nil {
 		t.Fatalf("empty graph: %v", err)
 	}
 	g := powerLawGraph(t, 2.2, 46)
-	if _, err := (&ParallelEBV{}).Partition(g, 0); err == nil {
+	if _, err := (&ParallelEBV{}).Partition(t.Context(), g, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := (&ParallelEBV{Alpha: -1}).Partition(g, 2); err == nil {
+	if _, err := (&ParallelEBV{Alpha: -1}).Partition(t.Context(), g, 2); err == nil {
 		t.Fatal("negative alpha accepted")
 	}
 	// NoSort path.
-	a, err := (&ParallelEBV{Workers: 2, NoSort: true}).Partition(g, 4)
+	a, err := (&ParallelEBV{Workers: 2, NoSort: true}).Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestParallelEBVSmallEpochsStillValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := (&ParallelEBV{Workers: 8, EpochEdges: 7}).Partition(g, 5)
+	a, err := (&ParallelEBV{Workers: 8, EpochEdges: 7}).Partition(t.Context(), g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

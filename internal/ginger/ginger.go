@@ -32,7 +32,7 @@ type Ginger struct {
 	Salt uint64
 }
 
-var _ partition.ContextPartitioner = (*Ginger)(nil)
+var _ partition.Partitioner = (*Ginger)(nil)
 
 // Name implements partition.Partitioner.
 func (gg *Ginger) Name() string { return "Ginger" }
@@ -46,14 +46,9 @@ func hashVertex(v graph.VertexID, salt uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Partition implements partition.Partitioner.
-func (gg *Ginger) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
-	return gg.PartitionCtx(context.Background(), g, k)
-}
-
-// PartitionCtx implements partition.ContextPartitioner: the placement loop
+// Partition implements partition.Partitioner: the placement loop
 // polls ctx every partition.CancelCheckInterval vertices.
-func (gg *Ginger) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
+func (gg *Ginger) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
 	if k < 1 {
 		return nil, partition.ErrBadPartCount
 	}

@@ -17,7 +17,7 @@ func TestGingerBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{2, 4, 12} {
-		a, err := (&Ginger{}).Partition(g, k)
+		a, err := (&Ginger{}).Partition(t.Context(), g, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -46,7 +46,7 @@ func TestGingerBeatsRandomOnReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aG, err := (&Ginger{}).Partition(g, 8)
+	aG, err := (&Ginger{}).Partition(t.Context(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestGingerBeatsRandomOnReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aR, err := (&partition.Random{}).Partition(g, 8)
+	aR, err := (&partition.Random{}).Partition(t.Context(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,17 +88,17 @@ func TestGingerEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Ginger{}).Partition(empty, 2); err != nil {
+	if _, err := (&Ginger{}).Partition(t.Context(), empty, 2); err != nil {
 		t.Fatalf("empty graph: %v", err)
 	}
 	g, err := graph.New(2, []graph.Edge{{Src: 0, Dst: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Ginger{}).Partition(g, 0); !errors.Is(err, partition.ErrBadPartCount) {
+	if _, err := (&Ginger{}).Partition(t.Context(), g, 0); !errors.Is(err, partition.ErrBadPartCount) {
 		t.Fatalf("err = %v, want ErrBadPartCount", err)
 	}
-	a, err := (&Ginger{}).Partition(g, 3)
+	a, err := (&Ginger{}).Partition(t.Context(), g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestGingerCoversAllEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := (&Ginger{}).Partition(g, 5)
+	a, err := (&Ginger{}).Partition(t.Context(), g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

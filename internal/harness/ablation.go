@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"ebv/internal/core"
+	"ebv/internal/gen"
+	"ebv/internal/graph"
 	"ebv/internal/partition"
 )
 
@@ -53,9 +56,29 @@ func (r *AblationResult) Print(w io.Writer) error {
 	return t.write(w)
 }
 
+// add partitions g — the analogue's graph — with p into the paper's
+// subgraph count for it and appends the quality row labelled config.
+func (r *AblationResult) add(ctx context.Context, config string, analogue gen.Analogue, g *graph.Graph, p partition.Partitioner) error {
+	k := PaperWorkerCount(analogue)
+	a, err := p.Partition(ctx, g, k)
+	if err != nil {
+		return err
+	}
+	m, err := partition.ComputeMetrics(g, a)
+	if err != nil {
+		return err
+	}
+	r.Rows = append(r.Rows, AblationRow{
+		Config: config, Graph: analogue.String(), Subgraphs: k,
+		EdgeImbalance: m.EdgeImbalance, VertexImbalance: m.VertexImbalance,
+		ReplicationFactor: m.ReplicationFactor,
+	})
+	return nil
+}
+
 // AblationSortOrder compares EBV's three edge-processing orders on the
 // power-law analogues (extends §V-D with the descending order).
-func AblationSortOrder(opt Options) (*AblationResult, error) {
+func AblationSortOrder(ctx context.Context, opt Options) (*AblationResult, error) {
 	res := &AblationResult{Title: "Ablation: EBV edge-processing order"}
 	variants := []struct {
 		name  string
@@ -70,21 +93,11 @@ func AblationSortOrder(opt Options) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		k := PaperWorkerCount(analogue)
 		for _, v := range variants {
-			a, err := core.New(core.WithOrder(v.order)).PartitionCtx(opt.Context(), g, k)
-			if err != nil {
+			p := core.New(core.WithOrder(v.order))
+			if err := res.add(ctx, v.name, analogue, g, p); err != nil {
 				return nil, err
 			}
-			m, err := partition.ComputeMetrics(g, a)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, AblationRow{
-				Config: v.name, Graph: analogue.String(), Subgraphs: k,
-				EdgeImbalance: m.EdgeImbalance, VertexImbalance: m.VertexImbalance,
-				ReplicationFactor: m.ReplicationFactor,
-			})
 		}
 	}
 	return res, nil
@@ -92,37 +105,27 @@ func AblationSortOrder(opt Options) (*AblationResult, error) {
 
 // AblationAlphaBeta sweeps the evaluation-function weights on the Twitter
 // analogue (the most skewed graph, where balance pressure matters most).
-func AblationAlphaBeta(opt Options) (*AblationResult, error) {
+func AblationAlphaBeta(ctx context.Context, opt Options) (*AblationResult, error) {
 	res := &AblationResult{Title: "Ablation: EBV alpha/beta sensitivity (Twitter analogue)"}
 	g, err := Graph(TwitterGraph, opt)
 	if err != nil {
 		return nil, err
 	}
-	k := PaperWorkerCount(TwitterGraph)
 	for _, ab := range []struct{ alpha, beta float64 }{
 		{0.1, 0.1}, {0.5, 0.5}, {1, 1}, {2, 2}, {10, 10}, {1, 10}, {10, 1},
 	} {
-		a, err := core.New(core.WithAlpha(ab.alpha), core.WithBeta(ab.beta)).PartitionCtx(opt.Context(), g, k)
-		if err != nil {
+		p := core.New(core.WithAlpha(ab.alpha), core.WithBeta(ab.beta))
+		config := fmt.Sprintf("a=%g b=%g", ab.alpha, ab.beta)
+		if err := res.add(ctx, config, TwitterGraph, g, p); err != nil {
 			return nil, err
 		}
-		m, err := partition.ComputeMetrics(g, a)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Config: fmt.Sprintf("a=%g b=%g", ab.alpha, ab.beta),
-			Graph:  TwitterGraph.String(), Subgraphs: k,
-			EdgeImbalance: m.EdgeImbalance, VertexImbalance: m.VertexImbalance,
-			ReplicationFactor: m.ReplicationFactor,
-		})
 	}
 	return res, nil
 }
 
 // AblationStreaming compares offline EBV against the one-pass streaming
 // variants and the parallel variant (the §VII future-work directions).
-func AblationStreaming(opt Options) (*AblationResult, error) {
+func AblationStreaming(ctx context.Context, opt Options) (*AblationResult, error) {
 	res := &AblationResult{Title: "Ablation: offline vs streaming vs parallel EBV"}
 	configs := []partition.Partitioner{
 		core.New(),
@@ -137,21 +140,10 @@ func AblationStreaming(opt Options) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		k := PaperWorkerCount(analogue)
 		for _, p := range configs {
-			a, err := partition.PartitionWithContext(opt.Context(), p, g, k)
-			if err != nil {
+			if err := res.add(ctx, p.Name(), analogue, g, p); err != nil {
 				return nil, err
 			}
-			m, err := partition.ComputeMetrics(g, a)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, AblationRow{
-				Config: p.Name(), Graph: analogue.String(), Subgraphs: k,
-				EdgeImbalance: m.EdgeImbalance, VertexImbalance: m.VertexImbalance,
-				ReplicationFactor: m.ReplicationFactor,
-			})
 		}
 	}
 	return res, nil

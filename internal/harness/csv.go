@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"context"
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -11,47 +9,60 @@ import (
 // CSV exporters: every experiment result can be dumped as tidy (long-form)
 // CSV for external plotting. Columns are stable and documented per method.
 
-// WriteCSV writes `graph,type,vertices,edges,avg_degree,eta` rows.
-func (r *Table1Result) WriteCSV(w io.Writer) error {
+// writeCSV writes header, then whatever rows body emits, and flushes. A
+// write error is sticky in the csv.Writer's buffer, so emit does not
+// return it: cw.Error after the flush reports the first one.
+func writeCSV(w io.Writer, header []string, body func(emit func(fields ...string))) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"graph", "type", "vertices", "edges", "avg_degree", "eta"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if err := cw.Write([]string{
-			row.Graph, row.Type,
-			strconv.Itoa(row.NumVertices), strconv.Itoa(row.NumEdges),
-			formatFloat(row.AverageDegree), formatFloat(row.Eta),
-		}); err != nil {
-			return err
-		}
-	}
+	emit := func(fields ...string) { _ = cw.Write(fields) }
+	emit(header...)
+	body(emit)
 	cw.Flush()
 	return cw.Error()
+}
+
+func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', 6, 64) }
+
+func formatInt(i int64) string { return strconv.FormatInt(i, 10) }
+
+// WriteCSV writes `graph,type,vertices,edges,avg_degree,eta` rows.
+func (r *Table1Result) WriteCSV(w io.Writer) error {
+	header := []string{"graph", "type", "vertices", "edges", "avg_degree", "eta"}
+	return writeCSV(w, header, func(emit func(...string)) {
+		for _, row := range r.Rows {
+			emit(row.Graph, row.Type,
+				strconv.Itoa(row.NumVertices), strconv.Itoa(row.NumEdges),
+				formatFloat(row.AverageDegree), formatFloat(row.Eta))
+		}
+	})
+}
+
+// WriteCSV writes `algorithm,comp_ns,comm_ns,delta_c_ns,execution_ns` rows.
+func (r *Table2Result) WriteCSV(w io.Writer) error {
+	header := []string{"algorithm", "comp_ns", "comm_ns", "delta_c_ns", "execution_ns"}
+	return writeCSV(w, header, func(emit func(...string)) {
+		for _, row := range r.Rows {
+			emit(row.Algorithm,
+				formatInt(row.Comp.Nanoseconds()), formatInt(row.Comm.Nanoseconds()),
+				formatInt(row.DeltaC.Nanoseconds()), formatInt(row.Execution.Nanoseconds()))
+		}
+	})
 }
 
 // WriteCSV writes `graph,eta,workers,algorithm,edge_imbalance,
 // vertex_imbalance,replication_factor` rows.
 func (r *Table3Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	header := []string{"graph", "eta", "workers", "algorithm",
 		"edge_imbalance", "vertex_imbalance", "replication_factor"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		for _, c := range row.Cells {
-			if err := cw.Write([]string{
-				row.Graph, formatFloat(row.Eta), strconv.Itoa(row.Workers), c.Algorithm,
-				formatFloat(c.EdgeImbalance), formatFloat(c.VertexImbalance),
-				formatFloat(c.ReplicationFactor),
-			}); err != nil {
-				return err
+	return writeCSV(w, header, func(emit func(...string)) {
+		for _, row := range r.Rows {
+			for _, c := range row.Cells {
+				emit(row.Graph, formatFloat(row.Eta), strconv.Itoa(row.Workers), c.Algorithm,
+					formatFloat(c.EdgeImbalance), formatFloat(c.VertexImbalance),
+					formatFloat(c.ReplicationFactor))
 			}
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WriteCSV writes `graph,workers,algorithm,total_messages,emitted_messages,
@@ -59,229 +70,72 @@ func (r *Table3Result) WriteCSV(w io.Writer) error {
 // Tables IV and V). total_messages is the wire count; emitted/delivered are
 // the pre/post-combine counts (equal to it when combining is off).
 func (r *MessagesResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	header := []string{"graph", "workers", "algorithm",
 		"total_messages", "emitted_messages", "delivered_messages",
 		"max_mean_ratio", "replication_factor"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		for _, c := range row.Cells {
-			if err := cw.Write([]string{
-				row.Graph, strconv.Itoa(row.Workers), c.Algorithm,
-				strconv.FormatInt(c.TotalMessages, 10),
-				strconv.FormatInt(c.Emitted, 10),
-				strconv.FormatInt(c.Delivered, 10),
-				formatFloat(c.MaxMeanRatio),
-				formatFloat(c.Metrics.ReplicationFactor),
-			}); err != nil {
-				return err
+	return writeCSV(w, header, func(emit func(...string)) {
+		for _, row := range r.Rows {
+			for _, c := range row.Cells {
+				emit(row.Graph, strconv.Itoa(row.Workers), c.Algorithm,
+					formatInt(c.TotalMessages), formatInt(c.Emitted), formatInt(c.Delivered),
+					formatFloat(c.MaxMeanRatio), formatFloat(c.Metrics.ReplicationFactor))
 			}
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WriteCSV writes `app,graph,series,workers,time_ns,messages` rows.
 func (r *SweepResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "graph", "series", "workers", "time_ns", "messages"}); err != nil {
-		return err
-	}
-	for _, panel := range r.Panels {
-		for _, s := range panel.Series {
-			for _, pt := range s.Points {
-				if err := cw.Write([]string{
-					string(panel.App), panel.Graph, s.Series,
-					strconv.Itoa(pt.Workers),
-					strconv.FormatInt(pt.Time.Nanoseconds(), 10),
-					strconv.FormatInt(pt.Messages, 10),
-				}); err != nil {
-					return err
+	header := []string{"app", "graph", "series", "workers", "time_ns", "messages"}
+	return writeCSV(w, header, func(emit func(...string)) {
+		for _, panel := range r.Panels {
+			for _, s := range panel.Series {
+				for _, pt := range s.Points {
+					emit(string(panel.App), panel.Graph, s.Series, strconv.Itoa(pt.Workers),
+						formatInt(pt.Time.Nanoseconds()), formatInt(pt.Messages))
 				}
 			}
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
+}
+
+// WriteCSV writes `algorithm,worker,step,stage,start_ns,end_ns` segment rows.
+func (r *Fig4Result) WriteCSV(w io.Writer) error {
+	header := []string{"algorithm", "worker", "step", "stage", "start_ns", "end_ns"}
+	return writeCSV(w, header, func(emit func(...string)) {
+		for _, panel := range r.Panels {
+			for _, seg := range panel.Segments {
+				emit(panel.Algorithm, strconv.Itoa(seg.Worker), strconv.Itoa(seg.Step), seg.Stage,
+					formatInt(seg.Start.Nanoseconds()), formatInt(seg.End.Nanoseconds()))
+			}
+		}
+	})
 }
 
 // WriteCSV writes `graph,variant,subgraphs,edges_processed,replication_factor`
 // rows — the Figure 5 curves, one sample per row.
 func (r *Fig5Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	header := []string{"graph", "variant", "subgraphs", "edges_processed", "replication_factor"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, c := range r.Curves {
-		for i := range c.EdgesProcessed {
-			if err := cw.Write([]string{
-				c.Graph, c.Variant, strconv.Itoa(c.Subgraphs),
-				strconv.Itoa(c.EdgesProcessed[i]),
-				formatFloat(c.ReplicationFactor[i]),
-			}); err != nil {
-				return err
+	return writeCSV(w, header, func(emit func(...string)) {
+		for _, c := range r.Curves {
+			for i := range c.EdgesProcessed {
+				emit(c.Graph, c.Variant, strconv.Itoa(c.Subgraphs),
+					strconv.Itoa(c.EdgesProcessed[i]), formatFloat(c.ReplicationFactor[i]))
 			}
 		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteCSV writes `algorithm,comp_ns,comm_ns,delta_c_ns,execution_ns` rows.
-func (r *Table2Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"algorithm", "comp_ns", "comm_ns", "delta_c_ns", "execution_ns"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if err := cw.Write([]string{
-			row.Algorithm,
-			strconv.FormatInt(row.Comp.Nanoseconds(), 10),
-			strconv.FormatInt(row.Comm.Nanoseconds(), 10),
-			strconv.FormatInt(row.DeltaC.Nanoseconds(), 10),
-			strconv.FormatInt(row.Execution.Nanoseconds(), 10),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteCSV writes `algorithm,worker,stage,start_ns,end_ns` segment rows.
-func (r *Fig4Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"algorithm", "worker", "step", "stage", "start_ns", "end_ns"}); err != nil {
-		return err
-	}
-	for _, panel := range r.Panels {
-		for _, seg := range panel.Segments {
-			if err := cw.Write([]string{
-				panel.Algorithm,
-				strconv.Itoa(seg.Worker),
-				strconv.Itoa(seg.Step),
-				seg.Stage,
-				strconv.FormatInt(seg.Start.Nanoseconds(), 10),
-				strconv.FormatInt(seg.End.Nanoseconds(), 10),
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', 6, 64)
-}
-
-// RunCSV executes the named experiment and writes its CSV form to w.
-func RunCSV(name string, opt Options, w io.Writer) error {
-	return runCSV(name, opt, w)
-}
-
-// RunCSVCtx is RunCSV with cancellation (see RunCtx).
-func RunCSVCtx(ctx context.Context, name string, opt Options, w io.Writer) error {
-	opt.ctx = ctx
-	return runCSV(name, opt, w)
-}
-
-func runCSV(name string, opt Options, w io.Writer) error {
-	switch name {
-	case "table1":
-		r, err := Table1(opt)
-		if err != nil {
-			return err
-		}
-		return r.WriteCSV(w)
-	case "table2":
-		r, err := Table2(opt)
-		if err != nil {
-			return err
-		}
-		return r.WriteCSV(w)
-	case "table3":
-		r, err := Table3(opt)
-		if err != nil {
-			return err
-		}
-		return r.WriteCSV(w)
-	case "table4", "table5":
-		r, err := Table4(opt)
-		if err != nil {
-			return err
-		}
-		return r.WriteCSV(w)
-	case "fig2":
-		r, err := Fig2(opt)
-		if err != nil {
-			return err
-		}
-		return r.WriteCSV(w)
-	case "fig3":
-		r, err := Fig3(opt)
-		if err != nil {
-			return err
-		}
-		return r.WriteCSV(w)
-	case "fig4":
-		r, err := Fig4(opt)
-		if err != nil {
-			return err
-		}
-		return r.WriteCSV(w)
-	case "fig5":
-		r, err := Fig5(opt)
-		if err != nil {
-			return err
-		}
-		return r.WriteCSV(w)
-	case "ablation-sort":
-		r, err := AblationSortOrder(opt)
-		if err != nil {
-			return err
-		}
-		return r.WriteCSV(w)
-	case "ablation-alphabeta":
-		r, err := AblationAlphaBeta(opt)
-		if err != nil {
-			return err
-		}
-		return r.WriteCSV(w)
-	case "ablation-streaming":
-		r, err := AblationStreaming(opt)
-		if err != nil {
-			return err
-		}
-		return r.WriteCSV(w)
-	default:
-		return fmt.Errorf("harness: experiment %q has no CSV form", name)
-	}
+	})
 }
 
 // WriteCSV writes `config,graph,subgraphs,edge_imbalance,vertex_imbalance,
 // replication_factor` rows.
 func (r *AblationResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	header := []string{"config", "graph", "subgraphs",
 		"edge_imbalance", "vertex_imbalance", "replication_factor"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if err := cw.Write([]string{
-			row.Config, row.Graph, strconv.Itoa(row.Subgraphs),
-			formatFloat(row.EdgeImbalance), formatFloat(row.VertexImbalance),
-			formatFloat(row.ReplicationFactor),
-		}); err != nil {
-			return err
+	return writeCSV(w, header, func(emit func(...string)) {
+		for _, row := range r.Rows {
+			emit(row.Config, row.Graph, strconv.Itoa(row.Subgraphs),
+				formatFloat(row.EdgeImbalance), formatFloat(row.VertexImbalance),
+				formatFloat(row.ReplicationFactor))
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }

@@ -2,8 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/csv"
-	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -18,7 +19,7 @@ func parseCSV(t *testing.T, buf *bytes.Buffer) [][]string {
 }
 
 func TestTable1CSV(t *testing.T) {
-	r, err := Table1(testOpt())
+	r, err := Table1(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestTable1CSV(t *testing.T) {
 }
 
 func TestTable3CSV(t *testing.T) {
-	r, err := Table3(testOpt())
+	r, err := Table3(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestTable3CSV(t *testing.T) {
 }
 
 func TestMessagesCSV(t *testing.T) {
-	r, err := Table4(testOpt())
+	r, err := Table4(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestMessagesCSV(t *testing.T) {
 }
 
 func TestSweepCSV(t *testing.T) {
-	r, err := Fig3(testOpt())
+	r, err := Fig3(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestSweepCSV(t *testing.T) {
 }
 
 func TestFig5CSV(t *testing.T) {
-	r, err := Fig5(testOpt())
+	r, err := Fig5(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestFig5CSV(t *testing.T) {
 }
 
 func TestTable2AndFig4CSV(t *testing.T) {
-	r2, err := Table2(testOpt())
+	r2, err := Table2(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestTable2AndFig4CSV(t *testing.T) {
 	if got := len(parseCSV(t, &buf)); got != 7 {
 		t.Fatalf("table2 csv records = %d, want 7", got)
 	}
-	r4, err := Fig4(testOpt())
+	r4, err := Fig4(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +135,67 @@ func TestRunCSVDispatch(t *testing.T) {
 			continue // covered by the (slow) Fig2 test below
 		}
 		var buf bytes.Buffer
-		if err := RunCSV(name, testOpt(), &buf); err != nil {
+		if err := RunCSV(t.Context(), name, testOpt(), &buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if buf.Len() == 0 {
 			t.Fatalf("%s: empty csv", name)
 		}
 	}
-	if err := RunCSV("nosuch", testOpt(), &bytes.Buffer{}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	// One lookup serves both formats: a mistyped name lists the known ones.
+	err := RunCSV(t.Context(), "nosuch", testOpt(), &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "ablation-streaming") {
+		t.Fatalf("unknown experiment: err = %v, want the known names listed", err)
+	}
+}
+
+// TestTable5DispatchesToTable5 pins the registry fix: -exp table5 -csv used to run
+// Table4. Both share MessagesResult's CSV form, so the bytes agree, but the
+// lookup must reach Table5's constructor.
+func TestTable5DispatchesToTable5(t *testing.T) {
+	for _, e := range experiments {
+		if e.name != "table5" {
+			continue
+		}
+		r, err := e.run(t.Context(), testOpt())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.(*Table5Result); !ok {
+			t.Fatalf("table5 dispatched to %T, want *Table5Result", r)
+		}
+		return
+	}
+	t.Fatal("table5 not registered")
+}
+
+// TestCSVBytesPinned holds the deterministic experiments' CSV to the bytes
+// the pre-registry dispatch produced (SHA-256 at Scale 0.1, default seed),
+// so a change to the dispatch, the experiment signatures or the shared CSV
+// writer cannot alter a number or a column.
+func TestCSVBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"table1":             "3e6dde5d930cbe0fd1ad1f64bd05176f2e3d4ea99d8458c2a968ccdf3ab7b073",
+		"table3":             "cd9b7df66fcc27d46fce92f5f27ddfa1c4d09b9ffe805758f522a7b6170130d5",
+		"table4":             "df3ee7b44f7140bf0b8069990867688562daed2ff0335d71d1d27844a67bad21",
+		"table5":             "df3ee7b44f7140bf0b8069990867688562daed2ff0335d71d1d27844a67bad21",
+		"fig5":               "349387e2311f36146193402c55717399bf2c759f2200470d934dda60247d2d44",
+		"ablation-sort":      "0e3154ee072545c951f2c04187ed29310b1f7290960b7db17b6b5f4517f656f9",
+		"ablation-alphabeta": "e7e7605ed6f05cc07f882082af556f107dcc36ad991392e36f00204c23e2dac5",
+		"ablation-streaming": "e7cf5c27b612c116c9e6ebfb045a63a46f3567deab789ee0e1891cf6a13f3708",
+	}
+	for _, name := range ExperimentNames() {
+		sum, ok := want[name]
+		if !ok {
+			continue // timing experiments are not byte-stable
+		}
+		var buf bytes.Buffer
+		if err := RunCSV(t.Context(), name, Options{Scale: 0.1}, &buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != sum {
+			t.Errorf("%s: csv sha256 = %s, want %s", name, got, sum)
+		}
 	}
 }
 
@@ -151,7 +204,7 @@ func TestFig2SmallScale(t *testing.T) {
 		t.Skip("fig2 sweep is slow")
 	}
 	opt := Options{Scale: 0.08, Seed: 3, PageRankIters: 2, Workers: []int{2}}
-	r, err := Fig2(opt)
+	r, err := Fig2(t.Context(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,40 +232,5 @@ func TestFig2SmallScale(t *testing.T) {
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFig4ChromeTrace(t *testing.T) {
-	r, err := Fig4(testOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	// Metadata events: 6 algorithms x (1 process + 4 threads).
-	meta := 0
-	complete := 0
-	for _, e := range events {
-		switch e["ph"] {
-		case "M":
-			meta++
-		case "X":
-			complete++
-			if e["dur"].(float64) <= 0 {
-				t.Fatal("non-positive duration event emitted")
-			}
-		}
-	}
-	if meta != 6*(1+4) {
-		t.Fatalf("%d metadata events, want 30", meta)
-	}
-	if complete == 0 {
-		t.Fatal("no duration events")
 	}
 }

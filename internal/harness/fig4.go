@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -45,7 +46,7 @@ func (r *Fig4Result) Panel(algorithm string) (Fig4Panel, bool) {
 }
 
 // Fig4 runs CC with 4 workers per partitioner and captures the timelines.
-func Fig4(opt Options) (*Fig4Result, error) {
+func Fig4(ctx context.Context, opt Options) (*Fig4Result, error) {
 	g, err := Graph(LiveJournalGraph, opt)
 	if err != nil {
 		return nil, err
@@ -53,7 +54,7 @@ func Fig4(opt Options) (*Fig4Result, error) {
 	const workers = 4
 	res := &Fig4Result{Workers: workers}
 	for _, p := range PaperPartitioners() {
-		run, err := runBSP(g, p, workers, AppCC, opt)
+		run, err := runBSP(ctx, g, p, workers, AppCC, opt)
 		if err != nil {
 			return nil, err
 		}

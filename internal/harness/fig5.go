@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -48,7 +49,7 @@ func Fig5SubgraphCounts() []int { return []int{4, 8, 16, 32} }
 
 // Fig5 runs EBV-sort and EBV-unsort on the three power-law analogues,
 // sampling the replication factor along the edge stream.
-func Fig5(opt Options) (*Fig5Result, error) {
+func Fig5(ctx context.Context, opt Options) (*Fig5Result, error) {
 	res := &Fig5Result{}
 	for _, analogue := range PowerLawAnalogues() {
 		g, err := Graph(analogue, opt)
@@ -76,7 +77,7 @@ func Fig5(opt Options) (*Fig5Result, error) {
 						curve.ReplicationFactor = append(curve.ReplicationFactor, rf)
 					}),
 				)
-				if _, err := e.PartitionCtx(opt.Context(), g, k); err != nil {
+				if _, err := e.Partition(ctx, g, k); err != nil {
 					return nil, fmt.Errorf("harness: fig5 %s k=%d: %w", analogue, k, err)
 				}
 				res.Curves = append(res.Curves, curve)

@@ -25,9 +25,7 @@ import (
 )
 
 // Options configures every experiment. The zero value selects the
-// defaults; it can be populated either as a struct literal (the legacy
-// form, still supported) or with the functional options accepted by
-// NewOptions.
+// defaults.
 type Options struct {
 	// Scale multiplies the baseline graph sizes (DESIGN.md §2). Tests use
 	// ~0.1; the bench harness defaults to 1.
@@ -55,60 +53,6 @@ type Options struct {
 	// MessageCell.Emitted cell next to the wire count exposes whatever the
 	// sender-side coalesce removed. Default off.
 	Combine bool
-
-	// ctx carries cancellation into the experiment internals; it is set by
-	// RunCtx/RunCSVCtx/WithContext and deliberately unexported so the
-	// struct-literal form keeps compiling (nil = Background).
-	ctx context.Context
-}
-
-// Option configures Options functionally.
-type Option func(*Options)
-
-// NewOptions builds Options from functional options.
-func NewOptions(opts ...Option) Options {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
-// WithScale sets the graph size multiplier.
-func WithScale(scale float64) Option { return func(o *Options) { o.Scale = scale } }
-
-// WithSeed sets the generator seed.
-func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
-
-// WithWorkers overrides the per-figure worker-count sweep.
-func WithWorkers(workers ...int) Option { return func(o *Options) { o.Workers = workers } }
-
-// WithPageRankIters bounds PageRank work.
-func WithPageRankIters(n int) Option { return func(o *Options) { o.PageRankIters = n } }
-
-// WithExtended adds the beyond-the-paper partitioner columns.
-func WithExtended(on bool) Option { return func(o *Options) { o.Extended = on } }
-
-// WithRepeat re-runs timing experiments this many times.
-func WithRepeat(n int) Option { return func(o *Options) { o.Repeat = n } }
-
-// WithParallelism bounds the CPUs used by the data-plane passes (subgraph
-// construction); <= 0 selects GOMAXPROCS.
-func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
-
-// WithCombine runs the BSP cells with each app's natural message combiner.
-func WithCombine(on bool) Option { return func(o *Options) { o.Combine = on } }
-
-// WithContext attaches a cancellation context: long experiments poll it
-// between partition/run cells and abort with ctx.Err().
-func WithContext(ctx context.Context) Option { return func(o *Options) { o.ctx = ctx } }
-
-// Context returns the experiment context (Background if unset).
-func (o Options) Context() context.Context {
-	if o.ctx == nil {
-		return context.Background()
-	}
-	return o.ctx
 }
 
 func (o Options) scale() float64 {
@@ -240,110 +184,77 @@ func PowerLawAnalogues() []gen.Analogue {
 	return []gen.Analogue{LiveJournalGraph, TwitterGraph, FriendsterGraph}
 }
 
-// Experiment names accepted by Run (cmd/ebv-bench's -exp flag).
-var experimentNames = []string{
-	"table1", "table2", "table3", "table4", "table5",
-	"fig2", "fig3", "fig4", "fig5",
-	"ablation-sort", "ablation-alphabeta", "ablation-streaming",
+// result is what every experiment returns: it prints itself in the paper's
+// layout and dumps itself as tidy CSV.
+type result interface {
+	Print(w io.Writer) error
+	WriteCSV(w io.Writer) error
+}
+
+type experimentFunc func(ctx context.Context, opt Options) (result, error)
+
+// exp adapts a typed experiment constructor to the registry's signature.
+func exp[R result](f func(context.Context, Options) (R, error)) experimentFunc {
+	return func(ctx context.Context, opt Options) (result, error) { return f(ctx, opt) }
+}
+
+// experiments is the one registry behind Run, RunCSV and ExperimentNames
+// (cmd/ebv-bench's -exp flag), in the paper's order.
+var experiments = []struct {
+	name string
+	run  experimentFunc
+}{
+	{"table1", exp(Table1)},
+	{"table2", exp(Table2)},
+	{"table3", exp(Table3)},
+	{"table4", exp(Table4)},
+	{"table5", exp(Table5)},
+	{"fig2", exp(Fig2)},
+	{"fig3", exp(Fig3)},
+	{"fig4", exp(Fig4)},
+	{"fig5", exp(Fig5)},
+	{"ablation-sort", exp(AblationSortOrder)},
+	{"ablation-alphabeta", exp(AblationAlphaBeta)},
+	{"ablation-streaming", exp(AblationStreaming)},
 }
 
 // ExperimentNames lists all runnable experiments.
 func ExperimentNames() []string {
-	out := make([]string, len(experimentNames))
-	copy(out, experimentNames)
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
+	}
 	return out
 }
 
-// Run executes the named experiment and prints it to w.
-func Run(name string, opt Options, w io.Writer) error {
-	return run(name, opt, w)
-}
-
-// RunCtx is Run with cancellation: ctx is threaded through the experiment
-// internals (every partition cell and BSP run), so canceling it aborts the
-// experiment promptly with ctx.Err().
-func RunCtx(ctx context.Context, name string, opt Options, w io.Writer) error {
-	opt.ctx = ctx
-	return run(name, opt, w)
-}
-
-func run(name string, opt Options, w io.Writer) error {
-	switch name {
-	case "table1":
-		r, err := Table1(opt)
-		if err != nil {
-			return err
+// runExperiment looks name up in the registry and runs it under ctx, which
+// is threaded through every partition cell and BSP run, so canceling it
+// aborts the experiment promptly with ctx.Err().
+func runExperiment(ctx context.Context, name string, opt Options) (result, error) {
+	for _, e := range experiments {
+		if e.name == name {
+			return e.run(ctx, opt)
 		}
-		return r.Print(w)
-	case "table2":
-		r, err := Table2(opt)
-		if err != nil {
-			return err
-		}
-		return r.Print(w)
-	case "table3":
-		r, err := Table3(opt)
-		if err != nil {
-			return err
-		}
-		return r.Print(w)
-	case "table4":
-		r, err := Table4(opt)
-		if err != nil {
-			return err
-		}
-		return r.Print(w)
-	case "table5":
-		r, err := Table5(opt)
-		if err != nil {
-			return err
-		}
-		return r.Print(w)
-	case "fig2":
-		r, err := Fig2(opt)
-		if err != nil {
-			return err
-		}
-		return r.Print(w)
-	case "fig3":
-		r, err := Fig3(opt)
-		if err != nil {
-			return err
-		}
-		return r.Print(w)
-	case "fig4":
-		r, err := Fig4(opt)
-		if err != nil {
-			return err
-		}
-		return r.Print(w)
-	case "fig5":
-		r, err := Fig5(opt)
-		if err != nil {
-			return err
-		}
-		return r.Print(w)
-	case "ablation-sort":
-		r, err := AblationSortOrder(opt)
-		if err != nil {
-			return err
-		}
-		return r.Print(w)
-	case "ablation-alphabeta":
-		r, err := AblationAlphaBeta(opt)
-		if err != nil {
-			return err
-		}
-		return r.Print(w)
-	case "ablation-streaming":
-		r, err := AblationStreaming(opt)
-		if err != nil {
-			return err
-		}
-		return r.Print(w)
-	default:
-		known := ExperimentNames()
-		sort.Strings(known)
-		return fmt.Errorf("harness: unknown experiment %q (have %v)", name, known)
 	}
+	known := ExperimentNames()
+	sort.Strings(known)
+	return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", name, known)
+}
+
+// Run executes the named experiment and prints it to w.
+func Run(ctx context.Context, name string, opt Options, w io.Writer) error {
+	r, err := runExperiment(ctx, name, opt)
+	if err != nil {
+		return err
+	}
+	return r.Print(w)
+}
+
+// RunCSV executes the named experiment and writes its CSV form to w.
+func RunCSV(ctx context.Context, name string, opt Options, w io.Writer) error {
+	r, err := runExperiment(ctx, name, opt)
+	if err != nil {
+		return err
+	}
+	return r.WriteCSV(w)
 }

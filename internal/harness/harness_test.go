@@ -13,7 +13,7 @@ func testOpt() Options {
 }
 
 func TestTable1Shape(t *testing.T) {
-	r, err := Table1(testOpt())
+	r, err := Table1(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	r, err := Table3(testOpt())
+	r, err := Table3(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTables4And5Shape(t *testing.T) {
-	r, err := Table4(testOpt())
+	r, err := Table4(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestTables4And5Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	r, err := Table2(testOpt())
+	r, err := Table2(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFig3Runs(t *testing.T) {
-	r, err := Fig3(testOpt())
+	r, err := Fig3(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestFig3Runs(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	r, err := Fig5(testOpt())
+	r, err := Fig5(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig4Runs(t *testing.T) {
-	r, err := Fig4(testOpt())
+	r, err := Fig4(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,14 +259,15 @@ func TestFig4Runs(t *testing.T) {
 
 func TestRunDispatch(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run("table1", testOpt(), &buf); err != nil {
+	if err := Run(t.Context(), "table1", testOpt(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
 		t.Fatal("no output")
 	}
-	if err := Run("nosuch", testOpt(), &buf); err == nil {
-		t.Fatal("unknown experiment accepted")
+	err := Run(t.Context(), "nosuch", testOpt(), &buf)
+	if err == nil || !strings.Contains(err.Error(), "ablation-streaming") {
+		t.Fatalf("unknown experiment: err = %v, want the known names listed", err)
 	}
 	if len(ExperimentNames()) != 12 {
 		t.Fatalf("%d experiments, want 12", len(ExperimentNames()))
@@ -289,7 +290,7 @@ func TestPartitionerByName(t *testing.T) {
 }
 
 func TestAblationSortOrderShape(t *testing.T) {
-	r, err := AblationSortOrder(testOpt())
+	r, err := AblationSortOrder(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestAblationSortOrderShape(t *testing.T) {
 }
 
 func TestAblationAlphaBetaShape(t *testing.T) {
-	r, err := AblationAlphaBeta(testOpt())
+	r, err := AblationAlphaBeta(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestAblationAlphaBetaShape(t *testing.T) {
 }
 
 func TestAblationStreamingShape(t *testing.T) {
-	r, err := AblationStreaming(testOpt())
+	r, err := AblationStreaming(t.Context(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +355,7 @@ func TestAblationStreamingShape(t *testing.T) {
 func TestExtendedTables(t *testing.T) {
 	opt := testOpt()
 	opt.Extended = true
-	r, err := Table3(opt)
+	r, err := Table3(t.Context(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestExtendedTables(t *testing.T) {
 func TestTable2Repeat(t *testing.T) {
 	opt := testOpt()
 	opt.Repeat = 3
-	r, err := Table2(opt)
+	r, err := Table2(t.Context(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -66,7 +67,7 @@ func (r *MessagesResult) Row(name string) (MessageRow, bool) {
 }
 
 // messagesCache memoizes the shared Table IV/V runs per Options.
-func computeMessages(opt Options) (*MessagesResult, error) {
+func computeMessages(ctx context.Context, opt Options) (*MessagesResult, error) {
 	res := &MessagesResult{}
 	for _, analogue := range gen.Analogues() {
 		g, err := Graph(analogue, opt)
@@ -76,11 +77,11 @@ func computeMessages(opt Options) (*MessagesResult, error) {
 		k := PaperWorkerCount(analogue)
 		row := MessageRow{Graph: analogue.String(), Workers: k}
 		for _, p := range opt.tablePartitioners() {
-			metrics, err := metricsCell(opt.Context(), g, p, k)
+			metrics, err := metricsCell(ctx, g, p, k)
 			if err != nil {
 				return nil, err
 			}
-			run, err := runBSP(g, p, k, AppCC, opt)
+			run, err := runBSP(ctx, g, p, k, AppCC, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -103,8 +104,8 @@ func computeMessages(opt Options) (*MessagesResult, error) {
 type Table4Result struct{ MessagesResult }
 
 // Table4 runs CC with each partitioner on each graph and counts messages.
-func Table4(opt Options) (*Table4Result, error) {
-	m, err := computeMessages(opt)
+func Table4(ctx context.Context, opt Options) (*Table4Result, error) {
+	m, err := computeMessages(ctx, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -140,8 +141,8 @@ func (r *Table4Result) Print(w io.Writer) error {
 type Table5Result struct{ MessagesResult }
 
 // Table5 reports the communication balance of the same CC runs.
-func Table5(opt Options) (*Table5Result, error) {
-	m, err := computeMessages(opt)
+func Table5(ctx context.Context, opt Options) (*Table5Result, error) {
+	m, err := computeMessages(ctx, opt)
 	if err != nil {
 		return nil, err
 	}

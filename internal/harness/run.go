@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"ebv/internal/apps"
@@ -39,9 +40,9 @@ func (a App) vertexProgram(opt Options) (pregel.VertexProgram, error) {
 
 // runBSP partitions g with p into k subgraphs and runs the app on the
 // subgraph-centric engine over the in-memory transport. Both stages honor
-// the experiment context carried by opt.
-func runBSP(g *graph.Graph, p partition.Partitioner, k int, app App, opt Options) (*bsp.Result, error) {
-	out, err := runBSPRepeats(g, p, k, app, opt, 1)
+// ctx.
+func runBSP(ctx context.Context, g *graph.Graph, p partition.Partitioner, k int, app App, opt Options) (*bsp.Result, error) {
+	out, err := runBSPRepeats(ctx, g, p, k, app, opt, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -54,9 +55,8 @@ func runBSP(g *graph.Graph, p partition.Partitioner, k int, app App, opt Options
 // (Table II under Options.Repeat) therefore measure execution latency in
 // the prepare-once/serve-many regime instead of re-paying the partition
 // and build cost per repeat — EXPERIMENTS.md records the amortization.
-func runBSPRepeats(g *graph.Graph, p partition.Partitioner, k int, app App, opt Options, repeat int) ([]*bsp.Result, error) {
-	ctx := opt.Context()
-	a, err := partition.PartitionWithContext(ctx, p, g, k)
+func runBSPRepeats(ctx context.Context, g *graph.Graph, p partition.Partitioner, k int, app App, opt Options, repeat int) ([]*bsp.Result, error) {
+	a, err := p.Partition(ctx, g, k)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s partition: %w", p.Name(), err)
 	}
@@ -85,12 +85,12 @@ func runBSPRepeats(g *graph.Graph, p partition.Partitioner, k int, app App, opt 
 }
 
 // runVC runs the vertex-centric comparator engine.
-func runVC(g *graph.Graph, k int, app App, opt Options) (*pregel.Result, error) {
+func runVC(ctx context.Context, g *graph.Graph, k int, app App, opt Options) (*pregel.Result, error) {
 	prog, err := app.vertexProgram(opt)
 	if err != nil {
 		return nil, err
 	}
-	res, err := pregel.RunCtx(opt.Context(), g, k, prog, pregel.Config{})
+	res, err := pregel.Run(ctx, g, k, prog, pregel.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("harness: vertex-centric %s: %w", app, err)
 	}

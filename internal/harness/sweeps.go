@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -70,7 +71,7 @@ func (o Options) sweepWorkers() []int {
 
 // sweep runs every partitioner (plus the VC comparator) for every worker
 // count on one (app, graph) panel.
-func sweep(app App, analogue gen.Analogue, opt Options) (SweepPanel, error) {
+func sweep(ctx context.Context, app App, analogue gen.Analogue, opt Options) (SweepPanel, error) {
 	g, err := Graph(analogue, opt)
 	if err != nil {
 		return SweepPanel{}, err
@@ -79,7 +80,7 @@ func sweep(app App, analogue gen.Analogue, opt Options) (SweepPanel, error) {
 	for _, p := range PaperPartitioners() {
 		series := SweepSeries{Series: p.Name()}
 		for _, k := range opt.sweepWorkers() {
-			run, err := runBSP(g, p, k, app, opt)
+			run, err := runBSP(ctx, g, p, k, app, opt)
 			if err != nil {
 				return SweepPanel{}, err
 			}
@@ -94,7 +95,7 @@ func sweep(app App, analogue gen.Analogue, opt Options) (SweepPanel, error) {
 	}
 	vc := SweepSeries{Series: "VC"}
 	for _, k := range opt.sweepWorkers() {
-		run, err := runVC(g, k, app, opt)
+		run, err := runVC(ctx, g, k, app, opt)
 		if err != nil {
 			return SweepPanel{}, err
 		}
@@ -111,11 +112,11 @@ func sweep(app App, analogue gen.Analogue, opt Options) (SweepPanel, error) {
 
 // Fig2 reproduces Figure 2: CC, PR and SSSP over the three power-law
 // analogues.
-func Fig2(opt Options) (*SweepResult, error) {
+func Fig2(ctx context.Context, opt Options) (*SweepResult, error) {
 	res := &SweepResult{Title: "Figure 2: execution time on power-law graphs"}
 	for _, app := range Apps() {
 		for _, analogue := range PowerLawAnalogues() {
-			panel, err := sweep(app, analogue, opt)
+			panel, err := sweep(ctx, app, analogue, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -126,10 +127,10 @@ func Fig2(opt Options) (*SweepResult, error) {
 }
 
 // Fig3 reproduces Figure 3: CC and SSSP over the USARoad analogue.
-func Fig3(opt Options) (*SweepResult, error) {
+func Fig3(ctx context.Context, opt Options) (*SweepResult, error) {
 	res := &SweepResult{Title: "Figure 3: execution time on the road graph"}
 	for _, app := range []App{AppCC, AppSSSP} {
-		panel, err := sweep(app, USARoadGraph, opt)
+		panel, err := sweep(ctx, app, USARoadGraph, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -25,9 +26,12 @@ type Table1Result struct {
 }
 
 // Table1 generates the four analogue graphs and computes their statistics.
-func Table1(opt Options) (*Table1Result, error) {
+func Table1(ctx context.Context, opt Options) (*Table1Result, error) {
 	res := &Table1Result{}
 	for _, a := range gen.Analogues() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		g, err := Graph(a, opt)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -38,7 +39,7 @@ func (r *Table2Result) Row(algorithm string) (Table2Row, bool) {
 
 // Table2 runs CC with 4 workers over the LiveJournal analogue for every
 // partitioner and reports the comp/comm/ΔC/execution breakdown.
-func Table2(opt Options) (*Table2Result, error) {
+func Table2(ctx context.Context, opt Options) (*Table2Result, error) {
 	g, err := Graph(LiveJournalGraph, opt)
 	if err != nil {
 		return nil, err
@@ -53,7 +54,7 @@ func Table2(opt Options) (*Table2Result, error) {
 		// One deployment per cell: the partition and subgraph build are
 		// paid once and the repeats run as jobs over it, so the repeated
 		// timings measure execution in the amortized serving regime.
-		runs, err := runBSPRepeats(g, p, workers, AppCC, opt, repeat)
+		runs, err := runBSPRepeats(ctx, g, p, workers, AppCC, opt, repeat)
 		if err != nil {
 			return nil, err
 		}

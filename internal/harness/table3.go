@@ -57,7 +57,7 @@ func (r *Table3Result) Row(name string) (Table3Row, bool) {
 // paper's subgraph counts (12/12/32/32) and reports the §III-C metrics.
 // METIS — the only edge-cut algorithm — is measured under the paper's
 // edge-cut metric definitions (see internal/metis.ComputeEdgeCutMetrics).
-func Table3(opt Options) (*Table3Result, error) {
+func Table3(ctx context.Context, opt Options) (*Table3Result, error) {
 	res := &Table3Result{}
 	for _, analogue := range gen.Analogues() {
 		g, err := Graph(analogue, opt)
@@ -68,7 +68,7 @@ func Table3(opt Options) (*Table3Result, error) {
 		stats := graph.ComputeStats(g)
 		row := Table3Row{Graph: analogue.String(), Eta: stats.Eta, Workers: k}
 		for _, p := range opt.tablePartitioners() {
-			cell, err := metricsCell(opt.Context(), g, p, k)
+			cell, err := metricsCell(ctx, g, p, k)
 			if err != nil {
 				return nil, err
 			}
@@ -84,7 +84,7 @@ func metricsCell(ctx context.Context, g *graph.Graph, p partition.Partitioner, k
 		return Table3Cell{}, err
 	}
 	if m, ok := p.(*metis.Metis); ok {
-		owners, err := m.VertexPartitionCtx(ctx, g, k)
+		owners, err := m.VertexPartition(ctx, g, k)
 		if err != nil {
 			return Table3Cell{}, fmt.Errorf("harness: METIS ownership: %w", err)
 		}
@@ -99,7 +99,7 @@ func metricsCell(ctx context.Context, g *graph.Graph, p partition.Partitioner, k
 			ReplicationFactor: ec.ReplicationFactor,
 		}, nil
 	}
-	a, err := partition.PartitionWithContext(ctx, p, g, k)
+	a, err := p.Partition(ctx, g, k)
 	if err != nil {
 		return Table3Cell{}, fmt.Errorf("harness: %s partition: %w", p.Name(), err)
 	}

@@ -17,7 +17,7 @@ import (
 //     sent on a channel, captured by a function literal, used in a
 //     deferred or go statement, or recycled by the program itself.
 //  2. Every pooled batch obtained from transport.GetBatch /
-//     ebv.GetMessageBatch / Env.NewBatch in non-test code must reach
+//     Env.NewBatch in non-test code must reach
 //     transport.RecycleBatch on some path, or visibly transfer
 //     ownership: stored into a structure (out[dst] = env.NewBatch()
 //     hands it to the engine) or sent on a channel. Transfers via return
@@ -291,7 +291,7 @@ func assignTarget(info *types.Info, id *ast.Ident) types.Object {
 // isBatchGetter reports whether the call mints a pooled batch.
 func isBatchGetter(info *types.Info, call *ast.CallExpr) bool {
 	switch calleeName(call) {
-	case "GetBatch", "GetMessageBatch", "NewBatch":
+	case "GetBatch", "NewBatch":
 		return isMessageBatchPtr(info.TypeOf(call))
 	}
 	return false

@@ -30,7 +30,7 @@ func grownPair(t *testing.T, k int) (subs0, subs1 []*bsp.Subgraph) {
 		t.Fatal(err)
 	}
 	for i, gi := range []*graph.Graph{g0, g1} {
-		a, err := core.New().Partition(gi, k)
+		a, err := core.New().Partition(t.Context(), gi, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestDeltaPageRankMatchesPowerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.New().Partition(g, 2)
+	a, err := core.New().Partition(t.Context(), g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

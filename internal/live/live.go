@@ -670,7 +670,7 @@ func (st *State) Repartition(ctx context.Context, swap func([]*bsp.Subgraph) (ui
 // repartitionLocked recomputes the assignment of the current graph with
 // the core EBV partitioner, rebuilds every part and resets the baseline.
 func (st *State) repartitionLocked(ctx context.Context) error {
-	a, err := core.New().PartitionCtx(ctx, st.g, st.k)
+	a, err := core.New().Partition(ctx, st.g, st.k)
 	if err != nil {
 		return err
 	}

@@ -33,7 +33,7 @@ func liveGraph(t testing.TB, vertices, edges int, seed uint64) *graph.Graph {
 // counting stand-in for Deployment.Swap.
 func buildLive(t testing.TB, g *graph.Graph, k int, cfg Config) (*State, func([]*bsp.Subgraph) (uint64, error)) {
 	t.Helper()
-	a, err := core.New().Partition(g, k)
+	a, err := core.New().Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestApplyEmptyBatch(t *testing.T) {
 // so weighted builds must refuse the layer outright.
 func TestNewStateRejectsWeighted(t *testing.T) {
 	g := liveGraph(t, 200, 800, 5)
-	a, err := core.New().Partition(g, 4)
+	a, err := core.New().Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestRepartitionResetsBaseline(t *testing.T) {
 	}
 
 	cur, a, _ := st.Snapshot()
-	fresh, err := core.New().Partition(cur, 4)
+	fresh, err := core.New().Partition(t.Context(), cur, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

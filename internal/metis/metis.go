@@ -39,7 +39,7 @@ type Metis struct {
 	RefinePasses int
 }
 
-var _ partition.ContextPartitioner = (*Metis)(nil)
+var _ partition.Partitioner = (*Metis)(nil)
 
 // Name implements partition.Partitioner.
 func (m *Metis) Name() string { return "METIS" }
@@ -58,16 +58,11 @@ type wgraph struct {
 
 func (wg *wgraph) numVertices() int { return len(wg.vwgt) }
 
-// Partition implements partition.Partitioner.
-func (m *Metis) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
-	return m.PartitionCtx(context.Background(), g, k)
-}
-
-// PartitionCtx implements partition.ContextPartitioner: ctx is polled at
+// Partition implements partition.Partitioner: ctx is polled at
 // every multilevel phase boundary (each coarsening level, the initial
 // partition, and each refinement level), bounding cancellation latency by
 // one level of work.
-func (m *Metis) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
+func (m *Metis) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
 	if k < 1 {
 		return nil, partition.ErrBadPartCount
 	}
@@ -75,7 +70,7 @@ func (m *Metis) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*parti
 	if g.NumEdges() == 0 || k == 1 {
 		return a, nil
 	}
-	parts, err := m.vertexPartition(ctx, g, k)
+	parts, err := m.VertexPartition(ctx, g, k)
 	if err != nil {
 		return nil, err
 	}
@@ -87,18 +82,9 @@ func (m *Metis) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*parti
 }
 
 // VertexPartition computes the owner of every vertex — the edge-cut vertex
-// partition itself, which the Pregel engine and tests use directly.
-func (m *Metis) VertexPartition(g *graph.Graph, k int) ([]int32, error) {
-	return m.vertexPartition(context.Background(), g, k)
-}
-
-// VertexPartitionCtx is VertexPartition with cooperative cancellation at
-// every multilevel phase boundary.
-func (m *Metis) VertexPartitionCtx(ctx context.Context, g *graph.Graph, k int) ([]int32, error) {
-	return m.vertexPartition(ctx, g, k)
-}
-
-func (m *Metis) vertexPartition(ctx context.Context, g *graph.Graph, k int) ([]int32, error) {
+// partition itself, which the Pregel engine and tests use directly — with
+// the same cancellation points as Partition.
+func (m *Metis) VertexPartition(ctx context.Context, g *graph.Graph, k int) ([]int32, error) {
 	if k < 1 {
 		return nil, partition.ErrBadPartCount
 	}

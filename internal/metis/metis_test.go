@@ -16,7 +16,7 @@ func TestMetisBalancesVertices(t *testing.T) {
 	}
 	for _, k := range []int{2, 4, 8} {
 		m := &Metis{}
-		owners, err := m.VertexPartition(g, k)
+		owners, err := m.VertexPartition(t.Context(), g, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -50,7 +50,7 @@ func TestMetisLowCutOnRoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &Metis{}
-	owners, err := m.VertexPartition(g, 4)
+	owners, err := m.VertexPartition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMetisEdgeImbalanceBlowsUpOnPowerLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := (&Metis{}).Partition(g, 8)
+	a, err := (&Metis{}).Partition(t.Context(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMetisEdgeImbalanceBlowsUpOnPowerLaw(t *testing.T) {
 	}
 	// Under the paper's edge-cut definitions (Table III), the OWNED
 	// vertex sets stay balanced even though the edge sets blow up.
-	owners, err := (&Metis{}).VertexPartition(g, 8)
+	owners, err := (&Metis{}).VertexPartition(t.Context(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestMetisAssignmentMatchesOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &Metis{}
-	a, err := m.Partition(g, 4)
+	a, err := m.Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owners, err := m.VertexPartition(g, 4)
+	owners, err := m.VertexPartition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestMetisDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := (&Metis{Seed: 5}).Partition(g, 4)
+	a1, err := (&Metis{Seed: 5}).Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := (&Metis{Seed: 5}).Partition(g, 4)
+	a2, err := (&Metis{Seed: 5}).Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +177,17 @@ func TestMetisEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Metis{}).Partition(empty, 2); err != nil {
+	if _, err := (&Metis{}).Partition(t.Context(), empty, 2); err != nil {
 		t.Fatalf("empty graph: %v", err)
 	}
 	g, err := graph.New(2, []graph.Edge{{Src: 0, Dst: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Metis{}).Partition(g, 0); !errors.Is(err, partition.ErrBadPartCount) {
+	if _, err := (&Metis{}).Partition(t.Context(), g, 0); !errors.Is(err, partition.ErrBadPartCount) {
 		t.Fatalf("err = %v, want ErrBadPartCount", err)
 	}
-	a, err := (&Metis{}).Partition(g, 1)
+	a, err := (&Metis{}).Partition(t.Context(), g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

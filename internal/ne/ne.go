@@ -21,7 +21,7 @@ import (
 // NE is the neighbor-expansion partitioner. The zero value is ready to use.
 type NE struct{}
 
-var _ partition.ContextPartitioner = (*NE)(nil)
+var _ partition.Partitioner = (*NE)(nil)
 
 // Name implements partition.Partitioner.
 func (n *NE) Name() string { return "NE" }
@@ -53,14 +53,9 @@ func (h *boundaryHeap) Pop() interface{} {
 	return item
 }
 
-// Partition implements partition.Partitioner.
-func (n *NE) Partition(g *graph.Graph, k int) (*partition.Assignment, error) {
-	return n.PartitionCtx(context.Background(), g, k)
-}
-
-// PartitionCtx implements partition.ContextPartitioner: the expansion loop
+// Partition implements partition.Partitioner: the expansion loop
 // polls ctx every partition.CancelCheckInterval promotions.
-func (n *NE) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
+func (n *NE) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
 	if k < 1 {
 		return nil, partition.ErrBadPartCount
 	}

@@ -17,7 +17,7 @@ func TestNEBalancesEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{2, 4, 8} {
-		a, err := (&NE{}).Partition(g, k)
+		a, err := (&NE{}).Partition(t.Context(), g, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -50,7 +50,7 @@ func TestNEVertexImbalanceGrowsWithSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	vif := func(g *graph.Graph) float64 {
-		a, err := (&NE{}).Partition(g, 8)
+		a, err := (&NE{}).Partition(t.Context(), g, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestNELowReplicationOnRoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aNE, err := (&NE{}).Partition(g, 12)
+	aNE, err := (&NE{}).Partition(t.Context(), g, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestNELowReplicationOnRoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aRand, err := (&partition.Random{}).Partition(g, 12)
+	aRand, err := (&partition.Random{}).Partition(t.Context(), g, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,18 +100,18 @@ func TestNELowReplicationOnRoad(t *testing.T) {
 }
 
 func TestNEEdgeCases(t *testing.T) {
-	if _, err := (&NE{}).Partition(mustGraph(t, 3, nil), 2); err != nil {
+	if _, err := (&NE{}).Partition(t.Context(), mustGraph(t, 3, nil), 2); err != nil {
 		t.Fatalf("empty graph: %v", err)
 	}
 	g := mustGraph(t, 2, []graph.Edge{{Src: 0, Dst: 1}})
-	a, err := (&NE{}).Partition(g, 4)
+	a, err := (&NE{}).Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&NE{}).Partition(g, 0); !errors.Is(err, partition.ErrBadPartCount) {
+	if _, err := (&NE{}).Partition(t.Context(), g, 0); !errors.Is(err, partition.ErrBadPartCount) {
 		t.Fatalf("err = %v, want ErrBadPartCount", err)
 	}
 }

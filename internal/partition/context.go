@@ -14,25 +14,9 @@ import (
 // in this repository.
 const CancelCheckInterval = 4096
 
-// ContextPartitioner is implemented by partitioners with native cooperative
-// cancellation: PartitionCtx polls ctx inside the assignment loop and
-// returns ctx.Err() promptly when the context is canceled, discarding the
-// partial assignment. All heavy algorithms in this repository (EBV and its
-// streaming/parallel variants, NE, METIS, Ginger, HDRF, Fennel, Hybrid)
-// implement it; the O(E) hash baselines do not need to.
-type ContextPartitioner interface {
-	Partitioner
-	// PartitionCtx is Partition with cooperative cancellation.
-	PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*Assignment, error)
-}
-
-// PartitionWithContext runs p under ctx; an already-canceled ctx is
-// rejected before p is called at all. If p implements
-// ContextPartitioner the native PartitionCtx is used; otherwise the legacy
-// Partition runs to completion and the context is only consulted before the
-// call and after it returns (the result is discarded if ctx was canceled
-// meanwhile). This adapter is what lets every ctx-aware call site accept
-// third-party Partitioner implementations unchanged.
+// PartitionWithContext runs p under ctx with the entry-point guards a
+// Partitioner itself need not repeat: a nil ctx means Background, and an
+// already-canceled ctx is rejected before p is called at all.
 func PartitionWithContext(ctx context.Context, p Partitioner, g *graph.Graph, k int) (*Assignment, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -40,15 +24,5 @@ func PartitionWithContext(ctx context.Context, p Partitioner, g *graph.Graph, k 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cp, ok := p.(ContextPartitioner); ok {
-		return cp.PartitionCtx(ctx, g, k)
-	}
-	a, err := p.Partition(g, k)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return p.Partition(ctx, g, k)
 }

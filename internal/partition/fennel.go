@@ -26,20 +26,15 @@ type Fennel struct {
 	Nu float64
 }
 
-var _ ContextPartitioner = (*Fennel)(nil)
+var _ Partitioner = (*Fennel)(nil)
 
 // Name implements Partitioner.
 func (f *Fennel) Name() string { return "Fennel" }
 
-// Partition implements Partitioner.
-func (f *Fennel) Partition(g *graph.Graph, k int) (*Assignment, error) {
-	return f.PartitionCtx(context.Background(), g, k) //ebv:nolint ctxflow ctx-less compat wrapper; PartitionCtx is the cancellable entry point
-}
-
-// PartitionCtx implements ContextPartitioner: the vertex stream polls ctx
+// Partition implements Partitioner: the vertex stream polls ctx
 // every CancelCheckInterval placements.
-func (f *Fennel) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*Assignment, error) {
-	owners, err := f.vertexPartition(ctx, g, k)
+func (f *Fennel) Partition(ctx context.Context, g *graph.Graph, k int) (*Assignment, error) {
+	owners, err := f.VertexPartition(ctx, g, k)
 	if err != nil {
 		return nil, err
 	}
@@ -52,11 +47,7 @@ func (f *Fennel) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*Assi
 
 // VertexPartition runs the streaming vertex placement and returns the
 // owner of every vertex.
-func (f *Fennel) VertexPartition(g *graph.Graph, k int) ([]int32, error) {
-	return f.vertexPartition(context.Background(), g, k) //ebv:nolint ctxflow ctx-less compat wrapper; VertexPartitionCtx is the cancellable entry point
-}
-
-func (f *Fennel) vertexPartition(ctx context.Context, g *graph.Graph, k int) ([]int32, error) {
+func (f *Fennel) VertexPartition(ctx context.Context, g *graph.Graph, k int) ([]int32, error) {
 	if k < 1 {
 		return nil, ErrBadPartCount
 	}

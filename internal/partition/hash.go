@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 
 	"ebv/internal/graph"
@@ -14,6 +15,15 @@ func hashVertex(v graph.VertexID, salt uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// hashStart is the shared preamble of the O(E) hash baselines: they are too
+// cheap to poll ctx inside the loop, so it is consulted once up front.
+func hashStart(ctx context.Context, k int) error {
+	if k < 1 {
+		return ErrBadPartCount
+	}
+	return ctx.Err()
 }
 
 // Random assigns each edge by hashing the (src,dst) pair — the 1-D random
@@ -30,9 +40,9 @@ var _ Partitioner = (*Random)(nil)
 func (r *Random) Name() string { return "Random" }
 
 // Partition implements Partitioner.
-func (r *Random) Partition(g *graph.Graph, k int) (*Assignment, error) {
-	if k < 1 {
-		return nil, ErrBadPartCount
+func (r *Random) Partition(ctx context.Context, g *graph.Graph, k int) (*Assignment, error) {
+	if err := hashStart(ctx, k); err != nil {
+		return nil, err
 	}
 	a := NewAssignment(k, g.NumEdges())
 	for i, e := range g.Edges() {
@@ -56,9 +66,9 @@ var _ Partitioner = (*DBH)(nil)
 func (d *DBH) Name() string { return "DBH" }
 
 // Partition implements Partitioner.
-func (d *DBH) Partition(g *graph.Graph, k int) (*Assignment, error) {
-	if k < 1 {
-		return nil, ErrBadPartCount
+func (d *DBH) Partition(ctx context.Context, g *graph.Graph, k int) (*Assignment, error) {
+	if err := hashStart(ctx, k); err != nil {
+		return nil, err
 	}
 	a := NewAssignment(k, g.NumEdges())
 	for i, e := range g.Edges() {
@@ -86,9 +96,9 @@ var _ Partitioner = (*CVC)(nil)
 func (c *CVC) Name() string { return "CVC" }
 
 // Partition implements Partitioner.
-func (c *CVC) Partition(g *graph.Graph, k int) (*Assignment, error) {
-	if k < 1 {
-		return nil, ErrBadPartCount
+func (c *CVC) Partition(ctx context.Context, g *graph.Graph, k int) (*Assignment, error) {
+	if err := hashStart(ctx, k); err != nil {
+		return nil, err
 	}
 	rows, cols := gridShape(k)
 	a := NewAssignment(k, g.NumEdges())
@@ -124,14 +134,14 @@ var _ Partitioner = (*Grid)(nil)
 func (gr *Grid) Name() string { return "Grid" }
 
 // Partition implements Partitioner.
-func (gr *Grid) Partition(g *graph.Graph, k int) (*Assignment, error) {
-	if k < 1 {
-		return nil, ErrBadPartCount
+func (gr *Grid) Partition(ctx context.Context, g *graph.Graph, k int) (*Assignment, error) {
+	if err := hashStart(ctx, k); err != nil {
+		return nil, err
 	}
 	rows, cols := gridShape(k)
 	if rows != cols {
 		// Fall back to CVC semantics for non-square grids.
-		return (&CVC{Salt: gr.Salt}).Partition(g, k)
+		return (&CVC{Salt: gr.Salt}).Partition(ctx, g, k)
 	}
 	a := NewAssignment(k, g.NumEdges())
 	for i, e := range g.Edges() {

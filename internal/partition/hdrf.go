@@ -23,19 +23,14 @@ type HDRF struct {
 	Lambda float64
 }
 
-var _ ContextPartitioner = (*HDRF)(nil)
+var _ Partitioner = (*HDRF)(nil)
 
 // Name implements Partitioner.
 func (h *HDRF) Name() string { return "HDRF" }
 
-// Partition implements Partitioner.
-func (h *HDRF) Partition(g *graph.Graph, k int) (*Assignment, error) {
-	return h.PartitionCtx(context.Background(), g, k) //ebv:nolint ctxflow ctx-less compat wrapper; PartitionCtx is the cancellable entry point
-}
-
-// PartitionCtx implements ContextPartitioner: the edge stream polls ctx
+// Partition implements Partitioner: the edge stream polls ctx
 // every CancelCheckInterval edges.
-func (h *HDRF) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*Assignment, error) {
+func (h *HDRF) Partition(ctx context.Context, g *graph.Graph, k int) (*Assignment, error) {
 	if k < 1 {
 		return nil, ErrBadPartCount
 	}

@@ -21,19 +21,14 @@ type Hybrid struct {
 	Salt uint64
 }
 
-var _ ContextPartitioner = (*Hybrid)(nil)
+var _ Partitioner = (*Hybrid)(nil)
 
 // Name implements Partitioner.
 func (h *Hybrid) Name() string { return "Hybrid" }
 
-// Partition implements Partitioner.
-func (h *Hybrid) Partition(g *graph.Graph, k int) (*Assignment, error) {
-	return h.PartitionCtx(context.Background(), g, k) //ebv:nolint ctxflow ctx-less compat wrapper; PartitionCtx is the cancellable entry point
-}
-
-// PartitionCtx implements ContextPartitioner: the edge stream polls ctx
+// Partition implements Partitioner: the edge stream polls ctx
 // every CancelCheckInterval edges.
-func (h *Hybrid) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*Assignment, error) {
+func (h *Hybrid) Partition(ctx context.Context, g *graph.Graph, k int) (*Assignment, error) {
 	if k < 1 {
 		return nil, ErrBadPartCount
 	}

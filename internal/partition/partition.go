@@ -8,6 +8,7 @@
 package partition
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -24,8 +25,11 @@ type Partitioner interface {
 	// Name returns the algorithm's display name as used in the paper's
 	// tables (e.g. "EBV", "DBH").
 	Name() string
-	// Partition computes an edge assignment into k subgraphs.
-	Partition(g *graph.Graph, k int) (*Assignment, error)
+	// Partition computes an edge assignment into k subgraphs. The heavy
+	// algorithms poll ctx every CancelCheckInterval iterations of their
+	// assignment loop and return ctx.Err(), discarding the partial
+	// assignment; the O(E) hash baselines poll it once up front.
+	Partition(ctx context.Context, g *graph.Graph, k int) (*Assignment, error)
 }
 
 // Assignment is the result of partitioning: Parts[i] is the subgraph of the

@@ -68,7 +68,7 @@ func TestHashPartitioners(t *testing.T) {
 	for _, p := range []Partitioner{&Random{}, &DBH{}, &CVC{}, &Grid{}} {
 		t.Run(p.Name(), func(t *testing.T) {
 			for _, k := range []int{1, 2, 4, 12} {
-				a, err := p.Partition(g, k)
+				a, err := p.Partition(t.Context(), g, k)
 				if err != nil {
 					t.Fatalf("k=%d: %v", k, err)
 				}
@@ -85,7 +85,7 @@ func TestHashPartitioners(t *testing.T) {
 func TestPartitionersRejectBadK(t *testing.T) {
 	g := testGraph(t)
 	for _, p := range []Partitioner{&Random{}, &DBH{}, &CVC{}, &Grid{}} {
-		if _, err := p.Partition(g, 0); !errors.Is(err, ErrBadPartCount) {
+		if _, err := p.Partition(t.Context(), g, 0); !errors.Is(err, ErrBadPartCount) {
 			t.Errorf("%s: err = %v, want ErrBadPartCount", p.Name(), err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestDBHCutsHighDegreeVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := (&DBH{}).Partition(g, 4)
+	a, err := (&DBH{}).Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCVCReplicaBound(t *testing.T) {
 	// CVC bounds each vertex's replicas by rows+cols-1.
 	g := testGraph(t)
 	k := 12 // 3x4 grid
-	a, err := (&CVC{}).Partition(g, k)
+	a, err := (&CVC{}).Partition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestGridShape(t *testing.T) {
 
 func TestComputeMetricsSingleton(t *testing.T) {
 	g := testGraph(t)
-	a, err := (&Random{}).Partition(g, 1)
+	a, err := (&Random{}).Partition(t.Context(), g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestByName(t *testing.T) {
 
 func TestVertexSetsCoverEndpoints(t *testing.T) {
 	g := testGraph(t)
-	a, err := (&Random{}).Partition(g, 4)
+	a, err := (&Random{}).Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestExpectedRandomReplicationMatchesMeasured(t *testing.T) {
 	g := testGraph(t)
 	for _, k := range []int{4, 12} {
 		want := ExpectedRandomReplication(g, k)
-		a, err := (&Random{}).Partition(g, k)
+		a, err := (&Random{}).Partition(t.Context(), g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func TestEBVBeatsRandomModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := a.Partition(g, 12)
+	assign, err := a.Partition(t.Context(), g, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestAssignmentTextErrors(t *testing.T) {
 
 func TestAssignmentBinaryRoundTrip(t *testing.T) {
 	g := testGraph(t)
-	orig, err := (&DBH{}).Partition(g, 6)
+	orig, err := (&DBH{}).Partition(t.Context(), g, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func TestHDRFBasics(t *testing.T) {
 	g := testGraph(t)
 	for _, k := range []int{2, 4, 12} {
-		a, err := (&HDRF{}).Partition(g, k)
+		a, err := (&HDRF{}).Partition(t.Context(), g, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -22,14 +22,14 @@ func TestHDRFBasics(t *testing.T) {
 			t.Errorf("k=%d: edge imbalance %.3f", k, m.EdgeImbalance)
 		}
 	}
-	if _, err := (&HDRF{}).Partition(g, 0); err == nil {
+	if _, err := (&HDRF{}).Partition(t.Context(), g, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
 
 func TestHDRFBeatsRandomOnReplication(t *testing.T) {
 	g := testGraph(t)
-	aH, err := (&HDRF{}).Partition(g, 8)
+	aH, err := (&HDRF{}).Partition(t.Context(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestHDRFBeatsRandomOnReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aR, err := (&Random{}).Partition(g, 8)
+	aR, err := (&Random{}).Partition(t.Context(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestHDRFReplicatesHighDegreeFirst(t *testing.T) {
 	}
 	// λ > 1 applies enough balance pressure that the hub (whose marginal
 	// affinity score decays as 1/degree) is the vertex that gets cut.
-	a, err := (&HDRF{Lambda: 3}).Partition(g, 4)
+	a, err := (&HDRF{Lambda: 3}).Partition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +90,13 @@ func TestHDRFReplicatesHighDegreeFirst(t *testing.T) {
 func TestHybridBasics(t *testing.T) {
 	g := testGraph(t)
 	for _, k := range []int{2, 8} {
-		a, err := (&Hybrid{}).Partition(g, k)
+		a, err := (&Hybrid{}).Partition(t.Context(), g, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		checkAssignment(t, g, a, k)
 	}
-	if _, err := (&Hybrid{}).Partition(g, 0); err == nil {
+	if _, err := (&Hybrid{}).Partition(t.Context(), g, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -105,7 +105,7 @@ func TestHybridCoLocatesLowDegreeInEdges(t *testing.T) {
 	// All in-edges of a low-in-degree vertex must land on one part.
 	g := testGraph(t)
 	h := &Hybrid{Threshold: 1 << 30} // everything low-degree
-	a, err := h.Partition(g, 8)
+	a, err := h.Partition(t.Context(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestHybridCoLocatesLowDegreeInEdges(t *testing.T) {
 func TestHybridBetterThanRandomWorseOrEqualGinger(t *testing.T) {
 	g := testGraph(t)
 	rf := func(p Partitioner) float64 {
-		a, err := p.Partition(g, 8)
+		a, err := p.Partition(t.Context(), g, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,13 +143,13 @@ func TestHybridBetterThanRandomWorseOrEqualGinger(t *testing.T) {
 func TestFennelBasics(t *testing.T) {
 	g := testGraph(t)
 	for _, k := range []int{2, 8} {
-		a, err := (&Fennel{}).Partition(g, k)
+		a, err := (&Fennel{}).Partition(t.Context(), g, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		checkAssignment(t, g, a, k)
 	}
-	if _, err := (&Fennel{}).Partition(g, 0); err == nil {
+	if _, err := (&Fennel{}).Partition(t.Context(), g, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -158,7 +158,7 @@ func TestFennelRespectsCapacity(t *testing.T) {
 	g := testGraph(t)
 	const k = 8
 	f := &Fennel{}
-	owners, err := f.VertexPartition(g, k)
+	owners, err := f.VertexPartition(t.Context(), g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFennelBeatsRandomCutOnRoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owners, err := (&Fennel{}).VertexPartition(g, 4)
+	owners, err := (&Fennel{}).VertexPartition(t.Context(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFennelEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owners, err := (&Fennel{}).VertexPartition(g, 3)
+	owners, err := (&Fennel{}).VertexPartition(t.Context(), g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

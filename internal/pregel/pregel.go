@@ -126,14 +126,9 @@ func (c progCombiner) Name() string { return c.prog.Name() + "-combine" }
 // Combine implements transport.Combiner.
 func (c progCombiner) Combine(dst, src []float64) { c.prog.Combine(dst, src) }
 
-// Run executes prog over g with k workers.
-func Run(g *graph.Graph, k int, prog VertexProgram, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), g, k, prog, cfg)
-}
-
-// RunCtx is Run with cancellation: ctx is polled at every superstep
+// Run executes prog over g with k workers. ctx is polled at every superstep
 // barrier, so a canceled run returns ctx.Err() within one superstep.
-func RunCtx(ctx context.Context, g *graph.Graph, k int, prog VertexProgram, cfg Config) (*Result, error) {
+func Run(ctx context.Context, g *graph.Graph, k int, prog VertexProgram, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -24,7 +24,7 @@ func TestCCMatchesSequential(t *testing.T) {
 	g := plGraph(t)
 	want := apps.SequentialCC(g)
 	for _, k := range []int{1, 2, 5} {
-		res, err := Run(g, k, &CC{}, Config{})
+		res, err := Run(t.Context(), g, k, &CC{}, Config{})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -39,7 +39,7 @@ func TestCCMatchesSequential(t *testing.T) {
 func TestSSSPMatchesSequential(t *testing.T) {
 	g := plGraph(t)
 	want := apps.SequentialSSSP(g, 3)
-	res, err := Run(g, 4, &SSSP{Source: 3}, Config{})
+	res, err := Run(t.Context(), g, 4, &SSSP{Source: 3}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPageRankMatchesSequential(t *testing.T) {
 	g := plGraph(t)
 	const iters = 6
 	want := apps.SequentialPageRank(g, iters, 0.85)
-	res, err := Run(g, 4, &PageRank{Iterations: iters}, Config{})
+	res, err := Run(t.Context(), g, 4, &PageRank{Iterations: iters}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestVertexCentricSendsMoreThanSubgraphCentric(t *testing.T) {
 	// the subgraph-centric engine over an EBV partition, because the
 	// latter keeps inner edges local.
 	g := plGraph(t)
-	vc, err := Run(g, 8, &CC{}, Config{})
+	vc, err := Run(t.Context(), g, 8, &CC{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCustomOwners(t *testing.T) {
 	for v := range owners {
 		owners[v] = int32(v % 3)
 	}
-	res, err := Run(g, 3, &CC{}, Config{Owners: owners})
+	res, err := Run(t.Context(), g, 3, &CC{}, Config{Owners: owners})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +106,10 @@ func TestCustomOwners(t *testing.T) {
 
 func TestRunRejectsBadInput(t *testing.T) {
 	g := plGraph(t)
-	if _, err := Run(g, 0, &CC{}, Config{}); err == nil {
+	if _, err := Run(t.Context(), g, 0, &CC{}, Config{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := Run(g, 2, &CC{}, Config{Owners: make([]int32, 3)}); err == nil {
+	if _, err := Run(t.Context(), g, 2, &CC{}, Config{Owners: make([]int32, 3)}); err == nil {
 		t.Fatal("short owners accepted")
 	}
 }
@@ -119,7 +119,7 @@ func TestEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, 2, &CC{}, Config{})
+	res, err := Run(t.Context(), g, 2, &CC{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestMaxMeanRatio(t *testing.T) {
 	g := plGraph(t)
-	res, err := Run(g, 4, &CC{}, Config{})
+	res, err := Run(t.Context(), g, 4, &CC{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSSSPOnRoadGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := apps.SequentialSSSP(g, 0)
-	res, err := Run(g, 4, &SSSP{Source: 0}, Config{})
+	res, err := Run(t.Context(), g, 4, &SSSP{Source: 0}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPageRankDanglingMass(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := apps.SequentialPageRank(g, 10, 0.85)
-	res, err := Run(g, 2, &PageRank{Iterations: 10}, Config{})
+	res, err := Run(t.Context(), g, 2, &PageRank{Iterations: 10}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestPageRankDanglingMass(t *testing.T) {
 func TestMaxStepsCap(t *testing.T) {
 	g := plGraph(t)
 	// PageRank with enormous iteration count must trip the cap cleanly.
-	_, err := Run(g, 2, &PageRank{Iterations: 1 << 20}, Config{MaxSteps: 5})
+	_, err := Run(t.Context(), g, 2, &PageRank{Iterations: 1 << 20}, Config{MaxSteps: 5})
 	if err == nil {
 		t.Fatal("cap not enforced")
 	}
@@ -200,7 +200,7 @@ func TestMaxStepsCap(t *testing.T) {
 
 func TestSingleWorkerSendsNothing(t *testing.T) {
 	g := plGraph(t)
-	res, err := Run(g, 1, &CC{}, Config{})
+	res, err := Run(t.Context(), g, 1, &CC{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

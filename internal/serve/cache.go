@@ -34,8 +34,9 @@ type GraphSpec struct {
 	Undirected bool
 	// Subgraphs is the partition count k (0 selects 8, the repo default).
 	Subgraphs int
-	// Combine enables each program's declared message combiner for every
-	// job served on this graph.
+	// Combine is accepted and ignored: pipelines combine by default, so
+	// every job served on this graph runs its program's declared message
+	// combiner either way.
 	Combine bool
 	// StatsRetention overrides the session's per-job stats ring capacity
 	// (0 keeps the session default; negative = unlimited).
@@ -68,9 +69,6 @@ func (gs GraphSpec) pipeline() (*ebv.Pipeline, error) {
 	}
 	if gs.Subgraphs > 0 {
 		opts = append(opts, ebv.Subgraphs(gs.Subgraphs))
-	}
-	if gs.Combine {
-		opts = append(opts, ebv.CombineMessages())
 	}
 	if gs.StatsRetention != 0 {
 		opts = append(opts, ebv.JobStatsRetention(gs.StatsRetention))

@@ -15,8 +15,8 @@ import (
 
 // TCPMeshDeployment is the TCP Deployment: a full loopback mesh of k
 // MeshNodes wired once and shared by every job. It is the in-process form
-// of the one TCP data plane — a cluster agent or a standalone ebv-worker
-// holds a single MeshNode of the same kind per process.
+// of the one TCP data plane — a cluster agent (cmd/ebv-worker) holds a
+// single MeshNode of the same kind per process.
 type TCPMeshDeployment struct {
 	k      int
 	nodes  []*MeshNode

@@ -17,7 +17,7 @@ import (
 // exponential backoff until the peers come up, so workers may start in any
 // order; dialTimeout (default 30s) bounds the whole wiring and canceling
 // ctx aborts it. Every mesh — the loopback deployment, a cluster agent's
-// per-attempt data plane, a standalone ebv-worker — is wired here.
+// per-attempt data plane — is wired here.
 //
 // ln, when non-nil, is the already-bound listener for addrs[worker] (the
 // cluster agent binds an ephemeral port first, to report its address

@@ -61,7 +61,7 @@ type PipelineResult struct {
 	// Metrics are the §III-C partition-quality metrics of Assignment.
 	Metrics PartitionMetrics
 	// Subgraphs are the per-worker local views built from Assignment
-	// (populated by Run, or by Prepare under MaterializeSubgraphs).
+	// (populated by Run and Open; nil after Prepare).
 	Subgraphs []*Subgraph
 	// BSP is the program execution result (nil after Prepare).
 	BSP *RunResult
@@ -104,7 +104,6 @@ type Pipeline struct {
 	runOpts     []RunOption
 	useTCP      bool
 	wireQuant   int
-	materialize bool
 	parallelism int
 	valueWidth  int
 
@@ -192,8 +191,6 @@ func Undirected() PipelineOption {
 }
 
 // UsePartitioner selects the partition algorithm (default ebv.NewEBV()).
-// Implementations of ContextPartitioner are canceled natively; legacy
-// Partitioners run to completion through the PartitionWithContext adapter.
 func UsePartitioner(part Partitioner) PipelineOption {
 	return func(p *Pipeline) { p.partitioner = part }
 }
@@ -236,19 +233,6 @@ func ValueWidth(width int) PipelineOption {
 	return func(p *Pipeline) { p.valueWidth = width }
 }
 
-// CombineMessages enables automatic message combining for every run/job of
-// the pipeline: each program's declared combiner (bsp.CombinerProvider)
-// reduces duplicate-ID message rows sender-side, before they reach the
-// wire. Results are byte-identical with combining on or off; per-job
-// overrides remain available via the Combiner/AutoCombine RunOptions on
-// Session.Run.
-//
-// Combining is the default, so this option is now a no-op kept for
-// compatibility; WithoutCombining opts out.
-func CombineMessages() PipelineOption {
-	return func(p *Pipeline) { p.runOpts = append(p.runOpts, bsp.WithAutoCombine(true)) }
-}
-
 // WithoutCombining disables the automatic message combining that pipelines
 // apply by default — the paper-faithful raw message plane, where every
 // emitted row crosses the wire. Results are byte-identical either way;
@@ -282,14 +266,6 @@ func WithRun(opts ...RunOption) PipelineOption {
 // count and torn down afterwards).
 func UseTCPLoopback() PipelineOption {
 	return func(p *Pipeline) { p.useTCP = true }
-}
-
-// MaterializeSubgraphs makes Prepare run StageBuild and populate
-// PipelineResult.Subgraphs. By default Prepare stops after the metrics
-// stage (building k subgraph views is O(V+E) work a metrics-only caller
-// should not pay for); Run always builds, since the BSP stage needs them.
-func MaterializeSubgraphs() PipelineOption {
-	return func(p *Pipeline) { p.materialize = true }
 }
 
 // JobStatsRetention bounds SessionStats.Jobs to the newest n rows (a ring
@@ -361,10 +337,11 @@ func (p *Pipeline) stage(ctx context.Context, s PipelineStage, detail string, to
 }
 
 // Prepare runs the pipeline without executing a program: load, partition
-// and metrics, plus StageBuild when MaterializeSubgraphs was requested.
-// cmd/ebv-partition uses it; Run calls it internally (always building).
+// and metrics. It stops short of StageBuild — building k subgraph views is
+// O(V+E) work a metrics-only caller such as cmd/ebv-partition should not
+// pay for; Open (and so Run) always builds, since the BSP stage needs them.
 func (p *Pipeline) Prepare(ctx context.Context) (*PipelineResult, error) {
-	return p.prepare(ctx, p.materialize)
+	return p.prepare(ctx, false)
 }
 
 func (p *Pipeline) prepare(ctx context.Context, build bool) (*PipelineResult, error) {

@@ -247,7 +247,7 @@ func TestPipelineCancelMidRun(t *testing.T) {
 // assignment is supplied, and the result flags it.
 func TestPipelinePrecomputedAssignment(t *testing.T) {
 	g := pipelineGraph(t)
-	a, err := ebv.NewEBV().Partition(g, 3)
+	a, err := ebv.NewEBV().Partition(t.Context(), g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,7 +278,7 @@ func TestSessionProgressEventsPerJob(t *testing.T) {
 // assignment (the PR's validation bugfix).
 func TestPipelineSubgraphsAssignmentMismatch(t *testing.T) {
 	g := pipelineGraph(t)
-	a, err := ebv.NewEBV().Partition(g, 3)
+	a, err := ebv.NewEBV().Partition(t.Context(), g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestSessionCombinedJobsTCPLeakNoGoroutines(t *testing.T) {
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for cycle := 0; cycle < 2; cycle++ {
-		s, err := sessionPipeline(t, ebv.UseTCPLoopback(), ebv.CombineMessages()).Open(context.Background())
+		s, err := sessionPipeline(t, ebv.UseTCPLoopback()).Open(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
