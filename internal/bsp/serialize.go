@@ -217,6 +217,5 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 		return nil, fmt.Errorf("bsp: rebuild local graph: %w", err)
 	}
 	sub.Out = graph.BuildCSR(lg)
-	sub.In = graph.BuildReverseCSR(lg)
 	return sub, nil
 }

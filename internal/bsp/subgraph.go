@@ -39,9 +39,8 @@ type Subgraph struct {
 	// Edges are the local edges with endpoints in LOCAL id space, ordered
 	// by their index in the originating graph's edge list.
 	Edges []graph.Edge
-	// Out and In are local CSR adjacency views over Edges.
+	// Out is the local CSR out-adjacency view over Edges.
 	Out *graph.CSR
-	In  *graph.CSR
 	// ReplicaPeers[local] lists the other workers holding a replica of the
 	// vertex (sorted ascending, self excluded); empty for internal vertices.
 	ReplicaPeers [][]int32
@@ -188,9 +187,6 @@ func buildSubgraphs(g *graph.Graph, a *partition.Assignment,
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	k := a.K
-	if parallelism > k {
-		parallelism = k
-	}
 	edges := g.Edges()
 	parts := a.Parts
 	counts := a.EdgeCounts()
@@ -212,10 +208,9 @@ func buildSubgraphs(g *graph.Graph, a *partition.Assignment,
 	partEdges := func(p int) []int32 { return order[offsets[p]:offsets[p+1]] }
 
 	// Pass 1: per-part covered vertex bitsets, parts in parallel. The sets
-	// are shared with the replica table below, so the O(|E|) pass
-	// partition.BuildReplicas would spend recomputing them is saved.
+	// are shared with the replica table below.
 	sets := make([]partition.Bitset, k)
-	_ = runParts(parallelism, k, func(p int) error {
+	_ = RunParts(parallelism, k, func(p int) error {
 		set := partition.NewBitset(g.NumVertices())
 		for _, idx := range partEdges(p) {
 			e := edges[idx]
@@ -230,7 +225,7 @@ func buildSubgraphs(g *graph.Graph, a *partition.Assignment,
 
 	// Pass 2: materialize each subgraph, parts in parallel.
 	subs := make([]*Subgraph, k)
-	err := runParts(parallelism, k, func(p int) error {
+	err := RunParts(parallelism, k, func(p int) error {
 		sub, err := BuildPart(g, p, k, partEdges(p), sets[p], replicas.Parts, weights)
 		if err != nil {
 			return err
@@ -309,7 +304,6 @@ func BuildPart(g *graph.Graph, p, k int, bucket []int32, set partition.Bitset,
 		return nil, fmt.Errorf("bsp: build local graph of part %d: %w", p, err)
 	}
 	sub.Out = graph.BuildCSR(lg)
-	sub.In = graph.BuildReverseCSR(lg)
 	return sub, nil
 }
 
@@ -322,10 +316,11 @@ func newLocalIndex(n int) []int32 {
 	return idx
 }
 
-// runParts invokes fn(p) for every part id in [0, k), fanning out over at
+// RunParts invokes fn(p) for every part id in [0, k), fanning out over at
 // most workers goroutines. The lowest-part error is returned.
-func runParts(workers, k int, fn func(p int) error) error {
-	if workers <= 1 || k <= 1 {
+func RunParts(workers, k int, fn func(p int) error) error {
+	workers = min(workers, k)
+	if workers <= 1 {
 		for p := 0; p < k; p++ {
 			if err := fn(p); err != nil {
 				return err

@@ -126,8 +126,8 @@ func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.
 	if k < 1 {
 		return nil, partition.ErrBadPartCount
 	}
-	if e.alpha < 0 || e.beta < 0 {
-		return nil, fmt.Errorf("core: negative hyperparameters alpha=%g beta=%g", e.alpha, e.beta)
+	if err := checkWeights(e.alpha, e.beta); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -138,38 +138,23 @@ func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.
 		return a, nil
 	}
 
-	order := e.edgeOrder(g)
+	order := edgeOrder(g, e.order)
 	edges := g.Edges()
-
-	// member is keep[] of Algorithm 1 stored vertex-major: vertex v's row
-	// is words uint64s whose bit i says v ∈ keep[i], so scoring an edge
-	// reads two rows instead of probing 2k per-part bitsets.
-	words := (k + 63) / 64
-	member := make([]uint64, numV*words)
-	ecount := make([]int, k)
-	vcount := make([]int, k)
-
-	// Precompute the per-unit normalization so a balance term is
-	// multiply-add only.
-	eNorm := e.alpha / (float64(numE) / float64(k))
-	vNorm := e.beta / (float64(numV) / float64(k))
+	st := partition.NewState(numV, k)
+	norm := newFixedNorm(e.alpha, e.beta, numE, numV, k)
 
 	// balance[i] caches α·ecount[i]/(|E|/p) + β·vcount[i]/(|V|/p). Only the
 	// part that receives an edge changes, and it is recomputed from the
 	// counters with the same expression every time — never updated
 	// incrementally — so each score is the float64 a from-scratch
 	// evaluation yields.
-	balance := make([]float64, k)
-	for i := range balance {
-		balance[i] = float64(ecount[i])*eNorm + float64(vcount[i])*vNorm
-	}
+	balance := norm.balances(st)
 
 	// Edges are handled in blocks of CancelCheckInterval: ctx is polled once
 	// per block, and the block's endpoints are gathered up front so the
 	// random loads into the edge list overlap each other instead of
 	// stalling one assignment each.
 	block := make([]graph.Edge, min(numE, partition.CancelCheckInterval))
-	totalReplicas := 0
 	for start := 0; start < numE; start += len(block) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -180,37 +165,82 @@ func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.
 		}
 		for j, edgeID := range ids {
 			ed := block[j]
-			rowU := member[int(ed.Src)*words:][:words]
-			rowV := member[int(ed.Dst)*words:][:words]
-
-			best := argminScore(balance, rowU, rowV)
-
+			best := argminScore(balance, st.Row(ed.Src), st.Row(ed.Dst))
 			a.Parts[edgeID] = int32(best)
-			ecount[best]++
-			// rowU and rowV alias for a self-loop, so v is tested after u
-			// is set.
-			w, bit := best>>6, uint64(1)<<uint(best&63)
-			if rowU[w]&bit == 0 {
-				rowU[w] |= bit
-				vcount[best]++
-				totalReplicas++
-			}
-			if rowV[w]&bit == 0 {
-				rowV[w] |= bit
-				vcount[best]++
-				totalReplicas++
-			}
-			balance[best] = float64(ecount[best])*eNorm + float64(vcount[best])*vNorm
+			st.Place(ed, best)
+			balance[best] = norm.balance(st.Ecount[best], st.Vcount[best])
 
 			if done := start + j + 1; e.growth != nil && e.growthEvery > 0 && done%e.growthEvery == 0 {
-				e.growth(done, float64(totalReplicas)/float64(numV))
+				e.growth(done, float64(st.Replicas)/float64(numV))
 			}
 		}
 	}
 	if e.growth != nil && e.growthEvery > 0 {
-		e.growth(numE, float64(totalReplicas)/float64(numV))
+		e.growth(numE, float64(st.Replicas)/float64(numV))
 	}
 	return a, nil
+}
+
+// checkWeights rejects negative evaluation-function weights.
+func checkWeights(alpha, beta float64) error {
+	if alpha < 0 || beta < 0 {
+		return fmt.Errorf("core: negative hyperparameters alpha=%g beta=%g", alpha, beta)
+	}
+	return nil
+}
+
+// defaultWeights resolves the weights of the struct-configured variants,
+// where 0 selects the paper's 1.
+func defaultWeights(alpha, beta float64) (float64, float64, error) {
+	if alpha == 0 {
+		alpha = 1
+	}
+	if beta == 0 {
+		beta = 1
+	}
+	return alpha, beta, checkWeights(alpha, beta)
+}
+
+// fixedNorm is the balance term's normalization when |E| and |V| are known
+// up front: the per-unit weights α/(|E|/p) and β/(|V|/p).
+type fixedNorm struct{ e, v float64 }
+
+func newFixedNorm(alpha, beta float64, numE, numV, k int) fixedNorm {
+	return fixedNorm{
+		e: alpha / (float64(numE) / float64(k)),
+		v: beta / (float64(numV) / float64(k)),
+	}
+}
+
+// balance returns α·ecount/(|E|/p) + β·vcount/(|V|/p).
+func (n fixedNorm) balance(ecount, vcount int) float64 {
+	// The float64 conversions stop a port with fused multiply-add (arm64)
+	// from folding a product into the sum: every platform rounds as amd64
+	// does, which is what the golden assignments were recorded on.
+	return float64(float64(ecount)*n.e) + float64(float64(vcount)*n.v)
+}
+
+// balances returns the balance term of every part of st.
+func (n fixedNorm) balances(st *partition.State) []float64 {
+	out := make([]float64, st.K())
+	for i := range out {
+		out[i] = n.balance(st.Ecount[i], st.Vcount[i])
+	}
+	return out
+}
+
+// ArgminRunning returns the part Algorithm 1 assigns e to over st when |E|
+// and |V| are unknown (§VII: streaming and live arrival): the balance terms
+// normalize by the running per-part averages Edges/p and Replicas/p instead
+// of |E|/p and |V|/p. balance is scratch for K floats.
+func ArgminRunning(st *partition.State, alpha, beta float64, balance []float64, e graph.Edge) int {
+	k := float64(st.K())
+	avgE := float64(st.Edges)/k + 1
+	avgV := float64(st.Replicas)/k + 1
+	for i := range balance {
+		balance[i] = alpha*float64(st.Ecount[i])/avgE + beta*float64(st.Vcount[i])/avgV
+	}
+	return argminScore(balance, st.Row(e.Src), st.Row(e.Dst))
 }
 
 // argminScore returns the lowest-numbered part i minimizing
@@ -247,9 +277,9 @@ func argminScore(balance []float64, rowU, rowV []uint64) int {
 	return best
 }
 
-// edgeOrder materializes the configured processing order.
-func (e *EBV) edgeOrder(g *graph.Graph) []int32 {
-	switch e.order {
+// edgeOrder materializes a processing order.
+func edgeOrder(g *graph.Graph, o Order) []int32 {
+	switch o {
 	case OrderInput:
 		order := make([]int32, g.NumEdges())
 		for i := range order {

@@ -296,7 +296,8 @@ func referenceAssign(g *graph.Graph, k int, alpha, beta float64, order []int32) 
 		best := 0
 		bestScore := math.Inf(1)
 		for i := 0; i < k; i++ {
-			score := float64(ecount[i])*eNorm + float64(vcount[i])*vNorm
+			// Products rounded before the sum, as fixedNorm.balance does.
+			score := float64(float64(ecount[i])*eNorm) + float64(float64(vcount[i])*vNorm)
 			if !keep[i].Get(u) {
 				score++
 			}
@@ -350,7 +351,7 @@ func TestEBVMatchesReferenceLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referenceAssign(g, k, ab[0], ab[1], e.edgeOrder(g))
+			want := referenceAssign(g, k, ab[0], ab[1], edgeOrder(g, order))
 			for i := range want {
 				if a.Parts[i] != want[i] {
 					t.Fatalf("seed %d k=%d %s α=%g β=%g: edge %d %v assigned to %d, reference %d",

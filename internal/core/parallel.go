@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"sync"
 
 	"ebv/internal/graph"
@@ -12,10 +12,10 @@ import (
 // ParallelEBV is the second §VII future-work item: a distributed EBV that
 // partitions the edge stream across several partitioner workers. Each
 // worker runs Algorithm 1 over its shard against a private copy of the
-// counters; after every synchronization epoch the workers merge their
-// keep/ecount/vcount deltas, so decisions are made against state that is
-// at most one epoch stale — the standard bulk-synchronous approximation of
-// a sequential greedy algorithm.
+// counters; after every synchronization epoch the workers' placements are
+// replayed into the shared partition.State, so decisions are made against
+// state that is at most one epoch stale — the standard bulk-synchronous
+// approximation of a sequential greedy algorithm.
 //
 // The result is not bitwise-identical to sequential EBV (the paper leaves
 // the distributed design open); the tests assert the property that
@@ -31,8 +31,8 @@ type ParallelEBV struct {
 	EpochEdges int
 	// Alpha and Beta are the evaluation-function weights (0 selects 1).
 	Alpha, Beta float64
-	// Sorted applies the §IV-C degree-sum sort before sharding (default
-	// true semantics: set NoSort to disable).
+	// NoSort shards the edges in input order instead of applying the
+	// §IV-C degree-sum sort first.
 	NoSort bool
 }
 
@@ -53,15 +53,9 @@ func (p *ParallelEBV) Partition(ctx context.Context, g *graph.Graph, k int) (*pa
 	if workers <= 0 {
 		workers = 4
 	}
-	alpha, beta := p.Alpha, p.Beta
-	if alpha == 0 {
-		alpha = 1
-	}
-	if beta == 0 {
-		beta = 1
-	}
-	if alpha < 0 || beta < 0 {
-		return nil, fmt.Errorf("core: negative hyperparameters alpha=%g beta=%g", alpha, beta)
+	alpha, beta, err := defaultWeights(p.Alpha, p.Beta)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -73,15 +67,12 @@ func (p *ParallelEBV) Partition(ctx context.Context, g *graph.Graph, k int) (*pa
 		return a, nil
 	}
 
-	var order []int32
+	sortOrder := OrderSorted
 	if p.NoSort {
-		order = make([]int32, numE)
-		for i := range order {
-			order[i] = int32(i)
-		}
-	} else {
-		order = g.SortedBySumDegree()
+		sortOrder = OrderInput
 	}
+	order := edgeOrder(g, sortOrder)
+	edges := g.Edges()
 
 	epoch := p.EpochEdges
 	if epoch <= 0 {
@@ -94,118 +85,73 @@ func (p *ParallelEBV) Partition(ctx context.Context, g *graph.Graph, k int) (*pa
 		}
 	}
 
-	// Global (epoch-synchronized) state.
-	globalKeep := make([]partition.Bitset, k)
-	for i := range globalKeep {
-		globalKeep[i] = partition.NewBitset(numV)
-	}
-	globalE := make([]int, k)
-	globalV := make([]int, k)
+	// Global state, advanced only at the epoch barriers.
+	st := partition.NewState(numV, k)
+	norm := newFixedNorm(alpha, beta, numE, numV, k)
 
-	eNorm := alpha / (float64(numE) / float64(k))
-	vNorm := beta / (float64(numV) / float64(k))
-
-	type delta struct {
-		parts  []int32 // per shard edge, aligned with the shard slice
-		newV   [][]int32
-		ecount []int
-	}
-
-	cursor := 0
-	for cursor < numE {
+	for cursor := 0; cursor < numE; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Carve one shard per worker for this epoch.
-		type shard struct {
-			edges []int32
-		}
-		shards := make([]shard, 0, workers)
+		// Carve one shard of the order per worker for this epoch.
+		var shards [][]int32
 		for w := 0; w < workers && cursor < numE; w++ {
-			end := cursor + epoch
-			if end > numE {
-				end = numE
-			}
-			shards = append(shards, shard{edges: order[cursor:end]})
+			end := min(cursor+epoch, numE)
+			shards = append(shards, order[cursor:end])
 			cursor = end
 		}
 
-		deltas := make([]delta, len(shards))
 		var wg sync.WaitGroup
-		for si := range shards {
+		for _, shard := range shards {
 			wg.Add(1)
-			go func(si int) {
+			go func() {
 				defer wg.Done()
-				// Private copy-on-write view: local additions tracked in
-				// maps to avoid copying the global bitsets per epoch.
-				localKeep := make([]map[int32]struct{}, k)
-				for i := range localKeep {
-					localKeep[i] = make(map[int32]struct{})
-				}
-				localE := make([]int, k)
-				localV := make([]int, k)
-				d := delta{
-					parts:  make([]int32, len(shards[si].edges)),
-					newV:   make([][]int32, k),
-					ecount: make([]int, k),
-				}
-				has := func(part, vert int) bool {
-					if globalKeep[part].Get(vert) {
-						return true
+				// The worker's private view of the epoch: its own copy of
+				// the counters and balance terms, and a copy-on-write
+				// overlay holding the rows of the vertices it has placed
+				// an edge on — every other row is read from the global
+				// state, which no one writes until the barrier.
+				ecount, vcount := slices.Clone(st.Ecount), slices.Clone(st.Vcount)
+				balance := norm.balances(st)
+				overlay := make(map[graph.VertexID][]uint64)
+				row := func(v graph.VertexID) []uint64 {
+					if r, ok := overlay[v]; ok {
+						return r
 					}
-					_, ok := localKeep[part][int32(vert)]
-					return ok
+					return st.Row(v)
 				}
-				for j, edgeID := range shards[si].edges {
-					e := g.Edge(int(edgeID))
-					u, v := int(e.Src), int(e.Dst)
-					best, bestScore := 0, 0.0
-					for i := 0; i < k; i++ {
-						score := float64(globalE[i]+localE[i])*eNorm +
-							float64(globalV[i]+localV[i])*vNorm
-						if !has(i, u) {
-							score++
+				for _, edgeID := range shard {
+					e := edges[edgeID]
+					best := argminScore(balance, row(e.Src), row(e.Dst))
+					a.Parts[edgeID] = int32(best)
+					ecount[best]++
+					w, bit := best>>6, uint64(1)<<uint(best&63)
+					for _, v := range [2]graph.VertexID{e.Src, e.Dst} {
+						r, own := overlay[v]
+						if !own {
+							r = st.Row(v)
 						}
-						if !has(i, v) {
-							score++
+						if r[w]&bit != 0 {
+							continue
 						}
-						if i == 0 || score < bestScore {
-							bestScore = score
-							best = i
+						if !own {
+							r = slices.Clone(r)
+							overlay[v] = r
 						}
+						r[w] |= bit
+						vcount[best]++
 					}
-					d.parts[j] = int32(best)
-					localE[best]++
-					d.ecount[best]++
-					if !has(best, u) {
-						localKeep[best][int32(u)] = struct{}{}
-						localV[best]++
-						d.newV[best] = append(d.newV[best], int32(u))
-					}
-					if !has(best, v) {
-						localKeep[best][int32(v)] = struct{}{}
-						localV[best]++
-						d.newV[best] = append(d.newV[best], int32(v))
-					}
+					balance[best] = norm.balance(ecount[best], vcount[best])
 				}
-				deltas[si] = d
-			}(si)
+			}()
 		}
 		wg.Wait()
 
-		// Synchronization: merge deltas into the global state.
-		for si := range shards {
-			for j, edgeID := range shards[si].edges {
-				a.Parts[edgeID] = deltas[si].parts[j]
-			}
-			for i := 0; i < k; i++ {
-				globalE[i] += deltas[si].ecount[i]
-				for _, v := range deltas[si].newV[i] {
-					if !globalKeep[i].Get(int(v)) {
-						globalKeep[i].Set(int(v))
-						globalV[i]++
-					}
-				}
+		// Synchronization: replay every worker's decisions, in shard
+		// order, into the global state.
+		for _, shard := range shards {
+			for _, edgeID := range shard {
+				st.Place(edges[edgeID], int(a.Parts[edgeID]))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ebv/internal/graph"
 	"ebv/internal/partition"
@@ -25,17 +26,19 @@ type StreamingEBV struct {
 	beta   float64
 	window int
 
-	k       int
-	numV    int
-	keep    []partition.Bitset
-	ecount  []int
-	vcount  []int
-	total   int
-	replica int
+	st      *partition.State
+	balance []float64 // ArgminRunning's scratch
 
-	buffer []graph.Edge
-	deg    []int32 // observed degree per vertex (streaming sort key)
-	out    func(e graph.Edge, part int)
+	added  int       // edges fed so far: the next edge's stream position
+	buffer []pending // the reordering window
+	deg    []int32   // observed degree per vertex (streaming sort key)
+	out    func(pos int, e graph.Edge, part int)
+}
+
+// pending is a buffered edge and its position in the stream.
+type pending struct {
+	e   graph.Edge
+	pos int
 }
 
 // StreamingConfig configures NewStreaming.
@@ -62,47 +65,40 @@ func NewStreaming(cfg StreamingConfig) (*StreamingEBV, error) {
 	if cfg.NumVertices < 0 {
 		return nil, fmt.Errorf("core: negative vertex space %d", cfg.NumVertices)
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 1
-	}
-	if cfg.Beta == 0 {
-		cfg.Beta = 1
-	}
-	if cfg.Alpha < 0 || cfg.Beta < 0 {
-		return nil, fmt.Errorf("core: negative hyperparameters alpha=%g beta=%g", cfg.Alpha, cfg.Beta)
+	alpha, beta, err := defaultWeights(cfg.Alpha, cfg.Beta)
+	if err != nil {
+		return nil, err
 	}
 	s := &StreamingEBV{
-		alpha:  cfg.Alpha,
-		beta:   cfg.Beta,
-		window: cfg.Window,
-		k:      cfg.K,
-		numV:   cfg.NumVertices,
-		keep:   make([]partition.Bitset, cfg.K),
-		ecount: make([]int, cfg.K),
-		vcount: make([]int, cfg.K),
-		out:    cfg.Emit,
+		alpha:   alpha,
+		beta:    beta,
+		window:  cfg.Window,
+		st:      partition.NewState(cfg.NumVertices, cfg.K),
+		balance: make([]float64, cfg.K),
+		deg:     make([]int32, cfg.NumVertices),
 	}
-	for i := range s.keep {
-		s.keep[i] = partition.NewBitset(cfg.NumVertices)
+	if cfg.Emit != nil {
+		s.out = func(_ int, e graph.Edge, part int) { cfg.Emit(e, part) }
 	}
-	s.deg = make([]int32, cfg.NumVertices)
 	return s, nil
 }
 
 // Add feeds one edge to the stream. Assignments are reported through the
 // Emit callback (possibly delayed by the reordering window).
 func (s *StreamingEBV) Add(e graph.Edge) error {
-	if int(e.Src) >= s.numV || int(e.Dst) >= s.numV {
+	if numV := len(s.deg); int(e.Src) >= numV || int(e.Dst) >= numV {
 		return fmt.Errorf("core: %w: edge (%d,%d) with %d vertices",
-			graph.ErrVertexOutOfRange, e.Src, e.Dst, s.numV)
+			graph.ErrVertexOutOfRange, e.Src, e.Dst, numV)
 	}
 	s.deg[e.Src]++
 	s.deg[e.Dst]++
+	p := pending{e, s.added}
+	s.added++
 	if s.window <= 1 {
-		s.assign(e)
+		s.assign(p)
 		return nil
 	}
-	s.buffer = append(s.buffer, e)
+	s.buffer = append(s.buffer, p)
 	if len(s.buffer) >= s.window {
 		s.flushOne()
 	}
@@ -123,72 +119,44 @@ func (s *StreamingEBV) Flush() {
 func (s *StreamingEBV) flushOne() {
 	bestIdx := 0
 	bestKey := int32(1)<<30 + 1<<29
-	for i, e := range s.buffer {
-		key := s.deg[e.Src] + s.deg[e.Dst]
+	for i := range s.buffer {
+		p, best := &s.buffer[i], &s.buffer[bestIdx]
+		key := s.deg[p.e.Src] + s.deg[p.e.Dst]
 		if key < bestKey {
 			bestKey = key
 			bestIdx = i
+		} else if p.e == best.e && p.pos < best.pos {
+			// Copies of one edge are interchangeable: the first to leave
+			// takes the earliest position, however the removals below
+			// have shuffled them.
+			p.pos, best.pos = best.pos, p.pos
 		}
 	}
-	e := s.buffer[bestIdx]
+	p := s.buffer[bestIdx]
 	s.buffer[bestIdx] = s.buffer[len(s.buffer)-1]
 	s.buffer = s.buffer[:len(s.buffer)-1]
-	s.assign(e)
+	s.assign(p)
 }
 
 // assign applies the evaluation function with running normalization.
-func (s *StreamingEBV) assign(e graph.Edge) {
-	u, v := int(e.Src), int(e.Dst)
-	// Running per-part averages stand in for |E|/p and |V|/p.
-	avgE := float64(s.total)/float64(s.k) + 1
-	avgV := float64(s.replica)/float64(s.k) + 1
-
-	best := 0
-	bestScore := 0.0
-	for i := 0; i < s.k; i++ {
-		score := s.alpha*float64(s.ecount[i])/avgE + s.beta*float64(s.vcount[i])/avgV
-		if !s.keep[i].Get(u) {
-			score++
-		}
-		if !s.keep[i].Get(v) {
-			score++
-		}
-		if i == 0 || score < bestScore {
-			bestScore = score
-			best = i
-		}
-	}
-	s.ecount[best]++
-	s.total++
-	if !s.keep[best].Get(u) {
-		s.keep[best].Set(u)
-		s.vcount[best]++
-		s.replica++
-	}
-	if !s.keep[best].Get(v) {
-		s.keep[best].Set(v)
-		s.vcount[best]++
-		s.replica++
-	}
+func (s *StreamingEBV) assign(p pending) {
+	best := ArgminRunning(s.st, s.alpha, s.beta, s.balance, p.e)
+	s.st.Place(p.e, best)
 	if s.out != nil {
-		s.out(e, best)
+		s.out(p.pos, p.e, best)
 	}
 }
 
 // ReplicationFactor returns the running Σ|Vi| / |V| over the vertex space.
 func (s *StreamingEBV) ReplicationFactor() float64 {
-	if s.numV == 0 {
+	if len(s.deg) == 0 {
 		return 0
 	}
-	return float64(s.replica) / float64(s.numV)
+	return float64(s.st.Replicas) / float64(len(s.deg))
 }
 
 // EdgeCounts returns a copy of the per-part edge counters.
-func (s *StreamingEBV) EdgeCounts() []int {
-	out := make([]int, s.k)
-	copy(out, s.ecount)
-	return out
-}
+func (s *StreamingEBV) EdgeCounts() []int { return slices.Clone(s.st.Ecount) }
 
 // PartitionStream is a convenience wrapper: it streams all edges of g
 // through a StreamingEBV and returns a standard Assignment, making the
@@ -210,39 +178,23 @@ func (p *PartitionStream) Name() string {
 }
 
 // Partition implements partition.Partitioner: ctx is polled before
-// the edge index is built, and the edge stream is checked against it every
+// the state is allocated, and the edge stream is checked against it every
 // partition.CancelCheckInterval additions, so a canceled context stops the
 // underlying StreamingEBV promptly.
 func (p *PartitionStream) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	a := partition.NewAssignment(k, g.NumEdges())
-	// Emit order differs from input order under a window, so track the
-	// next unassigned index per edge identity via a cursor over equal
-	// edges. Simpler and exact: remember indices by edge position.
-	type pending struct{ indices []int32 }
-	byEdge := make(map[graph.Edge]*pending, g.NumEdges())
-	for i, e := range g.Edges() {
-		pend, ok := byEdge[e]
-		if !ok {
-			pend = &pending{}
-			byEdge[e] = pend
-		}
-		pend.indices = append(pend.indices, int32(i))
-	}
 	s, err := NewStreaming(StreamingConfig{
 		K: k, NumVertices: g.NumVertices(), Alpha: p.Alpha, Beta: p.Beta, Window: p.Window,
-		Emit: func(e graph.Edge, part int) {
-			pend := byEdge[e]
-			idx := pend.indices[0]
-			pend.indices = pend.indices[1:]
-			a.Parts[idx] = int32(part)
-		},
 	})
 	if err != nil {
 		return nil, err
 	}
+	a := partition.NewAssignment(k, g.NumEdges())
+	// A window emits out of input order; an edge's stream position is its
+	// index in g.
+	s.out = func(pos int, _ graph.Edge, part int) { a.Parts[pos] = int32(part) }
 	for i, e := range g.Edges() {
 		if i%partition.CancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {

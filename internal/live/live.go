@@ -127,7 +127,6 @@ type State struct {
 	parts        []int32
 	sets         []partition.Bitset
 	ecount       []int
-	vcount       []int
 	replicaTotal int
 	baselineRF   float64
 	subs         []*bsp.Subgraph
@@ -171,10 +170,6 @@ func NewState(g *graph.Graph, a *partition.Assignment, subs []*bsp.Subgraph, cfg
 		n:         g.NumVertices(),
 		g:         g,
 		parts:     slices.Clone(a.Parts),
-		sets:      make([]partition.Bitset, a.K),
-		ecount:    make([]int, a.K),
-		vcount:    make([]int, a.K),
-		subs:      subs,
 	}
 	for p, sub := range subs {
 		if sub == nil || sub.Part != p {
@@ -183,19 +178,37 @@ func NewState(g *graph.Graph, a *partition.Assignment, subs []*bsp.Subgraph, cfg
 		if sub.Weights != nil {
 			return nil, errors.New("live: weighted sessions do not accept mutations (the v1 stream carries no weights)")
 		}
-		set := partition.NewBitset(st.n)
-		for _, gid := range sub.GlobalIDs {
-			set.Set(int(gid))
-		}
-		st.sets[p] = set
-		st.vcount[p] = len(sub.GlobalIDs)
-		st.ecount[p] = len(sub.Edges)
-		st.replicaTotal += len(sub.GlobalIDs)
 	}
+	st.adopt(subs)
 	st.baselineRF = st.rf()
 	st.stats.RF = st.baselineRF
 	st.stats.BaselineRF = st.baselineRF
 	return st, nil
+}
+
+// adopt installs subs as the current snapshot and reads the per-part
+// coverage sets and edge counts off them.
+func (st *State) adopt(subs []*bsp.Subgraph) {
+	st.subs = subs
+	st.sets = coverageOf(st.n, subs)
+	st.ecount = make([]int, len(subs))
+	st.replicaTotal = 0
+	for p, sub := range subs {
+		st.ecount[p] = len(sub.Edges)
+		st.replicaTotal += len(sub.GlobalIDs)
+	}
+}
+
+// coverageOf returns each part's covered vertex set, read off its subgraph.
+func coverageOf(n int, subs []*bsp.Subgraph) []partition.Bitset {
+	sets := make([]partition.Bitset, len(subs))
+	for p, sub := range subs {
+		sets[p] = partition.NewBitset(n)
+		for _, gid := range sub.GlobalIDs {
+			sets[p].Set(int(gid))
+		}
+	}
+	return sets
 }
 
 func (st *State) rf() float64 {
@@ -294,62 +307,33 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 		}
 	}
 
-	// ---- Working copies (commit only on success). ----
-	wEcount := slices.Clone(st.ecount)
-	wVcount := slices.Clone(st.vcount)
-	wSets := slices.Clone(st.sets) // headers; parts cloned on first write
-	setCloned := make([]bool, st.k)
-	cloneSet := func(p int32) {
-		if !setCloned[p] {
-			wSets[p] = slices.Clone(wSets[p])
-			setCloned[p] = true
-		}
-	}
+	// ---- Assign inserts online, in batch order, against the scoring
+	// state of the pre-batch coverage with the deletes' edges taken off
+	// (nothing is committed until the batch succeeds). ----
+	ecount := slices.Clone(st.ecount)
 	affected := make([]bool, st.k)
-	wReplicas := st.replicaTotal
-
 	if tomb != nil {
 		tomb.Range(func(i int) {
 			p := st.parts[i]
-			wEcount[p]--
+			ecount[p]--
 			affected[p] = true
 		})
 	}
-
-	// ---- Assign inserts online, in batch order. ----
-	view := &View{
-		k:        st.k,
-		numV:     st.n,
-		numEdges: len(edges) - deletes,
-		replicas: wReplicas,
-		ecount:   wEcount,
-		vcount:   wVcount,
-		sets:     wSets,
-		g:        st.g,
-	}
+	scoring := partition.StateOf(st.n, st.sets, ecount)
 	insParts := make([]int32, 0, inserts)
 	for _, m := range muts {
 		if m.Op != OpInsert {
 			continue
 		}
 		e := graph.Edge{Src: m.Src, Dst: m.Dst}
-		p := st.policy.Assign(view, e)
-		if p < 0 || int(p) >= st.k {
+		p := st.policy.Assign(scoring, st.g, e)
+		if p < 0 || p >= st.k {
 			return nil, fmt.Errorf("live: policy %s assigned edge (%d,%d) to part %d of %d",
 				st.policy.Name(), e.Src, e.Dst, p, st.k)
 		}
-		insParts = append(insParts, p)
+		insParts = append(insParts, int32(p))
 		affected[p] = true
-		wEcount[p]++
-		view.numEdges++
-		for _, v := range [2]graph.VertexID{e.Src, e.Dst} {
-			if !wSets[p].Get(int(v)) {
-				cloneSet(p)
-				wSets[p].Set(int(v))
-				wVcount[p]++
-				view.replicas++
-			}
-		}
+		scoring.Place(e, p)
 	}
 
 	// ---- Compact the edge list (order-preserving) + rebucket. ----
@@ -398,16 +382,7 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 		if err != nil {
 			return nil, nil, fmt.Errorf("live: full rebuild: %w", err)
 		}
-		sets := make([]partition.Bitset, st.k)
-		for p, sub := range subs {
-			set := partition.NewBitset(st.n)
-			for _, gid := range sub.GlobalIDs {
-				set.Set(int(gid))
-			}
-			sets[p] = set
-			wVcount[p] = len(sub.GlobalIDs)
-		}
-		return subs, sets, nil
+		return subs, coverageOf(st.n, subs), nil
 	}
 	var newSubs []*bsp.Subgraph
 	var finalSets []partition.Bitset
@@ -423,7 +398,6 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 			newG:     newG,
 			bucket:   bucket,
 			affected: affected,
-			wVcount:  wVcount,
 			muts:     muts,
 			res:      res,
 		})
@@ -437,10 +411,6 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 			res.FullRebuild = true
 			res.PartsRebuilt, res.PartsPatched, res.PartsReused = st.k, 0, 0
 		}
-	}
-	wReplicas = 0
-	for p := 0; p < st.k; p++ {
-		wReplicas += wVcount[p]
 	}
 	res.PatchTime = time.Since(start)
 
@@ -464,10 +434,12 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 	st.g = newG
 	st.parts = newParts
 	st.sets = finalSets
-	st.ecount = wEcount
-	st.vcount = wVcount
-	st.replicaTotal = wReplicas
+	st.ecount = scoring.Ecount
 	st.subs = newSubs
+	st.replicaTotal = 0
+	for _, sub := range newSubs {
+		st.replicaTotal += len(sub.GlobalIDs)
+	}
 	rf := st.rf()
 	drift := 0.0
 	if st.baselineRF > 0 {
@@ -516,7 +488,6 @@ type patchIn struct {
 	newG     *graph.Graph
 	bucket   func(p int) []int32
 	affected []bool
-	wVcount  []int
 	muts     []Mutation
 	res      *ApplyResult
 }
@@ -533,7 +504,7 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 	// every other part's coverage).
 	finalSets := make([]partition.Bitset, k)
 	copy(finalSets, st.sets)
-	runPartsErr := runParts(st.par, k, func(p int) error {
+	err := bsp.RunParts(st.par, k, func(p int) error {
 		if !in.affected[p] {
 			return nil
 		}
@@ -547,13 +518,12 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 		finalSets[p] = set
 		return nil
 	})
-	if runPartsErr != nil {
-		return nil, nil, runPartsErr
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Coverage-changed vertices: word-wise diff of each affected part's
-	// pre-batch set vs its recomputed one. st.sets still holds the
-	// pre-batch originals (the working sets were cloned before writes).
+	// pre-batch set vs its recomputed one.
 	changed := partition.NewBitset(n)
 	for p := 0; p < k; p++ {
 		if !in.affected[p] {
@@ -563,7 +533,6 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 		for w := range changed {
 			changed[w] |= old[w] ^ finalSets[p][w]
 		}
-		in.wVcount[p] = finalSets[p].Count()
 	}
 	// Degree-changed vertices: mutation endpoints whose global degree
 	// actually moved (an insert+delete pair can cancel out).
@@ -593,7 +562,7 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 	// never written — jobs on earlier epochs keep reading them.
 	newSubs := make([]*bsp.Subgraph, k)
 	var rebuilt, patched, reused atomic.Int64
-	err := runParts(st.par, k, func(p int) error {
+	err = bsp.RunParts(st.par, k, func(p int) error {
 		if in.affected[p] {
 			sub, err := bsp.BuildPart(in.newG, p, k, in.bucket(p), finalSets[p], partsOf, nil)
 			if err != nil {
@@ -679,62 +648,12 @@ func (st *State) repartitionLocked(ctx context.Context) error {
 		return err
 	}
 	st.parts = slices.Clone(a.Parts)
-	st.subs = subs
-	st.replicaTotal = 0
-	for p, sub := range subs {
-		set := partition.NewBitset(st.n)
-		for _, gid := range sub.GlobalIDs {
-			set.Set(int(gid))
-		}
-		st.sets[p] = set
-		st.vcount[p] = len(sub.GlobalIDs)
-		st.ecount[p] = len(sub.Edges)
-		st.replicaTotal += len(sub.GlobalIDs)
-	}
+	st.adopt(subs)
 	st.baselineRF = st.rf()
 	st.stats.RF = st.baselineRF
 	st.stats.BaselineRF = st.baselineRF
 	st.stats.Drift = 0
 	st.stats.NeedsRepartition = false
-	return nil
-}
-
-// runParts fans fn out over the part ids [0, k) with at most workers
-// goroutines (mirrors bsp's builder fan-out; lowest-part error wins).
-func runParts(workers, k int, fn func(p int) error) error {
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 || k <= 1 {
-		for p := 0; p < k; p++ {
-			if err := fn(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, k)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= k {
-					return
-				}
-				errs[p] = fn(p)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -761,7 +680,7 @@ func subgraphsEqual(a, b *bsp.Subgraph) bool {
 			return false
 		}
 	}
-	return csrEqual(a.Out, b.Out) && csrEqual(a.In, b.In)
+	return csrEqual(a.Out, b.Out)
 }
 
 func csrEqual(a, b *graph.CSR) bool {

@@ -4,59 +4,21 @@ import (
 	"fmt"
 	"math"
 
+	"ebv/internal/core"
 	"ebv/internal/graph"
 	"ebv/internal/partition"
 )
 
-// View is the read-only balance state a streaming policy scores against:
-// the per-part edge and vertex loads and coverage sets as of the edge
-// being assigned (earlier inserts of the same batch are already
-// reflected), plus the start-of-batch graph's degrees. All policies are
-// deterministic functions of this view, so a replayed mutation stream
-// reproduces the assignment bit for bit.
-type View struct {
-	k        int
-	numV     int
-	numEdges int // current total edge count, updated per assignment
-	replicas int // Σ|Vp|, updated per assignment
-	ecount   []int
-	vcount   []int
-	sets     []partition.Bitset
-	g        *graph.Graph // start-of-batch graph (degree lookups)
-}
-
-// K returns the part count.
-func (v *View) K() int { return v.k }
-
-// NumVertices returns |V| (the id space).
-func (v *View) NumVertices() int { return v.numV }
-
-// NumEdges returns the current total edge count.
-func (v *View) NumEdges() int { return v.numEdges }
-
-// Replicas returns Σ|Vp| over all parts.
-func (v *View) Replicas() int { return v.replicas }
-
-// EdgeCount returns |Ep|.
-func (v *View) EdgeCount(p int) int { return v.ecount[p] }
-
-// VertexCount returns |Vp|.
-func (v *View) VertexCount(p int) int { return v.vcount[p] }
-
-// Covers reports whether part p holds a replica of u.
-func (v *View) Covers(p int, u graph.VertexID) bool { return v.sets[p].Get(int(u)) }
-
-// Degree returns u's total (in+out) degree in the start-of-batch graph.
-func (v *View) Degree(u graph.VertexID) int {
-	return v.g.OutDegree(u) + v.g.InDegree(u)
-}
-
-// Policy assigns one inserted edge to a part, online. Implementations
-// must be deterministic (ties broken toward the lowest part id) — the
-// patch-vs-rebuild byte-identity contract depends on it.
+// Policy assigns one inserted edge to a part, online, given the scoring
+// state as of that edge (the pre-batch coverage, the batch's deletes taken
+// off the edge counts, and the batch's earlier inserts placed) and the
+// start-of-batch graph for degree lookups. Implementations must be
+// deterministic functions of those (ties broken toward the lowest part id)
+// — the patch-vs-rebuild byte-identity contract depends on it, and a
+// replayed mutation stream then reproduces the assignment bit for bit.
 type Policy interface {
 	Name() string
-	Assign(v *View, e graph.Edge) int32
+	Assign(st *partition.State, g *graph.Graph, e graph.Edge) int
 }
 
 // PolicyByName resolves a mutation policy: "ebv" (the default for ""),
@@ -74,132 +36,70 @@ func PolicyByName(name string) (Policy, error) {
 }
 
 // EBVPolicy scores parts with the paper's evaluation function in its
-// streaming form (internal/core.StreamingEBV): the balance terms
+// streaming form (core.ArgminRunning, α = β = 1): the balance terms
 // normalize by the running per-part averages and each uncovered endpoint
 // adds one replication unit; the minimizing part wins.
-type EBVPolicy struct {
-	// Alpha and Beta weight the edge- and vertex-balance terms (0 → 1).
-	Alpha, Beta float64
-}
+type EBVPolicy struct{}
 
 // Name implements Policy.
 func (EBVPolicy) Name() string { return "ebv" }
 
 // Assign implements Policy.
-func (pl EBVPolicy) Assign(v *View, e graph.Edge) int32 {
-	alpha, beta := pl.Alpha, pl.Beta
-	if alpha == 0 {
-		alpha = 1
-	}
-	if beta == 0 {
-		beta = 1
-	}
-	avgE := float64(v.NumEdges())/float64(v.K()) + 1
-	avgV := float64(v.Replicas())/float64(v.K()) + 1
-	best, bestScore := 0, math.Inf(1)
-	for p := 0; p < v.K(); p++ {
-		score := alpha*float64(v.EdgeCount(p))/avgE + beta*float64(v.VertexCount(p))/avgV
-		if !v.Covers(p, e.Src) {
-			score++
-		}
-		if !v.Covers(p, e.Dst) {
-			score++
-		}
-		if score < bestScore {
-			bestScore = score
-			best = p
-		}
-	}
-	return int32(best)
+func (EBVPolicy) Assign(st *partition.State, _ *graph.Graph, e graph.Edge) int {
+	return core.ArgminRunning(st, 1, 1, make([]float64, st.K()), e)
 }
 
-// HDRFPolicy is High-Degree Replicated First (partition.HDRF) adapted to
-// live arrival: the degree share θ uses the current graph's exact degrees
-// instead of observed partial ones, and coverage comes from the live
-// replica sets. The maximizing part wins.
-type HDRFPolicy struct {
-	// Lambda is the balance weight λ (0 → 1, the authors' setting).
-	Lambda float64
-}
+// HDRFPolicy is High-Degree Replicated First (partition.ArgmaxHDRF, λ = 1,
+// the authors' setting) adapted to live arrival: the degree share θ uses
+// the current graph's exact degrees instead of observed partial ones. The
+// maximizing part wins.
+type HDRFPolicy struct{}
 
 // Name implements Policy.
 func (HDRFPolicy) Name() string { return "hdrf" }
 
 // Assign implements Policy.
-func (pl HDRFPolicy) Assign(v *View, e graph.Edge) int32 {
-	lambda := pl.Lambda
-	if lambda == 0 {
-		lambda = 1
-	}
-	const epsilon = 1e-3
-	du := float64(v.Degree(e.Src)) + 1
-	dv := float64(v.Degree(e.Dst)) + 1
-	thetaU := du / (du + dv)
-	thetaV := 1 - thetaU
-
-	minE, maxE := v.EdgeCount(0), v.EdgeCount(0)
-	for p := 1; p < v.K(); p++ {
-		if c := v.EdgeCount(p); c < minE {
-			minE = c
-		} else if c > maxE {
-			maxE = c
-		}
-	}
-	best, bestScore := 0, math.Inf(-1)
-	for p := 0; p < v.K(); p++ {
-		var score float64
-		if v.Covers(p, e.Src) {
-			score += 1 + (1 - thetaU)
-		}
-		if v.Covers(p, e.Dst) {
-			score += 1 + (1 - thetaV)
-		}
-		score += lambda * float64(maxE-v.EdgeCount(p)) / (epsilon + float64(maxE-minE))
-		if score > bestScore {
-			bestScore = score
-			best = p
-		}
-	}
-	return int32(best)
+func (HDRFPolicy) Assign(st *partition.State, g *graph.Graph, e graph.Edge) int {
+	du := float64(g.OutDegree(e.Src)+g.InDegree(e.Src)) + 1
+	dv := float64(g.OutDegree(e.Dst)+g.InDegree(e.Dst)) + 1
+	return partition.ArgmaxHDRF(st, 1, du, dv, e)
 }
 
 // FennelPolicy is the Fennel objective (partition.Fennel) restated for
 // edge arrival over a vertex-cut: endpoint coverage plays the
 // neighborhood-intersection role and the marginal replication cost
-// α·γ·|Vp|^(γ−1) penalizes loaded parts. The maximizing part wins.
-type FennelPolicy struct {
-	// Gamma is the balance exponent γ (0 → 1.5).
-	Gamma float64
-}
+// α·γ·|Vp|^(γ−1), γ = 1.5, penalizes loaded parts. The maximizing part
+// wins.
+type FennelPolicy struct{}
 
 // Name implements Policy.
 func (FennelPolicy) Name() string { return "fennel" }
 
 // Assign implements Policy.
-func (pl FennelPolicy) Assign(v *View, e graph.Edge) int32 {
-	gamma := pl.Gamma
-	if gamma == 0 {
-		gamma = 1.5
-	}
-	n := float64(v.NumVertices())
+func (FennelPolicy) Assign(st *partition.State, g *graph.Graph, e graph.Edge) int {
+	const gamma = 1.5
+	n := float64(g.NumVertices())
 	if n == 0 {
 		n = 1
 	}
-	alpha := math.Sqrt(float64(v.K())) * float64(v.NumEdges()) / math.Pow(n, 1.5)
+	alpha := math.Sqrt(float64(st.K())) * float64(st.Edges) / math.Pow(n, 1.5)
 	best, bestScore := 0, math.Inf(-1)
-	for p := 0; p < v.K(); p++ {
+	for p, vcount := range st.Vcount {
 		var gain float64
-		if v.Covers(p, e.Src) {
+		if st.Covers(p, e.Src) {
 			gain++
 		}
-		if v.Covers(p, e.Dst) {
+		if st.Covers(p, e.Dst) {
 			gain++
 		}
-		score := gain - alpha*gamma*math.Pow(float64(v.VertexCount(p)), gamma-1)
+		// The conversion keeps a fused-multiply-add port (arm64) from
+		// folding the product into the subtraction: every platform rounds
+		// as amd64 does.
+		score := gain - float64(alpha*gamma*math.Pow(float64(vcount), gamma-1))
 		if score > bestScore {
 			bestScore = score
 			best = p
 		}
 	}
-	return int32(best)
+	return best
 }

@@ -8,13 +8,13 @@ import (
 	"ebv/internal/partition"
 )
 
-// TestEBVPolicyMatchesStreamingEBV is the differential test for a known
-// duplicate: EBVPolicy.Assign restates core.StreamingEBV's score (running
-// average balance terms, one unit per uncovered endpoint, lowest part wins
-// ties) in this package. One seeded edge stream goes through both from an
-// empty state — the view advanced exactly as State.Apply advances it — and
-// every edge must land on the same part, so the two cannot drift apart
-// before they are merged.
+// TestEBVPolicyMatchesStreamingEBV holds the live policy to the streaming
+// partitioner: one seeded edge stream goes through core.StreamingEBV and,
+// from an empty partition.State advanced with Place exactly as State.Apply
+// advances it, through EBVPolicy — every edge must land on the same part.
+// Both are drivers over core.ArgminRunning, so this pins the policy's
+// weights (α = β = 1, the stream's defaults) and its state handling; the
+// weighted case drives the shared function directly.
 func TestEBVPolicyMatchesStreamingEBV(t *testing.T) {
 	g := liveGraph(t, 3000, 24000, 11)
 	for _, tc := range []struct {
@@ -26,43 +26,31 @@ func TestEBVPolicyMatchesStreamingEBV(t *testing.T) {
 		{"weighted/k=5", 5, 2.5, 0.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var want []int32
+			var want []int
 			stream, err := core.NewStreaming(core.StreamingConfig{
 				K: tc.k, NumVertices: g.NumVertices(), Alpha: tc.alpha, Beta: tc.beta,
-				Emit: func(_ graph.Edge, part int) { want = append(want, int32(part)) },
+				Emit: func(_ graph.Edge, part int) { want = append(want, part) },
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			view := &View{
-				k: tc.k, numV: g.NumVertices(), g: g,
-				ecount: make([]int, tc.k), vcount: make([]int, tc.k),
-				sets: make([]partition.Bitset, tc.k),
-			}
-			for p := range view.sets {
-				view.sets[p] = partition.NewBitset(g.NumVertices())
-			}
-			policy := EBVPolicy{Alpha: tc.alpha, Beta: tc.beta}
-
+			st := partition.NewState(g.NumVertices(), tc.k)
+			balance := make([]float64, tc.k)
 			for i, e := range g.Edges() {
 				if err := stream.Add(e); err != nil {
 					t.Fatal(err)
 				}
-				p := policy.Assign(view, e)
+				var p int
+				if tc.alpha == 0 {
+					p = EBVPolicy{}.Assign(st, g, e)
+				} else {
+					p = core.ArgminRunning(st, tc.alpha, tc.beta, balance, e)
+				}
 				if p != want[i] {
-					t.Fatalf("edge %d (%d,%d): EBVPolicy chose part %d, StreamingEBV chose %d",
+					t.Fatalf("edge %d (%d,%d): live side chose part %d, StreamingEBV chose %d",
 						i, e.Src, e.Dst, p, want[i])
 				}
-				view.ecount[p]++
-				view.numEdges++
-				for _, v := range [2]graph.VertexID{e.Src, e.Dst} {
-					if !view.sets[p].Get(int(v)) {
-						view.sets[p].Set(int(v))
-						view.vcount[p]++
-						view.replicas++
-					}
-				}
+				st.Place(e, p)
 			}
 		})
 	}

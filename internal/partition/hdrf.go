@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"math"
 
 	"ebv/internal/graph"
 )
@@ -38,17 +39,10 @@ func (h *HDRF) Partition(ctx context.Context, g *graph.Graph, k int) (*Assignmen
 	if lambda == 0 {
 		lambda = 1
 	}
-	const epsilon = 1e-3
-
-	numV := g.NumVertices()
 	a := NewAssignment(k, g.NumEdges())
-	keep := make([]Bitset, k)
-	for i := range keep {
-		keep[i] = NewBitset(numV)
-	}
-	ecount := make([]int, k)
+	st := NewState(g.NumVertices(), k)
 	// Partial (observed) degrees — HDRF is degree-oblivious upfront.
-	partialDeg := make([]int32, numV)
+	partialDeg := make([]int32, g.NumVertices())
 
 	for i, e := range g.Edges() {
 		if i%CancelCheckInterval == 0 {
@@ -56,42 +50,43 @@ func (h *HDRF) Partition(ctx context.Context, g *graph.Graph, k int) (*Assignmen
 				return nil, err
 			}
 		}
-		u, v := int(e.Src), int(e.Dst)
-		partialDeg[u]++
-		partialDeg[v]++
-		du, dv := float64(partialDeg[u]), float64(partialDeg[v])
-		thetaU := du / (du + dv)
-		thetaV := 1 - thetaU
-
-		minE, maxE := ecount[0], ecount[0]
-		for p := 1; p < k; p++ {
-			if ecount[p] < minE {
-				minE = ecount[p]
-			}
-			if ecount[p] > maxE {
-				maxE = ecount[p]
-			}
-		}
-
-		best, bestScore := 0, -1.0
-		for p := 0; p < k; p++ {
-			var score float64
-			if keep[p].Get(u) {
-				score += 1 + (1 - thetaU)
-			}
-			if keep[p].Get(v) {
-				score += 1 + (1 - thetaV)
-			}
-			score += lambda * float64(maxE-ecount[p]) / (epsilon + float64(maxE-minE))
-			if score > bestScore {
-				bestScore = score
-				best = p
-			}
-		}
+		partialDeg[e.Src]++
+		partialDeg[e.Dst]++
+		best := ArgmaxHDRF(st, lambda, float64(partialDeg[e.Src]), float64(partialDeg[e.Dst]), e)
 		a.Parts[i] = int32(best)
-		ecount[best]++
-		keep[best].Set(u)
-		keep[best].Set(v)
+		st.Place(e, best)
 	}
 	return a, nil
+}
+
+// ArgmaxHDRF returns the lowest-numbered part maximizing C_HDRF(u,v,p) for
+// edge e = (u,v) over st, given the endpoints' degrees du and dv — the
+// observed partial degrees offline, the current graph's degrees + 1 for a
+// live insert.
+func ArgmaxHDRF(st *State, lambda, du, dv float64, e graph.Edge) int {
+	const epsilon = 1e-3
+	thetaU := du / (du + dv)
+	thetaV := 1 - thetaU
+
+	minE, maxE := st.Ecount[0], st.Ecount[0]
+	for _, c := range st.Ecount[1:] {
+		minE, maxE = min(minE, c), max(maxE, c)
+	}
+
+	best, bestScore := 0, math.Inf(-1)
+	for p, c := range st.Ecount {
+		var score float64
+		if st.Covers(p, e.Src) {
+			score += 1 + (1 - thetaU)
+		}
+		if st.Covers(p, e.Dst) {
+			score += 1 + (1 - thetaV)
+		}
+		score += lambda * float64(maxE-c) / (epsilon + float64(maxE-minE))
+		if score > bestScore {
+			bestScore = score
+			best = p
+		}
+	}
+	return best
 }

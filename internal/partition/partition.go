@@ -142,15 +142,8 @@ type Replicas struct {
 	parts   []int32
 }
 
-// BuildReplicas computes the replica table of assignment a over g.
-func BuildReplicas(g *graph.Graph, a *Assignment) *Replicas {
-	return BuildReplicasFromSets(g.NumVertices(), a.VertexSets(g))
-}
-
-// BuildReplicasFromSets computes the replica table from precomputed
-// per-part vertex sets (as produced by Assignment.VertexSets), letting
-// callers that already materialized the sets skip the extra O(|E|) pass
-// BuildReplicas would spend recomputing them.
+// BuildReplicasFromSets computes the replica table from the per-part
+// vertex sets (as produced by Assignment.VertexSets).
 func BuildReplicasFromSets(n int, sets []Bitset) *Replicas {
 	r := &Replicas{offsets: make([]int32, n+1)}
 	counts := make([]int32, n)
@@ -180,12 +173,6 @@ func BuildReplicasFromSets(n int, sets []Bitset) *Replicas {
 func (r *Replicas) Parts(v graph.VertexID) []int32 {
 	return r.parts[r.offsets[v]:r.offsets[v+1]]
 }
-
-// NumVertices returns the number of vertices covered by the table.
-func (r *Replicas) NumVertices() int { return len(r.offsets) - 1 }
-
-// TotalReplicas returns Σ|Vi|, the numerator of the replication factor.
-func (r *Replicas) TotalReplicas() int { return len(r.parts) }
 
 // ExpectedRandomReplication returns the expected replication factor of a
 // uniformly random vertex-cut into k parts:

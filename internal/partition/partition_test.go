@@ -127,7 +127,7 @@ func TestCVCReplicaBound(t *testing.T) {
 	if rows*cols != k {
 		t.Fatalf("gridShape(%d) = %dx%d", k, rows, cols)
 	}
-	reps := BuildReplicas(g, a)
+	reps := BuildReplicasFromSets(g.NumVertices(), a.VertexSets(g))
 	for v := 0; v < g.NumVertices(); v++ {
 		if got := len(reps.Parts(graph.VertexID(v))); got > rows+cols-1 {
 			t.Fatalf("vertex %d has %d replicas, CVC bound is %d", v, got, rows+cols-1)
@@ -182,18 +182,19 @@ func TestReplicasTable(t *testing.T) {
 	}
 	a := NewAssignment(2, 3)
 	a.Parts = []int32{0, 0, 1} // vertex 2 is cut between parts 0 and 1
-	reps := BuildReplicas(g, a)
+	reps := BuildReplicasFromSets(g.NumVertices(), a.VertexSets(g))
 	if got := reps.Parts(2); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("replicas of vertex 2 = %v, want [0 1]", got)
 	}
 	if got := reps.Parts(0); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("replicas of vertex 0 = %v, want [0]", got)
 	}
-	if reps.TotalReplicas() != 5 {
-		t.Fatalf("total replicas = %d, want 5", reps.TotalReplicas())
+	total := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		total += len(reps.Parts(graph.VertexID(v)))
 	}
-	if reps.NumVertices() != 4 {
-		t.Fatalf("NumVertices = %d", reps.NumVertices())
+	if total != 5 {
+		t.Fatalf("total replicas = %d, want 5", total)
 	}
 }
 

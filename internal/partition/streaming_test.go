@@ -70,7 +70,7 @@ func TestHDRFReplicatesHighDegreeFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps := BuildReplicas(g, a)
+	reps := BuildReplicasFromSets(g.NumVertices(), a.VertexSets(g))
 	hubReplicas := len(reps.Parts(0))
 	maxPathReplicas := 0
 	for v := 21; v <= 40; v++ {
