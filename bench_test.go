@@ -438,9 +438,8 @@ func (w *benchFanInWorker) Values() *graph.ValueMatrix {
 // combine axis shows sender-side message combining (off vs each
 // program's natural combiner), with the FANIN kernel supplying the
 // duplicate-heavy traffic where sender-side coalescing shrinks the wire.
-// The tcp runs report actual wire bytes moved per run as a metric (CI
-// uploads these rows as BENCH_wire.json). The wire and delivered row
-// counts are reported as metrics everywhere.
+// The tcp runs report actual wire bytes moved per run as a metric. The
+// wire and delivered row counts are reported as metrics everywhere.
 func BenchmarkMessageDelivery(b *testing.B) {
 	g := ablationGraph(b)
 	a, err := core.New().Partition(b.Context(), g, 8)
@@ -519,8 +518,7 @@ func BenchmarkMessageDelivery(b *testing.B) {
 // each iteration as a job, so its per-op time is the steady-state per-job
 // latency excluding load/partition/build. "session-concurrent" serves jobs
 // from GOMAXPROCS goroutines over one deployment, the graph-service
-// regime. CI runs this once per build and uploads the output as the
-// BENCH_session.json artifact; EXPERIMENTS.md records the numbers.
+// regime. EXPERIMENTS.md records the numbers.
 func BenchmarkSessionReuse(b *testing.B) {
 	g := ablationGraph(b)
 	const k = 8

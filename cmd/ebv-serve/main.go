@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -107,6 +108,13 @@ func run() error {
 	}
 	logger := log.New(os.Stderr, "ebv-serve: ", log.LstdFlags)
 
+	// Bind before anything is announced: a bad -listen fails here, and
+	// the "serving" line below names the address actually bound (":0").
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return err
+	}
+
 	// The lifecycle context is deliberately not the signal context:
 	// SIGTERM triggers the graceful drain below rather than instantly
 	// canceling every in-flight job's supersteps.
@@ -120,18 +128,18 @@ func run() error {
 		Logf:          logger.Printf,
 	})
 	if err != nil {
+		_ = ln.Close() // exiting on err; nothing was served
 		return err
 	}
 
 	httpSrv := &http.Server{
-		Addr:              *listen,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
+	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logger.Printf("serving %d graph(s) [%s] on %s (queue %d, %d concurrent, %d per graph)",
-		len(graphs), graphs.String(), *listen, *queueDepth, *maxConcurrent, *maxPerGraph)
+		len(graphs), graphs.String(), ln.Addr(), *queueDepth, *maxConcurrent, *maxPerGraph)
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -231,10 +231,6 @@ type (
 // transports).
 var (
 	BuildSubgraphs = bsp.BuildSubgraphs
-	// BuildSubgraphsParallel takes an explicit parallelism degree for the
-	// per-part build passes (<= 0 selects GOMAXPROCS, as BuildSubgraphs
-	// does).
-	BuildSubgraphsParallel = bsp.BuildSubgraphsParallel
 	// WriteSubgraph / ReadSubgraph are the EBVS shard codec — the bytes the
 	// cluster coordinator ships to its workers.
 	WriteSubgraph = bsp.WriteSubgraph

@@ -66,6 +66,29 @@ func (r *MessagesResult) Row(name string) (MessageRow, bool) {
 	return MessageRow{}, false
 }
 
+// print renders the runs as one table: a column per partitioner, a row
+// per graph, each cell formatted by the caller's view of it.
+func (r *MessagesResult) print(w io.Writer, title string, cell func(MessageCell) string) error {
+	if _, err := fmt.Fprintln(w, title); err != nil {
+		return err
+	}
+	header := []string{"Graph", "p"}
+	if len(r.Rows) > 0 {
+		for _, c := range r.Rows[0].Cells {
+			header = append(header, c.Algorithm)
+		}
+	}
+	t := newTable(header...)
+	for _, row := range r.Rows {
+		cells := []string{row.Graph, fmt.Sprintf("%d", row.Workers)}
+		for _, c := range row.Cells {
+			cells = append(cells, cell(c))
+		}
+		t.addRow(cells...)
+	}
+	return t.write(w)
+}
+
 // messagesCache memoizes the shared Table IV/V runs per Options.
 func computeMessages(ctx context.Context, opt Options) (*MessagesResult, error) {
 	res := &MessagesResult{}
@@ -115,26 +138,10 @@ func Table4(ctx context.Context, opt Options) (*Table4Result, error) {
 // Print renders Table IV in the paper's layout (replication factor in
 // parentheses).
 func (r *Table4Result) Print(w io.Writer) error {
-	if _, err := fmt.Fprintln(w,
-		"Table IV: total CC communication messages (replication factor)"); err != nil {
-		return err
-	}
-	header := []string{"Graph", "p"}
-	if len(r.Rows) > 0 {
-		for _, c := range r.Rows[0].Cells {
-			header = append(header, c.Algorithm)
-		}
-	}
-	t := newTable(header...)
-	for _, row := range r.Rows {
-		cells := []string{row.Graph, fmt.Sprintf("%d", row.Workers)}
-		for _, c := range row.Cells {
-			cells = append(cells, fmt.Sprintf("%.2e (%.2f)",
-				float64(c.TotalMessages), c.Metrics.ReplicationFactor))
-		}
-		t.addRow(cells...)
-	}
-	return t.write(w)
+	return r.print(w, "Table IV: total CC communication messages (replication factor)",
+		func(c MessageCell) string {
+			return fmt.Sprintf("%.2e (%.2f)", float64(c.TotalMessages), c.Metrics.ReplicationFactor)
+		})
 }
 
 // Table5Result reproduces Table V: max/mean per-worker message ratios.
@@ -152,24 +159,8 @@ func Table5(ctx context.Context, opt Options) (*Table5Result, error) {
 // Print renders Table V in the paper's layout (imbalance factors in
 // parentheses).
 func (r *Table5Result) Print(w io.Writer) error {
-	if _, err := fmt.Fprintln(w,
-		"Table V: max/mean CC message ratio (edge/vertex imbalance factors)"); err != nil {
-		return err
-	}
-	header := []string{"Graph", "p"}
-	if len(r.Rows) > 0 {
-		for _, c := range r.Rows[0].Cells {
-			header = append(header, c.Algorithm)
-		}
-	}
-	t := newTable(header...)
-	for _, row := range r.Rows {
-		cells := []string{row.Graph, fmt.Sprintf("%d", row.Workers)}
-		for _, c := range row.Cells {
-			cells = append(cells, fmt.Sprintf("%.3f (%.2f/%.2f)",
-				c.MaxMeanRatio, c.Metrics.EdgeImbalance, c.Metrics.VertexImbalance))
-		}
-		t.addRow(cells...)
-	}
-	return t.write(w)
+	return r.print(w, "Table V: max/mean CC message ratio (edge/vertex imbalance factors)",
+		func(c MessageCell) string {
+			return fmt.Sprintf("%.3f (%.2f/%.2f)", c.MaxMeanRatio, c.Metrics.EdgeImbalance, c.Metrics.VertexImbalance)
+		})
 }

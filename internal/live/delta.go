@@ -27,8 +27,7 @@ func NewDeltaCC(prev *bsp.Result) *apps.CC {
 // round count, with an optional warm start from a previous job's
 // ValueMatrix: after a small mutation batch the old ranks are already
 // near the new fixed point, so the warm run converges in a fraction of
-// the cold run's iterations (the live-graph payoff ebv-bench -live
-// measures).
+// the cold run's iterations.
 //
 // Each iteration is the same two-superstep gather/apply as apps.PageRank.
 // Convergence is decided collectively: at every apply step each worker

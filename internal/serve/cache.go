@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"ebv"
+	"ebv/internal/live"
 )
 
 // ErrUnknownGraph reports a job request naming a graph the server was not
@@ -74,6 +75,11 @@ func (gs GraphSpec) pipeline() (*ebv.Pipeline, error) {
 		opts = append(opts, ebv.JobStatsRetention(gs.StatsRetention))
 	}
 	if gs.MutationPolicy != "" {
+		// Open resolves the name too, but only at warm-up: a typo would
+		// pass New and then fail every request after a full prepare.
+		if _, err := live.PolicyByName(gs.MutationPolicy); err != nil {
+			return nil, fmt.Errorf("serve: graph %q: %w", gs.Name, err)
+		}
 		opts = append(opts, ebv.MutationPolicy(gs.MutationPolicy))
 	}
 	if gs.VerifyMutations {

@@ -25,8 +25,7 @@ type MutationItem struct {
 
 // MutationRequest is the POST /v1/graphs/{g}/mutations JSON body. The
 // endpoint alternatively accepts the binary EBVL batch framing directly
-// (Content-Type application/x-ebv-mutations or application/octet-stream),
-// which is what ebv-bench's stream generator ships.
+// (Content-Type application/x-ebv-mutations or application/octet-stream).
 type MutationRequest struct {
 	Mutations []MutationItem `json:"mutations"`
 	// TimeoutMS bounds the batch end to end (0 selects the server

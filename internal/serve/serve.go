@@ -9,9 +9,9 @@
 // 4: the "millions of users" claim made falsifiable — the paper's
 // partition-once investment (175.6 ms full pipeline vs ~7 ms/job steady
 // state on the session bench) amortized over real HTTP traffic, with a
-// Prometheus /metrics endpoint and a load-generator-driven
-// BENCH_serve.json CI artifact tracking jobs/sec and latency
-// percentiles.
+// Prometheus /metrics endpoint. The benchmark module's serve-mixed
+// workload drives it under load and records queue wait, run time and
+// HTTP overhead per job.
 //
 // Endpoints:
 //

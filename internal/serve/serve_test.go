@@ -269,6 +269,33 @@ func TestServeRequestValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadSpecs: a spec that could never serve fails New, not
+// the first request to reach it — a misspelt policy used to pass, answer
+// /healthz "ok" and then pay a full prepare per request to report itself.
+func TestNewRejectsBadSpecs(t *testing.T) {
+	bogus := testSpec(t, "b")
+	bogus.MutationPolicy = "bogus"
+	for _, tc := range []struct {
+		name   string
+		graphs []GraphSpec
+		want   string
+	}{
+		{"no graphs", []GraphSpec{}, "no graphs configured"},
+		{"empty name", []GraphSpec{testSpec(t, "")}, "empty name"},
+		{"duplicate name", []GraphSpec{testSpec(t, "g"), testSpec(t, "g")}, `duplicate graph name "g"`},
+		{"no source", []GraphSpec{{Name: "g"}}, "no source"},
+		{"unknown policy", []GraphSpec{testSpec(t, "a"), bogus}, `graph "b": live: unknown mutation policy "bogus"`},
+	} {
+		srv, err := New(context.Background(), Config{Graphs: tc.graphs})
+		if err == nil {
+			_ = srv.Shutdown(context.Background())
+			t.Errorf("%s: New succeeded", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestServeAdmissionQueueFull saturates a queue of 2 with a long-running
 // job and checks that concurrent arrivals observe 429s with Retry-After
 // while every admitted job still completes correctly.

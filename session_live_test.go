@@ -8,6 +8,8 @@ package ebv_test
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"ebv"
@@ -53,21 +55,26 @@ func liveBaseAndStream(t testing.TB, vertices, baseEdges, inserts, deletes, perB
 // verification on) interleaved with jobs, then checks the streamed
 // session computes byte-identical values to a session freshly built from
 // its final graph and assignment — CC and PageRank at width 1,
-// Aggregate at width 8, on Mem and TCP.
+// Aggregate at width 8, on Mem and TCP. The SmallDelta case replays the
+// same stream in batches of 5, the regime where a batch touches few parts
+// and the rest must be carried over by pointer, not rebuilt.
 func TestSessionApplyMatchesFreshBuild(t *testing.T) {
-	base, batches := liveBaseAndStream(t, 1200, 7000, 1000, 250, 250)
 	for _, tc := range []struct {
-		name string
-		tcp  bool
+		name        string
+		tcp         bool
+		k, perBatch int
+		wantReuse   bool
 	}{
-		{name: "Mem"},
-		{name: "TCP", tcp: true},
+		{name: "Mem", k: 4, perBatch: 250},
+		{name: "TCP", tcp: true, k: 4, perBatch: 250},
+		{name: "SmallDelta", k: 16, perBatch: 5, wantReuse: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			base, batches := liveBaseAndStream(t, 1200, 7000, 1000, 250, tc.perBatch)
 			opts := []ebv.PipelineOption{
 				ebv.FromGraph(base),
 				ebv.UsePartitioner(ebv.NewEBV()),
-				ebv.Subgraphs(4),
+				ebv.Subgraphs(tc.k),
 				ebv.VerifyMutations(),
 			}
 			if tc.tcp {
@@ -94,8 +101,12 @@ func TestSessionApplyMatchesFreshBuild(t *testing.T) {
 					}
 				}
 			}
-			if st := s.LiveStats(); st.FullRebuilds != 0 || st.Batches != int64(len(batches)) {
+			st := s.LiveStats()
+			if st.FullRebuilds != 0 || st.Batches != int64(len(batches)) {
 				t.Fatalf("live stats = %+v, want %d purely patched batches", st, len(batches))
+			}
+			if tc.wantReuse && st.PartsReused == 0 {
+				t.Fatalf("live stats = %+v: no part carried over across %d batches of %d", st, len(batches), tc.perBatch)
 			}
 
 			finalG, assignment, epoch := s.LiveSnapshot()
@@ -137,6 +148,75 @@ func TestSessionApplyMatchesFreshBuild(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSessionWarmStart runs the warm starts on a session that
+// Session.Apply actually patched: after an insert-only phase CC seeded
+// with the pre-stream labels is bit-identical to a cold run (inserts only
+// merge components, so old labels stay valid seeds); after a delete phase
+// delta-PageRank seeded with the pre-delete ranks reaches the cold run's
+// fixed point. Step counts are deterministic and on this input each warm
+// run is strictly shorter — a seed that is dropped on the way equals cold
+// and fails.
+func TestSessionWarmStart(t *testing.T) {
+	const inserts, perBatch = 1000, 250
+	base, batches := liveBaseAndStream(t, 1200, 7000, inserts, 250, perBatch)
+	ctx := context.Background()
+	s, err := ebv.NewPipeline(
+		ebv.FromGraph(base), ebv.UsePartitioner(ebv.NewEBV()), ebv.Subgraphs(4),
+	).Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	run := func(what string, prog ebv.Program) *ebv.JobResult {
+		t.Helper()
+		res, err := s.Run(ctx, prog)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return res
+	}
+	apply := func(phase [][]ebv.Mutation) {
+		t.Helper()
+		for _, batch := range phase {
+			if _, err := s.Apply(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	ccPrev := run("pre-stream CC", &ebv.CC{})
+	apply(batches[:inserts/perBatch])
+	ccCold := run("cold CC", &ebv.CC{})
+	ccWarm := run("warm CC", ebv.NewDeltaCC(ccPrev.BSP))
+	if !ccWarm.BSP.Values.EqualValues(ccCold.BSP.Values) || !slices.Equal(ccWarm.BSP.Covered, ccCold.BSP.Covered) {
+		t.Fatal("warm CC differs from cold CC after the insert phase")
+	}
+	if ccWarm.Steps >= ccCold.Steps {
+		t.Fatalf("warm CC took %d supersteps, cold %d: the seed bought nothing", ccWarm.Steps, ccCold.Steps)
+	}
+
+	// The rank seed is a starting point, not a bound, so deletes leave it
+	// usable.
+	prPrev := run("pre-delete delta-PR", &ebv.DeltaPageRank{})
+	apply(batches[inserts/perBatch:])
+	if st := s.LiveStats(); st.Deletes == 0 || st.FullRebuilds != 0 {
+		t.Fatalf("live stats = %+v, want a patched delete phase", st)
+	}
+	prCold := run("cold delta-PR", &ebv.DeltaPageRank{})
+	prWarm := run("warm delta-PR", &ebv.DeltaPageRank{Prev: prPrev.BSP.Values, PrevCovered: prPrev.BSP.Covered})
+	if prWarm.Steps >= prCold.Steps {
+		t.Fatalf("warm delta-PR took %d supersteps, cold %d: the seed bought nothing", prWarm.Steps, prCold.Steps)
+	}
+	for v, covered := range prCold.BSP.Covered {
+		if !covered {
+			continue
+		}
+		if d := math.Abs(prWarm.BSP.Values.Scalar(v) - prCold.BSP.Values.Scalar(v)); d > 1e-6 {
+			t.Fatalf("vertex %d: warm and cold delta-PR fixed points differ by %g", v, d)
+		}
 	}
 }
 
