@@ -14,12 +14,13 @@ import (
 
 // TestFacadeNamesAreImported keeps the facade from regrowing width: every
 // exported alias ebv.go and cluster.go re-export (type X = pkg.X, var/const
-// X = pkg.X) must be named by a file under cmd/, examples/, benchmark/ or
-// internal/ (internal/serve is built on the facade), by a root _test.go, or
-// by an exported signature of the root package itself (a Pipeline option's
-// parameter type, a Session method's result). A name that fails all three
-// is API nothing imports — delete the alias, or add the caller that needs
-// it.
+// X = pkg.X), and every exported top-level function of the root package (a
+// Pipeline option constructor, say), must be named by a file under cmd/,
+// examples/, benchmark/ or internal/ (internal/serve is built on the
+// facade), by a root _test.go, or by an exported signature of the root
+// package itself (a Pipeline option's parameter type, a Session method's
+// result). A name that fails all three is API nothing imports — delete it,
+// or add the caller that needs it.
 func TestFacadeNamesAreImported(t *testing.T) {
 	fset := token.NewFileSet()
 	parse := func(path string) *ast.File {
@@ -46,6 +47,7 @@ func TestFacadeNamesAreImported(t *testing.T) {
 			if path == "ebv.go" || path == "cluster.go" {
 				facade = append(facade, aliasNames(f)...)
 			}
+			facade = append(facade, funcNames(f)...)
 		}
 	}
 	for _, dir := range []string{"cmd", "examples", "benchmark", "internal"} {
@@ -68,7 +70,7 @@ func TestFacadeNamesAreImported(t *testing.T) {
 	}
 	sort.Strings(unused)
 	if len(unused) > 0 {
-		t.Errorf("%d of %d facade aliases are named by nothing in cmd/, examples/, benchmark/, internal/, a root test or an exported root signature:\n  %s",
+		t.Errorf("%d of %d facade aliases and root functions are named by nothing in cmd/, examples/, benchmark/, internal/, a root test or an exported root signature:\n  %s",
 			len(unused), len(facade), strings.Join(unused, "\n  "))
 	}
 }
@@ -95,6 +97,18 @@ func aliasNames(f *ast.File) []string {
 					}
 				}
 			}
+		}
+	}
+	return out
+}
+
+// funcNames lists the exported top-level functions f declares (methods
+// are reached through their receiver's type and are not listed).
+func funcNames(f *ast.File) []string {
+	var out []string
+	for _, decl := range f.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+			out = append(out, fd.Name.Name)
 		}
 	}
 	return out

@@ -15,8 +15,8 @@ import (
 // weighted out-edges — the textbook demonstration of the subgraph-centric
 // model's strength: a whole sequential algorithm per superstep, per §IV-B.
 //
-// Attach weights with bsp.BuildSubgraphsWeighted; absent weights behave as
-// unit (making this a drop-in generalization of SSSP).
+// Attach weights with bsp.BuildSubgraphsWeightedParallel; absent weights
+// behave as unit (making this a drop-in generalization of SSSP).
 type WeightedSSSP struct {
 	// Source is the global source vertex.
 	Source graph.VertexID

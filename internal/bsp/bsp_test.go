@@ -355,7 +355,7 @@ func TestWeightedSSSPAgreesWithSequential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", p.Name(), err)
 				}
-				subs, err := bsp.BuildSubgraphsWeighted(g, a, weights)
+				subs, err := bsp.BuildSubgraphsWeightedParallel(g, a, weights, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -389,10 +389,10 @@ func TestBuildSubgraphsWeightedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bsp.BuildSubgraphsWeighted(g, a, make(graph.EdgeWeights, 3)); err == nil {
+	if _, err := bsp.BuildSubgraphsWeightedParallel(g, a, make(graph.EdgeWeights, 3), 0); err == nil {
 		t.Fatal("short weight vector accepted")
 	}
-	subs, err := bsp.BuildSubgraphsWeighted(g, a, nil)
+	subs, err := bsp.BuildSubgraphsWeightedParallel(g, a, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

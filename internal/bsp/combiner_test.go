@@ -36,7 +36,7 @@ func combinerApps() []bsp.Program {
 // exercises them; every other app ignores them).
 func buildWeightedSubs(t *testing.T, g *graph.Graph, a *partition.Assignment) []*bsp.Subgraph {
 	t.Helper()
-	subs, err := bsp.BuildSubgraphsWeighted(g, a, graph.HashWeights(g, 7, 1, 4))
+	subs, err := bsp.BuildSubgraphsWeightedParallel(g, a, graph.HashWeights(g, 7, 1, 4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,25 +282,12 @@ func TestCombinerSenderSideStrictReduction(t *testing.T) {
 	}
 }
 
-// TestCombinerExplicitOverridesAuto: an explicit Config.Combiner wins over
-// the program's declared one, and a program without a declared combiner
-// runs uncombined under AutoCombine.
+// TestCombinerExplicitOverridesAuto: a program without a declared
+// combiner runs uncombined under AutoCombine — AutoCombine is the only way
+// a run picks up a combiner, and it never invents one. (The name predates
+// the removal of the explicit Config.Combiner override.)
 func TestCombinerExplicitOverridesAuto(t *testing.T) {
 	_, subs := starGraph(t, 100, 3)
-	// fanInDegree declares sum; under an explicit min combiner each
-	// worker's per-edge 1-rows for the hub coalesce to a single 1 (their
-	// min) instead of their count, and the master adds one such row per
-	// worker: the computed "in-degree" of the hub becomes k, not 100.
-	res, err := bsp.Run(t.Context(), subs, &fanInDegree{}, bsp.Config{
-		Combiner:    transport.MinCombiner{},
-		AutoCombine: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := res.Value(0); !ok || got != 3 {
-		t.Fatalf("hub value under explicit min combiner = %g (ok=%v), want 3", got, ok)
-	}
 	// A program that declares no combiner must run uncombined under
 	// AutoCombine: all three counts stay equal even on the star graph.
 	plain, err := bsp.Run(t.Context(), subs, noCombiner{&apps.CC{}}, bsp.Config{AutoCombine: true})

@@ -73,8 +73,7 @@ var ErrMaxSteps = errors.New("bsp: exceeded max supersteps without converging")
 
 // CombinerProvider is implemented by Programs that declare the natural
 // combiner of their messages (CC/SSSP/WeightedSSSP → min, PageRank → sum,
-// Aggregate → elementwise sum). Config.AutoCombine uses it; an explicit
-// Config.Combiner overrides it.
+// Aggregate → elementwise sum). Config.AutoCombine uses it.
 type CombinerProvider interface {
 	// MessageCombiner returns the combiner that may reduce this program's
 	// messages without changing its results (nil = none).
@@ -97,13 +96,11 @@ type Config struct {
 	// of the same vertex disagree. Tests enable it; benches do not pay
 	// for it.
 	VerifyReplicaAgreement bool
-	// Combiner, when non-nil, reduces duplicate-ID message rows sender-side
-	// (inside each outgoing batch, before the exchange). See
-	// transport.Combiner for the exactness contract; Result.MessageCounts
-	// reports the reduction.
-	Combiner transport.Combiner
-	// AutoCombine selects the program's declared combiner (CombinerProvider)
-	// when Combiner is nil. Programs without one run uncombined.
+	// AutoCombine reduces duplicate-ID message rows sender-side (inside
+	// each outgoing batch, before the exchange) with the program's
+	// declared combiner (CombinerProvider). See transport.Combiner for the
+	// exactness contract; Result.MessageCounts reports the reduction.
+	// Programs without one run uncombined.
 	AutoCombine bool
 	// CheckpointEvery, with a CheckpointSink, cuts a resumable checkpoint
 	// at every superstep barrier it divides (before supersteps N, 2N, ...)
@@ -151,24 +148,15 @@ func WithReplicaVerification(on bool) Option {
 	return func(c *Config) { c.VerifyReplicaAgreement = on }
 }
 
-// WithCombiner sets an explicit message combiner (nil clears it; see
-// Config.Combiner).
-func WithCombiner(c transport.Combiner) Option {
-	return func(cfg *Config) { cfg.Combiner = c }
-}
-
 // WithAutoCombine makes the run use the program's declared combiner, if
 // any (see Config.AutoCombine).
 func WithAutoCombine(on bool) Option {
 	return func(c *Config) { c.AutoCombine = on }
 }
 
-// combiner resolves the run's message combiner for prog: an explicit
-// Config.Combiner wins; otherwise AutoCombine consults the program.
+// combiner resolves the run's message combiner for prog: under
+// AutoCombine, the program's declared one.
 func (c Config) combiner(prog Program) transport.Combiner {
-	if c.Combiner != nil {
-		return c.Combiner
-	}
 	if c.AutoCombine {
 		if cp, ok := prog.(CombinerProvider); ok {
 			return cp.MessageCombiner()

@@ -97,7 +97,7 @@ func TestResumeByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wSubs, err := bsp.BuildSubgraphsWeighted(pl, pa, weights)
+	wSubs, err := bsp.BuildSubgraphsWeightedParallel(pl, pa, weights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ type Subgraph struct {
 	// (the feature-aggregation program normalizes by it).
 	GlobalInDegree []int32
 	// Weights holds per-local-edge weights aligned with Edges; nil means
-	// unit weights (set by BuildSubgraphsWeighted).
+	// unit weights (set by BuildSubgraphsWeightedParallel).
 	Weights []float64
 
 	// localOf is the dense global→local inverse index (-1 = not covered
@@ -142,15 +142,9 @@ func BuildSubgraphsParallel(g *graph.Graph, a *partition.Assignment, parallelism
 	return buildSubgraphs(g, a, nil, parallelism)
 }
 
-// BuildSubgraphsWeighted is BuildSubgraphs plus per-subgraph edge weights
-// carried over from the global weight vector (aligned with g's edge list).
-func BuildSubgraphsWeighted(g *graph.Graph, a *partition.Assignment,
-	weights graph.EdgeWeights) ([]*Subgraph, error) {
-	return buildSubgraphs(g, a, weights, 0)
-}
-
-// BuildSubgraphsWeightedParallel is BuildSubgraphsWeighted with an explicit
-// parallelism degree (<= 0 selects GOMAXPROCS).
+// BuildSubgraphsWeightedParallel is BuildSubgraphsParallel plus
+// per-subgraph edge weights carried over from the global weight vector
+// (aligned with g's edge list).
 func BuildSubgraphsWeightedParallel(g *graph.Graph, a *partition.Assignment,
 	weights graph.EdgeWeights, parallelism int) ([]*Subgraph, error) {
 	return buildSubgraphs(g, a, weights, parallelism)

@@ -38,9 +38,9 @@ func runOverDeployment(t *testing.T, subs []*bsp.Subgraph, mesh transport.Deploy
 
 // runOverMesh runs prog once over a fresh TCP mesh deployment and reports
 // the result plus the deployment's total wire bytes.
-func runOverMesh(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.Config, opts ...transport.MeshOption) (*bsp.Result, int64) {
+func runOverMesh(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.Config) (*bsp.Result, int64) {
 	t.Helper()
-	mesh, err := transport.NewTCPMeshDeployment(t.Context(), len(subs), opts...)
+	mesh, err := transport.NewTCPMeshDeployment(t.Context(), len(subs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +69,8 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 	// and WeightedSSSP move noisy mantissas (v4 only wins the ID column
 	// at width 1) but their width-8 runs pad 7 zero columns, which pack
 	// to a descriptor byte each, clearing 3x there too. Aggregate's
-	// mean-aggregation payloads are noisy at every width (quantization is
-	// the opt-in lever); it must still never regress.
+	// mean-aggregation payloads are noisy at every width; it must still
+	// never regress.
 	wantRatio := map[string]float64{
 		"CC/w1": 3, "CC/w8": 3,
 		"SSSP/w1": 3, "SSSP/w8": 3,
@@ -113,56 +113,6 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestWireQuantizationLossyOptIn: quantization is applied only when asked,
-// shrinks PageRank's noisy wire further, and keeps results within the
-// advertised relative error while remaining deterministic.
-func TestWireQuantizationLossyOptIn(t *testing.T) {
-	g := testGraphs(t)["powerlaw"]
-	const k = 3
-	a, err := core.New().Partition(t.Context(), g, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs := buildWeightedSubs(t, g, a)
-	prog := &apps.PageRank{Iterations: 6}
-	exact, exactBytes := runOverMesh(t, subs, prog, bsp.Config{})
-	quant, quantBytes := runOverMesh(t, subs, prog, bsp.Config{}, transport.WithWireQuantization(24))
-	if quantBytes >= exactBytes {
-		t.Fatalf("24-bit quantization moved %d wire bytes, exact v4 moved %d", quantBytes, exactBytes)
-	}
-	var n int
-	var maxRel float64
-	for v := 0; v < g.NumVertices(); v++ {
-		e, ok := exact.Value(graph.VertexID(v))
-		if !ok {
-			continue
-		}
-		q, _ := quant.Value(graph.VertexID(v))
-		if rel := (q - e) / e; rel > maxRel || -rel > maxRel {
-			maxRel = max(rel, -rel)
-		}
-		n++
-	}
-	if n == 0 {
-		t.Fatal("no vertex values to compare")
-	}
-	// 24 kept mantissa bits bound each hop's relative error by 2^-24;
-	// across 6 iterations the accumulated drift stays far below 1e-4.
-	if maxRel > 1e-4 {
-		t.Fatalf("quantized PageRank drifted %g relative, want < 1e-4", maxRel)
-	}
-}
-
-// TestWireQuantizationValidation: out-of-range quantization fails
-// deployment construction loudly.
-func TestWireQuantizationValidation(t *testing.T) {
-	for _, bits := range []int{-1, 52} {
-		if _, err := transport.NewTCPMeshDeployment(t.Context(), 2, transport.WithWireQuantization(bits)); err == nil {
-			t.Fatalf("quantization to %d bits accepted", bits)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -90,6 +93,83 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 			t.Fatalf("bit flip at offset %d decoded", off)
 		}
 	}
+}
+
+// FuzzDecodeCheckpoint: DecodeCheckpoint over arbitrary bytes never
+// panics, and a file it accepts re-encodes to exactly those bytes; a
+// checkpoint built from the same bytes round-trips bit-exactly through
+// EncodeCheckpoint, and every truncation and sampled single-bit flip of
+// its encoding fails loudly.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	seed, err := EncodeCheckpoint(CheckpointMeta{Job: 1, Part: 0, Workers: 2, Width: 2}, testCheckpoint(3, 4, 1, 2, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed, uint8(1), uint8(0), uint16(0))
+	f.Add([]byte{}, uint8(0), uint8(0), uint16(5))
+	f.Add(bytes.Repeat([]byte{0x7f, 0xf8, 0, 1}, 40), uint8(3), uint8(2), uint16(9))
+	f.Fuzz(func(t *testing.T, raw []byte, w, sw uint8, step uint16) {
+		if meta, cp, err := DecodeCheckpoint(raw); err == nil {
+			again, err := EncodeCheckpoint(meta, cp)
+			if err != nil {
+				t.Fatalf("accepted checkpoint does not re-encode: %v", err)
+			}
+			if !bytes.Equal(again, raw) {
+				t.Fatalf("accepted checkpoint re-encodes to %d different bytes (read %d)", len(again), len(raw))
+			}
+		}
+
+		width, stateWidth := int(w%4)+1, int(sw%4)+1
+		vals := make([]float64, len(raw)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		stateRows := len(vals) / 2 / stateWidth
+		state := &graph.ValueMatrix{Width: stateWidth, Data: vals[:stateRows*stateWidth]}
+		inbox := vals[stateRows*stateWidth:]
+		inbox = inbox[:len(inbox)/width*width]
+		cp := &bsp.Checkpoint{Step: int(step) + 1, State: state, InboxVals: inbox}
+		for i := 0; i < len(inbox); i += width {
+			cp.InboxIDs = append(cp.InboxIDs, graph.VertexID(math.Float64bits(inbox[i])>>32))
+		}
+		meta := CheckpointMeta{Job: int(step % 7), Part: int(sw), Workers: 256, Width: width}
+		data, err := EncodeCheckpoint(meta, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotMeta, got, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		bits := func(v []float64) []uint64 {
+			out := make([]uint64, len(v))
+			for i, x := range v {
+				out[i] = math.Float64bits(x)
+			}
+			return out
+		}
+		if gotMeta != meta || got.Step != cp.Step || got.State.Width != stateWidth ||
+			!slices.Equal(bits(got.State.Data), bits(state.Data)) ||
+			!slices.Equal(got.InboxIDs, cp.InboxIDs) || !slices.Equal(bits(got.InboxVals), bits(inbox)) {
+			t.Fatalf("round trip changed the checkpoint: meta %+v step %d", gotMeta, got.Step)
+		}
+		for cut := 0; cut < len(data); cut++ {
+			if _, _, err := DecodeCheckpoint(data[:cut]); err == nil {
+				t.Fatalf("truncation to %d/%d bytes decoded", cut, len(data))
+			}
+		}
+		stride := 1
+		if len(data) > 512 {
+			stride = len(data) / 64
+		}
+		for bit := 0; bit < len(data)*8; bit += stride {
+			corrupt := bytes.Clone(data)
+			corrupt[bit/8] ^= 1 << (bit % 8)
+			if _, _, err := DecodeCheckpoint(corrupt); err == nil {
+				t.Fatalf("bit flip at %d decoded", bit)
+			}
+		}
+	})
 }
 
 func TestCheckpointNameRoundTrip(t *testing.T) {

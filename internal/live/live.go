@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ebv/internal/bsp"
-	"ebv/internal/core"
 	"ebv/internal/graph"
 	"ebv/internal/partition"
 )
@@ -22,11 +21,11 @@ import (
 // live state untouched.
 var ErrRejected = errors.New("live: mutation batch rejected")
 
-// defaultDriftThreshold is the relative replication-factor growth over
-// the baseline that flags (or, with AutoRepartition, triggers) a
-// repartition — the live form of the paper's Fig. 5 replication-growth
-// experiment.
-const defaultDriftThreshold = 0.2
+// driftThreshold is the relative replication-factor growth over the
+// baseline past which Apply flags NeedsRepartition — the live form of the
+// paper's Fig. 5 replication-growth experiment. The flag is advisory:
+// nothing repartitions on it.
+const driftThreshold = 0.2
 
 // Config tunes a live mutation layer.
 type Config struct {
@@ -40,13 +39,6 @@ type Config struct {
 	// ForceRebuild routes every batch through the full-rebuild fallback
 	// instead of the incremental patch path.
 	ForceRebuild bool
-	// DriftThreshold is the relative RF growth over the baseline that
-	// sets NeedsRepartition (0 → 0.2; negative disables the check).
-	DriftThreshold float64
-	// AutoRepartition runs a full EBV repartition + rebuild inline at
-	// the apply boundary whenever the threshold trips, resetting the
-	// baseline. Off, the drift is only flagged (metrics/Stats).
-	AutoRepartition bool
 	// Parallelism bounds the part-parallel patch/rebuild fan-out
 	// (<= 0 selects GOMAXPROCS).
 	Parallelism int
@@ -70,15 +62,12 @@ type Stats struct {
 	PartsReused  int64
 	// FullRebuilds counts batches that took the full-rebuild fallback.
 	FullRebuilds int64
-	// Repartitions counts auto-repartitions taken at apply boundaries.
-	Repartitions int64
 	// RF is the current replication factor Σ|Vp|/|V|; BaselineRF is the
-	// RF right after preparation (or the last repartition); Drift is
-	// RF/BaselineRF − 1.
+	// RF right after preparation; Drift is RF/BaselineRF − 1.
 	RF         float64
 	BaselineRF float64
 	Drift      float64
-	// NeedsRepartition reports that Drift exceeds the threshold.
+	// NeedsRepartition reports that Drift exceeds driftThreshold.
 	NeedsRepartition bool
 }
 
@@ -96,9 +85,7 @@ type ApplyResult struct {
 	PartsReused  int `json:"parts_reused"`
 	// FullRebuild reports the batch took the full-rebuild fallback.
 	FullRebuild bool `json:"full_rebuild,omitempty"`
-	// Repartitioned reports an auto-repartition ran at this boundary.
-	Repartitioned bool `json:"repartitioned,omitempty"`
-	// NeedsRepartition reports RF drift past the configured threshold.
+	// NeedsRepartition reports RF drift past driftThreshold.
 	NeedsRepartition bool `json:"needs_repartition,omitempty"`
 	// RF and Drift are the post-batch replication factor and its
 	// relative growth over the baseline.
@@ -115,11 +102,10 @@ type ApplyResult struct {
 // a previously published graph or subgraph (copy-on-write throughout), so
 // jobs running on an older epoch are undisturbed.
 type State struct {
-	mu        sync.Mutex
-	policy    Policy
-	cfg       Config
-	threshold float64
-	par       int
+	mu     sync.Mutex
+	policy Policy
+	cfg    Config
+	par    int
 
 	k            int
 	n            int
@@ -151,25 +137,20 @@ func NewState(g *graph.Graph, a *partition.Assignment, subs []*bsp.Subgraph, cfg
 	if policy == nil {
 		policy = EBVPolicy{}
 	}
-	threshold := cfg.DriftThreshold
-	if threshold == 0 {
-		threshold = defaultDriftThreshold
-	} else if threshold < 0 {
-		threshold = math.Inf(1)
-	}
 	par := cfg.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	st := &State{
-		policy:    policy,
-		cfg:       cfg,
-		threshold: threshold,
-		par:       par,
-		k:         a.K,
-		n:         g.NumVertices(),
-		g:         g,
-		parts:     slices.Clone(a.Parts),
+		policy: policy,
+		cfg:    cfg,
+		par:    par,
+		k:      a.K,
+		n:      g.NumVertices(),
+		g:      g,
+		parts:  slices.Clone(a.Parts),
+		subs:   subs,
+		ecount: make([]int, len(subs)),
 	}
 	for p, sub := range subs {
 		if sub == nil || sub.Part != p {
@@ -178,25 +159,14 @@ func NewState(g *graph.Graph, a *partition.Assignment, subs []*bsp.Subgraph, cfg
 		if sub.Weights != nil {
 			return nil, errors.New("live: weighted sessions do not accept mutations (the v1 stream carries no weights)")
 		}
+		st.ecount[p] = len(sub.Edges)
+		st.replicaTotal += len(sub.GlobalIDs)
 	}
-	st.adopt(subs)
+	st.sets = coverageOf(st.n, subs)
 	st.baselineRF = st.rf()
 	st.stats.RF = st.baselineRF
 	st.stats.BaselineRF = st.baselineRF
 	return st, nil
-}
-
-// adopt installs subs as the current snapshot and reads the per-part
-// coverage sets and edge counts off them.
-func (st *State) adopt(subs []*bsp.Subgraph) {
-	st.subs = subs
-	st.sets = coverageOf(st.n, subs)
-	st.ecount = make([]int, len(subs))
-	st.replicaTotal = 0
-	for p, sub := range subs {
-		st.ecount[p] = len(sub.Edges)
-		st.replicaTotal += len(sub.GlobalIDs)
-	}
 }
 
 // coverageOf returns each part's covered vertex set, read off its subgraph.
@@ -430,7 +400,7 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 		}
 	}
 
-	// ---- Commit + drift bookkeeping + swap. ----
+	// ---- Commit + drift flag + swap. ----
 	st.g = newG
 	st.parts = newParts
 	st.sets = finalSets
@@ -445,14 +415,7 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 	if st.baselineRF > 0 {
 		drift = rf/st.baselineRF - 1
 	}
-	needs := drift > st.threshold
-	if needs && st.cfg.AutoRepartition {
-		if err := st.repartitionLocked(ctx); err != nil {
-			return nil, fmt.Errorf("live: auto-repartition: %w", err)
-		}
-		res.Repartitioned = true
-		rf, drift, needs = st.rf(), 0, false
-	}
+	needs := drift > driftThreshold
 	epoch, err := swap(st.subs)
 	if err != nil {
 		return nil, fmt.Errorf("live: swap epoch: %w", err)
@@ -468,11 +431,7 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 	if res.FullRebuild {
 		st.stats.FullRebuilds++
 	}
-	if res.Repartitioned {
-		st.stats.Repartitions++
-	}
 	st.stats.RF = rf
-	st.stats.BaselineRF = st.baselineRF
 	st.stats.Drift = drift
 	st.stats.NeedsRepartition = needs
 
@@ -613,48 +572,6 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 	in.res.PartsPatched = int(patched.Load())
 	in.res.PartsReused = int(reused.Load())
 	return newSubs, finalSets, nil
-}
-
-// Repartition runs a full EBV repartition of the current graph and swaps
-// the rebuilt subgraphs in as a new epoch, resetting the RF baseline —
-// the manual form of AutoRepartition.
-func (st *State) Repartition(ctx context.Context, swap func([]*bsp.Subgraph) (uint64, error)) (uint64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.repartitionLocked(ctx); err != nil {
-		return 0, err
-	}
-	epoch, err := swap(st.subs)
-	if err != nil {
-		return 0, fmt.Errorf("live: swap epoch: %w", err)
-	}
-	st.stats.Epoch = epoch
-	st.stats.Repartitions++
-	return epoch, nil
-}
-
-// repartitionLocked recomputes the assignment of the current graph with
-// the core EBV partitioner, rebuilds every part and resets the baseline.
-func (st *State) repartitionLocked(ctx context.Context) error {
-	a, err := core.New().Partition(ctx, st.g, st.k)
-	if err != nil {
-		return err
-	}
-	subs, err := bsp.BuildSubgraphsParallel(st.g, a, st.par)
-	if err != nil {
-		return err
-	}
-	st.parts = slices.Clone(a.Parts)
-	st.adopt(subs)
-	st.baselineRF = st.rf()
-	st.stats.RF = st.baselineRF
-	st.stats.BaselineRF = st.baselineRF
-	st.stats.Drift = 0
-	st.stats.NeedsRepartition = false
-	return nil
 }
 
 // subgraphsEqual deep-compares two subgraphs field by field, CSRs

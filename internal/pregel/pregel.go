@@ -109,9 +109,7 @@ type Config struct {
 var ErrMaxSteps = errors.New("pregel: exceeded max supersteps without converging")
 
 // CombinerOf adapts prog's Combine to the data plane's transport.Combiner
-// contract — the engine merges scratch outboxes and inboxes through it,
-// and a vertex-centric program's combiner can be reused verbatim on the
-// subgraph-centric engine (bsp.Config.Combiner).
+// contract — the engine merges scratch outboxes and inboxes through it.
 func CombinerOf(prog VertexProgram) transport.Combiner {
 	return progCombiner{prog: prog}
 }

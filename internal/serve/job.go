@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"ebv"
+	"ebv/internal/transport"
 )
 
 // JobRequest is the POST /v1/jobs body: one graph query, naming the
@@ -42,13 +43,6 @@ type JobRequest struct {
 	Vertices []int64 `json:"vertices,omitempty"`
 }
 
-// program resolves the request's app through the shared registry.
-func (jr *JobRequest) program() (ebv.Program, error) {
-	return ebv.ProgramByName(jr.App, ebv.ProgramParams{
-		Iterations: jr.Iterations, Damping: jr.Damping, Source: jr.Source, Layers: jr.Layers,
-	})
-}
-
 // runOptions builds the per-job session options.
 func (jr *JobRequest) runOptions() []ebv.RunOption {
 	var opts []ebv.RunOption
@@ -65,24 +59,25 @@ func (jr *JobRequest) runOptions() []ebv.RunOption {
 }
 
 // validate rejects malformed parameters before admission so a bad
-// request never consumes a queue slot.
-func (jr *JobRequest) validate() error {
+// request never consumes a queue slot, and resolves the request's app
+// through the shared registry.
+func (jr *JobRequest) validate() (ebv.Program, error) {
 	if jr.Graph == "" {
-		return fmt.Errorf("serve: job request has no graph")
+		return nil, fmt.Errorf("serve: job request has no graph")
 	}
-	if jr.Width < 0 {
-		return fmt.Errorf("serve: width %d invalid: must be >= 1 (or 0 for the default)", jr.Width)
+	if jr.Width < 0 || jr.Width > transport.MaxValueWidth {
+		return nil, fmt.Errorf("serve: width %d invalid: must be in [1,%d] (or 0 for the default)",
+			jr.Width, transport.MaxValueWidth)
 	}
 	if jr.MaxSteps < 0 {
-		return fmt.Errorf("serve: max_steps %d invalid: must be >= 0", jr.MaxSteps)
+		return nil, fmt.Errorf("serve: max_steps %d invalid: must be >= 0", jr.MaxSteps)
 	}
 	if jr.TimeoutMS < 0 {
-		return fmt.Errorf("serve: timeout_ms %d invalid: must be >= 0", jr.TimeoutMS)
+		return nil, fmt.Errorf("serve: timeout_ms %d invalid: must be >= 0", jr.TimeoutMS)
 	}
-	if _, err := jr.program(); err != nil {
-		return err
-	}
-	return nil
+	return ebv.ProgramByName(jr.App, ebv.ProgramParams{
+		Iterations: jr.Iterations, Damping: jr.Damping, Source: jr.Source, Layers: jr.Layers,
+	})
 }
 
 // VertexValue is one requested vertex's result row.

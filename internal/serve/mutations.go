@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -76,8 +77,9 @@ func decodeMutationBody(w http.ResponseWriter, r *http.Request) ([]ebv.Mutation,
 		default:
 			return nil, 0, fmt.Errorf("mutation %d: unknown op %q (want insert or delete)", i, m.Op)
 		}
-		if m.Src < 0 || m.Dst < 0 {
-			return nil, 0, fmt.Errorf("mutation %d: negative vertex id", i)
+		if m.Src < 0 || m.Dst < 0 || m.Src > math.MaxUint32 || m.Dst > math.MaxUint32 {
+			return nil, 0, fmt.Errorf("mutation %d: edge (%d,%d) outside the vertex-id space 0..%d",
+				i, m.Src, m.Dst, uint32(math.MaxUint32))
 		}
 		muts[i] = ebv.Mutation{Op: op, Src: ebv.VertexID(m.Src), Dst: ebv.VertexID(m.Dst)}
 	}

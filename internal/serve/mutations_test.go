@@ -205,6 +205,8 @@ func TestServeMutationsValidation(t *testing.T) {
 		"unknown op":     jsonBatch(t, []MutationItem{{Op: "upsert", Src: 0, Dst: 1}}),
 		"negative id":    jsonBatch(t, []MutationItem{{Op: "insert", Src: -1, Dst: 1}}),
 		"out of range":   jsonBatch(t, []MutationItem{{Op: "insert", Src: 0, Dst: 600}}),
+		// 2^32 + 5 must not wrap to vertex 5 and insert (5,1).
+		"beyond uint32": jsonBatch(t, []MutationItem{{Op: "insert", Src: 1<<32 + 5, Dst: 1}}),
 		"absent delete": jsonBatch(t, []MutationItem{
 			{Op: "insert", Src: 0, Dst: 1},
 			{Op: "delete", Src: int64(absent.Src), Dst: int64(absent.Dst)},

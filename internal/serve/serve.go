@@ -227,11 +227,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job request: %v", err)
 		return
 	}
-	if err := req.validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	prog, err := req.program()
+	prog, err := req.validate()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -256,6 +256,7 @@ func TestServeRequestValidation(t *testing.T) {
 		{"negative source", JobRequest{Graph: "g", App: "sssp", Source: -1}, http.StatusBadRequest},
 		{"source beyond uint32", JobRequest{Graph: "g", App: "wsssp", Source: 1 << 32}, http.StatusBadRequest},
 		{"negative width", JobRequest{Graph: "g", App: "cc", Width: -1}, http.StatusBadRequest},
+		{"width beyond the wire cap", JobRequest{Graph: "g", App: "cc", Width: 1 << 20}, http.StatusBadRequest},
 		{"negative timeout", JobRequest{Graph: "g", App: "cc", TimeoutMS: -5}, http.StatusBadRequest},
 		{"unknown graph", JobRequest{Graph: "missing", App: "cc"}, http.StatusNotFound},
 	}

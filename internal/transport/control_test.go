@@ -89,3 +89,55 @@ func TestControlFrameLengthNotTrusted(t *testing.T) {
 		t.Fatalf("a corrupt length field cost %d bytes of allocation, want < 4 MiB", delta)
 	}
 }
+
+// FuzzReadControlFrame: ReadControlFrame over arbitrary bytes never panics,
+// and a frame it accepts re-encodes to exactly the bytes it consumed; the
+// same bytes used as a payload round-trip through WriteControlFrame, and
+// every truncation and sampled single-bit flip of that frame fails loudly.
+func FuzzReadControlFrame(f *testing.F) {
+	var frame bytes.Buffer
+	if err := WriteControlFrame(&frame, 7, []byte("control payload")); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(7), frame.Bytes())
+	f.Add(uint8(1), []byte{})
+	f.Add(uint8(255), []byte{0x43, 0x56, 0x42, 0x45, 0, 0xff, 0xff, 0xff, 0x3f})
+	f.Fuzz(func(t *testing.T, typ uint8, data []byte) {
+		r := bytes.NewReader(data)
+		if gotTyp, payload, err := ReadControlFrame(r); err == nil {
+			var again bytes.Buffer
+			if err := WriteControlFrame(&again, gotTyp, payload); err != nil {
+				t.Fatal(err)
+			}
+			if consumed := data[:len(data)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+				t.Fatalf("accepted frame re-encodes to %x, read %x", again.Bytes(), consumed)
+			}
+		}
+
+		var buf bytes.Buffer
+		if err := WriteControlFrame(&buf, typ, data); err != nil {
+			t.Fatal(err)
+		}
+		encoded := buf.Bytes()
+		gotTyp, payload, err := ReadControlFrame(bytes.NewReader(encoded))
+		if err != nil || gotTyp != typ || !bytes.Equal(payload, data) {
+			t.Fatalf("round trip: type %d payload %x err %v, want type %d payload %x", gotTyp, payload, err, typ, data)
+		}
+		for cut := 0; cut < len(encoded); cut++ {
+			if _, _, err := ReadControlFrame(bytes.NewReader(encoded[:cut])); err == nil {
+				t.Fatalf("truncation to %d/%d bytes decoded", cut, len(encoded))
+			}
+		}
+		stride := 1
+		if len(encoded) > 512 {
+			stride = len(encoded) / 64
+		}
+		for bit := 0; bit < len(encoded)*8; bit += stride {
+			corrupt := bytes.Clone(encoded)
+			corrupt[bit/8] ^= 1 << (bit % 8)
+			if _, _, err := ReadControlFrame(bytes.NewReader(corrupt)); err == nil {
+				t.Fatalf("bit flip at %d decoded", bit)
+			}
+		}
+	})
+}

@@ -26,26 +26,10 @@ type TCPMeshDeployment struct {
 
 var _ Deployment = (*TCPMeshDeployment)(nil)
 
-// MeshOption configures the nodes of a TCP mesh.
-type MeshOption func(*meshSettings)
-
-type meshSettings struct {
-	quantBits int
-}
-
-// WithWireQuantization rounds every value's mantissa to its top bits
-// significant bits before encoding — a LOSSY transform (results are no
-// longer byte-identical to an uncompressed run) that buys wire bytes on
-// noisy-mantissa payloads. 0 (the default) is off/lossless; valid values
-// are 1..51.
-func WithWireQuantization(bits int) MeshOption {
-	return func(s *meshSettings) { s.quantBits = bits }
-}
-
 // NewTCPMeshDeployment binds k loopback listeners and wires one MeshNode
 // per worker through them, concurrently. Canceling ctx aborts the wiring
 // (not the finished deployment — tear that down with Close).
-func NewTCPMeshDeployment(ctx context.Context, k int, opts ...MeshOption) (*TCPMeshDeployment, error) {
+func NewTCPMeshDeployment(ctx context.Context, k int) (*TCPMeshDeployment, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -74,7 +58,7 @@ func NewTCPMeshDeployment(ctx context.Context, k int, opts ...MeshOption) (*TCPM
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n, err := WireMeshNode(wctx, i, addrs, listeners[i], 0, opts...)
+			n, err := WireMeshNode(wctx, i, addrs, listeners[i], 0)
 			if err != nil {
 				fail(err)
 				return
@@ -196,7 +180,6 @@ type MeshNode struct {
 	bufw    []*bufio.Writer
 	wmu     []sync.Mutex // guards bufw[peer], enc[peer] and frame atomicity on the wire
 	enc     []*v4Scratch // per-peer encode scratch; lazily built under wmu[peer]
-	quant   int          // mantissa bits to keep (0 = lossless)
 	wire    atomic.Int64 // frame bytes written to peers
 	readers sync.WaitGroup
 
@@ -209,7 +192,7 @@ type MeshNode struct {
 	tornDown bool   // fail already ran (jobs failed, connections closed)
 }
 
-func newMeshNode(worker int, conns []net.Conn, quant int) *MeshNode {
+func newMeshNode(worker int, conns []net.Conn) *MeshNode {
 	k := len(conns)
 	return &MeshNode{
 		worker:  worker,
@@ -218,7 +201,6 @@ func newMeshNode(worker int, conns []net.Conn, quant int) *MeshNode {
 		bufw:    make([]*bufio.Writer, k),
 		wmu:     make([]sync.Mutex, k),
 		enc:     make([]*v4Scratch, k),
-		quant:   quant,
 		jobs:    make(map[uint32]*muxJob),
 		retired: make(map[uint32]struct{}),
 		gone:    make([]bool, k),
@@ -441,7 +423,7 @@ func (n *MeshNode) writeFrame(peer int, job uint32, step int, active bool, batch
 		n.bufw[peer] = bufio.NewWriterSize(n.conns[peer], 1<<16)
 		n.enc[peer] = new(v4Scratch)
 	}
-	wrote, err := writeJobFrameV4(n.bufw[peer], job, step, active, batch, n.quant, n.enc[peer])
+	wrote, err := writeJobFrameV4(n.bufw[peer], job, step, active, batch, n.enc[peer])
 	n.wire.Add(int64(wrote))
 	if err != nil {
 		return n.failure(err)
@@ -642,12 +624,9 @@ type v4Scratch struct {
 }
 
 // writeJobFrameV4 encodes one compressed job-tagged frame into bw and
-// flushes it, returning the frame's wire size. quant > 0 keeps only the
-// top quant mantissa bits of every value (lossy; applied in place — the
-// batch belongs to the transport at this point and is recycled after the
-// write). A nil or empty batch writes an empty frame (count 0, no
-// columns).
-func writeJobFrameV4(bw *bufio.Writer, job uint32, step int, active bool, batch *MessageBatch, quant int, s *v4Scratch) (int, error) {
+// flushes it, returning the frame's wire size. A nil or empty batch writes
+// an empty frame (count 0, no columns).
+func writeJobFrameV4(bw *bufio.Writer, job uint32, step int, active bool, batch *MessageBatch, s *v4Scratch) (int, error) {
 	width, count := 0, 0
 	if batch != nil {
 		width, count = batch.Width, batch.Len()
@@ -661,10 +640,6 @@ func writeJobFrameV4(bw *bufio.Writer, job uint32, step int, active bool, batch 
 	if count == 0 {
 		width = 0 // canonical empty frame
 	} else {
-		if quant > 0 {
-			quantizeVals(batch.Vals, quant)
-			flags |= v4FlagQuantized
-		}
 		flags |= v4FlagDeltaIDs
 		// Sized once from the format's bounds (an id is at most 5 bytes, a
 		// packed value 9): a mesh wired per attempt starts every scratch
@@ -736,7 +711,7 @@ func readJobFrameV4(br *bufio.Reader, s *v4Scratch) (job uint32, step int, activ
 	valBytes := int(binary.LittleEndian.Uint32(header[26:30]))
 	wantCRC := binary.LittleEndian.Uint32(header[30:34])
 
-	if flags&^(v4FlagDeltaIDs|v4FlagPackedVal|v4FlagQuantized) != 0 {
+	if flags&^(v4FlagDeltaIDs|v4FlagPackedVal) != 0 {
 		return 0, 0, false, nil, fmt.Errorf("v4 frame has unknown flags %#x", flags)
 	}
 	if count == 0 {

@@ -185,7 +185,7 @@ func TestJobMuxUnknownJobFrameKillsNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	bw := bufio.NewWriter(d.nodes[0].conns[1])
-	if _, err := writeJobFrameV4(bw, 999, 0, true, jobBatch(1, 3, 1), 0, new(v4Scratch)); err != nil {
+	if _, err := writeJobFrameV4(bw, 999, 0, true, jobBatch(1, 3, 1), new(v4Scratch)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)

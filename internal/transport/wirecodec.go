@@ -18,7 +18,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const (
 	v4FlagDeltaIDs  = 1 << 0 // ID column is zigzag-delta uvarints
 	v4FlagPackedVal = 1 << 1 // value column is the per-value packed codec
-	v4FlagQuantized = 1 << 2 // values were mantissa-quantized by the sender (informational)
 )
 
 // Per-value descriptors of the packed value codec. 0..8 encode the XOR
@@ -176,25 +175,4 @@ func decodePackedVals(src []byte, vals []float64) error {
 		return fmt.Errorf("value column has %d trailing bytes", len(src))
 	}
 	return nil
-}
-
-// quantizeVals rounds every finite value's mantissa to its top keep bits
-// in place — the optional lossy transform behind WithWireQuantization.
-// Rounding is to nearest (a carry may propagate into the exponent, which
-// rounds the magnitude correctly); NaN and Inf pass through.
-func quantizeVals(vals []float64, keep int) {
-	if keep <= 0 || keep >= 52 {
-		return
-	}
-	drop := uint(52 - keep)
-	mask := uint64(1)<<drop - 1
-	half := uint64(1) << (drop - 1)
-	for i, v := range vals {
-		b := math.Float64bits(v)
-		if b>>52&0x7ff == 0x7ff { // NaN/Inf: no mantissa to round
-			continue
-		}
-		b = (b + half) &^ mask
-		vals[i] = math.Float64frombits(b)
-	}
 }

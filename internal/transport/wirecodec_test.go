@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -16,12 +17,12 @@ import (
 
 // encodeV4Frame writes one v4 frame for (job, step, active, batch) and
 // returns the wire bytes.
-func encodeV4Frame(t testing.TB, job uint32, step int, active bool, batch *MessageBatch, quant int) []byte {
+func encodeV4Frame(t testing.TB, job uint32, step int, active bool, batch *MessageBatch) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	var s v4Scratch
-	n, err := writeJobFrameV4(bw, job, step, active, batch, quant, &s)
+	n, err := writeJobFrameV4(bw, job, step, active, batch, &s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func decodeV4Frame(frame []byte) (job uint32, step int, active bool, batch *Mess
 // assertV4RoundTrip encodes batch and asserts the decode is bit-identical.
 func assertV4RoundTrip(t *testing.T, batch *MessageBatch) {
 	t.Helper()
-	frame := encodeV4Frame(t, 7, 42, true, batch, 0)
+	frame := encodeV4Frame(t, 7, 42, true, batch)
 	job, step, active, got, err := decodeV4Frame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v (batch ids %v vals %v)", err, batch.IDs, batch.Vals)
@@ -121,7 +122,7 @@ func TestV4FrameCompressesIntegralPayloads(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		b.AppendScalar(graph.VertexID(i*7), float64(i%64))
 	}
-	frame := encodeV4Frame(t, 1, 0, true, b, 0)
+	frame := encodeV4Frame(t, 1, 0, true, b)
 	raw := jobFrameHeaderBytesV4 + b.Len()*4 + b.Len()*8
 	if len(frame)*3 > raw {
 		t.Fatalf("v4 frame is %d bytes, raw layout %d: less than the 3x target", len(frame), raw)
@@ -137,7 +138,7 @@ func TestV4FrameRawFallback(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		b.AppendScalar(graph.VertexID(i), math.Float64frombits(rng.Uint64()))
 	}
-	frame := encodeV4Frame(t, 1, 0, true, b, 0)
+	frame := encodeV4Frame(t, 1, 0, true, b)
 	if flags := frame[13]; flags&v4FlagPackedVal != 0 {
 		t.Fatalf("high-entropy payload kept the packed flag (flags %#x)", flags)
 	}
@@ -147,46 +148,11 @@ func TestV4FrameRawFallback(t *testing.T) {
 	assertV4RoundTrip(t, b)
 }
 
-// TestV4FrameQuantization: WithWireQuantization's transform is applied on
-// the wire (lossy, flagged) and shrinks a noisy payload.
-func TestV4FrameQuantization(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	mk := func() *MessageBatch {
-		b := NewMessageBatch(1)
-		for i := 0; i < 512; i++ {
-			b.AppendScalar(graph.VertexID(i), 1+rng.Float64())
-		}
-		return b
-	}
-	rng = rand.New(rand.NewSource(4))
-	exact := encodeV4Frame(t, 1, 0, true, mk(), 0)
-	rng = rand.New(rand.NewSource(4))
-	quantized := encodeV4Frame(t, 1, 0, true, mk(), 16)
-	if quantized[13]&v4FlagQuantized == 0 {
-		t.Fatal("quantized frame is missing the quantized flag")
-	}
-	// 16 kept bits strips 4-5 of each value's 8 XOR bytes (~1.5x overall
-	// with the id column and descriptors included).
-	if len(quantized)*4 > len(exact)*3 {
-		t.Fatalf("16-bit quantization shrank %d bytes only to %d", len(exact), len(quantized))
-	}
-	_, _, _, got, err := decodeV4Frame(quantized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range got.Vals {
-		if v < 1 || v >= 2.001 { // round-to-nearest keeps values within the input range
-			t.Fatalf("quantized value %g left the input range", v)
-		}
-	}
-	RecycleBatch(got)
-}
-
 // TestV4FrameEmptyCanonical: empty and nil batches encode the canonical
 // empty frame (no columns, no flags) and decode to a nil batch.
 func TestV4FrameEmptyCanonical(t *testing.T) {
 	for _, b := range []*MessageBatch{nil, NewMessageBatch(3)} {
-		frame := encodeV4Frame(t, 9, 1, false, b, 0)
+		frame := encodeV4Frame(t, 9, 1, false, b)
 		if len(frame) != jobFrameHeaderBytesV4 {
 			t.Fatalf("empty frame is %d bytes, want the bare header (%d)", len(frame), jobFrameHeaderBytesV4)
 		}
@@ -204,7 +170,7 @@ func TestV4FrameTruncationRejected(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		b.AppendRow(graph.VertexID(i*5), []float64{float64(i), 1.5 * float64(i)})
 	}
-	frame := encodeV4Frame(t, 3, 8, true, b, 0)
+	frame := encodeV4Frame(t, 3, 8, true, b)
 	for cut := 0; cut < len(frame); cut++ {
 		_, _, _, got, err := decodeV4Frame(frame[:cut])
 		if err == nil {
@@ -226,7 +192,7 @@ func TestV4FrameBitFlipRejected(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		b.AppendScalar(graph.VertexID(i*9), float64(i%5)+0.25)
 	}
-	frame := encodeV4Frame(t, 6, 2, true, b, 0)
+	frame := encodeV4Frame(t, 6, 2, true, b)
 	for bit := 0; bit < len(frame)*8; bit++ {
 		corrupt := bytes.Clone(frame)
 		corrupt[bit/8] ^= 1 << (bit % 8)
@@ -265,6 +231,16 @@ func TestV4FrameRejectsCorruptHeaders(t *testing.T) {
 			t.Fatalf("%s: err = %v, want a shape error from the header alone", name, err)
 		}
 	}
+
+	// Flag bit 0x04 is assigned to nothing: a frame carrying it is rejected
+	// even when its CRC is valid.
+	frame := encodeV4Frame(t, 1, 0, true, jobBatch(4, 1, 1))
+	frame[13] |= 1 << 2
+	crc := crc32.Update(crc32.Update(0, castagnoli, frame[4:30]), castagnoli, frame[jobFrameHeaderBytesV4:])
+	binary.LittleEndian.PutUint32(frame[30:34], crc)
+	if _, _, _, _, err := decodeV4Frame(frame); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+		t.Fatalf("flag 0x04 with a valid CRC: err = %v, want an unknown-flags error", err)
+	}
 }
 
 // TestJobMuxCrossWidthFrameRejected is the demux-side half of the
@@ -283,7 +259,7 @@ func TestJobMuxCrossWidthFrameRejected(t *testing.T) {
 	}
 	bw := bufio.NewWriter(d.nodes[0].conns[1])
 	var s v4Scratch
-	if _, err := writeJobFrameV4(bw, 5, 0, true, jobBatch(4, 9, 1), 0, &s); err != nil {
+	if _, err := writeJobFrameV4(bw, 5, 0, true, jobBatch(4, 9, 1), &s); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ts[1].Exchange(1, 0, nil, true); err == nil || !strings.Contains(err.Error(), "width") {
@@ -314,7 +290,7 @@ func FuzzVarintColumnRoundTrip(f *testing.F) {
 			raw = raw[rowBytes:]
 		}
 
-		frame := encodeV4Frame(t, 11, 3, true, b, 0)
+		frame := encodeV4Frame(t, 11, 3, true, b)
 		_, _, _, got, err := decodeV4Frame(frame)
 		if err != nil {
 			t.Fatalf("round-trip decode failed: %v (ids %v vals %v)", err, b.IDs, b.Vals)

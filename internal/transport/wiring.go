@@ -23,19 +23,12 @@ import (
 // cluster agent binds an ephemeral port first, to report its address
 // before the peer list exists); nil binds addrs[worker] here. Either way
 // the listener is closed before returning: its only purpose is wiring.
-func WireMeshNode(ctx context.Context, worker int, addrs []string, ln net.Listener, dialTimeout time.Duration, opts ...MeshOption) (*MeshNode, error) {
+func WireMeshNode(ctx context.Context, worker int, addrs []string, ln net.Listener, dialTimeout time.Duration) (*MeshNode, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if ln != nil {
 		defer ln.Close()
-	}
-	var settings meshSettings
-	for _, opt := range opts {
-		opt(&settings)
-	}
-	if q := settings.quantBits; q < 0 || q > 51 {
-		return nil, fmt.Errorf("transport: wire quantization keeps %d mantissa bits, valid range is 1..51", q)
 	}
 	k := len(addrs)
 	if worker < 0 || worker >= k {
@@ -46,7 +39,7 @@ func WireMeshNode(ctx context.Context, worker int, addrs []string, ln net.Listen
 	}
 	conns := make([]net.Conn, k)
 	if k == 1 {
-		return newMeshNode(worker, conns, settings.quantBits), nil
+		return newMeshNode(worker, conns), nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -152,7 +145,7 @@ func WireMeshNode(ctx context.Context, worker int, addrs []string, ln net.Listen
 		}
 		return nil, fmt.Errorf("transport: wiring worker %d: %w", worker, cause)
 	}
-	return newMeshNode(worker, conns, settings.quantBits), nil
+	return newMeshNode(worker, conns), nil
 }
 
 // DialBackoff dials addr with retries under exponential backoff (10ms

@@ -103,7 +103,6 @@ type Pipeline struct {
 	progress    func(PipelineProgress)
 	runOpts     []RunOption
 	useTCP      bool
-	wireQuant   int
 	parallelism int
 	valueWidth  int
 
@@ -111,8 +110,6 @@ type Pipeline struct {
 	retentionSet    bool
 	mutationPolicy  string
 	verifyMutations bool
-	driftThreshold  float64
-	autoRepartition bool
 }
 
 // par resolves the data-plane parallelism degree (GOMAXPROCS unless
@@ -241,16 +238,6 @@ func WithoutCombining() PipelineOption {
 	return func(p *Pipeline) { p.runOpts = append(p.runOpts, bsp.WithAutoCombine(false)) }
 }
 
-// WireQuantization keeps only the top bits (1..51) of every message
-// value's mantissa on the TCP mesh wire (UseTCPLoopback) — an opt-in lossy
-// transform for tolerance-based runs where approximate float payloads are
-// acceptable. Off by default. Quantization breaks the byte-identity
-// guarantee by design: results are within 2^-bits relative error, not
-// bit-exact.
-func WireQuantization(bits int) PipelineOption {
-	return func(p *Pipeline) { p.wireQuant = bits }
-}
-
 // OnProgress registers a stage-progress callback.
 func OnProgress(fn func(PipelineProgress)) PipelineOption {
 	return func(p *Pipeline) { p.progress = fn }
@@ -291,20 +278,6 @@ func MutationPolicy(name string) PipelineOption {
 // harness for tests and smoke runs, not a production setting.
 func VerifyMutations() PipelineOption {
 	return func(p *Pipeline) { p.verifyMutations = true }
-}
-
-// RepartitionDrift sets the relative replication-factor growth over the
-// post-Open baseline at which Session.Apply flags NeedsRepartition
-// (0 keeps the default of 0.2; negative disables the check). With
-// autoRepartition, crossing the threshold triggers a full EBV
-// repartition + rebuild inline at that apply boundary, resetting the
-// baseline — the live form of the paper's Fig. 5 replication-growth
-// guard.
-func RepartitionDrift(threshold float64, autoRepartition bool) PipelineOption {
-	return func(p *Pipeline) {
-		p.driftThreshold = threshold
-		p.autoRepartition = autoRepartition
-	}
 }
 
 // emit reports a stage event to the progress callback, if any.
