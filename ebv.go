@@ -10,8 +10,9 @@
 //   - synthetic workload generators (internal/gen),
 //   - the EBV partitioner — the paper's contribution (internal/core) —
 //     and the five competitor partitioners,
-//   - the subgraph-centric BSP engine with CC / PageRank / SSSP programs
-//     (internal/bsp, internal/apps),
+//   - the subgraph-centric BSP engine with its four programs — CC,
+//     PageRank (fixed iterations, or to a tolerance), SSSP (unit or
+//     weighted) and Aggregate — (internal/bsp, internal/apps),
 //   - the vertex-centric comparator engine (internal/pregel),
 //   - the experiment harness that regenerates every table and figure
 //     (internal/harness).
@@ -256,9 +257,11 @@ var (
 type (
 	// CC is subgraph-centric connected components.
 	CC = apps.CC
-	// PageRank is subgraph-centric PageRank.
+	// PageRank is subgraph-centric PageRank, for a fixed number of
+	// iterations or (Tol > 0) to a fixed point.
 	PageRank = apps.PageRank
-	// SSSP is subgraph-centric single-source shortest paths.
+	// SSSP is subgraph-centric single-source shortest paths, over unit or
+	// (Weighted) edge weights.
 	SSSP = apps.SSSP
 	// Aggregate is subgraph-centric mean neighborhood aggregation — the
 	// GNN message-passing kernel of the paper's §VII outlook.
@@ -294,9 +297,6 @@ type (
 	ApplyResult = live.ApplyResult
 	// LiveStats is the mutation layer's lifetime counters.
 	LiveStats = live.Stats
-	// DeltaPageRank is PageRank iterated to a fixed point with an
-	// optional warm start from a previous job's values.
-	DeltaPageRank = live.DeltaPageRank
 )
 
 // Mutation ops.
@@ -306,12 +306,13 @@ const (
 )
 
 // Live-graph entry points: the EBVL mutation-batch codec (the serve
-// endpoint's binary body format), the incremental-CC warm-start constructor
-// and the rejected-batch sentinel.
+// endpoint's binary body format) and the rejected-batch sentinel. A job
+// after a mutation batch warm-starts from a previous result through the
+// programs themselves: &CC{Warm: r.Values, WarmCovered: r.Covered}, and
+// likewise PageRank with Tol > 0 to iterate to the new fixed point.
 var (
 	EncodeMutations     = live.EncodeMutations
 	DecodeMutations     = live.DecodeMutations
-	NewDeltaCC          = live.NewDeltaCC
 	ErrMutationRejected = live.ErrRejected
 )
 

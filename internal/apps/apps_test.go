@@ -240,8 +240,9 @@ func TestMaxAbsDiff(t *testing.T) {
 }
 
 // TestByName: one registry for every by-name surface — names resolve
-// case-insensitively, and an SSSP/WSSSP source that is no vertex id is an
-// error instead of a silent wrap to another vertex.
+// case-insensitively, an SSSP/WSSSP source that is no vertex id is an
+// error instead of a silent wrap to another vertex, and so is a damping
+// outside [0, 1] or a negative iteration or layer count.
 func TestByName(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -260,6 +261,13 @@ func TestByName(t *testing.T) {
 		{"SSSP", Params{Source: math.MaxUint32 + 1}, "", "source 4294967296 out of range"},
 		{"wsssp", Params{Source: -1}, "", "source -1 out of range"},
 		{"wsssp", Params{Source: math.MaxUint32 + 1}, "", "source 4294967296 out of range"},
+		{"PR", Params{Damping: 1}, "PR", ""},
+		{"PR", Params{Damping: 5}, "", "damping 5 out of range"},
+		{"PR", Params{Damping: -2}, "", "damping -2 out of range"},
+		{"PR", Params{Damping: math.NaN()}, "", "damping NaN out of range"},
+		{"PR", Params{Iterations: -3}, "", "iterations -3 out of range"},
+		{"agg", Params{Layers: -1}, "", "layers -1 out of range"},
+		{"CC", Params{Damping: 5, Iterations: -3, Layers: -1}, "CC", ""}, // parameters of other apps
 	} {
 		prog, err := ByName(tc.name, tc.p)
 		switch {
@@ -273,7 +281,10 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q).Name() = %q, want %q", tc.name, prog.Name(), tc.want)
 		}
 	}
-	if prog, _ := ByName("sssp", Params{Source: 7}); prog.(*SSSP).Source != 7 {
-		t.Errorf("SSSP source = %d, want 7", prog.(*SSSP).Source)
+	if prog, _ := ByName("sssp", Params{Source: 7}); prog.(*SSSP).Source != 7 || prog.(*SSSP).Weighted {
+		t.Errorf("ByName(sssp) = %+v, want unit-weight SSSP from 7", prog)
+	}
+	if prog, _ := ByName("wsssp", Params{Source: 7}); !prog.(*SSSP).Weighted {
+		t.Errorf("ByName(wsssp) = %+v, want weighted SSSP", prog)
 	}
 }

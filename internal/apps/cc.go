@@ -1,7 +1,10 @@
 // Package apps implements the paper's three evaluation applications —
-// Connected Components, PageRank and Single-Source Shortest Path — as
-// subgraph-centric BSP programs ("think like a graph"), plus sequential
-// reference implementations used as correctness oracles by the tests.
+// Connected Components, PageRank and Single-Source Shortest Path — and
+// GNN-style Aggregate as subgraph-centric BSP programs ("think like a
+// graph"), plus sequential reference implementations used as correctness
+// oracles by the tests. Each algorithm is one program type and a variant
+// is a field: PageRank.Tol iterates to a fixed point, SSSP.Weighted reads
+// edge weights, and CC and PageRank warm-start from a previous result.
 //
 // Each program follows the §IV-B model: the computation stage runs a full
 // sequential algorithm over the local subgraph (not one vertex step), and
@@ -51,9 +54,10 @@ type CC struct {
 	// Warm, when non-nil, seeds each component's label with the minimum
 	// over the covered vertices' rows of this width-1 matrix (dense over
 	// the global id space) in addition to the structural minimum — the
-	// incremental-CC warm start (internal/live): a previous run's labels
-	// are valid lower seeds when the graph only gained edges since, and
-	// the run converges in fewer rounds to the same fixed point.
+	// incremental-CC warm start after live mutations: a previous run's
+	// labels are valid lower seeds when the graph only gained edges since
+	// (deletes can split components; check the live Stats.Deletes), and
+	// the run converges in fewer rounds to the byte-identical fixed point.
 	Warm *graph.ValueMatrix
 	// WarmCovered restricts warm seeding to rows the producing run
 	// covered (uncovered rows are zero, which would falsely seed label
@@ -93,19 +97,22 @@ func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	// covered rows only.
 	if c.Warm != nil {
 		for l, r := range w.root {
-			gid := int(sub.GlobalIDs[l])
-			if gid >= c.Warm.Rows() {
-				continue
-			}
-			if c.WarmCovered != nil && (gid >= len(c.WarmCovered) || !c.WarmCovered[gid]) {
-				continue
-			}
-			if v := c.Warm.Scalar(gid); v < w.label[r] {
+			if v, ok := warmValue(c.Warm, c.WarmCovered, sub.GlobalIDs[l]); ok && v < w.label[r] {
 				w.label[r] = v
 			}
 		}
 	}
 	return w
+}
+
+// warmValue returns vertex gid's row of a warm-start matrix, unless there
+// is no matrix, it is too short, or the producing run did not cover gid.
+func warmValue(warm *graph.ValueMatrix, covered []bool, gid graph.VertexID) (float64, bool) {
+	v := int(gid)
+	if warm == nil || v >= warm.Rows() || covered != nil && (v >= len(covered) || !covered[v]) {
+		return 0, false
+	}
+	return warm.Scalar(v), true
 }
 
 type ccWorker struct {

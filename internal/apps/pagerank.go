@@ -2,13 +2,14 @@ package apps
 
 import (
 	"fmt"
+	"math"
 
 	"ebv/internal/bsp"
 	"ebv/internal/graph"
 	"ebv/internal/transport"
 )
 
-// PageRank runs a fixed number of synchronous PageRank iterations:
+// PageRank runs synchronous PageRank iterations:
 //
 //	rank_{t+1}(v) = (1−d)/N + d · Σ_{(u,v)∈E} rank_t(u) / outdeg(u)
 //
@@ -28,11 +29,32 @@ import (
 // Message cost per iteration is 2·Σ_v(replicas(v)−1), directly
 // proportional to the replication factor — the §V-C claim this repository
 // reproduces in Table IV.
+//
+// With Tol > 0 the run iterates to a fixed point instead, and halting is
+// collective: at every apply step each worker also sends every other
+// worker a sentinel row — the largest rank change over its master
+// vertices, under the id NumGlobalVertices, which no subgraph covers — and
+// at the next gather every worker folds its own change with the received
+// ones into the same global maximum and halts once it is below Tol.
 type PageRank struct {
-	// Iterations is the number of full PageRank iterations (default 10).
+	// Iterations is the number of full PageRank iterations (default 10);
+	// with Tol > 0 it caps them.
 	Iterations int
 	// Damping is d (default 0.85).
 	Damping float64
+	// Tol, when > 0, halts the run once an iteration moves no rank by Tol
+	// or more. A converging run is not checkpointable: its snapshot would
+	// have to carry the last rank change too.
+	Tol float64
+
+	// Warm, when non-nil, starts each covered vertex at its row of this
+	// width-1 matrix (dense over the global id space) instead of 1/N — a
+	// previous run's ranks, which after a small mutation batch are already
+	// near the new fixed point, so a Tol run converges in fewer iterations.
+	Warm *graph.ValueMatrix
+	// WarmCovered restricts warm seeding to rows the producing run
+	// covered (uncovered rows are zero, not ranks). nil applies every row.
+	WarmCovered []bool
 }
 
 var _ bsp.Program = (*PageRank)(nil)
@@ -43,7 +65,8 @@ func (p *PageRank) Name() string { return "PR" }
 
 // MessageCombiner implements bsp.CombinerProvider: mirror partials fold
 // with scalar addition. (The apply→gather scatter messages carry unique
-// ids per destination, so the combiner never fires on them.)
+// ids per destination, so the combiner never fires on them, nor on the
+// one sentinel row a Tol run appends to each batch.)
 func (p *PageRank) MessageCombiner() transport.Combiner { return transport.SumCombiner{} }
 
 // NewWorker implements bsp.Program.
@@ -62,14 +85,24 @@ func (p *PageRank) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 		env:     env,
 		iters:   iters,
 		damping: damping,
+		tol:     p.Tol,
 		rank:    make([]float64, n),
 		contrib: make([]float64, n),
 		partial: make([]float64, n),
 		inSum:   make([]float64, n),
 	}
 	init := 1 / float64(sub.NumGlobalVertices)
-	for i := range w.rank {
-		w.rank[i] = init
+	for l, gid := range sub.GlobalIDs {
+		w.rank[l] = init
+		if v, ok := warmValue(p.Warm, p.WarmCovered, gid); ok {
+			w.rank[l] = v
+		}
+	}
+	if p.Tol > 0 {
+		// Hide the snapshot methods: checkpointing then fails with the
+		// engine's not-checkpointable error instead of a resume that
+		// forgets the last rank change.
+		return struct{ bsp.WorkerProgram }{w}
 	}
 	return w
 }
@@ -79,6 +112,7 @@ type prWorker struct {
 	env     bsp.Env
 	iters   int
 	damping float64
+	tol     float64
 	rank    []float64
 	// contrib[l] = rank[l] / outdeg(l), refreshed by every gather step.
 	contrib []float64
@@ -89,19 +123,28 @@ type prWorker struct {
 	// exchange pre-combined duplicate rows, so combiner-on and -off runs
 	// are byte-identical.
 	inSum []float64
+	// change is the largest rank change over this worker's master
+	// vertices in the latest apply step — the sentinel row of a Tol run.
+	change float64
 }
 
 // Superstep implements bsp.WorkerProgram.
 func (w *prWorker) Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool) {
 	iter := step / 2
+	sentinel := graph.VertexID(w.sub.NumGlobalVertices)
 	if step%2 == 0 {
-		// Gather: first install ranks scattered by masters last step.
+		// Gather: first install ranks scattered by masters last step, and
+		// fold any sentinel rows into the global largest change — every
+		// worker sees its own plus all k−1 others, so all halt together.
+		change := w.change
 		for i, gid := range in.IDs {
 			if local, ok := w.sub.LocalOf(gid); ok {
 				w.rank[local] = in.Scalar(i)
+			} else if d := in.Scalar(i); gid == sentinel && d > change {
+				change = d
 			}
 		}
-		if iter >= w.iters {
+		if iter >= w.iters || (w.tol > 0 && step > 0 && change < w.tol) {
 			return nil, false // final install; run complete
 		}
 		// Accumulate partial sums over local edges. The division happens
@@ -132,10 +175,24 @@ func (w *prWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 	base := (1 - w.damping) / float64(w.sub.NumGlobalVertices)
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
 	plan := w.sub.Routing()
+	w.change = 0
 	for _, l := range plan.Owned { // mirrors receive their rank next step
-		w.rank[l] = base + w.damping*(w.partial[l]+w.inSum[l])
+		next := base + w.damping*(w.partial[l]+w.inSum[l])
+		if w.tol > 0 {
+			if d := math.Abs(next - w.rank[l]); d > w.change {
+				w.change = d
+			}
+		}
+		w.rank[l] = next
 	}
 	w.env.SendScalars(out, plan.ToMirrors, w.rank)
+	if w.tol > 0 {
+		for dst := range int32(w.sub.NumWorkers) {
+			if int(dst) != w.sub.Part {
+				w.env.SendScalar(out, dst, sentinel, w.change)
+			}
+		}
+	}
 	// Stay active through the final scatter so mirrors install it.
 	return out, true
 }

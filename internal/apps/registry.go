@@ -26,13 +26,22 @@ type Params struct {
 // ByName is the one app registry: the CLIs, cluster job specs, the HTTP
 // service and the experiment harness all resolve program names here
 // (case-insensitive), so every surface accepts the same names and rejects
-// an unknown one, or a source that is no vertex id, with the same error.
+// an unknown one, or a parameter out of its program's range, with the same
+// error.
 func ByName(name string, p Params) (bsp.Program, error) {
 	upper := strings.ToUpper(name)
 	switch upper {
 	case "CC":
 		return &CC{}, nil
 	case "PR", "PAGERANK":
+		// Out of range, the program would run to ranks that are not
+		// PageRank, or silently with the default iteration count.
+		if !(p.Damping >= 0 && p.Damping <= 1) {
+			return nil, fmt.Errorf("apps: damping %g out of range: must be in [0, 1] (0 for the default)", p.Damping)
+		}
+		if p.Iterations < 0 {
+			return nil, fmt.Errorf("apps: iterations %d out of range: must be >= 0 (0 for the default)", p.Iterations)
+		}
 		return &PageRank{Iterations: p.Iterations, Damping: p.Damping}, nil
 	case "SSSP", "WSSSP":
 		// Converting an out-of-range source would silently run from
@@ -40,11 +49,11 @@ func ByName(name string, p Params) (bsp.Program, error) {
 		if p.Source < 0 || p.Source > math.MaxUint32 {
 			return nil, fmt.Errorf("apps: source %d out of range: vertex ids are 0..%d", p.Source, uint32(math.MaxUint32))
 		}
-		if upper == "SSSP" {
-			return &SSSP{Source: graph.VertexID(p.Source)}, nil
-		}
-		return &WeightedSSSP{Source: graph.VertexID(p.Source)}, nil
+		return &SSSP{Source: graph.VertexID(p.Source), Weighted: upper == "WSSSP"}, nil
 	case "AGG", "AGGREGATE":
+		if p.Layers < 0 {
+			return nil, fmt.Errorf("apps: layers %d out of range: must be >= 0 (0 for the default)", p.Layers)
+		}
 		return &Aggregate{Layers: p.Layers}, nil
 	}
 	return nil, fmt.Errorf("apps: unknown app %q (valid: %s)", name, Names)

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"container/heap"
 	"math"
 
 	"ebv/internal/graph"
@@ -63,6 +64,61 @@ func SequentialSSSP(g *graph.Graph, src graph.VertexID) []float64 {
 		}
 	}
 	return dist
+}
+
+// SequentialWeightedSSSP returns shortest-path distances from src over
+// directed edges with the given non-negative weights (nil = unit) via
+// Dijkstra — the oracle of SSSP{Weighted: true}.
+func SequentialWeightedSSSP(g *graph.Graph, src graph.VertexID, weights graph.EdgeWeights) []float64 {
+	n := g.NumVertices()
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	if int(src) >= n {
+		return dist
+	}
+	csr := graph.BuildCSR(g)
+	dist[src] = 0
+	h := &distHeap{{v: src}}
+	for h.Len() > 0 {
+		top := heap.Pop(h).(distEntry)
+		if top.d > dist[top.v] {
+			continue // stale entry
+		}
+		edgeIdx := csr.EdgeIndices(top.v)
+		for j, v := range csr.Neighbors(top.v) {
+			w := 1.0
+			if weights != nil {
+				w = weights[edgeIdx[j]]
+			}
+			if nd := top.d + w; nd < dist[v] {
+				dist[v] = nd
+				heap.Push(h, distEntry{d: nd, v: v})
+			}
+		}
+	}
+	return dist
+}
+
+// distEntry is a tentative distance d of vertex v.
+type distEntry struct {
+	d float64
+	v graph.VertexID
+}
+
+// distHeap is the Dijkstra oracle's min-heap of tentative distances.
+type distHeap []distEntry
+
+func (h distHeap) Len() int           { return len(h) }
+func (h distHeap) Less(i, j int) bool { return h[i].d < h[j].d }
+func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *distHeap) Push(x any)        { *h = append(*h, x.(distEntry)) }
+func (h *distHeap) Pop() any {
+	old := *h
+	top := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return top
 }
 
 // SequentialPageRank runs iters synchronous PageRank iterations with the

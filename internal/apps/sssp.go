@@ -10,24 +10,36 @@ import (
 	"ebv/internal/transport"
 )
 
-// SSSP computes single-source shortest paths over directed edges with unit
-// weights (the paper does not specify weights; unit weights make the
-// sequential oracle exact and keep the communication pattern identical to
-// the weighted case).
+// SSSP computes single-source shortest paths over directed edges, with
+// unit weights by default (the paper does not specify weights; unit
+// weights make the sequential oracle exact and keep the communication
+// pattern identical to the weighted case) or the subgraph's edge weights.
 //
 // Subgraph-centric formulation: the computation stage relaxes distances to
-// a local fixpoint (SPFA over the local out-adjacency); the communication
-// stage ships improved distances of replicated vertices to their peers.
+// a local fixpoint (SPFA over the local out-adjacency — a whole sequential
+// algorithm per superstep, per §IV-B); the communication stage ships
+// improved distances of replicated vertices to their peers. Weights are
+// non-negative (the build rejects others), so the fixpoint is the same
+// float distance a Dijkstra would settle.
 type SSSP struct {
 	// Source is the global source vertex.
 	Source graph.VertexID
+	// Weighted relaxes over the edge weights attached with
+	// bsp.BuildSubgraphsWeightedParallel (absent weights are unit) instead
+	// of unit weights; the program is then named WSSSP.
+	Weighted bool
 }
 
 var _ bsp.Program = (*SSSP)(nil)
 var _ bsp.CombinerProvider = (*SSSP)(nil)
 
 // Name implements bsp.Program.
-func (s *SSSP) Name() string { return "SSSP" }
+func (s *SSSP) Name() string {
+	if s.Weighted {
+		return "WSSSP"
+	}
+	return "SSSP"
+}
 
 // MessageCombiner implements bsp.CombinerProvider: distances fold with min.
 func (s *SSSP) MessageCombiner() transport.Combiner { return transport.MinCombiner{} }
@@ -39,6 +51,7 @@ func (s *SSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 		sub:      sub,
 		env:      env,
 		source:   s.Source,
+		weighted: s.Weighted,
 		dist:     make([]float64, n),
 		inQueue:  make([]bool, n),
 		improved: newImprovedSet(sub),
@@ -54,10 +67,11 @@ func (s *SSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 }
 
 type ssspWorker struct {
-	sub    *bsp.Subgraph
-	env    bsp.Env
-	source graph.VertexID
-	dist   []float64
+	sub      *bsp.Subgraph
+	env      bsp.Env
+	source   graph.VertexID
+	weighted bool
+	dist     []float64
 	// queue[head:] is the SPFA FIFO; relax leaves it empty with the
 	// backing array kept for the next superstep.
 	queue    []int32
@@ -117,19 +131,33 @@ func (w *ssspWorker) push(v int32) {
 // relax runs SPFA over local out-edges until the local fixpoint.
 func (w *ssspWorker) relax() {
 	for w.head < len(w.queue) {
-		u := w.queue[w.head]
+		u := graph.VertexID(w.queue[w.head])
 		w.head++
 		w.inQueue[u] = false
 		du := w.dist[u]
-		for _, v := range w.sub.Out.Neighbors(graph.VertexID(u)) {
-			if nd := du + 1; nd < w.dist[v] {
-				w.dist[v] = nd
-				w.improved.mark(int32(v))
-				w.push(int32(v))
+		if !w.weighted {
+			for _, v := range w.sub.Out.Neighbors(u) {
+				if nd := du + 1; nd < w.dist[v] {
+					w.lower(int32(v), nd)
+				}
+			}
+			continue
+		}
+		edgeIdx := w.sub.Out.EdgeIndices(u)
+		for j, v := range w.sub.Out.Neighbors(u) {
+			if nd := du + w.sub.EdgeWeight(edgeIdx[j]); nd < w.dist[v] {
+				w.lower(int32(v), nd)
 			}
 		}
 	}
 	w.queue, w.head = w.queue[:0], 0
+}
+
+// lower installs the improved distance d of v and queues v.
+func (w *ssspWorker) lower(v int32, d float64) {
+	w.dist[v] = d
+	w.improved.mark(v)
+	w.push(v)
 }
 
 // Superstep implements bsp.WorkerProgram.

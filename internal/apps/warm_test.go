@@ -1,15 +1,15 @@
-// Delta-algorithm tests: warm-started incremental CC and fixed-point
-// delta-PageRank must reach the same answers as their cold counterparts,
-// in no more supersteps, after insert-only growth.
-package live
+// Warm-start and convergence tests: CC seeded with a previous run's labels
+// and PageRank{Tol} seeded with its ranks must reach the same answers as
+// their cold counterparts, in no more supersteps, after insert-only growth.
+package apps
 
 import (
 	"math"
 	"testing"
 
-	"ebv/internal/apps"
 	"ebv/internal/bsp"
 	"ebv/internal/core"
+	"ebv/internal/gen"
 	"ebv/internal/graph"
 )
 
@@ -18,7 +18,12 @@ import (
 // subgraphs — the before/after snapshots of an insert-only stream.
 func grownPair(t *testing.T, k int) (subs0, subs1 []*bsp.Subgraph) {
 	t.Helper()
-	g := liveGraph(t, 800, 4200, 31)
+	g, err := gen.PowerLaw(gen.PowerLawConfig{
+		NumVertices: 800, NumEdges: 4200, Eta: 2.2, Directed: true, Seed: 31,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	all := g.Edges()
 	e0 := len(all) - 200
 	g0, err := graph.New(g.NumVertices(), all[:e0])
@@ -52,15 +57,15 @@ func grownPair(t *testing.T, k int) (subs0, subs1 []*bsp.Subgraph) {
 // and in no more supersteps.
 func TestDeltaCCWarmMatchesCold(t *testing.T) {
 	subs0, subs1 := grownPair(t, 6)
-	prev, err := bsp.Run(t.Context(), subs0, &apps.CC{}, bsp.Config{})
+	prev, err := bsp.Run(t.Context(), subs0, &CC{}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := bsp.Run(t.Context(), subs1, &apps.CC{}, bsp.Config{})
+	cold, err := bsp.Run(t.Context(), subs1, &CC{}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := bsp.Run(t.Context(), subs1, NewDeltaCC(prev), bsp.Config{})
+	warm, err := bsp.Run(t.Context(), subs1, &CC{Warm: prev.Values, WarmCovered: prev.Covered}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,36 +83,29 @@ func TestDeltaCCWarmMatchesCold(t *testing.T) {
 	}
 }
 
-// TestNewDeltaCCNilPrev degrades to a plain cold CC program.
-func TestNewDeltaCCNilPrev(t *testing.T) {
-	prog := NewDeltaCC(nil)
-	if prog.Warm != nil || prog.WarmCovered != nil {
-		t.Fatalf("nil prev produced a warm program: %+v", prog)
-	}
-}
-
-// TestDeltaPageRankWarmConverges: warm delta-PR on the grown graph,
-// started from the base graph's fixed point, converges to the cold fixed
-// point (within Tol-scale slack) in no more iterations than cold.
+// TestDeltaPageRankWarmConverges: a converging PageRank on the grown graph,
+// started from the base graph's fixed point, reaches the cold fixed point
+// (within Tol-scale slack) in no more iterations than cold.
 func TestDeltaPageRankWarmConverges(t *testing.T) {
 	subs0, subs1 := grownPair(t, 6)
-	prev, err := bsp.Run(t.Context(), subs0, &DeltaPageRank{}, bsp.Config{})
+	prev, err := bsp.Run(t.Context(), subs0, &PageRank{Tol: 1e-9, Iterations: 500}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := bsp.Run(t.Context(), subs1, &DeltaPageRank{}, bsp.Config{})
+	cold, err := bsp.Run(t.Context(), subs1, &PageRank{Tol: 1e-9, Iterations: 500}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := bsp.Run(t.Context(), subs1, &DeltaPageRank{Prev: prev.Values, PrevCovered: prev.Covered}, bsp.Config{})
+	warm, err := bsp.Run(t.Context(), subs1,
+		&PageRank{Tol: 1e-9, Iterations: 500, Warm: prev.Values, WarmCovered: prev.Covered}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Steps > cold.Steps {
-		t.Fatalf("warm delta-PR took %d supersteps, cold took %d", warm.Steps, cold.Steps)
+		t.Fatalf("warm PR took %d supersteps, cold took %d", warm.Steps, cold.Steps)
 	}
 	if warm.Steps <= 2 {
-		t.Fatalf("warm delta-PR halted after %d supersteps — the 200 inserts cannot already be converged", warm.Steps)
+		t.Fatalf("warm PR halted after %d supersteps — the 200 inserts cannot already be converged", warm.Steps)
 	}
 	var maxDiff float64
 	for v, covered := range cold.Covered {
@@ -143,7 +141,7 @@ func TestDeltaPageRankMatchesPowerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bsp.Run(t.Context(), subs, &DeltaPageRank{Tol: 1e-12}, bsp.Config{})
+	res, err := bsp.Run(t.Context(), subs, &PageRank{Tol: 1e-12, Iterations: 500}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +168,7 @@ func TestDeltaPageRankMatchesPowerIteration(t *testing.T) {
 	}
 	for v := 0; v < n; v++ {
 		if d := math.Abs(res.Values.Scalar(v) - ranks[v]); d > 1e-9 {
-			t.Fatalf("vertex %d: delta-PR rank %g vs reference %g (diff %g)",
+			t.Fatalf("vertex %d: converged PR rank %g vs reference %g (diff %g)",
 				v, res.Values.Scalar(v), ranks[v], d)
 		}
 	}

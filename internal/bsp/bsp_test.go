@@ -359,7 +359,7 @@ func TestWeightedSSSPAgreesWithSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := bsp.Run(t.Context(), subs, &apps.WeightedSSSP{Source: src},
+				res, err := bsp.Run(t.Context(), subs, &apps.SSSP{Source: src, Weighted: true},
 					bsp.Config{VerifyReplicaAgreement: true})
 				if err != nil {
 					t.Fatalf("%s/%s k=%d: %v", name, p.Name(), k, err)
@@ -372,11 +372,11 @@ func TestWeightedSSSPAgreesWithSequential(t *testing.T) {
 }
 
 func TestWeightedSSSPUnitWeightsMatchesBFS(t *testing.T) {
-	// Without weights attached, WeightedSSSP degenerates to the BFS SSSP.
+	// Without weights attached, weighted SSSP degenerates to the BFS SSSP.
 	g := testGraphs(t)["powerlaw"]
 	want := apps.SequentialSSSP(g, 0)
 	subs := buildSubs(t, g, core.New(), 3)
-	res, err := bsp.Run(t.Context(), subs, &apps.WeightedSSSP{Source: 0}, bsp.Config{})
+	res, err := bsp.Run(t.Context(), subs, &apps.SSSP{Source: 0, Weighted: true}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,6 +391,16 @@ func TestBuildSubgraphsWeightedValidation(t *testing.T) {
 	}
 	if _, err := bsp.BuildSubgraphsWeightedParallel(g, a, make(graph.EdgeWeights, 3), 0); err == nil {
 		t.Fatal("short weight vector accepted")
+	}
+	// A negative or NaN weight is refused by edge index: a negative cycle
+	// would hang weighted SSSP inside one uncancellable superstep.
+	for _, bad := range []float64{-1, math.NaN()} {
+		weights := graph.HashWeights(g, 99, 1, 10)
+		weights[17] = bad
+		_, err := bsp.BuildSubgraphsWeightedParallel(g, a, weights, 0)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("edge 17 has weight %g", bad)) {
+			t.Fatalf("weight %g: err = %v, want a rejection naming edge 17", bad, err)
+		}
 	}
 	subs, err := bsp.BuildSubgraphsWeightedParallel(g, a, nil, 0)
 	if err != nil {

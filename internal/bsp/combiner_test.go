@@ -27,12 +27,12 @@ func combinerApps() []bsp.Program {
 		&apps.CC{},
 		&apps.PageRank{Iterations: 6},
 		&apps.SSSP{Source: 0},
-		&apps.WeightedSSSP{Source: 0},
+		&apps.SSSP{Source: 0, Weighted: true},
 		&apps.Aggregate{Layers: 2},
 	}
 }
 
-// buildWeightedSubs builds subgraphs carrying hash weights (WeightedSSSP
+// buildWeightedSubs builds subgraphs carrying hash weights (weighted SSSP
 // exercises them; every other app ignores them).
 func buildWeightedSubs(t *testing.T, g *graph.Graph, a *partition.Assignment) []*bsp.Subgraph {
 	t.Helper()

@@ -17,7 +17,6 @@ import (
 	"ebv/internal/core"
 	"ebv/internal/gen"
 	"ebv/internal/graph"
-	"ebv/internal/live"
 	"ebv/internal/transport"
 )
 
@@ -52,7 +51,7 @@ func (r *emissionRecorder) MessageCombiner() transport.Combiner {
 	if cp, ok := r.inner.(bsp.CombinerProvider); ok {
 		return cp.MessageCombiner()
 	}
-	return nil // live.DeltaPageRank declares none
+	return nil
 }
 
 func (r *emissionRecorder) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
@@ -116,10 +115,11 @@ func emissionSHA256(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bs
 // remove nothing.
 //
 // The "@w4", "-sendall", "-warm" and "PR-delta" cells were added at commit
-// 869f460 (PR 16), ahead of the routing-plan send paths: scalar apps at
-// width 4 pin the zero-padded rows, SendAll the repeated full broadcast, the
-// warm cell a NewDeltaCC seeded from a run over the first 90 % of the edges,
-// and DeltaPageRank its sentinel row after the ascending ids.
+// 869f460, ahead of the routing-plan send paths: scalar apps at width 4 pin
+// the zero-padded rows, SendAll the repeated full broadcast, the warm cell a
+// CC seeded from a run over the first 90 % of the edges, and the converging
+// PageRank (Tol > 0, then a separate program) its sentinel row after the
+// ascending ids.
 func TestGoldenEmissions(t *testing.T) {
 	pl, road := pinnedGraphs(t)
 	const k = 8
@@ -148,14 +148,14 @@ func TestGoldenEmissions(t *testing.T) {
 			{&apps.CC{}, 1, ""},
 			{&apps.PageRank{Iterations: 6}, 1, ""},
 			{&apps.SSSP{Source: src}, 1, ""},
-			{&apps.WeightedSSSP{Source: src}, 1, ""},
+			{&apps.SSSP{Source: src, Weighted: true}, 1, ""},
 			{&apps.Aggregate{Layers: 2}, 8, ""},
 			{&apps.CC{}, 4, "@w4"},
 			{&apps.PageRank{Iterations: 6}, 4, "@w4"},
 			{&apps.SSSP{Source: src}, 4, "@w4"},
 			{&apps.CC{SendAll: true}, 1, "-sendall"},
-			{live.NewDeltaCC(prefixCC(t, tc.g, k)), 1, "-warm"},
-			{&live.DeltaPageRank{Tol: 1e-6}, 1, ""},
+			{warmCC(t, tc.g, k), 1, "-warm"},
+			{&apps.PageRank{Tol: 1e-6, Iterations: 500}, 1, "-delta"},
 		} {
 			key := tc.name + "/" + app.prog.Name() + app.tag
 			seen++
@@ -172,9 +172,10 @@ func TestGoldenEmissions(t *testing.T) {
 	}
 }
 
-// prefixCC runs CC over the first 90 % of g's edges (its own EBV partition)
-// and returns the result: valid warm labels for g, which only gained edges.
-func prefixCC(t *testing.T, g *graph.Graph, k int) *bsp.Result {
+// warmCC runs CC over the first 90 % of g's edges (its own EBV partition)
+// and returns a CC seeded with the result: valid warm labels for g, which
+// only gained edges.
+func warmCC(t *testing.T, g *graph.Graph, k int) *apps.CC {
 	t.Helper()
 	prefix, err := graph.New(g.NumVertices(), g.Edges()[:g.NumEdges()*9/10])
 	if err != nil {
@@ -192,7 +193,7 @@ func prefixCC(t *testing.T, g *graph.Graph, k int) *bsp.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return &apps.CC{Warm: res.Values, WarmCovered: res.Covered}
 }
 
 var goldenEmissions = map[string]string{

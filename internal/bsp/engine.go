@@ -72,7 +72,7 @@ type WorkerProgram interface {
 var ErrMaxSteps = errors.New("bsp: exceeded max supersteps without converging")
 
 // CombinerProvider is implemented by Programs that declare the natural
-// combiner of their messages (CC/SSSP/WeightedSSSP → min, PageRank → sum,
+// combiner of their messages (CC/SSSP/WSSSP → min, PageRank → sum,
 // Aggregate → elementwise sum). Config.AutoCombine uses it.
 type CombinerProvider interface {
 	// MessageCombiner returns the combiner that may reduce this program's

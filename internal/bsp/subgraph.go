@@ -171,6 +171,13 @@ func buildSubgraphs(g *graph.Graph, a *partition.Assignment,
 	if weights != nil && len(weights) != g.NumEdges() {
 		return nil, fmt.Errorf("bsp: %d weights for %d edges", len(weights), g.NumEdges())
 	}
+	// A negative cycle inside one part would keep weighted SSSP relaxing
+	// within a single superstep, where cancellation is never polled.
+	for i, w := range weights {
+		if !(w >= 0) {
+			return nil, fmt.Errorf("bsp: edge %d has weight %g: weights must be non-negative", i, w)
+		}
+	}
 	// Edge indices travel as int32 here and in graph.CSR's edgeIndex; make
 	// the shared limit explicit instead of overflowing (ReadBinary admits
 	// up to 2^33 edges).

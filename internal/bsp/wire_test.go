@@ -66,7 +66,7 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 	subs := buildWeightedSubs(t, g, a)
 	// The integral-payload apps — labels (CC) and hop counts (SSSP) — hit
 	// the 3x target at every width via the integral fast path. PageRank
-	// and WeightedSSSP move noisy mantissas (v4 only wins the ID column
+	// and WSSSP move noisy mantissas (v4 only wins the ID column
 	// at width 1) but their width-8 runs pad 7 zero columns, which pack
 	// to a descriptor byte each, clearing 3x there too. Aggregate's
 	// mean-aggregation payloads are noisy at every width; it must still

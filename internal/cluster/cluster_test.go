@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -178,6 +179,10 @@ func TestClusterCleanRuns(t *testing.T) {
 		{JobSpec{App: "nope"}, "unknown app"},
 		{JobSpec{App: "SSSP", Source: -1}, "source -1 out of range"},
 		{JobSpec{App: "WSSSP", Source: 1 << 32}, "source 4294967296 out of range"},
+		{JobSpec{App: "PR", Damping: 5}, "damping 5 out of range"},
+		{JobSpec{App: "PR", Damping: math.NaN()}, "damping NaN out of range"},
+		{JobSpec{App: "PR", Iterations: -3}, "iterations -3 out of range"},
+		{JobSpec{App: "Aggregate", Layers: -1}, "layers -1 out of range"},
 		{JobSpec{App: "CC", ValueWidth: -3}, "value width -3 invalid"},
 		{JobSpec{App: "CC", ValueWidth: transport.MaxValueWidth + 1}, "exceeds the transport cap"},
 	} {

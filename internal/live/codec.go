@@ -4,7 +4,9 @@
 // Fennel-style), patches exactly the subgraphs a batch touched using the
 // part-parallel builder as the delta primitive, and versions the graph
 // with an epoch counter so in-flight jobs finish on the snapshot they
-// started with (DESIGN.md §13).
+// started with (DESIGN.md §13). It holds mutations only: a job warm-starts
+// from a previous result through the programs' own Warm fields (apps.CC,
+// apps.PageRank).
 package live
 
 import (

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -393,7 +394,7 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 			return nil, fmt.Errorf("live: verification rebuild: %w", err)
 		}
 		for p := range full {
-			if !subgraphsEqual(newSubs[p], full[p]) {
+			if !sameShard(newSubs[p], full[p]) {
 				return nil, fmt.Errorf("live: patch diverges from full rebuild on part %d (epoch %d): invariant violation",
 					p, st.stats.Epoch+1)
 			}
@@ -574,47 +575,14 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 	return newSubs, finalSets, nil
 }
 
-// subgraphsEqual deep-compares two subgraphs field by field, CSRs
-// included — the byte-identity check between the patch and rebuild paths.
-func subgraphsEqual(a, b *bsp.Subgraph) bool {
-	if a.Part != b.Part || a.NumWorkers != b.NumWorkers ||
-		a.NumGlobalVertices != b.NumGlobalVertices {
+// sameShard reports whether two subgraphs encode to the same EBVS shard
+// bytes — the byte-identity check between the patch and rebuild paths.
+// The shard holds every stored column; the CSR views it leaves out are
+// derived from Edges.
+func sameShard(a, b *bsp.Subgraph) bool {
+	var ea, eb bytes.Buffer
+	if bsp.WriteSubgraph(&ea, a) != nil || bsp.WriteSubgraph(&eb, b) != nil {
 		return false
 	}
-	if !slices.Equal(a.GlobalIDs, b.GlobalIDs) || !slices.Equal(a.Edges, b.Edges) {
-		return false
-	}
-	if !slices.Equal(a.GlobalOutDegree, b.GlobalOutDegree) ||
-		!slices.Equal(a.GlobalInDegree, b.GlobalInDegree) ||
-		!slices.Equal(a.Weights, b.Weights) {
-		return false
-	}
-	if len(a.ReplicaPeers) != len(b.ReplicaPeers) {
-		return false
-	}
-	for l := range a.ReplicaPeers {
-		if !slices.Equal(a.ReplicaPeers[l], b.ReplicaPeers[l]) {
-			return false
-		}
-	}
-	return csrEqual(a.Out, b.Out)
-}
-
-func csrEqual(a, b *graph.CSR) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
-		return false
-	}
-	for v := 0; v < a.NumVertices(); v++ {
-		if !slices.Equal(a.Neighbors(graph.VertexID(v)), b.Neighbors(graph.VertexID(v))) ||
-			!slices.Equal(a.EdgeIndices(graph.VertexID(v)), b.EdgeIndices(graph.VertexID(v))) {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(ea.Bytes(), eb.Bytes())
 }

@@ -152,7 +152,7 @@ func TestApplyForceRebuildMatchesPatch(t *testing.T) {
 		}
 	}
 	for p := range patchSt.subs {
-		if !subgraphsEqual(patchSt.subs[p], rebuildSt.subs[p]) {
+		if !sameShard(patchSt.subs[p], rebuildSt.subs[p]) {
 			t.Fatalf("part %d differs between patch and forced-rebuild paths", p)
 		}
 	}
@@ -244,7 +244,7 @@ func TestApplyDeterministic(t *testing.T) {
 		}
 	}
 	for p := range a.subs {
-		if !subgraphsEqual(a.subs[p], b.subs[p]) {
+		if !sameShard(a.subs[p], b.subs[p]) {
 			t.Fatalf("part %d diverges between identical replays", p)
 		}
 	}

@@ -7,12 +7,8 @@
 //
 // Vertices are assigned to workers by an ownership vector (hash by
 // default); messages to remote vertices are combined per destination at the
-// sender (the standard Pregel combiner optimization) and counted.
-//
-// Values and messages are width-aware rows, mirroring the subgraph-centric
-// engine's columnar value plane: a run's Config.ValueWidth fixes the
-// float64 row width (1 for the paper's scalar comparators), values live in
-// a graph.ValueMatrix, and the combined inboxes are flat strided columns.
+// sender (the standard Pregel combiner optimization) and counted. Values
+// and messages are scalars, as in the paper's three comparator programs.
 package pregel
 
 import (
@@ -23,29 +19,26 @@ import (
 	"time"
 
 	"ebv/internal/graph"
-	"ebv/internal/transport"
 )
 
-// VertexProgram defines a vertex-centric computation over value rows of
-// the run's width.
+// VertexProgram defines a vertex-centric computation over scalar values.
 type VertexProgram interface {
 	// Name returns the application name.
 	Name() string
-	// InitValue fills vertex v's starting value row.
-	InitValue(v graph.VertexID, g *graph.Graph, value []float64)
+	// InitValue returns vertex v's starting value.
+	InitValue(v graph.VertexID, g *graph.Graph) float64
 	// InitiallyActive reports whether v computes in superstep 0.
 	InitiallyActive(v graph.VertexID) bool
-	// Combine merges message row src into dst (both addressed to the same
-	// vertex).
-	Combine(dst, src []float64)
+	// Combine merges two messages addressed to the same vertex.
+	Combine(a, b float64) float64
 	// Compute processes one active-or-messaged vertex: it receives the
-	// vertex's value row (to update in place) and the combined incoming
-	// message row (hasMsg reports presence), and reports whether to
-	// broadcast to neighbors.
-	Compute(step int, v graph.VertexID, value, msg []float64, hasMsg bool) (broadcast bool)
-	// EdgeMessage fills msg with the row sent along one edge when v
+	// vertex's value and the combined incoming message (hasMsg reports
+	// presence), and returns the new value and whether to broadcast to
+	// neighbors.
+	Compute(step int, v graph.VertexID, value, msg float64, hasMsg bool) (next float64, broadcast bool)
+	// EdgeMessage returns the message sent along one edge when v
 	// broadcasts.
-	EdgeMessage(v graph.VertexID, value []float64, globalOutDeg int, msg []float64)
+	EdgeMessage(v graph.VertexID, value float64, globalOutDeg int) float64
 	// TraverseUndirected reports whether broadcasts follow in-edges too
 	// (CC does; SSSP and PR follow out-edges only).
 	TraverseUndirected() bool
@@ -57,7 +50,7 @@ type VertexProgram interface {
 // Result is the outcome of a vertex-centric run.
 type Result struct {
 	Steps int
-	// Values holds every vertex's final value row (row v = vertex v).
+	// Values holds every vertex's final value (width 1, row v = vertex v).
 	Values   *graph.ValueMatrix
 	WallTime time.Duration
 	// CompPerWorker[w] is worker w's total computation time.
@@ -100,29 +93,10 @@ type Config struct {
 	Owners []int32
 	// MaxSteps is the superstep safety cap (default 100000).
 	MaxSteps int
-	// ValueWidth is the float64 row width of values and messages
-	// (default 1).
-	ValueWidth int
 }
 
 // ErrMaxSteps reports that a run hit the superstep safety cap.
 var ErrMaxSteps = errors.New("pregel: exceeded max supersteps without converging")
-
-// CombinerOf adapts prog's Combine to the data plane's transport.Combiner
-// contract — the engine merges scratch outboxes and inboxes through it.
-func CombinerOf(prog VertexProgram) transport.Combiner {
-	return progCombiner{prog: prog}
-}
-
-// progCombiner is the VertexProgram → transport.Combiner adapter: the
-// engine's private combine path expressed through the shared interface.
-type progCombiner struct{ prog VertexProgram }
-
-// Name implements transport.Combiner.
-func (c progCombiner) Name() string { return c.prog.Name() + "-combine" }
-
-// Combine implements transport.Combiner.
-func (c progCombiner) Combine(dst, src []float64) { c.prog.Combine(dst, src) }
 
 // Run executes prog over g with k workers. ctx is polled at every superstep
 // barrier, so a canceled run returns ctx.Err() within one superstep.
@@ -132,13 +106,6 @@ func Run(ctx context.Context, g *graph.Graph, k int, prog VertexProgram, cfg Con
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("pregel: need at least one worker, got %d", k)
-	}
-	width := cfg.ValueWidth
-	if width == 0 {
-		width = 1
-	}
-	if width < 1 {
-		return nil, fmt.Errorf("pregel: value width %d invalid: must be >= 1", cfg.ValueWidth)
 	}
 	n := g.NumVertices()
 	owners := cfg.Owners
@@ -168,26 +135,26 @@ func Run(ctx context.Context, g *graph.Graph, k int, prog VertexProgram, cfg Con
 		owned[w] = append(owned[w], graph.VertexID(v))
 	}
 
-	values := graph.NewValueMatrix(n, width)
+	values := make([]float64, n)
 	active := make([]bool, n)
 	for v := 0; v < n; v++ {
-		prog.InitValue(graph.VertexID(v), g, values.Row(v))
+		values[v] = prog.InitValue(graph.VertexID(v), g)
 		active[v] = prog.InitiallyActive(graph.VertexID(v))
 	}
 
-	// Double-buffered combined inboxes: strided width-column rows plus a
-	// presence flag per vertex.
-	curMsg := graph.NewValueMatrix(n, width)
+	// Double-buffered combined inboxes: one message plus a presence flag
+	// per vertex.
+	curMsg := make([]float64, n)
 	curHas := make([]bool, n)
-	nextMsg := graph.NewValueMatrix(n, width)
+	nextMsg := make([]float64, n)
 	nextHas := make([]bool, n)
 
 	// Per-worker scratch outboxes (combined per destination vertex) to
 	// avoid write contention; merged between supersteps.
-	scratchMsg := make([]*graph.ValueMatrix, k)
+	scratchMsg := make([][]float64, k)
 	scratchHas := make([][]bool, k)
 	for w := 0; w < k; w++ {
-		scratchMsg[w] = graph.NewValueMatrix(n, width)
+		scratchMsg[w] = make([]float64, n)
 		scratchHas[w] = make([]bool, n)
 	}
 
@@ -196,7 +163,6 @@ func Run(ctx context.Context, g *graph.Graph, k int, prog VertexProgram, cfg Con
 		SentPerWorker: make([]int64, k),
 	}
 	fixed := prog.FixedSupersteps()
-	comb := CombinerOf(prog)
 
 	start := time.Now()
 	for step := 0; step < maxSteps; step++ {
@@ -223,27 +189,26 @@ func Run(ctx context.Context, g *graph.Graph, k int, prog VertexProgram, cfg Con
 				defer wg.Done()
 				t0 := time.Now()
 				myMsg, myHas := scratchMsg[w], scratchHas[w]
-				mv := make([]float64, width)
 				for _, v := range owned[w] {
 					runVertex := fixed > 0 || active[v] || curHas[v]
 					if !runVertex {
 						continue
 					}
-					broadcast := prog.Compute(step, v, values.Row(int(v)), curMsg.Row(int(v)), curHas[v])
+					next, broadcast := prog.Compute(step, v, values[v], curMsg[v], curHas[v])
+					values[v] = next
 					active[v] = false
 					if !broadcast {
 						continue
 					}
+					mv := prog.EdgeMessage(v, next, out.Degree(v))
 					deliver := func(dst graph.VertexID) {
-						row := myMsg.Row(int(dst))
 						if myHas[dst] {
-							comb.Combine(row, mv)
+							myMsg[dst] = prog.Combine(myMsg[dst], mv)
 						} else {
-							copy(row, mv)
+							myMsg[dst] = mv
 							myHas[dst] = true
 						}
 					}
-					prog.EdgeMessage(v, values.Row(int(v)), out.Degree(v), mv)
 					for _, dst := range out.Neighbors(v) {
 						deliver(dst)
 					}
@@ -273,9 +238,9 @@ func Run(ctx context.Context, g *graph.Graph, k int, prog VertexProgram, cfg Con
 					res.SentPerWorker[w]++
 				}
 				if nextHas[v] {
-					comb.Combine(nextMsg.Row(v), myMsg.Row(v))
+					nextMsg[v] = prog.Combine(nextMsg[v], myMsg[v])
 				} else {
-					copy(nextMsg.Row(v), myMsg.Row(v))
+					nextMsg[v] = myMsg[v]
 					nextHas[v] = true
 				}
 			}
@@ -301,7 +266,7 @@ func Run(ctx context.Context, g *graph.Graph, k int, prog VertexProgram, cfg Con
 	if res.Steps >= maxSteps {
 		return nil, ErrMaxSteps
 	}
-	res.Values = values
+	res.Values = &graph.ValueMatrix{Width: 1, Data: values}
 	res.WallTime = time.Since(start)
 	return res, nil
 }

@@ -4,11 +4,7 @@ import (
 	"math"
 
 	"ebv/internal/graph"
-	"ebv/internal/transport"
 )
-
-// The three comparator programs are scalar: they use column 0 of the value
-// row and leave any extra columns of a wider run untouched (zero).
 
 // CC is the vertex-centric connected-components program: min-label
 // propagation over undirected adjacency.
@@ -20,29 +16,27 @@ var _ VertexProgram = (*CC)(nil)
 func (*CC) Name() string { return "CC" }
 
 // InitValue implements VertexProgram.
-func (*CC) InitValue(v graph.VertexID, _ *graph.Graph, value []float64) { value[0] = float64(v) }
+func (*CC) InitValue(v graph.VertexID, _ *graph.Graph) float64 { return float64(v) }
 
 // InitiallyActive implements VertexProgram.
 func (*CC) InitiallyActive(graph.VertexID) bool { return true }
 
-// Combine implements VertexProgram, delegating to the data plane's
-// built-in min combiner.
-func (*CC) Combine(dst, src []float64) { transport.MinCombiner{}.Combine(dst, src) }
+// Combine implements VertexProgram: labels fold with min.
+func (*CC) Combine(a, b float64) float64 { return min(a, b) }
 
 // Compute implements VertexProgram.
-func (*CC) Compute(step int, _ graph.VertexID, value, msg []float64, hasMsg bool) bool {
+func (*CC) Compute(step int, _ graph.VertexID, value, msg float64, hasMsg bool) (float64, bool) {
 	if step == 0 {
-		return true // announce own label
+		return value, true // announce own label
 	}
-	if hasMsg && msg[0] < value[0] {
-		value[0] = msg[0]
-		return true
+	if hasMsg && msg < value {
+		return msg, true
 	}
-	return false
+	return value, false
 }
 
 // EdgeMessage implements VertexProgram.
-func (*CC) EdgeMessage(_ graph.VertexID, value []float64, _ int, msg []float64) { msg[0] = value[0] }
+func (*CC) EdgeMessage(_ graph.VertexID, value float64, _ int) float64 { return value }
 
 // TraverseUndirected implements VertexProgram.
 func (*CC) TraverseUndirected() bool { return true }
@@ -61,37 +55,32 @@ var _ VertexProgram = (*SSSP)(nil)
 func (*SSSP) Name() string { return "SSSP" }
 
 // InitValue implements VertexProgram.
-func (s *SSSP) InitValue(v graph.VertexID, _ *graph.Graph, value []float64) {
+func (s *SSSP) InitValue(v graph.VertexID, _ *graph.Graph) float64 {
 	if v == s.Source {
-		value[0] = 0
-		return
+		return 0
 	}
-	value[0] = math.Inf(1)
+	return math.Inf(1)
 }
 
 // InitiallyActive implements VertexProgram.
 func (s *SSSP) InitiallyActive(v graph.VertexID) bool { return v == s.Source }
 
-// Combine implements VertexProgram, delegating to the data plane's
-// built-in min combiner.
-func (*SSSP) Combine(dst, src []float64) { transport.MinCombiner{}.Combine(dst, src) }
+// Combine implements VertexProgram: distances fold with min.
+func (*SSSP) Combine(a, b float64) float64 { return min(a, b) }
 
 // Compute implements VertexProgram.
-func (*SSSP) Compute(step int, _ graph.VertexID, value, msg []float64, hasMsg bool) bool {
-	if step == 0 && value[0] == 0 {
-		return true // source announces
+func (*SSSP) Compute(step int, _ graph.VertexID, value, msg float64, hasMsg bool) (float64, bool) {
+	if step == 0 && value == 0 {
+		return value, true // source announces
 	}
-	if hasMsg && msg[0] < value[0] {
-		value[0] = msg[0]
-		return true
+	if hasMsg && msg < value {
+		return msg, true
 	}
-	return false
+	return value, false
 }
 
 // EdgeMessage implements VertexProgram.
-func (*SSSP) EdgeMessage(_ graph.VertexID, value []float64, _ int, msg []float64) {
-	msg[0] = value[0] + 1
-}
+func (*SSSP) EdgeMessage(_ graph.VertexID, value float64, _ int) float64 { return value + 1 }
 
 // TraverseUndirected implements VertexProgram.
 func (*SSSP) TraverseUndirected() bool { return false }
@@ -120,40 +109,37 @@ func (p *PageRank) damping() float64 {
 }
 
 // InitValue implements VertexProgram.
-func (p *PageRank) InitValue(_ graph.VertexID, g *graph.Graph, value []float64) {
+func (p *PageRank) InitValue(_ graph.VertexID, g *graph.Graph) float64 {
 	p.numVert = g.NumVertices()
-	value[0] = 1 / float64(g.NumVertices())
+	return 1 / float64(g.NumVertices())
 }
 
 // InitiallyActive implements VertexProgram.
 func (*PageRank) InitiallyActive(graph.VertexID) bool { return true }
 
-// Combine implements VertexProgram, delegating to the data plane's
-// built-in scalar sum combiner.
-func (*PageRank) Combine(dst, src []float64) { transport.SumCombiner{}.Combine(dst, src) }
+// Combine implements VertexProgram: contributions fold with addition.
+func (*PageRank) Combine(a, b float64) float64 { return a + b }
 
 // Compute implements VertexProgram.
-func (p *PageRank) Compute(step int, _ graph.VertexID, value, msg []float64, hasMsg bool) bool {
-	d := p.damping()
+func (p *PageRank) Compute(step int, _ graph.VertexID, value, msg float64, hasMsg bool) (float64, bool) {
 	if step == 0 {
 		// Superstep 0 only seeds the first round of contributions.
-		return true
+		return value, true
 	}
 	sum := 0.0
 	if hasMsg {
-		sum = msg[0]
+		sum = msg
 	}
-	value[0] = (1-d)/float64(p.numVert) + d*sum
-	return true
+	d := p.damping()
+	return (1-d)/float64(p.numVert) + d*sum, true
 }
 
 // EdgeMessage implements VertexProgram.
-func (p *PageRank) EdgeMessage(_ graph.VertexID, value []float64, outDeg int, msg []float64) {
+func (p *PageRank) EdgeMessage(_ graph.VertexID, value float64, outDeg int) float64 {
 	if outDeg == 0 {
-		msg[0] = 0
-		return
+		return 0
 	}
-	msg[0] = value[0] / float64(outDeg)
+	return value / float64(outDeg)
 }
 
 // TraverseUndirected implements VertexProgram.

@@ -255,6 +255,10 @@ func TestServeRequestValidation(t *testing.T) {
 		{"unknown app", JobRequest{Graph: "g", App: "nope"}, http.StatusBadRequest},
 		{"negative source", JobRequest{Graph: "g", App: "sssp", Source: -1}, http.StatusBadRequest},
 		{"source beyond uint32", JobRequest{Graph: "g", App: "wsssp", Source: 1 << 32}, http.StatusBadRequest},
+		{"damping above 1", JobRequest{Graph: "g", App: "pr", Damping: 5}, http.StatusBadRequest},
+		{"negative damping", JobRequest{Graph: "g", App: "pr", Damping: -2}, http.StatusBadRequest},
+		{"negative iterations", JobRequest{Graph: "g", App: "pr", Iterations: -3}, http.StatusBadRequest},
+		{"negative layers", JobRequest{Graph: "g", App: "agg", Layers: -1}, http.StatusBadRequest},
 		{"negative width", JobRequest{Graph: "g", App: "cc", Width: -1}, http.StatusBadRequest},
 		{"width beyond the wire cap", JobRequest{Graph: "g", App: "cc", Width: 1 << 20}, http.StatusBadRequest},
 		{"negative timeout", JobRequest{Graph: "g", App: "cc", TimeoutMS: -5}, http.StatusBadRequest},

@@ -47,7 +47,7 @@ type Combiner interface {
 }
 
 // MinCombiner keeps the elementwise minimum — the natural combiner of the
-// label/distance-propagation applications (CC, SSSP, WeightedSSSP), whose
+// label/distance-propagation applications (CC, SSSP, WSSSP), whose
 // receivers fold incoming scalars with min. Elementwise (rather than
 // column-0-only) so width-padded scalar rows combine to the same zeros the
 // senders appended. NaN acts as the identity: it never replaces a real

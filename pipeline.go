@@ -216,7 +216,8 @@ func Parallelism(n int) PipelineOption {
 }
 
 // WithEdgeWeights makes StageBuild materialize weighted subgraphs (for
-// WeightedSSSP-style programs).
+// SSSP{Weighted: true}). Weights must be non-negative: the build rejects
+// a negative or NaN one.
 func WithEdgeWeights(w EdgeWeights) PipelineOption {
 	return func(p *Pipeline) { p.weights = w }
 }

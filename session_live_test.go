@@ -155,7 +155,7 @@ func TestSessionApplyMatchesFreshBuild(t *testing.T) {
 // Session.Apply actually patched: after an insert-only phase CC seeded
 // with the pre-stream labels is bit-identical to a cold run (inserts only
 // merge components, so old labels stay valid seeds); after a delete phase
-// delta-PageRank seeded with the pre-delete ranks reaches the cold run's
+// PageRank{Tol} seeded with the pre-delete ranks reaches the cold run's
 // fixed point. Step counts are deterministic and on this input each warm
 // run is strictly shorter — a seed that is dropped on the way equals cold
 // and fails.
@@ -190,7 +190,7 @@ func TestSessionWarmStart(t *testing.T) {
 	ccPrev := run("pre-stream CC", &ebv.CC{})
 	apply(batches[:inserts/perBatch])
 	ccCold := run("cold CC", &ebv.CC{})
-	ccWarm := run("warm CC", ebv.NewDeltaCC(ccPrev.BSP))
+	ccWarm := run("warm CC", &ebv.CC{Warm: ccPrev.BSP.Values, WarmCovered: ccPrev.BSP.Covered})
 	if !ccWarm.BSP.Values.EqualValues(ccCold.BSP.Values) || !slices.Equal(ccWarm.BSP.Covered, ccCold.BSP.Covered) {
 		t.Fatal("warm CC differs from cold CC after the insert phase")
 	}
@@ -200,13 +200,13 @@ func TestSessionWarmStart(t *testing.T) {
 
 	// The rank seed is a starting point, not a bound, so deletes leave it
 	// usable.
-	prPrev := run("pre-delete delta-PR", &ebv.DeltaPageRank{})
+	prPrev := run("pre-delete delta-PR", &ebv.PageRank{Tol: 1e-9, Iterations: 500})
 	apply(batches[inserts/perBatch:])
 	if st := s.LiveStats(); st.Deletes == 0 || st.FullRebuilds != 0 {
 		t.Fatalf("live stats = %+v, want a patched delete phase", st)
 	}
-	prCold := run("cold delta-PR", &ebv.DeltaPageRank{})
-	prWarm := run("warm delta-PR", &ebv.DeltaPageRank{Prev: prPrev.BSP.Values, PrevCovered: prPrev.BSP.Covered})
+	prCold := run("cold delta-PR", &ebv.PageRank{Tol: 1e-9, Iterations: 500})
+	prWarm := run("warm delta-PR", &ebv.PageRank{Tol: 1e-9, Iterations: 500, Warm: prPrev.BSP.Values, WarmCovered: prPrev.BSP.Covered})
 	if prWarm.Steps >= prCold.Steps {
 		t.Fatalf("warm delta-PR took %d supersteps, cold %d: the seed bought nothing", prWarm.Steps, prCold.Steps)
 	}
