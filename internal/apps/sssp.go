@@ -21,6 +21,12 @@ import (
 // improved distances of replicated vertices to their peers. Weights are
 // non-negative (the build rejects others), so the fixpoint is the same
 // float distance a Dijkstra would settle.
+//
+// With unit weights the local fixpoint is bounded by a horizon, Δ-stepping
+// (Meyer & Sanders, J. Algorithms 2003) across supersteps: superstep s
+// relaxes only vertices at distance <= (s+1)·Δ and parks the rest, so a
+// part does not flood its vertices with distances a peer's shorter path is
+// about to undercut. Δ is read off the partition, not set: horizonStep.
 type SSSP struct {
 	// Source is the global source vertex.
 	Source graph.VertexID
@@ -44,6 +50,28 @@ func (s *SSSP) Name() string {
 // MessageCombiner implements bsp.CombinerProvider: distances fold with min.
 func (s *SSSP) MessageCombiner() transport.Combiner { return transport.MinCombiner{} }
 
+// The horizon grows by Δ = horizonBase + horizonDepth·d̄ hops per
+// superstep, where d̄ is the part's mean boundary depth (bsp.Depth). A
+// part's distances reach only as far past its boundary as its peers'
+// corrections can: a fragmented part (EBV's, d̄ < 1) waits for them every
+// few hops, a contiguous one (METIS's, d̄ ≈ 10) runs far ahead.
+const (
+	horizonBase  = 2
+	horizonDepth = 3
+)
+
+// horizonStep returns sub's Δ: +Inf, an unbounded relax, when no vertex of
+// the part is replicated (nothing can undercut it). It is one integer
+// numerator over one division, so no build can fuse a multiply-add into it
+// and round it differently.
+func horizonStep(sub *bsp.Subgraph) float64 {
+	d := sub.BoundaryDepth()
+	if d.Reached == 0 {
+		return math.Inf(1)
+	}
+	return float64(horizonBase*d.Reached+horizonDepth*d.Sum) / float64(d.Reached)
+}
+
 // NewWorker implements bsp.Program.
 func (s *SSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	n := sub.NumLocalVertices()
@@ -53,14 +81,20 @@ func (s *SSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 		source:   s.Source,
 		weighted: s.Weighted,
 		dist:     make([]float64, n),
-		inQueue:  make([]bool, n),
+		status:   make([]uint8, n),
+		delta:    math.Inf(1),
 		improved: newImprovedSet(sub),
+	}
+	// Weighted distances have no hop unit to size a horizon in.
+	if !s.Weighted {
+		w.delta = horizonStep(sub)
 	}
 	for i := range w.dist {
 		w.dist[i] = math.Inf(1)
 	}
 	if local, ok := sub.LocalOf(s.Source); ok {
 		w.dist[local] = 0
+		w.horizon = w.bound(0)
 		w.push(local)
 	}
 	return w
@@ -72,12 +106,33 @@ type ssspWorker struct {
 	source   graph.VertexID
 	weighted bool
 	dist     []float64
+	// delta is the horizon's growth per superstep (+Inf: unbounded) and
+	// horizon the current superstep's bound(step).
+	delta, horizon float64
 	// queue[head:] is the SPFA FIFO; relax leaves it empty with the
-	// backing array kept for the next superstep.
-	queue    []int32
-	head     int
-	inQueue  []bool
+	// backing array kept for the next superstep. parked holds the vertices
+	// lowered beyond the horizon, plus stale entries of ones queued since;
+	// nparked counts the live ones.
+	queue   []int32
+	head    int
+	parked  []int32
+	nparked int
+	// status[v] says whether v's out-edges await relaxing at dist[v].
+	status   []uint8
 	improved improvedSet
+}
+
+// Vertex status: idle vertices are relaxed at their distance (or
+// unreached), queued ones wait in queue, parked ones in parked.
+const (
+	statusIdle uint8 = iota
+	statusQueued
+	statusParked
+)
+
+// bound is superstep step's horizon, (step+1)·Δ.
+func (w *ssspWorker) bound(step int) float64 {
+	return float64(step+1) * w.delta
 }
 
 // improvedSet marks the replicated local vertices whose distance improved
@@ -121,19 +176,50 @@ func (s improvedSet) send(sub *bsp.Subgraph, env bsp.Env, dist []float64) []*tra
 	return out
 }
 
+// push schedules v, whose distance just dropped, for relaxing: queued
+// within the horizon, parked beyond it. Distances only drop and horizons
+// only grow, so a vertex once queued is never parked again.
 func (w *ssspWorker) push(v int32) {
-	if !w.inQueue[v] {
-		w.inQueue[v] = true
+	switch {
+	case w.status[v] == statusQueued:
+	case w.dist[v] <= w.horizon:
+		if w.status[v] == statusParked {
+			w.nparked-- // its parked entry goes stale
+		}
+		w.status[v] = statusQueued
 		w.queue = append(w.queue, v)
+	case w.status[v] == statusIdle:
+		w.status[v] = statusParked
+		w.parked = append(w.parked, v)
+		w.nparked++
 	}
 }
 
-// relax runs SPFA over local out-edges until the local fixpoint.
+// unpark queues the parked vertices the horizon has reached and drops the
+// stale entries.
+func (w *ssspWorker) unpark() {
+	kept := w.parked[:0]
+	for _, v := range w.parked {
+		switch {
+		case w.status[v] != statusParked:
+		case w.dist[v] <= w.horizon:
+			w.status[v] = statusQueued
+			w.queue = append(w.queue, v)
+			w.nparked--
+		default:
+			kept = append(kept, v)
+		}
+	}
+	w.parked = kept
+}
+
+// relax runs SPFA over local out-edges until the local fixpoint within the
+// horizon.
 func (w *ssspWorker) relax() {
 	for w.head < len(w.queue) {
 		u := graph.VertexID(w.queue[w.head])
 		w.head++
-		w.inQueue[u] = false
+		w.status[u] = statusIdle
 		du := w.dist[u]
 		if !w.weighted {
 			for _, v := range w.sub.Out.Neighbors(u) {
@@ -160,8 +246,10 @@ func (w *ssspWorker) lower(v int32, d float64) {
 	w.push(v)
 }
 
-// Superstep implements bsp.WorkerProgram.
+// Superstep implements bsp.WorkerProgram. A worker with parked vertices
+// stays active: a later horizon must reach them.
 func (w *ssspWorker) Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool) {
+	w.horizon = w.bound(step)
 	for i, gid := range in.IDs {
 		local, ok := w.sub.LocalOf(gid)
 		if !ok {
@@ -179,8 +267,9 @@ func (w *ssspWorker) Superstep(step int, in *transport.MessageBatch) (out []*tra
 			w.improved.mark(local)
 		}
 	}
+	w.unpark()
 	w.relax()
-	return w.improved.send(w.sub, w.env, w.dist), false
+	return w.improved.send(w.sub, w.env, w.dist), w.nparked > 0
 }
 
 // Values implements bsp.WorkerProgram.
@@ -193,7 +282,10 @@ var _ bsp.Resumable = (*ssspWorker)(nil)
 // SnapshotState implements bsp.Resumable: the distance vector (width 1).
 // At every superstep boundary the SPFA queue is drained and improved is
 // empty (relax runs to the local fixpoint and the send clears improved),
-// so distances are the worker's entire state.
+// and the parked set is a function of the distances: after step s−1 it is
+// {v : s·Δ < dist[v] < +Inf} (every vertex within the horizon was relaxed
+// at its distance, and none beyond it ever was, since a distance only
+// drops). So distances are the worker's entire state.
 func (w *ssspWorker) SnapshotState() *graph.ValueMatrix {
 	m := graph.NewValueMatrix(len(w.dist), 1)
 	for l, d := range w.dist {
@@ -204,7 +296,8 @@ func (w *ssspWorker) SnapshotState() *graph.ValueMatrix {
 
 // RestoreState implements bsp.Resumable. The queue NewWorker seeded with
 // the source is cleared — at step >= 1 the original timeline had already
-// relaxed and announced it.
+// relaxed and announced it — and one scan re-parks what step−1's horizon
+// left beyond it.
 func (w *ssspWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 	if state.Width != 1 {
 		return fmt.Errorf("apps: SSSP snapshot width %d, want 1", state.Width)
@@ -212,11 +305,16 @@ func (w *ssspWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 	if err := state.CheckShape(len(w.dist)); err != nil {
 		return err
 	}
+	w.queue, w.head = w.queue[:0], 0
+	w.parked, w.nparked = w.parked[:0], 0
+	clear(w.status)
+	clear(w.improved.bits)
+	w.horizon = w.bound(step - 1)
 	for l := range w.dist {
 		w.dist[l] = state.Scalar(l)
+		if w.dist[l] > w.horizon && !math.IsInf(w.dist[l], 1) {
+			w.push(int32(l))
+		}
 	}
-	w.queue, w.head = w.queue[:0], 0
-	clear(w.inQueue)
-	clear(w.improved.bits)
 	return nil
 }

@@ -71,15 +71,33 @@ func (s *Subgraph) ComponentRoots() []int32 {
 	return s.comps.get(func() []int32 { return buildComponentRoots(s) })
 }
 
+// Depth is a part's boundary depth: how far its vertices sit, in hops over
+// the local edges taken as undirected, from the nearest replicated local
+// vertex. Vertices with no path to one are not counted.
+type Depth struct {
+	// Reached counts the local vertices with a path to a replicated one,
+	// the replicated ones included (at depth 0); Sum is their total depth.
+	// Reached == 0 exactly when the part has no replicated vertex.
+	Reached, Sum int64
+}
+
+// BoundaryDepth returns the part's boundary depth, built on first use by
+// one multi-source BFS from Routing().Replicated.
+func (s *Subgraph) BoundaryDepth() Depth {
+	return s.depth.get(func() Depth { return buildBoundaryDepth(s) })
+}
+
 // CopyForPatch returns a shallow copy of s with private ReplicaPeers and
-// degree columns and an empty routing plan: a live row patch rewrites peer
-// rows (the cached plan must not carry over) but no edge (the components do).
+// degree columns and an empty routing plan and boundary depth: a live row
+// patch rewrites peer rows (the replicated set, hence both tables, must not
+// carry over) but no edge (the components do).
 func (s *Subgraph) CopyForPatch() *Subgraph {
 	dup := *s
 	dup.ReplicaPeers = slices.Clone(s.ReplicaPeers)
 	dup.GlobalOutDegree = slices.Clone(s.GlobalOutDegree)
 	dup.GlobalInDegree = slices.Clone(s.GlobalInDegree)
 	dup.routing = new(lazy[*Routing])
+	dup.depth = new(lazy[Depth])
 	return &dup
 }
 
@@ -173,6 +191,47 @@ func buildComponentRoots(s *Subgraph) []int32 {
 		root[l] = root[p]
 	}
 	return root
+}
+
+// buildBoundaryDepth runs the BFS over an undirected adjacency counting-
+// sorted from the local edges (a self-loop lists its vertex twice, which
+// the visited check absorbs).
+func buildBoundaryDepth(s *Subgraph) Depth {
+	n := len(s.GlobalIDs)
+	start := make([]int32, n+1)
+	for _, e := range s.Edges {
+		start[e.Src+1]++
+		start[e.Dst+1]++
+	}
+	for l := range n {
+		start[l+1] += start[l]
+	}
+	adj, fill := make([]int32, start[n]), slices.Clone(start[:n])
+	for _, e := range s.Edges {
+		adj[fill[e.Src]], fill[e.Src] = int32(e.Dst), fill[e.Src]+1
+		adj[fill[e.Dst]], fill[e.Dst] = int32(e.Src), fill[e.Dst]+1
+	}
+	depth := make([]int32, n)
+	for l := range depth {
+		depth[l] = -1
+	}
+	queue := append(make([]int32, 0, n), s.Routing().Replicated...)
+	for _, l := range queue {
+		depth[l] = 0
+	}
+	var d Depth
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		d.Sum += int64(depth[u])
+		for _, v := range adj[start[u]:start[u+1]] {
+			if depth[v] < 0 {
+				depth[v] = depth[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	d.Reached = int64(len(queue))
+	return d
 }
 
 // SendScalars hands every peer with a non-empty column one batch of rows

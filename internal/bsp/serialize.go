@@ -127,7 +127,7 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 	}
 
 	sub := &Subgraph{Part: int(word[3]), NumWorkers: int(word[4]), NumGlobalVertices: int(word[5]),
-		routing: new(lazy[*Routing]), comps: new(lazy[[]int32])}
+		routing: new(lazy[*Routing]), comps: new(lazy[[]int32]), depth: new(lazy[Depth])}
 	// Every per-vertex column must cover the vertex set and every per-edge
 	// column the edge set, or programs index out of range at run time.
 	if numPeerLens != numIDs || numOut != numIDs || numIn != numIDs {

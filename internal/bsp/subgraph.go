@@ -61,11 +61,13 @@ type Subgraph struct {
 	// rebuilt by ReadSubgraph rather than shipped.
 	localOf []int32
 
-	// routing and comps cache plan.go's derived tables, built on first use
-	// and shared by every job; a live epoch swap replaces rebuilt parts by
-	// pointer, which is their invalidation. Attached by BuildPart/ReadSubgraph.
+	// routing, comps and depth cache plan.go's derived tables, built on
+	// first use and shared by every job; a live epoch swap replaces rebuilt
+	// parts by pointer, which is their invalidation. Attached by
+	// BuildPart/ReadSubgraph.
 	routing *lazy[*Routing]
 	comps   *lazy[[]int32]
+	depth   *lazy[Depth]
 }
 
 // localIndexMaxDilution bounds the dense index's memory: the index costs
@@ -264,6 +266,7 @@ func BuildPart(g *graph.Graph, p, k int, bucket []int32, set partition.Bitset,
 		GlobalInDegree:    make([]int32, count),
 		routing:           new(lazy[*Routing]),
 		comps:             new(lazy[[]int32]),
+		depth:             new(lazy[Depth]),
 	}
 	set.Range(func(v int) {
 		local := int32(len(sub.GlobalIDs))

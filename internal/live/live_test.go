@@ -160,8 +160,9 @@ func TestApplyForceRebuildMatchesPatch(t *testing.T) {
 
 // TestPatchStartsWithEmptyRoutingPlan: a row-patched part rewrites peer
 // rows on a copy of the old subgraph, so the copy must derive its routing
-// plan afresh (equal to a full rebuild's) while keeping the component table
-// (edges unchanged); parts carried over by pointer keep both cached tables.
+// plan and boundary depth afresh (equal to a full rebuild's) while keeping
+// the component table (edges unchanged); parts carried over by pointer keep
+// every cached table.
 func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
 	g := liveGraph(t, 400, 2500, 13)
 	patchSt, patchSwap := buildLive(t, g, 8, Config{})
@@ -171,6 +172,7 @@ func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
 	for p, sub := range old {
 		oldPlans[p] = sub.Routing()
 		sub.ComponentRoots()
+		sub.BoundaryDepth()
 	}
 	// One new edge between two degree-1 vertices: its part rebuilds, the
 	// other parts covering an endpoint are row-patched (degrees and maybe
@@ -196,6 +198,9 @@ func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
 	for p, sub := range patchSt.subs {
 		if !reflect.DeepEqual(sub.Routing(), rebuildSt.subs[p].Routing()) {
 			t.Fatalf("part %d: routing plan differs from the full rebuild's", p)
+		}
+		if got, want := sub.BoundaryDepth(), rebuildSt.subs[p].BoundaryDepth(); got != want {
+			t.Fatalf("part %d: boundary depth %+v, full rebuild's %+v", p, got, want)
 		}
 		switch {
 		case sub == old[p]: // reused
