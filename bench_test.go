@@ -582,10 +582,14 @@ func BenchmarkSessionReuse(b *testing.B) {
 // is superstep work alone: each app's kernel, the sender-side coalesce and
 // inbox delivery. The power-law rows are the powerlaw-mem benchmark cycle in
 // miniature (Aggregate at width 8, WSSSP over unit weights), the road rows
-// its many-small-supersteps opposite. Those jobs find the subgraphs' routing
-// plans and component tables already built; powerlaw/CC/cold runs CC over
-// freshly built subgraphs instead, so its distance from powerlaw/CC is the
-// first-use cost of both tables. Size the next kernel change with
+// its many-small-supersteps opposite. The road rows run over EBV's
+// fragmented parts, where SSSP's horizon is short; road/SSSP/ne runs over
+// NE's contiguous parts, where it must stay long, so both sides of the rule
+// are sized. Those jobs find the subgraphs' routing plans, component tables
+// and boundary depths already built; powerlaw/CC/cold runs CC over freshly
+// built subgraphs instead, so its distance from powerlaw/CC is the
+// first-use cost of the routing plan and component table. Size the next
+// kernel change with
 //
 //	go test -run '^$' -bench SuperstepKernels -cpuprofile cpu.out
 func BenchmarkSuperstepKernels(b *testing.B) {
@@ -596,10 +600,13 @@ func BenchmarkSuperstepKernels(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
+		part ebv.Partitioner
+		tag  string // row suffix naming a partitioner other than EBV
 		apps []string
 	}{
-		{"powerlaw", ablationGraph(b), []string{"CC", "PR", "SSSP", "WSSSP", "Aggregate"}},
-		{"road", road, []string{"CC", "SSSP"}},
+		{"powerlaw", ablationGraph(b), ebv.NewEBV(), "", []string{"CC", "PR", "SSSP", "WSSSP", "Aggregate"}},
+		{"road", road, ebv.NewEBV(), "", []string{"CC", "SSSP"}},
+		{"road", road, &ebv.NE{}, "/ne", []string{"SSSP"}},
 	} {
 		// The max-out-degree vertex reaches most of either graph.
 		src := graph.VertexID(0)
@@ -608,7 +615,7 @@ func BenchmarkSuperstepKernels(b *testing.B) {
 				src = graph.VertexID(v)
 			}
 		}
-		s, err := ebv.NewPipeline(ebv.FromGraph(tc.g), ebv.UsePartitioner(ebv.NewEBV()), ebv.Subgraphs(8)).
+		s, err := ebv.NewPipeline(ebv.FromGraph(tc.g), ebv.UsePartitioner(tc.part), ebv.Subgraphs(8)).
 			Open(context.Background())
 		if err != nil {
 			b.Fatal(err)
@@ -622,7 +629,7 @@ func BenchmarkSuperstepKernels(b *testing.B) {
 			if app == "Aggregate" {
 				width = 8
 			}
-			b.Run(tc.name+"/"+app, func(b *testing.B) {
+			b.Run(tc.name+"/"+app+tc.tag, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := s.Run(context.Background(), prog, ebv.WithValueWidth(width)); err != nil {

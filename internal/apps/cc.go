@@ -10,7 +10,10 @@
 // sequential algorithm over the local subgraph (not one vertex step), and
 // the communication stage exchanges values only between replicas of cut
 // vertices. This is what lets the subgraph-centric model omit messages a
-// vertex-centric system would send across the network.
+// vertex-centric system would send across the network. Unit-weight SSSP's
+// computation stage is bounded: it relaxes only up to a distance horizon
+// that grows by a per-part step Δ each superstep, sized by how deep the
+// part's vertices sit behind its replicated ones (see SSSP).
 //
 // Messages travel as columnar batches (transport.MessageBatch) whose value
 // width is the run's bsp.Config.ValueWidth. The scalar applications here

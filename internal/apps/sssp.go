@@ -52,9 +52,11 @@ func (s *SSSP) MessageCombiner() transport.Combiner { return transport.MinCombin
 
 // The horizon grows by Δ = horizonBase + horizonDepth·d̄ hops per
 // superstep, where d̄ is the part's mean boundary depth (bsp.Depth). A
-// part's distances reach only as far past its boundary as its peers'
-// corrections can: a fragmented part (EBV's, d̄ < 1) waits for them every
-// few hops, a contiguous one (METIS's, d̄ ≈ 10) runs far ahead.
+// fragmented part (EBV's, d̄ < 1) is nearly all boundary, so a peer can
+// undercut any of its distances within a few hops and it waits for them;
+// a contiguous part (METIS's, d̄ 4–12 on a road graph) has interiors only
+// its own relax reaches, so it runs far ahead. A fixed Δ fits only one of
+// the two.
 const (
 	horizonBase  = 2
 	horizonDepth = 3

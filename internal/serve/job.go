@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"ebv"
 	"ebv/internal/transport"
@@ -87,7 +89,64 @@ type VertexValue struct {
 	// uncovered or out-of-range vertex has no value).
 	Covered bool `json:"covered"`
 	// Value is the vertex's value row (width columns), nil if uncovered.
-	Value []float64 `json:"value,omitempty"`
+	Value Row `json:"value,omitempty"`
+}
+
+// Row is a value row on the wire: a JSON array of numbers, with each entry
+// JSON numbers cannot carry written as the string "+Inf", "-Inf" or "NaN"
+// (an SSSP distance to a vertex the source cannot reach is +Inf). A finite
+// row encodes exactly as a []float64 does.
+type Row []float64
+
+var nonFinite = map[string]float64{"+Inf": math.Inf(1), "-Inf": math.Inf(-1), "NaN": math.NaN()}
+
+// MarshalJSON implements json.Marshaler.
+func (r Row) MarshalJSON() ([]byte, error) {
+	if !slices.ContainsFunc(r, func(x float64) bool { return math.IsInf(x, 0) || math.IsNaN(x) }) {
+		return json.Marshal([]float64(r))
+	}
+	cells := make([]any, len(r))
+	for i, x := range r {
+		switch {
+		case math.IsInf(x, 1):
+			cells[i] = "+Inf"
+		case math.IsInf(x, -1):
+			cells[i] = "-Inf"
+		case math.IsNaN(x):
+			cells[i] = "NaN"
+		default:
+			cells[i] = x
+		}
+	}
+	return json.Marshal(cells)
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (r *Row) UnmarshalJSON(data []byte) error {
+	if json.Unmarshal(data, (*[]float64)(r)) == nil {
+		return nil // a finite row
+	}
+	var cells []any
+	if err := json.Unmarshal(data, &cells); err != nil {
+		return err
+	}
+	row := make(Row, len(cells))
+	for i, c := range cells {
+		switch c := c.(type) {
+		case float64:
+			row[i] = c
+		case string:
+			x, ok := nonFinite[c]
+			if !ok {
+				return fmt.Errorf("serve: value %q is neither a number nor +Inf, -Inf or NaN", c)
+			}
+			row[i] = x
+		default:
+			return fmt.Errorf("serve: value %v is neither a number nor +Inf, -Inf or NaN", c)
+		}
+	}
+	*r = row
+	return nil
 }
 
 // JobResponse is the POST /v1/jobs success body.

@@ -189,9 +189,17 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	_ = json.NewEncoder(w).Encode(errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeJSON writes v as a 200 JSON body, or a 500 naming the encode error:
+// the body is marshalled before the header goes out, so a value JSON
+// cannot carry never turns into an empty 200.
 func writeJSON(w http.ResponseWriter, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "serve: encode response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // retryAfterSeconds estimates how long a rejected client should back

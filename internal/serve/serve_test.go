@@ -173,6 +173,56 @@ func TestServeJobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServeNonFiniteValues: an SSSP distance to a vertex the source cannot
+// reach is +Inf, which a JSON number cannot carry; the response is still a
+// well-formed 200 whose rows read +Inf. Row encodes finite rows exactly as
+// []float64 does and round-trips every non-finite value.
+func TestServeNonFiniteValues(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	// Source 100000 is a valid vertex id that the 600-vertex graph lacks.
+	status, jr, msg, _ := doJob(t, ts, JobRequest{Graph: "g", App: "sssp", Source: 100000, Vertices: []int64{0, 1, 2}})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d (%s)", status, msg)
+	}
+	if len(jr.Values) != 3 {
+		t.Fatalf("%d values, want 3", len(jr.Values))
+	}
+	for _, vv := range jr.Values {
+		if !vv.Covered || len(vv.Value) != 1 || !math.IsInf(vv.Value[0], 1) {
+			t.Fatalf("vertex %d = %+v, want a covered +Inf", vv.Vertex, vv)
+		}
+	}
+
+	for _, row := range []Row{nil, {}, {0, 1.5, -2, 1e300, 5e-324}} {
+		got, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal([]float64(row))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("finite row %v encodes as %s, []float64 as %s", row, got, want)
+		}
+	}
+	row := Row{math.Inf(1), 3, math.Inf(-1), math.NaN()}
+	enc, err := json.Marshal(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `["+Inf",3,"-Inf","NaN"]`; string(enc) != want {
+		t.Fatalf("non-finite row encodes as %s, want %s", enc, want)
+	}
+	var back Row
+	if err := json.Unmarshal(enc, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != len(row) || !math.IsInf(back[0], 1) || back[1] != 3 || !math.IsInf(back[2], -1) || !math.IsNaN(back[3]) {
+		t.Fatalf("round trip gave %v, want %v", back, row)
+	}
+	if err := json.Unmarshal([]byte(`["Infinity"]`), &back); err == nil {
+		t.Fatal(`"Infinity" decoded without error`)
+	}
+}
+
 // TestServeGraphsAndMetricsEndpoints checks the listing (with and
 // without ?stats=1), /healthz and the /metrics exposition after traffic.
 func TestServeGraphsAndMetricsEndpoints(t *testing.T) {
