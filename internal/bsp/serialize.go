@@ -3,42 +3,36 @@ package bsp
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"ebv/internal/frame"
 	"ebv/internal/graph"
-	"ebv/internal/transport"
+	"ebv/internal/partition"
 )
 
 // Subgraph serialization — the one shard format, used wherever a subgraph
 // leaves the process that built it: the shard the cluster coordinator
-// ships in its assign frame. Columnar and little-endian, so
-// encoding is one pass into an exactly-sized buffer and decoding is one
-// allocation per column:
+// ships in its assign frame. An EBVS frame (package frame) whose header
+// words state each column's length, so encoding is one pass into an
+// exactly-sized buffer and decoding one allocation per column:
 //
-//	u32 magic "EBVS" | u32 version | u32 flags | u32 part | u32 workers |
-//	u32 globalVertices | u32 ids | u32 edges | u32 peerLens | u32 peers |
-//	u32 outDegrees | u32 inDegrees | u32 weights |
-//	ids × u32 GlobalIDs | edges × (u32 src, u32 dst) |
-//	peerLens × u32 len(ReplicaPeers[v]) | peers × i32 (the lists, flattened) |
-//	outDegrees × i32 | inDegrees × i32 | weights × f64 | u32 crc
+//	words: flags | part | workers | globalVertices | ids | edges |
+//	       peerLens | peers | outDegrees | inDegrees | weights
+//	body:  ids × u32 GlobalIDs | edges × (u32 src, u32 dst) |
+//	       peerLens × u32 len(ReplicaPeers[v]) | peers × i32 (flattened) |
+//	       outDegrees × i32 | inDegrees × i32 | weights × f64
 //
-// The header states every column's length; crc is CRC-32C over everything
-// before it; flags bit 0 marks a weighted shard (Weights non-nil). The CSR
-// views and the dense local index are rebuilt on load instead of shipped.
-// Any layout change bumps shardVersion (TestGoldenShards pins the bytes).
+// Flags bit 0 marks a weighted shard (Weights non-nil). The CSR views and
+// the dense local index are rebuilt on load instead of shipped. Any layout
+// change bumps shardVersion (TestGoldenShards pins the bytes).
 const (
-	shardMagic   = 0x45425653 // "EBVS"
 	shardVersion = 1
-
-	shardHeaderWords = 13
-	shardHeaderBytes = 4 * shardHeaderWords
 
 	shardFlagWeighted = 1 << 0
 )
 
-var shardCRC = crc32.MakeTable(crc32.Castagnoli)
+var shardFrame = frame.Format{Name: "EBVS", Version: shardVersion, Words: 11}
 
 // WriteSubgraph serializes sub with a single Write.
 func WriteSubgraph(w io.Writer, sub *Subgraph) error {
@@ -50,17 +44,12 @@ func WriteSubgraph(w io.Writer, sub *Subgraph) error {
 	if sub.Weights != nil {
 		flags = shardFlagWeighted
 	}
-	header := [shardHeaderWords]int{
-		shardMagic, shardVersion, flags, sub.Part, sub.NumWorkers, sub.NumGlobalVertices,
+	buf := shardFrame.Begin(4*(len(sub.GlobalIDs)+2*len(sub.Edges)+len(sub.ReplicaPeers)+
+		numPeers+len(sub.GlobalOutDegree)+len(sub.GlobalInDegree))+8*len(sub.Weights),
+		flags, sub.Part, sub.NumWorkers, sub.NumGlobalVertices,
 		len(sub.GlobalIDs), len(sub.Edges), len(sub.ReplicaPeers), numPeers,
-		len(sub.GlobalOutDegree), len(sub.GlobalInDegree), len(sub.Weights),
-	}
-	buf := make([]byte, 0, shardHeaderBytes+4*(len(sub.GlobalIDs)+2*len(sub.Edges)+len(sub.ReplicaPeers)+
-		numPeers+len(sub.GlobalOutDegree)+len(sub.GlobalInDegree))+8*len(sub.Weights)+4)
-	for _, v := range header {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	buf = transport.AppendU32s(buf, sub.GlobalIDs)
+		len(sub.GlobalOutDegree), len(sub.GlobalInDegree), len(sub.Weights))
+	buf = frame.AppendU32s(buf, sub.GlobalIDs)
 	for _, e := range sub.Edges {
 		buf = binary.LittleEndian.AppendUint32(buf, e.Src)
 		buf = binary.LittleEndian.AppendUint32(buf, e.Dst)
@@ -69,13 +58,12 @@ func WriteSubgraph(w io.Writer, sub *Subgraph) error {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(peers)))
 	}
 	for _, peers := range sub.ReplicaPeers {
-		buf = transport.AppendU32s(buf, peers)
+		buf = frame.AppendU32s(buf, peers)
 	}
-	buf = transport.AppendU32s(buf, sub.GlobalOutDegree)
-	buf = transport.AppendU32s(buf, sub.GlobalInDegree)
-	buf = transport.AppendF64s(buf, sub.Weights)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, shardCRC))
-	if _, err := w.Write(buf); err != nil {
+	buf = frame.AppendU32s(buf, sub.GlobalOutDegree)
+	buf = frame.AppendU32s(buf, sub.GlobalInDegree)
+	buf = frame.AppendF64s(buf, sub.Weights)
+	if _, err := w.Write(frame.Seal(buf)); err != nil {
 		return fmt.Errorf("bsp: write subgraph %d: %w", sub.Part, err)
 	}
 	return nil
@@ -86,47 +74,34 @@ func WriteSubgraph(w io.Writer, sub *Subgraph) error {
 // per-edge column lengths, ascending GlobalIDs, replica peers in range,
 // edge endpoints in local range) and rebuilds the CSR views. A corrupt or
 // truncated shard fails here rather than panicking mid-superstep; the
-// body is read with transport.ReadBounded, so a corrupt header cannot
-// size an allocation. There is one format: bytes that do not start with
-// its magic — a shard file from a build that still wrote gob — are
+// body is read with frame.ReadBounded, so a corrupt header cannot size an
+// allocation. There is one format: bytes that are not an EBVS frame of
+// this version — a shard file from a build that still wrote gob — are
 // rejected by name.
 func ReadSubgraph(r io.Reader) (*Subgraph, error) {
-	var header [shardHeaderBytes]byte
-	if _, err := io.ReadFull(r, header[:4]); err != nil {
-		return nil, fmt.Errorf("bsp: read subgraph magic: %w", err)
-	}
-	if magic := binary.LittleEndian.Uint32(header[:4]); magic != shardMagic {
-		return nil, fmt.Errorf("bsp: not an EBVS subgraph shard (magic %#x): written by an older build? re-run ebv-partition", magic)
-	}
-	if _, err := io.ReadFull(r, header[4:]); err != nil {
-		return nil, fmt.Errorf("bsp: read subgraph header: %w", err)
-	}
-	var word [shardHeaderWords]uint64
-	for i := range word {
-		word[i] = uint64(binary.LittleEndian.Uint32(header[4*i:]))
-	}
-	if word[1] != shardVersion {
-		return nil, fmt.Errorf("bsp: subgraph shard version %d, this build reads %d: re-run ebv-partition", word[1], shardVersion)
+	fr, word, err := shardFrame.NewReader(r)
+	if err != nil {
+		return nil, fmt.Errorf("bsp: subgraph shard: %w: re-run ebv-partition", err)
 	}
 	// Sized in 64 bits: no header can overflow the sum, and once it fits an
 	// int so does every count in it.
-	body := 4*(word[6]+2*word[7]+word[8]+word[9]+word[10]+word[11]) + 8*word[12]
-	if body > math.MaxInt-4 {
+	w := func(i int) uint64 { return uint64(word[i]) }
+	body := 4*(w(4)+2*w(5)+w(6)+w(7)+w(8)+w(9)) + 8*w(10)
+	if body > math.MaxInt {
 		return nil, fmt.Errorf("bsp: corrupt subgraph: header describes %d column bytes", body)
 	}
-	flags := word[2]
-	numIDs, numEdges, numPeerLens, numPeers := int(word[6]), int(word[7]), int(word[8]), int(word[9])
-	numOut, numIn, numWeights := int(word[10]), int(word[11]), int(word[12])
-	data, err := transport.ReadBounded(r, int(body)+4)
+	flags := word[0]
+	numIDs, numEdges, numPeerLens, numPeers := word[4], word[5], word[6], word[7]
+	numOut, numIn, numWeights := word[8], word[9], word[10]
+	data, err := frame.ReadBounded(fr, int(body))
 	if err != nil {
 		return nil, fmt.Errorf("bsp: read subgraph columns (%d bytes): %w", body, err)
 	}
-	data, sum := data[:body], binary.LittleEndian.Uint32(data[body:])
-	if crc := crc32.Update(crc32.Checksum(header[:], shardCRC), shardCRC, data); crc != sum {
-		return nil, fmt.Errorf("bsp: corrupt subgraph: checksum %#x, computed %#x", sum, crc)
+	if err := fr.Verify(); err != nil {
+		return nil, fmt.Errorf("bsp: corrupt subgraph: %w", err)
 	}
 
-	sub := &Subgraph{Part: int(word[3]), NumWorkers: int(word[4]), NumGlobalVertices: int(word[5]),
+	sub := &Subgraph{Part: word[1], NumWorkers: word[2], NumGlobalVertices: word[3],
 		routing: new(lazy[*Routing]), comps: new(lazy[[]int32]), depth: new(lazy[Depth])}
 	// Every per-vertex column must cover the vertex set and every per-edge
 	// column the edge set, or programs index out of range at run time.
@@ -148,7 +123,7 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 	}
 	// Replica routing: programs size their outboxes by NumWorkers and
 	// index them by peer id, so an out-of-range peer panics a superstep.
-	if sub.NumWorkers < 1 || sub.Part < 0 || sub.Part >= sub.NumWorkers {
+	if sub.NumWorkers < 1 || sub.NumWorkers > partition.MaxParts || sub.Part < 0 || sub.Part >= sub.NumWorkers {
 		return nil, fmt.Errorf("bsp: corrupt subgraph: part %d of %d workers",
 			sub.Part, sub.NumWorkers)
 	}
@@ -157,14 +132,14 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 	// come up short.
 	var peerLens []uint32
 	var peers []int32
-	sub.GlobalIDs, data, _ = transport.TakeU32s[graph.VertexID](data, numIDs)
+	sub.GlobalIDs, data, _ = frame.TakeU32s[graph.VertexID](data, numIDs)
 	edgeCol, data := data[:8*numEdges], data[8*numEdges:]
-	peerLens, data, _ = transport.TakeU32s[uint32](data, numPeerLens)
-	peers, data, _ = transport.TakeU32s[int32](data, numPeers)
-	sub.GlobalOutDegree, data, _ = transport.TakeU32s[int32](data, numOut)
-	sub.GlobalInDegree, data, _ = transport.TakeU32s[int32](data, numIn)
+	peerLens, data, _ = frame.TakeU32s[uint32](data, numPeerLens)
+	peers, data, _ = frame.TakeU32s[int32](data, numPeers)
+	sub.GlobalOutDegree, data, _ = frame.TakeU32s[int32](data, numOut)
+	sub.GlobalInDegree, data, _ = frame.TakeU32s[int32](data, numIn)
 	if weighted { // non-nil even for an edgeless part: programs test Weights against nil
-		sub.Weights, _, _ = transport.TakeF64s(data, numWeights)
+		sub.Weights, _, _ = frame.TakeF64s(data, numWeights)
 	}
 
 	// Strictly ascending GlobalIDs inside [0, NumGlobalVertices) is a

@@ -12,6 +12,7 @@ import (
 	"ebv/internal/bsp"
 	"ebv/internal/core"
 	"ebv/internal/graph"
+	"ebv/internal/partition"
 )
 
 // TestBuildSubgraphsParallelDeterministic asserts the parallel build is
@@ -225,6 +226,7 @@ func TestReadSubgraphValidatesLengths(t *testing.T) {
 		// The field is 32 bits wide now; the cap it must respect is 1<<28.
 		"huge-numglobal":      func(b []byte) []byte { setShardWord(b, shardGlobal, 1<<28+1); return b },
 		"zero-workers":        func(b []byte) []byte { setShardWord(b, shardWorkers, 0); return b },
+		"workers-beyond-cap":  func(b []byte) []byte { setShardWord(b, shardWorkers, partition.MaxParts+1); return b },
 		"part-beyond-workers": func(b []byte) []byte { setShardWord(b, shardPart, 7); return b },
 		"peer-beyond-workers": func(b []byte) []byte { setShardElems(b, shardPeers, 5); return b },
 		"peer-negative":       func(b []byte) []byte { setShardElems(b, shardPeers, minusOne); return b },

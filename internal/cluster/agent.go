@@ -159,7 +159,7 @@ func (a *Agent) Run(ctx context.Context) error {
 		pending *pendingAttempt
 	)
 	for {
-		typ, payload, err := transport.ReadControlFrame(conn)
+		typ, payload, err := readFrame(conn)
 		if err != nil {
 			if a.isKilled() {
 				return ErrAgentKilled

@@ -1,45 +1,32 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"ebv/internal/bsp"
+	"ebv/internal/frame"
 	"ebv/internal/graph"
-	"ebv/internal/transport"
 )
 
 // On-disk checkpoint codec. One file holds one worker's bsp.Checkpoint for
-// one (job, partition, epoch) triple, versioned and CRC-checked so restore
-// never trusts a torn or stale file:
+// one (job, partition, epoch) triple as an EBVK frame (package frame), so
+// restore never trusts a torn or stale file:
 //
-//	u32 magic "EBVK" | u32 version | u32 job | u32 part | u32 workers |
-//	u32 width | u32 step | u32 stateWidth | u32 stateRows | u32 inboxRows |
-//	stateRows·stateWidth × f64 | inboxRows × u32 ids |
-//	inboxRows·width × f64 | u32 crc
+//	words: job | part | workers | width | step | stateWidth | stateRows | inboxRows
+//	body:  stateRows·stateWidth × f64 | inboxRows × u32 ids | inboxRows·width × f64
 //
-// (little-endian; crc is CRC-32C over everything before it). Files are
-// written to a temp name and renamed into place, so a worker killed
-// mid-write leaves either the previous complete epoch or nothing — never
-// a file that decodes.
+// Files are written to a temp name and renamed into place, so a worker
+// killed mid-write leaves either the previous complete epoch or nothing —
+// never a file that decodes.
 const (
-	checkpointMagic   = 0x4542564B // "EBVK"
-	checkpointVersion = 1
-
-	checkpointHeaderWords = 10
-	checkpointHeaderBytes = checkpointHeaderWords * 4
-
-	// maxCheckpointRows caps the decoded state/inbox row counts, mirroring
-	// the transport's wire caps: a corrupt length field fails loudly
-	// instead of attempting a huge allocation.
-	maxCheckpointRows = 1 << 28
+	checkpointVersion     = 1
+	checkpointHeaderBytes = 4 * (2 + 8) // magic, version, the eight words
 )
 
-var checkpointCRC = crc32.MakeTable(crc32.Castagnoli)
+var checkpointFrame = frame.Format{Name: "EBVK", Version: checkpointVersion, Words: 8}
 
 // CheckpointMeta identifies whose execution a checkpoint file belongs to.
 type CheckpointMeta struct {
@@ -67,68 +54,41 @@ func EncodeCheckpoint(meta CheckpointMeta, cp *bsp.Checkpoint) ([]byte, error) {
 		return nil, err
 	}
 	inboxRows := len(cp.InboxIDs)
-	size := checkpointHeaderBytes + 8*len(cp.State.Data) + 4*inboxRows + 8*len(cp.InboxVals) + 4
-	buf := make([]byte, 0, size)
-	for _, v := range [checkpointHeaderWords]int{
-		checkpointMagic, checkpointVersion, meta.Job, meta.Part, meta.Workers,
-		meta.Width, cp.Step, cp.State.Width, stateRows, inboxRows,
-	} {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	buf = transport.AppendF64s(buf, cp.State.Data)
-	buf = transport.AppendU32s(buf, cp.InboxIDs)
-	buf = transport.AppendF64s(buf, cp.InboxVals)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, checkpointCRC))
-	return buf, nil
+	buf := checkpointFrame.Begin(8*len(cp.State.Data)+4*inboxRows+8*len(cp.InboxVals),
+		meta.Job, meta.Part, meta.Workers, meta.Width, cp.Step, cp.State.Width, stateRows, inboxRows)
+	buf = frame.AppendF64s(buf, cp.State.Data)
+	buf = frame.AppendU32s(buf, cp.InboxIDs)
+	buf = frame.AppendF64s(buf, cp.InboxVals)
+	return frame.Seal(buf), nil
 }
 
 // DecodeCheckpoint parses and fully validates an encoded checkpoint:
 // magic, version, CRC, exact length and internal shape. Truncated,
 // corrupt or trailing-junk files all fail loudly.
 func DecodeCheckpoint(data []byte) (CheckpointMeta, *bsp.Checkpoint, error) {
-	var meta CheckpointMeta
-	if len(data) < checkpointHeaderBytes+4 {
-		return meta, nil, fmt.Errorf("cluster: checkpoint truncated: %d bytes", len(data))
+	word, body, err := checkpointFrame.Open(data)
+	if err != nil {
+		return CheckpointMeta{}, nil, fmt.Errorf("cluster: checkpoint: %w", err)
 	}
-	if magic := binary.LittleEndian.Uint32(data[0:4]); magic != checkpointMagic {
-		return meta, nil, fmt.Errorf("cluster: bad checkpoint magic %#x", magic)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != checkpointVersion {
-		return meta, nil, fmt.Errorf("cluster: checkpoint version %d, this build reads %d", v, checkpointVersion)
-	}
-	word := func(i int) int {
-		return int(binary.LittleEndian.Uint32(data[4*i : 4*i+4]))
-	}
-	meta.Job = word(2)
-	meta.Part = word(3)
-	meta.Workers = word(4)
-	meta.Width = word(5)
-	step := word(6)
-	stateWidth := word(7)
-	stateRows := word(8)
-	inboxRows := word(9)
-	if stateWidth < 1 || stateRows < 0 || stateRows > maxCheckpointRows ||
-		inboxRows < 0 || inboxRows > maxCheckpointRows ||
-		meta.Width < 1 || step < 1 {
+	meta := CheckpointMeta{Job: word[0], Part: word[1], Workers: word[2], Width: word[3]}
+	step, stateWidth, stateRows, inboxRows := word[4], word[5], word[6], word[7]
+	// Each column is bounded by the body before the products are formed,
+	// so no header can overflow the length the body is checked against.
+	if stateWidth < 1 || meta.Width < 1 || step < 1 ||
+		stateRows > len(body)/8/stateWidth || inboxRows > len(body)/(4+8*meta.Width) {
 		return meta, nil, fmt.Errorf("cluster: checkpoint header out of range (step %d, state %dx%d, inbox %d rows, width %d)",
 			step, stateRows, stateWidth, inboxRows, meta.Width)
 	}
-	want := checkpointHeaderBytes + 8*stateRows*stateWidth + 4*inboxRows + 8*inboxRows*meta.Width + 4
-	if len(data) != want {
-		return meta, nil, fmt.Errorf("cluster: checkpoint is %d bytes, header describes %d (truncated or corrupt)",
-			len(data), want)
-	}
-	crc := crc32.Checksum(data[:len(data)-4], checkpointCRC)
-	if got := binary.LittleEndian.Uint32(data[len(data)-4:]); got != crc {
-		return meta, nil, fmt.Errorf("cluster: checkpoint checksum mismatch: got %#x, want %#x", got, crc)
+	if want := 8*stateRows*stateWidth + (4+8*meta.Width)*inboxRows; len(body) != want {
+		return meta, nil, fmt.Errorf("cluster: checkpoint body is %d bytes, header describes %d (truncated or corrupt)",
+			len(body), want)
 	}
 
-	// len(data) matches the header exactly, so no Take can come up short.
+	// The body matches the header exactly, so no Take can come up short.
 	cp := &bsp.Checkpoint{Step: step, State: &graph.ValueMatrix{Width: stateWidth}}
-	body := data[checkpointHeaderBytes : len(data)-4]
-	cp.State.Data, body, _ = transport.TakeF64s(body, stateRows*stateWidth)
-	cp.InboxIDs, body, _ = transport.TakeU32s[graph.VertexID](body, inboxRows)
-	cp.InboxVals, _, _ = transport.TakeF64s(body, inboxRows*meta.Width)
+	cp.State.Data, body, _ = frame.TakeF64s(body, stateRows*stateWidth)
+	cp.InboxIDs, body, _ = frame.TakeU32s[graph.VertexID](body, inboxRows)
+	cp.InboxVals, _, _ = frame.TakeF64s(body, inboxRows*meta.Width)
 	return meta, cp, nil
 }
 

@@ -8,7 +8,7 @@
 // Roles:
 //
 //   - The Coordinator owns the partitioned graph. It accepts worker
-//     registrations over TCP (control frames, see transport.ReadControlFrame),
+//     registrations over TCP (EBVC control frames, see readFrame),
 //     ships each worker its subgraph shard through the hardened
 //     bsp.WriteSubgraph codec, assembles the data-plane peer address list
 //     automatically, launches jobs, and detects worker death by heartbeat

@@ -11,7 +11,6 @@ import (
 
 	"ebv/internal/bsp"
 	"ebv/internal/graph"
-	"ebv/internal/transport"
 )
 
 // Config configures a Coordinator.
@@ -245,7 +244,7 @@ func (c *Coordinator) acceptLoop() {
 // connection dies.
 func (c *Coordinator) handleConn(conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	typ, payload, err := transport.ReadControlFrame(conn)
+	typ, payload, err := readFrame(conn)
 	if err != nil || typ != msgHello {
 		_ = conn.Close()
 		return
@@ -290,7 +289,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 
 	for {
-		typ, payload, err := transport.ReadControlFrame(conn)
+		typ, payload, err := readFrame(conn)
 		if err != nil {
 			c.markDead(w, err)
 			return

@@ -6,22 +6,26 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"net"
 	"sync"
 
 	"ebv/internal/bsp"
+	"ebv/internal/frame"
 	"ebv/internal/graph"
 	"ebv/internal/transport"
 )
 
-// Control-plane protocol. Every message is one transport control frame
-// (magic "EBVC", CRC-checked) whose type byte selects the payload. The
-// small schema'd messages (hello, prepare, prepared, start, failed) are
-// gob-encoded structs: a few dozen bytes each, off the bulk path, and gob
-// lets JobSpec grow a field without a wire revision. The two bulk
-// payloads never touch gob, whose reflection cost more CPU per shard than
-// EBV spends partitioning it: assign is the shard, exactly
-// bsp.WriteSubgraph's bytes (they label their own part and worker count),
-// and done is
+// Control-plane protocol. Every message is one EBVC frame (package frame)
+// with header words type and payload length, so a corrupt or truncated
+// frame — a data-plane peer, a connection cut mid-shard — fails at the
+// frame layer, not as a gob decode error. The small schema'd messages
+// (hello, prepare, prepared, start, failed) are gob-encoded structs: a
+// few dozen bytes each, off the bulk path, and gob lets JobSpec grow a
+// field without a wire revision. The two bulk payloads never touch gob,
+// whose reflection cost more CPU per shard than EBV spends partitioning
+// it: assign is the shard, exactly bsp.WriteSubgraph's bytes (they label
+// their own part and worker count), and done is
 //
 //	u32 job | u32 attempt | u32 part | u32 steps | u32 width | u32 rows |
 //	rows·width × f64 (little-endian bit patterns)
@@ -96,7 +100,7 @@ func encodeDone(job, attempt, part, steps int, vals *graph.ValueMatrix) []byte {
 	for _, v := range []int{job, attempt, part, steps, vals.Width, vals.Rows()} {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	return transport.AppendF64s(buf, vals.Data)
+	return frame.AppendF64s(buf, vals.Data)
 }
 
 // decodeDone parses a done frame into its evDone event. The shape is
@@ -121,7 +125,7 @@ func decodeDone(payload []byte, subs []*bsp.Subgraph) (event, error) {
 		return e, fmt.Errorf("cluster: done frame carries %d value bytes, %d rows × width %d need %d",
 			len(payload)-doneHeaderBytes, rows, e.width, want)
 	}
-	e.values, _, _ = transport.TakeF64s(payload[doneHeaderBytes:], rows*e.width) // length just checked
+	e.values, _, _ = frame.TakeF64s(payload[doneHeaderBytes:], rows*e.width) // length just checked
 	return e, nil
 }
 
@@ -134,13 +138,45 @@ func writeMsg(mu *sync.Mutex, w io.Writer, typ uint8, payload any) error {
 	return writeFrame(mu, w, typ, buf.Bytes())
 }
 
-// writeFrame sends already-encoded payload bytes (nil for the bodiless
-// heartbeat and shutdown) as one control frame. Callers serialize writes
-// per connection with mu.
+var controlFrame = frame.Format{Name: "EBVC", Version: 1, Words: 2}
+
+// maxControlPayload is of the order of the largest shard.
+const maxControlPayload = 1 << 30
+
+// writeFrame sends payload bytes (nil for the bodiless heartbeat and
+// shutdown) as one control frame: header, payload and checksum go out as
+// one vectored write (one writev on TCP), so a shard is never copied into
+// a second buffer. mu serializes writers per connection.
 func writeFrame(mu *sync.Mutex, w io.Writer, typ uint8, data []byte) error {
+	if len(data) > maxControlPayload {
+		return fmt.Errorf("cluster: control payload %d bytes exceeds cap %d", len(data), maxControlPayload)
+	}
+	head := controlFrame.Begin(0, int(typ), len(data))
+	sum := binary.LittleEndian.AppendUint32(nil, frame.Checksum(frame.Checksum(0, head), data))
 	mu.Lock()
 	defer mu.Unlock()
-	return transport.WriteControlFrame(w, typ, data)
+	_, err := (&net.Buffers{head, data, sum}).WriteTo(w)
+	return err
+}
+
+// readFrame reads and verifies one control frame. The payload is the
+// caller's; it grows with the bytes that arrive (frame.ReadBounded), so a
+// corrupt length word costs no more memory than what follows it.
+func readFrame(r io.Reader) (typ uint8, payload []byte, err error) {
+	fr, word, err := controlFrame.NewReader(r)
+	if err != nil {
+		return 0, nil, fmt.Errorf("cluster: control frame: %w", err)
+	}
+	if word[0] > math.MaxUint8 || word[1] > maxControlPayload {
+		return 0, nil, fmt.Errorf("cluster: control frame of type %d with %d payload bytes", word[0], word[1])
+	}
+	if payload, err = frame.ReadBounded(fr, word[1]); err == nil {
+		err = fr.Verify()
+	}
+	if err != nil {
+		return 0, nil, fmt.Errorf("cluster: control payload (type %d, %d bytes): %w", word[0], word[1], err)
+	}
+	return uint8(word[0]), payload, nil
 }
 
 // decodeMsg decodes a gob control-frame payload into out.

@@ -3,8 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"errors"
-	"io"
 	"math"
 	"net"
 	"strings"
@@ -58,7 +56,7 @@ func TestDoneFrameBitExact(t *testing.T) {
 		scriptErr <- func() error {
 			var job, attempt int
 			for {
-				typ, payload, err := transport.ReadControlFrame(conn)
+				typ, payload, err := readFrame(conn)
 				if err != nil {
 					return err
 				}
@@ -135,14 +133,11 @@ func TestDoneFrameDamageSweep(t *testing.T) {
 		}
 	}
 
-	var frame bytes.Buffer
-	if err := transport.WriteControlFrame(&frame, msgDone, payload); err != nil {
-		t.Fatal(err)
-	}
+	frame := encodeFrame(t, msgDone, payload)
 	read := func(wire []byte) error {
-		_, payload, err := transport.ReadControlFrame(bytes.NewReader(wire))
+		_, payload, err := readFrame(bytes.NewReader(wire))
 		if err != nil {
-			if !strings.HasPrefix(err.Error(), "transport:") && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			if !strings.HasPrefix(err.Error(), "cluster:") {
 				t.Fatalf("frame error not attributed: %v", err)
 			}
 			return err
@@ -150,16 +145,16 @@ func TestDoneFrameDamageSweep(t *testing.T) {
 		_, err = decodeDone(payload, subs)
 		return err
 	}
-	if err := read(frame.Bytes()); err != nil {
+	if err := read(frame); err != nil {
 		t.Fatalf("intact frame: %v", err)
 	}
-	for n := 0; n < frame.Len(); n++ {
-		if read(frame.Bytes()[:n]) == nil {
-			t.Fatalf("frame cut to %d of %d bytes accepted", n, frame.Len())
+	for n := 0; n < len(frame); n++ {
+		if read(frame[:n]) == nil {
+			t.Fatalf("frame cut to %d of %d bytes accepted", n, len(frame))
 		}
 	}
-	for bit := 0; bit < 8*frame.Len(); bit++ {
-		flipped := bytes.Clone(frame.Bytes())
+	for bit := 0; bit < 8*len(frame); bit++ {
+		flipped := bytes.Clone(frame)
 		flipped[bit/8] ^= 1 << (bit % 8)
 		if read(flipped) == nil {
 			t.Fatalf("frame with bit %d flipped accepted", bit)

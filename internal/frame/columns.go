@@ -1,4 +1,4 @@
-package transport
+package frame
 
 import (
 	"encoding/binary"

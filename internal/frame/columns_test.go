@@ -1,10 +1,13 @@
-package transport
+package frame
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/iotest"
 )
@@ -86,5 +89,56 @@ func TestReadBounded(t *testing.T) {
 	}
 	if _, err := ReadBounded(bytes.NewReader(nil), 5); err != io.EOF {
 		t.Fatalf("empty stream: %v, want %v", err, io.EOF)
+	}
+}
+
+func TestBlockIORoundTrip(t *testing.T) {
+	// Exercise multi-block paths: 3 bytes/element never divides 64 KiB
+	// evenly and 30000 elements span two blocks.
+	const n, elem = 30000, 3
+	f := Format{Name: "EBVT", Version: 1, Words: 1}
+	src := make([]byte, n*elem)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := f.WriteBlocks(&buf, n, elem, func(dst []byte, i int) {
+		copy(dst, src[i*elem:(i+1)*elem])
+	}, n); err != nil {
+		t.Fatal(err)
+	}
+	if want := f.headerBytes() + n*elem + 4; buf.Len() != want {
+		t.Fatalf("wrote %d bytes, want %d", buf.Len(), want)
+	}
+	file := bytes.Clone(buf.Bytes())
+	if words, body, err := f.Open(file); err != nil || words[0] != n || !bytes.Equal(body, src) {
+		t.Fatalf("Open: words %v, %v", words, err)
+	}
+	read := func(file []byte) ([]byte, error) {
+		r, words, err := f.NewReader(bytes.NewReader(file))
+		if err != nil {
+			return nil, err
+		}
+		got := make([]byte, 0, n*elem)
+		err = r.ReadBlocks(words[0], elem, func(s []byte) { got = append(got, s...) })
+		return got, err
+	}
+	if got, err := read(file); err != nil || !bytes.Equal(src, got) {
+		t.Fatalf("block round trip: %v", err)
+	}
+	// Truncated input surfaces the read error, a flipped bit the checksum.
+	if _, err := read(file[:len(file)/2]); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated read: %v", err)
+	}
+	file[len(file)/2] ^= 1
+	if _, err := read(file); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("flipped bit: %v", err)
+	}
+	// n == 0 writes the header and the checksum only.
+	buf.Reset()
+	if err := f.WriteBlocks(&buf, 0, 8, func(dst []byte, i int) {
+		binary.LittleEndian.PutUint64(dst, 1)
+	}, 0); err != nil || buf.Len() != f.headerBytes()+4 {
+		t.Fatalf("empty write: err %v len %d", err, buf.Len())
 	}
 }

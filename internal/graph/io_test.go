@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"ebv/internal/frame"
 )
 
 func TestReadEdgeListBasic(t *testing.T) {
@@ -204,6 +206,16 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
+	}
+	// A flag bit this build does not know is refused under a valid checksum.
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, mustGraph(t, 2, []Edge{{0, 1}})); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()[:buf.Len()-4]
+	file[8] |= 1 << 1 // header word 0, the flags
+	if _, err := ReadBinary(bytes.NewReader(frame.Seal(file))); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+		t.Fatalf("flag bit 1 under a valid checksum: err = %v, want an unknown-flags error", err)
 	}
 }
 

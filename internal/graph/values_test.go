@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"bytes"
-	"encoding/binary"
-	"testing"
-)
+import "testing"
 
 func TestValueMatrixShapeAndAccessors(t *testing.T) {
 	m := NewValueMatrix(4, 3)
@@ -42,44 +38,5 @@ func TestValueMatrixShapeAndAccessors(t *testing.T) {
 	// Width < 1 constructor input normalizes to scalar.
 	if w := NewValueMatrix(2, 0).Width; w != 1 {
 		t.Fatalf("width %d", w)
-	}
-}
-
-func TestBlockIORoundTrip(t *testing.T) {
-	// Exercise multi-block paths: 3 bytes/element never divides 64 KiB
-	// evenly and 30000 elements span two blocks.
-	const n, elem = 30000, 3
-	src := make([]byte, n*elem)
-	for i := range src {
-		src[i] = byte(i * 7)
-	}
-	var buf bytes.Buffer
-	if err := WriteBlocks(&buf, n, elem, func(dst []byte, i int) {
-		copy(dst, src[i*elem:(i+1)*elem])
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != n*elem {
-		t.Fatalf("wrote %d bytes, want %d", buf.Len(), n*elem)
-	}
-	got := make([]byte, n*elem)
-	if err := ReadBlocks(&buf, n, elem, func(s []byte, i int) {
-		copy(got[i*elem:(i+1)*elem], s)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(src, got) {
-		t.Fatal("block round trip corrupted data")
-	}
-	// Truncated input surfaces the read error.
-	short := bytes.NewReader(make([]byte, 10))
-	if err := ReadBlocks(short, 100, 8, func([]byte, int) {}); err == nil {
-		t.Fatal("truncated read accepted")
-	}
-	// n == 0 writes nothing and reads nothing.
-	if err := WriteBlocks(&buf, 0, 8, func(dst []byte, i int) {
-		binary.LittleEndian.PutUint64(dst, 1)
-	}); err != nil || buf.Len() != 0 {
-		t.Fatalf("empty write: err %v len %d", err, buf.Len())
 	}
 }

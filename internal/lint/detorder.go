@@ -73,7 +73,7 @@ func orderedSink(info *types.Info, call *ast.CallExpr) string {
 		return "fmt." + name + " (writer output)"
 	}
 	// Package-level Write*/Encode* helpers of this module (graph.WriteEdgeList,
-	// transport.WriteControlFrame, checkpoint writers, ...).
+	// bsp.WriteSubgraph, checkpoint writers, ...).
 	if f := funcOf(info, call); f != nil && f.Pkg() != nil {
 		path := f.Pkg().Path()
 		sig, _ := f.Type().(*types.Signature)

@@ -82,8 +82,7 @@ func consultsCause(fd *ast.FuncDecl) bool {
 func isConnIOCall(info *types.Info, call *ast.CallExpr) bool {
 	name := calleeName(call)
 	switch name {
-	case "readJobFrameV4", "writeJobFrameV4",
-		"ReadControlFrame", "WriteControlFrame":
+	case "readJobFrameV4", "writeJobFrameV4":
 		return true
 	case "ReadFull", "ReadAtLeast", "Copy":
 		return isPkgFunc(info, call, "io", name)

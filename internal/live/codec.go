@@ -12,8 +12,8 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
+	"ebv/internal/frame"
 	"ebv/internal/graph"
 )
 
@@ -48,15 +48,11 @@ type Mutation struct {
 }
 
 // Mutation batches travel between processes (the serve endpoint, the
-// bench's stream generator) in the EBVL framing: little-endian u32 words
-//
-//	magic "EBVL" | version | count | count × (op, src, dst) | CRC-32C
-//
-// with the checksum (Castagnoli, matching the EBVK checkpoint codec)
-// taken over every preceding byte. Decoding validates magic, version,
-// count bound, exact length and checksum before trusting any field.
+// bench's stream generator) as EBVL frames (package frame): one header
+// word, count, and a body of count × (u32 op, u32 src, u32 dst). Decoding
+// validates magic, version, checksum, count bound and exact length before
+// trusting any field.
 const (
-	mutationMagic   = 0x4542564C // "EBVL"
 	mutationVersion = 1
 
 	// maxMutationsPerBatch bounds a decoded batch (16M mutations ≈ 192 MB
@@ -64,18 +60,15 @@ const (
 	maxMutationsPerBatch = 1 << 24
 )
 
-var mutationCRC = crc32.MakeTable(crc32.Castagnoli)
+var mutationFrame = frame.Format{Name: "EBVL", Version: mutationVersion, Words: 1}
 
-// EncodeMutations serializes a batch in the EBVL framing.
+// EncodeMutations serializes a batch as an EBVL frame.
 func EncodeMutations(muts []Mutation) ([]byte, error) {
 	if len(muts) > maxMutationsPerBatch {
 		return nil, fmt.Errorf("live: batch of %d mutations exceeds the %d cap",
 			len(muts), maxMutationsPerBatch)
 	}
-	buf := make([]byte, 0, 4*(3+3*len(muts)+1))
-	buf = binary.LittleEndian.AppendUint32(buf, mutationMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, mutationVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(muts)))
+	buf := mutationFrame.Begin(12*len(muts), len(muts))
 	for _, m := range muts {
 		if m.Op != OpInsert && m.Op != OpDelete {
 			return nil, fmt.Errorf("live: encode unknown op %d", uint32(m.Op))
@@ -84,47 +77,35 @@ func EncodeMutations(muts []Mutation) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Src))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Dst))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, mutationCRC))
-	return buf, nil
+	return frame.Seal(buf), nil
 }
 
 // DecodeMutations parses and validates an EBVL batch. Every framing
 // violation — bad magic or version, oversized count, truncation, trailing
 // bytes, checksum mismatch, unknown op — is rejected with an error.
 func DecodeMutations(data []byte) ([]Mutation, error) {
-	const headerWords, trailerWords = 3, 1
-	if len(data) < 4*(headerWords+trailerWords) {
-		return nil, fmt.Errorf("live: mutation batch truncated at %d bytes", len(data))
+	word, body, err := mutationFrame.Open(data)
+	if err != nil {
+		return nil, fmt.Errorf("live: mutation batch: %w", err)
 	}
-	if magic := binary.LittleEndian.Uint32(data); magic != mutationMagic {
-		return nil, fmt.Errorf("live: bad mutation batch magic %#x", magic)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != mutationVersion {
-		return nil, fmt.Errorf("live: unsupported mutation batch version %d", v)
-	}
-	count := binary.LittleEndian.Uint32(data[8:])
+	count := word[0]
 	if count > maxMutationsPerBatch {
 		return nil, fmt.Errorf("live: batch count %d exceeds the %d cap", count, maxMutationsPerBatch)
 	}
-	want := 4 * (headerWords + 3*int(count) + trailerWords)
-	if len(data) != want {
-		return nil, fmt.Errorf("live: mutation batch is %d bytes, framing says %d", len(data), want)
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if sum := crc32.Checksum(body, mutationCRC); sum != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("live: mutation batch checksum mismatch")
+	if len(body) != 12*count {
+		return nil, fmt.Errorf("live: mutation batch body is %d bytes, %d mutations need %d", len(body), count, 12*count)
 	}
 	muts := make([]Mutation, count)
 	for i := range muts {
-		off := 4 * (headerWords + 3*i)
-		op := Op(binary.LittleEndian.Uint32(body[off:]))
+		m := body[12*i:]
+		op := Op(binary.LittleEndian.Uint32(m))
 		if op != OpInsert && op != OpDelete {
 			return nil, fmt.Errorf("live: unknown op %d at mutation %d", uint32(op), i)
 		}
 		muts[i] = Mutation{
 			Op:  op,
-			Src: graph.VertexID(binary.LittleEndian.Uint32(body[off+4:])),
-			Dst: graph.VertexID(binary.LittleEndian.Uint32(body[off+8:])),
+			Src: graph.VertexID(binary.LittleEndian.Uint32(m[4:])),
+			Dst: graph.VertexID(binary.LittleEndian.Uint32(m[8:])),
 		}
 	}
 	return muts, nil

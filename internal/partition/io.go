@@ -7,13 +7,16 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"ebv/internal/frame"
 )
 
 // Assignment interchange formats. The text format is one part id per line
-// (the convention METIS tooling uses); the binary format adds a header so
-// the part count and edge count round-trip exactly.
-
-const assignmentMagic = 0x45425641 // "EBVA"
+// (the convention METIS tooling uses). The binary format is an EBVA frame
+// (package frame) with header words k and count and a body of count u32
+// part ids, so the part count and edge count round-trip exactly. Version 1
+// had no version word: its part count sits where the version now is.
+var assignmentFrame = frame.Format{Name: "EBVA", Version: 2, Words: 2}
 
 // WriteAssignmentText writes one part id per line.
 func WriteAssignmentText(w io.Writer, a *Assignment) error {
@@ -80,54 +83,34 @@ func ReadAssignmentText(r io.Reader) (*Assignment, error) {
 	if a.K == 0 {
 		a.K = 1
 	}
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
 	return a, nil
 }
 
-// WriteAssignmentBinary writes the compact binary format.
+// WriteAssignmentBinary writes the binary format.
 func WriteAssignmentBinary(w io.Writer, a *Assignment) error {
-	bw := bufio.NewWriter(w)
-	header := []uint32{assignmentMagic, uint32(a.K)}
-	for _, h := range header {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("partition: write assignment header: %w", err)
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(a.Parts))); err != nil {
-		return fmt.Errorf("partition: write assignment count: %w", err)
-	}
-	for _, p := range a.Parts {
-		if err := binary.Write(bw, binary.LittleEndian, p); err != nil {
-			return fmt.Errorf("partition: write assignment entry: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("partition: flush assignment: %w", err)
+	if err := assignmentFrame.WriteBlocks(w, len(a.Parts), 4, func(dst []byte, i int) {
+		binary.LittleEndian.PutUint32(dst, uint32(a.Parts[i]))
+	}, a.K, len(a.Parts)); err != nil {
+		return fmt.Errorf("partition: write assignment: %w", err)
 	}
 	return nil
 }
 
-// ReadAssignmentBinary reads the binary format.
+// ReadAssignmentBinary reads the binary format. The entries grow with the
+// bytes that arrive, so a count word cannot size an allocation.
 func ReadAssignmentBinary(r io.Reader) (*Assignment, error) {
-	br := bufio.NewReader(r)
-	var magic, k uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("partition: read assignment magic: %w", err)
+	fr, word, err := assignmentFrame.NewReader(r)
+	if err != nil {
+		return nil, fmt.Errorf("partition: assignment file: %w", err)
 	}
-	if magic != assignmentMagic {
-		return nil, fmt.Errorf("partition: bad assignment magic %#x", magic)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &k); err != nil {
-		return nil, fmt.Errorf("partition: read assignment parts: %w", err)
-	}
-	var count uint64
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("partition: read assignment count: %w", err)
-	}
-	a := &Assignment{K: int(k), Parts: make([]int32, count)}
-	for i := range a.Parts {
-		if err := binary.Read(br, binary.LittleEndian, &a.Parts[i]); err != nil {
-			return nil, fmt.Errorf("partition: read assignment entry %d: %w", i, err)
-		}
+	a := &Assignment{K: word[0], Parts: make([]int32, 0, min(word[1], 1<<16))}
+	if err := fr.ReadBlocks(word[1], 4, func(b []byte) {
+		a.Parts = append(a.Parts, int32(binary.LittleEndian.Uint32(b)))
+	}); err != nil {
+		return nil, fmt.Errorf("partition: assignment file: %w", err)
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err

@@ -19,6 +19,11 @@ import (
 // ErrBadPartCount reports a requested subgraph count < 1.
 var ErrBadPartCount = errors.New("partition: subgraph count must be >= 1")
 
+// MaxParts caps the part count of an assignment and the worker count of a
+// shard: per-part tables are sized by them, so a count read from a file is
+// bounded before anything is allocated. The paper's experiments stop at 32.
+const MaxParts = 1 << 12
+
 // Partitioner assigns every edge of a graph to one of k subgraphs
 // (vertex-cut / edge partitioning, §III-B).
 type Partitioner interface {
@@ -44,10 +49,14 @@ func NewAssignment(k, numEdges int) *Assignment {
 	return &Assignment{K: k, Parts: make([]int32, numEdges)}
 }
 
-// Validate checks structural invariants: every part id in [0, K).
+// Validate checks structural invariants: K in [1, MaxParts] and every part
+// id in [0, K).
 func (a *Assignment) Validate() error {
 	if a.K < 1 {
 		return ErrBadPartCount
+	}
+	if a.K > MaxParts {
+		return fmt.Errorf("partition: %d parts exceed the cap of %d", a.K, MaxParts)
 	}
 	for i, p := range a.Parts {
 		if p < 0 || int(p) >= a.K {

@@ -2,7 +2,11 @@ package partition
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -402,6 +406,133 @@ func TestAssignmentBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadAssignmentBinary(strings.NewReader("garbage bytes here....")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+}
+
+// TestAssignmentBinaryCountNotTrusted is the regression test for a reader
+// that sized its entries by the file's count word: 16 bytes claiming 2³¹
+// entries ran the process out of memory and 2⁶² panicked in makeslice.
+// Those files, in the layout before EBVA had a version word, and frames
+// claiming counts no body follows, must fail having allocated next to
+// nothing.
+func TestAssignmentBinaryCountNotTrusted(t *testing.T) {
+	oldHeader := func(k uint32, count uint64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, 0x45425641) // "EBVA"
+		b = binary.LittleEndian.AppendUint32(b, k)
+		return binary.LittleEndian.AppendUint64(b, count)
+	}
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"v1-count-2^31", oldHeader(4, 1<<31)},
+		{"v1-count-2^62", oldHeader(4, 1<<62)},
+		// At k = 2 a v1 file's part count reads as the current version.
+		{"v1-k2-count-2^31", oldHeader(2, 1<<31)},
+		{"v1-k2-count-2^62", oldHeader(2, 1<<62)},
+		{"count-2^31", assignmentFrame.Begin(0, 4, 1<<31)},
+		{"count-2^32-1", assignmentFrame.Begin(0, 4, 1<<32-1)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadAssignmentBinary(bytes.NewReader(tc.file))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+		if delta := after.TotalAlloc - before.TotalAlloc; delta >= 4<<20 {
+			t.Fatalf("%s: the count word cost %d bytes of allocation, want < 4 MiB", tc.name, delta)
+		}
+	}
+}
+
+// TestPartCountBounded: a part count above MaxParts is rejected from every
+// input that carries one, before anything is sized by it.
+func TestPartCountBounded(t *testing.T) {
+	if err := (&Assignment{K: MaxParts, Parts: []int32{MaxParts - 1}}).Validate(); err != nil {
+		t.Fatalf("K = MaxParts rejected: %v", err)
+	}
+	binaryFile := func(k int) []byte {
+		var buf bytes.Buffer
+		if err := WriteAssignmentBinary(&buf, &Assignment{K: k, Parts: []int32{0, 0}}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for name, read := range map[string]func() (*Assignment, error){
+		"validate": func() (*Assignment, error) {
+			a := &Assignment{K: MaxParts + 1}
+			return a, a.Validate()
+		},
+		"text-header": func() (*Assignment, error) {
+			return ReadAssignmentText(strings.NewReader("# parts 2000000000 edges 2\n0\n0\n"))
+		},
+		"text-id": func() (*Assignment, error) {
+			return ReadAssignmentText(strings.NewReader(fmt.Sprintf("0\n%d\n", MaxParts)))
+		},
+		"binary": func() (*Assignment, error) {
+			return ReadAssignmentBinary(bytes.NewReader(binaryFile(MaxParts + 1)))
+		},
+		"binary-2^31": func() (*Assignment, error) {
+			return ReadAssignmentBinary(bytes.NewReader(binaryFile(1 << 31)))
+		},
+	} {
+		if _, err := read(); err == nil || !strings.Contains(err.Error(), "cap of 4096") {
+			t.Errorf("%s: err = %v, want the part-count cap", name, err)
+		}
+	}
+}
+
+// FuzzReadAssignmentBinary: ReadAssignmentBinary over arbitrary bytes never
+// panics, and a file it accepts re-encodes to exactly the bytes it
+// consumed; an assignment built from the fuzzed bytes round-trips exactly,
+// and every truncation and sampled single-bit flip of its file fails.
+func FuzzReadAssignmentBinary(f *testing.F) {
+	f.Add(uint8(4), []byte{0, 3, 1, 2, 0, 0})
+	f.Add(uint8(1), []byte{})
+	f.Add(uint8(16), []byte{0x41, 0x56, 0x42, 0x45, 2, 0, 0, 0, 16, 0, 0, 0, 3, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, kRaw uint8, data []byte) {
+		r := bytes.NewReader(data)
+		if a, err := ReadAssignmentBinary(r); err == nil {
+			var again bytes.Buffer
+			if err := WriteAssignmentBinary(&again, a); err != nil {
+				t.Fatal(err)
+			}
+			if consumed := data[:len(data)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+				t.Fatalf("accepted file re-encodes to %x, read %x", again.Bytes(), consumed)
+			}
+		}
+
+		k := int(kRaw%32) + 1
+		a := &Assignment{K: k, Parts: make([]int32, len(data))}
+		for i, b := range data {
+			a.Parts[i] = int32(int(b) % k)
+		}
+		var buf bytes.Buffer
+		if err := WriteAssignmentBinary(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		file := buf.Bytes()
+		got, err := ReadAssignmentBinary(bytes.NewReader(file))
+		if err != nil || got.K != a.K || !slices.Equal(got.Parts, a.Parts) {
+			t.Fatalf("round trip: %+v, %v; want %+v", got, err, a)
+		}
+		for cut := range len(file) {
+			if _, err := ReadAssignmentBinary(bytes.NewReader(file[:cut])); err == nil {
+				t.Fatalf("truncation to %d/%d bytes decoded", cut, len(file))
+			}
+		}
+		stride := 1
+		if len(file) > 512 {
+			stride = len(file) / 64
+		}
+		for bit := 0; bit < 8*len(file); bit += stride {
+			corrupt := bytes.Clone(file)
+			corrupt[bit/8] ^= 1 << (bit % 8)
+			if _, err := ReadAssignmentBinary(bytes.NewReader(corrupt)); err == nil {
+				t.Fatalf("bit flip at %d decoded", bit)
+			}
+		}
+	})
 }
 
 func FuzzReadAssignmentText(f *testing.F) {

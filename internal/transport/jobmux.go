@@ -5,12 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"ebv/internal/frame"
 )
 
 // TCPMeshDeployment is the TCP Deployment: a full loopback mesh of k
@@ -651,7 +652,7 @@ func writeJobFrameV4(bw *bufio.Writer, job uint32, step int, active bool, batch 
 		} else {
 			// Packing would expand this column (noisy-mantissa payloads
 			// can cost 9 bytes/value): ship it raw and say so in flags.
-			s.vals = AppendF64s(s.vals[:0], batch.Vals)
+			s.vals = frame.AppendF64s(s.vals[:0], batch.Vals)
 		}
 	}
 	var header [jobFrameHeaderBytesV4]byte
@@ -666,9 +667,7 @@ func writeJobFrameV4(bw *bufio.Writer, job uint32, step int, active bool, batch 
 	binary.LittleEndian.PutUint32(header[18:22], uint32(count))
 	binary.LittleEndian.PutUint32(header[22:26], uint32(len(s.ids)))
 	binary.LittleEndian.PutUint32(header[26:30], uint32(len(s.vals)))
-	crc := crc32.Update(0, castagnoli, header[4:30])
-	crc = crc32.Update(crc, castagnoli, s.ids)
-	crc = crc32.Update(crc, castagnoli, s.vals)
+	crc := frame.Checksum(frame.Checksum(frame.Checksum(0, header[4:30]), s.ids), s.vals)
 	binary.LittleEndian.PutUint32(header[30:34], crc)
 	if _, err := bw.Write(header[:]); err != nil {
 		return 0, err
@@ -752,8 +751,7 @@ func readJobFrameV4(br *bufio.Reader, s *v4Scratch) (job uint32, step int, activ
 		}
 		return 0, 0, false, nil, err
 	}
-	crc := crc32.Update(0, castagnoli, header[4:30])
-	crc = crc32.Update(crc, castagnoli, s.buf)
+	crc := frame.Checksum(frame.Checksum(0, header[4:30]), s.buf)
 	if crc != wantCRC {
 		return 0, 0, false, nil, fmt.Errorf("v4 frame CRC mismatch (want %#x, computed %#x): corrupted frame", wantCRC, crc)
 	}
@@ -775,7 +773,7 @@ func readJobFrameV4(br *bufio.Reader, s *v4Scratch) (job uint32, step int, activ
 			return 0, 0, false, nil, fmt.Errorf("v4 frame: %w", err)
 		}
 	} else {
-		DecodeF64s(b.Vals, valCol)
+		frame.DecodeF64s(b.Vals, valCol)
 	}
 	return job, step, active, b, nil
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -216,7 +215,7 @@ func TestJobMuxForeignMagicRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	foreign := make([]byte, jobFrameHeaderBytesV4)
-	binary.LittleEndian.PutUint32(foreign, controlFrameMagic) // a control-plane peer on the data port
+	copy(foreign, "CVBE") // a control-plane (EBVC) peer on the data port
 	if _, err := d.nodes[0].conns[1].Write(foreign); err != nil {
 		t.Fatal(err)
 	}

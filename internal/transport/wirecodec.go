@@ -3,16 +3,11 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/bits"
 
 	"ebv/internal/graph"
 )
-
-// castagnoli is the CRC-32C table of the v4 frame checksum (the same
-// polynomial the checkpoint and control-plane codecs use).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // v4 frame flag bits (the header's flags byte).
 const (
