@@ -742,10 +742,7 @@ func BenchmarkShardCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 		shards[p] = buf.Bytes()
-		columnBytes += int64(12*len(sub.GlobalIDs) + 8*len(sub.Edges))
-		for _, peers := range sub.ReplicaPeers {
-			columnBytes += int64(4 * len(peers))
-		}
+		columnBytes += int64(12*len(sub.GlobalIDs) + 8*len(sub.Edges) + 4*len(sub.Peers))
 	}
 	b.Run("write", func(b *testing.B) {
 		b.ReportAllocs()

@@ -162,7 +162,7 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 		}
 		w.sent[l] = val
 		gid := w.sub.GlobalIDs[l]
-		for _, peer := range w.plan.PeersOf(l) {
+		for _, peer := range w.sub.PeersOf(l) {
 			w.env.SendScalar(out, peer, gid, val)
 		}
 	}

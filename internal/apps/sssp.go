@@ -79,6 +79,7 @@ func (s *SSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	n := sub.NumLocalVertices()
 	w := &ssspWorker{
 		sub:      sub,
+		out:      sub.Out(),
 		env:      env,
 		source:   s.Source,
 		weighted: s.Weighted,
@@ -104,6 +105,7 @@ func (s *SSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 
 type ssspWorker struct {
 	sub      *bsp.Subgraph
+	out      *graph.CSR // sub.Out(), the relax's adjacency
 	env      bsp.Env
 	source   graph.VertexID
 	weighted bool
@@ -170,7 +172,7 @@ func (s improvedSet) send(sub *bsp.Subgraph, env bsp.Env, dist []float64) []*tra
 		for ; word != 0; word &= word - 1 {
 			v := int32(i<<6 + bits.TrailingZeros64(word))
 			gid, val := sub.GlobalIDs[v], dist[v]
-			for _, peer := range s.plan.PeersOf(v) {
+			for _, peer := range sub.PeersOf(v) {
 				env.SendScalar(out, peer, gid, val)
 			}
 		}
@@ -224,15 +226,15 @@ func (w *ssspWorker) relax() {
 		w.status[u] = statusIdle
 		du := w.dist[u]
 		if !w.weighted {
-			for _, v := range w.sub.Out.Neighbors(u) {
+			for _, v := range w.out.Neighbors(u) {
 				if nd := du + 1; nd < w.dist[v] {
 					w.lower(int32(v), nd)
 				}
 			}
 			continue
 		}
-		edgeIdx := w.sub.Out.EdgeIndices(u)
-		for j, v := range w.sub.Out.Neighbors(u) {
+		edgeIdx := w.out.EdgeIndices(u)
+		for j, v := range w.out.Neighbors(u) {
 			if nd := du + w.sub.EdgeWeight(edgeIdx[j]); nd < w.dist[v] {
 				w.lower(int32(v), nd)
 			}

@@ -100,8 +100,8 @@ func TestSubgraphInvariants(t *testing.T) {
 						t.Fatalf("LocalOf(%d) inconsistent", gid)
 					}
 					replicaCount[gid]++
-					// ReplicaPeers must be consistent with the global count.
-					if got := len(sub.ReplicaPeers[local]); got != 0 && sub.Master(int32(local)) > int32(sub.Part) && sub.ReplicaPeers[local][0] < int32(sub.Part) {
+					// The replica peers must be consistent with the global count.
+					if peers := sub.PeersOf(int32(local)); len(peers) != 0 && sub.Master(int32(local)) > int32(sub.Part) && peers[0] < int32(sub.Part) {
 						t.Fatalf("Master inconsistent for %d", gid)
 					}
 				}
@@ -112,7 +112,7 @@ func TestSubgraphInvariants(t *testing.T) {
 			for _, sub := range subs {
 				for local := range sub.GlobalIDs {
 					want := replicaCount[sub.GlobalIDs[local]] - 1
-					if got := len(sub.ReplicaPeers[local]); got != want {
+					if got := len(sub.PeersOf(int32(local))); got != want {
 						t.Fatalf("vertex %d: %d peers, want %d",
 							sub.GlobalIDs[local], got, want)
 					}

@@ -199,7 +199,7 @@ func (w *fanInWorker) Superstep(step int, in *transport.MessageBatch) ([]*transp
 				continue
 			}
 			gid := w.sub.GlobalIDs[local]
-			for _, peer := range w.sub.ReplicaPeers[local] {
+			for _, peer := range w.sub.PeersOf(local) {
 				w.outTo(out, peer).AppendScalar(gid, w.acc[local])
 			}
 		}

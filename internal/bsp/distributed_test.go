@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -38,12 +39,12 @@ func TestSubgraphSerializationRoundTrip(t *testing.T) {
 			if !ok || int(l2) != local {
 				t.Fatalf("local index not rebuilt for vertex %d", gid)
 			}
-			if len(got.ReplicaPeers[local]) != len(sub.ReplicaPeers[local]) {
+			if !slices.Equal(got.PeersOf(int32(local)), sub.PeersOf(int32(local))) {
 				t.Fatalf("replica peers lost for vertex %d", gid)
 			}
 		}
-		// CSR views rebuilt and usable.
-		if got.Out.NumEdges() != sub.Out.NumEdges() {
+		// The out-adjacency is built on first use from the shipped edges.
+		if got.Out().NumEdges() != sub.Out().NumEdges() {
 			t.Fatalf("out CSR mismatch")
 		}
 	}

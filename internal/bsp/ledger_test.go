@@ -50,8 +50,8 @@ func (w *boundaryFloodWorker) Superstep(step int, in *transport.MessageBatch) ([
 		return nil, false
 	}
 	out := make([]*transport.MessageBatch, w.sub.NumWorkers)
-	for l, peers := range w.sub.ReplicaPeers {
-		for _, peer := range peers {
+	for l := range w.sub.GlobalIDs {
+		for _, peer := range w.sub.PeersOf(int32(l)) {
 			if out[peer] == nil {
 				out[peer] = w.env.NewBatch()
 			}

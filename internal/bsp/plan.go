@@ -10,7 +10,7 @@ import (
 
 // Routing is a subgraph's replica routing plan: everything the partition
 // fixes about who sends what to whom (§IV-B — messages flow only between
-// replicas of cut vertices), derived from ReplicaPeers once per subgraph
+// replicas of cut vertices), derived from the replica peers once per subgraph
 // and shared read-only by every job on it. Every list is in ascending local
 // id, hence ascending global id: a batch filled from one carries strictly
 // ascending ids and cannot hold a duplicate.
@@ -22,9 +22,6 @@ type Routing struct {
 	// Mask has bit l set exactly for those.
 	Replicated []int32
 	Mask       []uint64
-	// peers[peerStart[l]:peerStart[l+1]] is ReplicaPeers[l], flattened.
-	peerStart []int32
-	peers     []int32
 	// The send columns, indexed by peer worker id (empty for this worker
 	// and for workers sharing no vertex with it): Boundary[q] holds the
 	// vertices also replicated on q, ToMaster[q] the mirrors mastered at q,
@@ -36,11 +33,6 @@ type Routing struct {
 type Column struct {
 	Locals []int32
 	IDs    []graph.VertexID
-}
-
-// PeersOf returns ReplicaPeers[l] (ascending, aliasing the plan).
-func (r *Routing) PeersOf(l int32) []int32 {
-	return r.peers[r.peerStart[l]:r.peerStart[l+1]]
 }
 
 // lazy builds a derived table once, on first use (concurrent first users
@@ -56,6 +48,11 @@ func (c *lazy[T]) get(build func() T) T {
 	}
 	c.once.Do(func() { c.v = build() })
 	return c.v
+}
+
+// Out returns the local out-adjacency over Edges, built on first use.
+func (s *Subgraph) Out() *graph.CSR {
+	return s.out.get(func() *graph.CSR { return buildOut(s) })
 }
 
 // Routing returns the subgraph's routing plan, building it on first use.
@@ -87,65 +84,60 @@ func (s *Subgraph) BoundaryDepth() Depth {
 	return s.depth.get(func() Depth { return buildBoundaryDepth(s) })
 }
 
-// CopyForPatch returns a shallow copy of s with private ReplicaPeers and
-// degree columns and an empty routing plan and boundary depth: a live row
-// patch rewrites peer rows (the replicated set, hence both tables, must not
-// carry over) but no edge (the components do).
-func (s *Subgraph) CopyForPatch() *Subgraph {
-	dup := *s
-	dup.ReplicaPeers = slices.Clone(s.ReplicaPeers)
-	dup.GlobalOutDegree = slices.Clone(s.GlobalOutDegree)
-	dup.GlobalInDegree = slices.Clone(s.GlobalInDegree)
-	dup.routing = new(lazy[*Routing])
-	dup.depth = new(lazy[Depth])
-	return &dup
+// buildOut indexes the local edges, whose endpoints are local ids by
+// construction (BuildPart) or by validation (ReadSubgraph).
+func buildOut(s *Subgraph) *graph.CSR {
+	lg, err := graph.New(len(s.GlobalIDs), s.Edges)
+	if err != nil {
+		panic("bsp: local edge outside the local id space: " + err.Error())
+	}
+	return graph.BuildCSR(lg)
 }
 
 func buildRouting(s *Subgraph) *Routing {
 	n, k, self := len(s.GlobalIDs), s.NumWorkers, int32(s.Part)
-	r := &Routing{Mask: make([]uint64, (n+63)/64), peerStart: make([]int32, n+1)}
+	r := &Routing{Mask: make([]uint64, (n+63)/64)}
 	// Pass 1 sizes every table, so pass 2 fills exact allocations.
 	boundary, toMaster, toMirrors := make([]int, k), make([]int, k), make([]int, k)
 	replicated, mirrors := 0, 0
-	for l, peers := range s.ReplicaPeers {
-		r.peerStart[l+1] = r.peerStart[l] + int32(len(peers))
+	for l := range int32(n) {
+		peers := s.PeersOf(l)
 		if len(peers) == 0 {
 			continue
 		}
 		replicated++
 		r.Mask[l>>6] |= 1 << (l & 63)
-		if peers[0] < self {
+		master := s.Master(l)
+		if master != self {
 			mirrors++
-			toMaster[peers[0]]++
+			toMaster[master]++
 		}
 		for _, q := range peers {
 			boundary[q]++
-			if self < peers[0] {
+			if master == self {
 				toMirrors[q]++
 			}
 		}
 	}
 	r.Owned = make([]int32, 0, n-mirrors)
 	r.Replicated = make([]int32, 0, replicated)
-	r.peers = make([]int32, 0, r.peerStart[n])
 	r.Boundary, r.ToMaster, r.ToMirrors = newColumns(boundary), newColumns(toMaster), newColumns(toMirrors)
-	for l, peers := range s.ReplicaPeers {
-		local, gid := int32(l), s.GlobalIDs[l]
-		owned := len(peers) == 0 || self < peers[0]
-		if owned {
-			r.Owned = append(r.Owned, local)
+	for l := range int32(n) {
+		gid, master := s.GlobalIDs[l], s.Master(l)
+		if master == self {
+			r.Owned = append(r.Owned, l)
 		} else {
-			r.ToMaster[peers[0]].add(local, gid)
+			r.ToMaster[master].add(l, gid)
 		}
+		peers := s.PeersOf(l)
 		if len(peers) == 0 {
 			continue
 		}
-		r.Replicated = append(r.Replicated, local)
-		r.peers = append(r.peers, peers...)
+		r.Replicated = append(r.Replicated, l)
 		for _, q := range peers {
-			r.Boundary[q].add(local, gid)
-			if owned {
-				r.ToMirrors[q].add(local, gid)
+			r.Boundary[q].add(l, gid)
+			if master == self {
+				r.ToMirrors[q].add(l, gid)
 			}
 		}
 	}

@@ -20,11 +20,12 @@ import (
 //	words: flags | part | workers | globalVertices | ids | edges |
 //	       peerLens | peers | outDegrees | inDegrees | weights
 //	body:  ids × u32 GlobalIDs | edges × (u32 src, u32 dst) |
-//	       peerLens × u32 len(ReplicaPeers[v]) | peers × i32 (flattened) |
+//	       peerLens × u32 len(PeersOf(v)) | peers × i32 (Peers) |
 //	       outDegrees × i32 | inDegrees × i32 | weights × f64
 //
-// Flags bit 0 marks a weighted shard (Weights non-nil). The CSR views and
-// the dense local index are rebuilt on load instead of shipped. Any layout
+// Flags bit 0 marks a weighted shard (Weights non-nil). PeerStart is
+// shipped as its row lengths; the dense local index is rebuilt on load and
+// the derived tables (Out, Routing, ...) on first use. Any layout
 // change bumps shardVersion (TestGoldenShards pins the bytes).
 const (
 	shardVersion = 1
@@ -36,30 +37,25 @@ var shardFrame = frame.Format{Name: "EBVS", Version: shardVersion, Words: 11}
 
 // WriteSubgraph serializes sub with a single Write.
 func WriteSubgraph(w io.Writer, sub *Subgraph) error {
-	numPeers := 0
-	for _, peers := range sub.ReplicaPeers {
-		numPeers += len(peers)
-	}
+	n := len(sub.GlobalIDs)
 	flags := 0
 	if sub.Weights != nil {
 		flags = shardFlagWeighted
 	}
-	buf := shardFrame.Begin(4*(len(sub.GlobalIDs)+2*len(sub.Edges)+len(sub.ReplicaPeers)+
-		numPeers+len(sub.GlobalOutDegree)+len(sub.GlobalInDegree))+8*len(sub.Weights),
+	buf := shardFrame.Begin(4*(2*n+2*len(sub.Edges)+len(sub.Peers)+
+		len(sub.GlobalOutDegree)+len(sub.GlobalInDegree))+8*len(sub.Weights),
 		flags, sub.Part, sub.NumWorkers, sub.NumGlobalVertices,
-		len(sub.GlobalIDs), len(sub.Edges), len(sub.ReplicaPeers), numPeers,
+		n, len(sub.Edges), n, len(sub.Peers),
 		len(sub.GlobalOutDegree), len(sub.GlobalInDegree), len(sub.Weights))
 	buf = frame.AppendU32s(buf, sub.GlobalIDs)
 	for _, e := range sub.Edges {
 		buf = binary.LittleEndian.AppendUint32(buf, e.Src)
 		buf = binary.LittleEndian.AppendUint32(buf, e.Dst)
 	}
-	for _, peers := range sub.ReplicaPeers {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(peers)))
+	for l := range n {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(sub.PeerStart[l+1]-sub.PeerStart[l]))
 	}
-	for _, peers := range sub.ReplicaPeers {
-		buf = frame.AppendU32s(buf, peers)
-	}
+	buf = frame.AppendU32s(buf, sub.Peers)
 	buf = frame.AppendU32s(buf, sub.GlobalOutDegree)
 	buf = frame.AppendU32s(buf, sub.GlobalInDegree)
 	buf = frame.AppendF64s(buf, sub.Weights)
@@ -72,12 +68,12 @@ func WriteSubgraph(w io.Writer, sub *Subgraph) error {
 // ReadSubgraph deserializes a subgraph written by WriteSubgraph, verifies
 // its checksum, validates its structural invariants (per-vertex and
 // per-edge column lengths, ascending GlobalIDs, replica peers in range,
-// edge endpoints in local range) and rebuilds the CSR views. A corrupt or
-// truncated shard fails here rather than panicking mid-superstep; the
-// body is read with frame.ReadBounded, so a corrupt header cannot size an
-// allocation. There is one format: bytes that are not an EBVS frame of
-// this version — a shard file from a build that still wrote gob — are
-// rejected by name.
+// edge endpoints in local range, weights non-negative) and rebuilds the
+// dense local index. A corrupt or truncated shard fails here rather than
+// panicking mid-superstep; the body is read with frame.ReadBounded, so a
+// corrupt header cannot size an allocation. There is one format: bytes
+// that are not an EBVS frame of this version — a shard file from a build
+// that still wrote gob — are rejected by name.
 func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 	fr, word, err := shardFrame.NewReader(r)
 	if err != nil {
@@ -101,8 +97,7 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 		return nil, fmt.Errorf("bsp: corrupt subgraph: %w", err)
 	}
 
-	sub := &Subgraph{Part: word[1], NumWorkers: word[2], NumGlobalVertices: word[3],
-		routing: new(lazy[*Routing]), comps: new(lazy[[]int32]), depth: new(lazy[Depth])}
+	sub := newSubgraph(word[1], word[2], word[3])
 	// Every per-vertex column must cover the vertex set and every per-edge
 	// column the edge set, or programs index out of range at run time.
 	if numPeerLens != numIDs || numOut != numIDs || numIn != numIDs {
@@ -127,15 +122,17 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 		return nil, fmt.Errorf("bsp: corrupt subgraph: part %d of %d workers",
 			sub.Part, sub.NumWorkers)
 	}
+	if numPeers > math.MaxInt32 { // PeerStart's offsets are int32
+		return nil, fmt.Errorf("bsp: corrupt subgraph: %d replica peers", numPeers)
+	}
 
 	// The column lengths sum to len(data) by construction, so no Take can
 	// come up short.
 	var peerLens []uint32
-	var peers []int32
 	sub.GlobalIDs, data, _ = frame.TakeU32s[graph.VertexID](data, numIDs)
 	edgeCol, data := data[:8*numEdges], data[8*numEdges:]
 	peerLens, data, _ = frame.TakeU32s[uint32](data, numPeerLens)
-	peers, data, _ = frame.TakeU32s[int32](data, numPeers)
+	sub.Peers, data, _ = frame.TakeU32s[int32](data, numPeers)
 	sub.GlobalOutDegree, data, _ = frame.TakeU32s[int32](data, numOut)
 	sub.GlobalInDegree, data, _ = frame.TakeU32s[int32](data, numIn)
 	if weighted { // non-nil even for an edgeless part: programs test Weights against nil
@@ -155,42 +152,46 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 	}
 	sub.Edges = make([]graph.Edge, numEdges)
 	for i := range sub.Edges {
-		sub.Edges[i] = graph.Edge{
+		e := graph.Edge{
 			Src: binary.LittleEndian.Uint32(edgeCol[8*i:]),
 			Dst: binary.LittleEndian.Uint32(edgeCol[8*i+4:]),
 		}
+		if int(e.Src) >= numIDs || int(e.Dst) >= numIDs {
+			return nil, fmt.Errorf("bsp: corrupt subgraph: edge %d (%d,%d) outside %d local vertices",
+				i, e.Src, e.Dst, numIDs)
+		}
+		sub.Edges[i] = e
 	}
-	sub.ReplicaPeers = make([][]int32, numIDs)
-	for local, n := range peerLens {
-		if int(n) > len(peers) {
+	// A negative cycle inside one part would keep weighted SSSP relaxing
+	// within a single superstep, where cancellation is never polled; the
+	// build refuses such weights, and so does the decoder.
+	for i, w := range sub.Weights {
+		if !(w >= 0) {
+			return nil, fmt.Errorf("bsp: corrupt subgraph: edge %d has weight %g", i, w)
+		}
+	}
+	sub.PeerStart = make([]int32, numIDs+1)
+	for l, n := range peerLens {
+		start := sub.PeerStart[l]
+		if left := numPeers - int(start); int(n) > left {
 			return nil, fmt.Errorf("bsp: corrupt subgraph: vertex %d claims %d of the %d replica peers left",
-				local, n, len(peers))
+				l, n, left)
 		}
-		if n == 0 {
-			continue
-		}
-		// Capacity-capped, so an append to one list cannot reach the next.
-		list := peers[:n:n]
-		peers = peers[n:]
-		for j, q := range list {
+		sub.PeerStart[l+1] = start + int32(n)
+		row := sub.PeersOf(int32(l))
+		for j, q := range row {
 			if q < 0 || int(q) >= sub.NumWorkers || int(q) == sub.Part {
 				return nil, fmt.Errorf("bsp: corrupt subgraph: vertex %d peer %d invalid for part %d of %d workers",
-					local, q, sub.Part, sub.NumWorkers)
+					l, q, sub.Part, sub.NumWorkers)
 			}
-			if j > 0 && q <= list[j-1] {
-				return nil, fmt.Errorf("bsp: corrupt subgraph: vertex %d peers not strictly ascending", local)
+			if j > 0 && q <= row[j-1] {
+				return nil, fmt.Errorf("bsp: corrupt subgraph: vertex %d peers not strictly ascending", l)
 			}
 		}
-		sub.ReplicaPeers[local] = list
 	}
-	if len(peers) != 0 {
-		return nil, fmt.Errorf("bsp: corrupt subgraph: %d replica peers belong to no vertex", len(peers))
+	if left := numPeers - int(sub.PeerStart[numIDs]); left != 0 {
+		return nil, fmt.Errorf("bsp: corrupt subgraph: %d replica peers belong to no vertex", left)
 	}
 	sub.buildLocalIndex()
-	lg, err := graph.New(sub.NumLocalVertices(), sub.Edges)
-	if err != nil {
-		return nil, fmt.Errorf("bsp: rebuild local graph: %w", err)
-	}
-	sub.Out = graph.BuildCSR(lg)
 	return sub, nil
 }

@@ -128,7 +128,8 @@ func TestReadSubgraphDamageSweep(t *testing.T) {
 
 // FuzzReadSubgraph: arbitrary bytes, raw and with the checksum re-sealed
 // so the fuzzer reaches the structural validation, never panic ReadSubgraph
-// and never yield a subgraph that fails to re-encode and re-read.
+// and never yield a subgraph that fails to re-encode and re-read or that
+// carries a weight the build would refuse (negative or NaN).
 func FuzzReadSubgraph(f *testing.F) {
 	f.Add(validShard(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -140,6 +141,11 @@ func FuzzReadSubgraph(f *testing.F) {
 			sub, err := readShard(t, "fuzz", in)
 			if err != nil {
 				continue
+			}
+			for i, w := range sub.Weights {
+				if !(w >= 0) {
+					t.Fatalf("accepted shard carries weight %g on edge %d", w, i)
+				}
 			}
 			var buf bytes.Buffer
 			if err := bsp.WriteSubgraph(&buf, sub); err != nil {

@@ -39,11 +39,11 @@ type Subgraph struct {
 	// Edges are the local edges with endpoints in LOCAL id space, ordered
 	// by their index in the originating graph's edge list.
 	Edges []graph.Edge
-	// Out is the local CSR out-adjacency view over Edges.
-	Out *graph.CSR
-	// ReplicaPeers[local] lists the other workers holding a replica of the
-	// vertex (sorted ascending, self excluded); empty for internal vertices.
-	ReplicaPeers [][]int32
+	// Peers[PeerStart[l]:PeerStart[l+1]] lists the other workers holding a
+	// replica of local vertex l (ascending, self excluded; empty for an
+	// internal vertex), read through PeersOf. PeerStart has |Vi|+1 entries.
+	PeerStart []int32
+	Peers     []int32
 	// GlobalOutDegree[local] is the vertex's out-degree in the whole graph
 	// (PageRank divides by it).
 	GlobalOutDegree []int32
@@ -61,13 +61,20 @@ type Subgraph struct {
 	// rebuilt by ReadSubgraph rather than shipped.
 	localOf []int32
 
-	// routing, comps and depth cache plan.go's derived tables, built on
-	// first use and shared by every job; a live epoch swap replaces rebuilt
-	// parts by pointer, which is their invalidation. Attached by
-	// BuildPart/ReadSubgraph.
+	// out, routing, comps and depth cache plan.go's derived tables, built
+	// on first use and shared by every job; a live epoch swap replaces
+	// rebuilt parts by pointer, which is their invalidation. Attached by
+	// newSubgraph.
+	out     *lazy[*graph.CSR]
 	routing *lazy[*Routing]
 	comps   *lazy[[]int32]
 	depth   *lazy[Depth]
+}
+
+// newSubgraph returns a subgraph header with empty derived-table cells.
+func newSubgraph(part, workers, globalVertices int) *Subgraph {
+	return &Subgraph{Part: part, NumWorkers: workers, NumGlobalVertices: globalVertices,
+		out: new(lazy[*graph.CSR]), routing: new(lazy[*Routing]), comps: new(lazy[[]int32]), depth: new(lazy[Depth])}
 }
 
 // localIndexMaxDilution bounds the dense index's memory: the index costs
@@ -119,14 +126,62 @@ func (s *Subgraph) LocalOf(v graph.VertexID) (int32, bool) {
 	return int32(i), true
 }
 
+// PeersOf returns the workers other than this one holding a replica of
+// local vertex l, ascending (aliasing Peers; empty when l is internal).
+func (s *Subgraph) PeersOf(l int32) []int32 {
+	return s.Peers[s.PeerStart[l]:s.PeerStart[l+1]]
+}
+
 // Master returns the lowest worker id holding a replica of the local vertex
 // (possibly this worker): the rule behind Routing's owned/mirror split.
 func (s *Subgraph) Master(local int32) int32 {
-	peers := s.ReplicaPeers[local]
+	peers := s.PeersOf(local)
 	if len(peers) == 0 || int32(s.Part) < peers[0] {
 		return int32(s.Part)
 	}
 	return peers[0]
+}
+
+// setRow derives local vertex l's rows from g and holders, the ascending
+// parts covering it: its global degrees, and its replica peers — every
+// holder but this part — appended to Peers, which closes PeerStart[l+1].
+// It is the one derivation of a row, shared by BuildPart and PatchRows.
+func (s *Subgraph) setRow(l int32, g *graph.Graph, holders []int32) {
+	gid := s.GlobalIDs[l]
+	s.GlobalOutDegree[l] = int32(g.OutDegree(gid))
+	s.GlobalInDegree[l] = int32(g.InDegree(gid))
+	for _, q := range holders {
+		if int(q) != s.Part {
+			s.Peers = append(s.Peers, q)
+		}
+	}
+	s.PeerStart[l+1] = int32(len(s.Peers))
+}
+
+// PatchRows returns a copy of s whose rows at the ascending local ids rows
+// are re-derived from g and partsOf (as BuildPart would derive them), the
+// other rows and the edges shared or copied unchanged. The copy keeps the
+// out-adjacency and component tables (no edge moved) but starts with empty
+// routing and boundary-depth cells, since the replicated set may have
+// changed. s itself is not written.
+func (s *Subgraph) PatchRows(rows []int32, g *graph.Graph, partsOf func(graph.VertexID) []int32) *Subgraph {
+	dup := *s
+	dup.GlobalOutDegree = slices.Clone(s.GlobalOutDegree)
+	dup.GlobalInDegree = slices.Clone(s.GlobalInDegree)
+	dup.PeerStart = make([]int32, len(s.PeerStart))
+	dup.Peers = make([]int32, 0, len(s.Peers))
+	for l := range int32(len(s.GlobalIDs)) {
+		if len(rows) > 0 && rows[0] == l {
+			rows = rows[1:]
+			dup.setRow(l, g, partsOf(s.GlobalIDs[l]))
+			continue
+		}
+		dup.Peers = append(dup.Peers, s.PeersOf(l)...)
+		dup.PeerStart[l+1] = int32(len(dup.Peers))
+	}
+	dup.routing = new(lazy[*Routing])
+	dup.depth = new(lazy[Depth])
+	return &dup
 }
 
 // BuildSubgraphs materializes the per-worker subgraphs of assignment a
@@ -155,9 +210,9 @@ func BuildSubgraphsWeightedParallel(g *graph.Graph, a *partition.Assignment,
 // buildSubgraphs is the shared build: one O(|E|) counting sort buckets the
 // edge indices by part, then two part-parallel passes run over each part's
 // own bucket. Pass 1 computes the part's covered vertex bitset; pass 2
-// materializes the subgraph — local id space, degrees, replica peers, the
-// edge list pre-sized from EdgeCounts and filled by offset, and the CSR
-// views. There are no per-part hash maps: each dense-enough part keeps a
+// materializes the subgraph — local id space, degrees, the replica-peer
+// CSR, and the edge list pre-sized from EdgeCounts and filled by offset.
+// There are no per-part hash maps: each dense-enough part keeps a
 // []int32 inverse index over the global id space as Subgraph.localOf (the
 // run-time O(1) LocalOf table; see localIndexMaxDilution), and sparse
 // parts localize by binary search.
@@ -213,7 +268,7 @@ func buildSubgraphs(g *graph.Graph, a *partition.Assignment,
 	// Pass 1: per-part covered vertex bitsets, parts in parallel. The sets
 	// are shared with the replica table below.
 	sets := make([]partition.Bitset, k)
-	_ = RunParts(parallelism, k, func(p int) error {
+	RunParts(parallelism, k, func(p int) {
 		set := partition.NewBitset(g.NumVertices())
 		for _, idx := range partEdges(p) {
 			e := edges[idx]
@@ -221,24 +276,15 @@ func buildSubgraphs(g *graph.Graph, a *partition.Assignment,
 			set.Set(int(e.Dst))
 		}
 		sets[p] = set
-		return nil
 	})
 
 	replicas := partition.BuildReplicasFromSets(g.NumVertices(), sets)
 
 	// Pass 2: materialize each subgraph, parts in parallel.
 	subs := make([]*Subgraph, k)
-	err := RunParts(parallelism, k, func(p int) error {
-		sub, err := BuildPart(g, p, k, partEdges(p), sets[p], replicas.Parts, weights)
-		if err != nil {
-			return err
-		}
-		subs[p] = sub
-		return nil
+	RunParts(parallelism, k, func(p int) {
+		subs[p] = BuildPart(g, p, k, partEdges(p), sets[p], replicas.Parts, weights)
 	})
-	if err != nil {
-		return nil, err
-	}
 	return subs, nil
 }
 
@@ -253,36 +299,18 @@ func buildSubgraphs(g *graph.Graph, a *partition.Assignment,
 // returned subgraph is byte-identical to the one a full build would
 // produce for part p.
 func BuildPart(g *graph.Graph, p, k int, bucket []int32, set partition.Bitset,
-	partsOf func(graph.VertexID) []int32, weights graph.EdgeWeights) (*Subgraph, error) {
+	partsOf func(graph.VertexID) []int32, weights graph.EdgeWeights) *Subgraph {
 	edges := g.Edges()
 	count := set.Count()
-	sub := &Subgraph{
-		Part:              p,
-		NumWorkers:        k,
-		NumGlobalVertices: g.NumVertices(),
-		GlobalIDs:         make([]graph.VertexID, 0, count),
-		ReplicaPeers:      make([][]int32, count),
-		GlobalOutDegree:   make([]int32, count),
-		GlobalInDegree:    make([]int32, count),
-		routing:           new(lazy[*Routing]),
-		comps:             new(lazy[[]int32]),
-		depth:             new(lazy[Depth]),
-	}
+	sub := newSubgraph(p, k, g.NumVertices())
+	sub.GlobalIDs = make([]graph.VertexID, 0, count)
+	sub.GlobalOutDegree = make([]int32, count)
+	sub.GlobalInDegree = make([]int32, count)
+	sub.PeerStart = make([]int32, count+1)
+	sub.Peers = []int32{}
 	set.Range(func(v int) {
-		local := int32(len(sub.GlobalIDs))
 		sub.GlobalIDs = append(sub.GlobalIDs, graph.VertexID(v))
-		sub.GlobalOutDegree[local] = int32(g.OutDegree(graph.VertexID(v)))
-		sub.GlobalInDegree[local] = int32(g.InDegree(graph.VertexID(v)))
-		all := partsOf(graph.VertexID(v))
-		if len(all) > 1 {
-			peers := make([]int32, 0, len(all)-1)
-			for _, q := range all {
-				if int(q) != p {
-					peers = append(peers, q)
-				}
-			}
-			sub.ReplicaPeers[local] = peers
-		}
+		sub.setRow(int32(len(sub.GlobalIDs)-1), g, partsOf(graph.VertexID(v)))
 	})
 	sub.buildLocalIndex()
 
@@ -303,12 +331,7 @@ func BuildPart(g *graph.Graph, p, k int, bucket []int32, set partition.Bitset,
 			sub.Weights[w] = weights[idx]
 		}
 	}
-	lg, err := graph.New(sub.NumLocalVertices(), sub.Edges)
-	if err != nil {
-		return nil, fmt.Errorf("bsp: build local graph of part %d: %w", p, err)
-	}
-	sub.Out = graph.BuildCSR(lg)
-	return sub, nil
+	return sub
 }
 
 // newLocalIndex allocates a dense global→local index with every entry -1.
@@ -321,18 +344,15 @@ func newLocalIndex(n int) []int32 {
 }
 
 // RunParts invokes fn(p) for every part id in [0, k), fanning out over at
-// most workers goroutines. The lowest-part error is returned.
-func RunParts(workers, k int, fn func(p int) error) error {
+// most workers goroutines.
+func RunParts(workers, k int, fn func(p int)) {
 	workers = min(workers, k)
 	if workers <= 1 {
 		for p := 0; p < k; p++ {
-			if err := fn(p); err != nil {
-				return err
-			}
+			fn(p)
 		}
-		return nil
+		return
 	}
-	errs := make([]error, k)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -344,17 +364,11 @@ func RunParts(workers, k int, fn func(p int) error) error {
 				if p >= k {
 					return
 				}
-				errs[p] = fn(p)
+				fn(p)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // EdgeWeight returns the weight of the local edge with index i (1 when no

@@ -12,19 +12,39 @@ import (
 	"ebv/internal/partition"
 )
 
-func benchPartitioned(b *testing.B, k int) (*graph.Graph, *partition.Assignment) {
-	b.Helper()
+// benchPartitioned is the 50 k / 500 k power-law graph, EBV-partitioned k
+// ways.
+func benchPartitioned(tb testing.TB, k int) (*graph.Graph, *partition.Assignment) {
+	tb.Helper()
 	g, err := gen.PowerLaw(gen.PowerLawConfig{
 		NumVertices: 50000, NumEdges: 500000, Eta: 2.2, Directed: true, Seed: 11,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	a, err := core.New().Partition(b.Context(), g, k)
+	a, err := core.New().Partition(tb.Context(), g, k)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return g, a
+}
+
+// TestBuildSubgraphsAllocations: a sequential build makes a bounded number
+// of allocations per part, however many vertices the part covers — the
+// replica peers are one flat CSR per part and the out-adjacency waits for
+// its first reader.
+func TestBuildSubgraphsAllocations(t *testing.T) {
+	const k = 8
+	g, a := benchPartitioned(t, k)
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := bsp.BuildSubgraphsParallel(g, a, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d vertices, %d edges: %.0f allocations", g.NumVertices(), g.NumEdges(), allocs)
+	if allocs > 64*k {
+		t.Fatalf("k = %d build of %d vertices made %.0f allocations, want <= %d", k, g.NumVertices(), allocs, 64*k)
+	}
 }
 
 // BenchmarkBuildSubgraphs compares the sequential baseline (parallelism 1)

@@ -17,8 +17,8 @@ import (
 
 // TestBuildSubgraphsParallelDeterministic asserts the parallel build is
 // byte-identical to the sequential one (parallelism 1) for every part —
-// ids, degrees, replica tables, CSR views, and the edge order within each
-// part (the originating graph's edge-list order).
+// ids, degrees, replica peers, and the edge order within each part (the
+// originating graph's edge-list order).
 func TestBuildSubgraphsParallelDeterministic(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -147,7 +147,8 @@ func validShard(t testing.TB) []byte {
 		NumGlobalVertices: 4,
 		GlobalIDs:         []graph.VertexID{0, 1, 3},
 		Edges:             []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}},
-		ReplicaPeers:      [][]int32{{1}, nil, nil},
+		PeerStart:         []int32{0, 1, 1, 1},
+		Peers:             []int32{1},
 		GlobalOutDegree:   []int32{1, 1, 0},
 		GlobalInDegree:    []int32{0, 1, 1},
 	})
@@ -189,6 +190,16 @@ func resizeShardColumn(b []byte, col, n int) []byte {
 	return slices.Concat(b[:start], grown, b[end:])
 }
 
+// withWeights makes the shard weighted, one zero weight per edge, and
+// overwrites the leading 32-bit words of the weight column (little-endian
+// halves of each float64).
+func withWeights(b []byte, words ...uint32) []byte {
+	setShardWord(b, shardFlags, 1)
+	b = resizeShardColumn(b, shardWeights, shardWord(b, shardEdges))
+	setShardElems(b, shardWeights, words...)
+	return b
+}
+
 // resealShard recomputes the trailing CRC-32C, so that what rejects a
 // patched shard is the structural validation and not the checksum.
 func resealShard(b []byte) []byte {
@@ -206,6 +217,9 @@ func resealShard(b []byte) []byte {
 func TestReadSubgraphValidatesLengths(t *testing.T) {
 	if _, err := bsp.ReadSubgraph(bytes.NewReader(resealShard(validShard(t)))); err != nil {
 		t.Fatalf("valid shard rejected: %v", err)
+	}
+	if _, err := bsp.ReadSubgraph(bytes.NewReader(resealShard(withWeights(validShard(t), 0, 0x3FF00000)))); err != nil {
+		t.Fatalf("valid weighted shard (1, 0) rejected: %v", err)
 	}
 
 	const minusOne = 0xFFFFFFFF
@@ -243,6 +257,10 @@ func TestReadSubgraphValidatesLengths(t *testing.T) {
 		"peers-owned-by-no-vertex":  func(b []byte) []byte { setShardElems(b, shardPeerLens, 0); return b },
 		"weights-without-flag":      func(b []byte) []byte { return resizeShardColumn(b, shardWeights, 2) },
 		"unknown-flag":              func(b []byte) []byte { setShardWord(b, shardFlags, 2); return b },
+		// What the build refuses, the decoder refuses: a negative cycle keeps
+		// weighted SSSP relaxing inside one superstep.
+		"negative-weight": func(b []byte) []byte { return withWeights(b, 0, 0x3FF00000, 0, 0xBFF00000) }, // 1, -1
+		"nan-weight":      func(b []byte) []byte { return withWeights(b, 0, 0x7FF80000) },                // NaN, 0
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {

@@ -40,7 +40,8 @@ func TestFormats(t *testing.T) {
 			Part: 0, NumWorkers: 2, NumGlobalVertices: 4,
 			GlobalIDs:       []graph.VertexID{0, 1, 3},
 			Edges:           []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}},
-			ReplicaPeers:    [][]int32{{1}, nil, nil},
+			PeerStart:       []int32{0, 1, 1, 1},
+			Peers:           []int32{1},
 			GlobalOutDegree: []int32{1, 1, 0},
 			GlobalInDegree:  []int32{0, 1, 1},
 			Weights:         []float64{1.5, 2},

@@ -66,7 +66,7 @@ func (gg *Ginger) Partition(ctx context.Context, g *graph.Graph, k int) (*partit
 		}
 	}
 
-	in := graph.BuildReverseCSR(g)
+	in := graph.BuildCSR(graph.Reverse(g))
 
 	// keep[i]: vertices already present on subgraph i (mirrors the EBV
 	// bookkeeping; Ginger uses it for the |N_in(v) ∩ V_i| term).

@@ -12,31 +12,17 @@ type CSR struct {
 }
 
 // BuildCSR builds the out-adjacency CSR of g using counting sort, so
-// construction is O(|V| + |E|).
+// construction is O(|V| + |E|). The in-adjacency is BuildCSR(Reverse(g)):
+// Reverse keeps the edge order, so its edge indices are g's.
 func BuildCSR(g *Graph) *CSR {
-	return buildCSR(g, false)
-}
-
-// BuildReverseCSR builds the in-adjacency (transpose) CSR of g.
-func BuildReverseCSR(g *Graph) *CSR {
-	return buildCSR(g, true)
-}
-
-func buildCSR(g *Graph, reverse bool) *CSR {
 	n := g.NumVertices()
 	c := &CSR{
 		offsets:   make([]int64, n+1),
 		neighbors: make([]VertexID, g.NumEdges()),
 		edgeIndex: make([]int32, g.NumEdges()),
 	}
-	deg := func(e Edge) VertexID {
-		if reverse {
-			return e.Dst
-		}
-		return e.Src
-	}
 	for _, e := range g.Edges() {
-		c.offsets[deg(e)+1]++
+		c.offsets[e.Src+1]++
 	}
 	for v := 0; v < n; v++ {
 		c.offsets[v+1] += c.offsets[v]
@@ -44,13 +30,9 @@ func buildCSR(g *Graph, reverse bool) *CSR {
 	cursor := make([]int64, n)
 	copy(cursor, c.offsets[:n])
 	for i, e := range g.Edges() {
-		from, to := e.Src, e.Dst
-		if reverse {
-			from, to = to, from
-		}
-		slot := cursor[from]
-		cursor[from]++
-		c.neighbors[slot] = to
+		slot := cursor[e.Src]
+		cursor[e.Src]++
+		c.neighbors[slot] = e.Dst
 		c.edgeIndex[slot] = int32(i)
 	}
 	return c

@@ -218,7 +218,7 @@ func TestCSRRoundTrip(t *testing.T) {
 	edges := []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 0}, {3, 3}}
 	g := mustGraph(t, 4, edges)
 	out := BuildCSR(g)
-	in := BuildReverseCSR(g)
+	in := BuildCSR(Reverse(g))
 	if out.NumEdges() != len(edges) || in.NumEdges() != len(edges) {
 		t.Fatalf("CSR edge counts out=%d in=%d", out.NumEdges(), in.NumEdges())
 	}
@@ -228,7 +228,7 @@ func TestCSRRoundTrip(t *testing.T) {
 	if got := in.Neighbors(2); len(got) != 2 {
 		t.Fatalf("in-neighbors of 2: %v", got)
 	}
-	// EdgeIndices must map back to the original edge list.
+	// EdgeIndices must map back to the original edge list, in both views.
 	for v := 0; v < 4; v++ {
 		nbrs := out.Neighbors(VertexID(v))
 		idxs := out.EdgeIndices(VertexID(v))
@@ -236,6 +236,11 @@ func TestCSRRoundTrip(t *testing.T) {
 			e := g.Edge(int(idxs[j]))
 			if e.Src != VertexID(v) || e.Dst != nbrs[j] {
 				t.Fatalf("edge index mismatch at v=%d slot %d: %v", v, j, e)
+			}
+		}
+		for j, src := range in.Neighbors(VertexID(v)) {
+			if e := g.Edge(int(in.EdgeIndices(VertexID(v))[j])); e.Dst != VertexID(v) || e.Src != src {
+				t.Fatalf("in-edge index mismatch at v=%d slot %d: %v", v, j, e)
 			}
 		}
 	}

@@ -8,8 +8,9 @@ import (
 
 // CtxFlow mechanizes the cooperative-cancellation discipline PR 1
 // threaded through the engine: inside the packages that run supersteps,
-// exchanges, partition loops and control planes (internal/bsp,
-// internal/transport, internal/cluster, internal/partition),
+// exchanges, partition loops, control planes and the serving layers
+// (internal/bsp, internal/transport, internal/cluster, internal/partition,
+// internal/serve, internal/live),
 //
 //  1. context.Background() / context.TODO() must not be called — a
 //     library function that mints its own root context is opting out of

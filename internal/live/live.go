@@ -37,7 +37,7 @@ type Config struct {
 	// the byte-identity assertion between the two paths, paid at full
 	// rebuild cost (tests and smoke runs turn it on).
 	VerifyPatches bool
-	// ForceRebuild routes every batch through the full-rebuild fallback
+	// ForceRebuild routes every batch through a full part-parallel rebuild
 	// instead of the incremental patch path.
 	ForceRebuild bool
 	// Parallelism bounds the part-parallel patch/rebuild fan-out
@@ -61,7 +61,7 @@ type Stats struct {
 	PartsRebuilt int64
 	PartsPatched int64
 	PartsReused  int64
-	// FullRebuilds counts batches that took the full-rebuild fallback.
+	// FullRebuilds counts batches that took the full rebuild.
 	FullRebuilds int64
 	// RF is the current replication factor Σ|Vp|/|V|; BaselineRF is the
 	// RF right after preparation; Drift is RF/BaselineRF − 1.
@@ -84,7 +84,7 @@ type ApplyResult struct {
 	PartsRebuilt int `json:"parts_rebuilt"`
 	PartsPatched int `json:"parts_patched"`
 	PartsReused  int `json:"parts_reused"`
-	// FullRebuild reports the batch took the full-rebuild fallback.
+	// FullRebuild reports the batch took the full rebuild.
 	FullRebuild bool `json:"full_rebuild,omitempty"`
 	// NeedsRepartition reports RF drift past driftThreshold.
 	NeedsRepartition bool `json:"needs_repartition,omitempty"`
@@ -345,43 +345,27 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 	}
 	bucket := func(p int) []int32 { return order[offsets[p]:offsets[p+1]] }
 
-	// ---- Patch, falling back to a full rebuild. ----
+	// ---- Patch, or rebuild every part when configured to. ----
 	res := &ApplyResult{Inserted: inserts, Deleted: deletes}
-	fullRebuild := func() ([]*bsp.Subgraph, []partition.Bitset, error) {
-		subs, err := bsp.BuildSubgraphsParallel(newG,
-			&partition.Assignment{K: st.k, Parts: newParts}, st.par)
-		if err != nil {
-			return nil, nil, fmt.Errorf("live: full rebuild: %w", err)
-		}
-		return subs, coverageOf(st.n, subs), nil
-	}
 	var newSubs []*bsp.Subgraph
 	var finalSets []partition.Bitset
 	if st.cfg.ForceRebuild {
-		newSubs, finalSets, err = fullRebuild()
+		newSubs, err = bsp.BuildSubgraphsParallel(newG,
+			&partition.Assignment{K: st.k, Parts: newParts}, st.par)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("live: full rebuild: %w", err)
 		}
+		finalSets = coverageOf(st.n, newSubs)
 		res.FullRebuild = true
 		res.PartsRebuilt = st.k
 	} else {
-		newSubs, finalSets, err = st.patch(patchIn{
+		newSubs, finalSets = st.patch(patchIn{
 			newG:     newG,
 			bucket:   bucket,
 			affected: affected,
 			muts:     muts,
 			res:      res,
 		})
-		if err != nil {
-			// The patch path failing is an invariant breach, not a batch
-			// problem: the full rebuild is the fallback of record.
-			newSubs, finalSets, err = fullRebuild()
-			if err != nil {
-				return nil, err
-			}
-			res.FullRebuild = true
-			res.PartsRebuilt, res.PartsPatched, res.PartsReused = st.k, 0, 0
-		}
 	}
 	res.PatchTime = time.Since(start)
 
@@ -456,7 +440,7 @@ type patchIn struct {
 // affected part from its new bucket (phase 1), then rebuild affected
 // parts with BuildPart and row-patch unaffected parts whose replica-peer
 // or degree rows changed, sharing everything else (phase 2).
-func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) {
+func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset) {
 	k, n := st.k, st.n
 
 	// Phase 1: exact coverage sets of affected parts, all installed
@@ -464,9 +448,9 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 	// every other part's coverage).
 	finalSets := make([]partition.Bitset, k)
 	copy(finalSets, st.sets)
-	err := bsp.RunParts(st.par, k, func(p int) error {
+	bsp.RunParts(st.par, k, func(p int) {
 		if !in.affected[p] {
-			return nil
+			return
 		}
 		set := partition.NewBitset(n)
 		edges := in.newG.Edges()
@@ -476,11 +460,7 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 			set.Set(int(e.Dst))
 		}
 		finalSets[p] = set
-		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
 
 	// Coverage-changed vertices: word-wise diff of each affected part's
 	// pre-batch set vs its recomputed one.
@@ -522,15 +502,11 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 	// never written — jobs on earlier epochs keep reading them.
 	newSubs := make([]*bsp.Subgraph, k)
 	var rebuilt, patched, reused atomic.Int64
-	err = bsp.RunParts(st.par, k, func(p int) error {
+	bsp.RunParts(st.par, k, func(p int) {
 		if in.affected[p] {
-			sub, err := bsp.BuildPart(in.newG, p, k, in.bucket(p), finalSets[p], partsOf, nil)
-			if err != nil {
-				return err
-			}
-			newSubs[p] = sub
+			newSubs[p] = bsp.BuildPart(in.newG, p, k, in.bucket(p), finalSets[p], partsOf, nil)
 			rebuilt.Add(1)
-			return nil
+			return
 		}
 		old := st.subs[p]
 		var rows []int32
@@ -542,43 +518,21 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset, error) 
 		if len(rows) == 0 {
 			newSubs[p] = old
 			reused.Add(1)
-			return nil
+			return
 		}
-		dup := old.CopyForPatch()
-		for _, l := range rows {
-			gid := dup.GlobalIDs[l]
-			dup.GlobalOutDegree[l] = int32(in.newG.OutDegree(gid))
-			dup.GlobalInDegree[l] = int32(in.newG.InDegree(gid))
-			all := partsOf(gid)
-			if len(all) > 1 {
-				peers := make([]int32, 0, len(all)-1)
-				for _, q := range all {
-					if int(q) != p {
-						peers = append(peers, q)
-					}
-				}
-				dup.ReplicaPeers[l] = peers
-			} else {
-				dup.ReplicaPeers[l] = nil
-			}
-		}
-		newSubs[p] = dup
+		newSubs[p] = old.PatchRows(rows, in.newG, partsOf)
 		patched.Add(1)
-		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
 	in.res.PartsRebuilt = int(rebuilt.Load())
 	in.res.PartsPatched = int(patched.Load())
 	in.res.PartsReused = int(reused.Load())
-	return newSubs, finalSets, nil
+	return newSubs, finalSets
 }
 
 // sameShard reports whether two subgraphs encode to the same EBVS shard
 // bytes — the byte-identity check between the patch and rebuild paths.
-// The shard holds every stored column; the CSR views it leaves out are
-// derived from Edges.
+// The shard holds every stored column; the tables it leaves out are
+// derived from them.
 func sameShard(a, b *bsp.Subgraph) bool {
 	var ea, eb bytes.Buffer
 	if bsp.WriteSubgraph(&ea, a) != nil || bsp.WriteSubgraph(&eb, b) != nil {

@@ -160,9 +160,10 @@ func TestApplyForceRebuildMatchesPatch(t *testing.T) {
 
 // TestPatchStartsWithEmptyRoutingPlan: a row-patched part rewrites peer
 // rows on a copy of the old subgraph, so the copy must derive its routing
-// plan and boundary depth afresh (equal to a full rebuild's) while keeping
-// the component table (edges unchanged); parts carried over by pointer keep
-// every cached table.
+// plan and boundary depth afresh (equal to a full rebuild's) while sharing
+// the out-adjacency and component tables (edges unchanged), and its peer
+// rows and shard bytes must equal the full rebuild's; parts carried over by
+// pointer keep every cached table.
 func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
 	g := liveGraph(t, 400, 2500, 13)
 	patchSt, patchSwap := buildLive(t, g, 8, Config{})
@@ -171,6 +172,7 @@ func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
 	oldPlans := make([]*bsp.Routing, len(old))
 	for p, sub := range old {
 		oldPlans[p] = sub.Routing()
+		sub.Out()
 		sub.ComponentRoots()
 		sub.BoundaryDepth()
 	}
@@ -214,6 +216,18 @@ func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
 			}
 			if &sub.ComponentRoots()[0] != &old[p].ComponentRoots()[0] {
 				t.Fatalf("part %d: patched copy rebuilt the component table", p)
+			}
+			if sub.Out() != old[p].Out() {
+				t.Fatalf("part %d: patched copy rebuilt the out-adjacency", p)
+			}
+			full := rebuildSt.subs[p]
+			for l := range int32(sub.NumLocalVertices()) {
+				if got, want := sub.PeersOf(l), full.PeersOf(l); !slices.Equal(got, want) {
+					t.Fatalf("part %d: patched PeersOf(%d) = %v, full rebuild's %v", p, l, got, want)
+				}
+			}
+			if !sameShard(sub, full) {
+				t.Fatalf("part %d: patched copy's shard bytes differ from the full rebuild's", p)
 			}
 		}
 	}

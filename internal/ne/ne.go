@@ -68,7 +68,7 @@ func (n *NE) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.A
 	// Undirected adjacency over both directions so expansion treats the
 	// graph symmetrically (NE is defined on undirected structure).
 	out := graph.BuildCSR(g)
-	in := graph.BuildReverseCSR(g)
+	in := graph.BuildCSR(graph.Reverse(g))
 
 	assigned := partition.NewBitset(numE)
 	// unassignedDeg[v] counts incident unassigned edge slots of v.

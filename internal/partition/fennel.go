@@ -68,7 +68,7 @@ func (f *Fennel) VertexPartition(ctx context.Context, g *graph.Graph, k int) ([]
 	capacity := int(nu*float64(n)/float64(k)) + 1
 
 	out := graph.BuildCSR(g)
-	in := graph.BuildReverseCSR(g)
+	in := graph.BuildCSR(graph.Reverse(g))
 
 	assigned := NewBitset(n)
 	sizes := make([]int, k)

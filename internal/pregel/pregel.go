@@ -125,7 +125,7 @@ func Run(ctx context.Context, g *graph.Graph, k int, prog VertexProgram, cfg Con
 	out := graph.BuildCSR(g)
 	var in *graph.CSR
 	if prog.TraverseUndirected() {
-		in = graph.BuildReverseCSR(g)
+		in = graph.BuildCSR(graph.Reverse(g))
 	}
 
 	// Per-worker vertex lists.
