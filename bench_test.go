@@ -226,36 +226,6 @@ func BenchmarkAblationAlphaBeta(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSyncStrategy compares CC's send-on-change replica sync
-// against send-all-on-change.
-func BenchmarkAblationSyncStrategy(b *testing.B) {
-	g := ablationGraph(b)
-	a, err := core.New().Partition(b.Context(), g, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	subs, err := bsp.BuildSubgraphs(g, a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name    string
-		sendAll bool
-	}{{"send-changed", false}, {"send-all", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var msgs int64
-			for i := 0; i < b.N; i++ {
-				res, err := bsp.Run(b.Context(), subs, &apps.CC{SendAll: mode.sendAll}, bsp.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs = res.TotalMessages()
-			}
-			b.ReportMetric(float64(msgs), "messages")
-		})
-	}
-}
-
 // BenchmarkAblationTransport compares the in-memory router against the TCP
 // loopback mesh on the same CC workload.
 func BenchmarkAblationTransport(b *testing.B) {

@@ -13,7 +13,8 @@
 // vertex-centric system would send across the network. Unit-weight SSSP's
 // computation stage is bounded: it relaxes only up to a distance horizon
 // that grows by a per-part step Δ each superstep, sized by how deep the
-// part's vertices sit behind its replicated ones (see SSSP).
+// part's vertices sit behind its replicated ones (see SSSP). CC floods its
+// smallest replicated label first and parks other changes (see CC).
 //
 // Messages travel as columnar batches (transport.MessageBatch) whose value
 // width is the run's bsp.Config.ValueWidth. The scalar applications here
@@ -24,6 +25,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 
 	"ebv/internal/bsp"
 	"ebv/internal/graph"
@@ -48,12 +50,18 @@ func scalarValues(env bsp.Env, state []float64) *graph.ValueMatrix {
 // with a disjoint-set union once, so a whole local component acts as a
 // single super-vertex; supersteps only reconcile component labels across
 // replicas.
+//
+// Replica sync floods one pivot before send-on-change Hash-Min, which alone
+// creeps on ids that follow locality (a lattice numbered row by row): every
+// part-hop toward the smallest id brings a smaller label and one more send.
+// The pivot, the smallest replicated label, is final for its component, as
+// every local piece of a component spanning parts is replicated (Multistep's
+// order, Slota et al., IPDPS 2014). Step 0 broadcasts Boundary and sends each
+// worker, itself included, a sentinel row (id NumGlobalVertices) of 2·(least
+// replicated label) + 1; later, labels that became the pivot are sent, other
+// changes park, and a worker that sent or parked any sends 2·pivot + busy.
+// Once every sentinel reads idle, parked changes go out and Hash-Min resumes.
 type CC struct {
-	// SendAll, when true, re-sends the labels of ALL replicated vertices
-	// whenever any local component changed, instead of only the changed
-	// ones. It exists for the replica-sync ablation bench.
-	SendAll bool
-
 	// Warm, when non-nil, seeds each component's label with the minimum
 	// over the covered vertices' rows of this width-1 matrix (dense over
 	// the global id space) in addition to the structural minimum — the
@@ -81,13 +89,12 @@ func (c *CC) MessageCombiner() transport.Combiner { return transport.MinCombiner
 func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	n := sub.NumLocalVertices()
 	w := &ccWorker{
-		sub:     sub,
-		env:     env,
-		sendAll: c.SendAll,
-		plan:    sub.Routing(),
-		root:    sub.ComponentRoots(),
-		label:   make([]float64, n),
-		sent:    make([]float64, n),
+		sub:   sub,
+		env:   env,
+		plan:  sub.Routing(),
+		root:  sub.ComponentRoots(),
+		label: make([]float64, n),
+		sent:  make([]float64, n),
 	}
 	// The local subgraph is collapsed once per subgraph, not per job. Each
 	// root is its component's smallest local id, so its own global id is the
@@ -121,52 +128,106 @@ func warmValue(warm *graph.ValueMatrix, covered []bool, gid graph.VertexID) (flo
 type ccWorker struct {
 	sub     *bsp.Subgraph
 	env     bsp.Env
-	sendAll bool
 	plan    *bsp.Routing
 	root    []int32   // local vertex → its local component's root (shared, read-only)
 	label   []float64 // valid at component roots
-	// sent[l] is the label last broadcast for replicated vertex l; used to
-	// suppress duplicate sends.
-	sent []float64
+	sent    []float64 // label last sent per replicated vertex; differs if parked
+	parked  bool      // the last scan of Replicated parked one (exact: resync rebuilds it)
+	resumed bool      // RestoreState ran; the first superstep calls resync
 }
 
 // Superstep implements bsp.WorkerProgram.
 func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool) {
-	changed := false
+	sentinel := graph.VertexID(w.sub.NumGlobalVertices)
+	if w.resumed {
+		w.resync(in, sentinel)
+	}
+	changed, sn := false, sentinels{pivot: math.Inf(1)}
 	for i, gid := range in.IDs {
-		local, ok := w.sub.LocalOf(gid)
-		if !ok {
-			continue // defensive: message for a vertex we do not cover
-		}
-		if r, v := w.root[local], in.Scalar(i); v < w.label[r] {
-			w.label[r] = v
-			changed = true
+		if local, ok := w.sub.LocalOf(gid); ok {
+			if r, v := w.root[local], in.Scalar(i); v < w.label[r] {
+				w.label[r], changed = v, true
+			}
+		} else if gid == sentinel {
+			sn.add(in.Scalar(i))
 		}
 	}
-	if step > 0 && !changed {
+	// Sentinels: one busy, the flood goes on; all idle, the switch; none, Hash-Min.
+	if step > 0 && !changed && !(sn.seen && w.parked) {
 		return nil, false
 	}
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-	if step == 0 || w.sendAll {
-		// Full broadcast: every boundary vertex to every peer sharing it.
+	if step == 0 {
+		smallest := math.Inf(1)
 		for _, l := range w.plan.Replicated {
 			w.sent[l] = w.label[w.root[l]]
+			smallest = min(smallest, w.sent[l])
 		}
 		w.env.SendScalars(out, w.plan.Boundary, w.sent)
+		if w.sub.NumWorkers > 1 { // a lone worker has nothing to sync
+			w.sendSentinel(out, sentinel, 2*smallest+1)
+		}
 		return out, false
 	}
-	for _, l := range w.plan.Replicated {
-		val := w.label[w.root[l]]
-		if val == w.sent[l] {
-			continue
-		}
-		w.sent[l] = val
-		gid := w.sub.GlobalIDs[l]
-		for _, peer := range w.sub.PeersOf(l) {
-			w.env.SendScalar(out, peer, gid, val)
+	forwarded := 0.0
+	if changed || !sn.busy {
+		w.parked = false
+		for _, l := range w.plan.Replicated {
+			switch val := w.label[w.root[l]]; {
+			case val == w.sent[l]:
+			case sn.busy && val != sn.pivot:
+				w.parked = true
+			default:
+				w.sent[l], forwarded = val, 1
+				gid := w.sub.GlobalIDs[l]
+				for _, peer := range w.sub.PeersOf(l) {
+					w.env.SendScalar(out, peer, gid, val)
+				}
+			}
 		}
 	}
+	if sn.busy && (forwarded > 0 || w.parked) {
+		w.sendSentinel(out, sentinel, 2*sn.pivot+forwarded)
+	}
 	return out, false
+}
+
+// sendSentinel appends (sentinel, v), the largest id, to every worker's batch.
+func (w *ccWorker) sendSentinel(out []*transport.MessageBatch, sentinel graph.VertexID, v float64) {
+	for dst := range int32(w.sub.NumWorkers) {
+		w.env.SendScalar(out, dst, sentinel, v)
+	}
+}
+
+// sentinels folds an inbox's sentinel rows: any, any busy, and the pivot.
+// The row loop updates it through a pointer, off that loop's registers.
+type sentinels struct {
+	seen, busy bool
+	pivot      float64
+}
+
+func (s *sentinels) add(v float64) {
+	p := math.Floor(v / 2)
+	s.seen, s.busy, s.pivot = true, s.busy || v != 2*p, min(s.pivot, p)
+}
+
+// resync completes sent by SnapshotState's invariant once the inbox shows
+// the phase (checkpoints need rows in flight; a flood step's has sentinels).
+func (w *ccWorker) resync(in *transport.MessageBatch, sentinel graph.VertexID) {
+	w.resumed = false
+	sn := sentinels{pivot: math.Inf(1)}
+	for i, gid := range in.IDs {
+		if gid == sentinel {
+			sn.add(in.Scalar(i))
+		}
+	}
+	for _, l := range w.plan.Replicated {
+		if val := w.label[w.root[l]]; !sn.seen || val == sn.pivot {
+			w.sent[l] = val
+		} else if val != w.sent[l] {
+			w.parked = true
+		}
+	}
 }
 
 // Values implements bsp.WorkerProgram.
@@ -182,10 +243,9 @@ var _ bsp.Resumable = (*ccWorker)(nil)
 
 // SnapshotState implements bsp.Resumable: every local vertex's resolved
 // component label (width 1). The root table needs no snapshot — it is a
-// function of the (immutable) local edges — and sent needs none either,
-// because at every superstep boundary sent[l] equals the resolved label of
-// replicated vertex l: a broadcast updates both together, and a suppressed
-// send means the label did not move.
+// function of the (immutable) local edges — and sent needs none either: at
+// a superstep boundary past the switch step, sent[l] is l's label; before
+// it, that label if it is the pivot and l's step-0 label otherwise.
 func (w *ccWorker) SnapshotState() *graph.ValueMatrix {
 	m := graph.NewValueMatrix(len(w.root), 1)
 	for l, r := range w.root {
@@ -194,10 +254,9 @@ func (w *ccWorker) SnapshotState() *graph.ValueMatrix {
 	return m
 }
 
-// RestoreState implements bsp.Resumable: fold the snapshot labels into the
-// components' roots and reconstruct sent from them (valid by
-// the invariant above; step >= 1, so the step-0 forced broadcast already
-// happened in the original timeline and must not be replayed).
+// RestoreState implements bsp.Resumable: record NewWorker's step-0 labels as
+// sent, fold the snapshot labels into the components' roots (step >= 1: no
+// step-0 broadcast replay), and leave the rest of sent to resync.
 func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 	if state.Width != 1 {
 		return fmt.Errorf("apps: CC snapshot width %d, want 1", state.Width)
@@ -205,14 +264,15 @@ func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 	if err := state.CheckShape(len(w.root)); err != nil {
 		return err
 	}
+	for _, l := range w.plan.Replicated {
+		w.sent[l] = w.label[w.root[l]]
+	}
 	for l, r := range w.root {
 		if v := state.Scalar(l); v < w.label[r] {
 			w.label[r] = v
 		}
 	}
-	for _, l := range w.plan.Replicated {
-		w.sent[l] = w.label[w.root[l]]
-	}
+	w.resumed = true
 	return nil
 }
 

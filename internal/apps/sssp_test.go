@@ -13,7 +13,6 @@ import (
 
 	"ebv/internal/bsp"
 	"ebv/internal/core"
-	"ebv/internal/gen"
 	"ebv/internal/graph"
 	"ebv/internal/metis"
 	"ebv/internal/ne"
@@ -208,16 +207,7 @@ func TestSSSPHorizon(t *testing.T) {
 	// two graphs the bsp emission goldens run (EBV, k = 8), so a change to
 	// the depth BFS or the rule cannot move those digests silently.
 	t.Run("delta-pinned", func(t *testing.T) {
-		powerlaw, err := gen.PowerLaw(gen.PowerLawConfig{
-			NumVertices: 3000, NumEdges: 24000, Eta: 2.0, Directed: true, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		road, err := gen.Road(gen.RoadConfig{Width: 40, Height: 40, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
+		powerlaw, road := emissionGraphs(t)
 		for _, tc := range []struct {
 			name string
 			g    *graph.Graph

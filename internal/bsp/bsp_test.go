@@ -251,17 +251,6 @@ func TestMessagesTrackReplication(t *testing.T) {
 	}
 }
 
-func TestCCSendAllStillCorrect(t *testing.T) {
-	g := testGraphs(t)["powerlaw"]
-	want := apps.SequentialCC(g)
-	subs := buildSubs(t, g, core.New(), 4)
-	res, err := bsp.Run(t.Context(), subs, &apps.CC{SendAll: true}, bsp.Config{VerifyReplicaAgreement: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertScalars(t, res, want, -1, "CC send-all")
-}
-
 func TestBuildSubgraphsRejectsMismatch(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	a := partition.NewAssignment(2, 5)
