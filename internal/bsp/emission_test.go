@@ -123,8 +123,10 @@ func emissionSHA256(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bs
 //
 // The four unit-weight SSSP cells (powerlaw and road, widths 1 and 4) were
 // re-recorded once, when SSSP's relax became bounded by the per-superstep
-// distance horizon: the values are unchanged, only the emission sequence
-// moved. Every other cell kept its digest.
+// distance horizon, and the six CC cells (powerlaw and road: width 1,
+// width 4, warm) once, when CC began flooding its smallest replicated label
+// before Hash-Min. Both times the values were unchanged and only the
+// emission sequence moved. Every other cell kept its digest.
 func TestGoldenEmissions(t *testing.T) {
 	pl, road := pinnedGraphs(t)
 	const k = 8
@@ -201,24 +203,24 @@ func warmCC(t *testing.T, g *graph.Graph, k int) *apps.CC {
 }
 
 var goldenEmissions = map[string]string{
-	"powerlaw/CC":        "611211f62f747ae131fee1812dedfb29675f28e15e4abdd9450eabbdee828a3c",
+	"powerlaw/CC":        "1d3bb62427429f488cd051a1144b2fa6ca38298bef95a3dd7f742e2fc3d22708",
 	"powerlaw/PR":        "5753e1cd5b2238cb91da212aaef92ebc114fd408cd17bb447dd1e4adc3b02c0d",
 	"powerlaw/SSSP":      "bb9d18e4670f0b68591d501668983f86121d41d4c42918619b15203ba7b8d597",
 	"powerlaw/WSSSP":     "8d61198669a9efc714a66e58e2e5b61d87cbc560ae21d3f4ade56a946ceec1e4",
 	"powerlaw/Aggregate": "cb21ad0c5beb1dfabaf6a1e7c411a1acee3a844fa72f6aac647bdcae4ea9e03d",
-	"road/CC":            "c614ecbe063d1ea64dbeec34ea7204c503bccefd9f419d4c1235929c7c0c86e5",
+	"road/CC":            "b1932fb2231575bb1b35e857aa3e0543a319073214bb20b895bde7174a329425",
 	"road/PR":            "8ab5c03f19c54d4934f802bbd4d30681f24e71b8a79eef9740a30ef360d1e328",
 	"road/SSSP":          "95c9ab22cb46434f6fb6aef63056a04674f58937502da71e392e701a36e1bfcc",
 	"road/WSSSP":         "052912a9f001a70c5425a3024360f3b063c5e4022d61964af54cd21cd59b2d73",
 	"road/Aggregate":     "a222589ce943976ef56888c40ed56d746ee5d4c23e84f2f52772ad201a2c2e4e",
-	"powerlaw/CC@w4":     "dae3cf6182e9b3d4215827c71eb7b302149d5b5634e598c521409b9d90687056",
+	"powerlaw/CC@w4":     "e59b924d3c536b71acb5610b3c0cc17f5e0358819e681b984088ece7f5c96c0e",
 	"powerlaw/PR@w4":     "4030d33647cd6ce8780f8c3b39093aec46d129af470a34eb0763724a383c9bc3",
 	"powerlaw/SSSP@w4":   "ad3a9900c6a69d022dc7c50eef3a5b478560e8173b68f4c7da0bdb8071ee8daf",
-	"powerlaw/CC-warm":   "c4a97a904c17a43da3ee991903c7092a708b28ed35f192124f0c6d140eafc098",
+	"powerlaw/CC-warm":   "bd9bcf4b0d5f2f1cb54a6f63587c79563da6dbac065d3ef362711d5b09c65064",
 	"powerlaw/PR-delta":  "1bb9156ddb926fec25f844b9ed212b182eab8d317e79b48e473d56559fbdcbd3",
-	"road/CC@w4":         "6d66511f3d101ad1405d04eb647321ab6e3a1e49e69f60695300ff5ed3a92fb2",
+	"road/CC@w4":         "00bd5b76178ba9125fdcfdfbee808b789553334311c3fc516ef980f23b1de68b",
 	"road/PR@w4":         "7b6350ac34b5e64cadeb6643ff648245af9f4d5d4e2106039a94d10f968355bd",
 	"road/SSSP@w4":       "fb46890f12ad6b72180f3c8c7b567f2be227f1b07f1be63eb61e0b1923f70fdb",
-	"road/CC-warm":       "dd1350da2f6b8e341b07a474f2801817e3e4cc878c549f96d877b91b12f9b47f",
+	"road/CC-warm":       "ca68487dd1a48b7964502110eb15ff37f3943422fa0d30c8e50f223cc94b22ad",
 	"road/PR-delta":      "4b201035582280bd2e4ef5d30e7a5ac97047a4d275d60b6aa7f82b43828f32c3",
 }
