@@ -67,17 +67,6 @@ func ccGraph(r *rng.Source, directed bool) *graph.Graph {
 	return g
 }
 
-// checkCC fails unless every covered vertex holds SequentialCC's label, bit
-// for bit.
-func checkCC(tb testing.TB, g *graph.Graph, res *bsp.Result) {
-	tb.Helper()
-	for v, want := range SequentialCC(g) {
-		if got, ok := res.Value(graph.VertexID(v)); ok && math.Float64bits(got) != math.Float64bits(want) {
-			tb.Fatalf("vertex %d: label %g, oracle %g", v, got, want)
-		}
-	}
-}
-
 // ccPhase names the phase an epoch resumes into, read off its inboxes as
 // the workers read it: a busy sentinel row (odd) is a flood step, sentinels
 // that all read idle the switch step, none at all send-on-change Hash-Min.
@@ -120,7 +109,7 @@ func TestCCPivotFlood(t *testing.T) {
 						if err != nil {
 							t.Fatalf("draw %d directed=%t %s k=%d: %v", draw, directed, p.Name(), k, err)
 						}
-						checkCC(t, g, full)
+						checkOracle(t, SequentialCC(g), full)
 						for step, cps := range store.epochs {
 							phases[ccPhase(g, cps)]++
 							res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{
@@ -187,7 +176,7 @@ func TestCCPivotFlood(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkCC(t, g1, warm)
+		checkOracle(t, SequentialCC(g1), warm)
 		if v, _ := warm.Value(graph.VertexID(2*n - 1)); v != 0 {
 			t.Fatalf("after the merge vertex %d is labelled %g, want 0", 2*n-1, v)
 		}
@@ -196,11 +185,9 @@ func TestCCPivotFlood(t *testing.T) {
 		}
 	})
 
-	// Rows and steps on the emission graphs (EBV, k = 8), pinned. Before the
-	// pivot flood, send-on-change Hash-Min read 13 913 rows in 4 steps on
-	// powerlaw and 9 425 rows in 10 steps on road. On road the rows stay
-	// within two Boundary broadcasts plus one sentinel per worker pair and
-	// step.
+	// Rows and steps on the emission graphs (EBV, k = 8), pinned. On road,
+	// whose ids follow locality, the rows stay within two Boundary
+	// broadcasts plus one sentinel per worker pair and step.
 	t.Run("pinned", func(t *testing.T) {
 		const k = 8
 		powerlaw, road := emissionGraphs(t)
@@ -217,7 +204,7 @@ func TestCCPivotFlood(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkCC(t, tc.g, res)
+			checkOracle(t, SequentialCC(tc.g), res)
 			if rows := res.TotalMessages(); rows != int64(tc.rows) || res.Steps != tc.steps {
 				t.Errorf("%s: %d rows in %d steps, pinned %d in %d", tc.name, rows, res.Steps, tc.rows, tc.steps)
 			}
@@ -269,7 +256,7 @@ func FuzzCCMatchesSequential(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", p.Name(), k, err)
 			}
-			checkCC(t, g, res)
+			checkOracle(t, SequentialCC(g), res)
 		}
 	})
 }
