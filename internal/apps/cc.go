@@ -56,10 +56,11 @@ func scalarValues(env bsp.Env, state []float64) *graph.ValueMatrix {
 // part-hop toward the smallest id brings a smaller label and one more send.
 // The pivot, the smallest replicated label, is final for its component, as
 // every local piece of a component spanning parts is replicated (Multistep's
-// order, Slota et al., IPDPS 2014). Step 0 broadcasts Boundary and sends each
-// worker, itself included, a sentinel row (id NumGlobalVertices) of 2·(least
-// replicated label) + 1; later, labels that became the pivot are sent, other
-// changes park, and a worker that sent or parked any sends 2·pivot + busy.
+// order, Slota et al., IPDPS 2014). Step 0 sends every replicated label and
+// each worker, itself included, a sentinel row (id NumGlobalVertices) of
+// 2·(least replicated label) + 1; later, labels that became the pivot are
+// sent, other changes park, and a worker that sent or parked any sends
+// 2·pivot + busy.
 // Once every sentinel reads idle, parked changes go out and Hash-Min resumes.
 type CC struct {
 	// Warm, when non-nil, seeds each component's label with the minimum
@@ -99,8 +100,9 @@ func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	// The local subgraph is collapsed once per subgraph, not per job. Each
 	// root is its component's smallest local id, so its own global id is the
 	// component's minimum: the starting label. Only root entries are read.
+	// No label equals NaN, so step 0 forwards every replicated one.
 	for l, gid := range sub.GlobalIDs {
-		w.label[l] = float64(gid)
+		w.label[l], w.sent[l] = float64(gid), math.NaN()
 	}
 	// Warm start: fold the previous run's labels in exactly as
 	// RestoreState folds a checkpoint's — min into the component root,
@@ -157,19 +159,7 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 		return nil, false
 	}
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-	if step == 0 {
-		smallest := math.Inf(1)
-		for _, l := range w.plan.Replicated {
-			w.sent[l] = w.label[w.root[l]]
-			smallest = min(smallest, w.sent[l])
-		}
-		w.env.SendScalars(out, w.plan.Boundary, w.sent)
-		if w.sub.NumWorkers > 1 { // a lone worker has nothing to sync
-			w.sendSentinel(out, sentinel, 2*smallest+1)
-		}
-		return out, false
-	}
-	forwarded := 0.0
+	smallest, forwarded := math.Inf(1), 0.0
 	if changed || !sn.busy {
 		w.parked = false
 		for _, l := range w.plan.Replicated {
@@ -179,6 +169,7 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 				w.parked = true
 			default:
 				w.sent[l], forwarded = val, 1
+				smallest = min(smallest, val)
 				gid := w.sub.GlobalIDs[l]
 				for _, peer := range w.sub.PeersOf(l) {
 					w.env.SendScalar(out, peer, gid, val)
@@ -186,7 +177,11 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 			}
 		}
 	}
-	if sn.busy && (forwarded > 0 || w.parked) {
+	if step == 0 {
+		if w.sub.NumWorkers > 1 { // a lone worker has nothing to sync
+			w.sendSentinel(out, sentinel, 2*smallest+1)
+		}
+	} else if sn.busy && (forwarded > 0 || w.parked) {
 		w.sendSentinel(out, sentinel, 2*sn.pivot+forwarded)
 	}
 	return out, false

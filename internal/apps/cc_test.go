@@ -186,8 +186,8 @@ func TestCCPivotFlood(t *testing.T) {
 	})
 
 	// Rows and steps on the emission graphs (EBV, k = 8), pinned. On road,
-	// whose ids follow locality, the rows stay within two Boundary
-	// broadcasts plus one sentinel per worker pair and step.
+	// whose ids follow locality, the rows stay within two broadcasts of
+	// every replicated label plus one sentinel per worker pair and step.
 	t.Run("pinned", func(t *testing.T) {
 		const k = 8
 		powerlaw, road := emissionGraphs(t)
@@ -213,12 +213,12 @@ func TestCCPivotFlood(t *testing.T) {
 			}
 			broadcast := 0
 			for _, sub := range subs {
-				for _, col := range sub.Routing().Boundary {
-					broadcast += len(col.IDs)
+				for _, l := range sub.Routing().Replicated {
+					broadcast += len(sub.PeersOf(l))
 				}
 			}
 			if bound := 2*broadcast + k*k*res.Steps; res.TotalMessages() > int64(bound) {
-				t.Errorf("road: %d rows, more than 2 × %d (one Boundary broadcast) + k²·%d steps = %d",
+				t.Errorf("road: %d rows, more than 2 × %d (one full broadcast) + k²·%d steps = %d",
 					res.TotalMessages(), broadcast, res.Steps, bound)
 			}
 		}

@@ -23,10 +23,10 @@ type Routing struct {
 	Replicated []int32
 	Mask       []uint64
 	// The send columns, indexed by peer worker id (empty for this worker
-	// and for workers sharing no vertex with it): Boundary[q] holds the
-	// vertices also replicated on q, ToMaster[q] the mirrors mastered at q,
-	// ToMirrors[q] the owned vertices with a mirror on q.
-	Boundary, ToMaster, ToMirrors []Column
+	// and for workers sharing no vertex with it): ToMaster[q] holds the
+	// mirrors mastered at q, ToMirrors[q] the owned vertices with a mirror
+	// on q.
+	ToMaster, ToMirrors []Column
 }
 
 // Column is one send column: local ids beside their global ids, ascending.
@@ -98,7 +98,7 @@ func buildRouting(s *Subgraph) *Routing {
 	n, k, self := len(s.GlobalIDs), s.NumWorkers, int32(s.Part)
 	r := &Routing{Mask: make([]uint64, (n+63)/64)}
 	// Pass 1 sizes every table, so pass 2 fills exact allocations.
-	boundary, toMaster, toMirrors := make([]int, k), make([]int, k), make([]int, k)
+	toMaster, toMirrors := make([]int, k), make([]int, k)
 	replicated, mirrors := 0, 0
 	for l := range int32(n) {
 		peers := s.PeersOf(l)
@@ -112,16 +112,15 @@ func buildRouting(s *Subgraph) *Routing {
 			mirrors++
 			toMaster[master]++
 		}
-		for _, q := range peers {
-			boundary[q]++
-			if master == self {
+		if master == self {
+			for _, q := range peers {
 				toMirrors[q]++
 			}
 		}
 	}
 	r.Owned = make([]int32, 0, n-mirrors)
 	r.Replicated = make([]int32, 0, replicated)
-	r.Boundary, r.ToMaster, r.ToMirrors = newColumns(boundary), newColumns(toMaster), newColumns(toMirrors)
+	r.ToMaster, r.ToMirrors = newColumns(toMaster), newColumns(toMirrors)
 	for l := range int32(n) {
 		gid, master := s.GlobalIDs[l], s.Master(l)
 		if master == self {
@@ -134,9 +133,8 @@ func buildRouting(s *Subgraph) *Routing {
 			continue
 		}
 		r.Replicated = append(r.Replicated, l)
-		for _, q := range peers {
-			r.Boundary[q].add(l, gid)
-			if master == self {
+		if master == self {
+			for _, q := range peers {
 				r.ToMirrors[q].add(l, gid)
 			}
 		}

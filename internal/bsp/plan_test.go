@@ -78,7 +78,6 @@ func checkPlan(t *testing.T, sub *bsp.Subgraph) int {
 			got  bsp.Column
 			want bsp.Column
 		}{
-			{"Boundary", plan.Boundary[q], naiveColumn(sub, onQ)},
 			{"ToMaster", plan.ToMaster[q], naiveColumn(sub, func(l int32) bool {
 				return q != self && sub.Master(l) == q
 			})},
