@@ -57,11 +57,10 @@ func scalarValues(env bsp.Env, state []float64) *graph.ValueMatrix {
 // The pivot, the smallest replicated label, is final for its component, as
 // every local piece of a component spanning parts is replicated (Multistep's
 // order, Slota et al., IPDPS 2014). Step 0 sends every replicated label and
-// each worker, itself included, a sentinel row (id NumGlobalVertices) of
-// 2·(least replicated label) + 1; later, labels that became the pivot are
-// sent, other changes park, and a worker that sent or parked any sends
-// 2·pivot + busy.
-// Once every sentinel reads idle, parked changes go out and Hash-Min resumes.
+// votes (least replicated label, busy) through bsp.Env.Reduce; later, labels
+// that became the pivot, the vote's minimum, are sent, other changes park,
+// and a worker that sent or parked any votes (pivot, whether it sent). Once
+// a vote reads idle, parked changes go out and Hash-Min resumes.
 type CC struct {
 	// Warm, when non-nil, seeds each component's label with the minimum
 	// over the covered vertices' rows of this width-1 matrix (dense over
@@ -128,47 +127,41 @@ func warmValue(warm *graph.ValueMatrix, covered []bool, gid graph.VertexID) (flo
 }
 
 type ccWorker struct {
-	sub     *bsp.Subgraph
-	env     bsp.Env
-	plan    *bsp.Routing
-	root    []int32   // local vertex → its local component's root (shared, read-only)
-	label   []float64 // valid at component roots
-	sent    []float64 // label last sent per replicated vertex; differs if parked
-	parked  bool      // the last scan of Replicated parked one (exact: resync rebuilds it)
-	resumed bool      // RestoreState ran; the first superstep calls resync
+	sub    *bsp.Subgraph
+	env    bsp.Env
+	plan   *bsp.Routing
+	root   []int32   // local vertex → its local component's root (shared, read-only)
+	label  []float64 // valid at component roots
+	sent   []float64 // label last sent per replicated vertex; differs if parked
+	parked bool      // the last scan of Replicated parked one (exact: RestoreState rebuilds it)
 }
 
 // Superstep implements bsp.WorkerProgram.
 func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool) {
-	sentinel := graph.VertexID(w.sub.NumGlobalVertices)
-	if w.resumed {
-		w.resync(in, sentinel)
-	}
-	changed, sn := false, sentinels{pivot: math.Inf(1)}
+	changed := false
 	for i, gid := range in.IDs {
 		if local, ok := w.sub.LocalOf(gid); ok {
 			if r, v := w.root[local], in.Scalar(i); v < w.label[r] {
 				w.label[r], changed = v, true
 			}
-		} else if gid == sentinel {
-			sn.add(in.Scalar(i))
 		}
 	}
-	// Sentinels: one busy, the flood goes on; all idle, the switch; none, Hash-Min.
-	if step > 0 && !changed && !(sn.seen && w.parked) {
+	// The vote: busy, the flood goes on; idle, the switch; none, Hash-Min.
+	pivot, busy, voted := w.env.Reduced()
+	if step > 0 && !changed && !(voted && w.parked) {
 		return nil, false
 	}
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-	smallest, forwarded := math.Inf(1), 0.0
-	if changed || !sn.busy {
+	smallest, forwarded := math.Inf(1), false
+	if changed || !busy {
 		w.parked = false
 		for _, l := range w.plan.Replicated {
 			switch val := w.label[w.root[l]]; {
 			case val == w.sent[l]:
-			case sn.busy && val != sn.pivot:
+			case busy && val != pivot:
 				w.parked = true
 			default:
-				w.sent[l], forwarded = val, 1
+				w.sent[l], forwarded = val, true
 				smallest = min(smallest, val)
 				gid := w.sub.GlobalIDs[l]
 				for _, peer := range w.sub.PeersOf(l) {
@@ -177,61 +170,24 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 			}
 		}
 	}
-	if step == 0 {
-		if w.sub.NumWorkers > 1 { // a lone worker has nothing to sync
-			w.sendSentinel(out, sentinel, 2*smallest+1)
-		}
-	} else if sn.busy && (forwarded > 0 || w.parked) {
-		w.sendSentinel(out, sentinel, 2*sn.pivot+forwarded)
+	switch {
+	case step == 0 && w.sub.NumWorkers > 1: // a lone worker has nothing to sync
+		w.env.Reduce(smallest, forwarded)
+	case busy && (forwarded || w.parked):
+		w.env.Reduce(pivot, forwarded)
 	}
 	return out, false
 }
 
-// sendSentinel appends (sentinel, v), the largest id, to every worker's batch.
-func (w *ccWorker) sendSentinel(out []*transport.MessageBatch, sentinel graph.VertexID, v float64) {
-	for dst := range int32(w.sub.NumWorkers) {
-		w.env.SendScalar(out, dst, sentinel, v)
-	}
-}
-
-// sentinels folds an inbox's sentinel rows: any, any busy, and the pivot.
-// The row loop updates it through a pointer, off that loop's registers.
-type sentinels struct {
-	seen, busy bool
-	pivot      float64
-}
-
-func (s *sentinels) add(v float64) {
-	p := math.Floor(v / 2)
-	s.seen, s.busy, s.pivot = true, s.busy || v != 2*p, min(s.pivot, p)
-}
-
-// resync completes sent by SnapshotState's invariant once the inbox shows
-// the phase (checkpoints need rows in flight; a flood step's has sentinels).
-func (w *ccWorker) resync(in *transport.MessageBatch, sentinel graph.VertexID) {
-	w.resumed = false
-	sn := sentinels{pivot: math.Inf(1)}
-	for i, gid := range in.IDs {
-		if gid == sentinel {
-			sn.add(in.Scalar(i))
-		}
-	}
-	for _, l := range w.plan.Replicated {
-		if val := w.label[w.root[l]]; !sn.seen || val == sn.pivot {
-			w.sent[l] = val
-		} else if val != w.sent[l] {
-			w.parked = true
-		}
-	}
-}
-
 // Values implements bsp.WorkerProgram.
-func (w *ccWorker) Values() *graph.ValueMatrix {
-	vals := w.env.NewValues(len(w.root))
+func (w *ccWorker) Values() *graph.ValueMatrix { return w.labels(w.env.NewValues(len(w.root))) }
+
+// labels fills column 0 of m with every local vertex's resolved label.
+func (w *ccWorker) labels(m *graph.ValueMatrix) *graph.ValueMatrix {
 	for l, r := range w.root {
-		vals.SetScalar(l, w.label[r])
+		m.SetScalar(l, w.label[r])
 	}
-	return vals
+	return m
 }
 
 var _ bsp.Resumable = (*ccWorker)(nil)
@@ -242,16 +198,13 @@ var _ bsp.Resumable = (*ccWorker)(nil)
 // a superstep boundary past the switch step, sent[l] is l's label; before
 // it, that label if it is the pivot and l's step-0 label otherwise.
 func (w *ccWorker) SnapshotState() *graph.ValueMatrix {
-	m := graph.NewValueMatrix(len(w.root), 1)
-	for l, r := range w.root {
-		m.SetScalar(l, w.label[r])
-	}
-	return m
+	return w.labels(graph.NewValueMatrix(len(w.root), 1))
 }
 
 // RestoreState implements bsp.Resumable: record NewWorker's step-0 labels as
 // sent, fold the snapshot labels into the components' roots (step >= 1: no
-// step-0 broadcast replay), and leave the rest of sent to resync.
+// step-0 broadcast replay), and complete sent by SnapshotState's invariant
+// from the phase the restored vote shows.
 func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 	if state.Width != 1 {
 		return fmt.Errorf("apps: CC snapshot width %d, want 1", state.Width)
@@ -267,7 +220,14 @@ func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 			w.label[r] = v
 		}
 	}
-	w.resumed = true
+	pivot, _, voted := w.env.Reduced()
+	for _, l := range w.plan.Replicated {
+		if val := w.label[w.root[l]]; !voted || val == pivot {
+			w.sent[l] = val
+		} else if val != w.sent[l] {
+			w.parked = true
+		}
+	}
 	return nil
 }
 

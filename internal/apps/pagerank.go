@@ -31,11 +31,10 @@ import (
 // reproduces in Table IV.
 //
 // With Tol > 0 the run iterates to a fixed point instead, and halting is
-// collective: at every apply step each worker also sends every other
-// worker a sentinel row — the largest rank change over its master
-// vertices, under the id NumGlobalVertices, which no subgraph covers — and
-// at the next gather every worker folds its own change with the received
-// ones into the same global maximum and halts once it is below Tol.
+// collective: at every apply step each worker votes (bsp.Env.Reduce)
+// whether one of its master vertices' ranks moved by Tol or more, and at
+// the next gather every worker reads the same OR and all halt together
+// once no rank did.
 type PageRank struct {
 	// Iterations is the number of full PageRank iterations (default 10);
 	// with Tol > 0 it caps them.
@@ -43,8 +42,7 @@ type PageRank struct {
 	// Damping is d (default 0.85).
 	Damping float64
 	// Tol, when > 0, halts the run once an iteration moves no rank by Tol
-	// or more. A converging run is not checkpointable: its snapshot would
-	// have to carry the last rank change too.
+	// or more.
 	Tol float64
 
 	// Warm, when non-nil, starts each covered vertex at its row of this
@@ -65,8 +63,7 @@ func (p *PageRank) Name() string { return "PR" }
 
 // MessageCombiner implements bsp.CombinerProvider: mirror partials fold
 // with scalar addition. (The apply→gather scatter messages carry unique
-// ids per destination, so the combiner never fires on them, nor on the
-// one sentinel row a Tol run appends to each batch.)
+// ids per destination, so the combiner never fires on them.)
 func (p *PageRank) MessageCombiner() transport.Combiner { return transport.SumCombiner{} }
 
 // NewWorker implements bsp.Program.
@@ -98,12 +95,6 @@ func (p *PageRank) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 			w.rank[l] = v
 		}
 	}
-	if p.Tol > 0 {
-		// Hide the snapshot methods: checkpointing then fails with the
-		// engine's not-checkpointable error instead of a resume that
-		// forgets the last rank change.
-		return struct{ bsp.WorkerProgram }{w}
-	}
 	return w
 }
 
@@ -123,28 +114,20 @@ type prWorker struct {
 	// exchange pre-combined duplicate rows, so combiner-on and -off runs
 	// are byte-identical.
 	inSum []float64
-	// change is the largest rank change over this worker's master
-	// vertices in the latest apply step — the sentinel row of a Tol run.
-	change float64
 }
 
 // Superstep implements bsp.WorkerProgram.
 func (w *prWorker) Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool) {
 	iter := step / 2
-	sentinel := graph.VertexID(w.sub.NumGlobalVertices)
 	if step%2 == 0 {
-		// Gather: first install ranks scattered by masters last step, and
-		// fold any sentinel rows into the global largest change — every
-		// worker sees its own plus all k−1 others, so all halt together.
-		change := w.change
+		// Gather: first install ranks scattered by masters last step.
 		for i, gid := range in.IDs {
 			if local, ok := w.sub.LocalOf(gid); ok {
 				w.rank[local] = in.Scalar(i)
-			} else if d := in.Scalar(i); gid == sentinel && d > change {
-				change = d
 			}
 		}
-		if iter >= w.iters || (w.tol > 0 && step > 0 && change < w.tol) {
+		// A Tol run's apply step voted; no rank moved by Tol if none flagged.
+		if _, moved, voted := w.env.Reduced(); iter >= w.iters || voted && !moved {
 			return nil, false // final install; run complete
 		}
 		// Accumulate partial sums over local edges. The division happens
@@ -175,23 +158,17 @@ func (w *prWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 	base := (1 - w.damping) / float64(w.sub.NumGlobalVertices)
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
 	plan := w.sub.Routing()
-	w.change = 0
+	moved := false
 	for _, l := range plan.Owned { // mirrors receive their rank next step
 		next := base + w.damping*(w.partial[l]+w.inSum[l])
-		if w.tol > 0 {
-			if d := math.Abs(next - w.rank[l]); d > w.change {
-				w.change = d
-			}
+		if w.tol > 0 && !moved {
+			moved = math.Abs(next-w.rank[l]) >= w.tol
 		}
 		w.rank[l] = next
 	}
 	w.env.SendScalars(out, plan.ToMirrors, w.rank)
 	if w.tol > 0 {
-		for dst := range int32(w.sub.NumWorkers) {
-			if int(dst) != w.sub.Part {
-				w.env.SendScalar(out, dst, sentinel, w.change)
-			}
-		}
+		w.env.Reduce(0, moved)
 	}
 	// Stay active through the final scatter so mirrors install it.
 	return out, true

@@ -97,7 +97,7 @@ func (s *epochStore) sink(worker int, cp *bsp.Checkpoint) error {
 		s.epochs[cp.Step] = make([]*bsp.Checkpoint, s.k)
 	}
 	s.epochs[cp.Step][worker] = &bsp.Checkpoint{Step: cp.Step, State: cp.State,
-		InboxIDs: slices.Clone(cp.InboxIDs), InboxVals: slices.Clone(cp.InboxVals)}
+		InboxIDs: slices.Clone(cp.InboxIDs), InboxVals: slices.Clone(cp.InboxVals), Vote: cp.Vote}
 	return nil
 }
 
@@ -123,7 +123,7 @@ func TestSSSPHorizon(t *testing.T) {
 	// to the uninterrupted run's values and step count.
 	t.Run("exact-and-resumable", func(t *testing.T) {
 		r := rng.New(2027)
-		resumed, parkedEpochs := 0, 0
+		restored, parkedEpochs := 0, 0
 		for draw := range 4 {
 			for _, directed := range []bool{true, false} {
 				g, src := randomMultigraph(r, directed)
@@ -139,7 +139,7 @@ func TestSSSPHorizon(t *testing.T) {
 						}
 						checkOracle(t, SequentialSSSP(g, src), full)
 						for step, cps := range store.epochs {
-							resumed++
+							restored++
 							if parkedAt(subs, cps) {
 								parkedEpochs++
 							}
@@ -159,7 +159,7 @@ func TestSSSPHorizon(t *testing.T) {
 		if parkedEpochs == 0 {
 			t.Fatal("no epoch held a parked vertex: the resume rows do not cover the rebuilt parked set")
 		}
-		t.Logf("%d epochs resumed, %d of them with parked vertices", resumed, parkedEpochs)
+		t.Logf("%d epochs resumed, %d of them with parked vertices", restored, parkedEpochs)
 	})
 
 	// No stall: on a directed path the superstep count must not grow with

@@ -233,54 +233,86 @@ func TestPoisonModeCatchesRetainedInbox(t *testing.T) {
 	}
 }
 
-// badWidthProg emits an outbox batch of the wrong width from worker 0 —
-// the misbehaving-program shape that must surface as an error from Run,
-// not a deadlock of the peers blocked in the barrier.
-type badWidthProg struct{}
-
-func (*badWidthProg) Name() string { return "bad-width" }
-
-func (*badWidthProg) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
-	return badWidthWorker{sub: sub, env: env}
+// badBatchProg has worker 1 hand the engine a malformed outbox batch for
+// worker 2 at superstep 2 — the misbehaving-program shape that must surface
+// as an error from Run naming the worker, step and destination, not a
+// deadlock of the peers blocked in the barrier.
+type badBatchProg struct {
+	batch func(sub *bsp.Subgraph) *transport.MessageBatch
 }
 
-type badWidthWorker struct {
-	sub *bsp.Subgraph
-	env bsp.Env
+func (*badBatchProg) Name() string { return "bad-batch" }
+
+func (p *badBatchProg) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
+	return badBatchWorker{prog: p, sub: sub, env: env}
 }
 
-func (w badWidthWorker) Superstep(step int, in *transport.MessageBatch) ([]*transport.MessageBatch, bool) {
+type badBatchWorker struct {
+	prog *badBatchProg
+	sub  *bsp.Subgraph
+	env  bsp.Env
+}
+
+func (w badBatchWorker) Superstep(step int, in *transport.MessageBatch) ([]*transport.MessageBatch, bool) {
 	out := make([]*transport.MessageBatch, w.sub.NumWorkers)
-	if w.sub.Part == 0 {
-		b := transport.GetBatch(3) // wrong: the run is width 1
-		b.AppendScalar(w.sub.GlobalIDs[0], 1)
-		out[(w.sub.Part+1)%w.sub.NumWorkers] = b
+	if w.sub.Part == 1 && step == 2 {
+		out[2] = w.prog.batch(w.sub)
 	}
 	return out, true
 }
 
-func (w badWidthWorker) Values() *graph.ValueMatrix {
+func (w badBatchWorker) Values() *graph.ValueMatrix {
 	return w.env.NewValues(w.sub.NumLocalVertices())
+}
+
+// runBadBatch runs prog on four workers and returns Run's error, failing
+// the test if Run deadlocks instead.
+func runBadBatch(t *testing.T, prog *badBatchProg) error {
+	t.Helper()
+	subs := buildSubs(t, testGraphs(t)["powerlaw"], core.New(), 4)
+	done := make(chan error, 1)
+	go func() {
+		_, err := bsp.Run(t.Context(), subs, prog, bsp.Config{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run deadlocked on a malformed outbox batch")
+		return nil
+	}
+}
+
+// badWidthProg sends a width-3 batch into a width-1 run.
+func badWidthProg() *badBatchProg {
+	return &badBatchProg{batch: func(sub *bsp.Subgraph) *transport.MessageBatch {
+		b := transport.GetBatch(3)
+		b.AppendScalar(sub.GlobalIDs[0], 1)
+		return b
+	}}
 }
 
 // TestBadBatchWidthErrorsInsteadOfDeadlocking: a worker rejected for a
 // malformed outbox must release its peers from the collective exchange
 // and Run must report the width mismatch.
 func TestBadBatchWidthErrorsInsteadOfDeadlocking(t *testing.T) {
-	g := testGraphs(t)["powerlaw"]
-	subs := buildSubs(t, g, core.New(), 4)
-	done := make(chan error, 1)
-	go func() {
-		_, err := bsp.Run(t.Context(), subs, &badWidthProg{}, bsp.Config{})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "width") {
-			t.Fatalf("err = %v, want a width-mismatch diagnostic", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run deadlocked on a malformed outbox batch")
+	if err := runBadBatch(t, badWidthProg()); err == nil || !strings.Contains(err.Error(), "width") {
+		t.Fatalf("err = %v, want a width-mismatch diagnostic", err)
+	}
+}
+
+// TestOutboxIDBeyondGraphRefused: a batch whose last id is not a vertex id
+// would be taken for the engine's vote on arrival, so the sender refuses it.
+func TestOutboxIDBeyondGraphRefused(t *testing.T) {
+	err := runBadBatch(t, &badBatchProg{batch: func(sub *bsp.Subgraph) *transport.MessageBatch {
+		b := transport.GetBatch(1)
+		b.AppendScalar(sub.GlobalIDs[0], 1)
+		b.AppendScalar(graph.VertexID(sub.NumGlobalVertices), 1)
+		return b
+	}})
+	if err == nil || !strings.Contains(err.Error(), "worker 1: superstep 2 outbox 2: last id") {
+		t.Fatalf("err = %v, want one naming worker 1, superstep 2 and outbox 2", err)
 	}
 }
 

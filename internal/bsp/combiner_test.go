@@ -21,7 +21,8 @@ import (
 )
 
 // combinerApps returns one instance of each evaluation app (all five
-// declare a natural combiner).
+// declare a natural combiner), plus the converging PageRank, whose halt is
+// the engine's vote.
 func combinerApps() []bsp.Program {
 	return []bsp.Program{
 		&apps.CC{},
@@ -29,7 +30,16 @@ func combinerApps() []bsp.Program {
 		&apps.SSSP{Source: 0},
 		&apps.SSSP{Source: 0, Weighted: true},
 		&apps.Aggregate{Layers: 2},
+		&apps.PageRank{Tol: 1e-6, Iterations: 500},
 	}
+}
+
+// appName labels a combinerApps entry in subtest names.
+func appName(prog bsp.Program) string {
+	if pr, ok := prog.(*apps.PageRank); ok && pr.Tol > 0 {
+		return "PR-tol"
+	}
+	return prog.Name()
 }
 
 // buildWeightedSubs builds subgraphs carrying hash weights (weighted SSSP
@@ -58,7 +68,7 @@ func TestCombinerEquivalenceAllApps(t *testing.T) {
 	for _, prog := range combinerApps() {
 		for _, width := range []int{1, 8} {
 			for _, trName := range []string{"mem", "tcp"} {
-				t.Run(fmt.Sprintf("%s/w%d/%s", prog.Name(), width, trName), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/w%d/%s", appName(prog), width, trName), func(t *testing.T) {
 					cfg := bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true}
 					off, err := runOnMesh(t.Context(), subs, meshByName(t, trName, k), prog, cfg)
 					if err != nil {
@@ -514,7 +524,7 @@ func TestBuiltInAppsAllocateNoCombineIndex(t *testing.T) {
 		}
 		if off, on := jobBytes(false), jobBytes(true); on >= off+slack {
 			t.Errorf("%s: %d B per job with combining on, %d B off: %d dense combine indexes cost %d B",
-				prog.Name(), on, off, k, 2*slack)
+				appName(prog), on, off, k, 2*slack)
 		}
 	}
 }

@@ -193,7 +193,7 @@ func TestDeploymentFailedJobLeavesDeploymentHealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dep.Close()
-	if _, err := dep.Run(context.Background(), &badWidthProg{}, bsp.Config{}); err == nil {
+	if _, err := dep.Run(context.Background(), badWidthProg(), bsp.Config{}); err == nil {
 		t.Fatal("malformed-batch job succeeded")
 	}
 	// The deployment must still serve correct jobs.

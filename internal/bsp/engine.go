@@ -23,11 +23,40 @@ type Program interface {
 }
 
 // Env is the per-run execution environment handed to NewWorker: the
-// configured value width plus the pooled batch allocator programs draw
-// outgoing batches from.
+// configured value width, the pooled batch allocator programs draw
+// outgoing batches from, and the collective vote.
 type Env struct {
 	// ValueWidth is the number of float64 values per vertex (>= 1).
 	ValueWidth int
+	vote       *[2]Vote // this superstep's contributions, the last one's reduction
+}
+
+// Vote is one superstep's collective reduction, Pregel's aggregator
+// (Malewicz et al., SIGMOD 2010, §3.3) with one fixed slot: the minimum and
+// the OR of what the workers contributed; Voted is false if none did.
+type Vote struct {
+	Min         float64
+	Flag, Voted bool
+}
+
+// merge folds o into v. The builtin min orders NaN and signed zeros, so
+// every worker reduces the same contributions to the same bits.
+func (v *Vote) merge(o Vote) {
+	if !v.Voted {
+		*v = o
+	} else if o.Voted {
+		v.Min, v.Flag = min(v.Min, o.Min), v.Flag || o.Flag
+	}
+}
+
+// Reduce contributes (m, flag) to this superstep's vote, which every worker
+// reads through Reduced in the next one, and so keeps the run alive.
+func (e Env) Reduce(m float64, flag bool) { e.vote[0].merge(Vote{m, flag, true}) }
+
+// Reduced returns what the previous superstep's contributions reduced to:
+// their minimum and OR, and ok = false when no worker contributed.
+func (e Env) Reduced() (m float64, flag, ok bool) {
+	return e.vote[1].Min, e.vote[1].Flag, e.vote[1].Voted
 }
 
 // NewBatch returns an empty pooled outgoing batch of the run's width.
@@ -52,7 +81,8 @@ type WorkerProgram interface {
 	// batches indexed by destination worker (nil entries mean no messages;
 	// out may be shorter than the worker count). Returning active=false
 	// votes to halt; the engine keeps every worker in lock-step until no
-	// worker is active and no messages were sent anywhere in the step.
+	// worker is active and no messages or votes were sent anywhere in the
+	// step. A batch's last id must be below Subgraph.NumGlobalVertices.
 	//
 	// Ownership: in is only valid during the call — the engine recycles
 	// it afterwards, and under the poison debug mode (EBV_DEBUG, or
@@ -425,15 +455,12 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 	spec workerSpec, stats *WorkerStats) (int, *graph.ValueMatrix, error) {
 	w := sub.Part
 	maxSteps, width, comb := spec.maxSteps, spec.width, spec.comb
-	wp := prog.NewWorker(sub, Env{ValueWidth: width})
+	env := Env{ValueWidth: width, vote: new([2]Vote)}
+	wp := prog.NewWorker(sub, env)
 	// Checkpointing and resuming both need the program's snapshot contract.
-	var resumable Resumable
-	if spec.checkpointing() || spec.resume != nil {
-		r, ok := wp.(Resumable)
-		if !ok {
-			return 0, nil, errNotResumable(prog)
-		}
-		resumable = r
+	resumable, ok := wp.(Resumable)
+	if !ok && (spec.checkpointing() || spec.resume != nil) {
+		return 0, nil, fmt.Errorf("bsp: program %s is not checkpointable (its workers do not implement bsp.Resumable)", prog.Name())
 	}
 	// Combining is sender-side only: each outgoing batch is coalesced
 	// against a per-worker scratch index — dense O(1) probes when the global
@@ -468,8 +495,9 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 	defer func() { transport.RecycleBatch(inbox) }()
 	startStep := 0
 	if cp := spec.resume; cp != nil {
-		// Rewind to the checkpointed barrier: program state first, then the
-		// inbox the exchange had delivered for cp.Step.
+		// Rewind to the checkpointed barrier: the vote RestoreState reads, the
+		// program state, then the inbox the exchange had delivered for cp.Step.
+		env.vote[1] = cp.Vote
 		if err := resumable.RestoreState(cp.Step, cp.State); err != nil {
 			return 0, nil, fmt.Errorf("restore checkpoint at step %d: %w", cp.Step, err)
 		}
@@ -497,10 +525,10 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 				selfPending = true
 			}
 		}
-		// A worker with outbound messages must stay active so receivers
-		// get a superstep to process them. (Decided pre-combine, though it
-		// cannot differ: coalescing never empties a non-empty batch.)
-		effectiveActive := active || emitted > 0 || selfPending
+		// A worker with outbound messages or a vote must stay active so
+		// receivers get a superstep to process them. (Decided pre-combine,
+		// though it cannot differ: coalescing never empties a batch.)
+		effectiveActive := active || emitted > 0 || selfPending || env.vote[0].Voted
 
 		// Sender-side combining: coalesce duplicate-ID rows inside each
 		// outgoing batch so only the reduced rows reach the exchange.
@@ -535,6 +563,10 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 			}
 		}
 
+		out, err := env.castVote(sub, step, out)
+		if err != nil {
+			return step, nil, err
+		}
 		t1 := time.Now()
 		ex, err := tr.Exchange(w, step, out, effectiveActive)
 		if err != nil {
@@ -561,6 +593,7 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		inbox.IDs = slices.Grow(inbox.IDs, rows)
 		inbox.Vals = slices.Grow(inbox.Vals, rows*width)
 		var received int64
+		env.vote[0], env.vote[1] = Vote{}, env.vote[0]
 		for src, batch := range ex.In {
 			if batch == nil {
 				continue
@@ -568,16 +601,14 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 			if err := batch.Check(width); err != nil {
 				return step, nil, fmt.Errorf("superstep %d from worker %d: %w", step, src, err)
 			}
-			inbox.AppendBatch(batch)
 			if src != w {
+				env.vote[1].take(batch, sub.NumGlobalVertices)
 				received += int64(batch.Len())
 			}
+			inbox.AppendBatch(batch)
 			transport.RecycleBatch(batch)
 		}
-		comm := time.Since(t1) - ex.Wait
-		if comm < 0 {
-			comm = 0
-		}
+		comm := max(0, time.Since(t1)-ex.Wait)
 
 		stats.Comp = append(stats.Comp, comp)
 		stats.Comm = append(stats.Comm, comm)
@@ -596,6 +627,7 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 				State:     resumable.SnapshotState(),
 				InboxIDs:  inbox.IDs,
 				InboxVals: inbox.Vals,
+				Vote:      env.vote[1],
 			}
 			if err := spec.sink(w, cp); err != nil {
 				return step + 1, nil, fmt.Errorf("checkpoint at step %d: %w", step+1, err)
@@ -618,6 +650,40 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		}
 	}
 	return maxSteps, nil, ErrMaxSteps
+}
+
+// castVote refuses an outgoing batch whose last id is not a vertex id and,
+// when the worker voted, appends the vote to every peer's batch as one
+// control row: id NumGlobalVertices, plus one if the flag is set, carrying
+// Min. Control rows are not messages: Vote.take strips them on arrival.
+func (e Env) castVote(sub *Subgraph, step int, out []*transport.MessageBatch) ([]*transport.MessageBatch, error) {
+	v, n := e.vote[0], sub.NumGlobalVertices
+	id := graph.VertexID(n)
+	if v.Flag {
+		id++
+	}
+	if v.Voted {
+		out = append(out, make([]*transport.MessageBatch, max(0, sub.NumWorkers-len(out)))...)
+	}
+	for dst, b := range out {
+		if last := b.Len() - 1; last >= 0 && int(b.IDs[last]) >= n {
+			return nil, fmt.Errorf("superstep %d outbox %d: last id %d is not a vertex of the %d-vertex graph (ids from %d up carry the engine's vote)",
+				step, dst, b.IDs[last], n, n)
+		}
+		if v.Voted && dst != sub.Part {
+			e.SendScalar(out, int32(dst), id, v.Min)
+		}
+	}
+	return out, nil
+}
+
+// take strips a peer batch's trailing control row, if it has one, and
+// merges the vote it carried into v.
+func (v *Vote) take(b *transport.MessageBatch, n int) {
+	if last := b.Len() - 1; last >= 0 && int(b.IDs[last]) >= n {
+		v.merge(Vote{b.Scalar(last), int(b.IDs[last]) > n, true})
+		b.IDs, b.Vals = b.IDs[:last], b.Vals[:last*b.Width]
+	}
 }
 
 func strictlyAscending(ids []graph.VertexID) bool {

@@ -14,8 +14,8 @@ import (
 // inbox for superstep Step, and before that superstep ran. Restarting a
 // worker from a checkpoint and replaying from Step is bit-identical to the
 // uninterrupted run, because everything Superstep(Step) reads is here: the
-// program state (a program-defined ValueMatrix snapshot, see Resumable)
-// and the merged inbox the exchange delivered.
+// program state (a program-defined ValueMatrix snapshot, see Resumable),
+// the merged inbox the exchange delivered and the vote it reduced.
 //
 // Checkpoint epochs are globally aligned without any coordination beyond
 // the exchange itself: the cut condition (Config.CheckpointEvery divides
@@ -35,6 +35,8 @@ type Checkpoint struct {
 	// the row InboxVals[i*width : (i+1)*width] at the run's message width.
 	InboxIDs  []graph.VertexID
 	InboxVals []float64
+	// Vote is what Env.Reduced returns from RestoreState on.
+	Vote Vote
 }
 
 // CheckInbox validates the inbox columns against the run width.
@@ -60,14 +62,9 @@ type Resumable interface {
 	// worker's full resumable state; the caller owns it.
 	SnapshotState() *graph.ValueMatrix
 	// RestoreState rewinds a newly constructed worker to the boundary
-	// before superstep step, from a matrix SnapshotState produced there.
+	// before superstep step, from a matrix SnapshotState produced there;
+	// Env.Reduced already returns the vote cut with it.
 	RestoreState(step int, state *graph.ValueMatrix) error
-}
-
-// errNotResumable builds the error reported when checkpointing or resuming
-// is requested for a program whose workers do not implement Resumable.
-func errNotResumable(prog Program) error {
-	return fmt.Errorf("bsp: program %s is not checkpointable (its workers do not implement bsp.Resumable)", prog.Name())
 }
 
 // workerSpec bundles the per-worker execution parameters of one job, so

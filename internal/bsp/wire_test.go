@@ -79,7 +79,7 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 	for _, prog := range combinerApps() {
 		for _, width := range []int{1, 8} {
 			for _, combine := range []bool{false, true} {
-				name := fmt.Sprintf("%s/w%d", prog.Name(), width)
+				name := fmt.Sprintf("%s/w%d", appName(prog), width)
 				t.Run(fmt.Sprintf("%s/combine=%t", name, combine), func(t *testing.T) {
 					cfg := bsp.Config{ValueWidth: width, AutoCombine: combine}
 					ref := runOverDeployment(t, subs, nil, prog, cfg)

@@ -15,18 +15,14 @@ import (
 // one (job, partition, epoch) triple as an EBVK frame (package frame), so
 // restore never trusts a torn or stale file:
 //
-//	words: job | part | workers | width | step | stateWidth | stateRows | inboxRows
-//	body:  stateRows·stateWidth × f64 | inboxRows × u32 ids | inboxRows·width × f64
+//	words: job | part | workers | width | step | stateWidth | stateRows | inboxRows | vote
+//	body:  stateRows·stateWidth × f64 | inboxRows × u32 ids | inboxRows·width × f64 | f64 vote min
 //
-// Files are written to a temp name and renamed into place, so a worker
-// killed mid-write leaves either the previous complete epoch or nothing —
-// never a file that decodes.
-const (
-	checkpointVersion     = 1
-	checkpointHeaderBytes = 4 * (2 + 8) // magic, version, the eight words
-)
-
-var checkpointFrame = frame.Format{Name: "EBVK", Version: checkpointVersion, Words: 8}
+// The vote word is bit 0 voted, bit 1 the flag (bsp.Vote). Version 1 had
+// no vote. Files are written to a temp name and renamed into place, so a
+// worker killed mid-write leaves either the previous complete epoch or
+// nothing — never a file that decodes.
+var checkpointFrame = frame.Format{Name: "EBVK", Version: 2, Words: 9}
 
 // CheckpointMeta identifies whose execution a checkpoint file belongs to.
 type CheckpointMeta struct {
@@ -54,11 +50,19 @@ func EncodeCheckpoint(meta CheckpointMeta, cp *bsp.Checkpoint) ([]byte, error) {
 		return nil, err
 	}
 	inboxRows := len(cp.InboxIDs)
-	buf := checkpointFrame.Begin(8*len(cp.State.Data)+4*inboxRows+8*len(cp.InboxVals),
-		meta.Job, meta.Part, meta.Workers, meta.Width, cp.Step, cp.State.Width, stateRows, inboxRows)
+	vote := 0
+	if cp.Vote.Voted {
+		vote |= 1
+	}
+	if cp.Vote.Flag {
+		vote |= 2
+	}
+	buf := checkpointFrame.Begin(8*len(cp.State.Data)+4*inboxRows+8*len(cp.InboxVals)+8,
+		meta.Job, meta.Part, meta.Workers, meta.Width, cp.Step, cp.State.Width, stateRows, inboxRows, vote)
 	buf = frame.AppendF64s(buf, cp.State.Data)
 	buf = frame.AppendU32s(buf, cp.InboxIDs)
 	buf = frame.AppendF64s(buf, cp.InboxVals)
+	buf = frame.AppendF64s(buf, []float64{cp.Vote.Min})
 	return frame.Seal(buf), nil
 }
 
@@ -71,24 +75,27 @@ func DecodeCheckpoint(data []byte) (CheckpointMeta, *bsp.Checkpoint, error) {
 		return CheckpointMeta{}, nil, fmt.Errorf("cluster: checkpoint: %w", err)
 	}
 	meta := CheckpointMeta{Job: word[0], Part: word[1], Workers: word[2], Width: word[3]}
-	step, stateWidth, stateRows, inboxRows := word[4], word[5], word[6], word[7]
+	step, stateWidth, stateRows, inboxRows, vote := word[4], word[5], word[6], word[7], word[8]
 	// Each column is bounded by the body before the products are formed,
 	// so no header can overflow the length the body is checked against.
-	if stateWidth < 1 || meta.Width < 1 || step < 1 ||
+	if stateWidth < 1 || meta.Width < 1 || step < 1 || vote > 3 ||
 		stateRows > len(body)/8/stateWidth || inboxRows > len(body)/(4+8*meta.Width) {
-		return meta, nil, fmt.Errorf("cluster: checkpoint header out of range (step %d, state %dx%d, inbox %d rows, width %d)",
-			step, stateRows, stateWidth, inboxRows, meta.Width)
+		return meta, nil, fmt.Errorf("cluster: checkpoint header out of range (step %d, state %dx%d, inbox %d rows, width %d, vote %d)",
+			step, stateRows, stateWidth, inboxRows, meta.Width, vote)
 	}
-	if want := 8*stateRows*stateWidth + (4+8*meta.Width)*inboxRows; len(body) != want {
+	if want := 8*stateRows*stateWidth + (4+8*meta.Width)*inboxRows + 8; len(body) != want {
 		return meta, nil, fmt.Errorf("cluster: checkpoint body is %d bytes, header describes %d (truncated or corrupt)",
 			len(body), want)
 	}
 
 	// The body matches the header exactly, so no Take can come up short.
-	cp := &bsp.Checkpoint{Step: step, State: &graph.ValueMatrix{Width: stateWidth}}
+	cp := &bsp.Checkpoint{Step: step, State: &graph.ValueMatrix{Width: stateWidth},
+		Vote: bsp.Vote{Voted: vote&1 != 0, Flag: vote&2 != 0}}
 	cp.State.Data, body, _ = frame.TakeF64s(body, stateRows*stateWidth)
 	cp.InboxIDs, body, _ = frame.TakeU32s[graph.VertexID](body, inboxRows)
-	cp.InboxVals, _, _ = frame.TakeF64s(body, inboxRows*meta.Width)
+	cp.InboxVals, body, _ = frame.TakeF64s(body, inboxRows*meta.Width)
+	voteMin, _, _ := frame.TakeF64s(body, 1)
+	cp.Vote.Min = voteMin[0]
 	return meta, cp, nil
 }
 
@@ -169,23 +176,17 @@ func SelectRestoreEpoch(dir string, job, workers int) (step int, ok bool, err er
 		}
 		return 0, false, fmt.Errorf("cluster: scan checkpoints: %w", err)
 	}
-	byStep := make(map[int]map[int]bool)
+	// A name is unique per (job, part, step), so a step counted once per
+	// part has every part's file.
+	parts := make(map[int]int)
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
+		if j, p, s, ok := parseCheckpointName(e.Name()); ok && !e.IsDir() && j == job && p >= 0 && p < workers {
+			parts[s]++
 		}
-		j, p, s, nameOK := parseCheckpointName(e.Name())
-		if !nameOK || j != job || p < 0 || p >= workers {
-			continue
-		}
-		if byStep[s] == nil {
-			byStep[s] = make(map[int]bool)
-		}
-		byStep[s][p] = true
 	}
-	steps := make([]int, 0, len(byStep))
-	for s := range byStep {
-		if len(byStep[s]) == workers {
+	steps := make([]int, 0, len(parts))
+	for s, n := range parts {
+		if n == workers {
 			steps = append(steps, s)
 		}
 	}

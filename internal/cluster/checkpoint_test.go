@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"ebv/internal/bsp"
+	"ebv/internal/frame"
 	"ebv/internal/graph"
 )
 
@@ -25,6 +27,7 @@ func testCheckpoint(step, stateRows, stateWidth, inboxRows, width int) *bsp.Chec
 		State:     state,
 		InboxIDs:  make([]graph.VertexID, inboxRows),
 		InboxVals: make([]float64, inboxRows*width),
+		Vote:      bsp.Vote{Min: -2.5, Flag: step%2 == 0, Voted: true},
 	}
 	for i := range cp.InboxIDs {
 		cp.InboxIDs[i] = graph.VertexID(7 * i)
@@ -60,13 +63,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			if gotMeta != meta {
 				t.Fatalf("meta = %+v, want %+v", gotMeta, meta)
 			}
-			if got.Step != cp.Step || !got.State.EqualValues(cp.State) ||
+			if got.Step != cp.Step || !got.State.EqualValues(cp.State) || got.Vote != cp.Vote ||
 				!slices.Equal(got.InboxIDs, cp.InboxIDs) || !slices.Equal(got.InboxVals, cp.InboxVals) {
 				t.Fatalf("decoded checkpoint differs from original")
 			}
 		})
 	}
 }
+
+// checkpointHeaderBytes is the EBVK header: magic, version, the nine words.
+const checkpointHeaderBytes = 4 * (2 + 9)
 
 func TestCheckpointCorruptionRejected(t *testing.T) {
 	meta := CheckpointMeta{Job: 1, Part: 0, Workers: 2, Width: 1}
@@ -92,6 +98,22 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 		if _, _, err := DecodeCheckpoint(bad); err == nil {
 			t.Fatalf("bit flip at offset %d decoded", off)
 		}
+	}
+}
+
+// TestCheckpointV1Rejected: a file from before the vote (EBVK version 1:
+// eight header words, no vote in the body) fails by name, not by a shape
+// or checksum error.
+func TestCheckpointV1Rejected(t *testing.T) {
+	cp := testCheckpoint(6, 4, 1, 2, 1)
+	v1 := frame.Format{Name: "EBVK", Version: 1, Words: 8}
+	buf := v1.Begin(0, 1, 0, 2, 1, cp.Step, 1, 4, 2)
+	buf = frame.AppendF64s(buf, cp.State.Data)
+	buf = frame.AppendU32s(buf, cp.InboxIDs)
+	buf = frame.AppendF64s(buf, cp.InboxVals)
+	_, _, err := DecodeCheckpoint(frame.Seal(buf))
+	if err == nil || !strings.Contains(err.Error(), "EBVK version 1, this build reads 2") {
+		t.Fatalf("v1 checkpoint: err = %v, want one naming version 1", err)
 	}
 }
 
@@ -128,7 +150,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		state := &graph.ValueMatrix{Width: stateWidth, Data: vals[:stateRows*stateWidth]}
 		inbox := vals[stateRows*stateWidth:]
 		inbox = inbox[:len(inbox)/width*width]
-		cp := &bsp.Checkpoint{Step: int(step) + 1, State: state, InboxVals: inbox}
+		cp := &bsp.Checkpoint{Step: int(step) + 1, State: state, InboxVals: inbox,
+			Vote: bsp.Vote{Min: math.Float64frombits(uint64(step) << 48), Flag: w&4 != 0, Voted: w&8 != 0}}
 		for i := 0; i < len(inbox); i += width {
 			cp.InboxIDs = append(cp.InboxIDs, graph.VertexID(math.Float64bits(inbox[i])>>32))
 		}
@@ -149,6 +172,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			return out
 		}
 		if gotMeta != meta || got.Step != cp.Step || got.State.Width != stateWidth ||
+			math.Float64bits(got.Vote.Min) != math.Float64bits(cp.Vote.Min) ||
+			got.Vote.Flag != cp.Vote.Flag || got.Vote.Voted != cp.Vote.Voted ||
 			!slices.Equal(bits(got.State.Data), bits(state.Data)) ||
 			!slices.Equal(got.InboxIDs, cp.InboxIDs) || !slices.Equal(bits(got.InboxVals), bits(inbox)) {
 			t.Fatalf("round trip changed the checkpoint: meta %+v step %d", gotMeta, got.Step)

@@ -31,6 +31,7 @@ func TestFormats(t *testing.T) {
 		data, err := cluster.EncodeCheckpoint(cluster.CheckpointMeta{Job: 1, Part: 0, Workers: 2, Width: 1}, &bsp.Checkpoint{
 			Step: 3, State: &graph.ValueMatrix{Width: 2, Data: []float64{1, -2, 0.5, 4}},
 			InboxIDs: []graph.VertexID{5}, InboxVals: []float64{0.25},
+			Vote: bsp.Vote{Min: 7, Flag: true, Voted: true},
 		})
 		buf.Write(data)
 		return err
