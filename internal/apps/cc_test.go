@@ -189,8 +189,8 @@ func TestCCPivotFlood(t *testing.T) {
 			g           *graph.Graph
 			rows, steps int
 		}{
-			{"powerlaw", powerlaw, 14041, 4},
-			{"road", road, 4012, 10},
+			{"powerlaw", powerlaw, 13901, 4},
+			{"road", road, 3550, 10},
 		} {
 			subs := buildSSSPSubs(t, tc.g, core.New(), k)
 			res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{VerifyReplicaAgreement: true})
