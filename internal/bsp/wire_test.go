@@ -1,7 +1,8 @@
-// Wire equivalence: the compressed, CRC-sealed v4 wire must be invisible to
-// results — every app produces, over the TCP mesh, a ValueMatrix
-// byte-identical to the in-memory deployment's — while cutting wire bytes
-// at least 3x against raw columns on the integral-payload apps.
+// Wire equivalence: the compressed, CRC-sealed bundle wire and its radix-2
+// relays must be invisible to results — every app produces, over the TCP
+// mesh, a ValueMatrix byte-identical to the in-memory deployment's — while
+// cutting wire bytes at least 3x against raw columns on the
+// integral-payload apps.
 package bsp_test
 
 import (
@@ -37,33 +38,37 @@ func runOverDeployment(t *testing.T, subs []*bsp.Subgraph, mesh transport.Deploy
 }
 
 // runOverMesh runs prog once over a fresh TCP mesh deployment and reports
-// the result plus the deployment's total wire bytes.
-func runOverMesh(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.Config) (*bsp.Result, int64) {
+// the result plus what the deployment wrote to the wire.
+func runOverMesh(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.Config) (*bsp.Result, transport.WireStats) {
 	t.Helper()
 	mesh, err := transport.NewTCPMeshDeployment(t.Context(), len(subs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := runOverDeployment(t, subs, mesh, prog, cfg)
-	return res, mesh.WireBytes()
+	return res, mesh.WireStats()
 }
 
 // TestWireV4EquivalenceAllApps is the wire acceptance matrix: every app ×
 // widths {1, 8} × combine {off, on} runs over the in-memory deployment
-// (the reference) and the TCP mesh; values must be byte-identical, steps
+// (the reference) and the TCP mesh at k = 3 (direct exchange only), 4 and
+// 8 (radix 2 on small steps); values must be byte-identical, steps
 // and message counts equal, and the integral-payload apps must move at
-// least 3x fewer wire bytes than raw columns would.
+// least 3x fewer wire bytes than the same bundles with raw columns.
 func TestWireV4EquivalenceAllApps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up a TCP mesh per app/width/combine")
 	}
 	g := testGraphs(t)["powerlaw"]
-	const k = 3
-	a, err := core.New().Partition(t.Context(), g, k)
-	if err != nil {
-		t.Fatal(err)
+	subsByK := map[int][]*bsp.Subgraph{}
+	ks := []int{3, 4, 8}
+	for _, k := range ks {
+		a, err := core.New().Partition(t.Context(), g, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subsByK[k] = buildWeightedSubs(t, g, a)
 	}
-	subs := buildWeightedSubs(t, g, a)
 	// The integral-payload apps — labels (CC) and hop counts (SSSP) — hit
 	// the 3x target at every width via the integral fast path. PageRank
 	// and WSSSP move noisy mantissas (v4 only wins the ID column
@@ -81,39 +86,49 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 			for _, combine := range []bool{false, true} {
 				name := fmt.Sprintf("%s/w%d", appName(prog), width)
 				t.Run(fmt.Sprintf("%s/combine=%t", name, combine), func(t *testing.T) {
-					cfg := bsp.Config{ValueWidth: width, AutoCombine: combine}
-					ref := runOverDeployment(t, subs, nil, prog, cfg)
-					res, wireBytes := runOverMesh(t, subs, prog, cfg)
-					if !res.Values.EqualValues(ref.Values) {
-						t.Fatal("TCP values differ from the in-memory reference (byte-identity violated)")
-					}
-					if res.Steps != ref.Steps {
-						t.Fatalf("TCP run took %d steps, in-memory %d", res.Steps, ref.Steps)
-					}
-					counts := res.MessageCounts()
-					if rc := ref.MessageCounts(); counts != rc {
-						t.Fatalf("message counts differ across transports: tcp %+v, mem %+v", counts, rc)
-					}
-					if wireBytes == 0 {
-						t.Fatal("wire byte counter did not count")
-					}
-					// The same frames with raw columns — a 4-byte id and
-					// width 8-byte values per row on the wire, one 34-byte
-					// header per peer per step — in closed form.
-					rawBytes := counts.Wire*int64(4+8*width) + int64(res.Steps*k*(k-1)*34)
-					ratio := float64(rawBytes) / float64(wireBytes)
-					t.Logf("wire bytes: raw %d, v4 %d (%.2fx)", rawBytes, wireBytes, ratio)
-					if want := wantRatio[name]; want > 0 && ratio < want {
-						t.Fatalf("v4 moved %d wire bytes vs raw columns' %d: %.2fx, want >= %.0fx", wireBytes, rawBytes, ratio, want)
-					}
-					// Even the noisy-mantissa apps must not regress past the
-					// framing overhead: the raw-value fallback caps the loss.
-					if float64(wireBytes) > 1.25*float64(rawBytes) {
-						t.Fatalf("v4 moved %d wire bytes vs raw columns' %d: compressed format regressed", wireBytes, rawBytes)
+					for _, k := range ks {
+						t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+							checkWireEquivalence(t, subsByK[k], prog, bsp.Config{ValueWidth: width, AutoCombine: combine}, wantRatio[name])
+						})
 					}
 				})
 			}
 		}
+	}
+}
+
+// checkWireEquivalence runs prog over Mem and over the TCP mesh and checks
+// byte identity, the counts, and the wire ratio against raw columns.
+func checkWireEquivalence(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.Config, wantRatio float64) {
+	ref := runOverDeployment(t, subs, nil, prog, cfg)
+	res, wire := runOverMesh(t, subs, prog, cfg)
+	if !res.Values.EqualValues(ref.Values) {
+		t.Fatal("TCP values differ from the in-memory reference (byte-identity violated)")
+	}
+	if res.Steps != ref.Steps {
+		t.Fatalf("TCP run took %d steps, in-memory %d", res.Steps, ref.Steps)
+	}
+	counts := res.MessageCounts()
+	if rc := ref.MessageCounts(); counts != rc {
+		t.Fatalf("message counts differ across transports: tcp %+v, mem %+v", counts, rc)
+	}
+	if wire.Bytes == 0 || wire.Rows < counts.Wire {
+		t.Fatalf("wire counters %+v did not count the %d wire rows", wire, counts.Wire)
+	}
+	// The bundles the exchange wrote, with raw columns — a 28-byte bundle
+	// header each, a 17-byte header per block they carried, and a 4-byte
+	// id plus width 8-byte values per row, relays counted once per hop.
+	rawBytes := 28*wire.Bundles + 17*wire.Blocks + wire.Rows*int64(4+8*cfg.ValueWidth)
+	ratio := float64(rawBytes) / float64(wire.Bytes)
+	t.Logf("wire: %d bundles, %d blocks, %d rows (%d delivered); raw %d B, sent %d B (%.2fx)",
+		wire.Bundles, wire.Blocks, wire.Rows, counts.Wire, rawBytes, wire.Bytes, ratio)
+	if wantRatio > 0 && ratio < wantRatio {
+		t.Fatalf("moved %d wire bytes vs raw columns' %d: %.2fx, want >= %.0fx", wire.Bytes, rawBytes, ratio, wantRatio)
+	}
+	// Even the noisy-mantissa apps must not regress past the framing
+	// overhead: the raw-value fallback caps the loss.
+	if float64(wire.Bytes) > 1.25*float64(rawBytes) {
+		t.Fatalf("moved %d wire bytes vs raw columns' %d: compressed format regressed", wire.Bytes, rawBytes)
 	}
 }
 

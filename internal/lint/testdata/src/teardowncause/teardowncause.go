@@ -66,31 +66,31 @@ func (r *reader) ReadAll(buf []byte) (int, error) {
 	return n, err
 }
 
-// The frame codecs are connection I/O too: a mux surfacing their errors
+// The bundle codecs are connection I/O too: a mux surfacing their errors
 // without consulting its recorded cause is the same flake class.
-func readJobFrameV4(c *net.TCPConn, buf []byte) (int, error) {
+func readBundle(c *net.TCPConn, buf []byte) (int, error) {
 	return c.Read(buf)
 }
 
-func writeJobFrameV4(c *net.TCPConn, buf []byte) (int, error) {
+func writeBundle(c *net.TCPConn, buf []byte) (int, error) {
 	return c.Write(buf)
 }
 
-func (m *rawMux) RecvV4(buf []byte) (int, error) {
-	n, err := readJobFrameV4(m.conn, buf)
+func (m *rawMux) RecvBundle(buf []byte) (int, error) {
+	n, err := readBundle(m.conn, buf)
 	return n, err // want "raw connection error"
 }
 
-func (m *rawMux) SendV4(buf []byte) error {
-	_, err := writeJobFrameV4(m.conn, buf)
+func (m *rawMux) SendBundle(buf []byte) error {
+	_, err := writeBundle(m.conn, buf)
 	if err != nil {
-		return fmt.Errorf("send v4: %w", err) // want "raw connection error"
+		return fmt.Errorf("send bundle: %w", err) // want "raw connection error"
 	}
 	return nil
 }
 
-func (m *causeMux) RecvV4(buf []byte) (int, error) {
-	n, err := readJobFrameV4(m.conn, buf)
+func (m *causeMux) RecvBundle(buf []byte) (int, error) {
+	n, err := readBundle(m.conn, buf)
 	if err != nil {
 		if m.failed != nil {
 			return n, m.failed
@@ -106,7 +106,16 @@ type rawMeshNode struct {
 	conn *net.TCPConn
 }
 
-func (n *rawMeshNode) writeFrame(buf []byte) error {
-	_, err := writeJobFrameV4(n.conn, buf)
+func (n *rawMeshNode) send(buf []byte) error {
+	_, err := writeBundle(n.conn, buf)
 	return err // want "raw connection error"
+}
+
+// A demux that hands the reader's error back raw, wrapped or not, reports
+// the induced EOF of a teardown instead of its cause.
+func (n *rawMeshNode) readLoop(buf []byte) error {
+	if _, err := readBundle(n.conn, buf); err != nil {
+		return fmt.Errorf("demux: %w", err) // want "raw connection error"
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -10,8 +11,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"ebv/internal/frame"
 )
 
 // TCPMeshDeployment is the TCP Deployment: a full loopback mesh of k
@@ -82,16 +81,28 @@ func NewTCPMeshDeployment(ctx context.Context, k int) (*TCPMeshDeployment, error
 // NumWorkers implements Deployment.
 func (d *TCPMeshDeployment) NumWorkers() int { return d.k }
 
-// WireBytes reports the total frame bytes (headers and columns) this
-// deployment's nodes have written to their peers since construction — the
+// WireBytes reports the total bundle bytes this deployment's nodes have
+// written to their peers since construction, relayed blocks included — the
 // wire-volume axis EXPERIMENTS.md and ebv-bench track across codec
 // changes. Self-delivery never touches the wire and is not counted.
-func (d *TCPMeshDeployment) WireBytes() int64 {
-	var total int64
+func (d *TCPMeshDeployment) WireBytes() int64 { return d.WireStats().Bytes }
+
+// WireStats counts what a TCP mesh's nodes have written to their peers
+// since construction: bytes (bundle headers, block headers and columns),
+// bundles, blocks and rows. A relayed block is written, and counted, once
+// per bundle that carries it.
+type WireStats struct{ Bytes, Bundles, Blocks, Rows int64 }
+
+// WireStats sums the nodes' wire counters.
+func (d *TCPMeshDeployment) WireStats() WireStats {
+	var st WireStats
 	for _, n := range d.nodes {
-		total += n.wire.Load()
+		st.Bytes += n.wire.bytes.Load()
+		st.Bundles += n.wire.bundles.Load()
+		st.Blocks += n.wire.blocks.Load()
+		st.Rows += n.wire.rows.Load()
 	}
-	return total
+	return st
 }
 
 // OpenJob implements Deployment: the job is registered on every node's
@@ -139,35 +150,30 @@ func (d *TCPMeshDeployment) Close() error {
 	return nil
 }
 
-// jobFrameBuffer bounds each (job, src) inbox. The BSP lock-step invariant
-// keeps at most 2 frames outstanding per (job, src) — a worker can run at
-// most one step ahead of the slowest peer that acknowledged it — so a full
+// jobFrameBuffer bounds each (job, src) inbox. In one step a worker takes
+// at most one bundle from each peer (a round's source differs from every
+// other round's), and no worker can finish a step before every worker has
+// started it, so at most 2 bundles are outstanding per (job, src). A full
 // inbox means protocol violation, and the demux fails the job rather than
 // head-of-line-block every other job on the connection.
 const jobFrameBuffer = 4
 
+// smallBlockBytes is the radix rule's threshold T: the exchange after one
+// in which every block encoded to at most this many bytes runs the radix-2
+// schedule. BenchmarkExchangeBlockSize puts the crossover between the
+// direct and radix-2 exchange at k = 8 here (EXPERIMENTS.md).
+const smallBlockBytes = 4096
+
 // MeshNode is one worker's endpoint of a TCP mesh (see WireMeshNode): the
 // connections to its k-1 peers, shared by every job opened on the node.
-// Many jobs multiplex over the same connections, so every frame is tagged
+// Many jobs multiplex over the same connections, so every bundle is tagged
 // with its job id and a per-connection demux goroutine routes incoming
-// frames to the owning job's inbox. Interleaved jobs' batches therefore
-// never cross: a frame for job j is only ever delivered to job j's
-// Exchange, a frame whose width disagrees with the job's fails that job
-// loudly, and a frame for a job the node has never opened kills the node
-// (cross-job corruption is a protocol violation, not noise).
-//
-// Wire format v4 ("EBV4") is the only frame format. Both columns are
-// compressed and the frame is sealed with a CRC-32C (see wirecodec.go for
-// the column codecs); layout, little endian:
-//
-//	u32 magic | u32 job | u32 step | u8 active | u8 flags | u32 width |
-//	u32 count | u32 idBytes | u32 valBytes | u32 crc |
-//	idBytes  × zigzag-delta uvarint vertex ids
-//	valBytes × packed values (or raw f64 when packing would expand)
-//
-// The CRC covers every header field after the magic plus both columns, so
-// any corrupted frame — including any single bit flip — is rejected
-// loudly instead of decoding to garbage.
+// bundles to the owning job's inbox. Interleaved jobs' batches therefore
+// never cross: a bundle for job j is only ever delivered to job j's
+// Exchange, a bundle whose width disagrees with the job's fails that job
+// loudly, and a bundle for a job the node has never opened kills the node
+// (cross-job corruption is a protocol violation, not noise). The wire is
+// the CRC-sealed EBV5 bundle (bundle.go).
 //
 // The demux readers start with the node's first job. Nodes of a
 // multi-process mesh finish wiring at different moments, so a fast peer's
@@ -179,10 +185,10 @@ type MeshNode struct {
 	k       int
 	conns   []net.Conn // conns[peer]; nil at index == worker
 	bufw    []*bufio.Writer
-	wmu     []sync.Mutex // guards bufw[peer], enc[peer] and frame atomicity on the wire
-	enc     []*v4Scratch // per-peer encode scratch; lazily built under wmu[peer]
-	wire    atomic.Int64 // frame bytes written to peers
+	wmu     []sync.Mutex // guards bufw[peer] and bundle atomicity on the wire
 	readers sync.WaitGroup
+	radix   int                                                 // nonzero: every job's exchanges run this radix (tests)
+	wire    struct{ bytes, bundles, blocks, rows atomic.Int64 } // written to peers (see WireStats)
 
 	mu       sync.Mutex
 	jobs     map[uint32]*muxJob
@@ -201,18 +207,32 @@ func newMeshNode(worker int, conns []net.Conn) *MeshNode {
 		conns:   conns,
 		bufw:    make([]*bufio.Writer, k),
 		wmu:     make([]sync.Mutex, k),
-		enc:     make([]*v4Scratch, k),
 		jobs:    make(map[uint32]*muxJob),
 		retired: make(map[uint32]struct{}),
 		gone:    make([]bool, k),
 	}
 }
 
-// jobFrame is one decoded frame queued for a job's Exchange.
+// jobFrame is one checked bundle queued for a job's Exchange: the blocks
+// addressed to this worker decoded, the rest kept verbatim for relaying.
 type jobFrame struct {
-	step   int
-	active bool
-	batch  *MessageBatch
+	step, round int
+	flags       byte
+	in          []srcBatch
+	relay       []wireBlock
+}
+
+// srcBatch is a delivered block: the batch src handed to Exchange.
+type srcBatch struct {
+	src   int
+	batch *MessageBatch
+}
+
+// recycle returns the frame's decoded batches to the pool.
+func (f jobFrame) recycle() {
+	for _, sb := range f.in {
+		RecycleBatch(sb.batch)
+	}
 }
 
 // muxJob is one worker's job-scoped Transport over the shared node.
@@ -223,6 +243,12 @@ type muxJob struct {
 	in    []chan jobFrame // in[src]; nil at index == node.worker; closed once src is gone
 	done  chan struct{}   // closed when the job fails or closes
 	err   error           // cause; written before done closes
+
+	// Exchange state, touched only by the job's exchanging goroutine.
+	radix int         // this exchange's radix, 2 or k
+	enc   []byte      // this step's outgoing blocks, encoded
+	held  []wireBlock // blocks held between rounds
+	send  []wireBlock // one bundle's blocks
 }
 
 var _ Transport = (*muxJob)(nil)
@@ -251,6 +277,10 @@ func (n *MeshNode) OpenJob(job uint32, width int) (Transport, error) {
 		width: width,
 		in:    make([]chan jobFrame, n.k),
 		done:  make(chan struct{}),
+		radix: n.k,
+	}
+	if n.radix != 0 {
+		j.radix = n.radix
 	}
 	for peer := 0; peer < n.k; peer++ {
 		if peer == n.worker {
@@ -358,77 +388,95 @@ func (n *MeshNode) peerGone(peer int) {
 	}
 }
 
-// readLoop is the demux for one peer connection: it decodes frames and
+// readLoop is the demux for one peer connection: it reads bundles and
 // routes them to the owning job's inbox until the connection ends. A
-// clean end between frames is the peer leaving (peerGone); anything else
-// — truncation mid-frame, a corrupt frame, a socket error — kills the
+// clean end between bundles is the peer leaving (peerGone); anything else
+// — truncation mid-bundle, a corrupt bundle, a socket error — kills the
 // node.
 func (n *MeshNode) readLoop(peer int) {
 	br := bufio.NewReaderSize(n.conns[peer], 1<<16)
-	var dec v4Scratch // per-connection decode scratch, reused across frames
+	var s bundleScratch // per-connection read scratch, reused across bundles
 	for {
-		job, step, active, batch, err := readJobFrameV4(br, &dec)
+		b, err := readBundle(br, n.k, peer, n.worker, &s)
 		if err == io.EOF {
 			n.peerGone(peer)
 			return
+		}
+		if err == nil {
+			err = n.route(peer, b, &s)
 		}
 		if err != nil {
 			n.fail(fmt.Errorf("transport: demux at worker %d from %d: %w", n.worker, peer, err))
 			return
 		}
-		if !n.route(peer, job, jobFrame{step: step, active: active, batch: batch}) {
-			return
-		}
 	}
 }
 
-// route delivers one decoded frame; false stops the read loop (node dead).
-func (n *MeshNode) route(peer int, job uint32, f jobFrame) bool {
+// route hands one checked bundle to its job: the blocks addressed to this
+// worker are decoded, and the relayed ones take the read buffer with them.
+// An error kills the node.
+func (n *MeshNode) route(peer int, b bundle, s *bundleScratch) error {
 	n.mu.Lock()
-	j, open := n.jobs[job]
+	j, open := n.jobs[b.job]
 	if !open {
-		_, wasServed := n.retired[job]
+		_, wasServed := n.retired[b.job]
 		n.mu.Unlock()
-		RecycleBatch(f.batch)
 		if wasServed {
-			return true // straggler frame of a finished job: drop
+			return nil // straggler bundle of a finished job: drop
 		}
-		n.fail(fmt.Errorf("transport: worker %d received a frame for unknown job %d from worker %d (cross-job corruption)",
-			n.worker, job, peer))
-		return false
+		return fmt.Errorf("worker %d received a bundle for unknown job %d from worker %d (cross-job corruption)",
+			n.worker, b.job, peer)
 	}
 	n.mu.Unlock()
-	if f.batch != nil && f.batch.Width != j.width {
-		got := f.batch.Width
-		RecycleBatch(f.batch)
-		n.failJob(j, fmt.Errorf("transport: job %d is width %d, frame from worker %d has width %d",
-			job, j.width, peer, got))
-		return true
+	if b.width != j.width {
+		n.failJob(j, fmt.Errorf("transport: job %d is width %d, bundle from worker %d has width %d",
+			b.job, j.width, peer, b.width))
+		return nil
+	}
+	f := jobFrame{step: b.step, round: b.round, flags: b.flags}
+	for _, blk := range b.blocks {
+		if blk.dst != n.worker {
+			f.relay = append(f.relay, blk)
+			s.body = nil // the relayed blocks keep the read buffer
+			continue
+		}
+		batch, err := decodeBlock(blk.raw, j.width)
+		if err != nil {
+			f.recycle()
+			return err
+		}
+		f.in = append(f.in, srcBatch{blk.src, batch})
 	}
 	select {
 	case j.in[peer] <- f:
 	default:
-		RecycleBatch(f.batch)
-		n.failJob(j, fmt.Errorf("transport: job %d inbox from worker %d overflowed (step skew)", job, peer))
+		f.recycle()
+		n.failJob(j, fmt.Errorf("transport: job %d inbox from worker %d overflowed (step skew)", b.job, peer))
 	}
-	return true
+	return nil
 }
 
-// writeFrame writes one job frame to peer under the per-peer write lock
-// (keeping interleaved jobs' frames atomic on the shared stream) and
-// charges the frame's bytes to the node's wire counter.
-func (n *MeshNode) writeFrame(peer int, job uint32, step int, active bool, batch *MessageBatch) error {
+// send writes one bundle to peer under the per-peer write lock (keeping
+// interleaved jobs' bundles atomic on the shared stream) and charges its
+// bundle to the node's wire counters.
+func (n *MeshNode) send(peer int, j *muxJob, step, round int, flags byte, blocks []wireBlock) error {
 	n.wmu[peer].Lock()
 	defer n.wmu[peer].Unlock()
 	if n.bufw[peer] == nil {
 		n.bufw[peer] = bufio.NewWriterSize(n.conns[peer], 1<<16)
-		n.enc[peer] = new(v4Scratch)
 	}
-	wrote, err := writeJobFrameV4(n.bufw[peer], job, step, active, batch, n.enc[peer])
-	n.wire.Add(int64(wrote))
+	wrote, err := writeBundle(n.bufw[peer], j.job, step, round, flags, j.width, blocks)
+	n.wire.bytes.Add(int64(wrote))
 	if err != nil {
 		return n.failure(err)
 	}
+	rows := 0
+	for _, b := range blocks {
+		rows += int(binary.LittleEndian.Uint32(b.raw[5:9])) // the block's count
+	}
+	n.wire.bundles.Add(1)
+	n.wire.blocks.Add(int64(len(blocks)))
+	n.wire.rows.Add(int64(rows))
 	return nil
 }
 
@@ -465,7 +513,7 @@ func (j *muxJob) drainInboxes() {
 		for drained := false; !drained; {
 			select {
 			case f, ok := <-ch:
-				RecycleBatch(f.batch)
+				f.recycle()
 				drained = !ok
 			default:
 				drained = true
@@ -474,11 +522,19 @@ func (j *muxJob) drainInboxes() {
 	}
 }
 
-// Exchange implements Transport for one job over the shared mesh.
+// Exchange implements Transport for one job over the shared mesh. Every
+// outgoing batch is encoded once, into one block, and the blocks move in
+// the rounds of this exchange's radix (DESIGN.md §14): radix k is the
+// direct exchange, one bundle to and from every peer; radix 2 is Bruck's
+// index algorithm, ⌈log₂k⌉ rounds of one bundle each way, relays
+// forwarding blocks verbatim. Every bundle carries the OR of the active
+// votes and the AND of the small bits its sender has folded in, so after
+// the last round every worker holds both over all k, and the AND picks
+// the next exchange's radix without a message of its own. A job's first
+// exchange runs radix k.
+//
 // Cancellation is Close() by design — the Transport contract (see
 // the bsp run core, which closes the transport when its ctx fires).
-//
-//ebv:nolint ctxflow Transport.Exchange cancels via Close, not a context parameter
 func (j *muxJob) Exchange(worker, step int, out []*MessageBatch, active bool) (ExchangeResult, error) {
 	n := j.node
 	if worker != n.worker {
@@ -500,85 +556,148 @@ func (j *muxJob) Exchange(worker, step int, out []*MessageBatch, active bool) (E
 		}
 	}
 
-	res := ExchangeResult{In: make([]*MessageBatch, n.k), AnyActive: active}
+	res := ExchangeResult{In: make([]*MessageBatch, n.k)}
 	if worker < len(out) {
 		res.In[worker] = out[worker] // self-delivery without the network
 	}
-
-	// Write one tagged frame to every peer concurrently; the per-peer lock
-	// keeps frames of interleaved jobs atomic on the shared stream.
-	var wg sync.WaitGroup
-	errCh := make(chan error, n.k)
-	for peer := 0; peer < n.k; peer++ {
-		if peer == worker {
-			continue
-		}
-		var batch *MessageBatch
-		if peer < len(out) {
-			batch = out[peer]
-		}
-		wg.Add(1)
-		go func(peer int, batch *MessageBatch) {
-			defer wg.Done()
-			if err := n.writeFrame(peer, j.job, step, active, batch); err != nil {
-				errCh <- fmt.Errorf("transport: job %d write to %d: %w", j.job, peer, err)
-			}
-		}(peer, batch)
-	}
-
-	// Receive this job's frame from every peer via the demux inboxes.
-	var firstErr error
-	for peer := 0; peer < n.k; peer++ {
-		if peer == worker {
-			continue
-		}
-		select {
-		case f, ok := <-j.in[peer]:
-			if !ok {
-				if firstErr == nil {
-					firstErr = n.failure(fmt.Errorf("transport: job %d: worker %d closed its connection before sending step %d",
-						j.job, peer, step))
-				}
-				continue
-			}
-			if f.step != step {
-				RecycleBatch(f.batch)
-				if firstErr == nil {
-					firstErr = fmt.Errorf("transport: job %d step skew from %d: got %d want %d",
-						j.job, peer, f.step, step)
-				}
-				continue
-			}
-			res.In[peer] = f.batch
-			res.AnyActive = res.AnyActive || f.active
-		case <-j.done:
-			if firstErr == nil {
-				firstErr = j.failure()
-			}
-		}
-	}
-	wg.Wait()
-	close(errCh)
-	if firstErr == nil {
-		for err := range errCh {
-			firstErr = err
-			break
-		}
-	}
-	// Frames are on the wire (or abandoned): recycle the outgoing batches.
+	flags, err := j.encode(worker, out)
+	// The blocks are encoded (or abandoned): recycle the outgoing batches.
 	// The self slot stays alive — it was handed back in In.
 	for peer := 0; peer < n.k && peer < len(out); peer++ {
 		if peer != worker {
 			RecycleBatch(out[peer])
 		}
 	}
-	if firstErr != nil {
-		return ExchangeResult{}, firstErr
+	if err != nil {
+		return ExchangeResult{}, err
+	}
+	if active {
+		flags |= bundleActive
+	}
+	if err = j.rounds(worker, step, j.radix == 2 && n.k > 2, &flags, res.In); err != nil {
+		return ExchangeResult{}, err
+	}
+	res.AnyActive = flags&bundleActive != 0
+	switch {
+	case n.radix != 0:
+	case flags&bundleSmall != 0 && bruckRounds(n.k) < n.k-1:
+		j.radix = 2
+	default:
+		j.radix = n.k
 	}
 	// Peer-wait cannot be separated from wire time without extra control
 	// round-trips: Wait stays 0 and callers attribute the whole exchange
 	// to communication (documented in DESIGN.md).
 	return res, nil
+}
+
+// encode encodes every non-empty outgoing batch into one block, holds the
+// blocks in ascending dst order and returns the sender's small bit.
+func (j *muxJob) encode(worker int, out []*MessageBatch) (byte, error) {
+	bound := 0
+	for dst, b := range out {
+		if dst != worker && b.Len() > 0 {
+			bound += blockBound(b)
+		}
+	}
+	// Grown once up front, so the held slices stay valid while enc fills.
+	j.enc, j.held = slices.Grow(j.enc[:0], bound), j.held[:0]
+	flags := byte(bundleSmall)
+	for dst, b := range out {
+		if dst == worker || dst >= j.node.k || b.Len() == 0 {
+			continue
+		}
+		at := len(j.enc)
+		var err error
+		if j.enc, err = appendBlock(j.enc, worker, dst, b); err != nil {
+			return 0, fmt.Errorf("transport: job %d block for worker %d: %w", j.job, dst, err)
+		}
+		if len(j.enc)-at > smallBlockBytes {
+			flags = 0
+		}
+		j.held = append(j.held, wireBlock{src: worker, dst: dst, raw: j.enc[at:len(j.enc):len(j.enc)]})
+	}
+	return flags, nil
+}
+
+// rounds moves the held blocks to their destinations. A round sends one
+// bundle per hop, then takes one from each hop back: the direct exchange's
+// one round has every hop 1..k−1 and a block goes on the hop equal to its
+// offset (dst − worker) mod k; radix-2 round r has the one hop 2^r and a
+// block goes if its offset has that bit. A write error is reported only if
+// the round's bundles all arrived, so a departed peer is named as such.
+func (j *muxJob) rounds(worker, step int, bruck bool, flags *byte, in []*MessageBatch) error {
+	n, k := j.node, j.node.k
+	rounds, lo, hi := 1, 1, k
+	if bruck {
+		rounds = bruckRounds(k)
+	}
+	for round := 0; round < rounds; round++ {
+		if bruck {
+			lo, hi = 1<<round, 1<<round+1
+		}
+		var writeErr error
+		for hop := lo; hop < hi; hop++ {
+			j.send = j.send[:0]
+			keep := j.held[:0]
+			for _, b := range j.held {
+				if off := (b.dst - worker + k) % k; off == hop || bruck && off&hop != 0 {
+					j.send = append(j.send, b)
+				} else {
+					keep = append(keep, b)
+				}
+			}
+			j.held = keep
+			slices.SortFunc(j.send, func(a, b wireBlock) int { return cmp.Or(a.dst-b.dst, a.src-b.src) })
+			to, out := (worker+hop)%k, *flags
+			if bruck {
+				out |= bundleBruck
+			}
+			if err := n.send(to, j, step, round, out, j.send); err != nil && writeErr == nil {
+				writeErr = fmt.Errorf("transport: job %d write to %d: %w", j.job, to, err)
+			}
+		}
+		for hop := lo; hop < hi; hop++ {
+			if err := j.take((worker-hop+k)%k, step, round, bruck, flags, in); err != nil {
+				return err
+			}
+		}
+		if writeErr != nil {
+			return writeErr
+		}
+	}
+	return nil
+}
+
+// take receives the (step, round) bundle from peer: its blocks for this
+// worker land in in, the relayed ones join held, and its flags fold into
+// flags.
+func (j *muxJob) take(peer, step, round int, bruck bool, flags *byte, in []*MessageBatch) error {
+	var f jobFrame
+	var ok bool
+	select {
+	case f, ok = <-j.in[peer]:
+	case <-j.done:
+		return j.failure()
+	}
+	if !ok {
+		return j.node.failure(fmt.Errorf("transport: job %d: worker %d closed its connection before sending step %d",
+			j.job, peer, step))
+	}
+	if f.step != step || f.round != round || (f.flags&bundleBruck != 0) != bruck {
+		f.recycle()
+		return fmt.Errorf("transport: job %d step skew from %d: got step %d round %d, want step %d round %d",
+			j.job, peer, f.step, f.round, step, round)
+	}
+	// The route rule gives every block exactly one last hop, so no slot
+	// is filled twice.
+	for _, sb := range f.in {
+		in[sb.src] = sb.batch
+	}
+	j.held = append(j.held, f.relay...)
+	*flags |= f.flags & bundleActive
+	*flags &^= bundleSmall &^ f.flags
+	return nil
 }
 
 // NumWorkers implements Transport.
@@ -590,190 +709,4 @@ func (j *muxJob) NumWorkers() int { return j.node.k }
 func (j *muxJob) Close() error {
 	j.node.failJob(j, ErrClosed)
 	return nil
-}
-
-const (
-	// jobFrameMagicV4 marks a job frame (wire version 4, the only one; see
-	// MeshNode). A peer speaking anything else fails its first frame
-	// loudly at the magic check.
-	jobFrameMagicV4 = 0x45425634 // "EBV4"
-
-	// jobFrameHeaderBytesV4: magic + job + step + active + flags + width +
-	// count + idBytes + valBytes + crc.
-	jobFrameHeaderBytesV4 = 34
-
-	// maxWireWidth and maxWireMessages bound what a frame header may
-	// claim, so a corrupt or hostile peer cannot force a giant
-	// allocation. The product bound caps the raw value column at 2 GiB —
-	// comfortably inside the u32 byte-length field (2^28 values × 8
-	// bytes = 2^31). The writer enforces the same bounds, so an oversized
-	// batch fails with a clear local error instead of a corrupt-frame
-	// error at the receiver.
-	maxWireWidth    = MaxValueWidth
-	maxWireMessages = 1 << 28
-	maxWireValues   = 1 << 28
-)
-
-// v4Scratch is the reusable frame codec scratch: one per peer on the
-// write side (guarded by the per-peer write lock), one per demux
-// goroutine on the read side, so steady-state frames encode and decode
-// without allocating.
-type v4Scratch struct {
-	ids  []byte // encoded ID column
-	vals []byte // encoded value column
-	buf  []byte // reader-side payload staging
-}
-
-// writeJobFrameV4 encodes one compressed job-tagged frame into bw and
-// flushes it, returning the frame's wire size. A nil or empty batch writes
-// an empty frame (count 0, no columns).
-func writeJobFrameV4(bw *bufio.Writer, job uint32, step int, active bool, batch *MessageBatch, s *v4Scratch) (int, error) {
-	width, count := 0, 0
-	if batch != nil {
-		width, count = batch.Width, batch.Len()
-	}
-	if count > maxWireMessages || count*width > maxWireValues {
-		return 0, fmt.Errorf("batch of %d messages × width %d exceeds the wire cap (%d messages, %d values)",
-			count, width, maxWireMessages, maxWireValues)
-	}
-	var flags byte
-	s.ids, s.vals = s.ids[:0], s.vals[:0]
-	if count == 0 {
-		width = 0 // canonical empty frame
-	} else {
-		flags |= v4FlagDeltaIDs
-		// Sized once from the format's bounds (an id is at most 5 bytes, a
-		// packed value 9): a mesh wired per attempt starts every scratch
-		// empty, and doubling inside the encoders re-copied each frame.
-		s.ids = appendDeltaIDs(slices.Grow(s.ids, 5*count), batch.IDs)
-		s.vals = appendPackedVals(slices.Grow(s.vals, 9*count*width), batch.Vals)
-		if len(s.vals) < count*width*8 {
-			flags |= v4FlagPackedVal
-		} else {
-			// Packing would expand this column (noisy-mantissa payloads
-			// can cost 9 bytes/value): ship it raw and say so in flags.
-			s.vals = frame.AppendF64s(s.vals[:0], batch.Vals)
-		}
-	}
-	var header [jobFrameHeaderBytesV4]byte
-	binary.LittleEndian.PutUint32(header[0:4], jobFrameMagicV4)
-	binary.LittleEndian.PutUint32(header[4:8], job)
-	binary.LittleEndian.PutUint32(header[8:12], uint32(step))
-	if active {
-		header[12] = 1
-	}
-	header[13] = flags
-	binary.LittleEndian.PutUint32(header[14:18], uint32(width))
-	binary.LittleEndian.PutUint32(header[18:22], uint32(count))
-	binary.LittleEndian.PutUint32(header[22:26], uint32(len(s.ids)))
-	binary.LittleEndian.PutUint32(header[26:30], uint32(len(s.vals)))
-	crc := frame.Checksum(frame.Checksum(frame.Checksum(0, header[4:30]), s.ids), s.vals)
-	binary.LittleEndian.PutUint32(header[30:34], crc)
-	if _, err := bw.Write(header[:]); err != nil {
-		return 0, err
-	}
-	if _, err := bw.Write(s.ids); err != nil {
-		return 0, err
-	}
-	if _, err := bw.Write(s.vals); err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	return jobFrameHeaderBytesV4 + len(s.ids) + len(s.vals), nil
-}
-
-// readJobFrameV4 decodes one compressed job-tagged frame. The frame's
-// shape is validated against the wire caps before anything is allocated,
-// the CRC is verified over header and payload before anything is decoded
-// (so any corrupted frame — any single bit flip included — fails here
-// loudly), and both columns must decode exactly: truncation, trailing
-// bytes, out-of-range ids and invalid value descriptors are all errors.
-// A non-empty frame returns a pooled batch owned by the caller.
-func readJobFrameV4(br *bufio.Reader, s *v4Scratch) (job uint32, step int, active bool, batch *MessageBatch, err error) {
-	var header [jobFrameHeaderBytesV4]byte
-	if _, err = io.ReadFull(br, header[:]); err != nil {
-		return 0, 0, false, nil, err
-	}
-	if magic := binary.LittleEndian.Uint32(header[0:4]); magic != jobFrameMagicV4 {
-		return 0, 0, false, nil, fmt.Errorf(
-			"bad job frame magic %#x, want %#x (peer speaking another wire version?)", magic, jobFrameMagicV4)
-	}
-	job = binary.LittleEndian.Uint32(header[4:8])
-	step = int(binary.LittleEndian.Uint32(header[8:12]))
-	active = header[12] == 1
-	flags := header[13]
-	width := int(binary.LittleEndian.Uint32(header[14:18]))
-	count := int(binary.LittleEndian.Uint32(header[18:22]))
-	idBytes := int(binary.LittleEndian.Uint32(header[22:26]))
-	valBytes := int(binary.LittleEndian.Uint32(header[26:30]))
-	wantCRC := binary.LittleEndian.Uint32(header[30:34])
-
-	if flags&^(v4FlagDeltaIDs|v4FlagPackedVal) != 0 {
-		return 0, 0, false, nil, fmt.Errorf("v4 frame has unknown flags %#x", flags)
-	}
-	if count == 0 {
-		if flags != 0 || width != 0 || idBytes != 0 || valBytes != 0 {
-			return 0, 0, false, nil, fmt.Errorf(
-				"empty v4 frame is non-canonical (flags %#x width %d idBytes %d valBytes %d)",
-				flags, width, idBytes, valBytes)
-		}
-	} else {
-		if width < 1 || width > maxWireWidth {
-			return 0, 0, false, nil, fmt.Errorf("v4 frame width %d out of range [1,%d]", width, maxWireWidth)
-		}
-		if count < 0 || count > maxWireMessages || count*width > maxWireValues {
-			return 0, 0, false, nil, fmt.Errorf("v4 frame of %d messages × width %d exceeds the wire cap", count, width)
-		}
-		if flags&v4FlagDeltaIDs == 0 {
-			return 0, 0, false, nil, fmt.Errorf("v4 frame without delta-encoded ids (flags %#x)", flags)
-		}
-		if idBytes < count || idBytes > count*5 {
-			return 0, 0, false, nil, fmt.Errorf("v4 id column is %d bytes for %d ids (valid range [%d,%d])",
-				idBytes, count, count, count*5)
-		}
-		values := count * width
-		if flags&v4FlagPackedVal != 0 {
-			if valBytes < values || valBytes > values*9 {
-				return 0, 0, false, nil, fmt.Errorf("v4 packed value column is %d bytes for %d values (valid range [%d,%d])",
-					valBytes, values, values, values*9)
-			}
-		} else if valBytes != values*8 {
-			return 0, 0, false, nil, fmt.Errorf("v4 raw value column is %d bytes, want %d", valBytes, values*8)
-		}
-	}
-
-	s.buf = slices.Grow(s.buf[:0], idBytes+valBytes)[:idBytes+valBytes]
-	if _, err = io.ReadFull(br, s.buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF // the header promised columns: not a clean end
-		}
-		return 0, 0, false, nil, err
-	}
-	crc := frame.Checksum(frame.Checksum(0, header[4:30]), s.buf)
-	if crc != wantCRC {
-		return 0, 0, false, nil, fmt.Errorf("v4 frame CRC mismatch (want %#x, computed %#x): corrupted frame", wantCRC, crc)
-	}
-	if count == 0 {
-		return job, step, active, nil, nil
-	}
-
-	b := GetBatch(width)
-	b.IDs = slices.Grow(b.IDs, count)[:count]
-	b.Vals = slices.Grow(b.Vals, count*width)[:count*width]
-	idCol, valCol := s.buf[:idBytes], s.buf[idBytes:]
-	if err := decodeDeltaIDs(idCol, b.IDs); err != nil {
-		RecycleBatch(b)
-		return 0, 0, false, nil, fmt.Errorf("v4 frame: %w", err)
-	}
-	if flags&v4FlagPackedVal != 0 {
-		if err := decodePackedVals(valCol, b.Vals); err != nil {
-			RecycleBatch(b)
-			return 0, 0, false, nil, fmt.Errorf("v4 frame: %w", err)
-		}
-	} else {
-		frame.DecodeF64s(b.Vals, valCol)
-	}
-	return job, step, active, b, nil
 }

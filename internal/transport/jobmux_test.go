@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"strings"
@@ -183,8 +182,7 @@ func TestJobMuxUnknownJobFrameKillsNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw := bufio.NewWriter(d.nodes[0].conns[1])
-	if _, err := writeJobFrameV4(bw, 999, 0, true, jobBatch(1, 3, 1), new(v4Scratch)); err != nil {
+	if _, err := d.nodes[0].conns[1].Write(encodeV4Frame(t, 999, 0, true, jobBatch(1, 3, 1))); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -214,7 +212,7 @@ func TestJobMuxForeignMagicRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign := make([]byte, jobFrameHeaderBytesV4)
+	foreign := make([]byte, bundleHeaderBytes)
 	copy(foreign, "CVBE") // a control-plane (EBVC) peer on the data port
 	if _, err := d.nodes[0].conns[1].Write(foreign); err != nil {
 		t.Fatal(err)

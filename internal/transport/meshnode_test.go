@@ -75,13 +75,24 @@ func (c heldConn) Read(p []byte) (int, error) {
 
 // TestMeshNodeEarlyLeaver: a worker that finishes its last superstep and
 // closes its node must not fail a slower peer that has not consumed the
-// final frames yet. Four nodes are wired from an address list the way
-// separate processes would be; worker 3's demux is held back during the
-// last step until worker 0 has already closed its node, so worker 3 sees
-// worker 0's final frame and its departure back to back. All four must
-// finish with the same, complete deliveries and no error.
+// final bundles yet. The nodes are wired from an address list the way
+// separate processes would be; the last worker's demux is held back during
+// the last step until worker 0 has already closed its node, so it sees
+// worker 0's final bundle and its departure back to back. Every worker must
+// finish with the same, complete deliveries and no error, under the direct
+// exchange and under the radix-2 schedule, where worker 0's last bundles
+// also carry blocks it relays.
 func TestMeshNodeEarlyLeaver(t *testing.T) {
-	const k, steps, slow = 4, 3, 3
+	for _, tc := range []struct{ k, radix int }{{4, 4}, {4, 2}, {8, 2}} {
+		t.Run(fmt.Sprintf("k%d/radix%d", tc.k, tc.radix), func(t *testing.T) {
+			testEarlyLeaver(t, tc.k, tc.radix)
+		})
+	}
+}
+
+func testEarlyLeaver(t *testing.T, k, radix int) {
+	const steps = 3
+	slow := k - 1
 	nodes := wireLoopbackNodes(t, k)
 	var wg sync.WaitGroup
 
@@ -91,6 +102,9 @@ func TestMeshNodeEarlyLeaver(t *testing.T) {
 		if c != nil { // the demux readers start with OpenJob, below
 			nodes[slow].conns[peer] = heldConn{Conn: c, armed: &armed, release: release}
 		}
+	}
+	for _, n := range nodes {
+		n.radix = radix
 	}
 
 	var lastStep sync.WaitGroup // everyone finished step steps-2, nobody sent steps-1
@@ -145,31 +159,39 @@ func TestMeshNodeEarlyLeaver(t *testing.T) {
 }
 
 // TestMeshNodePeerLossFailsPendingExchange is the other half of the
-// departure rule: a peer that leaves while its frame is still needed
-// fails that Exchange loudly, naming the peer.
+// departure rule: a peer that leaves while its bundle is still needed
+// fails that Exchange loudly, naming the peer — under the direct exchange
+// at k = 2 and under the radix-2 schedule at k = 4 and 8, where worker 0
+// is worker 1's first-round source.
 func TestMeshNodePeerLossFailsPendingExchange(t *testing.T) {
-	nodes := wireLoopbackNodes(t, 2)
-	tr, err := nodes[1].OpenJob(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = nodes[0].Close() // worker 0 leaves without ever sending step 0
-	// Wait for the demux to see the departure, so the Exchange's own write
-	// to the closed peer cannot turn the clean end into a reset first.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		nodes[1].mu.Lock()
-		gone := nodes[1].gone[0]
-		nodes[1].mu.Unlock()
-		if gone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker 1 never observed worker 0 leaving")
-		}
-	}
-	_, err = tr.Exchange(1, 0, nil, true)
-	if err == nil || !strings.Contains(err.Error(), "worker 0 closed its connection") {
-		t.Fatalf("exchange after the peer left: err = %v, want an error naming worker 0's departure", err)
+	for _, tc := range []struct{ k, radix int }{{2, 2}, {4, 2}, {8, 2}} {
+		t.Run(fmt.Sprintf("k%d/radix%d", tc.k, tc.radix), func(t *testing.T) {
+			nodes := wireLoopbackNodes(t, tc.k)
+			nodes[1].radix = tc.radix
+			tr, err := nodes[1].OpenJob(1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = nodes[0].Close() // worker 0 leaves without ever sending step 0
+			// Wait for the demux to see the departure, so the Exchange's own
+			// write to the closed peer cannot turn the clean end into a reset
+			// first.
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				nodes[1].mu.Lock()
+				gone := nodes[1].gone[0]
+				nodes[1].mu.Unlock()
+				if gone {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("worker 1 never observed worker 0 leaving")
+				}
+			}
+			_, err = tr.Exchange(1, 0, nil, true)
+			if err == nil || !strings.Contains(err.Error(), "worker 0 closed its connection") {
+				t.Fatalf("exchange after the peer left: err = %v, want an error naming worker 0's departure", err)
+			}
+		})
 	}
 }
 

@@ -5,37 +5,62 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"ebv/internal/frame"
 	"ebv/internal/graph"
 )
 
-// encodeV4Frame writes one v4 frame for (job, step, active, batch) and
-// returns the wire bytes.
+// encodeV4Frame writes the direct-exchange bundle worker 0 of a 2-worker
+// mesh sends worker 1 for (job, step, active, batch) — one block in the v4
+// column codecs, none for an empty batch — and returns the wire bytes.
 func encodeV4Frame(t testing.TB, job uint32, step int, active bool, batch *MessageBatch) []byte {
 	t.Helper()
+	var blocks []wireBlock
+	if batch.Len() > 0 {
+		raw, err := appendBlock(nil, 0, 1, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = []wireBlock{{src: 0, dst: 1, raw: raw}}
+	}
+	var flags byte
+	if active {
+		flags = bundleActive
+	}
+	width := 1
+	if batch != nil {
+		width = batch.Width
+	}
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	var s v4Scratch
-	n, err := writeJobFrameV4(bw, job, step, active, batch, &s)
+	n, err := writeBundle(bw, job, step, 0, flags, width, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != buf.Len() {
-		t.Fatalf("writeJobFrameV4 reported %d wire bytes, wrote %d", n, buf.Len())
+		t.Fatalf("writeBundle reported %d wire bytes, wrote %d", n, buf.Len())
 	}
 	return buf.Bytes()
 }
 
-// decodeV4Frame reads one v4 frame back.
+// decodeV4Frame reads such a bundle back as worker 1 and decodes its block.
 func decodeV4Frame(frame []byte) (job uint32, step int, active bool, batch *MessageBatch, err error) {
-	var s v4Scratch
-	return readJobFrameV4(bufio.NewReader(bytes.NewReader(frame)), &s)
+	var s bundleScratch
+	b, err := readBundle(bufio.NewReader(bytes.NewReader(frame)), 2, 0, 1, &s)
+	if err != nil {
+		return 0, 0, false, nil, err
+	}
+	if len(b.blocks) > 0 {
+		if batch, err = decodeBlock(b.blocks[0].raw, b.width); err != nil {
+			return 0, 0, false, nil, err
+		}
+	}
+	return b.job, b.step, b.flags&bundleActive != 0, batch, nil
 }
 
 // assertV4RoundTrip encodes batch and asserts the decode is bit-identical.
@@ -123,7 +148,7 @@ func TestV4FrameCompressesIntegralPayloads(t *testing.T) {
 		b.AppendScalar(graph.VertexID(i*7), float64(i%64))
 	}
 	frame := encodeV4Frame(t, 1, 0, true, b)
-	raw := jobFrameHeaderBytesV4 + b.Len()*4 + b.Len()*8
+	raw := bundleHeaderBytes + blockHeaderBytes + b.Len()*4 + b.Len()*8
 	if len(frame)*3 > raw {
 		t.Fatalf("v4 frame is %d bytes, raw layout %d: less than the 3x target", len(frame), raw)
 	}
@@ -139,22 +164,22 @@ func TestV4FrameRawFallback(t *testing.T) {
 		b.AppendScalar(graph.VertexID(i), math.Float64frombits(rng.Uint64()))
 	}
 	frame := encodeV4Frame(t, 1, 0, true, b)
-	if flags := frame[13]; flags&v4FlagPackedVal != 0 {
+	if flags := frame[bundleHeaderBytes+4]; flags&v4FlagPackedVal != 0 {
 		t.Fatalf("high-entropy payload kept the packed flag (flags %#x)", flags)
 	}
-	if max := jobFrameHeaderBytesV4 + 5*b.Len() + 8*b.Len(); len(frame) > max {
+	if max := bundleHeaderBytes + blockHeaderBytes + 5*b.Len() + 8*b.Len(); len(frame) > max {
 		t.Fatalf("fallback frame is %d bytes, want <= %d", len(frame), max)
 	}
 	assertV4RoundTrip(t, b)
 }
 
-// TestV4FrameEmptyCanonical: empty and nil batches encode the canonical
-// empty frame (no columns, no flags) and decode to a nil batch.
+// TestV4FrameEmptyCanonical: empty and nil batches send no block — the
+// bundle is its bare header — and decode to a nil batch.
 func TestV4FrameEmptyCanonical(t *testing.T) {
 	for _, b := range []*MessageBatch{nil, NewMessageBatch(3)} {
 		frame := encodeV4Frame(t, 9, 1, false, b)
-		if len(frame) != jobFrameHeaderBytesV4 {
-			t.Fatalf("empty frame is %d bytes, want the bare header (%d)", len(frame), jobFrameHeaderBytesV4)
+		if len(frame) != bundleHeaderBytes {
+			t.Fatalf("empty frame is %d bytes, want the bare header (%d)", len(frame), bundleHeaderBytes)
 		}
 		job, step, active, got, err := decodeV4Frame(frame)
 		if err != nil || job != 9 || step != 1 || active || got != nil {
@@ -202,45 +227,77 @@ func TestV4FrameBitFlipRejected(t *testing.T) {
 	}
 }
 
-// TestV4FrameRejectsCorruptHeaders: a header claiming an impossible shape
-// is rejected from the header alone, before anything is allocated or read
-// for it — a corrupt or hostile peer cannot force a giant allocation.
+// sealBundle seals body as a direct-exchange bundle under a valid CRC, so
+// only the shape checks can reject it.
+func sealBundle(flags byte, nblocks, width int, body []byte) []byte {
+	return sealBundleRound(0, flags, nblocks, width, body)
+}
+
+// sealBundleRound is sealBundle for any round.
+func sealBundleRound(round int, flags byte, nblocks, width int, body []byte) []byte {
+	h := make([]byte, bundleHeaderBytes, bundleHeaderBytes+len(body))
+	binary.LittleEndian.PutUint32(h[0:4], bundleMagic)
+	h[12] = byte(round)
+	h[13] = flags
+	binary.LittleEndian.PutUint16(h[14:16], uint16(nblocks))
+	binary.LittleEndian.PutUint32(h[16:20], uint32(width))
+	binary.LittleEndian.PutUint32(h[20:24], uint32(len(body)))
+	binary.LittleEndian.PutUint32(h[24:28], frame.Checksum(frame.Checksum(0, h[4:24]), body))
+	return append(h, body...)
+}
+
+// blockHeader builds a block header claiming the given shape.
+func blockHeader(src, dst int, flags byte, count, idBytes, valBytes uint32) []byte {
+	h := make([]byte, blockHeaderBytes)
+	binary.LittleEndian.PutUint16(h[0:2], uint16(src))
+	binary.LittleEndian.PutUint16(h[2:4], uint16(dst))
+	h[4] = flags
+	binary.LittleEndian.PutUint32(h[5:9], count)
+	binary.LittleEndian.PutUint32(h[9:13], idBytes)
+	binary.LittleEndian.PutUint32(h[13:17], valBytes)
+	return h
+}
+
+// TestV4FrameRejectsCorruptHeaders: a bundle or block header claiming an
+// impossible shape is rejected under a valid CRC, before any column is
+// decoded — a corrupt or hostile peer cannot force a giant allocation or a
+// read past the bundle.
 func TestV4FrameRejectsCorruptHeaders(t *testing.T) {
-	mk := func(width, count, idBytes, valBytes uint32) []byte {
-		buf := make([]byte, jobFrameHeaderBytesV4)
-		binary.LittleEndian.PutUint32(buf[0:4], jobFrameMagicV4)
-		buf[13] = v4FlagDeltaIDs
-		binary.LittleEndian.PutUint32(buf[14:18], width)
-		binary.LittleEndian.PutUint32(buf[18:22], count)
-		binary.LittleEndian.PutUint32(buf[22:26], idBytes)
-		binary.LittleEndian.PutUint32(buf[26:30], valBytes)
-		return buf
+	const ids = v4FlagDeltaIDs
+	mk := func(width int, count, idBytes, valBytes uint32) []byte {
+		return sealBundle(0, 1, width, blockHeader(0, 1, ids, count, idBytes, valBytes))
 	}
 	cases := map[string][]byte{
 		"zero-width":      mk(0, 5, 5, 40),
 		"huge-width":      mk(1<<20, 5, 5, 40),
 		"huge-count":      mk(1, 1<<30, 1<<30, 0),
+		"empty-block":     mk(1, 0, 0, 0),
 		"short-id-column": mk(1, 2, 1, 16),
 		"long-id-column":  mk(1, 2, 11, 16),
 		"bad-raw-values":  mk(1, 2, 2, 15),
 		"overflow-values": mk(1<<16, 1<<28, 1<<28, 0),
+		"columns-overrun": mk(1, 2, 2, 16),
+		"no-delta-ids":    sealBundle(0, 1, 1, append(blockHeader(0, 1, 0, 1, 1, 8), make([]byte, 9)...)),
+		"unknown-flags":   sealBundle(1<<3, 0, 1, nil),
+		"blocks-beyond":   sealBundle(0, 1, 1, nil),
+		"too-many-blocks": sealBundle(0, 2, 1, make([]byte, 2*blockHeaderBytes)),
+		"trailing-bytes":  sealBundle(0, 0, 1, []byte{0}),
+		"direct-round-1":  sealBundleRound(1, 0, 0, 1, nil),
 	}
 	for name, frame := range cases {
 		_, _, _, _, err := decodeV4Frame(frame)
-		if err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("%s: err = %v, want a shape error from the header alone", name, err)
+		if err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || strings.Contains(err.Error(), "CRC") {
+			t.Fatalf("%s: err = %v, want a shape error", name, err)
 		}
 	}
 
-	// Flag bit 0x04 is assigned to nothing: a frame carrying it is rejected
-	// even when its CRC is valid.
-	frame := encodeV4Frame(t, 1, 0, true, jobBatch(4, 1, 1))
-	frame[13] |= 1 << 2
-	tab := crc32.MakeTable(crc32.Castagnoli)
-	crc := crc32.Update(crc32.Update(0, tab, frame[4:30]), tab, frame[jobFrameHeaderBytesV4:])
-	binary.LittleEndian.PutUint32(frame[30:34], crc)
-	if _, _, _, _, err := decodeV4Frame(frame); err == nil || !strings.Contains(err.Error(), "unknown flags") {
-		t.Fatalf("flag 0x04 with a valid CRC: err = %v, want an unknown-flags error", err)
+	// Block flag bit 0x04 is assigned to nothing: a block carrying it is
+	// rejected even when the CRC is valid.
+	good := encodeV4Frame(t, 1, 0, true, jobBatch(4, 1, 1))
+	body := bytes.Clone(good[bundleHeaderBytes:])
+	body[4] |= 1 << 2
+	if _, _, _, _, err := decodeV4Frame(sealBundle(good[13], 1, 4, body)); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+		t.Fatalf("block flag 0x04 with a valid CRC: err = %v, want an unknown-flags error", err)
 	}
 }
 
@@ -258,9 +315,7 @@ func TestJobMuxCrossWidthFrameRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw := bufio.NewWriter(d.nodes[0].conns[1])
-	var s v4Scratch
-	if _, err := writeJobFrameV4(bw, 5, 0, true, jobBatch(4, 9, 1), &s); err != nil {
+	if _, err := d.nodes[0].conns[1].Write(encodeV4Frame(t, 5, 0, true, jobBatch(4, 9, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ts[1].Exchange(1, 0, nil, true); err == nil || !strings.Contains(err.Error(), "width") {

@@ -34,6 +34,9 @@ func WireMeshNode(ctx context.Context, worker int, addrs []string, ln net.Listen
 	if worker < 0 || worker >= k {
 		return nil, fmt.Errorf("transport: worker %d out of range [0,%d)", worker, k)
 	}
+	if k > maxWireWorkers {
+		return nil, fmt.Errorf("transport: %d workers exceed the wire's %d", k, maxWireWorkers)
+	}
 	if dialTimeout <= 0 {
 		dialTimeout = 30 * time.Second
 	}
