@@ -224,15 +224,3 @@ func TestPublicPartitionerRegistry(t *testing.T) {
 		t.Fatal("experiment set changed")
 	}
 }
-
-func TestPublicFaultInjector(t *testing.T) {
-	mem, err := ebv.NewMemTransport(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	fi := &ebv.FaultInjector{Inner: mem, FailWorker: 0, FailStep: 0}
-	if _, err := fi.Exchange(0, 0, nil, false); err == nil {
-		t.Fatal("fault did not fire")
-	}
-}

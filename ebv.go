@@ -222,9 +222,6 @@ type (
 	// MessageCounts reports a run's pre/post-combine message-row counts
 	// (RunResult.MessageCounts).
 	MessageCounts = bsp.MessageCounts
-	// FaultInjector wraps a Transport to fail a chosen exchange — the
-	// failure-injection hook used in tests.
-	FaultInjector = transport.FaultInjector
 )
 
 // BSP entry points. RunBSP takes a context whose cancellation aborts the
@@ -238,8 +235,7 @@ var (
 	ReadSubgraph  = bsp.ReadSubgraph
 	// RunBSP is the one-shot whole-job run over the in-memory transport;
 	// Pipeline.Open is the prepare-once/serve-many form.
-	RunBSP          = bsp.Run
-	NewMemTransport = transport.NewMem
+	RunBSP = bsp.Run
 	// RunOptions for Pipeline WithRun and Session.Run; the RunConfig struct
 	// literal is the other form.
 	WithMaxSteps            = bsp.WithMaxSteps

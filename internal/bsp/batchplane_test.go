@@ -67,6 +67,22 @@ func (m injectMesh) OpenJob(job uint32, width int) ([]transport.Transport, error
 	return trs, nil
 }
 
+// memJob opens one width-1 job on a fresh in-memory deployment for k
+// workers and returns its transports; the deployment closes with the test.
+func memJob(t *testing.T, k int) []transport.Transport {
+	t.Helper()
+	mem, err := transport.NewMemDeployment(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = mem.Close() })
+	trs, err := mem.OpenJob(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trs
+}
+
 // faultyMem returns an in-memory mesh for k workers failing through inj.
 func faultyMem(t *testing.T, k int, inj *transport.FaultInjector) transport.Deployment {
 	t.Helper()

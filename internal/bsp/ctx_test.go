@@ -109,10 +109,7 @@ func TestNewConfigOptions(t *testing.T) {
 func TestRunWorkerCancel(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 1)
-	mem, err := transport.NewMem(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mem := memJob(t, 1)[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)

@@ -130,7 +130,7 @@ func (d *Deployment) Run(ctx context.Context, prog Program, cfg Config) (*Result
 		return nil, fmt.Errorf("bsp: open job %d: %w", job, err)
 	}
 	// runWorkers closes the job transports itself on cancellation or
-	// failure; close unconditionally so a completed job retires its mux
+	// failure; close unconditionally so a completed job drops its job
 	// entry (Close is idempotent and job-scoped — the mesh stays up).
 	defer func() {
 		for _, tr := range trs {

@@ -143,11 +143,7 @@ func TestMultiProcessStyleRun(t *testing.T) {
 func TestRunWorkerValidation(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 2)
-	mem, err := transport.NewMem(3) // wrong worker count
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
+	mem := memJob(t, 3)[0] // wrong worker count
 	if _, err := bsp.RunWorker(t.Context(), subs[0], &apps.CC{}, mem, bsp.Config{}, nil); err == nil {
 		t.Fatal("mismatched transport accepted")
 	}

@@ -79,12 +79,7 @@ func (w spinWorker) Values() *graph.ValueMatrix {
 // TestFaultInjectorPassthrough checks the injector is transparent before
 // the configured failure point.
 func TestFaultInjectorPassthrough(t *testing.T) {
-	mem, err := transport.NewMem(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	fi := &transport.FaultInjector{Inner: mem, FailWorker: 0, FailStep: 5}
+	fi := &transport.FaultInjector{Inner: memJob(t, 1)[0], FailWorker: 0, FailStep: 5}
 	for step := 0; step < 5; step++ {
 		if _, err := fi.Exchange(0, step, nil, false); err != nil {
 			t.Fatalf("step %d: %v", step, err)

@@ -89,7 +89,7 @@ func (r *MessagesResult) print(w io.Writer, title string, cell func(MessageCell)
 	return t.write(w)
 }
 
-// messagesCache memoizes the shared Table IV/V runs per Options.
+// computeMessages runs the CC jobs that Table IV and Table V report on.
 func computeMessages(ctx context.Context, opt Options) (*MessagesResult, error) {
 	res := &MessagesResult{}
 	for _, analogue := range gen.Analogues() {

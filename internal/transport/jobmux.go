@@ -171,9 +171,10 @@ const smallBlockBytes = 4096
 // bundles to the owning job's inbox. Interleaved jobs' batches therefore
 // never cross: a bundle for job j is only ever delivered to job j's
 // Exchange, a bundle whose width disagrees with the job's fails that job
-// loudly, and a bundle for a job the node has never opened kills the node
-// (cross-job corruption is a protocol violation, not noise). The wire is
-// the CRC-sealed EBV5 bundle (bundle.go).
+// loudly, a bundle for a closed job (an id below the watermark, see admit)
+// is dropped as a straggler, and one for an id not yet admitted kills the
+// node (cross-job corruption is a protocol violation, not noise). The wire
+// is the CRC-sealed EBV5 bundle (bundle.go).
 //
 // The demux readers start with the node's first job. Nodes of a
 // multi-process mesh finish wiring at different moments, so a fast peer's
@@ -191,25 +192,24 @@ type MeshNode struct {
 	wire    struct{ bytes, bundles, blocks, rows atomic.Int64 } // written to peers (see WireStats)
 
 	mu       sync.Mutex
-	jobs     map[uint32]*muxJob
-	retired  map[uint32]struct{}
-	started  bool   // demux readers running
-	gone     []bool // gone[peer]: peer closed its connection between frames (see peerGone)
-	failed   error  // node death (conn error, corrupt or cross-job frame, Close); nil while healthy
-	tornDown bool   // fail already ran (jobs failed, connections closed)
+	jobs     map[uint32]*muxJob // open jobs
+	next     uint64             // job-id watermark (see admit)
+	started  bool               // demux readers running
+	gone     []bool             // gone[peer]: peer closed its connection between frames (see peerGone)
+	failed   error              // node death (conn error, corrupt or cross-job frame, Close); nil while healthy
+	tornDown bool               // fail already ran (jobs failed, connections closed)
 }
 
 func newMeshNode(worker int, conns []net.Conn) *MeshNode {
 	k := len(conns)
 	return &MeshNode{
-		worker:  worker,
-		k:       k,
-		conns:   conns,
-		bufw:    make([]*bufio.Writer, k),
-		wmu:     make([]sync.Mutex, k),
-		jobs:    make(map[uint32]*muxJob),
-		retired: make(map[uint32]struct{}),
-		gone:    make([]bool, k),
+		worker: worker,
+		k:      k,
+		conns:  conns,
+		bufw:   make([]*bufio.Writer, k),
+		wmu:    make([]sync.Mutex, k),
+		jobs:   make(map[uint32]*muxJob),
+		gone:   make([]bool, k),
 	}
 }
 
@@ -254,22 +254,16 @@ type muxJob struct {
 var _ Transport = (*muxJob)(nil)
 
 // OpenJob registers a job on this node and returns the worker's Transport
-// for it. The id must be unique for the lifetime of the node, and every
-// node of the mesh must open the job under the same id and width.
+// for it. Ids only go up (see admit), and every node of the mesh must open
+// the job under the same id and width.
 func (n *MeshNode) OpenJob(job uint32, width int) (Transport, error) {
-	if width < 1 || width > MaxValueWidth {
-		return nil, fmt.Errorf("transport: job %d width %d out of range [1,%d]", job, width, MaxValueWidth)
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.failed != nil {
 		return nil, fmt.Errorf("transport: worker %d mesh node failed: %w", n.worker, n.failed)
 	}
-	if _, open := n.jobs[job]; open {
-		return nil, fmt.Errorf("transport: job %d already open", job)
-	}
-	if _, was := n.retired[job]; was {
-		return nil, fmt.Errorf("transport: job %d already served (ids are single-use)", job)
+	if err := admit(&n.next, job, width); err != nil {
+		return nil, err
 	}
 	j := &muxJob{
 		node:  n,
@@ -317,7 +311,7 @@ func (n *MeshNode) Close() error {
 	return nil
 }
 
-// failJob retires a job with the given cause, releasing its blocked
+// failJob closes a job with the given cause, releasing its blocked
 // exchanges. Idempotent; the node keeps serving other jobs.
 func (n *MeshNode) failJob(j *muxJob, cause error) {
 	n.mu.Lock()
@@ -326,7 +320,6 @@ func (n *MeshNode) failJob(j *muxJob, cause error) {
 		return
 	}
 	delete(n.jobs, j.job)
-	n.retired[j.job] = struct{}{}
 	j.err = cause
 	close(j.done)
 	n.mu.Unlock()
@@ -418,16 +411,15 @@ func (n *MeshNode) readLoop(peer int) {
 func (n *MeshNode) route(peer int, b bundle, s *bundleScratch) error {
 	n.mu.Lock()
 	j, open := n.jobs[b.job]
+	closed := uint64(b.job) < n.next
+	n.mu.Unlock()
 	if !open {
-		_, wasServed := n.retired[b.job]
-		n.mu.Unlock()
-		if wasServed {
-			return nil // straggler bundle of a finished job: drop
+		if closed {
+			return nil // straggler bundle of a closed job: drop
 		}
 		return fmt.Errorf("worker %d received a bundle for unknown job %d from worker %d (cross-job corruption)",
 			n.worker, b.job, peer)
 	}
-	n.mu.Unlock()
 	if b.width != j.width {
 		n.failJob(j, fmt.Errorf("transport: job %d is width %d, bundle from worker %d has width %d",
 			b.job, j.width, peer, b.width))
@@ -502,8 +494,8 @@ func (j *muxJob) failure() error {
 	return ErrClosed
 }
 
-// drainInboxes recycles queued frames of a retired job (best-effort: a
-// frame routed concurrently with retirement is stranded to the GC, which
+// drainInboxes recycles queued frames of a closed job (best-effort: a
+// frame routed concurrently with the close is stranded to the GC, which
 // the pool tolerates).
 func (j *muxJob) drainInboxes() {
 	for _, ch := range j.in {
@@ -703,7 +695,7 @@ func (j *muxJob) take(peer, step, round int, bruck bool, flags *byte, in []*Mess
 // NumWorkers implements Transport.
 func (j *muxJob) NumWorkers() int { return j.node.k }
 
-// Close implements Transport: it retires this worker's view of the job
+// Close implements Transport: it closes this worker's view of the job
 // (releasing its blocked Exchange, recycling queued frames); the mesh and
 // every other job stay up.
 func (j *muxJob) Close() error {

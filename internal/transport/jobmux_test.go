@@ -105,8 +105,9 @@ func runJobPairAssertIsolation(t *testing.T, d Deployment) {
 	}
 }
 
-// TestDeploymentJobIDsSingleUse: a retired job id cannot be reopened on
-// either deployment flavor.
+// TestDeploymentJobIDsSingleUse: on either deployment flavor an id below
+// the watermark is refused, whether it is open, closed or was never
+// opened, and closing a job leaves no entry behind.
 func TestDeploymentJobIDsSingleUse(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -132,10 +133,42 @@ func TestDeploymentJobIDsSingleUse(t *testing.T) {
 				_ = tr.Close()
 			}
 			if _, err := d.OpenJob(7, 1); err == nil {
-				t.Fatal("reopening a retired job id succeeded")
+				t.Fatal("reopening a closed job id succeeded")
+			}
+			if _, err := d.OpenJob(5, 1); err == nil {
+				t.Fatal("opening a never-opened id below the watermark succeeded")
+			}
+			if open := openJobs(d); open != 0 {
+				t.Fatalf("%d job entries left after every job closed", open)
+			}
+			ts, err = d.OpenJob(8, 1)
+			if err != nil {
+				t.Fatalf("opening the next id: %v", err)
+			}
+			for _, tr := range ts {
+				_ = tr.Close()
 			}
 		})
 	}
+}
+
+// openJobs counts the job entries a deployment still holds, on every node.
+func openJobs(d Deployment) int {
+	switch d := d.(type) {
+	case *MemDeployment:
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.jobs)
+	case *TCPMeshDeployment:
+		open := 0
+		for _, n := range d.nodes {
+			n.mu.Lock()
+			open += len(n.jobs)
+			n.mu.Unlock()
+		}
+		return open
+	}
+	panic(fmt.Sprintf("unknown deployment %T", d))
 }
 
 // TestJobMuxCrossWidthSendRejected: handing a batch of the wrong width to
@@ -197,6 +230,67 @@ func TestJobMuxUnknownJobFrameKillsNode(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("unknown-job frame was swallowed; Exchange still blocked")
+	}
+}
+
+// TestJobMuxStragglerDropped: a bundle for a closed job — an id below the
+// watermark — is a straggler and is dropped, and the node goes on to serve
+// the next job; a bundle for an id at the watermark, not yet admitted,
+// still kills the node as cross-job corruption.
+func TestJobMuxStragglerDropped(t *testing.T) {
+	d, err := NewTCPMeshDeployment(t.Context(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ts, err := d.OpenJob(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range ts {
+		_ = tr.Close()
+	}
+	// Written ahead of job 2's bundles on the same stream, so worker 1's
+	// demux routes it first.
+	if _, err := d.nodes[0].conns[1].Write(encodeV4Frame(t, 1, 0, true, jobBatch(1, 3, 1))); err != nil {
+		t.Fatal(err)
+	}
+	ts, err = d.OpenJob(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var got ExchangeResult
+	var gotErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got, gotErr = ts[1].Exchange(1, 0, nil, false)
+	}()
+	_, err = ts[0].Exchange(0, 0, []*MessageBatch{nil, jobBatch(1, 5, 2)}, false)
+	wg.Wait()
+	if err = errors.Join(err, gotErr); err != nil {
+		t.Fatalf("job 2 after the straggler: %v", err)
+	}
+	if in := got.In[0]; in.Len() != 1 || in.IDs[0] != 5 || in.Scalar(0) != 2 || got.AnyActive {
+		t.Fatalf("job 2 after the straggler: got %v / %v, active %v", in.IDs, in.Vals, got.AnyActive)
+	}
+
+	if _, err := d.nodes[0].conns[1].Write(encodeV4Frame(t, 3, 0, true, jobBatch(1, 3, 1))); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ts[1].Exchange(1, 1, nil, true)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "unknown job 3") {
+			t.Fatalf("bundle for an id at the watermark: err = %v, want a loud unknown-job error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("bundle for an unadmitted id was swallowed; Exchange still blocked")
 	}
 }
 

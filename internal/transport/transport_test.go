@@ -2,8 +2,12 @@ package transport
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"ebv/internal/graph"
 )
@@ -42,16 +46,18 @@ func runExchange(t *testing.T, trs []Transport, step int,
 	return results
 }
 
-func memTrio(t *testing.T, k int) []Transport {
+// memTrio opens one job of the given width on a fresh in-memory
+// deployment.
+func memTrio(t *testing.T, k, width int) []Transport {
 	t.Helper()
-	m, err := NewMem(k)
+	d, err := NewMemDeployment(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = m.Close() })
-	trs := make([]Transport, k)
-	for i := range trs {
-		trs[i] = m
+	t.Cleanup(func() { _ = d.Close() })
+	trs, err := d.OpenJob(1, width)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return trs
 }
@@ -116,9 +122,9 @@ func testDelivery(t *testing.T, trs []Transport) {
 	}
 }
 
-func TestMemDelivery(t *testing.T)   { testDelivery(t, memTrio(t, 4)) }
+func TestMemDelivery(t *testing.T)   { testDelivery(t, memTrio(t, 4, 1)) }
 func TestTCPDelivery(t *testing.T)   { testDelivery(t, tcpTrio(t, 4, 1)) }
-func TestMemSingle(t *testing.T)     { testDelivery(t, memTrio(t, 1)) }
+func TestMemSingle(t *testing.T)     { testDelivery(t, memTrio(t, 1, 1)) }
 func TestTCPTwoWorkers(t *testing.T) { testDelivery(t, tcpTrio(t, 2, 1)) }
 
 // testWideDelivery moves width-3 rows and checks every column survives.
@@ -150,11 +156,11 @@ func testWideDelivery(t *testing.T, trs []Transport) {
 	}
 }
 
-func TestMemWideDelivery(t *testing.T) { testWideDelivery(t, memTrio(t, 3)) }
+func TestMemWideDelivery(t *testing.T) { testWideDelivery(t, memTrio(t, 3, 3)) }
 func TestTCPWideDelivery(t *testing.T) { testWideDelivery(t, tcpTrio(t, 3, 3)) }
 
 func TestMemManySteps(t *testing.T) {
-	trs := memTrio(t, 3)
+	trs := memTrio(t, 3, 1)
 	for step := 0; step < 50; step++ {
 		outs := make([][]*MessageBatch, 3)
 		actives := make([]bool, 3)
@@ -172,6 +178,97 @@ func TestMemManySteps(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMemExchangeSkewStress drives two interleaved jobs through 1 000
+// exchanges each at k = 8, every worker pausing a random while before each
+// exchange, so fast workers deposit the next generation while slow ones
+// still collect this one. Every slot of In must hold exactly the batch its
+// source sent that step (or nil where it sent none), and AnyActive must
+// follow the votes: one worker votes active on every third step and none
+// on the others, so each mailbox parity sees the vote both set and clear.
+func TestMemExchangeSkewStress(t *testing.T) {
+	const k, steps = 8, 1000
+	d, err := NewMemDeployment(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	sends := func(step, src, dst int) bool { return (step+src+dst)%5 != 0 }
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*k)
+	for job := uint32(1); job <= 2; job++ {
+		trs, err := d.OpenJob(job, int(job))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < k; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				err := skewWorker(trs[w], job, w, steps, sends)
+				if err != nil {
+					_ = trs[w].Close() // release the job's other workers
+				}
+				errs <- err
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// skewWorker is one worker of TestMemExchangeSkewStress: batch (step, src,
+// dst) carries the one row id = step, value = 1000·job + k·src + dst.
+func skewWorker(tr Transport, job uint32, w, steps int, sends func(step, src, dst int) bool) error {
+	k, width := tr.NumWorkers(), int(job)
+	r := rand.New(rand.NewPCG(uint64(job), uint64(w)))
+	row := make([]float64, width)
+	for step := 0; step < steps; step++ {
+		switch r.IntN(4) {
+		case 0:
+			time.Sleep(time.Duration(r.IntN(50)) * time.Microsecond)
+		case 1:
+			runtime.Gosched()
+		}
+		out := make([]*MessageBatch, k)
+		for dst := range out {
+			if sends(step, w, dst) {
+				row[0] = float64(1000*int(job) + k*w + dst)
+				out[dst] = GetBatch(width)
+				out[dst].AppendRow(graph.VertexID(step), row)
+			}
+		}
+		res, err := tr.Exchange(w, step, out, step%3 == 0 && w == step%k)
+		if err != nil {
+			return fmt.Errorf("job %d worker %d step %d: %w", job, w, step, err)
+		}
+		if res.AnyActive != (step%3 == 0) {
+			return fmt.Errorf("job %d worker %d step %d: AnyActive = %v", job, w, step, res.AnyActive)
+		}
+		for src, in := range res.In {
+			want := float64(1000*int(job) + k*src + w)
+			switch {
+			case !sends(step, src, w):
+				if in != nil {
+					return fmt.Errorf("job %d worker %d step %d: unexpected batch from %d", job, w, step, src)
+				}
+			case in == nil:
+				return fmt.Errorf("job %d worker %d step %d: no batch from %d", job, w, step, src)
+			case in.Len() != 1 || in.Width != width || in.IDs[0] != graph.VertexID(step) || in.Scalar(0) != want:
+				return fmt.Errorf("job %d worker %d step %d from %d: got ids %v vals %v, want step %d value %g",
+					job, w, step, src, in.IDs, in.Vals, step, want)
+			default:
+				RecycleBatch(in)
+			}
+		}
+	}
+	return nil
 }
 
 func TestTCPLargeBatch(t *testing.T) {
@@ -204,31 +301,24 @@ func TestTCPLargeBatch(t *testing.T) {
 }
 
 func TestMemClosedErrors(t *testing.T) {
-	m, err := NewMem(2)
-	if err != nil {
+	trs := memTrio(t, 2, 1)
+	if err := trs[1].Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Exchange(0, 0, nil, false); !errors.Is(err, ErrClosed) {
+	if _, err := trs[0].Exchange(0, 0, nil, false); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
 
 func TestMemRejectsBadWorker(t *testing.T) {
-	m, err := NewMem(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if _, err := m.Exchange(7, 0, nil, false); err == nil {
+	trs := memTrio(t, 2, 1)
+	if _, err := trs[0].Exchange(7, 0, nil, false); err == nil {
 		t.Fatal("out-of-range worker accepted")
 	}
 }
 
-func TestNewMemRejectsBadK(t *testing.T) {
-	if _, err := NewMem(0); err == nil {
+func TestNewMemDeploymentRejectsBadK(t *testing.T) {
+	if _, err := NewMemDeployment(0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"ebv/internal/graph"
 )
 
-// v4 frame flag bits (the header's flags byte).
+// v4 frame flag bits (the block header's flags byte).
 const (
 	v4FlagDeltaIDs  = 1 << 0 // ID column is zigzag-delta uvarints
 	v4FlagPackedVal = 1 << 1 // value column is the per-value packed codec

@@ -325,9 +325,10 @@ func (s *Session) Stats() SessionStats {
 // Apply validates and applies one mutation batch — edge inserts assigned
 // online by the session's MutationPolicy, deletes matched against the
 // current edge list — atomically between jobs: the affected subgraphs are
-// patched incrementally (full rebuild only as fallback) and swapped into
-// the deployment as a new epoch. Jobs already running finish on the
-// snapshot they started with; jobs admitted afterwards see the new graph.
+// patched incrementally (rebuilt only under live.Config.ForceRebuild) and
+// swapped into the deployment as a new epoch. Jobs already running finish
+// on the snapshot they started with; jobs admitted afterwards see the new
+// graph.
 // A batch either fully applies or fully rejects (ErrMutationRejected);
 // on rejection nothing changed. Safe for concurrent use with Run; Apply
 // calls serialize with each other.
