@@ -19,9 +19,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"ebv"
 	"ebv/internal/apps"
@@ -343,6 +345,52 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkOpenStages times Pipeline.Open over a text edge list at the
+// benchmark's powerlaw-mem scale (100 k vertices, 1 M directed edges,
+// η = 2.2, seed 2021, k = 8) and reports the mean time of each stage
+// before the run — load (read and parse), partition (§IV-C sort and
+// Algorithm 1) and build — so a setup_s change can be placed in a layer.
+// The text is written once, outside the timed loop.
+func BenchmarkOpenStages(b *testing.B) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{
+		NumVertices: 100000, NumEdges: 1000000, Eta: 2.2, Directed: true, Seed: 2021,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "powerlaw.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := graph.WriteEdgeList(f, g); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var load, part, build time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := ebv.NewPipeline(ebv.FromEdgeList(path), ebv.Subgraphs(8)).Open(b.Context())
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := s.Prepared()
+		load += res.LoadTime
+		part += res.PartitionTime
+		build += res.BuildTime
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(ms(load), "load_ms")
+	b.ReportMetric(ms(part), "partition_ms")
+	b.ReportMetric(ms(build), "build_ms")
 }
 
 // benchFanIn is the high-fan-in messaging kernel of the combiner bench: R

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"ebv/internal/graph"
 	"ebv/internal/partition"
@@ -138,8 +139,7 @@ func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.
 		return a, nil
 	}
 
-	order := edgeOrder(g, e.order)
-	edges := g.Edges()
+	recs := edgeOrder(g, e.order)
 	st := partition.NewState(numV, k)
 	norm := newFixedNorm(e.alpha, e.beta, numE, numV, k)
 
@@ -150,24 +150,19 @@ func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.
 	// evaluation yields.
 	balance := norm.balances(st)
 
-	// Edges are handled in blocks of CancelCheckInterval: ctx is polled once
-	// per block, and the block's endpoints are gathered up front so the
-	// random loads into the edge list overlap each other instead of
-	// stalling one assignment each.
-	block := make([]graph.Edge, min(numE, partition.CancelCheckInterval))
-	for start := 0; start < numE; start += len(block) {
+	// The loop streams the records and writes each part in processing
+	// order; the parts reach a.Parts[ID] in one scatter after the loop.
+	// ctx is polled once per CancelCheckInterval edges.
+	parts := make([]int32, numE)
+	for start := 0; start < numE; start += partition.CancelCheckInterval {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ids := order[start:min(start+len(block), numE)]
-		for j, edgeID := range ids {
-			block[j] = edges[edgeID]
-		}
-		for j, edgeID := range ids {
-			ed := block[j]
-			best := argminScore(balance, st.Row(ed.Src), st.Row(ed.Dst))
-			a.Parts[edgeID] = int32(best)
-			st.Place(ed, best)
+		end := min(start+partition.CancelCheckInterval, numE)
+		for j, r := range recs[start:end] {
+			best := argminScore(balance, st.Row(r.Src), st.Row(r.Dst))
+			parts[start+j] = int32(best)
+			st.Place(r.Edge, best)
 			balance[best] = norm.balance(st.Ecount[best], st.Vcount[best])
 
 			if done := start + j + 1; e.growth != nil && e.growthEvery > 0 && done%e.growthEvery == 0 {
@@ -175,6 +170,11 @@ func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.
 			}
 		}
 	}
+	graph.ForPieces(numE, graph.Pieces(numE), func(_, lo, hi int) {
+		for j := lo; j < hi; j++ {
+			a.Parts[recs[j].ID] = parts[j]
+		}
+	})
 	if e.growth != nil && e.growthEvery > 0 {
 		e.growth(numE, float64(st.Replicas)/float64(numV))
 	}
@@ -277,21 +277,19 @@ func argminScore(balance []float64, rowU, rowV []uint64) int {
 	return best
 }
 
-// edgeOrder materializes a processing order.
-func edgeOrder(g *graph.Graph, o Order) []int32 {
+// edgeOrder materializes a processing order as (Edge, ID) records.
+func edgeOrder(g *graph.Graph, o Order) []graph.IndexedEdge {
 	switch o {
 	case OrderInput:
-		order := make([]int32, g.NumEdges())
-		for i := range order {
-			order[i] = int32(i)
+		recs := make([]graph.IndexedEdge, g.NumEdges())
+		for i, e := range g.Edges() {
+			recs[i] = graph.IndexedEdge{Edge: e, ID: int32(i)}
 		}
-		return order
+		return recs
 	case OrderSortedDesc:
-		asc := g.SortedBySumDegree()
-		for i, j := 0, len(asc)-1; i < j; i, j = i+1, j-1 {
-			asc[i], asc[j] = asc[j], asc[i]
-		}
-		return asc
+		recs := g.SortedBySumDegree()
+		slices.Reverse(recs)
+		return recs
 	default:
 		return g.SortedBySumDegree()
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -120,7 +121,7 @@ func TestFigure1Example(t *testing.T) {
 	}
 	// The low-degree edge (B,C) must be processed first under sorting.
 	order := g.SortedBySumDegree()
-	if first := g.Edge(int(order[0])); first != (graph.Edge{Src: 1, Dst: 2}) {
+	if first := order[0].Edge; first != (graph.Edge{Src: 1, Dst: 2}) {
 		t.Errorf("first sorted edge %v, want (B,C)=(1,2)", first)
 	}
 }
@@ -279,7 +280,7 @@ func TestAlphaBetaAccessors(t *testing.T) {
 // membership rows, the cached balance term and the block gather: one bitset
 // per part, every score evaluated from the counters. It is the oracle
 // TestEBVMatchesReferenceLoop holds the production loop to.
-func referenceAssign(g *graph.Graph, k int, alpha, beta float64, order []int32) []int32 {
+func referenceAssign(g *graph.Graph, k int, alpha, beta float64, order []graph.IndexedEdge) []int32 {
 	numE, numV := g.NumEdges(), g.NumVertices()
 	parts := make([]int32, numE)
 	keep := make([]partition.Bitset, k)
@@ -290,8 +291,8 @@ func referenceAssign(g *graph.Graph, k int, alpha, beta float64, order []int32) 
 	vcount := make([]int, k)
 	eNorm := alpha / (float64(numE) / float64(k))
 	vNorm := beta / (float64(numV) / float64(k))
-	for _, edgeID := range order {
-		ed := g.Edge(int(edgeID))
+	for _, r := range order {
+		ed := g.Edge(int(r.ID))
 		u, v := int(ed.Src), int(ed.Dst)
 		best := 0
 		bestScore := math.Inf(1)
@@ -309,7 +310,7 @@ func referenceAssign(g *graph.Graph, k int, alpha, beta float64, order []int32) 
 				best = i
 			}
 		}
-		parts[edgeID] = int32(best)
+		parts[r.ID] = int32(best)
 		ecount[best]++
 		if !keep[best].Get(u) {
 			keep[best].Set(u)
@@ -438,6 +439,58 @@ func TestGoldenGrowthSamples(t *testing.T) {
 	for i := range got {
 		if got[i] != goldenGrowth[i] {
 			t.Errorf("sample %d = %v, golden %v", i, got[i], goldenGrowth[i])
+		}
+	}
+}
+
+// TestFanOutDeterminism runs the §IV-C sort, EBV in all three orders and
+// ParallelEBV at GOMAXPROCS 1 and 4 and asserts identical output. The sort
+// and the part scatter split |E| GOMAXPROCS ways once every piece gets
+// 64 Ki edges, so besides the pinned graphs it runs a graph big enough to
+// split 4 ways, whose bucket arrays also leave room for 4 pieces.
+func TestFanOutDeterminism(t *testing.T) {
+	graphs := pinnedGraphs(t)
+	wide, err := gen.PowerLaw(gen.PowerLawConfig{
+		NumVertices: 20000, NumEdges: 4 << 16, Eta: 2.2, Directed: true, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := wide.NumEdges(); n < 4*max(wide.NumVertices(), 2*wide.MaxDegree()+1) {
+		t.Fatalf("wide graph's bucket arrays leave room for %d pieces, want 4", n/max(wide.NumVertices(), 2*wide.MaxDegree()+1))
+	}
+	graphs["wide"] = wide
+
+	run := func(procs int) map[string]string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out := make(map[string]string)
+		for name, g := range graphs {
+			recs := g.SortedBySumDegree()
+			ids := make([]int32, len(recs))
+			for i, r := range recs {
+				ids[i] = r.ID
+			}
+			out[name+"/sort"] = partsSHA256(&partition.Assignment{Parts: ids})
+			partitioners := []partition.Partitioner{
+				New(WithOrder(OrderSorted)), New(WithOrder(OrderInput)), New(WithOrder(OrderSortedDesc)), &ParallelEBV{},
+			}
+			for _, p := range partitioners {
+				a, err := p.Partition(t.Context(), g, 8)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, p.Name(), err)
+				}
+				out[name+"/"+p.Name()] = partsSHA256(a)
+			}
+		}
+		return out
+	}
+	one, four := run(1), run(4)
+	if len(one) != 3*5 {
+		t.Fatalf("%d cells, want 15", len(one))
+	}
+	for key, h := range one {
+		if four[key] != h {
+			t.Errorf("%s: GOMAXPROCS 4 gives %s, GOMAXPROCS 1 %s", key, four[key], h)
 		}
 	}
 }

@@ -71,8 +71,7 @@ func (p *ParallelEBV) Partition(ctx context.Context, g *graph.Graph, k int) (*pa
 	if p.NoSort {
 		sortOrder = OrderInput
 	}
-	order := edgeOrder(g, sortOrder)
-	edges := g.Edges()
+	recs := edgeOrder(g, sortOrder)
 
 	epoch := p.EpochEdges
 	if epoch <= 0 {
@@ -94,10 +93,10 @@ func (p *ParallelEBV) Partition(ctx context.Context, g *graph.Graph, k int) (*pa
 			return nil, err
 		}
 		// Carve one shard of the order per worker for this epoch.
-		var shards [][]int32
+		var shards [][]graph.IndexedEdge
 		for w := 0; w < workers && cursor < numE; w++ {
 			end := min(cursor+epoch, numE)
-			shards = append(shards, order[cursor:end])
+			shards = append(shards, recs[cursor:end])
 			cursor = end
 		}
 
@@ -120,13 +119,12 @@ func (p *ParallelEBV) Partition(ctx context.Context, g *graph.Graph, k int) (*pa
 					}
 					return st.Row(v)
 				}
-				for _, edgeID := range shard {
-					e := edges[edgeID]
-					best := argminScore(balance, row(e.Src), row(e.Dst))
-					a.Parts[edgeID] = int32(best)
+				for _, rec := range shard {
+					best := argminScore(balance, row(rec.Src), row(rec.Dst))
+					a.Parts[rec.ID] = int32(best)
 					ecount[best]++
 					w, bit := best>>6, uint64(1)<<uint(best&63)
-					for _, v := range [2]graph.VertexID{e.Src, e.Dst} {
+					for _, v := range [2]graph.VertexID{rec.Src, rec.Dst} {
 						r, own := overlay[v]
 						if !own {
 							r = st.Row(v)
@@ -150,8 +148,8 @@ func (p *ParallelEBV) Partition(ctx context.Context, g *graph.Graph, k int) (*pa
 		// Synchronization: replay every worker's decisions, in shard
 		// order, into the global state.
 		for _, shard := range shards {
-			for _, edgeID := range shard {
-				st.Place(edges[edgeID], int(a.Parts[edgeID]))
+			for _, rec := range shard {
+				st.Place(rec.Edge, int(a.Parts[rec.ID]))
 			}
 		}
 	}

@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzReadEdgeList checks that arbitrary text input never panics the
-// parser, that the chunked parallel parse agrees exactly with a sequential
-// one (same graph or same error, line number included), and that anything
-// the parser accepts survives a write/read round trip.
+// parser, that the loader agrees exactly with the sequential reference
+// loader at every forced window and chunk size (same graph or same error,
+// line number included), and that anything it accepts survives a
+// write/read round trip.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
 	f.Add("# comment\n5\t7\n")
@@ -19,6 +20,8 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("4294967295 0\n")
 	f.Add("1 2 3 4\n")
 	f.Add("0 1\r\n\n% c\n2 2")
+	f.Add("007 08\n0\t\t1 \n+1 2\n")
+	f.Add("1 2x\n-1 2\n3 4")
 	f.Fuzz(func(t *testing.T, input string) {
 		data := []byte(input)
 		if hasLongDigitRun(data, 7) {
@@ -29,25 +32,10 @@ func FuzzReadEdgeList(f *testing.F) {
 			// overflow errors are pinned by crafted tests instead.
 			return
 		}
-		g, err := readEdgeListChunked(data, false, 1, len(data)+1)
-		gp, errp := readEdgeListChunked(data, false, 4, 7)
-		if (err == nil) != (errp == nil) {
-			t.Fatalf("sequential err = %v, parallel err = %v", err, errp)
-		}
+		assertLoaderMatchesReference(t, data, false)
+		g, err := referenceReadEdgeList(data, false)
 		if err != nil {
-			if err.Error() != errp.Error() {
-				t.Fatalf("sequential err %q, parallel err %q", err, errp)
-			}
 			return // rejected input is fine; panics are not
-		}
-		if g.NumVertices() != gp.NumVertices() || g.NumEdges() != gp.NumEdges() {
-			t.Fatalf("parallel parse diverged: V %d/%d, E %d/%d",
-				g.NumVertices(), gp.NumVertices(), g.NumEdges(), gp.NumEdges())
-		}
-		for i := 0; i < g.NumEdges(); i++ {
-			if g.Edge(i) != gp.Edge(i) {
-				t.Fatalf("parallel parse reordered edge %d: %v != %v", i, g.Edge(i), gp.Edge(i))
-			}
 		}
 		var buf bytes.Buffer
 		if err := WriteEdgeList(&buf, g); err != nil {
@@ -64,8 +52,9 @@ func FuzzReadEdgeList(f *testing.F) {
 }
 
 // FuzzReadEdgeListUndirected mirrors FuzzReadEdgeList for mirrored inputs,
-// where self-loops are stored once: accepted graphs must survive the
-// undirected write/read round trip with edge order preserved.
+// where self-loops are stored once: the loader must agree with the
+// reference loader, and accepted graphs must survive the undirected
+// write/read round trip with edge order preserved.
 func FuzzReadEdgeListUndirected(f *testing.F) {
 	f.Add("0 1\n1 2\n")
 	f.Add("0 0\n1 1\n0 1\n")
@@ -74,6 +63,7 @@ func FuzzReadEdgeListUndirected(f *testing.F) {
 		if hasLongDigitRun([]byte(input), 7) {
 			return // see FuzzReadEdgeList: avoid multi-GiB degree arrays
 		}
+		assertLoaderMatchesReference(t, []byte(input), true)
 		g, err := ReadEdgeList(strings.NewReader(input), true)
 		if err != nil {
 			return

@@ -12,6 +12,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 )
 
 // VertexID identifies a vertex. Vertex IDs are dense: a graph with n
@@ -128,70 +130,150 @@ func (g *Graph) MaxDegree() int {
 	return maxDeg
 }
 
-// SortedBySumDegree returns a new slice of edge indices ordered ascending by
-// the sum of end-vertex total degrees, breaking ties by (src, dst) and then
-// by edge index so the order is fully deterministic. This is the paper's
-// §IV-C sorting preprocessing; it is exposed here because multiple
-// partitioners and the Figure 5 harness reuse it.
+// IndexedEdge is an edge together with its index in Graph.Edges(): one
+// record of an edge processing order.
+type IndexedEdge struct {
+	Edge
+	ID int32
+}
+
+// SortedBySumDegree returns the edges, each with its index, ordered
+// ascending by the sum of end-vertex total degrees, breaking ties by
+// (src, dst) and then by edge index so the order is fully deterministic.
+// This is the paper's §IV-C sorting preprocessing; it is exposed here
+// because multiple partitioners and the Figure 5 harness reuse it.
 //
 // It is a stable LSD counting sort — by dst, then src, then degree sum —
-// so it costs O(|E| + |V|): three scatter passes over two |E|-sized index
-// buffers (one is the result), one bucket array of
+// over (Edge, ID) records, so every pass reads its input in order and
+// none gathers from the edge list. Each pass splits its input into at
+// most Pieces(|E|) contiguous pieces, counted and scattered concurrently
+// with per-piece bucket offsets (Zagha & Blelloch, SC 1991): bucket b's
+// slots go to the pieces in input order, so the result is the same
+// permutation at any split. It costs O(|E| + P·buckets): two 12-byte
+// record buffers (one is the result), P bucket arrays of
 // max(|V|, 2·MaxDegree + 1) counters and a |V|-sized total-degree array.
-func (g *Graph) SortedBySumDegree() []int32 {
-	numE := len(g.edges)
-	order := make([]int32, numE)
+func (g *Graph) SortedBySumDegree() []IndexedEdge {
+	return g.sortedBySumDegree(Pieces(len(g.edges)))
+}
+
+// sortedBySumDegree is SortedBySumDegree split at most maxPieces ways.
+func (g *Graph) sortedBySumDegree(maxPieces int) []IndexedEdge {
+	numE, numV := len(g.edges), g.numVertices
 	if numE == 0 {
-		return order
+		return []IndexedEdge{}
 	}
-	deg := make([]int32, g.numVertices)
+	deg := make([]int32, numV)
 	maxDeg := int32(0)
 	for v := range deg {
 		deg[v] = g.outDeg[v] + g.inDeg[v]
 		maxDeg = max(maxDeg, deg[v])
 	}
-	next := make([]int32, max(g.numVertices, 2*int(maxDeg)+1))
-	scratch := make([]int32, numE)
+	sumBuckets := 2*int(maxDeg) + 1
+	buckets := max(numV, sumBuckets)
+	// Every piece owns a bucket array: fan out only as far as those stay
+	// within about one counter per edge (a hub's degree can make the
+	// degree-sum buckets outnumber the edges).
+	s := countingSort{n: numE, pieces: max(1, min(maxPieces, numE/buckets))}
+	s.counts = make([]int32, s.pieces*buckets)
+	recs, scratch := make([]IndexedEdge, numE), make([]IndexedEdge, numE)
 
-	// starts turns per-bucket counts into each bucket's first output slot.
-	starts := func(counts []int32) {
-		sum := int32(0)
-		for b, c := range counts {
-			counts[b] = sum
-			sum += c
+	// Pass 1, by dst, reads the edge list and builds the records as it
+	// scatters them; reading in index order makes the index the final
+	// tie-break.
+	s.pass(numV, func(c []int32, lo, hi int) {
+		for _, e := range g.edges[lo:hi] {
+			c[e.Dst]++
+		}
+	}, func(next []int32, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := g.edges[i]
+			scratch[next[e.Dst]] = IndexedEdge{Edge: e, ID: int32(i)}
+			next[e.Dst]++
+		}
+	})
+	// Pass 2, by src.
+	s.pass(numV, func(c []int32, lo, hi int) {
+		for _, r := range scratch[lo:hi] {
+			c[r.Src]++
+		}
+	}, func(next []int32, lo, hi int) {
+		for _, r := range scratch[lo:hi] {
+			recs[next[r.Src]] = r
+			next[r.Src]++
+		}
+	})
+	// Pass 3, by degree sum.
+	s.pass(sumBuckets, func(c []int32, lo, hi int) {
+		for _, r := range recs[lo:hi] {
+			c[int(deg[r.Src])+int(deg[r.Dst])]++
+		}
+	}, func(next []int32, lo, hi int) {
+		for _, r := range recs[lo:hi] {
+			key := int(deg[r.Src]) + int(deg[r.Dst])
+			scratch[next[key]] = r
+			next[key]++
+		}
+	})
+	return scratch
+}
+
+// countingSort runs the stable counting-sort passes of SortedBySumDegree
+// over n records split into pieces contiguous ranges.
+type countingSort struct {
+	n, pieces int
+	counts    []int32 // pieces bucket arrays, back to back
+}
+
+// pass is one stable counting-sort pass with keys in [0, buckets): count
+// tallies the keys of records [lo, hi) into c, then scatter moves those
+// records to their slots, next[key]++ after each. Every piece counts and
+// scatters on its own goroutine.
+func (s *countingSort) pass(buckets int, count, scatter func(c []int32, lo, hi int)) {
+	counts := s.counts[:s.pieces*buckets]
+	ForPieces(s.n, s.pieces, func(p, lo, hi int) {
+		c := counts[p*buckets : (p+1)*buckets]
+		clear(c)
+		count(c, lo, hi)
+	})
+	// Turn the counts into each piece's first slot per bucket: bucket by
+	// bucket, then piece by piece, so a piece's records follow those of
+	// every earlier piece with the same key.
+	sum := int32(0)
+	for b := 0; b < buckets; b++ {
+		for p := b; p < len(counts); p += buckets {
+			counts[p], sum = sum, sum+counts[p]
 		}
 	}
+	ForPieces(s.n, s.pieces, func(p, lo, hi int) {
+		scatter(counts[p*buckets:(p+1)*buckets], lo, hi)
+	})
+}
 
-	// Pass 1, by dst, into order: the bucket sizes are the cached
-	// in-degrees, and reading the edges in index order makes the index the
-	// final tie-break.
-	copy(next, g.inDeg)
-	starts(next[:g.numVertices])
-	for i, e := range g.edges {
-		order[next[e.Dst]] = int32(i)
-		next[e.Dst]++
-	}
+// minPieceEdges is the smallest share of an |E|-sized pass worth a
+// goroutine of its own.
+const minPieceEdges = 1 << 16
 
-	// Pass 2, by src, into scratch: bucket sizes are the out-degrees.
-	copy(next, g.outDeg)
-	starts(next[:g.numVertices])
-	for _, id := range order {
-		src := g.edges[id].Src
-		scratch[next[src]] = id
-		next[src]++
-	}
+// Pieces returns how many ways an |E|-sized pass over n edges fans out:
+// min(GOMAXPROCS, n/64Ki), at least 1.
+func Pieces(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/minPieceEdges))
+}
 
-	// Pass 3, by degree sum, back into order.
-	clear(next)
-	for _, e := range g.edges {
-		next[int(deg[e.Src])+int(deg[e.Dst])]++
+// ForPieces splits [0, n) into pieces contiguous ranges — piece p is
+// [p·n/pieces, (p+1)·n/pieces) — runs fn on each, concurrently when there
+// is more than one, and returns once every call has.
+func ForPieces(n, pieces int, fn func(p, lo, hi int)) {
+	if pieces <= 1 {
+		fn(0, 0, n)
+		return
 	}
-	starts(next)
-	for _, id := range scratch {
-		e := g.edges[id]
-		key := int(deg[e.Src]) + int(deg[e.Dst])
-		order[next[key]] = id
-		next[key]++
+	var wg sync.WaitGroup
+	for p := 0; p < pieces; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(p, p*n/pieces, (p+1)*n/pieces)
+		}()
 	}
-	return order
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -95,13 +96,13 @@ func TestSortedBySumDegree(t *testing.T) {
 		t.Fatalf("order length %d", len(order))
 	}
 	// (4,5) has degree sum 2, the star edges have 4; (4,5) must be first.
-	first := g.Edge(int(order[0]))
+	first := order[0].Edge
 	if first.Src != 4 || first.Dst != 5 {
 		t.Errorf("first edge %v, want (4,5)", first)
 	}
 	// Ties broken by (src, dst): star edges must appear in input order.
 	for i := 1; i < 4; i++ {
-		e := g.Edge(int(order[i]))
+		e := order[i].Edge
 		if e.Src != 0 || e.Dst != VertexID(i) {
 			t.Errorf("order[%d] = %v, want (0,%d)", i, e, i)
 		}
@@ -147,16 +148,41 @@ func referenceSortedBySumDegree(g *Graph) []int32 {
 
 func assertSortMatchesReference(t testing.TB, g *Graph) {
 	t.Helper()
-	got, want := g.SortedBySumDegree(), referenceSortedBySumDegree(g)
+	want := referenceSortedBySumDegree(g)
+	assertOrder(t, g, "SortedBySumDegree", g.SortedBySumDegree(), want)
+	for _, pieces := range []int{2, 3, 7} {
+		assertOrder(t, g, fmt.Sprintf("%d pieces", pieces), g.sortedBySumDegree(pieces), want)
+	}
+}
+
+func assertOrder(t testing.TB, g *Graph, name string, got []IndexedEdge, want []int32) {
+	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("V=%d E=%d: order has %d entries, reference %d", g.NumVertices(), g.NumEdges(), len(got), len(want))
+		t.Fatalf("V=%d E=%d %s: order has %d entries, reference %d", g.NumVertices(), g.NumEdges(), name, len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("V=%d E=%d: order[%d] = edge %d %v, reference has edge %d %v",
-				g.NumVertices(), g.NumEdges(), i, got[i], g.Edge(int(got[i])), want[i], g.Edge(int(want[i])))
+		if got[i].ID != want[i] || got[i].Edge != g.Edge(int(got[i].ID)) {
+			t.Fatalf("V=%d E=%d %s: order[%d] = edge %d %v, reference has edge %d %v",
+				g.NumVertices(), g.NumEdges(), name, i, got[i].ID, got[i].Edge, want[i], g.Edge(int(want[i])))
 		}
 	}
+}
+
+// TestSortedBySumDegreePieces runs the sort split up to 7 ways on a graph
+// whose bucket arrays leave room for all 7 (|E| ≥ 7·max(|V|, 2·MaxDegree
+// + 1)): the per-piece bucket offsets must give the reference permutation
+// at every split.
+func TestSortedBySumDegreePieces(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	edges := make([]Edge, 100000)
+	for i := range edges {
+		edges[i] = Edge{Src: VertexID(r.Intn(1000)), Dst: VertexID(r.Intn(1000))}
+	}
+	g := mustGraph(t, 1000, edges)
+	if g.NumEdges() < 7*max(g.NumVertices(), 2*g.MaxDegree()+1) {
+		t.Fatalf("test graph too small to split 7 ways (max degree %d)", g.MaxDegree())
+	}
+	assertSortMatchesReference(t, g)
 }
 
 func TestSortedBySumDegreeMatchesReference(t *testing.T) {

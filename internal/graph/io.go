@@ -67,10 +67,15 @@ func ReadEdgeList(r io.Reader, undirected bool) (*Graph, error) {
 // ReadEdgeListParallel is ReadEdgeList with an explicit parallelism degree:
 // the input streams through line-aligned windows of parallelism chunks,
 // and each window's chunks are parsed concurrently by at most parallelism
-// goroutines (<= 0 selects GOMAXPROCS, 1 parses sequentially). Peak memory
-// stays at one window of text (~parallelism MB) plus the edge slice; the
-// resulting graph is identical to a sequential parse — chunk results
-// concatenate in input order, and error line numbers are global.
+// goroutines (<= 0 selects GOMAXPROCS, 1 parses sequentially) while one
+// more goroutine reads the next window. At most two windows of text
+// (~parallelism MB each) are resident; the parsed chunks (8 bytes of edge
+// capacity per line) are kept until the input ends and then copied once
+// into the exactly sized edge slice, so peak memory is the two windows,
+// the chunks and that slice. The resulting graph is
+// identical to a sequential parse — chunk results concatenate in input
+// order, and error line numbers are global. An error returns once the
+// read in flight, at most one window, completes.
 func ReadEdgeListParallel(r io.Reader, undirected bool, parallelism int) (*Graph, error) {
 	return readEdgeListStream(r, undirected, parallelism, edgeListChunkSize)
 }
@@ -92,76 +97,48 @@ func readEdgeListStream(r io.Reader, undirected bool, parallelism, chunkSize int
 	if chunkSize < 1 {
 		chunkSize = 1
 	}
-	var (
-		edges    []Edge
-		maxID    int64 = -1
-		lineBase int   // lines consumed by previous windows
-		carry    int   // partial trailing line carried at buf[:carry]
-	)
-	// Start with a single-chunk window so a small input never pays for
-	// the full fan-out buffer; scale up once the input proves larger.
-	windowBytes := parallelism * chunkSize
-	buf := make([]byte, chunkSize)
-	for {
-		n, readErr := io.ReadFull(r, buf[carry:])
-		total := carry + n
-		final := readErr == io.EOF || readErr == io.ErrUnexpectedEOF
-		if readErr != nil && !final {
-			return nil, fmt.Errorf("graph: read edge list: %w", readErr)
+	windows := make(chan textWindow)
+	free := make(chan []byte, windowBuffers) // never blocks: one slot per buffer
+	stop := make(chan struct{})
+	go readWindows(r, chunkSize, parallelism*chunkSize, windows, free, stop)
+	defer func() {
+		close(stop)
+		for range windows { // returns once readWindows has
 		}
-		window := buf[:total]
-		if !final {
-			cut := bytes.LastIndexByte(window, '\n')
-			if cut < 0 {
-				// One line spans the whole window: grow and keep reading,
-				// up to the per-line cap (the window starts at a line
-				// boundary, so total is the line's length so far).
-				if total > maxEdgeListLine {
-					return nil, fmt.Errorf("graph: line %d: %w", lineBase+1, errLineTooLong)
-				}
-				grown := make([]byte, 2*len(buf))
-				copy(grown, window)
-				buf, carry = grown, total
-				continue
-			}
-			window = window[:cut+1]
-		}
+	}()
 
-		results := parseChunksParallel(window, parallelism, chunkSize)
+	var (
+		chunks   []edgeChunk
+		lineBase int // lines consumed by earlier chunks
+	)
+	for w := range windows {
+		if errors.Is(w.err, errLineTooLong) {
+			// The window holding the long line starts at a line boundary.
+			return nil, fmt.Errorf("graph: line %d: %w", lineBase+1, errLineTooLong)
+		}
+		if w.err != nil {
+			return nil, w.err
+		}
+		results := parseChunksParallel(w.text, parallelism, chunkSize)
+		free <- w.buf
 		for i := range results {
 			if results[i].err != nil {
-				line := lineBase + results[i].errLine
-				for j := 0; j < i; j++ {
-					line += results[j].lines
-				}
-				return nil, fmt.Errorf("graph: line %d: %w", line, results[i].err)
+				return nil, fmt.Errorf("graph: line %d: %w", lineBase+results[i].errLine, results[i].err)
 			}
-		}
-		for i := range results {
 			lineBase += results[i].lines
-			if results[i].maxID > maxID {
-				maxID = results[i].maxID
-			}
-			if edges == nil {
-				edges = results[i].edges
-			} else {
-				edges = append(edges, results[i].edges...)
-			}
 		}
-
-		if final {
-			break
-		}
-		carry = total - len(window)
-		if len(buf) < windowBytes {
-			grown := make([]byte, windowBytes)
-			copy(grown, buf[len(window):total])
-			buf = grown
-		} else {
-			copy(buf, buf[len(window):total])
-		}
+		chunks = append(chunks, results...)
 	}
 
+	numE, maxID := 0, int64(-1)
+	for _, c := range chunks {
+		numE += len(c.edges)
+		maxID = max(maxID, c.maxID)
+	}
+	edges := make([]Edge, 0, numE)
+	for _, c := range chunks {
+		edges = append(edges, c.edges...)
+	}
 	n := int(maxID + 1)
 	if undirected {
 		return NewUndirected(n, edges)
@@ -169,10 +146,94 @@ func readEdgeListStream(r io.Reader, undirected bool, parallelism, chunkSize int
 	return New(n, edges)
 }
 
+// windowBuffers is how many window buffers readWindows keeps in flight:
+// the one being parsed and the one being filled.
+const windowBuffers = 2
+
+// textWindow is one line-aligned window of edge-list text, or the error
+// that ended the input.
+type textWindow struct {
+	buf  []byte // the buffer holding text, handed back on free once parsed
+	text []byte // whole lines, except that the input's last line may lack '\n'
+	err  error  // errLineTooLong (the caller knows the line number) or a read error
+}
+
+// readWindows cuts r into line-aligned windows and sends them on out in
+// input order until the input ends, a read fails or stop closes; it closes
+// out when it returns. The first window is at most first bytes, so a small
+// input never pays for a full fan-out buffer, and later ones size bytes;
+// a window grows while one line spans it, up to maxEdgeListLine. Window
+// buffers circulate through free, windowBuffers of them at most. The
+// partial line after a window's last newline is copied out before the
+// window is sent, so a buffer handed back holds nothing readWindows
+// still needs.
+func readWindows(r io.Reader, first, size int, out chan<- textWindow, free <-chan []byte, stop <-chan struct{}) {
+	defer close(out)
+	send := func(w textWindow) bool {
+		select {
+		case out <- w:
+			return true
+		case <-stop:
+			return false
+		}
+	}
+	var carry []byte
+	want := first
+	for made := 0; ; want = size {
+		var buf []byte
+		if made < windowBuffers {
+			made++ // a new buffer, allocated below
+		} else {
+			select {
+			case buf = <-free:
+			case <-stop:
+				return
+			}
+		}
+		if need := max(want, 2*len(carry)); len(buf) < need {
+			buf = make([]byte, need)
+		}
+		n := copy(buf, carry)
+		for {
+			m, err := io.ReadFull(r, buf[n:])
+			n += m
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				if n > 0 {
+					send(textWindow{buf: buf, text: buf[:n]})
+				}
+				return
+			}
+			if err != nil {
+				send(textWindow{err: fmt.Errorf("graph: read edge list: %w", err)})
+				return
+			}
+			if cut := bytes.LastIndexByte(buf[:n], '\n'); cut >= 0 {
+				carry = append(carry[:0], buf[cut+1:n]...)
+				if !send(textWindow{buf: buf, text: buf[:cut+1]}) {
+					return
+				}
+				break
+			}
+			// One line spans the whole window: grow and keep reading, up
+			// to the per-line cap (the window starts at a line boundary,
+			// so n is the line's length so far).
+			if n > maxEdgeListLine {
+				send(textWindow{err: errLineTooLong})
+				return
+			}
+			grown := make([]byte, 2*len(buf))
+			copy(grown, buf[:n])
+			buf = grown
+		}
+	}
+}
+
 // parseChunksParallel splits a line-aligned window into ~chunkSize pieces
-// and parses them on up to parallelism goroutines.
+// and parses them on up to parallelism goroutines. A window shorter than
+// parallelism chunks — the first and the last — is cut into parallelism
+// smaller pieces instead, so it still occupies every goroutine.
 func parseChunksParallel(window []byte, parallelism, chunkSize int) []edgeChunk {
-	chunks := splitChunks(window, chunkSize)
+	chunks := splitChunks(window, min(chunkSize, (len(window)+parallelism-1)/parallelism))
 	results := make([]edgeChunk, len(chunks))
 	if parallelism > len(chunks) {
 		parallelism = len(chunks)
@@ -242,16 +303,24 @@ type edgeChunk struct {
 }
 
 // parseEdgeChunk parses one line-aligned chunk with a byte-level scanner:
-// no intermediate strings, no strings.Fields/TrimSpace allocations.
+// no intermediate strings, no strings.Fields/TrimSpace allocations. A
+// canonical line takes scanCanonicalLine's one-pass path; every other line
+// goes through parseEdgeLine.
 func parseEdgeChunk(data []byte) edgeChunk {
 	res := edgeChunk{maxID: -1}
 	if len(data) == 0 {
 		return res
 	}
-	res.edges = make([]Edge, 0, len(data)/8+1)
+	res.edges = make([]Edge, 0, bytes.Count(data, []byte{'\n'})+1)
 	line := 0
 	for len(data) > 0 {
 		line++
+		if src, dst, n := scanCanonicalLine(data); n > 0 {
+			res.maxID = max(res.maxID, int64(src), int64(dst))
+			res.edges = append(res.edges, Edge{Src: src, Dst: dst})
+			data = data[n:]
+			continue
+		}
 		var ln []byte
 		if nl := bytes.IndexByte(data, '\n'); nl < 0 {
 			ln, data = data, nil
@@ -276,16 +345,56 @@ func parseEdgeChunk(data []byte) edgeChunk {
 				max(src, dst), uint64(maxLoadVertexID))
 			return res
 		}
-		if int64(src) > res.maxID {
-			res.maxID = int64(src)
-		}
-		if int64(dst) > res.maxID {
-			res.maxID = int64(dst)
-		}
+		res.maxID = max(res.maxID, int64(src), int64(dst))
 		res.edges = append(res.edges, Edge{Src: VertexID(src), Dst: VertexID(dst)})
 	}
 	res.lines = line
 	return res
+}
+
+// scanCanonicalLine parses the line at the start of data if it is
+// canonical — digits, a run of spaces and tabs, digits, then '\n' or the
+// end of data, with each id at most 10 digits and at most maxLoadVertexID
+// — and returns its ids and its length including the newline. It returns
+// n == 0 for any other line. parseEdgeLine reads a canonical line the same
+// way and finds no error in it, so taking this path changes nothing but
+// the speed.
+func scanCanonicalLine(data []byte) (src, dst VertexID, n int) {
+	src, i, ok := scanCanonicalID(data, 0)
+	if !ok {
+		return 0, 0, 0
+	}
+	j := i
+	for j < len(data) && (data[j] == ' ' || data[j] == '\t') {
+		j++
+	}
+	if j == i {
+		return 0, 0, 0
+	}
+	dst, end, ok := scanCanonicalID(data, j)
+	if !ok || end > maxEdgeListLine {
+		return 0, 0, 0
+	}
+	if end < len(data) {
+		if data[end] != '\n' {
+			return 0, 0, 0
+		}
+		end++
+	}
+	return src, dst, end
+}
+
+// scanCanonicalID reads the run of at most 11 digits at data[i:] and
+// reports whether it is a canonical id: 1 to 10 digits, at most
+// maxLoadVertexID.
+func scanCanonicalID(data []byte, i int) (VertexID, int, bool) {
+	var v uint64
+	j := i
+	for j < len(data) && j-i <= 10 && data[j]-'0' <= 9 {
+		v = v*10 + uint64(data[j]-'0')
+		j++
+	}
+	return VertexID(v), j, j > i && j-i <= 10 && v <= maxLoadVertexID
 }
 
 // isEdgeListSpace reports the ASCII field separators of the SNAP format.

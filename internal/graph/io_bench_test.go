@@ -50,7 +50,7 @@ func BenchmarkSortedBySumDegree(b *testing.B) {
 	g := benchBinaryGraph(b, 1000000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if order := g.SortedBySumDegree(); len(order) != g.NumEdges() {
+		if recs := g.SortedBySumDegree(); len(recs) != g.NumEdges() {
 			b.Fatal("short order")
 		}
 	}
