@@ -20,10 +20,10 @@
 // Per attempt the process wires one mesh node (dialing peers with
 // exponential backoff until -dial-timeout expires, so workers may start in
 // any order) and opens its job on it; every frame between workers is a
-// job-tagged, compressed, CRC-checked EBV5 bundle. A worker that finishes
-// its last superstep does not wait for its peers — they still receive
-// everything it sent — while a worker that dies mid-run fails its peers'
-// next exchange loudly.
+// job-tagged, CRC-checked EBV6 bundle of fixed-width columns. A worker
+// that finishes its last superstep does not wait for its peers — they
+// still receive everything it sent — while a worker that dies mid-run
+// fails its peers' next exchange loudly.
 package main
 
 import (

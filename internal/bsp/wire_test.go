@@ -1,8 +1,7 @@
-// Wire equivalence: the compressed, CRC-sealed bundle wire and its radix-2
-// relays must be invisible to results — every app produces, over the TCP
-// mesh, a ValueMatrix byte-identical to the in-memory deployment's — while
-// cutting wire bytes at least 3x against raw columns on the
-// integral-payload apps.
+// Wire equivalence: the CRC-sealed bundle wire of fixed-width columns and
+// its radix-2 relays must be invisible to results — every app produces,
+// over the TCP mesh, a ValueMatrix byte-identical to the in-memory
+// deployment's — and the bytes it moves are exactly its layout's.
 package bsp_test
 
 import (
@@ -53,8 +52,7 @@ func runOverMesh(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.C
 // widths {1, 8} × combine {off, on} runs over the in-memory deployment
 // (the reference) and the TCP mesh at k = 3 (direct exchange only), 4 and
 // 8 (radix 2 on small steps); values must be byte-identical, steps
-// and message counts equal, and the integral-payload apps must move at
-// least 3x fewer wire bytes than the same bundles with raw columns.
+// and message counts equal, and the wire bytes exactly the layout's.
 func TestWireV4EquivalenceAllApps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up a TCP mesh per app/width/combine")
@@ -69,18 +67,6 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 		}
 		subsByK[k] = buildWeightedSubs(t, g, a)
 	}
-	// The integral-payload apps — labels (CC) and hop counts (SSSP) — hit
-	// the 3x target at every width via the integral fast path. PageRank
-	// and WSSSP move noisy mantissas (v4 only wins the ID column
-	// at width 1) but their width-8 runs pad 7 zero columns, which pack
-	// to a descriptor byte each, clearing 3x there too. Aggregate's
-	// mean-aggregation payloads are noisy at every width; it must still
-	// never regress.
-	wantRatio := map[string]float64{
-		"CC/w1": 3, "CC/w8": 3,
-		"SSSP/w1": 3, "SSSP/w8": 3,
-		"PR/w8": 3, "WSSSP/w8": 3,
-	}
 	for _, prog := range combinerApps() {
 		for _, width := range []int{1, 8} {
 			for _, combine := range []bool{false, true} {
@@ -88,7 +74,7 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/combine=%t", name, combine), func(t *testing.T) {
 					for _, k := range ks {
 						t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
-							checkWireEquivalence(t, subsByK[k], prog, bsp.Config{ValueWidth: width, AutoCombine: combine}, wantRatio[name])
+							checkWireEquivalence(t, subsByK[k], prog, bsp.Config{ValueWidth: width, AutoCombine: combine})
 						})
 					}
 				})
@@ -98,8 +84,8 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 }
 
 // checkWireEquivalence runs prog over Mem and over the TCP mesh and checks
-// byte identity, the counts, and the wire ratio against raw columns.
-func checkWireEquivalence(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.Config, wantRatio float64) {
+// byte identity, the counts, and the exact wire bytes.
+func checkWireEquivalence(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.Config) {
 	ref := runOverDeployment(t, subs, nil, prog, cfg)
 	res, wire := runOverMesh(t, subs, prog, cfg)
 	if !res.Values.EqualValues(ref.Values) {
@@ -115,20 +101,14 @@ func checkWireEquivalence(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, 
 	if wire.Bytes == 0 || wire.Rows < counts.Wire {
 		t.Fatalf("wire counters %+v did not count the %d wire rows", wire, counts.Wire)
 	}
-	// The bundles the exchange wrote, with raw columns — a 28-byte bundle
-	// header each, a 17-byte header per block they carried, and a 4-byte
-	// id plus width 8-byte values per row, relays counted once per hop.
-	rawBytes := 28*wire.Bundles + 17*wire.Blocks + wire.Rows*int64(4+8*cfg.ValueWidth)
-	ratio := float64(rawBytes) / float64(wire.Bytes)
-	t.Logf("wire: %d bundles, %d blocks, %d rows (%d delivered); raw %d B, sent %d B (%.2fx)",
-		wire.Bundles, wire.Blocks, wire.Rows, counts.Wire, rawBytes, wire.Bytes, ratio)
-	if wantRatio > 0 && ratio < wantRatio {
-		t.Fatalf("moved %d wire bytes vs raw columns' %d: %.2fx, want >= %.0fx", wire.Bytes, rawBytes, ratio, wantRatio)
-	}
-	// Even the noisy-mantissa apps must not regress past the framing
-	// overhead: the raw-value fallback caps the loss.
-	if float64(wire.Bytes) > 1.25*float64(rawBytes) {
-		t.Fatalf("moved %d wire bytes vs raw columns' %d: compressed format regressed", wire.Bytes, rawBytes)
+	// The bundles the exchange wrote: a 28-byte bundle header each, an
+	// 8-byte header per block they carried, and a 4-byte id plus width
+	// 8-byte values per row, relays counted once per hop.
+	want := 28*wire.Bundles + 8*wire.Blocks + wire.Rows*int64(4+8*cfg.ValueWidth)
+	t.Logf("wire: %d bundles, %d blocks, %d rows (%d delivered); %d B",
+		wire.Bundles, wire.Blocks, wire.Rows, counts.Wire, wire.Bytes)
+	if wire.Bytes != want {
+		t.Fatalf("moved %d wire bytes, want exactly %d", wire.Bytes, want)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // Bulk little-endian column codecs: the one set of helpers behind every
 // format that ships whole numeric slices verbatim — the shard codec
 // (bsp.WriteSubgraph), the cluster's done frame and checkpoint files, and
-// the raw value column of a v4 job frame. Append* grow dst exactly once;
+// both columns of a TCP data block (EBV6). Append* grow dst exactly once;
 // Take* check the claimed length against the bytes actually present
-// before allocating, so a corrupt count can never size an allocation.
+// before allocating, so a corrupt count can never size an allocation;
+// Decode* fill a caller's slice from bytes the caller has checked.
 // Errors carry no package prefix: callers attribute them.
 
 // AppendU32s appends vals to dst as 32-bit words.
@@ -33,6 +34,15 @@ func AppendF64s(dst []byte, vals []float64) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
+}
+
+// DecodeU32s fills dst from the first 4·len(dst) bytes of src, which the
+// caller has already checked are there.
+func DecodeU32s[T ~uint32 | ~int32](dst []T, src []byte) {
+	src = src[:4*len(dst)]
+	for i := range dst {
+		dst[i] = T(binary.LittleEndian.Uint32(src[4*i:]))
+	}
 }
 
 // DecodeF64s fills dst from the first 8·len(dst) bytes of src, which the
@@ -61,9 +71,7 @@ func TakeU32s[T ~uint32 | ~int32](src []byte, n int) ([]T, []byte, error) {
 		return nil, nil, err
 	}
 	vals := make([]T, n)
-	for i := range vals {
-		vals[i] = T(binary.LittleEndian.Uint32(col[4*i:]))
-	}
+	DecodeU32s(vals, col)
 	return vals, rest, nil
 }
 

@@ -20,8 +20,8 @@ import (
 	"io"
 )
 
-// table is the module's one CRC-32C table (the v4 data frames, which keep
-// their own layout, checksum through it too).
+// table is the module's one CRC-32C table (the TCP data bundles, which
+// keep their own layout, checksum through it too).
 var table = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns crc extended by the CRC-32C of p; start from 0.

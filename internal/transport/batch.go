@@ -20,7 +20,7 @@ import (
 // feature vectors of GNN-style aggregation).
 //
 // The columnar layout is what lets the wire format ship the ID and value
-// columns as two length-prefixed blocks instead of per-message structs,
+// columns whole, at fixed width, instead of per-message structs,
 // and lets receivers install rows with strided copies.
 type MessageBatch struct {
 	// Width is the number of float64 values per message (>= 1).

@@ -219,10 +219,10 @@ func TestExchangeRadixEquivalence(t *testing.T) {
 func BenchmarkExchangeBlockSize(b *testing.B) {
 	const k = 8
 	for _, size := range []int{64, 256, 1 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10} {
-		// Noisy values ship raw: a 1-byte id delta and 8 value bytes a row.
+		// A scalar row is a 4-byte id and an 8-byte value on the wire.
 		tmpl := NewMessageBatch(1)
 		rng := rand.New(rand.NewSource(int64(size)))
-		for i := 0; i < max(1, (size-blockHeaderBytes)/9); i++ {
+		for i := 0; i < max(1, (size-blockHeaderBytes)/12); i++ {
 			tmpl.AppendScalar(graph.VertexID(i), rng.Float64())
 		}
 		for _, radix := range []int{k, 2} {

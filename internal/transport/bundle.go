@@ -12,25 +12,25 @@ import (
 	"ebv/internal/frame"
 )
 
-// The EBV5 bundle: the one frame a MeshNode writes. A bundle carries the
+// The EBV6 bundle: the one frame a MeshNode writes. A bundle carries the
 // blocks one worker hands to another in one round of a superstep's
-// exchange (see muxJob.Exchange), each block one source's encoded batch for
-// one destination. Layout, little endian:
+// exchange (see muxJob.Exchange), each block one source's batch for one
+// destination. Layout, little endian:
 //
 //	u32 magic | u32 job | u32 step | u8 round | u8 flags | u16 blocks |
 //	u32 width | u32 bodyBytes | u32 crc | blocks × block
 //
-//	block: u16 src | u16 dst | u8 flags | u32 count | u32 idBytes |
-//	       u32 valBytes | idBytes of ids | valBytes of values
+//	block: u16 src | u16 dst | u32 count | count × u32 id |
+//	       count·width × f64 value
 //
-// A block's columns are the v4 codecs (wirecodec.go) and its flags their
-// v4 flag bits. The CRC-32C covers every header byte after the magic plus
-// the body, and is checked before any block is parsed. Empty batches send
-// no block.
+// Both columns are fixed width (the frame column helpers), so a block's
+// size follows from its count and the bundle's width. The CRC-32C covers
+// every header byte after the magic plus the body, and is checked before
+// any block is parsed. Empty batches send no block.
 const (
-	bundleMagic       = 0x45425635 // "EBV5"
+	bundleMagic       = 0x45425636 // "EBV6"
 	bundleHeaderBytes = 28
-	blockHeaderBytes  = 17
+	blockHeaderBytes  = 8
 
 	// Bundle flags: the OR of the active votes and the AND of the small
 	// bits the sender holds so far, and which schedule the bundle is part of.
@@ -41,9 +41,9 @@ const (
 	// maxWireWorkers bounds k: a block names its src and dst in a u16.
 	maxWireWorkers = 1 << 16
 
-	// What a block header may claim; the product bound caps a raw value
-	// column at 2 GiB. The writer enforces the same bounds, so an oversized
-	// batch fails with a clear local error, not a corrupt-bundle error.
+	// What a block header may claim; the product bound caps a value column
+	// at 2 GiB. The writer enforces the same bounds, so an oversized batch
+	// fails with a clear local error, not a corrupt-bundle error.
 	maxWireWidth    = MaxValueWidth
 	maxWireMessages = 1 << 28
 	maxWireValues   = 1 << 28
@@ -56,10 +56,11 @@ type wireBlock struct {
 	raw      []byte
 }
 
-// blockBound is the most bytes appendBlock can write for b.
-func blockBound(b *MessageBatch) int {
-	return blockHeaderBytes + 5*b.Len() + 9*b.Len()*b.Width
-}
+// blockBytes is the size of a block of count rows of the given width.
+func blockBytes(count, width int) int { return blockHeaderBytes + count*(4+8*width) }
+
+// blockCount is the row count in the header of the block raw.
+func blockCount(raw []byte) int { return int(binary.LittleEndian.Uint32(raw[4:8])) }
 
 // appendBlock encodes the non-empty batch b, sent from src to dst, as one
 // block appended to buf.
@@ -69,26 +70,12 @@ func appendBlock(buf []byte, src, dst int, b *MessageBatch) ([]byte, error) {
 		return buf, fmt.Errorf("batch of %d messages × width %d exceeds the wire cap (%d messages, %d values)",
 			count, width, maxWireMessages, maxWireValues)
 	}
-	at := len(buf)
-	buf = slices.Grow(buf, blockBound(b))[:at+blockHeaderBytes]
-	buf = appendDeltaIDs(buf, b.IDs)
-	idEnd := len(buf)
-	flags := byte(v4FlagDeltaIDs)
-	if buf = appendPackedVals(buf, b.Vals); len(buf)-idEnd < count*width*8 {
-		flags |= v4FlagPackedVal
-	} else {
-		// Packing would expand this column (noisy-mantissa payloads can
-		// cost 9 bytes/value): ship it raw and say so in flags.
-		buf = frame.AppendF64s(buf[:idEnd], b.Vals)
-	}
-	h := buf[at:]
-	binary.LittleEndian.PutUint16(h[0:2], uint16(src))
-	binary.LittleEndian.PutUint16(h[2:4], uint16(dst))
-	h[4] = flags
-	binary.LittleEndian.PutUint32(h[5:9], uint32(count))
-	binary.LittleEndian.PutUint32(h[9:13], uint32(idEnd-at-blockHeaderBytes))
-	binary.LittleEndian.PutUint32(h[13:17], uint32(len(buf)-idEnd))
-	return buf, nil
+	buf = slices.Grow(buf, blockBytes(count, width))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(src))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(dst))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
+	buf = frame.AppendU32s(buf, b.IDs)
+	return frame.AppendF64s(buf, b.Vals), nil
 }
 
 // writeBundle writes one bundle of blocks to bw and flushes it, returning
@@ -166,7 +153,7 @@ func routes(k, from, to, src, dst, round int, bruck bool) bool {
 // k-worker mesh. Everything is checked before anything is decoded: the
 // header's shape against the wire caps, then the CRC over header and body
 // (so any single bit flip fails here), then every block header — its
-// lengths inside the body, src and dst in [0,k), its route through this
+// columns inside the body, src and dst in [0,k), its route through this
 // round, and strictly ascending (dst, src) order, so a block cannot appear
 // twice. A clean end of stream before the first byte is io.EOF; any later
 // truncation is io.ErrUnexpectedEOF.
@@ -259,53 +246,27 @@ func checkBlock(body []byte, width int) (int, error) {
 	if len(body) < blockHeaderBytes {
 		return 0, fmt.Errorf("header needs %d bytes, %d left", blockHeaderBytes, len(body))
 	}
-	flags := body[4]
-	count := int(binary.LittleEndian.Uint32(body[5:9]))
-	idBytes := int(binary.LittleEndian.Uint32(body[9:13]))
-	valBytes := int(binary.LittleEndian.Uint32(body[13:17]))
-	values := count * width
-	switch {
-	case flags&^(v4FlagDeltaIDs|v4FlagPackedVal) != 0:
-		return 0, fmt.Errorf("unknown flags %#x", flags)
-	case flags&v4FlagDeltaIDs == 0:
-		return 0, fmt.Errorf("ids not delta-encoded (flags %#x)", flags)
-	case count < 1 || count > maxWireMessages || values > maxWireValues:
+	count := blockCount(body)
+	if count < 1 || count > maxWireMessages || count*width > maxWireValues {
 		return 0, fmt.Errorf("%d messages × width %d is empty or exceeds the wire cap", count, width)
-	case idBytes < count || idBytes > 5*count:
-		return 0, fmt.Errorf("id column is %d bytes for %d ids (valid range [%d,%d])", idBytes, count, count, 5*count)
-	case flags&v4FlagPackedVal != 0 && (valBytes < values || valBytes > 9*values):
-		return 0, fmt.Errorf("packed value column is %d bytes for %d values (valid range [%d,%d])",
-			valBytes, values, values, 9*values)
-	case flags&v4FlagPackedVal == 0 && valBytes != 8*values:
-		return 0, fmt.Errorf("raw value column is %d bytes, want %d", valBytes, 8*values)
-	case idBytes+valBytes > len(body)-blockHeaderBytes:
-		return 0, fmt.Errorf("columns of %d bytes overrun the %d left in the bundle",
-			idBytes+valBytes, len(body)-blockHeaderBytes)
 	}
-	return blockHeaderBytes + idBytes + valBytes, nil
+	size := blockBytes(count, width)
+	if size > len(body) {
+		return 0, fmt.Errorf("%d messages × width %d need %d bytes, %d left in the bundle", count, width, size, len(body))
+	}
+	return size, nil
 }
 
-// decodeBlock decodes a block checkBlock accepted into a pooled batch the
-// caller owns. Both columns must decode exactly: truncation, trailing
-// bytes, out-of-range ids and invalid value descriptors are all errors.
-func decodeBlock(raw []byte, width int) (*MessageBatch, error) {
-	flags := raw[4]
-	count := int(binary.LittleEndian.Uint32(raw[5:9]))
-	idBytes := int(binary.LittleEndian.Uint32(raw[9:13]))
-	idCol, valCol := raw[blockHeaderBytes:blockHeaderBytes+idBytes], raw[blockHeaderBytes+idBytes:]
+// decodeBlock copies the columns of a block checkBlock accepted into a
+// pooled batch the caller owns.
+//
+//ebv:owns the demux delivers it through Exchange, whose caller recycles it
+func decodeBlock(raw []byte, width int) *MessageBatch {
+	count := blockCount(raw)
 	b := GetBatch(width)
 	b.IDs = slices.Grow(b.IDs, count)[:count]
 	b.Vals = slices.Grow(b.Vals, count*width)[:count*width]
-	err := decodeDeltaIDs(idCol, b.IDs)
-	if err == nil && flags&v4FlagPackedVal != 0 {
-		err = decodePackedVals(valCol, b.Vals)
-	} else if err == nil {
-		frame.DecodeF64s(b.Vals, valCol)
-	}
-	if err != nil {
-		RecycleBatch(b)
-		return nil, fmt.Errorf("block %d → %d: %w",
-			binary.LittleEndian.Uint16(raw[0:2]), binary.LittleEndian.Uint16(raw[2:4]), err)
-	}
-	return b, nil
+	frame.DecodeU32s(b.IDs, raw[blockHeaderBytes:])
+	frame.DecodeF64s(b.Vals, raw[blockHeaderBytes+4*count:])
+	return b
 }

@@ -71,10 +71,11 @@ func TestBundleDamageRejected(t *testing.T) {
 		if (route{blk.src, blk.dst}) != relayRound[i] {
 			t.Fatalf("block %d runs %d → %d, want %v", i, blk.src, blk.dst, relayRound[i])
 		}
-		got, err := decodeBlock(blk.raw, b.width)
-		if err != nil || got.Len() != i+1 || got.Vals[0] != float64(blk.dst) {
-			t.Fatalf("block %d decoded to %v, %v", i, got, err)
+		got := decodeBlock(blk.raw, b.width)
+		if got.Len() != i+1 || got.Vals[0] != float64(blk.dst) {
+			t.Fatalf("block %d decoded to %v", i, got)
 		}
+		RecycleBatch(got)
 	}
 	for cut := 0; cut < len(data); cut++ {
 		if _, err := readFrom(data[:cut], 0, 2); err == nil || (err == io.EOF) != (cut == 0) {
@@ -152,9 +153,7 @@ func FuzzBundleFrame(f *testing.F) {
 			t.Fatalf("accepted bundle does not re-encode to its own %d bytes", n)
 		}
 		for _, blk := range b.blocks {
-			if got, err := decodeBlock(blk.raw, b.width); err == nil {
-				RecycleBatch(got)
-			}
+			RecycleBatch(decodeBlock(blk.raw, b.width))
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -174,7 +173,7 @@ const smallBlockBytes = 4096
 // loudly, a bundle for a closed job (an id below the watermark, see admit)
 // is dropped as a straggler, and one for an id not yet admitted kills the
 // node (cross-job corruption is a protocol violation, not noise). The wire
-// is the CRC-sealed EBV5 bundle (bundle.go).
+// is the CRC-sealed EBV6 bundle of fixed-width columns (bundle.go).
 //
 // The demux readers start with the node's first job. Nodes of a
 // multi-process mesh finish wiring at different moments, so a fast peer's
@@ -432,12 +431,7 @@ func (n *MeshNode) route(peer int, b bundle, s *bundleScratch) error {
 			s.body = nil // the relayed blocks keep the read buffer
 			continue
 		}
-		batch, err := decodeBlock(blk.raw, j.width)
-		if err != nil {
-			f.recycle()
-			return err
-		}
-		f.in = append(f.in, srcBatch{blk.src, batch})
+		f.in = append(f.in, srcBatch{blk.src, decodeBlock(blk.raw, j.width)})
 	}
 	select {
 	case j.in[peer] <- f:
@@ -464,7 +458,7 @@ func (n *MeshNode) send(peer int, j *muxJob, step, round int, flags byte, blocks
 	}
 	rows := 0
 	for _, b := range blocks {
-		rows += int(binary.LittleEndian.Uint32(b.raw[5:9])) // the block's count
+		rows += blockCount(b.raw)
 	}
 	n.wire.bundles.Add(1)
 	n.wire.blocks.Add(int64(len(blocks)))
@@ -586,14 +580,14 @@ func (j *muxJob) Exchange(worker, step int, out []*MessageBatch, active bool) (E
 // encode encodes every non-empty outgoing batch into one block, holds the
 // blocks in ascending dst order and returns the sender's small bit.
 func (j *muxJob) encode(worker int, out []*MessageBatch) (byte, error) {
-	bound := 0
+	size := 0
 	for dst, b := range out {
 		if dst != worker && b.Len() > 0 {
-			bound += blockBound(b)
+			size += blockBytes(b.Len(), b.Width)
 		}
 	}
 	// Grown once up front, so the held slices stay valid while enc fills.
-	j.enc, j.held = slices.Grow(j.enc[:0], bound), j.held[:0]
+	j.enc, j.held = slices.Grow(j.enc[:0], size), j.held[:0]
 	flags := byte(bundleSmall)
 	for dst, b := range out {
 		if dst == worker || dst >= j.node.k || b.Len() == 0 {

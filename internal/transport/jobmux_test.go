@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ebv/internal/frame"
 	"ebv/internal/graph"
 )
 
@@ -323,6 +325,45 @@ func TestJobMuxForeignMagicRejected(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("foreign frame was swallowed; Exchange still blocked")
+	}
+}
+
+// TestJobMuxStaleWireRejected: an EBV5 bundle — the varint-column wire
+// this one replaced, under its own magic and a valid CRC — reaching an
+// EBV6 node fails the receiving Exchange with a magic error, never a
+// misparse and never a hang.
+func TestJobMuxStaleWireRejected(t *testing.T) {
+	d, err := NewTCPMeshDeployment(t.Context(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ts, err := d.OpenJob(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One EBV5 block, 0 → 1: u8 flags (delta ids) | u32 count | u32 idBytes
+	// | u32 valBytes after src and dst, then a 1-byte id delta and a raw f64.
+	block := []byte{0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}
+	stale := sealBundle(bundleActive, 1, 1, block)
+	binary.LittleEndian.PutUint32(stale[0:4], 0x45425635) // "EBV5": outside the CRC, as on the old wire
+	binary.LittleEndian.PutUint32(stale[4:8], 1)
+	binary.LittleEndian.PutUint32(stale[24:28], frame.Checksum(frame.Checksum(0, stale[4:24]), block))
+	if _, err := d.nodes[0].conns[1].Write(stale); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ts[1].Exchange(1, 0, nil, true)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Fatalf("EBV5 bundle into an EBV6 node: err = %v, want a magic error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("EBV5 bundle was swallowed; Exchange still blocked")
 	}
 }
 

@@ -3,8 +3,8 @@
 // interface: an in-memory router (MemDeployment, the default for
 // experiments — the paper's platform-independent metric is the message
 // *count*, which is identical on any transport) and a real TCP transport (MeshNode:
-// job-tagged, compressed, CRC-checked frames over a full mesh of loopback
-// or remote connections) on which the engine runs distributed.
+// job-tagged, CRC-checked bundles of fixed-width columns over a full mesh
+// of loopback or remote connections) on which the engine runs distributed.
 //
 // The message plane is columnar: a MessageBatch carries the vertex-id and
 // value columns of every message for one destination, with a configurable
