@@ -694,9 +694,10 @@ func BenchmarkPartitionerThroughput(b *testing.B) {
 
 // BenchmarkClusterJob times whole jobs through the cluster surface —
 // OpenCluster plus 8 in-process agents on real sockets, k = 8 — so per-op
-// time and allocation are what a job pays around its supersteps: the mesh
-// wired per attempt, every frame scratch and inbox grown from empty, and
-// the value rows shipped back on the control connection. PR is the scalar
+// time and allocation are what a job pays around its supersteps on the
+// roster's mesh, wired once before the first op: the open and start
+// rounds, every frame scratch and inbox grown from empty, and the value
+// rows shipped back on the control connection. PR is the scalar
 // row, AGG (2 layers, width 8) the wide one — cluster-w8's cycle in
 // miniature. Profile the layer with
 //

@@ -17,13 +17,12 @@
 // byte-identical to an uninterrupted run. Job results are assembled and
 // written by the coordinator; this process only logs progress to stderr.
 //
-// Per attempt the process wires one mesh node (dialing peers with
-// exponential backoff until -dial-timeout expires, so workers may start in
-// any order) and opens its job on it; every frame between workers is a
-// job-tagged, CRC-checked EBV6 bundle of fixed-width columns. A worker
-// that finishes its last superstep does not wait for its peers — they
-// still receive everything it sent — while a worker that dies mid-run
-// fails its peers' next exchange loudly.
+// The process binds one data-plane listener for its lifetime and wires one
+// mesh node per roster through it (dialing peers with exponential backoff
+// until -dial-timeout expires); every job runs on that node, and a failed
+// attempt closes it so the retry rewires. Every frame between workers is a
+// job-tagged, CRC-checked EBV6 bundle of fixed-width columns, and a worker
+// that dies mid-run fails its peers' next exchange loudly.
 package main
 
 import (

@@ -56,29 +56,29 @@ func TestReadSubgraphRejectsGarbage(t *testing.T) {
 	}
 }
 
-// freePorts grabs n distinct localhost ports by listening and releasing.
-func freePorts(t *testing.T, n int) []string {
+// loopbackListeners binds n loopback listeners, closed with the test, and
+// returns them with their addresses.
+func loopbackListeners(t *testing.T, n int) ([]transport.Listener, []string) {
 	t.Helper()
+	lns := make([]transport.Listener, n)
 	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for i := range lns {
+		ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
+		t.Cleanup(func() { _ = ln.Close() })
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
-	for _, ln := range listeners {
-		_ = ln.Close()
-	}
-	return addrs
+	return lns, addrs
 }
 
 // TestMultiProcessStyleRun exercises a cluster agent's data path in-process:
 // subgraphs serialized and reloaded, one mesh node per worker wired from
 // the shared address list, each worker driven independently by
-// RunWorker — exactly what separate OS processes would do.
+// RunWorker — exactly what separate OS processes would do. The nodes
+// outlive the job, as an agent's do: a node closed while a peer is still
+// collecting the last step would fail that peer.
 func TestMultiProcessStyleRun(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	const k = 3
@@ -98,7 +98,7 @@ func TestMultiProcessStyleRun(t *testing.T) {
 		}
 	}
 
-	addrs := freePorts(t, k)
+	lns, addrs := loopbackListeners(t, k)
 	results := make([]*bsp.WorkerResult, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
@@ -106,12 +106,12 @@ func TestMultiProcessStyleRun(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			node, err := transport.WireMeshNode(t.Context(), w, addrs, nil, 15*time.Second)
+			node, err := transport.WireMeshNode(t.Context(), w, 1, addrs, lns[w], 15*time.Second)
 			if err != nil {
 				errs[w] = fmt.Errorf("transport: %w", err)
 				return
 			}
-			defer node.Close()
+			t.Cleanup(func() { _ = node.Close() })
 			tr, err := node.OpenJob(1, 1)
 			if err != nil {
 				errs[w] = fmt.Errorf("transport: %w", err)
@@ -153,11 +153,11 @@ func TestRunWorkerValidation(t *testing.T) {
 }
 
 func TestWireMeshNodeValidation(t *testing.T) {
-	if _, err := transport.WireMeshNode(t.Context(), 5, []string{"a", "b"}, nil, time.Second); err == nil {
+	if _, err := transport.WireMeshNode(t.Context(), 5, 1, []string{"a", "b"}, nil, time.Second); err == nil {
 		t.Fatal("out-of-range worker accepted")
 	}
 	// Single worker needs no peers at all.
-	node, err := transport.WireMeshNode(t.Context(), 0, []string{"unused"}, nil, time.Second)
+	node, err := transport.WireMeshNode(t.Context(), 0, 1, []string{"unused"}, nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +172,9 @@ func TestWireMeshNodeValidation(t *testing.T) {
 }
 
 func TestWireMeshNodeTimesOutWithoutPeers(t *testing.T) {
-	addrs := freePorts(t, 2)
+	lns, addrs := loopbackListeners(t, 2)
 	start := time.Now()
-	_, err := transport.WireMeshNode(t.Context(), 1, addrs, nil, 500*time.Millisecond)
+	_, err := transport.WireMeshNode(t.Context(), 1, 1, addrs, lns[1], 500*time.Millisecond)
 	if err == nil {
 		t.Fatal("lonely worker connected to nobody")
 	}

@@ -26,7 +26,7 @@ type AgentConfig struct {
 	Host string
 	// DialTimeout bounds both the initial coordinator dial (with
 	// exponential backoff, so the coordinator may start late) and each
-	// job's data-plane mesh wiring. Default 30s.
+	// data-plane mesh wiring. Default 30s.
 	DialTimeout time.Duration
 	// HeartbeatInterval is how often the agent sends liveness frames
 	// (default 1s). Must be well under the coordinator's timeout.
@@ -37,7 +37,10 @@ type AgentConfig struct {
 
 // Agent is one worker process's control-plane client: it registers with
 // the coordinator, receives a partition shard (or waits as a hot
-// standby), and serves job attempts until told to shut down.
+// standby), and serves job attempts until told to shut down. Its data
+// plane is one listener for its lifetime and one mesh node per roster:
+// the coordinator numbers each mesh, and the node serves every attempt
+// opened under that number.
 type Agent struct {
 	cfg  AgentConfig
 	logf func(string, ...any)
@@ -46,13 +49,14 @@ type Agent struct {
 
 	mu     sync.Mutex
 	killed bool
-	conn   net.Conn     // control connection
-	ln     net.Listener // pending data-plane listener, between prepare and start
-	node   *transport.MeshNode
+	conn   net.Conn            // control connection
+	ln     transport.Listener  // data-plane listener, bound for the agent's lifetime
+	node   *transport.MeshNode // the roster's data-plane node; nil before wiring and after a failed attempt
+	mesh   int                 // the coordinator's number for node's mesh
 
-	// wrapDataListener, when set (tests only), wraps each attempt's
-	// data-plane listener — the seam for corrupting agent↔agent bytes.
-	wrapDataListener func(net.Listener) net.Listener
+	// wrapDataListener, when set (tests only), wraps the data-plane
+	// listener — the seam for corrupting agent↔agent bytes.
+	wrapDataListener func(transport.Listener) transport.Listener
 }
 
 // NewAgent builds an agent; Run does the work.
@@ -79,12 +83,12 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 }
 
 // Kill abruptly closes every socket the agent holds — control connection,
-// pending data listener, live data mesh — without a goodbye, exactly the
-// wire footprint of SIGKILL. Run returns ErrAgentKilled.
+// data listener, data mesh — without a goodbye, exactly the wire
+// footprint of SIGKILL. Run returns ErrAgentKilled.
 func (a *Agent) Kill() {
 	a.mu.Lock()
 	a.killed = true
-	conn, ln, node := a.conn, a.ln, a.node
+	conn, ln := a.conn, a.ln
 	a.mu.Unlock()
 	if conn != nil {
 		_ = conn.Close()
@@ -92,9 +96,7 @@ func (a *Agent) Kill() {
 	if ln != nil {
 		_ = ln.Close()
 	}
-	if node != nil {
-		_ = node.Close()
-	}
+	a.closeNode()
 }
 
 func (a *Agent) isKilled() bool {
@@ -103,21 +105,43 @@ func (a *Agent) isKilled() bool {
 	return a.killed
 }
 
-// pendingAttempt is the window between a prepare (data listener bound,
-// address reported) and its start.
+// closeNode closes the agent's mesh node, if any, so the next open
+// rewires.
+func (a *Agent) closeNode() {
+	a.mu.Lock()
+	node := a.node
+	a.node = nil
+	a.mu.Unlock()
+	if node != nil {
+		_ = node.Close()
+	}
+}
+
+// pendingAttempt is an attempt opened on the node and waiting for its
+// start.
 type pendingAttempt struct {
 	job     int
 	attempt int
-	spec    JobSpec
-	cfg     bsp.Config // spec.config(): ValueWidth is the resolved width
+	prog    bsp.Program
+	cfg     bsp.Config // ValueWidth resolved, checkpoint sink attached
 	restore *bsp.Checkpoint
-	ln      net.Listener
+	tr      transport.Transport
 }
 
 // Run registers with the coordinator and serves assignments and job
 // attempts until the coordinator says shutdown (nil), the context is
 // canceled, the connection is lost, or Kill is called (ErrAgentKilled).
 func (a *Agent) Run(ctx context.Context) error {
+	tcp, err := net.Listen("tcp", net.JoinHostPort(a.cfg.Host, "0"))
+	if err != nil {
+		return fmt.Errorf("cluster: bind data listener: %w", err)
+	}
+	ln := tcp.(transport.Listener) // a TCP listener takes deadlines
+	if a.wrapDataListener != nil {
+		ln = a.wrapDataListener(ln)
+	}
+	defer ln.Close()
+	defer a.closeNode()
 	conn, err := transport.DialBackoff(ctx, a.cfg.Coordinator, time.Now().Add(a.cfg.DialTimeout))
 	if err != nil {
 		return fmt.Errorf("cluster: dial coordinator %s: %w", a.cfg.Coordinator, err)
@@ -128,13 +152,13 @@ func (a *Agent) Run(ctx context.Context) error {
 		_ = conn.Close()
 		return ErrAgentKilled
 	}
-	a.conn = conn
+	a.conn, a.ln = conn, ln
 	a.mu.Unlock()
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
 	defer stop()
 
-	if err := writeMsg(&a.wmu, conn, msgHello, helloMsg{Host: a.cfg.Host}); err != nil {
+	if err := writeMsg(&a.wmu, conn, msgHello, helloMsg{DataAddr: tcp.Addr().String()}); err != nil {
 		return fmt.Errorf("cluster: register: %w", err)
 	}
 
@@ -169,6 +193,7 @@ func (a *Agent) Run(ctx context.Context) error {
 			}
 			return fmt.Errorf("cluster: coordinator connection lost: %w", err)
 		}
+		var job, attempt int
 		switch typ {
 		case msgAssign:
 			s, err := bsp.ReadSubgraph(bytes.NewReader(payload))
@@ -178,12 +203,16 @@ func (a *Agent) Run(ctx context.Context) error {
 			sub = s
 			a.logf("assigned partition %d of %d (%d local vertices)", s.Part, s.NumWorkers, s.NumLocalVertices())
 
-		case msgPrepare:
-			var m prepareMsg
+		case msgOpen:
+			var m openMsg
 			if err := decodeMsg(payload, &m); err != nil {
-				return fmt.Errorf("cluster: bad prepare: %w", err)
+				return fmt.Errorf("cluster: bad open: %w", err)
 			}
-			pending = a.prepare(sub, pending, m)
+			if pending != nil { // superseded: its attempt failed elsewhere
+				_ = pending.tr.Close()
+			}
+			job, attempt = m.Job, m.Attempt
+			pending, err = a.open(ctx, sub, m)
 
 		case msgStart:
 			var m startMsg
@@ -196,148 +225,108 @@ func (a *Agent) Run(ctx context.Context) error {
 			}
 			p := pending
 			pending = nil
-			if err := a.serve(ctx, sub, p, m.Addrs); err != nil {
-				if a.isKilled() {
-					return ErrAgentKilled
-				}
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				a.logf("job %d attempt %d failed: %v", p.job, p.attempt, err)
-				a.sendFailed(sub, p.job, p.attempt, err)
-			}
+			job, attempt = p.job, p.attempt
+			err = a.serve(ctx, sub, p)
 
 		case msgShutdown:
 			a.logf("coordinator shutdown")
 			return nil
 		}
+		if err != nil {
+			if a.isKilled() {
+				return ErrAgentKilled
+			}
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			// Peers blocked on this worker's bundles fail instead of
+			// hanging, and the retry, on a new mesh, rewires.
+			a.logf("job %d attempt %d failed: %v", job, attempt, err)
+			a.closeNode()
+			a.sendFailed(job, attempt, err)
+		}
 	}
 }
 
-// prepare handles one prepare message: close any superseded pending
-// listener, load the restore checkpoint if asked, bind a fresh data-plane
-// listener, and report its address. Failures are reported to the
-// coordinator (failing the attempt, not the agent).
-func (a *Agent) prepare(sub *bsp.Subgraph, old *pendingAttempt, m prepareMsg) *pendingAttempt {
-	if old != nil {
-		_ = old.ln.Close()
-		a.mu.Lock()
-		if a.ln == old.ln {
-			a.ln = nil
-		}
-		a.mu.Unlock()
-	}
-	fail := func(err error) *pendingAttempt {
-		a.logf("prepare job %d attempt %d failed: %v", m.Job, m.Attempt, err)
-		a.sendFailed(sub, m.Job, m.Attempt, err)
-		return nil
-	}
+// open handles one open message: load the restore checkpoint if asked,
+// wire the mesh unless the node already serves it, open the job on the
+// node and report opened. An error fails the attempt, not the agent.
+func (a *Agent) open(ctx context.Context, sub *bsp.Subgraph, m openMsg) (*pendingAttempt, error) {
 	if sub == nil {
-		return fail(fmt.Errorf("no partition assigned"))
+		return nil, fmt.Errorf("no partition assigned")
+	}
+	if len(m.Addrs) != sub.NumWorkers {
+		return nil, fmt.Errorf("open lists %d addresses, want %d", len(m.Addrs), sub.NumWorkers)
+	}
+	prog, err := m.Spec.Program()
+	if err != nil {
+		return nil, err
 	}
 	cfg, err := m.Spec.config()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-
-	var restore *bsp.Checkpoint
+	p := &pendingAttempt{job: m.Job, attempt: m.Attempt, prog: prog, cfg: cfg}
 	if m.RestoreStep >= 0 {
 		if !m.Spec.checkpointing() {
-			return fail(fmt.Errorf("restore step %d without a checkpoint dir", m.RestoreStep))
+			return nil, fmt.Errorf("restore step %d without a checkpoint dir", m.RestoreStep)
 		}
 		path := CheckpointPath(m.Spec.CheckpointDir, m.Job, sub.Part, m.RestoreStep)
 		meta, cp, err := ReadCheckpointFile(path)
 		if err != nil {
-			return fail(fmt.Errorf("load checkpoint: %w", err))
+			return nil, fmt.Errorf("load checkpoint: %w", err)
 		}
 		if meta.Job != m.Job || meta.Part != sub.Part || meta.Workers != sub.NumWorkers ||
 			meta.Width != cfg.ValueWidth || cp.Step != m.RestoreStep {
-			return fail(fmt.Errorf("checkpoint %s metadata mismatch", path))
+			return nil, fmt.Errorf("checkpoint %s metadata mismatch", path)
 		}
-		restore = cp
+		p.restore = cp
 		a.logf("job %d attempt %d: restoring partition %d from epoch %d", m.Job, m.Attempt, sub.Part, cp.Step)
 	}
+	if m.Spec.checkpointing() {
+		meta := CheckpointMeta{Job: m.Job, Part: sub.Part, Workers: sub.NumWorkers, Width: cfg.ValueWidth}
+		p.cfg.CheckpointEvery = m.Spec.CheckpointEvery
+		p.cfg.CheckpointSink = func(_ int, cp *bsp.Checkpoint) error {
+			return WriteCheckpointFile(m.Spec.CheckpointDir, meta, cp)
+		}
+	}
 
-	ln, err := net.Listen("tcp", net.JoinHostPort(a.cfg.Host, "0"))
-	if err != nil {
-		return fail(fmt.Errorf("bind data listener: %w", err))
-	}
-	if a.wrapDataListener != nil {
-		ln = a.wrapDataListener(ln)
-	}
 	a.mu.Lock()
-	if a.killed {
-		a.mu.Unlock()
-		_ = ln.Close()
-		return nil
-	}
-	a.ln = ln
+	node, mesh := a.node, a.mesh
 	a.mu.Unlock()
-
-	if err := writeMsg(&a.wmu, a.conn, msgPrepared, preparedMsg{
-		Job: m.Job, Attempt: m.Attempt, Part: sub.Part, DataAddr: ln.Addr().String(),
-	}); err != nil {
-		_ = ln.Close()
-		return nil // read loop surfaces the conn error
+	if node == nil || mesh != m.Mesh {
+		a.closeNode()
+		if node, err = transport.WireMeshNode(ctx, sub.Part, uint32(m.Mesh), m.Addrs, a.ln, a.cfg.DialTimeout); err != nil {
+			return nil, fmt.Errorf("wire data mesh %d: %w", m.Mesh, err)
+		}
+		a.mu.Lock()
+		killed := a.killed
+		if !killed {
+			a.node, a.mesh = node, m.Mesh
+		}
+		a.mu.Unlock()
+		if killed {
+			_ = node.Close()
+			return nil, ErrAgentKilled
+		}
 	}
-	return &pendingAttempt{job: m.Job, attempt: m.Attempt, spec: m.Spec, cfg: cfg, restore: restore, ln: ln}
+	// Jobs are serialized and their ids increase, so the cluster job id is
+	// a valid tag on a mesh that serves many of them.
+	if p.tr, err = node.OpenJob(uint32(m.Job), cfg.ValueWidth); err != nil {
+		return nil, err
+	}
+	// A failed write surfaces in the read loop.
+	_ = writeMsg(&a.wmu, a.conn, msgOpened, openedMsg{Job: m.Job, Attempt: m.Attempt})
+	return p, nil
 }
 
-// serve runs one job attempt to completion on this worker: wire this
-// attempt's mesh node through the pending listener, open the job on it,
-// run the BSP worker loop (cutting checkpoints if the spec asks), send the
-// values back. Closing the node on the way out is safe while slower peers
-// are still collecting the final superstep (see MeshNode's departure
-// rule).
-func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt, addrs []string) error {
-	if len(addrs) != sub.NumWorkers {
-		_ = p.ln.Close()
-		return fmt.Errorf("start lists %d addresses, want %d", len(addrs), sub.NumWorkers)
-	}
-	prog, err := p.spec.Program()
-	if err != nil {
-		_ = p.ln.Close()
-		return err
-	}
-	node, err := transport.WireMeshNode(ctx, sub.Part, addrs, p.ln, a.cfg.DialTimeout)
-	a.mu.Lock()
-	if a.ln == p.ln {
-		a.ln = nil
-	}
-	if err == nil {
-		if a.killed {
-			a.mu.Unlock()
-			_ = node.Close()
-			return ErrAgentKilled
-		}
-		a.node = node
-	}
-	a.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("wire data mesh: %w", err)
-	}
-	defer func() {
-		a.mu.Lock()
-		if a.node == node {
-			a.node = nil
-		}
-		a.mu.Unlock()
-		_ = node.Close()
-	}()
-	// The mesh is this attempt's alone, so the cluster job id is tag enough.
-	cfg := p.cfg
-	tr, err := node.OpenJob(uint32(p.job), cfg.ValueWidth)
-	if err != nil {
-		return err
-	}
-	if p.spec.checkpointing() {
-		meta := CheckpointMeta{Job: p.job, Part: sub.Part, Workers: sub.NumWorkers, Width: cfg.ValueWidth}
-		cfg.CheckpointEvery = p.spec.CheckpointEvery
-		cfg.CheckpointSink = func(_ int, cp *bsp.Checkpoint) error {
-			return WriteCheckpointFile(p.spec.CheckpointDir, meta, cp)
-		}
-	}
-	res, err := bsp.RunWorker(ctx, sub, prog, tr, cfg, p.restore)
+// serve runs one opened attempt to completion on this worker: the BSP
+// worker loop (cutting checkpoints if the spec asks), then the values back
+// to the coordinator. The job closes with it; the node stays up for the
+// next.
+func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt) error {
+	defer p.tr.Close()
+	res, err := bsp.RunWorker(ctx, sub, p.prog, p.tr, p.cfg, p.restore)
 	if err != nil {
 		return err
 	}
@@ -346,10 +335,6 @@ func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt,
 }
 
 // sendFailed reports an attempt failure, best effort.
-func (a *Agent) sendFailed(sub *bsp.Subgraph, job, attempt int, cause error) {
-	part := -1
-	if sub != nil {
-		part = sub.Part
-	}
-	_ = writeMsg(&a.wmu, a.conn, msgFailed, failedMsg{Job: job, Attempt: attempt, Part: part, Err: cause.Error()})
+func (a *Agent) sendFailed(job, attempt int, cause error) {
+	_ = writeMsg(&a.wmu, a.conn, msgFailed, failedMsg{Job: job, Attempt: attempt, Err: cause.Error()})
 }

@@ -14,20 +14,22 @@
 //     automatically, launches jobs, and detects worker death by heartbeat
 //     timeout or connection failure.
 //
-//   - An Agent is one worker process. It registers, receives a shard (or
-//     waits as a hot standby when all partitions are owned), and serves
-//     jobs: for each attempt it binds a fresh ephemeral data-plane listener,
-//     reports the address, wires the mesh when the coordinator broadcasts
-//     the full list, and runs the BSP worker loop — cutting a checkpoint
+//   - An Agent is one worker process. It binds its data-plane listener,
+//     registers with that address, receives a shard (or waits as a hot
+//     standby when all partitions are owned), and serves jobs on one mesh
+//     node per roster: an open names the mesh, which the agent wires only
+//     if its node serves another, then opens the job on it; once all k
+//     have opened, start runs the BSP worker loop — cutting a checkpoint
 //     to disk every CheckpointEvery supersteps.
 //
 // Failover: when a worker dies mid-job, its data-plane sockets collapse,
 // every surviving worker's exchange fails within one superstep, and the
-// attempt aborts. The coordinator reassigns the lost partition to a
-// standby (or newly restarted) worker, selects the latest checkpoint epoch
-// for which EVERY partition has a CRC-valid file (a partial epoch — the
-// victim died mid-write — is never selected), and relaunches the job from
-// it. Checkpoint replay is bit-exact (see bsp.Checkpoint), so a job that
+// attempt aborts; every agent that failed closes its node. The coordinator
+// reassigns the lost partition to a standby (or newly restarted) worker,
+// numbers a new mesh (after any failed attempt, so the retry rewires),
+// selects the latest checkpoint epoch for which EVERY partition has a
+// CRC-valid file (a partial epoch — the victim died mid-write — is never
+// selected), and relaunches the job from it. Checkpoint replay is bit-exact (see bsp.Checkpoint), so a job that
 // lost a worker mid-run completes with values byte-identical to an
 // uninterrupted run.
 package cluster
@@ -87,7 +89,7 @@ func (s JobSpec) Program() (bsp.Program, error) {
 // worker of the job runs with. ValueWidth comes back resolved (never 0),
 // and a width the engine would reject is rejected here with the engine's
 // own error — the coordinator checks it before a job exists, the agent
-// before it binds a listener.
+// before it wires or opens anything.
 func (s JobSpec) config() (bsp.Config, error) {
 	cfg := bsp.Config{ValueWidth: s.ValueWidth, MaxSteps: s.MaxSteps, AutoCombine: s.Combine}
 	width, err := cfg.Width()

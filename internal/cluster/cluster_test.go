@@ -146,8 +146,17 @@ func (tc *testCluster) agentErr(a *Agent) error {
 	return tc.errs[a]
 }
 
+// meshOf reads the agent's node and the number of the mesh it is wired
+// for.
+func meshOf(a *Agent) (*transport.MeshNode, int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.node, a.mesh
+}
+
 // TestClusterCleanRuns serves two different jobs over one deployment of
-// three agents and checks both against the single-process engine.
+// three agents and checks both against the single-process engine. Both
+// run on one mesh: each agent wires its node once.
 func TestClusterCleanRuns(t *testing.T) {
 	const k = 3
 	pl := testPowerlaw(t)
@@ -155,8 +164,9 @@ func TestClusterCleanRuns(t *testing.T) {
 	ctx := context.Background()
 
 	tc := newTestCluster(t, subs, 0)
-	for i := 0; i < k; i++ {
-		tc.startAgent(ctx)
+	agents := make([]*Agent, k)
+	for i := range agents {
+		agents[i] = tc.startAgent(ctx)
 	}
 
 	ccRef, err := bsp.Run(t.Context(), subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
@@ -199,6 +209,13 @@ func TestClusterCleanRuns(t *testing.T) {
 		t.Fatalf("CC: job=%d attempts=%d restored=%d steps=%d (ref %d), values match=%v",
 			cc.Job, cc.Attempts, cc.RestoredFrom, cc.Steps, ccRef.Steps, cc.Values.EqualValues(ccRef.Values))
 	}
+	nodes := make([]*transport.MeshNode, k)
+	for i, a := range agents {
+		var mesh int
+		if nodes[i], mesh = meshOf(a); nodes[i] == nil || mesh != 1 {
+			t.Fatalf("agent %d after CC: node %p on mesh %d, want a node on mesh 1", i, nodes[i], mesh)
+		}
+	}
 	pr, err := tc.coord.Run(ctx, prSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -206,11 +223,60 @@ func TestClusterCleanRuns(t *testing.T) {
 	if pr.Steps != prRef.Steps || !pr.Values.EqualValues(prRef.Values) {
 		t.Fatalf("PR: steps=%d (ref %d), values differ", pr.Steps, prRef.Steps)
 	}
+	for i, a := range agents {
+		if node, mesh := meshOf(a); node != nodes[i] || mesh != 1 {
+			t.Fatalf("agent %d rewired between clean jobs: node %p → %p, mesh 1 → %d", i, nodes[i], node, mesh)
+		}
+	}
 }
 
-// TestAssignBeforePrepare pins the assign/prepare ordering: a worker whose
+// TestClusterMeshCutBetweenJobs: a node that dies between two jobs fails
+// the next job's first attempt, at open on the dead mesh; the retry runs
+// on a new mesh that every agent rewires, and its values are the
+// single-process engine's.
+func TestClusterMeshCutBetweenJobs(t *testing.T) {
+	const k = 3
+	subs := testSubs(t, testPowerlaw(t), k)
+	ctx := context.Background()
+	tc := newTestCluster(t, subs, 0)
+	agents := make([]*Agent, k)
+	for i := range agents {
+		agents[i] = tc.startAgent(ctx)
+	}
+	spec := JobSpec{App: "CC"}
+	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, spec), bsp.Config{VerifyReplicaAgreement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.coord.Run(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	old := make([]*transport.MeshNode, k)
+	for i, a := range agents {
+		old[i], _ = meshOf(a)
+	}
+	_ = old[1].Close()
+
+	res, err := tc.coord.Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (the open on the cut mesh, then the rewired retry)", res.Attempts)
+	}
+	if res.Steps != ref.Steps || !res.Values.EqualValues(ref.Values) {
+		t.Fatalf("retry on the rewired mesh differs: steps %d vs %d", res.Steps, ref.Steps)
+	}
+	for i, a := range agents {
+		if node, mesh := meshOf(a); node == nil || node == old[i] || mesh != 2 {
+			t.Fatalf("agent %d after the retry: node %p (was %p) on mesh %d, want a new node on mesh 2", i, node, old[i], mesh)
+		}
+	}
+}
+
+// TestAssignBeforePrepare pins the assign/open ordering: a worker whose
 // partition ownership is published but whose assign frame is still being
-// written must not be in a job's roster — the prepare would overtake the
+// written must not be in a job's roster — the open would overtake the
 // shard, the agent would answer "no partition assigned", and the job would
 // burn attempts. The seam holds the write while a job is submitted; the job
 // must wait for the assign and succeed on attempt 1.
@@ -231,7 +297,7 @@ func TestAssignBeforePrepare(t *testing.T) {
 		res, err := tc.coord.Run(ctx, JobSpec{App: "CC"})
 		done <- outcome{res, err}
 	}()
-	// Wait for attempt 1 to be in flight, then give a prepare that wrongly
+	// Wait for attempt 1 to be in flight, then give an open that wrongly
 	// went out time to come back failed. The fixed coordinator passes for
 	// any timing here: it cannot pick a roster until release is closed.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -392,6 +458,77 @@ func TestClusterFailoverReplacement(t *testing.T) {
 	t.Logf("PR recovered: %d attempts, restored from epoch %d of %d steps", res.Attempts, res.RestoredFrom, res.Steps)
 }
 
+// TestRetryWaitsForEveryWorker: a failed attempt is retried only once
+// every roster worker has answered, reported failure or died. Worker 0
+// fails its open at once while worker 1 stays silent and then dies; the
+// retry must not open on worker 1 — a worker whose death was still
+// unnoticed would hold its peers' wiring until their dial timeout — but
+// on the standby promoted into its partition.
+func TestRetryWaitsForEveryWorker(t *testing.T) {
+	subs := testSubs(t, testPathGraph(t, 20), 2)
+	tc := newTestCluster(t, subs, 0)
+	conns := make([]net.Conn, 3) // owners of partitions 0 and 1, then a standby
+	for i := range conns {
+		conn, err := net.Dial("tcp", tc.coord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var mu sync.Mutex
+		if err := writeMsg(&mu, conn, msgHello, helloMsg{DataAddr: "127.0.0.1:1"}); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); tc.coord.NumRegistered() < i+1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("scripted worker %d did not register", i)
+			}
+		}
+		conns[i] = conn
+	}
+	var opens [3]atomic.Int32
+	var wg sync.WaitGroup
+	for i, conn := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var wmu sync.Mutex
+			for {
+				typ, payload, err := readFrame(conn)
+				if err != nil {
+					return
+				}
+				var m openMsg
+				if typ != msgOpen || decodeMsg(payload, &m) != nil {
+					continue
+				}
+				if opens[i].Add(1); i != 1 {
+					_ = writeMsg(&wmu, conn, msgFailed, failedMsg{Job: m.Job, Attempt: m.Attempt, Err: "scripted failure"})
+					continue
+				}
+				// Silent well past worker 0's failure; count a retry's open
+				// if one arrived meanwhile, then die.
+				time.Sleep(300 * time.Millisecond)
+				_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+				if typ, _, err := readFrame(conn); err == nil && typ == msgOpen {
+					opens[i].Add(1)
+				}
+				_ = conn.Close()
+				return
+			}
+		}()
+	}
+	if _, err := tc.coord.Run(context.Background(), JobSpec{App: "CC", MaxAttempts: 2}); err == nil {
+		t.Fatal("a job whose every open fails succeeded")
+	}
+	for _, c := range conns {
+		_ = c.Close()
+	}
+	wg.Wait()
+	if got := [3]int32{opens[0].Load(), opens[1].Load(), opens[2].Load()}; got != [3]int32{2, 1, 1} {
+		t.Fatalf("opens received per scripted worker = %v, want [2 1 1]: the retry went out before worker 1 settled", got)
+	}
+}
+
 // TestClusterHeartbeatDetector covers death the connection does not
 // announce: a registered worker that goes silent (but keeps its socket
 // open) is declared dead by heartbeat timeout, its partition is handed to
@@ -409,7 +546,7 @@ func TestClusterHeartbeatDetector(t *testing.T) {
 	}
 	defer conn.Close()
 	var silentMu sync.Mutex
-	if err := writeMsg(&silentMu, conn, msgHello, helloMsg{Host: "127.0.0.1"}); err != nil {
+	if err := writeMsg(&silentMu, conn, msgHello, helloMsg{DataAddr: "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -427,7 +564,7 @@ func TestClusterHeartbeatDetector(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Attempts < 2 {
-		t.Fatalf("attempts = %d, want >= 2 (prepare must stall on the silent worker first)", res.Attempts)
+		t.Fatalf("attempts = %d, want >= 2 (open must stall on the silent worker first)", res.Attempts)
 	}
 	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
 	if err != nil {
@@ -442,7 +579,7 @@ func TestClusterHeartbeatDetector(t *testing.T) {
 // offset of the first stream to reach it — a single-bit wire corruption
 // between two agents.
 type flipListener struct {
-	net.Listener
+	transport.Listener
 	offset  int64
 	flipped *atomic.Bool
 }
@@ -491,12 +628,12 @@ func TestClusterDataFrameCorruptionDetected(t *testing.T) {
 			tc.startAgent(ctx)
 			continue
 		}
-		// Worker 1 accepts exactly one data connection, from worker 0: a
-		// 4-byte hello, then frames. Offset 4+34 is the first column byte
-		// of the first frame (step 0 of CC always carries rows).
+		// Worker 1 accepts exactly one data connection per mesh, from
+		// worker 0: an 8-byte hello, then frames. Offset 8+34 is the first
+		// column byte of the first frame (step 0 of CC always carries rows).
 		tc.startAgent(ctx, func(a *Agent) {
-			a.wrapDataListener = func(ln net.Listener) net.Listener {
-				return flipListener{Listener: ln, offset: 4 + 34, flipped: &flipped}
+			a.wrapDataListener = func(ln transport.Listener) transport.Listener {
+				return flipListener{Listener: ln, offset: 8 + 34, flipped: &flipped}
 			}
 			a.logf = func(format string, args ...any) {
 				logMu.Lock()
@@ -544,7 +681,7 @@ func TestControlFrameTamperDetected(t *testing.T) {
 
 	var frame bytes.Buffer
 	var mu sync.Mutex
-	if err := writeMsg(&mu, &frame, msgHello, helloMsg{Host: "127.0.0.1"}); err != nil {
+	if err := writeMsg(&mu, &frame, msgHello, helloMsg{DataAddr: "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
 	b := frame.Bytes()
@@ -565,6 +702,32 @@ func TestControlFrameTamperDetected(t *testing.T) {
 	}
 	if n := tc.coord.NumRegistered(); n != 0 {
 		t.Fatalf("tampered hello registered %d workers", n)
+	}
+}
+
+// TestHelloDataAddrChecked: a hello whose data address peers could not
+// dial does not register — the coordinator hangs up instead of putting
+// the worker in a roster whose every wiring would wait on it.
+func TestHelloDataAddrChecked(t *testing.T) {
+	subs := testSubs(t, testPathGraph(t, 20), 1)
+	tc := newTestCluster(t, subs, 0)
+	for _, addr := range []string{"", "nohost", "127.0.0.1:"} {
+		conn, err := net.Dial("tcp", tc.coord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		if err := writeMsg(&mu, conn, msgHello, helloMsg{DataAddr: addr}); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil || strings.Contains(err.Error(), "timeout") {
+			t.Fatalf("data address %q: connection kept (read err = %v)", addr, err)
+		}
+		_ = conn.Close()
+		if n := tc.coord.NumRegistered(); n != 0 {
+			t.Fatalf("data address %q registered %d workers", addr, n)
+		}
 	}
 }
 

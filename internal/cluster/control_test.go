@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"ebv/internal/frame"
 	"ebv/internal/frame/frametest"
 )
 
@@ -48,12 +50,32 @@ func TestControlFrameRoundTrip(t *testing.T) {
 
 // TestControlFrameFormat runs the damage every framed format must survive
 // (frametest.Check, the suite frame's own tests run over the other five)
-// through the control-frame reader.
+// through the control-frame reader, at EBVC v2.
 func TestControlFrameFormat(t *testing.T) {
-	frametest.Check(t, "EBVC", encodeFrame(t, msgDone, []byte("control payload under test")), func(b []byte) error {
+	sample := encodeFrame(t, msgDone, []byte("control payload under test"))
+	if v := binary.LittleEndian.Uint32(sample[4:]); v != 2 {
+		t.Fatalf("control frames are written at EBVC version %d, want 2", v)
+	}
+	frametest.Check(t, "EBVC", sample, func(b []byte) error {
 		_, _, err := readFrame(bytes.NewReader(b))
 		return err
 	})
+}
+
+// TestControlFrameV1Rejected: a hello from a build that spoke EBVC v1 —
+// whose messages carried a per-attempt data listener — fails its first
+// frame by version, not as a misread gob payload.
+func TestControlFrameV1Rejected(t *testing.T) {
+	var buf bytes.Buffer
+	var mu sync.Mutex
+	if err := writeMsg(&mu, &buf, msgHello, helloMsg{DataAddr: "127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	v1 := buf.Bytes()[:buf.Len()-4]
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	if _, _, err := readFrame(bytes.NewReader(frame.Seal(v1))); err == nil || !strings.Contains(err.Error(), "EBVC version 1") {
+		t.Fatalf("v1 hello: err = %v, want an EBVC version 1 error", err)
+	}
 }
 
 func TestControlFrameCorruptionDetected(t *testing.T) {

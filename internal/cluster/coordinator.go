@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,6 +51,11 @@ type Coordinator struct {
 
 	runMu sync.Mutex // serializes Run: one job in flight at a time
 
+	// Under runMu: the data-plane mesh's number and the roster it was wired
+	// for (nil after a failed attempt, so the retry moves to a new mesh).
+	mesh       int
+	meshRoster []int
+
 	// holdAssign, when set (tests only), runs before each assign frame is
 	// written — the seam for stretching the window between publishing a
 	// partition's owner and that owner holding its shard.
@@ -59,7 +65,7 @@ type Coordinator struct {
 // workerConn is the coordinator's handle on one registered worker.
 type workerConn struct {
 	id       int
-	host     string
+	dataAddr string // its data-plane listener, from hello
 	conn     net.Conn
 	wmu      sync.Mutex // serializes frame writes
 	part     int        // under Coordinator.mu; -1 = hot standby
@@ -77,7 +83,6 @@ type event struct {
 	part    int
 	job     int
 	attempt int
-	addr    string
 	steps   int
 	width   int
 	values  []float64
@@ -86,7 +91,7 @@ type event struct {
 
 const (
 	evDead = iota
-	evPrepared
+	evOpened
 	evDone
 	evFailed
 )
@@ -254,10 +259,14 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	_ = conn.SetReadDeadline(time.Time{})
-	if hello.Host == "" {
-		hello.Host = "127.0.0.1"
+	// Peers dial the address as given; one they cannot dial would stall
+	// every wiring of the roster until its dial timeout.
+	if _, port, err := net.SplitHostPort(hello.DataAddr); err != nil || port == "" {
+		c.logf("refusing worker at %s: data address %q is not host:port", conn.RemoteAddr(), hello.DataAddr)
+		_ = conn.Close()
+		return
 	}
+	_ = conn.SetReadDeadline(time.Time{})
 
 	c.mu.Lock()
 	if c.closed {
@@ -265,7 +274,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	w := &workerConn{id: c.nextWID, host: hello.Host, conn: conn, part: -1}
+	w := &workerConn{id: c.nextWID, dataAddr: hello.DataAddr, conn: conn, part: -1}
 	c.nextWID++
 	w.lastSeen.Store(time.Now().UnixNano())
 	for p, owner := range c.owner {
@@ -280,12 +289,12 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	c.mu.Unlock()
 
 	if part >= 0 {
-		c.logf("worker %d registered (host %s): assigned partition %d", w.id, w.host, part)
+		c.logf("worker %d registered (data %s): assigned partition %d", w.id, w.dataAddr, part)
 		if !c.assign(w, part) {
 			return
 		}
 	} else {
-		c.logf("worker %d registered (host %s): hot standby", w.id, w.host)
+		c.logf("worker %d registered (data %s): hot standby", w.id, w.dataAddr)
 	}
 
 	for {
@@ -298,13 +307,13 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		switch typ {
 		case msgHeartbeat:
 			// liveness only
-		case msgPrepared:
-			var m preparedMsg
+		case msgOpened:
+			var m openedMsg
 			if err := decodeMsg(payload, &m); err != nil {
 				c.markDead(w, err)
 				return
 			}
-			c.emit(event{kind: evPrepared, wid: w.id, part: m.Part, job: m.Job, attempt: m.Attempt, addr: m.DataAddr})
+			c.emit(event{kind: evOpened, wid: w.id, job: m.Job, attempt: m.Attempt})
 		case msgDone:
 			e, err := decodeDone(payload, c.subs)
 			if err != nil {
@@ -319,7 +328,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 				c.markDead(w, err)
 				return
 			}
-			c.emit(event{kind: evFailed, wid: w.id, part: m.Part, job: m.Job, attempt: m.Attempt, errMsg: m.Err})
+			c.emit(event{kind: evFailed, wid: w.id, job: m.Job, attempt: m.Attempt, errMsg: m.Err})
 		default:
 			c.markDead(w, fmt.Errorf("unexpected control frame %#x", typ))
 			return
@@ -329,7 +338,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 
 // assign ships partition ownership and the shard bytes to w, and only then
 // makes w roster-eligible: owner[part] is published before the write (so
-// no second worker claims the partition), but a job's prepare must not
+// no second worker claims the partition), but a job's open must not
 // overtake the assign frame on w's connection — the agent would answer "no
 // partition assigned" and burn the attempt. A failed write marks w dead
 // and reports false.
@@ -384,7 +393,7 @@ func (c *Coordinator) markDead(w *workerConn, cause error) {
 		c.logf("promoting standby worker %d to partition %d", promotee.id, freed)
 		c.assign(promotee, freed)
 	}
-	c.emit(event{kind: evDead, wid: w.id, part: freed})
+	c.emit(event{kind: evDead, wid: w.id})
 	c.signalRoster()
 }
 
@@ -477,6 +486,7 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 			return res, nil
 		}
 		lastErr = err
+		c.meshRoster = nil // whatever failed, the retry rewires
 		if ctx.Err() != nil || c.isClosed() {
 			break
 		}
@@ -485,7 +495,7 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	return nil, fmt.Errorf("cluster: job %d failed: %w", job, lastErr)
 }
 
-// runAttempt drives one attempt: roster, prepare, start, collect.
+// runAttempt drives one attempt: roster, open, start, collect.
 func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec JobSpec, width int) (*JobResult, error) {
 	k := len(c.subs)
 	ch := make(chan event, 4*k+16)
@@ -508,9 +518,14 @@ func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec Job
 	if err != nil {
 		return nil, err
 	}
-	inRoster := make(map[int]bool, k)
-	for _, w := range roster {
-		inRoster[w.id] = true
+	ids := make([]int, k)
+	addrs := make([]string, k)
+	for p, w := range roster {
+		ids[p], addrs[p] = w.id, w.dataAddr
+	}
+	if !slices.Equal(ids, c.meshRoster) {
+		c.mesh++
+		c.meshRoster = ids
 	}
 
 	restoreStep := -1
@@ -527,78 +542,46 @@ func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec Job
 		}
 	}
 
-	prepare := prepareMsg{Job: job, Attempt: attempt, Spec: spec, RestoreStep: restoreStep}
+	open := openMsg{Job: job, Attempt: attempt, Spec: spec, RestoreStep: restoreStep, Mesh: c.mesh, Addrs: addrs}
 	for _, w := range roster {
-		if err := writeMsg(&w.wmu, w.conn, msgPrepare, prepare); err != nil {
+		if err := writeMsg(&w.wmu, w.conn, msgOpen, open); err != nil {
 			c.markDead(w, err)
-			return nil, fmt.Errorf("send prepare to worker %d: %w", w.id, err)
+			return nil, fmt.Errorf("send open to worker %d: %w", w.id, err)
 		}
 	}
 
-	addrs := make([]string, k)
-	for got := 0; got < k; {
-		e, err := c.nextEvent(ctx, ch)
-		if err != nil {
-			return nil, err
-		}
-		switch e.kind {
-		case evPrepared:
-			if e.job != job || e.attempt != attempt || e.part < 0 || e.part >= k || addrs[e.part] != "" {
-				continue
-			}
-			addrs[e.part] = e.addr
-			got++
-		case evDead:
-			if inRoster[e.wid] {
-				return nil, fmt.Errorf("worker %d (partition %d) died during prepare", e.wid, e.part)
-			}
-		case evFailed:
-			if e.job == job && e.attempt == attempt {
-				return nil, fmt.Errorf("worker %d failed to prepare partition %d: %s", e.wid, e.part, e.errMsg)
-			}
-		}
+	if err := c.settle(ctx, ch, roster, job, attempt, evOpened, "open", func(int, event) error { return nil }); err != nil {
+		return nil, err
 	}
 
-	start := startMsg{Job: job, Attempt: attempt, Addrs: addrs}
+	// Every node has opened the job, so no bundle of it can reach a node
+	// that has not.
+	start := startMsg{Job: job, Attempt: attempt}
 	for _, w := range roster {
 		if err := writeMsg(&w.wmu, w.conn, msgStart, start); err != nil {
 			c.markDead(w, err)
 			return nil, fmt.Errorf("send start to worker %d: %w", w.id, err)
 		}
 	}
-	c.logf("job %d attempt %d: %d workers running", job, attempt, k)
+	c.logf("job %d attempt %d: %d workers running on mesh %d", job, attempt, k, c.mesh)
 
 	values := make([]*graph.ValueMatrix, k)
 	steps := -1
-	for got := 0; got < k; {
-		e, err := c.nextEvent(ctx, ch)
-		if err != nil {
-			return nil, err
+	err = c.settle(ctx, ch, roster, job, attempt, evDone, "run", func(p int, e event) error {
+		switch {
+		case e.part != p:
+			return fmt.Errorf("worker %d returned partition %d, owns %d", e.wid, e.part, p)
+		case e.width != width:
+			return fmt.Errorf("worker %d returned width %d values, want %d", e.wid, e.width, width)
+		case steps >= 0 && steps != e.steps:
+			return fmt.Errorf("workers disagree on step count: %d vs %d", steps, e.steps)
 		}
-		switch e.kind {
-		case evDone:
-			if e.job != job || e.attempt != attempt || e.part < 0 || e.part >= k || values[e.part] != nil {
-				continue
-			}
-			if e.width != width {
-				return nil, fmt.Errorf("worker %d returned width %d values, want %d", e.wid, e.width, width)
-			}
-			if steps < 0 {
-				steps = e.steps
-			} else if steps != e.steps {
-				return nil, fmt.Errorf("workers disagree on step count: %d vs %d", steps, e.steps)
-			}
-			values[e.part] = &graph.ValueMatrix{Width: e.width, Data: e.values}
-			got++
-		case evDead:
-			if inRoster[e.wid] {
-				return nil, fmt.Errorf("worker %d (partition %d) died mid-run", e.wid, e.part)
-			}
-		case evFailed:
-			if e.job == job && e.attempt == attempt {
-				return nil, fmt.Errorf("worker %d failed on partition %d: %s", e.wid, e.part, e.errMsg)
-			}
-		}
+		steps = e.steps
+		values[p] = &graph.ValueMatrix{Width: e.width, Data: e.values}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	vals, covered, err := bsp.AssembleValues(c.subs, values, width, true)
@@ -612,6 +595,48 @@ func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec Job
 		Covered:      covered,
 		RestoredFrom: restoreStep,
 	}, nil
+}
+
+// settle collects every roster worker's answer to one phase of an
+// attempt: its reply (an event of kind, checked by reply), a failure
+// report, or its death. The first failure is returned only once every
+// worker has settled, so a worker that died in this attempt is out of the
+// next roster before a retry opens on it: an open sent to a dead worker
+// would stall its peers' wiring until their dial timeout.
+func (c *Coordinator) settle(ctx context.Context, ch chan event, roster []*workerConn, job, attempt, kind int,
+	phase string, reply func(part int, e event) error) error {
+	slot := make(map[int]int, len(roster))
+	for p, w := range roster {
+		slot[w.id] = p
+	}
+	settled := make([]bool, len(roster))
+	var first error
+	for n := 0; n < len(roster); {
+		e, err := c.nextEvent(ctx, ch)
+		if err != nil {
+			return err
+		}
+		p, ok := slot[e.wid]
+		if !ok || settled[p] || e.kind != evDead && (e.job != job || e.attempt != attempt) {
+			continue // not this attempt's, or already settled
+		}
+		switch e.kind {
+		case kind:
+			err = reply(p, e)
+		case evDead:
+			err = fmt.Errorf("worker %d (partition %d) died during %s", e.wid, p, phase)
+		case evFailed:
+			err = fmt.Errorf("worker %d failed to %s partition %d: %s", e.wid, phase, p, e.errMsg)
+		default:
+			continue
+		}
+		settled[p] = true
+		n++
+		if first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // nextEvent receives one attempt event, honoring cancellation.

@@ -20,7 +20,7 @@ import (
 // with header words type and payload length, so a corrupt or truncated
 // frame — a data-plane peer, a connection cut mid-shard — fails at the
 // frame layer, not as a gob decode error. The small schema'd messages
-// (hello, prepare, prepared, start, failed) are gob-encoded structs: a
+// (hello, open, opened, start, failed) are gob-encoded structs: a
 // few dozen bytes each, off the bulk path, and gob lets JobSpec grow a
 // field without a wire revision. The two bulk payloads never touch gob,
 // whose reflection cost more CPU per shard than EBV spends partitioning
@@ -36,49 +36,48 @@ import (
 const (
 	msgHello     = 0x01 // agent → coordinator: registration
 	msgAssign    = 0x02 // coordinator → agent: partition ownership; the payload is the shard
-	msgPrepare   = 0x03 // coordinator → agent: bind a data listener for a job attempt
-	msgPrepared  = 0x04 // agent → coordinator: data listener address
-	msgStart     = 0x05 // coordinator → agent: full peer address list; run
+	msgOpen      = 0x03 // coordinator → agent: open a job attempt on the roster's mesh
+	msgOpened    = 0x04 // agent → coordinator: the attempt is open on this agent's node
+	msgStart     = 0x05 // coordinator → agent: every agent has opened; run
 	msgDone      = 0x06 // agent → coordinator: attempt finished, values inline
 	msgFailed    = 0x07 // agent → coordinator: attempt failed
 	msgHeartbeat = 0x08 // agent → coordinator: liveness only
 	msgShutdown  = 0x09 // coordinator → agent: clean exit
 )
 
-// helloMsg registers an agent. Host is the address workers advertise to
-// peers for the data plane (the coordinator only sees the control conn's
-// remote address, which may be NATed or wildcard-bound).
+// helloMsg registers an agent. DataAddr is its data-plane listener's
+// address as peers dial it: bound for the agent's lifetime, at the host
+// it advertises (the coordinator only sees the control conn's remote
+// address, which may be NATed or wildcard-bound).
 type helloMsg struct {
-	Host string
+	DataAddr string
 }
 
-// prepareMsg opens a job attempt: the agent must bind a fresh data-plane
-// listener and reply prepared. RestoreStep >= 0 instructs it to load its
-// partition's checkpoint for that epoch before running; -1 runs fresh.
-type prepareMsg struct {
+// openMsg opens a job attempt on the mesh numbered Mesh, whose workers
+// listen at Addrs (indexed by partition): an agent whose node is wired
+// for another mesh, or has none, wires one first. RestoreStep >= 0
+// instructs it to load its partition's checkpoint for that epoch before
+// running; -1 runs fresh.
+type openMsg struct {
 	Job         int
 	Attempt     int
 	Spec        JobSpec
 	RestoreStep int
+	Mesh        int
+	Addrs       []string
 }
 
-// preparedMsg reports the agent's bound data-plane address for one
-// attempt. Part is echoed so the coordinator can place the address even
-// if the assignment raced a failover.
-type preparedMsg struct {
-	Job      int
-	Attempt  int
-	Part     int
-	DataAddr string
+// openedMsg reports the attempt open on the agent's node.
+type openedMsg struct {
+	Job     int
+	Attempt int
 }
 
-// startMsg broadcasts the complete data-plane address list (indexed by
-// partition); receipt means every peer is listening, so mesh wiring can
-// begin.
+// startMsg runs an attempt; it is sent once every agent has opened it, so
+// no node receives a bundle of a job it has not opened.
 type startMsg struct {
 	Job     int
 	Attempt int
-	Addrs   []string
 }
 
 // failedMsg reports an attempt failure without killing the agent; the
@@ -86,7 +85,6 @@ type startMsg struct {
 type failedMsg struct {
 	Job     int
 	Attempt int
-	Part    int
 	Err     string
 }
 
@@ -138,7 +136,9 @@ func writeMsg(mu *sync.Mutex, w io.Writer, typ uint8, payload any) error {
 	return writeFrame(mu, w, typ, buf.Bytes())
 }
 
-var controlFrame = frame.Format{Name: "EBVC", Version: 1, Words: 2}
+// controlFrame is EBVC v2: hello, open, opened and start carry new payloads
+// under v1's type codes, so a v1 peer fails its first frame by version.
+var controlFrame = frame.Format{Name: "EBVC", Version: 2, Words: 2}
 
 // maxControlPayload is of the order of the largest shard.
 const maxControlPayload = 1 << 30

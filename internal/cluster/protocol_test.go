@@ -45,11 +45,11 @@ func TestDoneFrameBitExact(t *testing.T) {
 	}
 	defer conn.Close()
 	var wmu sync.Mutex
-	if err := writeMsg(&wmu, conn, msgHello, helloMsg{}); err != nil {
+	if err := writeMsg(&wmu, conn, msgHello, helloMsg{DataAddr: "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
 
-	// The scripted worker: take the shard, answer prepare, and on start
+	// The scripted worker: take the shard, answer open, and on start
 	// report the special floats as its final values.
 	scriptErr := make(chan error, 1)
 	go func() {
@@ -61,13 +61,13 @@ func TestDoneFrameBitExact(t *testing.T) {
 					return err
 				}
 				switch typ {
-				case msgPrepare:
-					var m prepareMsg
+				case msgOpen:
+					var m openMsg
 					if err := decodeMsg(payload, &m); err != nil {
 						return err
 					}
 					job, attempt = m.Job, m.Attempt
-					if err := writeMsg(&wmu, conn, msgPrepared, preparedMsg{Job: m.Job, Attempt: m.Attempt, DataAddr: "unused"}); err != nil {
+					if err := writeMsg(&wmu, conn, msgOpened, openedMsg{Job: m.Job, Attempt: m.Attempt}); err != nil {
 						return err
 					}
 				case msgStart:

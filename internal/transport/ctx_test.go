@@ -10,12 +10,13 @@ import (
 // TestWireMeshNodeCancelWhileWaiting: a worker waiting for peers that
 // never come up must abort on cancellation well before its dial timeout.
 func TestWireMeshNodeCancelWhileWaiting(t *testing.T) {
+	lns, addrs := listenLoopback(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		// Worker 1 of 2: it must accept a connection from worker 0,
 		// which never arrives.
-		_, err := WireMeshNode(ctx, 1, []string{"127.0.0.1:1", "127.0.0.1:0"}, nil, time.Minute)
+		_, err := WireMeshNode(ctx, 1, 1, addrs, lns[1], time.Minute)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -30,12 +31,13 @@ func TestWireMeshNodeCancelWhileWaiting(t *testing.T) {
 	}
 }
 
-// TestWireMeshNodePreCanceled fails fast without listening.
+// TestWireMeshNodePreCanceled fails fast without accepting or dialing.
 func TestWireMeshNodePreCanceled(t *testing.T) {
+	lns, addrs := listenLoopback(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := WireMeshNode(ctx, 1, []string{"127.0.0.1:1", "127.0.0.1:0"}, nil, time.Minute)
+	_, err := WireMeshNode(ctx, 1, 1, addrs, lns[1], time.Minute)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -14,8 +14,8 @@ import (
 
 // TCPMeshDeployment is the TCP Deployment: a full loopback mesh of k
 // MeshNodes wired once and shared by every job. It is the in-process form
-// of the one TCP data plane — a cluster agent (cmd/ebv-worker) holds a
-// single MeshNode of the same kind per process.
+// of the one TCP data plane — a cluster agent (cmd/ebv-worker) holds one
+// MeshNode of the same kind per roster.
 type TCPMeshDeployment struct {
 	k      int
 	nodes  []*MeshNode
@@ -35,16 +35,14 @@ func NewTCPMeshDeployment(ctx context.Context, k int) (*TCPMeshDeployment, error
 	if k < 1 {
 		return nil, fmt.Errorf("transport: need at least 1 worker, got %d", k)
 	}
-	listeners := make([]net.Listener, k)
+	listeners := make([]Listener, k)
 	addrs := make([]string, k)
 	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
 		if err != nil {
-			for _, ln := range listeners[:i] {
-				_ = ln.Close()
-			}
 			return nil, fmt.Errorf("transport: listen worker %d: %w", i, err)
 		}
+		defer ln.Close() // the mesh is wired once, so its listeners go with this call
 		listeners[i], addrs[i] = ln, ln.Addr().String()
 	}
 	// The first node to fail aborts the others' wiring instead of leaving
@@ -57,7 +55,7 @@ func NewTCPMeshDeployment(ctx context.Context, k int) (*TCPMeshDeployment, error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n, err := WireMeshNode(wctx, i, addrs, listeners[i], 0)
+			n, err := WireMeshNode(wctx, i, 0, addrs, listeners[i], 0)
 			if err != nil {
 				fail(err)
 				return
@@ -175,11 +173,14 @@ const smallBlockBytes = 4096
 // node (cross-job corruption is a protocol violation, not noise). The wire
 // is the CRC-sealed EBV6 bundle of fixed-width columns (bundle.go).
 //
-// The demux readers start with the node's first job. Nodes of a
-// multi-process mesh finish wiring at different moments, so a fast peer's
-// first frame can arrive before this process has opened the job; it waits
-// in the socket buffer instead of being read as a frame for an unknown
-// job.
+// A node is wired once and serves every job opened on it until it fails
+// or closes; nothing closes it between jobs. So a peer's connection
+// ending at all, cleanly or not, fails the node, as a truncated or corrupt
+// bundle does. Every node opens a job before any node sends a bundle of it
+// (the cluster's start round; one OpenJob call on the loopback
+// deployment). The demux readers start with the node's first job: a node
+// with no job yet does not see a peer leave, so the failure is named by
+// the nodes that were using the peer, not by a cascade through the rest.
 type MeshNode struct {
 	worker  int
 	k       int
@@ -194,7 +195,6 @@ type MeshNode struct {
 	jobs     map[uint32]*muxJob // open jobs
 	next     uint64             // job-id watermark (see admit)
 	started  bool               // demux readers running
-	gone     []bool             // gone[peer]: peer closed its connection between frames (see peerGone)
 	failed   error              // node death (conn error, corrupt or cross-job frame, Close); nil while healthy
 	tornDown bool               // fail already ran (jobs failed, connections closed)
 }
@@ -208,7 +208,6 @@ func newMeshNode(worker int, conns []net.Conn) *MeshNode {
 		bufw:   make([]*bufio.Writer, k),
 		wmu:    make([]sync.Mutex, k),
 		jobs:   make(map[uint32]*muxJob),
-		gone:   make([]bool, k),
 	}
 }
 
@@ -239,7 +238,7 @@ type muxJob struct {
 	node  *MeshNode
 	job   uint32
 	width int
-	in    []chan jobFrame // in[src]; nil at index == node.worker; closed once src is gone
+	in    []chan jobFrame // in[src]; nil at index == node.worker
 	done  chan struct{}   // closed when the job fails or closes
 	err   error           // cause; written before done closes
 
@@ -280,9 +279,6 @@ func (n *MeshNode) OpenJob(job uint32, width int) (Transport, error) {
 			continue
 		}
 		j.in[peer] = make(chan jobFrame, jobFrameBuffer)
-		if n.gone[peer] {
-			close(j.in[peer])
-		}
 	}
 	n.jobs[job] = j
 	if !n.started {
@@ -302,8 +298,8 @@ func (n *MeshNode) OpenJob(job uint32, width int) (Transport, error) {
 }
 
 // Close tears the node down: every open job fails with ErrClosed, the
-// connections close (each peer sees this worker leave) and the demux
-// readers are waited out. Idempotent.
+// connections close (failing every peer's node that has a job open) and
+// the demux readers are waited out. Idempotent.
 func (n *MeshNode) Close() error {
 	n.fail(ErrClosed)
 	n.readers.Wait()
@@ -366,32 +362,17 @@ func (n *MeshNode) fail(cause error) {
 	}
 }
 
-// peerGone records that peer closed its connection between frames — what
-// a worker does after its last superstep — and closes every job's inbox
-// from it. A peer that finishes first must not fail a slower one still
-// collecting the final step: frames already queued are delivered, and
-// only an Exchange that needs a further frame from peer fails.
-func (n *MeshNode) peerGone(peer int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.gone[peer] = true
-	for _, j := range n.jobs {
-		close(j.in[peer]) // readLoop(peer), the only sender, is the caller
-	}
-}
-
 // readLoop is the demux for one peer connection: it reads bundles and
-// routes them to the owning job's inbox until the connection ends. A
-// clean end between bundles is the peer leaving (peerGone); anything else
-// — truncation mid-bundle, a corrupt bundle, a socket error — kills the
-// node.
+// routes them to the owning job's inbox until the connection ends, which
+// kills the node — the peer left, or truncated or corrupted a bundle, or
+// the socket failed.
 func (n *MeshNode) readLoop(peer int) {
 	br := bufio.NewReaderSize(n.conns[peer], 1<<16)
 	var s bundleScratch // per-connection read scratch, reused across bundles
 	for {
 		b, err := readBundle(br, n.k, peer, n.worker, &s)
 		if err == io.EOF {
-			n.peerGone(peer)
+			n.fail(fmt.Errorf("transport: worker %d closed its connection to worker %d", peer, n.worker))
 			return
 		}
 		if err == nil {
@@ -467,10 +448,10 @@ func (n *MeshNode) send(peer int, j *muxJob, step, round int, flags byte, blocks
 }
 
 // failure maps an error the node's own teardown can induce — a blocked
-// write's "use of closed network connection", a peer's inbox closing — to
-// the cause that teardown recorded: fail and the deployment's Close record
-// it before closing any connection, so it, not the induced error, is the
-// real story. A healthy node's err passes through.
+// write's "use of closed network connection" — to the cause that teardown
+// recorded: fail and the deployment's Close record it before closing any
+// connection, so it, not the induced error, is the real story. A healthy
+// node's err passes through.
 func (n *MeshNode) failure(err error) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -493,14 +474,10 @@ func (j *muxJob) failure() error {
 // the pool tolerates).
 func (j *muxJob) drainInboxes() {
 	for _, ch := range j.in {
-		if ch == nil {
-			continue
-		}
 		for drained := false; !drained; {
 			select {
-			case f, ok := <-ch:
+			case f := <-ch: // never ready on the nil self slot
 				f.recycle()
-				drained = !ok
 			default:
 				drained = true
 			}
@@ -660,15 +637,10 @@ func (j *muxJob) rounds(worker, step int, bruck bool, flags *byte, in []*Message
 // flags.
 func (j *muxJob) take(peer, step, round int, bruck bool, flags *byte, in []*MessageBatch) error {
 	var f jobFrame
-	var ok bool
 	select {
-	case f, ok = <-j.in[peer]:
+	case f = <-j.in[peer]:
 	case <-j.done:
 		return j.failure()
-	}
-	if !ok {
-		return j.node.failure(fmt.Errorf("transport: job %d: worker %d closed its connection before sending step %d",
-			j.job, peer, step))
 	}
 	if f.step != step || f.round != round || (f.flags&bundleBruck != 0) != bruck {
 		f.recycle()

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,12 +15,12 @@ import (
 
 // listenLoopback binds k ephemeral loopback listeners and returns them
 // with their addresses — the address list a multi-process mesh shares.
-func listenLoopback(t *testing.T, k int) ([]net.Listener, []string) {
+func listenLoopback(t *testing.T, k int) ([]Listener, []string) {
 	t.Helper()
-	lns := make([]net.Listener, k)
+	lns := make([]Listener, k)
 	addrs := make([]string, k)
 	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,132 +36,80 @@ func listenLoopback(t *testing.T, k int) ([]net.Listener, []string) {
 func wireLoopbackNodes(t *testing.T, k int) []*MeshNode {
 	t.Helper()
 	lns, addrs := listenLoopback(t, k)
-	nodes := make([]*MeshNode, k)
-	errs := make([]error, k)
+	return wireMesh(t, 1, lns, addrs)
+}
+
+// wireMesh wires one mesh through the given listeners, concurrently; the
+// nodes close with the test.
+func wireMesh(t *testing.T, mesh uint32, lns []Listener, addrs []string) []*MeshNode {
+	t.Helper()
+	nodes := make([]*MeshNode, len(lns))
+	errs := make([]error, len(lns))
 	var wg sync.WaitGroup
 	for w := range nodes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			nodes[w], errs[w] = WireMeshNode(t.Context(), w, addrs, lns[w], 15*time.Second)
+			nodes[w], errs[w] = WireMeshNode(t.Context(), w, mesh, addrs, lns[w], 15*time.Second)
 		}()
 	}
 	wg.Wait()
 	for w, err := range errs {
 		if err != nil {
-			t.Fatalf("wire worker %d: %v", w, err)
+			t.Fatalf("mesh %d: wire worker %d: %v", mesh, w, err)
 		}
 		t.Cleanup(func() { _ = nodes[w].Close() })
 	}
 	return nodes
 }
 
-// heldConn delays every Read's return while armed, holding bytes that
-// already arrived back from the demux until release closes.
-type heldConn struct {
-	net.Conn
-	armed   *atomic.Bool
-	release <-chan struct{}
-}
-
-func (c heldConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if c.armed.Load() {
-		<-c.release
-	}
-	return n, err
-}
-
-// TestMeshNodeEarlyLeaver: a worker that finishes its last superstep and
-// closes its node must not fail a slower peer that has not consumed the
-// final bundles yet. The nodes are wired from an address list the way
-// separate processes would be; the last worker's demux is held back during
-// the last step until worker 0 has already closed its node, so it sees
-// worker 0's final bundle and its departure back to back. Every worker must
-// finish with the same, complete deliveries and no error, under the direct
-// exchange and under the radix-2 schedule, where worker 0's last bundles
-// also carry blocks it relays.
-func TestMeshNodeEarlyLeaver(t *testing.T) {
-	for _, tc := range []struct{ k, radix int }{{4, 4}, {4, 2}, {8, 2}} {
-		t.Run(fmt.Sprintf("k%d/radix%d", tc.k, tc.radix), func(t *testing.T) {
-			testEarlyLeaver(t, tc.k, tc.radix)
-		})
-	}
-}
-
-func testEarlyLeaver(t *testing.T, k, radix int) {
-	const steps = 3
-	slow := k - 1
-	nodes := wireLoopbackNodes(t, k)
-	var wg sync.WaitGroup
-
-	var armed atomic.Bool
-	release := make(chan struct{})
-	for peer, c := range nodes[slow].conns {
-		if c != nil { // the demux readers start with OpenJob, below
-			nodes[slow].conns[peer] = heldConn{Conn: c, armed: &armed, release: release}
-		}
-	}
-	for _, n := range nodes {
-		n.radix = radix
-	}
-
-	var lastStep sync.WaitGroup // everyone finished step steps-2, nobody sent steps-1
-	lastStep.Add(k)
+// exchangeOnce runs one step of a fresh job on every node and checks
+// that every worker received every other worker's row.
+func exchangeOnce(t *testing.T, nodes []*MeshNode, job uint32) {
+	t.Helper()
+	k := len(nodes)
 	errs := make([]error, k)
-	for w := range nodes {
+	var wg sync.WaitGroup
+	for w, n := range nodes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			errs[w] = func() error {
-				tr, err := nodes[w].OpenJob(1, 1)
+				tr, err := n.OpenJob(job, 1)
 				if err != nil {
 					return err
 				}
-				for step := 0; step < steps; step++ {
-					if step == steps-1 {
-						if w == slow {
-							armed.Store(true)
-						}
-						lastStep.Done()
-						lastStep.Wait()
+				defer tr.Close()
+				out := make([]*MessageBatch, k)
+				for dst := range out {
+					out[dst] = jobBatch(1, graph.VertexID(w), float64(100*w+dst))
+				}
+				res, err := tr.Exchange(w, 0, out, true)
+				if err != nil {
+					return err
+				}
+				for src, in := range res.In {
+					if in.Len() != 1 || in.Scalar(0) != float64(100*src+w) {
+						return fmt.Errorf("from %d: got %v / %v", src, in.IDs, in.Vals)
 					}
-					out := make([]*MessageBatch, k)
-					for dst := range out {
-						out[dst] = jobBatch(1, graph.VertexID(step), float64(100*w+dst))
-					}
-					res, err := tr.Exchange(w, step, out, true)
-					if err != nil {
-						return fmt.Errorf("step %d: %w", step, err)
-					}
-					for src, in := range res.In {
-						if in.Len() != 1 || in.IDs[0] != graph.VertexID(step) || in.Scalar(0) != float64(100*src+w) {
-							return fmt.Errorf("step %d from %d: got %v / %v", step, src, in.IDs, in.Vals)
-						}
-						RecycleBatch(in)
-					}
+					RecycleBatch(in)
 				}
 				return nil
 			}()
-			if w == 0 {
-				_ = nodes[0].Close() // leave at once, like a process exiting
-				close(release)
-			}
 		}()
 	}
 	wg.Wait()
 	for w, err := range errs {
 		if err != nil {
-			t.Errorf("worker %d: %v", w, err)
+			t.Fatalf("job %d, worker %d: %v", job, w, err)
 		}
 	}
 }
 
-// TestMeshNodePeerLossFailsPendingExchange is the other half of the
-// departure rule: a peer that leaves while its bundle is still needed
-// fails that Exchange loudly, naming the peer — under the direct exchange
-// at k = 2 and under the radix-2 schedule at k = 4 and 8, where worker 0
-// is worker 1's first-round source.
+// TestMeshNodePeerLossFailsPendingExchange: a peer that leaves fails the
+// node, and the pending Exchange fails loudly, naming the peer — under the
+// direct exchange at k = 2 and under the radix-2 schedule at k = 4 and 8,
+// where worker 0 is worker 1's first-round source.
 func TestMeshNodePeerLossFailsPendingExchange(t *testing.T) {
 	for _, tc := range []struct{ k, radix int }{{2, 2}, {4, 2}, {8, 2}} {
 		t.Run(fmt.Sprintf("k%d/radix%d", tc.k, tc.radix), func(t *testing.T) {
@@ -178,9 +125,9 @@ func TestMeshNodePeerLossFailsPendingExchange(t *testing.T) {
 			// first.
 			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 				nodes[1].mu.Lock()
-				gone := nodes[1].gone[0]
+				failed := nodes[1].failed
 				nodes[1].mu.Unlock()
-				if gone {
+				if failed != nil {
 					break
 				}
 				if time.Now().After(deadline) {
@@ -211,7 +158,7 @@ func TestWireMeshNodeSilentDialer(t *testing.T) {
 	defer client.Close()
 
 	start := time.Now()
-	_, err = WireMeshNode(context.Background(), 1, addrs, lns[1], 300*time.Millisecond)
+	_, err = WireMeshNode(context.Background(), 1, 1, addrs, lns[1], 300*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("wiring against a silent dialer: err = %v, want a loud timeout", err)
 	}
@@ -223,6 +170,18 @@ func TestWireMeshNodeSilentDialer(t *testing.T) {
 	if _, err := client.Read(make([]byte, 1)); err == nil || strings.Contains(err.Error(), "timeout") {
 		t.Fatalf("silent connection still open after the wiring ended: read err = %v", err)
 	}
+	// The listener is the caller's: the timed-out wiring left it open and
+	// without a deadline.
+	late, err := net.Dial("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = late.Close()
+	if conn, err := lns[1].Accept(); err != nil {
+		t.Fatalf("listener no longer accepts after the timed-out wiring: %v", err)
+	} else {
+		_ = conn.Close()
+	}
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -233,4 +192,30 @@ func TestWireMeshNodeSilentDialer(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("goroutines grew from %d to %d after a timed-out wiring", before, runtime.NumGoroutine())
+}
+
+// TestWireMeshNodeReusesListener: one listener per worker serves one mesh
+// after another, and a dial into mesh 1 still waiting in a listener's
+// backlog is skipped by mesh 2's wiring rather than taken for a peer.
+func TestWireMeshNodeReusesListener(t *testing.T) {
+	const k = 3
+	lns, addrs := listenLoopback(t, k)
+	exchangeOnce(t, wireMesh(t, 1, lns, addrs), 1)
+
+	// A mesh-1 hello from worker 0, queued at worker 2 ahead of mesh 2.
+	stale, err := net.Dial("tcp", addrs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Close()
+	if _, err := stale.Write([]byte{0, 0, 0, 0, 1, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	exchangeOnce(t, wireMesh(t, 2, lns, addrs), 1)
+
+	// The stale connection was closed, not slotted.
+	_ = stale.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := stale.Read(make([]byte, 1)); err == nil || strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("stale mesh-1 connection still open after mesh 2 wired: read err = %v", err)
+	}
 }

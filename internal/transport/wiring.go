@@ -11,24 +11,31 @@ import (
 	"time"
 )
 
+// Listener is what a mesh is wired through: a net.Listener whose Accept a
+// deadline can stop (*net.TCPListener is one), so that ending a wiring
+// leaves the listener open for the next.
+type Listener interface {
+	net.Listener
+	SetDeadline(t time.Time) error
+}
+
 // WireMeshNode wires one worker's endpoint of a k = len(addrs) worker TCP
-// mesh: addrs[i] is where worker i listens. It accepts a connection from
-// every lower-id peer and dials every higher-id peer, retrying dials with
-// exponential backoff until the peers come up, so workers may start in any
-// order; dialTimeout (default 30s) bounds the whole wiring and canceling
-// ctx aborts it. Every mesh — the loopback deployment, a cluster agent's
-// per-attempt data plane — is wired here.
+// mesh: addrs[i] is where worker i listens, and ln is this worker's bound
+// listener at addrs[worker] (unused at k = 1). It accepts a connection
+// from every lower-id peer and dials every higher-id peer, retrying dials
+// with exponential backoff until the peers come up, so workers may start
+// in any order; dialTimeout (default 30s) bounds the whole wiring and
+// canceling ctx aborts it. Every mesh — the loopback deployment, a cluster
+// agent's data plane — is wired here.
 //
-// ln, when non-nil, is the already-bound listener for addrs[worker] (the
-// cluster agent binds an ephemeral port first, to report its address
-// before the peer list exists); nil binds addrs[worker] here. Either way
-// the listener is closed before returning: its only purpose is wiring.
-func WireMeshNode(ctx context.Context, worker int, addrs []string, ln net.Listener, dialTimeout time.Duration) (*MeshNode, error) {
+// mesh numbers the wiring: every dialer's hello names it, and a backlog
+// connection that names another mesh (a dial left over from an earlier
+// wiring through the same listener) is closed and skipped. The listener
+// stays the caller's and stays open, so one listener serves every mesh a
+// long-lived worker is wired into.
+func WireMeshNode(ctx context.Context, worker int, mesh uint32, addrs []string, ln Listener, dialTimeout time.Duration) (*MeshNode, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if ln != nil {
-		defer ln.Close()
 	}
 	k := len(addrs)
 	if worker < 0 || worker >= k {
@@ -47,31 +54,24 @@ func WireMeshNode(ctx context.Context, worker int, addrs []string, ln net.Listen
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if ln == nil {
-		var err error
-		if ln, err = net.Listen("tcp", addrs[worker]); err != nil {
-			return nil, fmt.Errorf("transport: listen %s: %w", addrs[worker], err)
-		}
-		defer ln.Close()
-	}
 
 	// wctx ends the wiring: the caller canceled, the deadline passed, or
 	// one side failed (the first cause wins and is what the caller sees).
 	// Everything below watches it — dials through DialBackoff, the blocked
-	// Accept through the listener, a hello read through its connection —
-	// so no goroutine or unslotted connection outlives this call.
+	// Accept through a listener deadline, a hello read through its
+	// connection — so no goroutine or unslotted connection outlives this
+	// call.
 	deadline := time.Now().Add(dialTimeout)
 	wctx, fail := context.WithCancelCause(ctx)
 	defer fail(nil)
 	wctx, stopTimer := context.WithDeadlineCause(wctx, deadline,
 		fmt.Errorf("timed out after %v waiting for peers", dialTimeout))
 	defer stopTimer()
-	stopLn := context.AfterFunc(wctx, func() { _ = ln.Close() })
-	defer stopLn()
 
 	var (
-		wg sync.WaitGroup
-		mu sync.Mutex // guards conns
+		wg       sync.WaitGroup
+		mu       sync.Mutex // guards conns
+		accepted = make(chan struct{})
 	)
 	slot := func(peer int, conn net.Conn) {
 		mu.Lock()
@@ -92,9 +92,11 @@ func WireMeshNode(ctx context.Context, worker int, addrs []string, ln net.Listen
 				fail(fmt.Errorf("dial peer %d (%s): %w", peer, addrs[peer], err))
 				return
 			}
-			// Identify ourselves so the acceptor can slot the conn.
-			var hello [4]byte
+			// Identify ourselves and the mesh so the acceptor can slot
+			// the conn.
+			var hello [8]byte
 			binary.LittleEndian.PutUint32(hello[:], uint32(worker))
+			binary.LittleEndian.PutUint32(hello[4:], mesh)
 			if _, err := conn.Write(hello[:]); err != nil {
 				_ = conn.Close()
 				fail(fmt.Errorf("hello to %d: %w", peer, err))
@@ -106,7 +108,8 @@ func WireMeshNode(ctx context.Context, worker int, addrs []string, ln net.Listen
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < worker; i++ {
+		defer close(accepted)
+		for got := 0; got < worker; {
 			conn, err := ln.Accept()
 			if err != nil {
 				fail(fmt.Errorf("accept: %w", err))
@@ -116,7 +119,7 @@ func WireMeshNode(ctx context.Context, worker int, addrs []string, ln net.Listen
 			// this goroutine and its socket: the end of the wiring —
 			// deadline included — closes the connection under the read.
 			stop := context.AfterFunc(wctx, func() { _ = conn.Close() })
-			var hello [4]byte
+			var hello [8]byte
 			_, err = io.ReadFull(conn, hello[:])
 			if !stop() && err == nil {
 				err = context.Cause(wctx)
@@ -127,15 +130,28 @@ func WireMeshNode(ctx context.Context, worker int, addrs []string, ln net.Listen
 				return
 			}
 			peer := int(binary.LittleEndian.Uint32(hello[:]))
+			if binary.LittleEndian.Uint32(hello[4:]) != mesh {
+				_ = conn.Close() // a dial into an earlier (or later) mesh
+				continue
+			}
 			if peer < 0 || peer >= worker {
 				_ = conn.Close()
 				fail(fmt.Errorf("bad hello id %d", peer))
 				return
 			}
 			slot(peer, conn)
+			got++
 		}
 	}()
+	// The end of the wiring stops a blocked Accept by deadline, lifted
+	// again once the acceptor has returned.
+	select {
+	case <-wctx.Done():
+		_ = ln.SetDeadline(time.Unix(1, 0))
+	case <-accepted:
+	}
 	wg.Wait()
+	_ = ln.SetDeadline(time.Time{})
 
 	if cause := context.Cause(wctx); cause != nil {
 		for _, c := range conns {
