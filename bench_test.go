@@ -393,16 +393,13 @@ func BenchmarkOpenStages(b *testing.B) {
 	b.ReportMetric(ms(build), "build_ms")
 }
 
-// benchFanIn is the high-fan-in messaging kernel of the combiner bench: R
+// benchFanIn is the high-fan-in messaging kernel of the delivery bench: R
 // rounds of per-edge rows shipped to each destination vertex's master and
-// summed there — the vertex-centric traffic pattern whose duplicate-ID
-// rows a sender-side SumCombiner collapses (the replica-sync apps emit
-// unique-ID batches, which leave a combiner nothing to remove).
+// summed there — the vertex-centric traffic pattern, whose duplicate-ID
+// rows all cross the wire (the replica-sync apps emit unique-ID batches).
 type benchFanIn struct{ Rounds int }
 
 func (*benchFanIn) Name() string { return "FANIN" }
-
-func (*benchFanIn) MessageCombiner() transport.Combiner { return transport.SumCombiner{} }
 
 func (p *benchFanIn) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	rounds := p.Rounds
@@ -452,10 +449,8 @@ func (w *benchFanInWorker) Values() *graph.ValueMatrix {
 // PageRank to quiescence over a fixed EBV partition, on the in-memory
 // router and the TCP loopback mesh — the delivery-throughput numbers
 // EXPERIMENTS.md tracks across message-plane changes. The width axis shows
-// the columnar batches' marginal cost of vector payloads (Aggregate); the
-// combine axis shows sender-side message combining (off vs each
-// program's natural combiner), with the FANIN kernel supplying the
-// duplicate-heavy traffic where sender-side coalescing shrinks the wire.
+// the columnar batches' marginal cost of vector payloads (Aggregate), and
+// the FANIN kernel supplies uncombined duplicate-heavy fan-in traffic.
 // The tcp runs report actual wire bytes moved per run as a metric. The
 // wire and delivered row counts are reported as metrics everywhere.
 func BenchmarkMessageDelivery(b *testing.B) {
@@ -478,7 +473,7 @@ func BenchmarkMessageDelivery(b *testing.B) {
 		{"AGGw8", func() bsp.Program { return &apps.Aggregate{Layers: 2} }, 8},
 		{"FANIN", func() bsp.Program { return &benchFanIn{} }, 1},
 	}
-	runTCP := func(b *testing.B, prog func() bsp.Program, width int, combine bool) {
+	runTCP := func(b *testing.B, prog func() bsp.Program, width int) {
 		var counts bsp.MessageCounts
 		var wireBytes int64
 		for i := 0; i < b.N; i++ {
@@ -494,7 +489,7 @@ func BenchmarkMessageDelivery(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			res, err := dep.Run(context.Background(), prog(), bsp.Config{ValueWidth: width, AutoCombine: combine})
+			res, err := dep.Run(context.Background(), prog(), bsp.Config{ValueWidth: width})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -509,23 +504,21 @@ func BenchmarkMessageDelivery(b *testing.B) {
 		b.ReportMetric(float64(wireBytes), "wirebytes")
 	}
 	for _, tc := range cases {
-		for _, combine := range []string{"off", "auto"} {
-			b.Run(fmt.Sprintf("%s/mem/combine=%s", tc.name, combine), func(b *testing.B) {
-				var counts bsp.MessageCounts
-				for i := 0; i < b.N; i++ {
-					res, err := bsp.Run(b.Context(), subs, tc.prog(), bsp.Config{ValueWidth: tc.width, AutoCombine: combine == "auto"})
-					if err != nil {
-						b.Fatal(err)
-					}
-					counts = res.MessageCounts()
+		b.Run(tc.name+"/mem", func(b *testing.B) {
+			var counts bsp.MessageCounts
+			for i := 0; i < b.N; i++ {
+				res, err := bsp.Run(b.Context(), subs, tc.prog(), bsp.Config{ValueWidth: tc.width})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(counts.Wire), "messages")
-				b.ReportMetric(float64(counts.Delivered), "delivered")
-			})
-			b.Run(fmt.Sprintf("%s/tcp/combine=%s", tc.name, combine), func(b *testing.B) {
-				runTCP(b, tc.prog, tc.width, combine == "auto")
-			})
-		}
+				counts = res.MessageCounts()
+			}
+			b.ReportMetric(float64(counts.Wire), "messages")
+			b.ReportMetric(float64(counts.Delivered), "delivered")
+		})
+		b.Run(tc.name+"/tcp", func(b *testing.B) {
+			runTCP(b, tc.prog, tc.width)
+		})
 	}
 }
 
@@ -596,9 +589,8 @@ func BenchmarkSessionReuse(b *testing.B) {
 }
 
 // BenchmarkSuperstepKernels times whole jobs over one resident Session per
-// graph — k = 8, in-memory mesh, combining on (the default) — so per-op time
-// is superstep work alone: each app's kernel, the sender-side coalesce and
-// inbox delivery. The power-law rows are the powerlaw-mem benchmark cycle in
+// graph — k = 8, in-memory mesh — so per-op time is superstep work alone:
+// each app's kernel and inbox delivery. The power-law rows are the powerlaw-mem benchmark cycle in
 // miniature (Aggregate at width 8, WSSSP over unit weights), the road rows
 // its many-small-supersteps opposite. The road rows run over EBV's
 // fragmented parts, where SSSP's horizon is short; road/SSSP/ne runs over
@@ -666,7 +658,7 @@ func BenchmarkSuperstepKernels(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					if _, err := bsp.Run(context.Background(), subs, &apps.CC{}, bsp.Config{AutoCombine: true}); err != nil {
+					if _, err := bsp.Run(context.Background(), subs, &apps.CC{}, bsp.Config{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -723,8 +715,8 @@ func BenchmarkClusterJob(b *testing.B) {
 		name string
 		job  ebv.ClusterJob
 	}{
-		{"PR", ebv.ClusterJob{App: "PR", Iterations: 10, Combine: true}},
-		{"AGG", ebv.ClusterJob{App: "Aggregate", Layers: 2, ValueWidth: 8, Combine: true}},
+		{"PR", ebv.ClusterJob{App: "PR", Iterations: 10}},
+		{"AGG", ebv.ClusterJob{App: "Aggregate", Layers: 2, ValueWidth: 8}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()

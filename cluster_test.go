@@ -43,7 +43,7 @@ func TestOpenClusterServesJobs(t *testing.T) {
 		prog ebv.Program
 	}{
 		{ebv.ClusterJob{App: "CC"}, &ebv.CC{}},
-		{ebv.ClusterJob{App: "PR", Iterations: 15, Combine: true}, &ebv.PageRank{Iterations: 15}},
+		{ebv.ClusterJob{App: "PR", Iterations: 15}, &ebv.PageRank{Iterations: 15}},
 	} {
 		ref, err := sessionPipeline(t, ebv.WithRun(ebv.WithReplicaVerification(true))).Run(ctx, tc.prog)
 		if err != nil {
@@ -104,7 +104,6 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 		{App: "Aggregate", Layers: 2, ValueWidth: 8},
 	} {
 		t.Run(job.App, func(t *testing.T) {
-			job.Combine = true // sessions combine by default
 			program := func() ebv.Program {
 				prog, err := job.Program()
 				if err != nil {
@@ -113,7 +112,7 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 				return prog
 			}
 			ref, err := ebv.RunBSP(ctx, mem.Prepared().Subgraphs, program(),
-				ebv.RunConfig{ValueWidth: job.ValueWidth, AutoCombine: true, VerifyReplicaAgreement: true})
+				ebv.RunConfig{ValueWidth: job.ValueWidth, VerifyReplicaAgreement: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,12 +173,12 @@ func TestClusterValuesBitExact(t *testing.T) {
 			_ = ebv.RunClusterAgent(ctx, ebv.ClusterAgentConfig{Coordinator: c.Addr(), Logf: t.Logf})
 		}()
 	}
-	job := ebv.ClusterJob{App: "WSSSP", Source: 3, Combine: true}
+	job := ebv.ClusterJob{App: "WSSSP", Source: 3}
 	prog, err := job.Program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ebv.RunBSP(ctx, c.Prepared().Subgraphs, prog, ebv.RunConfig{AutoCombine: true, VerifyReplicaAgreement: true})
+	ref, err := ebv.RunBSP(ctx, c.Prepared().Subgraphs, prog, ebv.RunConfig{VerifyReplicaAgreement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +228,7 @@ func TestOpenClusterFailover(t *testing.T) {
 	}
 
 	job := ebv.ClusterJob{
-		App: "PR", Iterations: 200, Combine: true,
+		App: "PR", Iterations: 200,
 		CheckpointDir: t.TempDir(), CheckpointEvery: 6,
 	}
 	ref, err := sessionPipeline(t, ebv.WithRun(ebv.WithReplicaVerification(true))).Run(ctx, &ebv.PageRank{Iterations: 200})

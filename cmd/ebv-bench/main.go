@@ -50,12 +50,8 @@ func run(ctx context.Context) error {
 		extended = flag.Bool("extended", false, "add beyond-the-paper partitioners to the tables")
 		repeat   = flag.Int("repeat", 1, "repeats for timing experiments (Table II; reports mean ± stddev)")
 		par      = flag.Int("parallelism", 0, "CPUs for the subgraph-build passes (0 = GOMAXPROCS)")
-		combine  = flag.String("combine", "off", "message combining in the BSP runs: off (paper-faithful counts) | auto (each app's natural combiner)")
 	)
 	flag.Parse()
-	if *combine != "auto" && *combine != "off" {
-		return fmt.Errorf("invalid -combine %q (valid: auto, off)", *combine)
-	}
 
 	if *list {
 		for _, name := range ebv.ExperimentNames() {
@@ -67,7 +63,6 @@ func run(ctx context.Context) error {
 	opt := ebv.ExperimentOptions{
 		Scale: *scale, Seed: *seed, PageRankIters: *iters,
 		Extended: *extended, Repeat: *repeat, Parallelism: *par,
-		Combine: *combine == "auto",
 	}
 	if *workers != "" {
 		for _, field := range strings.Split(*workers, ",") {

@@ -63,7 +63,6 @@ func run(ctx context.Context) error {
 		layers     = flag.Int("layers", 2, "AGG aggregation layers")
 		source     = flag.Uint64("source", 0, "SSSP/WSSSP source vertex")
 		width      = flag.Int("width", 1, "per-vertex value width (floats per message; must match all workers)")
-		combine    = flag.String("combine", "auto", "message combining: auto (each app's natural min/sum combiner, the default) | off")
 		maxSteps   = flag.Int("max-steps", 0, "superstep safety cap (0 = engine default)")
 		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint directory shared with the workers (empty disables checkpointing)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint epoch length in supersteps (0 disables)")
@@ -78,14 +77,6 @@ func run(ctx context.Context) error {
 	}
 	if *width < 1 {
 		return fmt.Errorf("invalid -width %d: the per-vertex value width must be >= 1", *width)
-	}
-	combineOn := false
-	switch *combine {
-	case "auto":
-		combineOn = true
-	case "off":
-	default:
-		return fmt.Errorf("invalid -combine %q (valid: auto, off)", *combine)
 	}
 	var apps []string
 	for _, name := range strings.Split(*app, ",") {
@@ -143,7 +134,6 @@ func run(ctx context.Context) error {
 			Source:          int64(*source),
 			ValueWidth:      *width,
 			MaxSteps:        *maxSteps,
-			Combine:         combineOn,
 			CheckpointDir:   *ckptDir,
 			CheckpointEvery: *ckptEvery,
 			MaxAttempts:     *attempts,

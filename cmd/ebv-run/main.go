@@ -15,14 +15,9 @@
 //	ebv-run -in graph.bin -algo METIS -parts 4 -app PR -iters 20
 //	ebv-run -in graph.txt -algo EBV -parts 4 -app SSSP -source 0 -transport tcp
 //	ebv-run -in graph.txt -algo EBV -parts 4 -app AGG -layers 2 -width 8
-//	ebv-run -in graph.txt -algo EBV -parts 8 -app CC -combine=off
 //
-// -combine=auto (the default) is message combining: each app's natural
-// combiner (CC/SSSP → min, PR/AGG → sum) reduces duplicate-ID rows before
-// the wire. Results are byte-identical either way; the per-job report shows
-// the emitted → wire counts when they differ. -combine=off is the
-// paper-faithful raw message plane, where every emitted row crosses the
-// wire.
+// Every emitted message row crosses the wire as is: the message counts are
+// the paper's raw message plane.
 package main
 
 import (
@@ -63,7 +58,6 @@ func run(ctx context.Context) error {
 		layers     = flag.Int("layers", 2, "AGG aggregation layers")
 		source     = flag.Uint64("source", 0, "SSSP/WSSSP source vertex")
 		width      = flag.Int("width", 1, "per-vertex value width (floats per message; AGG aggregates width-wide feature vectors)")
-		combine    = flag.String("combine", "auto", "message combining: auto (each app's natural min/sum combiner, the default) | off")
 		transport  = flag.String("transport", "mem", "transport: mem | tcp")
 		assignPath = flag.String("assignment", "", "load a precomputed assignment (skips partitioning)")
 		progress   = flag.Bool("progress", false, "print pipeline stage progress to stderr")
@@ -102,13 +96,6 @@ func run(ctx context.Context) error {
 		ebv.UsePartitioner(p),
 		ebv.Parallelism(*par),
 		ebv.ValueWidth(*width),
-	}
-	switch *combine {
-	case "auto": // the pipeline default
-	case "off":
-		opts = append(opts, ebv.WithoutCombining())
-	default:
-		return fmt.Errorf("invalid -combine %q (valid: auto, off)", *combine)
 	}
 	// With -assignment, the subgraph count follows the assignment; pass
 	// Subgraphs only when -parts was set explicitly, so an explicit
@@ -179,11 +166,7 @@ func run(ctx context.Context) error {
 		fmt.Printf("  avg comp / comm   %v / %v\n",
 			job.BSP.AvgComp().Round(time.Microsecond), job.BSP.AvgComm().Round(time.Microsecond))
 		fmt.Printf("  deltaC (skew)     %v\n", job.BSP.DeltaC().Round(time.Microsecond))
-		mc := job.BSP.MessageCounts()
 		fmt.Printf("  total messages    %d\n", job.BSP.TotalMessages())
-		if *combine == "auto" && mc.Wire != mc.Emitted {
-			fmt.Printf("  combine           emitted %d -> wire %d\n", mc.Emitted, mc.Wire)
-		}
 		fmt.Printf("  max/mean messages %.3f\n", job.BSP.MaxMeanMessageRatio())
 	}
 

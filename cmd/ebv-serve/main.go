@@ -32,7 +32,7 @@ import (
 )
 
 // graphFlags collects repeated -graph flags, each
-// "name=path[,k=N][,undirected][,combine][,retention=N][,policy=NAME][,verify]".
+// "name=path[,k=N][,undirected][,retention=N][,policy=NAME][,verify]".
 type graphFlags []serve.GraphSpec
 
 func (g *graphFlags) String() string {
@@ -46,7 +46,7 @@ func (g *graphFlags) String() string {
 func (g *graphFlags) Set(value string) error {
 	name, rest, found := strings.Cut(value, "=")
 	if !found || name == "" {
-		return fmt.Errorf("-graph %q: want name=path[,k=N][,undirected][,combine][,retention=N][,policy=NAME][,verify]", value)
+		return fmt.Errorf("-graph %q: want name=path[,k=N][,undirected][,retention=N][,policy=NAME][,verify]", value)
 	}
 	parts := strings.Split(rest, ",")
 	if parts[0] == "" {
@@ -57,8 +57,6 @@ func (g *graphFlags) Set(value string) error {
 		switch {
 		case opt == "undirected":
 			gs.Undirected = true
-		case opt == "combine":
-			gs.Combine = true
 		case opt == "verify":
 			gs.VerifyMutations = true
 		case strings.HasPrefix(opt, "k="):
@@ -92,7 +90,7 @@ func main() {
 
 func run() error {
 	var graphs graphFlags
-	flag.Var(&graphs, "graph", "graph to serve: name=path[,k=N][,undirected][,combine][,retention=N][,policy=NAME][,verify] (repeatable)")
+	flag.Var(&graphs, "graph", "graph to serve: name=path[,k=N][,undirected][,retention=N][,policy=NAME][,verify] (repeatable)")
 	var (
 		listen        = flag.String("listen", ":8080", "HTTP listen address")
 		maxGraphs     = flag.Int("max-graphs", 4, "session-cache capacity (open graphs)")

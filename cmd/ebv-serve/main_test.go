@@ -27,7 +27,7 @@ func TestGraphFlagSet(t *testing.T) {
 	var g graphFlags
 	for _, v := range []string{
 		"a=a.txt",
-		"b=b.bin,k=16,undirected,combine,retention=-1,policy=hdrf,verify",
+		"b=b.bin,k=16,undirected,retention=-1,policy=hdrf,verify",
 	} {
 		if err := g.Set(v); err != nil {
 			t.Fatalf("Set(%q): %v", v, err)
@@ -35,7 +35,7 @@ func TestGraphFlagSet(t *testing.T) {
 	}
 	want := graphFlags{
 		{Name: "a", Path: "a.txt"},
-		{Name: "b", Path: "b.bin", Subgraphs: 16, Undirected: true, Combine: true,
+		{Name: "b", Path: "b.bin", Subgraphs: 16, Undirected: true,
 			StatsRetention: -1, MutationPolicy: "hdrf", VerifyMutations: true},
 	}
 	if !reflect.DeepEqual(g, want) {

@@ -219,8 +219,9 @@ type (
 	// WorkerEnv is the per-run execution environment handed to
 	// Program.NewWorker (value width + pooled batch allocator).
 	WorkerEnv = bsp.Env
-	// MessageCounts reports a run's pre/post-combine message-row counts
-	// (RunResult.MessageCounts).
+	// MessageCounts reports a run's cross-worker message rows at the two
+	// ends of the exchange (RunResult.MessageCounts); every row sent is
+	// delivered, and Emitted equals Wire.
 	MessageCounts = bsp.MessageCounts
 )
 
@@ -241,12 +242,6 @@ var (
 	WithMaxSteps            = bsp.WithMaxSteps
 	WithValueWidth          = bsp.WithValueWidth
 	WithReplicaVerification = bsp.WithReplicaVerification
-	// AutoCombine selects each program's declared message combiner (CC/SSSP/
-	// WSSSP → min, PR → sum, Aggregate → elementwise sum). Combining is
-	// semantically transparent: results are byte-identical with it on or
-	// off, but duplicate-ID rows are reduced before the wire
-	// (RunResult.MessageCounts reports the reduction).
-	AutoCombine = bsp.WithAutoCombine
 )
 
 // Applications (§V-A) and sequential oracles.

@@ -31,16 +31,9 @@ type Aggregate struct {
 }
 
 var _ bsp.Program = (*Aggregate)(nil)
-var _ bsp.CombinerProvider = (*Aggregate)(nil)
 
 // Name implements bsp.Program.
 func (a *Aggregate) Name() string { return "Aggregate" }
-
-// MessageCombiner implements bsp.CombinerProvider: feature partials fold
-// with elementwise (whole-row) addition.
-func (a *Aggregate) MessageCombiner() transport.Combiner {
-	return transport.ElementwiseSumCombiner{}
-}
 
 func (a *Aggregate) layers() int {
 	if a.Layers <= 0 {
@@ -87,9 +80,9 @@ type aggWorker struct {
 	h       *graph.ValueMatrix
 	partial *graph.ValueMatrix
 	// inAcc accumulates the apply step's incoming mirror partials into a
-	// zeroed matrix (instead of straight into partial), so the per-vertex
-	// sum grouping — and therefore the result bits — is identical whether
-	// or not the exchange pre-combined duplicate rows.
+	// zeroed matrix (instead of straight into partial). That fixes the
+	// per-vertex sum grouping the recorded values and emission digests
+	// were pinned with.
 	inAcc *graph.ValueMatrix
 }
 

@@ -77,13 +77,9 @@ type CC struct {
 }
 
 var _ bsp.Program = (*CC)(nil)
-var _ bsp.CombinerProvider = (*CC)(nil)
 
 // Name implements bsp.Program.
 func (c *CC) Name() string { return "CC" }
-
-// MessageCombiner implements bsp.CombinerProvider: labels fold with min.
-func (c *CC) MessageCombiner() transport.Combiner { return transport.MinCombiner{} }
 
 // NewWorker implements bsp.Program.
 func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {

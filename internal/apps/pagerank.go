@@ -56,15 +56,9 @@ type PageRank struct {
 }
 
 var _ bsp.Program = (*PageRank)(nil)
-var _ bsp.CombinerProvider = (*PageRank)(nil)
 
 // Name implements bsp.Program.
 func (p *PageRank) Name() string { return "PR" }
-
-// MessageCombiner implements bsp.CombinerProvider: mirror partials fold
-// with scalar addition. (The apply→gather scatter messages carry unique
-// ids per destination, so the combiner never fires on them.)
-func (p *PageRank) MessageCombiner() transport.Combiner { return transport.SumCombiner{} }
 
 // NewWorker implements bsp.Program.
 func (p *PageRank) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
@@ -110,9 +104,8 @@ type prWorker struct {
 	partial []float64
 	// inSum accumulates the apply step's incoming mirror partials. Folding
 	// them into a zeroed accumulator (instead of straight into partial)
-	// keeps the per-vertex sum grouping identical whether or not the
-	// exchange pre-combined duplicate rows, so combiner-on and -off runs
-	// are byte-identical.
+	// fixes the per-vertex sum grouping the recorded values and emission
+	// digests were pinned with.
 	inSum []float64
 }
 

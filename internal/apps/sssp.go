@@ -37,7 +37,6 @@ type SSSP struct {
 }
 
 var _ bsp.Program = (*SSSP)(nil)
-var _ bsp.CombinerProvider = (*SSSP)(nil)
 
 // Name implements bsp.Program.
 func (s *SSSP) Name() string {
@@ -46,9 +45,6 @@ func (s *SSSP) Name() string {
 	}
 	return "SSSP"
 }
-
-// MessageCombiner implements bsp.CombinerProvider: distances fold with min.
-func (s *SSSP) MessageCombiner() transport.Combiner { return transport.MinCombiner{} }
 
 // The horizon grows by Δ = horizonBase + horizonDepth·d̄ hops per
 // superstep, where d̄ is the part's mean boundary depth (bsp.Depth). A

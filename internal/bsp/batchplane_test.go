@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -329,6 +330,78 @@ func TestOutboxIDBeyondGraphRefused(t *testing.T) {
 	}})
 	if err == nil || !strings.Contains(err.Error(), "worker 1: superstep 2 outbox 2: last id") {
 		t.Fatalf("err = %v, want one naming worker 1, superstep 2 and outbox 2", err)
+	}
+}
+
+// pastLastWorker returns an outbox two slots longer than the worker count
+// at step 0: one row to the next worker, a vote, and in slot k either a
+// row (rowPastK) or an empty batch, with slot k+1 nil. Step 1 checks that
+// the row and every vote arrived, counting misses in missed.
+type pastLastWorker struct {
+	rowPastK bool
+	missed   atomic.Int32
+}
+
+func (*pastLastWorker) Name() string { return "past-last-worker" }
+
+func (p *pastLastWorker) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
+	return pastLastWorkerWorker{prog: p, sub: sub, env: env}
+}
+
+type pastLastWorkerWorker struct {
+	prog *pastLastWorker
+	sub  *bsp.Subgraph
+	env  bsp.Env
+}
+
+func (w pastLastWorkerWorker) Superstep(step int, in *transport.MessageBatch) ([]*transport.MessageBatch, bool) {
+	k := w.sub.NumWorkers
+	if step > 0 {
+		if m, _, ok := w.env.Reduced(); in.Len() != 1 || !ok || m != 0 {
+			w.prog.missed.Add(1)
+		}
+		return nil, false
+	}
+	out := make([]*transport.MessageBatch, k+2)
+	w.env.SendScalar(out, int32((w.sub.Part+1)%k), w.sub.GlobalIDs[0], 1)
+	out[k] = w.env.NewBatch()
+	if w.prog.rowPastK {
+		out[k].AppendScalar(w.sub.GlobalIDs[0], 1)
+	}
+	w.env.Reduce(float64(w.sub.Part), false)
+	return out, false
+}
+
+func (w pastLastWorkerWorker) Values() *graph.ValueMatrix {
+	return w.env.NewValues(w.sub.NumLocalVertices())
+}
+
+// TestOutboxPastLastWorkerRefused: a row in an outbox slot past the last
+// worker has no destination, so the sender refuses it instead of counting
+// it as sent while the exchange drops it; empty or nil slots there are
+// dropped, and the vote never lands in them. On Mem and on TCP.
+func TestOutboxPastLastWorkerRefused(t *testing.T) {
+	const k = 3
+	subs := buildSubs(t, testGraphs(t)["powerlaw"], core.New(), k)
+	for _, trName := range []string{"mem", "tcp"} {
+		t.Run(trName, func(t *testing.T) {
+			_, err := runOnMesh(t.Context(), subs, meshByName(t, trName, k), &pastLastWorker{rowPastK: true}, bsp.Config{})
+			if err == nil || !strings.Contains(err.Error(), "superstep 0 outbox 3: no worker 3 (k = 3)") {
+				t.Fatalf("err = %v, want superstep 0 outbox 3 refused", err)
+			}
+
+			prog := &pastLastWorker{}
+			res, err := runOnMesh(t.Context(), subs, meshByName(t, trName, k), prog, bsp.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := res.MessageCounts(); c != (bsp.MessageCounts{Emitted: k, Wire: k, Delivered: k}) {
+				t.Fatalf("counts %+v, want %d rows sent and delivered", c, k)
+			}
+			if n := prog.missed.Load(); n != 0 {
+				t.Fatalf("%d workers missed their row or the vote", n)
+			}
+		})
 	}
 }
 

@@ -67,9 +67,7 @@ func (r *Result) DeltaC() time.Duration {
 }
 
 // TotalMessages returns the total number of messages sent between workers
-// over the whole run (Table IV) — the rows that actually crossed the
-// exchange, i.e. after sender-side combining when a combiner is
-// configured. MessageCounts breaks the pre/post-combine counts apart.
+// over the whole run (Table IV): the rows that crossed the exchange.
 func (r *Result) TotalMessages() int64 {
 	var total int64
 	for i := range r.Workers {
@@ -78,35 +76,33 @@ func (r *Result) TotalMessages() int64 {
 	return total
 }
 
-// MessageCounts aggregates a run's cross-worker message rows at the three
-// measurement points of the message path, so combining's reduction can be
-// reported honestly: Emitted ≥ Wire (sender-side combining; equal without
-// a combiner) and Delivered = Wire always — the receiver concatenates, it
-// never folds.
+// MessageCounts aggregates a run's cross-worker message rows at the two
+// ends of the exchange: Wire at the sender, Delivered at the receiver. The
+// engine sends each batch as the program emitted it and the receiver
+// concatenates, never folds, so Emitted = Wire = Delivered.
 // The JSON tags are a stable lowercase surface: ebv.JobResult and the
 // serve-layer job responses marshal these counts directly.
 type MessageCounts struct {
-	// Emitted counts the rows programs produced for other workers, before
-	// any combining.
+	// Emitted is filled from Wire. It is kept for the JSON surface and
+	// for benchmark/'s rows_emitted (ROADMAP item 1(b)).
 	Emitted int64 `json:"emitted"`
-	// Wire counts the rows that crossed the exchange (post sender-side
-	// combining) — the platform-independent network-volume metric
-	// TotalMessages reports.
+	// Wire counts the rows that crossed the exchange — the
+	// platform-independent network-volume metric TotalMessages reports.
 	Wire int64 `json:"wire"`
 	// Delivered counts the rows handed to the programs' inboxes: every
 	// wire row, counted at the receiving end.
 	Delivered int64 `json:"delivered"`
 }
 
-// MessageCounts returns the run's pre/post-combine message accounting.
+// MessageCounts returns the run's message accounting.
 func (r *Result) MessageCounts() MessageCounts {
 	var c MessageCounts
 	for i := range r.Workers {
 		w := &r.Workers[i]
-		c.Emitted += w.TotalEmitted()
 		c.Wire += w.TotalSent()
 		c.Delivered += sumInt64(w.Received)
 	}
+	c.Emitted = c.Wire
 	return c
 }
 

@@ -39,20 +39,13 @@ func pinnedGraphs(t *testing.T) (powerlaw, road *graph.Graph) {
 }
 
 // emissionRecorder wraps a program so that each worker hashes what its
-// Superstep returns, before the engine coalesces or ships it.
+// Superstep returns, before the engine ships it.
 type emissionRecorder struct {
 	inner  bsp.Program
 	hashes []hash.Hash // one per worker; each is written by its worker only
 }
 
 func (r *emissionRecorder) Name() string { return r.inner.Name() }
-
-func (r *emissionRecorder) MessageCombiner() transport.Combiner {
-	if cp, ok := r.inner.(bsp.CombinerProvider); ok {
-		return cp.MessageCombiner()
-	}
-	return nil
-}
 
 func (r *emissionRecorder) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	return &emissionWorker{WorkerProgram: r.inner.NewWorker(sub, env), h: r.hashes[sub.Part]}
@@ -110,9 +103,9 @@ func emissionSHA256(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bs
 // digests were produced by this file at commit c3c55b9 (PR 14), where the
 // receiver still merged the inbox id-sorted under combining, SSSP/WSSSP
 // emitted from a sorted map and PageRank divided per edge; they must never
-// move. Sent is hashed too, and one digest serves combining on and off: these
-// apps emit unique ids per destination, so the sender-side coalesce must
-// remove nothing.
+// move. Sent is hashed too. The digests were recorded with sender-side
+// combining on and off, one digest for both; combining is gone and they
+// kept their bytes.
 //
 // The "@w4", "-warm" and "PR-delta" cells were added at commit 869f460,
 // ahead of the routing-plan send paths: scalar apps at width 4 pin the
@@ -168,11 +161,9 @@ func TestGoldenEmissions(t *testing.T) {
 		} {
 			key := tc.name + "/" + app.prog.Name() + app.tag
 			seen++
-			for _, combine := range []bool{false, true} {
-				got := emissionSHA256(t, subs, app.prog, bsp.Config{ValueWidth: app.width, AutoCombine: combine})
-				if got != goldenEmissions[key] {
-					t.Errorf("%q combine=%t: %q, golden %q", key, combine, got, goldenEmissions[key])
-				}
+			got := emissionSHA256(t, subs, app.prog, bsp.Config{ValueWidth: app.width})
+			if got != goldenEmissions[key] {
+				t.Errorf("%q: %q, golden %q", key, got, goldenEmissions[key])
 			}
 		}
 	}

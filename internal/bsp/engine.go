@@ -79,7 +79,8 @@ type WorkerProgram interface {
 	// Superstep runs the computation stage: it consumes the message batch
 	// delivered at the end of the previous superstep and returns outgoing
 	// batches indexed by destination worker (nil entries mean no messages;
-	// out may be shorter than the worker count). Returning active=false
+	// out may be shorter than the worker count, and a non-empty batch at
+	// an index >= the worker count fails the run). Returning active=false
 	// votes to halt; the engine keeps every worker in lock-step until no
 	// worker is active and no messages or votes were sent anywhere in the
 	// step. A batch's last id must be below Subgraph.NumGlobalVertices.
@@ -101,15 +102,6 @@ type WorkerProgram interface {
 // ErrMaxSteps reports that a run hit the superstep safety cap.
 var ErrMaxSteps = errors.New("bsp: exceeded max supersteps without converging")
 
-// CombinerProvider is implemented by Programs that declare the natural
-// combiner of their messages (CC/SSSP/WSSSP → min, PageRank → sum,
-// Aggregate → elementwise sum). Config.AutoCombine uses it.
-type CombinerProvider interface {
-	// MessageCombiner returns the combiner that may reduce this program's
-	// messages without changing its results (nil = none).
-	MessageCombiner() transport.Combiner
-}
-
 // Config tunes a run. The zero value selects the defaults; it can be
 // populated either as a struct literal or with the functional options
 // accepted by NewConfig. The transport is not part of it: a whole job runs
@@ -126,11 +118,9 @@ type Config struct {
 	// of the same vertex disagree. Tests enable it; benches do not pay
 	// for it.
 	VerifyReplicaAgreement bool
-	// AutoCombine reduces duplicate-ID message rows sender-side (inside
-	// each outgoing batch, before the exchange) with the program's
-	// declared combiner (CombinerProvider). See transport.Combiner for the
-	// exactness contract; Result.MessageCounts reports the reduction.
-	// Programs without one run uncombined.
+	// AutoCombine is ignored: the engine hands every batch to the exchange
+	// as the program emitted it. benchmark/ still sets it (ROADMAP item
+	// 1(b)).
 	AutoCombine bool
 	// CheckpointEvery, with a CheckpointSink, cuts a resumable checkpoint
 	// at every superstep barrier it divides (before supersteps N, 2N, ...)
@@ -178,23 +168,6 @@ func WithReplicaVerification(on bool) Option {
 	return func(c *Config) { c.VerifyReplicaAgreement = on }
 }
 
-// WithAutoCombine makes the run use the program's declared combiner, if
-// any (see Config.AutoCombine).
-func WithAutoCombine(on bool) Option {
-	return func(c *Config) { c.AutoCombine = on }
-}
-
-// combiner resolves the run's message combiner for prog: under
-// AutoCombine, the program's declared one.
-func (c Config) combiner(prog Program) transport.Combiner {
-	if c.AutoCombine {
-		if cp, ok := prog.(CombinerProvider); ok {
-			return cp.MessageCombiner()
-		}
-	}
-	return nil
-}
-
 // maxSteps resolves the superstep safety cap (<= 0 selects the default),
 // shared by every entry point so one-shot runs, distributed workers and
 // deployment jobs agree on the cap.
@@ -231,26 +204,17 @@ type WorkerStats struct {
 	Comp []time.Duration
 	Comm []time.Duration
 	Sync []time.Duration
-	// Sent[k] counts messages sent in superstep k to OTHER workers —
-	// rows actually handed to the exchange, i.e. after sender-side
-	// combining (equal to Emitted[k] when no combiner is configured).
+	// Sent[k] counts messages sent in superstep k to OTHER workers: the
+	// rows the program emitted for them, handed to the exchange as is.
 	Sent []int64
-	// Emitted[k] counts the rows the program produced for other workers
-	// in superstep k, before sender-side combining.
-	Emitted []int64
 	// Received[k] counts messages received from other workers — rows as
 	// they crossed the exchange, every one of which is delivered into
 	// superstep k+1's inbox.
 	Received []int64
 }
 
-// TotalSent sums messages sent across supersteps (post sender-side
-// combining — the wire count).
+// TotalSent sums messages sent across supersteps (the wire count).
 func (w *WorkerStats) TotalSent() int64 { return sumInt64(w.Sent) }
-
-// TotalEmitted sums program-emitted cross-worker rows across supersteps
-// (pre-combining).
-func (w *WorkerStats) TotalEmitted() int64 { return sumInt64(w.Emitted) }
 
 func sumInt64(xs []int64) int64 {
 	var total int64
@@ -402,7 +366,6 @@ func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
 	spec := workerSpec{
 		maxSteps:  cfg.maxSteps(),
 		width:     width,
-		comb:      cfg.combiner(prog),
 		ckptEvery: cfg.CheckpointEvery,
 		sink:      cfg.CheckpointSink,
 	}
@@ -454,7 +417,7 @@ func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
 func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Transport,
 	spec workerSpec, stats *WorkerStats) (int, *graph.ValueMatrix, error) {
 	w := sub.Part
-	maxSteps, width, comb := spec.maxSteps, spec.width, spec.comb
+	maxSteps, width := spec.maxSteps, spec.width
 	env := Env{ValueWidth: width, vote: new([2]Vote)}
 	wp := prog.NewWorker(sub, env)
 	// Checkpointing and resuming both need the program's snapshot contract.
@@ -462,28 +425,6 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 	if !ok && (spec.checkpointing() || spec.resume != nil) {
 		return 0, nil, fmt.Errorf("bsp: program %s is not checkpointable (its workers do not implement bsp.Resumable)", prog.Name())
 	}
-	// Combining is sender-side only: each outgoing batch is coalesced
-	// against a per-worker scratch index — dense O(1) probes when the global
-	// id space is within 16× the local vertex count (the LocalOf density
-	// gate), a map otherwise. Ids beyond the dense capacity pass through
-	// uncombined, which is safe: programs fold duplicate rows themselves
-	// (the Combiner contract). A strictly ascending batch holds no two equal
-	// ids: it is booked as a scan that removed nothing without being scanned,
-	// and the first batch that is not allocates the index.
-	//
-	// It is adaptive: after senderProbeSteps consecutive steps in which a
-	// real duplicate scan (at least senderProbeMinRows rows — steps moving
-	// fewer rows are no evidence) removed nothing (the replica-sync apps'
-	// unique-ID batches), the scan is skipped for the rest of the run, which
-	// keeps `-combine=auto` within noise of `off` on the apps combining
-	// cannot help.
-	const (
-		senderProbeSteps   = 2
-		senderProbeMinRows = 8
-	)
-	var combIdx *transport.CombineIndex
-	senderCombine := comb != nil
-	dupFreeSteps := 0
 	// The inbox batch concatenates the step's incoming batches; it cycles
 	// through the pool every step, so the poison debug mode scribbles it
 	// between supersteps (enforcing the "in is only valid during the
@@ -513,55 +454,31 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		out, active := wp.Superstep(step, inbox)
 		comp := time.Since(t0)
 
-		var emitted int64
+		// Slots past the last worker are no one's: an empty one is dropped
+		// (before castVote, so the vote never lands in it), a non-empty one
+		// fails the worker instead of vanishing in the exchange.
+		for dst := len(out) - 1; dst >= sub.NumWorkers; dst-- {
+			if out[dst].Len() > 0 {
+				return step, nil, fmt.Errorf("superstep %d outbox %d: no worker %d (k = %d)",
+					step, dst, dst, sub.NumWorkers)
+			}
+			out = out[:dst]
+		}
+		var sent int64
 		selfPending := false
 		for dst, batch := range out {
 			if err := batch.Check(width); err != nil {
 				return step, nil, fmt.Errorf("superstep %d outbox %d: %w", step, dst, err)
 			}
 			if dst != w {
-				emitted += int64(batch.Len())
+				sent += int64(batch.Len())
 			} else if batch.Len() > 0 {
 				selfPending = true
 			}
 		}
 		// A worker with outbound messages or a vote must stay active so
-		// receivers get a superstep to process them. (Decided pre-combine,
-		// though it cannot differ: coalescing never empties a batch.)
-		effectiveActive := active || emitted > 0 || selfPending || env.vote[0].Voted
-
-		// Sender-side combining: coalesce duplicate-ID rows inside each
-		// outgoing batch so only the reduced rows reach the exchange.
-		sent := emitted
-		if senderCombine && (emitted > 0 || selfPending) {
-			removed, scannedRows := 0, 0
-			sent = 0
-			for dst, batch := range out {
-				if batch.Len() > 1 {
-					scannedRows += batch.Len()
-					if !strictlyAscending(batch.IDs) {
-						if combIdx == nil {
-							denseSize := 0
-							if locals := sub.NumLocalVertices(); locals > 0 && sub.NumGlobalVertices <= 16*locals {
-								denseSize = sub.NumGlobalVertices
-							}
-							combIdx = transport.NewCombineIndex(denseSize)
-						}
-						removed += batch.Coalesce(comb, combIdx)
-					}
-				}
-				if dst != w {
-					sent += int64(batch.Len())
-				}
-			}
-			if removed > 0 {
-				dupFreeSteps = 0
-			} else if scannedRows >= senderProbeMinRows {
-				if dupFreeSteps++; dupFreeSteps >= senderProbeSteps {
-					senderCombine = false
-				}
-			}
-		}
+		// receivers get a superstep to process them.
+		effectiveActive := active || sent > 0 || selfPending || env.vote[0].Voted
 
 		out, err := env.castVote(sub, step, out)
 		if err != nil {
@@ -614,7 +531,6 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		stats.Comm = append(stats.Comm, comm)
 		stats.Sync = append(stats.Sync, ex.Wait)
 		stats.Sent = append(stats.Sent, sent)
-		stats.Emitted = append(stats.Emitted, emitted)
 		stats.Received = append(stats.Received, received)
 
 		// Checkpoint cut: the run is still active and the next step is an
@@ -686,15 +602,6 @@ func (v *Vote) take(b *transport.MessageBatch, n int) {
 	}
 }
 
-func strictlyAscending(ids []graph.VertexID) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // WorkerResult is the outcome of a single worker's participation in a
 // run: what RunWorker returns, and what Deployment.Run assembles k of.
 type WorkerResult struct {
@@ -717,9 +624,7 @@ type WorkerResult struct {
 // from the same epoch (the cluster coordinator's restore selection
 // guarantees it). cfg.Resume is ignored — it indexes checkpoints by worker
 // for whole-job runs — and so is cfg.VerifyReplicaAgreement, which needs
-// the global view. Every worker of a distributed run must agree on the
-// combiner configuration — results stay correct either way, but message
-// counts and batch contents differ.
+// the global view.
 //
 // ctx is polled at every superstep boundary; cancellation, like a local
 // failure, closes the transport, so this worker tears down immediately and

@@ -21,8 +21,6 @@ type boundaryFlood struct{ rounds int }
 
 func (*boundaryFlood) Name() string { return "boundary-flood" }
 
-func (*boundaryFlood) MessageCombiner() transport.Combiner { return transport.MinCombiner{} }
-
 func (p *boundaryFlood) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	return &boundaryFloodWorker{sub: sub, env: env, rounds: p.rounds}
 }
@@ -66,9 +64,8 @@ func (w *boundaryFloodWorker) Values() *graph.ValueMatrix {
 }
 
 // TestStageTimersCoverWallTime: per worker, ΣComp + ΣComm + ΣSync must be
-// within 20 % of WorkerResult.WallTime on the pinned power-law graph with
-// combining on — Comm runs until the next inbox is ready, so delivery is
-// inside it. The stages are disjoint slices of the wall time, so the sum can
+// within 20 % of WorkerResult.WallTime on the pinned power-law graph —
+// Comm runs until the next inbox is ready, so delivery is inside it. The stages are disjoint slices of the wall time, so the sum can
 // only fall short. Best of 3 attempts: a scheduler hiccup between two stages
 // must not flake the test.
 //
@@ -101,7 +98,7 @@ func TestStageTimersCoverWallTime(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				results[w], errs[w] = bsp.RunWorker(t.Context(), subs[w], &boundaryFlood{rounds: 60}, trs[w],
-					bsp.Config{AutoCombine: true}, nil)
+					bsp.Config{}, nil)
 			}()
 		}
 		wg.Wait()

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"ebv/internal/graph"
-	"ebv/internal/transport"
 )
 
 // Checkpoint is one worker's resumable execution state, cut at a superstep
@@ -72,7 +71,6 @@ type Resumable interface {
 type workerSpec struct {
 	maxSteps int
 	width    int
-	comb     transport.Combiner
 	// ckptEvery > 0 with a non-nil sink cuts a checkpoint before every
 	// superstep it divides; see Config.CheckpointEvery.
 	ckptEvery int

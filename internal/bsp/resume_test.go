@@ -104,19 +104,17 @@ func TestResumeByteIdentity(t *testing.T) {
 	}
 
 	cases := []struct {
-		name    string
-		prog    bsp.Program
-		subs    []*bsp.Subgraph
-		width   int
-		combine bool
+		name  string
+		prog  bsp.Program
+		subs  []*bsp.Subgraph
+		width int
 	}{
-		{"CC", &apps.CC{}, pathSubs, 1, false},
-		{"CC-combined", &apps.CC{}, pathSubs, 1, true},
-		{"PR", &apps.PageRank{Iterations: 12}, plSubs, 1, true},
-		{"PR-tol", &apps.PageRank{Tol: 1e-6, Iterations: 500}, plSubs, 1, true},
-		{"SSSP", &apps.SSSP{Source: 0}, pathSubs, 1, false},
-		{"WSSSP", &apps.SSSP{Source: 0, Weighted: true}, wSubs, 1, false},
-		{"Aggregate", &apps.Aggregate{Layers: 6}, plSubs, 3, true},
+		{"CC", &apps.CC{}, pathSubs, 1},
+		{"PR", &apps.PageRank{Iterations: 12}, plSubs, 1},
+		{"PR-tol", &apps.PageRank{Tol: 1e-6, Iterations: 500}, plSubs, 1},
+		{"SSSP", &apps.SSSP{Source: 0}, pathSubs, 1},
+		{"WSSSP", &apps.SSSP{Source: 0, Weighted: true}, wSubs, 1},
+		{"Aggregate", &apps.Aggregate{Layers: 6}, plSubs, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,7 +122,6 @@ func TestResumeByteIdentity(t *testing.T) {
 			full, err := bsp.Run(t.Context(), tc.subs, tc.prog, bsp.Config{
 				ValueWidth:             tc.width,
 				VerifyReplicaAgreement: true,
-				AutoCombine:            tc.combine,
 				CheckpointEvery:        1,
 				CheckpointSink:         store.sink,
 			})
@@ -139,7 +136,6 @@ func TestResumeByteIdentity(t *testing.T) {
 				res, err := bsp.Run(t.Context(), tc.subs, tc.prog, bsp.Config{
 					ValueWidth:             tc.width,
 					VerifyReplicaAgreement: true,
-					AutoCombine:            tc.combine,
 					Resume:                 store.epochs[epoch],
 				})
 				if err != nil {

@@ -9,11 +9,8 @@ import (
 	"fmt"
 	"testing"
 
-	"ebv/internal/apps"
 	"ebv/internal/bsp"
 	"ebv/internal/core"
-	"ebv/internal/graph"
-	"ebv/internal/partition"
 	"ebv/internal/transport"
 )
 
@@ -49,10 +46,12 @@ func runOverMesh(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.C
 }
 
 // TestWireV4EquivalenceAllApps is the wire acceptance matrix: every app ×
-// widths {1, 8} × combine {off, on} runs over the in-memory deployment
-// (the reference) and the TCP mesh at k = 3 (direct exchange only), 4 and
-// 8 (radix 2 on small steps); values must be byte-identical, steps
-// and message counts equal, and the wire bytes exactly the layout's.
+// widths {1, 8} runs over the in-memory deployment (the reference) and the
+// TCP mesh at k = 3 (direct exchange only), 4 and 8 (radix 2 on small
+// steps); values must be byte-identical, steps and message counts equal,
+// and the wire bytes exactly the layout's. The combine axis sets
+// Config.AutoCombine, which the engine ignores and benchmark/ still sets
+// (ROADMAP item 1(b)): both cells must move exactly the same bytes.
 func TestWireV4EquivalenceAllApps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up a TCP mesh per app/width/combine")
@@ -67,7 +66,7 @@ func TestWireV4EquivalenceAllApps(t *testing.T) {
 		}
 		subsByK[k] = buildWeightedSubs(t, g, a)
 	}
-	for _, prog := range combinerApps() {
+	for _, prog := range evaluationApps() {
 		for _, width := range []int{1, 8} {
 			for _, combine := range []bool{false, true} {
 				name := fmt.Sprintf("%s/w%d", appName(prog), width)
@@ -109,61 +108,5 @@ func checkWireEquivalence(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, 
 		wire.Bundles, wire.Blocks, wire.Rows, counts.Wire, wire.Bytes)
 	if wire.Bytes != want {
 		t.Fatalf("moved %d wire bytes, want exactly %d", wire.Bytes, want)
-	}
-}
-
-// TestCombinerBeyondDenseCapacity is the silent-corruption pin on a
-// sparse-id graph: the vertex-id space is far larger than any worker's
-// local count, so the sender-side dense index gate falls back to the map,
-// and the high-id hub's fan-in rows reach every inbox as one row per
-// source. Values must be byte-identical with combining on or off and the
-// counts exact: every wire row is delivered, none folded on the way.
-func TestCombinerBeyondDenseCapacity(t *testing.T) {
-	// A star whose hub sits at the top of a 50k-wide id space: every part
-	// holds ~50 leaves + the hub replica, so 16x locals is far below the
-	// global count and the hub id would overflow any dense index sized to
-	// a local heuristic.
-	const n, leaves, k = 50_000, 200, 4
-	hub := graph.VertexID(n - 1)
-	edges := make([]graph.Edge, leaves)
-	for i := range edges {
-		edges[i] = graph.Edge{Src: graph.VertexID(i * 7), Dst: hub}
-	}
-	g, err := graph.New(n, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]int32, len(edges))
-	for i := range parts {
-		parts[i] = int32(i % k)
-	}
-	subs, err := bsp.BuildSubgraphs(g, &partition.Assignment{K: k, Parts: parts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, prog := range []bsp.Program{&apps.CC{}, &apps.PageRank{Iterations: 4}} {
-		t.Run(prog.Name(), func(t *testing.T) {
-			off, err := bsp.Run(t.Context(), subs, prog, bsp.Config{VerifyReplicaAgreement: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			on, err := bsp.Run(t.Context(), subs, prog, bsp.Config{VerifyReplicaAgreement: true, AutoCombine: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !on.Values.EqualValues(off.Values) {
-				t.Fatal("combined values differ from uncombined beyond the dense-index capacity")
-			}
-			oc, fc := on.MessageCounts(), off.MessageCounts()
-			if fc.Emitted != fc.Wire || fc.Wire != fc.Delivered {
-				t.Fatalf("uncombined counts disagree: %+v", fc)
-			}
-			if oc.Emitted != fc.Emitted {
-				t.Fatalf("combined run emitted %d rows, uncombined %d", oc.Emitted, fc.Emitted)
-			}
-			if oc != fc {
-				t.Fatalf("unique-id batches must cross and arrive unfolded: combined %+v, uncombined %+v", oc, fc)
-			}
-		})
 	}
 }

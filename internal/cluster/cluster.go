@@ -62,8 +62,7 @@ type JobSpec struct {
 	ValueWidth int
 	// MaxSteps is the superstep safety cap (0 = engine default).
 	MaxSteps int
-	// Combine enables the program's declared message combiner
-	// (bsp.Config.AutoCombine).
+	// Combine is ignored. benchmark/ still sets it (ROADMAP item 1(b)).
 	Combine bool
 	// CheckpointDir enables checkpointing: every worker writes its epoch
 	// files here. The directory must be reachable by the coordinator and
@@ -91,7 +90,7 @@ func (s JobSpec) Program() (bsp.Program, error) {
 // own error — the coordinator checks it before a job exists, the agent
 // before it wires or opens anything.
 func (s JobSpec) config() (bsp.Config, error) {
-	cfg := bsp.Config{ValueWidth: s.ValueWidth, MaxSteps: s.MaxSteps, AutoCombine: s.Combine}
+	cfg := bsp.Config{ValueWidth: s.ValueWidth, MaxSteps: s.MaxSteps}
 	width, err := cfg.Width()
 	cfg.ValueWidth = width
 	return cfg, err

@@ -173,8 +173,8 @@ func TestClusterCleanRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prSpec := JobSpec{App: "PR", Iterations: 20, Combine: true}
-	prRef, err := bsp.Run(t.Context(), subs, mustProgram(t, prSpec), bsp.Config{VerifyReplicaAgreement: true, AutoCombine: true})
+	prSpec := JobSpec{App: "PR", Iterations: 20}
+	prRef, err := bsp.Run(t.Context(), subs, mustProgram(t, prSpec), bsp.Config{VerifyReplicaAgreement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,11 +425,10 @@ func TestClusterFailoverReplacement(t *testing.T) {
 	spec := JobSpec{
 		App:             "PR",
 		Iterations:      150,
-		Combine:         true,
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 4,
 	}
-	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, spec), bsp.Config{VerifyReplicaAgreement: true, AutoCombine: true})
+	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, spec), bsp.Config{VerifyReplicaAgreement: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestClusterProcessSmoke(t *testing.T) {
 		outPath := filepath.Join(dir, "out-"+label+".txt")
 		coord, addr, stderr := startCoordinator(t, coordBin,
 			"-in", graphPath, "-algo", "EBV", "-parts", "3",
-			"-app", "PR", "-iters", "300", "-combine", "auto",
+			"-app", "PR", "-iters", "300",
 			"-checkpoint-dir", ckptDir, "-checkpoint-every", "5",
 			"-out", outPath, "-v")
 		t.Logf("%s: coordinator at %s", label, addr)

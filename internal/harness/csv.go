@@ -68,7 +68,7 @@ func (r *Table3Result) WriteCSV(w io.Writer) error {
 // WriteCSV writes `graph,workers,algorithm,total_messages,emitted_messages,
 // delivered_messages,max_mean_ratio,replication_factor` rows (shared by
 // Tables IV and V). total_messages is the wire count; emitted/delivered are
-// the pre/post-combine counts (equal to it when combining is off).
+// the program-emitted and inbox-delivered counts, both equal to it.
 func (r *MessagesResult) WriteCSV(w io.Writer) error {
 	header := []string{"graph", "workers", "algorithm",
 		"total_messages", "emitted_messages", "delivered_messages",

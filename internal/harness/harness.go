@@ -46,13 +46,6 @@ type Options struct {
 	// Parallelism bounds the CPUs used by the data-plane passes between
 	// partition and run (subgraph construction); <= 0 selects GOMAXPROCS.
 	Parallelism int
-	// Combine runs the BSP cells with each app's natural message combiner
-	// (bsp.Config.AutoCombine). Results are byte-identical either way; the
-	// message tables' wire counts stay paper-faithful because the
-	// replica-synchronization apps emit unique-ID batches; the
-	// MessageCell.Emitted cell next to the wire count exposes whatever the
-	// sender-side coalesce removed. Default off.
-	Combine bool
 }
 
 func (o Options) scale() float64 {

@@ -16,14 +16,12 @@ import (
 type MessageCell struct {
 	Algorithm string
 	// TotalMessages counts the rows that crossed the exchange — the
-	// paper's platform-independent Table IV metric (post sender-side
-	// combining when Options.Combine is set).
+	// paper's platform-independent Table IV metric.
 	TotalMessages int64
-	// Emitted and Delivered are the pre-combine (program-emitted) and
-	// inbox-delivered row counts (bsp.Result.MessageCounts), so the
-	// combiner's reduction can be reported next to the wire count.
-	// Delivered always equals the wire count; all three are equal when
-	// combining is off.
+	// Emitted and Delivered are the program-emitted and inbox-delivered
+	// row counts (bsp.Result.MessageCounts). The engine sends what the
+	// program emits and delivers every row it sends, so both equal
+	// TotalMessages.
 	Emitted   int64
 	Delivered int64
 	// MaxMeanRatio is the Table V communication-balance metric.

@@ -75,7 +75,7 @@ func runBSPRepeats(ctx context.Context, g *graph.Graph, p partition.Partitioner,
 	defer dep.Close()
 	out := make([]*bsp.Result, repeat)
 	for r := range out {
-		res, err := dep.Run(ctx, prog, bsp.Config{AutoCombine: opt.Combine})
+		res, err := dep.Run(ctx, prog, bsp.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("harness: run %s over %s (job %d): %w", app, p.Name(), r+1, err)
 		}

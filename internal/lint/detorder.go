@@ -9,7 +9,7 @@ import (
 // DetOrder mechanizes the determinism guarantee the byte-identity suites
 // assert dynamically (PRs 2-6): results, wire frames, checkpoints and
 // harness outputs are byte-identical across transports, parallelism and
-// combining. Go map iteration order is randomized per run, so a `range`
+// resumes. Go map iteration order is randomized per run, so a `range`
 // over a map whose body feeds an ordered sink — a MessageBatch append, a
 // wire or writer write, an encoder, CSV/golden output — silently breaks
 // that guarantee ~once per scheduler seed instead of failing in CI.
@@ -88,7 +88,8 @@ func orderedSink(info *types.Info, call *ast.CallExpr) string {
 		return ""
 	}
 	// MessageBatch appends: message order is part of the byte-identity
-	// contract (combining folds left-to-right in arrival order).
+	// contract (programs fold their inbox rows left-to-right in arrival
+	// order).
 	if namedIn(rt, transportPath, "MessageBatch") && strings.HasPrefix(name, "Append") {
 		return "MessageBatch." + name + " (message order is part of the wire contract)"
 	}

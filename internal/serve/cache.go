@@ -35,9 +35,7 @@ type GraphSpec struct {
 	Undirected bool
 	// Subgraphs is the partition count k (0 selects 8, the repo default).
 	Subgraphs int
-	// Combine is accepted and ignored: pipelines combine by default, so
-	// every job served on this graph runs its program's declared message
-	// combiner either way.
+	// Combine is ignored. benchmark/ still sets it (ROADMAP item 1(b)).
 	Combine bool
 	// StatsRetention overrides the session's per-job stats ring capacity
 	// (0 keeps the session default; negative = unlimited).

@@ -32,8 +32,8 @@ type JobRequest struct {
 	Width int `json:"width,omitempty"`
 	// MaxSteps caps the job's supersteps (0 = engine default).
 	MaxSteps int `json:"max_steps,omitempty"`
-	// Combine enables the program's declared message combiner for this
-	// job (jobs on a Combine-configured graph combine regardless).
+	// Combine is accepted and ignored. benchmark/ still sets it (ROADMAP
+	// item 1(b)).
 	Combine bool `json:"combine,omitempty"`
 	// TimeoutMS bounds the job end to end — queue wait, warm-up wait and
 	// every superstep (the deadline propagates as context through the
@@ -53,9 +53,6 @@ func (jr *JobRequest) runOptions() []ebv.RunOption {
 	}
 	if jr.MaxSteps > 0 {
 		opts = append(opts, ebv.WithMaxSteps(jr.MaxSteps))
-	}
-	if jr.Combine {
-		opts = append(opts, ebv.AutoCombine(true))
 	}
 	return opts
 }

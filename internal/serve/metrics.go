@@ -503,7 +503,7 @@ func newServeMetrics() *serveMetrics {
 		"Jobs currently executing on a session.",
 		func() float64 { return float64(m.inflight.Load()) })
 	m.messages = r.NewCounterVec("ebv_serve_messages_total",
-		"Cross-worker message rows moved by served jobs, by combiner measurement point (emitted, wire, delivered).", "kind")
+		"Cross-worker message rows moved by served jobs, by measurement point (emitted, wire, delivered; emitted equals wire).", "kind")
 	m.cacheHits = r.NewCounter("ebv_serve_cache_hits_total",
 		"Job requests that found their graph's session already open (ready or warming).")
 	m.cacheMiss = r.NewCounter("ebv_serve_cache_misses_total",

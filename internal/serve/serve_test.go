@@ -127,7 +127,7 @@ func TestServeJobRoundTrip(t *testing.T) {
 	if jr.Program != "CC" || jr.Job != 1 || jr.Steps <= 0 || jr.ValueWidth != 1 {
 		t.Fatalf("cc response header fields = %+v", jr)
 	}
-	if jr.Messages.Wire <= 0 || jr.Messages.Emitted < jr.Messages.Wire {
+	if jr.Messages.Wire <= 0 || jr.Messages.Emitted != jr.Messages.Wire || jr.Messages.Delivered != jr.Messages.Wire {
 		t.Fatalf("cc message counts = %+v", jr.Messages)
 	}
 	if jr.RunTimeMS <= 0 || jr.TotalTimeMS < jr.RunTimeMS {

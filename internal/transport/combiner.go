@@ -7,38 +7,26 @@ import (
 )
 
 // Combiner reduces message rows addressed to the same destination vertex
-// into one row — the classic Pregel combiner optimization, applied on the
-// columnar plane. The engine uses it sender-side only: it coalesces
-// duplicate-ID rows inside each outgoing MessageBatch before the exchange,
-// which is what shrinks wire volume. The receiver concatenates what
-// arrives; rows of one vertex from different senders reach the program as
-// separate rows, and the program's own accumulator is the one fold over
-// them. (A receiver-side pre-fold can change no result bit under this
-// contract, so in-process it could only add a pass over the rows.)
+// into one row — the classic Pregel combiner, on the columnar plane. The
+// engine no longer calls it: it hands each batch to the exchange as the
+// program emitted it, and the receiver concatenates (DESIGN.md §9). This
+// file is kept for benchmark/'s transport.coalesce_rows_per_s kernel
+// (Coalesce) and, with merge.go, its merge kernel; both retire with them
+// (ROADMAP item 1(b)).
 //
 // Contract:
 //
-//   - Combine folds src into dst in place; both are rows of the run's
+//   - Combine folds src into dst in place; both are rows of the batch's
 //     value width. It must not retain either slice.
-//   - Init/identity: the engine never calls Combine against an
-//     uninitialized dst. The first row seen for a vertex is copied
-//     verbatim (it is the fold's initial accumulator), so a Combiner
-//     needs no explicit identity element, and a vertex that receives a
-//     single row is delivered bit-exactly whether combining is on or off.
+//   - Init/identity: Combine is never called against an uninitialized
+//     dst. The first row seen for a vertex is copied verbatim (it is the
+//     fold's initial accumulator), so a Combiner needs no explicit
+//     identity element.
 //   - Duplicate rows fold left-to-right in row order, into the position
 //     of the first, matching the order an uncombined receiver would have
-//     scanned them — programs that fold incoming rows into a zeroed
-//     per-vertex accumulator (the PR/Aggregate gather idiom) therefore
-//     observe byte-identical values with combining on or off even for
-//     non-associative float reductions.
-//   - A Combiner must be safe for concurrent use from multiple workers
-//     (the built-ins are stateless).
-//
-// Combining is skipped for batches with fewer than two rows, and the
-// engine disables it adaptively for the rest of a run after consecutive
-// message-bearing steps in which it removed nothing — a program whose
-// batches carry unique IDs (the replica-synchronization apps) pays the
-// duplicate scan only for the first couple of steps.
+//     scanned them.
+//   - A Combiner must be safe for concurrent use (the built-ins are
+//     stateless).
 type Combiner interface {
 	// Name identifies the combiner in diagnostics ("min", "sum").
 	Name() string
@@ -52,8 +40,7 @@ type Combiner interface {
 // column-0-only) so width-padded scalar rows combine to the same zeros the
 // senders appended. NaN acts as the identity: it never replaces a real
 // value AND never survives one, matching a receiver that folds with
-// `v < cur` and thereby skips NaN rows — so combining stays transparent
-// even for programs whose payloads can carry NaN.
+// `v < cur` and thereby skips NaN rows.
 type MinCombiner struct{}
 
 // Name implements Combiner.
@@ -79,20 +66,6 @@ func (SumCombiner) Name() string { return "sum" }
 
 // Combine implements Combiner.
 func (SumCombiner) Combine(dst, src []float64) { dst[0] += src[0] }
-
-// ElementwiseSumCombiner adds whole rows — the vector combiner of
-// feature-aggregation workloads (Aggregate's width-wide partials).
-type ElementwiseSumCombiner struct{}
-
-// Name implements Combiner.
-func (ElementwiseSumCombiner) Name() string { return "sum-rows" }
-
-// Combine implements Combiner.
-func (ElementwiseSumCombiner) Combine(dst, src []float64) {
-	for j, v := range src {
-		dst[j] += v
-	}
-}
 
 // CombineIndex is the reusable vertex-id → row-index scratch index of the
 // coalescing paths, allocated once per worker. The coalescing loops are

@@ -18,12 +18,12 @@ func TestCoalesceFoldsDuplicatesInOrder(t *testing.T) {
 	b.AppendRow(5, []float64{2, 20})
 	b.AppendRow(9, []float64{4, 40})
 	b.AppendRow(7, []float64{8, 80})
-	removed := b.Coalesce(ElementwiseSumCombiner{}, NewCombineIndex(16))
+	removed := b.Coalesce(MinCombiner{}, NewCombineIndex(16))
 	if removed != 2 || b.Len() != 3 {
 		t.Fatalf("removed %d rows, len %d; want 2 removed, len 3", removed, b.Len())
 	}
 	wantIDs := []graph.VertexID{5, 7, 9}
-	wantVals := []float64{5, 50, 9, 90, 4, 40}
+	wantVals := []float64{2, 20, 1, 10, 4, 40}
 	for i, id := range wantIDs {
 		if b.IDs[i] != id {
 			t.Fatalf("IDs = %v, want %v", b.IDs, wantIDs)
@@ -101,11 +101,10 @@ func TestCoalesceDenseCapacityStraddle(t *testing.T) {
 
 // fuzzCombiners are the reduction operators the fuzz target alternates
 // between (both exact under reordering-free left-to-right folds).
-var fuzzCombiners = []Combiner{MinCombiner{}, SumCombiner{}, ElementwiseSumCombiner{}}
+var fuzzCombiners = []Combiner{MinCombiner{}, SumCombiner{}}
 
-// FuzzCombinerCoalesce is the combining-transparency property: for a
-// random batch with duplicate IDs, coalescing at the sender and then
-// delivering must produce exactly the rows a receiver would have obtained
+// FuzzCombinerCoalesce guards benchmark/'s coalesce kernel: for a random
+// batch with duplicate IDs, coalescing and then delivering must produce exactly the rows a receiver would have obtained
 // by delivering everything and reducing per vertex — for min and sum, at
 // random widths. The fuzz harness runs with the recycled-batch poison mode
 // on (EBV_DEBUG's scribbling), so a coalescing path that illegally

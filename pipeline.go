@@ -131,14 +131,10 @@ type RunOption = bsp.Option
 
 // NewPipeline builds a Pipeline. Defaults: no source (Run fails until a
 // From* option is given), the paper's EBV partitioner, 8 subgraphs, the
-// in-memory transport, automatic message combining (see WithoutCombining
-// to opt out), no progress reporting, data-plane parallelism of GOMAXPROCS
-// (see Parallelism).
+// in-memory transport, no progress reporting, data-plane parallelism of
+// GOMAXPROCS (see Parallelism).
 func NewPipeline(opts ...PipelineOption) *Pipeline {
-	// The combining default is seeded ahead of the caller's options, so a
-	// later WithoutCombining / WithRun(AutoCombine(false)) / per-job
-	// override wins (Config options apply in order).
-	p := &Pipeline{k: 8, runOpts: []RunOption{bsp.WithAutoCombine(true)}}
+	p := &Pipeline{k: 8}
 	for _, opt := range opts {
 		opt(p)
 	}
@@ -229,14 +225,6 @@ func WithEdgeWeights(w EdgeWeights) PipelineOption {
 // Run with a clear error.
 func ValueWidth(width int) PipelineOption {
 	return func(p *Pipeline) { p.valueWidth = width }
-}
-
-// WithoutCombining disables the automatic message combining that pipelines
-// apply by default — the paper-faithful raw message plane, where every
-// emitted row crosses the wire. Results are byte-identical either way;
-// only MessageCounts and wire volume differ.
-func WithoutCombining() PipelineOption {
-	return func(p *Pipeline) { p.runOpts = append(p.runOpts, bsp.WithAutoCombine(false)) }
 }
 
 // OnProgress registers a stage-progress callback.

@@ -73,8 +73,8 @@ type JobResult struct {
 	ValueWidth int `json:"value_width"`
 	// Steps is the number of supersteps the job executed.
 	Steps int `json:"steps"`
-	// Counts is the job's message accounting at the three combiner
-	// measurement points (emitted ≥ wire ≥ delivered).
+	// Counts is the job's message accounting: the rows sent and the rows
+	// delivered, which are equal (emitted is filled from wire).
 	Counts MessageCounts `json:"message_counts"`
 	// BSP is the execution result (values, steps, per-worker stats).
 	BSP *RunResult `json:"-"`
@@ -92,7 +92,7 @@ type JobStats struct {
 	ValueWidth int    `json:"value_width"`
 	Steps      int    `json:"steps"`
 	// Messages counts the rows that crossed the exchange (the wire count,
-	// Result.TotalMessages); Counts breaks out pre/post-combine totals.
+	// Result.TotalMessages); Counts repeats it with the delivered total.
 	Messages int64         `json:"messages"`
 	Counts   MessageCounts `json:"message_counts"`
 	RunTime  time.Duration `json:"run_time"`

@@ -314,8 +314,8 @@ func TestPipelineValueWidthErrorText(t *testing.T) {
 
 // TestSessionCombinedJobsTCPLeakNoGoroutines extends the goroutine-leak
 // checks to the serving regime this PR adds: a Session opened on the TCP
-// loopback mesh serves a cycle of combined jobs (every app's natural
-// combiner active, mixed widths) and is closed; the mesh's demux readers,
+// loopback mesh serves a cycle of jobs (every app, mixed widths) and is
+// closed; the mesh's demux readers,
 // frame writers and worker goroutines must all exit.
 func TestSessionCombinedJobsTCPLeakNoGoroutines(t *testing.T) {
 	runtime.GC()
@@ -339,8 +339,8 @@ func TestSessionCombinedJobsTCPLeakNoGoroutines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cycle %d, %s: %v", cycle, j.prog.Name(), err)
 			}
-			if c := res.BSP.MessageCounts(); c.Delivered != c.Wire || c.Wire > c.Emitted {
-				t.Fatalf("cycle %d, %s: want delivered == wire <= emitted, got %+v", cycle, j.prog.Name(), c)
+			if c := res.BSP.MessageCounts(); c.Delivered != c.Wire || c.Wire != c.Emitted {
+				t.Fatalf("cycle %d, %s: want delivered == wire == emitted, got %+v", cycle, j.prog.Name(), c)
 			}
 		}
 		if err := s.Close(); err != nil {
@@ -355,7 +355,7 @@ func TestSessionCombinedJobsTCPLeakNoGoroutines(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	t.Fatalf("goroutines grew from %d to %d after combined TCP session cycles",
+	t.Fatalf("goroutines grew from %d to %d after TCP session cycles",
 		before, runtime.NumGoroutine())
 }
 
