@@ -26,6 +26,8 @@ package apps
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"ebv/internal/bsp"
 	"ebv/internal/graph"
@@ -85,13 +87,16 @@ func (c *CC) Name() string { return "CC" }
 func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	n := sub.NumLocalVertices()
 	w := &ccWorker{
-		sub:   sub,
-		env:   env,
-		plan:  sub.Routing(),
-		root:  sub.ComponentRoots(),
-		label: make([]float64, n),
-		sent:  make([]float64, n),
+		sub:     sub,
+		env:     env,
+		plan:    sub.Routing(),
+		root:    sub.ComponentRoots(),
+		members: sub.ReplicatedMembers(),
+		label:   make([]float64, n),
+		sent:    make([]float64, n),
+		parked:  make([]uint64, (n+63)/64),
 	}
+	w.pending = slices.Clone(w.plan.Mask)
 	// The local subgraph is collapsed once per subgraph, not per job. Each
 	// root is its component's smallest local id, so its own global id is the
 	// component's minimum: the starting label. Only root entries are read.
@@ -123,39 +128,51 @@ func warmValue(warm *graph.ValueMatrix, covered []bool, gid graph.VertexID) (flo
 }
 
 type ccWorker struct {
-	sub    *bsp.Subgraph
-	env    bsp.Env
-	plan   *bsp.Routing
-	root   []int32   // local vertex → its local component's root (shared, read-only)
-	label  []float64 // valid at component roots
-	sent   []float64 // label last sent per replicated vertex; differs if parked
-	parked bool      // the last scan of Replicated parked one (exact: RestoreState rebuilds it)
+	sub     *bsp.Subgraph
+	env     bsp.Env
+	plan    *bsp.Routing
+	root    []int32      // local vertex → its local component's root (shared, read-only)
+	members *bsp.Members // component root → its replicated members (shared, read-only)
+	label   []float64    // valid at component roots
+	sent    []float64    // label last sent per replicated vertex
+	// Bit sets over local ids: pending holds the replicated vertices whose
+	// label dropped since they were last examined, parked those examined and
+	// held back by the flood. A replicated vertex in neither has label == sent.
+	pending, parked []uint64
 }
 
 // Superstep implements bsp.WorkerProgram.
 func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool) {
-	changed := false
 	for i, gid := range in.IDs {
 		if local, ok := w.sub.LocalOf(gid); ok {
 			if r, v := w.root[local], in.Scalar(i); v < w.label[r] {
-				w.label[r], changed = v, true
+				w.label[r] = v
+				for _, l := range w.members.Of(r) {
+					w.pending[l>>6] |= 1 << (l & 63)
+				}
 			}
 		}
 	}
 	// The vote: busy, the flood goes on; idle, the switch; none, Hash-Min.
 	pivot, busy, voted := w.env.Reduced()
-	if step > 0 && !changed && !(voted && w.parked) {
+	if step > 0 && !anySet(w.pending) && !(voted && anySet(w.parked)) {
 		return nil, false
 	}
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
 	smallest, forwarded := math.Inf(1), false
-	if changed || !busy {
-		w.parked = false
-		for _, l := range w.plan.Replicated {
+	// Examine pending, and parked too once the flood is over, in ascending
+	// local id.
+	for i, word := range w.pending {
+		if !busy {
+			word |= w.parked[i]
+		}
+		w.pending[i], w.parked[i] = 0, w.parked[i]&^word
+		for ; word != 0; word &= word - 1 {
+			l := int32(i<<6 | bits.TrailingZeros64(word))
 			switch val := w.label[w.root[l]]; {
 			case val == w.sent[l]:
 			case busy && val != pivot:
-				w.parked = true
+				w.parked[i] |= 1 << (l & 63)
 			default:
 				w.sent[l], forwarded = val, true
 				smallest = min(smallest, val)
@@ -169,10 +186,15 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 	switch {
 	case step == 0 && w.sub.NumWorkers > 1: // a lone worker has nothing to sync
 		w.env.Reduce(smallest, forwarded)
-	case busy && (forwarded || w.parked):
+	case busy && (forwarded || anySet(w.parked)):
 		w.env.Reduce(pivot, forwarded)
 	}
 	return out, false
+}
+
+// anySet reports whether a bit set has any bit set.
+func anySet(set []uint64) bool {
+	return slices.ContainsFunc(set, func(word uint64) bool { return word != 0 })
 }
 
 // Values implements bsp.WorkerProgram.
@@ -216,12 +238,13 @@ func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 			w.label[r] = v
 		}
 	}
+	clear(w.pending)
 	pivot, _, voted := w.env.Reduced()
 	for _, l := range w.plan.Replicated {
 		if val := w.label[w.root[l]]; !voted || val == pivot {
 			w.sent[l] = val
 		} else if val != w.sent[l] {
-			w.parked = true
+			w.parked[l>>6] |= 1 << (l & 63)
 		}
 	}
 	return nil

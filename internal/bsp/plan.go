@@ -68,6 +68,19 @@ func (s *Subgraph) ComponentRoots() []int32 {
 	return s.comps.get(func() []int32 { return buildComponentRoots(s) })
 }
 
+// Members groups the replicated local vertices by local component: those
+// whose ComponentRoots entry is r are Locals[Start[r]:Start[r+1]], ascending.
+type Members struct{ Start, Locals []int32 }
+
+// Of returns the replicated members of the component rooted at local id r.
+func (m *Members) Of(r int32) []int32 { return m.Locals[m.Start[r]:m.Start[r+1]] }
+
+// ReplicatedMembers returns the replicated members per component root,
+// built on first use from ComponentRoots and Routing().Replicated.
+func (s *Subgraph) ReplicatedMembers() *Members {
+	return s.members.get(func() *Members { return buildMembers(s) })
+}
+
 // Depth is a part's boundary depth: how far its vertices sit, in hops over
 // the local edges taken as undirected, from the nearest replicated local
 // vertex. Vertices with no path to one are not counted.
@@ -181,6 +194,24 @@ func buildComponentRoots(s *Subgraph) []int32 {
 		root[l] = root[p]
 	}
 	return root
+}
+
+// buildMembers counting-sorts Replicated by root; the ascending fill keeps
+// each root's members ascending.
+func buildMembers(s *Subgraph) *Members {
+	root, replicated := s.ComponentRoots(), s.Routing().Replicated
+	m := &Members{Start: make([]int32, len(root)+1), Locals: make([]int32, len(replicated))}
+	for _, l := range replicated {
+		m.Start[root[l]+1]++
+	}
+	for r := range root {
+		m.Start[r+1] += m.Start[r]
+	}
+	fill := slices.Clone(m.Start[:len(root)])
+	for _, l := range replicated {
+		m.Locals[fill[root[l]]], fill[root[l]] = l, fill[root[l]]+1
+	}
+	return m
 }
 
 // buildBoundaryDepth runs the BFS over an undirected adjacency counting-

@@ -30,8 +30,9 @@ func columnsEqual(a, b bsp.Column) bool {
 }
 
 // checkPlan asserts every table of sub's routing plan against the per-vertex
-// derivation from PeersOf / Master / GlobalIDs it replaces, and the
-// component table against a naive label-propagation over the local edges.
+// derivation from PeersOf / Master / GlobalIDs it replaces, the component
+// table against a naive label-propagation over the local edges, and the
+// replicated members per root against a filter of the replicated list.
 // It returns the number of replicated vertices.
 func checkPlan(t *testing.T, sub *bsp.Subgraph) int {
 	t.Helper()
@@ -57,6 +58,14 @@ func checkPlan(t *testing.T, sub *bsp.Subgraph) int {
 	// Equality with the ascending scans above also proves the lists ascending.
 	if !slices.Equal(plan.Owned, owned) || !slices.Equal(plan.Replicated, replicated) {
 		t.Fatalf("part %d: owned/replicated differ from the per-vertex derivation", sub.Part)
+	}
+	// Each component root lists exactly its replicated members, ascending.
+	root, members := sub.ComponentRoots(), sub.ReplicatedMembers()
+	for r := range int32(sub.NumLocalVertices()) {
+		want := slices.DeleteFunc(slices.Clone(replicated), func(l int32) bool { return root[l] != r })
+		if got := members.Of(r); !slices.Equal(got, want) {
+			t.Fatalf("part %d: root %d has replicated members %v, want %v", sub.Part, r, got, want)
+		}
 	}
 	// Owned plus the mirrors (each in exactly one ToMaster column, checked
 	// column by column below) are every local vertex.
