@@ -58,11 +58,15 @@ func scalarValues(env bsp.Env, state []float64) *graph.ValueMatrix {
 // part-hop toward the smallest id brings a smaller label and one more send.
 // The pivot, the smallest replicated label, is final for its component, as
 // every local piece of a component spanning parts is replicated (Multistep's
-// order, Slota et al., IPDPS 2014). Step 0 sends every replicated label and
-// votes (least replicated label, busy) through bsp.Env.Reduce; later, labels
-// that became the pivot, the vote's minimum, are sent, other changes park,
-// and a worker that sent or parked any votes (pivot, whether it sent). Once
-// a vote reads idle, parked changes go out and Hash-Min resumes.
+// order, Slota et al., IPDPS 2014). Step 0 sends nothing: each worker parks
+// every replicated label and votes (least replicated label, busy) through
+// bsp.Env.Reduce. Later, labels that are the pivot, the vote's minimum, are
+// sent, other changes park, and a worker that sent or parked any votes
+// (pivot, whether it sent). Once a vote reads idle, parked labels go out and
+// Hash-Min resumes. A component spanning parts thus sends each replicated
+// label once, the pivot, to every peer: on a connected graph, one broadcast.
+// A step examines only the replicated vertices whose label dropped since
+// they were last examined, plus the parked ones at step 1 and at the switch.
 type CC struct {
 	// Warm, when non-nil, seeds each component's label with the minimum
 	// over the covered vertices' rows of this width-1 matrix (dense over
@@ -100,7 +104,7 @@ func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	// The local subgraph is collapsed once per subgraph, not per job. Each
 	// root is its component's smallest local id, so its own global id is the
 	// component's minimum: the starting label. Only root entries are read.
-	// No label equals NaN, so step 0 forwards every replicated one.
+	// No label equals NaN, so none counts as sent before it is.
 	for l, gid := range sub.GlobalIDs {
 		w.label[l], w.sent[l] = float64(gid), math.NaN()
 	}
@@ -137,7 +141,8 @@ type ccWorker struct {
 	sent    []float64    // label last sent per replicated vertex
 	// Bit sets over local ids: pending holds the replicated vertices whose
 	// label dropped since they were last examined, parked those examined and
-	// held back by the flood. A replicated vertex in neither has label == sent.
+	// held back by the flood. A replicated vertex in neither has
+	// label == sent.
 	pending, parked []uint64
 }
 
@@ -154,16 +159,22 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 		}
 	}
 	// The vote: busy, the flood goes on; idle, the switch; none, Hash-Min.
+	// Step 0 floods no pivot yet, so every replicated label parks.
 	pivot, busy, voted := w.env.Reduced()
+	if step == 0 {
+		pivot, busy = math.NaN(), true
+	}
 	if step > 0 && !anySet(w.pending) && !(voted && anySet(w.parked)) {
 		return nil, false
 	}
 	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
 	smallest, forwarded := math.Inf(1), false
-	// Examine pending, and parked too once the flood is over, in ascending
-	// local id.
+	// Examine pending, in ascending local id, plus parked at step 1 (step 0
+	// parked every label before the pivot was known) and once the flood is
+	// over.
+	release := !busy || step == 1
 	for i, word := range w.pending {
-		if !busy {
+		if release {
 			word |= w.parked[i]
 		}
 		w.pending[i], w.parked[i] = 0, w.parked[i]&^word
@@ -173,9 +184,9 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 			case val == w.sent[l]:
 			case busy && val != pivot:
 				w.parked[i] |= 1 << (l & 63)
+				smallest = min(smallest, val)
 			default:
 				w.sent[l], forwarded = val, true
-				smallest = min(smallest, val)
 				gid := w.sub.GlobalIDs[l]
 				for _, peer := range w.sub.PeersOf(l) {
 					w.env.SendScalar(out, peer, gid, val)
@@ -185,7 +196,7 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 	}
 	switch {
 	case step == 0 && w.sub.NumWorkers > 1: // a lone worker has nothing to sync
-		w.env.Reduce(smallest, forwarded)
+		w.env.Reduce(smallest, anySet(w.parked)) // every replicated label parked
 	case busy && (forwarded || anySet(w.parked)):
 		w.env.Reduce(pivot, forwarded)
 	}
@@ -212,26 +223,24 @@ var _ bsp.Resumable = (*ccWorker)(nil)
 
 // SnapshotState implements bsp.Resumable: every local vertex's resolved
 // component label (width 1). The root table needs no snapshot — it is a
-// function of the (immutable) local edges — and sent needs none either: at
-// a superstep boundary past the switch step, sent[l] is l's label; before
-// it, that label if it is the pivot and l's step-0 label otherwise.
+// function of the (immutable) local edges — and sent and the two sets need
+// none either: at a superstep boundary with no vote (Hash-Min), sent[l] is
+// l's label; at one with a vote past step 1 (flood or switch), only pivot
+// labels went out and every other replicated vertex is parked; before
+// step 1 nothing went out and every one is parked.
 func (w *ccWorker) SnapshotState() *graph.ValueMatrix {
 	return w.labels(graph.NewValueMatrix(len(w.root), 1))
 }
 
-// RestoreState implements bsp.Resumable: record NewWorker's step-0 labels as
-// sent, fold the snapshot labels into the components' roots (step >= 1: no
-// step-0 broadcast replay), and complete sent by SnapshotState's invariant
-// from the phase the restored vote shows.
+// RestoreState implements bsp.Resumable: fold the snapshot labels into the
+// components' roots, then rebuild sent and the parked set by SnapshotState's
+// rule from the phase the restored vote shows.
 func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 	if state.Width != 1 {
 		return fmt.Errorf("apps: CC snapshot width %d, want 1", state.Width)
 	}
 	if err := state.CheckShape(len(w.root)); err != nil {
 		return err
-	}
-	for _, l := range w.plan.Replicated {
-		w.sent[l] = w.label[w.root[l]]
 	}
 	for l, r := range w.root {
 		if v := state.Scalar(l); v < w.label[r] {
@@ -241,9 +250,9 @@ func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 	clear(w.pending)
 	pivot, _, voted := w.env.Reduced()
 	for _, l := range w.plan.Replicated {
-		if val := w.label[w.root[l]]; !voted || val == pivot {
+		if val := w.label[w.root[l]]; !voted || step > 1 && val == pivot {
 			w.sent[l] = val
-		} else if val != w.sent[l] {
+		} else {
 			w.parked[l>>6] |= 1 << (l & 63)
 		}
 	}

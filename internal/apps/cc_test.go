@@ -1,8 +1,8 @@
 // Pivot-flood tests for CC: flooding the smallest replicated label first
 // and Hash-Min after must reach SequentialCC's labels bit for bit on every
-// partition shape, resume from any checkpoint epoch of either phase (sent
-// is rebuilt from the labels and the checkpointed vote), and keep the rows
-// and steps of the two emission graphs pinned.
+// partition shape, resume from any checkpoint epoch of every phase (sent and
+// the parked set are rebuilt from the labels, the step and the checkpointed
+// vote), and send one broadcast on the two emission graphs, in pinned steps.
 package apps
 
 import (
@@ -66,11 +66,14 @@ func ccGraph(r *rng.Source, directed bool) *graph.Graph {
 	return g
 }
 
-// ccPhase names the phase an epoch resumes into, read off its vote as the
-// workers read it: a busy vote is a flood step, an idle one the switch
-// step, none at all send-on-change Hash-Min.
+// ccPhase names the phase an epoch resumes into, read off its step and vote
+// as the workers read them: step 1 follows the quiet step 0 (nothing sent
+// yet), a busy vote is a flood step, an idle one the switch step, none at
+// all send-on-change Hash-Min.
 func ccPhase(cps []*bsp.Checkpoint) string {
 	switch v := cps[0].Vote; {
+	case cps[0].Step == 1 && v.Voted:
+		return "quiet"
 	case v.Flag:
 		return "flood"
 	case v.Voted:
@@ -85,7 +88,7 @@ func TestCCPivotFlood(t *testing.T) {
 
 	// Exactness and resume: every epoch of a CheckpointEvery: 1 run resumes
 	// to the uninterrupted run's values and step count, and the table covers
-	// epochs of all three phases.
+	// epochs of all four phases.
 	t.Run("exact-and-resumable", func(t *testing.T) {
 		r := rng.New(2030)
 		phases := map[string]int{}
@@ -121,7 +124,7 @@ func TestCCPivotFlood(t *testing.T) {
 				}
 			}
 		}
-		for _, phase := range []string{"flood", "switch", "hash-min"} {
+		for _, phase := range []string{"quiet", "flood", "switch", "hash-min"} {
 			if phases[phase] == 0 {
 				t.Errorf("no epoch resumed into the %s phase (%v)", phase, phases)
 			}
@@ -178,9 +181,9 @@ func TestCCPivotFlood(t *testing.T) {
 		}
 	})
 
-	// Rows and steps on the emission graphs (EBV, k = 8), pinned. On road,
-	// whose ids follow locality, the rows stay within two broadcasts of
-	// every replicated label.
+	// Rows and steps on the emission graphs (EBV, k = 8), pinned. Both are
+	// connected, so the rows are exactly one broadcast of every replicated
+	// label: the pivot, once to each peer.
 	t.Run("pinned", func(t *testing.T) {
 		const k = 8
 		powerlaw, road := emissionGraphs(t)
@@ -189,8 +192,8 @@ func TestCCPivotFlood(t *testing.T) {
 			g           *graph.Graph
 			rows, steps int
 		}{
-			{"powerlaw", powerlaw, 13901, 4},
-			{"road", road, 3550, 10},
+			{"powerlaw", powerlaw, 7414, 5},
+			{"road", road, 1782, 11},
 		} {
 			subs := buildSSSPSubs(t, tc.g, core.New(), k)
 			res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{VerifyReplicaAgreement: true})
@@ -201,25 +204,23 @@ func TestCCPivotFlood(t *testing.T) {
 			if rows := res.TotalMessages(); rows != int64(tc.rows) || res.Steps != tc.steps {
 				t.Errorf("%s: %d rows in %d steps, pinned %d in %d", tc.name, rows, res.Steps, tc.rows, tc.steps)
 			}
-			if tc.name != "road" {
-				continue
-			}
 			broadcast := 0
 			for _, sub := range subs {
 				for _, l := range sub.Routing().Replicated {
 					broadcast += len(sub.PeersOf(l))
 				}
 			}
-			if rows := res.TotalMessages(); rows > int64(2*broadcast) {
-				t.Errorf("road: %d rows, more than 2 × %d (one full broadcast)", rows, broadcast)
+			if rows := res.TotalMessages(); rows != int64(broadcast) {
+				t.Errorf("%s: %d rows, one broadcast is %d", tc.name, rows, broadcast)
 			}
 		}
 	})
 }
 
 // FuzzCCMatchesSequential: bytes become a small multigraph, a part count,
-// a direction and a hash salt; CC over a seeded hash partition and over EBV
-// must reach the oracle's labels bit for bit.
+// a direction, a hash salt and an epoch; CC over a seeded hash partition and
+// over EBV must reach the oracle's labels bit for bit, checkpointing every
+// step, and so must a resume from the chosen epoch.
 func FuzzCCMatchesSequential(f *testing.F) {
 	f.Add([]byte{12, 3, 0, 7, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 0, 8, 8, 9, 9, 10, 10, 11})
 	f.Add([]byte{9, 8, 1, 1, 8, 7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0})
@@ -230,6 +231,7 @@ func FuzzCCMatchesSequential(f *testing.F) {
 		}
 		n, k := 1+int(data[0])%48, 1+int(data[1])%8
 		directed, salt := data[2]%2 == 0, uint64(data[3])
+		epoch := 1 + int(data[2]/2)%8
 		var edges []graph.Edge
 		for i := 4; i+1 < len(data); i += 2 {
 			edges = append(edges, graph.Edge{Src: graph.VertexID(int(data[i]) % n), Dst: graph.VertexID(int(data[i+1]) % n)})
@@ -243,12 +245,27 @@ func FuzzCCMatchesSequential(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, p := range []partition.Partitioner{&partition.Random{Salt: salt}, core.New()} {
-			res, err := bsp.Run(t.Context(), buildSSSPSubs(t, g, p, k), &CC{},
-				bsp.Config{VerifyReplicaAgreement: true})
+			subs := buildSSSPSubs(t, g, p, k)
+			store := &epochStore{k: k, epochs: make(map[int][]*bsp.Checkpoint)}
+			res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{
+				VerifyReplicaAgreement: true, CheckpointEvery: 1, CheckpointSink: store.sink,
+			})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", p.Name(), k, err)
 			}
 			checkOracle(t, SequentialCC(g), res)
+			cps := store.epochs[min(epoch, len(store.epochs))]
+			if cps == nil {
+				continue
+			}
+			resumed, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{VerifyReplicaAgreement: true, Resume: cps})
+			if err != nil {
+				t.Fatalf("%s k=%d: resume from %d: %v", p.Name(), k, cps[0].Step, err)
+			}
+			if resumed.Steps != res.Steps || !resumed.Values.EqualValues(res.Values) {
+				t.Fatalf("%s k=%d: resume from %d (%s): %d steps, want %d", p.Name(), k,
+					cps[0].Step, ccPhase(cps), resumed.Steps, res.Steps)
+			}
 		}
 	})
 }

@@ -173,16 +173,17 @@ func TestTable5DispatchesToTable5(t *testing.T) {
 // the pre-registry dispatch produced (SHA-256 at Scale 0.1, default seed),
 // so a change to the dispatch, the experiment signatures or the shared CSV
 // writer cannot alter a number or a column. table4 and table5 hold CC
-// message counts; they were re-recorded twice, when CC began flooding its
-// smallest replicated label before Hash-Min and when the flood's sentinel
-// rows left the message counts for the engine's collective vote (the
-// labels did not move either time).
+// message counts; they were re-recorded three times, when CC began flooding
+// its smallest replicated label before Hash-Min, when the flood's sentinel
+// rows left the message counts for the engine's collective vote, and when
+// CC's step 0 stopped broadcasting every replicated label (the labels did
+// not move any time).
 func TestCSVBytesPinned(t *testing.T) {
 	want := map[string]string{
 		"table1":             "3e6dde5d930cbe0fd1ad1f64bd05176f2e3d4ea99d8458c2a968ccdf3ab7b073",
 		"table3":             "cd9b7df66fcc27d46fce92f5f27ddfa1c4d09b9ffe805758f522a7b6170130d5",
-		"table4":             "d60e82eab304fa8c6e381a157dca67034bd976f8a8a0ffbfbf37de0f9e4f5a9f",
-		"table5":             "d60e82eab304fa8c6e381a157dca67034bd976f8a8a0ffbfbf37de0f9e4f5a9f",
+		"table4":             "855aecdeb3fe4f34bd245dc92a0c3804509b3aeb6f9ba85deef5ab2ca370f8d0",
+		"table5":             "855aecdeb3fe4f34bd245dc92a0c3804509b3aeb6f9ba85deef5ab2ca370f8d0",
 		"fig5":               "349387e2311f36146193402c55717399bf2c759f2200470d934dda60247d2d44",
 		"ablation-sort":      "0e3154ee072545c951f2c04187ed29310b1f7290960b7db17b6b5f4517f656f9",
 		"ablation-alphabeta": "e7e7605ed6f05cc07f882082af556f107dcc36ad991392e36f00204c23e2dac5",
