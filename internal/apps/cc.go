@@ -16,11 +16,16 @@
 // part's vertices sit behind its replicated ones (see SSSP). CC floods its
 // smallest replicated label first and parks other changes (see CC).
 //
+// PageRank and Aggregate share one worker, gatherApply (gather.go):
+// PowerGraph's master/mirror gather–apply pair, written once, with each
+// program a small rule that refills the gather partials and updates the
+// owned rows.
+//
 // Messages travel as columnar batches (transport.MessageBatch) whose value
-// width is the run's bsp.Config.ValueWidth. The scalar applications here
-// use the width-1 accessors (AppendScalar/Scalar) and remain correct at
-// any width (extra columns stay zero); Aggregate is fully width-aware and
-// moves whole feature-vector rows.
+// width is the run's bsp.Config.ValueWidth. CC and SSSP use the width-1
+// accessors (AppendScalar/Scalar) and remain correct at any width (extra
+// columns stay zero); PageRank keeps its rank in column 0 of gatherApply's
+// run-width rows, and Aggregate moves whole feature-vector rows.
 package apps
 
 import (
@@ -33,16 +38,6 @@ import (
 	"ebv/internal/graph"
 	"ebv/internal/transport"
 )
-
-// scalarValues exports a scalar state slice as the run-width value matrix
-// (column 0 = the value) — the Values() of every scalar program here.
-func scalarValues(env bsp.Env, state []float64) *graph.ValueMatrix {
-	vals := env.NewValues(len(state))
-	for l, v := range state {
-		vals.SetScalar(l, v)
-	}
-	return vals
-}
 
 // CC computes connected components (treating edges as undirected, as the
 // paper's CC does): every vertex ends with the minimum global vertex id of

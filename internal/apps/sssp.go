@@ -10,6 +10,16 @@ import (
 	"ebv/internal/transport"
 )
 
+// scalarValues exports a scalar state slice as the run-width value matrix
+// (column 0 = the value): SSSP's Values.
+func scalarValues(env bsp.Env, state []float64) *graph.ValueMatrix {
+	vals := env.NewValues(len(state))
+	for l, v := range state {
+		vals.SetScalar(l, v)
+	}
+	return vals
+}
+
 // SSSP computes single-source shortest paths over directed edges, with
 // unit weights by default (the paper does not specify weights; unit
 // weights make the sequential oracle exact and keep the communication

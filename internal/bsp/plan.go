@@ -255,44 +255,29 @@ func buildBoundaryDepth(s *Subgraph) Depth {
 	return d
 }
 
-// SendScalars hands every peer with a non-empty column one batch of rows
-// (col.IDs[i], vals[col.Locals[i]]), zero-padded beyond column 0 at width
-// > 1: one copy of the id column plus one gather loop per peer. out[q] must
-// still be unset for those peers.
-func (e Env) SendScalars(out []*transport.MessageBatch, cols []Column, vals []float64) {
-	w := e.ValueWidth
-	e.sendColumns(out, cols, func(b *transport.MessageBatch, locals []int32) {
-		if w > 1 {
-			clear(b.Vals)
-		}
-		for i, l := range locals {
-			b.Vals[i*w] = vals[l]
-		}
-	})
-}
-
-// SendRows is SendScalars for whole value rows: row i is m.Row(col.Locals[i]).
+// SendRows hands every peer with a non-empty column one pooled batch of
+// rows (col.IDs[i], m.Row(col.Locals[i])): one copy of the id column plus
+// one gather loop per peer. A width-1 row moves as one assignment, not a
+// copy call. out[q] must still be unset for those peers.
 func (e Env) SendRows(out []*transport.MessageBatch, cols []Column, m *graph.ValueMatrix) {
-	e.sendColumns(out, cols, func(b *transport.MessageBatch, locals []int32) {
-		for i, l := range locals {
-			copy(b.Row(i), m.Row(int(l)))
-		}
-	})
-}
-
-// sendColumns places in out[q], for every non-empty column q, a pooled batch
-// addressed to its vertices, once fill wrote the (sized, dirty) value rows.
-func (e Env) sendColumns(out []*transport.MessageBatch, cols []Column,
-	fill func(b *transport.MessageBatch, locals []int32)) {
+	w := e.ValueWidth
 	for q, col := range cols {
 		if len(col.IDs) == 0 {
 			continue
 		}
 		b := e.NewBatch()
 		b.IDs = append(b.IDs, col.IDs...)
-		n := len(col.IDs) * e.ValueWidth
+		n := len(col.IDs) * w
 		b.Vals = slices.Grow(b.Vals, n)[:n]
-		fill(b, col.Locals)
+		if w == 1 {
+			for i, l := range col.Locals {
+				b.Vals[i] = m.Data[l]
+			}
+		} else {
+			for i, l := range col.Locals {
+				copy(b.Row(i), m.Row(int(l)))
+			}
+		}
 		out[q] = b
 	}
 }

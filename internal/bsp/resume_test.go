@@ -111,6 +111,7 @@ func TestResumeByteIdentity(t *testing.T) {
 	}{
 		{"CC", &apps.CC{}, pathSubs, 1},
 		{"PR", &apps.PageRank{Iterations: 12}, plSubs, 1},
+		{"PR@w4", &apps.PageRank{Iterations: 12}, plSubs, 4},
 		{"PR-tol", &apps.PageRank{Tol: 1e-6, Iterations: 500}, plSubs, 1},
 		{"SSSP", &apps.SSSP{Source: 0}, pathSubs, 1},
 		{"WSSSP", &apps.SSSP{Source: 0, Weighted: true}, wSubs, 1},

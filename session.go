@@ -163,6 +163,12 @@ func (p *Pipeline) Open(ctx context.Context) (*Session, error) {
 		return nil, fmt.Errorf("ebv: pipeline: value width %d invalid: must be >= 1 (or 0 for the default of 1)",
 			p.valueWidth)
 	}
+	// Resolved first: a typo must not pay a load and partition, nor leave
+	// a wired mesh behind.
+	policy, err := live.PolicyByName(p.mutationPolicy)
+	if err != nil {
+		return nil, fmt.Errorf("ebv: pipeline: %w", err)
+	}
 	res, err := p.prepare(ctx, true)
 	if err != nil {
 		return nil, err
@@ -173,10 +179,6 @@ func (p *Pipeline) Open(ctx context.Context) (*Session, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ebv: pipeline tcp deployment: %w", err)
 		}
-	}
-	policy, err := live.PolicyByName(p.mutationPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("ebv: pipeline: %w", err)
 	}
 	retention := defaultJobStatsRetention
 	if p.retentionSet {

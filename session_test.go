@@ -312,6 +312,26 @@ func TestPipelineValueWidthErrorText(t *testing.T) {
 	}
 }
 
+// TestOpenUnknownMutationPolicyRunsNoStage: an unknown MutationPolicy fails
+// Open before any stage runs, so no load or partition is paid and no TCP
+// mesh is wired and left open.
+func TestOpenUnknownMutationPolicyRunsNoStage(t *testing.T) {
+	var events []ebv.PipelineProgress
+	s, err := sessionPipeline(t, ebv.UseTCPLoopback(), ebv.MutationPolicy("nope"),
+		ebv.OnProgress(func(ev ebv.PipelineProgress) { events = append(events, ev) }),
+	).Open(context.Background())
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted an unknown mutation policy")
+	}
+	if !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("err = %v, want it to name the policy", err)
+	}
+	if len(events) != 0 {
+		t.Fatalf("a failed Open ran stages: %+v", events)
+	}
+}
+
 // TestSessionCombinedJobsTCPLeakNoGoroutines extends the goroutine-leak
 // checks to the serving regime this PR adds: a Session opened on the TCP
 // loopback mesh serves a cycle of jobs (every app, mixed widths) and is
