@@ -114,7 +114,7 @@ func TestRunWorkerCancel(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := bsp.RunWorker(ctx, subs[0], &spinner{}, mem, bsp.Config{MaxSteps: 1 << 30}, nil)
+		_, err := bsp.RunWorker(ctx, subs[0], &spinner{}, mem, bsp.Config{MaxSteps: 1 << 30})
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

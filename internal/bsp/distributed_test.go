@@ -117,7 +117,7 @@ func TestMultiProcessStyleRun(t *testing.T) {
 				errs[w] = fmt.Errorf("transport: %w", err)
 				return
 			}
-			results[w], errs[w] = bsp.RunWorker(t.Context(), reloaded[w], &apps.CC{}, tr, bsp.Config{}, nil)
+			results[w], errs[w] = bsp.RunWorker(t.Context(), reloaded[w], &apps.CC{}, tr, bsp.Config{})
 		}(w)
 	}
 	wg.Wait()
@@ -144,10 +144,10 @@ func TestRunWorkerValidation(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 2)
 	mem := memJob(t, 3)[0] // wrong worker count
-	if _, err := bsp.RunWorker(t.Context(), subs[0], &apps.CC{}, mem, bsp.Config{}, nil); err == nil {
+	if _, err := bsp.RunWorker(t.Context(), subs[0], &apps.CC{}, mem, bsp.Config{}); err == nil {
 		t.Fatal("mismatched transport accepted")
 	}
-	if _, err := bsp.RunWorker(t.Context(), nil, &apps.CC{}, mem, bsp.Config{}, nil); err == nil {
+	if _, err := bsp.RunWorker(t.Context(), nil, &apps.CC{}, mem, bsp.Config{}); err == nil {
 		t.Fatal("nil subgraph accepted")
 	}
 }

@@ -134,8 +134,9 @@ type Config struct {
 	// fault, not a warning: failover would silently lose progress).
 	CheckpointSink func(worker int, cp *Checkpoint) error
 	// Resume starts the run from per-worker checkpoints instead of step 0:
-	// one non-nil entry per worker, all cut at the same Step (the aligned
-	// epochs CheckpointEvery produces). Nil (or empty) starts fresh.
+	// one non-nil entry per local worker (k for Deployment.Run, one for
+	// RunWorker), all cut at the same Step (the aligned epochs
+	// CheckpointEvery produces). Nil (or empty) starts fresh.
 	Resume []*Checkpoint
 }
 
@@ -328,8 +329,8 @@ func checkResume(resume []*Checkpoint, subs []*Subgraph, width int) error {
 // hands it all k workers of a job, RunWorker the one worker this process
 // hosts of a job whose peers run elsewhere. It runs prog over subs[i] on
 // trs[i] (worker id subs[i].Part) until global quiescence and returns one
-// result per local worker. resume is empty or holds one checkpoint per
-// local worker (see checkResume).
+// result per local worker. cfg.Resume is empty or holds one checkpoint
+// per local worker (see checkResume).
 //
 // The transports are this run's to tear down: they are closed when ctx is
 // canceled and when any local worker fails (a bad batch, a transport
@@ -340,7 +341,7 @@ func checkResume(resume []*Checkpoint, subs []*Subgraph, width int) error {
 // Concurrent calls over the same subgraphs are safe: subgraphs are
 // immutable at run time and all per-run state lives here.
 func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
-	trs []transport.Transport, resume []*Checkpoint) ([]WorkerResult, error) {
+	trs []transport.Transport) ([]WorkerResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -348,7 +349,7 @@ func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
 	if err != nil {
 		return nil, err
 	}
-	if err := checkResume(resume, subs, width); err != nil {
+	if err := checkResume(cfg.Resume, subs, width); err != nil {
 		return nil, err
 	}
 
@@ -375,8 +376,8 @@ func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
 	var wg sync.WaitGroup
 	for i := range subs {
 		spec := spec
-		if len(resume) > 0 {
-			spec.resume = resume[i]
+		if len(cfg.Resume) > 0 {
+			spec.resume = cfg.Resume[i]
 		}
 		wg.Add(1)
 		go func() {
@@ -619,18 +620,17 @@ type WorkerResult struct {
 // RunWorker executes ONE worker of a distributed computation over the
 // given transport (typically a job opened on a transport.MeshNode); the
 // peer workers run in other processes. It blocks until global quiescence.
-// A non-nil cp starts the worker at cp.Step with the checkpointed program
-// state and inbox instead of step 0; every worker of the run must resume
-// from the same epoch (the cluster coordinator's restore selection
-// guarantees it). cfg.Resume is ignored — it indexes checkpoints by worker
-// for whole-job runs — and so is cfg.VerifyReplicaAgreement, which needs
-// the global view.
+// cfg.Resume, empty or one checkpoint for this worker, starts the worker
+// at the checkpoint's Step with its program state and inbox instead of
+// step 0; every worker of the run must resume from the same epoch (the
+// cluster coordinator's restore selection guarantees it).
+// cfg.VerifyReplicaAgreement is ignored: it needs the global view.
 //
 // ctx is polled at every superstep boundary; cancellation, like a local
 // failure, closes the transport, so this worker tears down immediately and
 // its peers fail their own exchanges instead of blocking — the distributed
 // analogue of a crashed process.
-func RunWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Transport, cfg Config, cp *Checkpoint) (*WorkerResult, error) {
+func RunWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Transport, cfg Config) (*WorkerResult, error) {
 	if sub == nil {
 		return nil, errors.New("bsp: nil subgraph")
 	}
@@ -638,11 +638,7 @@ func RunWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		return nil, fmt.Errorf("bsp: transport has %d workers, subgraph expects %d",
 			tr.NumWorkers(), sub.NumWorkers)
 	}
-	var resume []*Checkpoint
-	if cp != nil {
-		resume = []*Checkpoint{cp}
-	}
-	out, err := runWorkers(ctx, prog, cfg, []*Subgraph{sub}, []transport.Transport{tr}, resume)
+	out, err := runWorkers(ctx, prog, cfg, []*Subgraph{sub}, []transport.Transport{tr})
 	if err != nil {
 		return nil, err
 	}

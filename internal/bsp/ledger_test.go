@@ -98,7 +98,7 @@ func TestStageTimersCoverWallTime(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				results[w], errs[w] = bsp.RunWorker(t.Context(), subs[w], &boundaryFlood{rounds: 60}, trs[w],
-					bsp.Config{}, nil)
+					bsp.Config{})
 			}()
 		}
 		wg.Wait()

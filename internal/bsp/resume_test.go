@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ebv/internal/apps"
@@ -151,6 +152,63 @@ func TestResumeByteIdentity(t *testing.T) {
 			}
 			t.Logf("%s: %d steps, %d epochs resumed bit-identically", tc.name, full.Steps, len(epochs))
 		})
+	}
+}
+
+// firstStepProg wraps a resumable program and records the step of the
+// first Superstep call its workers receive.
+type firstStepProg struct {
+	bsp.Program
+	first atomic.Int64 // -1 until a worker steps
+}
+
+type resumableWorker interface {
+	bsp.WorkerProgram
+	bsp.Resumable
+}
+
+type firstStepWorker struct {
+	resumableWorker
+	first *atomic.Int64
+}
+
+func (p *firstStepProg) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
+	return &firstStepWorker{p.Program.NewWorker(sub, env).(resumableWorker), &p.first}
+}
+
+func (w *firstStepWorker) Superstep(step int, in *transport.MessageBatch) ([]*transport.MessageBatch, bool) {
+	w.first.CompareAndSwap(-1, int64(step))
+	return w.resumableWorker.Superstep(step, in)
+}
+
+// TestRunWorkerResume: a single worker handed cfg.Resume starts at the
+// checkpoint's step and ends with the uninterrupted run's values.
+func TestRunWorkerResume(t *testing.T) {
+	sub := buildSubs(t, pathGraph(t, 40), &partition.Random{}, 1)[0]
+	prog := &apps.PageRank{Iterations: 12}
+	store := newCheckpointStore(1)
+	full, err := bsp.RunWorker(t.Context(), sub, prog, memJob(t, 1)[0],
+		bsp.Config{CheckpointEvery: 1, CheckpointSink: store.sink})
+	if err != nil {
+		t.Fatalf("full run: %v", err)
+	}
+	epochs := store.completeEpochs()
+	if len(epochs) < 2 {
+		t.Fatalf("%d checkpoint epochs in %d steps", len(epochs), full.Steps)
+	}
+	epoch := epochs[len(epochs)/2]
+	rec := &firstStepProg{Program: prog}
+	rec.first.Store(-1)
+	res, err := bsp.RunWorker(t.Context(), sub, rec, memJob(t, 1)[0],
+		bsp.Config{Resume: store.epochs[epoch]})
+	if err != nil {
+		t.Fatalf("resume from epoch %d: %v", epoch, err)
+	}
+	if first := rec.first.Load(); first != int64(epoch) {
+		t.Fatalf("first superstep = %d, want the checkpoint's step %d", first, epoch)
+	}
+	if res.Steps != full.Steps || !res.Values.EqualValues(full.Values) {
+		t.Fatalf("resume from epoch %d: %d steps, want %d, or values differ", epoch, res.Steps, full.Steps)
 	}
 }
 

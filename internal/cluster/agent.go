@@ -123,8 +123,7 @@ type pendingAttempt struct {
 	job     int
 	attempt int
 	prog    bsp.Program
-	cfg     bsp.Config // ValueWidth resolved, checkpoint sink attached
-	restore *bsp.Checkpoint
+	cfg     bsp.Config // ValueWidth resolved, checkpoint sink and restore attached
 	tr      transport.Transport
 }
 
@@ -280,7 +279,7 @@ func (a *Agent) open(ctx context.Context, sub *bsp.Subgraph, m openMsg) (*pendin
 			meta.Width != cfg.ValueWidth || cp.Step != m.RestoreStep {
 			return nil, fmt.Errorf("checkpoint %s metadata mismatch", path)
 		}
-		p.restore = cp
+		p.cfg.Resume = []*bsp.Checkpoint{cp}
 		a.logf("job %d attempt %d: restoring partition %d from epoch %d", m.Job, m.Attempt, sub.Part, cp.Step)
 	}
 	if m.Spec.checkpointing() {
@@ -326,7 +325,7 @@ func (a *Agent) open(ctx context.Context, sub *bsp.Subgraph, m openMsg) (*pendin
 // next.
 func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt) error {
 	defer p.tr.Close()
-	res, err := bsp.RunWorker(ctx, sub, p.prog, p.tr, p.cfg, p.restore)
+	res, err := bsp.RunWorker(ctx, sub, p.prog, p.tr, p.cfg)
 	if err != nil {
 		return err
 	}

@@ -188,7 +188,7 @@ func (c *sessionCache) acquire(ctx context.Context, name string) (*graphHandle, 
 			c.mu.Unlock()
 			return nil, fmt.Errorf("%w %q", ErrUnknownGraph, name)
 		}
-		c.metrics.cacheMiss.Inc()
+		c.metrics.cacheMiss.Inc("")
 		e = &cacheEntry{
 			spec:    spec,
 			ready:   make(chan struct{}),
@@ -199,7 +199,7 @@ func (c *sessionCache) acquire(ctx context.Context, name string) (*graphHandle, 
 		c.evictLockedExcept(name)
 		go c.warm(e)
 	} else {
-		c.metrics.cacheHits.Inc()
+		c.metrics.cacheHits.Inc("")
 	}
 	e.refs++
 	c.clock++
@@ -291,7 +291,7 @@ func (c *sessionCache) evictLockedExcept(keep string) {
 		if victim.refs == 0 {
 			close(victim.drained)
 		}
-		c.metrics.cacheEvict.Inc()
+		c.metrics.cacheEvict.Inc("")
 		c.evictWG.Add(1)
 		go c.drainAndClose(victim)
 	}

@@ -13,12 +13,12 @@ import (
 
 // A hand-rolled Prometheus-text-format metric registry. The module is
 // dependency-free by policy, so this implements the small slice of the
-// exposition format the service needs: counters (plain and one-label
-// vectors), gauges (stored and function-backed), and fixed-bucket
-// histograms with interpolated quantile readouts. Output is byte-stable
-// across scrapes of the same state: metrics render in registration order
-// and label values in sorted order (the detorder rule — no map-range
-// feeds the writer).
+// exposition format the service needs: one Family type for counters and
+// gauges (a single series or one label's worth, stored or read from a
+// function), and fixed-bucket histograms with interpolated quantile
+// readouts. Output is byte-stable across scrapes of the same state:
+// metrics render in registration order and label values in sorted order
+// (the detorder rule — no map-range feeds the writer).
 
 // metric is one named family that can render itself.
 type metric interface {
@@ -94,216 +94,110 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Counter is a monotonically increasing int64 metric.
-type Counter struct {
-	name, help string
-	v          atomic.Int64
+// Family is one named counter or gauge family. Registered with label
+// "", it holds a single series, rendered from registration on; otherwise
+// it holds one series per label value, rendered once touched. Counters
+// render exact integers, gauges go through formatValue.
+type Family struct {
+	name, help, typ, label string
+	fn                     func() float64 // function-backed gauge, read at render time
+
+	mu     sync.Mutex
+	series map[string]*atomic.Uint64 // a counter's int64 count or a gauge's float64 bits
 }
 
-// NewCounter registers a plain counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.register(name, c)
-	return c
+func (r *Registry) newFamily(name, help, typ, label string, fn func() float64) *Family {
+	f := &Family{name: name, help: help, typ: typ, label: label, fn: fn, series: make(map[string]*atomic.Uint64)}
+	if label == "" {
+		f.series[""] = new(atomic.Uint64)
+	}
+	r.register(name, f)
+	return f
 }
 
-// Add increments the counter by delta (negative deltas are ignored — a
-// counter only goes up).
-func (c *Counter) Add(delta int64) {
+// NewCounter registers a counter family keyed by label ("" for a single
+// series).
+func (r *Registry) NewCounter(name, help, label string) *Family {
+	return r.newFamily(name, help, "counter", label, nil)
+}
+
+// NewGauge registers a stored gauge family keyed by label ("" for a
+// single series).
+func (r *Registry) NewGauge(name, help, label string) *Family {
+	return r.newFamily(name, help, "gauge", label, nil)
+}
+
+// NewGaugeFunc registers a single-series gauge whose value is read from
+// fn at render time (queue depths, cache occupancy — state someone else
+// owns).
+func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) *Family {
+	return r.newFamily(name, help, "gauge", "", fn)
+}
+
+func (f *Family) at(value string) *atomic.Uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s := f.series[value]
+	if s == nil {
+		s = new(atomic.Uint64)
+		f.series[value] = s
+	}
+	return s
+}
+
+// Add increments a counter's series by delta (negative deltas are
+// ignored — a counter only goes up).
+func (f *Family) Add(value string, delta int64) {
 	if delta > 0 {
-		c.v.Add(delta)
+		f.at(value).Add(uint64(delta))
 	}
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+// Inc adds one to a counter's series.
+func (f *Family) Inc(value string) { f.at(value).Add(1) }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Set stores v in a gauge's series.
+func (f *Family) Set(value string, v float64) { f.at(value).Store(math.Float64bits(v)) }
 
-func (c *Counter) render(w io.Writer) error {
-	if err := writeHeader(w, c.name, c.help, "counter"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
-	return err
-}
-
-// CounterVec is a counter family keyed by one label.
-type CounterVec struct {
-	name, help, label string
-	mu                sync.Mutex
-	children          map[string]*atomic.Int64
-}
-
-// NewCounterVec registers a one-label counter family.
-func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
-	cv := &CounterVec{name: name, help: help, label: label, children: make(map[string]*atomic.Int64)}
-	r.register(name, cv)
-	return cv
-}
-
-func (cv *CounterVec) child(value string) *atomic.Int64 {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	c := cv.children[value]
-	if c == nil {
-		c = new(atomic.Int64)
-		cv.children[value] = c
-	}
-	return c
-}
-
-// Add increments the child for the given label value.
-func (cv *CounterVec) Add(value string, delta int64) {
-	if delta > 0 {
-		cv.child(value).Add(delta)
-	}
-}
-
-// Inc adds one to the child for the given label value.
-func (cv *CounterVec) Inc(value string) { cv.child(value).Add(1) }
-
-// Value returns the child's current count (0 if never touched).
-func (cv *CounterVec) Value(value string) int64 {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	if c := cv.children[value]; c != nil {
-		return c.Load()
+// Value returns a counter series' count (0 if never touched).
+func (f *Family) Value(value string) int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if s := f.series[value]; s != nil {
+		return int64(s.Load())
 	}
 	return 0
 }
 
-// Total sums every child.
-func (cv *CounterVec) Total() int64 {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	var total int64
-	for _, c := range cv.children {
-		total += c.Load()
-	}
-	return total
-}
-
-func (cv *CounterVec) render(w io.Writer) error {
-	if err := writeHeader(w, cv.name, cv.help, "counter"); err != nil {
+func (f *Family) render(w io.Writer) error {
+	if err := writeHeader(w, f.name, f.help, f.typ); err != nil {
 		return err
 	}
-	cv.mu.Lock()
-	values := make([]string, 0, len(cv.children))
-	for v := range cv.children {
-		values = append(values, v)
+	if f.fn != nil {
+		_, err := fmt.Fprintf(w, "%s %s\n", f.name, formatValue(f.fn()))
+		return err
 	}
-	counts := make(map[string]int64, len(cv.children))
-	for v, c := range cv.children {
-		counts[v] = c.Load()
+	type point struct {
+		value string
+		bits  uint64
 	}
-	cv.mu.Unlock()
-	sort.Strings(values)
-	for _, v := range values {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", cv.name, cv.label, v, counts[v]); err != nil {
-			return err
+	f.mu.Lock()
+	points := make([]point, 0, len(f.series))
+	for v, s := range f.series {
+		points = append(points, point{v, s.Load()})
+	}
+	f.mu.Unlock()
+	sort.Slice(points, func(i, j int) bool { return points[i].value < points[j].value })
+	for _, p := range points {
+		text := strconv.FormatInt(int64(p.bits), 10)
+		if f.typ == "gauge" {
+			text = formatValue(math.Float64frombits(p.bits))
 		}
-	}
-	return nil
-}
-
-// Gauge is a settable value metric.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
-	fn         func() float64
-}
-
-// NewGauge registers a stored gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(name, g)
-	return g
-}
-
-// NewGaugeFunc registers a gauge whose value is read from fn at render
-// time (queue depths, cache occupancy — state someone else owns).
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) *Gauge {
-	g := &Gauge{name: name, help: help, fn: fn}
-	r.register(name, g)
-	return g
-}
-
-// Set stores v (no-op on function-backed gauges).
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() float64 {
-	if g.fn != nil {
-		return g.fn()
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-func (g *Gauge) render(w io.Writer) error {
-	if err := writeHeader(w, g.name, g.help, "gauge"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n", g.name, formatValue(g.Value()))
-	return err
-}
-
-// GaugeVec is a gauge family keyed by one label.
-type GaugeVec struct {
-	name, help, label string
-	mu                sync.Mutex
-	children          map[string]*atomic.Uint64 // float64 bits
-}
-
-// NewGaugeVec registers a one-label gauge family.
-func (r *Registry) NewGaugeVec(name, help, label string) *GaugeVec {
-	gv := &GaugeVec{name: name, help: help, label: label, children: make(map[string]*atomic.Uint64)}
-	r.register(name, gv)
-	return gv
-}
-
-func (gv *GaugeVec) child(value string) *atomic.Uint64 {
-	gv.mu.Lock()
-	defer gv.mu.Unlock()
-	g := gv.children[value]
-	if g == nil {
-		g = new(atomic.Uint64)
-		gv.children[value] = g
-	}
-	return g
-}
-
-// Set stores v for the given label value.
-func (gv *GaugeVec) Set(value string, v float64) { gv.child(value).Store(math.Float64bits(v)) }
-
-// Value returns the child's current value (0 if never set).
-func (gv *GaugeVec) Value(value string) float64 {
-	gv.mu.Lock()
-	defer gv.mu.Unlock()
-	if g := gv.children[value]; g != nil {
-		return math.Float64frombits(g.Load())
-	}
-	return 0
-}
-
-func (gv *GaugeVec) render(w io.Writer) error {
-	if err := writeHeader(w, gv.name, gv.help, "gauge"); err != nil {
-		return err
-	}
-	gv.mu.Lock()
-	values := make([]string, 0, len(gv.children))
-	for v := range gv.children {
-		values = append(values, v)
-	}
-	vals := make(map[string]float64, len(gv.children))
-	for v, g := range gv.children {
-		vals[v] = math.Float64frombits(g.Load())
-	}
-	gv.mu.Unlock()
-	sort.Strings(values)
-	for _, v := range values {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %s\n", gv.name, gv.label, v, formatValue(vals[v])); err != nil {
+		series := f.name
+		if f.label != "" {
+			series = fmt.Sprintf("%s{%s=%q}", f.name, f.label, p.value)
+		}
+		if _, err := fmt.Fprintf(w, "%s %s\n", series, text); err != nil {
 			return err
 		}
 	}
@@ -456,24 +350,24 @@ func (qg *quantileGauges) render(w io.Writer) error {
 type serveMetrics struct {
 	registry *Registry
 
-	admitted   *Counter    // ebv_serve_jobs_admitted_total
-	rejected   *CounterVec // ebv_serve_jobs_rejected_total{reason}
-	completed  *CounterVec // ebv_serve_jobs_completed_total{app}
-	failed     *CounterVec // ebv_serve_jobs_failed_total{reason}
-	latency    *Histogram  // ebv_serve_job_latency_seconds
-	queueWait  *Histogram  // ebv_serve_queue_wait_seconds
-	messages   *CounterVec // ebv_serve_messages_total{kind}
-	cacheHits  *Counter    // ebv_serve_cache_hits_total
-	cacheMiss  *Counter    // ebv_serve_cache_misses_total
-	cacheEvict *Counter    // ebv_serve_cache_evictions_total
+	admitted   *Family    // ebv_serve_jobs_admitted_total
+	rejected   *Family    // ebv_serve_jobs_rejected_total{reason}
+	completed  *Family    // ebv_serve_jobs_completed_total{app}
+	failed     *Family    // ebv_serve_jobs_failed_total{reason}
+	latency    *Histogram // ebv_serve_job_latency_seconds
+	queueWait  *Histogram // ebv_serve_queue_wait_seconds
+	messages   *Family    // ebv_serve_messages_total{kind}
+	cacheHits  *Family    // ebv_serve_cache_hits_total
+	cacheMiss  *Family    // ebv_serve_cache_misses_total
+	cacheEvict *Family    // ebv_serve_cache_evictions_total
 
-	liveMutations *CounterVec // ebv_live_mutations_total{op}
-	liveBatches   *Counter    // ebv_live_batches_total
-	livePatches   *Counter    // ebv_live_patch_total
-	liveRebuilds  *Counter    // ebv_live_rebuild_total
-	liveRF        *GaugeVec   // ebv_live_replication_factor{graph}
-	liveDrift     *GaugeVec   // ebv_live_rf_drift{graph}
-	liveNeedsRep  *GaugeVec   // ebv_live_repartition_needed{graph}
+	liveMutations *Family // ebv_live_mutations_total{op}
+	liveBatches   *Family // ebv_live_batches_total
+	livePatches   *Family // ebv_live_patch_total
+	liveRebuilds  *Family // ebv_live_rebuild_total
+	liveRF        *Family // ebv_live_replication_factor{graph}
+	liveDrift     *Family // ebv_live_rf_drift{graph}
+	liveNeedsRep  *Family // ebv_live_repartition_needed{graph}
 
 	queued   atomic.Int64 // admitted, waiting for a run slot
 	inflight atomic.Int64 // holding a run slot
@@ -483,12 +377,12 @@ func newServeMetrics() *serveMetrics {
 	r := NewRegistry()
 	m := &serveMetrics{registry: r}
 	m.admitted = r.NewCounter("ebv_serve_jobs_admitted_total",
-		"Jobs that passed admission control (completed + failed + still in flight).")
-	m.rejected = r.NewCounterVec("ebv_serve_jobs_rejected_total",
+		"Jobs that passed admission control (completed + failed + still in flight).", "")
+	m.rejected = r.NewCounter("ebv_serve_jobs_rejected_total",
 		"Jobs turned away at admission, by reason (queue_full, draining).", "reason")
-	m.completed = r.NewCounterVec("ebv_serve_jobs_completed_total",
+	m.completed = r.NewCounter("ebv_serve_jobs_completed_total",
 		"Successfully completed jobs, by application.", "app")
-	m.failed = r.NewCounterVec("ebv_serve_jobs_failed_total",
+	m.failed = r.NewCounter("ebv_serve_jobs_failed_total",
 		"Admitted jobs that failed, by reason (deadline, canceled, closed, error).", "reason")
 	m.latency = r.NewHistogram("ebv_serve_job_latency_seconds",
 		"Admission-to-response latency of completed jobs (queue wait + execution).", nil)
@@ -502,27 +396,27 @@ func newServeMetrics() *serveMetrics {
 	r.NewGaugeFunc("ebv_serve_jobs_inflight",
 		"Jobs currently executing on a session.",
 		func() float64 { return float64(m.inflight.Load()) })
-	m.messages = r.NewCounterVec("ebv_serve_messages_total",
+	m.messages = r.NewCounter("ebv_serve_messages_total",
 		"Cross-worker message rows moved by served jobs, by measurement point (emitted, wire, delivered; emitted equals wire).", "kind")
 	m.cacheHits = r.NewCounter("ebv_serve_cache_hits_total",
-		"Job requests that found their graph's session already open (ready or warming).")
+		"Job requests that found their graph's session already open (ready or warming).", "")
 	m.cacheMiss = r.NewCounter("ebv_serve_cache_misses_total",
-		"Job requests that triggered a session warm-up.")
+		"Job requests that triggered a session warm-up.", "")
 	m.cacheEvict = r.NewCounter("ebv_serve_cache_evictions_total",
-		"Sessions evicted from the cache (drained, then closed).")
-	m.liveMutations = r.NewCounterVec("ebv_live_mutations_total",
+		"Sessions evicted from the cache (drained, then closed).", "")
+	m.liveMutations = r.NewCounter("ebv_live_mutations_total",
 		"Edge mutations applied to live sessions, by op (insert, delete).", "op")
 	m.liveBatches = r.NewCounter("ebv_live_batches_total",
-		"Mutation batches applied to live sessions.")
+		"Mutation batches applied to live sessions.", "")
 	m.livePatches = r.NewCounter("ebv_live_patch_total",
-		"Mutation batches absorbed by the incremental subgraph-patch path.")
+		"Mutation batches absorbed by the incremental subgraph-patch path.", "")
 	m.liveRebuilds = r.NewCounter("ebv_live_rebuild_total",
-		"Mutation batches that fell back to a full subgraph rebuild.")
-	m.liveRF = r.NewGaugeVec("ebv_live_replication_factor",
+		"Mutation batches that fell back to a full subgraph rebuild.", "")
+	m.liveRF = r.NewGauge("ebv_live_replication_factor",
 		"Current replication factor of each live graph after its latest batch.", "graph")
-	m.liveDrift = r.NewGaugeVec("ebv_live_rf_drift",
+	m.liveDrift = r.NewGauge("ebv_live_rf_drift",
 		"Relative RF drift of each live graph versus its partition-time baseline.", "graph")
-	m.liveNeedsRep = r.NewGaugeVec("ebv_live_repartition_needed",
+	m.liveNeedsRep = r.NewGauge("ebv_live_repartition_needed",
 		"1 when a live graph's RF drift exceeds the configured threshold, else 0.", "graph")
 	return m
 }

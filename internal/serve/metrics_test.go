@@ -10,17 +10,23 @@ import (
 )
 
 // TestRegistryExposition renders one of each family and checks the exact
-// text, including deterministic label ordering.
+// text, including deterministic label ordering: a labelled family's
+// series render sorted, whatever order they were set in, and a labelled
+// family no one touched renders its header lines only.
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("jobs_total", "Total jobs.")
-	c.Add(3)
-	cv := r.NewCounterVec("errs_total", "Errors by kind.", "kind")
+	c := r.NewCounter("jobs_total", "Total jobs.", "")
+	c.Add("", 3)
+	cv := r.NewCounter("errs_total", "Errors by kind.", "kind")
 	cv.Inc("zeta")
 	cv.Add("alpha", 2)
-	g := r.NewGauge("depth", "Queue depth.")
-	g.Set(1.5)
+	g := r.NewGauge("depth", "Queue depth.", "")
+	g.Set("", 1.5)
 	r.NewGaugeFunc("open", "Open graphs.", func() float64 { return 2 })
+	gv := r.NewGauge("rf", "RF by graph.", "graph")
+	gv.Set("zeta", 1.25)
+	gv.Set("alpha", 3)
+	r.NewCounter("idle_total", "Never touched.", "why")
 	h := r.NewHistogram("lat_seconds", "Latency.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -44,6 +50,12 @@ depth 1.5
 # HELP open Open graphs.
 # TYPE open gauge
 open 2
+# HELP rf RF by graph.
+# TYPE rf gauge
+rf{graph="alpha"} 3
+rf{graph="zeta"} 1.25
+# HELP idle_total Never touched.
+# TYPE idle_total counter
 # HELP lat_seconds Latency.
 # TYPE lat_seconds histogram
 lat_seconds_bucket{le="0.1"} 1
@@ -62,14 +74,14 @@ lat_seconds_count 3
 
 func TestCounterMonotonic(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("c", "h")
-	c.Add(5)
-	c.Add(-3) // ignored: counters only go up
-	c.Inc()
-	if got := c.Value(); got != 6 {
+	c := r.NewCounter("c", "h", "")
+	c.Add("", 5)
+	c.Add("", -3) // ignored: counters only go up
+	c.Inc("")
+	if got := c.Value(""); got != 6 {
 		t.Fatalf("value = %d, want 6", got)
 	}
-	cv := r.NewCounterVec("cv", "h", "l")
+	cv := r.NewCounter("cv", "h", "l")
 	cv.Add("x", -1)
 	if got := cv.Value("x"); got != 0 {
 		t.Fatalf("vec value = %d, want 0", got)
@@ -81,13 +93,13 @@ func TestCounterMonotonic(t *testing.T) {
 
 func TestRegistryDuplicateNamePanics(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("dup", "h")
+	r.NewCounter("dup", "h", "")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.NewGauge("dup", "h")
+	r.NewGauge("dup", "h", "")
 }
 
 // TestHistogramQuantile checks the bucket-interpolation against known

@@ -1,16 +1,12 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
-	"time"
 
 	"ebv"
 )
@@ -86,9 +82,9 @@ func decodeMutationBody(w http.ResponseWriter, r *http.Request) ([]ebv.Mutation,
 	return muts, req.TimeoutMS, nil
 }
 
-// handleMutations is POST /v1/graphs/{g}/mutations: decode → admit (same
-// queue as jobs — a mutation batch competes with queries for capacity) →
-// acquire the graph session and a run slot → Session.Apply → respond.
+// handleMutations is POST /v1/graphs/{g}/mutations: decode → admit (the
+// jobs' admission path: a batch competes with queries for the same queue
+// and run slots) → Session.Apply → respond.
 func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.metrics.rejected.Inc("draining")
@@ -106,64 +102,25 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	select {
-	case s.queue <- struct{}{}:
-	default:
-		s.metrics.rejected.Inc("queue_full")
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		httpError(w, http.StatusTooManyRequests, "job queue full (%d admitted)", cap(s.queue))
+	what := "mutation batch on " + name
+	ctx, handle, _, release := s.admit(w, r, name, timeoutMS, what)
+	if release == nil {
 		return
 	}
-	s.metrics.admitted.Inc()
-	s.metrics.queued.Add(1)
-	s.jobs.Add(1)
-	defer func() {
-		<-s.queue
-		s.jobs.Done()
-	}()
-
-	timeout := s.cfg.jobTimeout()
-	if timeoutMS > 0 {
-		if t := time.Duration(timeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	handle, err := s.cache.acquire(ctx, name)
-	if err != nil {
-		s.metrics.queued.Add(-1)
-		s.mutationFailed(w, name, err)
-		return
-	}
-	defer handle.release()
-
-	// A global run slot: applying a batch rebuilds subgraphs in parallel
-	// and deserves the same capacity accounting as a job's supersteps.
-	if err := acquireSlot(ctx, s.global); err != nil {
-		s.metrics.queued.Add(-1)
-		s.mutationFailed(w, name, err)
-		return
-	}
-	defer func() { <-s.global }()
-
-	s.metrics.queued.Add(-1)
-	s.metrics.inflight.Add(1)
-	defer s.metrics.inflight.Add(-1)
+	defer release()
 
 	res, err := handle.session.Apply(ctx, muts)
 	if err != nil {
-		s.mutationFailed(w, name, err)
+		s.failed(w, what, err)
 		return
 	}
-	s.metrics.liveBatches.Inc()
+	s.metrics.liveBatches.Inc("")
 	s.metrics.liveMutations.Add("insert", int64(res.Inserted))
 	s.metrics.liveMutations.Add("delete", int64(res.Deleted))
 	if res.FullRebuild {
-		s.metrics.liveRebuilds.Inc()
+		s.metrics.liveRebuilds.Inc("")
 	} else {
-		s.metrics.livePatches.Inc()
+		s.metrics.livePatches.Inc("")
 	}
 	s.metrics.liveRF.Set(name, res.RF)
 	s.metrics.liveDrift.Set(name, res.Drift)
@@ -173,22 +130,4 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.liveNeedsRep.Set(name, needs)
 	writeJSON(w, MutationResponse{Graph: name, ApplyResult: *res})
-}
-
-// mutationFailed maps a mutation batch's failure to a status code.
-func (s *Server) mutationFailed(w http.ResponseWriter, graph string, err error) {
-	status, reason := http.StatusInternalServerError, "error"
-	switch {
-	case errors.Is(err, ebv.ErrMutationRejected):
-		status, reason = http.StatusBadRequest, "rejected"
-	case errors.Is(err, context.DeadlineExceeded):
-		status, reason = http.StatusGatewayTimeout, "deadline"
-	case errors.Is(err, context.Canceled):
-		status, reason = 499, "canceled"
-	case errors.Is(err, ebv.ErrSessionClosed), errors.Is(err, errCacheClosed):
-		status, reason = http.StatusServiceUnavailable, "closed"
-	}
-	s.metrics.failed.Inc(reason)
-	s.logf("serve: mutation batch on %s failed (%s): %v", graph, reason, err)
-	httpError(w, status, "%v", err)
 }

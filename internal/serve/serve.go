@@ -221,9 +221,92 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// handleJob is POST /v1/jobs: decode → validate → admit → wait for the
-// graph session and a run slot → execute with the request deadline →
-// respond.
+// admit is the admission path jobs and mutation batches share, run after
+// the handler's own decode and validation. In order: a queue slot, held
+// to completion (429 with Retry-After when the queue is full); the
+// deadline, the client's timeout_ms capped by JobTimeout, which covers
+// warm-up wait, run-slot wait and the execution; the graph's session
+// (which may wait on a background warm-up); a global and then a
+// per-graph run slot. It returns the request context, the session handle,
+// the admission time and the one release that undoes all of it. On a nil
+// release admit has already answered the request.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, graph string, timeoutMS int, what string) (context.Context, *graphHandle, time.Time, func()) {
+	select {
+	case s.queue <- struct{}{}:
+	default:
+		s.metrics.rejected.Inc("queue_full")
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		httpError(w, http.StatusTooManyRequests, "job queue full (%d admitted)", cap(s.queue))
+		return nil, nil, time.Time{}, nil
+	}
+	s.metrics.admitted.Inc("")
+	s.metrics.queued.Add(1)
+	s.jobs.Add(1)
+	admitted := time.Now()
+
+	timeout := s.cfg.jobTimeout()
+	if t := time.Duration(timeoutMS) * time.Millisecond; t > 0 && t < timeout {
+		timeout = t
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	held := []func(){func() { <-s.queue; s.jobs.Done() }, cancel}
+	release := func() {
+		for i := len(held) - 1; i >= 0; i-- {
+			held[i]()
+		}
+	}
+
+	handle, err := s.cache.acquire(ctx, graph)
+	if err == nil {
+		held = append(held, handle.release)
+		for _, sem := range []chan struct{}{s.global, handle.entry.sem} {
+			select {
+			case sem <- struct{}{}:
+				held = append(held, func() { <-sem })
+			case <-ctx.Done():
+				err = ctx.Err()
+			}
+			if err != nil {
+				break
+			}
+		}
+	}
+	s.metrics.queued.Add(-1)
+	if err != nil {
+		s.failed(w, what, err)
+		release()
+		return nil, nil, time.Time{}, nil
+	}
+	s.metrics.inflight.Add(1)
+	held = append(held, func() { s.metrics.inflight.Add(-1) })
+	return ctx, handle, admitted, release
+}
+
+// failed maps an admitted request's failure to a status code, records
+// it, and logs it under what.
+func (s *Server) failed(w http.ResponseWriter, what string, err error) {
+	status, reason := http.StatusInternalServerError, "error"
+	switch {
+	case errors.Is(err, ebv.ErrMutationRejected):
+		status, reason = http.StatusBadRequest, "rejected"
+	case errors.Is(err, context.DeadlineExceeded):
+		status, reason = http.StatusGatewayTimeout, "deadline"
+	case errors.Is(err, context.Canceled):
+		// The client went away (or the handler unwound); the response
+		// likely lands nowhere, but account for it either way.
+		status, reason = 499, "canceled"
+	case errors.Is(err, ebv.ErrSessionClosed), errors.Is(err, errCacheClosed):
+		status, reason = http.StatusServiceUnavailable, "closed"
+	case errors.Is(err, ErrUnknownGraph):
+		status, reason = http.StatusNotFound, "unknown_graph"
+	}
+	s.metrics.failed.Inc(reason)
+	s.logf("serve: %s failed (%s): %v", what, reason, err)
+	httpError(w, status, "%v", err)
+}
+
+// handleJob is POST /v1/jobs: decode → validate → admit → execute with
+// the request deadline → respond.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.metrics.rejected.Inc("draining")
@@ -246,69 +329,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "%v %q", ErrUnknownGraph, req.Graph)
 		return
 	}
-
-	// Admission: one queue slot per admitted job, held to completion.
-	select {
-	case s.queue <- struct{}{}:
-	default:
-		s.metrics.rejected.Inc("queue_full")
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		httpError(w, http.StatusTooManyRequests, "job queue full (%d admitted)", cap(s.queue))
+	what := "job " + req.Graph + "/" + req.App
+	ctx, handle, admitted, release := s.admit(w, r, req.Graph, req.TimeoutMS, what)
+	if release == nil {
 		return
 	}
-	s.metrics.admitted.Inc()
-	s.metrics.queued.Add(1)
-	s.jobs.Add(1)
-	admitted := time.Now()
-	defer func() {
-		<-s.queue
-		s.jobs.Done()
-	}()
-
-	// The per-request deadline: the client's timeout_ms, capped by the
-	// server's JobTimeout; it covers warm-up wait, run-slot wait and
-	// every superstep (the ctx reaches the engine's exchange loops).
-	timeout := s.cfg.jobTimeout()
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	// Resolve the graph session (may wait on a background warm-up).
-	handle, err := s.cache.acquire(ctx, req.Graph)
-	if err != nil {
-		s.metrics.queued.Add(-1)
-		s.jobFailed(w, &req, err)
-		return
-	}
-	defer handle.release()
-
-	// A run slot, global then per-graph.
-	if err := acquireSlot(ctx, s.global); err != nil {
-		s.metrics.queued.Add(-1)
-		s.jobFailed(w, &req, err)
-		return
-	}
-	defer func() { <-s.global }()
-	if err := acquireSlot(ctx, handle.entry.sem); err != nil {
-		s.metrics.queued.Add(-1)
-		s.jobFailed(w, &req, err)
-		return
-	}
-	defer func() { <-handle.entry.sem }()
-
-	s.metrics.queued.Add(-1)
-	s.metrics.inflight.Add(1)
-	defer s.metrics.inflight.Add(-1)
+	defer release()
 	queueWait := time.Since(admitted)
 	s.metrics.queueWait.ObserveDuration(queueWait)
 
 	jr, err := handle.session.Run(ctx, prog, req.runOptions()...)
 	if err != nil {
-		s.jobFailed(w, &req, err)
+		s.failed(w, what, err)
 		return
 	}
 	total := time.Since(admitted)
@@ -318,37 +350,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.metrics.messages.Add("wire", jr.Counts.Wire)
 	s.metrics.messages.Add("delivered", jr.Counts.Delivered)
 	writeJSON(w, buildResponse(&req, jr, 1000*queueWait.Seconds(), 1000*total.Seconds()))
-}
-
-// acquireSlot takes one slot or gives up with the context.
-func acquireSlot(ctx context.Context, sem chan struct{}) error {
-	select {
-	case sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// jobFailed maps an admitted job's failure to a status code and records
-// it.
-func (s *Server) jobFailed(w http.ResponseWriter, req *JobRequest, err error) {
-	status, reason := http.StatusInternalServerError, "error"
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		status, reason = http.StatusGatewayTimeout, "deadline"
-	case errors.Is(err, context.Canceled):
-		// The client went away (or the handler unwound); the response
-		// likely lands nowhere, but account for it either way.
-		status, reason = 499, "canceled"
-	case errors.Is(err, ebv.ErrSessionClosed), errors.Is(err, errCacheClosed):
-		status, reason = http.StatusServiceUnavailable, "closed"
-	case errors.Is(err, ErrUnknownGraph):
-		status, reason = http.StatusNotFound, "unknown_graph"
-	}
-	s.metrics.failed.Inc(reason)
-	s.logf("serve: job %s/%s failed (%s): %v", req.Graph, req.App, reason, err)
-	httpError(w, status, "%v", err)
 }
 
 // graphsResponse is the GET /v1/graphs body.

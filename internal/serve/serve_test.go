@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -168,7 +169,7 @@ func TestServeJobRoundTrip(t *testing.T) {
 		t.Fatalf("coverage flags = %+v", jr.Values)
 	}
 
-	if got := srv.metrics.completed.Total(); got != 3 {
+	if got := srv.metrics.completed.Value("CC") + srv.metrics.completed.Value("SSSP"); got != 3 {
 		t.Fatalf("completed total = %d, want 3", got)
 	}
 }
@@ -319,7 +320,7 @@ func TestServeRequestValidation(t *testing.T) {
 			t.Errorf("%s: status = %d (%s), want %d", tc.name, status, msg, tc.status)
 		}
 	}
-	if got := srv.metrics.admitted.Value(); got != 0 {
+	if got := srv.metrics.admitted.Value(""); got != 0 {
 		t.Fatalf("admitted = %d, want 0 (validation must happen before admission)", got)
 	}
 }
@@ -420,8 +421,108 @@ func TestServeAdmissionQueueFull(t *testing.T) {
 	if got := srv.metrics.rejected.Value("queue_full"); got != 4 {
 		t.Fatalf("rejected{queue_full} = %d, want 4", got)
 	}
-	if got := srv.metrics.admitted.Value(); got != 3 {
+	if got := srv.metrics.admitted.Value(""); got != 3 {
 		t.Fatalf("admitted = %d, want 3 (warm-up + blocker + one winner)", got)
+	}
+}
+
+// TestServeAdmissionTable drives both request kinds through admission:
+// a full queue, a draining server, and a deadline that expires while the
+// request waits on a held global or per-graph run slot. The test holds
+// every slot itself, so no row depends on timing. Each row runs on a
+// fresh server whose graph one request of the same kind warmed.
+func TestServeAdmissionTable(t *testing.T) {
+	encode := func(v any) []byte {
+		payload, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	endpoints := []struct {
+		name, path string
+		body       func(timeoutMS int) []byte
+	}{
+		{"jobs", "/v1/jobs", func(ms int) []byte {
+			return encode(JobRequest{Graph: "g", App: "cc", TimeoutMS: ms})
+		}},
+		{"mutations", "/v1/graphs/g/mutations", func(ms int) []byte {
+			return encode(MutationRequest{Mutations: []MutationItem{{Op: "insert", Src: 0, Dst: 1}}, TimeoutMS: ms})
+		}},
+	}
+	// fill holds every free slot of sem and returns their release.
+	fill := func(sem chan struct{}) func() {
+		n := cap(sem) - len(sem)
+		for range n {
+			sem <- struct{}{}
+		}
+		return func() {
+			for range n {
+				<-sem
+			}
+		}
+	}
+	rows := []struct {
+		name     string
+		hold     func(srv *Server) (release func())
+		status   int
+		counter  func(m *serveMetrics) int64 // must read 1 after the row
+		admitted bool                        // the request passes the queue
+	}{
+		{"queue full", func(srv *Server) func() { return fill(srv.queue) }, http.StatusTooManyRequests,
+			func(m *serveMetrics) int64 { return m.rejected.Value("queue_full") }, false},
+		{"draining", func(srv *Server) func() { srv.Drain(); return func() {} }, http.StatusServiceUnavailable,
+			func(m *serveMetrics) int64 { return m.rejected.Value("draining") }, false},
+		{"global slot", func(srv *Server) func() { return fill(srv.global) }, http.StatusGatewayTimeout,
+			func(m *serveMetrics) int64 { return m.failed.Value("deadline") }, true},
+		{"per-graph slot", func(srv *Server) func() {
+			srv.cache.mu.Lock()
+			e := srv.cache.entries["g"]
+			srv.cache.mu.Unlock()
+			return fill(e.sem)
+		}, http.StatusGatewayTimeout,
+			func(m *serveMetrics) int64 { return m.failed.Value("deadline") }, true},
+	}
+	post := func(t *testing.T, url string, body []byte) (int, http.Header) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, resp.Header
+	}
+	for _, ep := range endpoints {
+		for _, row := range rows {
+			t.Run(ep.name+"/"+row.name, func(t *testing.T) {
+				srv, ts := newTestServer(t, Config{MaxPerGraph: 1})
+				if status, _ := post(t, ts.URL+ep.path, ep.body(0)); status != http.StatusOK {
+					t.Fatalf("warm-up: %d", status)
+				}
+				release := row.hold(srv)
+				status, hdr := post(t, ts.URL+ep.path, ep.body(100))
+				release()
+				if status != row.status {
+					t.Fatalf("status = %d, want %d", status, row.status)
+				}
+				if status == http.StatusTooManyRequests {
+					if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || ra < 1 {
+						t.Fatalf("Retry-After = %q, want >= 1", hdr.Get("Retry-After"))
+					}
+				}
+				if got := row.counter(srv.metrics); got != 1 {
+					t.Fatalf("%s counter = %d, want 1", row.name, got)
+				}
+				want := int64(1) // the warm-up
+				if row.admitted {
+					want++
+				}
+				if got := srv.metrics.admitted.Value(""); got != want {
+					t.Fatalf("admitted = %d, want %d", got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -489,7 +590,7 @@ func TestServeEvictionDrainsInFlight(t *testing.T) {
 	if status, _, msg, _ := doJob(t, ts, JobRequest{Graph: "b", App: "cc"}); status != http.StatusOK {
 		t.Fatalf("job on b: %d (%s)", status, msg)
 	}
-	if got := srv.metrics.cacheEvict.Value(); got != 1 {
+	if got := srv.metrics.cacheEvict.Value(""); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 
@@ -518,7 +619,7 @@ func TestServeEvictionDrainsInFlight(t *testing.T) {
 	if status, _, msg, _ := doJob(t, ts, JobRequest{Graph: "a", App: "cc"}); status != http.StatusOK {
 		t.Fatalf("re-warm a: %d (%s)", status, msg)
 	}
-	if got := srv.metrics.cacheMiss.Value(); got != 3 {
+	if got := srv.metrics.cacheMiss.Value(""); got != 3 {
 		t.Fatalf("cache misses = %d, want 3 (a, b, a-again)", got)
 	}
 }
