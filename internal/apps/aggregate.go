@@ -34,8 +34,12 @@ var _ bsp.Program = (*Aggregate)(nil)
 func (a *Aggregate) Name() string { return "Aggregate" }
 
 func defaultFeature(v graph.VertexID, feat []float64) {
+	x := uint64(v) % 7
 	for j := range feat {
-		feat[j] = float64((uint64(v) + uint64(j)) % 7)
+		feat[j] = float64(x)
+		if x++; x == 7 {
+			x = 0
+		}
 	}
 }
 

@@ -144,12 +144,15 @@ type ccWorker struct {
 // Superstep implements bsp.WorkerProgram.
 func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool) {
 	for i, gid := range in.IDs {
-		if local, ok := w.sub.LocalOf(gid); ok {
-			if r, v := w.root[local], in.Scalar(i); v < w.label[r] {
-				w.label[r] = v
-				for _, l := range w.members.Of(r) {
-					w.pending[l>>6] |= 1 << (l & 63)
-				}
+		local, ok := w.sub.LocalOf(gid)
+		if !ok {
+			w.env.Fail(fmt.Errorf("apps: inbox row %d is vertex %d, which this worker does not hold", i, gid))
+			return nil, false
+		}
+		if r, v := w.root[local], in.Scalar(i); v < w.label[r] {
+			w.label[r] = v
+			for _, l := range w.members.Of(r) {
+				w.pending[l>>6] |= 1 << (l & 63)
 			}
 		}
 	}

@@ -34,7 +34,7 @@ type gatherRule interface {
 type gatherApply struct {
 	sub  *bsp.Subgraph
 	env  bsp.Env
-	name string // the program's, for snapshot errors
+	name string // the program's, for errors
 	rule gatherRule
 	// h holds the values, partial the local in-edge sums and acc the
 	// partials received from mirrors, all at the run's width. Folding into
@@ -57,14 +57,19 @@ func (g *gatherApply) Superstep(step int, in *transport.MessageBatch) (out []*tr
 	plan := g.sub.Routing()
 	cols, send := plan.ToMirrors, g.h
 	if step%2 == 0 {
-		g.receive(g.h, in, false)
+		// Step 0 of a fresh run receives nothing (no resume starts there).
+		expect := plan.ToMaster
+		if step == 0 {
+			expect = nil
+		}
+		g.receive(g.h, in, expect, false)
 		if !g.rule.gather(step / 2) {
 			return nil, false // final install; run complete
 		}
 		cols, send = plan.ToMaster, g.partial
 	} else {
 		clear(g.acc.Data)
-		g.receive(g.acc, in, true)
+		g.receive(g.acc, in, plan.ToMirrors, true)
 		g.rule.apply()
 	}
 	out = make([]*transport.MessageBatch, g.sub.NumWorkers)
@@ -74,23 +79,44 @@ func (g *gatherApply) Superstep(step int, in *transport.MessageBatch) (out []*tr
 }
 
 // receive copies every inbox row into dst's row of its local vertex, or
-// adds it there with add. A width-1 row moves as one assignment: a copy
-// call per row costs the scalar runs about a quarter of their cycle.
-func (g *gatherApply) receive(dst *graph.ValueMatrix, in *transport.MessageBatch, add bool) {
-	d := dst.Data
-	for i, gid := range in.IDs {
-		l, ok := g.sub.LocalOf(gid)
-		switch {
-		case !ok:
-		case dst.Width == 1 && add:
-			d[l] += in.Vals[i]
-		case dst.Width == 1:
-			d[l] = in.Vals[i]
-		case add:
-			addRow(dst.Row(int(l)), in.Row(i))
-		default:
-			copy(dst.Row(int(l)), in.Row(i))
+// adds it there with add. The engine concatenates the inbox in source order,
+// so source q's rows are cols[q]'s, installed into cols[q].Locals once their
+// ids match; any other inbox fails the run. A width-1 row moves as one
+// assignment: a copy call per row costs the scalar runs about a quarter of
+// their cycle.
+func (g *gatherApply) receive(dst *graph.ValueMatrix, in *transport.MessageBatch, cols []bsp.Column, add bool) {
+	w, d, pos := dst.Width, dst.Data, 0
+	for q, col := range cols {
+		ids := in.IDs[pos:min(len(in.IDs), pos+len(col.IDs))]
+		for i, id := range col.IDs {
+			if i == len(ids) || ids[i] != id {
+				g.env.Fail(fmt.Errorf("apps: %s: row %d from worker %d is %v, want vertex %d", g.name, i, q, ids[i:min(i+1, len(ids))], id))
+				return
+			}
 		}
+		vals := in.Vals[pos*w : (pos+len(ids))*w]
+		switch {
+		case w == 1 && add:
+			for i, l := range col.Locals {
+				d[l] += vals[i]
+			}
+		case w == 1:
+			for i, l := range col.Locals {
+				d[l] = vals[i]
+			}
+		case add:
+			for i, l := range col.Locals {
+				addRow(dst.Row(int(l)), vals[i*w:(i+1)*w])
+			}
+		default:
+			for i, l := range col.Locals {
+				copy(dst.Row(int(l)), vals[i*w:(i+1)*w])
+			}
+		}
+		pos += len(ids)
+	}
+	if pos < len(in.IDs) {
+		g.env.Fail(fmt.Errorf("apps: %s: %d rows past the expected ones, first vertex %d", g.name, len(in.IDs)-pos, in.IDs[pos]))
 	}
 }
 

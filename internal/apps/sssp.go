@@ -263,7 +263,8 @@ func (w *ssspWorker) Superstep(step int, in *transport.MessageBatch) (out []*tra
 	for i, gid := range in.IDs {
 		local, ok := w.sub.LocalOf(gid)
 		if !ok {
-			continue
+			w.env.Fail(fmt.Errorf("apps: inbox row %d is vertex %d, which this worker does not hold", i, gid))
+			return nil, false
 		}
 		if v := in.Scalar(i); v < w.dist[local] {
 			w.dist[local] = v

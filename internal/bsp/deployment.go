@@ -151,8 +151,6 @@ func (d *Deployment) Run(ctx context.Context, prog Program, cfg Config) (*Result
 		workerValues[w] = out[w].Values
 		res.WallTime = max(res.WallTime, out[w].WallTime)
 	}
-	// Every replica writes its row into the global matrix, optionally
-	// verified against the previous replica's (a strided row compare).
 	res.Values, res.Covered, err = AssembleValues(subs, workerValues, width, cfg.VerifyReplicaAgreement)
 	if err != nil {
 		return nil, err

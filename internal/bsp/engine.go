@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -24,12 +25,17 @@ type Program interface {
 
 // Env is the per-run execution environment handed to NewWorker: the
 // configured value width, the pooled batch allocator programs draw
-// outgoing batches from, and the collective vote.
+// outgoing batches from, the collective vote and the failure report.
 type Env struct {
 	// ValueWidth is the number of float64 values per vertex (>= 1).
 	ValueWidth int
 	vote       *[2]Vote // this superstep's contributions, the last one's reduction
+	failed     *error   // the first error Fail recorded
 }
+
+// Fail stops the worker with err (the first one) as "superstep N: err" once
+// the current Superstep returns: for an inbox no correct run delivers.
+func (e Env) Fail(err error) { *e.failed = cmp.Or(*e.failed, err) }
 
 // Vote is one superstep's collective reduction, Pregel's aggregator
 // (Malewicz et al., SIGMOD 2010, §3.3) with one fixed slot: the minimum and
@@ -419,7 +425,7 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 	spec workerSpec, stats *WorkerStats) (int, *graph.ValueMatrix, error) {
 	w := sub.Part
 	maxSteps, width := spec.maxSteps, spec.width
-	env := Env{ValueWidth: width, vote: new([2]Vote)}
+	env := Env{ValueWidth: width, vote: new([2]Vote), failed: new(error)}
 	wp := prog.NewWorker(sub, env)
 	// Checkpointing and resuming both need the program's snapshot contract.
 	resumable, ok := wp.(Resumable)
@@ -454,6 +460,9 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		t0 := time.Now()
 		out, active := wp.Superstep(step, inbox)
 		comp := time.Since(t0)
+		if err := *env.failed; err != nil {
+			return step, nil, fmt.Errorf("superstep %d: %w", step, err)
+		}
 
 		// Slots past the last worker are no one's: an empty one is dropped
 		// (before castVote, so the vote never lands in it), a non-empty one

@@ -1,9 +1,11 @@
 package bsp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"ebv/internal/graph"
 )
@@ -82,12 +84,11 @@ type workerSpec struct {
 // checkpointing reports whether this run cuts checkpoints.
 func (s *workerSpec) checkpointing() bool { return s.ckptEvery > 0 && s.sink != nil }
 
-// AssembleValues builds the dense global value matrix from per-worker
-// local matrices: every replica writes its rows; with verify, replicas of
-// the same vertex must agree bit-for-bit. It validates each worker matrix
-// against its subgraph's shape first, so callers receiving matrices over a
-// network (the cluster control plane) fail loudly on a mis-shaped one.
-// Covered[v] reports whether any subgraph covers vertex v.
+// AssembleValues builds the dense global value matrix from per-worker local
+// matrices, each checked against its subgraph's shape first (the cluster
+// control plane receives them over a network). Each worker writes the rows
+// it masters, in parallel and disjoint, and sets Covered[v]; with verify, a
+// second parallel pass compares every mirror's row bit-for-bit with them.
 func AssembleValues(subs []*Subgraph, workerValues []*graph.ValueMatrix, width int, verify bool) (*graph.ValueMatrix, []bool, error) {
 	if len(subs) == 0 {
 		return nil, nil, errors.New("bsp: no subgraphs")
@@ -95,11 +96,7 @@ func AssembleValues(subs []*Subgraph, workerValues []*graph.ValueMatrix, width i
 	if len(workerValues) != len(subs) {
 		return nil, nil, fmt.Errorf("bsp: %d worker value matrices for %d subgraphs", len(workerValues), len(subs))
 	}
-	numGlobal := subs[0].NumGlobalVertices
-	values := graph.NewValueMatrix(numGlobal, width)
-	covered := make([]bool, numGlobal)
-	for w := 0; w < len(subs); w++ {
-		vals := workerValues[w]
+	for w, vals := range workerValues {
 		if vals == nil {
 			return nil, nil, fmt.Errorf("bsp: worker %d returned no values", w)
 		}
@@ -109,21 +106,42 @@ func AssembleValues(subs []*Subgraph, workerValues []*graph.ValueMatrix, width i
 		if err := vals.CheckShape(subs[w].NumLocalVertices()); err != nil {
 			return nil, nil, fmt.Errorf("bsp: worker %d: %w", w, err)
 		}
-		for local, gid := range subs[w].GlobalIDs {
-			row := vals.Row(local)
-			dst := values.Row(int(gid))
-			if verify && covered[gid] {
-				for j := range dst {
-					if math.Float64bits(dst[j]) != math.Float64bits(row[j]) {
-						return nil, nil, fmt.Errorf(
-							"bsp: replicas of vertex %d disagree at column %d: %g vs %g (worker %d)",
-							gid, j, dst[j], row[j], w)
+	}
+	numGlobal, procs := subs[0].NumGlobalVertices, runtime.GOMAXPROCS(0)
+	values := graph.NewValueMatrix(numGlobal, width)
+	covered := make([]bool, numGlobal)
+	RunParts(procs, len(subs), func(w int) {
+		sub, vals := subs[w], workerValues[w]
+		for _, l := range sub.Routing().Owned {
+			gid := int(sub.GlobalIDs[l])
+			if width == 1 {
+				values.Data[gid] = vals.Data[l]
+			} else {
+				copy(values.Row(gid), vals.Row(int(l)))
+			}
+			covered[gid] = true
+		}
+	})
+	if !verify {
+		return values, covered, nil
+	}
+	errs := make([]error, len(subs))
+	RunParts(procs, len(subs), func(w int) {
+		for _, col := range subs[w].Routing().ToMaster {
+			for i, l := range col.Locals {
+				master, row := values.Row(int(col.IDs[i])), workerValues[w].Row(int(l))
+				for j := range row {
+					if math.Float64bits(master[j]) != math.Float64bits(row[j]) {
+						errs[w] = fmt.Errorf("bsp: replicas of vertex %d disagree at column %d: %g vs %g (worker %d)",
+							col.IDs[i], j, master[j], row[j], w)
+						return
 					}
 				}
 			}
-			copy(dst, row)
-			covered[gid] = true
 		}
+	})
+	if err := cmp.Or(errs...); err != nil {
+		return nil, nil, err
 	}
 	return values, covered, nil
 }
