@@ -106,19 +106,8 @@ func TestPublicGraphTransforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := ebv.SimplifyGraph(g, false); s.NumEdges() != 2 {
-		t.Fatalf("simplify: %d edges", s.NumEdges())
-	}
 	if r := ebv.ReverseGraph(g); r.Edge(0).Src != 1 {
 		t.Fatal("reverse failed")
-	}
-	comp := ebv.LargestComponent(g)
-	if len(comp) != 3 {
-		t.Fatalf("largest component %v", comp)
-	}
-	sub, back := ebv.InducedSubgraph(g, comp)
-	if sub.NumVertices() != 3 || len(back) != 3 {
-		t.Fatal("induced subgraph failed")
 	}
 }
 

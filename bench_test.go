@@ -20,7 +20,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -322,28 +321,22 @@ func BenchmarkAblationStreaming(b *testing.B) {
 func BenchmarkPipelineEndToEnd(b *testing.B) {
 	g := ablationGraph(b)
 	for _, k := range []int{4, 16} {
-		for _, par := range []struct {
-			name string
-			n    int
-		}{{"seq", 1}, {fmt.Sprintf("par%d", runtime.GOMAXPROCS(0)), 0}} {
-			b.Run(fmt.Sprintf("k%d/%s", k, par.name), func(b *testing.B) {
-				var rf float64
-				for i := 0; i < b.N; i++ {
-					res, err := ebv.NewPipeline(
-						ebv.FromGraph(g),
-						ebv.UsePartitioner(ebv.NewEBV()),
-						ebv.Subgraphs(k),
-						ebv.Parallelism(par.n),
-					).Run(context.Background(), &apps.CC{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					rf = res.Metrics.ReplicationFactor
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			var rf float64
+			for i := 0; i < b.N; i++ {
+				res, err := ebv.NewPipeline(
+					ebv.FromGraph(g),
+					ebv.UsePartitioner(ebv.NewEBV()),
+					ebv.Subgraphs(k),
+				).Run(context.Background(), &apps.CC{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.SetBytes(int64(g.NumEdges()))
-				b.ReportMetric(rf, "replication-factor")
-			})
-		}
+				rf = res.Metrics.ReplicationFactor
+			}
+			b.SetBytes(int64(g.NumEdges()))
+			b.ReportMetric(rf, "replication-factor")
+		})
 	}
 }
 

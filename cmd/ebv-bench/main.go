@@ -49,7 +49,6 @@ func run(ctx context.Context) error {
 		asCSV    = flag.Bool("csv", false, "emit tidy CSV instead of tables")
 		extended = flag.Bool("extended", false, "add beyond-the-paper partitioners to the tables")
 		repeat   = flag.Int("repeat", 1, "repeats for timing experiments (Table II; reports mean ± stddev)")
-		par      = flag.Int("parallelism", 0, "CPUs for the subgraph-build passes (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -62,7 +61,7 @@ func run(ctx context.Context) error {
 
 	opt := ebv.ExperimentOptions{
 		Scale: *scale, Seed: *seed, PageRankIters: *iters,
-		Extended: *extended, Repeat: *repeat, Parallelism: *par,
+		Extended: *extended, Repeat: *repeat,
 	}
 	if *workers != "" {
 		for _, field := range strings.Split(*workers, ",") {

@@ -46,7 +46,6 @@ func run(ctx context.Context) (err error) {
 		alpha      = flag.Float64("alpha", 1, "EBV edge-balance weight α")
 		beta       = flag.Float64("beta", 1, "EBV vertex-balance weight β")
 		outPath    = flag.String("assignment", "", "write per-edge part ids to this path")
-		par        = flag.Int("parallelism", 0, "CPUs for the load stage (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -67,7 +66,6 @@ func run(ctx context.Context) (err error) {
 		ebv.FromEdgeList(*in),
 		ebv.UsePartitioner(p),
 		ebv.Subgraphs(*parts),
-		ebv.Parallelism(*par),
 	}
 	if *undirected {
 		opts = append(opts, ebv.Undirected())

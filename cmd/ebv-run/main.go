@@ -61,7 +61,6 @@ func run(ctx context.Context) error {
 		transport  = flag.String("transport", "mem", "transport: mem | tcp")
 		assignPath = flag.String("assignment", "", "load a precomputed assignment (skips partitioning)")
 		progress   = flag.Bool("progress", false, "print pipeline stage progress to stderr")
-		par        = flag.Int("parallelism", 0, "CPUs for the load and subgraph-build stages (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -94,8 +93,7 @@ func run(ctx context.Context) error {
 	opts := []ebv.PipelineOption{
 		ebv.FromEdgeList(*in),
 		ebv.UsePartitioner(p),
-		ebv.Parallelism(*par),
-		ebv.ValueWidth(*width),
+		ebv.WithRun(ebv.WithValueWidth(*width)),
 	}
 	// With -assignment, the subgraph count follows the assignment; pass
 	// Subgraphs only when -parts was set explicitly, so an explicit

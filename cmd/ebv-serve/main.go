@@ -32,7 +32,7 @@ import (
 )
 
 // graphFlags collects repeated -graph flags, each
-// "name=path[,k=N][,undirected][,retention=N][,policy=NAME][,verify]".
+// "name=path[,k=N][,undirected][,policy=NAME][,verify]".
 type graphFlags []serve.GraphSpec
 
 func (g *graphFlags) String() string {
@@ -46,7 +46,7 @@ func (g *graphFlags) String() string {
 func (g *graphFlags) Set(value string) error {
 	name, rest, found := strings.Cut(value, "=")
 	if !found || name == "" {
-		return fmt.Errorf("-graph %q: want name=path[,k=N][,undirected][,retention=N][,policy=NAME][,verify]", value)
+		return fmt.Errorf("-graph %q: want name=path[,k=N][,undirected][,policy=NAME][,verify]", value)
 	}
 	parts := strings.Split(rest, ",")
 	if parts[0] == "" {
@@ -65,12 +65,6 @@ func (g *graphFlags) Set(value string) error {
 				return fmt.Errorf("-graph %q: bad subgraph count %q", value, opt)
 			}
 			gs.Subgraphs = k
-		case strings.HasPrefix(opt, "retention="):
-			n, err := strconv.Atoi(opt[len("retention="):])
-			if err != nil {
-				return fmt.Errorf("-graph %q: bad stats retention %q", value, opt)
-			}
-			gs.StatsRetention = n
 		case strings.HasPrefix(opt, "policy="):
 			gs.MutationPolicy = opt[len("policy="):]
 		default:
@@ -90,7 +84,7 @@ func main() {
 
 func run() error {
 	var graphs graphFlags
-	flag.Var(&graphs, "graph", "graph to serve: name=path[,k=N][,undirected][,retention=N][,policy=NAME][,verify] (repeatable)")
+	flag.Var(&graphs, "graph", "graph to serve: name=path[,k=N][,undirected][,policy=NAME][,verify] (repeatable)")
 	var (
 		listen        = flag.String("listen", ":8080", "HTTP listen address")
 		maxGraphs     = flag.Int("max-graphs", 4, "session-cache capacity (open graphs)")

@@ -27,7 +27,7 @@ func TestGraphFlagSet(t *testing.T) {
 	var g graphFlags
 	for _, v := range []string{
 		"a=a.txt",
-		"b=b.bin,k=16,undirected,retention=-1,policy=hdrf,verify",
+		"b=b.bin,k=16,undirected,policy=hdrf,verify",
 	} {
 		if err := g.Set(v); err != nil {
 			t.Fatalf("Set(%q): %v", v, err)
@@ -36,7 +36,7 @@ func TestGraphFlagSet(t *testing.T) {
 	want := graphFlags{
 		{Name: "a", Path: "a.txt"},
 		{Name: "b", Path: "b.bin", Subgraphs: 16, Undirected: true,
-			StatsRetention: -1, MutationPolicy: "hdrf", VerifyMutations: true},
+			MutationPolicy: "hdrf", VerifyMutations: true},
 	}
 	if !reflect.DeepEqual(g, want) {
 		t.Fatalf("parsed %+v, want %+v", g, want)
@@ -52,7 +52,7 @@ func TestGraphFlagSet(t *testing.T) {
 		{"a=,k=4", "empty path"},
 		{"a=g.txt,k=0", "bad subgraph count"},
 		{"a=g.txt,k=four", "bad subgraph count"},
-		{"a=g.txt,retention=many", "bad stats retention"},
+		{"a=g.txt,retention=4", `unknown option "retention=4"`},
 		{"a=g.txt,directed", `unknown option "directed"`},
 	} {
 		err := g.Set(tc.value)

@@ -104,9 +104,6 @@ var (
 	WriteBinaryGraph  = graph.WriteBinary
 	ComputeGraphStats = graph.ComputeStats
 	ReverseGraph      = graph.Reverse
-	SimplifyGraph     = graph.Simplify
-	InducedSubgraph   = graph.InducedSubgraph
-	LargestComponent  = graph.LargestComponent
 	HashWeights       = graph.HashWeights
 )
 

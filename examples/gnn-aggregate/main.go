@@ -57,9 +57,8 @@ func run(ctx context.Context) error {
 		}),
 		ebv.UsePartitioner(ebv.NewEBV()),
 		ebv.Subgraphs(workers),
-		ebv.ValueWidth(width),
 		ebv.UseTCPLoopback(),
-		ebv.WithRun(ebv.WithReplicaVerification(true)),
+		ebv.WithRun(ebv.WithValueWidth(width), ebv.WithReplicaVerification(true)),
 	).Run(ctx, &ebv.Aggregate{Layers: layers, Feature: feature})
 	if err != nil {
 		return err

@@ -230,15 +230,6 @@ func TestDSUProperties(t *testing.T) {
 	}
 }
 
-func TestMaxAbsDiff(t *testing.T) {
-	if d := MaxAbsDiff([]float64{1, 2, 3}, []float64{1, 2.5, 3}); d != 0.5 {
-		t.Fatalf("MaxAbsDiff = %g", d)
-	}
-	if d := MaxAbsDiff(nil, nil); d != 0 {
-		t.Fatalf("MaxAbsDiff(nil) = %g", d)
-	}
-}
-
 // TestByName: one registry for every by-name surface — names resolve
 // case-insensitively, an SSSP/WSSSP source that is no vertex id is an
 // error instead of a silent wrap to another vertex, and so is a damping

@@ -155,16 +155,3 @@ func SequentialPageRank(g *graph.Graph, iters int, damping float64) []float64 {
 	}
 	return rank
 }
-
-// MaxAbsDiff returns max_i |a[i]−b[i]|, a convenience for PageRank
-// comparisons where summation order perturbs low-order bits.
-func MaxAbsDiff(a, b []float64) float64 {
-	maxDiff := 0.0
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > maxDiff {
-			maxDiff = d
-		}
-	}
-	return maxDiff
-}

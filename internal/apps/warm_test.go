@@ -39,7 +39,7 @@ func grownPair(t *testing.T, k int) (subs0, subs1 []*bsp.Subgraph) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs, err := bsp.BuildSubgraphsParallel(gi, a, 0)
+		subs, err := bsp.BuildSubgraphs(gi, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestDeltaPageRankMatchesPowerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, err := bsp.BuildSubgraphsParallel(g, a, 0)
+	subs, err := bsp.BuildSubgraphs(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}

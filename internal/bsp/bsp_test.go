@@ -94,7 +94,7 @@ func TestSubgraphInvariants(t *testing.T) {
 			totalEdges := 0
 			replicaCount := map[graph.VertexID]int{}
 			for _, sub := range subs {
-				totalEdges += sub.NumLocalEdges()
+				totalEdges += len(sub.Edges)
 				for local, gid := range sub.GlobalIDs {
 					if l2, ok := sub.LocalOf(gid); !ok || int(l2) != local {
 						t.Fatalf("LocalOf(%d) inconsistent", gid)

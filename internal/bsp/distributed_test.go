@@ -31,7 +31,7 @@ func TestSubgraphSerializationRoundTrip(t *testing.T) {
 			t.Fatalf("header mismatch: %d/%d", got.Part, got.NumWorkers)
 		}
 		if got.NumLocalVertices() != sub.NumLocalVertices() ||
-			got.NumLocalEdges() != sub.NumLocalEdges() {
+			len(got.Edges) != len(sub.Edges) {
 			t.Fatalf("size mismatch")
 		}
 		for local, gid := range sub.GlobalIDs {

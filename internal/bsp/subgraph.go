@@ -104,9 +104,6 @@ func (s *Subgraph) buildLocalIndex() {
 // NumLocalVertices returns |Vi|.
 func (s *Subgraph) NumLocalVertices() int { return len(s.GlobalIDs) }
 
-// NumLocalEdges returns |Ei|.
-func (s *Subgraph) NumLocalEdges() int { return len(s.Edges) }
-
 // LocalOf returns the local id of global vertex v, if v is covered here.
 // Message delivery calls this once per incoming message, so the common
 // (dense) case is a single array probe; sparse parts binary-search the
@@ -191,36 +188,27 @@ func (s *Subgraph) PatchRows(rows []int32, g *graph.Graph, partsOf func(graph.Ve
 // BuildSubgraphs materializes the per-worker subgraphs of assignment a
 // over g, including the replica routing tables, using all available CPUs.
 func BuildSubgraphs(g *graph.Graph, a *partition.Assignment) ([]*Subgraph, error) {
-	return buildSubgraphs(g, a, nil, 0)
+	return BuildSubgraphsWeightedParallel(g, a, nil, 0)
 }
 
-// BuildSubgraphsParallel is BuildSubgraphs with an explicit parallelism
-// degree: parts are built concurrently by at most parallelism goroutines
-// (<= 0 selects GOMAXPROCS, 1 builds sequentially). The result is identical
-// to a sequential build — each part's vertex set is ascending and its edges
+// BuildSubgraphsWeightedParallel is BuildSubgraphs plus per-subgraph edge
+// weights carried over from the global weight vector (aligned with g's
+// edge list; nil builds unweighted subgraphs), with parts built
+// concurrently by at most parallelism goroutines (<= 0 selects
+// GOMAXPROCS, 1 builds sequentially). The result is identical to a
+// sequential build — each part's vertex set is ascending and its edges
 // keep the originating graph's edge-list order.
-func BuildSubgraphsParallel(g *graph.Graph, a *partition.Assignment, parallelism int) ([]*Subgraph, error) {
-	return buildSubgraphs(g, a, nil, parallelism)
-}
-
-// BuildSubgraphsWeightedParallel is BuildSubgraphsParallel plus
-// per-subgraph edge weights carried over from the global weight vector
-// (aligned with g's edge list).
+//
+// One O(|E|) counting sort buckets the edge indices by part, then two
+// part-parallel passes run over each part's own bucket. Pass 1 computes
+// the part's covered vertex bitset; pass 2 materializes the subgraph —
+// local id space, degrees, the replica-peer CSR, and the edge list
+// pre-sized from EdgeCounts and filled by offset. There are no per-part
+// hash maps: each dense-enough part keeps a []int32 inverse index over
+// the global id space as Subgraph.localOf (the run-time O(1) LocalOf
+// table; see localIndexMaxDilution), and sparse parts localize by binary
+// search.
 func BuildSubgraphsWeightedParallel(g *graph.Graph, a *partition.Assignment,
-	weights graph.EdgeWeights, parallelism int) ([]*Subgraph, error) {
-	return buildSubgraphs(g, a, weights, parallelism)
-}
-
-// buildSubgraphs is the shared build: one O(|E|) counting sort buckets the
-// edge indices by part, then two part-parallel passes run over each part's
-// own bucket. Pass 1 computes the part's covered vertex bitset; pass 2
-// materializes the subgraph — local id space, degrees, the replica-peer
-// CSR, and the edge list pre-sized from EdgeCounts and filled by offset.
-// There are no per-part hash maps: each dense-enough part keeps a
-// []int32 inverse index over the global id space as Subgraph.localOf (the
-// run-time O(1) LocalOf table; see localIndexMaxDilution), and sparse
-// parts localize by binary search.
-func buildSubgraphs(g *graph.Graph, a *partition.Assignment,
 	weights graph.EdgeWeights, parallelism int) ([]*Subgraph, error) {
 	if len(a.Parts) != g.NumEdges() {
 		return nil, fmt.Errorf("bsp: assignment covers %d edges, graph has %d",
@@ -293,15 +281,15 @@ func buildSubgraphs(g *graph.Graph, a *partition.Assignment,
 }
 
 // BuildPart materializes a single part of a k-way edge partition of g —
-// the per-part unit of work of buildSubgraphs, exported so incremental
-// layers (internal/live) can rebuild exactly the parts a mutation batch
-// touched. bucket lists the part's global edge indices in ascending
-// order (which fixes the local edge order), set is the part's covered
-// vertex bitset, and partsOf returns the sorted list of parts covering a
-// global vertex (the replica table; it must already reflect set).
-// weights, when non-nil, is the global per-edge weight vector. The
-// returned subgraph is byte-identical to the one a full build would
-// produce for part p.
+// the per-part unit of work of BuildSubgraphsWeightedParallel, exported
+// so incremental layers (internal/live) can rebuild exactly the parts a
+// mutation batch touched. bucket lists the part's global edge indices
+// in ascending order (which fixes the local edge order), set is the
+// part's covered vertex bitset, and partsOf returns the sorted list of
+// parts covering a global vertex (the replica table; it must already
+// reflect set). weights, when non-nil, is the global per-edge weight
+// vector. The returned subgraph is byte-identical to the one a full
+// build would produce for part p.
 func BuildPart(g *graph.Graph, p, k int, bucket []int32, set partition.Bitset,
 	partsOf func(graph.VertexID) []int32, weights graph.EdgeWeights) *Subgraph {
 	edges := g.Edges()

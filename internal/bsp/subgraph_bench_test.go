@@ -37,7 +37,7 @@ func TestBuildSubgraphsAllocations(t *testing.T) {
 	const k = 8
 	g, a := benchPartitioned(t, k)
 	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := bsp.BuildSubgraphsParallel(g, a, 1); err != nil {
+		if _, err := bsp.BuildSubgraphsWeightedParallel(g, a, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -63,7 +63,7 @@ func BenchmarkBuildSubgraphs(b *testing.B) {
 				b.SetBytes(int64(g.NumEdges()))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := bsp.BuildSubgraphsParallel(g, a, bc.par); err != nil {
+					if _, err := bsp.BuildSubgraphsWeightedParallel(g, a, nil, bc.par); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -26,12 +26,12 @@ func TestBuildSubgraphsParallelDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := bsp.BuildSubgraphsParallel(g, a, 1)
+			seq, err := bsp.BuildSubgraphsWeightedParallel(g, a, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, par := range []int{2, 4, 16} {
-				got, err := bsp.BuildSubgraphsParallel(g, a, par)
+				got, err := bsp.BuildSubgraphsWeightedParallel(g, a, nil, par)
 				if err != nil {
 					t.Fatal(err)
 				}

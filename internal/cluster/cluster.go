@@ -35,6 +35,7 @@
 package cluster
 
 import (
+	"fmt"
 	"time"
 
 	"ebv/internal/apps"
@@ -60,7 +61,8 @@ type JobSpec struct {
 	// ValueWidth is the per-vertex value width (0 = 1; negative or above
 	// transport.MaxValueWidth fails Run).
 	ValueWidth int
-	// MaxSteps is the superstep safety cap (0 = engine default).
+	// MaxSteps is the superstep safety cap (0 = engine default; negative
+	// fails Run).
 	MaxSteps int
 	// Combine is ignored. benchmark/ still sets it (ROADMAP item 1(b)).
 	Combine bool
@@ -70,9 +72,11 @@ type JobSpec struct {
 	// checkpointing — a worker death then fails the attempt with nothing
 	// to restore, and retries restart from step 0.
 	CheckpointDir string
-	// CheckpointEvery is the epoch length in supersteps (0 disables).
+	// CheckpointEvery is the epoch length in supersteps (0 disables;
+	// negative fails Run).
 	CheckpointEvery int
-	// MaxAttempts caps job attempts, the first one included (0 = 5).
+	// MaxAttempts caps job attempts, the first one included (0 = 5;
+	// negative fails Run).
 	MaxAttempts int
 }
 
@@ -87,9 +91,17 @@ func (s JobSpec) Program() (bsp.Program, error) {
 // config is the one place a spec becomes the engine configuration every
 // worker of the job runs with. ValueWidth comes back resolved (never 0),
 // and a width the engine would reject is rejected here with the engine's
-// own error — the coordinator checks it before a job exists, the agent
-// before it wires or opens anything.
+// own error, as is a negative limit — the coordinator checks it before a
+// job exists, the agent before it wires or opens anything.
 func (s JobSpec) config() (bsp.Config, error) {
+	for _, limit := range []struct {
+		name  string
+		value int
+	}{{"max steps", s.MaxSteps}, {"max attempts", s.MaxAttempts}, {"checkpoint every", s.CheckpointEvery}} {
+		if limit.value < 0 {
+			return bsp.Config{}, fmt.Errorf("cluster: %s %d invalid: must be >= 0", limit.name, limit.value)
+		}
+	}
 	cfg := bsp.Config{ValueWidth: s.ValueWidth, MaxSteps: s.MaxSteps}
 	width, err := cfg.Width()
 	cfg.ValueWidth = width

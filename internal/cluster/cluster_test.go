@@ -195,6 +195,9 @@ func TestClusterCleanRuns(t *testing.T) {
 		{JobSpec{App: "Aggregate", Layers: -1}, "layers -1 out of range"},
 		{JobSpec{App: "CC", ValueWidth: -3}, "value width -3 invalid"},
 		{JobSpec{App: "CC", ValueWidth: transport.MaxValueWidth + 1}, "exceeds the transport cap"},
+		{JobSpec{App: "CC", MaxSteps: -1}, "max steps -1 invalid"},
+		{JobSpec{App: "CC", MaxAttempts: -2}, "max attempts -2 invalid"},
+		{JobSpec{App: "CC", CheckpointDir: t.TempDir(), CheckpointEvery: -5}, "checkpoint every -5 invalid"},
 	} {
 		if _, err := tc.coord.Run(ctx, bad.spec); err == nil || !strings.Contains(err.Error(), bad.want) {
 			t.Fatalf("%+v: err = %v, want %q", bad.spec, err, bad.want)

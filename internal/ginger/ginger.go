@@ -58,13 +58,7 @@ func (gg *Ginger) Partition(ctx context.Context, g *graph.Graph, k int) (*partit
 		return a, nil
 	}
 
-	threshold := gg.Threshold
-	if threshold <= 0 {
-		threshold = int(2 * g.AverageDegree())
-		if threshold < 4 {
-			threshold = 4
-		}
-	}
+	threshold := gg.threshold(g)
 
 	in := graph.BuildCSR(graph.Reverse(g))
 
@@ -140,17 +134,13 @@ func (gg *Ginger) Partition(ctx context.Context, g *graph.Graph, k int) (*partit
 
 const scoreNegInf = -1e300
 
-// EffectiveThreshold reports the high-degree threshold Partition would use
-// for g, for logging and tests.
-func (gg *Ginger) EffectiveThreshold(g *graph.Graph) int {
+// threshold is the high-degree threshold Partition uses for g: Threshold
+// when set, else twice the average degree, at least 4.
+func (gg *Ginger) threshold(g *graph.Graph) int {
 	if gg.Threshold > 0 {
 		return gg.Threshold
 	}
-	t := int(2 * g.AverageDegree())
-	if t < 4 {
-		t = 4
-	}
-	return t
+	return max(int(2*g.AverageDegree()), 4)
 }
 
 // String returns a debug description.

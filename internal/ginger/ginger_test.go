@@ -74,10 +74,10 @@ func TestGingerThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := (&Ginger{Threshold: 50}).EffectiveThreshold(g); got != 50 {
+	if got := (&Ginger{Threshold: 50}).threshold(g); got != 50 {
 		t.Errorf("explicit threshold = %d", got)
 	}
-	auto := (&Ginger{}).EffectiveThreshold(g)
+	auto := (&Ginger{}).threshold(g)
 	if auto < 4 {
 		t.Errorf("auto threshold = %d, want >= 4", auto)
 	}

@@ -271,12 +271,3 @@ func TestEstimateEtaEmpty(t *testing.T) {
 }
 
 func isNaN(f float64) bool { return f != f }
-
-func TestDegreeHistogram(t *testing.T) {
-	g := mustGraph(t, 4, []Edge{{0, 1}, {0, 2}, {0, 3}})
-	h := DegreeHistogram(g)
-	// Degrees: v0=3, v1..3=1.
-	if h[3] != 1 || h[1] != 3 {
-		t.Fatalf("histogram %v", h)
-	}
-}

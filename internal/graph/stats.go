@@ -127,13 +127,3 @@ func ksDistance(tail []int, dmin int, eta float64) float64 {
 	}
 	return maxDist
 }
-
-// DegreeHistogram returns counts[d] = number of vertices with total degree
-// d, up to the maximum degree in the graph.
-func DegreeHistogram(g *Graph) []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		counts[g.Degree(VertexID(v))]++
-	}
-	return counts
-}

@@ -1,11 +1,5 @@
 package graph
 
-import "sort"
-
-// Transform utilities shared by tooling and tests: transposition,
-// deduplication, induced subgraphs and component extraction. They all
-// return new graphs; the input is never mutated.
-
 // Reverse returns the transpose of g (every edge flipped).
 func Reverse(g *Graph) *Graph {
 	edges := make([]Edge, g.NumEdges())
@@ -18,112 +12,5 @@ func Reverse(g *Graph) *Graph {
 		panic("graph: reverse of valid graph failed: " + err.Error())
 	}
 	out.undirected = g.undirected
-	return out
-}
-
-// Simplify returns g with duplicate edges and (optionally) self-loops
-// removed. Edge order follows the first occurrence.
-func Simplify(g *Graph, dropSelfLoops bool) *Graph {
-	seen := make(map[Edge]struct{}, g.NumEdges())
-	edges := make([]Edge, 0, g.NumEdges())
-	for _, e := range g.Edges() {
-		if dropSelfLoops && e.Src == e.Dst {
-			continue
-		}
-		if _, dup := seen[e]; dup {
-			continue
-		}
-		seen[e] = struct{}{}
-		edges = append(edges, e)
-	}
-	out, err := New(g.NumVertices(), edges)
-	if err != nil {
-		panic("graph: simplify of valid graph failed: " + err.Error())
-	}
-	out.undirected = g.undirected
-	return out
-}
-
-// InducedSubgraph returns the subgraph induced by keep (edges with both
-// endpoints kept), relabelled to dense ids in the order of the sorted kept
-// vertex list. The second return value maps new ids back to original ones.
-func InducedSubgraph(g *Graph, keep []VertexID) (*Graph, []VertexID) {
-	sorted := make([]VertexID, len(keep))
-	copy(sorted, keep)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	// Dedup.
-	uniq := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			uniq = append(uniq, v)
-		}
-	}
-	newID := make(map[VertexID]VertexID, len(uniq))
-	for i, v := range uniq {
-		newID[v] = VertexID(i)
-	}
-	var edges []Edge
-	for _, e := range g.Edges() {
-		s, okS := newID[e.Src]
-		d, okD := newID[e.Dst]
-		if okS && okD {
-			edges = append(edges, Edge{Src: s, Dst: d})
-		}
-	}
-	out, err := New(len(uniq), edges)
-	if err != nil {
-		panic("graph: induced subgraph of valid graph failed: " + err.Error())
-	}
-	out.undirected = g.undirected
-	backMap := make([]VertexID, len(uniq))
-	copy(backMap, uniq)
-	return out, backMap
-}
-
-// LargestComponent returns the vertices of the largest weakly connected
-// component of g (treating edges as undirected), sorted ascending.
-func LargestComponent(g *Graph) []VertexID {
-	n := g.NumVertices()
-	if n == 0 {
-		return nil
-	}
-	parent := make([]int32, n)
-	size := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-		size[i] = 1
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range g.Edges() {
-		ra, rb := find(int32(e.Src)), find(int32(e.Dst))
-		if ra == rb {
-			continue
-		}
-		if size[ra] < size[rb] {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-		size[ra] += size[rb]
-	}
-	best := int32(0)
-	for v := 1; v < n; v++ {
-		if size[find(int32(v))] > size[find(best)] {
-			best = int32(v)
-		}
-	}
-	root := find(best)
-	var out []VertexID
-	for v := 0; v < n; v++ {
-		if find(int32(v)) == root {
-			out = append(out, VertexID(v))
-		}
-	}
 	return out
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestReverse(t *testing.T) {
 	g := mustGraph(t, 3, []Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
@@ -20,104 +17,6 @@ func TestReverse(t *testing.T) {
 		if rr.Edge(i) != g.Edge(i) {
 			t.Fatalf("double reverse changed edge %d", i)
 		}
-	}
-}
-
-func TestSimplify(t *testing.T) {
-	g := mustGraph(t, 3, []Edge{
-		{Src: 0, Dst: 1}, {Src: 0, Dst: 1}, {Src: 1, Dst: 1}, {Src: 1, Dst: 2},
-	})
-	s := Simplify(g, false)
-	if s.NumEdges() != 3 {
-		t.Fatalf("E = %d, want 3 (dup removed)", s.NumEdges())
-	}
-	s2 := Simplify(g, true)
-	if s2.NumEdges() != 2 {
-		t.Fatalf("E = %d, want 2 (dup + loop removed)", s2.NumEdges())
-	}
-}
-
-func TestSimplifyQuick(t *testing.T) {
-	err := quick.Check(func(raw []uint16) bool {
-		const n = 64
-		edges := make([]Edge, 0, len(raw)/2)
-		for i := 0; i+1 < len(raw); i += 2 {
-			edges = append(edges, Edge{
-				Src: VertexID(raw[i]) % n,
-				Dst: VertexID(raw[i+1]) % n,
-			})
-		}
-		g, err := New(n, edges)
-		if err != nil {
-			return false
-		}
-		s := Simplify(g, true)
-		// No duplicates, no loops.
-		seen := map[Edge]bool{}
-		for _, e := range s.Edges() {
-			if e.Src == e.Dst || seen[e] {
-				return false
-			}
-			seen[e] = true
-		}
-		return true
-	}, &quick.Config{MaxCount: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := mustGraph(t, 5, []Edge{
-		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4},
-	})
-	sub, back := InducedSubgraph(g, []VertexID{1, 2, 3})
-	if sub.NumVertices() != 3 {
-		t.Fatalf("V = %d", sub.NumVertices())
-	}
-	if sub.NumEdges() != 2 {
-		t.Fatalf("E = %d (want 1-2 and 2-3 only)", sub.NumEdges())
-	}
-	if back[0] != 1 || back[1] != 2 || back[2] != 3 {
-		t.Fatalf("back map %v", back)
-	}
-	// Duplicated keep entries collapse.
-	sub2, _ := InducedSubgraph(g, []VertexID{3, 1, 2, 2, 1})
-	if sub2.NumVertices() != 3 || sub2.NumEdges() != 2 {
-		t.Fatalf("dedup failed: V=%d E=%d", sub2.NumVertices(), sub2.NumEdges())
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	g := mustGraph(t, 7, []Edge{
-		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, // triangle
-		{Src: 4, Dst: 5}, // pair; 3 and 6 isolated
-	})
-	comp := LargestComponent(g)
-	want := []VertexID{0, 1, 2}
-	if len(comp) != len(want) {
-		t.Fatalf("component %v, want %v", comp, want)
-	}
-	for i := range want {
-		if comp[i] != want[i] {
-			t.Fatalf("component %v, want %v", comp, want)
-		}
-	}
-}
-
-func TestLargestComponentEmpty(t *testing.T) {
-	g := mustGraph(t, 0, nil)
-	if comp := LargestComponent(g); comp != nil {
-		t.Fatalf("component of empty graph: %v", comp)
-	}
-}
-
-func TestLargestComponentDirectionBlind(t *testing.T) {
-	// Weak connectivity: direction must not matter.
-	g := mustGraph(t, 4, []Edge{{Src: 1, Dst: 0}, {Src: 1, Dst: 2}, {Src: 3, Dst: 2}})
-	comp := LargestComponent(g)
-	if len(comp) != 4 {
-		t.Fatalf("weak component size %d, want 4", len(comp))
 	}
 }
 

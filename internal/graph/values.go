@@ -48,11 +48,6 @@ func (m *ValueMatrix) SetScalar(i int, v float64) { m.Data[i*m.Width] = v }
 // At returns element (i, j).
 func (m *ValueMatrix) At(i, j int) float64 { return m.Data[i*m.Width+j] }
 
-// SetRow copies vals into row i.
-func (m *ValueMatrix) SetRow(i int, vals []float64) {
-	copy(m.Row(i), vals)
-}
-
 // Clone returns a deep copy.
 func (m *ValueMatrix) Clone() *ValueMatrix {
 	c := &ValueMatrix{Width: m.Width, Data: make([]float64, len(m.Data))}

@@ -7,7 +7,7 @@ func TestValueMatrixShapeAndAccessors(t *testing.T) {
 	if m.Rows() != 4 || m.Width != 3 || len(m.Data) != 12 {
 		t.Fatalf("shape: rows %d width %d len %d", m.Rows(), m.Width, len(m.Data))
 	}
-	m.SetRow(1, []float64{1, 2, 3})
+	copy(m.Row(1), []float64{1, 2, 3})
 	m.SetScalar(2, 9)
 	if m.At(1, 2) != 3 || m.Scalar(1) != 1 || m.Scalar(2) != 9 {
 		t.Fatalf("accessors: %v", m.Data)

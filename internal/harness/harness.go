@@ -43,9 +43,6 @@ type Options struct {
 	// Repeat re-runs timing experiments (Table II) this many times and
 	// reports mean ± stddev (default 1).
 	Repeat int
-	// Parallelism bounds the CPUs used by the data-plane passes between
-	// partition and run (subgraph construction); <= 0 selects GOMAXPROCS.
-	Parallelism int
 }
 
 func (o Options) scale() float64 {

@@ -60,7 +60,7 @@ func runBSPRepeats(ctx context.Context, g *graph.Graph, p partition.Partitioner,
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s partition: %w", p.Name(), err)
 	}
-	subs, err := bsp.BuildSubgraphsParallel(g, a, opt.Parallelism)
+	subs, err := bsp.BuildSubgraphs(g, a)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s subgraphs: %w", p.Name(), err)
 	}

@@ -40,9 +40,6 @@ type Config struct {
 	// ForceRebuild routes every batch through a full part-parallel rebuild
 	// instead of the incremental patch path.
 	ForceRebuild bool
-	// Parallelism bounds the part-parallel patch/rebuild fan-out
-	// (<= 0 selects GOMAXPROCS).
-	Parallelism int
 }
 
 // Stats is a snapshot of the mutation layer's lifetime counters.
@@ -106,7 +103,6 @@ type State struct {
 	mu     sync.Mutex
 	policy Policy
 	cfg    Config
-	par    int
 
 	k            int
 	n            int
@@ -138,14 +134,9 @@ func NewState(g *graph.Graph, a *partition.Assignment, subs []*bsp.Subgraph, cfg
 	if policy == nil {
 		policy = EBVPolicy{}
 	}
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	st := &State{
 		policy: policy,
 		cfg:    cfg,
-		par:    par,
 		k:      a.K,
 		n:      g.NumVertices(),
 		g:      g,
@@ -350,8 +341,7 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 	var newSubs []*bsp.Subgraph
 	var finalSets []partition.Bitset
 	if st.cfg.ForceRebuild {
-		newSubs, err = bsp.BuildSubgraphsParallel(newG,
-			&partition.Assignment{K: st.k, Parts: newParts}, st.par)
+		newSubs, err = bsp.BuildSubgraphs(newG, &partition.Assignment{K: st.k, Parts: newParts})
 		if err != nil {
 			return nil, fmt.Errorf("live: full rebuild: %w", err)
 		}
@@ -372,8 +362,7 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 	// ---- Verify: the incremental patch must be byte-identical to a
 	// full part-parallel rebuild of the same (graph, assignment). ----
 	if st.cfg.VerifyPatches && !res.FullRebuild {
-		full, err := bsp.BuildSubgraphsParallel(newG,
-			&partition.Assignment{K: st.k, Parts: newParts}, st.par)
+		full, err := bsp.BuildSubgraphs(newG, &partition.Assignment{K: st.k, Parts: newParts})
 		if err != nil {
 			return nil, fmt.Errorf("live: verification rebuild: %w", err)
 		}
@@ -448,7 +437,7 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset) {
 	// every other part's coverage).
 	finalSets := make([]partition.Bitset, k)
 	copy(finalSets, st.sets)
-	bsp.RunParts(st.par, k, func(p int) {
+	bsp.RunParts(runtime.GOMAXPROCS(0), k, func(p int) {
 		if !in.affected[p] {
 			return
 		}
@@ -502,7 +491,7 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset) {
 	// never written — jobs on earlier epochs keep reading them.
 	newSubs := make([]*bsp.Subgraph, k)
 	var rebuilt, patched, reused atomic.Int64
-	bsp.RunParts(st.par, k, func(p int) {
+	bsp.RunParts(runtime.GOMAXPROCS(0), k, func(p int) {
 		if in.affected[p] {
 			newSubs[p] = bsp.BuildPart(in.newG, p, k, in.bucket(p), finalSets[p], partsOf, nil)
 			rebuilt.Add(1)

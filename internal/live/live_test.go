@@ -38,7 +38,7 @@ func buildLive(t testing.TB, g *graph.Graph, k int, cfg Config) (*State, func([]
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs, err := bsp.BuildSubgraphsParallel(g, a, 0)
+	subs, err := bsp.BuildSubgraphs(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}

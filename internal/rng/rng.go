@@ -7,8 +7,6 @@
 // release, which keeps every table and figure in EXPERIMENTS.md stable.
 package rng
 
-import "math"
-
 // Source is a deterministic SplitMix64 pseudo-random number generator.
 // The zero value is a valid generator seeded with 0; prefer New.
 type Source struct {
@@ -43,16 +41,6 @@ func (s *Source) Intn(n int) int {
 // Float64 returns a uniformly distributed float in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
-}
-
-// Exp returns an exponentially distributed float with rate 1.
-func (s *Source) Exp() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
 }
 
 // Perm returns a pseudo-random permutation of [0, n) as a slice.

@@ -115,22 +115,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestExpPositive(t *testing.T) {
-	s := New(13)
-	var sum float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		e := s.Exp()
-		if e < 0 {
-			t.Fatalf("Exp() = %g < 0", e)
-		}
-		sum += e
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.05 {
-		t.Fatalf("Exp mean %g, want ≈1", mean)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(3)
 	c1 := parent.Split()

@@ -33,13 +33,11 @@ type GraphSpec struct {
 	Generate func() (*ebv.Graph, error)
 	// Undirected mirrors text edge-list input.
 	Undirected bool
-	// Subgraphs is the partition count k (0 selects 8, the repo default).
+	// Subgraphs is the partition count k (0 selects 8, the repo default;
+	// negative fails New).
 	Subgraphs int
 	// Combine is ignored. benchmark/ still sets it (ROADMAP item 1(b)).
 	Combine bool
-	// StatsRetention overrides the session's per-job stats ring capacity
-	// (0 keeps the session default; negative = unlimited).
-	StatsRetention int
 	// MutationPolicy names the streaming assignment policy for live
 	// mutation batches: "ebv" (default), "hdrf" or "fennel".
 	MutationPolicy string
@@ -66,11 +64,11 @@ func (gs GraphSpec) pipeline() (*ebv.Pipeline, error) {
 	if gs.Undirected {
 		opts = append(opts, ebv.Undirected())
 	}
-	if gs.Subgraphs > 0 {
+	switch {
+	case gs.Subgraphs < 0:
+		return nil, fmt.Errorf("serve: graph %q: subgraph count %d is negative", gs.Name, gs.Subgraphs)
+	case gs.Subgraphs > 0:
 		opts = append(opts, ebv.Subgraphs(gs.Subgraphs))
-	}
-	if gs.StatsRetention != 0 {
-		opts = append(opts, ebv.JobStatsRetention(gs.StatsRetention))
 	}
 	if gs.MutationPolicy != "" {
 		// Open resolves the name too, but only at warm-up: a typo would
@@ -352,7 +350,7 @@ type graphState struct {
 	ReplicationFactor float64 `json:"replication_factor,omitempty"`
 	PrepareMS         float64 `json:"prepare_ms,omitempty"`
 	// JobsServed is the total-ever counter — it keeps counting past the
-	// session's per-job stats retention window.
+	// session's per-job stats ring.
 	JobsServed int `json:"jobs_served,omitempty"`
 	// Epoch is the session's deployment epoch: 0 until the first applied
 	// mutation batch, then incremented per batch (and per repartition).

@@ -230,27 +230,35 @@ func TestServeMutationsValidation(t *testing.T) {
 	}
 }
 
-// TestServeStatsRetentionCap: a GraphSpec retention of 2 bounds the
-// per-job rows in the ?stats=1 listing while jobs_served keeps counting.
+// TestServeStatsRetentionCap: the session's per-job stats ring holds its
+// fixed 1024 rows in the ?stats=1 listing while jobs_served keeps
+// counting past it.
 func TestServeStatsRetentionCap(t *testing.T) {
-	spec := testSpec(t, "g")
-	spec.StatsRetention = 2
+	const capacity = 1024
+	spec := GraphSpec{Name: "g", Subgraphs: 2, Generate: func() (*ebv.Graph, error) {
+		return ebv.NewGraph(3, []ebv.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
+	}}
 	_, ts := newTestServer(t, Config{Graphs: []GraphSpec{spec}})
-	for i := 0; i < 3; i++ {
-		if status, _, _, _ := doJob(t, ts, JobRequest{Graph: "g", App: "cc"}); status != http.StatusOK {
-			t.Fatalf("job %d: %d", i, status)
+	for i := 0; i < capacity+2; i++ {
+		if status, _, msg, _ := doJob(t, ts, JobRequest{Graph: "g", App: "cc"}); status != http.StatusOK {
+			t.Fatalf("job %d: %d %q", i, status, msg)
 		}
 	}
 	var listing graphsResponse
 	getJSON(t, ts.URL+"/v1/graphs?stats=1", &listing)
 	g := listing.Graphs[0]
-	if g.JobsServed != 3 {
-		t.Fatalf("jobs_served = %d, want 3", g.JobsServed)
+	if g.JobsServed != capacity+2 {
+		t.Fatalf("jobs_served = %d, want %d", g.JobsServed, capacity+2)
 	}
-	if g.Stats == nil || g.Stats.JobsServed != 3 || g.Stats.JobsRetained != 2 || g.Stats.JobsRetention != 2 {
-		t.Fatalf("stats = %+v, want 3 served / 2 retained / retention 2", g.Stats)
+	st := g.Stats
+	if st == nil {
+		t.Fatal("?stats=1 listing has no stats")
 	}
-	if len(g.Stats.Jobs) != 2 || g.Stats.Jobs[0].Job != 2 || g.Stats.Jobs[1].Job != 3 {
-		t.Fatalf("retained jobs = %+v, want ids 2 and 3", g.Stats.Jobs)
+	if st.JobsServed != capacity+2 || st.JobsRetained != capacity || st.JobsRetention != capacity {
+		t.Fatalf("stats = %d served / %d retained / retention %d, want %d / %d / %d",
+			st.JobsServed, st.JobsRetained, st.JobsRetention, capacity+2, capacity, capacity)
+	}
+	if len(st.Jobs) != capacity || st.Jobs[0].Job != 3 || st.Jobs[capacity-1].Job != capacity+2 {
+		t.Fatalf("retained %d jobs, want %d from job 3 to job %d", len(st.Jobs), capacity, capacity+2)
 	}
 }

@@ -331,6 +331,8 @@ func TestServeRequestValidation(t *testing.T) {
 func TestNewRejectsBadSpecs(t *testing.T) {
 	bogus := testSpec(t, "b")
 	bogus.MutationPolicy = "bogus"
+	negative := testSpec(t, "n")
+	negative.Subgraphs = -3
 	for _, tc := range []struct {
 		name   string
 		graphs []GraphSpec
@@ -341,6 +343,7 @@ func TestNewRejectsBadSpecs(t *testing.T) {
 		{"duplicate name", []GraphSpec{testSpec(t, "g"), testSpec(t, "g")}, `duplicate graph name "g"`},
 		{"no source", []GraphSpec{{Name: "g"}}, "no source"},
 		{"unknown policy", []GraphSpec{testSpec(t, "a"), bogus}, `graph "b": live: unknown mutation policy "bogus"`},
+		{"negative subgraphs", []GraphSpec{testSpec(t, "a"), negative}, `graph "n": subgraph count -3 is negative`},
 	} {
 		srv, err := New(context.Background(), Config{Graphs: tc.graphs})
 		if err == nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -99,26 +98,13 @@ type Pipeline struct {
 	k           int
 	kSet        bool
 
-	weights     graph.EdgeWeights
-	progress    func(PipelineProgress)
-	runOpts     []RunOption
-	useTCP      bool
-	parallelism int
-	valueWidth  int
+	weights  graph.EdgeWeights
+	progress func(PipelineProgress)
+	runOpts  []RunOption
+	useTCP   bool
 
-	retention       int // session JobStats ring capacity (0 → default)
-	retentionSet    bool
 	mutationPolicy  string
 	verifyMutations bool
-}
-
-// par resolves the data-plane parallelism degree (GOMAXPROCS unless
-// Parallelism was given).
-func (p *Pipeline) par() int {
-	if p.parallelism > 0 {
-		return p.parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // PipelineOption configures a Pipeline.
@@ -131,8 +117,8 @@ type RunOption = bsp.Option
 
 // NewPipeline builds a Pipeline. Defaults: no source (Run fails until a
 // From* option is given), the paper's EBV partitioner, 8 subgraphs, the
-// in-memory transport, no progress reporting, data-plane parallelism of
-// GOMAXPROCS (see Parallelism).
+// in-memory transport, no progress reporting. The load and build stages
+// use every CPU (GOMAXPROCS); their results do not depend on it.
 func NewPipeline(opts ...PipelineOption) *Pipeline {
 	p := &Pipeline{k: 8}
 	for _, opt := range opts {
@@ -173,7 +159,7 @@ func FromEdgeList(path string) PipelineOption {
 			if strings.HasSuffix(path, ".bin") {
 				return graph.ReadBinary(f)
 			}
-			return graph.ReadEdgeListParallel(f, p.undirected, p.par())
+			return graph.ReadEdgeList(f, p.undirected)
 		}
 	}
 }
@@ -202,29 +188,11 @@ func Subgraphs(k int) PipelineOption {
 	return func(p *Pipeline) { p.k, p.kSet = k, true }
 }
 
-// Parallelism bounds the number of CPUs the data-plane stages use: the
-// chunked edge-list parse of StageLoad and the per-part subgraph
-// construction of StageBuild. Values < 1 (and the default) select
-// GOMAXPROCS. It does not affect the partition algorithms or the BSP run,
-// whose concurrency follows the subgraph count.
-func Parallelism(n int) PipelineOption {
-	return func(p *Pipeline) { p.parallelism = n }
-}
-
 // WithEdgeWeights makes StageBuild materialize weighted subgraphs (for
 // SSSP{Weighted: true}). Weights must be non-negative: the build rejects
 // a negative or NaN one.
 func WithEdgeWeights(w EdgeWeights) PipelineOption {
 	return func(p *Pipeline) { p.weights = w }
-}
-
-// ValueWidth sets the per-vertex value width of the run: every vertex
-// value and every replica-synchronization message carries width float64
-// columns. The default (and 0) selects 1 — the scalar applications;
-// Aggregate with width 8 moves 8-wide feature vectors. Widths < 1 fail
-// Run with a clear error.
-func ValueWidth(width int) PipelineOption {
-	return func(p *Pipeline) { p.valueWidth = width }
 }
 
 // OnProgress registers a stage-progress callback.
@@ -242,15 +210,6 @@ func WithRun(opts ...RunOption) PipelineOption {
 // count and torn down afterwards).
 func UseTCPLoopback() PipelineOption {
 	return func(p *Pipeline) { p.useTCP = true }
-}
-
-// JobStatsRetention bounds SessionStats.Jobs to the newest n rows (a ring
-// buffer) so a long-serving session's accounting stays O(1): under
-// sustained traffic the per-job list would otherwise grow without bound.
-// JobsServed and TotalRunTime keep counting across trimmed rows. n == 0
-// selects the default (1024); negative disables trimming.
-func JobStatsRetention(n int) PipelineOption {
-	return func(p *Pipeline) { p.retention = n; p.retentionSet = true }
 }
 
 // MutationPolicy selects the streaming partitioner Session.Apply assigns
@@ -373,7 +332,7 @@ func (p *Pipeline) prepare(ctx context.Context, build bool) (*PipelineResult, er
 
 	if build {
 		if err := p.stage(ctx, StageBuild, fmt.Sprintf("%d subgraphs", res.Assignment.K), &res.BuildTime, func() (int64, error) {
-			subs, err := bsp.BuildSubgraphsWeightedParallel(res.Graph, res.Assignment, p.weights, p.par())
+			subs, err := bsp.BuildSubgraphsWeightedParallel(res.Graph, res.Assignment, p.weights, 0)
 			if err != nil {
 				return 0, fmt.Errorf("ebv: pipeline build: %w", err)
 			}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -82,10 +81,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPipelineParallelism runs the same edge-list file through the
-// pipeline at parallelism 1 and 4: the loaded graphs, assignments and
-// subgraphs must be identical, and completed stages must report throughput.
-func TestPipelineParallelism(t *testing.T) {
+// TestPipelineFromEdgeList runs a text edge-list file through the
+// pipeline: the loaded graph must have the written graph's size, and
+// completed stages must report the edges they processed and a
+// throughput.
+func TestPipelineFromEdgeList(t *testing.T) {
 	g := pipelineGraph(t)
 	path := filepath.Join(t.TempDir(), "graph.txt")
 	f, err := os.Create(path)
@@ -99,45 +99,19 @@ func TestPipelineParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(par int) (*ebv.PipelineResult, []ebv.PipelineProgress) {
-		var events []ebv.PipelineProgress
-		res, err := ebv.NewPipeline(
-			ebv.FromEdgeList(path),
-			ebv.Undirected(),
-			ebv.UsePartitioner(ebv.NewEBV()),
-			ebv.Subgraphs(4),
-			ebv.Parallelism(par),
-			ebv.OnProgress(func(p ebv.PipelineProgress) { events = append(events, p) }),
-		).Run(context.Background(), &ebv.CC{})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		return res, events
+	var events []ebv.PipelineProgress
+	res, err := ebv.NewPipeline(
+		ebv.FromEdgeList(path),
+		ebv.Undirected(),
+		ebv.Subgraphs(4),
+		ebv.OnProgress(func(p ebv.PipelineProgress) { events = append(events, p) }),
+	).Run(context.Background(), &ebv.CC{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq, _ := run(1)
-	par, events := run(4)
-
-	if seq.Graph.NumVertices() != par.Graph.NumVertices() ||
-		seq.Graph.NumEdges() != par.Graph.NumEdges() {
-		t.Fatalf("parallel load diverged: V %d/%d, E %d/%d",
-			seq.Graph.NumVertices(), par.Graph.NumVertices(),
-			seq.Graph.NumEdges(), par.Graph.NumEdges())
-	}
-	for i := 0; i < seq.Graph.NumEdges(); i++ {
-		if seq.Graph.Edge(i) != par.Graph.Edge(i) {
-			t.Fatalf("parallel load reordered edge %d", i)
-		}
-	}
-	if !reflect.DeepEqual(seq.Assignment, par.Assignment) {
-		t.Fatal("assignments diverged across parallelism settings")
-	}
-	if len(seq.Subgraphs) != len(par.Subgraphs) {
-		t.Fatal("subgraph counts diverged")
-	}
-	for p := range seq.Subgraphs {
-		if !reflect.DeepEqual(seq.Subgraphs[p], par.Subgraphs[p]) {
-			t.Fatalf("subgraph %d diverged across parallelism settings", p)
-		}
+	if res.Graph.NumVertices() != g.NumVertices() || res.Graph.NumEdges() != g.NumEdges() {
+		t.Fatalf("loaded V=%d E=%d, wrote V=%d E=%d",
+			res.Graph.NumVertices(), res.Graph.NumEdges(), g.NumVertices(), g.NumEdges())
 	}
 	for _, ev := range events {
 		if !ev.Done {
@@ -146,8 +120,8 @@ func TestPipelineParallelism(t *testing.T) {
 			}
 			continue
 		}
-		if ev.Items != int64(par.Graph.NumEdges()) {
-			t.Fatalf("stage %s: Items = %d, want %d", ev.Stage, ev.Items, par.Graph.NumEdges())
+		if ev.Items != int64(g.NumEdges()) {
+			t.Fatalf("stage %s: Items = %d, want %d", ev.Stage, ev.Items, g.NumEdges())
 		}
 		if ev.Throughput <= 0 {
 			t.Fatalf("stage %s: no throughput on completion event: %+v", ev.Stage, ev)

@@ -39,18 +39,16 @@ var ErrSessionClosed = errors.New("ebv: session closed")
 // deployment down; jobs blocked in a collective exchange are released and
 // fail with ErrSessionClosed.
 type Session struct {
-	prepared   *PipelineResult
-	dep        *bsp.Deployment
-	runOpts    []RunOption
-	valueWidth int
-	progress   func(PipelineProgress)
-	retention  int // max JobStats rows retained (see JobStatsRetention)
-	liveCfg    live.Config
+	prepared *PipelineResult
+	dep      *bsp.Deployment
+	runOpts  []RunOption
+	progress func(PipelineProgress)
+	liveCfg  live.Config
 
 	mu         sync.Mutex // guards closed, nextJob, jobs, jobsServed, totalRun
 	closed     bool
 	nextJob    int
-	jobs       []JobStats // completion-order ring, trimmed to retention
+	jobs       []JobStats // completion-order ring, trimmed to jobStatsRetention
 	jobsServed int        // total ever, survives trimming
 	totalRun   time.Duration
 	emitMu     sync.Mutex // serializes progress callbacks across concurrent jobs
@@ -109,8 +107,7 @@ type SessionStats struct {
 	// JobsRetained is len(Jobs): the rows still inside the retention
 	// window (== JobsServed until the ring wraps).
 	JobsRetained int `json:"jobs_retained"`
-	// JobsRetention is the ring capacity Jobs is trimmed to
-	// (JobStatsRetention; <= 0 means unlimited).
+	// JobsRetention is the ring capacity Jobs is trimmed to (1024).
 	JobsRetention int `json:"jobs_retention"`
 	// LoadTime, PartitionTime and BuildTime are the one-time preparation
 	// stage costs paid by Open (JSON: nanoseconds, stable lowercase tags).
@@ -159,12 +156,11 @@ func (p *Pipeline) Open(ctx context.Context) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if p.valueWidth < 0 {
-		return nil, fmt.Errorf("ebv: pipeline: value width %d invalid: must be >= 1 (or 0 for the default of 1)",
-			p.valueWidth)
+	// Resolved first: a typo or a bad width must not pay a load and
+	// partition, nor leave a wired mesh behind.
+	if _, err := bsp.NewConfig(p.runOpts...).Width(); err != nil {
+		return nil, fmt.Errorf("ebv: pipeline: %w", err)
 	}
-	// Resolved first: a typo must not pay a load and partition, nor leave
-	// a wired mesh behind.
 	policy, err := live.PolicyByName(p.mutationPolicy)
 	if err != nil {
 		return nil, fmt.Errorf("ebv: pipeline: %w", err)
@@ -180,15 +176,6 @@ func (p *Pipeline) Open(ctx context.Context) (*Session, error) {
 			return nil, fmt.Errorf("ebv: pipeline tcp deployment: %w", err)
 		}
 	}
-	retention := defaultJobStatsRetention
-	if p.retentionSet {
-		switch {
-		case p.retention > 0:
-			retention = p.retention
-		case p.retention < 0:
-			retention = 0 // unlimited
-		}
-	}
 	dep, err := bsp.NewDeployment(res.Subgraphs, mesh)
 	if err != nil {
 		if mesh != nil {
@@ -197,25 +184,19 @@ func (p *Pipeline) Open(ctx context.Context) (*Session, error) {
 		return nil, fmt.Errorf("ebv: pipeline deployment: %w", err)
 	}
 	return &Session{
-		prepared:   res,
-		dep:        dep,
-		runOpts:    slices.Clone(p.runOpts),
-		valueWidth: p.valueWidth,
-		progress:   p.progress,
-		retention:  retention,
-		liveCfg: live.Config{
-			Policy:        policy,
-			VerifyPatches: p.verifyMutations,
-			Parallelism:   p.parallelism,
-		},
+		prepared: res,
+		dep:      dep,
+		runOpts:  slices.Clone(p.runOpts),
+		progress: p.progress,
+		liveCfg:  live.Config{Policy: policy, VerifyPatches: p.verifyMutations},
 	}, nil
 }
 
-// defaultJobStatsRetention is the JobStats ring capacity when
-// JobStatsRetention is not given: large enough that interactive sessions
-// and the test suite never see trimming, small enough that a session
-// serving millions of jobs stays O(1).
-const defaultJobStatsRetention = 1024
+// jobStatsRetention is the JobStats ring capacity: SessionStats.Jobs
+// keeps the newest jobStatsRetention rows, so a session serving millions
+// of jobs keeps O(1) accounting while JobsServed and TotalRunTime count
+// every job.
+const jobStatsRetention = 1024
 
 // Prepared returns the artifacts Open produced: the graph, assignment,
 // metrics, subgraphs and per-stage timings (BSP is nil — jobs return their
@@ -255,9 +236,6 @@ func (s *Session) Run(ctx context.Context, prog Program, opts ...RunOption) (*Jo
 	s.mu.Unlock()
 
 	cfg := bsp.NewConfig(append(slices.Clone(s.runOpts), opts...)...)
-	if cfg.ValueWidth == 0 {
-		cfg.ValueWidth = s.valueWidth
-	}
 
 	detail := fmt.Sprintf("%s (job %d)", prog.Name(), id)
 	s.emit(PipelineProgress{Stage: StageRun, Detail: detail})
@@ -299,8 +277,8 @@ func (s *Session) Run(ctx context.Context, prog Program, opts ...RunOption) (*Jo
 	})
 	s.jobsServed++
 	s.totalRun += took
-	if s.retention > 0 && len(s.jobs) > s.retention {
-		s.jobs = slices.Delete(s.jobs, 0, len(s.jobs)-s.retention)
+	if len(s.jobs) > jobStatsRetention {
+		s.jobs = slices.Delete(s.jobs, 0, len(s.jobs)-jobStatsRetention)
 	}
 	s.mu.Unlock()
 	return jr, nil
@@ -313,7 +291,7 @@ func (s *Session) Stats() SessionStats {
 	st := SessionStats{
 		JobsServed:    s.jobsServed,
 		JobsRetained:  len(s.jobs),
-		JobsRetention: s.retention,
+		JobsRetention: jobStatsRetention,
 		LoadTime:      s.prepared.LoadTime,
 		PartitionTime: s.prepared.PartitionTime,
 		BuildTime:     s.prepared.BuildTime,

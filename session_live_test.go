@@ -283,47 +283,37 @@ func TestSessionApplyClosed(t *testing.T) {
 	}
 }
 
-// TestSessionJobStatsRetention bounds the per-job ring while the
-// total-served counter keeps counting: 10 jobs at retention 4 keep
-// exactly the last 4 entries.
+// TestSessionJobStatsRetention bounds the per-job ring at its fixed
+// capacity while the total-served counter keeps counting: capacity + 2
+// jobs on a tiny graph keep exactly the newest capacity rows.
 func TestSessionJobStatsRetention(t *testing.T) {
-	s, err := sessionPipeline(t, ebv.JobStatsRetention(4)).Open(context.Background())
+	const capacity = 1024
+	g, err := ebv.NewGraph(3, []ebv.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ebv.NewPipeline(ebv.FromGraph(g), ebv.Subgraphs(2)).Open(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	const jobs = 10
+	const jobs = capacity + 2
 	for i := 0; i < jobs; i++ {
 		if _, err := s.Run(context.Background(), &ebv.CC{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := s.Stats()
-	if st.JobsServed != jobs || st.JobsRetained != 4 || st.JobsRetention != 4 {
-		t.Fatalf("stats = served %d retained %d retention %d, want %d/4/4",
-			st.JobsServed, st.JobsRetained, st.JobsRetention, jobs)
+	if st.JobsServed != jobs || st.JobsRetained != capacity || st.JobsRetention != capacity {
+		t.Fatalf("stats = served %d retained %d retention %d, want %d/%d/%d",
+			st.JobsServed, st.JobsRetained, st.JobsRetention, jobs, capacity, capacity)
 	}
-	if len(st.Jobs) != 4 {
-		t.Fatalf("len(Jobs) = %d, want 4", len(st.Jobs))
+	if len(st.Jobs) != capacity {
+		t.Fatalf("len(Jobs) = %d, want %d", len(st.Jobs), capacity)
 	}
 	for i, j := range st.Jobs {
-		if j.Job != jobs-3+i {
-			t.Fatalf("retained job %d has id %d, want %d (newest-4 window)", i, j.Job, jobs-3+i)
+		if j.Job != 3+i {
+			t.Fatalf("retained job %d has id %d, want %d (newest-%d window)", i, j.Job, 3+i, capacity)
 		}
-	}
-
-	// Unlimited retention (negative) keeps everything.
-	u, err := sessionPipeline(t, ebv.JobStatsRetention(-1)).Open(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-	for i := 0; i < 6; i++ {
-		if _, err := u.Run(context.Background(), &ebv.CC{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := u.Stats(); st.JobsServed != 6 || len(st.Jobs) != 6 || st.JobsRetention != 0 {
-		t.Fatalf("unlimited retention stats = %+v", st)
 	}
 }

@@ -100,7 +100,7 @@ func TestSessionConcurrentMixedWidthJobs(t *testing.T) {
 	// Isolated baselines.
 	want := make([]*ebv.PipelineResult, len(cases))
 	for i, tc := range cases {
-		res, err := sessionPipeline(t, ebv.ValueWidth(tc.width)).Run(context.Background(), tc.prog())
+		res, err := sessionPipeline(t, ebv.WithRun(ebv.WithValueWidth(tc.width))).Run(context.Background(), tc.prog())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,12 +303,40 @@ func TestPipelineSubgraphsAssignmentMismatch(t *testing.T) {
 // TestPipelineValueWidthErrorText: the width validation names the actual
 // contract (>= 1, or 0 for the default) instead of claiming 0 is invalid.
 func TestPipelineValueWidthErrorText(t *testing.T) {
-	_, err := sessionPipeline(t, ebv.ValueWidth(-2)).Run(context.Background(), &ebv.CC{})
+	_, err := sessionPipeline(t, ebv.WithRun(ebv.WithValueWidth(-2))).Run(context.Background(), &ebv.CC{})
 	if err == nil || !strings.Contains(err.Error(), "0 for the default") {
 		t.Fatalf("err = %v, want the corrected width contract text", err)
 	}
-	if _, err := sessionPipeline(t, ebv.ValueWidth(0)).Run(context.Background(), &ebv.CC{}); err != nil {
-		t.Fatalf("ValueWidth(0) must select the default: %v", err)
+	if _, err := sessionPipeline(t, ebv.WithRun(ebv.WithValueWidth(0))).Run(context.Background(), &ebv.CC{}); err != nil {
+		t.Fatalf("WithValueWidth(0) must select the default: %v", err)
+	}
+}
+
+// TestOpenBadWidthRunsNoStage: a pipeline width no run can use fails Open
+// before any stage runs, instead of failing the first job after a full
+// load, partition and build.
+func TestOpenBadWidthRunsNoStage(t *testing.T) {
+	for _, tc := range []struct {
+		width int
+		want  string
+	}{
+		{-2, "value width -2 invalid"},
+		{1<<16 + 1, "value width 65537 exceeds the transport cap"},
+	} {
+		var events []ebv.PipelineProgress
+		s, err := sessionPipeline(t, ebv.WithRun(ebv.WithValueWidth(tc.width)),
+			ebv.OnProgress(func(ev ebv.PipelineProgress) { events = append(events, ev) }),
+		).Open(context.Background())
+		if err == nil {
+			s.Close()
+			t.Fatalf("width %d: Open succeeded", tc.width)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("width %d: err = %v, want it to contain %q", tc.width, err, tc.want)
+		}
+		if len(events) != 0 {
+			t.Fatalf("width %d: a failed Open ran stages: %+v", tc.width, events)
+		}
 	}
 }
 
