@@ -78,13 +78,30 @@ func run(ctx context.Context) error {
 	if *width < 1 {
 		return fmt.Errorf("invalid -width %d: the per-vertex value width must be >= 1", *width)
 	}
-	var apps []string
+	// Every -app name resolves through the registry before the graph is
+	// loaded, so a typo fails in milliseconds.
+	var jobs []ebv.ClusterJob
 	for _, name := range strings.Split(*app, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			apps = append(apps, name)
+		if name = strings.TrimSpace(name); name == "" {
+			continue
 		}
+		job := ebv.ClusterJob{
+			App:             name,
+			Iterations:      *iters,
+			Layers:          *layers,
+			Source:          int64(*source),
+			ValueWidth:      *width,
+			MaxSteps:        *maxSteps,
+			CheckpointDir:   *ckptDir,
+			CheckpointEvery: *ckptEvery,
+			MaxAttempts:     *attempts,
+		}
+		if _, err := job.Program(); err != nil {
+			return err
+		}
+		jobs = append(jobs, job)
 	}
-	if len(apps) == 0 {
+	if len(jobs) == 0 {
 		return fmt.Errorf("no applications in -app %q (valid: %s)", *app, ebv.ProgramNames)
 	}
 
@@ -126,31 +143,20 @@ func run(ctx context.Context) error {
 		res.Metrics.ReplicationFactor)
 	fmt.Printf("waiting             %d worker(s) on %s\n", c.NumWorkers(), c.Addr())
 
-	for _, name := range apps {
-		job := ebv.ClusterJob{
-			App:             name,
-			Iterations:      *iters,
-			Layers:          *layers,
-			Source:          int64(*source),
-			ValueWidth:      *width,
-			MaxSteps:        *maxSteps,
-			CheckpointDir:   *ckptDir,
-			CheckpointEvery: *ckptEvery,
-			MaxAttempts:     *attempts,
-		}
+	for _, job := range jobs {
 		jr, err := c.Run(ctx, job)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\njob %d               %s\n", jr.Job, name)
+		fmt.Printf("\njob %d               %s\n", jr.Job, job.App)
 		fmt.Printf("  supersteps        %d\n", jr.Steps)
 		fmt.Printf("  attempts          %d\n", jr.Attempts)
 		if jr.RestoredFrom >= 0 {
 			fmt.Printf("  restored from     checkpoint epoch %d\n", jr.RestoredFrom)
 		}
 		path := *outPath
-		if path != "" && len(apps) > 1 {
-			path += "." + strings.ToLower(name)
+		if path != "" && len(jobs) > 1 {
+			path += "." + strings.ToLower(job.App)
 		}
 		if err := writeValues(path, jr); err != nil {
 			return err

@@ -276,6 +276,8 @@ var (
 // Live graphs (internal/live, DESIGN.md §13): Session.Apply streams edge
 // mutations into an open session, assigning inserts online with a
 // streaming vertex-cut policy and patching only the affected subgraphs.
+// A batch is a []Mutation in process and a JSON body over HTTP
+// (serve.MutationRequest); it has no binary encoding.
 type (
 	// Mutation is one edge insert or delete, in global vertex ids.
 	Mutation = live.Mutation
@@ -293,16 +295,11 @@ const (
 	OpDelete = live.OpDelete
 )
 
-// Live-graph entry points: the EBVL mutation-batch codec (the serve
-// endpoint's binary body format) and the rejected-batch sentinel. A job
-// after a mutation batch warm-starts from a previous result through the
-// programs themselves: &CC{Warm: r.Values, WarmCovered: r.Covered}, and
-// likewise PageRank with Tol > 0 to iterate to the new fixed point.
-var (
-	EncodeMutations     = live.EncodeMutations
-	DecodeMutations     = live.DecodeMutations
-	ErrMutationRejected = live.ErrRejected
-)
+// ErrMutationRejected wraps every validation failure of a mutation
+// batch. A job after a batch warm-starts from a previous result through
+// the programs themselves: &CC{Warm: r.Values, WarmCovered: r.Covered},
+// and likewise PageRank with Tol > 0 to iterate to the new fixed point.
+var ErrMutationRejected = live.ErrRejected
 
 // Vertex-centric comparator engine (Galois/Blogel stand-in, DESIGN.md §2).
 type (

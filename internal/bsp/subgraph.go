@@ -199,15 +199,14 @@ func BuildSubgraphs(g *graph.Graph, a *partition.Assignment) ([]*Subgraph, error
 // sequential build — each part's vertex set is ascending and its edges
 // keep the originating graph's edge-list order.
 //
-// One O(|E|) counting sort buckets the edge indices by part, then two
-// part-parallel passes run over each part's own bucket. Pass 1 computes
-// the part's covered vertex bitset; pass 2 materializes the subgraph —
-// local id space, degrees, the replica-peer CSR, and the edge list
-// pre-sized from EdgeCounts and filled by offset. There are no per-part
-// hash maps: each dense-enough part keeps a []int32 inverse index over
-// the global id space as Subgraph.localOf (the run-time O(1) LocalOf
-// table; see localIndexMaxDilution), and sparse parts localize by binary
-// search.
+// BucketByPart groups the edge indices by part, then two part-parallel
+// passes run over each part's own bucket: Coverage computes the part's
+// covered vertex bitset, and BuildPart materializes the subgraph — local
+// id space, degrees, the replica-peer CSR, and the edge list pre-sized
+// from the bucket and filled by offset. There are no per-part hash maps:
+// each dense-enough part keeps a []int32 inverse index over the global id
+// space as Subgraph.localOf (the run-time O(1) LocalOf table; see
+// localIndexMaxDilution), and sparse parts localize by binary search.
 func BuildSubgraphsWeightedParallel(g *graph.Graph, a *partition.Assignment,
 	weights graph.EdgeWeights, parallelism int) ([]*Subgraph, error) {
 	if len(a.Parts) != g.NumEdges() {
@@ -237,47 +236,48 @@ func BuildSubgraphsWeightedParallel(g *graph.Graph, a *partition.Assignment,
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	k := a.K
-	edges := g.Edges()
-	parts := a.Parts
-	counts := a.EdgeCounts()
-
-	// Bucket the global edge indices by part with one O(|E|) counting
-	// sort, so every per-part pass below touches only its own edges
-	// (ascending global index order, which fixes the local edge order).
-	offsets := make([]int, k+1)
-	for p := 0; p < k; p++ {
-		offsets[p+1] = offsets[p] + counts[p]
-	}
-	order := make([]int32, len(parts))
-	cursor := make([]int, k)
-	copy(cursor, offsets[:k])
-	for i, p := range parts {
-		order[cursor[p]] = int32(i)
-		cursor[p]++
-	}
-	partEdges := func(p int) []int32 { return order[offsets[p]:offsets[p+1]] }
-
-	// Pass 1: per-part covered vertex bitsets, parts in parallel. The sets
-	// are shared with the replica table below.
+	buckets := BucketByPart(a.Parts, k)
 	sets := make([]partition.Bitset, k)
-	RunParts(parallelism, k, func(p int) {
-		set := partition.NewBitset(g.NumVertices())
-		for _, idx := range partEdges(p) {
-			e := edges[idx]
-			set.Set(int(e.Src))
-			set.Set(int(e.Dst))
-		}
-		sets[p] = set
-	})
-
+	RunParts(parallelism, k, func(p int) { sets[p] = Coverage(g, buckets[p]) })
 	replicas := partition.BuildReplicasFromSets(g.NumVertices(), sets)
-
-	// Pass 2: materialize each subgraph, parts in parallel.
 	subs := make([]*Subgraph, k)
 	RunParts(parallelism, k, func(p int) {
-		subs[p] = BuildPart(g, p, k, partEdges(p), sets[p], replicas.Parts, weights)
+		subs[p] = BuildPart(g, p, k, buckets[p], sets[p], replicas.Parts, weights)
 	})
 	return subs, nil
+}
+
+// BucketByPart groups edge indices by the part parts assigns them to, with
+// one O(|E|) counting sort over k parts: buckets[p] lists part p's indices
+// in ascending order, which fixes the local edge order of BuildPart. The
+// buckets share one backing array. Every entry of parts must be in [0, k).
+func BucketByPart(parts []int32, k int) [][]int32 {
+	offsets := make([]int, k+1)
+	for _, p := range parts {
+		offsets[p+1]++
+	}
+	order := make([]int32, len(parts))
+	buckets := make([][]int32, k)
+	for p := range buckets {
+		offsets[p+1] += offsets[p]
+		buckets[p] = order[offsets[p]:offsets[p]:offsets[p+1]]
+	}
+	for i, p := range parts {
+		buckets[p] = append(buckets[p], int32(i))
+	}
+	return buckets
+}
+
+// Coverage returns the set of g's vertices that the edges at the indices
+// in bucket touch: a part's covered vertex bitset.
+func Coverage(g *graph.Graph, bucket []int32) partition.Bitset {
+	edges := g.Edges()
+	set := partition.NewBitset(g.NumVertices())
+	for _, idx := range bucket {
+		set.Set(int(edges[idx].Src))
+		set.Set(int(edges[idx].Dst))
+	}
+	return set
 }
 
 // BuildPart materializes a single part of a k-way edge partition of g —

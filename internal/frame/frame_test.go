@@ -9,7 +9,6 @@ import (
 	"ebv/internal/frame"
 	"ebv/internal/frame/frametest"
 	"ebv/internal/graph"
-	"ebv/internal/live"
 	"ebv/internal/partition"
 )
 
@@ -48,11 +47,6 @@ func TestFormats(t *testing.T) {
 			Weights:         []float64{1.5, 2},
 		})
 	})
-	mutations := sample(t, func(buf *bytes.Buffer) error {
-		data, err := live.EncodeMutations([]live.Mutation{{Op: live.OpInsert, Src: 0, Dst: 9}, {Op: live.OpDelete, Src: 3, Dst: 1}})
-		buf.Write(data)
-		return err
-	})
 	binaryGraph := sample(t, func(buf *bytes.Buffer) error {
 		g, err := graph.NewUndirected(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 2}, {Src: 3, Dst: 1}})
 		if err != nil {
@@ -71,7 +65,6 @@ func TestFormats(t *testing.T) {
 	}{
 		{"EBVK", checkpoint, func(b []byte) error { _, _, err := cluster.DecodeCheckpoint(b); return err }},
 		{"EBVS", shard, func(b []byte) error { _, err := bsp.ReadSubgraph(bytes.NewReader(b)); return err }},
-		{"EBVL", mutations, func(b []byte) error { _, err := live.DecodeMutations(b); return err }},
 		{"EBVG", binaryGraph, func(b []byte) error { _, err := graph.ReadBinary(bytes.NewReader(b)); return err }},
 		{"EBVA", assignment, func(b []byte) error { _, err := partition.ReadAssignmentBinary(bytes.NewReader(b)); return err }},
 	} {

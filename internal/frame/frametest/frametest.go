@@ -13,7 +13,7 @@ import (
 )
 
 // Formats names every framed format of the module.
-var Formats = []string{"EBVC", "EBVK", "EBVS", "EBVL", "EBVG", "EBVA"}
+var Formats = []string{"EBVC", "EBVK", "EBVS", "EBVG", "EBVA"}
 
 // Check requires decode to accept sample, a valid frame of the named
 // format, and to reject every truncation and every single-bit flip of it,

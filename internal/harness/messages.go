@@ -87,7 +87,8 @@ func (r *MessagesResult) print(w io.Writer, title string, cell func(MessageCell)
 	return t.write(w)
 }
 
-// computeMessages runs the CC jobs that Table IV and Table V report on.
+// computeMessages runs the CC jobs that Table IV and Table V report on,
+// each over the assignment its cell's metrics were measured on.
 func computeMessages(ctx context.Context, opt Options) (*MessagesResult, error) {
 	res := &MessagesResult{}
 	for _, analogue := range gen.Analogues() {
@@ -98,14 +99,15 @@ func computeMessages(ctx context.Context, opt Options) (*MessagesResult, error) 
 		k := PaperWorkerCount(analogue)
 		row := MessageRow{Graph: analogue.String(), Workers: k}
 		for _, p := range opt.tablePartitioners() {
-			metrics, err := metricsCell(ctx, g, p, k)
+			metrics, a, err := metricsCell(ctx, g, p, k)
 			if err != nil {
 				return nil, err
 			}
-			run, err := runBSP(ctx, g, p, k, AppCC, opt)
+			runs, err := runAssigned(ctx, g, a, p.Name(), AppCC, opt, 1)
 			if err != nil {
 				return nil, err
 			}
+			run := runs[0]
 			counts := run.MessageCounts()
 			row.Cells = append(row.Cells, MessageCell{
 				Algorithm:     p.Name(),

@@ -60,9 +60,15 @@ func runBSPRepeats(ctx context.Context, g *graph.Graph, p partition.Partitioner,
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s partition: %w", p.Name(), err)
 	}
+	return runAssigned(ctx, g, a, p.Name(), app, opt, repeat)
+}
+
+// runAssigned is runBSPRepeats over an assignment the caller already
+// computed with the partitioner named name.
+func runAssigned(ctx context.Context, g *graph.Graph, a *partition.Assignment, name string, app App, opt Options, repeat int) ([]*bsp.Result, error) {
 	subs, err := bsp.BuildSubgraphs(g, a)
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s subgraphs: %w", p.Name(), err)
+		return nil, fmt.Errorf("harness: %s subgraphs: %w", name, err)
 	}
 	prog, err := apps.ByName(string(app), apps.Params{Iterations: opt.prIters()}) // SSSP from source 0
 	if err != nil {
@@ -70,14 +76,14 @@ func runBSPRepeats(ctx context.Context, g *graph.Graph, p partition.Partitioner,
 	}
 	dep, err := bsp.NewDeployment(subs, nil)
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s deployment: %w", p.Name(), err)
+		return nil, fmt.Errorf("harness: %s deployment: %w", name, err)
 	}
 	defer dep.Close()
 	out := make([]*bsp.Result, repeat)
 	for r := range out {
 		res, err := dep.Run(ctx, prog, bsp.Config{})
 		if err != nil {
-			return nil, fmt.Errorf("harness: run %s over %s (job %d): %w", app, p.Name(), r+1, err)
+			return nil, fmt.Errorf("harness: run %s over %s (job %d): %w", app, name, r+1, err)
 		}
 		out[r] = res
 	}

@@ -68,7 +68,7 @@ func Table3(ctx context.Context, opt Options) (*Table3Result, error) {
 		stats := graph.ComputeStats(g)
 		row := Table3Row{Graph: analogue.String(), Eta: stats.Eta, Workers: k}
 		for _, p := range opt.tablePartitioners() {
-			cell, err := metricsCell(ctx, g, p, k)
+			cell, _, err := metricsCell(ctx, g, p, k)
 			if err != nil {
 				return nil, err
 			}
@@ -79,40 +79,43 @@ func Table3(ctx context.Context, opt Options) (*Table3Result, error) {
 	return res, nil
 }
 
-func metricsCell(ctx context.Context, g *graph.Graph, p partition.Partitioner, k int) (Table3Cell, error) {
+// metricsCell partitions g with p into k parts and returns the Table III
+// metrics together with the assignment they measure; for METIS that is
+// its vertex partition with each edge placed with its source's owner.
+func metricsCell(ctx context.Context, g *graph.Graph, p partition.Partitioner, k int) (Table3Cell, *partition.Assignment, error) {
 	if err := ctx.Err(); err != nil {
-		return Table3Cell{}, err
+		return Table3Cell{}, nil, err
 	}
 	if m, ok := p.(*metis.Metis); ok {
 		owners, err := m.VertexPartition(ctx, g, k)
 		if err != nil {
-			return Table3Cell{}, fmt.Errorf("harness: METIS ownership: %w", err)
+			return Table3Cell{}, nil, fmt.Errorf("harness: METIS ownership: %w", err)
 		}
 		ec, err := metis.ComputeEdgeCutMetrics(g, owners, k)
 		if err != nil {
-			return Table3Cell{}, err
+			return Table3Cell{}, nil, err
 		}
 		return Table3Cell{
 			Algorithm:         p.Name(),
 			EdgeImbalance:     ec.EdgeImbalance,
 			VertexImbalance:   ec.VertexImbalance,
 			ReplicationFactor: ec.ReplicationFactor,
-		}, nil
+		}, metis.PlaceEdges(g, owners, k), nil
 	}
 	a, err := p.Partition(ctx, g, k)
 	if err != nil {
-		return Table3Cell{}, fmt.Errorf("harness: %s partition: %w", p.Name(), err)
+		return Table3Cell{}, nil, fmt.Errorf("harness: %s partition: %w", p.Name(), err)
 	}
 	m, err := partition.ComputeMetrics(g, a)
 	if err != nil {
-		return Table3Cell{}, err
+		return Table3Cell{}, nil, err
 	}
 	return Table3Cell{
 		Algorithm:         p.Name(),
 		EdgeImbalance:     m.EdgeImbalance,
 		VertexImbalance:   m.VertexImbalance,
 		ReplicationFactor: m.ReplicationFactor,
-	}, nil
+	}, a, nil
 }
 
 // Print renders the table in the paper's layout.

@@ -119,7 +119,7 @@ type State struct {
 // NewState attaches a mutation layer to a prepared build. subs must be
 // the subgraphs built from (g, a); the state takes logical ownership of
 // the assignment's Parts (cloned) but never mutates g or subs. Weighted
-// builds are rejected — the v1 mutation stream carries no weights.
+// builds are rejected — a Mutation carries no weight.
 func NewState(g *graph.Graph, a *partition.Assignment, subs []*bsp.Subgraph, cfg Config) (*State, error) {
 	if g == nil || a == nil {
 		return nil, errors.New("live: nil graph or assignment")
@@ -149,28 +149,18 @@ func NewState(g *graph.Graph, a *partition.Assignment, subs []*bsp.Subgraph, cfg
 			return nil, fmt.Errorf("live: subgraph %d missing or misnumbered", p)
 		}
 		if sub.Weights != nil {
-			return nil, errors.New("live: weighted sessions do not accept mutations (the v1 stream carries no weights)")
+			return nil, errors.New("live: weighted sessions do not accept mutations (a mutation carries no weight)")
 		}
 		st.ecount[p] = len(sub.Edges)
 		st.replicaTotal += len(sub.GlobalIDs)
 	}
-	st.sets = coverageOf(st.n, subs)
+	buckets := bsp.BucketByPart(st.parts, st.k)
+	st.sets = make([]partition.Bitset, st.k)
+	bsp.RunParts(runtime.GOMAXPROCS(0), st.k, func(p int) { st.sets[p] = bsp.Coverage(g, buckets[p]) })
 	st.baselineRF = st.rf()
 	st.stats.RF = st.baselineRF
 	st.stats.BaselineRF = st.baselineRF
 	return st, nil
-}
-
-// coverageOf returns each part's covered vertex set, read off its subgraph.
-func coverageOf(n int, subs []*bsp.Subgraph) []partition.Bitset {
-	sets := make([]partition.Bitset, len(subs))
-	for p, sub := range subs {
-		sets[p] = partition.NewBitset(n)
-		for _, gid := range sub.GlobalIDs {
-			sets[p].Set(int(gid))
-		}
-	}
-	return sets
 }
 
 func (st *State) rf() float64 {
@@ -320,41 +310,35 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 	if err != nil {
 		return nil, fmt.Errorf("live: rebuild graph: %w", err)
 	}
-	offsets := make([]int, st.k+1)
-	for _, p := range newParts {
-		offsets[p+1]++
-	}
-	for p := 0; p < st.k; p++ {
-		offsets[p+1] += offsets[p]
-	}
-	order := make([]int32, len(newParts))
-	cursor := make([]int, st.k)
-	copy(cursor, offsets[:st.k])
-	for i, p := range newParts {
-		order[cursor[p]] = int32(i)
-		cursor[p]++
-	}
-	bucket := func(p int) []int32 { return order[offsets[p]:offsets[p+1]] }
+	buckets := bsp.BucketByPart(newParts, st.k)
+
+	// ---- Coverage: recompute the sets of the affected parts from their
+	// new buckets; the other parts kept every edge they had. ----
+	finalSets := slices.Clone(st.sets)
+	bsp.RunParts(runtime.GOMAXPROCS(0), st.k, func(p int) {
+		if affected[p] {
+			finalSets[p] = bsp.Coverage(newG, buckets[p])
+		}
+	})
 
 	// ---- Patch, or rebuild every part when configured to. ----
 	res := &ApplyResult{Inserted: inserts, Deleted: deletes}
 	var newSubs []*bsp.Subgraph
-	var finalSets []partition.Bitset
 	if st.cfg.ForceRebuild {
 		newSubs, err = bsp.BuildSubgraphs(newG, &partition.Assignment{K: st.k, Parts: newParts})
 		if err != nil {
 			return nil, fmt.Errorf("live: full rebuild: %w", err)
 		}
-		finalSets = coverageOf(st.n, newSubs)
 		res.FullRebuild = true
 		res.PartsRebuilt = st.k
 	} else {
-		newSubs, finalSets = st.patch(patchIn{
-			newG:     newG,
-			bucket:   bucket,
-			affected: affected,
-			muts:     muts,
-			res:      res,
+		newSubs = st.patch(patchIn{
+			newG:      newG,
+			buckets:   buckets,
+			affected:  affected,
+			finalSets: finalSets,
+			muts:      muts,
+			res:       res,
 		})
 	}
 	res.PatchTime = time.Since(start)
@@ -374,7 +358,11 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 		}
 	}
 
-	// ---- Commit + drift flag + swap. ----
+	// ---- Swap, then commit: a failed swap leaves the state as it was. ----
+	epoch, err := swap(newSubs)
+	if err != nil {
+		return nil, fmt.Errorf("live: swap epoch: %w", err)
+	}
 	st.g = newG
 	st.parts = newParts
 	st.sets = finalSets
@@ -390,10 +378,6 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 		drift = rf/st.baselineRF - 1
 	}
 	needs := drift > driftThreshold
-	epoch, err := swap(st.subs)
-	if err != nil {
-		return nil, fmt.Errorf("live: swap epoch: %w", err)
-	}
 
 	st.stats.Epoch = epoch
 	st.stats.Batches++
@@ -418,38 +402,21 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 
 // patchIn carries the per-batch patch inputs.
 type patchIn struct {
-	newG     *graph.Graph
-	bucket   func(p int) []int32
-	affected []bool
-	muts     []Mutation
-	res      *ApplyResult
+	newG      *graph.Graph
+	buckets   [][]int32
+	affected  []bool
+	finalSets []partition.Bitset
+	muts      []Mutation
+	res       *ApplyResult
 }
 
-// patch is the incremental path: recompute the coverage sets of every
-// affected part from its new bucket (phase 1), then rebuild affected
-// parts with BuildPart and row-patch unaffected parts whose replica-peer
-// or degree rows changed, sharing everything else (phase 2).
-func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset) {
+// patch is the incremental path: rebuild the affected parts with BuildPart
+// and row-patch the unaffected parts whose replica-peer or degree rows
+// changed, sharing everything else. finalSets holds every part's
+// post-batch coverage, installed before any peer derivation reads it (a
+// part's peers depend on every other part's coverage).
+func (st *State) patch(in patchIn) []*bsp.Subgraph {
 	k, n := st.k, st.n
-
-	// Phase 1: exact coverage sets of affected parts, all installed
-	// before any peer derivation reads them (a part's peers depend on
-	// every other part's coverage).
-	finalSets := make([]partition.Bitset, k)
-	copy(finalSets, st.sets)
-	bsp.RunParts(runtime.GOMAXPROCS(0), k, func(p int) {
-		if !in.affected[p] {
-			return
-		}
-		set := partition.NewBitset(n)
-		edges := in.newG.Edges()
-		for _, idx := range in.bucket(p) {
-			e := edges[idx]
-			set.Set(int(e.Src))
-			set.Set(int(e.Dst))
-		}
-		finalSets[p] = set
-	})
 
 	// Coverage-changed vertices: word-wise diff of each affected part's
 	// pre-batch set vs its recomputed one.
@@ -460,7 +427,7 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset) {
 		}
 		old := st.sets[p]
 		for w := range changed {
-			changed[w] |= old[w] ^ finalSets[p][w]
+			changed[w] |= old[w] ^ in.finalSets[p][w]
 		}
 	}
 	// Degree-changed vertices: mutation endpoints whose global degree
@@ -478,22 +445,22 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset) {
 	partsOf := func(v graph.VertexID) []int32 {
 		var out []int32
 		for p := 0; p < k; p++ {
-			if finalSets[p].Get(int(v)) {
+			if in.finalSets[p].Get(int(v)) {
 				out = append(out, int32(p))
 			}
 		}
 		return out
 	}
 
-	// Phase 2: affected parts rebuild from their buckets; untouched
-	// parts covering a changed vertex get copy-on-write row patches;
-	// everything else is carried over by pointer. Old subgraphs are
-	// never written — jobs on earlier epochs keep reading them.
+	// Affected parts rebuild from their buckets; untouched parts covering
+	// a changed vertex get copy-on-write row patches; everything else is
+	// carried over by pointer. Old subgraphs are never written — jobs on
+	// earlier epochs keep reading them.
 	newSubs := make([]*bsp.Subgraph, k)
 	var rebuilt, patched, reused atomic.Int64
 	bsp.RunParts(runtime.GOMAXPROCS(0), k, func(p int) {
 		if in.affected[p] {
-			newSubs[p] = bsp.BuildPart(in.newG, p, k, in.bucket(p), finalSets[p], partsOf, nil)
+			newSubs[p] = bsp.BuildPart(in.newG, p, k, in.buckets[p], in.finalSets[p], partsOf, nil)
 			rebuilt.Add(1)
 			return
 		}
@@ -515,7 +482,7 @@ func (st *State) patch(in patchIn) ([]*bsp.Subgraph, []partition.Bitset) {
 	in.res.PartsRebuilt = int(rebuilt.Load())
 	in.res.PartsPatched = int(patched.Load())
 	in.res.PartsReused = int(reused.Load())
-	return newSubs, finalSets
+	return newSubs
 }
 
 // sameShard reports whether two subgraphs encode to the same EBVS shard

@@ -326,6 +326,55 @@ func TestApplyRejectsAtomically(t *testing.T) {
 	}
 }
 
+// TestApplyFailedSwapLeavesStateUnchanged: a batch whose swap fails (the
+// deployment closed under it) must leave the snapshot and the counters as
+// they were, so the same batch applied next lands exactly as it would on
+// a state that never saw the failure.
+func TestApplyFailedSwapLeavesStateUnchanged(t *testing.T) {
+	g := liveGraph(t, 300, 1500, 3)
+	st, swap := buildLive(t, g, 4, Config{})
+	fresh, freshSwap := buildLive(t, g, 4, Config{})
+	rng := splitmix64(5)
+	batch := randomStream(st, &rng, 1, 40)[0]
+	before, beforeAssign, _ := st.Snapshot()
+	beforeStats := st.Stats()
+
+	refused := errors.New("swap refused")
+	failing := func([]*bsp.Subgraph) (uint64, error) { return 0, refused }
+	if _, err := st.Apply(context.Background(), batch, failing); !errors.Is(err, refused) {
+		t.Fatalf("Apply with a failing swap: err = %v, want %v", err, refused)
+	}
+	after, afterAssign, epoch := st.Snapshot()
+	if after != before || epoch != 0 || !slices.Equal(afterAssign.Parts, beforeAssign.Parts) {
+		t.Fatalf("failed swap moved the snapshot to a %d-edge graph at epoch %d", after.NumEdges(), epoch)
+	}
+	if got := st.Stats(); got != beforeStats {
+		t.Fatalf("failed swap changed the stats: %+v, want %+v", got, beforeStats)
+	}
+
+	for _, s := range []struct {
+		st   *State
+		swap func([]*bsp.Subgraph) (uint64, error)
+	}{{st, swap}, {fresh, freshSwap}} {
+		if _, err := s.st.Apply(context.Background(), batch, s.swap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gs, as, _ := st.Snapshot()
+	gf, af, _ := fresh.Snapshot()
+	if !slices.Equal(gs.Edges(), gf.Edges()) || !slices.Equal(as.Parts, af.Parts) {
+		t.Fatal("batch after a failed swap diverges from the same batch on a fresh state")
+	}
+	if st.Stats() != fresh.Stats() {
+		t.Fatalf("stats after retry = %+v, fresh state %+v", st.Stats(), fresh.Stats())
+	}
+	for p := range st.subs {
+		if !sameShard(st.subs[p], fresh.subs[p]) {
+			t.Fatalf("part %d diverges from the fresh state's", p)
+		}
+	}
+}
+
 // TestApplyEmptyBatch is a committed no-op: no epoch bump, all parts
 // reused.
 func TestApplyEmptyBatch(t *testing.T) {
@@ -340,7 +389,7 @@ func TestApplyEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestNewStateRejectsWeighted: the v1 mutation stream carries no weights,
+// TestNewStateRejectsWeighted: a mutation carries no weight,
 // so weighted builds must refuse the layer outright.
 func TestNewStateRejectsWeighted(t *testing.T) {
 	g := liveGraph(t, 200, 800, 5)

@@ -66,19 +66,24 @@ func (m *Metis) Partition(ctx context.Context, g *graph.Graph, k int) (*partitio
 	if k < 1 {
 		return nil, partition.ErrBadPartCount
 	}
-	a := partition.NewAssignment(k, g.NumEdges())
 	if g.NumEdges() == 0 || k == 1 {
-		return a, nil
+		return partition.NewAssignment(k, g.NumEdges()), nil
 	}
-	parts, err := m.VertexPartition(ctx, g, k)
+	owners, err := m.VertexPartition(ctx, g, k)
 	if err != nil {
 		return nil, err
 	}
-	// Edge placement: each directed edge lives with its source's owner.
+	return PlaceEdges(g, owners, k), nil
+}
+
+// PlaceEdges is the k-way edge assignment of the vertex partition owners:
+// each directed edge lives with its source's owner.
+func PlaceEdges(g *graph.Graph, owners []int32, k int) *partition.Assignment {
+	a := partition.NewAssignment(k, g.NumEdges())
 	for i, e := range g.Edges() {
-		a.Parts[i] = parts[e.Src]
+		a.Parts[i] = owners[e.Src]
 	}
-	return a, nil
+	return a
 }
 
 // VertexPartition computes the owner of every vertex — the edge-cut vertex

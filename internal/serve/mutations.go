@@ -3,10 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"strings"
 
 	"ebv"
 )
@@ -20,9 +18,9 @@ type MutationItem struct {
 	Dst int64 `json:"dst"`
 }
 
-// MutationRequest is the POST /v1/graphs/{g}/mutations JSON body. The
-// endpoint alternatively accepts the binary EBVL batch framing directly
-// (Content-Type application/x-ebv-mutations or application/octet-stream).
+// MutationRequest is the POST /v1/graphs/{g}/mutations body, the only
+// form a batch takes on the wire: JSON, whatever the Content-Type. A body
+// that does not decode as one gets a 400 and applies nothing.
 type MutationRequest struct {
 	Mutations []MutationItem `json:"mutations"`
 	// TimeoutMS bounds the batch end to end (0 selects the server
@@ -37,29 +35,13 @@ type MutationResponse struct {
 	ebv.ApplyResult
 }
 
-// maxMutationBody bounds a mutation request body: 64 MB covers the EBVL
-// framing of a full 16M-mutation batch with room for JSON overhead on
-// smaller ones.
+// maxMutationBody bounds a mutation request body.
 const maxMutationBody = 64 << 20
 
-// decodeMutationBody parses the request body in either accepted framing.
+// decodeMutationBody parses the JSON request body.
 func decodeMutationBody(w http.ResponseWriter, r *http.Request) ([]ebv.Mutation, int, error) {
-	body := http.MaxBytesReader(w, r.Body, maxMutationBody)
-	ct := r.Header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	switch strings.TrimSpace(ct) {
-	case "application/x-ebv-mutations", "application/octet-stream":
-		raw, err := io.ReadAll(body)
-		if err != nil {
-			return nil, 0, fmt.Errorf("read mutation batch: %w", err)
-		}
-		muts, err := ebv.DecodeMutations(raw)
-		return muts, 0, err
-	}
 	var req MutationRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutationBody)).Decode(&req); err != nil {
 		return nil, 0, fmt.Errorf("bad mutation request: %w", err)
 	}
 	muts := make([]ebv.Mutation, len(req.Mutations))

@@ -1,11 +1,12 @@
-// Tests for POST /v1/graphs/{g}/mutations: JSON and binary EBVL bodies,
-// the post-mutation graph serving oracle-exact results, validation and
+// Tests for POST /v1/graphs/{g}/mutations: JSON bodies (the only form a
+// batch takes on the wire), the post-mutation graph serving oracle-exact results, validation and
 // failure mapping, the live metric families, and the per-graph stats
 // retention cap surfaced by the listing.
 package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"ebv"
+	"ebv/internal/frame"
 )
 
 // postMutations sends one mutation batch and decodes either outcome.
@@ -152,36 +154,9 @@ func TestServeMutationsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeMutationsBinaryBody ships the EBVL framing directly and
-// checks a corrupted frame is a 400, not an applied batch.
-func TestServeMutationsBinaryBody(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	raw, err := ebv.EncodeMutations([]ebv.Mutation{
-		{Op: ebv.OpInsert, Src: 5, Dst: 105},
-		{Op: ebv.OpInsert, Src: 6, Dst: 106},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, mr, msg := postMutations(t, ts, "g", "application/x-ebv-mutations", raw)
-	if status != http.StatusOK {
-		t.Fatalf("binary batch: %d %q", status, msg)
-	}
-	if mr.Epoch != 1 || mr.Inserted != 2 {
-		t.Fatalf("binary batch result = %+v", mr)
-	}
-
-	corrupt := bytes.Clone(raw)
-	corrupt[len(corrupt)-1] ^= 0x01 // break the CRC
-	status, _, msg = postMutations(t, ts, "g", "application/octet-stream", corrupt)
-	if status != http.StatusBadRequest {
-		t.Fatalf("corrupted frame: %d %q, want 400", status, msg)
-	}
-}
-
 // TestServeMutationsValidation maps every rejection class to its status:
-// unknown graph 404, malformed bodies and rejected batches 400 (with
-// nothing applied), draining 503.
+// unknown graph 404, malformed bodies (a binary batch frame included) and
+// rejected batches 400 (with nothing applied), draining 503.
 func TestServeMutationsValidation(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	ok := jsonBatch(t, []MutationItem{{Op: "insert", Src: 0, Dst: 1}})
@@ -197,27 +172,39 @@ func TestServeMutationsValidation(t *testing.T) {
 		absent.Dst++
 	}
 
+	// The binary batch frame servers once took beside JSON: magic
+	// 0x4542564c, version 1, a count of 1, the insert (5,105), CRC-32C.
+	var binaryBatch []byte
+	for _, w := range []uint32{0x4542564c, 1, 1, 1, 5, 105} {
+		binaryBatch = binary.LittleEndian.AppendUint32(binaryBatch, w)
+	}
+	binaryBatch = frame.Seal(binaryBatch)
+
 	if status, _, msg := postMutations(t, ts, "nope", "application/json", ok); status != http.StatusNotFound {
 		t.Fatalf("unknown graph: %d %q, want 404", status, msg)
 	}
-	for name, body := range map[string][]byte{
-		"malformed json": []byte("{"),
-		"unknown op":     jsonBatch(t, []MutationItem{{Op: "upsert", Src: 0, Dst: 1}}),
-		"negative id":    jsonBatch(t, []MutationItem{{Op: "insert", Src: -1, Dst: 1}}),
-		"out of range":   jsonBatch(t, []MutationItem{{Op: "insert", Src: 0, Dst: 600}}),
+	for _, row := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"malformed json", "application/json", []byte("{")},
+		{"unknown op", "application/json", jsonBatch(t, []MutationItem{{Op: "upsert", Src: 0, Dst: 1}})},
+		{"negative id", "application/json", jsonBatch(t, []MutationItem{{Op: "insert", Src: -1, Dst: 1}})},
+		{"out of range", "application/json", jsonBatch(t, []MutationItem{{Op: "insert", Src: 0, Dst: 600}})},
 		// 2^32 + 5 must not wrap to vertex 5 and insert (5,1).
-		"beyond uint32": jsonBatch(t, []MutationItem{{Op: "insert", Src: 1<<32 + 5, Dst: 1}}),
-		"absent delete": jsonBatch(t, []MutationItem{
+		{"beyond uint32", "application/json", jsonBatch(t, []MutationItem{{Op: "insert", Src: 1<<32 + 5, Dst: 1}})},
+		{"absent delete", "application/json", jsonBatch(t, []MutationItem{
 			{Op: "insert", Src: 0, Dst: 1},
 			{Op: "delete", Src: int64(absent.Src), Dst: int64(absent.Dst)},
-		}),
+		})},
+		{"binary batch frame", "application/octet-stream", binaryBatch},
 	} {
-		if status, _, msg := postMutations(t, ts, "g", "application/json", body); status != http.StatusBadRequest {
-			t.Fatalf("%s: %d %q, want 400", name, status, msg)
+		if status, _, msg := postMutations(t, ts, "g", row.contentType, row.body); status != http.StatusBadRequest {
+			t.Fatalf("%s: %d %q, want 400", row.name, status, msg)
 		}
 	}
-	// The absent-delete batch carried a valid insert too — atomicity
-	// means nothing moved.
+	// The absent-delete batch and the binary frame each carried a valid
+	// insert — atomicity means nothing moved.
 	var listing graphsResponse
 	getJSON(t, ts.URL+"/v1/graphs", &listing)
 	if listing.Graphs[0].Epoch != 0 {

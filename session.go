@@ -333,7 +333,11 @@ func (s *Session) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, err
 		}
 		s.liveState = st
 	}
-	return s.liveState.Apply(ctx, muts, s.dep.Swap)
+	res, err := s.liveState.Apply(ctx, muts, s.dep.Swap)
+	if errors.Is(err, bsp.ErrDeploymentClosed) {
+		return nil, fmt.Errorf("ebv: session apply: %w", ErrSessionClosed)
+	}
+	return res, err
 }
 
 // Epoch returns the session's current graph epoch: 0 until the first
