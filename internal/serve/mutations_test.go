@@ -154,9 +154,41 @@ func TestServeMutationsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServeMutationsBinaryBody ships the binary batch frame servers once
+// took beside JSON, intact and with a broken CRC, and checks each is a
+// 400 that applies nothing: a batch is a JSON body on the wire.
+func TestServeMutationsBinaryBody(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	// Magic 0x4542564c, version 1, a count of 2, the inserts (5,105) and
+	// (6,106), CRC-32C.
+	var raw []byte
+	for _, w := range []uint32{0x4542564c, 1, 2, 1, 5, 105, 1, 6, 106} {
+		raw = binary.LittleEndian.AppendUint32(raw, w)
+	}
+	raw = frame.Seal(raw)
+	corrupt := bytes.Clone(raw)
+	corrupt[len(corrupt)-1] ^= 0x01 // break the CRC
+
+	for _, row := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"binary batch", "application/x-ebv-mutations", raw},
+		{"corrupted frame", "application/octet-stream", corrupt},
+	} {
+		if status, _, msg := postMutations(t, ts, "g", row.contentType, row.body); status != http.StatusBadRequest {
+			t.Fatalf("%s: %d %q, want 400", row.name, status, msg)
+		}
+	}
+	var listing graphsResponse
+	getJSON(t, ts.URL+"/v1/graphs", &listing)
+	if listing.Graphs[0].Epoch != 0 {
+		t.Fatalf("binary bodies bumped the epoch to %d", listing.Graphs[0].Epoch)
+	}
+}
+
 // TestServeMutationsValidation maps every rejection class to its status:
-// unknown graph 404, malformed bodies (a binary batch frame included) and
-// rejected batches 400 (with nothing applied), draining 503.
+// unknown graph 404, malformed bodies and rejected batches 400 (with nothing applied), draining 503.
 func TestServeMutationsValidation(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	ok := jsonBatch(t, []MutationItem{{Op: "insert", Src: 0, Dst: 1}})
@@ -171,14 +203,6 @@ func TestServeMutationsValidation(t *testing.T) {
 		absent.Src++
 		absent.Dst++
 	}
-
-	// The binary batch frame servers once took beside JSON: magic
-	// 0x4542564c, version 1, a count of 1, the insert (5,105), CRC-32C.
-	var binaryBatch []byte
-	for _, w := range []uint32{0x4542564c, 1, 1, 1, 5, 105} {
-		binaryBatch = binary.LittleEndian.AppendUint32(binaryBatch, w)
-	}
-	binaryBatch = frame.Seal(binaryBatch)
 
 	if status, _, msg := postMutations(t, ts, "nope", "application/json", ok); status != http.StatusNotFound {
 		t.Fatalf("unknown graph: %d %q, want 404", status, msg)
@@ -197,14 +221,13 @@ func TestServeMutationsValidation(t *testing.T) {
 			{Op: "insert", Src: 0, Dst: 1},
 			{Op: "delete", Src: int64(absent.Src), Dst: int64(absent.Dst)},
 		})},
-		{"binary batch frame", "application/octet-stream", binaryBatch},
 	} {
 		if status, _, msg := postMutations(t, ts, "g", row.contentType, row.body); status != http.StatusBadRequest {
 			t.Fatalf("%s: %d %q, want 400", row.name, status, msg)
 		}
 	}
-	// The absent-delete batch and the binary frame each carried a valid
-	// insert — atomicity means nothing moved.
+	// The absent-delete batch carried a valid insert too — atomicity
+	// means nothing moved.
 	var listing graphsResponse
 	getJSON(t, ts.URL+"/v1/graphs", &listing)
 	if listing.Graphs[0].Epoch != 0 {
