@@ -21,11 +21,12 @@
 // program a small rule that refills the gather partials and updates the
 // owned rows.
 //
-// Messages travel as columnar batches (transport.MessageBatch) whose value
-// width is the run's bsp.Config.ValueWidth. CC and SSSP use the width-1
-// accessors (AppendScalar/Scalar) and remain correct at any width (extra
-// columns stay zero); PageRank keeps its rank in column 0 of gatherApply's
-// run-width rows, and Aggregate moves whole feature-vector rows.
+// Messages are columnar batches (transport.MessageBatch) of the run's
+// bsp.Config.ValueWidth, and the apps only mark and fold: bsp.Env addresses
+// the replica rows by the routing plan and checks what arrives. CC and SSSP
+// mark changed vertices for Env.SendMarked and fold column 0 of the rows
+// Env.ReceiveLocals maps to local ids; gatherApply moves whole rows (a rank
+// in column 0, a feature vector) with Env.SendRows and Env.ReceiveRows.
 package apps
 
 import (
@@ -137,18 +138,17 @@ type ccWorker struct {
 	// Bit sets over local ids: pending holds the replicated vertices whose
 	// label dropped since they were last examined, parked those examined and
 	// held back by the flood. A replicated vertex in neither has
-	// label == sent.
+	// label == sent. Once examined, pending marks the labels the step sends.
 	pending, parked []uint64
 }
 
 // Superstep implements bsp.WorkerProgram.
 func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool) {
-	for i, gid := range in.IDs {
-		local, ok := w.sub.LocalOf(gid)
-		if !ok {
-			w.env.Fail(fmt.Errorf("apps: inbox row %d is vertex %d, which this worker does not hold", i, gid))
-			return nil, false
-		}
+	locals, ok := w.env.ReceiveLocals(in)
+	if !ok {
+		return nil, false
+	}
+	for i, local := range locals {
 		if r, v := w.root[local], in.Scalar(i); v < w.label[r] {
 			w.label[r] = v
 			for _, l := range w.members.Of(r) {
@@ -165,7 +165,6 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 	if step > 0 && !anySet(w.pending) && !(voted && anySet(w.parked)) {
 		return nil, false
 	}
-	out = make([]*transport.MessageBatch, w.sub.NumWorkers)
 	smallest, forwarded := math.Inf(1), false
 	// Examine pending, in ascending local id, plus parked at step 1 (step 0
 	// parked every label before the pivot was known) and once the flood is
@@ -185,13 +184,11 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 				smallest = min(smallest, val)
 			default:
 				w.sent[l], forwarded = val, true
-				gid := w.sub.GlobalIDs[l]
-				for _, peer := range w.sub.PeersOf(l) {
-					w.env.SendScalar(out, peer, gid, val)
-				}
+				w.pending[i] |= 1 << (l & 63)
 			}
 		}
 	}
+	out = w.env.SendMarked(w.pending, w.sent)
 	switch {
 	case step == 0 && w.sub.NumWorkers > 1: // a lone worker has nothing to sync
 		w.env.Reduce(smallest, anySet(w.parked)) // every replicated label parked

@@ -62,62 +62,18 @@ func (g *gatherApply) Superstep(step int, in *transport.MessageBatch) (out []*tr
 		if step == 0 {
 			expect = nil
 		}
-		g.receive(g.h, in, expect, false)
+		g.env.ReceiveRows(g.h, in, expect, false)
 		if !g.rule.gather(step / 2) {
 			return nil, false // final install; run complete
 		}
 		cols, send = plan.ToMaster, g.partial
 	} else {
 		clear(g.acc.Data)
-		g.receive(g.acc, in, plan.ToMirrors, true)
+		g.env.ReceiveRows(g.acc, in, plan.ToMirrors, true)
 		g.rule.apply()
 	}
-	out = make([]*transport.MessageBatch, g.sub.NumWorkers)
-	g.env.SendRows(out, cols, send)
 	// Stay active through the final scatter so mirrors install it.
-	return out, true
-}
-
-// receive copies every inbox row into dst's row of its local vertex, or
-// adds it there with add. The engine concatenates the inbox in source order,
-// so source q's rows are cols[q]'s, installed into cols[q].Locals once their
-// ids match; any other inbox fails the run. A width-1 row moves as one
-// assignment: a copy call per row costs the scalar runs about a quarter of
-// their cycle.
-func (g *gatherApply) receive(dst *graph.ValueMatrix, in *transport.MessageBatch, cols []bsp.Column, add bool) {
-	w, d, pos := dst.Width, dst.Data, 0
-	for q, col := range cols {
-		ids := in.IDs[pos:min(len(in.IDs), pos+len(col.IDs))]
-		for i, id := range col.IDs {
-			if i == len(ids) || ids[i] != id {
-				g.env.Fail(fmt.Errorf("apps: %s: row %d from worker %d is %v, want vertex %d", g.name, i, q, ids[i:min(i+1, len(ids))], id))
-				return
-			}
-		}
-		vals := in.Vals[pos*w : (pos+len(ids))*w]
-		switch {
-		case w == 1 && add:
-			for i, l := range col.Locals {
-				d[l] += vals[i]
-			}
-		case w == 1:
-			for i, l := range col.Locals {
-				d[l] = vals[i]
-			}
-		case add:
-			for i, l := range col.Locals {
-				addRow(dst.Row(int(l)), vals[i*w:(i+1)*w])
-			}
-		default:
-			for i, l := range col.Locals {
-				copy(dst.Row(int(l)), vals[i*w:(i+1)*w])
-			}
-		}
-		pos += len(ids)
-	}
-	if pos < len(in.IDs) {
-		g.env.Fail(fmt.Errorf("apps: %s: %d rows past the expected ones, first vertex %d", g.name, len(in.IDs)-pos, in.IDs[pos]))
-	}
+	return g.env.SendRows(cols, send), true
 }
 
 // addRow accumulates src into dst componentwise.

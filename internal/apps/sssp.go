@@ -3,22 +3,11 @@ package apps
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"ebv/internal/bsp"
 	"ebv/internal/graph"
 	"ebv/internal/transport"
 )
-
-// scalarValues exports a scalar state slice as the run-width value matrix
-// (column 0 = the value): SSSP's Values.
-func scalarValues(env bsp.Env, state []float64) *graph.ValueMatrix {
-	vals := env.NewValues(len(state))
-	for l, v := range state {
-		vals.SetScalar(l, v)
-	}
-	return vals
-}
 
 // SSSP computes single-source shortest paths over directed edges, with
 // unit weights by default (the paper does not specify weights; unit
@@ -87,12 +76,11 @@ func (s *SSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 		sub:      sub,
 		out:      sub.Out(),
 		env:      env,
-		source:   s.Source,
 		weighted: s.Weighted,
 		dist:     make([]float64, n),
 		status:   make([]uint8, n),
 		delta:    math.Inf(1),
-		improved: newImprovedSet(sub),
+		improved: make([]uint64, (n+63)/64),
 	}
 	// Weighted distances have no hop unit to size a horizon in.
 	if !s.Weighted {
@@ -101,10 +89,11 @@ func (s *SSSP) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	for i := range w.dist {
 		w.dist[i] = math.Inf(1)
 	}
+	// The source's zero distance is marked like any improvement, so a cut
+	// source reaches its peer replicas at step 0.
 	if local, ok := sub.LocalOf(s.Source); ok {
-		w.dist[local] = 0
 		w.horizon = w.bound(0)
-		w.push(local)
+		w.lower(local, 0)
 	}
 	return w
 }
@@ -113,7 +102,6 @@ type ssspWorker struct {
 	sub      *bsp.Subgraph
 	out      *graph.CSR // sub.Out(), the relax's adjacency
 	env      bsp.Env
-	source   graph.VertexID
 	weighted bool
 	dist     []float64
 	// delta is the horizon's growth per superstep (+Inf: unbounded) and
@@ -128,8 +116,10 @@ type ssspWorker struct {
 	parked  []int32
 	nparked int
 	// status[v] says whether v's out-edges await relaxing at dist[v].
-	status   []uint8
-	improved improvedSet
+	status []uint8
+	// improved marks, over local ids, the vertices whose distance improved
+	// since the last send; the send ships the replicated ones.
+	improved []uint64
 }
 
 // Vertex status: idle vertices are relaxed at their distance (or
@@ -143,47 +133,6 @@ const (
 // bound is superstep step's horizon, (step+1)·Δ.
 func (w *ssspWorker) bound(step int) float64 {
 	return float64(step+1) * w.delta
-}
-
-// improvedSet marks the replicated local vertices whose distance improved
-// since the last send: a bitset over local ids, so marking is one OR masked
-// by the routing plan's replicated bits and send sweeps ascending local ids
-// — the emission order.
-type improvedSet struct {
-	bits []uint64
-	plan *bsp.Routing
-}
-
-func newImprovedSet(sub *bsp.Subgraph) improvedSet {
-	plan := sub.Routing()
-	return improvedSet{bits: make([]uint64, len(plan.Mask)), plan: plan}
-}
-
-func (s improvedSet) mark(v int32) {
-	s.bits[v>>6] |= s.plan.Mask[v>>6] & (1 << (v & 63))
-}
-
-// send empties the set, shipping dist[v] of every marked vertex to its
-// replica peers; it returns nil when nothing was marked.
-func (s improvedSet) send(sub *bsp.Subgraph, env bsp.Env, dist []float64) []*transport.MessageBatch {
-	var out []*transport.MessageBatch
-	for i, word := range s.bits {
-		if word == 0 {
-			continue
-		}
-		s.bits[i] = 0
-		if out == nil {
-			out = make([]*transport.MessageBatch, sub.NumWorkers)
-		}
-		for ; word != 0; word &= word - 1 {
-			v := int32(i<<6 + bits.TrailingZeros64(word))
-			gid, val := sub.GlobalIDs[v], dist[v]
-			for _, peer := range sub.PeersOf(v) {
-				env.SendScalar(out, peer, gid, val)
-			}
-		}
-	}
-	return out
 }
 
 // push schedules v, whose distance just dropped, for relaxing: queued
@@ -252,7 +201,7 @@ func (w *ssspWorker) relax() {
 // lower installs the improved distance d of v and queues v.
 func (w *ssspWorker) lower(v int32, d float64) {
 	w.dist[v] = d
-	w.improved.mark(v)
+	w.improved[v>>6] |= 1 << (v & 63)
 	w.push(v)
 }
 
@@ -260,32 +209,30 @@ func (w *ssspWorker) lower(v int32, d float64) {
 // stays active: a later horizon must reach them.
 func (w *ssspWorker) Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool) {
 	w.horizon = w.bound(step)
-	for i, gid := range in.IDs {
-		local, ok := w.sub.LocalOf(gid)
-		if !ok {
-			w.env.Fail(fmt.Errorf("apps: inbox row %d is vertex %d, which this worker does not hold", i, gid))
-			return nil, false
-		}
-		if v := in.Scalar(i); v < w.dist[local] {
-			w.dist[local] = v
-			w.push(local)
-		}
+	locals, ok := w.env.ReceiveLocals(in)
+	if !ok {
+		return nil, false
 	}
-	if step == 0 {
-		// If the source is a cut vertex, its zero distance must reach the
-		// peer replicas too.
-		if local, ok := w.sub.LocalOf(w.source); ok {
-			w.improved.mark(local)
+	for i, l := range locals {
+		if v := in.Scalar(i); v < w.dist[l] {
+			w.dist[l] = v
+			w.push(l)
 		}
 	}
 	w.unpark()
 	w.relax()
-	return w.improved.send(w.sub, w.env, w.dist), w.nparked > 0
+	return w.env.SendMarked(w.improved, w.dist), w.nparked > 0
 }
 
 // Values implements bsp.WorkerProgram.
-func (w *ssspWorker) Values() *graph.ValueMatrix {
-	return scalarValues(w.env, w.dist)
+func (w *ssspWorker) Values() *graph.ValueMatrix { return w.distances(w.env.NewValues(len(w.dist))) }
+
+// distances fills column 0 of m with every local vertex's distance.
+func (w *ssspWorker) distances(m *graph.ValueMatrix) *graph.ValueMatrix {
+	for l, d := range w.dist {
+		m.SetScalar(l, d)
+	}
+	return m
 }
 
 var _ bsp.Resumable = (*ssspWorker)(nil)
@@ -298,11 +245,7 @@ var _ bsp.Resumable = (*ssspWorker)(nil)
 // at its distance, and none beyond it ever was, since a distance only
 // drops). So distances are the worker's entire state.
 func (w *ssspWorker) SnapshotState() *graph.ValueMatrix {
-	m := graph.NewValueMatrix(len(w.dist), 1)
-	for l, d := range w.dist {
-		m.SetScalar(l, d)
-	}
-	return m
+	return w.distances(graph.NewValueMatrix(len(w.dist), 1))
 }
 
 // RestoreState implements bsp.Resumable. The queue NewWorker seeded with
@@ -319,7 +262,7 @@ func (w *ssspWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 	w.queue, w.head = w.queue[:0], 0
 	w.parked, w.nparked = w.parked[:0], 0
 	clear(w.status)
-	clear(w.improved.bits)
+	clear(w.improved)
 	w.horizon = w.bound(step - 1)
 	for l := range w.dist {
 		w.dist[l] = state.Scalar(l)

@@ -363,7 +363,9 @@ func (w pastLastWorkerWorker) Superstep(step int, in *transport.MessageBatch) ([
 		return nil, false
 	}
 	out := make([]*transport.MessageBatch, k+2)
-	w.env.SendScalar(out, int32((w.sub.Part+1)%k), w.sub.GlobalIDs[0], 1)
+	next := (w.sub.Part + 1) % k
+	out[next] = w.env.NewBatch()
+	out[next].AppendScalar(w.sub.GlobalIDs[0], 1)
 	out[k] = w.env.NewBatch()
 	if w.prog.rowPastK {
 		out[k].AppendScalar(w.sub.GlobalIDs[0], 1)

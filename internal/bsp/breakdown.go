@@ -13,25 +13,19 @@ import "time"
 // paper's workload-balance indicator (Table II).
 
 // AvgComp returns the average total computation time across workers.
-func (r *Result) AvgComp() time.Duration {
-	if len(r.Workers) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for i := range r.Workers {
-		total += r.Workers[i].TotalComp()
-	}
-	return total / time.Duration(len(r.Workers))
-}
+func (r *Result) AvgComp() time.Duration { return r.avg((*WorkerStats).TotalComp) }
 
 // AvgComm returns the average total communication time across workers.
-func (r *Result) AvgComm() time.Duration {
+func (r *Result) AvgComm() time.Duration { return r.avg((*WorkerStats).TotalComm) }
+
+// avg returns the mean of one per-worker total across workers.
+func (r *Result) avg(of func(*WorkerStats) time.Duration) time.Duration {
 	if len(r.Workers) == 0 {
 		return 0
 	}
 	var total time.Duration
 	for i := range r.Workers {
-		total += r.Workers[i].TotalComm()
+		total += of(&r.Workers[i])
 	}
 	return total / time.Duration(len(r.Workers))
 }
@@ -40,26 +34,19 @@ func (r *Result) AvgComm() time.Duration {
 // workers — the paper's ΔC.
 func (r *Result) DeltaC() time.Duration {
 	var total time.Duration
-	for k := 0; k < r.Steps; k++ {
+	for k := range r.Steps {
 		var maxD, minD time.Duration
-		first := true
+		seen := false
 		for i := range r.Workers {
 			w := &r.Workers[i]
 			if k >= len(w.Comp) {
 				continue
 			}
 			d := w.Comp[k] + w.Comm[k]
-			if first {
-				maxD, minD = d, d
-				first = false
-				continue
+			if !seen {
+				maxD, minD, seen = d, d, true
 			}
-			if d > maxD {
-				maxD = d
-			}
-			if d < minD {
-				minD = d
-			}
+			maxD, minD = max(maxD, d), min(minD, d)
 		}
 		total += maxD - minD
 	}
@@ -68,13 +55,7 @@ func (r *Result) DeltaC() time.Duration {
 
 // TotalMessages returns the total number of messages sent between workers
 // over the whole run (Table IV): the rows that crossed the exchange.
-func (r *Result) TotalMessages() int64 {
-	var total int64
-	for i := range r.Workers {
-		total += r.Workers[i].TotalSent()
-	}
-	return total
-}
+func (r *Result) TotalMessages() int64 { return r.MessageCounts().Wire }
 
 // MessageCounts aggregates a run's cross-worker message rows at the two
 // ends of the exchange: Wire at the sender, Delivered at the receiver. The
@@ -100,7 +81,7 @@ func (r *Result) MessageCounts() MessageCounts {
 	for i := range r.Workers {
 		w := &r.Workers[i]
 		c.Wire += w.TotalSent()
-		c.Delivered += sumInt64(w.Received)
+		c.Delivered += sum(w.Received)
 	}
 	c.Emitted = c.Wire
 	return c
@@ -109,16 +90,10 @@ func (r *Result) MessageCounts() MessageCounts {
 // MaxMeanMessageRatio returns max_i(sent_i) / mean_i(sent_i), the paper's
 // communication balance metric (Table V). Returns 1 when no messages flow.
 func (r *Result) MaxMeanMessageRatio() float64 {
-	if len(r.Workers) == 0 {
-		return 1
-	}
 	var total, maxSent int64
 	for i := range r.Workers {
 		s := r.Workers[i].TotalSent()
-		total += s
-		if s > maxSent {
-			maxSent = s
-		}
+		total, maxSent = total+s, max(maxSent, s)
 	}
 	if total == 0 {
 		return 1
@@ -138,6 +113,9 @@ type TimelineSegment struct {
 	End   time.Duration
 }
 
+// stages names a superstep's stages in their order.
+var stages = [...]string{"comp", "comm", "sync"}
+
 // Timeline reconstructs each worker's serial sequence of stage segments.
 // (Stages within a worker are serial by construction; the reconstruction
 // simply accumulates durations, which is how Figure 4 renders them.)
@@ -147,23 +125,9 @@ func (r *Result) Timeline() []TimelineSegment {
 		w := &r.Workers[i]
 		var cursor time.Duration
 		for k := range w.Comp {
-			stages := []struct {
-				name string
-				dur  time.Duration
-			}{
-				{"comp", w.Comp[k]},
-				{"comm", w.Comm[k]},
-				{"sync", w.Sync[k]},
-			}
-			for _, st := range stages {
-				segments = append(segments, TimelineSegment{
-					Worker: i,
-					Step:   k,
-					Stage:  st.name,
-					Start:  cursor,
-					End:    cursor + st.dur,
-				})
-				cursor += st.dur
+			for j, dur := range []time.Duration{w.Comp[k], w.Comm[k], w.Sync[k]} {
+				segments = append(segments, TimelineSegment{Worker: i, Step: k, Stage: stages[j], Start: cursor, End: cursor + dur})
+				cursor += dur
 			}
 		}
 	}

@@ -25,12 +25,19 @@ type Program interface {
 
 // Env is the per-run execution environment handed to NewWorker: the
 // configured value width, the pooled batch allocator programs draw
-// outgoing batches from, the collective vote and the failure report.
+// outgoing batches from, the collective vote, the failure report and the
+// replica exchange (plan.go). Programs mark and fold; the exchange
+// addresses rows by the routing plan and checks what arrives against it:
+// dense steps (gather/apply) move whole columns with SendRows and
+// ReceiveRows, sparse steps (CC, SSSP) the marked replicated vertices with
+// SendMarked and ReceiveLocals.
 type Env struct {
 	// ValueWidth is the number of float64 values per vertex (>= 1).
 	ValueWidth int
+	sub        *Subgraph
 	vote       *[2]Vote // this superstep's contributions, the last one's reduction
 	failed     *error   // the first error Fail recorded
+	locals     *[]int32 // ReceiveLocals' result, reused across supersteps
 }
 
 // Fail stops the worker with err (the first one) as "superstep N: err" once
@@ -221,29 +228,21 @@ type WorkerStats struct {
 }
 
 // TotalSent sums messages sent across supersteps (the wire count).
-func (w *WorkerStats) TotalSent() int64 { return sumInt64(w.Sent) }
-
-func sumInt64(xs []int64) int64 {
-	var total int64
-	for _, x := range xs {
-		total += x
-	}
-	return total
-}
+func (w *WorkerStats) TotalSent() int64 { return sum(w.Sent) }
 
 // TotalComp sums computation time across supersteps.
-func (w *WorkerStats) TotalComp() time.Duration { return sumDur(w.Comp) }
+func (w *WorkerStats) TotalComp() time.Duration { return sum(w.Comp) }
 
 // TotalComm sums communication time across supersteps.
-func (w *WorkerStats) TotalComm() time.Duration { return sumDur(w.Comm) }
+func (w *WorkerStats) TotalComm() time.Duration { return sum(w.Comm) }
 
 // TotalSync sums synchronization wait across supersteps.
-func (w *WorkerStats) TotalSync() time.Duration { return sumDur(w.Sync) }
+func (w *WorkerStats) TotalSync() time.Duration { return sum(w.Sync) }
 
-func sumDur(ds []time.Duration) time.Duration {
-	var total time.Duration
-	for _, d := range ds {
-		total += d
+func sum[T int64 | time.Duration](xs []T) T {
+	var total T
+	for _, x := range xs {
+		total += x
 	}
 	return total
 }
@@ -425,7 +424,7 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 	spec workerSpec, stats *WorkerStats) (int, *graph.ValueMatrix, error) {
 	w := sub.Part
 	maxSteps, width := spec.maxSteps, spec.width
-	env := Env{ValueWidth: width, vote: new([2]Vote), failed: new(error)}
+	env := Env{ValueWidth: width, sub: sub, vote: new([2]Vote), failed: new(error), locals: new([]int32)}
 	wp := prog.NewWorker(sub, env)
 	// Checkpointing and resuming both need the program's snapshot contract.
 	resumable, ok := wp.(Resumable)
@@ -597,7 +596,7 @@ func (e Env) castVote(sub *Subgraph, step int, out []*transport.MessageBatch) ([
 				step, dst, b.IDs[last], n, n)
 		}
 		if v.Voted && dst != sub.Part {
-			e.SendScalar(out, int32(dst), id, v.Min)
+			e.sendScalar(out, int32(dst), id, v.Min)
 		}
 	}
 	return out, nil

@@ -1,6 +1,8 @@
 package bsp
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -255,12 +257,12 @@ func buildBoundaryDepth(s *Subgraph) Depth {
 	return d
 }
 
-// SendRows hands every peer with a non-empty column one pooled batch of
-// rows (col.IDs[i], m.Row(col.Locals[i])): one copy of the id column plus
-// one gather loop per peer. A width-1 row moves as one assignment, not a
-// copy call. out[q] must still be unset for those peers.
-func (e Env) SendRows(out []*transport.MessageBatch, cols []Column, m *graph.ValueMatrix) {
-	w := e.ValueWidth
+// SendRows returns the outbox that hands every peer q with a non-empty
+// column one pooled batch of rows (cols[q].IDs[i], m.Row(cols[q].Locals[i])):
+// one copy of the id column plus one gather loop per peer. A width-1 row
+// moves as one assignment, not a copy call.
+func (e Env) SendRows(cols []Column, m *graph.ValueMatrix) []*transport.MessageBatch {
+	w, out := e.ValueWidth, make([]*transport.MessageBatch, len(cols))
 	for q, col := range cols {
 		if len(col.IDs) == 0 {
 			continue
@@ -280,11 +282,106 @@ func (e Env) SendRows(out []*transport.MessageBatch, cols []Column, m *graph.Val
 		}
 		out[q] = b
 	}
+	return out
 }
 
-// SendScalar appends the row (id, v) to out[dst], drawing a pooled batch on
-// first use — the row-at-a-time path of the sparse steps.
-func (e Env) SendScalar(out []*transport.MessageBatch, dst int32, id graph.VertexID, v float64) {
+// ReceiveRows copies every inbox row into dst's row of its local vertex,
+// or adds it there with add: the receiving half of SendRows over the
+// columns cols the peers sent. The inbox concatenates the sources' batches
+// in source order, so source q's rows are cols[q]'s, installed into
+// cols[q].Locals once their ids match; any other inbox fails the run. A
+// width-1 row moves as one assignment: a copy call per row costs the
+// scalar runs about a quarter of their cycle.
+func (e Env) ReceiveRows(dst *graph.ValueMatrix, in *transport.MessageBatch, cols []Column, add bool) {
+	w, d, pos := dst.Width, dst.Data, 0
+	for q, col := range cols {
+		ids := in.IDs[pos:min(len(in.IDs), pos+len(col.IDs))]
+		for i, id := range col.IDs {
+			if i == len(ids) || ids[i] != id {
+				e.Fail(fmt.Errorf("bsp: row %d from worker %d is %v, want vertex %d", i, q, ids[i:min(i+1, len(ids))], id))
+				return
+			}
+		}
+		vals := in.Vals[pos*w : (pos+len(ids))*w]
+		switch {
+		case w == 1 && add:
+			for i, l := range col.Locals {
+				d[l] += vals[i]
+			}
+		case w == 1:
+			for i, l := range col.Locals {
+				d[l] = vals[i]
+			}
+		case add:
+			for i, l := range col.Locals {
+				row := dst.Row(int(l))
+				for j, v := range vals[i*w : (i+1)*w] {
+					row[j] += v
+				}
+			}
+		default:
+			for i, l := range col.Locals {
+				copy(dst.Row(int(l)), vals[i*w:(i+1)*w])
+			}
+		}
+		pos += len(ids)
+	}
+	if pos < len(in.IDs) {
+		e.Fail(fmt.Errorf("bsp: %d rows past the expected ones, first vertex %d", len(in.IDs)-pos, in.IDs[pos]))
+	}
+}
+
+// SendMarked empties marked, a bit set over local ids, and sends vals[l]
+// of every marked replicated vertex l to each of its replica peers, in
+// ascending local id; marks on unreplicated vertices are dropped. It
+// returns nil when no replicated vertex was marked.
+func (e Env) SendMarked(marked []uint64, vals []float64) []*transport.MessageBatch {
+	var out []*transport.MessageBatch
+	mask := e.sub.Routing().Mask
+	for i, word := range marked {
+		if word == 0 {
+			continue
+		}
+		marked[i], word = 0, word&mask[i]
+		if word != 0 && out == nil {
+			out = make([]*transport.MessageBatch, e.sub.NumWorkers)
+		}
+		for ; word != 0; word &= word - 1 {
+			l := int32(i<<6 | bits.TrailingZeros64(word))
+			gid, v := e.sub.GlobalIDs[l], vals[l]
+			for _, peer := range e.sub.PeersOf(l) {
+				e.sendScalar(out, peer, gid, v)
+			}
+		}
+	}
+	return out
+}
+
+// ReceiveLocals returns the local id of every inbox row of a sparse step,
+// in inbox order, in a slice reused across supersteps. Senders address a
+// vertex's replica peers only, so a row for a vertex this worker does not
+// hold, or holds but does not replicate, fails the run; ok is false then.
+func (e Env) ReceiveLocals(in *transport.MessageBatch) (locals []int32, ok bool) {
+	locals, mask := slices.Grow((*e.locals)[:0], len(in.IDs))[:len(in.IDs)], e.sub.Routing().Mask
+	*e.locals = locals
+	for i, gid := range in.IDs {
+		l, held := e.sub.LocalOf(gid)
+		if !held || mask[l>>6]&(1<<(l&63)) == 0 {
+			what := "does not hold"
+			if held {
+				what = "holds but does not replicate"
+			}
+			e.Fail(fmt.Errorf("bsp: inbox row %d is vertex %d, which this worker %s", i, gid, what))
+			return nil, false
+		}
+		locals[i] = l
+	}
+	return locals, true
+}
+
+// sendScalar appends the row (id, v) to out[dst], drawing a pooled batch
+// on first use.
+func (e Env) sendScalar(out []*transport.MessageBatch, dst int32, id graph.VertexID, v float64) {
 	if out[dst] == nil {
 		out[dst] = e.NewBatch()
 	}

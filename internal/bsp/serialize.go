@@ -81,14 +81,13 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 	}
 	// Sized in 64 bits: no header can overflow the sum, and once it fits an
 	// int so does every count in it.
-	w := func(i int) uint64 { return uint64(word[i]) }
-	body := 4*(w(4)+2*w(5)+w(6)+w(7)+w(8)+w(9)) + 8*w(10)
+	body := 4*(word[4]+2*word[5]+word[6]+word[7]+word[8]+word[9]) + 8*word[10]
 	if body > math.MaxInt {
 		return nil, fmt.Errorf("bsp: corrupt subgraph: header describes %d column bytes", body)
 	}
 	flags := word[0]
-	numIDs, numEdges, numPeerLens, numPeers := word[4], word[5], word[6], word[7]
-	numOut, numIn, numWeights := word[8], word[9], word[10]
+	numIDs, numEdges, numPeerLens, numPeers := int(word[4]), int(word[5]), int(word[6]), int(word[7])
+	numOut, numIn, numWeights := int(word[8]), int(word[9]), int(word[10])
 	data, err := frame.ReadBounded(fr, int(body))
 	if err != nil {
 		return nil, fmt.Errorf("bsp: read subgraph columns (%d bytes): %w", body, err)
@@ -97,7 +96,7 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 		return nil, fmt.Errorf("bsp: corrupt subgraph: %w", err)
 	}
 
-	sub := newSubgraph(word[1], word[2], word[3])
+	sub := newSubgraph(int(word[1]), int(word[2]), int(word[3])) // a negative int fails below
 	// Every per-vertex column must cover the vertex set and every per-edge
 	// column the edge set, or programs index out of range at run time.
 	if numPeerLens != numIDs || numOut != numIDs || numIn != numIDs {
@@ -145,7 +144,7 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 		if i > 0 && gid <= sub.GlobalIDs[i-1] {
 			return nil, fmt.Errorf("bsp: corrupt subgraph: global ids not strictly ascending at %d", i)
 		}
-		if int(gid) >= sub.NumGlobalVertices {
+		if gid >= graph.VertexID(sub.NumGlobalVertices) { // in [0, 2²⁸]: no int conversion wraps a u32
 			return nil, fmt.Errorf("bsp: corrupt subgraph: global id %d outside %d vertices",
 				gid, sub.NumGlobalVertices)
 		}
@@ -156,7 +155,7 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 			Src: binary.LittleEndian.Uint32(edgeCol[8*i:]),
 			Dst: binary.LittleEndian.Uint32(edgeCol[8*i+4:]),
 		}
-		if int(e.Src) >= numIDs || int(e.Dst) >= numIDs {
+		if e.Src >= uint32(numIDs) || e.Dst >= uint32(numIDs) { // numIDs came from a u32 word
 			return nil, fmt.Errorf("bsp: corrupt subgraph: edge %d (%d,%d) outside %d local vertices",
 				i, e.Src, e.Dst, numIDs)
 		}
@@ -173,7 +172,7 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 	sub.PeerStart = make([]int32, numIDs+1)
 	for l, n := range peerLens {
 		start := sub.PeerStart[l]
-		if left := numPeers - int(start); int(n) > left {
+		if left := numPeers - int(start); uint64(n) > uint64(left) {
 			return nil, fmt.Errorf("bsp: corrupt subgraph: vertex %d claims %d of the %d replica peers left",
 				l, n, left)
 		}

@@ -192,13 +192,13 @@ func (w strayStartWorker) Superstep(step int, in *transport.MessageBatch) ([]*tr
 func TestGatherApplyStepZeroExpectsEmptyInbox(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
-	want := fmt.Sprintf("bsp: worker 1: superstep 0: apps: %%s: 1 rows past the expected ones, first vertex %d",
+	want := fmt.Sprintf("bsp: worker 1: superstep 0: bsp: 1 rows past the expected ones, first vertex %d",
 		subs[1].GlobalIDs[0])
 	for _, prog := range []bsp.Program{&apps.PageRank{Iterations: 5}, &apps.Aggregate{Layers: 3}} {
 		for _, width := range []int{1, 3} {
 			_, err := bsp.Run(t.Context(), subs, strayStart{prog}, bsp.Config{ValueWidth: width})
-			if w := fmt.Sprintf(want, prog.Name()); err == nil || err.Error() != w {
-				t.Fatalf("%s width %d: err = %v, want %q", prog.Name(), width, err, w)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s width %d: err = %v, want %q", prog.Name(), width, err, want)
 			}
 		}
 	}
@@ -206,36 +206,48 @@ func TestGatherApplyStepZeroExpectsEmptyInbox(t *testing.T) {
 
 // TestStrayRowFailsCCAndSSSP: every CC and SSSP sender addresses only the
 // vertex's replica peers, so a delivered row for a vertex the receiver
-// does not hold is a bug, and the run fails naming the worker, the step
-// and the vertex instead of dropping the row.
+// does not hold, or holds but shares with no other worker, is a bug, and
+// the run fails naming the worker, the step, the row and the vertex
+// instead of folding the row.
 func TestStrayRowFailsCCAndSSSP(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	const k, worker = 4, 1
 	subs := buildSubs(t, g, core.New(), k)
-	stray := -1
+	sub := subs[worker]
+	rows := []struct {
+		name   string
+		vertex int
+		want   string
+	}{{"not held", -1, "does not hold"}, {"held, unreplicated", -1, "holds but does not replicate"}}
 	for v := range g.NumVertices() {
-		if _, ok := subs[worker].LocalOf(graph.VertexID(v)); !ok {
-			stray = v
-			break
+		l, held := sub.LocalOf(graph.VertexID(v))
+		switch {
+		case !held && rows[0].vertex < 0:
+			rows[0].vertex = v
+		case held && len(sub.PeersOf(l)) == 0 && rows[1].vertex < 0:
+			rows[1].vertex = v
 		}
 	}
-	if stray < 0 {
-		t.Fatal("worker 1 holds every vertex")
-	}
-	edit := func(in []*transport.MessageBatch) int {
-		src := firstSource(in, worker, 1)
-		if src >= 0 {
-			in[src].IDs[0] = graph.VertexID(stray)
+	for _, row := range rows {
+		if row.vertex < 0 {
+			t.Fatalf("worker %d has no vertex that it %s", worker, row.want)
 		}
-		return src
-	}
-	for _, prog := range []bsp.Program{&apps.CC{}, &apps.SSSP{Source: 0}} {
-		for _, mesh := range []string{"mem", "tcp"} {
-			tp, err := runTampered(t, mesh, subs, prog, 1, worker, 0, edit)
-			prefix := fmt.Sprintf("bsp: worker %d: superstep %d: apps: inbox row ", worker, tp.firedStep+1)
-			suffix := fmt.Sprintf(" is vertex %d, which this worker does not hold", stray)
-			if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.HasSuffix(err.Error(), suffix) {
-				t.Fatalf("%s/%s: err = %v, want %q…%q", prog.Name(), mesh, err, prefix, suffix)
+		edit := func(in []*transport.MessageBatch) int {
+			src := firstSource(in, worker, 1)
+			if src >= 0 {
+				in[src].IDs[0] = graph.VertexID(row.vertex)
+			}
+			return src
+		}
+		for _, prog := range []bsp.Program{&apps.CC{}, &apps.SSSP{Source: 0}, &apps.SSSP{Source: 0, Weighted: true}} {
+			for _, mesh := range []string{"mem", "tcp"} {
+				for _, width := range []int{1, 3} {
+					tp, err := runTampered(t, mesh, subs, prog, width, worker, 0, edit)
+					prefix := fmt.Sprintf("bsp: worker %d: superstep %d: bsp: inbox row 0 is vertex %d, ", worker, tp.firedStep+1, row.vertex)
+					if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.HasSuffix(err.Error(), row.want) {
+						t.Fatalf("%s/%s/%s/w%d: err = %v, want %q…%q", row.name, prog.Name(), mesh, width, err, prefix, row.want)
+					}
+				}
 			}
 		}
 	}

@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"ebv/internal/bsp"
 	"ebv/internal/frame"
 	"ebv/internal/graph"
+	"ebv/internal/transport"
 )
 
 // On-disk checkpoint codec. One file holds one worker's bsp.Checkpoint for
@@ -74,16 +77,20 @@ func DecodeCheckpoint(data []byte) (CheckpointMeta, *bsp.Checkpoint, error) {
 	if err != nil {
 		return CheckpointMeta{}, nil, fmt.Errorf("cluster: checkpoint: %w", err)
 	}
-	meta := CheckpointMeta{Job: word[0], Part: word[1], Workers: word[2], Width: word[3]}
-	step, stateWidth, stateRows, inboxRows, vote := word[4], word[5], word[6], word[7], word[8]
+	if m := slices.Max(word); m > math.MaxInt {
+		return CheckpointMeta{}, nil, fmt.Errorf("cluster: checkpoint header word %d exceeds this platform's int", m)
+	}
+	w := func(i int) int { return int(word[i]) }
+	meta := CheckpointMeta{Job: w(0), Part: w(1), Workers: w(2), Width: w(3)}
+	step, stateWidth, stateRows, inboxRows, vote := w(4), w(5), w(6), w(7), w(8)
 	// Each column is bounded by the body before the products are formed,
 	// so no header can overflow the length the body is checked against.
-	if stateWidth < 1 || meta.Width < 1 || step < 1 || vote > 3 ||
+	if stateWidth < 1 || meta.Width < 1 || meta.Width > transport.MaxValueWidth || step < 1 || vote > 3 ||
 		stateRows > len(body)/8/stateWidth || inboxRows > len(body)/(4+8*meta.Width) {
 		return meta, nil, fmt.Errorf("cluster: checkpoint header out of range (step %d, state %dx%d, inbox %d rows, width %d, vote %d)",
 			step, stateRows, stateWidth, inboxRows, meta.Width, vote)
 	}
-	if want := 8*stateRows*stateWidth + (4+8*meta.Width)*inboxRows + 8; len(body) != want {
+	if want := uint64(8*stateRows*stateWidth) + uint64((4+8*meta.Width)*inboxRows) + 8; uint64(len(body)) != want {
 		return meta, nil, fmt.Errorf("cluster: checkpoint body is %d bytes, header describes %d (truncated or corrupt)",
 			len(body), want)
 	}

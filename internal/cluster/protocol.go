@@ -170,7 +170,7 @@ func readFrame(r io.Reader) (typ uint8, payload []byte, err error) {
 	if word[0] > math.MaxUint8 || word[1] > maxControlPayload {
 		return 0, nil, fmt.Errorf("cluster: control frame of type %d with %d payload bytes", word[0], word[1])
 	}
-	if payload, err = frame.ReadBounded(fr, word[1]); err == nil {
+	if payload, err = frame.ReadBounded(fr, int(word[1])); err == nil {
 		err = fr.Verify()
 	}
 	if err != nil {

@@ -111,7 +111,7 @@ func TestBlockIORoundTrip(t *testing.T) {
 		t.Fatalf("wrote %d bytes, want %d", buf.Len(), want)
 	}
 	file := bytes.Clone(buf.Bytes())
-	if words, body, err := f.Open(file); err != nil || words[0] != n || !bytes.Equal(body, src) {
+	if words, body, err := f.Open(file); err != nil || words[0] != uint64(n) || !bytes.Equal(body, src) {
 		t.Fatalf("Open: words %v, %v", words, err)
 	}
 	read := func(file []byte) ([]byte, error) {

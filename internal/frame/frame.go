@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 )
 
 // table is the module's one CRC-32C table (the TCP data bundles, which
@@ -56,8 +57,10 @@ func Seal(buf []byte) []byte { return binary.LittleEndian.AppendUint32(buf, Chec
 
 // Open checks that data is one whole frame of f and returns its header
 // words, each in [0, 2³²), and its body, which aliases data. Whether the
-// body's length agrees with the words is the caller's check.
-func (f Format) Open(data []byte) ([]int, []byte, error) {
+// body's length agrees with the words is the caller's check. The words are
+// uint64 so that a caller can bound a count, or a sum or product of two,
+// before it becomes an int, which may be 32 bits wide.
+func (f Format) Open(data []byte) ([]uint64, []byte, error) {
 	r, words, err := f.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, nil, err
@@ -86,7 +89,7 @@ type Reader struct {
 // NewReader reads and checks the header of one f frame from r and returns
 // its words. The magic is checked as soon as its four bytes arrive; a
 // stream that ends before its first byte returns io.EOF unwrapped.
-func (f Format) NewReader(r io.Reader) (*Reader, []int, error) {
+func (f Format) NewReader(r io.Reader) (*Reader, []uint64, error) {
 	head := make([]byte, f.headerBytes())
 	if _, err := io.ReadFull(r, head[:4]); err != nil {
 		return nil, nil, err
@@ -100,9 +103,9 @@ func (f Format) NewReader(r io.Reader) (*Reader, []int, error) {
 	if v := binary.LittleEndian.Uint32(head[4:]); v != f.Version {
 		return nil, nil, fmt.Errorf("%s version %d, this build reads %d", f.Name, v, f.Version)
 	}
-	words := make([]int, f.Words)
+	words := make([]uint64, f.Words)
 	for i := range words {
-		words[i] = int(binary.LittleEndian.Uint32(head[8+4*i:]))
+		words[i] = uint64(binary.LittleEndian.Uint32(head[8+4*i:]))
 	}
 	return &Reader{name: f.Name, r: r, crc: Checksum(0, head)}, words, nil
 }
@@ -164,18 +167,22 @@ func (f Format) WriteBlocks(w io.Writer, n, size int, put func(dst []byte, i int
 // ReadBlocks reads the rest of the frame — a body of n elements of size
 // bytes each, then the checksum — through one staging buffer of at most
 // 64 KiB, handing each element to get in order, so what it holds never
-// depends on what n claims.
-func (r *Reader) ReadBlocks(n, size int, get func(elem []byte)) error {
-	buf := make([]byte, max(0, min(n, blockBytes/size))*size)
-	for n > 0 {
-		cnt := min(len(buf)/size, n)
+// depends on what n claims. A body past math.MaxInt bytes, which no
+// slice could hold, fails before anything is read.
+func (r *Reader) ReadBlocks(n uint64, size int, get func(elem []byte)) error {
+	if n > math.MaxInt/uint64(size) {
+		return fmt.Errorf("%s body of %d × %d bytes exceeds this platform's int", r.name, n, size)
+	}
+	buf := make([]byte, min(int(n), blockBytes/size)*size)
+	for left := int(n); left > 0; {
+		cnt := min(len(buf)/size, left)
 		if _, err := io.ReadFull(r, buf[:cnt*size]); err != nil {
 			return fmt.Errorf("%s body: %w", r.name, unexpected(err))
 		}
 		for i := 0; i < cnt*size; i += size {
 			get(buf[i : i+size])
 		}
-		n -= cnt
+		left -= cnt
 	}
 	return r.Verify()
 }

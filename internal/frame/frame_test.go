@@ -91,7 +91,7 @@ func stream(t *testing.T, w0, w1 int, body []byte) []byte {
 
 // readStream reads one testFrame frame whose body length is its second
 // header word through Reader.ReadBlocks, returning what Open returns.
-func readStream(r *bytes.Reader) ([]int, []byte, error) {
+func readStream(r *bytes.Reader) ([]uint64, []byte, error) {
 	fr, words, err := testFrame.NewReader(r)
 	if err != nil {
 		return nil, nil, err
@@ -112,10 +112,10 @@ func FuzzOpen(f *testing.F) {
 	f.Add(uint32(7), seal(7, 4, []byte("body")))
 	f.Fuzz(func(t *testing.T, w0 uint32, data []byte) {
 		if words, body, err := testFrame.Open(data); err == nil {
-			if again := seal(words[0], words[1], body); !bytes.Equal(again, data) {
+			if again := seal(int(words[0]), int(words[1]), body); !bytes.Equal(again, data) {
 				t.Fatalf("accepted frame re-seals to %x, read %x", again, data)
 			}
-			if words[1] == len(body) {
+			if words[1] == uint64(len(body)) {
 				r := bytes.NewReader(data)
 				if _, got, err := readStream(r); err != nil || !bytes.Equal(got, body) || r.Len() != 0 {
 					t.Fatalf("Reader disagrees with Open: %x, %d bytes left, %v", got, r.Len(), err)
@@ -128,7 +128,7 @@ func FuzzOpen(f *testing.F) {
 			t.Fatalf("WriteBlocks wrote %x, Seal %x", streamed, sealed)
 		}
 		words, body, err := testFrame.Open(sealed)
-		if err != nil || words[0] != int(w0) || words[1] != len(data) || !bytes.Equal(body, data) {
+		if err != nil || words[0] != uint64(w0) || words[1] != uint64(len(data)) || !bytes.Equal(body, data) {
 			t.Fatalf("round trip: words %v body %x err %v", words, body, err)
 		}
 		if _, got, err := readStream(bytes.NewReader(sealed)); err != nil || !bytes.Equal(got, data) {

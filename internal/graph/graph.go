@@ -54,7 +54,7 @@ func New(numVertices int, edges []Edge) (*Graph, error) {
 		inDeg:       make([]int32, numVertices),
 	}
 	for _, e := range edges {
-		if int(e.Src) >= numVertices || int(e.Dst) >= numVertices {
+		if int64(e.Src) >= int64(numVertices) || int64(e.Dst) >= int64(numVertices) { // no 32-bit int wraps
 			return nil, fmt.Errorf("%w: edge (%d,%d) with %d vertices",
 				ErrVertexOutOfRange, e.Src, e.Dst, numVertices)
 		}

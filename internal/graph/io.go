@@ -519,7 +519,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("graph: binary graph: %w", err)
 	}
-	g, err := New(numVertices, edges)
+	g, err := New(int(numVertices), edges)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -216,6 +217,21 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	file[8] |= 1 << 1 // header word 0, the flags
 	if _, err := ReadBinary(bytes.NewReader(frame.Seal(file))); err == nil || !strings.Contains(err.Error(), "unknown flags") {
 		t.Fatalf("flag bit 1 under a valid checksum: err = %v, want an unknown-flags error", err)
+	}
+}
+
+// TestReadBinaryEndpointPastInt32: an edge endpoint of 2³¹+3 under a valid
+// checksum is refused by range on every platform; a 32-bit int would wrap
+// it negative past the check and index out of range.
+func TestReadBinaryEndpointPastInt32(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, mustGraph(t, 2, []Edge{{0, 1}})); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()[:buf.Len()-4]
+	binary.LittleEndian.PutUint32(file[20:], 1<<31+3) // the first edge's source
+	if _, err := ReadBinary(bytes.NewReader(frame.Seal(file))); !errors.Is(err, ErrVertexOutOfRange) {
+		t.Fatalf("endpoint 2³¹+3 under a valid checksum: err = %v, want ErrVertexOutOfRange", err)
 	}
 }
 

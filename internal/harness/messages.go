@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"ebv/internal/gen"
 )
@@ -87,9 +88,32 @@ func (r *MessagesResult) print(w io.Writer, title string, cell func(MessageCell)
 	return t.write(w)
 }
 
-// computeMessages runs the CC jobs that Table IV and Table V report on,
-// each over the assignment its cell's metrics were measured on.
+// messageRuns memoizes computeMessages within a process, as Graph memoizes
+// graphs: Tables III, IV and V read the same cells.
+var messageRuns = struct {
+	mu sync.Mutex
+	m  map[messagesKey]*MessagesResult
+}{m: make(map[messagesKey]*MessagesResult)}
+
+type messagesKey struct {
+	scale    float64
+	seed     uint64
+	extended bool
+}
+
+// computeMessages partitions every cell of Tables III–V once per process
+// and runs the CC job that Tables IV and V report on over the assignment
+// the cell's metrics were measured on.
 func computeMessages(ctx context.Context, opt Options) (*MessagesResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	key := messagesKey{opt.scale(), opt.Seed, opt.Extended}
+	messageRuns.mu.Lock()
+	defer messageRuns.mu.Unlock()
+	if res, ok := messageRuns.m[key]; ok {
+		return res, nil
+	}
 	res := &MessagesResult{}
 	for _, analogue := range gen.Analogues() {
 		g, err := Graph(analogue, opt)
@@ -120,6 +144,7 @@ func computeMessages(ctx context.Context, opt Options) (*MessagesResult, error) 
 		}
 		res.Rows = append(res.Rows, row)
 	}
+	messageRuns.m[key] = res
 	return res, nil
 }
 

@@ -54,25 +54,24 @@ func (r *Table3Result) Row(name string) (Table3Row, bool) {
 }
 
 // Table3 partitions the four graphs with the six algorithms using the
-// paper's subgraph counts (12/12/32/32) and reports the §III-C metrics.
-// METIS — the only edge-cut algorithm — is measured under the paper's
-// edge-cut metric definitions (see internal/metis.ComputeEdgeCutMetrics).
+// paper's subgraph counts (12/12/32/32) and reports the §III-C metrics:
+// the cells computeMessages measured. METIS — the only edge-cut algorithm
+// — is measured under the paper's edge-cut metric definitions (see
+// internal/metis.ComputeEdgeCutMetrics).
 func Table3(ctx context.Context, opt Options) (*Table3Result, error) {
+	m, err := computeMessages(ctx, opt)
+	if err != nil {
+		return nil, err
+	}
 	res := &Table3Result{}
-	for _, analogue := range gen.Analogues() {
+	for i, analogue := range gen.Analogues() {
 		g, err := Graph(analogue, opt)
 		if err != nil {
 			return nil, err
 		}
-		k := PaperWorkerCount(analogue)
-		stats := graph.ComputeStats(g)
-		row := Table3Row{Graph: analogue.String(), Eta: stats.Eta, Workers: k}
-		for _, p := range opt.tablePartitioners() {
-			cell, _, err := metricsCell(ctx, g, p, k)
-			if err != nil {
-				return nil, err
-			}
-			row.Cells = append(row.Cells, cell)
+		row := Table3Row{Graph: analogue.String(), Eta: graph.ComputeStats(g).Eta, Workers: m.Rows[i].Workers}
+		for _, c := range m.Rows[i].Cells {
+			row.Cells = append(row.Cells, c.Metrics)
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -106,7 +106,10 @@ func ReadAssignmentBinary(r io.Reader) (*Assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: assignment file: %w", err)
 	}
-	a := &Assignment{K: word[0], Parts: make([]int32, 0, min(word[1], 1<<16))}
+	if word[0] > MaxParts { // before it becomes an int; Validate checks the rest
+		return nil, fmt.Errorf("partition: %d parts exceed the cap of %d", word[0], MaxParts)
+	}
+	a := &Assignment{K: int(word[0]), Parts: make([]int32, 0, min(word[1], 1<<16))}
 	if err := fr.ReadBlocks(word[1], 4, func(b []byte) {
 		a.Parts = append(a.Parts, int32(binary.LittleEndian.Uint32(b)))
 	}); err != nil {

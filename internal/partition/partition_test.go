@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ebv/internal/frame"
 	"ebv/internal/gen"
 	"ebv/internal/graph"
 )
@@ -429,8 +430,8 @@ func TestAssignmentBinaryCountNotTrusted(t *testing.T) {
 		// At k = 2 a v1 file's part count reads as the current version.
 		{"v1-k2-count-2^31", oldHeader(2, 1<<31)},
 		{"v1-k2-count-2^62", oldHeader(2, 1<<62)},
-		{"count-2^31", assignmentFrame.Begin(0, 4, 1<<31)},
-		{"count-2^32-1", assignmentFrame.Begin(0, 4, 1<<32-1)},
+		{"count-2^31", assignmentHeader(4, 1<<31)},
+		{"count-2^32-1", assignmentHeader(4, 1<<32-1)},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -443,6 +444,15 @@ func TestAssignmentBinaryCountNotTrusted(t *testing.T) {
 			t.Fatalf("%s: the count word cost %d bytes of allocation, want < 4 MiB", tc.name, delta)
 		}
 	}
+}
+
+// assignmentHeader is assignmentFrame.Begin(0, k, count), built from
+// bytes so that words past a 32-bit int can be written on any platform.
+func assignmentHeader(k, count uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, 0x45425641) // "EBVA"
+	b = binary.LittleEndian.AppendUint32(b, assignmentFrame.Version)
+	b = binary.LittleEndian.AppendUint32(b, k)
+	return binary.LittleEndian.AppendUint32(b, count)
 }
 
 // TestPartCountBounded: a part count above MaxParts is rejected from every
@@ -473,7 +483,8 @@ func TestPartCountBounded(t *testing.T) {
 			return ReadAssignmentBinary(bytes.NewReader(binaryFile(MaxParts + 1)))
 		},
 		"binary-2^31": func() (*Assignment, error) {
-			return ReadAssignmentBinary(bytes.NewReader(binaryFile(1 << 31)))
+			file := frame.Seal(append(assignmentHeader(1<<31, 2), make([]byte, 8)...))
+			return ReadAssignmentBinary(bytes.NewReader(file))
 		},
 	} {
 		if _, err := read(); err == nil || !strings.Contains(err.Error(), "cap of 4096") {

@@ -85,7 +85,7 @@ func writeBundle(bw *bufio.Writer, job uint32, step, round int, flags byte, widt
 	for _, b := range blocks {
 		body += len(b.raw)
 	}
-	if body > math.MaxUint32 {
+	if uint64(body) > math.MaxUint32 {
 		return 0, fmt.Errorf("bundle of %d bytes exceeds the wire cap", body)
 	}
 	var h [bundleHeaderBytes]byte
@@ -174,7 +174,7 @@ func readBundle(br *bufio.Reader, k, from, to int, s *bundleScratch) (bundle, er
 		width: int(binary.LittleEndian.Uint32(h[16:20])),
 	}
 	nblocks := int(binary.LittleEndian.Uint16(h[14:16]))
-	bodyBytes := int(binary.LittleEndian.Uint32(h[20:24]))
+	bodyBytes := uint64(binary.LittleEndian.Uint32(h[20:24])) // an int once bounded below
 	bruck := b.flags&bundleBruck != 0
 	switch {
 	case b.flags&^(bundleActive|bundleSmall|bundleBruck) != 0:
@@ -185,16 +185,16 @@ func readBundle(br *bufio.Reader, k, from, to int, s *bundleScratch) (bundle, er
 		return bundle{}, fmt.Errorf("bundle round %d out of range at k = %d", b.round, k)
 	case bruck && (from+1<<b.round)%k != to:
 		return bundle{}, fmt.Errorf("round %d bundle from worker %d cannot reach worker %d", b.round, from, to)
-	case nblocks >= k || nblocks*blockHeaderBytes > bodyBytes:
+	case nblocks >= k || uint64(nblocks*blockHeaderBytes) > bodyBytes || bodyBytes > math.MaxInt:
 		return bundle{}, fmt.Errorf("bundle claims %d blocks in %d body bytes at k = %d", nblocks, bodyBytes, k)
 	}
 	var err error
-	if bodyBytes <= cap(s.body) {
-		s.body = s.body[:bodyBytes]
+	if n := int(bodyBytes); n <= cap(s.body) {
+		s.body = s.body[:n]
 		_, err = io.ReadFull(br, s.body)
 	} else {
 		// Grown with what arrives, never with what the header claims.
-		s.body, err = frame.ReadBounded(br, bodyBytes)
+		s.body, err = frame.ReadBounded(br, int(bodyBytes))
 	}
 	if err != nil {
 		if err == io.EOF {
@@ -246,15 +246,16 @@ func checkBlock(body []byte, width int) (int, error) {
 	if len(body) < blockHeaderBytes {
 		return 0, fmt.Errorf("header needs %d bytes, %d left", blockHeaderBytes, len(body))
 	}
-	count := blockCount(body)
-	if count < 1 || count > maxWireMessages || count*width > maxWireValues {
+	// Counted in 64 bits: a 32-bit int would wrap the product.
+	count := uint64(binary.LittleEndian.Uint32(body[4:8]))
+	if count < 1 || count > maxWireMessages || count*uint64(width) > maxWireValues {
 		return 0, fmt.Errorf("%d messages × width %d is empty or exceeds the wire cap", count, width)
 	}
-	size := blockBytes(count, width)
-	if size > len(body) {
+	size := blockHeaderBytes + count*(4+8*uint64(width))
+	if size > uint64(len(body)) {
 		return 0, fmt.Errorf("%d messages × width %d need %d bytes, %d left in the bundle", count, width, size, len(body))
 	}
-	return size, nil
+	return int(size), nil
 }
 
 // decodeBlock copies the columns of a block checkBlock accepted into a

@@ -115,7 +115,7 @@ func (x *CombineIndex) lookup(id graph.VertexID) (int32, bool) {
 		at, ok := x.m[id]
 		return at, ok
 	}
-	if int(id) >= len(x.slot) {
+	if uint64(id) >= uint64(len(x.slot)) { // a 32-bit int would wrap id
 		return 0, false
 	}
 	s := x.slot[id]
@@ -132,7 +132,7 @@ func (x *CombineIndex) record(id graph.VertexID, at int32) {
 		x.m[id] = at
 		return
 	}
-	if int(id) >= len(x.slot) {
+	if uint64(id) >= uint64(len(x.slot)) { // a 32-bit int would wrap id
 		return
 	}
 	x.slot[id] = uint64(x.gen)<<32 | uint64(uint32(at))

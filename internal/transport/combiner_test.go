@@ -192,17 +192,19 @@ func FuzzCombinerCoalesce(f *testing.F) {
 // are not combined — their duplicate rows pass through unchanged, which
 // receivers must tolerate by contract.
 func TestCoalesceLeavesUntrackableIDs(t *testing.T) {
-	idx := NewCombineIndex(4)
-	b := NewMessageBatch(1)
-	b.AppendScalar(2, 1)
-	b.AppendScalar(2, 1)  // trackable duplicate: combined
-	b.AppendScalar(99, 1) // beyond capacity: untracked
-	b.AppendScalar(99, 1)
-	if removed := b.Coalesce(SumCombiner{}, idx); removed != 1 {
-		t.Fatalf("removed %d rows, want 1 (only the trackable duplicate)", removed)
-	}
-	if b.Len() != 3 || b.Scalar(0) != 2 || b.Scalar(1) != 1 || b.Scalar(2) != 1 {
-		t.Fatalf("coalesced batch = %v / %v", b.IDs, b.Vals)
+	for _, far := range []graph.VertexID{99, 1<<31 + 3} { // the second wraps a 32-bit int
+		idx := NewCombineIndex(4)
+		b := NewMessageBatch(1)
+		b.AppendScalar(2, 1)
+		b.AppendScalar(2, 1)   // trackable duplicate: combined
+		b.AppendScalar(far, 1) // beyond capacity: untracked
+		b.AppendScalar(far, 1)
+		if removed := b.Coalesce(SumCombiner{}, idx); removed != 1 {
+			t.Fatalf("removed %d rows, want 1 (only the trackable duplicate)", removed)
+		}
+		if b.Len() != 3 || b.Scalar(0) != 2 || b.Scalar(1) != 1 || b.Scalar(2) != 1 {
+			t.Fatalf("coalesced batch = %v / %v", b.IDs, b.Vals)
+		}
 	}
 }
 
