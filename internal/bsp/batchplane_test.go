@@ -47,27 +47,6 @@ func runOnMesh(ctx context.Context, subs []*bsp.Subgraph, mesh transport.Deploym
 	return d.Run(ctx, prog, cfg)
 }
 
-// injectMesh is a transport.Deployment whose jobs all exchange through
-// inj — the deployment form of wrapping every worker's transport in one
-// FaultInjector. A MemDeployment job shares one router across its workers,
-// so any of its transports is the injector's Inner.
-type injectMesh struct {
-	transport.Deployment
-	inj *transport.FaultInjector
-}
-
-func (m injectMesh) OpenJob(job uint32, width int) ([]transport.Transport, error) {
-	trs, err := m.Deployment.OpenJob(job, width)
-	if err != nil {
-		return nil, err
-	}
-	m.inj.Inner = trs[0]
-	for w := range trs {
-		trs[w] = m.inj
-	}
-	return trs, nil
-}
-
 // memJob opens one width-1 job on a fresh in-memory deployment for k
 // workers and returns its transports; the deployment closes with the test.
 func memJob(t *testing.T, k int) []transport.Transport {
@@ -82,16 +61,6 @@ func memJob(t *testing.T, k int) []transport.Transport {
 		t.Fatal(err)
 	}
 	return trs
-}
-
-// faultyMem returns an in-memory mesh for k workers failing through inj.
-func faultyMem(t *testing.T, k int, inj *transport.FaultInjector) transport.Deployment {
-	t.Helper()
-	mem, err := transport.NewMemDeployment(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return injectMesh{Deployment: mem, inj: inj}
 }
 
 // TestMemTCPEquivalenceMultiWidth is the transport-equivalence invariant
@@ -141,38 +110,20 @@ func TestMemTCPEquivalenceMultiWidth(t *testing.T) {
 
 // TestFaultMidExchangeBatchPath injects a fault into a vector-width run
 // several supersteps in — feature batches are in flight on every link —
-// and requires a clean error, no deadlock and no partial result.
+// and requires a clean error naming the faulted worker, no deadlock and no
+// partial result.
 func TestFaultMidExchangeBatchPath(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
-	inj := &transport.FaultInjector{
-		FailWorker:  1,
-		FailStep:    2,
-		CloseOnFail: true,
-	}
-	mesh := faultyMem(t, 4, inj)
-	done := make(chan error, 1)
-	go func() {
-		res, err := runOnMesh(t.Context(), subs, mesh, &apps.Aggregate{Layers: 5},
-			bsp.Config{ValueWidth: 4})
-		if res != nil {
-			err = errors.New("got a partial result despite the injected fault")
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
+	for range 200 {
+		err := runClosingFault(t, subs, &apps.Aggregate{Layers: 5}, bsp.Config{ValueWidth: 4},
+			&fault{kind: closeJob, worker: 2, step: 2})
 		if err == nil {
 			t.Fatal("run succeeded despite injected fault")
 		}
-		if !errors.Is(err, transport.ErrInjected) && !errors.Is(err, transport.ErrClosed) {
-			t.Fatalf("err = %v, want ErrInjected or ErrClosed in chain", err)
+		if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "worker 2") {
+			t.Fatalf("err = %v, want the injected fault at worker 2 in chain", err)
 		}
-		if !inj.Fired() {
-			t.Fatal("fault never fired")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("run deadlocked after mid-exchange fault on the batch path")
 	}
 }
 

@@ -61,33 +61,28 @@ func TestRunCancelMidSuperstep(t *testing.T) {
 	}
 }
 
-// TestRunWorkerErrorReleasesBlockedPeers is the nastiest shape: a
-// FaultInjector (CloseOnFail=false) kills one worker mid-run WITHOUT
-// closing the transport, leaving the three survivors blocked in the
-// collective exchange. The engine must release them itself (a failing
-// worker cancels the run and closes the transports) and surface the root
-// cause — no cancellation from the caller, no deadlock, no masking of the
-// fault by the induced barrier errors.
+// TestRunWorkerErrorReleasesBlockedPeers is the nastiest shape: a fault
+// that does not close the job fails one worker mid-run, leaving the three
+// survivors blocked in the collective exchange. The engine must release
+// them itself (a failing worker cancels the run and closes the transports)
+// and surface the root cause — no cancellation from the caller, no
+// deadlock, no masking of the fault by the induced barrier errors.
 func TestRunWorkerErrorReleasesBlockedPeers(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
-	inj := &transport.FaultInjector{
-		FailWorker: 2,
-		FailStep:   1,
-		// CloseOnFail false: the injector itself releases nobody; only
-		// the engine's own failure path can.
-		CloseOnFail: false,
-	}
-	done := runAsync(t.Context(), subs, faultyMem(t, 4, inj), &apps.CC{}, bsp.Config{})
-	select {
-	case err := <-done:
-		if !errors.Is(err, transport.ErrInjected) {
-			t.Fatalf("err = %v, want the injected fault as root cause", err)
-		}
-	case <-time.After(30 * time.Second):
+	// fail, not close: the seam itself releases nobody; only the engine's
+	// own failure path can.
+	f := &fault{kind: failExchange, worker: 2, step: 1}
+	ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
+	defer cancel()
+	_, err := runFault(ctx, t, "mem", subs, &apps.CC{}, bsp.Config{}, f)
+	if errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal("worker error left peers deadlocked in the exchange")
 	}
-	if !inj.Fired() {
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want the injected fault as root cause", err)
+	}
+	if !f.fired.Load() {
 		t.Fatal("fault never fired")
 	}
 }

@@ -358,8 +358,9 @@ func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
 		return nil, err
 	}
 
-	// runWorker maps the transport errors the watch induces back to
-	// workerCtx.Err().
+	// failRun stops the workers through the watch alone: a transport it
+	// closed fails its exchange with the induced ErrClosed, ranked below any
+	// worker's own error, while the workers poll only the caller's ctx.
 	workerCtx, failRun := context.WithCancel(ctx)
 	defer failRun()
 	stopWatch := context.AfterFunc(workerCtx, func() {
@@ -388,7 +389,7 @@ func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
 		go func() {
 			defer wg.Done()
 			o := &out[i]
-			o.Steps, o.Values, errs[i] = runWorker(workerCtx, subs[i], prog, trs[i], spec, &o.Stats)
+			o.Steps, o.Values, errs[i] = runWorker(ctx, subs[i], prog, trs[i], spec, &o.Stats)
 			o.WallTime = time.Since(start)
 			if errs[i] != nil {
 				failRun()
@@ -397,21 +398,27 @@ func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
 	}
 	wg.Wait()
 
-	// Report the caller's cancellation as such; otherwise surface the
-	// first root-cause error (peers released by failRun report the induced
-	// context.Canceled, which is noise, not the cause).
+	// Report the caller's cancellation as such; otherwise the lowest worker's
+	// root cause. A fault releases the peers through failRun and closed
+	// transports, so their context.Canceled and transport.ErrClosed are
+	// induced: reported only when no worker failed on its own.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var firstErr error
+	var root, induced error
 	for i, err := range errs {
-		if err != nil && (firstErr == nil ||
-			errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			firstErr = fmt.Errorf("bsp: worker %d: %w", subs[i].Part, err)
+		if err == nil {
+			continue
+		}
+		err = fmt.Errorf("bsp: worker %d: %w", subs[i].Part, err)
+		if errors.Is(err, context.Canceled) || errors.Is(err, transport.ErrClosed) {
+			induced = cmp.Or(induced, err)
+		} else {
+			root = cmp.Or(root, err)
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err := cmp.Or(root, induced); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -496,11 +503,6 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		t1 := time.Now()
 		ex, err := tr.Exchange(w, step, out, effectiveActive)
 		if err != nil {
-			// A cancellation closes the transport under us; report the
-			// cancellation, not the induced transport error.
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return step, nil, ctxErr
-			}
 			return step, nil, fmt.Errorf("exchange step %d: %w", step, err)
 		}
 

@@ -12,6 +12,24 @@ import (
 	"ebv/internal/core"
 )
 
+// goroutineGate counts the goroutines now and returns the check that, after
+// the runs it names, the count settles back to at most two above that
+// within 5 s, collecting garbage as it waits.
+func goroutineGate(t *testing.T) (settled func(after string)) {
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	return func(after string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+			runtime.GC()
+			if runtime.NumGoroutine() <= before+2 {
+				return
+			}
+		}
+		t.Fatalf("goroutines grew from %d to %d after %s", before, runtime.NumGoroutine(), after)
+	}
+}
+
 // TestRunLeaksNoGoroutines asserts that repeated engine runs do not leave
 // worker or transport goroutines behind (the guide's "don't fire-and-forget
 // goroutines" rule, checked empirically).
@@ -22,23 +40,14 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 	if _, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	runtime.GC()
-	before := runtime.NumGoroutine()
+	settled := goroutineGate(t)
 	for i := 0; i < 10; i++ {
 		if _, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Allow stragglers to exit.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("goroutines grew from %d to %d after 10 runs", before, runtime.NumGoroutine())
+	settled("10 runs")
 }
 
 // TestCanceledRunLeaksNoGoroutines asserts that canceled runs tear the
@@ -51,8 +60,7 @@ func TestCanceledRunLeaksNoGoroutines(t *testing.T) {
 	if _, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	runtime.GC()
-	before := runtime.NumGoroutine()
+	settled := goroutineGate(t)
 	for i := 0; i < 10; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := runAsync(ctx, subs, nil, &spinner{}, bsp.Config{MaxSteps: 1 << 30})
@@ -67,15 +75,7 @@ func TestCanceledRunLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("run %d: cancellation did not terminate the run", i)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("goroutines grew from %d to %d after 10 canceled runs", before, runtime.NumGoroutine())
+	settled("10 canceled runs")
 }
 
 // TestCanceledTCPRunTearsDownMesh cancels a run over the real TCP loopback
@@ -85,8 +85,7 @@ func TestCanceledRunLeaksNoGoroutines(t *testing.T) {
 func TestCanceledTCPRunTearsDownMesh(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 4)
-	runtime.GC()
-	before := runtime.NumGoroutine()
+	settled := goroutineGate(t)
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := runAsync(ctx, subs, tcpMesh(t, 4), &spinner{}, bsp.Config{MaxSteps: 1 << 30})
@@ -101,13 +100,5 @@ func TestCanceledTCPRunTearsDownMesh(t *testing.T) {
 			t.Fatalf("run %d: canceled TCP run did not terminate", i)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("goroutines grew from %d to %d after canceled TCP runs", before, runtime.NumGoroutine())
+	settled("canceled TCP runs")
 }

@@ -127,13 +127,13 @@ func AssembleValues(subs []*Subgraph, workerValues []*graph.ValueMatrix, width i
 	}
 	errs := make([]error, len(subs))
 	RunParts(procs, len(subs), func(w int) {
-		for _, col := range subs[w].Routing().ToMaster {
+		for q, col := range subs[w].Routing().ToMaster {
 			for i, l := range col.Locals {
 				master, row := values.Row(int(col.IDs[i])), workerValues[w].Row(int(l))
 				for j := range row {
 					if math.Float64bits(master[j]) != math.Float64bits(row[j]) {
-						errs[w] = fmt.Errorf("bsp: replicas of vertex %d disagree at column %d: %g vs %g (worker %d)",
-							col.IDs[i], j, master[j], row[j], w)
+						errs[w] = fmt.Errorf("bsp: replicas of vertex %d disagree at column %d: %g vs %g (worker %d), master at worker %d",
+							col.IDs[i], j, master[j], row[j], w, q)
 						return
 					}
 				}

@@ -2,7 +2,6 @@ package bsp_test
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -13,89 +12,32 @@ import (
 	"ebv/internal/transport"
 )
 
-// tamperMesh is a transport.Deployment whose jobs let edit rewrite what one
-// worker's exchange delivered: a fault no frame checksum catches, because
-// the bytes arrive as sent and only the rows are wrong. edit sees the
-// batches by source and returns the source it changed, or -1 to wait for a
-// later step; it fires once, at the first exchange of worker from step on
-// that it changes.
-type tamperMesh struct {
-	transport.Deployment
-	*tamper
-}
-
-type tamper struct {
-	worker, step int
-	edit         func(in []*transport.MessageBatch) int
-	// firedStep and src record the exchange edit changed (firedStep -1:
-	// none); only worker's goroutine writes them, before Run returns.
-	firedStep, src int
-}
-
-func (m tamperMesh) OpenJob(job uint32, width int) ([]transport.Transport, error) {
-	trs, err := m.Deployment.OpenJob(job, width)
-	if err != nil {
-		return nil, err
-	}
-	for w := range trs {
-		trs[w] = tamperTransport{trs[w], m.tamper}
-	}
-	return trs, nil
-}
-
-type tamperTransport struct {
-	transport.Transport
-	*tamper
-}
-
-func (t tamperTransport) Exchange(worker, step int, out []*transport.MessageBatch, active bool) (transport.ExchangeResult, error) {
-	ex, err := t.Transport.Exchange(worker, step, out, active)
-	if err == nil && worker == t.worker && step >= t.step && t.firedStep < 0 {
-		if t.src = t.edit(ex.In); t.src >= 0 {
-			t.firedStep = step
-		}
-	}
-	return ex, err
-}
-
-// runTampered runs prog over subs on a fresh mesh by name ("mem" or "tcp")
-// whose deliveries to worker from step on pass through edit. It returns
-// the tamper, naming the step and source edit changed, and the run's error.
-func runTampered(t *testing.T, mesh string, subs []*bsp.Subgraph, prog bsp.Program, width, worker, step int,
-	edit func(in []*transport.MessageBatch) int) (*tamper, error) {
+// runTampered runs prog over subs on a fresh mesh by name at the given
+// width with f fired into it, and fails the test unless f fired.
+func runTampered(t *testing.T, mesh string, subs []*bsp.Subgraph, prog bsp.Program, width int, f *fault) error {
 	t.Helper()
-	k := len(subs)
-	base := meshByName(t, mesh, k)
-	if base == nil {
-		mem, err := transport.NewMemDeployment(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base = mem
+	_, err := runFault(t.Context(), t, mesh, subs, prog, bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true}, f)
+	if !f.fired.Load() {
+		t.Fatalf("%v never fired (run error: %v)", f, err)
 	}
-	tp := &tamper{worker: worker, step: step, edit: edit, firedStep: -1}
-	_, err := runOnMesh(t.Context(), subs, tamperMesh{base, tp}, prog,
-		bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true})
-	if tp.firedStep < 0 {
-		t.Fatalf("no delivery to worker %d from step %d on was tampered with (run error: %v)", worker, step, err)
-	}
-	return tp, err
+	return err
 }
 
-// firstSource returns the lowest source other than self whose batch holds
-// at least rows rows, or -1.
-func firstSource(in []*transport.MessageBatch, self, rows int) int {
-	for src, b := range in {
-		if src != self && b.Len() >= rows {
-			return src
+// unreplicated returns a vertex sub holds but shares with no other worker:
+// one no correct delivery to it carries.
+func unreplicated(t *testing.T, sub *bsp.Subgraph) graph.VertexID {
+	for l, gid := range sub.GlobalIDs {
+		if len(sub.PeersOf(int32(l))) == 0 {
+			return gid
 		}
 	}
-	return -1
+	t.Fatalf("worker %d replicates every vertex it holds", sub.Part)
+	return 0
 }
 
 // TestTamperedGatherApplyInboxFails: PageRank's and Aggregate's receive
 // walks the routing columns the step expects, so an inbox that is not
-// exactly their concatenation (a source's last row dropped, a row
+// exactly their concatenation (a source's first row dropped, a row
 // duplicated, an id swapped for another vertex the receiver holds) fails
 // the run naming the worker, the step and the source, on Mem and TCP, at
 // widths 1 and 3. The exchange before step 1 delivers the mirrors'
@@ -105,53 +47,22 @@ func TestTamperedGatherApplyInboxFails(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	const k, worker = 4, 1
 	subs := buildSubs(t, g, core.New(), k)
-	held := subs[worker].GlobalIDs
-	cases := map[string]func(in []*transport.MessageBatch) int{
-		"drop last row": func(in []*transport.MessageBatch) int {
-			src := firstSource(in, worker, 1)
-			if src >= 0 {
-				b := in[src]
-				b.IDs, b.Vals = b.IDs[:b.Len()-1], b.Vals[:(b.Len()-1)*b.Width]
-			}
-			return src
-		},
-		"duplicate row": func(in []*transport.MessageBatch) int {
-			src := firstSource(in, worker, 2)
-			if src >= 0 {
-				b := in[src]
-				row := slices.Clone(b.Row(0))
-				b.IDs = slices.Insert(b.IDs, 1, b.IDs[0])
-				b.Vals = slices.Insert(b.Vals, b.Width, row...)
-			}
-			return src
-		},
-		"swap id": func(in []*transport.MessageBatch) int {
-			src := firstSource(in, worker, 1)
-			if src >= 0 {
-				b := in[src]
-				if b.IDs[0] == held[0] {
-					b.IDs[0] = held[1]
-				} else {
-					b.IDs[0] = held[0]
-				}
-			}
-			return src
-		},
-	}
+	id := unreplicated(t, subs[worker])
 	for _, prog := range []bsp.Program{&apps.PageRank{Iterations: 5}, &apps.Aggregate{Layers: 3}} {
 		for _, mesh := range []string{"mem", "tcp"} {
 			for _, width := range []int{1, 3} {
-				for name, edit := range cases {
+				for _, kind := range []faultKind{dropRow, dupRow, swapID} {
 					for _, step := range []int{0, 1} {
-						label := fmt.Sprintf("%s/%s/w%d/%s/step%d", prog.Name(), mesh, width, name, step)
-						tp, err := runTampered(t, mesh, subs, prog, width, worker, step, edit)
+						f := &fault{kind: kind, worker: worker, step: step, id: id}
+						label := fmt.Sprintf("%s/%s/w%d/%v", prog.Name(), mesh, width, f)
+						err := runTampered(t, mesh, subs, prog, width, f)
 						want := []string{
-							fmt.Sprintf("bsp: worker %d: superstep %d: ", worker, tp.firedStep+1),
-							fmt.Sprintf(" from worker %d is ", tp.src),
+							fmt.Sprintf("bsp: worker %d: superstep %d: ", worker, f.at+1),
+							fmt.Sprintf(" from worker %d is ", f.src),
 							", want vertex ",
 						}
 						if err == nil {
-							t.Fatalf("%s: tampered inbox from worker %d at step %d: no error", label, tp.src, tp.firedStep+1)
+							t.Fatalf("%s: tampered inbox from worker %d at step %d: no error", label, f.src, f.at+1)
 						}
 						for _, w := range want {
 							if !strings.Contains(err.Error(), w) {
@@ -232,18 +143,12 @@ func TestStrayRowFailsCCAndSSSP(t *testing.T) {
 		if row.vertex < 0 {
 			t.Fatalf("worker %d has no vertex that it %s", worker, row.want)
 		}
-		edit := func(in []*transport.MessageBatch) int {
-			src := firstSource(in, worker, 1)
-			if src >= 0 {
-				in[src].IDs[0] = graph.VertexID(row.vertex)
-			}
-			return src
-		}
 		for _, prog := range []bsp.Program{&apps.CC{}, &apps.SSSP{Source: 0}, &apps.SSSP{Source: 0, Weighted: true}} {
 			for _, mesh := range []string{"mem", "tcp"} {
 				for _, width := range []int{1, 3} {
-					tp, err := runTampered(t, mesh, subs, prog, width, worker, 0, edit)
-					prefix := fmt.Sprintf("bsp: worker %d: superstep %d: bsp: inbox row 0 is vertex %d, ", worker, tp.firedStep+1, row.vertex)
+					f := &fault{kind: swapID, worker: worker, id: uint32(row.vertex)}
+					err := runTampered(t, mesh, subs, prog, width, f)
+					prefix := fmt.Sprintf("bsp: worker %d: superstep %d: bsp: inbox row 0 is vertex %d, ", worker, f.at+1, row.vertex)
 					if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.HasSuffix(err.Error(), row.want) {
 						t.Fatalf("%s/%s/%s/w%d: err = %v, want %q…%q", row.name, prog.Name(), mesh, width, err, prefix, row.want)
 					}

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 )
 
 // TCPMeshDeployment is the TCP Deployment: a full loopback mesh of k
@@ -364,15 +366,16 @@ func (n *MeshNode) fail(cause error) {
 
 // readLoop is the demux for one peer connection: it reads bundles and
 // routes them to the owning job's inbox until the connection ends, which
-// kills the node — the peer left, or truncated or corrupted a bundle, or
-// the socket failed.
+// kills the node — the peer left (an end or a reset of the stream between
+// bundles, reported as ErrClosed: a failure elsewhere caused it), or
+// truncated or corrupted a bundle, or the socket failed.
 func (n *MeshNode) readLoop(peer int) {
 	br := bufio.NewReaderSize(n.conns[peer], 1<<16)
 	var s bundleScratch // per-connection read scratch, reused across bundles
 	for {
 		b, err := readBundle(br, n.k, peer, n.worker, &s)
-		if err == io.EOF {
-			n.fail(fmt.Errorf("transport: worker %d closed its connection to worker %d", peer, n.worker))
+		if err == io.EOF || errors.Is(err, syscall.ECONNRESET) {
+			n.fail(fmt.Errorf("transport: worker %d closed its connection to worker %d: %w", peer, n.worker, ErrClosed))
 			return
 		}
 		if err == nil {
@@ -462,12 +465,7 @@ func (n *MeshNode) failure(err error) error {
 }
 
 // failure returns the job's recorded cause (safe after done closed).
-func (j *muxJob) failure() error {
-	if j.err != nil {
-		return j.err
-	}
-	return ErrClosed
-}
+func (j *muxJob) failure() error { return cmp.Or(j.err, ErrClosed) }
 
 // drainInboxes recycles queued frames of a closed job (best-effort: a
 // frame routed concurrently with the close is stranded to the GC, which
