@@ -29,7 +29,6 @@ type Deployment struct {
 	k       int
 	mesh    transport.Deployment
 	nextJob atomic.Uint32
-	served  atomic.Int64
 
 	mu     sync.Mutex
 	subs   []*Subgraph // current epoch's snapshot; replaced wholesale by Swap
@@ -62,13 +61,6 @@ func NewDeployment(subs []*Subgraph, mesh transport.Deployment) (*Deployment, er
 // for the deployment's lifetime; Swap preserves it).
 func (d *Deployment) NumWorkers() int { return d.k }
 
-// Subgraphs returns the current epoch's subgraphs (shared, read-only).
-func (d *Deployment) Subgraphs() []*Subgraph {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.subs
-}
-
 // Epoch returns the current graph epoch: 0 at construction, incremented by
 // every successful Swap. A job's Result reports the epoch it ran on.
 func (d *Deployment) Epoch() uint64 {
@@ -95,9 +87,6 @@ func (d *Deployment) Swap(subs []*Subgraph) (uint64, error) {
 	d.epoch++
 	return d.epoch, nil
 }
-
-// JobsServed returns the number of successfully completed jobs.
-func (d *Deployment) JobsServed() int64 { return d.served.Load() }
 
 // Run executes prog as one job of the deployment and returns its result.
 // Safe for concurrent callers: each call opens its own job-scoped
@@ -155,7 +144,6 @@ func (d *Deployment) Run(ctx context.Context, prog Program, cfg Config) (*Result
 	if err != nil {
 		return nil, err
 	}
-	d.served.Add(1)
 	return res, nil
 }
 

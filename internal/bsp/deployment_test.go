@@ -45,9 +45,6 @@ func TestDeploymentServesManyJobs(t *testing.T) {
 			t.Fatalf("%s: deployment values differ from isolated run", prog.Name())
 		}
 	}
-	if dep.JobsServed() != int64(len(progs)) {
-		t.Fatalf("JobsServed = %d, want %d", dep.JobsServed(), len(progs))
-	}
 }
 
 // TestDeploymentConcurrentMixedWidthJobs is the acceptance shape: N
@@ -129,9 +126,6 @@ func TestDeploymentConcurrentMixedWidthJobs(t *testing.T) {
 			close(errs)
 			for err := range errs {
 				t.Error(err)
-			}
-			if dep.JobsServed() != int64(len(cases)*rounds) {
-				t.Errorf("JobsServed = %d, want %d", dep.JobsServed(), len(cases)*rounds)
 			}
 		})
 	}

@@ -42,12 +42,7 @@ func TestFaultMatrix(t *testing.T) {
 					if kind >= flipBit && mesh == "mem" {
 						continue
 					}
-					// A wire fault needs a lower-id peer, whose connection
-					// the worker's listener accepted.
 					f := &fault{kind: kind, worker: rnd.IntN(k)}
-					if kind >= flipBit {
-						f.worker = 1 + f.worker%(k-1)
-					}
 					f.step = rnd.IntN(max(1, lastStep(clean, f)))
 					f.id = strayTarget(t, subs[f.worker], clean)
 					faultCell(t, fmt.Sprintf("seed %d %s/%s/w%d/%v", seed, app, mesh, width, f), mesh, subs, prog, cfg, f, clean)

@@ -23,8 +23,8 @@ var errInjected = errors.New("injected fault")
 // faultKind is what a fault does to its worker's exchange. The row kinds
 // edit the first batch delivered from another source with the program rows
 // they need (the vote row, last, is the engine's). The wire kinds, on TCP
-// only, damage the first bundle of the step that reaches the worker from a
-// lower-id peer (over a connection its listener accepted).
+// only, damage the first bundle of the step that reaches the worker from
+// any peer.
 type faultKind int
 
 const (
@@ -151,8 +151,8 @@ func runFault(ctx context.Context, t *testing.T, mesh string, subs []*bsp.Subgra
 	return runOnMesh(ctx, subs, faultMesh{mem, f}, prog, cfg)
 }
 
-// wireMesh wires a loopback mesh of k MeshNodes, the listener of f.worker
-// damaging what a wire kind names.
+// wireMesh wires a loopback mesh of k MeshNodes whose listeners damage
+// what a wire kind names.
 func wireMesh(t *testing.T, k int, f *fault) nodeMesh {
 	addrs, lns := make([]string, k), make([]transport.Listener, k)
 	for w := range k {
@@ -161,9 +161,8 @@ func wireMesh(t *testing.T, k int, f *fault) nodeMesh {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = ln.Close() })
-		addrs[w], lns[w] = ln.Addr().String(), ln
+		addrs[w], lns[w] = ln.Addr().String(), faultListener{ln, f, w}
 	}
-	lns[f.worker] = faultListener{lns[f.worker], f}
 	nodes, errs := make(nodeMesh, k), make([]error, k)
 	var wg sync.WaitGroup
 	for w := range k {
@@ -203,7 +202,8 @@ func (m nodeMesh) Close() error {
 
 type faultListener struct {
 	transport.Listener
-	f *fault
+	f      *fault
+	worker int
 }
 
 func (l faultListener) Accept() (net.Conn, error) {
@@ -211,20 +211,39 @@ func (l faultListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultConn{Conn: c, f: l.f, left: 8}, nil
+	return &faultConn{Conn: c, f: l.f, worker: l.worker}, nil
 }
 
-// faultConn passes its stream through a piece at a time — the 8-byte
-// hello, then per EBV6 bundle a 28-byte header (the step at byte 8, the
-// body length at 20, the CRC at 24) and the body — to damage one bundle.
-// The demux reads through a 64 KiB buffer, so a header fits every read.
+// faultConn is a connection a worker's listener accepted from a lower-id
+// peer. It damages the first bundle of the fault's step that reaches
+// f.worker over it: the one it reads if it is f.worker's, the one it
+// writes if the peer is f.worker. Worker 0 accepts no connection, so only
+// the writing side reaches it. Both sides go a piece at a time: the 8-byte
+// hello (read) naming the peer, then per EBV6 bundle a 28-byte header (the
+// step at byte 8, the body length at 20, the CRC at 24) and the body. The
+// demux reads through a 64 KiB buffer, so a header fits every read; each
+// bundle is written through a flushed 64 KiB buffer, so its header opens a
+// write.
 type faultConn struct {
 	net.Conn
-	f    *fault
-	left int // bytes of the current piece still to pass; -1 once truncated
+	f      *fault
+	worker int     // the acceptor
+	hello  [8]byte // the peer's id, then the mesh
+	said   int     // hello bytes read
+	left   int     // bytes of the current piece still to read; -1 once truncated
+	wleft  int     // bytes of the current bundle still to write
+	cut    bool    // the written stream ended inside a bundle
 }
 
 func (c *faultConn) Read(p []byte) (int, error) {
+	if c.said < len(c.hello) {
+		n, err := c.Conn.Read(p[:min(len(p), len(c.hello)-c.said)])
+		c.said += copy(c.hello[c.said:], p[:n])
+		return n, err
+	}
+	if c.worker != c.f.worker {
+		return c.Conn.Read(p)
+	}
 	if c.left > 0 {
 		n, err := c.Conn.Read(p[:min(len(p), c.left)])
 		c.left -= n
@@ -238,7 +257,7 @@ func (c *faultConn) Read(p []byte) (int, error) {
 		return 0, err
 	}
 	c.left = int(binary.LittleEndian.Uint32(h[20:]))
-	if c.f.kind < flipBit || int(binary.LittleEndian.Uint32(h[8:])) != c.f.step || !c.f.fire(c.f.step, -1) {
+	if !c.damage(h) {
 		return len(h), nil
 	}
 	if c.f.kind == truncate {
@@ -247,4 +266,35 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	}
 	h[24] ^= 0x10
 	return len(h), nil
+}
+
+func (c *faultConn) Write(p []byte) (int, error) {
+	switch {
+	case c.cut:
+		return len(p), nil // the peer saw the stream end
+	case int(binary.LittleEndian.Uint32(c.hello[:])) != c.f.worker:
+		return c.Conn.Write(p)
+	case c.wleft > 0:
+		c.wleft -= len(p)
+		return c.Conn.Write(p)
+	}
+	c.wleft = 28 + int(binary.LittleEndian.Uint32(p[20:])) - len(p)
+	if !c.damage(p) {
+		return c.Conn.Write(p)
+	}
+	if c.f.kind == truncate {
+		c.cut = true
+		_, err := c.Conn.Write(p[:12])
+		_ = c.Conn.(*net.TCPConn).CloseWrite()
+		return len(p), err
+	}
+	p = slices.Clone(p)
+	p[24] ^= 0x10
+	return c.Conn.Write(p)
+}
+
+// damage reports whether the bundle with header h is the one a wire kind
+// fires on.
+func (c *faultConn) damage(h []byte) bool {
+	return c.f.kind >= flipBit && int(binary.LittleEndian.Uint32(h[8:])) == c.f.step && c.f.fire(c.f.step, -1)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"ebv"
@@ -85,8 +86,8 @@ func (gs GraphSpec) pipeline() (*ebv.Pipeline, error) {
 }
 
 // cacheEntry is one graph's live state: a session being warmed or
-// serving, plus the refcount that defers eviction's Close until every
-// in-flight job released it.
+// serving, plus the refcount that defers a retired entry's Close until
+// every in-flight job released it.
 type cacheEntry struct {
 	spec GraphSpec
 
@@ -94,24 +95,38 @@ type cacheEntry struct {
 	ready   chan struct{}
 	session *ebv.Session
 	err     error
+	unbind  func() bool // stops the server lifecycle from closing session
 
 	sem chan struct{} // per-graph run slots
 
 	// Guarded by the owning cache's mu.
 	refs    int
 	lastUse int64 // cache.clock stamp, for LRU ordering
-	evicted bool
-	// drained is closed when evicted && refs == 0 — the evictor's cue
-	// that in-flight jobs finished and the session may close.
-	drained chan struct{}
+	warmed  bool  // warm-up finished
+	retired bool  // left the cache: LRU-evicted, or its warm-up failed
+}
+
+// due reports whether e's session closes now: it is retired, warmed up
+// and released by its last job. Called with the cache's mu held. A retired
+// entry takes no new references, so this turns true at most once.
+func (e *cacheEntry) due() bool { return e.retired && e.warmed && e.refs == 0 }
+
+// closeSession closes a due entry's session (a failed warm-up has none).
+// Call it after the cache's mu is unlocked.
+func (e *cacheEntry) closeSession() {
+	if e.session != nil {
+		e.unbind()
+		_ = e.session.Close()
+	}
 }
 
 // sessionCache owns the N prepared graphs: an LRU-managed map from graph
 // name to session, warming sessions up in the background on first
-// reference and draining in-flight jobs before an evicted session
-// closes.
+// reference. A session closes once, when its entry has left the cache and
+// its last job released it, or when the server lifecycle ends, whichever
+// comes first.
 type sessionCache struct {
-	ctx      context.Context // server lifecycle; warm-ups and drains derive from it
+	ctx      context.Context // server lifecycle; warm-ups run under it and every session closes when it ends
 	specs    map[string]GraphSpec
 	names    []string // spec order, for deterministic listings
 	capacity int
@@ -121,8 +136,6 @@ type sessionCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	clock   int64
-	closed  bool
-	evictWG sync.WaitGroup // one count per pending evictor
 }
 
 func newSessionCache(ctx context.Context, specs []GraphSpec, capacity, perGraph int, metrics *serveMetrics) (*sessionCache, error) {
@@ -175,10 +188,11 @@ type graphHandle struct {
 // must be called when the job is finished with the session.
 func (c *sessionCache) acquire(ctx context.Context, name string) (*graphHandle, error) {
 	c.mu.Lock()
-	if c.closed {
+	if c.ctx.Err() != nil {
 		c.mu.Unlock()
 		return nil, errCacheClosed
 	}
+	var victim *cacheEntry
 	e := c.entries[name]
 	if e == nil {
 		spec, ok := c.specs[name]
@@ -187,14 +201,9 @@ func (c *sessionCache) acquire(ctx context.Context, name string) (*graphHandle, 
 			return nil, fmt.Errorf("%w %q", ErrUnknownGraph, name)
 		}
 		c.metrics.cacheMiss.Inc("")
-		e = &cacheEntry{
-			spec:    spec,
-			ready:   make(chan struct{}),
-			sem:     make(chan struct{}, c.perGraph),
-			drained: make(chan struct{}),
-		}
+		e = &cacheEntry{spec: spec, ready: make(chan struct{}), sem: make(chan struct{}, c.perGraph)}
 		c.entries[name] = e
-		c.evictLockedExcept(name)
+		victim = c.evictLocked(name)
 		go c.warm(e)
 	} else {
 		c.metrics.cacheHits.Inc("")
@@ -203,6 +212,9 @@ func (c *sessionCache) acquire(ctx context.Context, name string) (*graphHandle, 
 	c.clock++
 	e.lastUse = c.clock
 	c.mu.Unlock()
+	if victim != nil {
+		victim.closeSession()
+	}
 
 	select {
 	case <-e.ready:
@@ -217,105 +229,75 @@ func (c *sessionCache) acquire(ctx context.Context, name string) (*graphHandle, 
 	return &graphHandle{cache: c, entry: e, session: e.session, spec: e.spec}, nil
 }
 
-// release drops one reference; the last release of an evicted entry
-// signals its drain.
+// release drops one reference; the last release of a retired entry
+// closes its session.
 func (c *sessionCache) release(e *cacheEntry) {
 	c.mu.Lock()
 	e.refs--
-	if e.evicted && e.refs == 0 {
-		close(e.drained)
-	}
+	due := e.due()
 	c.mu.Unlock()
+	if due {
+		e.closeSession()
+	}
 }
 
 func (h *graphHandle) release() { h.cache.release(h.entry) }
 
 // warm prepares the entry's session under the server lifecycle context
 // (NOT a request context: the first requester giving up must not abort a
-// warm-up other queued requesters are waiting on).
+// warm-up other queued requesters are waiting on), and binds the session
+// to that lifecycle: when it ends, the session closes, even if its entry
+// was evicted and is still draining.
 func (c *sessionCache) warm(e *cacheEntry) {
 	p, err := e.spec.pipeline()
 	if err == nil {
 		e.session, err = p.Open(c.ctx)
 	}
-	if err == nil && c.isClosed() {
-		// The cache shut down while this warm-up was in flight and
-		// closeAll may already have given up waiting for it: close the
-		// session here (Close is idempotent, so racing closeAll is fine).
-		_ = e.session.Close()
-		e.session, err = nil, errCacheClosed
-	}
-	if err != nil {
+	if err == nil {
+		e.unbind = context.AfterFunc(c.ctx, func() { _ = e.session.Close() })
+	} else {
 		e.err = fmt.Errorf("serve: warm up graph %q: %w", e.spec.Name, err)
+	}
+	c.mu.Lock()
+	e.warmed = true
+	if err != nil {
 		// Drop the failed entry so the next request retries the build
 		// (the error stays visible to everyone already waiting on ready).
-		c.mu.Lock()
 		if c.entries[e.spec.Name] == e {
 			delete(c.entries, e.spec.Name)
 		}
-		if !e.evicted {
-			e.evicted = true
-			if e.refs == 0 {
-				close(e.drained)
-			}
-		}
-		c.mu.Unlock()
+		e.retired = true
 	}
+	due := e.due()
+	c.mu.Unlock()
 	close(e.ready)
-}
-
-// evictLockedExcept evicts least-recently-used entries (never `keep`)
-// until the cache is within capacity. Called with mu held. Eviction is
-// immediate for new references — the entry leaves the map — but the
-// session closes only after warm-up finished AND every in-flight job
-// released its reference; a background evictor waits for both.
-func (c *sessionCache) evictLockedExcept(keep string) {
-	for len(c.entries) > c.capacity {
-		var victim *cacheEntry
-		var victimName string
-		for name, e := range c.entries {
-			if name == keep {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				victim, victimName = e, name
-			}
-		}
-		if victim == nil {
-			return
-		}
-		delete(c.entries, victimName)
-		victim.evicted = true
-		if victim.refs == 0 {
-			close(victim.drained)
-		}
-		c.metrics.cacheEvict.Inc("")
-		c.evictWG.Add(1)
-		go c.drainAndClose(victim)
+	if due {
+		e.closeSession()
 	}
 }
 
-// drainAndClose closes an evicted entry's session once its warm-up
-// finished and its last in-flight job released it. Server shutdown
-// cancels the wait — CloseAll then closes every session regardless.
-func (c *sessionCache) drainAndClose(e *cacheEntry) {
-	defer c.evictWG.Done()
-	select {
-	case <-e.ready:
-	case <-c.ctx.Done():
-		return
+// evictLocked retires the least-recently-used entry other than keep once
+// the cache is over capacity. Called with mu held. Each miss adds one
+// entry, so one eviction restores the capacity. The victim leaves the map
+// at once; it is returned if its session is due to close now, and
+// otherwise closes on its last release or at the end of its warm-up.
+func (c *sessionCache) evictLocked(keep string) *cacheEntry {
+	if len(c.entries) <= c.capacity {
+		return nil
 	}
-	if e.err != nil {
-		return
+	var victim *cacheEntry
+	for name, e := range c.entries {
+		if name != keep && (victim == nil || e.lastUse < victim.lastUse) {
+			victim = e
+		}
 	}
-	select {
-	case <-e.drained:
-	case <-c.ctx.Done():
-		// Lifecycle over before the drain finished: close anyway — a job
-		// still holding the session fails with ErrSessionClosed, which
-		// beats leaking the session's transports.
+	delete(c.entries, victim.spec.Name)
+	victim.retired = true
+	c.metrics.cacheEvict.Inc("")
+	if !victim.due() {
+		return nil
 	}
-	_ = e.session.Close()
+	return victim
 }
 
 // hasGraph reports whether name is a configured graph. The spec set is
@@ -327,16 +309,17 @@ func (c *sessionCache) hasGraph(name string) bool {
 
 // open reports how many entries currently hold (or are warming) a
 // session.
-func (c *sessionCache) open() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *sessionCache) open() int { return len(c.live()) }
 
-func (c *sessionCache) isClosed() bool {
+// live copies the entries map: none once the server lifecycle ended, which
+// closed every session.
+func (c *sessionCache) live() map[string]*cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.closed
+	if c.ctx.Err() != nil {
+		return nil
+	}
+	return maps.Clone(c.entries)
 }
 
 // graphState is one graph's row in the GET /v1/graphs listing.
@@ -364,13 +347,7 @@ type graphState struct {
 // states lists every configured graph in spec order with its cache
 // state. includeStats attaches the full SessionStats per ready graph.
 func (c *sessionCache) states(includeStats bool) []graphState {
-	c.mu.Lock()
-	entries := make(map[string]*cacheEntry, len(c.entries))
-	for name, e := range c.entries {
-		entries[name] = e
-	}
-	c.mu.Unlock()
-
+	entries := c.live()
 	out := make([]graphState, 0, len(c.names))
 	for _, name := range c.names {
 		st := graphState{Name: name, State: "cold"}
@@ -401,47 +378,4 @@ func (c *sessionCache) states(includeStats bool) []graphState {
 		out = append(out, st)
 	}
 	return out
-}
-
-// closeAll shuts the cache down: no further acquires, wait (bounded by
-// ctx) for warm-ups and pending evictors, then close every remaining
-// session. In-flight jobs lose their sessions mid-run and fail with
-// ErrSessionClosed — callers drain jobs first (Server.Shutdown does).
-func (c *sessionCache) closeAll(ctx context.Context) error {
-	c.mu.Lock()
-	c.closed = true
-	remaining := make([]*cacheEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		remaining = append(remaining, e)
-	}
-	c.entries = make(map[string]*cacheEntry)
-	c.mu.Unlock()
-
-	var firstErr error
-	for _, e := range remaining {
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			// Warm-up still in flight past the drain deadline: warm()
-			// observes the closed flag when it finishes and closes the
-			// session itself.
-			continue
-		}
-		if e.err != nil {
-			continue
-		}
-		if err := e.session.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	done := make(chan struct{})
-	go func() { c.evictWG.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		if firstErr == nil {
-			firstErr = ctx.Err()
-		}
-	}
-	return firstErr
 }

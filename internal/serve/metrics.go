@@ -403,7 +403,7 @@ func newServeMetrics() *serveMetrics {
 	m.cacheMiss = r.NewCounter("ebv_serve_cache_misses_total",
 		"Job requests that triggered a session warm-up.", "")
 	m.cacheEvict = r.NewCounter("ebv_serve_cache_evictions_total",
-		"Sessions evicted from the cache (drained, then closed).", "")
+		"Sessions evicted from the cache (each closes after its last job).", "")
 	m.liveMutations = r.NewCounter("ebv_live_mutations_total",
 		"Edge mutations applied to live sessions, by op (insert, delete).", "op")
 	m.liveBatches = r.NewCounter("ebv_live_batches_total",

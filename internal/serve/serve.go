@@ -89,7 +89,7 @@ func (c *Config) jobTimeout() time.Duration {
 // Server is the graph-query service. Construct with New, mount Handler,
 // and call Drain + Shutdown to stop.
 type Server struct {
-	ctx     context.Context // lifecycle: warm-ups, drains and evictors derive from it
+	ctx     context.Context // lifecycle: warm-ups run under it; its end closes every session
 	cancel  context.CancelFunc
 	cfg     Config
 	cache   *sessionCache
@@ -103,9 +103,10 @@ type Server struct {
 	logf     func(format string, args ...any)
 }
 
-// New builds a Server under ctx: canceling ctx hard-stops warm-ups and
-// in-flight sessions (Shutdown is the graceful path and cancels it
-// last).
+// New builds a Server under ctx. Canceling ctx ends the server lifecycle:
+// warm-ups stop, every session closes (its running jobs fail with
+// ErrSessionClosed) and new jobs get 503. Shutdown is the graceful path
+// and ends the lifecycle last.
 func New(ctx context.Context, cfg Config) (*Server, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -155,10 +156,12 @@ func (s *Server) Drain() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown gracefully stops the server: admission stops, admitted jobs
-// drain (bounded by ctx — the caller's drain deadline), then every
-// session closes. Jobs still running past the deadline lose their
-// sessions and fail with ErrSessionClosed. Idempotent enough for one
-// caller; not safe for concurrent Shutdowns.
+// drain (bounded by ctx, the caller's drain deadline), then the server
+// lifecycle ends, which closes every session. Jobs still running past the
+// deadline lose their sessions and fail with ErrSessionClosed; Shutdown
+// then waits for them once more, again bounded by ctx. It returns
+// ctx.Err() exactly when admitted jobs were still running at the deadline,
+// and nil otherwise, even if ctx is already done. Safe to call twice.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -166,15 +169,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.Drain()
 	done := make(chan struct{})
 	go func() { s.jobs.Wait(); close(done) }()
+	var err error
 	select {
 	case <-done:
 	case <-ctx.Done():
-		s.logf("serve: drain deadline expired with %d jobs still admitted; closing sessions", s.metrics.queued.Load()+s.metrics.inflight.Load())
+		// Every admitted job holds a queue slot until it is released.
+		if n := len(s.queue); n > 0 {
+			s.logf("serve: drain deadline expired with %d jobs still admitted; closing sessions", n)
+			err = ctx.Err()
+		}
 	}
-	err := s.cache.closeAll(ctx)
 	s.cancel()
-	// Give straggler jobs released by the session teardown a moment to
-	// leave the accounting consistent for the caller.
 	select {
 	case <-done:
 	case <-ctx.Done():

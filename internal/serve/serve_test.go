@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -763,5 +764,126 @@ func TestServeWarmupFailureRetries(t *testing.T) {
 	}
 	if attempts != 2 {
 		t.Fatalf("generate attempts = %d, want 2", attempts)
+	}
+}
+
+// waitSessionClosed polls until a Run on session fails, and fails the test
+// unless it fails with ErrSessionClosed within a few seconds.
+func waitSessionClosed(t *testing.T, session *ebv.Session) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		_, err := session.Run(context.Background(), &ebv.CC{})
+		if err != nil {
+			if !errors.Is(err, ebv.ErrSessionClosed) {
+				t.Fatalf("session failed with %v, want ErrSessionClosed", err)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("session still open")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// cachedSession returns the ready session the cache holds for name.
+func cachedSession(t *testing.T, srv *Server, name string) *ebv.Session {
+	t.Helper()
+	srv.cache.mu.Lock()
+	e := srv.cache.entries[name]
+	srv.cache.mu.Unlock()
+	if e == nil {
+		t.Fatalf("no cache entry for %s", name)
+	}
+	<-e.ready
+	if e.err != nil {
+		t.Fatal(e.err)
+	}
+	return e.session
+}
+
+// TestServeShutdownPastDeadlineClosesSessions calls Shutdown with an
+// already-expired ctx while a long job runs, 20 times: Shutdown reports
+// the deadline, the job loses its session (503) and the cached session is
+// closed. Past the deadline every session closes, never a random subset.
+// With no job admitted, an expired ctx is no error.
+func TestServeShutdownPastDeadlineClosesSessions(t *testing.T) {
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	for round := range 20 {
+		srv, ts := newTestServer(t, Config{})
+		if status, _, msg, _ := doJob(t, ts, JobRequest{Graph: "g", App: "cc"}); status != http.StatusOK {
+			t.Fatalf("round %d: warm-up: %d (%s)", round, status, msg)
+		}
+		session := cachedSession(t, srv, "g")
+		blocker := make(chan string, 1)
+		go func() {
+			status, _, msg, _ := doJob(t, ts, JobRequest{Graph: "g", App: "pr", Iterations: 100000, TimeoutMS: 5000})
+			blocker <- fmt.Sprintf("%d %s", status, msg)
+		}()
+		waitInflight(t, srv, 1)
+		if err := srv.Shutdown(expired); !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: Shutdown = %v, want the ctx's error", round, err)
+		}
+		if got := <-blocker; !strings.HasPrefix(got, "503 ") || !strings.Contains(got, ebv.ErrSessionClosed.Error()) {
+			t.Fatalf("round %d: in-flight job got %q, want 503 naming ErrSessionClosed", round, got)
+		}
+		waitSessionClosed(t, session)
+		ts.Close()
+	}
+
+	srv, ts := newTestServer(t, Config{})
+	if status, _, msg, _ := doJob(t, ts, JobRequest{Graph: "g", App: "cc"}); status != http.StatusOK {
+		t.Fatalf("warm-up: %d (%s)", status, msg)
+	}
+	if err := srv.Shutdown(expired); err != nil {
+		t.Fatalf("Shutdown with no admitted job = %v, want nil", err)
+	}
+	waitSessionClosed(t, cachedSession(t, srv, "g"))
+}
+
+// TestServeLifecycleCancelClosesSessions cancels New's ctx with no
+// Shutdown: the open session closes, a new job gets 503, and the
+// goroutine count settles.
+func TestServeLifecycleCancelClosesSessions(t *testing.T) {
+	before := runtime.NumGoroutine()
+	func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		srv, err := New(ctx, Config{Graphs: []GraphSpec{testSpec(t, "g")}, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		if status, _, msg, _ := doJob(t, ts, JobRequest{Graph: "g", App: "cc"}); status != http.StatusOK {
+			t.Fatalf("warm-up: %d (%s)", status, msg)
+		}
+		session := cachedSession(t, srv, "g")
+		cancel()
+		waitSessionClosed(t, session)
+		if status, _, msg, _ := doJob(t, ts, JobRequest{Graph: "g", App: "cc"}); status != http.StatusServiceUnavailable {
+			t.Fatalf("job after cancel: %d (%s), want 503", status, msg)
+		}
+		var listing graphsResponse
+		getJSON(t, ts.URL+"/v1/graphs", &listing)
+		if g := listing.Graphs[0]; g.State != "cold" || srv.cache.open() != 0 {
+			t.Fatalf("after cancel: graph %+v, %d open, want cold and none", g, srv.cache.open())
+		}
+	}()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		if after := runtime.NumGoroutine(); after <= before+2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines %d -> %d after cancel\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
