@@ -23,10 +23,11 @@
 //
 // Messages are columnar batches (transport.MessageBatch) of the run's
 // bsp.Config.ValueWidth, and the apps only mark and fold: bsp.Env addresses
-// the replica rows by the routing plan and checks what arrives. CC and SSSP
-// mark changed vertices for Env.SendMarked and fold column 0 of the rows
-// Env.ReceiveLocals maps to local ids; gatherApply moves whole rows (a rank
-// in column 0, a feature vector) with Env.SendRows and Env.ReceiveRows.
+// the replica rows by the routing plan and checks what arrives. SSSP marks
+// changed vertices for Env.SendMarked, CC whole local components for
+// Env.SendLinked, and both fold column 0 of the rows Env.ReceiveLocals maps
+// to local ids; gatherApply moves whole rows (a rank in column 0, a feature
+// vector) with Env.SendRows and Env.ReceiveRows.
 package apps
 
 import (
@@ -59,10 +60,14 @@ import (
 // bsp.Env.Reduce. Later, labels that are the pivot, the vote's minimum, are
 // sent, other changes park, and a worker that sent or parked any votes
 // (pivot, whether it sent). Once a vote reads idle, parked labels go out and
-// Hash-Min resumes. A component spanning parts thus sends each replicated
-// label once, the pivot, to every peer: on a connected graph, one broadcast.
-// A step examines only the replicated vertices whose label dropped since
-// they were last examined, plus the parked ones at step 1 and at the switch.
+// Hash-Min resumes. A label is sent along the epoch's component links
+// (bsp.Links): one row per local component a peer's component shares a
+// vertex with, not one per replica pair, since every replicated vertex of a
+// component carries its label. A component spanning parts thus sends the
+// pivot once along each of its links: on a connected graph, one row per
+// link. A step examines only the replicated vertices whose label dropped
+// since they were last examined, plus the parked ones at step 1 and at the
+// switch.
 type CC struct {
 	// Warm, when non-nil, seeds each component's label with the minimum
 	// over the covered vertices' rows of this width-1 matrix (dense over
@@ -188,7 +193,7 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 			}
 		}
 	}
-	out = w.env.SendMarked(w.pending, w.sent)
+	out = w.env.SendLinked(w.pending, w.sent)
 	switch {
 	case step == 0 && w.sub.NumWorkers > 1: // a lone worker has nothing to sync
 		w.env.Reduce(smallest, anySet(w.parked)) // every replicated label parked

@@ -182,8 +182,8 @@ func TestCCPivotFlood(t *testing.T) {
 	})
 
 	// Rows and steps on the emission graphs (EBV, k = 8), pinned. Both are
-	// connected, so the rows are exactly one broadcast of every replicated
-	// label: the pivot, once to each peer.
+	// connected, so the rows are exactly one broadcast of the pivot along
+	// every component link.
 	t.Run("pinned", func(t *testing.T) {
 		const k = 8
 		powerlaw, road := emissionGraphs(t)
@@ -192,8 +192,8 @@ func TestCCPivotFlood(t *testing.T) {
 			g           *graph.Graph
 			rows, steps int
 		}{
-			{"powerlaw", powerlaw, 7414, 5},
-			{"road", road, 1782, 11},
+			{"powerlaw", powerlaw, 86, 5},
+			{"road", road, 616, 11},
 		} {
 			subs := buildSSSPSubs(t, tc.g, core.New(), k)
 			res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{VerifyReplicaAgreement: true})
@@ -204,14 +204,12 @@ func TestCCPivotFlood(t *testing.T) {
 			if rows := res.TotalMessages(); rows != int64(tc.rows) || res.Steps != tc.steps {
 				t.Errorf("%s: %d rows in %d steps, pinned %d in %d", tc.name, rows, res.Steps, tc.rows, tc.steps)
 			}
-			broadcast := 0
-			for _, sub := range subs {
-				for _, l := range sub.Routing().Replicated {
-					broadcast += len(sub.PeersOf(l))
-				}
+			links := 0
+			for _, part := range bsp.ComponentLinks(subs) {
+				links += len(part.Peers)
 			}
-			if rows := res.TotalMessages(); rows != int64(broadcast) {
-				t.Errorf("%s: %d rows, one broadcast is %d", tc.name, rows, broadcast)
+			if rows := res.TotalMessages(); rows != int64(links) {
+				t.Errorf("%s: %d rows, the epoch has %d links", tc.name, rows, links)
 			}
 		}
 	})

@@ -32,6 +32,7 @@ type Deployment struct {
 
 	mu     sync.Mutex
 	subs   []*Subgraph // current epoch's snapshot; replaced wholesale by Swap
+	links  *linkTable  // subs' component links, built on first use
 	epoch  uint64
 	closed bool
 }
@@ -54,7 +55,7 @@ func NewDeployment(subs []*Subgraph, mesh transport.Deployment) (*Deployment, er
 		return nil, fmt.Errorf("bsp: transport deployment has %d workers, %d subgraphs built",
 			mesh.NumWorkers(), len(subs))
 	}
-	return &Deployment{k: len(subs), subs: subs, mesh: mesh}, nil
+	return &Deployment{k: len(subs), subs: subs, links: newLinkTable(subs), mesh: mesh}, nil
 }
 
 // NumWorkers returns the worker/subgraph count every job runs with (fixed
@@ -69,11 +70,12 @@ func (d *Deployment) Epoch() uint64 {
 	return d.epoch
 }
 
-// Swap atomically replaces the deployment's subgraphs with a new snapshot
-// and returns the new epoch. Jobs already executing keep the snapshot they
-// captured at admission and finish on it untouched; jobs admitted after
-// Swap run on the new epoch ("apply between jobs"). The worker count must
-// not change — the transport mesh is sized for it.
+// Swap atomically replaces the deployment's subgraphs with a new snapshot,
+// and their component-link table with an empty one, and returns the new
+// epoch. Jobs already executing keep the snapshot and table they captured
+// at admission and finish on them untouched; jobs admitted after Swap run
+// on the new epoch ("apply between jobs"). The worker count must not
+// change — the transport mesh is sized for it.
 func (d *Deployment) Swap(subs []*Subgraph) (uint64, error) {
 	if len(subs) != d.k {
 		return 0, fmt.Errorf("bsp: swap with %d subgraphs, deployment has %d workers", len(subs), d.k)
@@ -83,7 +85,7 @@ func (d *Deployment) Swap(subs []*Subgraph) (uint64, error) {
 	if d.closed {
 		return 0, ErrDeploymentClosed
 	}
-	d.subs = subs
+	d.subs, d.links = subs, newLinkTable(subs)
 	d.epoch++
 	return d.epoch, nil
 }
@@ -108,11 +110,11 @@ func (d *Deployment) Run(ctx context.Context, prog Program, cfg Config) (*Result
 		return nil, ErrDeploymentClosed
 	}
 	job := d.nextJob.Add(1)
-	// Capture the subgraph snapshot and epoch under the same lock that
-	// admits the job: a concurrent Swap either lands before admission (the
-	// job runs entirely on the new epoch) or after (the job finishes on the
-	// old snapshot, which Swap never mutates).
-	subs, epoch := d.subs, d.epoch
+	// Capture the subgraph snapshot, its link table and the epoch under the
+	// same lock that admits the job: a concurrent Swap either lands before
+	// admission (the job runs entirely on the new epoch) or after (the job
+	// finishes on the old snapshot, which Swap never mutates).
+	subs, links, epoch := d.subs, d.links, d.epoch
 	trs, err := d.mesh.OpenJob(job, width)
 	d.mu.Unlock()
 	if err != nil {
@@ -126,7 +128,7 @@ func (d *Deployment) Run(ctx context.Context, prog Program, cfg Config) (*Result
 			_ = tr.Close()
 		}
 	}()
-	out, err := runWorkers(ctx, prog, cfg, subs, trs)
+	out, err := runWorkers(ctx, prog, cfg, subs, links, trs)
 	if err != nil {
 		if d.isClosed() && errors.Is(err, transport.ErrClosed) {
 			return nil, fmt.Errorf("bsp: job %d (%s): %w", job, prog.Name(), ErrDeploymentClosed)

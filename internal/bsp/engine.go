@@ -29,15 +29,16 @@ type Program interface {
 // replica exchange (plan.go). Programs mark and fold; the exchange
 // addresses rows by the routing plan and checks what arrives against it:
 // dense steps (gather/apply) move whole columns with SendRows and
-// ReceiveRows, sparse steps (CC, SSSP) the marked replicated vertices with
-// SendMarked and ReceiveLocals.
+// ReceiveRows, sparse steps the marked replicated vertices with SendMarked
+// (SSSP) or SendLinked (CC) and ReceiveLocals.
 type Env struct {
 	// ValueWidth is the number of float64 values per vertex (>= 1).
 	ValueWidth int
 	sub        *Subgraph
-	vote       *[2]Vote // this superstep's contributions, the last one's reduction
-	failed     *error   // the first error Fail recorded
-	locals     *[]int32 // ReceiveLocals' result, reused across supersteps
+	vote       *[2]Vote      // this superstep's contributions, the last one's reduction
+	failed     *error        // the first error Fail recorded
+	locals     *[]int32      // ReceiveLocals' result, reused across supersteps
+	links      func() *Links // this worker's share of the job's link table (plan.go)
 }
 
 // Fail stops the worker with err (the first one) as "superstep N: err" once
@@ -345,7 +346,7 @@ func checkResume(resume []*Checkpoint, subs []*Subgraph, width int) error {
 // own exchanges — so one worker's error never deadlocks the barrier.
 // Concurrent calls over the same subgraphs are safe: subgraphs are
 // immutable at run time and all per-run state lives here.
-func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
+func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph, links *linkTable,
 	trs []transport.Transport) ([]WorkerResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -382,6 +383,7 @@ func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
 	var wg sync.WaitGroup
 	for i := range subs {
 		spec := spec
+		spec.links = func() *Links { return links.part(i) }
 		if len(cfg.Resume) > 0 {
 			spec.resume = cfg.Resume[i]
 		}
@@ -431,7 +433,7 @@ func runWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 	spec workerSpec, stats *WorkerStats) (int, *graph.ValueMatrix, error) {
 	w := sub.Part
 	maxSteps, width := spec.maxSteps, spec.width
-	env := Env{ValueWidth: width, sub: sub, vote: new([2]Vote), failed: new(error), locals: new([]int32)}
+	env := Env{ValueWidth: width, sub: sub, vote: new([2]Vote), failed: new(error), locals: new([]int32), links: spec.links}
 	wp := prog.NewWorker(sub, env)
 	// Checkpointing and resuming both need the program's snapshot contract.
 	resumable, ok := wp.(Resumable)
@@ -648,7 +650,8 @@ func RunWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		return nil, fmt.Errorf("bsp: transport has %d workers, subgraph expects %d",
 			tr.NumWorkers(), sub.NumWorkers)
 	}
-	out, err := runWorkers(ctx, prog, cfg, []*Subgraph{sub}, []transport.Transport{tr})
+	subs := []*Subgraph{sub}
+	out, err := runWorkers(ctx, prog, cfg, subs, newLinkTable(subs), []transport.Transport{tr})
 	if err != nil {
 		return nil, err
 	}

@@ -20,13 +20,21 @@ import (
 // (worker, step) drawn inside the clean run, with replica verification on.
 // Each cell must end within its deadline either byte-identical to the clean
 // run or with an error naming the faulted worker and, for a fault the run
-// detects, the step. A failing cell prints its seed and coordinates.
+// detects, the step. A failing cell prints its seed and coordinates. CC runs
+// on the road graph: it sends one row per component link, and on the
+// power-law graph's three parts no batch holds the two rows a dup or
+// reorder edits.
 func TestFaultMatrix(t *testing.T) {
 	const seed, k = 2021, 3
-	subs := buildSubs(t, testGraphs(t)["powerlaw"], core.New(), k)
+	graphs := testGraphs(t)
+	powerlaw, road := buildSubs(t, graphs["powerlaw"], core.New(), k), buildSubs(t, graphs["road"], core.New(), k)
 	rnd := rand.New(rand.NewPCG(seed, 0))
 	settled := goroutineGate(t)
 	for _, app := range strings.Split(apps.Names, ", ") {
+		subs := powerlaw
+		if app == "CC" {
+			subs = road
+		}
 		prog, err := apps.ByName(app, apps.Params{})
 		if err != nil {
 			t.Fatal(err)

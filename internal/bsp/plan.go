@@ -3,6 +3,7 @@ package bsp
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -331,11 +332,91 @@ func (e Env) ReceiveRows(dst *graph.ValueMatrix, in *transport.MessageBatch, col
 	}
 }
 
+// Links is one part's share of an epoch's component-link table.
+// For parts p and q, a local component A on p and B on q that share a
+// vertex meet at one link, the lowest global id in A ∩ B: p holds one link
+// per (A, q, B), and its links toward q are q's links toward p.
+// Peers[Start[l]:Start[l+1]] lists the workers local vertex l is a link
+// toward, ascending. A row sent along every link reaches every local
+// component its sender's component touches.
+type Links struct{ Start, Peers []int32 }
+
+// linkTable is one epoch's link table: one cell per part of subs, each
+// built on first use by the worker that sends through it. A table that
+// lacks some part (RunWorker holds only its own) cannot see the peers'
+// components, so each of its parts links along every replica peer entry.
+type linkTable struct {
+	subs  []*Subgraph
+	parts []lazy[*Links]
+}
+
+func newLinkTable(subs []*Subgraph) *linkTable {
+	return &linkTable{subs: subs, parts: make([]lazy[*Links], len(subs))}
+}
+
+// part returns the links of subs[i].
+func (t *linkTable) part(i int) *Links {
+	return t.parts[i].get(func() *Links { return buildLinks(t.subs, i) })
+}
+
+// ComponentLinks returns the link table of the epoch subs (all parts, in
+// worker order), building the parts in parallel.
+func ComponentLinks(subs []*Subgraph) []*Links {
+	t, out := newLinkTable(subs), make([]*Links, len(subs))
+	RunParts(runtime.GOMAXPROCS(0), len(subs), func(p int) { out[p] = t.part(p) })
+	return out
+}
+
+// buildLinks walks subs[i]'s replica peer entries in ascending local id,
+// hence ascending global id, so the first entry to reach a (q, A, B) is its
+// link. An entry whose vertex q does not hold, which no correct build has,
+// is kept as a link: the receiver's check then names it.
+func buildLinks(subs []*Subgraph, i int) *Links {
+	sub := subs[i]
+	if len(subs) != sub.NumWorkers {
+		return &Links{Start: sub.PeerStart, Peers: sub.Peers}
+	}
+	roots, seen := make([][]int32, len(subs)), make([]map[uint64]struct{}, len(subs))
+	for q, s := range subs {
+		roots[q], seen[q] = s.ComponentRoots(), make(map[uint64]struct{})
+	}
+	t := &Links{Start: make([]int32, len(roots[i])+1)}
+	for l, a := range roots[i] {
+		for _, q := range sub.PeersOf(int32(l)) {
+			if lq, held := subs[q].LocalOf(sub.GlobalIDs[l]); held {
+				key := uint64(a)<<32 | uint64(roots[q][lq])
+				if _, dup := seen[q][key]; dup {
+					continue
+				}
+				seen[q][key] = struct{}{}
+			}
+			t.Peers = append(t.Peers, q)
+		}
+		t.Start[l+1] = int32(len(t.Peers))
+	}
+	return t
+}
+
 // SendMarked empties marked, a bit set over local ids, and sends vals[l]
 // of every marked replicated vertex l to each of its replica peers, in
 // ascending local id; marks on unreplicated vertices are dropped. It
 // returns nil when no replicated vertex was marked.
 func (e Env) SendMarked(marked []uint64, vals []float64) []*transport.MessageBatch {
+	return e.sendMarked(marked, vals, e.sub.PeerStart, e.sub.Peers)
+}
+
+// SendLinked is SendMarked along the epoch's component links instead of
+// every replica peer: a marked vertex goes only to the workers it is a link
+// toward. For a program whose replicated vertices carry their local
+// component's value, marked a whole component at a time, every component
+// it reached before still receives the value.
+func (e Env) SendLinked(marked []uint64, vals []float64) []*transport.MessageBatch {
+	t := e.links()
+	return e.sendMarked(marked, vals, t.Start, t.Peers)
+}
+
+// sendMarked sends each marked replicated vertex l to peers[start[l]:start[l+1]].
+func (e Env) sendMarked(marked []uint64, vals []float64, start, peers []int32) []*transport.MessageBatch {
 	var out []*transport.MessageBatch
 	mask := e.sub.Routing().Mask
 	for i, word := range marked {
@@ -349,7 +430,7 @@ func (e Env) SendMarked(marked []uint64, vals []float64) []*transport.MessageBat
 		for ; word != 0; word &= word - 1 {
 			l := int32(i<<6 | bits.TrailingZeros64(word))
 			gid, v := e.sub.GlobalIDs[l], vals[l]
-			for _, peer := range e.sub.PeersOf(l) {
+			for _, peer := range peers[start[l]:start[l+1]] {
 				e.sendScalar(out, peer, gid, v)
 			}
 		}

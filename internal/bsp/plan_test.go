@@ -208,3 +208,105 @@ func TestPlanBuiltOnceUnderConcurrentJobs(t *testing.T) {
 		}
 	}
 }
+
+// checkLinks asserts an epoch's link table against its definition: for each
+// (p, A, q, B), the lowest global id in A ∩ B, once, and nothing else. As
+// both sides derive from the same shared vertices, p's links toward q must
+// be q's toward p. A table holding one part links along every peer entry.
+// It returns the number of links.
+func checkLinks(t *testing.T, subs []*bsp.Subgraph) int {
+	t.Helper()
+	type pair struct{ p, a, q, b int32 }
+	type link struct {
+		gid  graph.VertexID
+		p, q int32
+	}
+	want, got := map[pair]graph.VertexID{}, map[link]bool{}
+	for p, sub := range subs {
+		root := sub.ComponentRoots()
+		for l, gid := range sub.GlobalIDs {
+			for _, q := range sub.PeersOf(int32(l)) {
+				lq, _ := subs[q].LocalOf(gid)
+				key := pair{int32(p), root[l], q, subs[q].ComponentRoots()[lq]}
+				if _, ok := want[key]; !ok {
+					want[key] = gid // ascending local ids: the first is the lowest
+				}
+			}
+		}
+	}
+	for p, part := range bsp.ComponentLinks(subs) {
+		sub := subs[p]
+		if len(part.Start) != sub.NumLocalVertices()+1 || part.Start[0] != 0 {
+			t.Fatalf("part %d: %d link offsets for %d vertices", p, len(part.Start), sub.NumLocalVertices())
+		}
+		for l, gid := range sub.GlobalIDs {
+			peers := part.Peers[part.Start[l]:part.Start[l+1]]
+			for i, q := range peers {
+				if i > 0 && peers[i-1] >= q || !slices.Contains(sub.PeersOf(int32(l)), q) {
+					t.Fatalf("part %d: vertex %d links toward %v (ascending, among its peers %v)", p, gid, peers, sub.PeersOf(int32(l)))
+				}
+				got[link{gid, int32(p), q}] = true
+			}
+		}
+		if alone := bsp.ComponentLinks(subs[p : p+1])[0]; !slices.Equal(alone.Start, sub.PeerStart) || !slices.Equal(alone.Peers, sub.Peers) {
+			t.Fatalf("part %d: a table of its part alone is not its peer lists", p)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d links, %d (A, q, B) triples", len(got), len(want))
+	}
+	for key, gid := range want {
+		if !got[link{gid, key.p, key.q}] {
+			t.Fatalf("part %d: component %d meets part %d's component %d first at vertex %d, which is no link", key.p, key.a, key.q, key.b, gid)
+		}
+		if !got[link{gid, key.q, key.p}] {
+			t.Fatalf("vertex %d links part %d toward %d but not back", gid, key.p, key.q)
+		}
+	}
+	return len(got)
+}
+
+// TestComponentLinks checks link tables over random multigraphs under random
+// assignments and the EBV-partitioned fixtures, and a part that shares no
+// vertex: its links are empty while its neighbours' are not.
+func TestComponentLinks(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for _, k := range []int{1, 3, 8} {
+		for trial := 0; trial < 20; trial++ {
+			n := 1 + rng.Intn(150)
+			edges := make([]graph.Edge, rng.Intn(2*n))
+			parts := make([]int32, len(edges))
+			for i := range edges {
+				edges[i] = graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n))}
+				parts[i] = int32(rng.Intn(k))
+			}
+			g, err := graph.New(n, edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs, err := bsp.BuildSubgraphs(g, &partition.Assignment{K: k, Parts: parts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLinks(t, subs)
+		}
+	}
+	for name, g := range testGraphs(t) {
+		if checkLinks(t, buildSubs(t, g, core.New(), 8)) == 0 {
+			t.Fatalf("%s: no links", name)
+		}
+	}
+	g, err := graph.New(5, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 3, Dst: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := bsp.BuildSubgraphs(g, &partition.Assignment{K: 3, Parts: []int32{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLinks(t, subs)
+	if links := bsp.ComponentLinks(subs); len(links[0].Peers) != 1 || len(links[1].Peers) != 1 || len(links[2].Peers) != 0 {
+		t.Fatalf("links %d, %d, %d; want 1, 1 and none on the part sharing no vertex",
+			len(links[0].Peers), len(links[1].Peers), len(links[2].Peers))
+	}
+}

@@ -79,6 +79,8 @@ type workerSpec struct {
 	sink      func(worker int, cp *Checkpoint) error
 	// resume, when non-nil, starts the worker at resume.Step instead of 0.
 	resume *Checkpoint
+	// links returns the worker's share of the job's link table.
+	links func() *Links
 }
 
 // checkpointing reports whether this run cuts checkpoints.

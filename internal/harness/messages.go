@@ -6,26 +6,31 @@ import (
 	"io"
 	"sync"
 
+	"ebv/internal/bsp"
 	"ebv/internal/gen"
 )
 
 // This file reproduces Tables IV and V: the total number of communication
-// messages and the max/mean per-worker message ratio for the CC algorithm,
-// per graph and per partitioner, using the paper's worker counts.
+// messages and the max/mean per-worker message ratio of one CC broadcast,
+// per graph and per partitioner, using the paper's worker counts. The
+// counts are the replica-pair model: worker p sends L_p rows, one per
+// replica peer of each of its replicated vertices, so L_p is the length of
+// its subgraph's peer list and the total is Σ R(v)(R(v) − 1). Engine CC
+// sends one row per component link instead (bsp.Links), which no longer
+// measures the paper's per-replica traffic.
 
 // MessageCell holds one partitioner's message statistics on one graph.
 type MessageCell struct {
 	Algorithm string
-	// TotalMessages counts the rows that crossed the exchange — the
-	// paper's platform-independent Table IV metric.
+	// TotalMessages is Σ L_p — the paper's platform-independent Table IV
+	// metric.
 	TotalMessages int64
-	// Emitted and Delivered are the program-emitted and inbox-delivered
-	// row counts (bsp.Result.MessageCounts). The engine sends what the
-	// program emits and delivers every row it sends, so both equal
-	// TotalMessages.
+	// Emitted and Delivered equal TotalMessages: a broadcast delivers
+	// every row it emits. They keep the CSV's columns.
 	Emitted   int64
 	Delivered int64
-	// MaxMeanRatio is the Table V communication-balance metric.
+	// MaxMeanRatio is the Table V communication-balance metric,
+	// max_p L_p / mean_p L_p (1 when no row flows).
 	MaxMeanRatio float64
 	// Metrics echoes the Table III numbers shown in parentheses in the
 	// paper's Tables IV and V.
@@ -50,7 +55,7 @@ func (r MessageRow) Cell(algorithm string) (MessageCell, bool) {
 }
 
 // MessagesResult underlies both Table IV and Table V (they are two views
-// of the same runs).
+// of the same counts).
 type MessagesResult struct {
 	Rows []MessageRow
 }
@@ -102,8 +107,8 @@ type messagesKey struct {
 }
 
 // computeMessages partitions every cell of Tables III–V once per process
-// and runs the CC job that Tables IV and V report on over the assignment
-// the cell's metrics were measured on.
+// and counts the replica-pair rows of the subgraphs built over the
+// assignment the cell's metrics were measured on.
 func computeMessages(ctx context.Context, opt Options) (*MessagesResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -127,18 +132,25 @@ func computeMessages(ctx context.Context, opt Options) (*MessagesResult, error) 
 			if err != nil {
 				return nil, err
 			}
-			runs, err := runAssigned(ctx, g, a, p.Name(), AppCC, opt, 1)
+			subs, err := bsp.BuildSubgraphs(g, a)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("harness: %s subgraphs: %w", p.Name(), err)
 			}
-			run := runs[0]
-			counts := run.MessageCounts()
+			var total, most int64
+			for _, sub := range subs {
+				sent := int64(len(sub.Peers))
+				total, most = total+sent, max(most, sent)
+			}
+			ratio := 1.0
+			if total > 0 {
+				ratio = float64(most) / (float64(total) / float64(k))
+			}
 			row.Cells = append(row.Cells, MessageCell{
 				Algorithm:     p.Name(),
-				TotalMessages: counts.Wire,
-				Emitted:       counts.Emitted,
-				Delivered:     counts.Delivered,
-				MaxMeanRatio:  run.MaxMeanMessageRatio(),
+				TotalMessages: total,
+				Emitted:       total,
+				Delivered:     total,
+				MaxMeanRatio:  ratio,
 				Metrics:       metrics,
 			})
 		}
@@ -151,7 +163,7 @@ func computeMessages(ctx context.Context, opt Options) (*MessagesResult, error) 
 // Table4Result reproduces Table IV: total CC communication messages.
 type Table4Result struct{ MessagesResult }
 
-// Table4 runs CC with each partitioner on each graph and counts messages.
+// Table4 counts one CC broadcast's rows for each partitioner on each graph.
 func Table4(ctx context.Context, opt Options) (*Table4Result, error) {
 	m, err := computeMessages(ctx, opt)
 	if err != nil {
@@ -172,7 +184,7 @@ func (r *Table4Result) Print(w io.Writer) error {
 // Table5Result reproduces Table V: max/mean per-worker message ratios.
 type Table5Result struct{ MessagesResult }
 
-// Table5 reports the communication balance of the same CC runs.
+// Table5 reports the communication balance of the same broadcasts.
 func Table5(ctx context.Context, opt Options) (*Table5Result, error) {
 	m, err := computeMessages(ctx, opt)
 	if err != nil {

@@ -253,6 +253,78 @@ func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
 	}
 }
 
+// TestApplyJoinChangesComponentLinks inserts one edge between two local
+// components of one part that both hold replicated vertices. On the
+// deployment the batch is applied to, the new epoch's component links differ
+// from the old one's, CC sends exactly one row per new link (the lattice is
+// connected), and CC cold and warm from the labels before the batch both
+// match SequentialCC.
+func TestApplyJoinChangesComponentLinks(t *testing.T) {
+	road, err := gen.Road(gen.RoadConfig{Width: 20, Height: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.New(road.NumVertices(), road.Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := buildLive(t, g, 4, Config{})
+	dep, err := bsp.NewDeployment(st.subs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	cfg := bsp.Config{VerifyReplicaAgreement: true}
+	prev, err := dep.Run(t.Context(), &apps.CC{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Part 0's first replicated vertex and the next one in another component.
+	sub := st.subs[0]
+	root, replicated := sub.ComponentRoots(), sub.Routing().Replicated
+	u := replicated[0]
+	i := slices.IndexFunc(replicated, func(l int32) bool { return root[l] != root[u] })
+	if i < 0 {
+		t.Fatal("part 0 has one replicated component; pick another graph")
+	}
+	src, dst := sub.GlobalIDs[u], sub.GlobalIDs[replicated[i]]
+	old, before := slices.Clone(st.subs), bsp.ComponentLinks(st.subs)
+	if _, err := st.Apply(t.Context(), []Mutation{{Op: OpInsert, Src: src, Dst: dst}}, dep.Swap); err != nil {
+		t.Fatal(err)
+	}
+	together := func(sub *bsp.Subgraph) bool {
+		a, aok := sub.LocalOf(src)
+		b, bok := sub.LocalOf(dst)
+		return aok && bok && sub.ComponentRoots()[a] == sub.ComponentRoots()[b]
+	}
+	if together(old[0]) || !together(st.subs[0]) {
+		t.Fatalf("edge %d-%d did not join two components of part 0", src, dst)
+	}
+	after := bsp.ComponentLinks(st.subs)
+	if reflect.DeepEqual(before, after) {
+		t.Fatal("the join left the component links as they were")
+	}
+	links := 0
+	for _, part := range after {
+		links += len(part.Peers)
+	}
+	want := apps.SequentialCC(st.g)
+	for _, prog := range []*apps.CC{{}, {Warm: prev.Values, WarmCovered: prev.Covered}} {
+		res, err := dep.Run(t.Context(), prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, label := range want {
+			if got, ok := res.Value(graph.VertexID(v)); ok && got != label {
+				t.Fatalf("warm %t: CC after the join labels vertex %d %g, SequentialCC %g", prog.Warm != nil, v, got, label)
+			}
+		}
+		if prog.Warm == nil && res.TotalMessages() != int64(links) {
+			t.Fatalf("CC after the join sent %d rows, the epoch has %d links", res.TotalMessages(), links)
+		}
+	}
+}
+
 // TestApplyDeterministic replays one stream into two states built from the
 // same preparation: the final graphs, assignments and subgraphs must match
 // exactly (online assignment is deterministic, lowest-index tie-break).

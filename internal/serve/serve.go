@@ -89,8 +89,7 @@ func (c *Config) jobTimeout() time.Duration {
 // Server is the graph-query service. Construct with New, mount Handler,
 // and call Drain + Shutdown to stop.
 type Server struct {
-	ctx     context.Context // lifecycle: warm-ups run under it; its end closes every session
-	cancel  context.CancelFunc
+	cancel  context.CancelFunc // ends the lifecycle the cache holds: warm-ups stop, every session closes
 	cfg     Config
 	cache   *sessionCache
 	metrics *serveMetrics
@@ -119,7 +118,6 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		ctx:     lifecycle,
 		cancel:  cancel,
 		cfg:     cfg,
 		cache:   cache,

@@ -564,8 +564,10 @@ func TestServeDeadlineCancelsJob(t *testing.T) {
 // TestServeEvictionDrainsInFlight forces an LRU eviction while the
 // victim graph has a job in flight: the job must complete correctly, the
 // victim's session must close only afterwards, and a later request must
-// re-warm the graph.
+// re-warm the graph. The test holds the victim's per-graph run slots, so
+// its job stays in flight, holding the session, until the test lets it run.
 func TestServeEvictionDrainsInFlight(t *testing.T) {
+	const iterations = 50
 	srv, ts := newTestServer(t, Config{
 		Graphs:    []GraphSpec{testSpec(t, "a"), testSpec(t, "b")},
 		MaxGraphs: 1, MaxConcurrent: 4, MaxPerGraph: 2, QueueDepth: 16,
@@ -579,32 +581,58 @@ func TestServeEvictionDrainsInFlight(t *testing.T) {
 	if victim == nil {
 		t.Fatal("no cache entry for a")
 	}
+	for range cap(victim.sem) {
+		victim.sem <- struct{}{}
+	}
+	release := sync.OnceFunc(func() {
+		for range cap(victim.sem) {
+			<-victim.sem
+		}
+	})
+	defer release() // a failed check must not leave the job waiting out its timeout
 
 	blocker := make(chan *JobResponse, 1)
 	go func() {
-		status, jr, msg, _ := doJob(t, ts, JobRequest{Graph: "a", App: "pr", Iterations: 20000, Vertices: []int64{0}})
+		status, jr, msg, _ := doJob(t, ts, JobRequest{Graph: "a", App: "pr", Iterations: iterations, Vertices: []int64{0}})
 		if status != http.StatusOK {
 			t.Errorf("in-flight job on evicted graph: %d (%s)", status, msg)
 		}
 		blocker <- jr
 	}()
-	waitInflight(t, srv, 1)
+	// The job holds a's session once it has taken its reference.
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		srv.cache.mu.Lock()
+		refs := victim.refs
+		srv.cache.mu.Unlock()
+		if refs == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the job on a never took its reference (refs %d)", refs)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 
-	// Referencing b evicts a (capacity 1) while a's job is running.
+	// Referencing b evicts a (capacity 1) while a's job is waiting to run.
 	if status, _, msg, _ := doJob(t, ts, JobRequest{Graph: "b", App: "cc"}); status != http.StatusOK {
 		t.Fatalf("job on b: %d (%s)", status, msg)
 	}
 	if got := srv.metrics.cacheEvict.Value(""); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
+	if _, err := victim.session.Run(context.Background(), &ebv.CC{}); err != nil {
+		t.Fatalf("evicted session closed under its in-flight job: %v", err)
+	}
 
 	// The in-flight job survives the eviction...
+	release()
 	jr := <-blocker
-	if jr == nil || jr.Program != "PR" || jr.Steps < 20000 {
+	if jr == nil || jr.Program != "PR" || jr.Steps < iterations {
 		t.Fatalf("evicted-graph job = %+v, want a full PR run", jr)
 	}
 	// ...and only then does the drained session close.
-	deadline := time.Now().Add(20 * time.Second)
+	deadline = time.Now().Add(20 * time.Second)
 	for {
 		_, err := victim.session.Run(context.Background(), &ebv.CC{})
 		if err != nil {
