@@ -117,11 +117,13 @@ func emissionSHA256(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bs
 // The four unit-weight SSSP cells (powerlaw and road, widths 1 and 4) were
 // re-recorded once, when SSSP's relax became bounded by the per-superstep
 // distance horizon, and the six CC cells (powerlaw and road: width 1,
-// width 4, warm) three times: when CC began flooding its smallest
+// width 4, warm) four times: when CC began flooding its smallest
 // replicated label before Hash-Min, when the flood's sentinel rows became
-// the engine's collective vote, which a program no longer emits, and when
+// the engine's collective vote, which a program no longer emits, when
 // CC's step 0 stopped broadcasting every replicated label (the flood now
-// sends one broadcast, one superstep later). The two PR-delta cells were
+// sends one broadcast, one superstep later), and when CC began sending
+// along component links, one row per pair of local components that meet
+// instead of one per replica pair. The two PR-delta cells were
 // re-recorded at the second change too, for the same reason. Each time the
 // values were unchanged and only the emission sequence moved; the step
 // counts were unchanged too, except the third time, which added one CC
@@ -200,24 +202,24 @@ func warmCC(t *testing.T, g *graph.Graph, k int) *apps.CC {
 }
 
 var goldenEmissions = map[string]string{
-	"powerlaw/CC":        "303d49dbe7fdaf92c9540da4f4b9c5d48fa2d28fd3ffe4712eccf022bc67d810",
+	"powerlaw/CC":        "7f1623cd39c1b9a4753440610542c4007b26d25b9935db1752ad80e3d5f33f12",
 	"powerlaw/PR":        "5753e1cd5b2238cb91da212aaef92ebc114fd408cd17bb447dd1e4adc3b02c0d",
 	"powerlaw/SSSP":      "bb9d18e4670f0b68591d501668983f86121d41d4c42918619b15203ba7b8d597",
 	"powerlaw/WSSSP":     "8d61198669a9efc714a66e58e2e5b61d87cbc560ae21d3f4ade56a946ceec1e4",
 	"powerlaw/Aggregate": "cb21ad0c5beb1dfabaf6a1e7c411a1acee3a844fa72f6aac647bdcae4ea9e03d",
-	"road/CC":            "3b34af1ae1861f3739ad267a6f8d378c4b3256ae6d75f6ec1f488500d3515757",
+	"road/CC":            "18e20b176f77d432330639611d68abcffc908edfa7c5e517054852377590f4a4",
 	"road/PR":            "8ab5c03f19c54d4934f802bbd4d30681f24e71b8a79eef9740a30ef360d1e328",
 	"road/SSSP":          "95c9ab22cb46434f6fb6aef63056a04674f58937502da71e392e701a36e1bfcc",
 	"road/WSSSP":         "052912a9f001a70c5425a3024360f3b063c5e4022d61964af54cd21cd59b2d73",
 	"road/Aggregate":     "a222589ce943976ef56888c40ed56d746ee5d4c23e84f2f52772ad201a2c2e4e",
-	"powerlaw/CC@w4":     "b00056681f53ff93a6e6e7d38d1bd6f898f08fa3bc44401e9dd1a37e92ba43a4",
+	"powerlaw/CC@w4":     "875aab0d3bc5a44bcb3b7905d69047292774379fbb4e77ce45ba4a468f9bcbf6",
 	"powerlaw/PR@w4":     "4030d33647cd6ce8780f8c3b39093aec46d129af470a34eb0763724a383c9bc3",
 	"powerlaw/SSSP@w4":   "ad3a9900c6a69d022dc7c50eef3a5b478560e8173b68f4c7da0bdb8071ee8daf",
-	"powerlaw/CC-warm":   "b63e408bb352fdc9e232e5d3ccfc7ddc8b7c3a810c748753f915e372aeaeffce",
+	"powerlaw/CC-warm":   "c7049ca1b3664467375b0288f038bb7c3b1c72ff6ddd3a7b0d8980c234cf5fe7",
 	"powerlaw/PR-delta":  "d08330bc2cce296327e5dd6f809d551d78bc359fe53f4b3a996b2e0e019c66f6",
-	"road/CC@w4":         "9c8b2bdd7dbe5a8c4f8bb79936f80880e6f79477b93f74ec634ad4155e640ecc",
+	"road/CC@w4":         "e9373818439f6912982663739025dd83cf6e63644432db9aacd563f57eb9ffca",
 	"road/PR@w4":         "7b6350ac34b5e64cadeb6643ff648245af9f4d5d4e2106039a94d10f968355bd",
 	"road/SSSP@w4":       "fb46890f12ad6b72180f3c8c7b567f2be227f1b07f1be63eb61e0b1923f70fdb",
-	"road/CC-warm":       "d4021fc6433c40527fab4b570ff6fa3b39aee4fa681b8714eaa9d7440801d12b",
+	"road/CC-warm":       "6e5b16bbdd4bf32cbbcbbd2d8d2c0285b208ae5bfcfd0d139213d3c6a54f75c8",
 	"road/PR-delta":      "b687bb10095f1332b3cb9e7b3203d3adbd28766b94ad8fdceb1ab71bfdadd4df",
 }
