@@ -24,10 +24,10 @@
 // Messages are columnar batches (transport.MessageBatch) of the run's
 // bsp.Config.ValueWidth, and the apps only mark and fold: bsp.Env addresses
 // the replica rows by the routing plan and checks what arrives. SSSP marks
-// changed vertices for Env.SendMarked, CC whole local components for
-// Env.SendLinked, and both fold column 0 of the rows Env.ReceiveLocals maps
-// to local ids; gatherApply moves whole rows (a rank in column 0, a feature
-// vector) with Env.SendRows and Env.ReceiveRows.
+// changed vertices for Env.SendMarked, CC the roots of changed local
+// components for Env.SendLinked, and both fold column 0 of the rows
+// Env.ReceiveLocals maps to local ids; gatherApply moves whole rows (a
+// rank in column 0, a feature vector) with Env.SendRows and Env.ReceiveRows.
 package apps
 
 import (
@@ -65,9 +65,9 @@ import (
 // vertex with, not one per replica pair, since every replicated vertex of a
 // component carries its label. A component spanning parts thus sends the
 // pivot once along each of its links: on a connected graph, one row per
-// link. A step examines only the replicated vertices whose label dropped
-// since they were last examined, plus the parked ones at step 1 and at the
-// switch.
+// link. All state is kept per local component, at its root: a step examines
+// only the components whose label dropped since they were last examined,
+// plus the parked ones at step 1 and at the switch.
 type CC struct {
 	// Warm, when non-nil, seeds each component's label with the minimum
 	// over the covered vertices' rows of this width-1 matrix (dense over
@@ -92,22 +92,24 @@ func (c *CC) Name() string { return "CC" }
 func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	n := sub.NumLocalVertices()
 	w := &ccWorker{
-		sub:     sub,
 		env:     env,
-		plan:    sub.Routing(),
+		workers: sub.NumWorkers,
 		root:    sub.ComponentRoots(),
-		members: sub.ReplicatedMembers(),
 		label:   make([]float64, n),
 		sent:    make([]float64, n),
+		pending: make([]uint64, (n+63)/64),
 		parked:  make([]uint64, (n+63)/64),
 	}
-	w.pending = slices.Clone(w.plan.Mask)
 	// The local subgraph is collapsed once per subgraph, not per job. Each
 	// root is its component's smallest local id, so its own global id is the
 	// component's minimum: the starting label. Only root entries are read.
 	// No label equals NaN, so none counts as sent before it is.
 	for l, gid := range sub.GlobalIDs {
 		w.label[l], w.sent[l] = float64(gid), math.NaN()
+	}
+	// Step 0 examines every component with a replicated vertex.
+	for _, l := range sub.Routing().Replicated {
+		mark(w.pending, w.root[l])
 	}
 	// Warm start: fold the previous run's labels in exactly as
 	// RestoreState folds a checkpoint's — min into the component root,
@@ -133,19 +135,21 @@ func warmValue(warm *graph.ValueMatrix, covered []bool, gid graph.VertexID) (flo
 }
 
 type ccWorker struct {
-	sub     *bsp.Subgraph
 	env     bsp.Env
-	plan    *bsp.Routing
-	root    []int32      // local vertex → its local component's root (shared, read-only)
-	members *bsp.Members // component root → its replicated members (shared, read-only)
-	label   []float64    // valid at component roots
-	sent    []float64    // label last sent per replicated vertex
-	// Bit sets over local ids: pending holds the replicated vertices whose
-	// label dropped since they were last examined, parked those examined and
-	// held back by the flood. A replicated vertex in neither has
-	// label == sent. Once examined, pending marks the labels the step sends.
+	workers int
+	root    []int32 // local vertex → its local component's root (shared, read-only)
+	// label, sent and the two bit sets are read and written at component
+	// roots only: label is the component's label, sent the one it last sent.
+	label, sent []float64
+	// pending holds the roots of replicated components whose label dropped
+	// since they were last examined, parked those examined and held back by
+	// the flood. A replicated component in neither has label == sent. Once
+	// examined, pending marks the labels the step sends.
 	pending, parked []uint64
 }
+
+// mark sets bit r of a bit set.
+func mark(set []uint64, r int32) { set[r>>6] |= 1 << (r & 63) }
 
 // Superstep implements bsp.WorkerProgram.
 func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool) {
@@ -156,13 +160,11 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 	for i, local := range locals {
 		if r, v := w.root[local], in.Scalar(i); v < w.label[r] {
 			w.label[r] = v
-			for _, l := range w.members.Of(r) {
-				w.pending[l>>6] |= 1 << (l & 63)
-			}
+			mark(w.pending, r)
 		}
 	}
 	// The vote: busy, the flood goes on; idle, the switch; none, Hash-Min.
-	// Step 0 floods no pivot yet, so every replicated label parks.
+	// Step 0 floods no pivot yet, so every component's label parks.
 	pivot, busy, voted := w.env.Reduced()
 	if step == 0 {
 		pivot, busy = math.NaN(), true
@@ -171,7 +173,7 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 		return nil, false
 	}
 	smallest, forwarded := math.Inf(1), false
-	// Examine pending, in ascending local id, plus parked at step 1 (step 0
+	// Examine pending, in ascending root, plus parked at step 1 (step 0
 	// parked every label before the pivot was known) and once the flood is
 	// over.
 	release := !busy || step == 1
@@ -181,21 +183,21 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 		}
 		w.pending[i], w.parked[i] = 0, w.parked[i]&^word
 		for ; word != 0; word &= word - 1 {
-			l := int32(i<<6 | bits.TrailingZeros64(word))
-			switch val := w.label[w.root[l]]; {
-			case val == w.sent[l]:
+			r := int32(i<<6 | bits.TrailingZeros64(word))
+			switch val := w.label[r]; {
+			case val == w.sent[r]:
 			case busy && val != pivot:
-				w.parked[i] |= 1 << (l & 63)
+				mark(w.parked, r)
 				smallest = min(smallest, val)
 			default:
-				w.sent[l], forwarded = val, true
-				w.pending[i] |= 1 << (l & 63)
+				w.sent[r], forwarded = val, true
+				mark(w.pending, r)
 			}
 		}
 	}
 	out = w.env.SendLinked(w.pending, w.sent)
 	switch {
-	case step == 0 && w.sub.NumWorkers > 1: // a lone worker has nothing to sync
+	case step == 0 && w.workers > 1: // a lone worker has nothing to sync
 		w.env.Reduce(smallest, anySet(w.parked)) // every replicated label parked
 	case busy && (forwarded || anySet(w.parked)):
 		w.env.Reduce(pivot, forwarded)
@@ -224,17 +226,19 @@ var _ bsp.Resumable = (*ccWorker)(nil)
 // SnapshotState implements bsp.Resumable: every local vertex's resolved
 // component label (width 1). The root table needs no snapshot — it is a
 // function of the (immutable) local edges — and sent and the two sets need
-// none either: at a superstep boundary with no vote (Hash-Min), sent[l] is
-// l's label; at one with a vote past step 1 (flood or switch), only pivot
-// labels went out and every other replicated vertex is parked; before
-// step 1 nothing went out and every one is parked.
+// none either: at a superstep boundary with no vote (Hash-Min), a
+// replicated component's sent is its label; at one with a vote past step 1
+// (flood or switch), only pivot labels went out and every other replicated
+// component is parked; before step 1 nothing went out and every one is
+// parked.
 func (w *ccWorker) SnapshotState() *graph.ValueMatrix {
 	return w.labels(graph.NewValueMatrix(len(w.root), 1))
 }
 
 // RestoreState implements bsp.Resumable: fold the snapshot labels into the
 // components' roots, then rebuild sent and the parked set by SnapshotState's
-// rule from the phase the restored vote shows.
+// rule from the phase the restored vote shows, over the replicated
+// components a new worker's pending set holds for step 0.
 func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 	if state.Width != 1 {
 		return fmt.Errorf("apps: CC snapshot width %d, want 1", state.Width)
@@ -247,13 +251,15 @@ func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 			w.label[r] = v
 		}
 	}
-	clear(w.pending)
 	pivot, _, voted := w.env.Reduced()
-	for _, l := range w.plan.Replicated {
-		if val := w.label[w.root[l]]; !voted || step > 1 && val == pivot {
-			w.sent[l] = val
-		} else {
-			w.parked[l>>6] |= 1 << (l & 63)
+	for i, word := range w.pending {
+		for w.pending[i] = 0; word != 0; word &= word - 1 {
+			r := int32(i<<6 | bits.TrailingZeros64(word))
+			if val := w.label[r]; !voted || step > 1 && val == pivot {
+				w.sent[r] = val
+			} else {
+				mark(w.parked, r)
+			}
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@
 package apps
 
 import (
+	"sync"
 	"testing"
 
 	"ebv/internal/bsp"
@@ -16,6 +17,7 @@ import (
 	"ebv/internal/ne"
 	"ebv/internal/partition"
 	"ebv/internal/rng"
+	"ebv/internal/transport"
 )
 
 // emissionGraphs are the two graphs the bsp emission goldens run (there at
@@ -183,17 +185,19 @@ func TestCCPivotFlood(t *testing.T) {
 
 	// Rows and steps on the emission graphs (EBV, k = 8), pinned. Both are
 	// connected, so the rows are exactly one broadcast of the pivot along
-	// every component link.
+	// every component link. Run as k RunWorker calls over one Mem job, where
+	// each worker's link table holds its own part alone, the pivot goes along
+	// every replica pair instead, in the same steps.
 	t.Run("pinned", func(t *testing.T) {
 		const k = 8
 		powerlaw, road := emissionGraphs(t)
 		for _, tc := range []struct {
-			name        string
-			g           *graph.Graph
-			rows, steps int
+			name                    string
+			g                       *graph.Graph
+			rows, workerRows, steps int
 		}{
-			{"powerlaw", powerlaw, 86, 5},
-			{"road", road, 616, 11},
+			{"powerlaw", powerlaw, 86, 7414, 5},
+			{"road", road, 616, 1782, 11},
 		} {
 			subs := buildSSSPSubs(t, tc.g, core.New(), k)
 			res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{VerifyReplicaAgreement: true})
@@ -211,8 +215,60 @@ func TestCCPivotFlood(t *testing.T) {
 			if rows := res.TotalMessages(); rows != int64(links) {
 				t.Errorf("%s: %d rows, the epoch has %d links", tc.name, rows, links)
 			}
+
+			results := runEachWorker(t, subs, &CC{})
+			vals, rows, pairs := make([]*graph.ValueMatrix, k), int64(0), 0
+			for w, r := range results {
+				if r.Steps != tc.steps {
+					t.Errorf("%s: RunWorker %d took %d steps, pinned %d", tc.name, w, r.Steps, tc.steps)
+				}
+				vals[w], rows, pairs = r.Values, rows+r.Stats.TotalSent(), pairs+len(subs[w].Peers)
+			}
+			labels, covered, err := bsp.AssembleValues(subs, vals, 1, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, label := range SequentialCC(tc.g) {
+				if covered[v] && labels.Scalar(v) != label {
+					t.Fatalf("%s: RunWorker labels vertex %d %g, SequentialCC %g", tc.name, v, labels.Scalar(v), label)
+				}
+			}
+			if rows != int64(tc.workerRows) || rows != int64(pairs) {
+				t.Errorf("%s: RunWorker sent %d rows, pinned %d, the epoch has %d replica pairs", tc.name, rows, tc.workerRows, pairs)
+			}
 		}
 	})
+}
+
+// runEachWorker runs prog over subs as one bsp.RunWorker call per part, all
+// over one job of an in-memory mesh, and returns the workers' results.
+func runEachWorker(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program) []*bsp.WorkerResult {
+	t.Helper()
+	mesh, err := transport.NewMemDeployment(len(subs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	trs, err := mesh.OpenJob(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, errs := make([]*bsp.WorkerResult, len(subs)), make([]error, len(subs))
+	var wg sync.WaitGroup
+	for w, sub := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[w], errs[w] = bsp.RunWorker(t.Context(), sub, prog, trs[w], bsp.Config{})
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("RunWorker %d: %v", w, err)
+		}
+	}
+	return results
 }
 
 // FuzzCCMatchesSequential: bytes become a small multigraph, a part count,

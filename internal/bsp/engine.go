@@ -30,7 +30,8 @@ type Program interface {
 // addresses rows by the routing plan and checks what arrives against it:
 // dense steps (gather/apply) move whole columns with SendRows and
 // ReceiveRows, sparse steps the marked replicated vertices with SendMarked
-// (SSSP) or SendLinked (CC) and ReceiveLocals.
+// (SSSP) or the marked local component roots with SendLinked (CC), and
+// ReceiveLocals.
 type Env struct {
 	// ValueWidth is the number of float64 values per vertex (>= 1).
 	ValueWidth int

@@ -71,19 +71,6 @@ func (s *Subgraph) ComponentRoots() []int32 {
 	return s.comps.get(func() []int32 { return buildComponentRoots(s) })
 }
 
-// Members groups the replicated local vertices by local component: those
-// whose ComponentRoots entry is r are Locals[Start[r]:Start[r+1]], ascending.
-type Members struct{ Start, Locals []int32 }
-
-// Of returns the replicated members of the component rooted at local id r.
-func (m *Members) Of(r int32) []int32 { return m.Locals[m.Start[r]:m.Start[r+1]] }
-
-// ReplicatedMembers returns the replicated members per component root,
-// built on first use from ComponentRoots and Routing().Replicated.
-func (s *Subgraph) ReplicatedMembers() *Members {
-	return s.members.get(func() *Members { return buildMembers(s) })
-}
-
 // Depth is a part's boundary depth: how far its vertices sit, in hops over
 // the local edges taken as undirected, from the nearest replicated local
 // vertex. Vertices with no path to one are not counted.
@@ -197,24 +184,6 @@ func buildComponentRoots(s *Subgraph) []int32 {
 		root[l] = root[p]
 	}
 	return root
-}
-
-// buildMembers counting-sorts Replicated by root; the ascending fill keeps
-// each root's members ascending.
-func buildMembers(s *Subgraph) *Members {
-	root, replicated := s.ComponentRoots(), s.Routing().Replicated
-	m := &Members{Start: make([]int32, len(root)+1), Locals: make([]int32, len(replicated))}
-	for _, l := range replicated {
-		m.Start[root[l]+1]++
-	}
-	for r := range root {
-		m.Start[r+1] += m.Start[r]
-	}
-	fill := slices.Clone(m.Start[:len(root)])
-	for _, l := range replicated {
-		m.Locals[fill[root[l]]], fill[root[l]] = l, fill[root[l]]+1
-	}
-	return m
 }
 
 // buildBoundaryDepth runs the BFS over an undirected adjacency counting-
@@ -335,11 +304,12 @@ func (e Env) ReceiveRows(dst *graph.ValueMatrix, in *transport.MessageBatch, col
 // Links is one part's share of an epoch's component-link table.
 // For parts p and q, a local component A on p and B on q that share a
 // vertex meet at one link, the lowest global id in A ∩ B: p holds one link
-// per (A, q, B), and its links toward q are q's links toward p.
-// Peers[Start[l]:Start[l+1]] lists the workers local vertex l is a link
-// toward, ascending. A row sent along every link reaches every local
-// component its sender's component touches.
-type Links struct{ Start, Peers []int32 }
+// per (A, q, B), and its links toward q are q's links toward p. Locals
+// lists the local vertices that are a link toward some worker, ascending,
+// and Peers[Start[i]:Start[i+1]] the workers Locals[i] is a link toward,
+// ascending. A row sent along every link reaches every local component its
+// sender's component touches.
+type Links struct{ Locals, Start, Peers []int32 }
 
 // linkTable is one epoch's link table: one cell per part of subs, each
 // built on first use by the worker that sends through it. A table that
@@ -370,21 +340,29 @@ func ComponentLinks(subs []*Subgraph) []*Links {
 // buildLinks walks subs[i]'s replica peer entries in ascending local id,
 // hence ascending global id, so the first entry to reach a (q, A, B) is its
 // link. An entry whose vertex q does not hold, which no correct build has,
-// is kept as a link: the receiver's check then names it.
+// is kept as a link: the receiver's check then names it. A one-part table
+// lists every replicated vertex beside its peer row.
 func buildLinks(subs []*Subgraph, i int) *Links {
 	sub := subs[i]
+	replicated := sub.Routing().Replicated
 	if len(subs) != sub.NumWorkers {
-		return &Links{Start: sub.PeerStart, Peers: sub.Peers}
+		t := &Links{Locals: replicated, Start: make([]int32, len(replicated)+1), Peers: sub.Peers}
+		for j, l := range replicated {
+			t.Start[j] = sub.PeerStart[l]
+		}
+		t.Start[len(replicated)] = int32(len(sub.Peers))
+		return t
 	}
 	roots, seen := make([][]int32, len(subs)), make([]map[uint64]struct{}, len(subs))
 	for q, s := range subs {
 		roots[q], seen[q] = s.ComponentRoots(), make(map[uint64]struct{})
 	}
-	t := &Links{Start: make([]int32, len(roots[i])+1)}
-	for l, a := range roots[i] {
-		for _, q := range sub.PeersOf(int32(l)) {
+	t := &Links{Start: []int32{0}}
+	for _, l := range replicated {
+		n := len(t.Peers)
+		for _, q := range sub.PeersOf(l) {
 			if lq, held := subs[q].LocalOf(sub.GlobalIDs[l]); held {
-				key := uint64(a)<<32 | uint64(roots[q][lq])
+				key := uint64(roots[i][l])<<32 | uint64(roots[q][lq])
 				if _, dup := seen[q][key]; dup {
 					continue
 				}
@@ -392,7 +370,10 @@ func buildLinks(subs []*Subgraph, i int) *Links {
 			}
 			t.Peers = append(t.Peers, q)
 		}
-		t.Start[l+1] = int32(len(t.Peers))
+		if len(t.Peers) > n {
+			t.Locals = append(t.Locals, l)
+			t.Start = append(t.Start, int32(len(t.Peers)))
+		}
 	}
 	return t
 }
@@ -402,21 +383,6 @@ func buildLinks(subs []*Subgraph, i int) *Links {
 // ascending local id; marks on unreplicated vertices are dropped. It
 // returns nil when no replicated vertex was marked.
 func (e Env) SendMarked(marked []uint64, vals []float64) []*transport.MessageBatch {
-	return e.sendMarked(marked, vals, e.sub.PeerStart, e.sub.Peers)
-}
-
-// SendLinked is SendMarked along the epoch's component links instead of
-// every replica peer: a marked vertex goes only to the workers it is a link
-// toward. For a program whose replicated vertices carry their local
-// component's value, marked a whole component at a time, every component
-// it reached before still receives the value.
-func (e Env) SendLinked(marked []uint64, vals []float64) []*transport.MessageBatch {
-	t := e.links()
-	return e.sendMarked(marked, vals, t.Start, t.Peers)
-}
-
-// sendMarked sends each marked replicated vertex l to peers[start[l]:start[l+1]].
-func (e Env) sendMarked(marked []uint64, vals []float64, start, peers []int32) []*transport.MessageBatch {
 	var out []*transport.MessageBatch
 	mask := e.sub.Routing().Mask
 	for i, word := range marked {
@@ -430,11 +396,34 @@ func (e Env) sendMarked(marked []uint64, vals []float64, start, peers []int32) [
 		for ; word != 0; word &= word - 1 {
 			l := int32(i<<6 | bits.TrailingZeros64(word))
 			gid, v := e.sub.GlobalIDs[l], vals[l]
-			for _, peer := range peers[start[l]:start[l+1]] {
+			for _, peer := range e.sub.PeersOf(l) {
 				e.sendScalar(out, peer, gid, v)
 			}
 		}
 	}
+	return out
+}
+
+// SendLinked empties roots, a bit set over local component roots
+// (ComponentRoots entries), and sends each marked root's value along the
+// epoch's component links: every link vertex l whose root r is marked sends
+// vals[r] to the workers it is a link toward, in ascending l. For a program
+// that keeps one value per local component, every component its sender's
+// component reached before still receives the value. It returns nil when
+// no root was marked.
+func (e Env) SendLinked(roots []uint64, vals []float64) []*transport.MessageBatch {
+	if !slices.ContainsFunc(roots, func(word uint64) bool { return word != 0 }) {
+		return nil
+	}
+	t, root, out := e.links(), e.sub.ComponentRoots(), make([]*transport.MessageBatch, e.sub.NumWorkers)
+	for i, l := range t.Locals {
+		if r := root[l]; roots[r>>6]&(1<<(r&63)) != 0 {
+			for _, peer := range t.Peers[t.Start[i]:t.Start[i+1]] {
+				e.sendScalar(out, peer, e.sub.GlobalIDs[l], vals[r])
+			}
+		}
+	}
+	clear(roots)
 	return out
 }
 

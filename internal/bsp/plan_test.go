@@ -30,9 +30,8 @@ func columnsEqual(a, b bsp.Column) bool {
 }
 
 // checkPlan asserts every table of sub's routing plan against the per-vertex
-// derivation from PeersOf / Master / GlobalIDs it replaces, the component
-// table against a naive label-propagation over the local edges, and the
-// replicated members per root against a filter of the replicated list.
+// derivation from PeersOf / Master / GlobalIDs it replaces and the
+// component table against a naive label-propagation over the local edges.
 // It returns the number of replicated vertices.
 func checkPlan(t *testing.T, sub *bsp.Subgraph) int {
 	t.Helper()
@@ -58,14 +57,6 @@ func checkPlan(t *testing.T, sub *bsp.Subgraph) int {
 	// Equality with the ascending scans above also proves the lists ascending.
 	if !slices.Equal(plan.Owned, owned) || !slices.Equal(plan.Replicated, replicated) {
 		t.Fatalf("part %d: owned/replicated differ from the per-vertex derivation", sub.Part)
-	}
-	// Each component root lists exactly its replicated members, ascending.
-	root, members := sub.ComponentRoots(), sub.ReplicatedMembers()
-	for r := range int32(sub.NumLocalVertices()) {
-		want := slices.DeleteFunc(slices.Clone(replicated), func(l int32) bool { return root[l] != r })
-		if got := members.Of(r); !slices.Equal(got, want) {
-			t.Fatalf("part %d: root %d has replicated members %v, want %v", sub.Part, r, got, want)
-		}
 	}
 	// Owned plus the mirrors (each in exactly one ToMaster column, checked
 	// column by column below) are every local vertex.
@@ -212,8 +203,11 @@ func TestPlanBuiltOnceUnderConcurrentJobs(t *testing.T) {
 // checkLinks asserts an epoch's link table against its definition: for each
 // (p, A, q, B), the lowest global id in A ∩ B, once, and nothing else. As
 // both sides derive from the same shared vertices, p's links toward q must
-// be q's toward p. A table holding one part links along every peer entry.
-// It returns the number of links.
+// be q's toward p. Each part lists its link vertices strictly ascending,
+// among its replicated ones, each with a non-empty peer range, and every
+// component with a replicated vertex has a link vertex: per-root CC sends
+// through those. A table holding one part is the replicated list beside the
+// peer rows. It returns the number of links.
 func checkLinks(t *testing.T, subs []*bsp.Subgraph) int {
 	t.Helper()
 	type pair struct{ p, a, q, b int32 }
@@ -236,20 +230,38 @@ func checkLinks(t *testing.T, subs []*bsp.Subgraph) int {
 	}
 	for p, part := range bsp.ComponentLinks(subs) {
 		sub := subs[p]
-		if len(part.Start) != sub.NumLocalVertices()+1 || part.Start[0] != 0 {
-			t.Fatalf("part %d: %d link offsets for %d vertices", p, len(part.Start), sub.NumLocalVertices())
+		root, replicated := sub.ComponentRoots(), sub.Routing().Replicated
+		if len(part.Start) != len(part.Locals)+1 || part.Start[0] != 0 || part.Start[len(part.Locals)] != int32(len(part.Peers)) {
+			t.Fatalf("part %d: %d link offsets for %d link vertices and %d peers", p, len(part.Start), len(part.Locals), len(part.Peers))
 		}
-		for l, gid := range sub.GlobalIDs {
-			peers := part.Peers[part.Start[l]:part.Start[l+1]]
-			for i, q := range peers {
-				if i > 0 && peers[i-1] >= q || !slices.Contains(sub.PeersOf(int32(l)), q) {
-					t.Fatalf("part %d: vertex %d links toward %v (ascending, among its peers %v)", p, gid, peers, sub.PeersOf(int32(l)))
+		linked := map[int32]bool{}
+		for i, l := range part.Locals {
+			gid, peers := sub.GlobalIDs[l], part.Peers[part.Start[i]:part.Start[i+1]]
+			if i > 0 && part.Locals[i-1] >= l || !slices.Contains(replicated, l) || len(peers) == 0 {
+				t.Fatalf("part %d: link vertex %d at %d (strictly ascending, replicated, with peers %v)", p, l, i, peers)
+			}
+			for j, q := range peers {
+				if j > 0 && peers[j-1] >= q || !slices.Contains(sub.PeersOf(l), q) {
+					t.Fatalf("part %d: vertex %d links toward %v (ascending, among its peers %v)", p, gid, peers, sub.PeersOf(l))
 				}
 				got[link{gid, int32(p), q}] = true
 			}
+			linked[root[l]] = true
 		}
-		if alone := bsp.ComponentLinks(subs[p : p+1])[0]; !slices.Equal(alone.Start, sub.PeerStart) || !slices.Equal(alone.Peers, sub.Peers) {
-			t.Fatalf("part %d: a table of its part alone is not its peer lists", p)
+		for _, l := range replicated {
+			if !linked[root[l]] {
+				t.Fatalf("part %d: replicated vertex %d's component (root %d) has no link vertex", p, l, root[l])
+			}
+		}
+		alone := bsp.ComponentLinks(subs[p : p+1])[0]
+		if !slices.Equal(alone.Locals, replicated) || !slices.Equal(alone.Peers, sub.Peers) || len(alone.Start) != len(replicated)+1 {
+			t.Fatalf("part %d: a table of its part alone is not its replicated list and peer rows", p)
+		}
+		for i, l := range replicated {
+			if !slices.Equal(alone.Peers[alone.Start[i]:alone.Start[i+1]], sub.PeersOf(l)) {
+				t.Fatalf("part %d: a table of its part alone links vertex %d toward %v, its peers are %v",
+					p, l, alone.Peers[alone.Start[i]:alone.Start[i+1]], sub.PeersOf(l))
+			}
 		}
 	}
 	if len(got) != len(want) {

@@ -61,23 +61,20 @@ type Subgraph struct {
 	// rebuilt by ReadSubgraph rather than shipped.
 	localOf []int32
 
-	// out, routing, comps, members and depth cache plan.go's derived
-	// tables, built on first use and shared by every job; a live epoch swap
-	// replaces rebuilt parts by pointer, which is their invalidation, and
-	// PatchRows empties the cells that depend on peers. Attached by
-	// newSubgraph.
+	// out, routing, comps and depth cache plan.go's derived tables, built
+	// on first use and shared by every job; a live epoch swap replaces
+	// rebuilt parts by pointer, which is their invalidation, and PatchRows
+	// empties the cells that depend on peers. Attached by newSubgraph.
 	out     *lazy[*graph.CSR]
 	routing *lazy[*Routing]
 	comps   *lazy[[]int32]
-	members *lazy[*Members]
 	depth   *lazy[Depth]
 }
 
 // newSubgraph returns a subgraph header with empty derived-table cells.
 func newSubgraph(part, workers, globalVertices int) *Subgraph {
 	return &Subgraph{Part: part, NumWorkers: workers, NumGlobalVertices: globalVertices,
-		out: new(lazy[*graph.CSR]), routing: new(lazy[*Routing]), comps: new(lazy[[]int32]),
-		members: new(lazy[*Members]), depth: new(lazy[Depth])}
+		out: new(lazy[*graph.CSR]), routing: new(lazy[*Routing]), comps: new(lazy[[]int32]), depth: new(lazy[Depth])}
 }
 
 // localIndexMaxDilution bounds the dense index's memory: the index costs
@@ -162,8 +159,8 @@ func (s *Subgraph) setRow(l int32, g *graph.Graph, holders []int32) {
 // are re-derived from g and partsOf (as BuildPart would derive them), the
 // other rows and the edges shared or copied unchanged. The copy keeps the
 // out-adjacency and component tables (no edge moved) but starts with empty
-// routing, replicated-member and boundary-depth cells, since the replicated
-// set may have changed. s itself is not written.
+// routing and boundary-depth cells, since the replicated set may have
+// changed. s itself is not written.
 func (s *Subgraph) PatchRows(rows []int32, g *graph.Graph, partsOf func(graph.VertexID) []int32) *Subgraph {
 	dup := *s
 	dup.GlobalOutDegree = slices.Clone(s.GlobalOutDegree)
@@ -180,7 +177,6 @@ func (s *Subgraph) PatchRows(rows []int32, g *graph.Graph, partsOf func(graph.Ve
 		dup.PeerStart[l+1] = int32(len(dup.Peers))
 	}
 	dup.routing = new(lazy[*Routing])
-	dup.members = new(lazy[*Members])
 	dup.depth = new(lazy[Depth])
 	return &dup
 }

@@ -161,21 +161,19 @@ func TestApplyForceRebuildMatchesPatch(t *testing.T) {
 
 // TestPatchStartsWithEmptyRoutingPlan: a row-patched part rewrites peer
 // rows on a copy of the old subgraph, so the copy must derive its routing
-// plan, replicated members per component and boundary depth afresh (equal
-// to a full rebuild's) while sharing the out-adjacency and component tables
-// (edges unchanged), and its peer rows and shard bytes must equal the full
-// rebuild's; parts carried over by pointer keep every cached table, and CC
-// over the patched parts still reaches the sequential labels.
+// plan and boundary depth afresh (equal to a full rebuild's) while sharing
+// the out-adjacency and component tables (edges unchanged), and its peer
+// rows and shard bytes must equal the full rebuild's; parts carried over by
+// pointer keep every cached table, and CC over the patched parts still
+// reaches the sequential labels.
 func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
 	g := liveGraph(t, 400, 2500, 13)
 	patchSt, patchSwap := buildLive(t, g, 8, Config{})
 	rebuildSt, rebuildSwap := buildLive(t, g, 8, Config{ForceRebuild: true})
 	old := slices.Clone(patchSt.subs)
 	oldPlans := make([]*bsp.Routing, len(old))
-	oldMembers := make([]*bsp.Members, len(old))
 	for p, sub := range old {
 		oldPlans[p] = sub.Routing()
-		oldMembers[p] = sub.ReplicatedMembers()
 		sub.Out()
 		sub.ComponentRoots()
 		sub.BoundaryDepth()
@@ -205,21 +203,18 @@ func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
 		if !reflect.DeepEqual(sub.Routing(), rebuildSt.subs[p].Routing()) {
 			t.Fatalf("part %d: routing plan differs from the full rebuild's", p)
 		}
-		if !reflect.DeepEqual(sub.ReplicatedMembers(), rebuildSt.subs[p].ReplicatedMembers()) {
-			t.Fatalf("part %d: replicated members differ from the full rebuild's", p)
-		}
 		if got, want := sub.BoundaryDepth(), rebuildSt.subs[p].BoundaryDepth(); got != want {
 			t.Fatalf("part %d: boundary depth %+v, full rebuild's %+v", p, got, want)
 		}
 		switch {
 		case sub == old[p]: // reused
-			if sub.Routing() != oldPlans[p] || sub.ReplicatedMembers() != oldMembers[p] {
-				t.Fatalf("part %d: untouched part lost its cached plan or member table", p)
+			if sub.Routing() != oldPlans[p] {
+				t.Fatalf("part %d: untouched part lost its cached plan", p)
 			}
 		case len(sub.Edges) > 0 && &sub.Edges[0] == &old[p].Edges[0]: // patched copy
 			patched++
-			if sub.Routing() == oldPlans[p] || sub.ReplicatedMembers() == oldMembers[p] {
-				t.Fatalf("part %d: patched copy kept the old routing plan or member table", p)
+			if sub.Routing() == oldPlans[p] {
+				t.Fatalf("part %d: patched copy kept the old routing plan", p)
 			}
 			if &sub.ComponentRoots()[0] != &old[p].ComponentRoots()[0] {
 				t.Fatalf("part %d: patched copy rebuilt the component table", p)
