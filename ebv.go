@@ -63,7 +63,7 @@
 // (Pipeline.OpenCluster, cmd/ebv-coordinator + cmd/ebv-worker) and over
 // HTTP (cmd/ebv-serve).
 //
-// See examples/ for runnable programs and DESIGN.md for the architecture.
+// The Example functions are runnable demos; DESIGN.md has the architecture.
 package ebv
 
 import (

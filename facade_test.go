@@ -16,10 +16,10 @@ import (
 // exported alias ebv.go and cluster.go re-export (type X = pkg.X, var/const
 // X = pkg.X), and every exported top-level function of the root package (a
 // Pipeline option constructor, say), must be named by a file under cmd/,
-// examples/, benchmark/ or internal/ (internal/serve is built on the
-// facade), by a root _test.go, or by an exported signature of the root
-// package itself (a Pipeline option's parameter type, a Session method's
-// result). A name that fails all three is API nothing imports — delete it,
+// benchmark/ or internal/ (internal/serve is built on the facade), by a
+// root _test.go (example_test.go holds the runnable demos), or by an
+// exported signature of the root package itself (a Pipeline option's
+// parameter type, a Session method's result). A name that fails all three is API nothing imports — delete it,
 // or add the caller that needs it.
 func TestFacadeNamesAreImported(t *testing.T) {
 	fset := token.NewFileSet()
@@ -50,7 +50,7 @@ func TestFacadeNamesAreImported(t *testing.T) {
 			facade = append(facade, funcNames(f)...)
 		}
 	}
-	for _, dir := range []string{"cmd", "examples", "benchmark", "internal"} {
+	for _, dir := range []string{"cmd", "benchmark", "internal"} {
 		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
 				collectSelectors(parse(path), named)
@@ -70,7 +70,7 @@ func TestFacadeNamesAreImported(t *testing.T) {
 	}
 	sort.Strings(unused)
 	if len(unused) > 0 {
-		t.Errorf("%d of %d facade aliases and root functions are named by nothing in cmd/, examples/, benchmark/, internal/, a root test or an exported root signature:\n  %s",
+		t.Errorf("%d of %d facade aliases and root functions are named by nothing in cmd/, benchmark/, internal/, a root test or an exported root signature:\n  %s",
 			len(unused), len(facade), strings.Join(unused, "\n  "))
 	}
 }

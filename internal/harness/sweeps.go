@@ -36,7 +36,7 @@ type SweepPanel struct {
 	Series []SweepSeries
 }
 
-// Series returns the named series.
+// SeriesByName returns the named series.
 func (p SweepPanel) SeriesByName(name string) (SweepSeries, bool) {
 	for _, s := range p.Series {
 		if s.Series == name {
