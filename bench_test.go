@@ -684,7 +684,8 @@ func BenchmarkPartitionerThroughput(b *testing.B) {
 // rounds, every frame scratch and inbox grown from empty, and the value
 // rows shipped back on the control connection. PR is the scalar
 // row, AGG (2 layers, width 8) the wide one — cluster-w8's cycle in
-// miniature. Profile the layer with
+// miniature — and CC the one whose opens carry each worker's part of the
+// component links, built on the first CC op. Profile the layer with
 //
 //	go test -run '^$' -bench ClusterJob -cpuprofile cpu.out
 func BenchmarkClusterJob(b *testing.B) {
@@ -710,6 +711,7 @@ func BenchmarkClusterJob(b *testing.B) {
 	}{
 		{"PR", ebv.ClusterJob{App: "PR", Iterations: 10}},
 		{"AGG", ebv.ClusterJob{App: "Aggregate", Layers: 2, ValueWidth: 8}},
+		{"CC", ebv.ClusterJob{App: "CC"}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()

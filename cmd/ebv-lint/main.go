@@ -8,7 +8,8 @@
 //	ebv-lint [-list] [-run analyzer,analyzer] [packages...]
 //
 // With no packages, ./... is analyzed. The exit status is 1 when any
-// diagnostic survives //ebv:nolint suppression, so CI can gate on it.
+// analyzer reports a diagnostic (none can be suppressed), so CI can gate
+// on it.
 package main
 
 import (

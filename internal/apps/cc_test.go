@@ -185,19 +185,18 @@ func TestCCPivotFlood(t *testing.T) {
 
 	// Rows and steps on the emission graphs (EBV, k = 8), pinned. Both are
 	// connected, so the rows are exactly one broadcast of the pivot along
-	// every component link. Run as k RunWorker calls over one Mem job, where
-	// each worker's link table holds its own part alone, the pivot goes along
-	// every replica pair instead, in the same steps.
+	// every component link: on a Deployment, and as k RunWorker calls over
+	// one Mem job, each worker handed its part of the epoch's links.
 	t.Run("pinned", func(t *testing.T) {
 		const k = 8
 		powerlaw, road := emissionGraphs(t)
 		for _, tc := range []struct {
-			name                    string
-			g                       *graph.Graph
-			rows, workerRows, steps int
+			name        string
+			g           *graph.Graph
+			rows, steps int
 		}{
-			{"powerlaw", powerlaw, 86, 7414, 5},
-			{"road", road, 616, 1782, 11},
+			{"powerlaw", powerlaw, 86, 5},
+			{"road", road, 616, 11},
 		} {
 			subs := buildSSSPSubs(t, tc.g, core.New(), k)
 			res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{VerifyReplicaAgreement: true})
@@ -216,13 +215,13 @@ func TestCCPivotFlood(t *testing.T) {
 				t.Errorf("%s: %d rows, the epoch has %d links", tc.name, rows, links)
 			}
 
-			results := runEachWorker(t, subs, &CC{})
-			vals, rows, pairs := make([]*graph.ValueMatrix, k), int64(0), 0
+			results := runEachWorker(t, subs, bsp.ComponentLinks(subs), &CC{})
+			vals, rows := make([]*graph.ValueMatrix, k), int64(0)
 			for w, r := range results {
 				if r.Steps != tc.steps {
 					t.Errorf("%s: RunWorker %d took %d steps, pinned %d", tc.name, w, r.Steps, tc.steps)
 				}
-				vals[w], rows, pairs = r.Values, rows+r.Stats.TotalSent(), pairs+len(subs[w].Peers)
+				vals[w], rows = r.Values, rows+r.Stats.TotalSent()
 			}
 			labels, covered, err := bsp.AssembleValues(subs, vals, 1, true)
 			if err != nil {
@@ -233,16 +232,17 @@ func TestCCPivotFlood(t *testing.T) {
 					t.Fatalf("%s: RunWorker labels vertex %d %g, SequentialCC %g", tc.name, v, labels.Scalar(v), label)
 				}
 			}
-			if rows != int64(tc.workerRows) || rows != int64(pairs) {
-				t.Errorf("%s: RunWorker sent %d rows, pinned %d, the epoch has %d replica pairs", tc.name, rows, tc.workerRows, pairs)
+			if rows != int64(tc.rows) {
+				t.Errorf("%s: RunWorker sent %d rows, pinned %d, the epoch has %d links", tc.name, rows, tc.rows, links)
 			}
 		}
 	})
 }
 
-// runEachWorker runs prog over subs as one bsp.RunWorker call per part, all
-// over one job of an in-memory mesh, and returns the workers' results.
-func runEachWorker(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program) []*bsp.WorkerResult {
+// runEachWorker runs prog over subs as one bsp.RunWorker call per part, each
+// handed its part of links, all over one job of an in-memory mesh, and
+// returns the workers' results.
+func runEachWorker(t *testing.T, subs []*bsp.Subgraph, links []*bsp.Links, prog bsp.Program) []*bsp.WorkerResult {
 	t.Helper()
 	mesh, err := transport.NewMemDeployment(len(subs))
 	if err != nil {
@@ -259,7 +259,7 @@ func runEachWorker(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program) []*bsp.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[w], errs[w] = bsp.RunWorker(t.Context(), sub, prog, trs[w], bsp.Config{})
+			results[w], errs[w] = bsp.RunWorker(t.Context(), sub, links[w], prog, trs[w], bsp.Config{})
 		}()
 	}
 	wg.Wait()

@@ -109,7 +109,7 @@ func TestRunWorkerCancel(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := bsp.RunWorker(ctx, subs[0], &spinner{}, mem, bsp.Config{MaxSteps: 1 << 30})
+		_, err := bsp.RunWorker(ctx, subs[0], nil, &spinner{}, mem, bsp.Config{MaxSteps: 1 << 30})
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

@@ -128,7 +128,7 @@ func (d *Deployment) Run(ctx context.Context, prog Program, cfg Config) (*Result
 			_ = tr.Close()
 		}
 	}()
-	out, err := runWorkers(ctx, prog, cfg, subs, links, trs)
+	out, err := runWorkers(ctx, prog, cfg, subs, links.part, trs)
 	if err != nil {
 		if d.isClosed() && errors.Is(err, transport.ErrClosed) {
 			return nil, fmt.Errorf("bsp: job %d (%s): %w", job, prog.Name(), ErrDeploymentClosed)

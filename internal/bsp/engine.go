@@ -347,7 +347,7 @@ func checkResume(resume []*Checkpoint, subs []*Subgraph, width int) error {
 // own exchanges — so one worker's error never deadlocks the barrier.
 // Concurrent calls over the same subgraphs are safe: subgraphs are
 // immutable at run time and all per-run state lives here.
-func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph, links *linkTable,
+func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph, links func(i int) *Links,
 	trs []transport.Transport) ([]WorkerResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -384,7 +384,7 @@ func runWorkers(ctx context.Context, prog Program, cfg Config, subs []*Subgraph,
 	var wg sync.WaitGroup
 	for i := range subs {
 		spec := spec
-		spec.links = func() *Links { return links.part(i) }
+		spec.links = func() *Links { return links(i) }
 		if len(cfg.Resume) > 0 {
 			spec.resume = cfg.Resume[i]
 		}
@@ -633,6 +633,8 @@ type WorkerResult struct {
 // RunWorker executes ONE worker of a distributed computation over the
 // given transport (typically a job opened on a transport.MeshNode); the
 // peer workers run in other processes. It blocks until global quiescence.
+// links, checked against sub unless nil, is this worker's part of the
+// epoch's ComponentLinks, which CC sends along (nil fails its first send).
 // cfg.Resume, empty or one checkpoint for this worker, starts the worker
 // at the checkpoint's Step with its program state and inbox instead of
 // step 0; every worker of the run must resume from the same epoch (the
@@ -643,7 +645,7 @@ type WorkerResult struct {
 // failure, closes the transport, so this worker tears down immediately and
 // its peers fail their own exchanges instead of blocking — the distributed
 // analogue of a crashed process.
-func RunWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Transport, cfg Config) (*WorkerResult, error) {
+func RunWorker(ctx context.Context, sub *Subgraph, links *Links, prog Program, tr transport.Transport, cfg Config) (*WorkerResult, error) {
 	if sub == nil {
 		return nil, errors.New("bsp: nil subgraph")
 	}
@@ -651,8 +653,12 @@ func RunWorker(ctx context.Context, sub *Subgraph, prog Program, tr transport.Tr
 		return nil, fmt.Errorf("bsp: transport has %d workers, subgraph expects %d",
 			tr.NumWorkers(), sub.NumWorkers)
 	}
-	subs := []*Subgraph{sub}
-	out, err := runWorkers(ctx, prog, cfg, subs, newLinkTable(subs), []transport.Transport{tr})
+	if links != nil {
+		if err := links.check(sub); err != nil {
+			return nil, fmt.Errorf("bsp: worker %d: component links: %w", sub.Part, err)
+		}
+	}
+	out, err := runWorkers(ctx, prog, cfg, []*Subgraph{sub}, func(int) *Links { return links }, []transport.Transport{tr})
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func TestStageTimersCoverWallTime(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				results[w], errs[w] = bsp.RunWorker(t.Context(), subs[w], &boundaryFlood{rounds: 60}, trs[w],
+				results[w], errs[w] = bsp.RunWorker(t.Context(), subs[w], nil, &boundaryFlood{rounds: 60}, trs[w],
 					bsp.Config{})
 			}()
 		}

@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -311,10 +312,29 @@ func (e Env) ReceiveRows(dst *graph.ValueMatrix, in *transport.MessageBatch, col
 // sender's component touches.
 type Links struct{ Locals, Start, Peers []int32 }
 
+// check reports the first way t is not a well-formed share of sub's links:
+// ascending local link vertices, each with an ascending run of its peers.
+func (t *Links) check(sub *Subgraph) error {
+	if len(t.Start) != len(t.Locals)+1 || t.Start[0] != 0 || t.Start[len(t.Locals)] != int32(len(t.Peers)) {
+		return fmt.Errorf("%d link offsets for %d link vertices and %d peers", len(t.Start), len(t.Locals), len(t.Peers))
+	}
+	for i, l := range t.Locals {
+		lo, hi := t.Start[i], t.Start[i+1]
+		if l < 0 || int(l) >= len(sub.GlobalIDs) || i > 0 && l <= t.Locals[i-1] || lo >= hi || hi > int32(len(t.Peers)) {
+			return fmt.Errorf("link vertex %d at %d of %d local vertices, peer offsets %d..%d of %d", l, i, len(sub.GlobalIDs), lo, hi, len(t.Peers))
+		}
+		peers := t.Peers[lo:hi]
+		for j, q := range peers {
+			if j > 0 && q <= peers[j-1] || !slices.Contains(sub.PeersOf(l), q) {
+				return fmt.Errorf("link vertex %d links toward %v, its replica peers are %v", l, peers, sub.PeersOf(l))
+			}
+		}
+	}
+	return nil
+}
+
 // linkTable is one epoch's link table: one cell per part of subs, each
-// built on first use by the worker that sends through it. A table that
-// lacks some part (RunWorker holds only its own) cannot see the peers'
-// components, so each of its parts links along every replica peer entry.
+// built on first use by the worker that sends through it.
 type linkTable struct {
 	subs  []*Subgraph
 	parts []lazy[*Links]
@@ -329,8 +349,9 @@ func (t *linkTable) part(i int) *Links {
 	return t.parts[i].get(func() *Links { return buildLinks(t.subs, i) })
 }
 
-// ComponentLinks returns the link table of the epoch subs (all parts, in
-// worker order), building the parts in parallel.
+// ComponentLinks returns the link table of the epoch subs (all its parts,
+// in worker order), building the parts in parallel: what the cluster
+// coordinator ships each worker, its part's share, for RunWorker.
 func ComponentLinks(subs []*Subgraph) []*Links {
 	t, out := newLinkTable(subs), make([]*Links, len(subs))
 	RunParts(runtime.GOMAXPROCS(0), len(subs), func(p int) { out[p] = t.part(p) })
@@ -340,25 +361,15 @@ func ComponentLinks(subs []*Subgraph) []*Links {
 // buildLinks walks subs[i]'s replica peer entries in ascending local id,
 // hence ascending global id, so the first entry to reach a (q, A, B) is its
 // link. An entry whose vertex q does not hold, which no correct build has,
-// is kept as a link: the receiver's check then names it. A one-part table
-// lists every replicated vertex beside its peer row.
+// is kept as a link: the receiver's check then names it.
 func buildLinks(subs []*Subgraph, i int) *Links {
 	sub := subs[i]
-	replicated := sub.Routing().Replicated
-	if len(subs) != sub.NumWorkers {
-		t := &Links{Locals: replicated, Start: make([]int32, len(replicated)+1), Peers: sub.Peers}
-		for j, l := range replicated {
-			t.Start[j] = sub.PeerStart[l]
-		}
-		t.Start[len(replicated)] = int32(len(sub.Peers))
-		return t
-	}
 	roots, seen := make([][]int32, len(subs)), make([]map[uint64]struct{}, len(subs))
 	for q, s := range subs {
 		roots[q], seen[q] = s.ComponentRoots(), make(map[uint64]struct{})
 	}
 	t := &Links{Start: []int32{0}}
-	for _, l := range replicated {
+	for _, l := range sub.Routing().Replicated {
 		n := len(t.Peers)
 		for _, q := range sub.PeersOf(l) {
 			if lq, held := subs[q].LocalOf(sub.GlobalIDs[l]); held {
@@ -416,6 +427,10 @@ func (e Env) SendLinked(roots []uint64, vals []float64) []*transport.MessageBatc
 		return nil
 	}
 	t, root, out := e.links(), e.sub.ComponentRoots(), make([]*transport.MessageBatch, e.sub.NumWorkers)
+	if t == nil {
+		e.Fail(errors.New("bsp: a replicated component to send, and no component links to send it along"))
+		return nil
+	}
 	for i, l := range t.Locals {
 		if r := root[l]; roots[r>>6]&(1<<(r&63)) != 0 {
 			for _, peer := range t.Peers[t.Start[i]:t.Start[i+1]] {

@@ -206,8 +206,7 @@ func TestPlanBuiltOnceUnderConcurrentJobs(t *testing.T) {
 // be q's toward p. Each part lists its link vertices strictly ascending,
 // among its replicated ones, each with a non-empty peer range, and every
 // component with a replicated vertex has a link vertex: per-root CC sends
-// through those. A table holding one part is the replicated list beside the
-// peer rows. It returns the number of links.
+// through those. It returns the number of links.
 func checkLinks(t *testing.T, subs []*bsp.Subgraph) int {
 	t.Helper()
 	type pair struct{ p, a, q, b int32 }
@@ -251,16 +250,6 @@ func checkLinks(t *testing.T, subs []*bsp.Subgraph) int {
 		for _, l := range replicated {
 			if !linked[root[l]] {
 				t.Fatalf("part %d: replicated vertex %d's component (root %d) has no link vertex", p, l, root[l])
-			}
-		}
-		alone := bsp.ComponentLinks(subs[p : p+1])[0]
-		if !slices.Equal(alone.Locals, replicated) || !slices.Equal(alone.Peers, sub.Peers) || len(alone.Start) != len(replicated)+1 {
-			t.Fatalf("part %d: a table of its part alone is not its replicated list and peer rows", p)
-		}
-		for i, l := range replicated {
-			if !slices.Equal(alone.Peers[alone.Start[i]:alone.Start[i+1]], sub.PeersOf(l)) {
-				t.Fatalf("part %d: a table of its part alone links vertex %d toward %v, its peers are %v",
-					p, l, alone.Peers[alone.Start[i]:alone.Start[i+1]], sub.PeersOf(l))
 			}
 		}
 	}

@@ -187,7 +187,7 @@ func TestRunWorkerResume(t *testing.T) {
 	sub := buildSubs(t, pathGraph(t, 40), &partition.Random{}, 1)[0]
 	prog := &apps.PageRank{Iterations: 12}
 	store := newCheckpointStore(1)
-	full, err := bsp.RunWorker(t.Context(), sub, prog, memJob(t, 1)[0],
+	full, err := bsp.RunWorker(t.Context(), sub, nil, prog, memJob(t, 1)[0],
 		bsp.Config{CheckpointEvery: 1, CheckpointSink: store.sink})
 	if err != nil {
 		t.Fatalf("full run: %v", err)
@@ -199,7 +199,7 @@ func TestRunWorkerResume(t *testing.T) {
 	epoch := epochs[len(epochs)/2]
 	rec := &firstStepProg{Program: prog}
 	rec.first.Store(-1)
-	res, err := bsp.RunWorker(t.Context(), sub, rec, memJob(t, 1)[0],
+	res, err := bsp.RunWorker(t.Context(), sub, nil, rec, memJob(t, 1)[0],
 		bsp.Config{Resume: store.epochs[epoch]})
 	if err != nil {
 		t.Fatalf("resume from epoch %d: %v", epoch, err)

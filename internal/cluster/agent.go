@@ -123,6 +123,7 @@ type pendingAttempt struct {
 	job     int
 	attempt int
 	prog    bsp.Program
+	links   *bsp.Links // the partition's component links, for CC
 	cfg     bsp.Config // ValueWidth resolved, checkpoint sink and restore attached
 	tr      transport.Transport
 }
@@ -265,7 +266,7 @@ func (a *Agent) open(ctx context.Context, sub *bsp.Subgraph, m openMsg) (*pendin
 	if err != nil {
 		return nil, err
 	}
-	p := &pendingAttempt{job: m.Job, attempt: m.Attempt, prog: prog, cfg: cfg}
+	p := &pendingAttempt{job: m.Job, attempt: m.Attempt, prog: prog, links: m.Links, cfg: cfg}
 	if m.RestoreStep >= 0 {
 		if !m.Spec.checkpointing() {
 			return nil, fmt.Errorf("restore step %d without a checkpoint dir", m.RestoreStep)
@@ -325,7 +326,7 @@ func (a *Agent) open(ctx context.Context, sub *bsp.Subgraph, m openMsg) (*pendin
 // next.
 func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt) error {
 	defer p.tr.Close()
-	res, err := bsp.RunWorker(ctx, sub, p.prog, p.tr, p.cfg)
+	res, err := bsp.RunWorker(ctx, sub, p.links, p.prog, p.tr, p.cfg)
 	if err != nil {
 		return err
 	}

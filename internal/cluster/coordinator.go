@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ebv/internal/apps"
 	"ebv/internal/bsp"
 	"ebv/internal/graph"
 )
@@ -32,7 +33,8 @@ type Config struct {
 // workers. See the package comment for the protocol narrative.
 type Coordinator struct {
 	subs      []*bsp.Subgraph
-	shards    [][]byte // pre-encoded bsp.WriteSubgraph bytes, by partition
+	shards    [][]byte            // pre-encoded bsp.WriteSubgraph bytes, by partition
+	links     func() []*bsp.Links // bsp.ComponentLinks(subs), built by the first CC job
 	hbTimeout time.Duration
 	logf      func(string, ...any)
 	ln        net.Listener
@@ -143,6 +145,7 @@ func NewCoordinator(ctx context.Context, cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		subs:      cfg.Subgraphs,
 		shards:    shards,
+		links:     sync.OnceValue(func() []*bsp.Links { return bsp.ComponentLinks(cfg.Subgraphs) }),
 		hbTimeout: hb,
 		logf:      logf,
 		ln:        ln,
@@ -463,7 +466,8 @@ func (c *Coordinator) waitRoster(ctx context.Context) ([]*workerConn, error) {
 func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	// A spec no worker could run is rejected before it queues, consumes a
 	// job id or contacts a worker.
-	if _, err := spec.Program(); err != nil {
+	prog, err := spec.Program()
+	if err != nil {
 		return nil, err
 	}
 	cfg, err := spec.config()
@@ -472,6 +476,10 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	}
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
+	links := make([]*bsp.Links, len(c.subs)) // none but a CC job's
+	if _, cc := prog.(*apps.CC); cc {
+		links = c.links()
+	}
 	c.mu.Lock()
 	c.nextJob++
 	job := c.nextJob
@@ -480,7 +488,7 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	var lastErr error
 	max := spec.maxAttempts()
 	for attempt := 1; attempt <= max; attempt++ {
-		res, err := c.runAttempt(ctx, job, attempt, spec, cfg.ValueWidth)
+		res, err := c.runAttempt(ctx, job, attempt, spec, cfg.ValueWidth, links)
 		if err == nil {
 			res.Attempts = attempt
 			return res, nil
@@ -495,8 +503,9 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	return nil, fmt.Errorf("cluster: job %d failed: %w", job, lastErr)
 }
 
-// runAttempt drives one attempt: roster, open, start, collect.
-func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec JobSpec, width int) (*JobResult, error) {
+// runAttempt drives one attempt: roster, open (links[p] to p's owner),
+// start, collect.
+func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec JobSpec, width int, links []*bsp.Links) (*JobResult, error) {
 	k := len(c.subs)
 	ch := make(chan event, 4*k+16)
 	c.mu.Lock()
@@ -543,7 +552,8 @@ func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec Job
 	}
 
 	open := openMsg{Job: job, Attempt: attempt, Spec: spec, RestoreStep: restoreStep, Mesh: c.mesh, Addrs: addrs}
-	for _, w := range roster {
+	for p, w := range roster {
+		open.Links = links[p]
 		if err := writeMsg(&w.wmu, w.conn, msgOpen, open); err != nil {
 			c.markDead(w, err)
 			return nil, fmt.Errorf("send open to worker %d: %w", w.id, err)

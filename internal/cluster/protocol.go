@@ -20,12 +20,13 @@ import (
 // with header words type and payload length, so a corrupt or truncated
 // frame — a data-plane peer, a connection cut mid-shard — fails at the
 // frame layer, not as a gob decode error. The small schema'd messages
-// (hello, open, opened, start, failed) are gob-encoded structs: a
-// few dozen bytes each, off the bulk path, and gob lets JobSpec grow a
-// field without a wire revision. The two bulk payloads never touch gob,
-// whose reflection cost more CPU per shard than EBV spends partitioning
-// it: assign is the shard, exactly bsp.WriteSubgraph's bytes (they label
-// their own part and worker count), and done is
+// (hello, open, opened, start, failed) are gob-encoded structs off the
+// bulk path (a CC job's open carries its part's component links), and gob
+// lets JobSpec and openMsg grow a field without a wire revision. The two
+// bulk payloads never touch gob, whose reflection cost more CPU per shard
+// than EBV spends partitioning it: assign is the shard, exactly
+// bsp.WriteSubgraph's bytes (they label their own part and worker count),
+// and done is
 //
 //	u32 job | u32 attempt | u32 part | u32 steps | u32 width | u32 rows |
 //	rows·width × f64 (little-endian bit patterns)
@@ -57,7 +58,8 @@ type helloMsg struct {
 // listen at Addrs (indexed by partition): an agent whose node is wired
 // for another mesh, or has none, wires one first. RestoreStep >= 0
 // instructs it to load its partition's checkpoint for that epoch before
-// running; -1 runs fresh.
+// running; -1 runs fresh. Links is the agent's part of the component-link
+// table for a CC job, which RunWorker checks, and nil for any other.
 type openMsg struct {
 	Job         int
 	Attempt     int
@@ -65,6 +67,7 @@ type openMsg struct {
 	RestoreStep int
 	Mesh        int
 	Addrs       []string
+	Links       *bsp.Links
 }
 
 // openedMsg reports the attempt open on the agent's node.

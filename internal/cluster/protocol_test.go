@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"ebv/internal/bsp"
 	"ebv/internal/graph"
+	"ebv/internal/partition"
 	"ebv/internal/transport"
 )
 
@@ -158,6 +160,85 @@ func TestDoneFrameDamageSweep(t *testing.T) {
 		flipped[bit/8] ^= 1 << (bit % 8)
 		if read(flipped) == nil {
 			t.Fatalf("frame with bit %d flipped accepted", bit)
+		}
+	}
+}
+
+// TestOpenCarriesLinks drives a real coordinator with scripted workers and
+// records what each open carries: nothing for a PR job, which builds no
+// link table, and for a CC job exactly bsp.ComponentLinks(subs)[p] to the
+// owner of partition p. Partition 2 shares no vertex, so its share is the
+// empty table, which gob must deliver as one and not as nil.
+func TestOpenCarriesLinks(t *testing.T) {
+	g, err := graph.New(5, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 3, Dst: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := bsp.BuildSubgraphs(g, &partition.Assignment{K: 3, Parts: []int32{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := newTestCluster(t, subs, 5*time.Second)
+	opens := make([][]*bsp.Links, len(subs)) // by partition, one entry per open
+	conns := make([]net.Conn, len(subs))
+	var wg sync.WaitGroup
+	for p, sub := range subs {
+		conn, err := net.Dial("tcp", tc.coord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var wmu sync.Mutex
+		if err := writeMsg(&wmu, conn, msgHello, helloMsg{DataAddr: "127.0.0.1:1"}); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); tc.coord.NumRegistered() < p+1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("scripted worker %d did not register", p)
+			}
+		}
+		conns[p] = conn
+		// Each vertex's value is its id, so the replicas agree.
+		vals := &graph.ValueMatrix{Width: 1}
+		for _, gid := range sub.GlobalIDs {
+			vals.Data = append(vals.Data, float64(gid))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var job, attempt int
+			for {
+				typ, payload, err := readFrame(conn)
+				if err != nil {
+					return
+				}
+				switch typ {
+				case msgOpen:
+					var m openMsg
+					if decodeMsg(payload, &m) != nil {
+						return
+					}
+					job, attempt, opens[p] = m.Job, m.Attempt, append(opens[p], m.Links)
+					_ = writeMsg(&wmu, conn, msgOpened, openedMsg{Job: job, Attempt: attempt})
+				case msgStart:
+					_ = writeFrame(&wmu, conn, msgDone, encodeDone(job, attempt, p, 1, vals))
+				}
+			}
+		}()
+	}
+	for _, app := range []string{"PR", "CC"} {
+		if _, err := tc.coord.Run(context.Background(), JobSpec{App: app, MaxAttempts: 1}); err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+	}
+	for _, conn := range conns {
+		_ = conn.Close()
+	}
+	wg.Wait()
+	want := bsp.ComponentLinks(subs)
+	for p := range subs {
+		if len(opens[p]) != 2 || opens[p][0] != nil || !reflect.DeepEqual(opens[p][1], want[p]) {
+			t.Errorf("partition %d: opens carried %v, want none for PR then %+v for CC", p, opens[p], want[p])
 		}
 	}
 }

@@ -8,15 +8,12 @@ func TestDetOrder(t *testing.T)      { testFixture(t, "detorder", []*Analyzer{De
 func TestTeardownCause(t *testing.T) { testFixture(t, "teardowncause", []*Analyzer{TeardownCause}) }
 func TestCloseErr(t *testing.T)      { testFixture(t, "closeerr", []*Analyzer{CloseErr}) }
 
-// TestNolintLint runs the FULL suite over the nolintlint fixture: stale
-// detection only engages when nolintlint and the suppressed analyzer are
-// both selected, and a live suppression must silence its target analyzer
-// without tripping staleness.
+// TestNolintLint runs the FULL suite over the nolintlint fixture, so a
+// nolint directive is shown to be an unknown verb that silences nothing.
 func TestNolintLint(t *testing.T) { testFixture(t, "nolintlint", All()) }
 
 // TestAnalyzerMetadata pins the suite's shape: every analyzer is named,
-// documented, runnable, and unique — nolintlint included, because the
-// runner keys stale detection off its presence.
+// documented, runnable, and unique, nolintlint included.
 func TestAnalyzerMetadata(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range All() {

@@ -22,7 +22,7 @@ import (
 //     Accept loop — must take a context.Context (or belong to a type
 //     that stores one, like cluster.Coordinator). Transport Exchange
 //     implementations, whose cancellation contract is Close() by design,
-//     are annotated exceptions.
+//     have none of these shapes, so the rule needs no exception for them.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "cooperative cancellation: no context.Background/TODO in engine packages; looping exported APIs must take a context",

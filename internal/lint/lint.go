@@ -11,14 +11,10 @@
 // testdata/src) but is built on the standard library only: type
 // information comes from `go list -export` plus the std gc importer, so
 // the suite needs no module dependencies and the library build stays
-// dependency-free. Violations are suppressed case by case with
-//
-//	//ebv:nolint <analyzer> <reason>
-//
-// directives (validated by the nolintlint analyzer: the analyzer must
-// exist, the reason is mandatory, and a directive that suppresses
-// nothing is itself an error), and ownership-transferring returns of
-// pooled batches are documented with //ebv:owns <reason>.
+// dependency-free. No diagnostic can be suppressed. Ownership-transferring
+// returns of pooled batches are documented with //ebv:owns <reason>, which
+// the nolintlint analyzer validates (the reason is mandatory, and any
+// other //ebv: verb is an error).
 package lint
 
 import (
@@ -32,8 +28,8 @@ import (
 
 // Analyzer is one named invariant check.
 type Analyzer struct {
-	// Name is the analyzer's identifier, used in diagnostics and in
-	// //ebv:nolint directives.
+	// Name is the analyzer's identifier, used in diagnostics and by
+	// ebv-lint -run.
 	Name string
 	// Doc is the one-paragraph description of the enforced invariant.
 	Doc string
@@ -41,9 +37,7 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 }
 
-// All returns the full suite in stable order. nolintlint must be part of
-// every full run: the runner only performs stale-directive detection when
-// it is selected.
+// All returns the full suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{BatchOwn, CtxFlow, DetOrder, TeardownCause, CloseErr, NolintLint}
 }
@@ -79,8 +73,17 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// sortDiags orders diagnostics by file, line, column, analyzer.
-func sortDiags(diags []Diagnostic) {
+// RunAnalyzers runs the given analyzers over the packages and returns
+// every diagnostic, sorted by file, line, column and analyzer.
+func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			if err := a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags}); err != nil {
+				return nil, fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.PkgPath, err)
+			}
+		}
+	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -94,6 +97,7 @@ func sortDiags(diags []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return diags, nil
 }
 
 // inspectStack walks every file in pre-order, calling fn with each node

@@ -24,9 +24,6 @@ type Package struct {
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Filenames []string
-	// Sources holds each file's raw bytes, keyed by the same paths the
-	// Fset positions report (the nolint machinery needs line text).
-	Sources   map[string][]byte
 	Types     *types.Package
 	TypesInfo *types.Info
 
@@ -111,21 +108,15 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Name:    t.Name,
 			Dir:     t.Dir,
 			Fset:    fset,
-			Sources: make(map[string][]byte, len(t.GoFiles)),
 		}
 		for _, gf := range t.GoFiles {
 			path := filepath.Join(t.Dir, gf)
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return nil, fmt.Errorf("lint: %v", err)
-			}
-			f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 			if err != nil {
 				return nil, fmt.Errorf("lint: %v", err)
 			}
 			pkg.Files = append(pkg.Files, f)
 			pkg.Filenames = append(pkg.Filenames, path)
-			pkg.Sources[path] = src
 		}
 		info := &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),

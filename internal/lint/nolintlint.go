@@ -1,64 +1,27 @@
 package lint
 
-// NolintLint polices the suppression machinery itself, so //ebv:
-// directives stay precise instead of rotting into blanket waivers:
+// NolintLint polices the //ebv: directives, so they stay precise instead of
+// rotting into blanket waivers:
 //
-//   - //ebv:nolint must name an existing analyzer and carry a free-text
-//     reason; a typo'd analyzer name would otherwise silently suppress
-//     nothing while looking authoritative.
 //   - //ebv:owns must carry a reason documenting who inherits the
 //     recycle obligation.
 //   - unknown //ebv: verbs are flagged (a misspelled directive is a
-//     silent no-op otherwise).
-//
-// Stale detection — a well-formed nolint that suppresses nothing — needs
-// the whole suite's diagnostics and therefore lives in the runner
-// (RunAnalyzers), which only performs it when this analyzer is selected.
-// NolintLint's own diagnostics are not suppressible.
+//     silent no-op otherwise), //ebv:nolint among them: no directive
+//     suppresses a diagnostic.
 var NolintLint = &Analyzer{
 	Name: "nolintlint",
-	Doc:  "//ebv:nolint and //ebv:owns directives must be well-formed: known analyzer, mandatory reason; stale directives are flagged",
+	Doc:  "//ebv: directives must be well-formed: //ebv:owns with its reason, no other verb (no directive suppresses a diagnostic)",
+	Run:  runNolintLint,
 }
 
-// Run is installed in init: runNolintLint calls All(), which mentions
-// NolintLint — assigning it in the literal would be an init cycle.
-func init() { NolintLint.Run = runNolintLint }
-
 func runNolintLint(pass *Pass) error {
-	known := make(map[string]bool)
-	for _, a := range All() {
-		known[a.Name] = true
-	}
 	for _, d := range pass.Pkg.Directives() {
-		switch d.kind {
-		case directiveNolint:
-			switch {
-			case d.analyzer == "":
-				pass.Reportf(d.pos, "//ebv:nolint needs an analyzer name and a reason: //ebv:nolint <analyzer> <reason>")
-			case !known[d.analyzer]:
-				pass.Reportf(d.pos, "//ebv:nolint names unknown analyzer %q (known: %s) — a typo here suppresses nothing",
-					d.analyzer, knownNames())
-			case d.reason == "":
-				pass.Reportf(d.pos, "//ebv:nolint %s is missing its reason: every suppression must say why the violation is deliberate", d.analyzer)
-			}
-		case directiveOwns:
-			if d.reason == "" {
-				pass.Reportf(d.pos, "//ebv:owns is missing its reason: say who inherits the recycle obligation")
-			}
-		case directiveUnknown:
-			pass.Reportf(d.pos, "unknown //ebv: directive %q (known verbs: nolint, owns)", d.verb)
+		switch {
+		case d.verb != "owns":
+			pass.Reportf(d.pos, "unknown //ebv: directive %q (the one verb is owns; no directive suppresses a diagnostic)", d.verb)
+		case d.reason == "":
+			pass.Reportf(d.pos, "//ebv:owns is missing its reason: say who inherits the recycle obligation")
 		}
 	}
 	return nil
-}
-
-func knownNames() string {
-	s := ""
-	for i, a := range All() {
-		if i > 0 {
-			s += ", "
-		}
-		s += a.Name
-	}
-	return s
 }

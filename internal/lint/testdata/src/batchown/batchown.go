@@ -186,7 +186,3 @@ func fill(shards [][]*transport.MessageBatch) [][]*transport.MessageBatch {
 	shards[0] = append(shards[0], b)
 	return shards
 }
-
-func suppressed() *transport.MessageBatch {
-	return transport.GetBatch(4) //ebv:nolint batchown fixture exercises EOL suppression
-}

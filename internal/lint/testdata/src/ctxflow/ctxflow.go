@@ -5,6 +5,7 @@ package ctxflow
 import (
 	"context"
 	"net"
+	"sync/atomic"
 )
 
 func work(ctx context.Context) error { _ = ctx; return nil }
@@ -27,15 +28,18 @@ func NilFallback(ctx context.Context) error {
 	return work(ctx)
 }
 
-func badSuppress() {
-	ctx := context.Background() //ebv:nolint ctxflow
+// notSuppressed: no directive suppresses a diagnostic.
+func notSuppressed() {
+	ctx := context.Background() //ebv:nolint ctxflow a reason suppresses nothing
 	// want-1 "mints a root context"
 	_ = ctx
 }
 
-func goodSuppress() {
-	ctx := context.Background() //ebv:nolint ctxflow fixture exercises a reasoned suppression
-	_ = ctx
+// AddSum is a CAS retry written as a loop with a condition: a bounded
+// retry, not an unconditional loop.
+func AddSum(sum *atomic.Uint64, v uint64) {
+	for old := sum.Load(); !sum.CompareAndSwap(old, old+v); old = sum.Load() {
+	}
 }
 
 func Pump(ch chan int) { // want "takes no context"

@@ -1,6 +1,7 @@
-// Package nolintlint is the nolintlint analyzer's fixture: malformed,
-// mistargeted, and stale //ebv: directives. It runs under the FULL suite
-// (stale detection needs the suppressed analyzers selected).
+// Package nolintlint is the nolintlint analyzer's fixture: malformed and
+// unknown //ebv: directives. It runs under the FULL suite, so the
+// detorder diagnostic beside a nolint directive shows that no directive
+// suppresses one.
 package nolintlint
 
 import (
@@ -11,25 +12,14 @@ import (
 //ebv:frobnicate spin the widget
 // want-1 "unknown //ebv: directive"
 
-//ebv:nolint
-// want-1 "needs an analyzer name"
-
-//ebv:nolint nosuchanalyzer because reasons
-// want-1 "unknown analyzer"
-
-//ebv:nolint detorder
-// want-1 "missing its reason"
-
 //ebv:owns
 // want-1 "missing its reason"
 
-//ebv:nolint detorder deliberately stale for this fixture
-// want-1 "stale"
-
-// liveSuppression carries a well-formed directive that actually
-// suppresses a detorder diagnostic: not stale, not malformed, silent.
-func liveSuppression(w *bufio.Writer, m map[int]int) {
+// notSuppressed carries a nolint directive, an unknown verb, beside a
+// detorder diagnostic that is reported all the same.
+func notSuppressed(w *bufio.Writer, m map[int]int) {
 	for k := range m {
-		fmt.Fprintln(w, k) //ebv:nolint detorder fixture exercises a live suppression
+		fmt.Fprintln(w, k) //ebv:nolint detorder a reason suppresses nothing
+		// want-1 "inside a range over a map" "unknown //ebv: directive \"nolint\""
 	}
 }

