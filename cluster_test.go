@@ -45,7 +45,7 @@ func TestOpenClusterServesJobs(t *testing.T) {
 		{ebv.ClusterJob{App: "CC"}, &ebv.CC{}},
 		{ebv.ClusterJob{App: "PR", Iterations: 15}, &ebv.PageRank{Iterations: 15}},
 	} {
-		ref, err := sessionPipeline(t, ebv.WithRun(ebv.WithReplicaVerification(true))).Run(ctx, tc.prog)
+		ref, err := sessionPipeline(t).Run(ctx, tc.prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 				return prog
 			}
 			ref, err := ebv.RunBSP(ctx, mem.Prepared().Subgraphs, program(),
-				ebv.RunConfig{ValueWidth: job.ValueWidth, VerifyReplicaAgreement: true})
+				ebv.RunConfig{ValueWidth: job.ValueWidth})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestClusterValuesBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ebv.RunBSP(ctx, c.Prepared().Subgraphs, prog, ebv.RunConfig{VerifyReplicaAgreement: true})
+	ref, err := ebv.RunBSP(ctx, c.Prepared().Subgraphs, prog, ebv.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestOpenClusterFailover(t *testing.T) {
 		App: "PR", Iterations: 200,
 		CheckpointDir: t.TempDir(), CheckpointEvery: 6,
 	}
-	ref, err := sessionPipeline(t, ebv.WithRun(ebv.WithReplicaVerification(true))).Run(ctx, &ebv.PageRank{Iterations: 200})
+	ref, err := sessionPipeline(t).Run(ctx, &ebv.PageRank{Iterations: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,9 +236,8 @@ var (
 	RunBSP = bsp.Run
 	// RunOptions for Pipeline WithRun and Session.Run; the RunConfig struct
 	// literal is the other form.
-	WithMaxSteps            = bsp.WithMaxSteps
-	WithValueWidth          = bsp.WithValueWidth
-	WithReplicaVerification = bsp.WithReplicaVerification
+	WithMaxSteps   = bsp.WithMaxSteps
+	WithValueWidth = bsp.WithValueWidth
 )
 
 // Applications (§V-A) and sequential oracles.

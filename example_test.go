@@ -254,7 +254,7 @@ func ExampleAggregate() {
 		ebv.UsePartitioner(ebv.NewEBV()),
 		ebv.Subgraphs(4),
 		ebv.UseTCPLoopback(),
-		ebv.WithRun(ebv.WithValueWidth(width), ebv.WithReplicaVerification(true)),
+		ebv.WithRun(ebv.WithValueWidth(width)),
 	).Run(context.Background(), &ebv.Aggregate{Layers: layers, Feature: feature})
 	if err != nil {
 		log.Fatal(err)

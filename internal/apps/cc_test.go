@@ -102,7 +102,7 @@ func TestCCPivotFlood(t *testing.T) {
 						subs := buildSSSPSubs(t, g, p, k)
 						store := &epochStore{k: k, epochs: make(map[int][]*bsp.Checkpoint)}
 						full, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{
-							VerifyReplicaAgreement: true, CheckpointEvery: 1, CheckpointSink: store.sink,
+							CheckpointEvery: 1, CheckpointSink: store.sink,
 						})
 						if err != nil {
 							t.Fatalf("draw %d directed=%t %s k=%d: %v", draw, directed, p.Name(), k, err)
@@ -111,7 +111,7 @@ func TestCCPivotFlood(t *testing.T) {
 						for step, cps := range store.epochs {
 							phases[ccPhase(cps)]++
 							res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{
-								VerifyReplicaAgreement: true, Resume: cps,
+								Resume: cps,
 							})
 							if err != nil {
 								t.Fatalf("draw %d %s k=%d: resume from %d: %v", draw, p.Name(), k, step, err)
@@ -157,7 +157,7 @@ func TestCCPivotFlood(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev, err := bsp.Run(t.Context(), buildSSSPSubs(t, g0, core.New(), 4), &CC{}, bsp.Config{VerifyReplicaAgreement: true})
+		prev, err := bsp.Run(t.Context(), buildSSSPSubs(t, g0, core.New(), 4), &CC{}, bsp.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,12 +165,12 @@ func TestCCPivotFlood(t *testing.T) {
 			t.Fatalf("before the merge vertex %d is labelled %g, want %d", 2*n-1, v, n)
 		}
 		subs := buildSSSPSubs(t, g1, core.New(), 4)
-		cold, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{VerifyReplicaAgreement: true})
+		cold, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		warm, err := bsp.Run(t.Context(), subs, &CC{Warm: prev.Values, WarmCovered: prev.Covered},
-			bsp.Config{VerifyReplicaAgreement: true})
+			bsp.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestCCPivotFlood(t *testing.T) {
 			{"road", road, 616, 11},
 		} {
 			subs := buildSSSPSubs(t, tc.g, core.New(), k)
-			res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{VerifyReplicaAgreement: true})
+			res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func TestCCPivotFlood(t *testing.T) {
 				}
 				vals[w], rows = r.Values, rows+r.Stats.TotalSent()
 			}
-			labels, covered, err := bsp.AssembleValues(subs, vals, 1, true)
+			labels, covered, err := bsp.AssembleValues(subs, vals, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +302,7 @@ func FuzzCCMatchesSequential(f *testing.F) {
 			subs := buildSSSPSubs(t, g, p, k)
 			store := &epochStore{k: k, epochs: make(map[int][]*bsp.Checkpoint)}
 			res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{
-				VerifyReplicaAgreement: true, CheckpointEvery: 1, CheckpointSink: store.sink,
+				CheckpointEvery: 1, CheckpointSink: store.sink,
 			})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", p.Name(), k, err)
@@ -312,7 +312,7 @@ func FuzzCCMatchesSequential(f *testing.F) {
 			if cps == nil {
 				continue
 			}
-			resumed, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{VerifyReplicaAgreement: true, Resume: cps})
+			resumed, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{Resume: cps})
 			if err != nil {
 				t.Fatalf("%s k=%d: resume from %d: %v", p.Name(), k, cps[0].Step, err)
 			}

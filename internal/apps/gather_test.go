@@ -72,7 +72,7 @@ func FuzzGatherApplyMatchesSequential(f *testing.F) {
 				name := tc.prog.Name() + " " + p.Name()
 				store := &epochStore{k: k, epochs: make(map[int][]*bsp.Checkpoint)}
 				res, err := bsp.Run(t.Context(), subs, tc.prog, bsp.Config{
-					ValueWidth: width, VerifyReplicaAgreement: true, CheckpointEvery: 1, CheckpointSink: store.sink,
+					ValueWidth: width, CheckpointEvery: 1, CheckpointSink: store.sink,
 				})
 				if err != nil {
 					t.Fatalf("%s k=%d w=%d: %v", name, k, width, err)
@@ -83,7 +83,7 @@ func FuzzGatherApplyMatchesSequential(f *testing.F) {
 					continue
 				}
 				resumed, err := bsp.Run(t.Context(), subs, tc.prog, bsp.Config{
-					ValueWidth: width, VerifyReplicaAgreement: true, Resume: cps,
+					ValueWidth: width, Resume: cps,
 				})
 				if err != nil {
 					t.Fatalf("%s k=%d w=%d: resume from %d: %v", name, k, width, cps[0].Step, err)

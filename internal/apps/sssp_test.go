@@ -132,7 +132,7 @@ func TestSSSPHorizon(t *testing.T) {
 						subs := buildSSSPSubs(t, g, p, k)
 						store := &epochStore{k: k, epochs: make(map[int][]*bsp.Checkpoint)}
 						full, err := bsp.Run(t.Context(), subs, &SSSP{Source: src}, bsp.Config{
-							VerifyReplicaAgreement: true, CheckpointEvery: 1, CheckpointSink: store.sink,
+							CheckpointEvery: 1, CheckpointSink: store.sink,
 						})
 						if err != nil {
 							t.Fatalf("draw %d directed=%t %s k=%d: %v", draw, directed, p.Name(), k, err)
@@ -252,7 +252,7 @@ func FuzzSSSPMatchesSequential(f *testing.F) {
 		}
 		for _, p := range []partition.Partitioner{&partition.Random{Salt: salt}, core.New()} {
 			res, err := bsp.Run(t.Context(), buildSSSPSubs(t, g, p, k), &SSSP{Source: src},
-				bsp.Config{VerifyReplicaAgreement: true})
+				bsp.Config{})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", p.Name(), k, err)
 			}

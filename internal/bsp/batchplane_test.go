@@ -73,14 +73,11 @@ func TestMemTCPEquivalenceMultiWidth(t *testing.T) {
 	subs := buildSubs(t, g, core.New(), k)
 	for _, width := range []int{1, 3, 8} {
 		prog := &apps.Aggregate{Layers: 2}
-		memRes, err := bsp.Run(t.Context(), subs, prog, bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true})
+		memRes, err := bsp.Run(t.Context(), subs, prog, bsp.Config{ValueWidth: width})
 		if err != nil {
 			t.Fatalf("width %d mem: %v", width, err)
 		}
-		tcpRes, err := runOnMesh(t.Context(), subs, tcpMesh(t, k), prog, bsp.Config{
-			ValueWidth:             width,
-			VerifyReplicaAgreement: true,
-		})
+		tcpRes, err := runOnMesh(t.Context(), subs, tcpMesh(t, k), prog, bsp.Config{ValueWidth: width})
 		if err != nil {
 			t.Fatalf("width %d tcp: %v", width, err)
 		}

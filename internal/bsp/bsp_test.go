@@ -130,7 +130,7 @@ func TestCCAgreesWithSequential(t *testing.T) {
 		for _, p := range allPartitioners() {
 			for _, k := range []int{1, 3, 8} {
 				subs := buildSubs(t, g, p, k)
-				res, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{VerifyReplicaAgreement: true})
+				res, err := bsp.Run(t.Context(), subs, &apps.CC{}, bsp.Config{})
 				if err != nil {
 					t.Fatalf("%s/%s k=%d: %v", name, p.Name(), k, err)
 				}
@@ -148,7 +148,7 @@ func TestSSSPAgreesWithSequential(t *testing.T) {
 		for _, p := range allPartitioners() {
 			for _, k := range []int{1, 4} {
 				subs := buildSubs(t, g, p, k)
-				res, err := bsp.Run(t.Context(), subs, &apps.SSSP{Source: src}, bsp.Config{VerifyReplicaAgreement: true})
+				res, err := bsp.Run(t.Context(), subs, &apps.SSSP{Source: src}, bsp.Config{})
 				if err != nil {
 					t.Fatalf("%s/%s k=%d: %v", name, p.Name(), k, err)
 				}
@@ -191,7 +191,7 @@ func TestPageRankStepCount(t *testing.T) {
 func TestRunOverTCP(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	subs := buildSubs(t, g, core.New(), 3)
-	res, err := runOnMesh(t.Context(), subs, tcpMesh(t, 3), &apps.CC{}, bsp.Config{VerifyReplicaAgreement: true})
+	res, err := runOnMesh(t.Context(), subs, tcpMesh(t, 3), &apps.CC{}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestAggregateWideAgreesWithSequential(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		subs := buildSubs(t, g, core.New(), k)
 		res, err := bsp.Run(t.Context(), subs, &apps.Aggregate{Layers: 2},
-			bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true})
+			bsp.Config{ValueWidth: width})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -349,7 +349,7 @@ func TestWeightedSSSPAgreesWithSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				res, err := bsp.Run(t.Context(), subs, &apps.SSSP{Source: src, Weighted: true},
-					bsp.Config{VerifyReplicaAgreement: true})
+					bsp.Config{})
 				if err != nil {
 					t.Fatalf("%s/%s k=%d: %v", name, p.Name(), k, err)
 				}

@@ -92,9 +92,9 @@ func TestRunWorkerErrorReleasesBlockedPeers(t *testing.T) {
 func TestNewConfigOptions(t *testing.T) {
 	cfg := bsp.NewConfig(
 		bsp.WithMaxSteps(42),
-		bsp.WithReplicaVerification(true),
+		bsp.WithValueWidth(3),
 	)
-	if cfg.MaxSteps != 42 || !cfg.VerifyReplicaAgreement {
+	if cfg.MaxSteps != 42 || cfg.ValueWidth != 3 {
 		t.Fatalf("NewConfig produced %+v", cfg)
 	}
 }

@@ -31,8 +31,8 @@ type Deployment struct {
 	nextJob atomic.Uint32
 
 	mu     sync.Mutex
-	subs   []*Subgraph // current epoch's snapshot; replaced wholesale by Swap
-	links  *linkTable  // subs' component links, built on first use
+	subs   []*Subgraph     // current epoch's snapshot; replaced wholesale by Swap
+	links  func() []*Links // ComponentLinks(subs), built by the epoch's first CC job
 	epoch  uint64
 	closed bool
 }
@@ -55,7 +55,8 @@ func NewDeployment(subs []*Subgraph, mesh transport.Deployment) (*Deployment, er
 		return nil, fmt.Errorf("bsp: transport deployment has %d workers, %d subgraphs built",
 			mesh.NumWorkers(), len(subs))
 	}
-	return &Deployment{k: len(subs), subs: subs, links: newLinkTable(subs), mesh: mesh}, nil
+	return &Deployment{k: len(subs), subs: subs, mesh: mesh,
+		links: sync.OnceValue(func() []*Links { return ComponentLinks(subs) })}, nil
 }
 
 // NumWorkers returns the worker/subgraph count every job runs with (fixed
@@ -71,8 +72,8 @@ func (d *Deployment) Epoch() uint64 {
 }
 
 // Swap atomically replaces the deployment's subgraphs with a new snapshot,
-// and their component-link table with an empty one, and returns the new
-// epoch. Jobs already executing keep the snapshot and table they captured
+// and their component-link table with one not yet built, and returns the
+// new epoch. Jobs already executing keep the snapshot and table they captured
 // at admission and finish on them untouched; jobs admitted after Swap run
 // on the new epoch ("apply between jobs"). The worker count must not
 // change — the transport mesh is sized for it.
@@ -85,7 +86,7 @@ func (d *Deployment) Swap(subs []*Subgraph) (uint64, error) {
 	if d.closed {
 		return 0, ErrDeploymentClosed
 	}
-	d.subs, d.links = subs, newLinkTable(subs)
+	d.subs, d.links = subs, sync.OnceValue(func() []*Links { return ComponentLinks(subs) })
 	d.epoch++
 	return d.epoch, nil
 }
@@ -128,7 +129,7 @@ func (d *Deployment) Run(ctx context.Context, prog Program, cfg Config) (*Result
 			_ = tr.Close()
 		}
 	}()
-	out, err := runWorkers(ctx, prog, cfg, subs, links.part, trs)
+	out, err := runWorkers(ctx, prog, cfg, subs, func(i int) *Links { return links()[i] }, trs)
 	if err != nil {
 		if d.isClosed() && errors.Is(err, transport.ErrClosed) {
 			return nil, fmt.Errorf("bsp: job %d (%s): %w", job, prog.Name(), ErrDeploymentClosed)
@@ -142,7 +143,7 @@ func (d *Deployment) Run(ctx context.Context, prog Program, cfg Config) (*Result
 		workerValues[w] = out[w].Values
 		res.WallTime = max(res.WallTime, out[w].WallTime)
 	}
-	res.Values, res.Covered, err = AssembleValues(subs, workerValues, width, cfg.VerifyReplicaAgreement)
+	res.Values, res.Covered, err = AssembleValues(subs, workerValues, width)
 	if err != nil {
 		return nil, err
 	}

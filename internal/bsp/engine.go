@@ -109,8 +109,10 @@ type WorkerProgram interface {
 	Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool)
 	// Values returns the final value matrix of the local vertices: one
 	// row per local vertex (local index order), Env.ValueWidth columns.
-	// It is called once, last; the matrix transfers to the engine, so a
-	// worker may hand over its own state instead of a copy.
+	// Every replica of a vertex must end with the same row, bit for bit
+	// (AssembleValues fails the run otherwise). It is called once, last;
+	// the matrix transfers to the engine, so a worker may hand over its
+	// own state instead of a copy.
 	Values() *graph.ValueMatrix
 }
 
@@ -129,10 +131,6 @@ type Config struct {
 	// per message (default 1 — the paper's scalar applications). Wider
 	// runs move feature vectors through the same columnar batches.
 	ValueWidth int
-	// VerifyReplicaAgreement makes Run fail if, at termination, replicas
-	// of the same vertex disagree. Tests enable it; benches do not pay
-	// for it.
-	VerifyReplicaAgreement bool
 	// AutoCombine is ignored: the engine hands every batch to the exchange
 	// as the program emitted it. benchmark/ still sets it (ROADMAP item
 	// 1(b)).
@@ -176,12 +174,6 @@ func WithMaxSteps(n int) Option {
 // of 1; widths < 0 fail Run with a clear error).
 func WithValueWidth(n int) Option {
 	return func(c *Config) { c.ValueWidth = n }
-}
-
-// WithReplicaVerification makes Run fail if replicas of the same vertex
-// disagree at termination.
-func WithReplicaVerification(on bool) Option {
-	return func(c *Config) { c.VerifyReplicaAgreement = on }
 }
 
 // maxSteps resolves the superstep safety cap (<= 0 selects the default),
@@ -639,7 +631,6 @@ type WorkerResult struct {
 // at the checkpoint's Step with its program state and inbox instead of
 // step 0; every worker of the run must resume from the same epoch (the
 // cluster coordinator's restore selection guarantees it).
-// cfg.VerifyReplicaAgreement is ignored: it needs the global view.
 //
 // ctx is polled at every superstep boundary; cancellation, like a local
 // failure, closes the transport, so this worker tears down immediately and

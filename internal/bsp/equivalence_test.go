@@ -62,7 +62,7 @@ func TestCombinerEquivalenceAllApps(t *testing.T) {
 	subs := buildWeightedSubs(t, g, a)
 	for _, prog := range evaluationApps() {
 		for _, width := range []int{1, 8} {
-			cfg := bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true}
+			cfg := bsp.Config{ValueWidth: width}
 			ref, err := bsp.Run(t.Context(), subs, prog, cfg)
 			if err != nil {
 				t.Fatalf("%s/w%d reference: %v", appName(prog), width, err)
@@ -127,7 +127,7 @@ func TestCombinerStarGraphFanInDelivered(t *testing.T) {
 	_, subs := starGraph(t, 200, 4)
 	for _, prog := range []bsp.Program{&apps.CC{}, &apps.PageRank{Iterations: 4}} {
 		t.Run(prog.Name(), func(t *testing.T) {
-			res, err := bsp.Run(t.Context(), subs, prog, bsp.Config{VerifyReplicaAgreement: true})
+			res, err := bsp.Run(t.Context(), subs, prog, bsp.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

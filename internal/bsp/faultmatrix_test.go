@@ -40,7 +40,7 @@ func TestFaultMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, width := range []int{1, 3} {
-			cfg := bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true}
+			cfg := bsp.Config{ValueWidth: width}
 			clean, err := bsp.Run(t.Context(), subs, prog, cfg)
 			if err != nil {
 				t.Fatal(err)

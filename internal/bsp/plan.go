@@ -333,28 +333,13 @@ func (t *Links) check(sub *Subgraph) error {
 	return nil
 }
 
-// linkTable is one epoch's link table: one cell per part of subs, each
-// built on first use by the worker that sends through it.
-type linkTable struct {
-	subs  []*Subgraph
-	parts []lazy[*Links]
-}
-
-func newLinkTable(subs []*Subgraph) *linkTable {
-	return &linkTable{subs: subs, parts: make([]lazy[*Links], len(subs))}
-}
-
-// part returns the links of subs[i].
-func (t *linkTable) part(i int) *Links {
-	return t.parts[i].get(func() *Links { return buildLinks(t.subs, i) })
-}
-
 // ComponentLinks returns the link table of the epoch subs (all its parts,
-// in worker order), building the parts in parallel: what the cluster
+// in worker order), building the parts in parallel: what a Deployment
+// builds once per epoch, on its first CC job, and what the cluster
 // coordinator ships each worker, its part's share, for RunWorker.
 func ComponentLinks(subs []*Subgraph) []*Links {
-	t, out := newLinkTable(subs), make([]*Links, len(subs))
-	RunParts(runtime.GOMAXPROCS(0), len(subs), func(p int) { out[p] = t.part(p) })
+	out := make([]*Links, len(subs))
+	RunParts(runtime.GOMAXPROCS(0), len(subs), func(p int) { out[p] = buildLinks(subs, p) })
 	return out
 }
 

@@ -118,7 +118,8 @@ func checkPlan(t *testing.T, sub *bsp.Subgraph) int {
 // TestPlanTablesMatchNaiveDerivation is the property test of plan.go: random
 // small multigraphs (parallel edges, self-loops, isolated vertices) under
 // random edge assignments, across worker counts on both sides of 64, plus
-// the EBV-partitioned power-law fixture, whose boundary must be non-empty.
+// the EBV-partitioned power-law fixture, whose boundary must be non-empty;
+// each set of parts also pairs its send columns (checkColumnPairs).
 func TestPlanTablesMatchNaiveDerivation(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for _, k := range []int{1, 3, 8, 64, 70} {
@@ -143,14 +144,31 @@ func TestPlanTablesMatchNaiveDerivation(t *testing.T) {
 			for _, sub := range subs {
 				checkPlan(t, sub)
 			}
+			checkColumnPairs(t, subs)
 		}
 	}
 	replicated := 0
-	for _, sub := range buildSubs(t, testGraphs(t)["powerlaw"], core.New(), 4) {
+	subs := buildSubs(t, testGraphs(t)["powerlaw"], core.New(), 4)
+	for _, sub := range subs {
 		replicated += checkPlan(t, sub)
 	}
 	if replicated == 0 {
 		t.Fatal("test graph produced no replicated vertices; pick a denser graph")
+	}
+	checkColumnPairs(t, subs)
+}
+
+// checkColumnPairs: for every pair of parts (p, q), ToMaster[q] at p and
+// ToMirrors[p] at q carry the same ids in the same order — the pairing
+// AssembleValues' replica check and ReceiveRows rely on.
+func checkColumnPairs(t *testing.T, subs []*bsp.Subgraph) {
+	t.Helper()
+	for p, sub := range subs {
+		for q, col := range sub.Routing().ToMaster {
+			if ids := subs[q].Routing().ToMirrors[p].IDs; !slices.Equal(col.IDs, ids) {
+				t.Fatalf("part %d: ToMaster[%d] holds %v, part %d's ToMirrors[%d] %v", p, q, col.IDs, q, p, ids)
+			}
+		}
 	}
 }
 
@@ -171,7 +189,7 @@ func TestPlanBuiltOnceUnderConcurrentJobs(t *testing.T) {
 		go func() {
 			<-start
 			var err error
-			results[i], err = d.Run(t.Context(), &apps.CC{}, bsp.Config{VerifyReplicaAgreement: true})
+			results[i], err = d.Run(t.Context(), &apps.CC{}, bsp.Config{})
 			errs <- err
 		}()
 	}

@@ -88,10 +88,12 @@ func (s *workerSpec) checkpointing() bool { return s.ckptEvery > 0 && s.sink != 
 
 // AssembleValues builds the dense global value matrix from per-worker local
 // matrices, each checked against its subgraph's shape first (the cluster
-// control plane receives them over a network). Each worker writes the rows
-// it masters, in parallel and disjoint, and sets Covered[v]; with verify, a
-// second parallel pass compares every mirror's row bit-for-bit with them.
-func AssembleValues(subs []*Subgraph, workerValues []*graph.ValueMatrix, width int, verify bool) (*graph.ValueMatrix, []bool, error) {
+// control plane receives them over a network). In one parallel pass, each
+// worker w writes the rows it masters, disjoint from the others', sets
+// Covered[v], and compares each mirror row of its ToMaster[q] bit for bit
+// with q's local row, found through q's ToMirrors[w] (the same ids in the
+// same order). The lowest worker's first disagreement fails the assembly.
+func AssembleValues(subs []*Subgraph, workerValues []*graph.ValueMatrix, width int) (*graph.ValueMatrix, []bool, error) {
 	if len(subs) == 0 {
 		return nil, nil, errors.New("bsp: no subgraphs")
 	}
@@ -109,10 +111,11 @@ func AssembleValues(subs []*Subgraph, workerValues []*graph.ValueMatrix, width i
 			return nil, nil, fmt.Errorf("bsp: worker %d: %w", w, err)
 		}
 	}
-	numGlobal, procs := subs[0].NumGlobalVertices, runtime.GOMAXPROCS(0)
+	numGlobal := subs[0].NumGlobalVertices
 	values := graph.NewValueMatrix(numGlobal, width)
 	covered := make([]bool, numGlobal)
-	RunParts(procs, len(subs), func(w int) {
+	errs := make([]error, len(subs))
+	RunParts(runtime.GOMAXPROCS(0), len(subs), func(w int) {
 		sub, vals := subs[w], workerValues[w]
 		for _, l := range sub.Routing().Owned {
 			gid := int(sub.GlobalIDs[l])
@@ -123,15 +126,17 @@ func AssembleValues(subs []*Subgraph, workerValues []*graph.ValueMatrix, width i
 			}
 			covered[gid] = true
 		}
-	})
-	if !verify {
-		return values, covered, nil
-	}
-	errs := make([]error, len(subs))
-	RunParts(procs, len(subs), func(w int) {
-		for q, col := range subs[w].Routing().ToMaster {
+		for q, col := range sub.Routing().ToMaster {
+			masters, theirs := subs[q].Routing().ToMirrors[w].Locals, workerValues[q]
+			if len(masters) != len(col.Locals) {
+				errs[w] = fmt.Errorf("bsp: worker %d holds %d mirrors of worker %d, which lists %d", w, len(col.Locals), q, len(masters))
+				return
+			}
 			for i, l := range col.Locals {
-				master, row := values.Row(int(col.IDs[i])), workerValues[w].Row(int(l))
+				if width == 1 && math.Float64bits(vals.Data[l]) == math.Float64bits(theirs.Data[masters[i]]) {
+					continue
+				}
+				row, master := vals.Row(int(l)), theirs.Row(int(masters[i]))
 				for j := range row {
 					if math.Float64bits(master[j]) != math.Float64bits(row[j]) {
 						errs[w] = fmt.Errorf("bsp: replicas of vertex %d disagree at column %d: %g vs %g (worker %d), master at worker %d",

@@ -122,10 +122,9 @@ func TestResumeByteIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			store := newCheckpointStore(k)
 			full, err := bsp.Run(t.Context(), tc.subs, tc.prog, bsp.Config{
-				ValueWidth:             tc.width,
-				VerifyReplicaAgreement: true,
-				CheckpointEvery:        1,
-				CheckpointSink:         store.sink,
+				ValueWidth:      tc.width,
+				CheckpointEvery: 1,
+				CheckpointSink:  store.sink,
 			})
 			if err != nil {
 				t.Fatalf("full run: %v", err)
@@ -136,9 +135,8 @@ func TestResumeByteIdentity(t *testing.T) {
 			}
 			for _, epoch := range epochs {
 				res, err := bsp.Run(t.Context(), tc.subs, tc.prog, bsp.Config{
-					ValueWidth:             tc.width,
-					VerifyReplicaAgreement: true,
-					Resume:                 store.epochs[epoch],
+					ValueWidth: tc.width,
+					Resume:     store.epochs[epoch],
 				})
 				if err != nil {
 					t.Fatalf("resume from epoch %d: %v", epoch, err)
@@ -280,7 +278,7 @@ func TestReplicaAgreementIsBitwise(t *testing.T) {
 			feat[j] = math.NaN()
 		}
 	}}
-	res, err := bsp.Run(t.Context(), subs, nan, bsp.Config{ValueWidth: 3, VerifyReplicaAgreement: true})
+	res, err := bsp.Run(t.Context(), subs, nan, bsp.Config{ValueWidth: 3})
 	if err != nil {
 		t.Fatalf("replicas all holding NaN: %v", err)
 	}
@@ -294,11 +292,8 @@ func TestReplicaAgreementIsBitwise(t *testing.T) {
 	}
 	hub, _ := subs[1].LocalOf(0)
 	vals[1].SetScalar(int(hub), math.Copysign(0, -1))
-	if _, _, err := bsp.AssembleValues(subs, vals, 1, true); err == nil ||
+	if _, _, err := bsp.AssembleValues(subs, vals, 1); err == nil ||
 		!strings.Contains(err.Error(), "replicas of vertex 0 disagree") {
 		t.Fatalf("+0 vs -0 replicas: err = %v, want a disagreement on vertex 0", err)
-	}
-	if _, _, err := bsp.AssembleValues(subs, vals, 1, false); err != nil {
-		t.Fatalf("unverified assembly: %v", err)
 	}
 }

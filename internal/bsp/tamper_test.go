@@ -16,7 +16,7 @@ import (
 // width with f fired into it, and fails the test unless f fired.
 func runTampered(t *testing.T, mesh string, subs []*bsp.Subgraph, prog bsp.Program, width int, f *fault) error {
 	t.Helper()
-	_, err := runFault(t.Context(), t, mesh, subs, prog, bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true}, f)
+	_, err := runFault(t.Context(), t, mesh, subs, prog, bsp.Config{ValueWidth: width}, f)
 	if !f.fired.Load() {
 		t.Fatalf("%v never fired (run error: %v)", f, err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"ebv/internal/apps"
 	"ebv/internal/bsp"
 	"ebv/internal/transport"
 )
@@ -123,7 +125,7 @@ type pendingAttempt struct {
 	job     int
 	attempt int
 	prog    bsp.Program
-	links   *bsp.Links // the partition's component links, for CC
+	links   *bsp.Links // the partition's component links, for CC alone
 	cfg     bsp.Config // ValueWidth resolved, checkpoint sink and restore attached
 	tr      transport.Transport
 }
@@ -180,6 +182,7 @@ func (a *Agent) Run(ctx context.Context) error {
 
 	var (
 		sub     *bsp.Subgraph
+		links   *bsp.Links // sub's component links, from the first CC open since its assign
 		pending *pendingAttempt
 	)
 	for {
@@ -200,7 +203,7 @@ func (a *Agent) Run(ctx context.Context) error {
 			if err != nil {
 				return fmt.Errorf("cluster: decode shard: %w", err)
 			}
-			sub = s
+			sub, links = s, nil
 			a.logf("assigned partition %d of %d (%d local vertices)", s.Part, s.NumWorkers, s.NumLocalVertices())
 
 		case msgOpen:
@@ -211,8 +214,9 @@ func (a *Agent) Run(ctx context.Context) error {
 			if pending != nil { // superseded: its attempt failed elsewhere
 				_ = pending.tr.Close()
 			}
+			links = cmp.Or(m.Links, links)
 			job, attempt = m.Job, m.Attempt
-			pending, err = a.open(ctx, sub, m)
+			pending, err = a.open(ctx, sub, links, m)
 
 		case msgStart:
 			var m startMsg
@@ -251,7 +255,7 @@ func (a *Agent) Run(ctx context.Context) error {
 // open handles one open message: load the restore checkpoint if asked,
 // wire the mesh unless the node already serves it, open the job on the
 // node and report opened. An error fails the attempt, not the agent.
-func (a *Agent) open(ctx context.Context, sub *bsp.Subgraph, m openMsg) (*pendingAttempt, error) {
+func (a *Agent) open(ctx context.Context, sub *bsp.Subgraph, links *bsp.Links, m openMsg) (*pendingAttempt, error) {
 	if sub == nil {
 		return nil, fmt.Errorf("no partition assigned")
 	}
@@ -266,7 +270,10 @@ func (a *Agent) open(ctx context.Context, sub *bsp.Subgraph, m openMsg) (*pendin
 	if err != nil {
 		return nil, err
 	}
-	p := &pendingAttempt{job: m.Job, attempt: m.Attempt, prog: prog, links: m.Links, cfg: cfg}
+	p := &pendingAttempt{job: m.Job, attempt: m.Attempt, prog: prog, cfg: cfg}
+	if _, cc := prog.(*apps.CC); cc {
+		p.links = links
+	}
 	if m.RestoreStep >= 0 {
 		if !m.Spec.checkpointing() {
 			return nil, fmt.Errorf("restore step %d without a checkpoint dir", m.RestoreStep)

@@ -154,9 +154,10 @@ func meshOf(a *Agent) (*transport.MeshNode, int) {
 	return a.node, a.mesh
 }
 
-// TestClusterCleanRuns serves two different jobs over one deployment of
-// three agents and checks both against the single-process engine. Both
-// run on one mesh: each agent wires its node once.
+// TestClusterCleanRuns serves CC, PR and CC again over one deployment of
+// three agents and checks each against the single-process engine. All run
+// on one mesh: each agent wires its node once. The second CC runs on the
+// component links the first CC's open brought, which the agents kept.
 func TestClusterCleanRuns(t *testing.T) {
 	const k = 3
 	pl := testPowerlaw(t)
@@ -169,12 +170,12 @@ func TestClusterCleanRuns(t *testing.T) {
 		agents[i] = tc.startAgent(ctx)
 	}
 
-	ccRef, err := bsp.Run(t.Context(), subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
+	ccRef, err := bsp.Run(t.Context(), subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prSpec := JobSpec{App: "PR", Iterations: 20}
-	prRef, err := bsp.Run(t.Context(), subs, mustProgram(t, prSpec), bsp.Config{VerifyReplicaAgreement: true})
+	prRef, err := bsp.Run(t.Context(), subs, mustProgram(t, prSpec), bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +227,13 @@ func TestClusterCleanRuns(t *testing.T) {
 	if pr.Steps != prRef.Steps || !pr.Values.EqualValues(prRef.Values) {
 		t.Fatalf("PR: steps=%d (ref %d), values differ", pr.Steps, prRef.Steps)
 	}
+	cc, err = tc.coord.Run(ctx, JobSpec{App: "CC"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc.Steps != ccRef.Steps || !cc.Values.EqualValues(ccRef.Values) {
+		t.Fatalf("second CC: steps=%d (ref %d), values differ", cc.Steps, ccRef.Steps)
+	}
 	for i, a := range agents {
 		if node, mesh := meshOf(a); node != nodes[i] || mesh != 1 {
 			t.Fatalf("agent %d rewired between clean jobs: node %p → %p, mesh 1 → %d", i, nodes[i], node, mesh)
@@ -247,7 +255,7 @@ func TestClusterMeshCutBetweenJobs(t *testing.T) {
 		agents[i] = tc.startAgent(ctx)
 	}
 	spec := JobSpec{App: "CC"}
-	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, spec), bsp.Config{VerifyReplicaAgreement: true})
+	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, spec), bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +388,7 @@ func TestClusterFailoverStandby(t *testing.T) {
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 5,
 	}
-	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, spec), bsp.Config{VerifyReplicaAgreement: true})
+	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, spec), bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +439,7 @@ func TestClusterFailoverReplacement(t *testing.T) {
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 4,
 	}
-	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, spec), bsp.Config{VerifyReplicaAgreement: true})
+	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, spec), bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +576,7 @@ func TestClusterHeartbeatDetector(t *testing.T) {
 	if res.Attempts < 2 {
 		t.Fatalf("attempts = %d, want >= 2 (open must stall on the silent worker first)", res.Attempts)
 	}
-	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
+	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +654,7 @@ func TestClusterDataFrameCorruptionDetected(t *testing.T) {
 		})
 	}
 
-	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{VerifyReplicaAgreement: true})
+	ref, err := bsp.Run(t.Context(), subs, mustProgram(t, JobSpec{App: "CC"}), bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

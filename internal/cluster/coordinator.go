@@ -73,6 +73,7 @@ type workerConn struct {
 	part     int        // under Coordinator.mu; -1 = hot standby
 	assigned bool       // under Coordinator.mu; part's shard reached the worker
 	dead     bool       // under Coordinator.mu
+	hasLinks bool       // under Coordinator.runMu; a CC open carried part's links
 	lastSeen atomic.Int64
 }
 
@@ -476,7 +477,7 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	}
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
-	links := make([]*bsp.Links, len(c.subs)) // none but a CC job's
+	var links []*bsp.Links // none but a CC job's
 	if _, cc := prog.(*apps.CC); cc {
 		links = c.links()
 	}
@@ -503,8 +504,9 @@ func (c *Coordinator) Run(ctx context.Context, spec JobSpec) (*JobResult, error)
 	return nil, fmt.Errorf("cluster: job %d failed: %w", job, lastErr)
 }
 
-// runAttempt drives one attempt: roster, open (links[p] to p's owner),
-// start, collect.
+// runAttempt drives one attempt: roster, open, start, collect. An open
+// carries links[p] to p's owner unless an earlier one already did: the
+// agent keeps them beside its shard.
 func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec JobSpec, width int, links []*bsp.Links) (*JobResult, error) {
 	k := len(c.subs)
 	ch := make(chan event, 4*k+16)
@@ -553,11 +555,15 @@ func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec Job
 
 	open := openMsg{Job: job, Attempt: attempt, Spec: spec, RestoreStep: restoreStep, Mesh: c.mesh, Addrs: addrs}
 	for p, w := range roster {
-		open.Links = links[p]
+		open.Links = nil
+		if links != nil && !w.hasLinks {
+			open.Links = links[p]
+		}
 		if err := writeMsg(&w.wmu, w.conn, msgOpen, open); err != nil {
 			c.markDead(w, err)
 			return nil, fmt.Errorf("send open to worker %d: %w", w.id, err)
 		}
+		w.hasLinks = w.hasLinks || open.Links != nil
 	}
 
 	if err := c.settle(ctx, ch, roster, job, attempt, evOpened, "open", func(int, event) error { return nil }); err != nil {
@@ -594,7 +600,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, job, attempt int, spec Job
 		return nil, err
 	}
 
-	vals, covered, err := bsp.AssembleValues(c.subs, values, width, true)
+	vals, covered, err := bsp.AssembleValues(c.subs, values, width)
 	if err != nil {
 		return nil, err
 	}

@@ -21,12 +21,12 @@ import (
 // frame — a data-plane peer, a connection cut mid-shard — fails at the
 // frame layer, not as a gob decode error. The small schema'd messages
 // (hello, open, opened, start, failed) are gob-encoded structs off the
-// bulk path (a CC job's open carries its part's component links), and gob
-// lets JobSpec and openMsg grow a field without a wire revision. The two
-// bulk payloads never touch gob, whose reflection cost more CPU per shard
-// than EBV spends partitioning it: assign is the shard, exactly
-// bsp.WriteSubgraph's bytes (they label their own part and worker count),
-// and done is
+// bulk path (a worker's first CC open carries its part's component
+// links), and gob lets JobSpec and openMsg grow a field without a wire
+// revision. The two bulk payloads never touch gob, whose reflection cost
+// more CPU per shard than EBV spends partitioning it: assign is the
+// shard, exactly bsp.WriteSubgraph's bytes (they label their own part and
+// worker count), and done is
 //
 //	u32 job | u32 attempt | u32 part | u32 steps | u32 width | u32 rows |
 //	rows·width × f64 (little-endian bit patterns)
@@ -59,7 +59,9 @@ type helloMsg struct {
 // for another mesh, or has none, wires one first. RestoreStep >= 0
 // instructs it to load its partition's checkpoint for that epoch before
 // running; -1 runs fresh. Links is the agent's part of the component-link
-// table for a CC job, which RunWorker checks, and nil for any other.
+// table, sent with its first CC open since its assign and nil on every
+// other open: the agent keeps it beside its shard for every CC job, and
+// RunWorker checks it.
 type openMsg struct {
 	Job         int
 	Attempt     int

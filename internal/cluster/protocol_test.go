@@ -165,10 +165,12 @@ func TestDoneFrameDamageSweep(t *testing.T) {
 }
 
 // TestOpenCarriesLinks drives a real coordinator with scripted workers and
-// records what each open carries: nothing for a PR job, which builds no
-// link table, and for a CC job exactly bsp.ComponentLinks(subs)[p] to the
-// owner of partition p. Partition 2 shares no vertex, so its share is the
-// empty table, which gob must deliver as one and not as nil.
+// records what each open carries over a PR, a CC and a second CC job:
+// nothing for PR, which builds no link table, exactly
+// bsp.ComponentLinks(subs)[p] to the owner of partition p on the first CC
+// open, and nothing on the second, whose agent keeps the first's.
+// Partition 2 shares no vertex, so its share is the empty table, which gob
+// must deliver as one and not as nil.
 func TestOpenCarriesLinks(t *testing.T) {
 	g, err := graph.New(5, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 3, Dst: 4}})
 	if err != nil {
@@ -226,7 +228,7 @@ func TestOpenCarriesLinks(t *testing.T) {
 			}
 		}()
 	}
-	for _, app := range []string{"PR", "CC"} {
+	for _, app := range []string{"PR", "CC", "CC"} {
 		if _, err := tc.coord.Run(context.Background(), JobSpec{App: app, MaxAttempts: 1}); err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
@@ -237,8 +239,8 @@ func TestOpenCarriesLinks(t *testing.T) {
 	wg.Wait()
 	want := bsp.ComponentLinks(subs)
 	for p := range subs {
-		if len(opens[p]) != 2 || opens[p][0] != nil || !reflect.DeepEqual(opens[p][1], want[p]) {
-			t.Errorf("partition %d: opens carried %v, want none for PR then %+v for CC", p, opens[p], want[p])
+		if len(opens[p]) != 3 || opens[p][0] != nil || !reflect.DeepEqual(opens[p][1], want[p]) || opens[p][2] != nil {
+			t.Errorf("partition %d: opens carried %v, want none for PR, %+v for the first CC, none for the second", p, opens[p], want[p])
 		}
 	}
 }

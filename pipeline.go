@@ -111,8 +111,7 @@ type Pipeline struct {
 type PipelineOption func(*Pipeline)
 
 // RunOption configures the BSP execution stage (an alias of the engine's
-// functional option type: WithMaxSteps, WithValueWidth,
-// WithReplicaVerification).
+// functional option type: WithMaxSteps, WithValueWidth).
 type RunOption = bsp.Option
 
 // NewPipeline builds a Pipeline. Defaults: no source (Run fails until a

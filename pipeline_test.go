@@ -35,7 +35,6 @@ func TestPipelineEndToEnd(t *testing.T) {
 		ebv.FromGenerator(func() (*ebv.Graph, error) { return pipelineGraph(t), nil }),
 		ebv.UsePartitioner(ebv.NewEBV()),
 		ebv.Subgraphs(4),
-		ebv.WithRun(ebv.WithReplicaVerification(true)),
 		ebv.OnProgress(func(p ebv.PipelineProgress) {
 			mu.Lock()
 			events = append(events, p)

@@ -215,8 +215,8 @@ func (s *Session) emit(ev PipelineProgress) {
 }
 
 // Run executes prog as one job of the session. Safe for concurrent
-// callers; each job takes its own RunOptions (WithValueWidth, WithMaxSteps,
-// WithReplicaVerification), defaulting to the pipeline's. The session's
+// callers; each job takes its own RunOptions (WithValueWidth, WithMaxSteps),
+// defaulting to the pipeline's. The session's
 // progress callback observes a StageRun start/done pair per job, tagged
 // with the job number.
 func (s *Session) Run(ctx context.Context, prog Program, opts ...RunOption) (*JobResult, error) {

@@ -273,6 +273,67 @@ func TestSessionProgressEventsPerJob(t *testing.T) {
 	}
 }
 
+// strayMirror is a program whose workers run no superstep and return each
+// local vertex's global id as its row, except that worker Worker returns
+// -1 for its first mirror: the one replica that disagrees with its master.
+type strayMirror struct{ Worker int }
+
+func (*strayMirror) Name() string { return "STRAY" }
+
+func (p *strayMirror) NewWorker(sub *ebv.Subgraph, env ebv.WorkerEnv) ebv.WorkerProgram {
+	vals := env.NewValues(sub.NumLocalVertices())
+	for l, gid := range sub.GlobalIDs {
+		vals.SetScalar(l, float64(gid))
+	}
+	if sub.Part == p.Worker {
+		for _, col := range sub.Routing().ToMaster {
+			if len(col.Locals) > 0 {
+				vals.SetScalar(int(col.Locals[0]), -1)
+				break
+			}
+		}
+	}
+	return strayMirrorWorker{vals}
+}
+
+type strayMirrorWorker struct{ vals *ebv.ValueMatrix }
+
+func (strayMirrorWorker) Superstep(int, *ebv.MessageBatch) ([]*ebv.MessageBatch, bool) {
+	return nil, false
+}
+
+func (w strayMirrorWorker) Values() *ebv.ValueMatrix { return w.vals }
+
+// TestSessionRefusesDisagreeingReplicas: a job with the default options
+// whose program leaves one mirror's row different from its master's fails,
+// naming the vertex, both rows, the mirror's worker and the master's; the
+// session serves the next job.
+func TestSessionRefusesDisagreeingReplicas(t *testing.T) {
+	s, err := sessionPipeline(t).Open(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const stray = 3
+	var want string
+	for q, col := range s.Prepared().Subgraphs[stray].Routing().ToMaster {
+		if len(col.Locals) > 0 {
+			want = fmt.Sprintf("bsp: replicas of vertex %d disagree at column 0: %d vs -1 (worker %d), master at worker %d",
+				col.IDs[0], col.IDs[0], stray, q)
+			break
+		}
+	}
+	if want == "" {
+		t.Fatalf("worker %d holds no mirror", stray)
+	}
+	if _, err := s.Run(context.Background(), &strayMirror{Worker: stray}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if _, err := s.Run(context.Background(), &strayMirror{Worker: -1}); err != nil {
+		t.Fatalf("agreeing replicas: %v", err)
+	}
+}
+
 // TestPipelineSubgraphsAssignmentMismatch: Subgraphs(k) combined with a
 // k'-part UseAssignment must fail loudly instead of silently following the
 // assignment (the PR's validation bugfix).
