@@ -195,7 +195,7 @@ func TestPublicPartitionerRegistry(t *testing.T) {
 	names := []string{
 		"EBV", "EBV-unsort", "Ginger", "DBH", "CVC", "NE", "METIS",
 		"Random", "Grid", "HDRF", "Hybrid", "Fennel",
-		"EBV-stream", "EBV-stream-window", "EBV-parallel",
+		"EBV-stream", "EBV-stream-window", "EBV-parallel", "EBV-local", "EBV-auto",
 	}
 	for _, name := range names {
 		p, err := ebv.PartitionerByName(name)

@@ -41,7 +41,7 @@ func run(ctx context.Context) (err error) {
 	var (
 		in         = flag.String("in", "", "input graph path (.bin = binary, else text edge list)")
 		undirected = flag.Bool("undirected", false, "treat text input as undirected")
-		algo       = flag.String("algo", "EBV", "algorithm: EBV | EBV-unsort | Ginger | DBH | CVC | NE | METIS | Random | Grid")
+		algo       = flag.String("algo", "EBV", "algorithm: EBV | EBV-auto | EBV-local | EBV-unsort | Ginger | DBH | CVC | NE | METIS | Random | Grid")
 		parts      = flag.Int("parts", 8, "number of subgraphs")
 		alpha      = flag.Float64("alpha", 1, "EBV edge-balance weight α")
 		beta       = flag.Float64("beta", 1, "EBV vertex-balance weight β")

@@ -29,8 +29,7 @@
 //				NumVertices: 100000, NumEdges: 1000000, Eta: 2.2, Directed: true, Seed: 1,
 //			})
 //		}),
-//		ebv.UsePartitioner(ebv.NewEBV()),
-//		ebv.Subgraphs(16),
+//		ebv.Subgraphs(16), // partitioned by EBV-auto unless UsePartitioner says otherwise
 //	).Run(ctx, &ebv.CC{})
 //	// handle err (ctx.Err() after a Ctrl-C)
 //	fmt.Printf("replication factor: %.2f, %d supersteps\n",
@@ -45,7 +44,6 @@
 //
 //	s, err := ebv.NewPipeline(
 //		ebv.FromEdgeList("graph.txt"),
-//		ebv.UsePartitioner(ebv.NewEBV()),
 //		ebv.Subgraphs(16),
 //	).Open(ctx)
 //	// handle err

@@ -84,6 +84,7 @@ func TestPartitionCtxPreCanceled(t *testing.T) {
 	for _, p := range []partition.Partitioner{
 		core.New(),
 		core.New(core.WithOrder(core.OrderSortedDesc)),
+		core.New(core.WithOrder(core.OrderAuto)),
 		&core.PartitionStream{},
 		&core.PartitionStream{Window: 64},
 		&core.ParallelEBV{Workers: 2},
@@ -117,6 +118,32 @@ func TestEBVCancelMidPartition(t *testing.T) {
 	assertCanceledPromptly(t, "EBV", func() (*partition.Assignment, error) {
 		return e.Partition(ctx, g, 16)
 	})
+}
+
+// TestEBVLocalCancelMidPartition cancels the same way while the local
+// order is still being built on its own goroutine; the builder then ends
+// on its own, so the goroutine count returns to where it was.
+func TestEBVLocalCancelMidPartition(t *testing.T) {
+	g, err := gen.Road(gen.RoadConfig{Width: 200, Height: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e := core.New(core.WithOrder(core.OrderLocal), core.WithGrowthTracking(4096, func(int, float64) {
+		cancel()
+	}))
+	assertCanceledPromptly(t, "EBV-local", func() (*partition.Assignment, error) {
+		return e.Partition(ctx, g, 8)
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the canceled partition, %d before", n, before)
+	}
 }
 
 // TestStreamingEBVCancelMidStream uses a countdown context so the

@@ -346,13 +346,15 @@ func TestEBVMatchesReferenceLoop(t *testing.T) {
 		}
 		k := []int{1, 3, 8, 64, 65, 130}[seed%6]
 		ab := weights[seed%5]
-		for _, order := range []Order{OrderSorted, OrderInput, OrderSortedDesc} {
+		for _, order := range []Order{OrderSorted, OrderInput, OrderSortedDesc, OrderLocal} {
 			e := New(WithOrder(order), WithAlpha(ab[0]), WithBeta(ab[1]))
 			a, err := e.Partition(t.Context(), g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referenceAssign(g, k, ab[0], ab[1], edgeOrder(g, order))
+			recs, wait := edgeOrder(g, order)
+			wait(len(recs))
+			want := referenceAssign(g, k, ab[0], ab[1], recs)
 			for i := range want {
 				if a.Parts[i] != want[i] {
 					t.Fatalf("seed %d k=%d %s α=%g β=%g: edge %d %v assigned to %d, reference %d",
@@ -443,7 +445,7 @@ func TestGoldenGrowthSamples(t *testing.T) {
 	}
 }
 
-// TestFanOutDeterminism runs the §IV-C sort, EBV in all three orders and
+// TestFanOutDeterminism runs the §IV-C sort, EBV in all five orders and
 // ParallelEBV at GOMAXPROCS 1 and 4 and asserts identical output. The sort
 // and the part scatter split |E| GOMAXPROCS ways once every piece gets
 // 64 Ki edges, so besides the pinned graphs it runs a graph big enough to
@@ -472,7 +474,8 @@ func TestFanOutDeterminism(t *testing.T) {
 			}
 			out[name+"/sort"] = partsSHA256(&partition.Assignment{Parts: ids})
 			partitioners := []partition.Partitioner{
-				New(WithOrder(OrderSorted)), New(WithOrder(OrderInput)), New(WithOrder(OrderSortedDesc)), &ParallelEBV{},
+				New(WithOrder(OrderSorted)), New(WithOrder(OrderInput)), New(WithOrder(OrderSortedDesc)),
+				New(WithOrder(OrderLocal)), New(WithOrder(OrderAuto)), &ParallelEBV{},
 			}
 			for _, p := range partitioners {
 				a, err := p.Partition(t.Context(), g, 8)
@@ -485,8 +488,8 @@ func TestFanOutDeterminism(t *testing.T) {
 		return out
 	}
 	one, four := run(1), run(4)
-	if len(one) != 3*5 {
-		t.Fatalf("%d cells, want 15", len(one))
+	if len(one) != 3*7 {
+		t.Fatalf("%d cells, want 21", len(one))
 	}
 	for key, h := range one {
 		if four[key] != h {

@@ -71,7 +71,7 @@ func (p *ParallelEBV) Partition(ctx context.Context, g *graph.Graph, k int) (*pa
 	if p.NoSort {
 		sortOrder = OrderInput
 	}
-	recs := edgeOrder(g, sortOrder)
+	recs, _ := edgeOrder(g, sortOrder)
 
 	epoch := p.EpochEdges
 	if epoch <= 0 {

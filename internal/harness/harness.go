@@ -38,7 +38,8 @@ type Options struct {
 	// PageRankIters bounds PR work (default 10).
 	PageRankIters int
 	// Extended adds the beyond-the-paper partitioners (HDRF, Hybrid,
-	// Fennel, EBV-stream, EBV-parallel) as extra columns of Tables III-V.
+	// Fennel, EBV-stream, EBV-parallel, EBV-auto) as extra columns of
+	// Tables III-V.
 	Extended bool
 	// Repeat re-runs timing experiments (Table II) this many times and
 	// reports mean ± stddev (default 1).
@@ -81,6 +82,7 @@ func ExtendedPartitioners() []partition.Partitioner {
 		&partition.Fennel{},
 		&core.PartitionStream{},
 		&core.ParallelEBV{},
+		core.New(core.WithOrder(core.OrderAuto)),
 	}
 }
 
@@ -103,6 +105,10 @@ func PartitionerByName(name string) (partition.Partitioner, error) {
 		return core.New(core.WithOrder(core.OrderInput)), nil
 	case "EBV-sort-desc":
 		return core.New(core.WithOrder(core.OrderSortedDesc)), nil
+	case "EBV-local":
+		return core.New(core.WithOrder(core.OrderLocal)), nil
+	case "EBV-auto":
+		return core.New(core.WithOrder(core.OrderAuto)), nil
 	case "Ginger":
 		return &ginger.Ginger{}, nil
 	case "NE":

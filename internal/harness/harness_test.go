@@ -275,7 +275,7 @@ func TestRunDispatch(t *testing.T) {
 }
 
 func TestPartitionerByName(t *testing.T) {
-	for _, name := range []string{"EBV", "EBV-unsort", "EBV-sort-desc", "Ginger", "NE", "METIS", "DBH", "CVC", "Random"} {
+	for _, name := range []string{"EBV", "EBV-unsort", "EBV-sort-desc", "EBV-local", "EBV-auto", "Ginger", "NE", "METIS", "DBH", "CVC", "Random"} {
 		p, err := PartitionerByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -359,11 +359,11 @@ func TestExtendedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 6 paper + 5 extended columns.
-	if got := len(r.Rows[0].Cells); got != 11 {
-		t.Fatalf("%d columns, want 11", got)
+	// 6 paper + 6 extended columns.
+	if got := len(r.Rows[0].Cells); got != 12 {
+		t.Fatalf("%d columns, want 12", got)
 	}
-	for _, name := range []string{"HDRF", "Hybrid", "Fennel", "EBV-stream", "EBV-parallel"} {
+	for _, name := range []string{"HDRF", "Hybrid", "Fennel", "EBV-stream", "EBV-parallel", "EBV-auto"} {
 		if _, ok := r.Rows[0].Cell(name); !ok {
 			t.Errorf("missing extended column %s", name)
 		}

@@ -49,9 +49,7 @@ type GraphSpec struct {
 
 // pipeline builds the spec's prepare-once pipeline.
 func (gs GraphSpec) pipeline() (*ebv.Pipeline, error) {
-	opts := []ebv.PipelineOption{
-		ebv.UsePartitioner(ebv.NewEBV()),
-	}
+	var opts []ebv.PipelineOption
 	switch {
 	case gs.Path != "" && gs.Generate != nil:
 		return nil, fmt.Errorf("serve: graph %q sets both Path and Generate", gs.Name)

@@ -80,7 +80,7 @@ type PipelineResult struct {
 //
 //	pr, err := ebv.NewPipeline(
 //	    ebv.FromEdgeList("graph.txt"),
-//	    ebv.UsePartitioner(ebv.NewEBV()),
+//	    ebv.UsePartitioner(&ebv.NE{}), // default: EBV-auto
 //	    ebv.Subgraphs(16),
 //	    ebv.OnProgress(func(p ebv.PipelineProgress) { log.Println(p.Stage, p.Done) }),
 //	).Run(ctx, &ebv.CC{})
@@ -168,7 +168,8 @@ func Undirected() PipelineOption {
 	return func(p *Pipeline) { p.undirected = true }
 }
 
-// UsePartitioner selects the partition algorithm (default ebv.NewEBV()).
+// UsePartitioner selects the partition algorithm (default EBV-auto: the
+// paper's EBV on skewed graphs, EBV in breadth-first order on road-like ones).
 func UsePartitioner(part Partitioner) PipelineOption {
 	return func(p *Pipeline) { p.partitioner = part }
 }
@@ -301,7 +302,7 @@ func (p *Pipeline) prepare(ctx context.Context, build bool) (*PipelineResult, er
 	} else {
 		part := p.partitioner
 		if part == nil {
-			part = core.New()
+			part = core.New(core.WithOrder(core.OrderAuto))
 		}
 		res.PartitionerName = part.Name()
 		detail := fmt.Sprintf("%s into %d subgraphs", part.Name(), p.k)

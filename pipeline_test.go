@@ -275,3 +275,45 @@ func TestPipelineTCPLoopback(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineDefaultOnRoadLattice is the step count behind the default
+// partitioner, on road-tcp's graph (a 300 × 300 lattice, seed 1, k = 8)
+// over the in-memory mesh. The default measures the lattice's degree skew
+// and walks it in breadth-first order, so CC and SSSP from vertex 0 take
+// at most 60 supersteps together; the paper's degree-sum order
+// (ebv.NewEBV()) takes about 220 there.
+func TestPipelineDefaultOnRoadLattice(t *testing.T) {
+	g, err := ebv.Road(ebv.RoadConfig{Width: 300, Height: 300, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ebv.NewPipeline(ebv.FromGraph(g), ebv.Subgraphs(8)).Open(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if name := s.Prepared().PartitionerName; name != "EBV-auto" {
+		t.Fatalf("default partitioner %q, want EBV-auto", name)
+	}
+	steps := 0
+	for _, job := range []struct {
+		prog ebv.Program
+		want []float64
+	}{
+		{&ebv.CC{}, ebv.SequentialCC(g)},
+		{&ebv.SSSP{Source: 0}, ebv.SequentialSSSP(g, 0)},
+	} {
+		res, err := s.Run(t.Context(), job.prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !agrees(res.BSP, job.want) {
+			t.Errorf("%T disagrees with its sequential oracle", job.prog)
+		}
+		t.Logf("%T: %d supersteps, %d rows", job.prog, res.BSP.Steps, res.BSP.TotalMessages())
+		steps += res.BSP.Steps
+	}
+	if steps > 60 {
+		t.Errorf("CC + SSSP took %d supersteps, want at most 60", steps)
+	}
+}
