@@ -377,6 +377,16 @@ func TestExtendedTables(t *testing.T) {
 		t.Errorf("offline EBV RF %.3f above streaming %.3f",
 			ebvCell.ReplicationFactor, streamCell.ReplicationFactor)
 	}
+	// EBV-auto is EBV on the power-law rows and replicates less than it on
+	// the road analogue, where it takes the breadth-first order.
+	for _, row := range r.Rows {
+		ebvCell, _ := row.Cell("EBV")
+		autoCell, _ := row.Cell("EBV-auto")
+		if road := row.Graph == "USARoad"; road != (autoCell.ReplicationFactor < ebvCell.ReplicationFactor) ||
+			!road && autoCell.ReplicationFactor != ebvCell.ReplicationFactor {
+			t.Errorf("%s: EBV-auto RF %.4f, EBV %.4f", row.Graph, autoCell.ReplicationFactor, ebvCell.ReplicationFactor)
+		}
+	}
 }
 
 func TestTable2Repeat(t *testing.T) {
