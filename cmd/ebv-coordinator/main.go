@@ -56,7 +56,7 @@ func run(ctx context.Context) error {
 		listen     = flag.String("listen", "127.0.0.1:0", "control-plane listen address (use :port to accept remote workers)")
 		in         = flag.String("in", "", "input graph path (.bin = binary, else text edge list)")
 		undirected = flag.Bool("undirected", false, "treat text input as undirected")
-		algo       = flag.String("algo", "EBV", "partition algorithm")
+		algo       = flag.String("algo", "EBV-auto", "partition algorithm (EBV is the paper's)")
 		parts      = flag.Int("parts", 3, "number of workers/subgraphs")
 		app        = flag.String("app", "CC", "comma-separated applications run as sequential jobs of one deployment: "+ebv.ProgramNames)
 		iters      = flag.Int("iters", 10, "PageRank iterations")

@@ -120,15 +120,14 @@ func TestEBVCancelMidPartition(t *testing.T) {
 	})
 }
 
-// TestEBVLocalCancelMidPartition cancels the same way while the local
-// order is still being built on its own goroutine; the builder then ends
-// on its own, so the goroutine count returns to where it was.
+// TestEBVLocalCancelMidPartition cancels Algorithm 1 over the local order
+// the same way, and EBV-auto's ranges on the same road lattice after a few
+// polls of a countdown context.
 func TestEBVLocalCancelMidPartition(t *testing.T) {
 	g, err := gen.Road(gen.RoadConfig{Width: 200, Height: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	e := core.New(core.WithOrder(core.OrderLocal), core.WithGrowthTracking(4096, func(int, float64) {
@@ -137,13 +136,9 @@ func TestEBVLocalCancelMidPartition(t *testing.T) {
 	assertCanceledPromptly(t, "EBV-local", func() (*partition.Assignment, error) {
 		return e.Partition(ctx, g, 8)
 	})
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("%d goroutines after the canceled partition, %d before", n, before)
-	}
+	assertCanceledPromptly(t, "EBV-auto", func() (*partition.Assignment, error) {
+		return core.New(core.WithOrder(core.OrderAuto)).Partition(newCountdownCtx(3), g, 8)
+	})
 }
 
 // TestStreamingEBVCancelMidStream uses a countdown context so the

@@ -11,8 +11,9 @@
 // bound the edge and vertex imbalance factors (Theorems 1 and 2). New
 // processes edges in ascending order of end-vertex degree sum (the §IV-C
 // sorting preprocessing). OrderAuto, the ebv.Pipeline default, keeps it
-// on skewed graphs and walks near-regular ones (road networks) in
-// breadth-first order instead.
+// on graphs without locality. On graphs with it (road networks) OrderAuto
+// is not Algorithm 1: it cuts the breadth-first edge order into k equal
+// ranges.
 package core
 
 import (
@@ -41,15 +42,22 @@ const (
 	// OrderLocal processes edges in breadth-first order (localOrder), so
 	// each part grows over a connected region.
 	OrderLocal
-	// OrderAuto is OrderLocal with α = β = autoWeight on a graph whose
-	// degree skew is at most autoMaxSkew, and OrderSorted otherwise.
+	// OrderAuto skips Algorithm 1 on a graph with locality at k parts:
+	// one whose degree skew is at most autoMaxSkew and whose largest
+	// breadth-first level L has (k-1)·L ≤ autoMaxCut·|V|. There edge j of
+	// the local order goes to part ⌊j·k/|E|⌋. Elsewhere it is OrderSorted.
 	OrderAuto
 )
 
-// OrderAuto's measured constants (EXPERIMENTS.md): the skew E[d²]/E[d]²
+// OrderAuto's measured constants (EXPERIMENTS.md). The skew E[d²]/E[d]²
 // is 1.02–1.03 on road lattices and ≥ 3.75 on the power-law analogues,
-// and α = β = 4 takes the local order's imbalance from about 1.2 to 1.05.
-const autoMaxSkew, autoWeight = 1.5, 4
+// so only low-skew graphs pay for the breadth-first search. Each of the
+// k-1 cuts between ranges replicates about one breadth-first level, and
+// the largest level over |V| is 0.004–0.03 on road graphs (about 1/w on
+// a w × w lattice) but 0.15–0.75 on Erdős–Rényi graphs, which have low
+// skew and no locality. Ranges replicated less than Algorithm 1 wherever
+// (k-1)·L/|V| was at most 0.29 and more wherever it was 0.45 or above.
+const autoMaxSkew, autoMaxCut = 1.5, 1.0 / 3
 
 // String returns the order's name as used in §V-D.
 func (o Order) String() string {
@@ -140,6 +148,8 @@ func (e *EBV) Beta() float64 { return e.beta }
 // polled before the edge order is built, and the assignment loop polls it every
 // partition.CancelCheckInterval edges (the first poll falls between the sort
 // and the first assignment), returning ctx.Err() promptly on cancellation.
+// OrderAuto's ranges, which run no Algorithm 1, poll it as often and
+// report no growth samples.
 func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.Assignment, error) {
 	if k < 1 {
 		return nil, partition.ErrBadPartCount
@@ -156,16 +166,16 @@ func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.
 		return a, nil
 	}
 
-	alpha, beta, order := e.alpha, e.beta, e.order
+	order := e.order
 	if order == OrderAuto {
-		order = OrderSorted
-		if degreeSkew(g) <= autoMaxSkew {
-			alpha, beta, order = autoWeight, autoWeight, OrderLocal
+		if recs := autoRanges(g, k); recs != nil {
+			return ranges(ctx, recs, a)
 		}
+		order = OrderSorted
 	}
-	recs, wait := edgeOrder(g, order)
+	recs := edgeOrder(g, order)
 	st := partition.NewState(numV, k)
-	norm := newFixedNorm(alpha, beta, numE, numV, k)
+	norm := newFixedNorm(e.alpha, e.beta, numE, numV, k)
 
 	// balance[i] caches α·ecount[i]/(|E|/p) + β·vcount[i]/(|V|/p). Only the
 	// part that receives an edge changes, and it is recomputed from the
@@ -183,7 +193,6 @@ func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.
 			return nil, err
 		}
 		end := min(start+partition.CancelCheckInterval, numE)
-		wait(end)
 		for j, r := range recs[start:end] {
 			best := argminScore(balance, st.Row(r.Src), st.Row(r.Dst))
 			parts[start+j] = int32(best)
@@ -202,6 +211,32 @@ func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.
 	})
 	if e.growth != nil && e.growthEvery > 0 {
 		e.growth(numE, float64(st.Replicas)/float64(numV))
+	}
+	return a, nil
+}
+
+// autoRanges returns the local order OrderAuto cuts into k ranges, or nil
+// where it takes the paper's sort: on a graph with degree skew above
+// autoMaxSkew, which never pays for the search, or once a breadth-first
+// level exceeds autoMaxCut·|V|/(k-1), where the search stops.
+func autoRanges(g *graph.Graph, k int) []graph.IndexedEdge {
+	if degreeSkew(g) > autoMaxSkew {
+		return nil
+	}
+	return localOrder(g, int(autoMaxCut*float64(g.NumVertices())/float64(max(k-1, 1))))
+}
+
+// ranges writes edge j of recs to part ⌊j·k/|E|⌋ of a, polling ctx once
+// per CancelCheckInterval records.
+func ranges(ctx context.Context, recs []graph.IndexedEdge, a *partition.Assignment) (*partition.Assignment, error) {
+	numE, k := int64(len(recs)), int64(a.K)
+	for start := 0; start < len(recs); start += partition.CancelCheckInterval {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for j := start; j < min(start+partition.CancelCheckInterval, len(recs)); j++ {
+			a.Parts[recs[j].ID] = int32(int64(j) * k / numE)
+		}
 	}
 	return a, nil
 }
@@ -313,34 +348,23 @@ func argminScore(balance []float64, rowU, rowV []uint64) int {
 	return best
 }
 
-// edgeOrder returns g's edges in order o as (Edge, ID) records and a
-// wait(n) that returns once the first n are in place: the local order is
-// built on its own goroutine while the caller consumes the prefix.
-func edgeOrder(g *graph.Graph, o Order) ([]graph.IndexedEdge, func(n int)) {
+// edgeOrder returns g's edges in order o as (Edge, ID) records.
+func edgeOrder(g *graph.Graph, o Order) []graph.IndexedEdge {
 	switch o {
 	case OrderInput:
 		recs := make([]graph.IndexedEdge, g.NumEdges())
 		for i, e := range g.Edges() {
 			recs[i] = graph.IndexedEdge{Edge: e, ID: int32(i)}
 		}
-		return recs, func(int) {}
+		return recs
 	case OrderSortedDesc:
 		recs := g.SortedBySumDegree()
 		slices.Reverse(recs)
-		return recs, func(int) {}
+		return recs
 	case OrderLocal:
-		recs := make([]graph.IndexedEdge, g.NumEdges())
-		// Room for every ready call: the builder ends on its own.
-		done := make(chan int, len(recs)/partition.CancelCheckInterval+2)
-		go localOrder(g, recs, func(n int) { done <- n })
-		have := 0
-		return recs, func(n int) {
-			for have < n {
-				have = <-done
-			}
-		}
+		return LocalOrder(g)
 	default:
-		return g.SortedBySumDegree(), func(int) {}
+		return g.SortedBySumDegree()
 	}
 }
 

@@ -352,9 +352,7 @@ func TestEBVMatchesReferenceLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs, wait := edgeOrder(g, order)
-			wait(len(recs))
-			want := referenceAssign(g, k, ab[0], ab[1], recs)
+			want := referenceAssign(g, k, ab[0], ab[1], edgeOrder(g, order))
 			for i := range want {
 				if a.Parts[i] != want[i] {
 					t.Fatalf("seed %d k=%d %s α=%g β=%g: edge %d %v assigned to %d, reference %d",

@@ -4,17 +4,18 @@ import (
 	"slices"
 
 	"ebv/internal/graph"
-	"ebv/internal/partition"
 )
 
-// localOrder writes g's edges into recs in OrderLocal's order and calls
-// ready(n) once recs[:n] is final, about every CancelCheckInterval records
-// and at the end. An undirected breadth-first search ranks the vertices
-// (roots and each vertex's new neighbours in ascending id), and the edges
-// follow by (lower end's rank, higher end's rank, Src, Dst, index). A
-// vertex's edges go out right after its turn, when its neighbours are
-// ranked.
-func localOrder(g *graph.Graph, recs []graph.IndexedEdge, ready func(n int)) {
+// LocalOrder returns g's edges in OrderLocal's order.
+func LocalOrder(g *graph.Graph) []graph.IndexedEdge { return localOrder(g, g.NumVertices()) }
+
+// localOrder returns g's edges in OrderLocal's order, or nil as soon as
+// one breadth-first level holds more than maxLevel vertices. An undirected
+// breadth-first search ranks the vertices (roots and each vertex's new
+// neighbours in ascending id), and the edges follow by (lower end's rank,
+// higher end's rank, Src, Dst, index). A vertex's edges go out right
+// after its turn, when its neighbours are ranked.
+func localOrder(g *graph.Graph, maxLevel int) []graph.IndexedEdge {
 	numV, edges := g.NumVertices(), g.Edges()
 	// adj[start[v]:start[v+1]] has a slot per edge end at v: neighbour<<32
 	// | side<<31 | index, side 1 where v is the Dst. Pieces own v ranges.
@@ -38,20 +39,26 @@ func localOrder(g *graph.Graph, recs []graph.IndexedEdge, ready func(n int)) {
 	})
 
 	const idMask = 1<<31 - 1
+	recs := make([]graph.IndexedEdge, 0, len(edges))
 	rank := make([]int32, numV)
 	for v := range rank {
 		rank[v] = -1
 	}
 	order := make([]graph.VertexID, 0, numV)
 	var keys []uint64
-	n, published := 0, 0
 	for root := range numV {
 		if rank[root] >= 0 {
 			continue
 		}
 		rank[root] = int32(len(order))
 		order = append(order, graph.VertexID(root))
+		// order[level:] is the level being ranked, the new neighbours of
+		// the one being walked.
+		level := len(order)
 		for r := int32(len(order) - 1); int(r) < len(order); r++ {
+			if int(r) == level {
+				level = len(order)
+			}
 			v, found := order[r], len(order)
 			slots := adj[start[v]:start[v+1]]
 			for _, s := range slots {
@@ -59,6 +66,9 @@ func localOrder(g *graph.Graph, recs []graph.IndexedEdge, ready func(n int)) {
 					rank[u] = int32(len(order))
 					order = append(order, graph.VertexID(u))
 				}
+			}
+			if len(order)-level > maxLevel {
+				return nil
 			}
 			if len(order)-found > 1 {
 				slices.Sort(order[found:])
@@ -86,14 +96,9 @@ func localOrder(g *graph.Graph, recs []graph.IndexedEdge, ready func(n int)) {
 				if key>>31&1 == 1 != (u < v) {
 					e = graph.Edge{Src: u, Dst: v}
 				}
-				recs[n] = graph.IndexedEdge{Edge: e, ID: int32(key & idMask)}
-				n++
-			}
-			if n-published >= partition.CancelCheckInterval {
-				ready(n)
-				published = n
+				recs = append(recs, graph.IndexedEdge{Edge: e, ID: int32(key & idMask)})
 			}
 		}
 	}
-	ready(n)
+	return recs
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -59,32 +60,11 @@ func referenceLocalOrder(g *graph.Graph) []int32 {
 	return ids
 }
 
-// localRecs is the local order once the builder is done.
-func localRecs(g *graph.Graph) []graph.IndexedEdge {
-	recs, wait := edgeOrder(g, OrderLocal)
-	wait(len(recs))
-	return recs
-}
-
 // assertLocalOrder checks the local order against the reference, record
-// by record, and that it holds every edge index exactly once; the
-// builder's ready calls must rise to |E|.
+// by record, and that it holds every edge index exactly once.
 func assertLocalOrder(t *testing.T, g *graph.Graph) []graph.IndexedEdge {
 	t.Helper()
-	recs := make([]graph.IndexedEdge, g.NumEdges())
-	last := -1
-	localOrder(g, recs, func(n int) {
-		if n < last {
-			t.Errorf("ready(%d) after ready(%d)", n, last)
-		}
-		last = n
-	})
-	if last != len(recs) {
-		t.Fatalf("last ready(%d), want %d", last, len(recs))
-	}
-	if !slices.Equal(recs, localRecs(g)) {
-		t.Fatal("edgeOrder's streamed local order differs")
-	}
+	recs := edgeOrder(g, OrderLocal)
 	want := referenceLocalOrder(g)
 	if len(recs) != len(want) {
 		t.Fatalf("%d records for %d edges", len(recs), len(want))
@@ -221,44 +201,135 @@ func TestEBVAutoKeepsPaperOrderOnPowerLaw(t *testing.T) {
 	}
 }
 
-// TestLocalOrderWithinTheoremBounds: at OrderAuto's α = β = 4 the measured
-// imbalance factors of the local order stay within Theorems 1 and 2.
+// TestAutoNeverWorseThanEBV holds the default to the paper's algorithm:
+// on low-skew graphs with locality (road lattices, in generator order and
+// shuffled, and the USARoad analogue at k = 8) and without it
+// (Erdős–Rényi at mean degree 3, 8 and 16), on the power-law analogues
+// and on an R-MAT graph, EBV-auto's RF is at most New()'s at k = 8 and
+// 32. Where the paper's sort runs, the assignment is New()'s byte for
+// byte and within Theorems 1 and 2.
+func TestAutoNeverWorseThanEBV(t *testing.T) {
+	road := roadGraph(t, 150)
+	type family struct {
+		name string
+		g    *graph.Graph
+		// EBV-auto must take the ranges at every k up to rangesUpTo and
+		// the sort above it.
+		rangesUpTo int
+	}
+	families := []family{{"road 150", road, 32}, {"road 150 shuffled", shuffled(t, road, 7), 32}}
+	for _, d := range []int{3, 8, 16} {
+		g, err := gen.ErdosRenyi(gen.ErdosRenyiConfig{NumVertices: 20_000, NumEdges: 10_000 * d, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		families = append(families, family{fmt.Sprintf("ER d = %d", d), g, 0})
+	}
+	for _, an := range gen.Analogues() {
+		g, err := gen.TableIGraph(an, 0.1, 2021)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := family{an.String() + " 0.1", g, 0}
+		if an == gen.USARoad {
+			f.rangesUpTo = 8 // a 44 × 44 lattice: 31 cuts of a level replicate too much
+		}
+		families = append(families, f)
+	}
+	rmat, err := gen.RMAT(gen.RMATConfig{ScaleLog2: 14, NumEdges: 100_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	families = append(families, family{"R-MAT 2^14", rmat, 0})
+
+	for _, f := range families {
+		for _, k := range []int{8, 32} {
+			cell := fmt.Sprintf("%s k=%d", f.name, k)
+			paper := New()
+			want, err := paper.Partition(t.Context(), f.g, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := New(WithOrder(OrderAuto)).Partition(t.Context(), f.g, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantM, err := partition.ComputeMetrics(f.g, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotM, err := partition.ComputeMetrics(f.g, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s: EBV-auto RF %.4f, EBV %.4f", cell, gotM.ReplicationFactor, wantM.ReplicationFactor)
+			if gotM.ReplicationFactor > wantM.ReplicationFactor {
+				t.Errorf("%s: EBV-auto RF %.4f above EBV's %.4f", cell, gotM.ReplicationFactor, wantM.ReplicationFactor)
+			}
+			ranges := k <= f.rangesUpTo
+			if took := autoRanges(f.g, k) != nil; took != ranges {
+				t.Errorf("%s: ranges taken %v, want %v", cell, took, ranges)
+			}
+			if !ranges {
+				if !slices.Equal(got.Parts, want.Parts) {
+					t.Errorf("%s: EBV-auto took the sort but differs from New()", cell)
+				}
+				assertWithinTheorems(t, paper, f.g, got, cell)
+			}
+		}
+	}
+}
+
+// TestLocalOrderWithinTheoremBounds: Algorithm 1 over the local order
+// (the EBV-local ablation row) at α = β = 4 keeps the measured imbalance
+// factors within Theorems 1 and 2.
 func TestLocalOrderWithinTheoremBounds(t *testing.T) {
-	e := New(WithOrder(OrderLocal), WithAlpha(autoWeight), WithBeta(autoWeight))
+	e := New(WithOrder(OrderLocal), WithAlpha(4), WithBeta(4))
 	for name, g := range map[string]*graph.Graph{"road": shuffled(t, roadGraph(t, 120), 7), "powerlaw": pinnedGraphs(t)["powerlaw"]} {
 		for _, k := range []int{2, 8, 32} {
 			a, err := e.Partition(t.Context(), g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := partition.ComputeMetrics(g, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total := 0
-			for _, n := range m.VerticesPerPart {
-				total += n
-			}
-			if eb := e.EdgeImbalanceBound(g.NumEdges(), k); m.EdgeImbalance > eb {
-				t.Errorf("%s k=%d: EIF %.4f above Theorem 1's %.4f", name, k, m.EdgeImbalance, eb)
-			}
-			if vb := e.VertexImbalanceBound(g.NumVertices(), total, k); m.VertexImbalance > vb {
-				t.Errorf("%s k=%d: VIF %.4f above Theorem 2's %.4f", name, k, m.VertexImbalance, vb)
-			}
+			assertWithinTheorems(t, e, g, a, fmt.Sprintf("%s k=%d", name, k))
 		}
+	}
+}
+
+// assertWithinTheorems checks a's imbalance factors against e's Theorem 1
+// and 2 bounds.
+func assertWithinTheorems(t *testing.T, e *EBV, g *graph.Graph, a *partition.Assignment, cell string) {
+	t.Helper()
+	m, err := partition.ComputeMetrics(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, n := range m.VerticesPerPart {
+		total += n
+	}
+	if eb := e.EdgeImbalanceBound(g.NumEdges(), a.K); m.EdgeImbalance > eb {
+		t.Errorf("%s: EIF %.4f above Theorem 1's %.4f", cell, m.EdgeImbalance, eb)
+	}
+	if vb := e.VertexImbalanceBound(g.NumVertices(), total, a.K); m.VertexImbalance > vb {
+		t.Errorf("%s: VIF %.4f above Theorem 2's %.4f", cell, m.VertexImbalance, vb)
 	}
 }
 
 // FuzzOrderLocal checks localOrder against the reference on arbitrary
 // small multigraphs — every byte pair is one edge over numV%32+1 vertices,
 // so self-loops, duplicates and isolated vertices are common — and that
-// the input's edge order does not reach the (Src, Dst) sequence.
+// the input's edge order does not reach the (Src, Dst) sequence. It also
+// runs OrderAuto at k = k8%9+1: every part is in [0, k), and where the
+// ranges were taken each part holds ⌊|E|/k⌋ or ⌈|E|/k⌉ edges and the
+// parts never fall along the local order.
 func FuzzOrderLocal(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{0, 0, 0, 0}, uint8(0))
-	f.Add([]byte{3, 1, 1, 3, 3, 1, 2, 2, 0, 2, 2, 2}, uint8(5))
-	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 0, 5, 4}, uint8(9))
-	f.Fuzz(func(t *testing.T, data []byte, numV uint8) {
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 0, 0}, uint8(0), uint8(2))
+	f.Add([]byte{3, 1, 1, 3, 3, 1, 2, 2, 0, 2, 2, 2}, uint8(5), uint8(3))
+	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 0, 5, 4}, uint8(9), uint8(7))
+	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11}, uint8(11), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, numV, k8 uint8) {
 		n := int(numV)%32 + 1
 		edges := make([]graph.Edge, len(data)/2)
 		for i := range edges {
@@ -269,12 +340,36 @@ func FuzzOrderLocal(f *testing.F) {
 			t.Fatal(err)
 		}
 		fwd := assertLocalOrder(t, g)
+
+		k := int(k8)%9 + 1
+		a, err := New(WithOrder(OrderAuto)).Partition(t.Context(), g, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if autoRanges(g, k) != nil {
+			sizes := make([]int, k)
+			for j, r := range fwd {
+				sizes[a.Parts[r.ID]]++
+				if j > 0 && a.Parts[r.ID] < a.Parts[fwd[j-1].ID] {
+					t.Fatalf("record %d in part %d after part %d", j, a.Parts[r.ID], a.Parts[fwd[j-1].ID])
+				}
+			}
+			for i, size := range sizes {
+				if size != len(fwd)/k && size != (len(fwd)+k-1)/k {
+					t.Fatalf("part %d holds %d of %d edges at k = %d", i, size, len(fwd), k)
+				}
+			}
+		}
+
 		slices.Reverse(edges)
 		rev, err := graph.New(n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back := localRecs(rev)
+		back := edgeOrder(rev, OrderLocal)
 		for i := range fwd {
 			if fwd[i].Edge != back[i].Edge {
 				t.Fatalf("record %d: %+v forwards, %+v on the reversed input", i, fwd[i].Edge, back[i].Edge)
@@ -284,21 +379,23 @@ func FuzzOrderLocal(f *testing.F) {
 }
 
 // BenchmarkEdgeOrder builds the paper's degree-sum order and the local
-// order on the road-tcp lattice (300 × 300).
+// order on the road-tcp lattice (300 × 300), with its edges in generator
+// order and shuffled (rng.New(7)).
 func BenchmarkEdgeOrder(b *testing.B) {
-	g := roadGraph(b, 300)
-	for _, o := range []Order{OrderSorted, OrderLocal} {
-		b.Run(o.String(), func(b *testing.B) {
-			for b.Loop() {
-				recs, wait := edgeOrder(g, o)
-				wait(len(recs))
-			}
-		})
+	road := roadGraph(b, 300)
+	for name, g := range map[string]*graph.Graph{"": road, "/shuffled": shuffled(b, road, 7)} {
+		for _, o := range []Order{OrderSorted, OrderLocal} {
+			b.Run(o.String()+name, func(b *testing.B) {
+				for b.Loop() {
+					edgeOrder(g, o)
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkPartitionRoad is Partition on the same lattice at k = 8, where
-// the local order is built while Algorithm 1 consumes it.
+// EBV-auto cuts the local order into ranges.
 func BenchmarkPartitionRoad(b *testing.B) {
 	g := roadGraph(b, 300)
 	for _, e := range []*EBV{New(), New(WithOrder(OrderAuto))} {

@@ -71,7 +71,7 @@ func (p *ParallelEBV) Partition(ctx context.Context, g *graph.Graph, k int) (*pa
 	if p.NoSort {
 		sortOrder = OrderInput
 	}
-	recs, _ := edgeOrder(g, sortOrder)
+	recs := edgeOrder(g, sortOrder)
 
 	epoch := p.EpochEdges
 	if epoch <= 0 {

@@ -26,13 +26,14 @@ var locality = flag.Bool("locality", false, "print EXPERIMENTS.md's locality-ord
 // The road graphs are fed with their edges shuffled (rng.New(7)), so the
 // generator's row-major edge order helps no partitioner. Without -locality
 // the same rows run on small graphs, and the test checks what the section
-// rests on: on a road lattice EBV-auto is the local order at α = β = 4,
-// replicates less than the paper's order and runs CC and SSSP in fewer
-// supersteps, and the skew test sends only the road graphs to it.
+// rests on: on a road lattice EBV-auto is the local order cut into k
+// equal ranges, replicates less than the paper's order and runs CC and
+// SSSP in fewer supersteps, and at k = 8 the selector sends only the road
+// graphs to the ranges.
 func TestLocalityOrderSection(t *testing.T) {
-	usaScale, side := 0.15, 60
+	usaScale, side, erVertices := 0.15, 60, 20_000
 	if *locality {
-		usaScale, side = 1, 300
+		usaScale, side, erVertices = 1, 300, 100_000
 	}
 	usa, err := gen.TableIGraph(gen.USARoad, usaScale, 2021)
 	if err != nil {
@@ -53,16 +54,15 @@ func TestLocalityOrderSection(t *testing.T) {
 		{fmt.Sprintf("USARoad scale %g", usaScale), shuffledEdges(t, usa), 12},
 		{fmt.Sprintf("`road` %d × %d", side, side), shuffledEdges(t, road), 8},
 	} {
-		rows := map[string][3]float64{}
+		rows := map[string][2]float64{} // RF, CC + SSSP steps
+		parts := map[string][]int32{}
 		for _, p := range []struct {
 			label string
 			part  partition.Partitioner
 		}{
 			{"EBV (sort, α = β = 1)", core.New()},
 			{"EBV-local, α = β = 1", core.New(core.WithOrder(core.OrderLocal))},
-			{"EBV-local, α = β = 2", core.New(core.WithOrder(core.OrderLocal), core.WithAlpha(2), core.WithBeta(2))},
 			{"EBV-local, α = β = 4", core.New(core.WithOrder(core.OrderLocal), core.WithAlpha(4), core.WithBeta(4))},
-			{"EBV-local, α = β = 10", core.New(core.WithOrder(core.OrderLocal), core.WithAlpha(10), core.WithBeta(10))},
 			{"EBV-auto", core.New(core.WithOrder(core.OrderAuto))},
 			{"NE", &ne.NE{}},
 		} {
@@ -86,52 +86,108 @@ func TestLocalityOrderSection(t *testing.T) {
 				steps[i] = res[0].Steps
 				jobs[i] = fmt.Sprintf("%d / %d", res[0].Steps, res[0].TotalMessages())
 			}
-			rows[p.label] = [3]float64{m.ReplicationFactor, m.EdgeImbalance, float64(steps[0] + steps[1])}
+			rows[p.label] = [2]float64{m.ReplicationFactor, float64(steps[0] + steps[1])}
+			parts[p.label] = a.Parts
 			fmt.Fprintf(&out, "| %s, %d | %s | %.3f | %.3f | %.3f | %.1f | %s | %s |\n", c.name, c.k, p.label,
 				m.ReplicationFactor, m.EdgeImbalance, m.VertexImbalance, elapsed.Seconds()*1e3, jobs[0], jobs[1])
 		}
 		auto, sorted := rows["EBV-auto"], rows["EBV (sort, α = β = 1)"]
-		if auto != rows["EBV-local, α = β = 4"] {
-			t.Errorf("%s: EBV-auto %v is not the local order at α = β = 4 %v", c.name, auto, rows["EBV-local, α = β = 4"])
+		if !slices.Equal(parts["EBV-auto"], localRanges(c.g, c.k)) {
+			t.Errorf("%s: EBV-auto is not the local order cut into %d ranges", c.name, c.k)
 		}
-		if auto[0] >= sorted[0] || auto[2] >= sorted[2] {
-			t.Errorf("%s: EBV-auto RF %.3f, %g steps; the paper's order %.3f, %g", c.name, auto[0], auto[2], sorted[0], sorted[2])
+		if auto[0] >= sorted[0] || auto[1] >= sorted[1] {
+			t.Errorf("%s: EBV-auto RF %.3f, %g steps; the paper's order %.3f, %g", c.name, auto[0], auto[1], sorted[0], sorted[1])
 		}
 	}
 
-	out.WriteString("\n| graph | E[d²]/E[d]² | EBV-auto takes |\n|---|---|---|\n")
+	const k = 8
+	fmt.Fprintf(&out, "\n| graph | E[d²]/E[d]² | largest BFS level ÷ vertices | EBV-auto takes at k = %d |\n|---|---|---|---|\n", k)
 	type source struct {
 		name string
 		gen  func() (*graph.Graph, error)
 	}
-	skewed := []source{
+	sources := []source{
 		{"USARoad scale 0.1", func() (*graph.Graph, error) { return gen.TableIGraph(gen.USARoad, 0.1, 2021) }},
 		{fmt.Sprintf("USARoad scale %g", usaScale), func() (*graph.Graph, error) { return usa, nil }},
 		{fmt.Sprintf("`road` %d × %d", side, side), func() (*graph.Graph, error) { return road, nil }},
 	}
+	for _, d := range []int{3, 8, 16} {
+		sources = append(sources, source{fmt.Sprintf("Erdős–Rényi %d vertices, d = %d", erVertices, d), func() (*graph.Graph, error) {
+			return gen.ErdosRenyi(gen.ErdosRenyiConfig{NumVertices: erVertices, NumEdges: erVertices * d / 2, Seed: 1})
+		}})
+	}
 	for _, an := range []gen.Analogue{gen.LiveJournal, gen.Twitter, gen.Friendster} {
-		skewed = append(skewed, source{fmt.Sprintf("%s scale %g", an, usaScale), func() (*graph.Graph, error) { return gen.TableIGraph(an, usaScale, 2021) }})
+		sources = append(sources, source{fmt.Sprintf("%s scale %g", an, usaScale), func() (*graph.Graph, error) { return gen.TableIGraph(an, usaScale, 2021) }})
 	}
 	if *locality {
-		skewed = append(skewed, source{"`powerlaw-mem` (100 000 / 1 000 000, η = 2.2)", func() (*graph.Graph, error) {
+		sources = append(sources, source{"`powerlaw-mem` (100 000 / 1 000 000, η = 2.2)", func() (*graph.Graph, error) {
 			return gen.PowerLaw(gen.PowerLawConfig{NumVertices: 100_000, NumEdges: 1_000_000, Eta: 2.2, Directed: true, Seed: 1})
 		}})
 	}
-	for i, s := range skewed {
+	for i, s := range sources {
 		g, err := s.gen()
 		if err != nil {
 			t.Fatal(err)
 		}
-		skew, takes := degreeSkew(g), "the paper's sort"
-		if skew <= 1.5 {
-			takes = "the local order"
+		a, err := core.New(core.WithOrder(core.OrderAuto)).Partition(t.Context(), g, k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if (i < 3) != (skew <= 1.5) {
-			t.Errorf("%s: skew %.2f on the wrong side of 1.5", s.name, skew)
+		ranges, takes := slices.Equal(a.Parts, localRanges(g, k)), "the paper's sort"
+		if ranges {
+			takes = "ranges"
+		} else if paper, err := core.New().Partition(t.Context(), g, k); err != nil || !slices.Equal(a.Parts, paper.Parts) {
+			t.Errorf("%s: EBV-auto is neither the ranges nor the paper's sort (%v)", s.name, err)
 		}
-		fmt.Fprintf(&out, "| %s | %.2f | %s |\n", s.name, skew, takes)
+		if (i < 3) != ranges {
+			t.Errorf("%s: EBV-auto takes %s", s.name, takes)
+		}
+		fmt.Fprintf(&out, "| %s | %.2f | %.3f | %s |\n", s.name, degreeSkew(g), float64(largestLevel(g))/float64(g.NumVertices()), takes)
 	}
 	t.Log("\n" + out.String())
+}
+
+// localRanges is core.LocalOrder cut into k equal ranges: edge j of the
+// order goes to part ⌊j·k/|E|⌋.
+func localRanges(g *graph.Graph, k int) []int32 {
+	recs := core.LocalOrder(g)
+	parts := make([]int32, len(recs))
+	for j, r := range recs {
+		parts[r.ID] = int32(j * k / len(recs))
+	}
+	return parts
+}
+
+// largestLevel is the most vertices one level of an undirected
+// breadth-first search from each unvisited vertex in turn holds.
+func largestLevel(g *graph.Graph) int {
+	adj := make([][]graph.VertexID, g.NumVertices())
+	for _, e := range g.Edges() {
+		adj[e.Src] = append(adj[e.Src], e.Dst)
+		adj[e.Dst] = append(adj[e.Dst], e.Src)
+	}
+	seen := make([]bool, g.NumVertices())
+	largest := 0
+	for root := range adj {
+		if seen[root] {
+			continue
+		}
+		seen[root] = true
+		for level := []graph.VertexID{graph.VertexID(root)}; len(level) > 0; {
+			largest = max(largest, len(level))
+			var next []graph.VertexID
+			for _, v := range level {
+				for _, u := range adj[v] {
+					if !seen[u] {
+						seen[u] = true
+						next = append(next, u)
+					}
+				}
+			}
+			level = next
+		}
+	}
+	return largest
 }
 
 // shuffledEdges returns g with its edge list in a seeded random order.
@@ -147,7 +203,7 @@ func shuffledEdges(t *testing.T, g *graph.Graph) *graph.Graph {
 }
 
 // degreeSkew is E[d²]/E[d]² over total degree, the statistic OrderAuto
-// tests against 1.5.
+// tests against 1.5 before it runs the search.
 func degreeSkew(g *graph.Graph) float64 {
 	var sum, sq float64
 	for v := range g.NumVertices() {

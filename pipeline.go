@@ -115,7 +115,7 @@ type PipelineOption func(*Pipeline)
 type RunOption = bsp.Option
 
 // NewPipeline builds a Pipeline. Defaults: no source (Run fails until a
-// From* option is given), the paper's EBV partitioner, 8 subgraphs, the
+// From* option is given), the EBV-auto partitioner, 8 subgraphs, the
 // in-memory transport, no progress reporting. The load and build stages
 // use every CPU (GOMAXPROCS); their results do not depend on it.
 func NewPipeline(opts ...PipelineOption) *Pipeline {
@@ -169,7 +169,8 @@ func Undirected() PipelineOption {
 }
 
 // UsePartitioner selects the partition algorithm (default EBV-auto: the
-// paper's EBV on skewed graphs, EBV in breadth-first order on road-like ones).
+// paper's EBV, except on road-like graphs, whose breadth-first edge order
+// it cuts into k equal ranges).
 func UsePartitioner(part Partitioner) PipelineOption {
 	return func(p *Pipeline) { p.partitioner = part }
 }

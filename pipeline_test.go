@@ -278,10 +278,11 @@ func TestPipelineTCPLoopback(t *testing.T) {
 
 // TestPipelineDefaultOnRoadLattice is the step count behind the default
 // partitioner, on road-tcp's graph (a 300 × 300 lattice, seed 1, k = 8)
-// over the in-memory mesh. The default measures the lattice's degree skew
-// and walks it in breadth-first order, so CC and SSSP from vertex 0 take
-// at most 60 supersteps together; the paper's degree-sum order
-// (ebv.NewEBV()) takes about 220 there.
+// over the in-memory mesh. The default finds the lattice local and cuts
+// its breadth-first edge order into 8 ranges, so the replication factor
+// is at most 1.03 and CC and SSSP from vertex 0 take at most 30
+// supersteps together; the paper's degree-sum order (ebv.NewEBV())
+// replicates 1.54 and takes about 220 there.
 func TestPipelineDefaultOnRoadLattice(t *testing.T) {
 	g, err := ebv.Road(ebv.RoadConfig{Width: 300, Height: 300, Seed: 1})
 	if err != nil {
@@ -294,6 +295,9 @@ func TestPipelineDefaultOnRoadLattice(t *testing.T) {
 	defer s.Close()
 	if name := s.Prepared().PartitionerName; name != "EBV-auto" {
 		t.Fatalf("default partitioner %q, want EBV-auto", name)
+	}
+	if rf := s.Prepared().Metrics.ReplicationFactor; rf > 1.03 {
+		t.Errorf("replication factor %.4f, want at most 1.03", rf)
 	}
 	steps := 0
 	for _, job := range []struct {
@@ -313,7 +317,7 @@ func TestPipelineDefaultOnRoadLattice(t *testing.T) {
 		t.Logf("%T: %d supersteps, %d rows", job.prog, res.BSP.Steps, res.BSP.TotalMessages())
 		steps += res.BSP.Steps
 	}
-	if steps > 60 {
-		t.Errorf("CC + SSSP took %d supersteps, want at most 60", steps)
+	if steps > 30 {
+		t.Errorf("CC + SSSP took %d supersteps, want at most 30", steps)
 	}
 }
