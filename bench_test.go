@@ -314,7 +314,7 @@ func BenchmarkAblationStreaming(b *testing.B) {
 }
 
 // BenchmarkPipelineEndToEnd measures the full Pipeline path — partition →
-// metrics → build subgraphs → run CC to quiescence — on a PowerLaw
+// build subgraphs (and their metrics) → run CC to quiescence — on a PowerLaw
 // analogue, giving future PRs a perf baseline for the whole serving path
 // (the graph is generated once outside the timed loop, matching the
 // paper's methodology of excluding input loading).
@@ -342,10 +342,11 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 
 // BenchmarkOpenStages times Pipeline.Open over a text edge list at the
 // benchmark's powerlaw-mem scale (100 k vertices, 1 M directed edges,
-// η = 2.2, seed 2021, k = 8) and reports the mean time of each stage
-// before the run — load (read and parse), partition (§IV-C sort and
-// Algorithm 1) and build — so a setup_s change can be placed in a layer.
-// The text is written once, outside the timed loop.
+// η = 2.2, seed 2021, k = 8) and reports the mean time of each stage of
+// Open — load (read and parse), partition (§IV-C sort and Algorithm 1)
+// and build (which also yields the metrics) — so a setup_s change can be
+// placed in a layer; ns/op minus their sum is the deployment wiring. The
+// text is written once, outside the timed loop.
 func BenchmarkOpenStages(b *testing.B) {
 	g, err := gen.PowerLaw(gen.PowerLawConfig{
 		NumVertices: 100000, NumEdges: 1000000, Eta: 2.2, Directed: true, Seed: 2021,

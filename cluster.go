@@ -54,16 +54,16 @@ type Cluster struct {
 	prepared *PipelineResult
 }
 
-// OpenCluster prepares the pipeline once — load, partition, metrics,
-// build — and starts a coordinator serving the shards to worker
-// processes (cmd/ebv-worker -coordinator, or RunClusterAgent in-process).
+// OpenCluster prepares the pipeline once — load, partition, build — and
+// starts a coordinator serving the shards to worker processes
+// (cmd/ebv-worker -coordinator, or RunClusterAgent in-process).
 // The caller must Close the cluster; canceling ctx also tears the
 // coordinator down (the cluster's lifecycle context derives from it).
 func (p *Pipeline) OpenCluster(ctx context.Context, opts ClusterOptions) (*Cluster, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res, err := p.prepare(ctx, true)
+	res, err := p.prepare(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -140,17 +140,7 @@ func analogueByName(name string) (ebv.Analogue, error) {
 }
 
 func describeFile(path string, undirected bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var g *ebv.Graph
-	if strings.HasSuffix(path, ".bin") {
-		g, err = ebv.ReadBinaryGraph(f)
-	} else {
-		g, err = ebv.ReadEdgeList(f, undirected)
-	}
+	g, err := ebv.ReadGraphFile(path, undirected)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,9 @@
 // Command ebv-partition partitions a graph file with any of the paper's
 // algorithms and prints the §III-C quality metrics (edge imbalance factor,
-// vertex imbalance factor, replication factor). It runs the ebv.Pipeline
-// through its Prepare stages (load → partition → metrics); Ctrl-C cancels
-// the in-flight partitioning.
+// vertex imbalance factor, replication factor). It loads the graph,
+// partitions it and computes the metrics from the assignment with
+// ebv.ComputeMetrics, building no subgraphs; Ctrl-C cancels the in-flight
+// partitioning.
 //
 // Usage:
 //
@@ -62,26 +63,28 @@ func run(ctx context.Context) (err error) {
 		}
 	}
 
-	opts := []ebv.PipelineOption{
-		ebv.FromEdgeList(*in),
-		ebv.UsePartitioner(p),
-		ebv.Subgraphs(*parts),
+	g, err := ebv.ReadGraphFile(*in, *undirected)
+	if err != nil {
+		return err
 	}
-	if *undirected {
-		opts = append(opts, ebv.Undirected())
+	start := time.Now()
+	a, err := p.Partition(ctx, g, *parts)
+	if err != nil {
+		return fmt.Errorf("partition (%s): %w", p.Name(), err)
 	}
-	res, err := ebv.NewPipeline(opts...).Prepare(ctx)
+	took := time.Since(start)
+	m, err := ebv.ComputeMetrics(g, a)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("graph              %s (V=%d, E=%d)\n", *in, res.Graph.NumVertices(), res.Graph.NumEdges())
-	fmt.Printf("algorithm          %s\n", res.PartitionerName)
-	fmt.Printf("subgraphs          %d\n", res.Assignment.K)
-	fmt.Printf("partition time     %v\n", res.PartitionTime.Round(time.Millisecond))
-	fmt.Printf("edge imbalance     %.4f\n", res.Metrics.EdgeImbalance)
-	fmt.Printf("vertex imbalance   %.4f\n", res.Metrics.VertexImbalance)
-	fmt.Printf("replication factor %.4f\n", res.Metrics.ReplicationFactor)
+	fmt.Printf("graph              %s (V=%d, E=%d)\n", *in, g.NumVertices(), g.NumEdges())
+	fmt.Printf("algorithm          %s\n", p.Name())
+	fmt.Printf("subgraphs          %d\n", a.K)
+	fmt.Printf("partition time     %v\n", took.Round(time.Millisecond))
+	fmt.Printf("edge imbalance     %.4f\n", m.EdgeImbalance)
+	fmt.Printf("vertex imbalance   %.4f\n", m.VertexImbalance)
+	fmt.Printf("replication factor %.4f\n", m.ReplicationFactor)
 
 	if *outPath != "" {
 		out, cerr := os.Create(*outPath)
@@ -96,9 +99,9 @@ func run(ctx context.Context) (err error) {
 			}
 		}()
 		if strings.HasSuffix(*outPath, ".bin") {
-			err = ebv.WriteAssignmentBinary(out, res.Assignment)
+			err = ebv.WriteAssignmentBinary(out, a)
 		} else {
-			err = ebv.WriteAssignmentText(out, res.Assignment)
+			err = ebv.WriteAssignmentText(out, a)
 		}
 		if err != nil {
 			return err

@@ -96,9 +96,9 @@ type (
 // Graph constructors and IO (see internal/graph for details).
 var (
 	NewGraph          = graph.New
-	ReadEdgeList      = graph.ReadEdgeList
 	WriteEdgeList     = graph.WriteEdgeList
 	ReadBinaryGraph   = graph.ReadBinary
+	ReadGraphFile     = graph.ReadFile
 	WriteBinaryGraph  = graph.WriteBinary
 	ComputeGraphStats = graph.ComputeStats
 	ReverseGraph      = graph.Reverse

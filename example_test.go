@@ -50,10 +50,10 @@ func Example() {
 	// replication factor < random model: true
 }
 
-// ExamplePipeline_Prepare partitions a LiveJournal-flavoured power-law
-// graph with EBV, its unsorted ablation and three baselines, and orders
-// them by each §III-C quality metric, lowest first.
-func ExamplePipeline_Prepare() {
+// ExamplePipeline_Open partitions a LiveJournal-flavoured power-law graph
+// with EBV, its unsorted ablation and three baselines, and orders them by
+// each §III-C quality metric, lowest first.
+func ExamplePipeline_Open() {
 	g, err := ebv.PowerLaw(ebv.PowerLawConfig{
 		NumVertices: 20000, NumEdges: 200000, Eta: 2.6, Directed: true, Seed: 1,
 	})
@@ -64,12 +64,13 @@ func ExamplePipeline_Prepare() {
 	for _, p := range []ebv.Partitioner{
 		ebv.NewEBV(), ebv.NewEBV(ebv.WithOrder(ebv.OrderInput)), &ebv.Ginger{}, &ebv.DBH{}, &ebv.CVC{},
 	} {
-		res, err := ebv.NewPipeline(ebv.FromGraph(g), ebv.UsePartitioner(p), ebv.Subgraphs(16)).
-			Prepare(context.Background())
+		s, err := ebv.NewPipeline(ebv.FromGraph(g), ebv.UsePartitioner(p), ebv.Subgraphs(16)).
+			Open(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
-		runs = append(runs, res)
+		runs = append(runs, s.Prepared())
+		s.Close()
 	}
 	for _, metric := range []struct {
 		name string
@@ -93,7 +94,7 @@ func ExamplePipeline_Prepare() {
 }
 
 // ExamplePipeline_Run finds the communities of a power-law social network
-// in one call (generate → EBV partition → metrics → build → BSP run) and
+// in one call (generate → EBV partition → build → BSP run) and
 // checks them against the sequential oracle.
 func ExamplePipeline_Run() {
 	var stages []string
@@ -124,7 +125,7 @@ func ExamplePipeline_Run() {
 	fmt.Printf("%d communities, the largest with %d members\n", len(sizes), largest)
 	fmt.Println("agrees with SequentialCC:", agrees(res.BSP, ebv.SequentialCC(res.Graph)))
 	// Output:
-	// stages: load → partition → metrics → build → run
+	// stages: load → partition → build → run
 	// CC: 10 supersteps, 3891 rows
 	// 388 communities, the largest with 23653 members
 	// agrees with SequentialCC: true

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -56,6 +58,21 @@ const (
 	// allocation).
 	maxParseWorkers = 64
 )
+
+// ReadFile reads the graph file at path: a ".bin" suffix selects the
+// binary format (ReadBinary), anything else the text edge list
+// (ReadEdgeList, mirrored when undirected is true).
+func ReadFile(path string, undirected bool) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if strings.HasSuffix(path, ".bin") {
+		return ReadBinary(f)
+	}
+	return ReadEdgeList(f, undirected)
+}
 
 // ReadEdgeList parses a SNAP-style text edge list using all available CPUs.
 // If undirected is true the edges are mirrored per §III-C. The vertex count

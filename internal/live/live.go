@@ -104,22 +104,21 @@ type State struct {
 	policy Policy
 	cfg    Config
 
-	k            int
-	n            int
-	g            *graph.Graph
-	parts        []int32
-	sets         []partition.Bitset
-	ecount       []int
-	replicaTotal int
-	baselineRF   float64
-	subs         []*bsp.Subgraph
-	stats        Stats
+	k          int
+	n          int
+	g          *graph.Graph
+	parts      []int32
+	sets       []partition.Bitset
+	baselineRF float64
+	subs       []*bsp.Subgraph
+	stats      Stats
 }
 
 // NewState attaches a mutation layer to a prepared build. subs must be
-// the subgraphs built from (g, a); the state takes logical ownership of
-// the assignment's Parts (cloned) but never mutates g or subs. Weighted
-// builds are rejected — a Mutation carries no weight.
+// the subgraphs built from (g, a): each part's coverage set is read off
+// its GlobalIDs, and its edge count off its Edges. The state takes
+// logical ownership of the assignment's Parts (cloned) but never mutates
+// g or subs. Weighted builds are rejected — a Mutation carries no weight.
 func NewState(g *graph.Graph, a *partition.Assignment, subs []*bsp.Subgraph, cfg Config) (*State, error) {
 	if g == nil || a == nil {
 		return nil, errors.New("live: nil graph or assignment")
@@ -142,7 +141,7 @@ func NewState(g *graph.Graph, a *partition.Assignment, subs []*bsp.Subgraph, cfg
 		g:      g,
 		parts:  slices.Clone(a.Parts),
 		subs:   subs,
-		ecount: make([]int, len(subs)),
+		sets:   make([]partition.Bitset, a.K),
 	}
 	for p, sub := range subs {
 		if sub == nil || sub.Part != p {
@@ -151,23 +150,27 @@ func NewState(g *graph.Graph, a *partition.Assignment, subs []*bsp.Subgraph, cfg
 		if sub.Weights != nil {
 			return nil, errors.New("live: weighted sessions do not accept mutations (a mutation carries no weight)")
 		}
-		st.ecount[p] = len(sub.Edges)
-		st.replicaTotal += len(sub.GlobalIDs)
+		st.sets[p] = partition.NewBitset(st.n)
+		for _, v := range sub.GlobalIDs {
+			st.sets[p].Set(int(v))
+		}
 	}
-	buckets := bsp.BucketByPart(st.parts, st.k)
-	st.sets = make([]partition.Bitset, st.k)
-	bsp.RunParts(runtime.GOMAXPROCS(0), st.k, func(p int) { st.sets[p] = bsp.Coverage(g, buckets[p]) })
 	st.baselineRF = st.rf()
 	st.stats.RF = st.baselineRF
 	st.stats.BaselineRF = st.baselineRF
 	return st, nil
 }
 
+// rf is Σ|Vp|/|V| over the current subgraphs.
 func (st *State) rf() float64 {
 	if st.n == 0 {
 		return 0
 	}
-	return float64(st.replicaTotal) / float64(st.n)
+	replicas := 0
+	for _, sub := range st.subs {
+		replicas += len(sub.GlobalIDs)
+	}
+	return float64(replicas) / float64(st.n)
 }
 
 // Stats returns a snapshot of the layer's counters.
@@ -262,7 +265,10 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 	// ---- Assign inserts online, in batch order, against the scoring
 	// state of the pre-batch coverage with the deletes' edges taken off
 	// (nothing is committed until the batch succeeds). ----
-	ecount := slices.Clone(st.ecount)
+	ecount := make([]int, st.k)
+	for p, sub := range st.subs {
+		ecount[p] = len(sub.Edges)
+	}
 	affected := make([]bool, st.k)
 	if tomb != nil {
 		tomb.Range(func(i int) {
@@ -366,12 +372,7 @@ func (st *State) Apply(ctx context.Context, muts []Mutation,
 	st.g = newG
 	st.parts = newParts
 	st.sets = finalSets
-	st.ecount = scoring.Ecount
 	st.subs = newSubs
-	st.replicaTotal = 0
-	for _, sub := range newSubs {
-		st.replicaTotal += len(sub.GlobalIDs)
-	}
 	rf := st.rf()
 	drift := 0.0
 	if st.baselineRF > 0 {

@@ -98,9 +98,10 @@ func randomStream(st *State, rng *splitmix64, batches, perBatch int) [][]Mutatio
 	return out
 }
 
-// TestApplyPatchVerifiedAcrossPolicies streams random mixed batches with
-// VerifyPatches on under each streaming policy: any divergence between the
-// incremental patch and a full rebuild fails the Apply.
+// TestApplyPatchVerifiedAcrossPolicies checks NewState's coverage against
+// the builder's, then streams random mixed batches with VerifyPatches on
+// under each streaming policy: any divergence between the incremental
+// patch and a full rebuild fails the Apply.
 func TestApplyPatchVerifiedAcrossPolicies(t *testing.T) {
 	for _, name := range []string{"ebv", "hdrf", "fennel"} {
 		t.Run(name, func(t *testing.T) {
@@ -110,6 +111,13 @@ func TestApplyPatchVerifiedAcrossPolicies(t *testing.T) {
 			}
 			g := liveGraph(t, 500, 3000, 7)
 			st, swap := buildLive(t, g, 6, Config{Policy: policy, VerifyPatches: true})
+			// NewState reads the coverage off the subgraphs' GlobalIDs;
+			// it must be what the builder computes from the edge buckets.
+			for p, bucket := range bsp.BucketByPart(st.parts, st.k) {
+				if want := bsp.Coverage(g, bucket); !slices.Equal(st.sets[p], want) {
+					t.Fatalf("part %d: NewState's coverage differs from bsp.Coverage of its bucket", p)
+				}
+			}
 			rng := splitmix64(99)
 			for i, batch := range randomStream(st, &rng, 8, 40) {
 				res, err := st.Apply(context.Background(), batch, swap)

@@ -112,35 +112,37 @@ func ComputeMetrics(g *graph.Graph, a *Assignment) (Metrics, error) {
 		return Metrics{}, fmt.Errorf("partition: assignment covers %d edges, graph has %d",
 			len(a.Parts), g.NumEdges())
 	}
-	m := Metrics{
-		EdgesPerPart:    a.EdgeCounts(),
-		VerticesPerPart: make([]int, a.K),
-	}
 	sets := a.VertexSets(g)
-	totalVertices := 0
+	verticesPerPart := make([]int, a.K)
 	for i, s := range sets {
-		m.VerticesPerPart[i] = s.Count()
-		totalVertices += m.VerticesPerPart[i]
+		verticesPerPart[i] = s.Count()
 	}
-	maxE, maxV := 0, 0
-	for i := 0; i < a.K; i++ {
-		if m.EdgesPerPart[i] > maxE {
-			maxE = m.EdgesPerPart[i]
-		}
-		if m.VerticesPerPart[i] > maxV {
-			maxV = m.VerticesPerPart[i]
-		}
+	return MetricsOf(g.NumVertices(), a.EdgeCounts(), verticesPerPart), nil
+}
+
+// MetricsOf evaluates the §III-C metrics from the per-part counts |Ei| and
+// |Vi| of a partition of a numVertices-vertex graph: |E| is Σ|Ei| and p is
+// len(edgesPerPart). The slices are kept as the raw counts of the result.
+func MetricsOf(numVertices int, edgesPerPart, verticesPerPart []int) Metrics {
+	m := Metrics{EdgesPerPart: edgesPerPart, VerticesPerPart: verticesPerPart}
+	k := len(edgesPerPart)
+	numEdges, totalVertices, maxE, maxV := 0, 0, 0, 0
+	for i := 0; i < k; i++ {
+		numEdges += edgesPerPart[i]
+		totalVertices += verticesPerPart[i]
+		maxE = max(maxE, edgesPerPart[i])
+		maxV = max(maxV, verticesPerPart[i])
 	}
-	if g.NumEdges() > 0 {
-		m.EdgeImbalance = float64(maxE) / (float64(g.NumEdges()) / float64(a.K))
+	if numEdges > 0 {
+		m.EdgeImbalance = float64(maxE) / (float64(numEdges) / float64(k))
 	}
 	if totalVertices > 0 {
-		m.VertexImbalance = float64(maxV) / (float64(totalVertices) / float64(a.K))
+		m.VertexImbalance = float64(maxV) / (float64(totalVertices) / float64(k))
 	}
-	if g.NumVertices() > 0 {
-		m.ReplicationFactor = float64(totalVertices) / float64(g.NumVertices())
+	if numVertices > 0 {
+		m.ReplicationFactor = float64(totalVertices) / float64(numVertices)
 	}
-	return m, nil
+	return m
 }
 
 // Replicas describes where each vertex is replicated: for vertex v,

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"strings"
 	"time"
 
 	"ebv/internal/bsp"
@@ -15,7 +13,7 @@ import (
 )
 
 // PipelineStage names one stage of a Pipeline run, in execution order:
-// load → partition → metrics → build → run.
+// load → partition → build → run.
 type PipelineStage string
 
 // The pipeline stages.
@@ -24,9 +22,8 @@ const (
 	StageLoad PipelineStage = "load"
 	// StagePartition computes the edge assignment.
 	StagePartition PipelineStage = "partition"
-	// StageMetrics evaluates the §III-C partition-quality metrics.
-	StageMetrics PipelineStage = "metrics"
-	// StageBuild materializes the per-worker subgraphs.
+	// StageBuild materializes the per-worker subgraphs and reads the
+	// §III-C partition-quality metrics off them.
 	StageBuild PipelineStage = "build"
 	// StageRun executes the BSP program until global quiescence.
 	StageRun PipelineStage = "run"
@@ -51,7 +48,7 @@ type PipelineProgress struct {
 }
 
 // PipelineResult bundles everything a pipeline run produced. BSP is nil
-// when the pipeline stopped after Prepare (no program was run).
+// in the result Open and OpenCluster prepare (no program was run).
 type PipelineResult struct {
 	// Graph is the loaded or generated input graph.
 	Graph *Graph
@@ -59,10 +56,9 @@ type PipelineResult struct {
 	Assignment *Assignment
 	// Metrics are the §III-C partition-quality metrics of Assignment.
 	Metrics PartitionMetrics
-	// Subgraphs are the per-worker local views built from Assignment
-	// (populated by Run and Open; nil after Prepare).
+	// Subgraphs are the per-worker local views built from Assignment.
 	Subgraphs []*Subgraph
-	// BSP is the program execution result (nil after Prepare).
+	// BSP is the program execution result (nil outside Run).
 	BSP *RunResult
 	// PartitionerName records which algorithm produced Assignment
 	// ("precomputed" when the assignment was supplied up front).
@@ -73,10 +69,10 @@ type PipelineResult struct {
 }
 
 // Pipeline is the one-call facade over the paper's full processing chain:
-// generate/load a graph, partition it, build per-worker subgraphs, run a
-// subgraph-centric program, and evaluate the partition metrics — all under
-// one context, with optional progress reporting. Construct with NewPipeline
-// and functional options:
+// generate/load a graph, partition it, build per-worker subgraphs (and
+// read the partition metrics off them), and run a subgraph-centric
+// program — all under one context, with optional progress reporting.
+// Construct with NewPipeline and functional options:
 //
 //	pr, err := ebv.NewPipeline(
 //	    ebv.FromEdgeList("graph.txt"),
@@ -149,17 +145,7 @@ func FromGenerator(fn func() (*Graph, error)) PipelineOption {
 func FromEdgeList(path string) PipelineOption {
 	return func(p *Pipeline) {
 		p.sourceDesc = path
-		p.source = func(ctx context.Context) (*graph.Graph, error) {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			if strings.HasSuffix(path, ".bin") {
-				return graph.ReadBinary(f)
-			}
-			return graph.ReadEdgeList(f, p.undirected)
-		}
+		p.source = func(context.Context) (*graph.Graph, error) { return graph.ReadFile(path, p.undirected) }
 	}
 }
 
@@ -183,8 +169,8 @@ func UseAssignment(a *Assignment) PipelineOption {
 
 // Subgraphs sets the number of subgraphs/workers k (default 8). Combined
 // with UseAssignment, k must match the assignment's part count — a
-// mismatch fails Prepare/Run/Open with a clear error instead of silently
-// following the assignment.
+// mismatch fails Run/Open/OpenCluster with a clear error instead of
+// silently following the assignment.
 func Subgraphs(k int) PipelineOption {
 	return func(p *Pipeline) { p.k, p.kSet = k, true }
 }
@@ -258,15 +244,10 @@ func (p *Pipeline) stage(ctx context.Context, s PipelineStage, detail string, to
 	return nil
 }
 
-// Prepare runs the pipeline without executing a program: load, partition
-// and metrics. It stops short of StageBuild — building k subgraph views is
-// O(V+E) work a metrics-only caller such as cmd/ebv-partition should not
-// pay for; Open (and so Run) always builds, since the BSP stage needs them.
-func (p *Pipeline) Prepare(ctx context.Context) (*PipelineResult, error) {
-	return p.prepare(ctx, false)
-}
-
-func (p *Pipeline) prepare(ctx context.Context, build bool) (*PipelineResult, error) {
+// prepare runs the stages before a program: load, partition (skipped
+// under UseAssignment) and build. The build's subgraphs hold each part's
+// |Ei| and |Vi|, so the §III-C metrics are read off them.
+func (p *Pipeline) prepare(ctx context.Context) (*PipelineResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -319,37 +300,28 @@ func (p *Pipeline) prepare(ctx context.Context, build bool) (*PipelineResult, er
 		}
 	}
 
-	var metricsTime time.Duration
-	if err := p.stage(ctx, StageMetrics, res.PartitionerName, &metricsTime, func() (int64, error) {
-		m, err := partition.ComputeMetrics(res.Graph, res.Assignment)
+	if err := p.stage(ctx, StageBuild, fmt.Sprintf("%d subgraphs", res.Assignment.K), &res.BuildTime, func() (int64, error) {
+		subs, err := bsp.BuildSubgraphsWeightedParallel(res.Graph, res.Assignment, p.weights, 0)
 		if err != nil {
-			return 0, fmt.Errorf("ebv: pipeline metrics: %w", err)
+			return 0, fmt.Errorf("ebv: pipeline build: %w", err)
 		}
-		res.Metrics = m
+		res.Subgraphs = subs
+		edges, vertices := make([]int, len(subs)), make([]int, len(subs))
+		for i, sub := range subs {
+			edges[i], vertices[i] = len(sub.Edges), len(sub.GlobalIDs)
+		}
+		res.Metrics = partition.MetricsOf(res.Graph.NumVertices(), edges, vertices)
 		return int64(res.Graph.NumEdges()), nil
 	}); err != nil {
 		return nil, err
 	}
 
-	if build {
-		if err := p.stage(ctx, StageBuild, fmt.Sprintf("%d subgraphs", res.Assignment.K), &res.BuildTime, func() (int64, error) {
-			subs, err := bsp.BuildSubgraphsWeightedParallel(res.Graph, res.Assignment, p.weights, 0)
-			if err != nil {
-				return 0, fmt.Errorf("ebv: pipeline build: %w", err)
-			}
-			res.Subgraphs = subs
-			return int64(res.Graph.NumEdges()), nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-
 	return res, nil
 }
 
-// Run executes the full pipeline: Prepare (load → partition → metrics →
-// build) followed by prog on the BSP engine. Canceling ctx mid-partition or
-// mid-superstep aborts the run and returns ctx.Err().
+// Run executes the full pipeline: load → partition → build, followed by
+// prog on the BSP engine. Canceling ctx mid-partition or mid-superstep
+// aborts the run and returns ctx.Err().
 //
 // Run is the one-shot form of the Session API — it opens a Session,
 // serves prog as its only job and closes it. Callers running several

@@ -5,8 +5,12 @@ package ebv_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -25,7 +29,7 @@ func pipelineGraph(t testing.TB) *ebv.Graph {
 	return g
 }
 
-// TestPipelineEndToEnd runs generate → partition → build → CC → metrics in
+// TestPipelineEndToEnd runs generate → partition → build (with metrics) → CC in
 // one call and cross-checks the distributed result against the sequential
 // oracle.
 func TestPipelineEndToEnd(t *testing.T) {
@@ -64,7 +68,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	// Progress: every stage emits a start and a done event, in pipeline
 	// order, with the done event carrying the stage duration.
 	wantStages := []ebv.PipelineStage{
-		ebv.StageLoad, ebv.StagePartition, ebv.StageMetrics, ebv.StageBuild, ebv.StageRun,
+		ebv.StageLoad, ebv.StagePartition, ebv.StageBuild, ebv.StageRun,
 	}
 	if len(events) != 2*len(wantStages) {
 		t.Fatalf("got %d progress events, want %d", len(events), 2*len(wantStages))
@@ -319,5 +323,97 @@ func TestPipelineDefaultOnRoadLattice(t *testing.T) {
 	}
 	if steps > 30 {
 		t.Errorf("CC + SSSP took %d supersteps, want at most 30", steps)
+	}
+}
+
+// TestPreparedMetricsMatchReference pins the metrics Open and OpenCluster
+// read off the built subgraphs to ComputeMetrics over the edge list: every
+// ratio bit for bit and both per-part count slices, on random multigraphs
+// with self-loops, duplicate edges and isolated vertices (RF's denominator
+// counts the isolated ones), for every way a pipeline gets its assignment.
+func TestPreparedMetricsMatchReference(t *testing.T) {
+	ctx := t.Context()
+	rng := rand.New(rand.NewPCG(3, 65))
+	multigraph := func(n, isolated, m int) *ebv.Graph {
+		edges := make([]ebv.Edge, 0, m)
+		for len(edges) < m {
+			e := ebv.Edge{Src: ebv.VertexID(rng.IntN(n - isolated)), Dst: ebv.VertexID(rng.IntN(n - isolated))}
+			switch rng.IntN(8) {
+			case 0:
+				e.Dst = e.Src
+			case 1:
+				edges = append(edges, e)
+			}
+			edges = append(edges, e)
+		}
+		g, err := ebv.NewGraph(n, edges[:m])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	graphs := []*ebv.Graph{multigraph(60, 9, 150), multigraph(700, 120, 4000)}
+
+	same := func(t *testing.T, got, want ebv.PartitionMetrics) {
+		t.Helper()
+		for _, r := range [][2]float64{
+			{got.EdgeImbalance, want.EdgeImbalance},
+			{got.VertexImbalance, want.VertexImbalance},
+			{got.ReplicationFactor, want.ReplicationFactor},
+		} {
+			if math.Float64bits(r[0]) != math.Float64bits(r[1]) {
+				t.Errorf("metrics %+v, want %+v", got, want)
+				return
+			}
+		}
+		if !slices.Equal(got.EdgesPerPart, want.EdgesPerPart) || !slices.Equal(got.VerticesPerPart, want.VerticesPerPart) {
+			t.Errorf("per-part counts %v / %v, want %v / %v",
+				got.EdgesPerPart, got.VerticesPerPart, want.EdgesPerPart, want.VerticesPerPart)
+		}
+	}
+	check := func(t *testing.T, g *ebv.Graph, res *ebv.PipelineResult) {
+		t.Helper()
+		want, err := ebv.ComputeMetrics(g, res.Assignment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(t, res.Metrics, want)
+	}
+
+	for gi, g := range graphs {
+		for _, k := range []int{1, 3, 8} {
+			random := &ebv.Assignment{K: k, Parts: make([]int32, g.NumEdges())}
+			for i := range random.Parts {
+				random.Parts[i] = int32(rng.IntN(k))
+			}
+			surfaces := []struct {
+				name string
+				opts []ebv.PipelineOption
+			}{
+				{"default", nil},
+				{"EBV", []ebv.PipelineOption{ebv.UsePartitioner(ebv.NewEBV())}},
+				{"DBH", []ebv.PipelineOption{ebv.UsePartitioner(&ebv.DBH{})}},
+				{"assignment", []ebv.PipelineOption{ebv.UseAssignment(random)}},
+			}
+			for _, sf := range surfaces {
+				t.Run(fmt.Sprintf("g%d/k%d/%s", gi, k, sf.name), func(t *testing.T) {
+					opts := append([]ebv.PipelineOption{ebv.FromGraph(g), ebv.Subgraphs(k)}, sf.opts...)
+					s, err := ebv.NewPipeline(opts...).Open(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s.Close()
+					check(t, g, s.Prepared())
+				})
+			}
+			t.Run(fmt.Sprintf("g%d/k%d/cluster", gi, k), func(t *testing.T) {
+				c, err := ebv.NewPipeline(ebv.FromGraph(g), ebv.Subgraphs(k)).OpenCluster(ctx, ebv.ClusterOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				check(t, g, c.Prepared())
+			})
+		}
 	}
 }

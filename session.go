@@ -17,7 +17,7 @@ import (
 var ErrSessionClosed = errors.New("ebv: session closed")
 
 // Session is the prepare-once/serve-many form of the Pipeline: Open runs
-// load → partition → metrics → build exactly once and wires a persistent
+// load → partition → build exactly once and wires a persistent
 // transport deployment; every Run call is then a *job* executed over the
 // shared subgraphs, paying only the BSP execution cost. This is how a
 // PowerGraph/PowerLyra-style deployment serves traffic — the expensive EBV
@@ -148,7 +148,7 @@ func (s SessionStats) SteadyStateRunTime() time.Duration {
 	return total / time.Duration(len(s.Jobs)-1)
 }
 
-// Open prepares the pipeline once — load, partition, metrics, build — and
+// Open prepares the pipeline once — load, partition, build — and
 // returns a Session serving jobs over the prepared subgraphs and a
 // persistent transport deployment (in-memory by default, a TCP loopback
 // mesh under UseTCPLoopback). The caller must Close the session.
@@ -165,7 +165,7 @@ func (p *Pipeline) Open(ctx context.Context) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ebv: pipeline: %w", err)
 	}
-	res, err := p.prepare(ctx, true)
+	res, err := p.prepare(ctx)
 	if err != nil {
 		return nil, err
 	}

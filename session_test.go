@@ -246,8 +246,8 @@ func TestSessionProgressEventsPerJob(t *testing.T) {
 	}
 	defer s.Close()
 	prepEvents := len(events)
-	if prepEvents != 8 { // load, partition, metrics, build × start/done
-		t.Fatalf("Open emitted %d events, want 8", prepEvents)
+	if prepEvents != 6 { // load, partition, build × start/done
+		t.Fatalf("Open emitted %d events, want 6", prepEvents)
 	}
 	if _, err := s.Run(context.Background(), &ebv.CC{}); err != nil {
 		t.Fatal(err)
