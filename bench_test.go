@@ -340,21 +340,40 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkOpenStages times Pipeline.Open over a text edge list at the
-// benchmark's powerlaw-mem scale (100 k vertices, 1 M directed edges,
-// η = 2.2, seed 2021, k = 8) and reports the mean time of each stage of
-// Open — load (read and parse), partition (§IV-C sort and Algorithm 1)
-// and build (which also yields the metrics) — so a setup_s change can be
-// placed in a layer; ns/op minus their sum is the deployment wiring. The
-// text is written once, outside the timed loop.
+// BenchmarkOpenStages times Pipeline.Open over a text edge list and
+// reports the mean time of each stage of Open — load (read and parse),
+// partition and build (which also yields the metrics) — so a setup_s
+// change can be placed in a layer. The powerlaw arm is powerlaw-mem's
+// Open (100 k vertices, 1 M directed edges, η = 2.2, seed 2021, k = 8:
+// the §IV-C sort and Algorithm 1); ns/op minus the stages is the
+// in-memory deployment. The road arm is road-tcp's (the 300 × 300 lattice,
+// seed 1, Undirected, k = 8 over UseTCPLoopback: EBV-auto's ranges).
+// Open wires its loopback mesh during the stages, so wire_ms times a
+// mesh wired on its own, outside the timed loop. Each text is written
+// once, outside it too.
 func BenchmarkOpenStages(b *testing.B) {
-	g, err := gen.PowerLaw(gen.PowerLawConfig{
-		NumVertices: 100000, NumEdges: 1000000, Eta: 2.2, Directed: true, Seed: 2021,
+	b.Run("powerlaw", func(b *testing.B) {
+		g, err := gen.PowerLaw(gen.PowerLawConfig{
+			NumVertices: 100000, NumEdges: 1000000, Eta: 2.2, Directed: true, Seed: 2021,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		openStages(b, g, false)
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "powerlaw.txt")
+	b.Run("road", func(b *testing.B) {
+		g, err := gen.Road(gen.RoadConfig{Width: 300, Height: 300, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		openStages(b, g, true, ebv.Undirected())
+	})
+}
+
+// openStages is BenchmarkOpenStages over g written as text, opened with
+// opts at k = 8, over UseTCPLoopback if tcp.
+func openStages(b *testing.B, g *graph.Graph, tcp bool, opts ...ebv.PipelineOption) {
+	path := filepath.Join(b.TempDir(), "graph.txt")
 	f, err := os.Create(path)
 	if err != nil {
 		b.Fatal(err)
@@ -365,11 +384,15 @@ func BenchmarkOpenStages(b *testing.B) {
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
-	var load, part, build time.Duration
+	opts = append([]ebv.PipelineOption{ebv.FromEdgeList(path), ebv.Subgraphs(8)}, opts...)
+	if tcp {
+		opts = append(opts, ebv.UseTCPLoopback())
+	}
+	var load, part, build, wire time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := ebv.NewPipeline(ebv.FromEdgeList(path), ebv.Subgraphs(8)).Open(b.Context())
+		s, err := ebv.NewPipeline(opts...).Open(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -380,11 +403,27 @@ func BenchmarkOpenStages(b *testing.B) {
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}
+		if tcp {
+			b.StopTimer()
+			start := time.Now()
+			mesh, err := transport.NewTCPMeshDeployment(b.Context(), 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wire += time.Since(start)
+			if err := mesh.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
 	}
 	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
 	b.ReportMetric(ms(load), "load_ms")
 	b.ReportMetric(ms(part), "partition_ms")
 	b.ReportMetric(ms(build), "build_ms")
+	if tcp {
+		b.ReportMetric(ms(wire), "wire_ms")
+	}
 }
 
 // benchFanIn is the high-fan-in messaging kernel of the delivery bench: R

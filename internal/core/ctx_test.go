@@ -141,6 +141,32 @@ func TestEBVLocalCancelMidPartition(t *testing.T) {
 	})
 }
 
+// TestEBVAutoCancelMidRanges cancels EBV-auto's ranges on the road-tcp
+// lattice (300 × 300, k = 8) early and late in its edge pass: the first
+// poll is Partition's own, then the pass polls once per
+// CancelCheckInterval edges. Every call returns context.Canceled
+// promptly, and the goroutine count comes back.
+func TestEBVAutoCancelMidRanges(t *testing.T) {
+	g, err := gen.Road(gen.RoadConfig{Width: 300, Height: 300, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	chunks := int64((g.NumEdges() + partition.CancelCheckInterval - 1) / partition.CancelCheckInterval)
+	for _, polls := range []int64{2, chunks} {
+		assertCanceledPromptly(t, "EBV-auto", func() (*partition.Assignment, error) {
+			return core.New(core.WithOrder(core.OrderAuto)).Partition(newCountdownCtx(polls), g, 8)
+		})
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(50 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d after canceled partitions", before, runtime.NumGoroutine())
+		}
+		runtime.GC()
+	}
+}
+
 // TestStreamingEBVCancelMidStream uses a countdown context so the
 // cancellation lands mid-stream deterministically; the PartitionStream
 // wrapper drives StreamingEBV, so this covers the streaming variant.

@@ -13,7 +13,7 @@
 // sorting preprocessing). OrderAuto, the ebv.Pipeline default, keeps it
 // on graphs without locality. On graphs with it (road networks) OrderAuto
 // is not Algorithm 1: it cuts the breadth-first edge order into k equal
-// ranges.
+// ranges, read off the vertex ranks without building that order.
 package core
 
 import (
@@ -39,13 +39,15 @@ const (
 	// OrderSortedDesc processes edges descending by degree sum; exists
 	// only for the ablation bench, the paper predicts it is harmful.
 	OrderSortedDesc
-	// OrderLocal processes edges in breadth-first order (localOrder), so
-	// each part grows over a connected region.
+	// OrderLocal processes edges in breadth-first order (LocalOrder), so
+	// each part grows over a connected region. Only the EBV-local
+	// ablation builds that order's records.
 	OrderLocal
 	// OrderAuto skips Algorithm 1 on a graph with locality at k parts:
 	// one whose degree skew is at most autoMaxSkew and whose largest
 	// breadth-first level L has (k-1)·L ≤ autoMaxCut·|V|. There edge j of
-	// the local order goes to part ⌊j·k/|E|⌋. Elsewhere it is OrderSorted.
+	// the local order goes to part ⌊j·k/|E|⌋, computed from the vertex
+	// ranks (cutRanges). Elsewhere it is OrderSorted.
 	OrderAuto
 )
 
@@ -168,8 +170,8 @@ func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.
 
 	order := e.order
 	if order == OrderAuto {
-		if recs := autoRanges(g, k); recs != nil {
-			return ranges(ctx, recs, a)
+		if rank, group := autoRanks(g, k); rank != nil {
+			return cutRanges(ctx, g, rank, group, a)
 		}
 		order = OrderSorted
 	}
@@ -215,30 +217,16 @@ func (e *EBV) Partition(ctx context.Context, g *graph.Graph, k int) (*partition.
 	return a, nil
 }
 
-// autoRanges returns the local order OrderAuto cuts into k ranges, or nil
-// where it takes the paper's sort: on a graph with degree skew above
-// autoMaxSkew, which never pays for the search, or once a breadth-first
-// level exceeds autoMaxCut·|V|/(k-1), where the search stops.
-func autoRanges(g *graph.Graph, k int) []graph.IndexedEdge {
+// autoRanks returns the ranks and group sizes OrderAuto cuts the local
+// order by, or nil where it takes the paper's sort: on a graph with
+// degree skew above autoMaxSkew, which never pays for the search, or once
+// a breadth-first level exceeds autoMaxCut·|V|/(k-1), where the search
+// stops.
+func autoRanks(g *graph.Graph, k int) (rank []int32, group []uint32) {
 	if degreeSkew(g) > autoMaxSkew {
-		return nil
+		return nil, nil
 	}
-	return localOrder(g, int(autoMaxCut*float64(g.NumVertices())/float64(max(k-1, 1))))
-}
-
-// ranges writes edge j of recs to part ⌊j·k/|E|⌋ of a, polling ctx once
-// per CancelCheckInterval records.
-func ranges(ctx context.Context, recs []graph.IndexedEdge, a *partition.Assignment) (*partition.Assignment, error) {
-	numE, k := int64(len(recs)), int64(a.K)
-	for start := 0; start < len(recs); start += partition.CancelCheckInterval {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for j := start; j < min(start+partition.CancelCheckInterval, len(recs)); j++ {
-			a.Parts[recs[j].ID] = int32(int64(j) * k / numE)
-		}
-	}
-	return a, nil
+	return localRanks(g, int(autoMaxCut*float64(g.NumVertices())/float64(max(k-1, 1))))
 }
 
 // degreeSkew returns E[d²]/E[d]² over total degree: 1 on a regular graph.

@@ -1,57 +1,74 @@
 package core
 
 import (
+	"context"
 	"slices"
 
 	"ebv/internal/graph"
+	"ebv/internal/partition"
 )
 
-// LocalOrder returns g's edges in OrderLocal's order.
-func LocalOrder(g *graph.Graph) []graph.IndexedEdge { return localOrder(g, g.NumVertices()) }
-
-// localOrder returns g's edges in OrderLocal's order, or nil as soon as
-// one breadth-first level holds more than maxLevel vertices. An undirected
-// breadth-first search ranks the vertices (roots and each vertex's new
-// neighbours in ascending id), and the edges follow by (lower end's rank,
-// higher end's rank, Src, Dst, index). A vertex's edges go out right
-// after its turn, when its neighbours are ranked.
-func localOrder(g *graph.Graph, maxLevel int) []graph.IndexedEdge {
-	numV, edges := g.NumVertices(), g.Edges()
-	// adj[start[v]:start[v+1]] has a slot per edge end at v: neighbour<<32
-	// | side<<31 | index, side 1 where v is the Dst. Pieces own v ranges.
-	start := make([]int, numV+1)
-	for v := range numV {
-		start[v+1] = start[v] + g.Degree(graph.VertexID(v))
+// LocalOrder returns g's edges in OrderLocal's order: by (lower end's
+// rank, higher end's rank, Src, Dst, index) over localRanks' ranking. It
+// cuts that order into |E| ranges, one position each.
+func LocalOrder(g *graph.Graph) []graph.IndexedEdge {
+	rank, group := localRanks(g, g.NumVertices())
+	pos, _ := cutRanges(context.Background(), g, rank, group, partition.NewAssignment(g.NumEdges(), g.NumEdges()))
+	recs := make([]graph.IndexedEdge, g.NumEdges())
+	for i, e := range g.Edges() {
+		recs[pos.Parts[i]] = graph.IndexedEdge{Edge: e, ID: int32(i)}
 	}
-	adj := make([]uint64, start[numV])
+	return recs
+}
+
+// localRanks returns each vertex's rank in OrderLocal's undirected
+// breadth-first search (roots, and each walked vertex's new neighbours,
+// in ascending id) and the group sizes, group[r] edges having their lower
+// end at rank r; or nil once a level holds more than maxLevel vertices.
+// A graph flagged undirected holds mirrored pairs, so its out-edges name
+// every neighbour and only they are indexed; elsewhere both ends of
+// every edge are. (On a graph whose flag lies, the ranks differ but every
+// vertex gets one and every edge is counted.)
+func localRanks(g *graph.Graph, maxLevel int) (rank []int32, group []uint32) {
+	numV, edges, mirrored := g.NumVertices(), g.Edges(), g.Undirected()
+	// off[v+1] starts as v's first slot and is its cursor, so that it ends
+	// as v's end, which is v+1's start. Pieces own vertex ranges.
+	off, slots, degree := make([]uint32, numV+1), uint32(0), g.Degree
+	if mirrored {
+		degree = g.OutDegree
+	}
+	for v := range numV {
+		off[v+1] = slots
+		slots += uint32(degree(graph.VertexID(v)))
+	}
+	nbr := make([]graph.VertexID, slots)
 	graph.ForPieces(numV, graph.Pieces(len(edges)), func(_, lo, hi int) {
-		next := slices.Clone(start[lo:hi])
-		for i, e := range edges {
+		next := off[lo+1 : hi+1]
+		for _, e := range edges {
 			if s := int(e.Src) - lo; uint(s) < uint(hi-lo) {
-				adj[next[s]] = uint64(e.Dst)<<32 | uint64(i)
+				nbr[next[s]] = e.Dst
 				next[s]++
 			}
-			if d := int(e.Dst) - lo; uint(d) < uint(hi-lo) {
-				adj[next[d]] = uint64(e.Src)<<32 | 1<<31 | uint64(i)
+			if d := int(e.Dst) - lo; !mirrored && uint(d) < uint(hi-lo) {
+				nbr[next[d]] = e.Src
 				next[d]++
 			}
 		}
 	})
 
-	const idMask = 1<<31 - 1
-	recs := make([]graph.IndexedEdge, 0, len(edges))
-	rank := make([]int32, numV)
+	rank = make([]int32, numV)
 	for v := range rank {
 		rank[v] = -1
 	}
-	order := make([]graph.VertexID, 0, numV)
-	var keys []uint64
+	// order[r] is the vertex of rank r until it is walked, then the size
+	// of group r: an edge's lower end is walked no later than its other.
+	order := make([]uint32, 0, numV)
 	for root := range numV {
 		if rank[root] >= 0 {
 			continue
 		}
 		rank[root] = int32(len(order))
-		order = append(order, graph.VertexID(root))
+		order = append(order, uint32(root))
 		// order[level:] is the level being ranked, the new neighbours of
 		// the one being walked.
 		level := len(order)
@@ -59,16 +76,28 @@ func localOrder(g *graph.Graph, maxLevel int) []graph.IndexedEdge {
 			if int(r) == level {
 				level = len(order)
 			}
-			v, found := order[r], len(order)
-			slots := adj[start[v]:start[v+1]]
-			for _, s := range slots {
-				if u := s >> 32; rank[u] < 0 {
+			v, found, loops := order[r], len(order), uint32(0)
+			order[r] = 0
+			for _, u := range nbr[off[v]:off[v+1]] {
+				if rank[u] < 0 {
 					rank[u] = int32(len(order))
-					order = append(order, graph.VertexID(u))
+					order = append(order, u)
+				}
+				// A new neighbour ranks above r before and after the sort
+				// below. An out-edge is its edge's only slot; else an edge
+				// counts at its lower end, a self-loop's two slots once.
+				switch ru := rank[u]; {
+				case ru > r:
+					order[r]++
+				case mirrored:
+					order[ru]++
+				case ru == r:
+					loops++
 				}
 			}
+			order[r] += loops / 2
 			if len(order)-level > maxLevel {
-				return nil
+				return nil, nil
 			}
 			if len(order)-found > 1 {
 				slices.Sort(order[found:])
@@ -76,29 +105,69 @@ func localOrder(g *graph.Graph, maxLevel int) []graph.IndexedEdge {
 					rank[order[i]] = int32(i)
 				}
 			}
-			// v's edges to higher ranks (a self-loop by its Src end), keyed
-			// (neighbour rank, flip, index); flip 0 leaves the lower id.
-			keys = keys[:0]
-			for _, s := range slots {
-				u, flip := s>>32, s>>31&1
-				if rank[u] < r || rank[u] == r && flip == 1 {
-					continue
+		}
+	}
+	return rank, order
+}
+
+// cutRanges sets a.Parts[i] to ⌊j·k/|E|⌋, j being edge i's position in
+// the local order over rank, without building that order. The edges whose
+// lower ends share a rank, a group, hold consecutive positions, so only
+// the groups that straddle a cut, at most k-1, are sorted: by (higher
+// end's rank, Src > Dst, which within a group orders (Src, Dst), index).
+// group holds the groups' sizes; ctx is polled every CancelCheckInterval
+// edges.
+func cutRanges(ctx context.Context, g *graph.Graph, rank []int32, group []uint32, a *partition.Assignment) (*partition.Assignment, error) {
+	edges, numE, k := g.Edges(), int64(g.NumEdges()), a.K
+	// group[r] becomes group r's range, or k plus its cursor in keys,
+	// which holds the straddling groups' edges in rank order. The s-th of
+	// those starts at position first[s], and its keys end at end[s].
+	var first []int64
+	var end []int
+	part, next, lo, total := int64(0), int64(0), int64(0), 0 // next is part+1's first position
+	for r, n := range group {
+		if n == 0 {
+			continue
+		}
+		if lo >= next {
+			part = lo * int64(k) / numE
+			next = ((part+1)*numE + int64(k) - 1) / int64(k)
+		}
+		if lo+int64(n) <= next {
+			group[r] = uint32(part)
+		} else {
+			group[r] = uint32(k + total)
+			total += int(n)
+			first, end = append(first, lo), append(end, total)
+		}
+		lo += int64(n)
+	}
+	keys := make([]uint64, total)
+	for start := 0; start < len(edges); start += partition.CancelCheckInterval {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for i := start; i < min(start+partition.CancelCheckInterval, len(edges)); i++ {
+			e := edges[i]
+			r := min(rank[e.Src], rank[e.Dst])
+			if p := int(group[r]); p < k {
+				a.Parts[i] = int32(p)
+			} else {
+				keys[p-k] = uint64(max(rank[e.Src], rank[e.Dst]))<<32 | uint64(i)
+				if e.Src > e.Dst {
+					keys[p-k] |= 1 << 31
 				}
-				if u < uint64(v) {
-					flip ^= 1
-				}
-				keys = append(keys, uint64(rank[u])<<32|flip<<31|s&idMask)
-			}
-			slices.Sort(keys)
-			for _, key := range keys {
-				u := order[key>>32]
-				e := graph.Edge{Src: v, Dst: u}
-				if key>>31&1 == 1 != (u < v) {
-					e = graph.Edge{Src: u, Dst: v}
-				}
-				recs = append(recs, graph.IndexedEdge{Edge: e, ID: int32(key & idMask)})
+				group[r]++
 			}
 		}
 	}
-	return recs
+	from := 0
+	for s, to := range end {
+		slices.Sort(keys[from:to])
+		for j, key := range keys[from:to] {
+			a.Parts[key&(1<<31-1)] = int32((first[s] + int64(j)) * int64(k) / numE)
+		}
+		from = to
+	}
+	return a, nil
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
+	"ebv/internal/frame"
 	"ebv/internal/gen"
 	"ebv/internal/graph"
 	"ebv/internal/ne"
@@ -49,13 +53,13 @@ func referenceLocalOrder(g *graph.Graph) []int32 {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	key := func(e graph.Edge) [4]int {
+	keys := make([][4]int, len(ids))
+	for i, e := range g.Edges() {
 		a, b := rank[e.Src], rank[e.Dst]
-		return [4]int{min(a, b), max(a, b), int(e.Src), int(e.Dst)}
+		keys[i] = [4]int{min(a, b), max(a, b), int(e.Src), int(e.Dst)}
 	}
 	slices.SortStableFunc(ids, func(x, y int32) int {
-		kx, ky := key(g.Edge(int(x))), key(g.Edge(int(y)))
-		return slices.Compare(kx[:], ky[:])
+		return slices.Compare(keys[x][:], keys[y][:])
 	})
 	return ids
 }
@@ -112,6 +116,162 @@ func TestLocalOrderMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Run("multigraph", func(t *testing.T) { assertLocalOrder(t, multi) })
+}
+
+// assertRangesMatchReference checks that wherever EBV-auto takes the
+// ranges at k, edge j of the reference order is in part ⌊j·k/|E|⌋, and
+// reports whether it took them. ref is g's referenceLocalOrder, or nil to
+// compute it here.
+func assertRangesMatchReference(t *testing.T, g *graph.Graph, k int, ref []int32) bool {
+	t.Helper()
+	if rank, _ := autoRanks(g, k); rank == nil {
+		return false
+	}
+	a, err := New(WithOrder(OrderAuto)).Partition(t.Context(), g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref == nil {
+		ref = referenceLocalOrder(g)
+	}
+	for j, id := range ref {
+		if want := int32(int64(j) * int64(k) / int64(g.NumEdges())); a.Parts[id] != want {
+			t.Fatalf("k = %d: edge %d, position %d of the reference order, in part %d, want %d", k, id, j, a.Parts[id], want)
+		}
+	}
+	return true
+}
+
+// duplicatePath is the path 0 – 1 – … – n-1 whose first edge is repeated
+// dup more times. Its degree skew stays under autoMaxSkew, so EBV-auto
+// takes the ranges, and the group of edges at rank 0 spans several cuts
+// once dup+1 > 2·|E|/k.
+func duplicatePath(t *testing.T, n, dup int) *graph.Graph {
+	t.Helper()
+	var edges []graph.Edge
+	for range dup {
+		edges = append(edges, graph.Edge{Src: 0, Dst: 1})
+	}
+	for v := range n - 1 {
+		edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(v + 1)})
+	}
+	g, err := graph.New(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestRangesMatchReference holds EBV-auto's ranges, read off the vertex
+// ranks, to the reference order cut into k equal ranges: on the pinned
+// graphs, road lattices in generator order and shuffled, a multigraph
+// with self-loops and duplicates, an Erdős–Rényi graph and a path whose
+// first group straddles several cuts, each also mirrored with
+// graph.NewUndirected (whose search indexes out-edges only), at k = 1,
+// 2, 3, 8 and 32.
+func TestRangesMatchReference(t *testing.T) {
+	road := roadGraph(t, 300)
+	graphs := pinnedGraphs(t)
+	graphs["road 300"] = road
+	graphs["road 300 shuffled"] = shuffled(t, road, 7)
+	graphs["road 150"] = roadGraph(t, 150)
+	multi, err := graph.New(6, []graph.Edge{{Src: 3, Dst: 1}, {Src: 1, Dst: 3}, {Src: 3, Dst: 1}, {Src: 2, Dst: 2}, {Src: 0, Dst: 2}, {Src: 2, Dst: 2}, {Src: 4, Dst: 5}, {Src: 5, Dst: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs["multigraph"] = multi
+	graphs["ER d = 3"] = erGraph(t, 20_000, 3)
+	path := duplicatePath(t, 96, 7)
+	graphs["duplicate path"] = path
+	for name, g := range graphs {
+		mirrored, err := graph.NewUndirected(g.NumVertices(), g.Edges())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for variant, g := range map[string]*graph.Graph{"": g, " mirrored": mirrored} {
+			took, ref := 0, referenceLocalOrder(g)
+			for _, k := range []int{1, 2, 3, 8, 32} {
+				if assertRangesMatchReference(t, g, k, ref) {
+					took++
+				}
+			}
+			t.Logf("%s%s: ranges taken at %d of 5 k", name, variant, took)
+			if strings.HasPrefix(name, "road 300") && took != 5 {
+				t.Errorf("%s%s: ranges taken at %d of 5 k, want all", name, variant, took)
+			}
+		}
+	}
+
+	// The path's first group, its 8 copies of (0, 1), reaches parts 0, 1
+	// and 2 at k = 32.
+	a, err := New(WithOrder(OrderAuto)).Partition(t.Context(), path, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := map[int32]bool{}
+	for i, e := range path.Edges() {
+		if e == (graph.Edge{Src: 0, Dst: 1}) {
+			parts[a.Parts[i]] = true
+		}
+	}
+	if len(parts) < 3 {
+		t.Errorf("the duplicated edge lands in %d parts at k = 32, want a group over several cuts", len(parts))
+	}
+}
+
+// TestEBVAutoOnLyingUndirectedFlag: a binary graph whose mirrored flag
+// is set over edges that are not mirrored (one direction of a road
+// lattice) is searched over its out-edges only. The ranks then differ
+// from the reference's, but every vertex gets one and every edge is
+// counted, so EBV-auto still gives each of the k parts ⌊|E|/k⌋ or
+// ⌈|E|/k⌉ edges.
+func TestEBVAutoOnLyingUndirectedFlag(t *testing.T) {
+	var half []graph.Edge
+	for _, e := range roadGraph(t, 60).Edges() {
+		if e.Src < e.Dst {
+			half = append(half, e)
+		}
+	}
+	g, err := graph.New(60*60, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	// Set the flags word (after the magic and the version) and re-seal.
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], frame.Checksum(0, data[:len(data)-4]))
+	lying, err := graph.ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lying.Undirected() {
+		t.Fatal("the re-sealed file does not carry the mirrored flag")
+	}
+	for _, k := range []int{2, 8} {
+		if rank, _ := autoRanks(lying, k); rank == nil {
+			t.Fatalf("k = %d: EBV-auto took the sort", k)
+		}
+		a, err := New(WithOrder(OrderAuto)).Partition(t.Context(), lying, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		sizes := make([]int, k)
+		for _, p := range a.Parts {
+			sizes[p]++
+		}
+		for i, n := range sizes {
+			if n != len(half)/k && n != (len(half)+k-1)/k {
+				t.Errorf("k = %d: part %d holds %d of %d edges", k, i, n, len(half))
+			}
+		}
+	}
 }
 
 // TestEBVAutoOnShuffledRoad holds OrderAuto to the neighbour-expansion
@@ -267,8 +427,8 @@ func TestAutoNeverWorseThanEBV(t *testing.T) {
 				t.Errorf("%s: EBV-auto RF %.4f above EBV's %.4f", cell, gotM.ReplicationFactor, wantM.ReplicationFactor)
 			}
 			ranges := k <= f.rangesUpTo
-			if took := autoRanges(f.g, k) != nil; took != ranges {
-				t.Errorf("%s: ranges taken %v, want %v", cell, took, ranges)
+			if rank, _ := autoRanks(f.g, k); (rank != nil) != ranges {
+				t.Errorf("%s: ranges taken %v, want %v", cell, !ranges, ranges)
 			}
 			if !ranges {
 				if !slices.Equal(got.Parts, want.Parts) {
@@ -316,13 +476,14 @@ func assertWithinTheorems(t *testing.T, e *EBV, g *graph.Graph, a *partition.Ass
 	}
 }
 
-// FuzzOrderLocal checks localOrder against the reference on arbitrary
-// small multigraphs — every byte pair is one edge over numV%32+1 vertices,
-// so self-loops, duplicates and isolated vertices are common — and that
+// FuzzOrderLocal checks the local order against the reference on
+// arbitrary small multigraphs — every byte pair is one edge over
+// numV%32+1 vertices, so self-loops, duplicates and isolated vertices are
+// common — both as given and mirrored by graph.NewUndirected, and that
 // the input's edge order does not reach the (Src, Dst) sequence. It also
-// runs OrderAuto at k = k8%9+1: every part is in [0, k), and where the
-// ranges were taken each part holds ⌊|E|/k⌋ or ⌈|E|/k⌉ edges and the
-// parts never fall along the local order.
+// runs OrderAuto at k = k8%9+1 on both: every part is in [0, k), and
+// where the ranges were taken edge j of the reference order is in part
+// ⌊j·k/|E|⌋.
 func FuzzOrderLocal(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0))
 	f.Add([]byte{0, 0, 0, 0}, uint8(0), uint8(2))
@@ -330,49 +491,37 @@ func FuzzOrderLocal(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 0, 5, 4}, uint8(9), uint8(7))
 	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11}, uint8(11), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, numV, k8 uint8) {
-		n := int(numV)%32 + 1
+		n, k := int(numV)%32+1, int(k8)%9+1
 		edges := make([]graph.Edge, len(data)/2)
 		for i := range edges {
 			edges[i] = graph.Edge{Src: graph.VertexID(int(data[2*i]) % n), Dst: graph.VertexID(int(data[2*i+1]) % n)}
 		}
-		g, err := graph.New(n, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fwd := assertLocalOrder(t, g)
-
-		k := int(k8)%9 + 1
-		a, err := New(WithOrder(OrderAuto)).Partition(t.Context(), g, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if autoRanges(g, k) != nil {
-			sizes := make([]int, k)
-			for j, r := range fwd {
-				sizes[a.Parts[r.ID]]++
-				if j > 0 && a.Parts[r.ID] < a.Parts[fwd[j-1].ID] {
-					t.Fatalf("record %d in part %d after part %d", j, a.Parts[r.ID], a.Parts[fwd[j-1].ID])
-				}
+		reversed := slices.Clone(edges)
+		slices.Reverse(reversed)
+		for _, build := range []func(int, []graph.Edge) (*graph.Graph, error){graph.New, graph.NewUndirected} {
+			g, err := build(n, edges)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, size := range sizes {
-				if size != len(fwd)/k && size != (len(fwd)+k-1)/k {
-					t.Fatalf("part %d holds %d of %d edges at k = %d", i, size, len(fwd), k)
-				}
+			fwd := assertLocalOrder(t, g)
+			a, err := New(WithOrder(OrderAuto)).Partition(t.Context(), g, k)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if err := a.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			assertRangesMatchReference(t, g, k, nil)
 
-		slices.Reverse(edges)
-		rev, err := graph.New(n, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back := edgeOrder(rev, OrderLocal)
-		for i := range fwd {
-			if fwd[i].Edge != back[i].Edge {
-				t.Fatalf("record %d: %+v forwards, %+v on the reversed input", i, fwd[i].Edge, back[i].Edge)
+			rev, err := build(n, reversed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back := edgeOrder(rev, OrderLocal)
+			for i := range fwd {
+				if fwd[i].Edge != back[i].Edge {
+					t.Fatalf("record %d: %+v forwards, %+v on the reversed input", i, fwd[i].Edge, back[i].Edge)
+				}
 			}
 		}
 	})
@@ -380,7 +529,10 @@ func FuzzOrderLocal(f *testing.F) {
 
 // BenchmarkEdgeOrder builds the paper's degree-sum order and the local
 // order on the road-tcp lattice (300 × 300), with its edges in generator
-// order and shuffled (rng.New(7)).
+// order and shuffled (rng.New(7)), and times OrderAuto's search where it
+// stops early: on an Erdős–Rényi graph (mean degree 8, 100 000 vertices)
+// at k = 8 a breadth-first level outgrows |V|/(3·7) after about a
+// thousand vertices.
 func BenchmarkEdgeOrder(b *testing.B) {
 	road := roadGraph(b, 300)
 	for name, g := range map[string]*graph.Graph{"": road, "/shuffled": shuffled(b, road, 7)} {
@@ -392,19 +544,42 @@ func BenchmarkEdgeOrder(b *testing.B) {
 			})
 		}
 	}
+	er := erGraph(b, 100_000, 8)
+	b.Run("stopped/er8", func(b *testing.B) {
+		for b.Loop() {
+			if rank, _ := autoRanks(er, 8); rank != nil {
+				b.Fatal("the search did not stop")
+			}
+		}
+	})
 }
 
-// BenchmarkPartitionRoad is Partition on the same lattice at k = 8, where
-// EBV-auto cuts the local order into ranges.
+// BenchmarkPartitionRoad is Partition on the same lattice at k = 8, in
+// generator order and shuffled, where EBV-auto cuts the local order into
+// ranges, and on the Erdős–Rényi graph of BenchmarkEdgeOrder, where it
+// stops the search and runs the paper's sort.
 func BenchmarkPartitionRoad(b *testing.B) {
-	g := roadGraph(b, 300)
-	for _, e := range []*EBV{New(), New(WithOrder(OrderAuto))} {
-		b.Run(e.Name(), func(b *testing.B) {
-			for b.Loop() {
-				if _, err := e.Partition(b.Context(), g, 8); err != nil {
-					b.Fatal(err)
+	road := roadGraph(b, 300)
+	for name, g := range map[string]*graph.Graph{"": road, "shuffled/": shuffled(b, road, 7), "er8/": erGraph(b, 100_000, 8)} {
+		for _, e := range []*EBV{New(), New(WithOrder(OrderAuto))} {
+			b.Run(name+e.Name(), func(b *testing.B) {
+				for b.Loop() {
+					if _, err := e.Partition(b.Context(), g, 8); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
+}
+
+// erGraph is an undirected Erdős–Rényi graph over n vertices with mean
+// degree d.
+func erGraph(t testing.TB, n, d int) *graph.Graph {
+	t.Helper()
+	g, err := gen.ErdosRenyi(gen.ErdosRenyiConfig{NumVertices: n, NumEdges: n * d / 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

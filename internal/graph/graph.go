@@ -105,7 +105,9 @@ func (g *Graph) InDegree(v VertexID) int { return int(g.inDeg[v]) }
 // NewUndirected this equals twice the undirected degree for non-loop edges.
 func (g *Graph) Degree(v VertexID) int { return int(g.outDeg[v] + g.inDeg[v]) }
 
-// Undirected reports whether the graph was built from an undirected input.
+// Undirected reports whether the graph was built from an undirected input,
+// whose edges come in mirrored pairs; a binary file's flag is taken on
+// trust, so a consumer must stay valid when it is false to the edges.
 func (g *Graph) Undirected() bool { return g.undirected }
 
 // AverageDegree returns |E| / |V| as reported in Table I of the paper.
