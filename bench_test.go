@@ -347,10 +347,9 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 // Open (100 k vertices, 1 M directed edges, η = 2.2, seed 2021, k = 8:
 // the §IV-C sort and Algorithm 1); ns/op minus the stages is the
 // in-memory deployment. The road arm is road-tcp's (the 300 × 300 lattice,
-// seed 1, Undirected, k = 8 over UseTCPLoopback: EBV-auto's ranges).
-// Open wires its loopback mesh during the stages, so wire_ms times a
-// mesh wired on its own, outside the timed loop. Each text is written
-// once, outside it too.
+// seed 1, Undirected, k = 8 over UseTCPLoopback: EBV-auto's ranges); ns/op
+// minus the stages is the loopback mesh's wiring. Each text is written
+// once, outside the timed loop.
 func BenchmarkOpenStages(b *testing.B) {
 	b.Run("powerlaw", func(b *testing.B) {
 		g, err := gen.PowerLaw(gen.PowerLawConfig{
@@ -359,20 +358,20 @@ func BenchmarkOpenStages(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		openStages(b, g, false)
+		openStages(b, g)
 	})
 	b.Run("road", func(b *testing.B) {
 		g, err := gen.Road(gen.RoadConfig{Width: 300, Height: 300, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		openStages(b, g, true, ebv.Undirected())
+		openStages(b, g, ebv.Undirected(), ebv.UseTCPLoopback())
 	})
 }
 
 // openStages is BenchmarkOpenStages over g written as text, opened with
-// opts at k = 8, over UseTCPLoopback if tcp.
-func openStages(b *testing.B, g *graph.Graph, tcp bool, opts ...ebv.PipelineOption) {
+// opts at k = 8.
+func openStages(b *testing.B, g *graph.Graph, opts ...ebv.PipelineOption) {
 	path := filepath.Join(b.TempDir(), "graph.txt")
 	f, err := os.Create(path)
 	if err != nil {
@@ -385,10 +384,7 @@ func openStages(b *testing.B, g *graph.Graph, tcp bool, opts ...ebv.PipelineOpti
 		b.Fatal(err)
 	}
 	opts = append([]ebv.PipelineOption{ebv.FromEdgeList(path), ebv.Subgraphs(8)}, opts...)
-	if tcp {
-		opts = append(opts, ebv.UseTCPLoopback())
-	}
-	var load, part, build, wire time.Duration
+	var load, part, build time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -403,27 +399,11 @@ func openStages(b *testing.B, g *graph.Graph, tcp bool, opts ...ebv.PipelineOpti
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}
-		if tcp {
-			b.StopTimer()
-			start := time.Now()
-			mesh, err := transport.NewTCPMeshDeployment(b.Context(), 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wire += time.Since(start)
-			if err := mesh.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
 	}
 	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
 	b.ReportMetric(ms(load), "load_ms")
 	b.ReportMetric(ms(part), "partition_ms")
 	b.ReportMetric(ms(build), "build_ms")
-	if tcp {
-		b.ReportMetric(ms(wire), "wire_ms")
-	}
 }
 
 // benchFanIn is the high-fan-in messaging kernel of the delivery bench: R

@@ -9,16 +9,45 @@ import (
 )
 
 // LocalOrder returns g's edges in OrderLocal's order: by (lower end's
-// rank, higher end's rank, Src, Dst, index) over localRanks' ranking. It
-// cuts that order into |E| ranges, one position each.
+// rank, higher end's rank, Src, Dst, index) over localRanks' ranking.
+// The edges are bucketed on their lower end's rank, and each group sorted.
 func LocalOrder(g *graph.Graph) []graph.IndexedEdge {
 	rank, group := localRanks(g, g.NumVertices())
-	pos, _ := cutRanges(context.Background(), g, rank, group, partition.NewAssignment(g.NumEdges(), g.NumEdges()))
-	recs := make([]graph.IndexedEdge, g.NumEdges())
-	for i, e := range g.Edges() {
-		recs[pos.Parts[i]] = graph.IndexedEdge{Edge: e, ID: int32(i)}
+	edges := g.Edges()
+	// group[r] becomes group r's first position, then its cursor, so that
+	// it ends as group r's end.
+	pos := uint32(0)
+	for r, n := range group {
+		group[r], pos = pos, pos+n
+	}
+	keys := make([]uint64, len(edges))
+	for i, e := range edges {
+		r := min(rank[e.Src], rank[e.Dst])
+		keys[group[r]] = groupKey(rank, e, i)
+		group[r]++
+	}
+	recs, from := make([]graph.IndexedEdge, len(edges)), uint32(0)
+	for _, to := range group {
+		slices.Sort(keys[from:to])
+		for j := from; j < to; j++ {
+			i := keys[j] & idMask
+			recs[j] = graph.IndexedEdge{Edge: edges[i], ID: int32(i)}
+		}
+		from = to
 	}
 	return recs
+}
+
+const idMask = 1<<31 - 1
+
+// groupKey orders edge i, e, within its group: by higher end's rank, then
+// Src > Dst (both ends being the group's, that orders (Src, Dst)), then i.
+func groupKey(rank []int32, e graph.Edge, i int) uint64 {
+	key := uint64(max(rank[e.Src], rank[e.Dst]))<<32 | uint64(i)
+	if e.Src > e.Dst {
+		key |= 1 << 31
+	}
+	return key
 }
 
 // localRanks returns each vertex's rank in OrderLocal's undirected
@@ -113,61 +142,49 @@ func localRanks(g *graph.Graph, maxLevel int) (rank []int32, group []uint32) {
 // cutRanges sets a.Parts[i] to ⌊j·k/|E|⌋, j being edge i's position in
 // the local order over rank, without building that order. The edges whose
 // lower ends share a rank, a group, hold consecutive positions, so only
-// the groups that straddle a cut, at most k-1, are sorted: by (higher
-// end's rank, Src > Dst, which within a group orders (Src, Dst), index).
-// group holds the groups' sizes; ctx is polled every CancelCheckInterval
-// edges.
+// the groups that straddle a cut, at most k-1, are sorted. group holds
+// the groups' sizes; ctx is polled every CancelCheckInterval edges.
 func cutRanges(ctx context.Context, g *graph.Graph, rank []int32, group []uint32, a *partition.Assignment) (*partition.Assignment, error) {
-	edges, numE, k := g.Edges(), int64(g.NumEdges()), a.K
-	// group[r] becomes group r's range, or k plus its cursor in keys,
-	// which holds the straddling groups' edges in rank order. The s-th of
-	// those starts at position first[s], and its keys end at end[s].
+	edges, numE, k := g.Edges(), int64(g.NumEdges()), int64(a.K)
+	// group[r] becomes group r's part, or k+s where it is the s-th group
+	// to straddle a cut; first[s] is its first position, then its cursor.
+	// (An empty group's value is never read.)
 	var first []int64
-	var end []int
-	part, next, lo, total := int64(0), int64(0), int64(0), 0 // next is part+1's first position
+	part, next, lo := int64(0), int64(0), int64(0) // next is part+1's first position
 	for r, n := range group {
-		if n == 0 {
-			continue
-		}
 		if lo >= next {
-			part = lo * int64(k) / numE
-			next = ((part+1)*numE + int64(k) - 1) / int64(k)
+			part = lo * k / numE
+			next = ((part+1)*numE + k - 1) / k
 		}
 		if lo+int64(n) <= next {
 			group[r] = uint32(part)
 		} else {
-			group[r] = uint32(k + total)
-			total += int(n)
-			first, end = append(first, lo), append(end, total)
+			group[r] = uint32(k) + uint32(len(first))
+			first = append(first, lo)
 		}
 		lo += int64(n)
 	}
-	keys := make([]uint64, total)
+	var keys []uint64 // the straddling groups' edges
 	for start := 0; start < len(edges); start += partition.CancelCheckInterval {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		for i := start; i < min(start+partition.CancelCheckInterval, len(edges)); i++ {
 			e := edges[i]
-			r := min(rank[e.Src], rank[e.Dst])
-			if p := int(group[r]); p < k {
+			if p := group[min(rank[e.Src], rank[e.Dst])]; int64(p) < k {
 				a.Parts[i] = int32(p)
 			} else {
-				keys[p-k] = uint64(max(rank[e.Src], rank[e.Dst]))<<32 | uint64(i)
-				if e.Src > e.Dst {
-					keys[p-k] |= 1 << 31
-				}
-				group[r]++
+				keys = append(keys, groupKey(rank, e, i))
 			}
 		}
 	}
-	from := 0
-	for s, to := range end {
-		slices.Sort(keys[from:to])
-		for j, key := range keys[from:to] {
-			a.Parts[key&(1<<31-1)] = int32((first[s] + int64(j)) * int64(k) / numE)
-		}
-		from = to
+	// Sorted together, the keys hold each group's edges in its order.
+	slices.Sort(keys)
+	for _, key := range keys {
+		i := key & idMask
+		s := group[min(rank[edges[i].Src], rank[edges[i].Dst])] - uint32(k)
+		a.Parts[i] = int32(first[s] * k / numE)
+		first[s]++
 	}
 	return a, nil
 }

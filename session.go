@@ -165,32 +165,16 @@ func (p *Pipeline) Open(ctx context.Context) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ebv: pipeline: %w", err)
 	}
-	// The loopback mesh is wired while the graph loads and partitions.
-	var mesh transport.Deployment
-	wired := make(chan error, 1)
-	if k := p.k; p.useTCP {
-		if p.assignment != nil {
-			k = p.assignment.K
-		}
-		go func() {
-			m, err := transport.NewTCPMeshDeployment(ctx, k)
-			if err == nil {
-				mesh = m
-			}
-			wired <- err
-		}()
-	} else {
-		wired <- nil
-	}
 	res, err := p.prepare(ctx)
-	if werr := <-wired; err == nil && werr != nil {
-		err = fmt.Errorf("ebv: pipeline tcp deployment: %w", werr)
-	}
 	if err != nil {
-		if mesh != nil {
-			_ = mesh.Close()
-		}
 		return nil, err
+	}
+	var mesh transport.Deployment
+	if p.useTCP {
+		mesh, err = transport.NewTCPMeshDeployment(ctx, res.Assignment.K)
+		if err != nil {
+			return nil, fmt.Errorf("ebv: pipeline tcp deployment: %w", err)
+		}
 	}
 	dep, err := bsp.NewDeployment(res.Subgraphs, mesh)
 	if err != nil {

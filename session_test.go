@@ -9,8 +9,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -468,70 +466,6 @@ func TestSessionCombinedJobsTCPLeakNoGoroutines(t *testing.T) {
 	}
 	t.Fatalf("goroutines grew from %d to %d after TCP session cycles",
 		before, runtime.NumGoroutine())
-}
-
-// cancelingPartitioner cancels Open's ctx from inside the partition
-// stage and returns what the canceled ctx reports.
-type cancelingPartitioner struct{ cancel context.CancelFunc }
-
-func (cancelingPartitioner) Name() string { return "canceling" }
-
-func (p cancelingPartitioner) Partition(ctx context.Context, _ *ebv.Graph, _ int) (*ebv.Assignment, error) {
-	p.cancel()
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-
-// TestOpenTCPFailedPrepareLeavesNoMesh: Open wires the loopback mesh while
-// the graph loads and partitions, so an Open whose load fails, or whose
-// ctx is canceled mid-partition, must close whatever was wired. The
-// goroutine count returns to its baseline, and so does the count of open
-// file descriptors where /proc/self/fd lists them (a wired mesh runs no
-// goroutine until its first job, but holds its connections).
-func TestOpenTCPFailedPrepareLeavesNoMesh(t *testing.T) {
-	// One clean open and close first, so that what the network stack
-	// starts once is in the baseline.
-	s, err := sessionPipeline(t, ebv.UseTCPLoopback()).Open(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	before, fds := runtime.NumGoroutine(), openFDs()
-	missing := filepath.Join(t.TempDir(), "missing.txt")
-	for range 3 {
-		_, err := ebv.NewPipeline(ebv.FromEdgeList(missing), ebv.Subgraphs(4), ebv.UseTCPLoopback()).Open(context.Background())
-		if err == nil || !strings.Contains(err.Error(), "pipeline load") {
-			t.Fatalf("Open over a missing file: err = %v, want the load's", err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		_, err = sessionPipeline(t, ebv.UseTCPLoopback(), ebv.UsePartitioner(cancelingPartitioner{cancel})).Open(ctx)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Open canceled mid-partition: err = %v, want context.Canceled", err)
-		}
-	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(50 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d after failed TCP opens", before, runtime.NumGoroutine())
-		}
-		runtime.GC()
-	}
-	if now := openFDs(); now != fds {
-		t.Fatalf("open file descriptors went from %d to %d after failed TCP opens", fds, now)
-	}
-}
-
-// openFDs counts this process's open file descriptors, or returns -1
-// where /proc/self/fd is not there to list them.
-func openFDs() int {
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		return -1
-	}
-	return len(fds)
 }
 
 // TestSessionStatsConcurrentSnapshot hammers Run and Stats concurrently
