@@ -64,7 +64,8 @@ func TestOpenClusterServesJobs(t *testing.T) {
 // spec: every registry app, resolved from the same name and parameters,
 // runs through the one-shot facade, a Session on the in-memory mesh, a
 // Session on the TCP loopback mesh, and a Cluster with in-process agents —
-// and all four must agree on the step count and on every value byte.
+// and all four must agree on the step count and on every value byte. CC
+// takes at most three supersteps.
 func TestCrossSurfaceEquivalence(t *testing.T) {
 	ctx := t.Context()
 	weights := ebv.HashWeights(pipelineGraph(t), 11, 1, 9)
@@ -133,6 +134,9 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 			if got.Attempts != 1 || got.Steps != ref.Steps || !got.Values.EqualValues(ref.Values) {
 				t.Fatalf("cluster: attempts=%d steps %d vs one-shot %d, values match=%v",
 					got.Attempts, got.Steps, ref.Steps, got.Values.EqualValues(ref.Values))
+			}
+			if job.App == "CC" && ref.Steps > 3 {
+				t.Fatalf("CC took %d supersteps, at most 3", ref.Steps)
 			}
 		})
 	}

@@ -294,8 +294,9 @@ const (
 
 // ErrMutationRejected wraps every validation failure of a mutation
 // batch. A job after a batch warm-starts from a previous result through
-// the programs themselves: &CC{Warm: r.Values, WarmCovered: r.Covered},
-// and likewise PageRank with Tol > 0 to iterate to the new fixed point.
+// the program itself: &PageRank{Tol: tol, Warm: r.Values, WarmCovered:
+// r.Covered} iterates to the new fixed point. CC needs no seed: it takes
+// at most three supersteps from scratch.
 var ErrMutationRejected = live.ErrRejected
 
 // Vertex-centric comparator engine (Galois/Blogel stand-in, DESIGN.md §2).

@@ -126,7 +126,7 @@ func ExamplePipeline_Run() {
 	fmt.Println("agrees with SequentialCC:", agrees(res.BSP, ebv.SequentialCC(res.Graph)))
 	// Output:
 	// stages: load → partition → build → run
-	// CC: 10 supersteps, 3891 rows
+	// CC: 3 supersteps, 9998 rows
 	// 388 communities, the largest with 23653 members
 	// agrees with SequentialCC: true
 }
@@ -315,10 +315,10 @@ func ExampleSession() {
 		}
 	}
 	// Output:
-	// CC: 4 supersteps, 72 rows, agrees with the oracle: true
+	// CC: 3 supersteps, 90 rows, agrees with the oracle: true
 	// PR: 17 supersteps, 93616 rows
 	// SSSP: 4 supersteps, 15649 rows, agrees with the oracle: true
-	// CC: 4 supersteps, 72 rows, agrees with the oracle: true
+	// CC: 3 supersteps, 90 rows, agrees with the oracle: true
 	// PR: 17 supersteps, 93616 rows
 	// SSSP: 4 supersteps, 15649 rows, agrees with the oracle: true
 }

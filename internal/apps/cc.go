@@ -4,7 +4,7 @@
 // graph"), plus sequential reference implementations used as correctness
 // oracles by the tests. Each algorithm is one program type and a variant
 // is a field: PageRank.Tol iterates to a fixed point, SSSP.Weighted reads
-// edge weights, and CC and PageRank warm-start from a previous result.
+// edge weights, and PageRank warm-starts from a previous result.
 //
 // Each program follows the §IV-B model: the computation stage runs a full
 // sequential algorithm over the local subgraph (not one vertex step), and
@@ -13,8 +13,9 @@
 // vertex-centric system would send across the network. Unit-weight SSSP's
 // computation stage is bounded: it relaxes only up to a distance horizon
 // that grows by a per-part step Δ each superstep, sized by how deep the
-// part's vertices sit behind its replicated ones (see SSSP). CC floods its
-// smallest replicated label first and parks other changes (see CC).
+// part's vertices sit behind its replicated ones (see SSSP). CC resolves
+// the graph of linked local components in one place, at worker 0, in at
+// most three supersteps (see CC).
 //
 // PageRank and Aggregate share one worker, gatherApply (gather.go):
 // PowerGraph's master/mirror gather–apply pair, written once, with each
@@ -22,18 +23,16 @@
 // owned rows.
 //
 // Messages are columnar batches (transport.MessageBatch) of the run's
-// bsp.Config.ValueWidth, and the apps only mark and fold: bsp.Env addresses
-// the replica rows by the routing plan and checks what arrives. SSSP marks
-// changed vertices for Env.SendMarked, CC the roots of changed local
-// components for Env.SendLinked, and both fold column 0 of the rows
-// Env.ReceiveLocals maps to local ids; gatherApply moves whole rows (a
-// rank in column 0, a feature vector) with Env.SendRows and Env.ReceiveRows.
+// bsp.Config.ValueWidth. SSSP marks changed vertices for Env.SendMarked
+// and folds column 0 of the rows Env.ReceiveLocals maps to local ids, and
+// bsp.Env checks what arrives against the routing plan; gatherApply moves
+// whole rows (a rank in column 0, a feature vector) with Env.SendRows and
+// Env.ReceiveRows. CC addresses its rows by the epoch's link vertices
+// (Env.LinkVertices) and checks its own inbox.
 package apps
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"slices"
 
 	"ebv/internal/bsp"
@@ -47,41 +46,24 @@ import (
 //
 // Subgraph-centric formulation: each worker collapses its local subgraph
 // with a disjoint-set union once, so a whole local component acts as a
-// single super-vertex; supersteps only reconcile component labels across
-// replicas.
+// single super-vertex labelled with its root's global id, the component's
+// minimum. Replica sync is Blogel's block-level CC (Yan et al., VLDB 2014)
+// over the epoch's component links (bsp.Links), in three fixed supersteps:
 //
-// Replica sync floods one pivot before send-on-change Hash-Min, which alone
-// creeps on ids that follow locality (a lattice numbered row by row): every
-// part-hop toward the smallest id brings a smaller label and one more send.
-// The pivot, the smallest replicated label, is final for its component, as
-// every local piece of a component spanning parts is replicated (Multistep's
-// order, Slota et al., IPDPS 2014). Step 0 sends nothing: each worker parks
-// every replicated label and votes (least replicated label, busy) through
-// bsp.Env.Reduce. Later, labels that are the pivot, the vote's minimum, are
-// sent, other changes park, and a worker that sent or parked any votes
-// (pivot, whether it sent). Once a vote reads idle, parked labels go out and
-// Hash-Min resumes. A label is sent along the epoch's component links
-// (bsp.Links): one row per local component a peer's component shares a
-// vertex with, not one per replica pair, since every replicated vertex of a
-// component carries its label. A component spanning parts thus sends the
-// pivot once along each of its links: on a connected graph, one row per
-// link. All state is kept per local component, at its root: a step examines
-// only the components whose label dropped since they were last examined,
-// plus the parked ones at step 1 and at the switch.
-type CC struct {
-	// Warm, when non-nil, seeds each component's label with the minimum
-	// over the covered vertices' rows of this width-1 matrix (dense over
-	// the global id space) in addition to the structural minimum — the
-	// incremental-CC warm start after live mutations: a previous run's
-	// labels are valid lower seeds when the graph only gained edges since
-	// (deletes can split components; check the live Stats.Deletes), and
-	// the run converges in fewer rounds to the byte-identical fixed point.
-	Warm *graph.ValueMatrix
-	// WarmCovered restricts warm seeding to rows the producing run
-	// covered (uncovered rows are zero, which would falsely seed label
-	// 0). nil applies every row.
-	WarmCovered []bool
-}
+//   - Step 0: every worker sends worker 0, itself included, one row per
+//     link vertex g: (g, the label of g's local component).
+//   - Step 1: worker 0 sorts the rows by (g, label) and unions the labels
+//     that share a g, the smaller label winning; then it sends every
+//     worker, itself included, one row (L, F) per label L whose set's
+//     smallest label F is below L, in ascending L.
+//   - Step 2: a worker that holds L as the root of a linked local component
+//     lowers its label to F. A row for a vertex it does not hold, or holds
+//     replicated but not as a root, names another worker's component and is
+//     skipped; any other row fails the run.
+//
+// A run takes 3 supersteps when some label changes, 2 when links exist but
+// none changes, and 1 when no vertex is replicated.
+type CC struct{}
 
 var _ bsp.Program = (*CC)(nil)
 
@@ -90,124 +72,136 @@ func (c *CC) Name() string { return "CC" }
 
 // NewWorker implements bsp.Program.
 func (c *CC) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
-	n := sub.NumLocalVertices()
-	w := &ccWorker{
-		env:     env,
-		workers: sub.NumWorkers,
-		root:    sub.ComponentRoots(),
-		label:   make([]float64, n),
-		sent:    make([]float64, n),
-		pending: make([]uint64, (n+63)/64),
-		parked:  make([]uint64, (n+63)/64),
-	}
+	w := &ccWorker{env: env, sub: sub, root: sub.ComponentRoots(), label: make([]float64, sub.NumLocalVertices())}
 	// The local subgraph is collapsed once per subgraph, not per job. Each
 	// root is its component's smallest local id, so its own global id is the
 	// component's minimum: the starting label. Only root entries are read.
-	// No label equals NaN, so none counts as sent before it is.
 	for l, gid := range sub.GlobalIDs {
-		w.label[l], w.sent[l] = float64(gid), math.NaN()
-	}
-	// Step 0 examines every component with a replicated vertex.
-	for _, l := range sub.Routing().Replicated {
-		mark(w.pending, w.root[l])
-	}
-	// Warm start: fold the previous run's labels in exactly as
-	// RestoreState folds a checkpoint's — min into the component root,
-	// covered rows only.
-	if c.Warm != nil {
-		for l, r := range w.root {
-			if v, ok := warmValue(c.Warm, c.WarmCovered, sub.GlobalIDs[l]); ok && v < w.label[r] {
-				w.label[r] = v
-			}
-		}
+		w.label[l] = float64(gid)
 	}
 	return w
 }
 
-// warmValue returns vertex gid's row of a warm-start matrix, unless there
-// is no matrix, it is too short, or the producing run did not cover gid.
-func warmValue(warm *graph.ValueMatrix, covered []bool, gid graph.VertexID) (float64, bool) {
-	v := int(gid)
-	if warm == nil || v >= warm.Rows() || covered != nil && (v >= len(covered) || !covered[v]) {
-		return 0, false
-	}
-	return warm.Scalar(v), true
-}
-
 type ccWorker struct {
-	env     bsp.Env
-	workers int
-	root    []int32 // local vertex → its local component's root (shared, read-only)
-	// label, sent and the two bit sets are read and written at component
-	// roots only: label is the component's label, sent the one it last sent.
-	label, sent []float64
-	// pending holds the roots of replicated components whose label dropped
-	// since they were last examined, parked those examined and held back by
-	// the flood. A replicated component in neither has label == sent. Once
-	// examined, pending marks the labels the step sends.
-	pending, parked []uint64
+	env   bsp.Env
+	sub   *bsp.Subgraph
+	root  []int32   // local vertex → its local component's root (shared, read-only)
+	label []float64 // the component labels, read and written at roots only
 }
-
-// mark sets bit r of a bit set.
-func mark(set []uint64, r int32) { set[r>>6] |= 1 << (r & 63) }
 
 // Superstep implements bsp.WorkerProgram.
 func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*transport.MessageBatch, active bool) {
-	locals, ok := w.env.ReceiveLocals(in)
-	if !ok {
-		return nil, false
-	}
-	for i, local := range locals {
-		if r, v := w.root[local], in.Scalar(i); v < w.label[r] {
-			w.label[r] = v
-			mark(w.pending, r)
-		}
-	}
-	// The vote: busy, the flood goes on; idle, the switch; none, Hash-Min.
-	// Step 0 floods no pivot yet, so every component's label parks.
-	pivot, busy, voted := w.env.Reduced()
-	if step == 0 {
-		pivot, busy = math.NaN(), true
-	}
-	if step > 0 && !anySet(w.pending) && !(voted && anySet(w.parked)) {
-		return nil, false
-	}
-	smallest, forwarded := math.Inf(1), false
-	// Examine pending, in ascending root, plus parked at step 1 (step 0
-	// parked every label before the pivot was known) and once the flood is
-	// over.
-	release := !busy || step == 1
-	for i, word := range w.pending {
-		if release {
-			word |= w.parked[i]
-		}
-		w.pending[i], w.parked[i] = 0, w.parked[i]&^word
-		for ; word != 0; word &= word - 1 {
-			r := int32(i<<6 | bits.TrailingZeros64(word))
-			switch val := w.label[r]; {
-			case val == w.sent[r]:
-			case busy && val != pivot:
-				mark(w.parked, r)
-				smallest = min(smallest, val)
-			default:
-				w.sent[r], forwarded = val, true
-				mark(w.pending, r)
-			}
-		}
-	}
-	out = w.env.SendLinked(w.pending, w.sent)
 	switch {
-	case step == 0 && w.workers > 1: // a lone worker has nothing to sync
-		w.env.Reduce(smallest, anySet(w.parked)) // every replicated label parked
-	case busy && (forwarded || anySet(w.parked)):
-		w.env.Reduce(pivot, forwarded)
+	case step == 0:
+		out = w.sendLinks()
+	case step == 1 && w.sub.Part == 0:
+		out = w.union(in)
+	case step == 2:
+		w.relabel(in)
+	case in.Len() > 0:
+		w.env.Fail(fmt.Errorf("apps: CC worker %d got %d rows at superstep %d, where it expects none", w.sub.Part, in.Len(), step))
 	}
 	return out, false
 }
 
-// anySet reports whether a bit set has any bit set.
-func anySet(set []uint64) bool {
-	return slices.ContainsFunc(set, func(word uint64) bool { return word != 0 })
+// sendLinks returns step 0's rows for worker 0: (g, label of g's component)
+// per link vertex g.
+func (w *ccWorker) sendLinks() []*transport.MessageBatch {
+	links := w.env.LinkVertices()
+	if len(links) == 0 {
+		return nil
+	}
+	out := make([]*transport.MessageBatch, 1)
+	out[0] = w.env.NewBatch()
+	for _, l := range links {
+		out[0].AppendScalar(w.sub.GlobalIDs[l], w.label[w.root[l]])
+	}
+	return out
+}
+
+// union resolves step 0's rows at worker 0 and returns the relabelling
+// broadcast. Links are symmetric, so every link vertex arrives from at least
+// two workers; a lone one fails the run, as it could not join anything.
+func (w *ccWorker) union(in *transport.MessageBatch) []*transport.MessageBatch {
+	keys, labels := make([]uint64, in.Len()), make([]uint32, in.Len())
+	for i, g := range in.IDs {
+		labels[i] = uint32(in.Scalar(i))
+		keys[i] = uint64(g)<<32 | uint64(labels[i])
+	}
+	slices.Sort(keys)
+	slices.Sort(labels)
+	labels = slices.Compact(labels)
+	// A union-find over the label indices whose links always point at the
+	// smaller index, so each set's root is its smallest label and one
+	// ascending pass flattens it.
+	parent := make([]int32, len(labels))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(key uint64) int32 {
+		i, _ := slices.BinarySearch(labels, uint32(key))
+		x := int32(i)
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for ; j < len(keys) && keys[j]>>32 == keys[i]>>32; j++ {
+			a, b := find(keys[i]), find(keys[j])
+			parent[max(a, b)] = min(a, b)
+		}
+		if j == i+1 {
+			w.env.Fail(fmt.Errorf("apps: CC link vertex %d arrived from one worker only", keys[i]>>32))
+			return nil
+		}
+		i = j
+	}
+	var out []*transport.MessageBatch
+	for i, p := range parent {
+		if parent[i] = parent[p]; parent[i] == int32(i) {
+			continue
+		}
+		if out == nil {
+			out = make([]*transport.MessageBatch, w.sub.NumWorkers)
+			for q := range out {
+				out[q] = w.env.NewBatch()
+			}
+		}
+		for _, b := range out {
+			b.AppendScalar(graph.VertexID(labels[i]), float64(labels[parent[i]]))
+		}
+	}
+	return out
+}
+
+// relabel applies worker 0's broadcast. The linked roots are read off the
+// epoch's link table, so a run resumed at step 2 finds them too.
+func (w *ccWorker) relabel(in *transport.MessageBatch) {
+	linked := make([]bool, len(w.root))
+	for _, l := range w.env.LinkVertices() {
+		linked[w.root[l]] = true
+	}
+	mask := w.sub.Routing().Mask
+	for i, gid := range in.IDs {
+		l, held := w.sub.LocalOf(gid)
+		if !held {
+			continue // another worker's component's label
+		}
+		switch replicated := mask[l>>6]&(1<<(l&63)) != 0; {
+		case w.root[l] == l && linked[l]:
+			w.label[l] = min(w.label[l], in.Scalar(i))
+		case w.root[l] != l && replicated: // likewise
+		case w.root[l] != l:
+			w.env.Fail(fmt.Errorf("apps: CC row %d relabels vertex %d, which this worker holds unreplicated and not as a component's root", i, gid))
+			return
+		default:
+			w.env.Fail(fmt.Errorf("apps: CC row %d relabels vertex %d, the root of a component with no link vertex", i, gid))
+			return
+		}
+	}
 }
 
 // Values implements bsp.WorkerProgram.
@@ -225,21 +219,15 @@ var _ bsp.Resumable = (*ccWorker)(nil)
 
 // SnapshotState implements bsp.Resumable: every local vertex's resolved
 // component label (width 1). The root table needs no snapshot — it is a
-// function of the (immutable) local edges — and sent and the two sets need
-// none either: at a superstep boundary with no vote (Hash-Min), a
-// replicated component's sent is its label; at one with a vote past step 1
-// (flood or switch), only pivot labels went out and every other replicated
-// component is parked; before step 1 nothing went out and every one is
-// parked.
+// function of the (immutable) local edges — and each step depends only on
+// the step number, the labels and the checkpointed inbox.
 func (w *ccWorker) SnapshotState() *graph.ValueMatrix {
 	return w.labels(graph.NewValueMatrix(len(w.root), 1))
 }
 
 // RestoreState implements bsp.Resumable: fold the snapshot labels into the
-// components' roots, then rebuild sent and the parked set by SnapshotState's
-// rule from the phase the restored vote shows, over the replicated
-// components a new worker's pending set holds for step 0.
-func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
+// components' roots.
+func (w *ccWorker) RestoreState(_ int, state *graph.ValueMatrix) error {
 	if state.Width != 1 {
 		return fmt.Errorf("apps: CC snapshot width %d, want 1", state.Width)
 	}
@@ -247,55 +235,7 @@ func (w *ccWorker) RestoreState(step int, state *graph.ValueMatrix) error {
 		return err
 	}
 	for l, r := range w.root {
-		if v := state.Scalar(l); v < w.label[r] {
-			w.label[r] = v
-		}
-	}
-	pivot, _, voted := w.env.Reduced()
-	for i, word := range w.pending {
-		for w.pending[i] = 0; word != 0; word &= word - 1 {
-			r := int32(i<<6 | bits.TrailingZeros64(word))
-			if val := w.label[r]; !voted || step > 1 && val == pivot {
-				w.sent[r] = val
-			} else {
-				mark(w.parked, r)
-			}
-		}
+		w.label[r] = min(w.label[r], state.Scalar(l))
 	}
 	return nil
-}
-
-// dsu is a disjoint-set union with path halving and union by size.
-type dsu struct {
-	parent []int32
-	size   []int32
-}
-
-func newDSU(n int) *dsu {
-	d := &dsu{parent: make([]int32, n), size: make([]int32, n)}
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-		d.size[i] = 1
-	}
-	return d
-}
-
-func (d *dsu) find(x int32) int32 {
-	for d.parent[x] != x {
-		d.parent[x] = d.parent[d.parent[x]]
-		x = d.parent[x]
-	}
-	return x
-}
-
-func (d *dsu) union(a, b int32) {
-	ra, rb := d.find(a), d.find(b)
-	if ra == rb {
-		return
-	}
-	if d.size[ra] < d.size[rb] {
-		ra, rb = rb, ra
-	}
-	d.parent[rb] = ra
-	d.size[ra] += d.size[rb]
 }

@@ -1,8 +1,7 @@
-// Pivot-flood tests for CC: flooding the smallest replicated label first
-// and Hash-Min after must reach SequentialCC's labels bit for bit on every
-// partition shape, resume from any checkpoint epoch of every phase (sent and
-// the parked set are rebuilt from the labels, the step and the checkpointed
-// vote), and send one broadcast on the two emission graphs, in pinned steps.
+// Link-union tests for CC: the union of the component links at worker 0
+// must reach SequentialCC's labels bit for bit on every partition shape, in
+// the rows and steps the protocol fixes, resume from any checkpoint epoch,
+// and take pinned rows and steps on the two emission graphs.
 package apps
 
 import (
@@ -68,32 +67,48 @@ func ccGraph(r *rng.Source, directed bool) *graph.Graph {
 	return g
 }
 
-// ccPhase names the phase an epoch resumes into, read off its step and vote
-// as the workers read them: step 1 follows the quiet step 0 (nothing sent
-// yet), a busy vote is a flood step, an idle one the switch step, none at
-// all send-on-change Hash-Min.
-func ccPhase(cps []*bsp.Checkpoint) string {
-	switch v := cps[0].Vote; {
-	case cps[0].Step == 1 && v.Voted:
-		return "quiet"
-	case v.Flag:
-		return "flood"
-	case v.Voted:
-		return "switch"
+// ccShape returns what the link union must take on subs over g: the rows,
+// Σ over p ≠ 0 of p's link vertices plus k − 1 per relabelled label, and
+// the steps, 3 when some label changes, 2 when links exist but none
+// changes, 1 when no vertex is replicated. A label is the smallest global
+// id of a linked local component; it is relabelled when SequentialCC puts a
+// smaller id in its component.
+func ccShape(g *graph.Graph, subs []*bsp.Subgraph) (rows, steps int) {
+	want, relabelled, links := SequentialCC(g), map[graph.VertexID]bool{}, 0
+	for p, part := range bsp.ComponentLinks(subs) {
+		root := subs[p].ComponentRoots()
+		for _, l := range part.Locals {
+			if label := subs[p].GlobalIDs[root[l]]; want[label] < float64(label) {
+				relabelled[label] = true
+			}
+		}
+		if p != 0 {
+			rows += len(part.Locals)
+		}
+		links += len(part.Locals)
 	}
-	return "hash-min"
+	switch {
+	case len(relabelled) > 0:
+		steps = 3
+	case links > 0:
+		steps = 2
+	default:
+		steps = 1
+	}
+	return rows + (len(subs)-1)*len(relabelled), steps
 }
 
-// TestCCPivotFlood is the pivot flood's property table.
-func TestCCPivotFlood(t *testing.T) {
+// TestCCLinkUnion is the link union's property table.
+func TestCCLinkUnion(t *testing.T) {
 	partitioners := []partition.Partitioner{core.New(), &ne.NE{}, &metis.Metis{}, &partition.DBH{}, &partition.Random{}}
 
-	// Exactness and resume: every epoch of a CheckpointEvery: 1 run resumes
-	// to the uninterrupted run's values and step count, and the table covers
-	// epochs of all four phases.
+	// Exactness and resume: every run takes the rows and steps ccShape
+	// gives, and every epoch of a CheckpointEvery: 1 run resumes to the
+	// uninterrupted run's values and step count. The table covers epochs
+	// before steps 1 and 2.
 	t.Run("exact-and-resumable", func(t *testing.T) {
 		r := rng.New(2030)
-		phases := map[string]int{}
+		epochs := map[int]int{}
 		for draw := range 4 {
 			for _, directed := range []bool{true, false} {
 				g := ccGraph(r, directed)
@@ -108,8 +123,12 @@ func TestCCPivotFlood(t *testing.T) {
 							t.Fatalf("draw %d directed=%t %s k=%d: %v", draw, directed, p.Name(), k, err)
 						}
 						checkOracle(t, SequentialCC(g), full)
+						if rows, steps := ccShape(g, subs); full.TotalMessages() != int64(rows) || full.Steps != steps {
+							t.Fatalf("draw %d directed=%t %s k=%d: %d rows in %d steps, want %d in %d",
+								draw, directed, p.Name(), k, full.TotalMessages(), full.Steps, rows, steps)
+						}
 						for step, cps := range store.epochs {
-							phases[ccPhase(cps)]++
+							epochs[step]++
 							res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{
 								Resume: cps,
 							})
@@ -117,8 +136,8 @@ func TestCCPivotFlood(t *testing.T) {
 								t.Fatalf("draw %d %s k=%d: resume from %d: %v", draw, p.Name(), k, step, err)
 							}
 							if res.Steps != full.Steps || !res.Values.EqualValues(full.Values) {
-								t.Fatalf("draw %d directed=%t %s k=%d: resume from %d (%s): %d steps, want %d (values equal: %t)",
-									draw, directed, p.Name(), k, step, ccPhase(cps), res.Steps, full.Steps,
+								t.Fatalf("draw %d directed=%t %s k=%d: resume from %d: %d steps, want %d (values equal: %t)",
+									draw, directed, p.Name(), k, step, res.Steps, full.Steps,
 									res.Values.EqualValues(full.Values))
 							}
 						}
@@ -126,102 +145,58 @@ func TestCCPivotFlood(t *testing.T) {
 				}
 			}
 		}
-		for _, phase := range []string{"quiet", "flood", "switch", "hash-min"} {
-			if phases[phase] == 0 {
-				t.Errorf("no epoch resumed into the %s phase (%v)", phase, phases)
+		for _, step := range []int{1, 2} {
+			if epochs[step] == 0 {
+				t.Errorf("no epoch resumed at step %d (%v)", step, epochs)
 			}
 		}
-		t.Logf("epochs resumed per phase: %v", phases)
+		t.Logf("epochs resumed per step: %v", epochs)
 	})
 
-	// Warm start across a merge: the previous labels seed a graph in which
-	// one inserted edge joins a second lattice (labels from 400) to the
-	// pivot's (label 0), so the flood has to carry the pivot into it.
-	t.Run("warm-merge", func(t *testing.T) {
-		lattice, err := gen.Road(gen.RoadConfig{Width: 20, Height: 20, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := lattice.NumVertices()
-		var edges []graph.Edge
-		for _, off := range []graph.VertexID{0, graph.VertexID(n)} {
-			for _, e := range lattice.Edges() {
-				edges = append(edges, graph.Edge{Src: e.Src + off, Dst: e.Dst + off})
-			}
-		}
-		g0, err := graph.New(2*n, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g1, err := graph.New(2*n, append(edges[:len(edges):len(edges)], graph.Edge{Src: graph.VertexID(2*n - 1), Dst: 5}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev, err := bsp.Run(t.Context(), buildSSSPSubs(t, g0, core.New(), 4), &CC{}, bsp.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, _ := prev.Value(graph.VertexID(2*n - 1)); v != float64(n) {
-			t.Fatalf("before the merge vertex %d is labelled %g, want %d", 2*n-1, v, n)
-		}
-		subs := buildSSSPSubs(t, g1, core.New(), 4)
-		cold, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := bsp.Run(t.Context(), subs, &CC{Warm: prev.Values, WarmCovered: prev.Covered},
-			bsp.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkOracle(t, SequentialCC(g1), warm)
-		if v, _ := warm.Value(graph.VertexID(2*n - 1)); v != 0 {
-			t.Fatalf("after the merge vertex %d is labelled %g, want 0", 2*n-1, v)
-		}
-		if warm.Steps > cold.Steps {
-			t.Fatalf("warm CC took %d supersteps, cold %d", warm.Steps, cold.Steps)
-		}
-	})
-
-	// Rows and steps on the emission graphs (EBV, k = 8), pinned. Both are
-	// connected, so the rows are exactly one broadcast of the pivot along
-	// every component link: on a Deployment, and as k RunWorker calls over
-	// one Mem job, each worker handed its part of the epoch's links.
+	// Rows and steps pinned on the emission graphs (EBV, k = 8), both
+	// connected, and on a star around vertex 0, whose every local component
+	// already holds the smallest id, and on a single part. Each runs on a
+	// Deployment, and as k RunWorker calls over one Mem job, each worker
+	// handed its part of the epoch's links.
 	t.Run("pinned", func(t *testing.T) {
-		const k = 8
 		powerlaw, road := emissionGraphs(t)
+		var spokes []graph.Edge
+		for v := range graph.VertexID(40) {
+			spokes = append(spokes, graph.Edge{Src: 0, Dst: v + 1})
+		}
+		star, err := graph.New(41, spokes)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, tc := range []struct {
-			name        string
-			g           *graph.Graph
-			rows, steps int
+			name           string
+			g              *graph.Graph
+			k, rows, steps int
 		}{
-			{"powerlaw", powerlaw, 86, 5},
-			{"road", road, 616, 11},
+			{"powerlaw", powerlaw, 8, 126, 3},
+			{"road", road, 8, 1273, 3},
+			{"star", star, 3, 2, 2},
+			{"one-part", road, 1, 0, 1},
 		} {
-			subs := buildSSSPSubs(t, tc.g, core.New(), k)
+			subs := buildSSSPSubs(t, tc.g, core.New(), tc.k)
 			res, err := bsp.Run(t.Context(), subs, &CC{}, bsp.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkOracle(t, SequentialCC(tc.g), res)
-			if rows := res.TotalMessages(); rows != int64(tc.rows) || res.Steps != tc.steps {
-				t.Errorf("%s: %d rows in %d steps, pinned %d in %d", tc.name, rows, res.Steps, tc.rows, tc.steps)
-			}
-			links := 0
-			for _, part := range bsp.ComponentLinks(subs) {
-				links += len(part.Peers)
-			}
-			if rows := res.TotalMessages(); rows != int64(links) {
-				t.Errorf("%s: %d rows, the epoch has %d links", tc.name, rows, links)
+			rows, steps := ccShape(tc.g, subs)
+			if res.TotalMessages() != int64(tc.rows) || res.Steps != tc.steps || rows != tc.rows || steps != tc.steps {
+				t.Errorf("%s: %d rows in %d steps (formula %d in %d), pinned %d in %d",
+					tc.name, res.TotalMessages(), res.Steps, rows, steps, tc.rows, tc.steps)
 			}
 
 			results := runEachWorker(t, subs, bsp.ComponentLinks(subs), &CC{})
-			vals, rows := make([]*graph.ValueMatrix, k), int64(0)
+			vals, sent := make([]*graph.ValueMatrix, tc.k), int64(0)
 			for w, r := range results {
 				if r.Steps != tc.steps {
 					t.Errorf("%s: RunWorker %d took %d steps, pinned %d", tc.name, w, r.Steps, tc.steps)
 				}
-				vals[w], rows = r.Values, rows+r.Stats.TotalSent()
+				vals[w], sent = r.Values, sent+r.Stats.TotalSent()
 			}
 			labels, covered, err := bsp.AssembleValues(subs, vals, 1)
 			if err != nil {
@@ -232,8 +207,8 @@ func TestCCPivotFlood(t *testing.T) {
 					t.Fatalf("%s: RunWorker labels vertex %d %g, SequentialCC %g", tc.name, v, labels.Scalar(v), label)
 				}
 			}
-			if rows != int64(tc.rows) {
-				t.Errorf("%s: RunWorker sent %d rows, pinned %d, the epoch has %d links", tc.name, rows, tc.rows, links)
+			if sent != int64(tc.rows) {
+				t.Errorf("%s: RunWorker sent %d rows, pinned %d", tc.name, sent, tc.rows)
 			}
 		}
 	})
@@ -317,8 +292,8 @@ func FuzzCCMatchesSequential(f *testing.F) {
 				t.Fatalf("%s k=%d: resume from %d: %v", p.Name(), k, cps[0].Step, err)
 			}
 			if resumed.Steps != res.Steps || !resumed.Values.EqualValues(res.Values) {
-				t.Fatalf("%s k=%d: resume from %d (%s): %d steps, want %d", p.Name(), k,
-					cps[0].Step, ccPhase(cps), resumed.Steps, res.Steps)
+				t.Fatalf("%s k=%d: resume from %d: %d steps, want %d", p.Name(), k,
+					cps[0].Step, resumed.Steps, res.Steps)
 			}
 		}
 	})

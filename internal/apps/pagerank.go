@@ -69,6 +69,16 @@ func (p *PageRank) NewWorker(sub *bsp.Subgraph, env bsp.Env) bsp.WorkerProgram {
 	return g
 }
 
+// warmValue returns vertex gid's row of a warm-start matrix, unless there
+// is no matrix, it is too short, or the producing run did not cover gid.
+func warmValue(warm *graph.ValueMatrix, covered []bool, gid graph.VertexID) (float64, bool) {
+	v := int(gid)
+	if warm == nil || v >= warm.Rows() || covered != nil && (v >= len(covered) || !covered[v]) {
+		return 0, false
+	}
+	return warm.Scalar(v), true
+}
+
 // prRule is PageRank's gatherRule. The rank is column 0 of the run-width
 // rows; the other columns stay zero.
 type prRule struct {

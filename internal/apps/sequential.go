@@ -155,3 +155,38 @@ func SequentialPageRank(g *graph.Graph, iters int, damping float64) []float64 {
 	}
 	return rank
 }
+
+// dsu is a disjoint-set union with path halving and union by size.
+type dsu struct {
+	parent []int32
+	size   []int32
+}
+
+func newDSU(n int) *dsu {
+	d := &dsu{parent: make([]int32, n), size: make([]int32, n)}
+	for i := range d.parent {
+		d.parent[i] = int32(i)
+		d.size[i] = 1
+	}
+	return d
+}
+
+func (d *dsu) find(x int32) int32 {
+	for d.parent[x] != x {
+		d.parent[x] = d.parent[d.parent[x]]
+		x = d.parent[x]
+	}
+	return x
+}
+
+func (d *dsu) union(a, b int32) {
+	ra, rb := d.find(a), d.find(b)
+	if ra == rb {
+		return
+	}
+	if d.size[ra] < d.size[rb] {
+		ra, rb = rb, ra
+	}
+	d.parent[rb] = ra
+	d.size[ra] += d.size[rb]
+}

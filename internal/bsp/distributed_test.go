@@ -161,13 +161,12 @@ func TestRunWorkerValidation(t *testing.T) {
 // TestRunWorkerRefusesMalformedLinks: a worker's share of the link table
 // comes from another process, so RunWorker checks it against the subgraph
 // before running, and each refusal names the worker. Each table is worker
-// 1's first link vertex beside its first peer, broken one way.
+// 1's first link vertex, or a vertex beside it, broken one way.
 func TestRunWorkerRefusesMalformedLinks(t *testing.T) {
 	const k, w = 3, 1
 	subs := buildSubs(t, testGraphs(t)["powerlaw"], core.New(), k)
 	sub, share := subs[w], bsp.ComponentLinks(subs)[w]
-	l0, p0, n := share.Locals[0], share.Peers[0], int32(sub.NumLocalVertices())
-	l1 := l0 + 1 // in range, past l0: only its offsets are read
+	l0, n := share.Locals[0], int32(sub.NumLocalVertices())
 	lone := slices.IndexFunc(sub.GlobalIDs, func(gid graph.VertexID) bool {
 		l, _ := sub.LocalOf(gid)
 		return len(sub.PeersOf(l)) == 0
@@ -175,27 +174,16 @@ func TestRunWorkerRefusesMalformedLinks(t *testing.T) {
 	if lone < 0 {
 		t.Fatal("worker 1 replicates every vertex")
 	}
-	one := func(l, q int32) *bsp.Links {
-		return &bsp.Links{Locals: []int32{l}, Start: []int32{0, 1}, Peers: []int32{q}}
-	}
 	ctx, cancel := context.WithTimeout(t.Context(), 5*time.Second) // a share let through runs alone, and stalls
 	defer cancel()
 	trs := memJob(t, k)
-	for name, bad := range map[string]*bsp.Links{
-		"peer out of range":       one(l0, k),
-		"peer not a replica peer": one(l0, w),
-		"peers out of order":      {Locals: []int32{l0}, Start: []int32{0, 2}, Peers: []int32{p0, p0}},
-		"unreplicated vertex":     one(int32(lone), p0),
-		"vertices out of order":   {Locals: []int32{l0, l0}, Start: []int32{0, 1, 2}, Peers: []int32{p0, p0}},
-		"vertex past local range": one(n, p0),
-		"negative vertex":         one(-1, p0),
-		"no offsets":              {Locals: []int32{l0}, Peers: []int32{p0}},
-		"offsets not from zero":   {Locals: []int32{l0}, Start: []int32{1, 1}, Peers: []int32{p0}},
-		"offsets past the peers":  {Locals: []int32{l0, l1}, Start: []int32{0, 2, 1}, Peers: []int32{p0}},
-		"last offset short":       {Locals: []int32{l0}, Start: []int32{0, 1}, Peers: []int32{p0, p0}},
-		"empty peer run":          {Locals: []int32{l0, l1}, Start: []int32{0, 1, 1}, Peers: []int32{p0}},
+	for name, bad := range map[string][]int32{
+		"unreplicated vertex":     {int32(lone)},
+		"vertices out of order":   {l0, l0},
+		"vertex past local range": {n},
+		"negative vertex":         {-1},
 	} {
-		_, err := bsp.RunWorker(ctx, sub, bad, &apps.CC{}, trs[w], bsp.Config{})
+		_, err := bsp.RunWorker(ctx, sub, &bsp.Links{Locals: bad}, &apps.CC{}, trs[w], bsp.Config{})
 		if err == nil || !strings.HasPrefix(err.Error(), "bsp: worker 1: component links: ") {
 			t.Errorf("%s: RunWorker returned %v, want a refusal naming worker 1", name, err)
 		}
@@ -203,9 +191,9 @@ func TestRunWorkerRefusesMalformedLinks(t *testing.T) {
 }
 
 // TestRunWorkerCCWithoutLinks: CC under RunWorker handed no links fails at
-// the first send of a replicated component, with an error naming the
-// worker, instead of falling back to another table. A worker with nothing
-// to send yet fails as its peers close.
+// step 0 on a worker with a replicated vertex, with an error naming the
+// worker, instead of falling back to another table. A worker that does not
+// fail itself fails as its peers close.
 func TestRunWorkerCCWithoutLinks(t *testing.T) {
 	const k = 3
 	subs := buildSubs(t, testGraphs(t)["powerlaw"], core.New(), k)
@@ -225,14 +213,14 @@ func TestRunWorkerCCWithoutLinks(t *testing.T) {
 		switch {
 		case err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("bsp: worker %d: ", w)):
 			t.Errorf("worker %d: RunWorker returned %v, want an error naming the worker", w, err)
-		case strings.HasSuffix(err.Error(), "superstep 1: bsp: a replicated component to send, and no component links to send it along"):
+		case strings.HasSuffix(err.Error(), "superstep 0: bsp: a replicated component to send, and no component links to send it along"):
 			sent++
 		case !errors.Is(err, transport.ErrClosed):
 			t.Errorf("worker %d: %v, want the missing links or its peers' close", w, err)
 		}
 	}
 	if sent == 0 {
-		t.Error("no worker failed at its first send for want of links")
+		t.Error("no worker failed at step 0 for want of links")
 	}
 }
 

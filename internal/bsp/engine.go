@@ -30,8 +30,8 @@ type Program interface {
 // addresses rows by the routing plan and checks what arrives against it:
 // dense steps (gather/apply) move whole columns with SendRows and
 // ReceiveRows, sparse steps the marked replicated vertices with SendMarked
-// (SSSP) or the marked local component roots with SendLinked (CC), and
-// ReceiveLocals.
+// (SSSP) and ReceiveLocals. LinkVertices hands CC the epoch's component
+// links, which it addresses and checks itself.
 type Env struct {
 	// ValueWidth is the number of float64 values per vertex (>= 1).
 	ValueWidth int
@@ -626,7 +626,8 @@ type WorkerResult struct {
 // given transport (typically a job opened on a transport.MeshNode); the
 // peer workers run in other processes. It blocks until global quiescence.
 // links, checked against sub unless nil, is this worker's part of the
-// epoch's ComponentLinks, which CC sends along (nil fails its first send).
+// epoch's ComponentLinks, which CC reads (nil fails it at step 0 on a part
+// with a replicated vertex).
 // cfg.Resume, empty or one checkpoint for this worker, starts the worker
 // at the checkpoint's Step with its program state and inbox instead of
 // step 0; every worker of the run must resume from the same epoch (the

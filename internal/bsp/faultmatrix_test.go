@@ -20,10 +20,11 @@ import (
 // (worker, step) drawn inside the clean run, with replica verification on.
 // Each cell must end within its deadline either byte-identical to the clean
 // run or with an error naming the faulted worker and, for a fault the run
-// detects, the step. A failing cell prints its seed and coordinates. CC runs
-// on the road graph: it sends one row per component link, and on the
-// power-law graph's three parts no batch holds the two rows a dup or
-// reorder edits.
+// detects, the step. A failing cell prints its seed and coordinates. CC
+// runs on the road graph, whose three parts send and relabel enough rows
+// for a dup or reorder to edit, and each of its kinds gets a second cell
+// at worker 0, which unions every worker's link rows, at step 0, the
+// exchange that delivers them.
 func TestFaultMatrix(t *testing.T) {
 	const seed, k = 2021, 3
 	graphs := testGraphs(t)
@@ -54,6 +55,10 @@ func TestFaultMatrix(t *testing.T) {
 					f.step = rnd.IntN(max(1, lastStep(clean, f)))
 					f.id = strayTarget(t, subs[f.worker], clean)
 					faultCell(t, fmt.Sprintf("seed %d %s/%s/w%d/%v", seed, app, mesh, width, f), mesh, subs, prog, cfg, f, clean)
+					if app == "CC" { // the hub, at the step its union reads
+						f := &fault{kind: kind, id: strayTarget(t, subs[0], clean)}
+						faultCell(t, fmt.Sprintf("seed %d %s/%s/w%d/%v", seed, app, mesh, width, f), mesh, subs, prog, cfg, f, clean)
+					}
 				}
 			}
 		}

@@ -305,29 +305,18 @@ func (e Env) ReceiveRows(dst *graph.ValueMatrix, in *transport.MessageBatch, col
 // Links is one part's share of an epoch's component-link table.
 // For parts p and q, a local component A on p and B on q that share a
 // vertex meet at one link, the lowest global id in A ∩ B: p holds one link
-// per (A, q, B), and its links toward q are q's links toward p. Locals
-// lists the local vertices that are a link toward some worker, ascending,
-// and Peers[Start[i]:Start[i+1]] the workers Locals[i] is a link toward,
-// ascending. A row sent along every link reaches every local component its
-// sender's component touches.
-type Links struct{ Locals, Start, Peers []int32 }
+// per (A, q, B), and its links toward q are q's links toward p, so every
+// link vertex is one on at least two parts. Locals lists the local
+// vertices that are a link toward some worker, ascending. Every local
+// component with a replicated vertex has one.
+type Links struct{ Locals []int32 }
 
 // check reports the first way t is not a well-formed share of sub's links:
-// ascending local link vertices, each with an ascending run of its peers.
+// ascending local link vertices, each replicated.
 func (t *Links) check(sub *Subgraph) error {
-	if len(t.Start) != len(t.Locals)+1 || t.Start[0] != 0 || t.Start[len(t.Locals)] != int32(len(t.Peers)) {
-		return fmt.Errorf("%d link offsets for %d link vertices and %d peers", len(t.Start), len(t.Locals), len(t.Peers))
-	}
 	for i, l := range t.Locals {
-		lo, hi := t.Start[i], t.Start[i+1]
-		if l < 0 || int(l) >= len(sub.GlobalIDs) || i > 0 && l <= t.Locals[i-1] || lo >= hi || hi > int32(len(t.Peers)) {
-			return fmt.Errorf("link vertex %d at %d of %d local vertices, peer offsets %d..%d of %d", l, i, len(sub.GlobalIDs), lo, hi, len(t.Peers))
-		}
-		peers := t.Peers[lo:hi]
-		for j, q := range peers {
-			if j > 0 && q <= peers[j-1] || !slices.Contains(sub.PeersOf(l), q) {
-				return fmt.Errorf("link vertex %d links toward %v, its replica peers are %v", l, peers, sub.PeersOf(l))
-			}
+		if l < 0 || int(l) >= len(sub.GlobalIDs) || i > 0 && l <= t.Locals[i-1] || len(sub.PeersOf(l)) == 0 {
+			return fmt.Errorf("link vertex %d at %d of %d local vertices (ascending, replicated)", l, i, len(sub.GlobalIDs))
 		}
 	}
 	return nil
@@ -346,32 +335,45 @@ func ComponentLinks(subs []*Subgraph) []*Links {
 // buildLinks walks subs[i]'s replica peer entries in ascending local id,
 // hence ascending global id, so the first entry to reach a (q, A, B) is its
 // link. An entry whose vertex q does not hold, which no correct build has,
-// is kept as a link: the receiver's check then names it.
+// is kept as a link.
 func buildLinks(subs []*Subgraph, i int) *Links {
 	sub := subs[i]
 	roots, seen := make([][]int32, len(subs)), make([]map[uint64]struct{}, len(subs))
 	for q, s := range subs {
 		roots[q], seen[q] = s.ComponentRoots(), make(map[uint64]struct{})
 	}
-	t := &Links{Start: []int32{0}}
+	t := &Links{}
 	for _, l := range sub.Routing().Replicated {
-		n := len(t.Peers)
+		link := false
 		for _, q := range sub.PeersOf(l) {
-			if lq, held := subs[q].LocalOf(sub.GlobalIDs[l]); held {
-				key := uint64(roots[i][l])<<32 | uint64(roots[q][lq])
-				if _, dup := seen[q][key]; dup {
-					continue
-				}
-				seen[q][key] = struct{}{}
+			lq, held := subs[q].LocalOf(sub.GlobalIDs[l])
+			if !held {
+				link = true
+				continue
 			}
-			t.Peers = append(t.Peers, q)
+			key := uint64(roots[i][l])<<32 | uint64(roots[q][lq])
+			if _, dup := seen[q][key]; !dup {
+				seen[q][key], link = struct{}{}, true
+			}
 		}
-		if len(t.Peers) > n {
+		if link {
 			t.Locals = append(t.Locals, l)
-			t.Start = append(t.Start, int32(len(t.Peers)))
 		}
 	}
 	return t
+}
+
+// LinkVertices returns this worker's share of the epoch's component links
+// (Links.Locals). A part with a replicated vertex and no link table fails
+// the run and gets nil.
+func (e Env) LinkVertices() []int32 {
+	if t := e.links(); t != nil {
+		return t.Locals
+	}
+	if len(e.sub.Routing().Replicated) > 0 {
+		e.Fail(errors.New("bsp: a replicated component to send, and no component links to send it along"))
+	}
+	return nil
 }
 
 // SendMarked empties marked, a bit set over local ids, and sends vals[l]
@@ -397,33 +399,6 @@ func (e Env) SendMarked(marked []uint64, vals []float64) []*transport.MessageBat
 			}
 		}
 	}
-	return out
-}
-
-// SendLinked empties roots, a bit set over local component roots
-// (ComponentRoots entries), and sends each marked root's value along the
-// epoch's component links: every link vertex l whose root r is marked sends
-// vals[r] to the workers it is a link toward, in ascending l. For a program
-// that keeps one value per local component, every component its sender's
-// component reached before still receives the value. It returns nil when
-// no root was marked.
-func (e Env) SendLinked(roots []uint64, vals []float64) []*transport.MessageBatch {
-	if !slices.ContainsFunc(roots, func(word uint64) bool { return word != 0 }) {
-		return nil
-	}
-	t, root, out := e.links(), e.sub.ComponentRoots(), make([]*transport.MessageBatch, e.sub.NumWorkers)
-	if t == nil {
-		e.Fail(errors.New("bsp: a replicated component to send, and no component links to send it along"))
-		return nil
-	}
-	for i, l := range t.Locals {
-		if r := root[l]; roots[r>>6]&(1<<(r&63)) != 0 {
-			for _, peer := range t.Peers[t.Start[i]:t.Start[i+1]] {
-				e.sendScalar(out, peer, e.sub.GlobalIDs[l], vals[r])
-			}
-		}
-	}
-	clear(roots)
 	return out
 }
 

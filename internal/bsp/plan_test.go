@@ -218,19 +218,20 @@ func TestPlanBuiltOnceUnderConcurrentJobs(t *testing.T) {
 	}
 }
 
-// checkLinks asserts an epoch's link table against its definition: for each
-// (p, A, q, B), the lowest global id in A ∩ B, once, and nothing else. As
-// both sides derive from the same shared vertices, p's links toward q must
-// be q's toward p. Each part lists its link vertices strictly ascending,
-// among its replicated ones, each with a non-empty peer range, and every
-// component with a replicated vertex has a link vertex: per-root CC sends
-// through those. It returns the number of links.
+// checkLinks asserts an epoch's link table against its definition: part
+// p's link vertices are the lowest global id in A ∩ B of each (p, A, q, B),
+// and nothing else. As both sides derive from the same shared vertices,
+// each of those is a link vertex on q too. Each part lists its link
+// vertices strictly ascending, among its replicated ones, and every
+// component with a replicated vertex has a link vertex: CC's union reaches
+// every replicated component through those. It returns the number of
+// (vertex, part) link entries.
 func checkLinks(t *testing.T, subs []*bsp.Subgraph) int {
 	t.Helper()
 	type pair struct{ p, a, q, b int32 }
 	type link struct {
-		gid  graph.VertexID
-		p, q int32
+		gid graph.VertexID
+		p   int32
 	}
 	want, got := map[pair]graph.VertexID{}, map[link]bool{}
 	for p, sub := range subs {
@@ -248,21 +249,12 @@ func checkLinks(t *testing.T, subs []*bsp.Subgraph) int {
 	for p, part := range bsp.ComponentLinks(subs) {
 		sub := subs[p]
 		root, replicated := sub.ComponentRoots(), sub.Routing().Replicated
-		if len(part.Start) != len(part.Locals)+1 || part.Start[0] != 0 || part.Start[len(part.Locals)] != int32(len(part.Peers)) {
-			t.Fatalf("part %d: %d link offsets for %d link vertices and %d peers", p, len(part.Start), len(part.Locals), len(part.Peers))
-		}
 		linked := map[int32]bool{}
 		for i, l := range part.Locals {
-			gid, peers := sub.GlobalIDs[l], part.Peers[part.Start[i]:part.Start[i+1]]
-			if i > 0 && part.Locals[i-1] >= l || !slices.Contains(replicated, l) || len(peers) == 0 {
-				t.Fatalf("part %d: link vertex %d at %d (strictly ascending, replicated, with peers %v)", p, l, i, peers)
+			if i > 0 && part.Locals[i-1] >= l || !slices.Contains(replicated, l) {
+				t.Fatalf("part %d: link vertex %d at %d (strictly ascending, replicated)", p, l, i)
 			}
-			for j, q := range peers {
-				if j > 0 && peers[j-1] >= q || !slices.Contains(sub.PeersOf(l), q) {
-					t.Fatalf("part %d: vertex %d links toward %v (ascending, among its peers %v)", p, gid, peers, sub.PeersOf(l))
-				}
-				got[link{gid, int32(p), q}] = true
-			}
+			got[link{sub.GlobalIDs[l], int32(p)}] = true
 			linked[root[l]] = true
 		}
 		for _, l := range replicated {
@@ -271,16 +263,18 @@ func checkLinks(t *testing.T, subs []*bsp.Subgraph) int {
 			}
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d links, %d (A, q, B) triples", len(got), len(want))
-	}
+	links := map[link]bool{}
 	for key, gid := range want {
-		if !got[link{gid, key.p, key.q}] {
+		links[link{gid, key.p}] = true
+		if !got[link{gid, key.p}] {
 			t.Fatalf("part %d: component %d meets part %d's component %d first at vertex %d, which is no link", key.p, key.a, key.q, key.b, gid)
 		}
-		if !got[link{gid, key.q, key.p}] {
+		if !got[link{gid, key.q}] {
 			t.Fatalf("vertex %d links part %d toward %d but not back", gid, key.p, key.q)
 		}
+	}
+	if len(got) != len(links) {
+		t.Fatalf("%d link vertices, %d lowest shared ids", len(got), len(links))
 	}
 	return len(got)
 }
@@ -324,8 +318,8 @@ func TestComponentLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkLinks(t, subs)
-	if links := bsp.ComponentLinks(subs); len(links[0].Peers) != 1 || len(links[1].Peers) != 1 || len(links[2].Peers) != 0 {
+	if links := bsp.ComponentLinks(subs); len(links[0].Locals) != 1 || len(links[1].Locals) != 1 || len(links[2].Locals) != 0 {
 		t.Fatalf("links %d, %d, %d; want 1, 1 and none on the part sharing no vertex",
-			len(links[0].Peers), len(links[1].Peers), len(links[2].Peers))
+			len(links[0].Locals), len(links[1].Locals), len(links[2].Locals))
 	}
 }

@@ -2,6 +2,7 @@ package bsp_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,42 +116,93 @@ func TestGatherApplyStepZeroExpectsEmptyInbox(t *testing.T) {
 	}
 }
 
-// TestStrayRowFailsCCAndSSSP: every CC and SSSP sender addresses only the
-// vertex's replica peers, so a delivered row for a vertex the receiver
-// does not hold, or holds but shares with no other worker, is a bug, and
-// the run fails naming the worker, the step, the row and the vertex
-// instead of folding the row.
+// TestStrayRowFailsCCAndSSSP: every SSSP sender addresses only the
+// vertex's replica peers, so a delivered row for a vertex the receiver does
+// not hold, or holds but shares with no other worker, is a bug, and the
+// run fails naming the worker, the step, the row and the vertex instead of
+// folding the row. CC's relabelling broadcast reaches every worker, so a
+// row for a vertex this worker does not hold is skipped (the run ends as
+// the clean one, less the row it replaced, which worker 1 does not use),
+// while one that relabels a vertex held unreplicated and not as a root, or
+// the root of a component with no link vertex, fails the run naming the
+// row.
 func TestStrayRowFailsCCAndSSSP(t *testing.T) {
-	g := testGraphs(t)["powerlaw"]
 	const k, worker = 4, 1
-	subs := buildSubs(t, g, core.New(), k)
+	// The power-law graph plus a path on three new vertices, all on worker
+	// 1: a component there with no link vertex.
+	pl := testGraphs(t)["powerlaw"]
+	a, err := core.New().Partition(t.Context(), pl, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := graph.VertexID(pl.NumVertices())
+	g, err := graph.New(int(n)+3, append(slices.Clone(pl.Edges()), graph.Edge{Src: n, Dst: n + 1}, graph.Edge{Src: n + 1, Dst: n + 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Parts = append(a.Parts, worker, worker)
+	subs, err := bsp.BuildSubgraphs(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sub := subs[worker]
+	root, mask := sub.ComponentRoots(), sub.Routing().Mask
+	replicated := func(l int32) bool { return mask[l>>6]&(1<<(l&63)) != 0 }
+	linked := map[int32]bool{}
+	for _, l := range bsp.ComponentLinks(subs)[worker].Locals {
+		linked[root[l]] = true
+	}
+	// want is SSSP's error suffix, ccWant CC's; an empty one marks a cell
+	// that program does not have (CC's "not held" runs clean).
 	rows := []struct {
-		name   string
-		vertex int
-		want   string
-	}{{"not held", -1, "does not hold"}, {"held, unreplicated", -1, "holds but does not replicate"}}
-	for v := range g.NumVertices() {
-		l, held := sub.LocalOf(graph.VertexID(v))
-		switch {
-		case !held && rows[0].vertex < 0:
-			rows[0].vertex = v
-		case held && len(sub.PeersOf(l)) == 0 && rows[1].vertex < 0:
-			rows[1].vertex = v
+		name, want, ccWant string
+		ok                 func(l int32, held bool) bool
+		vertex             int
+	}{
+		{"not held", "does not hold", "", func(_ int32, held bool) bool { return !held }, -1},
+		{"held, unreplicated", "holds but does not replicate", "which this worker holds unreplicated and not as a component's root",
+			func(l int32, held bool) bool { return held && !replicated(l) && root[l] != l }, -1},
+		{"unlinked root", "", "the root of a component with no link vertex",
+			func(l int32, held bool) bool { return held && root[l] == l && !linked[l] }, -1},
+	}
+	for i := range rows {
+		for v := range g.NumVertices() {
+			if l, held := sub.LocalOf(graph.VertexID(v)); rows[i].ok(l, held) {
+				rows[i].vertex = v
+				break
+			}
+		}
+		if rows[i].vertex < 0 {
+			t.Fatalf("worker %d has no %s vertex", worker, rows[i].name)
 		}
 	}
 	for _, row := range rows {
-		if row.vertex < 0 {
-			t.Fatalf("worker %d has no vertex that it %s", worker, row.want)
-		}
 		for _, prog := range []bsp.Program{&apps.CC{}, &apps.SSSP{Source: 0}, &apps.SSSP{Source: 0, Weighted: true}} {
+			want, prefix := row.want, "bsp: inbox row 0 is vertex"
+			if prog.Name() == "CC" {
+				want, prefix = row.ccWant, "apps: CC row 0 relabels vertex"
+			} else if want == "" {
+				continue
+			}
 			for _, mesh := range []string{"mem", "tcp"} {
 				for _, width := range []int{1, 3} {
+					label := fmt.Sprintf("%s/%s/%s/w%d", row.name, prog.Name(), mesh, width)
 					f := &fault{kind: swapID, worker: worker, id: uint32(row.vertex)}
+					if want == "" {
+						clean, err := bsp.Run(t.Context(), subs, prog, bsp.Config{ValueWidth: width})
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := runFault(t.Context(), t, mesh, subs, prog, bsp.Config{ValueWidth: width}, f)
+						if !f.fired.Load() || err != nil || !res.Values.EqualValues(clean.Values) {
+							t.Fatalf("%s: fired %t, err = %v, want the clean run's values", label, f.fired.Load(), err)
+						}
+						continue
+					}
 					err := runTampered(t, mesh, subs, prog, width, f)
-					prefix := fmt.Sprintf("bsp: worker %d: superstep %d: bsp: inbox row 0 is vertex %d, ", worker, f.at+1, row.vertex)
-					if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.HasSuffix(err.Error(), row.want) {
-						t.Fatalf("%s/%s/%s/w%d: err = %v, want %q…%q", row.name, prog.Name(), mesh, width, err, prefix, row.want)
+					prefix := fmt.Sprintf("bsp: worker %d: superstep %d: %s %d, ", worker, f.at+1, prefix, row.vertex)
+					if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.HasSuffix(err.Error(), want) {
+						t.Fatalf("%s: err = %v, want %q…%q", label, err, prefix, want)
 					}
 				}
 			}

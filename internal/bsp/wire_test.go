@@ -49,7 +49,8 @@ func runOverMesh(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, cfg bsp.C
 // widths {1, 8} runs over the in-memory deployment (the reference) and the
 // TCP mesh at k = 3 (direct exchange only), 4 and 8 (radix 2 on small
 // steps); values must be byte-identical, steps and message counts equal,
-// and the wire bytes exactly the layout's. The combine axis sets
+// and the wire bytes exactly the layout's, and CC takes at most three
+// supersteps. The combine axis sets
 // Config.AutoCombine, which the engine ignores and benchmark/ still sets
 // (ROADMAP item 1(b)): both cells must move exactly the same bytes.
 func TestWireV4EquivalenceAllApps(t *testing.T) {
@@ -92,6 +93,9 @@ func checkWireEquivalence(t *testing.T, subs []*bsp.Subgraph, prog bsp.Program, 
 	}
 	if res.Steps != ref.Steps {
 		t.Fatalf("TCP run took %d steps, in-memory %d", res.Steps, ref.Steps)
+	}
+	if prog.Name() == "CC" && res.Steps > 3 {
+		t.Fatalf("CC took %d supersteps, at most 3", res.Steps)
 	}
 	counts := res.MessageCounts()
 	if rc := ref.MessageCounts(); counts != rc {

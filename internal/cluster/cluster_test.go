@@ -368,8 +368,9 @@ func killWhenCheckpointed(t *testing.T, dir string, job, workers int, victim *Ag
 }
 
 // TestClusterFailoverStandby is the headline guarantee: kill -9 one
-// worker mid-CC with a hot standby registered; the job completes with
-// values byte-identical to an uninterrupted run.
+// worker mid-SSSP with a hot standby registered; the job completes with
+// values byte-identical to an uninterrupted run. (CC ends in three
+// supersteps, before the first checkpoint epoch here.)
 func TestClusterFailoverStandby(t *testing.T) {
 	const k = 3
 	path := testPathGraph(t, 1200) // long propagation: hundreds of supersteps
@@ -384,7 +385,7 @@ func TestClusterFailoverStandby(t *testing.T) {
 	victim := agents[1] // registration order == assignment order: owns partition 1
 
 	spec := JobSpec{
-		App:             "CC",
+		App:             "SSSP",
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 5,
 	}
@@ -414,7 +415,7 @@ func TestClusterFailoverStandby(t *testing.T) {
 	if err := tc.agentErr(victim); err != ErrAgentKilled {
 		t.Fatalf("victim err = %v, want ErrAgentKilled", err)
 	}
-	t.Logf("CC recovered: %d attempts, restored from epoch %d of %d steps", res.Attempts, res.RestoredFrom, res.Steps)
+	t.Logf("SSSP recovered: %d attempts, restored from epoch %d of %d steps", res.Attempts, res.RestoredFrom, res.Steps)
 }
 
 // TestClusterFailoverReplacement kills a PageRank worker with NO standby:

@@ -16,8 +16,9 @@ import (
 // counts are the replica-pair model: worker p sends L_p rows, one per
 // replica peer of each of its replicated vertices, so L_p is the length of
 // its subgraph's peer list and the total is Σ R(v)(R(v) − 1). Engine CC
-// sends one row per component link instead (bsp.Links), which no longer
-// measures the paper's per-replica traffic.
+// instead sends worker 0 one row per link vertex (bsp.Links) and gets back
+// the relabelled labels, which no longer measures the paper's per-replica
+// traffic.
 
 // MessageCell holds one partitioner's message statistics on one graph.
 type MessageCell struct {

@@ -8,7 +8,7 @@
 // A batch arrives as a []Mutation value; it has no wire format of its
 // own (ebv-serve decodes it from a JSON request). The package holds
 // mutations only: a job warm-starts from a previous result through the
-// programs' own Warm fields (apps.CC, apps.PageRank).
+// program's own Warm field (apps.PageRank).
 package live
 
 import (

@@ -284,9 +284,9 @@ func TestPipelineTCPLoopback(t *testing.T) {
 // partitioner, on road-tcp's graph (a 300 × 300 lattice, seed 1, k = 8)
 // over the in-memory mesh. The default finds the lattice local and cuts
 // its breadth-first edge order into 8 ranges, so the replication factor
-// is at most 1.03 and CC and SSSP from vertex 0 take at most 30
-// supersteps together; the paper's degree-sum order (ebv.NewEBV())
-// replicates 1.54 and takes about 220 there.
+// is at most 1.03, CC takes its three supersteps, and CC and SSSP from
+// vertex 0 take at most 30 supersteps together; the paper's degree-sum
+// order (ebv.NewEBV()) replicates 1.54 there.
 func TestPipelineDefaultOnRoadLattice(t *testing.T) {
 	g, err := ebv.Road(ebv.RoadConfig{Width: 300, Height: 300, Seed: 1})
 	if err != nil {
@@ -319,6 +319,9 @@ func TestPipelineDefaultOnRoadLattice(t *testing.T) {
 			t.Errorf("%T disagrees with its sequential oracle", job.prog)
 		}
 		t.Logf("%T: %d supersteps, %d rows", job.prog, res.BSP.Steps, res.BSP.TotalMessages())
+		if _, cc := job.prog.(*ebv.CC); cc && res.BSP.Steps != 3 {
+			t.Errorf("CC took %d supersteps, want 3", res.BSP.Steps)
+		}
 		steps += res.BSP.Steps
 	}
 	if steps > 30 {
