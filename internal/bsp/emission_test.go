@@ -180,21 +180,21 @@ func TestGoldenEmissions(t *testing.T) {
 }
 
 var goldenEmissions = map[string]string{
-	"powerlaw/CC":        "7f1623cd39c1b9a4753440610542c4007b26d25b9935db1752ad80e3d5f33f12",
+	"powerlaw/CC":        "5ad2a98eba65ff370984d1869993a9883347e4575aca3d8a1661663005b10f2d",
 	"powerlaw/PR":        "5753e1cd5b2238cb91da212aaef92ebc114fd408cd17bb447dd1e4adc3b02c0d",
 	"powerlaw/SSSP":      "bb9d18e4670f0b68591d501668983f86121d41d4c42918619b15203ba7b8d597",
 	"powerlaw/WSSSP":     "8d61198669a9efc714a66e58e2e5b61d87cbc560ae21d3f4ade56a946ceec1e4",
 	"powerlaw/Aggregate": "cb21ad0c5beb1dfabaf6a1e7c411a1acee3a844fa72f6aac647bdcae4ea9e03d",
-	"road/CC":            "18e20b176f77d432330639611d68abcffc908edfa7c5e517054852377590f4a4",
+	"road/CC":            "5e566c8e23149976353287aff6b69a5430754fb4077cca937378b86e8ec204a7",
 	"road/PR":            "8ab5c03f19c54d4934f802bbd4d30681f24e71b8a79eef9740a30ef360d1e328",
 	"road/SSSP":          "95c9ab22cb46434f6fb6aef63056a04674f58937502da71e392e701a36e1bfcc",
 	"road/WSSSP":         "052912a9f001a70c5425a3024360f3b063c5e4022d61964af54cd21cd59b2d73",
 	"road/Aggregate":     "a222589ce943976ef56888c40ed56d746ee5d4c23e84f2f52772ad201a2c2e4e",
-	"powerlaw/CC@w4":     "875aab0d3bc5a44bcb3b7905d69047292774379fbb4e77ce45ba4a468f9bcbf6",
+	"powerlaw/CC@w4":     "8d4c574360b3beed1116304c7a2ca77243e9b235f7eaaa7c6b7b138a35486e4f",
 	"powerlaw/PR@w4":     "4030d33647cd6ce8780f8c3b39093aec46d129af470a34eb0763724a383c9bc3",
 	"powerlaw/SSSP@w4":   "ad3a9900c6a69d022dc7c50eef3a5b478560e8173b68f4c7da0bdb8071ee8daf",
 	"powerlaw/PR-delta":  "d08330bc2cce296327e5dd6f809d551d78bc359fe53f4b3a996b2e0e019c66f6",
-	"road/CC@w4":         "e9373818439f6912982663739025dd83cf6e63644432db9aacd563f57eb9ffca",
+	"road/CC@w4":         "ea32790992114f5d27e52eeffa10fe8c5f21248043bcf8a2090d625915cf228f",
 	"road/PR@w4":         "7b6350ac34b5e64cadeb6643ff648245af9f4d5d4e2106039a94d10f968355bd",
 	"road/SSSP@w4":       "fb46890f12ad6b72180f3c8c7b567f2be227f1b07f1be63eb61e0b1923f70fdb",
 	"road/PR-delta":      "b687bb10095f1332b3cb9e7b3203d3adbd28766b94ad8fdceb1ab71bfdadd4df",
