@@ -159,19 +159,15 @@ func (w *ccWorker) union(in *transport.MessageBatch) []*transport.MessageBatch {
 		}
 		i = j
 	}
-	var out []*transport.MessageBatch
+	out := make([]*transport.MessageBatch, w.sub.NumWorkers)
+	for q := range out {
+		out[q] = w.env.NewBatch()
+	}
 	for i, p := range parent {
-		if parent[i] = parent[p]; parent[i] == int32(i) {
-			continue
-		}
-		if out == nil {
-			out = make([]*transport.MessageBatch, w.sub.NumWorkers)
-			for q := range out {
-				out[q] = w.env.NewBatch()
+		if parent[i] = parent[p]; parent[i] != int32(i) {
+			for _, b := range out {
+				b.AppendScalar(graph.VertexID(labels[i]), float64(labels[parent[i]]))
 			}
-		}
-		for _, b := range out {
-			b.AppendScalar(graph.VertexID(labels[i]), float64(labels[parent[i]]))
 		}
 	}
 	return out
@@ -194,11 +190,8 @@ func (w *ccWorker) relabel(in *transport.MessageBatch) {
 		case w.root[l] == l && linked[l]:
 			w.label[l] = min(w.label[l], in.Scalar(i))
 		case w.root[l] != l && replicated: // likewise
-		case w.root[l] != l:
-			w.env.Fail(fmt.Errorf("apps: CC row %d relabels vertex %d, which this worker holds unreplicated and not as a component's root", i, gid))
-			return
-		default:
-			w.env.Fail(fmt.Errorf("apps: CC row %d relabels vertex %d, the root of a component with no link vertex", i, gid))
+		default: // held unreplicated and not a root, or an unlinked root
+			w.env.Fail(fmt.Errorf("apps: CC row %d relabels vertex %d, which labels no linked component here", i, gid))
 			return
 		}
 	}

@@ -160,9 +160,9 @@ func TestStrayRowFailsCCAndSSSP(t *testing.T) {
 		vertex             int
 	}{
 		{"not held", "does not hold", "", func(_ int32, held bool) bool { return !held }, -1},
-		{"held, unreplicated", "holds but does not replicate", "which this worker holds unreplicated and not as a component's root",
+		{"held, unreplicated", "holds but does not replicate", "which labels no linked component here",
 			func(l int32, held bool) bool { return held && !replicated(l) && root[l] != l }, -1},
-		{"unlinked root", "", "the root of a component with no link vertex",
+		{"unlinked root", "", "which labels no linked component here",
 			func(l int32, held bool) bool { return held && root[l] == l && !linked[l] }, -1},
 	}
 	for i := range rows {
