@@ -335,7 +335,7 @@ func ComponentLinks(subs []*Subgraph) []*Links {
 // buildLinks walks subs[i]'s replica peer entries in ascending local id,
 // hence ascending global id, so the first entry to reach a (q, A, B) is its
 // link. An entry whose vertex q does not hold, which no correct build has,
-// is kept as a link.
+// links nothing.
 func buildLinks(subs []*Subgraph, i int) *Links {
 	sub := subs[i]
 	roots, seen := make([][]int32, len(subs)), make([]map[uint64]struct{}, len(subs))
@@ -346,14 +346,11 @@ func buildLinks(subs []*Subgraph, i int) *Links {
 	for _, l := range sub.Routing().Replicated {
 		link := false
 		for _, q := range sub.PeersOf(l) {
-			lq, held := subs[q].LocalOf(sub.GlobalIDs[l])
-			if !held {
-				link = true
-				continue
-			}
-			key := uint64(roots[i][l])<<32 | uint64(roots[q][lq])
-			if _, dup := seen[q][key]; !dup {
-				seen[q][key], link = struct{}{}, true
+			if lq, held := subs[q].LocalOf(sub.GlobalIDs[l]); held {
+				key := uint64(roots[i][l])<<32 | uint64(roots[q][lq])
+				if _, dup := seen[q][key]; !dup {
+					seen[q][key], link = struct{}{}, true
+				}
 			}
 		}
 		if link {
