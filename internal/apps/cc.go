@@ -99,7 +99,7 @@ func (w *ccWorker) Superstep(step int, in *transport.MessageBatch) (out []*trans
 	case step == 2:
 		w.relabel(in)
 	case in.Len() > 0:
-		w.env.Fail(fmt.Errorf("apps: CC worker %d got %d rows at superstep %d, where it expects none", w.sub.Part, in.Len(), step))
+		w.env.Fail(fmt.Errorf("apps: CC got %d rows at a step that expects none", in.Len()))
 	}
 	return out, false
 }
